@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify fmt-check bench bench-smoke bench-json chaos-smoke gateway-smoke multigroup-smoke trust-smoke fuzz-smoke linkcheck clean
+.PHONY: build vet test race verify bench-check fmt-check bench bench-smoke bench-json chaos-smoke gateway-smoke multigroup-smoke trust-smoke fuzz-smoke linkcheck clean
 
 build:
 	$(GO) build ./...
@@ -16,8 +16,15 @@ race:
 
 # verify is the tier-1 gate: build + vet + full test suite under the race
 # detector (the serial-vs-parallel differential tests rely on -race to catch
-# worker-pool data races).
-verify: build vet race
+# worker-pool data races), then the same for the benchmark's module.
+verify: build vet race bench-check
+
+# bench-check vets the repository's benchmark (bench/, a nested module that
+# ./... does not reach) and runs its 1/50-scale smoke test under the race
+# detector, so that a change to an API the benchmark uses fails here and not
+# in the driver.
+bench-check:
+	(cd bench && $(GO) vet . && $(GO) test -race -count=1 .)
 
 # fmt-check fails (listing the offenders) if any file is not gofmt-clean;
 # CI runs this as its lint step.

@@ -174,55 +174,84 @@ func (ci *conflictIndex) add(u Update) {
 	}
 }
 
-// probe returns all conflicts between u and the indexed updates.
-func (ci *conflictIndex) probe(u Update) []Conflict {
-	rel, ok := ci.s.Relation(u.Rel)
-	if !ok {
-		return nil
-	}
-	var cands []Update
+// buckets returns the (at most three) index buckets u's derived keys
+// select, without copying them. A replacement whose key does not change
+// selects its key bucket once.
+func (ci *conflictIndex) buckets(u *Update, rel *Relation) (b [3][]Update) {
 	switch u.Op {
 	case OpInsert, OpDelete:
-		cands = append(cands, ci.byKey[tupleKey{rel: u.Rel, enc: u.keyEncTuple(rel)}]...)
+		b[0] = ci.byKey[tupleKey{rel: u.Rel, enc: u.keyEncTuple(rel)}]
 	case OpModify:
 		kt := tupleKey{rel: u.Rel, enc: u.keyEncTuple(rel)}
-		cands = append(cands, ci.byKey[kt]...)
+		b[0] = ci.byKey[kt]
 		if kn := (tupleKey{rel: u.Rel, enc: u.keyEncNew(rel)}); kn != kt {
-			cands = append(cands, ci.byKey[kn]...)
+			b[1] = ci.byKey[kn]
 		}
-		cands = append(cands, ci.bySource[tupleKey{rel: u.Rel, enc: u.tupleEnc()}]...)
+		b[2] = ci.bySource[tupleKey{rel: u.Rel, enc: u.tupleEnc()}]
 	}
-	var out []Conflict
-	dedup := map[Conflict]bool{}
-	for _, v := range cands {
-		for _, c := range UpdatesConflict(ci.s, u, v) {
-			if !dedup[c] {
-				dedup[c] = true
-				out = append(out, c)
+	return b
+}
+
+// probe appends to out the conflicts between u and the indexed updates that
+// out does not hold yet. It allocates only when it finds one: the common
+// probe selects empty buckets.
+func (ci *conflictIndex) probe(u Update, out []Conflict) []Conflict {
+	rel, ok := ci.s.Relation(u.Rel)
+	if !ok {
+		return out
+	}
+	for _, bucket := range ci.buckets(&u, rel) {
+		for _, v := range bucket {
+			for _, c := range UpdatesConflict(ci.s, u, v) {
+				if !containsConflict(out, c) {
+					out = append(out, c)
+				}
 			}
 		}
 	}
 	return out
 }
 
+// probeAll returns the conflicts between the updates and the indexed ones,
+// each once, in probe order.
+func (ci *conflictIndex) probeAll(us []Update) []Conflict {
+	var out []Conflict
+	for _, u := range us {
+		out = ci.probe(u, out)
+	}
+	return out
+}
+
+// conflictsAny reports whether any of the updates conflicts with an indexed
+// one, stopping at the first update that does.
+func (ci *conflictIndex) conflictsAny(us []Update) bool {
+	for _, u := range us {
+		if len(ci.probe(u, nil)) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// containsConflict is the dedup test of the probe paths: a pair of update
+// sets yields a handful of conflicts at most, so a scan beats a map.
+func containsConflict(cs []Conflict, c Conflict) bool {
+	for _, have := range cs {
+		if have == c {
+			return true
+		}
+	}
+	return false
+}
+
 // SetsConflict returns the conflicts between two flattened update sets using
-// hash-based detection. It is symmetric.
+// hash-based detection: the longer set is indexed, the shorter probes it. It
+// is symmetric.
 func SetsConflict(s *Schema, a, b []Update) []Conflict {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
-	idx := newConflictIndex(s, b)
-	var out []Conflict
-	dedup := map[Conflict]bool{}
-	for _, u := range a {
-		for _, c := range idx.probe(u) {
-			if !dedup[c] {
-				dedup[c] = true
-				out = append(out, c)
-			}
-		}
-	}
-	return out
+	return newConflictIndex(s, b).probeAll(a)
 }
 
 // SetsConflictNaive is the O(|a|·|b|) pairwise reference implementation,

@@ -33,12 +33,18 @@ type Engine struct {
 	rejected TxnSet
 
 	// deferredCands carries deferred candidates across reconciliations so
-	// ReconcileUpdates can reconsider them without re-fetching.
-	deferredCands map[TxnID]*Candidate
+	// ReconcileUpdates can reconsider them without re-fetching, each with
+	// the soft state it contributed (see deferredCand).
+	deferredCands map[TxnID]*deferredCand
 	// dirty is the dirty value set: keys touched by deferred transactions.
 	dirty map[tupleKey]bool
-	// groups are the conflict groups recorded by the last reconciliation.
+	// groups are the conflict groups of the deferred transactions.
 	groups map[Conflict]*ConflictGroup
+	// unsettled is set by whatever changes what re-evaluating a deferred
+	// candidate reads beyond its own component — the trust policy, the own
+	// delta, a restore — and makes the next run reconsider every one of
+	// them (see Resolve).
+	unsettled bool
 
 	// ownSince accumulates the peer's own transactions applied locally
 	// since the last reconciliation ("the delta for recno").
@@ -69,7 +75,7 @@ func NewEngine(peer PeerID, schema *Schema, trust Trust, opts ...EngineOption) *
 		inst:          NewInstance(schema),
 		applied:       make(TxnSet),
 		rejected:      make(TxnSet),
-		deferredCands: make(map[TxnID]*Candidate),
+		deferredCands: make(map[TxnID]*deferredCand),
 		dirty:         make(map[tupleKey]bool),
 		groups:        make(map[Conflict]*ConflictGroup),
 		producers:     make(map[tupleKey]TxnID),
@@ -101,6 +107,7 @@ func (e *Engine) Trust() Trust { return e.trust }
 func (e *Engine) SetTrust(t Trust) {
 	e.trust = t
 	e.prio = NewPriorityCache(t)
+	e.unsettled = true
 }
 
 // TxnPriority computes pri_i(X) under the engine's current trust policy,
@@ -123,15 +130,15 @@ func (e *Engine) TxnPriority(x *Transaction) int { return e.prio.TxnPriority(x) 
 func (e *Engine) RefreshTrust(t Trust) int {
 	e.SetTrust(t)
 	changed := 0
-	for id, c := range e.deferredCands {
-		p := e.prio.TxnPriority(c.Txn)
-		if p == c.Priority {
+	for _, d := range e.deferredCands {
+		p := e.prio.TxnPriority(d.cand.Txn)
+		if p == d.cand.Priority {
 			continue
 		}
 		// Candidates may be shared with the store layer; re-price a copy.
-		cc := *c
+		cc := *d.cand
 		cc.Priority = p
-		e.deferredCands[id] = &cc
+		d.cand = &cc
 		changed++
 	}
 	return changed
@@ -180,6 +187,7 @@ func (e *Engine) NewLocalTransaction(updates ...Update) (*Transaction, error) {
 	e.nextSeq++
 	e.applied.Add(x.ID)
 	e.ownSince = append(e.ownSince, x)
+	e.unsettled = true
 	return x, nil
 }
 
@@ -193,6 +201,45 @@ type candidateState struct {
 	upEx     *UpdateExtension
 	decision Decision
 	carried  bool // previously deferred, reconsidered this run
+	deferred bool // left deferred by this run (set before UpdateSoftState)
+}
+
+// pairConflicts is what FindConflicts learned about the run's candidate
+// pairs: pairs is enumeratePairs over the candidates, found[pi] the
+// conflicts of pair pi (subsumed pairs included), nil for most.
+// UpdateSoftState groups by it instead of checking the deferred pairs again.
+type pairConflicts struct {
+	pairs []uint64
+	found [][]Conflict
+}
+
+// deferredCand is a deferred candidate together with the soft state it
+// contributed, so that a run which does not reconsider it can leave that
+// state in place and a run which does can take exactly it back out.
+type deferredCand struct {
+	cand *Candidate
+	// dirty are the keys it keeps dirty; groups the conflict groups it is a
+	// member of. Candidates of different components share neither.
+	dirty  []tupleKey
+	groups []Conflict
+	// comp identifies its component at its last evaluation (candidates with
+	// different comp are not linked, see markComponents); settled reports
+	// that evaluating the component again would decide nothing.
+	comp    uint64
+	settled bool
+}
+
+// dropDeferred takes a deferred candidate and its soft state out of the
+// engine. The conflict groups it was a member of go with it: a run that
+// drops one member of a component drops or re-evaluates all of them.
+func (e *Engine) dropDeferred(d *deferredCand) {
+	for _, k := range d.dirty {
+		delete(e.dirty, k)
+	}
+	for _, c := range d.groups {
+		delete(e.groups, c)
+	}
+	delete(e.deferredCands, d.cand.Txn.ID)
 }
 
 // Reconcile runs ReconcileUpdates (Figure 4) for the next reconciliation:
@@ -201,12 +248,26 @@ type candidateState struct {
 // automatically. It returns the decisions made and updates the instance,
 // the applied/rejected sets, and the soft state.
 func (e *Engine) Reconcile(fresh []*Candidate) (*Result, error) {
+	carried := make([]*deferredCand, 0, len(e.deferredCands))
+	for _, d := range e.deferredCands {
+		carried = append(carried, d)
+	}
+	return e.reconcile(fresh, carried)
+}
+
+// reconcile is ReconcileUpdates over the fresh candidates and the carried
+// deferred ones. carried is every deferred candidate, or (Resolve) a union
+// of whole components that holds every unsettled one: the deferred
+// candidates left out keep their entries, dirty keys and conflict groups,
+// which is what running them again would rebuild.
+func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result, error) {
 	e.recno++
 	res := &Result{Recno: e.recno}
+	res.Stats.DeferredCarried = len(carried)
 
 	// Line 1: the undecided fully trusted transactions: new arrivals plus
 	// carried-over deferred ones.
-	states := make(map[TxnID]*candidateState, len(fresh)+len(e.deferredCands))
+	states := make(map[TxnID]*candidateState, len(fresh)+len(carried))
 	var order []*candidateState
 	addCand := func(c *Candidate, carried bool) {
 		if c.Priority <= 0 {
@@ -222,9 +283,8 @@ func (e *Engine) Reconcile(fresh []*Candidate) (*Result, error) {
 		states[c.Txn.ID] = st
 		order = append(order, st)
 	}
-	for id := range e.deferredCands {
-		addCand(e.deferredCands[id], true)
-		res.Stats.DeferredCarried++
+	for _, d := range carried {
+		addCand(d.cand, true)
 	}
 	for _, c := range fresh {
 		addCand(c, false)
@@ -257,6 +317,11 @@ func (e *Engine) Reconcile(fresh []*Candidate) (*Result, error) {
 		// indicates a bug upstream.
 		return nil, fmt.Errorf("core: flatten own delta: %v", err)
 	}
+	// One index over it serves every candidate: the workers below only probe.
+	var ownIdx *conflictIndex
+	if len(ownDelta) > 0 {
+		ownIdx = newConflictIndex(e.schema, ownDelta)
+	}
 
 	// Lines 5-8: flattened update extensions + CheckState. Each candidate is
 	// independent — it reads only the engine's (unmutated) decided sets,
@@ -269,7 +334,7 @@ func (e *Engine) Reconcile(fresh []*Candidate) (*Result, error) {
 		st := order[i]
 		ext := e.filterApplied(st.cand.Ext, st.cand.Txn)
 		st.upEx = NewUpdateExtension(e.schema, st.cand.Txn.ID, ext, st.cand.Priority)
-		st.decision = e.checkState(st.upEx, ownDelta, st.carried)
+		st.decision = e.checkState(st.upEx, ownIdx, st.carried)
 		// Warm the TouchedKeys memo inside the pool so the serial index
 		// build below doesn't pay for it.
 		st.upEx.TouchedKeys(e.schema)
@@ -282,7 +347,7 @@ func (e *Engine) Reconcile(fresh []*Candidate) (*Result, error) {
 
 	// Line 9: FindConflicts over the flattened extensions.
 	start = time.Now()
-	conflicts := e.findConflicts(order, &res.Stats)
+	conflicts, pairs := e.findConflicts(order, &res.Stats)
 	res.Stats.ConflictNanos = time.Since(start).Nanoseconds()
 
 	// Lines 10-12: DoGroup per priority, in decreasing order. Sequential:
@@ -318,7 +383,6 @@ func (e *Engine) Reconcile(fresh []*Candidate) (*Result, error) {
 	reject := func(id TxnID) {
 		runRejected.Add(id)
 		e.rejected.Add(id)
-		delete(e.deferredCands, id)
 	}
 	for _, st := range order {
 		switch st.decision {
@@ -347,7 +411,6 @@ func (e *Engine) Reconcile(fresh []*Candidate) (*Result, error) {
 				used.Add(x.ID)
 				e.applied.Add(x.ID)
 				res.Accepted = append(res.Accepted, x.ID)
-				delete(e.deferredCands, x.ID)
 				if runRejected.Has(x.ID) {
 					delete(runRejected, x.ID)
 					delete(e.rejected, x.ID)
@@ -365,18 +428,38 @@ func (e *Engine) Reconcile(fresh []*Candidate) (*Result, error) {
 	// this very run (its conflicting intermediate state was superseded —
 	// "least interaction") is no longer deferred.
 	start = time.Now()
-	var deferred []*candidateState
 	for _, st := range order {
 		id := st.cand.Txn.ID
-		if st.decision == DecisionDefer && !e.applied.Has(id) && !e.rejected.Has(id) {
-			deferred = append(deferred, st)
-			res.Deferred = append(res.Deferred, id)
-		}
+		st.deferred = st.decision == DecisionDefer && !e.applied.Has(id) && !e.rejected.Has(id)
 	}
-	e.updateSoftState(deferred, res)
+	e.updateSoftState(order, carried, pairs)
+	res.Deferred = e.deferredInOrder()
+	if len(e.groups) > 0 {
+		res.Groups = e.ConflictGroups()
+	}
+	res.Stats.DirtyKeys = len(e.dirty)
 	res.Stats.SoftStateNanos = time.Since(start).Nanoseconds()
 	e.ownSince = nil
+	e.unsettled = false
 	return res, nil
+}
+
+// deferredInOrder lists the deferred transactions in the order runs
+// consider candidates (publication order, then ID); nil when there are none.
+func (e *Engine) deferredInOrder() []TxnID {
+	if len(e.deferredCands) == 0 {
+		return nil
+	}
+	txns := make([]*Transaction, 0, len(e.deferredCands))
+	for _, d := range e.deferredCands {
+		txns = append(txns, d.cand.Txn)
+	}
+	SortTxns(txns)
+	out := make([]TxnID, len(txns))
+	for i, x := range txns {
+		out[i] = x.ID
+	}
+	return out
 }
 
 // filterApplied returns the extension with already-applied transactions
@@ -423,14 +506,15 @@ func (e *Engine) filterAppliedOrUsed(ext []*Transaction, root *Transaction, used
 
 // checkState implements CheckState of Figure 5: it classifies one update
 // extension against the dirty value set, the decided transactions, the
-// materialized instance, and the peer's own delta for this reconciliation.
+// materialized instance, and the peer's own delta for this reconciliation
+// (own is the index over it, nil when the delta is empty).
 //
 // Carried candidates — the previously deferred transactions being
 // reconsidered by this run — skip the dirty-value and deferred-dependency
 // checks: every deferred transaction is itself a candidate again, so their
 // mutual conflicts are re-detected by FindConflicts/DoGroup, and blocking
 // them on their own dirty marks would make deferral permanent.
-func (e *Engine) checkState(upEx *UpdateExtension, ownDelta []Update, carried bool) Decision {
+func (e *Engine) checkState(upEx *UpdateExtension, own *conflictIndex, carried bool) Decision {
 	if !carried {
 		// Line 1: anything touching a dirty value is deferred so that a
 		// previously deferred transaction can always be accepted later.
@@ -469,7 +553,7 @@ func (e *Engine) checkState(upEx *UpdateExtension, ownDelta []Update, carried bo
 	}
 	// Line 7: conflicts with the peer's own delta — the participant always
 	// picks its own version first.
-	if len(ownDelta) > 0 && len(SetsConflict(e.schema, upEx.Operation, ownDelta)) > 0 {
+	if own != nil && own.conflictsAny(upEx.Operation) {
 		return DecisionReject
 	}
 	return DecisionAccept
@@ -520,27 +604,48 @@ func enumeratePairs(schema *Schema, states []*candidateState) []uint64 {
 // flattened update extensions, skipping pairs where one extension subsumes
 // the other. Pair enumeration runs serially and deterministically
 // (enumeratePairs); the expensive per-pair conflict/subsumption checks fan
-// out across the worker pool, each writing only its own slot of the
-// verdict slice.
-func (e *Engine) findConflicts(order []*candidateState, stats *ReconcileStats) map[TxnID][]*candidateState {
+// out across the worker pool, each writing only its own slots. Every
+// extension is indexed at most once per run, and only if it is the indexed
+// side of some pair: most candidates of a quiet run are in none, and an
+// index built for them would be pure allocation.
+func (e *Engine) findConflicts(order []*candidateState, stats *ReconcileStats) (map[TxnID][]*candidateState, pairConflicts) {
 	conflicts := make(map[TxnID][]*candidateState)
 	if len(order) < 2 {
-		return conflicts
+		return conflicts, pairConflicts{}
 	}
-	pairs := enumeratePairs(e.schema, order)
-	stats.ConflictPairs += len(pairs)
+	pc := pairConflicts{pairs: enumeratePairs(e.schema, order)}
+	stats.ConflictPairs += len(pc.pairs)
+	if len(pc.pairs) == 0 {
+		return conflicts, pc
+	}
 
-	conflicting := make([]bool, len(pairs))
-	parallelFor(e.parallelism(len(pairs)), len(pairs), func(pi int) {
-		i, j := unpackPair(pairs[pi])
+	// Warm the index memos before the pair pool reads them.
+	indexed := make([]bool, len(order))
+	for _, p := range pc.pairs {
+		i, j := unpackPair(p)
+		if _, ix := probeOrder(order[i].upEx, order[j].upEx); ix == order[i].upEx {
+			indexed[i] = true
+		} else {
+			indexed[j] = true
+		}
+	}
+	parallelFor(e.parallelism(len(order)), len(order), func(i int) {
+		if indexed[i] {
+			order[i].upEx.conflictIndex(e.schema)
+		}
+	})
+
+	pc.found = make([][]Conflict, len(pc.pairs))
+	conflicting := make([]bool, len(pc.pairs))
+	parallelFor(e.parallelism(len(pc.pairs)), len(pc.pairs), func(pi int) {
+		i, j := unpackPair(pc.pairs[pi])
 		si, sj := order[i], order[j]
-		if len(si.upEx.Conflicts(e.schema, sj.upEx)) == 0 {
+		cs := si.upEx.Conflicts(e.schema, sj.upEx)
+		if len(cs) == 0 {
 			return
 		}
-		if si.upEx.Subsumes(sj.upEx) || sj.upEx.Subsumes(si.upEx) {
-			return
-		}
-		conflicting[pi] = true
+		pc.found[pi] = cs
+		conflicting[pi] = !si.upEx.Subsumes(sj.upEx) && !sj.upEx.Subsumes(si.upEx)
 	})
 
 	for pi, hit := range conflicting {
@@ -548,12 +653,12 @@ func (e *Engine) findConflicts(order []*candidateState, stats *ReconcileStats) m
 			continue
 		}
 		stats.ConflictsFound++
-		i, j := unpackPair(pairs[pi])
+		i, j := unpackPair(pc.pairs[pi])
 		si, sj := order[i], order[j]
 		conflicts[si.cand.Txn.ID] = append(conflicts[si.cand.Txn.ID], sj)
 		conflicts[sj.cand.Txn.ID] = append(conflicts[sj.cand.Txn.ID], si)
 	}
-	return conflicts
+	return conflicts, pc
 }
 
 // doGroup implements DoGroup of Figure 5 for one priority level: reject

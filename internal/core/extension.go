@@ -22,6 +22,10 @@ type UpdateExtension struct {
 	// touched memoizes TouchedKeys; it is invalidated when Operation is
 	// replaced (updateSoftState builds trimmed copies rather than mutating).
 	touched []tupleKey
+	// index memoizes the conflict index over Operation, under the same rule
+	// as touched. Only extensions that are the indexed side of an enumerated
+	// pair ever build one (see findConflicts).
+	index *conflictIndex
 }
 
 // NewUpdateExtension computes the update extension of root over the
@@ -86,17 +90,36 @@ func (ue *UpdateExtension) SharedWith(other *UpdateExtension) TxnSet {
 // extensions, ignoring interactions that stem from transactions shared by
 // both (Definition 4, direct conflict): the flattened footprints are
 // recomputed over Source − S when the extensions overlap. In the common
-// disjoint case no intermediate sets are materialized. Safe for concurrent
-// use on distinct receivers (the parallel conflict stage compares pairs
-// whose TouchedKeys memos were warmed beforehand).
+// disjoint case no intermediate sets are materialized: the shorter
+// operation probes the memoized index of the longer. Concurrent calls are
+// safe once the indexed side's memo is warm (findConflicts warms the memos
+// of every pair it enumerates before its pool starts).
 func (ue *UpdateExtension) Conflicts(s *Schema, other *UpdateExtension) []Conflict {
 	shared := ue.SharedWith(other)
 	if len(shared) == 0 {
-		return SetsConflict(s, ue.Operation, other.Operation)
+		probe, indexed := probeOrder(ue, other)
+		return indexed.conflictIndex(s).probeAll(probe.Operation)
 	}
 	opA := flattenMinus(s, ue.Source, shared)
 	opB := flattenMinus(s, other.Source, shared)
 	return SetsConflict(s, opA, opB)
+}
+
+// probeOrder picks the sides of a disjoint pair's conflict check the way
+// SetsConflict does: the longer operation is indexed, ties index b.
+func probeOrder(a, b *UpdateExtension) (probe, indexed *UpdateExtension) {
+	if len(a.Operation) > len(b.Operation) {
+		return b, a
+	}
+	return a, b
+}
+
+// conflictIndex returns the memoized index over the flattened operation.
+func (ue *UpdateExtension) conflictIndex(s *Schema) *conflictIndex {
+	if ue.index == nil {
+		ue.index = newConflictIndex(s, ue.Operation)
+	}
+	return ue.index
 }
 
 // flattenMinus flattens the footprint of list with the shared transactions

@@ -9,8 +9,15 @@ import "fmt"
 // reconsidered — along with everything that was deferred behind them — by
 // the ReconcileUpdates re-run that Resolve triggers.
 //
-// Resolve returns the result of the re-run. Transactions that still
-// conflict in another group remain deferred.
+// The re-run reconsiders the deferred candidates a resolution can reach: the
+// component of the resolved group, and every component that is not settled
+// (see markComponents). The deferred candidates of the other components stay
+// deferred with their dirty keys and conflict groups in place, which is what
+// reconsidering them would arrive at.
+//
+// Resolve returns the result of the re-run; its Deferred and Groups list the
+// engine's whole deferred set. Transactions that still conflict in another
+// group remain deferred.
 func (e *Engine) Resolve(c Conflict, winner int) (*Result, error) {
 	g, ok := e.groups[c]
 	if !ok {
@@ -29,27 +36,36 @@ func (e *Engine) Resolve(c Conflict, winner int) (*Result, error) {
 			keep.Add(id)
 		}
 	}
+	resolved := make(map[uint64]bool, 1) // the group's component
 	var losers []TxnID
-	for i, opt := range g.Options {
-		if i == winner {
-			continue
-		}
+	for _, opt := range g.Options {
 		for _, id := range opt.Txns {
-			if keep.Has(id) || e.rejected.Has(id) {
+			d := e.deferredCands[id]
+			if d == nil {
+				continue
+			}
+			resolved[d.comp] = true
+			if keep.Has(id) {
 				continue
 			}
 			e.rejected.Add(id)
-			delete(e.deferredCands, id)
+			e.dropDeferred(d)
 			losers = append(losers, id)
 		}
 	}
-	// Re-run reconciliation with no new candidates: previously deferred
-	// transactions are reconsidered against the updated rejected set; those
-	// whose conflicts are fully resolved are accepted or rejected, and the
+	// Re-run reconciliation with no new candidates: the deferred candidates
+	// in reach are reconsidered against the updated rejected set; those
+	// whose conflicts are fully resolved are accepted or rejected, and their
 	// soft state (dirty values, remaining groups) is rebuilt. The
 	// explicitly rejected losers are part of the result so the update
 	// store learns of them.
-	res, err := e.Reconcile(nil)
+	var carried []*deferredCand
+	for _, d := range e.deferredCands {
+		if e.unsettled || !d.settled || resolved[d.comp] {
+			carried = append(carried, d)
+		}
+	}
+	res, err := e.reconcile(nil, carried)
 	if err != nil {
 		return nil, err
 	}
@@ -57,30 +73,31 @@ func (e *Engine) Resolve(c Conflict, winner int) (*Result, error) {
 	return res, nil
 }
 
-// ResolveAll applies a decision to every outstanding conflict group using
-// the chooser callback (which returns the winning option index or -1) and
-// runs a single reconciliation afterwards. It loops until no conflict
-// groups remain or the chooser made no choice, returning the final result.
+// ResolveAll resolves every outstanding conflict group with the chooser's
+// decision for it: the index of the winning option, or -1 to reject every
+// option of the group — there is no "no choice", and an index out of range
+// is an error. Each group gets its own Resolve, and so its own re-run (not
+// one reconciliation at the end), in ConflictGroups() order, skipping the
+// groups an earlier resolution of the pass made disappear. Passes repeat
+// until no group remains or a whole pass decided nothing (the chooser keeps
+// picking options whose choice rejects no one). ResolveAll returns the last
+// resolution's result, nil if there was nothing to resolve.
 func (e *Engine) ResolveAll(choose func(g *ConflictGroup) int) (*Result, error) {
 	var last *Result
 	for {
-		groups := e.ConflictGroups()
-		if len(groups) == 0 {
-			return last, nil
-		}
 		progressed := false
-		for _, g := range groups {
-			// Groups may disappear as earlier resolutions cascade.
+		for _, g := range e.ConflictGroups() {
 			if _, still := e.groups[g.Conflict]; !still {
 				continue
 			}
-			w := choose(g)
-			res, err := e.Resolve(g.Conflict, w)
+			res, err := e.Resolve(g.Conflict, choose(g))
 			if err != nil {
 				return last, err
 			}
 			last = res
-			progressed = true
+			if len(res.Accepted)+len(res.Rejected) > 0 {
+				progressed = true
+			}
 		}
 		if !progressed {
 			return last, nil

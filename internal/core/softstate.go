@@ -35,48 +35,35 @@ func (g *ConflictGroup) String() string {
 	return b.String()
 }
 
-// updateSoftState implements UpdateSoftState of Figure 5: it rebuilds the
-// dirty value set and the conflict groups from the current deferred
-// transactions. Soft state is fully reconstructable from the deferred set
-// and the instance.
-func (e *Engine) updateSoftState(deferred []*candidateState, res *Result) {
-	// Line 1: clear all soft state.
-	e.dirty = make(map[tupleKey]bool)
-	e.groups = make(map[Conflict]*ConflictGroup)
-	e.deferredCands = make(map[TxnID]*Candidate, len(deferred))
+// updateSoftState implements UpdateSoftState of Figure 5 for the candidates
+// of one run: it takes out the dirty keys, conflict groups and entries of
+// the carried candidates, and puts in those of the candidates the run left
+// deferred (st.deferred). Soft state is fully reconstructable from the
+// deferred set and the instance; what deferred candidates outside the run
+// contributed is left as it is. order and pairs are the run's candidates and
+// what FindConflicts found between them.
+func (e *Engine) updateSoftState(order []*candidateState, carried []*deferredCand, pairs pairConflicts) {
+	// Line 1: clear the soft state the run is about to rebuild.
+	for _, d := range carried {
+		e.dropDeferred(d)
+	}
+	var deferred []*candidateState
+	for _, st := range order {
+		if st.deferred {
+			deferred = append(deferred, st)
+		}
+	}
 	if len(deferred) == 0 {
 		return
 	}
 
-	// Line 7: conflicts among the deferred extensions, recording the
-	// specific (type, value) conflicts for grouping. Subsumption does not
-	// suppress grouping here: the conflicts were already established. Only
-	// pairs sharing a touched key can conflict, so prune with an inverted
-	// index rather than comparing all pairs. The per-pair conflict checks
-	// are independent, so they fan out over the engine's worker pool
-	// (WithParallelism) like findConflicts' pair stage; each worker writes
-	// only its own slot, and the aggregation below walks the slots in
-	// enumeration order, so the groups are identical at every worker count.
-	type pairConflict struct {
-		a, b *candidateState
-		cs   []Conflict
-	}
-	pairKeys := enumeratePairs(e.schema, deferred)
-	perPair := make([][]Conflict, len(pairKeys))
-	parallelFor(e.parallelism(len(pairKeys)), len(pairKeys), func(pi int) {
-		i, j := unpackPair(pairKeys[pi])
-		perPair[pi] = deferred[i].upEx.Conflicts(e.schema, deferred[j].upEx)
-	})
-	var pairs []pairConflict
-	for pi, cs := range perPair {
-		if len(cs) > 0 {
-			i, j := unpackPair(pairKeys[pi])
-			pairs = append(pairs, pairConflict{a: deferred[i], b: deferred[j], cs: cs})
-		}
-	}
-
-	// Which conflict values involve each transaction (for line 4's removal
-	// of clean inapplicable updates).
+	// Line 7: the conflicts among the deferred extensions, by (type, value),
+	// for grouping — FindConflicts already computed them for every candidate
+	// pair sharing a touched key, and only such pairs can conflict.
+	// Subsumption does not suppress grouping here: the conflicts were
+	// already established. conflictVals records which conflict values
+	// involve each transaction (for line 4's removal of clean inapplicable
+	// updates).
 	conflictVals := make(map[TxnID]map[tupleKey]bool)
 	groupTxns := make(map[Conflict]map[TxnID]*candidateState)
 	noteTxn := func(c Conflict, st *candidateState) {
@@ -89,10 +76,18 @@ func (e *Engine) updateSoftState(deferred []*candidateState, res *Result) {
 		}
 		conflictVals[st.cand.Txn.ID][tupleKey{rel: c.Rel, enc: c.Value}] = true
 	}
-	for _, p := range pairs {
-		for _, c := range p.cs {
-			noteTxn(c, p.a)
-			noteTxn(c, p.b)
+	for pi, cs := range pairs.found {
+		if len(cs) == 0 {
+			continue
+		}
+		i, j := unpackPair(pairs.pairs[pi])
+		a, b := order[i], order[j]
+		if !a.deferred || !b.deferred {
+			continue
+		}
+		for _, c := range cs {
+			noteTxn(c, a)
+			noteTxn(c, b)
 		}
 	}
 
@@ -112,13 +107,13 @@ func (e *Engine) updateSoftState(deferred []*candidateState, res *Result) {
 		}
 		softEx := *st.upEx
 		softEx.Operation = trimmed
-		softEx.touched = nil // the memo belongs to the untrimmed operation
-		for _, k := range softEx.TouchedKeys(e.schema) {
+		softEx.touched, softEx.index = nil, nil // the memos belong to the untrimmed operation
+		d := &deferredCand{cand: st.cand, dirty: softEx.TouchedKeys(e.schema)}
+		for _, k := range d.dirty {
 			e.dirty[k] = true
 		}
-		e.deferredCands[st.cand.Txn.ID] = st.cand
+		e.deferredCands[st.cand.Txn.ID] = d
 	}
-	res.Stats.DirtyKeys = len(e.dirty)
 
 	// Lines 8-16: build conflict groups, combining compatible transactions
 	// (those making the same modification to the conflicted value) into the
@@ -153,6 +148,7 @@ func (e *Engine) updateSoftState(deferred []*candidateState, res *Result) {
 		var sigOrder []string
 		for _, id := range memberIDs {
 			st := members[id]
+			e.deferredCands[id].groups = append(e.deferredCands[id].groups, c)
 			sig, effect := e.modificationSignature(c, st.upEx)
 			opt := bySig[sig]
 			if opt == nil {
@@ -181,8 +177,97 @@ func (e *Engine) updateSoftState(deferred []*candidateState, res *Result) {
 			g.Options = append(g.Options, opt)
 		}
 		e.groups[c] = g
-		res.Groups = append(res.Groups, g)
 	}
+	e.markComponents(order)
+}
+
+// markComponents partitions the run's candidates into connected components
+// and records, on each candidate left deferred, its component and whether
+// the component is settled. Two candidates are linked when the transactions
+// of their unapplied extensions share a link key (see appendLinkKeys; a
+// shared transaction shares its keys): nothing one component's candidates
+// read, write or decide is visible to another's, so evaluating a component
+// again can only come out differently if something outside every component
+// changed (Engine.unsettled) or the component itself did. It is settled —
+// evaluating it again would reproduce the same deferrals, dirty keys and
+// groups — only if the run had all its members as carried candidates and
+// decided none of them. Anything narrower is wrong: a fresh candidate
+// deferred on a dirty key alone is accepted by the next run once it is
+// carried, and a candidate whose neighbour was just accepted or rejected
+// was judged against that neighbour's old decision.
+func (e *Engine) markComponents(order []*candidateState) {
+	parent := make([]int32, len(order))
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(i int32) int32 {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
+		}
+		return i
+	}
+	byKey := make(map[tupleKey]int32, len(order))
+	var keys []tupleKey
+	for i, st := range order {
+		i := int32(i)
+		for _, x := range st.upEx.Source {
+			keys = appendLinkKeys(keys[:0], e.schema, x.Updates)
+			for _, k := range keys {
+				if j, seen := byKey[k]; seen {
+					parent[find(i)] = find(j)
+				} else {
+					byKey[k] = i
+				}
+			}
+		}
+	}
+	unsettled := make([]bool, len(order))
+	for i, st := range order {
+		if !st.carried || !st.deferred {
+			unsettled[find(int32(i))] = true
+		}
+	}
+	for i, st := range order {
+		if st.deferred {
+			root := find(int32(i))
+			d := e.deferredCands[st.cand.Txn.ID]
+			d.comp = uint64(e.recno)<<32 | uint64(root)
+			d.settled = !unsettled[root]
+		}
+	}
+}
+
+// appendLinkKeys appends every instance key that applying or checking the
+// updates can read or write: the keys of their tuples and, under foreign
+// keys, the referenced keys (a referencing tuple needs its parent present,
+// and keeps the parent from being deleted). markComponents links by the raw
+// updates of an extension rather than its flattened operation because the
+// apply loop may apply a shorter list than was flattened, which can touch
+// keys the full composition cancels out.
+func appendLinkKeys(keys []tupleKey, s *Schema, us []Update) []tupleKey {
+	for i := range us {
+		u := &us[i]
+		rel, ok := s.Relation(u.Rel)
+		if !ok {
+			continue
+		}
+		if u.Tuple != nil {
+			keys = append(keys, tupleKey{rel: u.Rel, enc: u.keyEncTuple(rel)})
+		}
+		if u.New != nil {
+			keys = append(keys, tupleKey{rel: u.Rel, enc: u.keyEncNew(rel)})
+		}
+		for _, fk := range rel.ForeignKeys {
+			if u.Tuple != nil {
+				keys = append(keys, tupleKey{rel: fk.RefRel, enc: u.Tuple.Project(fk.Attrs).Encode()})
+			}
+			if u.New != nil {
+				keys = append(keys, tupleKey{rel: fk.RefRel, enc: u.New.Project(fk.Attrs).Encode()})
+			}
+		}
+	}
+	return keys
 }
 
 // touchesConflict reports whether the update reads or writes one of the
