@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify bench-check fmt-check bench bench-smoke bench-json chaos-smoke gateway-smoke multigroup-smoke trust-smoke fuzz-smoke linkcheck clean
+.PHONY: build vet test race verify bench-check fmt-check bench bench-smoke chaos-smoke gateway-smoke multigroup-smoke trust-smoke fuzz-smoke linkcheck clean
 
 build:
 	$(GO) build ./...
@@ -41,11 +41,6 @@ bench:
 # real measurement run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# bench-json regenerates BENCH_core.json, the machine-readable core
-# reconciliation perf baseline future PRs compare against.
-bench-json:
-	$(GO) run ./cmd/orchestra-bench -json BENCH_core.json
 
 # chaos-smoke runs both fault-injection convergence matrices — the 4-peer
 # cells (loss, dup, jitter, partition, store crash + snapshot rebuild, and

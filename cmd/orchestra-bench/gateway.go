@@ -19,43 +19,23 @@ import (
 	"orchestra/internal/store/central"
 )
 
-// gatewayBenchEntry is one cell of the gateway throughput suite: C
-// closed-loop clients hammer the HTTP serving surface with keyed publishes
-// through a deliberately small backpressure gate, retrying every 429/503
-// with the same Idempotency-Key until it lands. The gate sheds load, the
-// clients retry, and the store's idempotency layer guarantees each keyed
-// operation applies exactly once — DroppedKeyed counts the operations the
-// audit could not find afterwards and must be zero.
-type gatewayBenchEntry struct {
-	Name         string  `json:"name"`
-	Clients      int     `json:"clients"`
-	OpsPerClient int     `json:"ops_per_client"`
-	Ops          int64   `json:"ops"`
-	OpsPerSec    float64 `json:"ops_per_sec"`
-	MeanNs       float64 `json:"mean_ns"`
-	P99Ns        float64 `json:"p99_ns"`
-	Shed         int64   `json:"shed"`
-	RateLimited  int64   `json:"rate_limited"`
-	Retries      int64   `json:"retries"`
-	DroppedKeyed int64   `json:"dropped_keyed"`
-	DedupHits    int64   `json:"dedup_hits"`
-}
-
-// runGatewaySuite measures the gateway end to end: an in-process central
-// store behind the full HTTP surface, squeezed through a 4-slot gate over
-// a ~1ms backend so the shedding path is on the hot path, not a corner
-// case.
-func runGatewaySuite(report *coreBenchReport) error {
-	for _, clients := range []int{4, 16} {
-		e, err := runGatewayCell(clients, 40)
-		if err != nil {
-			return err
-		}
-		report.GatewayThroughput = append(report.GatewayThroughput, e)
-		fmt.Printf("%-40s %12.0f ops/s %8d shed %8d retries %6d dedup (dropped=%d)\n",
-			e.Name, e.OpsPerSec, e.Shed, e.Retries, e.DedupHits, e.DroppedKeyed)
-	}
-	return nil
+// gatewayResult is what one gateway cell measured: C closed-loop clients
+// hammer the HTTP serving surface with keyed publishes through a
+// deliberately small backpressure gate, retrying every 429/503 with the
+// same Idempotency-Key until it lands. The gate sheds load, the clients
+// retry, and the store's idempotency layer guarantees each keyed operation
+// applies exactly once — DroppedKeyed counts the operations the audit could
+// not find afterwards and must be zero.
+type gatewayResult struct {
+	Clients      int
+	OpsPerClient int
+	OpsPerSec    float64
+	MeanNs       float64
+	P99Ns        float64
+	Shed         int64
+	Retries      int64
+	DroppedKeyed int64
+	DedupHits    int64
 }
 
 // slowPublishStore gives the backend a realistic publish service time. An
@@ -85,7 +65,7 @@ func (s *slowPublishStore) Publish(ctx context.Context, peer core.PeerID, txns [
 // queue fills and the gate sheds. Every shed or failed call is retried
 // with the SAME key; afterwards a reader peer audits the store and counts
 // exactly-once delivery.
-func runGatewayCell(clients, opsPerClient int) (gatewayBenchEntry, error) {
+func runGatewayCell(clients, opsPerClient int) (gatewayResult, error) {
 	schema := core.MustSchema(core.NewRelation("F", 2, "organism", "protein", "function"))
 	cs := central.MustOpenMemory(schema)
 	defer cs.Close()
@@ -98,7 +78,7 @@ func runGatewayCell(clients, opsPerClient int) (gatewayBenchEntry, error) {
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return gatewayBenchEntry{}, err
+		return gatewayResult{}, err
 	}
 	srv := &http.Server{Handler: gw}
 	go srv.Serve(ln)
@@ -147,11 +127,11 @@ func runGatewayCell(clients, opsPerClient int) (gatewayBenchEntry, error) {
 	}
 	for i := 0; i < clients; i++ {
 		if err := registerRetried(fmt.Sprintf("c%d", i)); err != nil {
-			return gatewayBenchEntry{}, err
+			return gatewayResult{}, err
 		}
 	}
 	if err := registerRetried("auditor"); err != nil {
-		return gatewayBenchEntry{}, err
+		return gatewayResult{}, err
 	}
 
 	// The closed loop. Retry-After on this surface is whole seconds (the
@@ -217,7 +197,7 @@ func runGatewayCell(clients, opsPerClient int) (gatewayBenchEntry, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 	if driveErr != nil {
-		return gatewayBenchEntry{}, driveErr
+		return gatewayResult{}, driveErr
 	}
 
 	// Exactly-once audit: the auditor's first reconciliation surfaces every
@@ -225,13 +205,13 @@ func runGatewayCell(clients, opsPerClient int) (gatewayBenchEntry, error) {
 	// more, no less.
 	code, raw, err := post("/v1/reconcile/begin", "", map[string]string{"peer": "auditor"})
 	if err != nil || code != http.StatusOK {
-		return gatewayBenchEntry{}, fmt.Errorf("audit begin: status %d err %v", code, err)
+		return gatewayResult{}, fmt.Errorf("audit begin: status %d err %v", code, err)
 	}
 	var audit struct {
 		Candidates []json.RawMessage `json:"candidates"`
 	}
 	if err := json.Unmarshal(raw, &audit); err != nil {
-		return gatewayBenchEntry{}, err
+		return gatewayResult{}, err
 	}
 	total := int64(clients * opsPerClient)
 	dropped := total - int64(len(audit.Candidates))
@@ -247,16 +227,13 @@ func runGatewayCell(clients, opsPerClient int) (gatewayBenchEntry, error) {
 		p99 = float64(lats[len(lats)*99/100].Nanoseconds())
 	}
 	snap := counters.Snapshot()
-	e := gatewayBenchEntry{
-		Name:         fmt.Sprintf("GatewayClosedLoop/clients=%d", clients),
+	e := gatewayResult{
 		Clients:      clients,
 		OpsPerClient: opsPerClient,
-		Ops:          total,
 		OpsPerSec:    float64(total) / elapsed.Seconds(),
 		MeanNs:       mean,
 		P99Ns:        p99,
 		Shed:         snap.Shed,
-		RateLimited:  snap.RateLimited,
 		Retries:      retries,
 		DroppedKeyed: dropped,
 		DedupHits:    cs.Metrics().Snapshot().DedupHits,

@@ -2,6 +2,10 @@
 // (§6, Figures 8-12): it sweeps the experiment parameters, runs repeated
 // trials of the SWISS-PROT-style workload over the chosen update stores,
 // and prints each figure as a table of means with 95% confidence intervals.
+// It also runs three single cells by hand — a fault-injected round, a trust
+// topology, and the closed-loop gateway driver with its exactly-once audit.
+// The repository's benchmark is bench/ (see BENCHMARK.json), not this
+// command.
 //
 // Usage:
 //
@@ -9,19 +13,15 @@
 //	orchestra-bench -fig 10 -quick      # one figure, reduced trials
 //	orchestra-bench -cell -peers 25 -store distributed -ri 20
 //	orchestra-bench -chaos -loss 0.05 -dup 0.1   # fault-injected round cost
-//	orchestra-bench -json BENCH_core.json   # core perf suite, machine readable
+//	orchestra-bench -trust-topology star -peers 200
+//	orchestra-bench -gateway -clients 8 -rounds 10
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -29,7 +29,6 @@ import (
 	"orchestra/internal/core"
 	"orchestra/internal/exp"
 	"orchestra/internal/metrics"
-	"orchestra/internal/reldb"
 	"orchestra/internal/rpc"
 	"orchestra/internal/simnet"
 	"orchestra/internal/store"
@@ -54,7 +53,6 @@ func main() {
 	loss := flag.Float64("loss", 0, "[chaos] per-message loss probability, 0..1")
 	dup := flag.Float64("dup", 0, "[chaos] per-message duplication probability, 0..1")
 	jitter := flag.Duration("jitter", 0, "[chaos] max extra per-message latency")
-	jsonOut := flag.String("json", "", "run the core reconciliation perf suite and write machine-readable results to this file (e.g. BENCH_core.json)")
 	trustTopo := flag.String("trust-topology", "", "run one trust-at-scale cell over this delegation topology (star|chain|clique|dag) with -peers participants")
 	gw := flag.Bool("gateway", false, "run the closed-loop gateway driver: -clients keyed publishers against the HTTP surface, -rounds ops each")
 	clients := flag.Int("clients", 16, "[gateway] concurrent closed-loop clients")
@@ -85,14 +83,6 @@ func main() {
 		fmt.Printf("  speedup:                 %.1fx\n", e.Speedup)
 		fmt.Printf("  recompile latency:       %.0f ns (%d participants re-resolved)\n",
 			e.RecompileNs, e.RecompiledPeers)
-		return
-	}
-
-	if *jsonOut != "" {
-		if err := runCoreSuite(*jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 		return
 	}
 
@@ -167,148 +157,18 @@ func runCell(peers, txnSize, ri, rounds, trials int, storeKind string, seed int6
 	fmt.Printf("  deferred per peer:    %s\n", res.Deferred)
 }
 
-// coreBenchEntry is one measured cell of the core perf suite.
-type coreBenchEntry struct {
-	Name        string  `json:"name"`
-	Workers     int     `json:"workers"`
-	Txns        int     `json:"txns"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
+// chaosResult is what a fault-injected cell measured: full ReconcileAll
+// rounds through retrying remote clients over the simulated fabric.
+// Attempts per call is the direct measure of the retry traffic, dedup hits
+// the duplicate deliveries the store absorbed.
+type chaosResult struct {
+	NsPerRound      float64
+	AttemptsPerCall float64
+	Retries         int64
+	DedupHits       int64
 }
 
-// publishBenchEntry is one cell of the concurrent-publish suite: P
-// publishers racing batches into the sharded central store.
-type publishBenchEntry struct {
-	Name             string  `json:"name"`
-	Publishers       int     `json:"publishers"`
-	TxnsPerPublisher int     `json:"txns_per_publisher"`
-	NsPerTxn         float64 `json:"ns_per_txn"`
-	AllocsPerOp      int64   `json:"allocs_per_op"`
-	BytesPerOp       int64   `json:"bytes_per_op"`
-}
-
-// decisionBatchStats records the round-trip economy of the batched
-// decision-recording path over a ReconcileAll workload: RoundTrips is what
-// the store actually served, UnbatchedTrips what per-peer RecordDecisions
-// would have cost for the same decisions.
-type decisionBatchStats struct {
-	Peers          int   `json:"peers"`
-	Rounds         int   `json:"rounds"`
-	RoundTrips     int64 `json:"round_trips"`
-	UnbatchedTrips int64 `json:"unbatched_round_trips"`
-	Decisions      int64 `json:"decisions"`
-	BatchPeak      int64 `json:"batch_peak"`
-}
-
-// groupCommitBenchEntry is one cell of the reldb group-commit suite: C
-// concurrent committers into a durable database, with the WAL group-commit
-// path on or off.
-type groupCommitBenchEntry struct {
-	Name            string  `json:"name"`
-	Committers      int     `json:"committers"`
-	GroupCommit     bool    `json:"group_commit"`
-	SyncOnCommit    bool    `json:"sync_on_commit"`
-	NsPerCommit     float64 `json:"ns_per_commit"`
-	CommitsPerFlush float64 `json:"commits_per_flush"` // 0 with group commit off
-	AllocsPerOp     int64   `json:"allocs_per_op"`
-}
-
-// publishOverlapEntry is one cell of the sharded-vs-unsharded publish
-// sweep: P publishers racing durable batches into a central store laid out
-// with S epoch-shards (WithTableShards). Shards = 1 is the historical
-// single-table layout, where every publish commit write-locks the same
-// tables; with S > 1 publishes to different epochs commit against disjoint
-// tables and overlap. ShardContention counts same-shard publish overlaps
-// (the serialization sharding is meant to remove), TableWaits the reldb
-// table-lock waits underneath.
-type publishOverlapEntry struct {
-	Name            string  `json:"name"`
-	TableShards     int     `json:"table_shards"`
-	Publishers      int     `json:"publishers"`
-	NsPerTxn        float64 `json:"ns_per_txn"`
-	AllocsPerOp     int64   `json:"allocs_per_op"`
-	ShardContention int64   `json:"shard_contention"`
-	TableWaits      int64   `json:"table_waits"`
-}
-
-// epochAllocBenchEntry is one cell of the epoch-allocator suite: durable
-// concurrent publishes at a given allocator block size (block 1 = one
-// durable sequence commit per publish, the historical behaviour).
-type epochAllocBenchEntry struct {
-	Name            string  `json:"name"`
-	BlockSize       int     `json:"block_size"`
-	Publishers      int     `json:"publishers"`
-	NsPerTxn        float64 `json:"ns_per_txn"`
-	DBCommitsPerPub float64 `json:"db_commits_per_publish"`
-	AllocsPerOp     int64   `json:"allocs_per_op"`
-}
-
-// snapshotRebuildEntry is one cell of the peer-recovery sweep: rebuilding
-// one consumer peer from the store after a history of HistoryEpochs
-// single-transaction epochs, by full log replay versus by snapshot + tail
-// (the snapshot taken TailEpochs epochs before the end). Full replay grows
-// with the history; the snapshot path should track the tail length only.
-type snapshotRebuildEntry struct {
-	Name          string  `json:"name"`
-	HistoryEpochs int     `json:"history_epochs"`
-	TailEpochs    int     `json:"tail_epochs"`
-	Mode          string  `json:"mode"` // full_replay | snapshot_tail
-	NsPerRebuild  float64 `json:"ns_per_rebuild"`
-	AllocsPerOp   int64   `json:"allocs_per_op"`
-}
-
-// chaosOverheadEntry is one cell of the fault-injection sweep: full
-// ReconcileAll rounds through retrying remote clients over the simulated
-// fabric at a given message-loss rate. The fault-free cell is the
-// baseline; the lossy cells price the retry/idempotency machinery —
-// attempts per call is the direct measure of the retry traffic, dedup
-// hits the duplicate deliveries the store absorbed.
-type chaosOverheadEntry struct {
-	Name            string  `json:"name"`
-	LossRate        float64 `json:"loss_rate"`
-	Peers           int     `json:"peers"`
-	Rounds          int     `json:"rounds"`
-	NsPerRound      float64 `json:"ns_per_round"`
-	AttemptsPerCall float64 `json:"attempts_per_call"`
-	Retries         int64   `json:"retries"`
-	DedupHits       int64   `json:"dedup_hits"`
-}
-
-// streamLatencyEntry is one cell of the streaming-latency suite:
-// publish-to-decision latency quantiles under a sustained conflict-free
-// publish load, with decisions driven either by the streaming reconcile
-// loop (System.RunStreaming consuming the store's watch subscription) or by
-// round-based ReconcileAll barriers every few publishes. An epoch counts as
-// decided when every peer's reconciliation frontier has passed it.
-type streamLatencyEntry struct {
-	Name      string  `json:"name"`
-	Mode      string  `json:"mode"` // streaming | round_based
-	Peers     int     `json:"peers"`
-	Publishes int     `json:"publishes"`
-	P50Ns     float64 `json:"p50_ns"`
-	P99Ns     float64 `json:"p99_ns"`
-}
-
-// multiGroupBenchEntry is one cell of the multi-group scale-out suite: G
-// tenant groups, each a small confederation, driven through one Fleet of
-// durable store nodes by the group Scheduler. Aggregate published-txn
-// throughput is the headline; commits-per-flush measures the shared WAL
-// batching commits across tenants (co-located groups' commits riding one
-// flush — the multi-tenant economy a per-group database cannot have).
-type multiGroupBenchEntry struct {
-	Name            string  `json:"name"`
-	Stores          int     `json:"stores"`
-	Groups          int     `json:"groups"`
-	PeersPerGroup   int     `json:"peers_per_group"`
-	Rounds          int     `json:"rounds"`
-	Txns            int64   `json:"txns"`
-	TxnsPerSec      float64 `json:"txns_per_sec"`
-	NsPerRound      float64 `json:"ns_per_round"`
-	CommitsPerFlush float64 `json:"commits_per_flush"`
-}
-
-// trustEvalEntry is one cell of the trust-at-scale suite: a generated
+// trustResult is what a trust-at-scale cell measured: a generated
 // delegation topology resolved through the trust graph, with per-decision
 // cost measured on sampled participants' effective policies — once through
 // the compiled decision program, once through the AST interpreter over the
@@ -316,617 +176,15 @@ type multiGroupBenchEntry struct {
 // (graph re-resolution of every affected participant). Speedup is
 // interpreted/compiled; the compiled path is expected to hold a >= 2x
 // advantage at 1k peers (origin-dispatch vs a linear rule scan).
-type trustEvalEntry struct {
-	Name                     string  `json:"name"`
-	Topology                 string  `json:"topology"`
-	Peers                    int     `json:"peers"`
-	Edges                    int     `json:"edges"`
-	CompiledNsPerDecision    float64 `json:"compiled_ns_per_decision"`
-	InterpretedNsPerDecision float64 `json:"interpreted_ns_per_decision"`
-	Speedup                  float64 `json:"speedup"`
-	RecompileNs              float64 `json:"recompile_ns"`
-	RecompiledPeers          int     `json:"recompiled_peers"`
-}
-
-// coreBenchReport is the BENCH_core.json schema; future PRs compare their
-// runs against the committed serial baseline to track the perf trajectory.
-// See docs/BENCHMARKING.md.
-type coreBenchReport struct {
-	GoVersion         string                  `json:"go_version"`
-	GOMAXPROCS        int                     `json:"gomaxprocs"`
-	Workload          string                  `json:"workload"`
-	Entries           []coreBenchEntry        `json:"entries"`
-	ConcurrentPublish []publishBenchEntry     `json:"concurrent_publish"`
-	DecisionBatching  decisionBatchStats      `json:"decision_batching"`
-	ReldbGroupCommit  []groupCommitBenchEntry `json:"reldb_group_commit"`
-	EpochAllocator    []epochAllocBenchEntry  `json:"epoch_allocator"`
-	PublishOverlap    []publishOverlapEntry   `json:"publish_overlap"`
-	SnapshotRebuild   []snapshotRebuildEntry  `json:"snapshot_rebuild"`
-	ChaosOverhead     []chaosOverheadEntry    `json:"chaos_overhead"`
-	StreamLatency     []streamLatencyEntry    `json:"stream_latency"`
-	MultiGroup        []multiGroupBenchEntry  `json:"multi_group"`
-	TrustEval         []trustEvalEntry        `json:"trust_eval"`
-	GatewayThroughput []gatewayBenchEntry     `json:"gateway_throughput"`
-}
-
-// runCoreSuite measures Engine.Reconcile on the shared contended workload
-// (workload.ContendedCandidates — the same batch BenchmarkEngineReconcile
-// measures) across worker counts and writes the results as JSON.
-func runCoreSuite(path string) error {
-	schema := core.MustSchema(core.NewRelation("F", 2, "organism", "protein", "function"))
-	report := coreBenchReport{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workload:   "contended single-insert batch; every two transactions share a key",
-	}
-	var benchErr error
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, n := range []int{100, 500} {
-			workers, n := workers, n
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					eng := core.NewEngine("q", schema, core.TrustAll(1), core.WithParallelism(workers))
-					cands, err := workload.ContendedCandidates(schema, "F", n)
-					if err != nil {
-						benchErr = err
-						b.Skip(err)
-					}
-					b.StartTimer()
-					if _, err := eng.Reconcile(cands); err != nil {
-						benchErr = err
-						b.Skip(err)
-					}
-				}
-			})
-			if benchErr != nil {
-				return benchErr
-			}
-			e := coreBenchEntry{
-				Name:        fmt.Sprintf("EngineReconcile/workers=%d/txns=%d", workers, n),
-				Workers:     workers,
-				Txns:        n,
-				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-			}
-			report.Entries = append(report.Entries, e)
-			fmt.Printf("%-40s %12.0f ns/op %10d allocs/op %12d B/op\n",
-				e.Name, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp)
-		}
-	}
-	if err := runPublishSuite(&report); err != nil {
-		return err
-	}
-	if err := runDecisionBatchSuite(&report); err != nil {
-		return err
-	}
-	if err := runGroupCommitSuite(&report); err != nil {
-		return err
-	}
-	if err := runEpochAllocatorSuite(&report); err != nil {
-		return err
-	}
-	if err := runPublishOverlapSuite(&report); err != nil {
-		return err
-	}
-	if err := runSnapshotRebuildSuite(&report); err != nil {
-		return err
-	}
-	if err := runChaosOverheadSuite(&report); err != nil {
-		return err
-	}
-	if err := runStreamLatencySuite(&report); err != nil {
-		return err
-	}
-	if err := runMultiGroupSuite(&report); err != nil {
-		return err
-	}
-	if err := runTrustEvalSuite(&report); err != nil {
-		return err
-	}
-	if err := runGatewaySuite(&report); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// runPublishSuite measures concurrent-publish throughput on the sharded
-// central store: P publishers each racing one batch per op.
-func runPublishSuite(report *coreBenchReport) error {
-	const perBatch = 4
-	schema := core.MustSchema(core.NewRelation("F", 2, "organism", "protein", "function"))
-	ctx := context.Background()
-	var benchErr error
-	for _, pubs := range []int{1, 2, 4, 8} {
-		pubs := pubs
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			s := central.MustOpenMemory(schema)
-			defer s.Close()
-			engines := make([]*core.Engine, pubs)
-			for p := 0; p < pubs; p++ {
-				id := core.PeerID(fmt.Sprintf("pub%d", p))
-				engines[p] = core.NewEngine(id, schema, core.TrustAll(1))
-				if err := s.RegisterPeer(ctx, id, core.TrustAll(1)); err != nil {
-					benchErr = err
-					b.Skip(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				batches := make([][]store.PublishedTxn, pubs)
-				for p, eng := range engines {
-					for k := 0; k < perBatch; k++ {
-						x, err := eng.NewLocalTransaction(core.Insert("F",
-							core.Strs(fmt.Sprintf("org%d", p), fmt.Sprintf("prot-%d-%d", i, k), "fn"),
-							eng.Peer()))
-						if err != nil {
-							benchErr = err
-							b.Skip(err)
-						}
-						batches[p] = append(batches[p], store.PublishedTxn{
-							Txn: x, Antecedents: eng.LocalAntecedents(x.ID),
-						})
-					}
-				}
-				errs := make([]error, pubs)
-				b.StartTimer()
-				done := make(chan struct{}, pubs)
-				for p := 0; p < pubs; p++ {
-					go func(p int) {
-						_, errs[p] = s.Publish(ctx, engines[p].Peer(), batches[p])
-						done <- struct{}{}
-					}(p)
-				}
-				for p := 0; p < pubs; p++ {
-					<-done
-				}
-				b.StopTimer()
-				for _, err := range errs {
-					if err != nil {
-						benchErr = err
-						b.Skip(err)
-					}
-				}
-				b.StartTimer()
-			}
-		})
-		if benchErr != nil {
-			return benchErr
-		}
-		e := publishBenchEntry{
-			Name:             fmt.Sprintf("CentralConcurrentPublish/publishers=%d", pubs),
-			Publishers:       pubs,
-			TxnsPerPublisher: perBatch,
-			NsPerTxn:         float64(r.T.Nanoseconds()) / float64(r.N*pubs*perBatch),
-			AllocsPerOp:      r.AllocsPerOp(),
-			BytesPerOp:       r.AllocedBytesPerOp(),
-		}
-		report.ConcurrentPublish = append(report.ConcurrentPublish, e)
-		fmt.Printf("%-40s %12.0f ns/txn %10d allocs/op %12d B/op\n",
-			e.Name, e.NsPerTxn, e.AllocsPerOp, e.BytesPerOp)
-	}
-	return nil
-}
-
-// runGroupCommitSuite measures durable reldb commit throughput with C
-// concurrent committers (each owning its own table, so the engine's
-// per-table locks never serialize them) with the WAL group-commit path off
-// and on; commits-per-flush is the batching the group path achieved. The
-// sync cells are where group commit earns its keep: one fsync-equivalent
-// per flush instead of per commit (on a single-core box the non-sync
-// cells rarely overlap in the commit window, so their flushes stay near
-// size 1 — expected, not a regression).
-func runGroupCommitSuite(report *coreBenchReport) error {
-	var benchErr error
-	type cell struct {
-		committers  int
-		group, sync bool
-	}
-	cells := []cell{
-		{1, false, false}, {4, false, false}, {4, true, false},
-		{4, false, true}, {4, true, true},
-	}
-	for _, c := range cells {
-		group, sync, committers := c.group, c.sync, c.committers
-		{
-			var flushStats float64
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				dir, err := os.MkdirTemp("", "orchestra-gc-bench")
-				if err != nil {
-					benchErr = err
-					b.Skip(err)
-				}
-				defer os.RemoveAll(dir)
-				db, err := reldb.Open(reldb.Options{Dir: dir, GroupCommit: group, SyncOnCommit: sync})
-				if err != nil {
-					benchErr = err
-					b.Skip(err)
-				}
-				defer db.Close()
-				err = db.Update(func(tx *reldb.Tx) error {
-					for c := 0; c < committers; c++ {
-						if err := tx.CreateTable(reldb.TableDef{
-							Name: fmt.Sprintf("t%d", c),
-							Cols: []reldb.ColDef{{Name: "id", Type: reldb.ColInt}, {Name: "v", Type: reldb.ColInt}},
-							Key:  []int{0},
-						}); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					benchErr = err
-					b.Skip(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					done := make(chan error, committers)
-					for c := 0; c < committers; c++ {
-						go func(c int) {
-							done <- db.Update(func(tx *reldb.Tx) error {
-								return tx.Upsert(fmt.Sprintf("t%d", c), reldb.Row{reldb.Int(int64(i)), reldb.Int(int64(c))})
-							})
-						}(c)
-					}
-					for c := 0; c < committers; c++ {
-						if err := <-done; err != nil {
-							benchErr = err
-							b.Skip(err)
-						}
-					}
-				}
-				b.StopTimer()
-				snap := db.Metrics().Snapshot()
-				if snap.GroupFlushes > 0 {
-					flushStats = float64(snap.GroupedCommits) / float64(snap.GroupFlushes)
-				}
-			})
-			if benchErr != nil {
-				return benchErr
-			}
-			e := groupCommitBenchEntry{
-				Name:            fmt.Sprintf("ReldbCommit/committers=%d/group=%v/sync=%v", committers, group, sync),
-				Committers:      committers,
-				GroupCommit:     group,
-				SyncOnCommit:    sync,
-				NsPerCommit:     float64(r.T.Nanoseconds()) / float64(r.N*committers),
-				CommitsPerFlush: flushStats,
-				AllocsPerOp:     r.AllocsPerOp(),
-			}
-			report.ReldbGroupCommit = append(report.ReldbGroupCommit, e)
-			fmt.Printf("%-50s %12.0f ns/commit %7.2f commits/flush %10d allocs/op\n",
-				e.Name, e.NsPerCommit, e.CommitsPerFlush, e.AllocsPerOp)
-		}
-	}
-	return nil
-}
-
-// runEpochAllocatorSuite measures durable concurrent publishes across
-// allocator block sizes: the durable sequence commit amortizes across the
-// block, visible as db-commits-per-publish falling below 2 toward 1.
-func runEpochAllocatorSuite(report *coreBenchReport) error {
-	const pubs = 4
-	const perBatch = 4
-	schema := core.MustSchema(core.NewRelation("F", 2, "organism", "protein", "function"))
-	ctx := context.Background()
-	var benchErr error
-	for _, block := range []int{1, 8, 64} {
-		block := block
-		var commitsPerPub float64
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			dir, err := os.MkdirTemp("", "orchestra-alloc-bench")
-			if err != nil {
-				benchErr = err
-				b.Skip(err)
-			}
-			defer os.RemoveAll(dir)
-			s, err := central.Open(schema, dir, central.WithEpochBlock(block))
-			if err != nil {
-				benchErr = err
-				b.Skip(err)
-			}
-			defer s.Close()
-			engines := make([]*core.Engine, pubs)
-			for p := 0; p < pubs; p++ {
-				id := core.PeerID(fmt.Sprintf("pub%d", p))
-				engines[p] = core.NewEngine(id, schema, core.TrustAll(1))
-				if err := s.RegisterPeer(ctx, id, core.TrustAll(1)); err != nil {
-					benchErr = err
-					b.Skip(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				batches := make([][]store.PublishedTxn, pubs)
-				for p, eng := range engines {
-					for k := 0; k < perBatch; k++ {
-						x, err := eng.NewLocalTransaction(core.Insert("F",
-							core.Strs(fmt.Sprintf("org%d", p), fmt.Sprintf("prot-%d-%d", i, k), "fn"),
-							eng.Peer()))
-						if err != nil {
-							benchErr = err
-							b.Skip(err)
-						}
-						batches[p] = append(batches[p], store.PublishedTxn{
-							Txn: x, Antecedents: eng.LocalAntecedents(x.ID),
-						})
-					}
-				}
-				errs := make([]error, pubs)
-				b.StartTimer()
-				done := make(chan struct{}, pubs)
-				for p := 0; p < pubs; p++ {
-					go func(p int) {
-						_, errs[p] = s.Publish(ctx, engines[p].Peer(), batches[p])
-						done <- struct{}{}
-					}(p)
-				}
-				for p := 0; p < pubs; p++ {
-					<-done
-				}
-				b.StopTimer()
-				for _, err := range errs {
-					if err != nil {
-						benchErr = err
-						b.Skip(err)
-					}
-				}
-				b.StartTimer()
-			}
-			b.StopTimer()
-			snap := s.DBMetrics().Snapshot()
-			pubsTotal := s.Metrics().Snapshot().Publishes
-			if pubsTotal > 0 {
-				commitsPerPub = float64(snap.Commits) / float64(pubsTotal)
-			}
-		})
-		if benchErr != nil {
-			return benchErr
-		}
-		e := epochAllocBenchEntry{
-			Name:            fmt.Sprintf("EpochAllocator/block=%d/publishers=%d", block, pubs),
-			BlockSize:       block,
-			Publishers:      pubs,
-			NsPerTxn:        float64(r.T.Nanoseconds()) / float64(r.N*pubs*perBatch),
-			DBCommitsPerPub: commitsPerPub,
-			AllocsPerOp:     r.AllocsPerOp(),
-		}
-		report.EpochAllocator = append(report.EpochAllocator, e)
-		fmt.Printf("%-40s %12.0f ns/txn %7.2f db-commits/publish %10d allocs/op\n",
-			e.Name, e.NsPerTxn, e.DBCommitsPerPub, e.AllocsPerOp)
-	}
-	return nil
-}
-
-// runPublishOverlapSuite measures durable multi-publisher publish
-// throughput on the epoch-sharded layout against the single-table layout
-// on the same box. Multi-core hardware is where the sharded cells pull
-// ahead (disjoint-table commits overlap and share WAL group flushes); on a
-// single core the sweep mostly shows the contention counters moving to the
-// right shards — report the numbers either way.
-func runPublishOverlapSuite(report *coreBenchReport) error {
-	const perBatch = 4
-	schema := core.MustSchema(core.NewRelation("F", 2, "organism", "protein", "function"))
-	ctx := context.Background()
-	var benchErr error
-	for _, shards := range []int{1, 8} {
-		for _, pubs := range []int{1, 2, 4, 8} {
-			shards, pubs := shards, pubs
-			var shardContention, tableWaits int64
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				dir, err := os.MkdirTemp("", "orchestra-overlap-bench")
-				if err != nil {
-					benchErr = err
-					b.Skip(err)
-				}
-				defer os.RemoveAll(dir)
-				s, err := central.Open(schema, dir, central.WithTableShards(shards))
-				if err != nil {
-					benchErr = err
-					b.Skip(err)
-				}
-				defer s.Close()
-				engines := make([]*core.Engine, pubs)
-				for p := 0; p < pubs; p++ {
-					id := core.PeerID(fmt.Sprintf("pub%d", p))
-					engines[p] = core.NewEngine(id, schema, core.TrustAll(1))
-					if err := s.RegisterPeer(ctx, id, core.TrustAll(1)); err != nil {
-						benchErr = err
-						b.Skip(err)
-					}
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					batches := make([][]store.PublishedTxn, pubs)
-					for p, eng := range engines {
-						for k := 0; k < perBatch; k++ {
-							x, err := eng.NewLocalTransaction(core.Insert("F",
-								core.Strs(fmt.Sprintf("org%d", p), fmt.Sprintf("prot-%d-%d", i, k), "fn"),
-								eng.Peer()))
-							if err != nil {
-								benchErr = err
-								b.Skip(err)
-							}
-							batches[p] = append(batches[p], store.PublishedTxn{
-								Txn: x, Antecedents: eng.LocalAntecedents(x.ID),
-							})
-						}
-					}
-					errs := make([]error, pubs)
-					b.StartTimer()
-					done := make(chan struct{}, pubs)
-					for p := 0; p < pubs; p++ {
-						go func(p int) {
-							_, errs[p] = s.Publish(ctx, engines[p].Peer(), batches[p])
-							done <- struct{}{}
-						}(p)
-					}
-					for p := 0; p < pubs; p++ {
-						<-done
-					}
-					b.StopTimer()
-					for _, err := range errs {
-						if err != nil {
-							benchErr = err
-							b.Skip(err)
-						}
-					}
-					b.StartTimer()
-				}
-				b.StopTimer()
-				shardContention = s.Metrics().Snapshot().ShardContentionTotal()
-				tableWaits = s.DBMetrics().Snapshot().TableWaits
-			})
-			if benchErr != nil {
-				return benchErr
-			}
-			e := publishOverlapEntry{
-				Name:            fmt.Sprintf("PublishOverlap/shards=%d/publishers=%d", shards, pubs),
-				TableShards:     shards,
-				Publishers:      pubs,
-				NsPerTxn:        float64(r.T.Nanoseconds()) / float64(r.N*pubs*perBatch),
-				AllocsPerOp:     r.AllocsPerOp(),
-				ShardContention: shardContention,
-				TableWaits:      tableWaits,
-			}
-			report.PublishOverlap = append(report.PublishOverlap, e)
-			fmt.Printf("%-45s %12.0f ns/txn %8d shard-waits %8d table-waits %10d allocs/op\n",
-				e.Name, e.NsPerTxn, e.ShardContention, e.TableWaits, e.AllocsPerOp)
-		}
-	}
-	return nil
-}
-
-// runSnapshotRebuildSuite measures peer recovery cost against history
-// length: a consumer peer is rebuilt from an in-memory central store after
-// H single-transaction epochs, once by full log replay and once via the
-// retained snapshot (taken tailEpochs before the end) plus the tail. The
-// workload is revision-heavy — modify chains cycling over a small fixed
-// key set, the long-lived-store shape the paper's state ratio describes —
-// so the instance stays small while the log grows: full replay is
-// O(history), the snapshot path O(instance + tail) and should stay flat as
-// H grows. (An insert-only unique-key workload has instance ≈ log and the
-// two paths converge; snapshots bound catch-up, they don't compress
-// live state.)
-func runSnapshotRebuildSuite(report *coreBenchReport) error {
-	const (
-		tailEpochs = 8
-		hotKeys    = 16
-	)
-	schema := core.MustSchema(core.NewRelation("F", 2, "organism", "protein", "function"))
-	ctx := context.Background()
-	for _, history := range []int{64, 256} {
-		s := central.MustOpenMemory(schema)
-		pub := core.NewEngine("pub", schema, core.TrustAll(1))
-		if err := s.RegisterPeer(ctx, "pub", core.TrustAll(1)); err != nil {
-			return err
-		}
-		if err := s.RegisterPeer(ctx, "q", core.TrustAll(1)); err != nil {
-			return err
-		}
-		consume := func() error {
-			rec, err := s.BeginReconciliation(ctx, "q")
-			if err != nil {
-				return err
-			}
-			var accepted []core.TxnID
-			for _, c := range rec.Candidates {
-				accepted = append(accepted, c.Txn.ID)
-			}
-			return s.RecordDecisions(ctx, "q", rec.Recno, accepted, nil)
-		}
-		revs := make([]int, hotKeys)
-		for e := 0; e < history; e++ {
-			k := e % hotKeys
-			prot := fmt.Sprintf("prot-%d", k)
-			var u core.Update
-			if revs[k] == 0 {
-				u = core.Insert("F", core.Strs("org", prot, "rev-0"), "pub")
-			} else {
-				u = core.Modify("F",
-					core.Strs("org", prot, fmt.Sprintf("rev-%d", revs[k]-1)),
-					core.Strs("org", prot, fmt.Sprintf("rev-%d", revs[k])), "pub")
-			}
-			revs[k]++
-			x, err := pub.NewLocalTransaction(u)
-			if err != nil {
-				return err
-			}
-			if _, err := s.Publish(ctx, "pub",
-				[]store.PublishedTxn{{Txn: x, Antecedents: pub.LocalAntecedents(x.ID)}}); err != nil {
-				return err
-			}
-			if e%8 == 7 {
-				if err := consume(); err != nil {
-					return err
-				}
-			}
-			if e == history-tailEpochs-1 {
-				if err := consume(); err != nil {
-					return err
-				}
-				if _, err := s.Snapshot(ctx); err != nil {
-					return err
-				}
-			}
-		}
-		if err := consume(); err != nil {
-			return err
-		}
-		for _, mode := range []string{"full_replay", "snapshot_tail"} {
-			mode := mode
-			var benchErr error
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					var err error
-					if mode == "full_replay" {
-						_, err = store.FullReplayRebuild(ctx, "q", schema, core.TrustAll(1), s)
-					} else {
-						_, err = store.RebuildPeer(ctx, "q", schema, core.TrustAll(1), s)
-					}
-					if err != nil {
-						benchErr = err
-						b.Skip(err)
-					}
-				}
-			})
-			if benchErr != nil {
-				return benchErr
-			}
-			e := snapshotRebuildEntry{
-				Name:          fmt.Sprintf("SnapshotRebuild/history=%d/mode=%s", history, mode),
-				HistoryEpochs: history,
-				TailEpochs:    tailEpochs,
-				Mode:          mode,
-				NsPerRebuild:  float64(r.T.Nanoseconds()) / float64(r.N),
-				AllocsPerOp:   r.AllocsPerOp(),
-			}
-			report.SnapshotRebuild = append(report.SnapshotRebuild, e)
-			fmt.Printf("%-45s %12.0f ns/rebuild %10d allocs/op\n", e.Name, e.NsPerRebuild, e.AllocsPerOp)
-		}
-		s.Close()
-	}
-	return nil
+type trustResult struct {
+	Topology                 string
+	Peers                    int
+	Edges                    int
+	CompiledNsPerDecision    float64
+	InterpretedNsPerDecision float64
+	Speedup                  float64
+	RecompileNs              float64
+	RecompiledPeers          int
 }
 
 // runChaosCell runs one fault-injected reconciliation cell: a confederation
@@ -935,7 +193,7 @@ func runSnapshotRebuildSuite(report *coreBenchReport) error {
 // link. Rounds of conflict-free edits keep retry exhaustion impossible in
 // expectation at the swept rates, so the measured cost is the retry and
 // dedup machinery, not failed rounds.
-func runChaosCell(faults simnet.Faults, peers, rounds int, seed int64) (chaosOverheadEntry, error) {
+func runChaosCell(faults simnet.Faults, peers, rounds int, seed int64) (chaosResult, error) {
 	ctx := context.Background()
 	schema := core.MustSchema(core.NewRelation("F", 2, "organism", "protein", "function"))
 	net := simnet.NewVirtual(time.Microsecond)
@@ -955,18 +213,18 @@ func runChaosCell(faults simnet.Faults, peers, rounds int, seed int64) (chaosOve
 		})), nil
 	}), orchestra.WithReconcileFanOut(peers))
 	if err != nil {
-		return chaosOverheadEntry{}, err
+		return chaosResult{}, err
 	}
 	// Remote clients carry trust textually; parse the policy once.
 	pol, err := trust.Parse("priority 1 when true")
 	if err != nil {
-		return chaosOverheadEntry{}, err
+		return chaosResult{}, err
 	}
 	ps := make([]*orchestra.Peer, peers)
 	for i := range ps {
 		ps[i], err = sys.AddPeer(core.PeerID(fmt.Sprintf("p%d", i)), pol)
 		if err != nil {
-			return chaosOverheadEntry{}, err
+			return chaosResult{}, err
 		}
 	}
 	net.SetFaults(faults)
@@ -975,11 +233,11 @@ func runChaosCell(faults simnet.Faults, peers, rounds int, seed int64) (chaosOve
 		for i, p := range ps {
 			if _, err := p.Edit(core.Insert("F",
 				core.Strs(fmt.Sprintf("org%d", i), fmt.Sprintf("prot-%d", r), "fn"), p.ID())); err != nil {
-				return chaosOverheadEntry{}, err
+				return chaosResult{}, err
 			}
 		}
 		if _, err := sys.ReconcileAll(ctx); err != nil {
-			return chaosOverheadEntry{}, fmt.Errorf("round %d at loss=%.2f: %w", r, faults.Loss, err)
+			return chaosResult{}, fmt.Errorf("round %d at loss=%.2f: %w", r, faults.Loss, err)
 		}
 	}
 	elapsed := time.Since(start)
@@ -988,257 +246,12 @@ func runChaosCell(faults simnet.Faults, peers, rounds int, seed int64) (chaosOve
 	if snap.Calls > 0 {
 		attemptsPerCall = float64(snap.Attempts) / float64(snap.Calls)
 	}
-	return chaosOverheadEntry{
-		Name:            fmt.Sprintf("ChaosOverhead/loss=%g", faults.Loss),
-		LossRate:        faults.Loss,
-		Peers:           peers,
-		Rounds:          rounds,
+	return chaosResult{
 		NsPerRound:      float64(elapsed.Nanoseconds()) / float64(rounds),
 		AttemptsPerCall: attemptsPerCall,
 		Retries:         snap.Retries,
 		DedupHits:       cs.Metrics().Snapshot().DedupHits,
 	}, nil
-}
-
-// runChaosOverheadSuite sweeps message loss over the fault-injected cell:
-// 0% is the fault-free baseline, 1% and 5% price the retry machinery under
-// realistic and heavy loss.
-func runChaosOverheadSuite(report *coreBenchReport) error {
-	const (
-		peers  = 4
-		rounds = 20
-	)
-	for _, loss := range []float64{0, 0.01, 0.05} {
-		e, err := runChaosCell(simnet.Faults{Loss: loss}, peers, rounds, 1)
-		if err != nil {
-			return err
-		}
-		report.ChaosOverhead = append(report.ChaosOverhead, e)
-		fmt.Printf("%-40s %12.0f ns/round %8.3f attempts/call %8d dedup hits\n",
-			e.Name, e.NsPerRound, e.AttemptsPerCall, e.DedupHits)
-	}
-	return nil
-}
-
-// runStreamLatencySuite measures publish-to-decision latency under a
-// sustained publish load, once with the streaming reconcile loop and once
-// with round-based barriers: the streaming cells should show decisions
-// landing at watch-notification latency instead of waiting for the next
-// ReconcileAll round.
-func runStreamLatencySuite(report *coreBenchReport) error {
-	const (
-		peers     = 4
-		publishes = 200
-		ri        = 4 // round_based: a ReconcileAll barrier every ri publishes
-		pace      = 500 * time.Microsecond
-	)
-	schema := core.MustSchema(core.NewRelation("F", 2, "organism", "protein", "function"))
-	for _, mode := range []string{"streaming", "round_based"} {
-		lats, err := measureStreamLatency(mode, schema, peers, publishes, ri, pace)
-		if err != nil {
-			return err
-		}
-		e := streamLatencyEntry{
-			Name:      "StreamLatency/mode=" + mode,
-			Mode:      mode,
-			Peers:     peers,
-			Publishes: publishes,
-			P50Ns:     quantileNs(lats, 0.50),
-			P99Ns:     quantileNs(lats, 0.99),
-		}
-		report.StreamLatency = append(report.StreamLatency, e)
-		fmt.Printf("%-40s %12.0f p50 ns %12.0f p99 ns\n", e.Name, e.P50Ns, e.P99Ns)
-	}
-	return nil
-}
-
-// measureStreamLatency runs the sustained conflict-free publish load in one
-// mode and returns the per-epoch publish-to-decision latencies. Under
-// streaming the decision point is observed from the stream results (the
-// first moment every peer's frontier has passed the epoch); under rounds it
-// is the completion of the ReconcileAll barrier that covered the epoch.
-func measureStreamLatency(mode string, schema *core.Schema, peers, publishes, ri int, pace time.Duration) ([]time.Duration, error) {
-	ctx := context.Background()
-	var (
-		mu       sync.Mutex
-		frontier = map[core.PeerID]core.Epoch{}
-		pubAt    = map[core.Epoch]time.Time{}
-		decided  = map[core.Epoch]time.Time{}
-	)
-	// sweep marks every published epoch at or below the minimum frontier as
-	// decided now. Callers hold mu.
-	sweep := func(now time.Time) {
-		if len(frontier) < peers {
-			return
-		}
-		min := core.Epoch(0)
-		first := true
-		for _, f := range frontier {
-			if first || f < min {
-				min, first = f, false
-			}
-		}
-		for e := range pubAt {
-			if _, ok := decided[e]; !ok && e <= min {
-				decided[e] = now
-			}
-		}
-	}
-	sys, err := orchestra.NewSystem(schema,
-		orchestra.WithStreamObserver(func(r orchestra.StreamResult) {
-			mu.Lock()
-			if r.To > frontier[r.Peer] {
-				frontier[r.Peer] = r.To
-			} else if _, ok := frontier[r.Peer]; !ok {
-				frontier[r.Peer] = r.To
-			}
-			sweep(time.Now())
-			mu.Unlock()
-		}))
-	if err != nil {
-		return nil, err
-	}
-	defer sys.Close()
-	ps := make([]*orchestra.Peer, peers)
-	for i := range ps {
-		ps[i], err = sys.AddPeer(core.PeerID(fmt.Sprintf("p%d", i)), core.TrustAll(1))
-		if err != nil {
-			return nil, err
-		}
-	}
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	done := make(chan error, 1)
-	if mode == "streaming" {
-		go func() { done <- sys.RunStreaming(sctx) }()
-	}
-	// decideAll stamps every still-undecided epoch: the round-based decision
-	// point after a barrier.
-	decideAll := func() {
-		now := time.Now()
-		mu.Lock()
-		for e := range pubAt {
-			if _, ok := decided[e]; !ok {
-				decided[e] = now
-			}
-		}
-		mu.Unlock()
-	}
-	for i := 0; i < publishes; i++ {
-		p := ps[i%peers]
-		if _, err := p.Edit(core.Insert("F",
-			core.Strs("org-"+string(p.ID()), fmt.Sprintf("prot-%d", i), "fn"), p.ID())); err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		e, err := p.Publish(ctx)
-		if err != nil {
-			return nil, err
-		}
-		mu.Lock()
-		pubAt[e] = t0
-		mu.Unlock()
-		if mode == "round_based" && i%ri == ri-1 {
-			if _, err := sys.ReconcileAll(ctx); err != nil {
-				return nil, err
-			}
-			decideAll()
-		}
-		time.Sleep(pace)
-	}
-	if mode == "round_based" {
-		if _, err := sys.ReconcileAll(ctx); err != nil {
-			return nil, err
-		}
-		decideAll()
-	} else {
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			mu.Lock()
-			sweep(time.Now())
-			n := len(decided)
-			mu.Unlock()
-			if n == publishes {
-				break
-			}
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("stream latency cell: only %d/%d epochs decided", n, publishes)
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-		cancel()
-		if err := <-done; err != nil {
-			return nil, err
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	lats := make([]time.Duration, 0, len(pubAt))
-	for e, t0 := range pubAt {
-		lats = append(lats, decided[e].Sub(t0))
-	}
-	return lats, nil
-}
-
-// quantileNs returns the nearest-rank q-quantile of the sample, in
-// nanoseconds.
-func quantileNs(ds []time.Duration, q float64) float64 {
-	if len(ds) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(q*float64(len(s)-1) + 0.5)
-	return float64(s[idx])
-}
-
-// runDecisionBatchSuite drives ReconcileAll rounds over a full System and
-// reports the batched decision-recording round-trip economy from the
-// central store's own counters.
-func runDecisionBatchSuite(report *coreBenchReport) error {
-	const (
-		peers  = 8
-		rounds = 3
-	)
-	ctx := context.Background()
-	schema := core.MustSchema(core.NewRelation("F", 2, "organism", "protein", "function"))
-	sys, err := orchestra.NewSystem(schema, orchestra.WithReconcileFanOut(peers))
-	if err != nil {
-		return err
-	}
-	defer sys.Close()
-	ps := make([]*orchestra.Peer, peers)
-	for i := 0; i < peers; i++ {
-		id := core.PeerID(fmt.Sprintf("p%d", i))
-		ps[i], err = sys.AddPeer(id, core.TrustAll(1))
-		if err != nil {
-			return err
-		}
-	}
-	for r := 0; r < rounds; r++ {
-		for i, p := range ps {
-			if _, err := p.Edit(core.Insert("F",
-				core.Strs("org", fmt.Sprintf("prot-%d-%d", r, i), "fn"), p.ID())); err != nil {
-				return err
-			}
-		}
-		if _, err := sys.ReconcileAll(ctx); err != nil {
-			return err
-		}
-	}
-	snap := sys.CentralStore().Metrics().Snapshot()
-	report.DecisionBatching = decisionBatchStats{
-		Peers:          peers,
-		Rounds:         rounds,
-		RoundTrips:     snap.DecisionRoundTrips,
-		UnbatchedTrips: snap.DecisionPeers,
-		Decisions:      snap.Decisions,
-		BatchPeak:      snap.BatchPeak,
-	}
-	fmt.Printf("%-40s %12d trips (unbatched would be %d) %10d decisions %6d peak\n",
-		"DecisionBatching/ReconcileAll", snap.DecisionRoundTrips, snap.DecisionPeers,
-		snap.Decisions, snap.BatchPeak)
-	return nil
 }
 
 // trustEvalTopology builds and resolves one generated delegation topology:
@@ -1263,7 +276,7 @@ func trustEvalTopology(kind workload.TopologyKind, peers int) (*workload.TrustTo
 // runTrustEvalCell measures one topology cell: compiled vs interpreted
 // ns/decision over sampled participants' effective policies, and the
 // re-resolution latency of a mid-stream mapping change.
-func runTrustEvalCell(kind workload.TopologyKind, peers int) (*trustEvalEntry, error) {
+func runTrustEvalCell(kind workload.TopologyKind, peers int) (*trustResult, error) {
 	tt, g, err := trustEvalTopology(kind, peers)
 	if err != nil {
 		return nil, err
@@ -1317,8 +330,7 @@ func runTrustEvalCell(kind workload.TopologyKind, peers int) (*trustEvalEntry, e
 	affected := g.Set(changed, pol)
 	recompileNs := float64(time.Since(start).Nanoseconds())
 
-	e := &trustEvalEntry{
-		Name:                     fmt.Sprintf("TrustEval/topology=%s/peers=%d", kind, peers),
+	e := &trustResult{
 		Topology:                 string(kind),
 		Peers:                    peers,
 		Edges:                    tt.Edges(),
@@ -1331,134 +343,4 @@ func runTrustEvalCell(kind workload.TopologyKind, peers int) (*trustEvalEntry, e
 		e.Speedup = interpretedNs / compiledNs
 	}
 	return e, nil
-}
-
-// runTrustEvalSuite sweeps every delegation topology at 1k peers.
-func runTrustEvalSuite(report *coreBenchReport) error {
-	const peers = 1000
-	for _, kind := range workload.Topologies {
-		e, err := runTrustEvalCell(kind, peers)
-		if err != nil {
-			return err
-		}
-		report.TrustEval = append(report.TrustEval, *e)
-		fmt.Printf("%-45s %10.1f compiled ns %10.1f interpreted ns %7.1fx %10.0f recompile ns (%d peers)\n",
-			e.Name, e.CompiledNsPerDecision, e.InterpretedNsPerDecision, e.Speedup,
-			e.RecompileNs, e.RecompiledPeers)
-	}
-	return nil
-}
-
-// runMultiGroupSuite measures the multi-group scale-out path end to end:
-// a durable Fleet of store nodes hosts G tenant groups (ring-placed,
-// co-located groups sharing one database and WAL per node), and the group
-// Scheduler drives barrier rounds with bounded concurrency. Each round
-// every peer of every group edits one fresh tuple, then the scheduler runs
-// every group's publish/reconcile. The headline is aggregate published
-// txns/sec across all tenants; commits-per-flush shows the shared WAL's
-// group commit batching co-located tenants' commits into single syncs.
-func runMultiGroupSuite(report *coreBenchReport) error {
-	cells := []struct {
-		stores, groups, peers, rounds int
-	}{
-		{1, 10, 2, 3},
-		{1, 10, 8, 3},
-		{2, 100, 2, 3},
-		{2, 1000, 2, 2},
-	}
-	for _, c := range cells {
-		e, err := runMultiGroupCell(c.stores, c.groups, c.peers, c.rounds)
-		if err != nil {
-			return err
-		}
-		report.MultiGroup = append(report.MultiGroup, *e)
-		fmt.Printf("%-40s %12.0f txns/s %10.2f commits/flush\n", e.Name, e.TxnsPerSec, e.CommitsPerFlush)
-	}
-	return nil
-}
-
-func runMultiGroupCell(stores, groups, peers, rounds int) (*multiGroupBenchEntry, error) {
-	ctx := context.Background()
-	dir, err := os.MkdirTemp("", "orchestra-multigroup-bench")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	// Disk-backed nodes with a short gathering window: in-memory nodes have
-	// no WAL, and without a window a lightly loaded flusher would batch only
-	// opportunistically — the window makes co-located tenants' commits ride
-	// shared flushes deterministically.
-	f := orchestra.NewFleet(
-		orchestra.WithStoreDirs(func(name string) string { return filepath.Join(dir, name) }),
-		orchestra.WithGroupStoreOptions(central.WithGroupCommit(200*time.Microsecond)),
-	)
-	defer f.Close()
-	for i := 0; i < stores; i++ {
-		if err := f.AddStore(fmt.Sprintf("s%d", i)); err != nil {
-			return nil, err
-		}
-	}
-	pol, err := trust.Parse("priority 1 when true")
-	if err != nil {
-		return nil, err
-	}
-	schema := core.MustSchema(core.NewRelation("F", 2, "organism", "protein", "function"))
-	for g := 0; g < groups; g++ {
-		spec := orchestra.GroupSpec{ID: fmt.Sprintf("g%d", g), Schema: schema}
-		for p := 0; p < peers; p++ {
-			spec.Peers = append(spec.Peers, orchestra.GroupPeer{
-				ID: core.PeerID(fmt.Sprintf("p%d", p)), Trust: pol,
-			})
-		}
-		if _, err := f.AddGroup(spec); err != nil {
-			return nil, err
-		}
-	}
-
-	sched := orchestra.NewScheduler(f.Groups(),
-		orchestra.WithGroupLimit(4*runtime.GOMAXPROCS(0)))
-	var txns int64
-	start := time.Now()
-	for r := 0; r < rounds; r++ {
-		for _, g := range f.Groups() {
-			for pi, p := range g.System().Peers() {
-				u := core.Insert("F",
-					core.Strs(g.ID(), fmt.Sprintf("p%d-r%d", pi, r), "fn"), p.ID())
-				if _, err := p.Edit(u); err != nil {
-					return nil, err
-				}
-				txns++
-			}
-		}
-		if err := sched.RunRound(ctx); err != nil {
-			return nil, err
-		}
-	}
-	elapsed := time.Since(start)
-
-	var grouped, flushes int64
-	for _, name := range f.Stores() {
-		if n, ok := f.Node(name); ok {
-			snap := n.Metrics().Snapshot()
-			grouped += snap.GroupedCommits
-			flushes += snap.GroupFlushes
-		}
-	}
-	cpf := 0.0
-	if flushes > 0 {
-		cpf = float64(grouped) / float64(flushes)
-	}
-	e := &multiGroupBenchEntry{
-		Name: fmt.Sprintf("MultiGroup/stores=%d/groups=%d/peers=%d",
-			stores, groups, peers),
-		Stores:          stores,
-		Groups:          groups,
-		PeersPerGroup:   peers,
-		Rounds:          rounds,
-		Txns:            txns,
-		TxnsPerSec:      float64(txns) / elapsed.Seconds(),
-		NsPerRound:      float64(elapsed.Nanoseconds()) / float64(rounds),
-		CommitsPerFlush: cpf,
-	}
-	return e, f.Close()
 }

@@ -34,7 +34,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:7400", "address to listen on")
 	dir := flag.String("dir", "", "durability directory (empty = in-memory)")
 	schemaName := flag.String("schema", "protein", "built-in schema: protein|swissprot")
-	shards := flag.Int("shards", 0, "epoch-shard count of the epochs/txns/decisions tables for a fresh directory (0 = default 8; existing directories keep the count recorded in their meta table, and a conflicting explicit count is refused)")
 	snapEvery := flag.Int("snapshot-every", 0, "take an engine-state snapshot every N stable epochs (0 = only on demand); snapshots bound peer catch-up to the post-snapshot tail")
 	compactKeep := flag.Int("compact-keep", -1, "after each automatic snapshot, compact the publish log keeping N epochs below the allowed horizon (-1 = never compact; requires -snapshot-every)")
 	flag.Parse()
@@ -44,16 +43,10 @@ func main() {
 		log.Fatal(err)
 	}
 	var opts []central.Option
-	if *shards > 0 {
-		opts = append(opts, central.WithTableShards(*shards))
-	}
 	if *snapEvery > 0 {
 		opts = append(opts, central.WithSnapshotEvery(*snapEvery))
 	}
 	if *compactKeep >= 0 {
-		if *snapEvery <= 0 {
-			log.Fatal("orchestra-store: -compact-keep requires -snapshot-every (compaction needs a retained snapshot)")
-		}
 		opts = append(opts, central.WithCompactKeep(*compactKeep))
 	}
 	backend, err := central.Open(schema, *dir, opts...)

@@ -77,10 +77,9 @@ type MigrationEvent struct {
 type FleetOption func(*fleetConfig)
 
 type fleetConfig struct {
-	dirFor    func(storeName string) string
-	vnodes    int
-	sysOpts   []SystemOption
-	storeOpts []central.Option
+	dirFor  func(storeName string) string
+	vnodes  int
+	sysOpts []SystemOption
 }
 
 // WithStoreDirs makes each node durable: dirFor maps a store name to its
@@ -103,12 +102,6 @@ func WithVirtualNodes(n int) FleetOption {
 // fleet-routed store.
 func WithGroupSystemOptions(opts ...SystemOption) FleetOption {
 	return func(c *fleetConfig) { c.sysOpts = append(c.sysOpts, opts...) }
-}
-
-// WithGroupStoreOptions appends central store options applied to every
-// node and tenant (e.g. central.WithSerialCommit, central.WithTableShards).
-func WithGroupStoreOptions(opts ...central.Option) FleetOption {
-	return func(c *fleetConfig) { c.storeOpts = append(c.storeOpts, opts...) }
 }
 
 // Fleet routes groups across central store nodes with consistent hashing.
@@ -154,7 +147,7 @@ func (f *Fleet) AddStore(name string) error {
 	if f.cfg.dirFor != nil {
 		dir = f.cfg.dirFor(name)
 	}
-	node, err := central.OpenNode(dir, f.cfg.storeOpts...)
+	node, err := central.OpenNode(dir)
 	if err != nil {
 		return err
 	}

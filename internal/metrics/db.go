@@ -13,8 +13,7 @@ import (
 // fight over the same tables). All methods are safe for concurrent use and
 // nil-safe, so an uninstrumented database can carry a nil *DBCounters.
 type DBCounters struct {
-	commits    atomic.Int64
-	walAppends atomic.Int64
+	commits atomic.Int64
 
 	groupFlushes   atomic.Int64
 	groupedCommits atomic.Int64
@@ -29,15 +28,6 @@ func (c *DBCounters) ObserveCommit() {
 		return
 	}
 	c.commits.Add(1)
-}
-
-// ObserveWALAppend counts one serially appended WAL record (the
-// non-group-commit durable path).
-func (c *DBCounters) ObserveWALAppend() {
-	if c == nil {
-		return
-	}
-	c.walAppends.Add(1)
 }
 
 // ObserveGroupFlush records one group-commit flush carrying commits
@@ -63,8 +53,10 @@ func (c *DBCounters) ObserveTableWait() {
 
 // DBSnapshot is a point-in-time copy of DBCounters.
 type DBSnapshot struct {
-	Commits    int64 // committed write transactions
-	WALAppends int64 // serial (non-grouped) WAL records appended
+	Commits int64 // committed write transactions
+	// WALAppends is always 0: every durable commit rides a group flush.
+	// The field stays only because bench/layers.go reads it.
+	WALAppends int64
 
 	GroupFlushes   int64 // group-commit flushes (one write + one sync each)
 	GroupedCommits int64 // commits that rode a group flush
@@ -81,7 +73,6 @@ func (c *DBCounters) Snapshot() DBSnapshot {
 	}
 	return DBSnapshot{
 		Commits:        c.commits.Load(),
-		WALAppends:     c.walAppends.Load(),
 		GroupFlushes:   c.groupFlushes.Load(),
 		GroupedCommits: c.groupedCommits.Load(),
 		GroupPeak:      c.groupPeak.Load(),
@@ -92,6 +83,6 @@ func (c *DBCounters) Snapshot() DBSnapshot {
 // String renders the snapshot as a compact one-line summary.
 func (s DBSnapshot) String() string {
 	return fmt.Sprintf(
-		"commits=%d walappends=%d gflushes=%d gcommits=%d gpeak=%d tablewaits=%d",
-		s.Commits, s.WALAppends, s.GroupFlushes, s.GroupedCommits, s.GroupPeak, s.TableWaits)
+		"commits=%d gflushes=%d gcommits=%d gpeak=%d tablewaits=%d",
+		s.Commits, s.GroupFlushes, s.GroupedCommits, s.GroupPeak, s.TableWaits)
 }

@@ -28,12 +28,11 @@
 //
 // Commit appends the transaction's operations to the WAL as one record;
 // recovery replays records in append order and truncates any torn tail.
-// With Options.GroupCommit, concurrent committers hand their records to a
-// shared flusher: the first committer to arrive becomes the leader, waits
-// up to Options.GroupCommitWindow, and writes every queued record with one
-// WAL write and at most one fsync — commits per flush is the win, visible
-// through Metrics(). Group commit changes durability batching only, never
-// atomicity, isolation, or recovery semantics.
+// Concurrent committers hand their records to a shared flusher: the first
+// committer to arrive becomes the leader and writes every record queued by
+// then with one WAL write and at most one fsync — commits per flush is the
+// win, visible through Metrics(). Group commit changes durability batching
+// only, never atomicity, isolation, or recovery semantics.
 package reldb
 
 import (
@@ -44,8 +43,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"orchestra/internal/btree"
 	"orchestra/internal/metrics"
@@ -128,33 +125,9 @@ type Options struct {
 	// Dir is the durability directory; empty means a volatile in-memory
 	// database.
 	Dir string
-	// SyncOnCommit fsyncs the WAL at every commit (or, under group commit,
-	// once per group flush).
+	// SyncOnCommit fsyncs the WAL once per group flush (see groupCommitter),
+	// before any commit the flush carried returns.
 	SyncOnCommit bool
-	// GroupCommit batches concurrent commits into shared WAL flushes: one
-	// write and at most one fsync per group. Commits gain throughput under
-	// concurrency at the price of waiting for their group's flush. Off by
-	// default — the serial escape hatch the differential tests pin against.
-	GroupCommit bool
-	// GroupCommitWindow is how long a group leader waits for more commits
-	// to join its flush. Zero (the default) flushes whatever has queued by
-	// the time the leader runs — natural batching under contention with no
-	// added latency when idle.
-	GroupCommitWindow time.Duration
-	// AdaptiveGroupCommit sizes the gathering window from observed flush
-	// depth instead of the fixed GroupCommitWindow: flushes that carry a
-	// group grow the window (deeper batches amortize the fsync further),
-	// flushes that run alone shrink it (an idle database should not pay
-	// gathering latency). The window moves multiplicatively between
-	// GroupCommitMinWindow and GroupCommitMaxWindow, so an idle database
-	// converges to the minimum and a saturated one to the cap within a few
-	// flushes.
-	AdaptiveGroupCommit bool
-	// GroupCommitMinWindow and GroupCommitMaxWindow bound the adaptive
-	// window. Min defaults to 0 (no latency when idle); Max defaults to
-	// 1ms.
-	GroupCommitMinWindow time.Duration
-	GroupCommitMaxWindow time.Duration
 }
 
 // Open opens (or creates) a database, recovering from the snapshot and WAL
@@ -190,27 +163,8 @@ func Open(opts Options) (*DB, error) {
 		l.Close()
 		return nil, err
 	}
-	if opts.GroupCommit {
-		gc := &groupCommitter{db: db, window: opts.GroupCommitWindow}
-		if opts.AdaptiveGroupCommit {
-			gc.adaptive = newAdaptiveWindow(opts.GroupCommitMinWindow, opts.GroupCommitMaxWindow)
-		}
-		db.gc = gc
-	}
+	db.gc = &groupCommitter{db: db}
 	return db, nil
-}
-
-// GroupCommitWindow reports the gathering window the next flush leader
-// will sleep: the fixed window, or the adaptive controller's current
-// value. Zero when group commit is off.
-func (db *DB) GroupCommitWindow() time.Duration {
-	if db.gc == nil {
-		return 0
-	}
-	if db.gc.adaptive != nil {
-		return db.gc.adaptive.current()
-	}
-	return db.gc.window
 }
 
 // MustOpenMemory returns a volatile in-memory database, panicking on error;
@@ -426,75 +380,24 @@ func (t *table) uniqueViolated(r Row, pk string) bool {
 }
 
 // groupCommitter batches concurrent WAL appends: the first committer to
-// arrive while no flush is running becomes the leader, optionally waits
-// the window for company, then writes every queued record in one
-// wal.AppendBatch (one Write, at most one fsync) and hands each waiter its
-// result. Committers hold their table locks while waiting, so conflicting
+// arrive while no flush is running becomes the leader and writes every
+// record queued by the time it runs in one wal.AppendBatch (one Write, at
+// most one fsync), handing each waiter its result — batching under
+// contention, no added latency when idle. Committers hold their table locks while waiting, so conflicting
 // transactions can never share a group — record order within a flush only
 // ever permutes independent transactions, which replay to the same state.
 type groupCommitter struct {
-	db       *DB
-	window   time.Duration
-	adaptive *adaptiveWindow // nil = fixed window
+	db *DB
 
 	mu      sync.Mutex
 	leading bool
 	queue   []*commitWait
 }
 
-// adaptiveWindow sizes the gathering window from observed flush depth: a
-// flush that carried company doubles the window (deeper batches amortize
-// the fsync further, and a queue is already forming), a flush that ran
-// alone halves it (nobody is waiting — gathering latency buys nothing).
-// Multiplicative moves clamp to [min, max], so an idle database converges
-// to min and a saturated one to max within a few flushes. Adaptation
-// changes flush timing only — never which records are durable or their
-// replay order — so every group-commit correctness guarantee is untouched.
-type adaptiveWindow struct {
-	min, max time.Duration
-	cur      atomic.Int64 // current window, ns
-}
-
-func newAdaptiveWindow(min, max time.Duration) *adaptiveWindow {
-	if max <= 0 {
-		max = time.Millisecond
-	}
-	if min < 0 {
-		min = 0
-	}
-	if min > max {
-		min = max
-	}
-	a := &adaptiveWindow{min: min, max: max}
-	a.cur.Store(int64(min))
-	return a
-}
-
-func (a *adaptiveWindow) current() time.Duration { return time.Duration(a.cur.Load()) }
-
-func (a *adaptiveWindow) observe(depth int) {
-	cur := a.current()
-	var next time.Duration
-	switch {
-	case depth > 1:
-		// 2x+1µs so growth escapes a zero minimum.
-		next = cur*2 + time.Microsecond
-		if next > a.max {
-			next = a.max
-		}
-	default:
-		next = cur / 2
-		if next < a.min {
-			next = a.min
-		}
-	}
-	a.cur.Store(int64(next))
-}
-
 // flushResult is what a flush hands each waiter: appended distinguishes a
 // failed append (nothing durable — the waiter must roll back) from a
 // failed fsync after a successful append (records durable — the waiter
-// keeps its state and surfaces the error, matching the serial path).
+// keeps its state and surfaces the error).
 type flushResult struct {
 	err      error
 	appended bool
@@ -526,13 +429,6 @@ func (gc *groupCommitter) commit(payload []byte) (bool, error) {
 
 // lead drains the queue in group flushes until it is empty, then abdicates.
 func (gc *groupCommitter) lead() {
-	window := gc.window
-	if gc.adaptive != nil {
-		window = gc.adaptive.current()
-	}
-	if window > 0 {
-		time.Sleep(window)
-	}
 	for {
 		gc.mu.Lock()
 		batch := gc.queue
@@ -555,9 +451,6 @@ func (gc *groupCommitter) lead() {
 		}
 		if res.err == nil {
 			gc.db.counters.ObserveGroupFlush(len(batch))
-		}
-		if gc.adaptive != nil {
-			gc.adaptive.observe(len(batch))
 		}
 		for _, cw := range batch {
 			cw.done <- res

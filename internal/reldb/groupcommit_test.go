@@ -12,9 +12,9 @@ import (
 	"time"
 )
 
-func openGC(t *testing.T, dir string, group bool, window time.Duration) *DB {
+func openGC(t *testing.T, dir string) *DB {
 	t.Helper()
-	db, err := Open(Options{Dir: dir, GroupCommit: group, GroupCommitWindow: window})
+	db, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +40,9 @@ func createN(t *testing.T, db *DB, tables int) {
 	}
 }
 
-// TestGroupCommitDurability: many concurrent committers across tables with
-// group commit on; every commit must be durable across reopen, and every
-// durable commit must have ridden a group flush.
+// TestGroupCommitDurability: many concurrent committers across tables;
+// every commit must be durable across reopen, and every durable commit must
+// have ridden a group flush.
 func TestGroupCommitDurability(t *testing.T) {
 	const (
 		tables    = 3
@@ -50,7 +50,7 @@ func TestGroupCommitDurability(t *testing.T) {
 		perWorker = 40
 	)
 	dir := t.TempDir()
-	db := openGC(t, dir, true, 0)
+	db := openGC(t, dir)
 	createN(t, db, tables)
 
 	var wg sync.WaitGroup
@@ -86,14 +86,11 @@ func TestGroupCommitDurability(t *testing.T) {
 	if snap.GroupFlushes == 0 || snap.GroupFlushes > snap.GroupedCommits {
 		t.Errorf("flushes = %d for %d grouped commits", snap.GroupFlushes, snap.GroupedCommits)
 	}
-	if snap.WALAppends != 0 {
-		t.Errorf("serial WAL appends = %d with group commit on", snap.WALAppends)
-	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	db2 := openGC(t, dir, true, 0)
+	db2 := openGC(t, dir)
 	defer db2.Close()
 	db2.View(func(tx *Tx) error {
 		total := 0
@@ -174,7 +171,7 @@ func TestGroupCommitCrashMidFlush(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const committed = 5
 			dir := t.TempDir()
-			db := openGC(t, dir, true, 0)
+			db := openGC(t, dir)
 			createN(t, db, 1)
 			for i := 0; i < committed; i++ {
 				if err := db.Update(func(tx *Tx) error {
@@ -188,7 +185,7 @@ func TestGroupCommitCrashMidFlush(t *testing.T) {
 			}
 			damage(t, lastSegment(t, dir))
 
-			db2 := openGC(t, dir, true, 0)
+			db2 := openGC(t, dir)
 			db2.View(func(tx *Tx) error {
 				n, err := tx.Count("t0")
 				if err != nil {
@@ -208,7 +205,7 @@ func TestGroupCommitCrashMidFlush(t *testing.T) {
 			if err := db2.Close(); err != nil {
 				t.Fatal(err)
 			}
-			db3 := openGC(t, dir, true, 0)
+			db3 := openGC(t, dir)
 			defer db3.Close()
 			db3.View(func(tx *Tx) error {
 				n, _ := tx.Count("t0")
@@ -226,23 +223,15 @@ func TestGroupCommitCrashMidFlush(t *testing.T) {
 
 // TestConcurrentCommittersAcrossTables is the -race stress for the
 // per-table locking engine: writers hammer disjoint tables (plus a shared
-// one) while readers continuously check row invariants, across the
-// group/serial × durable/in-memory matrix.
+// one) while readers continuously check row invariants, in memory and
+// through the WAL group committer.
 func TestConcurrentCommittersAcrossTables(t *testing.T) {
-	type cell struct {
-		name    string
-		durable bool
-		group   bool
-		window  time.Duration
-	}
-	cells := []cell{
-		{"memory", false, false, 0},
-		{"durable-serial", true, false, 0},
-		{"durable-group", true, true, 0},
-		{"durable-group-window", true, true, 200 * time.Microsecond},
-	}
-	for _, c := range cells {
-		t.Run(c.name, func(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		name := "memory"
+		if durable {
+			name = "durable"
+		}
+		t.Run(name, func(t *testing.T) {
 			const (
 				tables    = 4
 				writers   = 8
@@ -250,10 +239,10 @@ func TestConcurrentCommittersAcrossTables(t *testing.T) {
 				readers   = 3
 			)
 			dir := ""
-			if c.durable {
+			if durable {
 				dir = t.TempDir()
 			}
-			db, err := Open(Options{Dir: dir, GroupCommit: c.group, GroupCommitWindow: c.window})
+			db, err := Open(Options{Dir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}

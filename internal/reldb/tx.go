@@ -402,8 +402,8 @@ func (tx *Tx) rollback() {
 	tx.ops, tx.undo = nil, nil
 }
 
-// commit logs the buffered operations to the WAL (directly, or through the
-// group committer), rolling back on a logging failure. Locks are released
+// commit logs the buffered operations to the WAL through the group
+// committer, rolling back on a logging failure. Locks are released
 // by the caller afterwards, so a transaction's WAL record is durably
 // ordered before any conflicting transaction can even start. The commit
 // counter moves only after the append succeeded — a rolled-back
@@ -421,28 +421,15 @@ func (tx *Tx) commit() error {
 		tx.rollback()
 		return fmt.Errorf("reldb: encode wal batch: %w", err)
 	}
-	if gc := tx.db.gc; gc != nil {
-		appended, err := gc.commit(buf.Bytes())
-		if !appended {
-			// Nothing durable (the failed group was truncated away): roll
-			// back so memory and log agree.
-			tx.rollback()
-			return err
-		}
-		tx.db.counters.ObserveCommit()
-		// A sync failure after a successful append keeps the state — the
-		// record is in the log and will replay — and surfaces the error,
-		// exactly like the serial path below.
-		return err
-	}
-	if err := tx.db.log.Append(buf.Bytes()); err != nil {
+	appended, err := tx.db.gc.commit(buf.Bytes())
+	if !appended {
+		// Nothing durable (the failed group was truncated away): roll
+		// back so memory and log agree.
 		tx.rollback()
 		return err
 	}
-	tx.db.counters.ObserveWALAppend()
 	tx.db.counters.ObserveCommit()
-	if tx.db.sync {
-		return tx.db.log.Sync()
-	}
-	return nil
+	// A sync failure after a successful append keeps the state — the
+	// record is in the log and will replay — and surfaces the error.
+	return err
 }

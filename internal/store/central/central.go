@@ -16,8 +16,7 @@
 //     short, normally memory-only critical section: epoch numbers are
 //     handed out from a pre-allocated block, and the durable sequence
 //     commit that claims the next block runs once every epochBlock
-//     publishes (WithEpochBlock; block size 1 restores a durable commit
-//     per publish).
+//     publishes.
 //   - The stable-epoch frontier is maintained incrementally: every epoch
 //     finish advances it through consecutively finished epochs, so
 //     reconcilers read it from a single atomic — O(1) instead of a scan
@@ -33,17 +32,15 @@
 //
 // # Epoch-sharded tables
 //
-// The epochs/txns/decisions tables are split into WithTableShards(n)
-// epoch-shards (default DefaultTableShards): epoch e lives entirely in the
+// The epochs/txns/decisions tables are split into n epoch-shards
+// (defaultTableShards for a new directory): epoch e lives entirely in the
 // shard-k tables (epochs_k, txns_k, decisions_k) with k = e mod n. A
 // publish commit touches only its epoch's shard, so concurrent publishes
 // to different epochs write-lock disjoint reldb tables and their WAL group
-// commits share flushes instead of serializing on one txns table.
-// WithTableShards(1) restores the single-table locking behaviour and is
-// the differential baseline. The shard count is recorded in the meta table
-// at creation and adopted on reopen; directories written by the pre-shard
-// layout (a plain "txns" table) cannot be migrated and fail Open with a
-// version error.
+// commits share flushes instead of serializing on one txns table. The
+// shard count is recorded in the meta table at creation and adopted on
+// reopen; directories written by the pre-shard layout (a plain "txns"
+// table) cannot be migrated and fail Open with a version error.
 //
 // # Snapshots and compaction
 //
@@ -86,7 +83,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"orchestra/internal/core"
 	"orchestra/internal/metrics"
@@ -104,13 +100,18 @@ const OrderStride = 1 << 20
 // mix below distributes evenly.
 const txnShardCount = 32
 
-// DefaultEpochBlock is the default number of epochs claimed per durable
-// sequence commit (see WithEpochBlock).
-const DefaultEpochBlock = 8
+// epochBlock is how many epoch numbers each durable sequence commit claims:
+// the allocator's commit is amortized across that many publishes. Epoch
+// numbers are handed out densely regardless; after a crash the unissued
+// remainder of the current block becomes a permanent gap that recovery
+// marks void (finished and empty).
+const epochBlock = 8
 
-// DefaultTableShards is the default number of epoch-shards the
-// epochs/txns/decisions tables are split into (see WithTableShards).
-const DefaultTableShards = 8
+// defaultTableShards is the number of epoch-shards a new directory's
+// epochs/txns/decisions tables are split into. The count is fixed when the
+// directory is created (it determines which table holds each epoch) and
+// recorded in the meta table; reopening adopts the recorded count.
+const defaultTableShards = 8
 
 // layoutVersion identifies the on-disk table layout; it is recorded in the
 // meta table when a directory is created. Version 2 was the epoch-sharded
@@ -123,105 +124,12 @@ const layoutVersion = 3
 type Option func(*config)
 
 type config struct {
-	epochBlock     int64
-	groupCommit    bool
-	groupWindow    time.Duration
-	adaptiveCommit bool
-	adaptiveMin    time.Duration
-	adaptiveMax    time.Duration
-	tableShards    int
-	shardsExplicit bool
-	snapEvery      int64
-	compactKeep    int64
+	snapEvery   int64
+	compactKeep int64
 }
 
 func defaultConfig() config {
-	return config{
-		epochBlock:  DefaultEpochBlock,
-		groupCommit: true,
-		tableShards: DefaultTableShards,
-		compactKeep: -1,
-	}
-}
-
-// WithEpochBlock sets how many epoch numbers each durable sequence commit
-// claims. Larger blocks amortize the allocator's commit across that many
-// publishes; block size 1 restores one durable commit per epoch (the
-// allocator's serial escape hatch). Epoch numbers are handed out densely
-// either way — block size never changes epoch numbering, decisions, or
-// stable-epoch answers, only when the allocator touches the database.
-// After a crash, the unissued remainder of the current block becomes a
-// permanent gap that recovery marks void (finished and empty).
-func WithEpochBlock(n int) Option {
-	return func(c *config) {
-		if n < 1 {
-			n = 1
-		}
-		c.epochBlock = int64(n)
-	}
-}
-
-// WithGroupCommit enables the backing database's WAL group-commit path
-// (the default) with the given gathering window; zero flushes whatever has
-// queued with no added latency. See reldb.Options.GroupCommitWindow.
-//
-// Flush groups form across commits on disjoint tables: with the
-// epoch-sharded layout (WithTableShards) concurrent publishes to epochs in
-// different shards touch disjoint tables, so their commits share flushes
-// instead of serializing — same-shard publishes still queue on the shard's
-// table locks and flush alone. Keep the window at zero unless fsync
-// (SyncOnCommit) dominates commit cost: a flush leader sleeps the window
-// while holding its table locks, so a nonzero window adds that much
-// latency to every conflicting commit.
-func WithGroupCommit(window time.Duration) Option {
-	return func(c *config) {
-		c.groupCommit = true
-		c.groupWindow = window
-	}
-}
-
-// WithSerialCommit disables group commit: every database commit appends
-// its own WAL record — the serial escape hatch the differential tests pin
-// group commit against.
-func WithSerialCommit() Option {
-	return func(c *config) { c.groupCommit = false }
-}
-
-// WithAdaptiveGroupCommit enables group commit with a gathering window
-// sized from observed flush queue depth instead of a fixed setting: deep
-// flushes grow the window toward max (amortizing the fsync across more
-// commits), solo flushes shrink it toward min (an idle store pays no
-// gathering latency). See reldb.Options.AdaptiveGroupCommit. Window
-// adaptation changes flush timing only, never durability or replay order.
-func WithAdaptiveGroupCommit(min, max time.Duration) Option {
-	return func(c *config) {
-		c.groupCommit = true
-		c.adaptiveCommit = true
-		c.adaptiveMin = min
-		c.adaptiveMax = max
-	}
-}
-
-// WithTableShards sets how many epoch-shards the epochs/txns/decisions
-// tables are split into. Epoch e lives in shard e mod n, so publishes to
-// different epochs commit against disjoint tables and overlap across
-// cores; n = 1 restores the single-table locking behaviour (the
-// differential baseline). Sharding changes the physical layout only —
-// epoch numbering, decisions, stable-epoch answers, and recovery are
-// bit-identical at every shard count.
-//
-// The shard count is fixed when the directory is created (it determines
-// which table holds each epoch) and recorded in the meta table; reopening
-// an existing directory adopts the recorded count, and passing an
-// explicit, different WithTableShards to such a directory is an error.
-func WithTableShards(n int) Option {
-	return func(c *config) {
-		if n < 1 {
-			n = 1
-		}
-		c.tableShards = n
-		c.shardsExplicit = true
-	}
+	return config{compactKeep: -1}
 }
 
 // WithSnapshotEvery enables automatic snapshots: after a publish moves the
@@ -235,12 +143,13 @@ func WithSnapshotEvery(n int) Option {
 }
 
 // WithCompactKeep enables automatic compaction after each automatic
-// snapshot (so it only takes effect together with WithSnapshotEvery): the
-// publish log is compacted to keep epochs below the allowed horizon — the
-// minimum of the snapshot epoch and every peer's reconciliation frontier.
-// keep = 0 compacts as far as the safety invariants allow; negative (the
-// default) never compacts automatically. CompactBefore stays available on
-// demand either way.
+// snapshot: the publish log is compacted to keep epochs below the allowed
+// horizon — the minimum of the snapshot epoch and every peer's
+// reconciliation frontier. keep = 0 compacts as far as the safety
+// invariants allow; negative (the default) never compacts automatically.
+// Because compaction only runs after an automatic snapshot, opening a store
+// with keep >= 0 and no WithSnapshotEvery cadence is an error.
+// CompactBefore stays available on demand either way.
 func WithCompactKeep(keep int) Option {
 	return func(c *config) { c.compactKeep = int64(keep) }
 }
@@ -284,11 +193,10 @@ type Store struct {
 	epochs  map[core.Epoch]*epochMeta
 	maxE    core.Epoch
 
-	// epochBlock is how many epoch numbers each durable sequence commit
-	// claims; [blockNext, blockEnd] is the unissued remainder.
-	epochBlock int64
-	blockNext  core.Epoch
-	blockEnd   core.Epoch
+	// [blockNext, blockEnd] is the unissued remainder of the epochBlock
+	// epoch numbers the last durable sequence commit claimed.
+	blockNext core.Epoch
+	blockEnd  core.Epoch
 
 	// stableE is the incrementally maintained stable-epoch frontier: the
 	// latest epoch not preceded by an unfinished allocated epoch. Advanced
@@ -412,23 +320,13 @@ func (pm *peerMeta) recordDecisionLocked(id core.TxnID, d core.Decision) int64 {
 }
 
 // Open creates (or recovers) a store. dir == "" keeps everything in
-// memory. By default the backing database batches concurrent commits
-// through the WAL group-commit path and the epoch allocator claims
-// DefaultEpochBlock epochs per durable sequence commit; see WithEpochBlock,
-// WithGroupCommit, WithSerialCommit.
+// memory.
 func Open(schema *core.Schema, dir string, opts ...Option) (*Store, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o(&cfg)
 	}
-	db, err := reldb.Open(reldb.Options{
-		Dir:                  dir,
-		GroupCommit:          cfg.groupCommit,
-		GroupCommitWindow:    cfg.groupWindow,
-		AdaptiveGroupCommit:  cfg.adaptiveCommit,
-		GroupCommitMinWindow: cfg.adaptiveMin,
-		GroupCommitMaxWindow: cfg.adaptiveMax,
-	})
+	db, err := reldb.Open(reldb.Options{Dir: dir})
 	if err != nil {
 		return nil, err
 	}
@@ -444,6 +342,9 @@ func Open(schema *core.Schema, dir string, opts ...Option) (*Store, error) {
 // namespace prefix. ownsDB decides whether Close closes the database: the
 // single-tenant Open owns its database, a Node's tenants do not.
 func openOn(db *reldb.DB, schema *core.Schema, ns string, ownsDB bool, cfg config) (*Store, error) {
+	if cfg.compactKeep >= 0 && cfg.snapEvery <= 0 {
+		return nil, fmt.Errorf("central: WithCompactKeep(%d) needs WithSnapshotEvery(n > 0): compaction only runs after an automatic snapshot", cfg.compactKeep)
+	}
 	s := &Store{
 		db:          db,
 		schema:      schema,
@@ -459,7 +360,6 @@ func openOn(db *reldb.DB, schema *core.Schema, ns string, ownsDB bool, cfg confi
 		epochs:      make(map[core.Epoch]*epochMeta),
 		peers:       make(map[core.PeerID]*peerMeta),
 		trustGraph:  trust.NewGraph(schema),
-		epochBlock:  cfg.epochBlock,
 		snapEvery:   cfg.snapEvery,
 		compactKeep: cfg.compactKeep,
 		idem:        make(map[store.IdempotencyKey]*idemEntry),
@@ -470,7 +370,7 @@ func openOn(db *reldb.DB, schema *core.Schema, ns string, ownsDB bool, cfg confi
 	for i := range s.shards {
 		s.shards[i].m = make(map[core.TxnID]*entry)
 	}
-	if err := s.initTables(cfg); err != nil {
+	if err := s.initTables(); err != nil {
 		return nil, err
 	}
 	if err := s.loadCaches(); err != nil {
@@ -510,7 +410,7 @@ func (s *Store) Close() error {
 func (s *Store) Metrics() *metrics.StoreCounters { return s.counters }
 
 // TableShards returns the epoch-shard count of the store's table layout
-// (fixed at directory creation; see WithTableShards).
+// (fixed at directory creation).
 func (s *Store) TableShards() int { return s.tableShards }
 
 // DBMetrics exposes the backing storage engine's commit and contention
@@ -592,17 +492,16 @@ func (s *Store) decisionShard(id core.TxnID) int {
 	return 0
 }
 
-// resolveLayout decides the shard count: a fresh directory uses the
-// configured count; an existing sharded directory has it recorded in the
-// meta table and Open adopts it (an explicit, conflicting WithTableShards
-// is an error, since the count determines which table holds each epoch).
-// Pre-shard directories fail with a version error — same no-migration
-// policy as the binary-codec break.
-func (s *Store) resolveLayout(cfg config) error {
+// resolveLayout decides the shard count: a fresh directory uses
+// defaultTableShards; an existing sharded directory has its count recorded
+// in the meta table and Open adopts it, since the count determines which
+// table holds each epoch. Pre-shard directories fail with a version error —
+// same no-migration policy as the binary-codec break.
+func (s *Store) resolveLayout() error {
 	if _, ok := s.db.TableDef(s.ns + "txns"); ok {
 		return fmt.Errorf("central: store directory uses the pre-shard single-table layout; no migration path (layout version %d writes epoch-sharded tables)", layoutVersion)
 	}
-	shards := cfg.tableShards
+	shards := defaultTableShards
 	if _, ok := s.db.TableDef(s.metaTab); ok {
 		var layout, stored int64
 		err := s.db.View(func(tx *reldb.Tx) error {
@@ -627,9 +526,6 @@ func (s *Store) resolveLayout(cfg config) error {
 		if stored < 1 {
 			return fmt.Errorf("central: store directory records invalid table shard count %d", stored)
 		}
-		if cfg.shardsExplicit && int(stored) != cfg.tableShards {
-			return fmt.Errorf("central: store directory was created with %d table shards, not %d; reopen with WithTableShards(%d) or omit the option", stored, cfg.tableShards, stored)
-		}
 		shards = int(stored)
 	}
 	s.tableShards = shards
@@ -645,8 +541,8 @@ func (s *Store) resolveLayout(cfg config) error {
 	return nil
 }
 
-func (s *Store) initTables(cfg config) error {
-	if err := s.resolveLayout(cfg); err != nil {
+func (s *Store) initTables() error {
+	if err := s.resolveLayout(); err != nil {
 		return err
 	}
 	return s.db.Update(func(tx *reldb.Tx) error {
@@ -1090,13 +986,13 @@ func (s *Store) allocEpoch(peer core.PeerID) (core.Epoch, error) {
 		var end int64
 		err := s.db.Update(func(tx *reldb.Tx) error {
 			var err error
-			end, err = tx.AdvanceSeq(s.epochSeq, s.epochBlock)
+			end, err = tx.AdvanceSeq(s.epochSeq, epochBlock)
 			return err
 		})
 		if err != nil {
 			return 0, err
 		}
-		s.blockNext, s.blockEnd = core.Epoch(end)-core.Epoch(s.epochBlock)+1, core.Epoch(end)
+		s.blockNext, s.blockEnd = core.Epoch(end)-epochBlock+1, core.Epoch(end)
 	}
 	epoch := s.blockNext
 	s.blockNext++

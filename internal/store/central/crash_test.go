@@ -66,16 +66,13 @@ func tearLastWALRecord(t *testing.T, dir string) int {
 // the stable frontier past the void, and keep the log writable.
 func TestShardedCrashTornPublish(t *testing.T) {
 	const (
-		shards    = 4
 		publishes = 6
 		perBatch  = 2
 	)
 	schema := storetest.Schema(t)
 	dir := t.TempDir()
 	ctx := context.Background()
-	opts := []Option{WithTableShards(shards)}
-
-	s, err := Open(schema, dir, opts...)
+	s, err := Open(schema, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +113,10 @@ func TestShardedCrashTornPublish(t *testing.T) {
 	}
 	tearLastWALRecord(t, dir)
 
-	// Recover. The torn publish (epoch 6, shard 6 mod 4 = 2) must have
+	// Recover. The torn publish (epoch 6, in its own shard) must have
 	// vanished atomically: a publish is one commit across its shard's
 	// epochs/txns/decisions tables, so recovery sees all of it or none.
-	s2, err := Open(schema, dir, opts...)
+	s2, err := Open(schema, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +127,7 @@ func TestShardedCrashTornPublish(t *testing.T) {
 	// No shard's tables may retain any trace of the torn epoch.
 	tornEpoch := core.Epoch(publishes)
 	err = s2.db.View(func(tx *reldb.Tx) error {
-		for k := 0; k < shards; k++ {
+		for k := 0; k < s2.tableShards; k++ {
 			for _, tab := range []string{s2.epochsTab[k], s2.txnsTab[k]} {
 				col := 0
 				if tab == s2.txnsTab[k] {

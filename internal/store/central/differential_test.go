@@ -7,9 +7,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"orchestra/internal/core"
+	"orchestra/internal/reldb"
 	"orchestra/internal/store"
 	"orchestra/internal/store/storetest"
 )
@@ -27,28 +27,24 @@ func crashImage(t *testing.T, src string) string {
 	return dst
 }
 
-// roundsMarker separates the live reconciliation transcript (identical
-// across every knob, including compaction) from the storage-dependent
-// recovery section.
+// roundsMarker separates the live reconciliation transcript (identical with
+// and without compaction) from the storage-dependent recovery section.
 const roundsMarker = "txns="
 
 // differentialWorkload drives a deterministic multi-peer publish/reconcile
-// history against a store opened with the given options and returns a full
-// transcript: every step's accept/reject/defer decisions, the live
+// history against a durable store and returns a full transcript: every step's accept/reject/defer decisions, the live
 // stable-epoch answer after every step, and the state recovered from a
 // crash image of the directory. With compact set, every round ends with a
 // snapshot and a compaction to the allowed horizon — which may only change
 // what is stored, never any decision, so the transcript through the
-// roundsMarker must be bit-identical to the uncompacted run, and the
-// recovery section (rebuilt-peer state, fresh window) bit-identical across
-// every other knob.
-func differentialWorkload(t *testing.T, compact bool, opts ...Option) string {
+// roundsMarker must be bit-identical to the uncompacted run.
+func differentialWorkload(t *testing.T, compact bool) string {
 	t.Helper()
 	const rounds = 4
 	ctx := context.Background()
 	schema := storetest.Schema(t)
 	dir := t.TempDir()
-	s, err := Open(schema, dir, opts...)
+	s, err := Open(schema, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +120,8 @@ func differentialWorkload(t *testing.T, compact bool, opts ...Option) string {
 	// + tail once compaction has dropped the early epochs) carries the same
 	// instance and per-transaction verdicts, and a fresh peer's candidate
 	// window (visibility through the recovered stable frontier) is
-	// identical — even though void recovery gaps make the raw frontier
-	// number block-size dependent.
-	s2, err := Open(schema, crashDir, opts...)
+	// identical.
+	s2, err := Open(schema, crashDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +193,7 @@ func differentialWorkload(t *testing.T, compact bool, opts ...Option) string {
 }
 
 // roundsPrefix cuts a transcript at the roundsMarker: the live decision
-// transcript that every knob — including compaction — must reproduce.
+// transcript that a compacting run must reproduce.
 func roundsPrefix(t *testing.T, transcript string) string {
 	t.Helper()
 	i := strings.Index(transcript, roundsMarker)
@@ -208,17 +203,14 @@ func roundsPrefix(t *testing.T, transcript string) string {
 	return transcript[:i]
 }
 
-// TestDifferentialMatrix pins every combination of table shards 1/4/8 ×
-// group commit on/off × epoch block size 1/8 × compaction off/on to a
-// bit-identical reconciliation transcript: identical decisions, identical
-// live stable-epoch answers, identical post-crash rebuilt state. The knobs
-// may change the physical layout and performance only; compaction may
-// additionally change what is stored (the whole point), but never a
-// decision, a rebuilt peer's state, or a stable-epoch answer. The baseline
-// is the fully serial historical configuration: one shard, serial WAL
-// commits, one durable sequence commit per epoch.
+// TestDifferentialMatrix pins the reconciliation transcript — decisions,
+// live stable-epoch answers, post-crash rebuilt state — with compaction off
+// and on. The transcript is a function of the published history alone, so a
+// second run must reproduce it bit for bit; compaction may additionally
+// change what is stored (the whole point), but never a decision, a rebuilt
+// peer's state, or a stable-epoch answer.
 func TestDifferentialMatrix(t *testing.T) {
-	baseline := differentialWorkload(t, false, WithSerialCommit(), WithEpochBlock(1), WithTableShards(1))
+	baseline := differentialWorkload(t, false)
 	if !strings.Contains(baseline, "rej=[") || !strings.Contains(baseline, "acc=[") {
 		t.Fatalf("workload produced no decisions:\n%s", baseline)
 	}
@@ -227,7 +219,7 @@ func TestDifferentialMatrix(t *testing.T) {
 	if !strings.Contains(baseline, "rej=[b/") && !strings.Contains(baseline, "rej=[c/") {
 		t.Fatalf("workload never rejected a transaction:\n%s", baseline)
 	}
-	baselineCompact := differentialWorkload(t, true, WithSerialCommit(), WithEpochBlock(1), WithTableShards(1))
+	baselineCompact := differentialWorkload(t, true)
 	// Compaction must not touch a single live decision or stable answer…
 	if got, want := roundsPrefix(t, baselineCompact), roundsPrefix(t, baseline); got != want {
 		t.Fatalf("compaction changed the live transcript:\n--- compacted ---\n%s\n--- baseline ---\n%s", got, want)
@@ -237,69 +229,88 @@ func TestDifferentialMatrix(t *testing.T) {
 	if baselineCompact == baseline {
 		t.Fatalf("compacting run left the storage transcript untouched:\n%s", baselineCompact)
 	}
-	// The adaptive window moves flush timing around at runtime; the
-	// transcript must not care.
-	t.Run("adaptive-group-commit", func(t *testing.T) {
-		got := differentialWorkload(t, false, WithTableShards(8), WithEpochBlock(8),
-			WithAdaptiveGroupCommit(0, time.Millisecond))
-		if got != baseline {
-			t.Errorf("transcript diverged under the adaptive window:\n--- got ---\n%s\n--- want ---\n%s", got, baseline)
-		}
-	})
-	for _, shards := range []int{1, 4, 8} {
-		for _, group := range []bool{false, true} {
-			for _, block := range []int{1, 8} {
-				for _, compact := range []bool{false, true} {
-					name := fmt.Sprintf("shards=%d/group=%v/block=%d/compact=%v", shards, group, block, compact)
-					t.Run(name, func(t *testing.T) {
-						opts := []Option{WithTableShards(shards), WithEpochBlock(block)}
-						if group {
-							opts = append(opts, WithGroupCommit(0))
-						} else {
-							opts = append(opts, WithSerialCommit())
-						}
-						want := baseline
-						if compact {
-							want = baselineCompact
-						}
-						got := differentialWorkload(t, compact, opts...)
-						if got != want {
-							t.Errorf("transcript diverged from shards=1/serial/block=1 baseline:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-						}
-					})
-				}
+	for _, compact := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compact=%v", compact), func(t *testing.T) {
+			want := baseline
+			if compact {
+				want = baselineCompact
 			}
-		}
+			if got := differentialWorkload(t, compact); got != want {
+				t.Errorf("transcript not reproduced by a second run:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+			}
+		})
 	}
 }
 
 // TestShardCountPinnedToDirectory: the shard count is part of the on-disk
-// layout — reopening without the option adopts the recorded count, and an
-// explicit conflicting count is refused instead of silently mis-scanning.
+// layout — a directory whose meta table records a count other than
+// defaultTableShards (written by a build that still had the knob) is
+// reopened with the recorded count, never silently mis-scanned with the
+// default.
 func TestShardCountPinnedToDirectory(t *testing.T) {
 	schema := storetest.Schema(t)
 	dir := t.TempDir()
-	s, err := Open(schema, dir, WithTableShards(4))
+	db, err := reldb.Open(reldb.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = db.Update(func(tx *reldb.Tx) error {
+		if err := tx.CreateTable(reldb.TableDef{
+			Name: "meta",
+			Cols: []reldb.ColDef{{Name: "key", Type: reldb.ColString}, {Name: "value", Type: reldb.ColInt}},
+			Key:  []int{0},
+		}); err != nil {
+			return err
+		}
+		if err := tx.Insert("meta", reldb.Row{reldb.Str("layout"), reldb.Int(layoutVersion)}); err != nil {
+			return err
+		}
+		return tx.Insert("meta", reldb.Row{reldb.Str("table_shards"), reldb.Int(4)})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	s, err := Open(schema, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.TableShards() != 4 {
-		t.Fatalf("TableShards() = %d, want 4", s.TableShards())
+		t.Fatalf("TableShards() = %d, want the recorded 4", s.TableShards())
+	}
+	// The adopted layout is live, not just reported: publish across more
+	// epochs than shards, then reopen and find every transaction.
+	if err := s.RegisterPeer(ctx, "a", core.TrustAll(1)); err != nil {
+		t.Fatal(err)
+	}
+	eng := core.NewEngine("a", schema, core.TrustAll(1))
+	const epochs = 6
+	for i := 0; i < epochs; i++ {
+		x, err := eng.NewLocalTransaction(core.Insert("F", core.Strs("org", fmt.Sprintf("p-%d", i), "fn"), "a"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Publish(ctx, "a", []store.PublishedTxn{{Txn: x}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(schema, dir) // no option: adopt the recorded count
+	s2, err := Open(schema, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s2.Close()
 	if s2.TableShards() != 4 {
 		t.Errorf("reopen adopted %d shards, want 4", s2.TableShards())
 	}
-	s2.Close()
-
-	if _, err := Open(schema, dir, WithTableShards(8)); err == nil || !strings.Contains(err.Error(), "table shards") {
-		t.Errorf("conflicting explicit shard count: err = %v, want table-shards mismatch", err)
+	if got := s2.TxnCount(); got != epochs {
+		t.Errorf("reopen recovered %d txns, want %d", got, epochs)
 	}
 }

@@ -42,22 +42,13 @@ type Node struct {
 // OpenNode creates (or recovers) a multi-group node. dir == "" keeps
 // everything in memory (which also disables the WAL, and with it the
 // shared group-commit economy — benchmarks measuring commits per flush
-// need a disk-backed node). Options apply to every group the node opens;
-// database-level options (WithGroupCommit, WithSerialCommit) bind here, at
-// database open.
+// need a disk-backed node). Options apply to every group the node opens.
 func OpenNode(dir string, opts ...Option) (*Node, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o(&cfg)
 	}
-	db, err := reldb.Open(reldb.Options{
-		Dir:                  dir,
-		GroupCommit:          cfg.groupCommit,
-		GroupCommitWindow:    cfg.groupWindow,
-		AdaptiveGroupCommit:  cfg.adaptiveCommit,
-		GroupCommitMinWindow: cfg.adaptiveMin,
-		GroupCommitMaxWindow: cfg.adaptiveMax,
-	})
+	db, err := reldb.Open(reldb.Options{Dir: dir})
 	if err != nil {
 		return nil, err
 	}
@@ -73,8 +64,7 @@ func groupNS(group string) string {
 }
 
 // OpenGroup opens (or creates) the named group's store over the node's
-// shared database. Per-group options override the node's defaults;
-// database-level options are ignored here (the database is already open).
+// shared database. Per-group options override the node's defaults.
 // A group may be open at most once — two live stores over the same tables
 // would split the epoch allocator's cache — so reopening without an
 // intervening CloseGroup is an error.

@@ -175,7 +175,7 @@ func TestCompactionSurvivesReopen(t *testing.T) {
 	ctx := context.Background()
 	schema := storetest.Schema(t)
 	dir := t.TempDir()
-	s, err := Open(schema, dir, WithTableShards(4))
+	s, err := Open(schema, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,6 +533,36 @@ func TestSnapshotWithSelfAcceptAboveStable(t *testing.T) {
 func TestAutoMaintenance(t *testing.T) {
 	ctx := context.Background()
 	schema := storetest.Schema(t)
+
+	// The policy is a pair: compaction without a snapshot cadence would
+	// never run, so it is refused at open rather than silently ignored.
+	for _, c := range []struct {
+		name    string
+		opts    []Option
+		wantErr bool
+	}{
+		{"keep without cadence", []Option{WithCompactKeep(0)}, true},
+		{"keep with zero cadence", []Option{WithSnapshotEvery(0), WithCompactKeep(3)}, true},
+		{"keep off", []Option{WithCompactKeep(-1)}, false},
+		{"cadence without keep", []Option{WithSnapshotEvery(2)}, false},
+	} {
+		s, err := Open(schema, "", c.opts...)
+		if err == nil {
+			s.Close()
+		}
+		if (err != nil) != c.wantErr {
+			t.Errorf("Open(%s): err = %v, want error %v", c.name, err, c.wantErr)
+		}
+		node, err := OpenNode("", c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := node.OpenGroup("g", schema); (err != nil) != c.wantErr {
+			t.Errorf("OpenGroup(%s): err = %v, want error %v", c.name, err, c.wantErr)
+		}
+		node.Close()
+	}
+
 	s, err := Open(schema, "", WithSnapshotEvery(2), WithCompactKeep(0))
 	if err != nil {
 		t.Fatal(err)

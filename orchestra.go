@@ -41,12 +41,10 @@
 // System.ReconcileAll publishes every peer and then reconciles every peer
 // concurrently (engines are single-owner, stores are safe for concurrent
 // use), bounded by WithReconcileFanOut — the bound changes concurrency,
-// never semantics; WithInterleavedReconcile restores the historical
-// strictly sequential registration-order pass. System.Pipeline exposes
-// aggregated stage latencies, work counters, and the fan-out busy gauge.
-// The hot path avoids re-encoding tuples (encodings are cached per update
-// at validation time) and recycles flattening scratch state through a
-// sync.Pool.
+// never semantics. System.Pipeline exposes aggregated stage latencies,
+// work counters, and the fan-out busy gauge. The hot path avoids
+// re-encoding tuples (encodings are cached per update at validation time)
+// and recycles flattening scratch state through a sync.Pool.
 package orchestra
 
 import (

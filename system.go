@@ -21,17 +21,15 @@ import (
 // convenience for embedding; peers can equally be constructed directly
 // against any Store implementation.
 type System struct {
-	schema      *Schema
-	cs          *central.Store
-	cluster     *dhtstore.Cluster
-	net         *simnet.Network
-	peers       map[PeerID]*Peer
-	order       []PeerID
-	fanout      int
-	interleaved bool
-	unbatched   bool
-	storeFor    func(core.PeerID) (store.Store, error)
-	pstats      metrics.Pipeline
+	schema   *Schema
+	cs       *central.Store
+	cluster  *dhtstore.Cluster
+	net      *simnet.Network
+	peers    map[PeerID]*Peer
+	order    []PeerID
+	fanout   int
+	storeFor func(core.PeerID) (store.Store, error)
+	pstats   metrics.Pipeline
 
 	streamPoll      time.Duration
 	streamRetryBase time.Duration
@@ -47,8 +45,6 @@ type systemConfig struct {
 	distributed bool
 	latency     time.Duration
 	fanout      int
-	interleaved bool
-	unbatched   bool
 	storeFor    func(core.PeerID) (store.Store, error)
 
 	streamPoll      time.Duration
@@ -79,24 +75,6 @@ func WithDistributedStore(latency time.Duration) SystemOption {
 // host's core count.
 func WithReconcileFanOut(n int) SystemOption {
 	return func(c *systemConfig) { c.fanout = n }
-}
-
-// WithInterleavedReconcile restores the historical strictly sequential
-// ReconcileAll pass: each peer publishes and reconciles in registration
-// order, so a peer only sees the same-round publications of peers
-// registered before it. Useful for reproducing the paper's per-peer
-// reconciliation cadence; implies a fan-out of 1.
-func WithInterleavedReconcile() SystemOption {
-	return func(c *systemConfig) { c.interleaved = true }
-}
-
-// WithUnbatchedDecisions restores per-peer decision recording: each
-// reconciliation issues its own RecordDecisions store call instead of the
-// wave-pooled RecordDecisionsBatch flush. Decisions are identical either
-// way (the differential tests assert it); the option exists as the
-// historical baseline and for stores where batching is undesirable.
-func WithUnbatchedDecisions() SystemOption {
-	return func(c *systemConfig) { c.unbatched = true }
 }
 
 // WithPeerStores routes every peer's store traffic through its own client
@@ -137,12 +115,10 @@ func NewSystem(schema *Schema, opts ...SystemOption) (*System, error) {
 		o(&cfg)
 	}
 	sys := &System{
-		schema:      schema,
-		peers:       make(map[PeerID]*Peer),
-		fanout:      cfg.fanout,
-		interleaved: cfg.interleaved,
-		unbatched:   cfg.unbatched,
-		storeFor:    cfg.storeFor,
+		schema:   schema,
+		peers:    make(map[PeerID]*Peer),
+		fanout:   cfg.fanout,
+		storeFor: cfg.storeFor,
 
 		streamPoll:      cfg.streamPoll,
 		streamRetryBase: cfg.streamRetryBase,
@@ -260,38 +236,20 @@ func (e *PeerError) Unwrap() error { return e.Err }
 // wave's accept/reject outcomes are flushed to the store in a single
 // RecordDecisionsBatch round trip. Batching changes round trips only,
 // never results — one peer's recorded decisions are invisible to another
-// peer's reconciliation, so flush timing cannot alter candidates. The
-// per-peer recording pass is available via WithUnbatchedDecisions, and the
-// historical interleaved registration-order pass (publish+reconcile per
-// peer, earlier peers invisible to none) via WithInterleavedReconcile.
+// peer's reconciliation, so flush timing cannot alter candidates.
 //
 // The round degrades gracefully under store failures: a peer whose publish
 // or reconcile fails is reported in the returned error as a *PeerError and
 // sits the rest of the round out — its pending work is untouched, so it
 // simply catches up on a later round — while every other peer completes
 // normally. The map carries the results of the peers that succeeded; the
-// returned error joins every per-peer failure. (The interleaved pass keeps
-// its historical stop-at-first-error behavior.)
+// returned error joins every per-peer failure.
 func (s *System) ReconcileAll(ctx context.Context) (map[PeerID]*Result, error) {
 	fan := s.fanout
 	if fan <= 0 {
 		fan = runtime.GOMAXPROCS(0)
 	}
 	out := make(map[PeerID]*Result, len(s.order))
-	if s.interleaved {
-		for _, id := range s.order {
-			done := s.pstats.WorkerStart()
-			res, err := s.peers[id].PublishAndReconcile(ctx)
-			done()
-			if err != nil {
-				return out, fmt.Errorf("orchestra: reconcile %s: %w", id, err)
-			}
-			s.pstats.Observe(res)
-			out[id] = res
-		}
-		return out, nil
-	}
-
 	// Publish barrier: everyone's pending transactions reach the store
 	// before anyone reconciles. A failed publisher does not sink the round:
 	// its error is recorded and it skips the reconcile pass (publishing and
@@ -305,24 +263,7 @@ func (s *System) ReconcileAll(ctx context.Context) (map[PeerID]*Result, error) {
 
 	// Reconcile fan-out (skipping peers already failed in the barrier).
 	results := make([]*Result, len(s.order))
-	if s.unbatched {
-		s.forEachPeer(fan, func(i int) {
-			if recErrs[i] != nil {
-				return
-			}
-			done := s.pstats.WorkerStart()
-			defer done()
-			res, err := s.peers[s.order[i]].Reconcile(ctx)
-			if err != nil {
-				recErrs[i] = &PeerError{Peer: s.order[i], Op: "reconcile", Err: err}
-				return
-			}
-			s.pstats.Observe(res)
-			results[i] = res
-		})
-	} else {
-		s.reconcileWaves(ctx, fan, results, recErrs)
-	}
+	s.reconcileWaves(ctx, fan, results, recErrs)
 	for i, res := range results {
 		if res != nil {
 			out[s.order[i]] = res
@@ -468,8 +409,7 @@ func (s *System) forEachPeer(fan int, fn func(i int)) {
 func (s *System) Pipeline() *metrics.Pipeline { return &s.pstats }
 
 // CentralStore returns the backing central store (nil for a distributed
-// system); it exposes the store's sharding/batching counters to embedders
-// and the bench harness.
+// system); it exposes the store's sharding/batching counters to embedders.
 func (s *System) CentralStore() *central.Store { return s.cs }
 
 // Messages returns the DHT fabric traffic (0 for the central store).

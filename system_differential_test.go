@@ -22,11 +22,32 @@ func sortedIDs(ids []TxnID) []TxnID {
 	return out
 }
 
-// runDifferentialScenario drives a contended multi-round confederation and
-// returns every peer's per-round decisions plus final instance encodings.
-// The workload mixes clean imports, priority-decided conflicts, and ties
-// (deferrals), so all three decision kinds are exercised.
-func runDifferentialScenario(t *testing.T, opts ...SystemOption) (map[string][]roundOutcome, map[PeerID][]string) {
+// sequentialRound is the reference ReconcileAll is pinned against: the same
+// publish barrier, then every peer reconciles alone in registration order
+// through the public per-peer calls, each recording its own decisions.
+func sequentialRound(sys *System, ctx context.Context) (map[PeerID]*Result, error) {
+	for _, p := range sys.Peers() {
+		if _, err := p.Publish(ctx); err != nil {
+			return nil, err
+		}
+	}
+	out := make(map[PeerID]*Result)
+	for _, p := range sys.Peers() {
+		res, err := p.Reconcile(ctx)
+		if err != nil {
+			return nil, err
+		}
+		out[p.ID()] = res
+	}
+	return out, nil
+}
+
+// runDifferentialScenario drives a contended multi-round confederation,
+// running each round through the given driver, and returns every peer's
+// per-round decisions plus final instance encodings. The workload mixes
+// clean imports, priority-decided conflicts, and ties (deferrals), so all
+// three decision kinds are exercised.
+func runDifferentialScenario(t *testing.T, drive func(*System, context.Context) (map[PeerID]*Result, error), opts ...SystemOption) (map[string][]roundOutcome, map[PeerID][]string) {
 	t.Helper()
 	ctx := context.Background()
 	schema := MustSchema(NewRelation("F", 2, "organism", "protein", "function"))
@@ -70,7 +91,7 @@ func runDifferentialScenario(t *testing.T, opts ...SystemOption) (map[string][]r
 				t.Fatal(err)
 			}
 		}
-		results, err := sys.ReconcileAll(ctx)
+		results, err := drive(sys, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,14 +114,13 @@ func runDifferentialScenario(t *testing.T, opts ...SystemOption) (map[string][]r
 	return outcomes, instances
 }
 
-// TestReconcileAllDifferential: the sharded store + batched decision
-// recording produce bit-identical accept/reject/defer decisions and final
-// instances versus the per-peer sequential recording path, at every
-// fan-out width. Run with -race (the tier-1 gate does) so the concurrent
-// configurations also serve as a data-race probe.
+// TestReconcileAllDifferential: ReconcileAll's concurrent waves with
+// batched decision recording produce bit-identical accept/reject/defer
+// decisions and final instances versus the sequential per-peer reference,
+// at every fan-out width. Run with -race (the tier-1 gate does) so the
+// concurrent configurations also serve as a data-race probe.
 func TestReconcileAllDifferential(t *testing.T) {
-	refOutcomes, refInstances := runDifferentialScenario(t,
-		WithReconcileFanOut(1), WithUnbatchedDecisions())
+	refOutcomes, refInstances := runDifferentialScenario(t, sequentialRound)
 
 	// The scenario must exercise every decision kind, or the comparison
 	// proves nothing.
@@ -117,24 +137,17 @@ func TestReconcileAllDifferential(t *testing.T) {
 	}
 
 	for _, fan := range []int{1, 2, 4, 8} {
-		for _, batched := range []bool{true, false} {
-			name := fmt.Sprintf("fanout=%d/batched=%v", fan, batched)
-			t.Run(name, func(t *testing.T) {
-				opts := []SystemOption{WithReconcileFanOut(fan)}
-				if !batched {
-					opts = append(opts, WithUnbatchedDecisions())
-				}
-				outcomes, instances := runDifferentialScenario(t, opts...)
-				if !reflect.DeepEqual(outcomes, refOutcomes) {
-					t.Errorf("decisions diverge from sequential baseline:\n got %+v\nwant %+v",
-						outcomes, refOutcomes)
-				}
-				if !reflect.DeepEqual(instances, refInstances) {
-					t.Errorf("instances diverge from sequential baseline:\n got %+v\nwant %+v",
-						instances, refInstances)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("fanout=%d", fan), func(t *testing.T) {
+			outcomes, instances := runDifferentialScenario(t, (*System).ReconcileAll, WithReconcileFanOut(fan))
+			if !reflect.DeepEqual(outcomes, refOutcomes) {
+				t.Errorf("decisions diverge from sequential baseline:\n got %+v\nwant %+v",
+					outcomes, refOutcomes)
+			}
+			if !reflect.DeepEqual(instances, refInstances) {
+				t.Errorf("instances diverge from sequential baseline:\n got %+v\nwant %+v",
+					instances, refInstances)
+			}
+		})
 	}
 }
 

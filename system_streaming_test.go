@@ -359,7 +359,7 @@ func diffStreamResults(t *testing.T, got, want streamScenarioResult, withTranscr
 // TestStreamingDifferential: the tentpole correctness gate. The streaming
 // reconcile loop must be bit-identical to the round-based pass — same
 // per-peer decision windows, same final instances, same engine decision
-// sets — across table shards × group-commit × compaction. Run with -race
+// sets — with compaction off and on. Run with -race
 // (the tier-1 gate does): the streaming runs overlap publishes, watch
 // delivery, reconciliation, and decision flushes across goroutines.
 func TestStreamingDifferential(t *testing.T) {
@@ -379,32 +379,22 @@ func TestStreamingDifferential(t *testing.T) {
 		t.Fatalf("vacuous scenario: accepts=%d rejects=%d defers=%d", accepts, rejects, defers)
 	}
 
-	for _, shards := range []int{1, 4, 8} {
-		for _, group := range []bool{true, false} {
-			for _, compact := range []bool{true, false} {
-				name := fmt.Sprintf("shards=%d/groupcommit=%v/compaction=%v", shards, group, compact)
-				t.Run(name, func(t *testing.T) {
-					opts := []central.Option{central.WithTableShards(shards)}
-					if group {
-						opts = append(opts, central.WithGroupCommit(0))
-					} else {
-						opts = append(opts, central.WithSerialCommit())
-					}
-					if compact {
-						opts = append(opts, central.WithSnapshotEvery(2), central.WithCompactKeep(1))
-					}
-					got, pstats := runStreamingScenario(t, false, opts...)
-					diffStreamResults(t, got, ref, true)
-					// The lag counters are live on the streaming path.
-					if pstats.StreamPublishStable == 0 {
-						t.Error("no publish-to-stable latencies observed")
-					}
-					if pstats.StreamStableDecide == 0 {
-						t.Error("no stable-to-decision latencies observed")
-					}
-				})
+	for _, compact := range []bool{true, false} {
+		t.Run(fmt.Sprintf("compaction=%v", compact), func(t *testing.T) {
+			var opts []central.Option
+			if compact {
+				opts = append(opts, central.WithSnapshotEvery(2), central.WithCompactKeep(1))
 			}
-		}
+			got, pstats := runStreamingScenario(t, false, opts...)
+			diffStreamResults(t, got, ref, true)
+			// The lag counters are live on the streaming path.
+			if pstats.StreamPublishStable == 0 {
+				t.Error("no publish-to-stable latencies observed")
+			}
+			if pstats.StreamStableDecide == 0 {
+				t.Error("no stable-to-decision latencies observed")
+			}
+		})
 	}
 }
 

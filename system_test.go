@@ -207,41 +207,6 @@ func TestSystemDurableFanOutRace(t *testing.T) {
 	}
 }
 
-// TestSystemInterleavedReconcile: the historical registration-order pass is
-// still available and keeps its earlier-peers-first visibility.
-func TestSystemInterleavedReconcile(t *testing.T) {
-	ctx := context.Background()
-	schema := MustSchema(NewRelation("F", 2, "organism", "protein", "function"))
-	sys, err := NewSystem(schema, WithInterleavedReconcile())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	first, _ := sys.AddPeer("first", TrustAll(1))
-	last, _ := sys.AddPeer("last", TrustAll(1))
-	if _, err := last.Edit(Insert("F", Strs("org", "p1", "v"), "last")); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.ReconcileAll(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// "first" reconciled before "last" published, so it sees nothing this
-	// round — the historical semantics.
-	if n := len(res["first"].Accepted); n != 0 {
-		t.Errorf("interleaved: first accepted %d txns in the same round", n)
-	}
-	if first.Instance().Len("F") != 0 {
-		t.Error("interleaved: first should not have imported same-round txns")
-	}
-	if _, err := sys.ReconcileAll(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if first.Instance().Len("F") != 1 {
-		t.Error("interleaved: first should import in the next round")
-	}
-}
-
 func TestSystemDurableStore(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
