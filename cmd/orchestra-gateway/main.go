@@ -62,7 +62,7 @@ func main() {
 		defer cs.Close()
 		backend = cs
 	case *storeAddr != "":
-		clients := make([]store.Store, *pool)
+		clients := make([]store.Backend, *pool)
 		for i := range clients {
 			clients[i] = remote.NewClient(fmt.Sprintf("gateway-%d", i), *storeAddr)
 		}

@@ -36,9 +36,10 @@ type GroupPeer struct {
 
 // GroupSpec declares one group: the unit of placement. A group is a full
 // confederation — schema, peers, trust — whose store traffic the fleet
-// routes to the node that currently owns it. SystemOptions extend the
-// fleet-wide WithGroupSystemOptions for this group only (e.g. a per-group
-// stream observer).
+// routes to the node that currently owns it. SystemOptions configure the
+// group's confederation (e.g. WithReconcileFanOut, a per-group stream
+// observer); store-owning options are meaningless here — a group's peers
+// always talk to the fleet-routed store.
 type GroupSpec struct {
 	ID            string
 	Schema        *Schema
@@ -77,9 +78,7 @@ type MigrationEvent struct {
 type FleetOption func(*fleetConfig)
 
 type fleetConfig struct {
-	dirFor  func(storeName string) string
-	vnodes  int
-	sysOpts []SystemOption
+	dirFor func(storeName string) string
 }
 
 // WithStoreDirs makes each node durable: dirFor maps a store name to its
@@ -88,20 +87,6 @@ type fleetConfig struct {
 // ones.
 func WithStoreDirs(dirFor func(storeName string) string) FleetOption {
 	return func(c *fleetConfig) { c.dirFor = dirFor }
-}
-
-// WithVirtualNodes sets the placement ring's virtual-node count per store
-// (default dht.DefaultVirtualNodes).
-func WithVirtualNodes(n int) FleetOption {
-	return func(c *fleetConfig) { c.vnodes = n }
-}
-
-// WithGroupSystemOptions appends System options to every group's
-// confederation (e.g. WithReconcileFanOut, WithStreamPoll). Store-owning
-// options are meaningless here — a group's peers always talk to the
-// fleet-routed store.
-func WithGroupSystemOptions(opts ...SystemOption) FleetOption {
-	return func(c *fleetConfig) { c.sysOpts = append(c.sysOpts, opts...) }
 }
 
 // Fleet routes groups across central store nodes with consistent hashing.
@@ -128,7 +113,7 @@ func NewFleet(opts ...FleetOption) *Fleet {
 	return &Fleet{
 		cfg:       cfg,
 		nodes:     make(map[string]*central.Node),
-		placement: dht.NewPlacement(cfg.vnodes),
+		placement: dht.NewPlacement(dht.DefaultVirtualNodes),
 		groups:    make(map[string]*Group),
 		owner:     make(map[string]string),
 	}
@@ -231,8 +216,7 @@ func (f *Fleet) AddGroup(spec GroupSpec) (*Group, error) {
 	routed := &routedStore{st: st}
 	sysOpts := append([]SystemOption{
 		WithPeerStores(func(core.PeerID) (store.Store, error) { return routed, nil }),
-	}, f.cfg.sysOpts...)
-	sysOpts = append(sysOpts, spec.SystemOptions...)
+	}, spec.SystemOptions...)
 	sys, err := NewSystem(spec.Schema, sysOpts...)
 	if err != nil {
 		f.nodes[owner].CloseGroup(spec.ID)
@@ -485,14 +469,17 @@ func copyGroupData(src, dst *reldb.DB, group string) error {
 // waits out in-flight ones. Watch subscriptions hand out channels bound
 // to the current tenant store; a migration closes them, and the streaming
 // layer's resubscribe-on-close path re-enters through the gate and picks
-// up the new location.
+// up the new location. The target is always what central.Node.OpenGroup
+// returns, so the routed store is a store.Backend by plain forwarding.
 type routedStore struct {
 	mu     sync.RWMutex
-	st     store.Store
+	st     *central.Store
 	active atomic.Int64
 }
 
-func (rs *routedStore) enter() store.Store {
+var _ store.Backend = (*routedStore)(nil)
+
+func (rs *routedStore) enter() *central.Store {
 	rs.mu.RLock()
 	rs.active.Add(1)
 	return rs.st
@@ -545,99 +532,41 @@ func (rs *routedStore) CurrentRecno(ctx context.Context, peer core.PeerID) (int,
 func (rs *routedStore) WatchFrom(ctx context.Context, from core.Epoch) (<-chan store.WatchEvent, error) {
 	st := rs.enter()
 	defer rs.exit()
-	w, ok := st.(store.Watcher)
-	if !ok {
-		return nil, fmt.Errorf("orchestra: routed store target %T cannot watch", st)
-	}
-	return w.WatchFrom(ctx, from)
+	return st.WatchFrom(ctx, from)
 }
 
 func (rs *routedStore) Snapshot(ctx context.Context) (core.Epoch, error) {
 	st := rs.enter()
 	defer rs.exit()
-	sn, ok := st.(store.Snapshotter)
-	if !ok {
-		return 0, fmt.Errorf("orchestra: routed store target %T cannot snapshot", st)
-	}
-	return sn.Snapshot(ctx)
+	return st.Snapshot(ctx)
 }
 
 func (rs *routedStore) CompactBefore(ctx context.Context, e core.Epoch) error {
 	st := rs.enter()
 	defer rs.exit()
-	sn, ok := st.(store.Snapshotter)
-	if !ok {
-		return fmt.Errorf("orchestra: routed store target %T cannot compact", st)
-	}
-	return sn.CompactBefore(ctx, e)
+	return st.CompactBefore(ctx, e)
 }
 
 func (rs *routedStore) LatestSnapshot(ctx context.Context) (*store.Snapshot, error) {
 	st := rs.enter()
 	defer rs.exit()
-	sr, ok := st.(store.SnapshotReplayer)
-	if !ok {
-		return nil, fmt.Errorf("orchestra: routed store target %T retains no snapshots", st)
-	}
-	return sr.LatestSnapshot(ctx)
+	return st.LatestSnapshot(ctx)
 }
 
 func (rs *routedStore) ReplayFrom(ctx context.Context, peer core.PeerID, from core.Epoch, afterSeq int64) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
 	st := rs.enter()
 	defer rs.exit()
-	sr, ok := st.(store.SnapshotReplayer)
-	if !ok {
-		return nil, nil, fmt.Errorf("orchestra: routed store target %T cannot replay a tail", st)
-	}
-	return sr.ReplayFrom(ctx, peer, from, afterSeq)
+	return st.ReplayFrom(ctx, peer, from, afterSeq)
 }
 
 func (rs *routedStore) ReplayFor(ctx context.Context, peer core.PeerID) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
 	st := rs.enter()
 	defer rs.exit()
-	rp, ok := st.(store.Replayer)
-	if !ok {
-		return nil, nil, fmt.Errorf("orchestra: routed store target %T cannot replay", st)
-	}
-	return rp.ReplayFor(ctx, peer)
+	return st.ReplayFor(ctx, peer)
 }
 
-func (rs *routedStore) CanWatch(ctx context.Context) bool {
+func (rs *routedStore) EffectiveTrust(ctx context.Context, peer core.PeerID) (core.Trust, error) {
 	st := rs.enter()
 	defer rs.exit()
-	return store.CanWatch(ctx, st)
+	return st.EffectiveTrust(ctx, peer)
 }
-
-func (rs *routedStore) CanSnapshot(ctx context.Context) bool {
-	st := rs.enter()
-	defer rs.exit()
-	return store.CanSnapshot(ctx, st)
-}
-
-func (rs *routedStore) CanReplay(ctx context.Context) bool {
-	st := rs.enter()
-	defer rs.exit()
-	return store.CanReplay(ctx, st)
-}
-
-func (rs *routedStore) CanDedupe(ctx context.Context) bool {
-	st := rs.enter()
-	defer rs.exit()
-	return store.CanDedupe(ctx, st)
-}
-
-func (rs *routedStore) CanMultiGroup(ctx context.Context) bool {
-	st := rs.enter()
-	defer rs.exit()
-	return store.CanMultiGroup(ctx, st)
-}
-
-// Compile-time checks: the routed store must pass for a full-capability
-// store everywhere a group's peers look.
-var (
-	_ store.Store            = (*routedStore)(nil)
-	_ store.Watcher          = (*routedStore)(nil)
-	_ store.Snapshotter      = (*routedStore)(nil)
-	_ store.SnapshotReplayer = (*routedStore)(nil)
-	_ store.Replayer         = (*routedStore)(nil)
-)

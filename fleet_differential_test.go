@@ -254,7 +254,6 @@ func buildFleetRuns(t *testing.T, stores, groups int, streaming bool) []*groupRu
 		if streaming {
 			spec.SystemOptions = []SystemOption{
 				WithStreamObserver(r.observe),
-				WithStreamPoll(2 * time.Millisecond),
 				WithStreamRetry(time.Millisecond, 20*time.Millisecond),
 			}
 		}
@@ -302,14 +301,14 @@ func TestFleetDifferential(t *testing.T) {
 			runs := buildFleetRuns(t, stores, groups, false)
 			driveRoundLockstep(t, runs)
 			for _, r := range runs {
-				diffStreamResults(t, r.fingerprint(), ref, true)
+				diffStreamResults(t, r.fingerprint(), ref)
 			}
 		})
 		t.Run(fmt.Sprintf("stores=%d/streaming", stores), func(t *testing.T) {
 			runs := buildFleetRuns(t, stores, groups, true)
 			driveStreamingLockstep(t, runs)
 			for _, r := range runs {
-				diffStreamResults(t, r.fingerprint(), ref, true)
+				diffStreamResults(t, r.fingerprint(), ref)
 			}
 		})
 	}

@@ -250,7 +250,6 @@ func TestFleetMigrationHealsStreams(t *testing.T) {
 				}
 				mu.Unlock()
 			}),
-			WithStreamPoll(2 * time.Millisecond),
 			WithStreamRetry(time.Millisecond, 20*time.Millisecond),
 		},
 	})

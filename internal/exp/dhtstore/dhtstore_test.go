@@ -32,22 +32,9 @@ func factory(t *testing.T, _ *core.Schema) (func(core.PeerID) store.Store, func(
 	}, func() {}
 }
 
+// TestConformance runs tier one, the whole contract the DHT store claims.
 func TestConformance(t *testing.T) {
 	storetest.RunConformance(t, factory)
-}
-
-// TestWatchConformance documents that the DHT store degrades cleanly: it
-// has no watch capability, so every leg of the suite skips via the probe
-// (and the streaming reconcile loop falls back to polling against it).
-func TestWatchConformance(t *testing.T) {
-	storetest.RunWatchConformance(t, factory)
-}
-
-// TestMultiGroupConformance documents that the DHT store has no
-// multi-group tenancy: the capability probe answers no and the whole
-// suite skips.
-func TestMultiGroupConformance(t *testing.T) {
-	storetest.RunMultiGroupConformance(t, factory, nil)
 }
 
 // TestMessageAccounting: the DHT store generates per-transaction request

@@ -23,6 +23,12 @@
 // cluster-wide registry shared by all controllers (the paper's transaction
 // controllers likewise evaluate requester trust; predicate code is not
 // serializable, so the registry stands in for policy distribution).
+//
+// The package lives under internal/exp because the DHT store is the paper's
+// §5.2.2 experiment (Figures 10 and 12), not a backend: it implements the
+// six-method store.Store and passes storetest.RunConformance, and by design
+// offers none of what store.Backend adds — replay, snapshots, watch, keyed
+// dedup, delegation resolution, tenancy.
 package dhtstore
 
 import (

@@ -12,11 +12,11 @@ import (
 	"time"
 
 	"orchestra/internal/core"
+	"orchestra/internal/exp/dhtstore"
 	"orchestra/internal/metrics"
 	"orchestra/internal/simnet"
 	"orchestra/internal/store"
 	"orchestra/internal/store/central"
-	"orchestra/internal/store/dhtstore"
 	"orchestra/internal/workload"
 )
 

@@ -409,6 +409,8 @@ func (g *Gateway) handleRecno(w http.ResponseWriter, r *http.Request) error {
 	return writeJSON(w, map[string]any{"recno": n})
 }
 
+// handleCapabilities reports the static method set of the store the gateway
+// was given; nothing is asked of the backend at run time.
 func (g *Gateway) handleCapabilities(w http.ResponseWriter, r *http.Request) error {
 	st, err := g.storeFor(r)
 	if err != nil {
@@ -429,7 +431,7 @@ func (g *Gateway) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	sn, ok := st.(store.Snapshotter)
-	if !ok || !store.CanSnapshot(r.Context(), st) {
+	if !ok {
 		return badRequest{errors.New("backend does not support snapshots")}
 	}
 	epoch, err := sn.Snapshot(opCtx(r))
@@ -445,7 +447,7 @@ func (g *Gateway) handleSnapshotLatest(w http.ResponseWriter, r *http.Request) e
 		return err
 	}
 	sr, ok := st.(store.SnapshotReplayer)
-	if !ok || !store.CanSnapshot(r.Context(), st) {
+	if !ok {
 		return badRequest{errors.New("backend does not support snapshots")}
 	}
 	snap, err := sr.LatestSnapshot(r.Context())
@@ -492,7 +494,7 @@ func (g *Gateway) handleReplay(w http.ResponseWriter, r *http.Request) error {
 		txns, decisions, err = sr.ReplayFrom(r.Context(), peer, core.Epoch(from), afterSeq)
 	} else {
 		rp, ok := st.(store.Replayer)
-		if !ok || !store.CanReplay(r.Context(), st) {
+		if !ok {
 			return badRequest{errors.New("backend does not support replay")}
 		}
 		txns, decisions, err = rp.ReplayFor(r.Context(), peer)
@@ -548,7 +550,7 @@ func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	wt, ok := st.(store.Watcher)
-	if !ok || !store.CanWatch(r.Context(), st) {
+	if !ok {
 		return badRequest{errors.New("backend does not support watch")}
 	}
 	if r.Header.Get("Accept") == "text/event-stream" {

@@ -476,7 +476,7 @@ func TestGatewaySSE(t *testing.T) {
 
 // countingStore counts calls so the pool's distribution is observable.
 type countingStore struct {
-	store.Store
+	store.Backend
 	calls int64
 	mu    sync.Mutex
 }
@@ -485,7 +485,7 @@ func (s *countingStore) CurrentRecno(ctx context.Context, peer core.PeerID) (int
 	s.mu.Lock()
 	s.calls++
 	s.mu.Unlock()
-	return s.Store.CurrentRecno(ctx, peer)
+	return s.Backend.CurrentRecno(ctx, peer)
 }
 
 // TestPoolRoundRobin: the connection pool spreads calls across its lanes.
@@ -496,7 +496,7 @@ func TestPoolRoundRobin(t *testing.T) {
 	if err := cs.RegisterPeer(context.Background(), "a", core.TrustAll(1)); err != nil {
 		t.Fatal(err)
 	}
-	lanes := []*countingStore{{Store: cs}, {Store: cs}, {Store: cs}}
+	lanes := []*countingStore{{Backend: cs}, {Backend: cs}, {Backend: cs}}
 	p := NewPool(lanes[0], lanes[1], lanes[2])
 	for i := 0; i < 9; i++ {
 		if _, err := p.CurrentRecno(context.Background(), "a"); err != nil {

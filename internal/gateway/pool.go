@@ -13,28 +13,28 @@ import (
 // TCP client serializes every in-flight call over one connection; a pool
 // of N clients gives the gateway N concurrent lanes to the same
 // orchestra-store without any coordination, because the update-store
-// protocol is already safe for concurrent callers. Capability questions go
-// to the first client (the lanes are interchangeable by construction);
+// protocol is already safe for concurrent callers. Every lane is a
+// store.Backend (a remote.Client in production), so the pool is one too;
 // watch subscriptions stick to the lane that opened them.
 type Pool struct {
-	stores []store.Store
+	stores []store.Backend
 	next   atomic.Uint64
 }
 
+var _ store.Backend = (*Pool)(nil)
+
 // NewPool builds a pool over the given clients; it panics on an empty set
 // (a programming error).
-func NewPool(stores ...store.Store) *Pool {
+func NewPool(stores ...store.Backend) *Pool {
 	if len(stores) == 0 {
 		panic("gateway: empty store pool")
 	}
 	return &Pool{stores: stores}
 }
 
-func (p *Pool) pick() store.Store {
+func (p *Pool) pick() store.Backend {
 	return p.stores[p.next.Add(1)%uint64(len(p.stores))]
 }
-
-// Store interface, delegated round-robin.
 
 func (p *Pool) RegisterPeer(ctx context.Context, peer core.PeerID, t core.Trust) error {
 	return p.pick().RegisterPeer(ctx, peer, t)
@@ -60,62 +60,30 @@ func (p *Pool) CurrentRecno(ctx context.Context, peer core.PeerID) (int, error) 
 	return p.pick().CurrentRecno(ctx, peer)
 }
 
-// Optional capabilities, present whenever the underlying clients carry
-// them (the remote client always does; whether they work is the probes'
-// answer).
-
-func (p *Pool) CanReplay(ctx context.Context) bool { return store.CanReplay(ctx, p.stores[0]) }
-
 func (p *Pool) ReplayFor(ctx context.Context, peer core.PeerID) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
-	if rp, ok := p.pick().(store.Replayer); ok {
-		return rp.ReplayFor(ctx, peer)
-	}
-	return nil, nil, errNoCapability("replay")
+	return p.pick().ReplayFor(ctx, peer)
 }
 
-func (p *Pool) CanSnapshot(ctx context.Context) bool { return store.CanSnapshot(ctx, p.stores[0]) }
-
 func (p *Pool) Snapshot(ctx context.Context) (core.Epoch, error) {
-	if sn, ok := p.pick().(store.Snapshotter); ok {
-		return sn.Snapshot(ctx)
-	}
-	return 0, errNoCapability("snapshot")
+	return p.pick().Snapshot(ctx)
 }
 
 func (p *Pool) CompactBefore(ctx context.Context, e core.Epoch) error {
-	if sn, ok := p.pick().(store.Snapshotter); ok {
-		return sn.CompactBefore(ctx, e)
-	}
-	return errNoCapability("snapshot")
+	return p.pick().CompactBefore(ctx, e)
 }
 
 func (p *Pool) LatestSnapshot(ctx context.Context) (*store.Snapshot, error) {
-	if sr, ok := p.pick().(store.SnapshotReplayer); ok {
-		return sr.LatestSnapshot(ctx)
-	}
-	return nil, errNoCapability("snapshot")
+	return p.pick().LatestSnapshot(ctx)
 }
 
 func (p *Pool) ReplayFrom(ctx context.Context, peer core.PeerID, from core.Epoch, afterSeq int64) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
-	if sr, ok := p.pick().(store.SnapshotReplayer); ok {
-		return sr.ReplayFrom(ctx, peer, from, afterSeq)
-	}
-	return nil, nil, errNoCapability("snapshot")
+	return p.pick().ReplayFrom(ctx, peer, from, afterSeq)
 }
-
-func (p *Pool) CanWatch(ctx context.Context) bool { return store.CanWatch(ctx, p.stores[0]) }
 
 func (p *Pool) WatchFrom(ctx context.Context, from core.Epoch) (<-chan store.WatchEvent, error) {
-	if w, ok := p.pick().(store.Watcher); ok {
-		return w.WatchFrom(ctx, from)
-	}
-	return nil, errNoCapability("watch")
+	return p.pick().WatchFrom(ctx, from)
 }
 
-func (p *Pool) CanDedupe(ctx context.Context) bool { return store.CanDedupe(ctx, p.stores[0]) }
-
-type errNoCapability string
-
-func (e errNoCapability) Error() string {
-	return "gateway: backend does not support " + string(e)
+func (p *Pool) EffectiveTrust(ctx context.Context, peer core.PeerID) (core.Trust, error) {
+	return p.pick().EffectiveTrust(ctx, peer)
 }

@@ -154,7 +154,7 @@ func WithCompactKeep(keep int) Option {
 	return func(c *config) { c.compactKeep = int64(keep) }
 }
 
-// Store is the centralized update store.
+// Store is the centralized update store, a store.Backend.
 type Store struct {
 	db       *reldb.DB
 	schema   *core.Schema
@@ -256,6 +256,8 @@ type Store struct {
 	watchDone   chan struct{}
 	watchClosed bool
 }
+
+var _ store.Backend = (*Store)(nil)
 
 type txnShard struct {
 	mu sync.RWMutex

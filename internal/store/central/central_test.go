@@ -14,8 +14,11 @@ func factory(t *testing.T, schema *core.Schema) (func(core.PeerID) store.Store, 
 	return func(core.PeerID) store.Store { return s }, func() { s.Close() }
 }
 
+// TestConformance runs both tiers of the store contract; the watch and
+// tenancy legs of tier two are the next two tests.
 func TestConformance(t *testing.T) {
 	storetest.RunConformance(t, factory)
+	storetest.RunBackendConformance(t, factory)
 }
 
 func TestWatchConformance(t *testing.T) {
@@ -25,7 +28,7 @@ func TestWatchConformance(t *testing.T) {
 // TestMultiGroupConformance runs the tenancy suite over a Node hosting
 // every group in one shared in-memory database.
 func TestMultiGroupConformance(t *testing.T) {
-	storetest.RunMultiGroupConformance(t, factory,
+	storetest.RunMultiGroupConformance(t,
 		func(t *testing.T, schema *core.Schema) (func(string, core.PeerID) store.Store, func()) {
 			node, err := OpenNode("")
 			if err != nil {

@@ -1,7 +1,6 @@
 package central
 
 import (
-	"context"
 	"fmt"
 
 	"orchestra/internal/core"
@@ -175,9 +174,6 @@ func (s *Store) dropIdem(keys []store.IdempotencyKey) {
 	}
 	s.idemMu.Unlock()
 }
-
-// CanDedupe implements store.IdempotencyProber: keyed calls are deduped.
-func (s *Store) CanDedupe(context.Context) bool { return true }
 
 // replayReconciliation rebuilds the answer of a deduped begin: the memoized
 // recno and window, with the candidates recomputed against the transaction

@@ -1,7 +1,6 @@
 package central
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -184,8 +183,3 @@ func (n *Node) Close() error {
 	}
 	return n.db.Close()
 }
-
-// CanMultiGroup implements store.MultiGroupProber: the central store's
-// backend family hosts multiple groups (via Node's shared-database
-// tenancy).
-func (s *Store) CanMultiGroup(context.Context) bool { return true }

@@ -82,9 +82,6 @@ func (s *Store) minWatcherCursor() (core.Epoch, bool) {
 	return min, found
 }
 
-// CanWatch implements store.WatchProber: subscriptions are native here.
-func (s *Store) CanWatch(context.Context) bool { return true }
-
 // WatchFrom implements store.Watcher. Events cover contiguous windows of
 // newly stable epochs starting after from; the channel closes when ctx is
 // done or the store closes. Watching from below the compaction horizon

@@ -5,10 +5,9 @@ import "context"
 // IdempotencyKey identifies one logical mutating store call across
 // transport retries. A client that may deliver the same call twice — a
 // retry after a lost reply, a duplicated message — attaches the same key to
-// every attempt; a deduping store (IdempotencyProber) executes the call
-// once and replays the recorded result to every later attempt. Keys must be
-// unique per logical call: reusing a key returns the first call's result,
-// whatever the arguments.
+// every attempt; a Backend executes the call once and replays the recorded
+// result to every later attempt. Keys must be unique per logical call:
+// reusing a key returns the first call's result, whatever the arguments.
 type IdempotencyKey string
 
 // idemCtxKey carries the key through a context.
@@ -26,16 +25,11 @@ func IdempotencyKeyFrom(ctx context.Context) (IdempotencyKey, bool) {
 	return key, ok && key != ""
 }
 
-// IdempotencyProber is implemented by stores that dedupe idempotency-keyed
-// calls (the central store natively; the remote client by asking its server
-// over the wire). Stores without it execute every delivery, so retrying
-// non-idempotent operations against them is unsafe.
-type IdempotencyProber interface {
-	CanDedupe(ctx context.Context) bool
-}
-
-// CanDedupe reports whether the store dedupes idempotency-keyed calls.
-func CanDedupe(ctx context.Context, s Store) bool {
-	p, ok := s.(IdempotencyProber)
-	return ok && p.CanDedupe(ctx)
+// CanDedupe reports whether the store dedupes idempotency-keyed calls: a
+// Backend does (it is part of that tier's contract); a bare Store executes
+// every delivery, so retrying non-idempotent operations against it is
+// unsafe.
+func CanDedupe(_ context.Context, st Store) bool {
+	_, ok := st.(Backend)
+	return ok
 }

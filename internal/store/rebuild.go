@@ -7,16 +7,13 @@ import (
 	"orchestra/internal/core"
 )
 
-// Replayer is the optional store capability behind the paper's §5.2
-// soft-state guarantee: a participant's entire state is reconstructable
-// from the update store. ReplayFor is the full-history path; stores that
-// also implement SnapshotReplayer offer the bounded snapshot + tail path,
-// which RebuildPeer prefers. The central store implements both, the remote
-// client proxies both to its server's backend, and the DHT store implements
-// neither (a full scan of every transaction controller is exactly the kind
-// of operation the paper's design avoids). The recovery contract — which
-// path applies when, and what compaction changes — is documented in
-// docs/RECOVERY.md.
+// Replayer is the Backend capability behind the paper's §5.2 soft-state
+// guarantee: a participant's entire state is reconstructable from the
+// update store. ReplayFor is the full-history path; SnapshotReplayer is the
+// bounded snapshot + tail path, which RebuildPeer prefers. The central store
+// implements both and the remote client proxies both to its server's
+// backend. The recovery contract — which path applies when, and what
+// compaction changes — is documented in docs/RECOVERY.md.
 type Replayer interface {
 	// ReplayFor returns every published transaction in global order
 	// together with the peer's recorded decisions (with their acceptance
@@ -25,22 +22,9 @@ type Replayer interface {
 	ReplayFor(ctx context.Context, peer core.PeerID) ([]PublishedTxn, map[core.TxnID]core.RestoredDecision, error)
 }
 
-// ReplayProber lets a store client answer the CanReplay question
-// dynamically. The remote client needs it: it always has a ReplayFor
-// method (the RPC stub), but whether replay actually works depends on the
-// backend at the other end of the wire.
-type ReplayProber interface {
-	CanReplay(ctx context.Context) bool
-}
-
-// CanReplay reports whether the store supports peer reconstruction — the
-// gate callers (and the storetest conformance suite) check before reaching
-// for RebuildPeer. A store that implements ReplayProber is asked; anything
-// else is judged by whether it implements Replayer at all.
-func CanReplay(ctx context.Context, st Store) bool {
-	if p, ok := st.(ReplayProber); ok {
-		return p.CanReplay(ctx)
-	}
+// CanReplay reports whether the store supports peer reconstruction by full
+// replay.
+func CanReplay(_ context.Context, st Store) bool {
 	_, ok := st.(Replayer)
 	return ok
 }
@@ -56,9 +40,11 @@ func CanReplay(ctx context.Context, st Store) bool {
 // reconciliation, which reconsiders anything undecided.
 //
 // The returned peer is ready to continue reconciling where the lost one
-// stopped.
+// stopped: like NewPeer, its engine prices candidates under the peer's
+// effective trust when the store resolves delegations.
 func RebuildPeer(ctx context.Context, id core.PeerID, schema *core.Schema, trust core.Trust, st Store) (*Peer, error) {
-	if sr, ok := st.(SnapshotReplayer); ok && CanSnapshot(ctx, st) {
+	trust = effectiveTrust(ctx, st, id, schema, trust)
+	if sr, ok := st.(SnapshotReplayer); ok {
 		// LatestSnapshot and ReplayFrom are two calls; a concurrent
 		// snapshot + compaction cycle can retire the fetched snapshot in
 		// between, failing the tail fetch. One retry against the fresh
@@ -78,13 +64,18 @@ func RebuildPeer(ctx context.Context, id core.PeerID, schema *core.Schema, trust
 			}
 		}
 	}
-	return FullReplayRebuild(ctx, id, schema, trust, st)
+	return fullReplayRebuild(ctx, id, schema, trust, st)
 }
 
 // FullReplayRebuild reconstructs the peer by replaying the complete
 // published log — the historical O(total history) path, and the fallback
 // for stores without a snapshot (or peers a snapshot does not cover).
 func FullReplayRebuild(ctx context.Context, id core.PeerID, schema *core.Schema, trust core.Trust, st Store) (*Peer, error) {
+	return fullReplayRebuild(ctx, id, schema, effectiveTrust(ctx, st, id, schema, trust), st)
+}
+
+// fullReplayRebuild is FullReplayRebuild under an already resolved trust.
+func fullReplayRebuild(ctx context.Context, id core.PeerID, schema *core.Schema, trust core.Trust, st Store) (*Peer, error) {
 	rp, ok := st.(Replayer)
 	if !ok {
 		return nil, fmt.Errorf("store: %T cannot replay peer state", st)

@@ -1,8 +1,10 @@
-// Package remote exposes any store.Store over the TCP transport of
-// internal/rpc, so a confederation can run as separate OS processes: one
-// orchestra-store server hosting the central store and one orchestra-peer
-// process per participant. Trust policies travel as text in the predicate
-// language of internal/trust.
+// Package remote exposes a store over the TCP transport of internal/rpc, so
+// a confederation can run as separate OS processes: one orchestra-store
+// server hosting the central store and one orchestra-peer process per
+// participant. Trust policies travel as text in the predicate language of
+// internal/trust. The Client is a store.Backend and is meant to front one:
+// the Server accepts any store.Store and refuses, per call, the capability
+// its backend's type lacks.
 //
 // The client can retry transient failures (WithRetryPolicy): each
 // non-idempotent operation then carries a client-generated idempotency key
@@ -31,19 +33,14 @@ const (
 	mRegister     = "store.register"
 	mPublish      = "store.publish"
 	mBegin        = "store.begin"
-	mDecide       = "store.decide"
 	mDecideBatch  = "store.decide.batch"
 	mRecno        = "store.recno"
 	mReplay       = "store.replay"
-	mCanReplay    = "store.canreplay"
-	mCanSnapshot  = "store.cansnapshot"
-	mCanDedupe    = "store.candedupe"
 	mTakeSnapshot = "store.snapshot.take"
 	mSnapshot     = "store.snapshot"
 	mReplayFrom   = "store.replayfrom"
 	mCompact      = "store.compact"
 	mWatch        = "store.watch"
-	mCanWatch     = "store.canwatch"
 	mEffTrust     = "store.trust.effective"
 )
 
@@ -85,14 +82,6 @@ type beginReply struct {
 	Candidates []wireCandidate
 }
 
-type decideArgs struct {
-	Peer     core.PeerID
-	Recno    int
-	Accepted []core.TxnID
-	Rejected []core.TxnID
-	Key      store.IdempotencyKey
-}
-
 type decideBatchArgs struct {
 	Batches []store.DecisionBatch
 	Key     store.IdempotencyKey
@@ -115,10 +104,6 @@ type effTrustReply struct {
 
 type recnoReply struct {
 	Recno int
-}
-
-type canReplayReply struct {
-	OK bool
 }
 
 type replayArgs struct {
@@ -209,20 +194,14 @@ func NewServer(backend store.Store, schema *core.Schema) *Server {
 	mux.Handle(mRegister, s.register)
 	mux.Handle(mPublish, s.publish)
 	mux.Handle(mBegin, s.begin)
-	mux.Handle(mDecide, s.decide)
 	mux.Handle(mDecideBatch, s.decideBatch)
 	mux.Handle(mRecno, s.recno)
 	mux.Handle(mReplay, s.replay)
-	mux.Handle(mCanReplay, s.canReplay)
-	mux.Handle(mCanSnapshot, s.canSnapshot)
-	mux.Handle(mCanDedupe, s.canDedupe)
 	mux.Handle(mTakeSnapshot, s.takeSnapshot)
 	mux.Handle(mSnapshot, s.latestSnapshot)
 	mux.Handle(mReplayFrom, s.replayFrom)
 	mux.Handle(mCompact, s.compact)
 	mux.Handle(mWatch, s.watch)
-	mux.Handle(mCanWatch, s.canWatch)
-	mux.Handle(mCanMultiGroup, s.canMultiGroup)
 	mux.Handle(mEffTrust, s.effectiveTrust)
 	s.mux = mux
 	s.srv = rpc.NewServer(mux)
@@ -291,17 +270,6 @@ func (s *Server) begin(ctx context.Context, req rpc.Request) ([]byte, error) {
 	return rpc.Encode(&reply)
 }
 
-func (s *Server) decide(ctx context.Context, req rpc.Request) ([]byte, error) {
-	var args decideArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
-		return nil, err
-	}
-	if err := s.backend.RecordDecisions(withKey(ctx, args.Key), args.Peer, args.Recno, args.Accepted, args.Rejected); err != nil {
-		return nil, err
-	}
-	return rpc.Encode(&struct{}{})
-}
-
 func (s *Server) decideBatch(ctx context.Context, req rpc.Request) ([]byte, error) {
 	var args decideBatchArgs
 	if err := rpc.Decode(req.Body, &args); err != nil {
@@ -325,10 +293,6 @@ func (s *Server) recno(ctx context.Context, req rpc.Request) ([]byte, error) {
 	return rpc.Encode(&recnoReply{Recno: n})
 }
 
-func (s *Server) canReplay(ctx context.Context, _ rpc.Request) ([]byte, error) {
-	return rpc.Encode(&canReplayReply{OK: store.CanReplay(ctx, s.backend)})
-}
-
 func (s *Server) replay(ctx context.Context, req rpc.Request) ([]byte, error) {
 	var args replayArgs
 	if err := rpc.Decode(req.Body, &args); err != nil {
@@ -346,14 +310,6 @@ func (s *Server) replay(ctx context.Context, req rpc.Request) ([]byte, error) {
 		Log:       store.AppendPublishedTxns(nil, log),
 		Decisions: decisions,
 	})
-}
-
-func (s *Server) canSnapshot(ctx context.Context, _ rpc.Request) ([]byte, error) {
-	return rpc.Encode(&canReplayReply{OK: store.CanSnapshot(ctx, s.backend)})
-}
-
-func (s *Server) canDedupe(ctx context.Context, _ rpc.Request) ([]byte, error) {
-	return rpc.Encode(&canReplayReply{OK: store.CanDedupe(ctx, s.backend)})
 }
 
 func (s *Server) takeSnapshot(ctx context.Context, req rpc.Request) ([]byte, error) {
@@ -445,10 +401,6 @@ func (s *Server) effectiveTrust(ctx context.Context, req rpc.Request) ([]byte, e
 	return rpc.Encode(&effTrustReply{Policy: pol.String()})
 }
 
-func (s *Server) canWatch(ctx context.Context, _ rpc.Request) ([]byte, error) {
-	return rpc.Encode(&canReplayReply{OK: store.CanWatch(ctx, s.backend)})
-}
-
 // watch serves one bounded long-poll: it subscribes to the backend at the
 // client's cursor for at most the requested wait and relays the first
 // window that arrives (or an empty poll). The subscription registered for
@@ -482,7 +434,7 @@ func (s *Server) watch(ctx context.Context, req rpc.Request) ([]byte, error) {
 	return rpc.Encode(&watchReply{To: ev.To, Payload: store.AppendPublishedTxns(nil, ev.Txns)})
 }
 
-// Client implements store.Store against a remote Server. Trust policies
+// Client implements store.Backend against a remote Server. Trust policies
 // must be textual (*trust.Policy): predicate code cannot travel over the
 // wire.
 type Client struct {
@@ -496,11 +448,6 @@ type Client struct {
 	retrying  bool
 	keyPrefix string
 	keyCtr    atomic.Int64
-	// dedupe caches the server capability probe: 0 unprobed, 1 dedupes,
-	// -1 does not.
-	dedupe atomic.Int32
-	// watchable caches the watch capability probe the same way.
-	watchable atomic.Int32
 	// watchPoll bounds the server-side wait of each watch long-poll (see
 	// WithWatchPoll).
 	watchPoll time.Duration
@@ -509,6 +456,8 @@ type Client struct {
 	// of a multi-group server (see GroupServer).
 	group string
 }
+
+var _ store.Backend = (*Client)(nil)
 
 // m maps a store method name to the wire method this client calls:
 // group-scoped clients prefix every call with their group route.
@@ -521,8 +470,8 @@ type ClientOption func(*Client)
 // transient failures under the policy. A nil Classify defaults to
 // store.IsTransient. With retries on, the client attaches idempotency keys
 // to its non-idempotent operations (Publish, BeginReconciliation, the
-// decision writes, Snapshot, CompactBefore) whenever the server reports it
-// can dedupe, making the retries safe end to end.
+// decision writes, Snapshot, CompactBefore), which the backend at the other
+// end dedupes, making the retries safe end to end.
 func WithRetryPolicy(p rpc.RetryPolicy) ClientOption {
 	return func(c *Client) {
 		if p.Classify == nil {
@@ -592,30 +541,6 @@ func randomKeyPrefix() string {
 	return hex.EncodeToString(b[:])
 }
 
-// serverDedupes probes (once) whether the server's backend dedupes keyed
-// calls. Transient probe failures are not cached, so the next operation
-// re-probes.
-func (c *Client) serverDedupes(ctx context.Context) bool {
-	if v := c.dedupe.Load(); v != 0 {
-		return v > 0
-	}
-	var reply canReplayReply
-	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mCanDedupe), &struct{}{}, &reply); err != nil {
-		if !store.IsTransient(err) {
-			// A server without the capability RPC (or one that refuses it)
-			// will keep refusing; cache the no.
-			c.dedupe.Store(-1)
-		}
-		return false
-	}
-	if reply.OK {
-		c.dedupe.Store(1)
-	} else {
-		c.dedupe.Store(-1)
-	}
-	return reply.OK
-}
-
 // key picks the idempotency key an operation travels with: a key the caller
 // placed in ctx wins; otherwise a retrying client mints one per call (the
 // key sits in the encoded request body, which the retry layer reuses
@@ -624,15 +549,11 @@ func (c *Client) key(ctx context.Context, op string) store.IdempotencyKey {
 	if k, ok := store.IdempotencyKeyFrom(ctx); ok {
 		return k
 	}
-	if !c.retrying || !c.serverDedupes(ctx) {
+	if !c.retrying {
 		return ""
 	}
 	return store.IdempotencyKey(fmt.Sprintf("%s/%s/%d", c.keyPrefix, op, c.keyCtr.Add(1)))
 }
-
-// CanDedupe implements store.IdempotencyProber by forwarding the question
-// to the server's backend.
-func (c *Client) CanDedupe(ctx context.Context) bool { return c.serverDedupes(ctx) }
 
 // RegisterPeer implements store.Store. The trust policy must be a
 // *trust.Policy. Registration is naturally idempotent (an upsert), so it
@@ -676,10 +597,11 @@ func (c *Client) BeginReconciliation(ctx context.Context, peer core.PeerID) (*st
 	return rec, nil
 }
 
-// RecordDecisions implements store.Store.
+// RecordDecisions implements store.Store as a single-entry batch.
 func (c *Client) RecordDecisions(ctx context.Context, peer core.PeerID, recno int, accepted, rejected []core.TxnID) error {
-	args := decideArgs{Peer: peer, Recno: recno, Accepted: accepted, Rejected: rejected, Key: c.key(ctx, "decide")}
-	return rpc.Invoke(ctx, c.caller, c.addr, c.m(mDecide), &args, nil)
+	return c.RecordDecisionsBatch(ctx, []store.DecisionBatch{{
+		Peer: peer, Recno: recno, Accepted: accepted, Rejected: rejected,
+	}})
 }
 
 // RecordDecisionsBatch implements store.Store: the whole wave's decisions
@@ -713,22 +635,9 @@ func (c *Client) EffectiveTrust(ctx context.Context, peer core.PeerID) (core.Tru
 	return pol, nil
 }
 
-// CanReplay implements store.ReplayProber: the client's ReplayFor stub
-// always exists, but whether replay works depends on the backend at the
-// other end of the wire, so the capability question travels as an RPC. An
-// unreachable or pre-probe server counts as "cannot replay".
-func (c *Client) CanReplay(ctx context.Context) bool {
-	var reply canReplayReply
-	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mCanReplay), &struct{}{}, &reply); err != nil {
-		return false
-	}
-	return reply.OK
-}
-
-// ReplayFor implements store.Replayer when the server's backend does: the
-// full log crosses the wire once, in the binary store codec, so a lost
-// participant can rebuild its soft state from a remote store exactly as
-// from a local one (store.RebuildPeer).
+// ReplayFor implements store.Replayer: the full log crosses the wire once,
+// in the binary store codec, so a lost participant can rebuild its soft
+// state from a remote store exactly as from a local one (store.RebuildPeer).
 func (c *Client) ReplayFor(ctx context.Context, peer core.PeerID) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
 	var reply replayReply
 	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mReplay), &replayArgs{Peer: peer}, &reply); err != nil {
@@ -739,17 +648,6 @@ func (c *Client) ReplayFor(ctx context.Context, peer core.PeerID) ([]store.Publi
 		return nil, nil, fmt.Errorf("remote: replay payload: %w", err)
 	}
 	return log, reply.Decisions, nil
-}
-
-// CanSnapshot implements store.SnapshotProber: like CanReplay, the stubs
-// below always exist, but whether snapshots work depends on the backend at
-// the other end of the wire.
-func (c *Client) CanSnapshot(ctx context.Context) bool {
-	var reply canReplayReply
-	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mCanSnapshot), &struct{}{}, &reply); err != nil {
-		return false
-	}
-	return reply.OK
 }
 
 // Snapshot implements store.Snapshotter by proxy: the server's backend
@@ -789,28 +687,12 @@ func (c *Client) LatestSnapshot(ctx context.Context) (*store.Snapshot, error) {
 	return snap, nil
 }
 
-// CanWatch implements store.WatchProber: whether subscriptions work
-// depends on the backend at the other end of the wire, so the question
-// travels as a capability RPC (cached; transient probe failures are not).
-func (c *Client) CanWatch(ctx context.Context) bool {
-	if v := c.watchable.Load(); v != 0 {
-		return v > 0
-	}
-	var reply canReplayReply
-	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mCanWatch), &struct{}{}, &reply); err != nil {
-		if !store.IsTransient(err) {
-			// A server without the capability RPC will keep refusing.
-			c.watchable.Store(-1)
-		}
-		return false
-	}
-	if reply.OK {
-		c.watchable.Store(1)
-	} else {
-		c.watchable.Store(-1)
-	}
-	return reply.OK
-}
+// CanWatch is a constant true and nothing in this module calls it: the
+// client is a store.Watcher by type. It survives only because
+// bench/serve_stream.go's splitStore calls it and bench/ could not be edited
+// in the PR that deleted the capability probes; the next benchmark-only PR
+// deletes both (ROADMAP item 1b).
+func (c *Client) CanWatch(context.Context) bool { return true }
 
 // WatchFrom implements store.Watcher by proxy: a sequence of bounded
 // long-polls, each resuming at the cursor of the last delivered event. The
@@ -819,9 +701,6 @@ func (c *Client) CanWatch(ctx context.Context) bool {
 // poll that fails past retries closes the channel; the consumer resumes by
 // subscribing again from its cursor.
 func (c *Client) WatchFrom(ctx context.Context, from core.Epoch) (<-chan store.WatchEvent, error) {
-	if !c.CanWatch(ctx) {
-		return nil, fmt.Errorf("remote: backend at %s does not support watch subscriptions", c.addr)
-	}
 	ch := make(chan store.WatchEvent)
 	go c.watchLoop(ctx, from, ch)
 	return ch, nil

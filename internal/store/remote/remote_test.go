@@ -39,15 +39,18 @@ func policyAll(t *testing.T) *trust.Policy {
 	return p
 }
 
-// TestConformance runs the full storetest suite over the wire: every peer
-// is a TCP client of a server hosting a central backend, so the suite
-// exercises the binary publish payloads, textual trust policies, batched
-// decisions, and the replay RPC end-to-end.
+// TestConformance runs both tiers of the store contract over the wire:
+// every peer is a TCP client of a server hosting a central backend, so the
+// suite exercises the binary publish payloads, textual trust policies,
+// batched decisions, keyed retries, and the replay and snapshot RPCs
+// end-to-end.
 func TestConformance(t *testing.T) {
-	storetest.RunConformance(t, func(t *testing.T, schema *core.Schema) (func(core.PeerID) store.Store, func()) {
+	factory := func(t *testing.T, schema *core.Schema) (func(core.PeerID) store.Store, func()) {
 		addr := startServer(t, schema)
 		return func(p core.PeerID) store.Store { return NewClient(string(p), addr) }, func() {}
-	})
+	}
+	storetest.RunConformance(t, factory)
+	storetest.RunBackendConformance(t, factory)
 }
 
 // TestWatchConformance runs the watch-subscription suite over TCP: the
@@ -68,11 +71,7 @@ func TestWatchConformance(t *testing.T) {
 // group-scoped client. Exercises the group route prefix, lazy per-group
 // sub-servers, and the namespace codec on the wire.
 func TestMultiGroupConformance(t *testing.T) {
-	plain := func(t *testing.T, schema *core.Schema) (func(core.PeerID) store.Store, func()) {
-		addr := startServer(t, schema)
-		return func(p core.PeerID) store.Store { return NewClient(string(p), addr) }, func() {}
-	}
-	storetest.RunMultiGroupConformance(t, plain,
+	storetest.RunMultiGroupConformance(t,
 		func(t *testing.T, schema *core.Schema) (func(string, core.PeerID) store.Store, func()) {
 			node, err := central.OpenNode("")
 			if err != nil {

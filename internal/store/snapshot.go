@@ -60,9 +60,9 @@ func (s *Snapshot) Peer(id core.PeerID) *PeerSnapshot {
 	return nil
 }
 
-// Snapshotter is the optional store capability of taking snapshots and
-// compacting the publish log behind them. The central store implements it;
-// the remote client proxies it to its server's backend.
+// Snapshotter is the Backend capability of taking snapshots and compacting
+// the publish log behind them. The central store implements it; the remote
+// client proxies it to its server's backend.
 type Snapshotter interface {
 	// Snapshot serializes a global engine-state snapshot at the current
 	// stable epoch and retains it as the latest snapshot, returning the
@@ -95,20 +95,8 @@ type SnapshotReplayer interface {
 	ReplayFrom(ctx context.Context, peer core.PeerID, from core.Epoch, afterSeq int64) ([]PublishedTxn, map[core.TxnID]core.RestoredDecision, error)
 }
 
-// SnapshotProber lets a store client answer the CanSnapshot question
-// dynamically; the remote client needs it for the same reason it needs
-// ReplayProber — its method set never changes, but its backend's does.
-type SnapshotProber interface {
-	CanSnapshot(ctx context.Context) bool
-}
-
-// CanSnapshot reports whether the store supports snapshot-based catch-up
-// (and therefore compaction). A store that implements SnapshotProber is
-// asked; anything else is judged by whether it implements SnapshotReplayer.
-func CanSnapshot(ctx context.Context, st Store) bool {
-	if p, ok := st.(SnapshotProber); ok {
-		return p.CanSnapshot(ctx)
-	}
+// CanSnapshot reports whether the store supports snapshot-based catch-up.
+func CanSnapshot(_ context.Context, st Store) bool {
 	_, ok := st.(SnapshotReplayer)
 	return ok
 }

@@ -5,10 +5,21 @@
 // drives a reconciliation engine against a store. Decision recording comes
 // in two shapes: per-reconciliation (RecordDecisions) and wave-batched
 // (RecordDecisionsBatch, fed by Peer.ReconcileBuffered), which amortizes
-// store round trips without changing outcomes. Implementations live in
-// store/central (RDBMS-backed, §5.2.1), store/remote (any backend over
-// TCP), and store/dhtstore (DHT-based, §5.2.2); store/storetest holds the
-// conformance suite they all must pass.
+// store round trips without changing outcomes.
+//
+// The contract has two tiers, and a store's static type says which it
+// meets. Store is the six methods the reconciliation algorithm needs;
+// storetest.RunConformance checks them. Backend adds what a production
+// store must also do — replay and snapshot catch-up (RebuildPeer),
+// publish-log compaction, watch subscriptions (ReconcileStream), delegation
+// resolution, and exactly-once execution of idempotency-keyed calls —
+// checked by storetest.RunBackendConformance and its watch and tenancy
+// siblings. store/central (RDBMS-backed, §5.2.1) and
+// store/remote (a backend over TCP) are Backends. The DHT store of §5.2.2
+// (internal/exp/dhtstore) is a Store only, by design: a full scan of every
+// transaction controller is exactly the kind of operation the paper's
+// distributed design avoids, so it exists to draw Figures 10 and 12, not to
+// be deployed.
 package store
 
 import (
@@ -90,4 +101,19 @@ type Store interface {
 
 	// CurrentRecno returns the peer's most recent reconciliation number.
 	CurrentRecno(ctx context.Context, peer core.PeerID) (int, error)
+}
+
+// Backend is the full contract of a production update store: the six Store
+// methods plus every capability the recovery, streaming and gateway paths
+// use. Code that holds a Backend calls those capabilities directly; code
+// handed a bare Store from outside (remote.NewServer, gateway.New) asserts
+// the one it needs and reports the type that lacks it. A Backend also
+// executes each idempotency-keyed call once (WithIdempotencyKey).
+type Backend interface {
+	Store
+	Replayer
+	Snapshotter
+	SnapshotReplayer
+	Watcher
+	TrustResolver
 }

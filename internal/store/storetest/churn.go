@@ -14,17 +14,13 @@ import (
 // verbatim while it is away, and a rejoining peer must bootstrap through
 // the snapshot + tail path (store.RebuildPeer) into exactly the state it
 // left plus the history it missed, then converge by ordinary
-// reconciliation. Stores that cannot snapshot (the DHT store, by design)
-// skip.
+// reconciliation.
 func testChurnRejoin(t *testing.T, factory Factory) {
 	s := Schema(t)
 	clientFor, cleanup := factory(t, s)
 	defer cleanup()
 	ctx := context.Background()
-	if !store.CanSnapshot(ctx, clientFor("pc")) {
-		t.Skipf("%T cannot snapshot", clientFor("pc"))
-	}
-	snapc := clientFor("pc").(store.Snapshotter)
+	snapc := backendFor(t, clientFor, "pc")
 
 	trustC := TrustOrigins(map[core.PeerID]int{"pa": 2, "pb": 1, "pc": 3})
 	pa, _ := store.NewPeer(ctx, "pa", s, TrustAll(1), clientFor("pa"))
@@ -81,11 +77,8 @@ func testChurnRejoin(t *testing.T, factory Factory) {
 	if n, err := clientFor("pc").CurrentRecno(ctx, "pc"); err != nil || n != recnoAtDeparture {
 		t.Errorf("departed pc recno = %d, %v (want frozen at %d)", n, err, recnoAtDeparture)
 	}
-	if sr, ok := clientFor("pc").(store.SnapshotReplayer); ok {
-		snap, err := sr.LatestSnapshot(ctx)
-		if err != nil || snap == nil || snap.Epoch < snapEpoch {
-			t.Fatalf("latest snapshot = %+v, %v (want epoch >= %d)", snap, err, snapEpoch)
-		}
+	if snap, err := snapc.LatestSnapshot(ctx); err != nil || snap == nil || snap.Epoch < snapEpoch {
+		t.Fatalf("latest snapshot = %+v, %v (want epoch >= %d)", snap, err, snapEpoch)
 	}
 
 	// Rejoin: bootstrap from snapshot + tail. Everything decided before the
@@ -122,11 +115,9 @@ func testChurnRejoin(t *testing.T, factory Factory) {
 
 	// Convergence is bit-identical: a full-replay control rebuilt from the
 	// same log agrees with the snapshot-bootstrapped rejoiner everywhere.
-	if store.CanReplay(ctx, clientFor("pc")) {
-		full, err := store.FullReplayRebuild(ctx, "pc", s, trustC, clientFor("pc"))
-		if err != nil {
-			t.Fatalf("full-replay control: %v", err)
-		}
-		sameRebuiltState(t, "rejoined vs full-replay control", rc, full, universe)
+	full, err := store.FullReplayRebuild(ctx, "pc", s, trustC, clientFor("pc"))
+	if err != nil {
+		t.Fatalf("full-replay control: %v", err)
 	}
+	sameRebuiltState(t, "rejoined vs full-replay control", rc, full, universe)
 }

@@ -15,21 +15,8 @@ import (
 // transport), which is exactly what the suite stresses.
 type MultiGroupFactory func(t *testing.T, schema *core.Schema) (clientFor func(group string, peer core.PeerID) store.Store, cleanup func())
 
-// RunMultiGroupConformance runs the multi-group tenancy suite. The plain
-// factory is probed first (store.CanMultiGroup): a backend family without
-// multi-group support — the DHT store — skips the whole suite, and then a
-// nil mg is fine. A backend that claims the capability must supply a
-// harness.
-func RunMultiGroupConformance(t *testing.T, factory Factory, mg MultiGroupFactory) {
-	clientFor, cleanup := factory(t, Schema(t))
-	can := store.CanMultiGroup(context.Background(), clientFor("probe"))
-	cleanup()
-	if !can {
-		t.Skip("backend has no multi-group capability")
-	}
-	if mg == nil {
-		t.Fatal("backend reports multi-group capability but no MultiGroupFactory was supplied")
-	}
+// RunMultiGroupConformance runs the tenancy legs of tier two.
+func RunMultiGroupConformance(t *testing.T, mg MultiGroupFactory) {
 	t.Run("GroupIsolation", func(t *testing.T) { testMultiGroupIsolation(t, mg) })
 	t.Run("FrontierIndependence", func(t *testing.T) { testMultiGroupFrontiers(t, mg) })
 	t.Run("HostileIdentifiers", func(t *testing.T) { testMultiGroupIdentifiers(t, mg) })

@@ -1,8 +1,14 @@
-// Package storetest provides a conformance suite run against every
-// store.Store implementation: the paper's Figure 2 scenario end-to-end,
-// trust and antecedent chasing, deferral and resolution, soft-state
-// recovery (publish → reconcile → recover, for stores that can replay),
-// and a cross-implementation equivalence check.
+// Package storetest is the executable form of the two-tier store contract.
+// RunConformance checks the six methods of store.Store — the paper's
+// Figure 2 scenario end-to-end, trust and antecedent chasing, deferral and
+// resolution, batched decisions, trust re-registration — and every store
+// passes it, the DHT store of internal/exp/dhtstore included.
+// RunBackendConformance, RunWatchConformance and RunMultiGroupConformance
+// check what store.Backend adds — soft-state recovery by replay and by
+// snapshot + tail, churn and rejoin, exactly-once keyed calls, delegation
+// resolution, watch subscriptions, tenancy — and the central store passes
+// them in-process and over the wire. No leg skips: a client that lacks a
+// capability its tier requires fails.
 //
 // Trust policies are built textually (TrustAll, TrustOrigins below) so the
 // identical suite drives in-process backends and wire-protocol backends,
@@ -117,7 +123,19 @@ func wantIDSet(t *testing.T, what string, got []core.TxnID, want ...core.TxnID) 
 	}
 }
 
-// RunConformance runs the whole suite against the factory.
+// backendFor returns the peer's store client as a store.Backend. Tier two
+// is not optional: a client that is only a store.Store fails the test.
+func backendFor(t *testing.T, clientFor func(core.PeerID) store.Store, peer core.PeerID) store.Backend {
+	t.Helper()
+	st := clientFor(peer)
+	b, ok := st.(store.Backend)
+	if !ok {
+		t.Fatalf("%T is not a store.Backend", st)
+	}
+	return b
+}
+
+// RunConformance runs tier one, the six-method store.Store contract.
 func RunConformance(t *testing.T, factory Factory) {
 	t.Run("Figure2", func(t *testing.T) { testFigure2(t, factory) })
 	t.Run("Figure2Resolution", func(t *testing.T) { testFigure2Resolution(t, factory) })
@@ -128,28 +146,31 @@ func RunConformance(t *testing.T, factory Factory) {
 	t.Run("NoRedelivery", func(t *testing.T) { testNoRedelivery(t, factory) })
 	t.Run("PriorityConflict", func(t *testing.T) { testPriorityConflict(t, factory) })
 	t.Run("BatchedDecisions", func(t *testing.T) { testBatchedDecisions(t, factory) })
+	t.Run("TrustUpdate", func(t *testing.T) { testTrustUpdate(t, factory) })
+}
+
+// RunBackendConformance runs the recovery, retry and delegation legs of
+// tier two, what store.Backend adds to store.Store; the watch and tenancy
+// legs are RunWatchConformance and RunMultiGroupConformance.
+func RunBackendConformance(t *testing.T, factory Factory) {
 	t.Run("ReplayRebuild", func(t *testing.T) { testReplayRebuild(t, factory) })
 	t.Run("SnapshotRebuild", func(t *testing.T) { testSnapshotRebuild(t, factory) })
 	t.Run("ChurnRejoin", func(t *testing.T) { testChurnRejoin(t, factory) })
 	t.Run("IdempotentRetry", func(t *testing.T) { testIdempotentRetry(t, factory) })
-	t.Run("TrustUpdate", func(t *testing.T) { testTrustUpdate(t, factory) })
+	t.Run("TrustDelegation", func(t *testing.T) { testTrustDelegation(t, factory) })
 }
 
-// testIdempotentRetry: on stores that dedupe keyed operations
-// (store.CanDedupe — the DHT store skips by design), delivering the same
-// keyed Publish, BeginReconciliation, or RecordDecisionsBatch twice — what
-// a retry after a lost reply does — must behave exactly like one delivery:
-// one epoch allocated, the same reconciliation window replayed, decisions
-// recorded once.
+// testIdempotentRetry: delivering the same keyed Publish,
+// BeginReconciliation, or RecordDecisionsBatch twice — what a retry after a
+// lost reply does — must behave exactly like one delivery: one epoch
+// allocated, the same reconciliation window replayed, decisions recorded
+// once.
 func testIdempotentRetry(t *testing.T, factory Factory) {
 	s := Schema(t)
 	clientFor, cleanup := factory(t, s)
 	defer cleanup()
 	ctx := context.Background()
-	st := clientFor("pa")
-	if !store.CanDedupe(ctx, st) {
-		t.Skipf("%T cannot dedupe keyed operations", st)
-	}
+	st := backendFor(t, clientFor, "pa")
 	pa, err := store.NewPeer(ctx, "pa", s, TrustAll(1), clientFor("pa"))
 	if err != nil {
 		t.Fatal(err)
@@ -248,21 +269,17 @@ func sameRebuiltState(t *testing.T, what string, a, b *store.Peer, universe []co
 	}
 }
 
-// testSnapshotRebuild is the snapshot leg of the recovery conformance: on
-// stores that support snapshots (store.CanSnapshot — the DHT store skips by
-// design), a peer rebuilt through the snapshot + tail path must be
-// bit-identical to one rebuilt by full replay — instance, accepts, rejects
-// — and keep reconciling; and after compaction, when full replay no longer
-// exists, every registered peer must still rebuild to exactly that state.
+// testSnapshotRebuild is the snapshot leg of the recovery conformance: a
+// peer rebuilt through the snapshot + tail path must be bit-identical to one
+// rebuilt by full replay — instance, accepts, rejects — and keep
+// reconciling; and after compaction, when full replay no longer exists,
+// every registered peer must still rebuild to exactly that state.
 func testSnapshotRebuild(t *testing.T, factory Factory) {
 	s := Schema(t)
 	clientFor, cleanup := factory(t, s)
 	defer cleanup()
 	ctx := context.Background()
-	if !store.CanSnapshot(ctx, clientFor("pq")) {
-		t.Skipf("%T cannot snapshot", clientFor("pq"))
-	}
-	snapc := clientFor("pq").(store.Snapshotter)
+	snapc := backendFor(t, clientFor, "pq")
 
 	trustQ := TrustOrigins(map[core.PeerID]int{"pa": 2, "pb": 1})
 	pa, _ := store.NewPeer(ctx, "pa", s, TrustAll(1), clientFor("pa"))
@@ -381,16 +398,12 @@ func testSnapshotRebuild(t *testing.T, factory Factory) {
 // history with accepts and rejects, every peer is rebuilt from nothing but
 // the store's replay log (store.RebuildPeer, the §5.2 soft-state
 // guarantee) and must come back with an identical instance and decision
-// sets — and keep reconciling from where the lost peer stopped. Stores
-// that cannot replay (the DHT store, by design) skip.
+// sets — and keep reconciling from where the lost peer stopped.
 func testReplayRebuild(t *testing.T, factory Factory) {
 	s := Schema(t)
 	clientFor, cleanup := factory(t, s)
 	defer cleanup()
 	ctx := context.Background()
-	if !store.CanReplay(ctx, clientFor("pq")) {
-		t.Skipf("%T cannot replay peer state", clientFor("pq"))
-	}
 
 	trustQ := TrustOrigins(map[core.PeerID]int{"pa": 2, "pb": 1})
 	pa, _ := store.NewPeer(ctx, "pa", s, TrustAll(1), clientFor("pa"))

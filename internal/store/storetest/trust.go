@@ -9,11 +9,9 @@ import (
 	"orchestra/internal/trust"
 )
 
-// testTrustUpdate pins the mid-stream trust-change contract: a
-// re-registered textual policy takes effect at the peer's next
-// reconciliation window, a delegating policy resolves through the store's
-// trust graph, and a delegation to an unregistered peer is refused without
-// clobbering the active policy.
+// testTrustUpdate pins the tier-one half of the mid-stream trust-change
+// contract: a re-registered textual policy takes effect at the peer's next
+// reconciliation window.
 func testTrustUpdate(t *testing.T, factory Factory) {
 	s := Schema(t)
 	clientFor, cleanup := factory(t, s)
@@ -55,11 +53,26 @@ func testTrustUpdate(t *testing.T, factory Factory) {
 	wantTuples(t, pq.Instance(), "F",
 		core.Strs("rat", "p1", "va"),
 		core.Strs("dog", "p3", "late"))
+}
 
-	// The delegation legs need a store that resolves closures; the DHT
-	// store holds policies client-side and skips by design.
-	if !store.CanResolveTrust(clientFor("pq")) {
-		t.Skipf("%T does not resolve trust delegations", clientFor("pq"))
+// testTrustDelegation pins the tier-two half: a delegating policy resolves
+// through the store's trust graph, a delegation to an unregistered peer is
+// refused without clobbering the active policy, and a rebuilt peer prices
+// candidates under the same effective policy as the store.
+func testTrustDelegation(t *testing.T, factory Factory) {
+	s := Schema(t)
+	clientFor, cleanup := factory(t, s)
+	defer cleanup()
+	ctx := context.Background()
+	stq := backendFor(t, clientFor, "pq")
+
+	pa, err := store.NewPeer(ctx, "pa", s, TrustAll(1), clientFor("pa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := store.NewPeer(ctx, "pq", s, TrustOrigins(map[core.PeerID]int{"pa": 1}), stq)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Delegating to a peer the store has never seen is a clean error...
@@ -70,7 +83,7 @@ func testTrustUpdate(t *testing.T, factory Factory) {
 	// ...that leaves the previously active policy in force.
 	za := mustEdit(t, pa, core.Insert("F", core.Strs("cow", "p4", "still"), "pa"))
 	mustCycle(t, pa)
-	res = mustCycle(t, pq)
+	res := mustCycle(t, pq)
 	wantIDSet(t, "pq accepted after refused registration", res.Accepted, za.ID)
 
 	// A valid delegation resolves transitively: pq delegates to pd, whose
@@ -83,8 +96,7 @@ func testTrustUpdate(t *testing.T, factory Factory) {
 	if _, err := store.NewPeer(ctx, "pd", s, TrustOrigins(map[core.PeerID]int{"pz": 3}), clientFor("pd")); err != nil {
 		t.Fatal(err)
 	}
-	del := trust.MustParse(
-		"priority 2 when origin = 'pa'\npriority 2 when origin = 'pb'\ndelegate 'pd' priority 1")
+	del := trust.MustParse("priority 2 when origin = 'pa'\ndelegate 'pd' priority 1")
 	if _, err := pq.SetTrust(ctx, del); err != nil {
 		t.Fatalf("delegating re-register: %v", err)
 	}
@@ -93,8 +105,35 @@ func testTrustUpdate(t *testing.T, factory Factory) {
 	res = mustCycle(t, pq)
 	wantIDSet(t, "pq accepted via delegation", res.Accepted, wz.ID)
 	wantTuples(t, pq.Instance(), "F",
-		core.Strs("rat", "p1", "va"),
-		core.Strs("dog", "p3", "late"),
 		core.Strs("cow", "p4", "still"),
 		core.Strs("cat", "p5", "viadelegate"))
+
+	// A rebuilt peer prices like the one it replaces. The registered policy
+	// alone gives pz priority 0; only the resolved closure gives it 1, so
+	// both rebuild paths must hand the engine the effective policy.
+	if _, err := stq.Snapshot(ctx); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	snapQ, err := store.RebuildPeer(ctx, "pq", s, del, stq)
+	if err != nil {
+		t.Fatalf("snapshot rebuild: %v", err)
+	}
+	fullQ, err := store.FullReplayRebuild(ctx, "pq", s, del, stq)
+	if err != nil {
+		t.Fatalf("full-replay rebuild: %v", err)
+	}
+	vz := mustEdit(t, pz, core.Insert("F", core.Strs("emu", "p6", "afterrebuild"), "pz"))
+	mustCycle(t, pz)
+	rec, err := stq.BeginReconciliation(ctx, "pq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Candidates) != 1 || rec.Candidates[0].Txn.ID != vz.ID || rec.Candidates[0].Priority != 1 {
+		t.Fatalf("store shipped %+v, want %s at priority 1", rec.Candidates, vz.ID)
+	}
+	for what, p := range map[string]*store.Peer{"snapshot": snapQ, "full replay": fullQ} {
+		if got := p.Engine().TxnPriority(rec.Candidates[0].Txn); got != 1 {
+			t.Errorf("peer rebuilt by %s prices %s at %d, the store at 1", what, vz.ID, got)
+		}
+	}
 }

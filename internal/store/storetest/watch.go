@@ -9,11 +9,10 @@ import (
 	"orchestra/internal/store"
 )
 
-// RunWatchConformance runs the watch-subscription conformance suite against
-// the factory: capability probing, event ordering and contiguity (no stable
+// RunWatchConformance runs the watch legs of tier two: a subscription is
+// served and honours cancellation, event ordering and contiguity (no stable
 // epoch skipped or delivered twice), cursor resume across a disconnect, and
-// the compaction boundary. Stores without watch support (the DHT store, by
-// design) skip every leg via the store.CanWatch probe.
+// the compaction boundary.
 func RunWatchConformance(t *testing.T, factory Factory) {
 	t.Run("Capability", func(t *testing.T) { testWatchCapability(t, factory) })
 	t.Run("StreamOrdering", func(t *testing.T) { testWatchStreamOrdering(t, factory) })
@@ -36,48 +35,17 @@ func nextWatchEvent(t *testing.T, ch <-chan store.WatchEvent) (store.WatchEvent,
 	}
 }
 
-func watcherOrSkip(t *testing.T, st store.Store) store.Watcher {
-	t.Helper()
-	if !store.CanWatch(context.Background(), st) {
-		t.Skipf("%T cannot watch stable epochs", st)
-	}
-	w, ok := st.(store.Watcher)
-	if !ok {
-		t.Fatalf("%T probes watchable but does not implement store.Watcher", st)
-	}
-	return w
-}
-
-// testWatchCapability: the probe and the interface must agree — a store
-// whose probe answers true must serve a subscription, and one whose probe
-// answers false must not silently pretend to (WatchFrom absent or failing).
+// testWatchCapability: a backend serves a subscription from epoch 0 and
+// closes it on cancellation.
 func testWatchCapability(t *testing.T, factory Factory) {
 	s := Schema(t)
 	clientFor, cleanup := factory(t, s)
 	defer cleanup()
-	ctx := context.Background()
-	st := clientFor("pa")
-
-	if !store.CanWatch(ctx, st) {
-		if w, ok := st.(store.Watcher); ok {
-			cctx, cancel := context.WithCancel(ctx)
-			defer cancel()
-			if ch, err := w.WatchFrom(cctx, 0); err == nil {
-				cancel()
-				// A non-watching store may expose the method (a proxy whose
-				// backend cannot watch); the subscription must not deliver.
-				if ev, ok := <-ch; ok {
-					t.Errorf("probe says unwatchable but subscription delivered %+v", ev)
-				}
-			}
-		}
-		return
-	}
-	w := watcherOrSkip(t, st)
-	cctx, cancel := context.WithCancel(ctx)
+	w := backendFor(t, clientFor, "pa")
+	cctx, cancel := context.WithCancel(context.Background())
 	ch, err := w.WatchFrom(cctx, 0)
 	if err != nil {
-		t.Fatalf("probe says watchable but WatchFrom failed: %v", err)
+		t.Fatalf("WatchFrom(0): %v", err)
 	}
 	cancel()
 	for range ch { // the subscription honors cancellation by closing
@@ -94,7 +62,7 @@ func testWatchStreamOrdering(t *testing.T, factory Factory) {
 	clientFor, cleanup := factory(t, s)
 	defer cleanup()
 	ctx := context.Background()
-	w := watcherOrSkip(t, clientFor("pa"))
+	w := backendFor(t, clientFor, "pa")
 
 	pa, err := store.NewPeer(ctx, "pa", s, TrustAll(1), clientFor("pa"))
 	if err != nil {
@@ -168,7 +136,7 @@ func testWatchCursorResume(t *testing.T, factory Factory) {
 	clientFor, cleanup := factory(t, s)
 	defer cleanup()
 	ctx := context.Background()
-	w := watcherOrSkip(t, clientFor("pa"))
+	w := backendFor(t, clientFor, "pa")
 
 	pa, err := store.NewPeer(ctx, "pa", s, TrustAll(1), clientFor("pa"))
 	if err != nil {
@@ -250,11 +218,7 @@ func testWatchCompactedEpochs(t *testing.T, factory Factory) {
 	clientFor, cleanup := factory(t, s)
 	defer cleanup()
 	ctx := context.Background()
-	w := watcherOrSkip(t, clientFor("pa"))
-	if !store.CanSnapshot(ctx, clientFor("pa")) {
-		t.Skipf("%T cannot snapshot", clientFor("pa"))
-	}
-	snapc := clientFor("pa").(store.Snapshotter)
+	st := backendFor(t, clientFor, "pa")
 
 	pa, err := store.NewPeer(ctx, "pa", s, TrustAll(1), clientFor("pa"))
 	if err != nil {
@@ -265,17 +229,17 @@ func testWatchCompactedEpochs(t *testing.T, factory Factory) {
 	mustEdit(t, pa, core.Insert("F", core.Strs("rat", "p2", "v"), "pa"))
 	mustCycle(t, pa)
 
-	snapEpoch, err := snapc.Snapshot(ctx)
+	snapEpoch, err := st.Snapshot(ctx)
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	if err := snapc.CompactBefore(ctx, snapEpoch); err != nil {
+	if err := st.CompactBefore(ctx, snapEpoch); err != nil {
 		t.Fatalf("compact through %d: %v", snapEpoch, err)
 	}
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ch, err := w.WatchFrom(cctx, 0)
+	ch, err := st.WatchFrom(cctx, 0)
 	if err != nil {
 		return // refused up front: correct
 	}
@@ -290,7 +254,7 @@ func testWatchCompactedEpochs(t *testing.T, factory Factory) {
 	}
 
 	// From the horizon itself the subscription works again.
-	ch, err = w.WatchFrom(cctx, snapEpoch)
+	ch, err = st.WatchFrom(cctx, snapEpoch)
 	if err != nil {
 		t.Fatalf("WatchFrom(%d) at the horizon: %v", snapEpoch, err)
 	}

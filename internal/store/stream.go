@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"orchestra/internal/core"
@@ -19,9 +20,7 @@ import (
 // frontier-driven, idempotency-keyed under a retrying client, and
 // crash-safe. A window can therefore never be skipped or double-applied no
 // matter how the subscription breaks and resumes — the store's per-peer
-// frontier, not the stream, defines window boundaries. Non-watching
-// backends (the DHT store) degrade to a polling ticker driving the same
-// step.
+// frontier, not the stream, defines window boundaries.
 
 // StreamResult reports one completed streaming step: the window's end
 // epoch (the peer's new reconciliation frontier) and the reconciliation
@@ -34,12 +33,9 @@ type StreamResult struct {
 	Batch  DecisionBatch
 }
 
-// StreamOptions tunes ReconcileStream. The zero value is usable: polling
-// and retry cadence get defaults, metrics and the observer stay off.
+// StreamOptions tunes ReconcileStream. The zero value is usable: the retry
+// cadence gets defaults, metrics and the observer stay off.
 type StreamOptions struct {
-	// Poll is the reconcile cadence against stores without watch support
-	// (default 50ms).
-	Poll time.Duration
 	// RetryBase/RetryMax bound the exponential backoff between retries of
 	// a transiently failing step or subscription (defaults 2ms / 100ms).
 	RetryBase time.Duration
@@ -54,9 +50,6 @@ type StreamOptions struct {
 }
 
 func (o StreamOptions) withDefaults() StreamOptions {
-	if o.Poll <= 0 {
-		o.Poll = 50 * time.Millisecond
-	}
 	if o.RetryBase <= 0 {
 		o.RetryBase = 2 * time.Millisecond
 	}
@@ -66,21 +59,21 @@ func (o StreamOptions) withDefaults() StreamOptions {
 	return o
 }
 
-// ReconcileStream reconciles continuously until ctx is done: against a
-// watching store it blocks on the subscription and steps once per stable
-// window; against anything else it polls. It returns nil when ctx ends the
-// stream and an error only for permanent failures (transient ones are
-// retried with backoff in place). The peer's other methods stay usable
+// ReconcileStream reconciles continuously until ctx is done: it blocks on
+// the store's watch subscription and steps once per stable window. It
+// returns nil when ctx ends the stream and an error only for permanent
+// failures (transient ones are retried with backoff in place) — a store
+// that is not a Watcher is one. The peer's other methods stay usable
 // concurrently — Edit and Publish interleave with streaming steps under
 // the peer's internal lock.
 func (p *Peer) ReconcileStream(ctx context.Context, opts StreamOptions) error {
+	w, ok := p.store.(Watcher)
+	if !ok {
+		return fmt.Errorf("store: %T cannot watch stable epochs, so it cannot stream", p.store)
+	}
 	opts = opts.withDefaults()
 	p.setStreaming(true)
 	defer p.setStreaming(false)
-	w, _ := p.store.(Watcher)
-	if w == nil || !CanWatch(ctx, p.store) {
-		return p.streamPolling(ctx, &opts)
-	}
 	return p.streamWatching(ctx, w, &opts)
 }
 
@@ -156,23 +149,6 @@ func (p *Peer) streamWatching(ctx context.Context, w Watcher, opts *StreamOption
 		}
 	}
 	return nil
-}
-
-// streamPolling is the degraded mode for stores without watch support: the
-// same step, driven by a ticker instead of the subscription.
-func (p *Peer) streamPolling(ctx context.Context, opts *StreamOptions) error {
-	ticker := time.NewTicker(opts.Poll)
-	defer ticker.Stop()
-	for {
-		if _, err := p.streamStepRetry(ctx, opts, time.Time{}); err != nil {
-			return err
-		}
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-ticker.C:
-		}
-	}
 }
 
 // streamStepRetry runs one step, retrying transient failures with capped

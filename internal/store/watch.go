@@ -6,13 +6,11 @@ import (
 	"orchestra/internal/core"
 )
 
-// Watching is the optional subscription capability: instead of polling
+// Watching is the Backend's subscription capability: instead of polling
 // BeginReconciliation for new stable epochs, a consumer subscribes once and
-// is woken whenever the stable frontier advances. Like Replayer/Snapshotter
-// it is an optional interface — central implements it natively (a
-// frontier-advance notification, no polling in-process), the remote client
-// proxies it as a resumable long-poll, and backends that cannot watch (the
-// DHT store) simply don't implement it and consumers degrade to polling.
+// is woken whenever the stable frontier advances. Central implements it
+// natively (a frontier-advance notification, no polling in-process) and the
+// remote client proxies it as a resumable long-poll.
 
 // WatchEvent reports that the stable frontier advanced: every epoch in
 // (From, To] became stable, carrying those epochs' published transactions in
@@ -38,20 +36,8 @@ type Watcher interface {
 	WatchFrom(ctx context.Context, from core.Epoch) (<-chan WatchEvent, error)
 }
 
-// WatchProber reports whether the store (or the backend behind a proxy)
-// supports watching. The remote client implements this with a capability
-// RPC so a proxy's answer reflects the actual backend.
-type WatchProber interface {
-	CanWatch(ctx context.Context) bool
-}
-
-// CanWatch reports whether st supports WatchFrom, asking a WatchProber if
-// the store is one (a proxy knows better than its static type) and falling
-// back to a type assertion.
-func CanWatch(ctx context.Context, st Store) bool {
-	if p, ok := st.(WatchProber); ok {
-		return p.CanWatch(ctx)
-	}
+// CanWatch reports whether st supports WatchFrom.
+func CanWatch(_ context.Context, st Store) bool {
 	_, ok := st.(Watcher)
 	return ok
 }

@@ -113,8 +113,8 @@ type (
 	// PublishedTxn is a transaction plus its antecedent set as shipped to
 	// the update store.
 	PublishedTxn = store.PublishedTxn
-	// Watcher is the optional store capability of subscribing to newly
-	// stable epochs (Store implementations may also be WatchProbers).
+	// Watcher is the store capability of subscribing to newly stable
+	// epochs; RunStreaming needs it of every peer's store.
 	Watcher = store.Watcher
 	// WatchEvent is one window of newly stable epochs delivered to a watch
 	// subscription.
@@ -221,7 +221,6 @@ var (
 	// StateRatio computes the paper's sharing-quality metric over
 	// instances: the average number of distinct per-key states.
 	StateRatio = metrics.StateRatio
-	// CanWatch reports whether a store supports watch subscriptions,
-	// consulting its capability probe when it has one.
+	// CanWatch reports whether a store is a Watcher.
 	CanWatch = store.CanWatch
 )

@@ -11,10 +11,8 @@ import (
 
 	"orchestra/internal/core"
 	"orchestra/internal/metrics"
-	"orchestra/internal/simnet"
 	"orchestra/internal/store"
 	"orchestra/internal/store/central"
-	"orchestra/internal/store/dhtstore"
 )
 
 // System wires a confederation of peers to an update store. It is a
@@ -23,15 +21,12 @@ import (
 type System struct {
 	schema   *Schema
 	cs       *central.Store
-	cluster  *dhtstore.Cluster
-	net      *simnet.Network
 	peers    map[PeerID]*Peer
 	order    []PeerID
 	fanout   int
 	storeFor func(core.PeerID) (store.Store, error)
 	pstats   metrics.Pipeline
 
-	streamPoll      time.Duration
 	streamRetryBase time.Duration
 	streamRetryMax  time.Duration
 	streamObs       func(store.StreamResult)
@@ -41,13 +36,10 @@ type System struct {
 type SystemOption func(*systemConfig)
 
 type systemConfig struct {
-	dir         string
-	distributed bool
-	latency     time.Duration
-	fanout      int
-	storeFor    func(core.PeerID) (store.Store, error)
+	dir      string
+	fanout   int
+	storeFor func(core.PeerID) (store.Store, error)
 
-	streamPoll      time.Duration
 	streamRetryBase time.Duration
 	streamRetryMax  time.Duration
 	streamObs       func(store.StreamResult)
@@ -56,16 +48,6 @@ type systemConfig struct {
 // WithStoreDir makes the central store durable in the given directory.
 func WithStoreDir(dir string) SystemOption {
 	return func(c *systemConfig) { c.dir = dir }
-}
-
-// WithDistributedStore uses the DHT-based update store with the given
-// per-message latency (the paper's 500µs if zero). Each added peer joins
-// the overlay as a storage node.
-func WithDistributedStore(latency time.Duration) SystemOption {
-	return func(c *systemConfig) {
-		c.distributed = true
-		c.latency = latency
-	}
 }
 
 // WithReconcileFanOut bounds the number of peers ReconcileAll drives
@@ -84,13 +66,6 @@ func WithReconcileFanOut(n int) SystemOption {
 // nil) and the factory's target outlives Close.
 func WithPeerStores(factory func(core.PeerID) (store.Store, error)) SystemOption {
 	return func(c *systemConfig) { c.storeFor = factory }
-}
-
-// WithStreamPoll sets the reconcile cadence RunStreaming uses against
-// stores without watch support (default 50ms). Watching stores ignore it:
-// they block on the subscription instead of polling.
-func WithStreamPoll(d time.Duration) SystemOption {
-	return func(c *systemConfig) { c.streamPoll = d }
 }
 
 // WithStreamRetry bounds the exponential backoff RunStreaming applies to
@@ -120,21 +95,11 @@ func NewSystem(schema *Schema, opts ...SystemOption) (*System, error) {
 		fanout:   cfg.fanout,
 		storeFor: cfg.storeFor,
 
-		streamPoll:      cfg.streamPoll,
 		streamRetryBase: cfg.streamRetryBase,
 		streamRetryMax:  cfg.streamRetryMax,
 		streamObs:       cfg.streamObs,
 	}
 	if cfg.storeFor != nil {
-		return sys, nil
-	}
-	if cfg.distributed {
-		lat := cfg.latency
-		if lat <= 0 {
-			lat = simnet.DefaultLatency
-		}
-		sys.net = simnet.NewVirtual(lat)
-		sys.cluster = dhtstore.NewCluster(sys.net)
 		return sys, nil
 	}
 	cs, err := central.Open(schema, cfg.dir)
@@ -154,22 +119,13 @@ func (s *System) AddPeer(id PeerID, t Trust) (*Peer, error) {
 	if _, dup := s.peers[id]; dup {
 		return nil, fmt.Errorf("orchestra: peer %s already exists", id)
 	}
-	var st store.Store
-	switch {
-	case s.storeFor != nil:
+	var st store.Store = s.cs
+	if s.storeFor != nil {
 		cl, err := s.storeFor(id)
 		if err != nil {
 			return nil, err
 		}
 		st = cl
-	case s.cluster != nil:
-		cl, err := s.cluster.AddNode("node-" + string(id))
-		if err != nil {
-			return nil, err
-		}
-		st = cl
-	default:
-		st = s.cs
 	}
 	p, err := store.NewPeer(context.Background(), id, s.schema, t, st)
 	if err != nil {
@@ -340,7 +296,7 @@ func (s *System) reconcileWaves(ctx context.Context, fan int, results []*Result,
 // RunStreaming runs the incremental reconcile loop for every peer until
 // ctx is done, replacing the round barrier of ReconcileAll: each peer
 // subscribes to newly stable epochs via its store's watch capability
-// (Store.WatchFrom, degrading to polling where the store cannot watch) and
+// (Watcher.WatchFrom; a peer store without it fails that peer's stream) and
 // reconciles each stable window as it arrives, overlapping publish,
 // reconcile, and decision flush across the confederation. Publishing is
 // the application's job — Edit and Publish stay usable concurrently while
@@ -363,7 +319,6 @@ func (s *System) RunStreaming(ctx context.Context) error {
 		go func(i int, p *Peer) {
 			defer wg.Done()
 			err := p.ReconcileStream(ctx, store.StreamOptions{
-				Poll:      s.streamPoll,
 				RetryBase: s.streamRetryBase,
 				RetryMax:  s.streamRetryMax,
 				Metrics:   &s.pstats,
@@ -408,26 +363,10 @@ func (s *System) forEachPeer(fan int, fn func(i int)) {
 // batching stats) collected by ReconcileAll.
 func (s *System) Pipeline() *metrics.Pipeline { return &s.pstats }
 
-// CentralStore returns the backing central store (nil for a distributed
-// system); it exposes the store's sharding/batching counters to embedders.
+// CentralStore returns the backing central store (nil under
+// WithPeerStores); it exposes the store's sharding/batching counters to
+// embedders.
 func (s *System) CentralStore() *central.Store { return s.cs }
-
-// Messages returns the DHT fabric traffic (0 for the central store).
-func (s *System) Messages() int64 {
-	if s.net == nil {
-		return 0
-	}
-	return s.net.Stats().Messages()
-}
-
-// NetworkLatency returns the total simulated network latency charged so
-// far (0 for the central store).
-func (s *System) NetworkLatency() time.Duration {
-	if s.net == nil {
-		return 0
-	}
-	return s.net.VirtualLatency()
-}
 
 // Close releases the store.
 func (s *System) Close() error {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -239,7 +240,7 @@ func waitStream(t *testing.T, mu *sync.Mutex, what string, cond func() bool) {
 // driver only edits and publishes; reconciliation and decision flushing
 // happen on the per-peer streams, with the round barrier expressed as
 // "every stream frontier has passed this round's epoch".
-func runStreamingScenario(t *testing.T, hideWatch bool, storeOpts ...central.Option) (streamScenarioResult, PipelineSnapshot) {
+func runStreamingScenario(t *testing.T, storeOpts ...central.Option) (streamScenarioResult, PipelineSnapshot) {
 	t.Helper()
 	ctx := context.Background()
 	cs, err := central.Open(streamSchema(), "", storeOpts...)
@@ -261,16 +262,9 @@ func runStreamingScenario(t *testing.T, hideWatch bool, storeOpts ...central.Opt
 		}
 		recordOutcome(outcomes, r.Peer, r.Result)
 	}
-	factory := func(core.PeerID) (store.Store, error) {
-		if hideWatch {
-			return unwatchable{cs}, nil
-		}
-		return cs, nil
-	}
 	sys, err := NewSystem(streamSchema(),
-		WithPeerStores(factory),
+		WithPeerStores(func(core.PeerID) (store.Store, error) { return cs, nil }),
 		WithStreamObserver(obs),
-		WithStreamPoll(2*time.Millisecond),
 		WithStreamRetry(time.Millisecond, 20*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -333,13 +327,9 @@ func runStreamingScenario(t *testing.T, hideWatch bool, storeOpts ...central.Opt
 	return streamFingerprint(peers, universe, outcomes), sys.Pipeline().Snapshot()
 }
 
-// unwatchable hides every optional capability of the wrapped store, so the
-// streaming loop must take the polling fallback.
-type unwatchable struct{ store.Store }
-
-func diffStreamResults(t *testing.T, got, want streamScenarioResult, withTranscripts bool) {
+func diffStreamResults(t *testing.T, got, want streamScenarioResult) {
 	t.Helper()
-	if withTranscripts && !reflect.DeepEqual(got.Outcomes, want.Outcomes) {
+	if !reflect.DeepEqual(got.Outcomes, want.Outcomes) {
 		t.Errorf("decision transcripts diverge:\n got %+v\nwant %+v", got.Outcomes, want.Outcomes)
 	}
 	if !reflect.DeepEqual(got.Instances, want.Instances) {
@@ -385,8 +375,8 @@ func TestStreamingDifferential(t *testing.T) {
 			if compact {
 				opts = append(opts, central.WithSnapshotEvery(2), central.WithCompactKeep(1))
 			}
-			got, pstats := runStreamingScenario(t, false, opts...)
-			diffStreamResults(t, got, ref, true)
+			got, pstats := runStreamingScenario(t, opts...)
+			diffStreamResults(t, got, ref)
 			// The lag counters are live on the streaming path.
 			if pstats.StreamPublishStable == 0 {
 				t.Error("no publish-to-stable latencies observed")
@@ -398,13 +388,19 @@ func TestStreamingDifferential(t *testing.T) {
 	}
 }
 
-// TestStreamingPollingFallback: against a store without watch support the
-// loop degrades to polling and must converge to the identical final state.
-// The per-window transcript is exempt here by design — a polling step runs
-// on a timer, so carried deferrals are re-reported once per tick rather
-// than once per round; windows differ, final state may not.
-func TestStreamingPollingFallback(t *testing.T) {
-	ref := runRoundScenario(t)
-	got, _ := runStreamingScenario(t, true)
-	diffStreamResults(t, got, ref, false)
+// TestStreamingNeedsWatcher: a store that is only the six-method
+// store.Store cannot stream, and the stream says so at once instead of
+// retrying.
+func TestStreamingNeedsWatcher(t *testing.T) {
+	ctx := context.Background()
+	cs := central.MustOpenMemory(streamSchema())
+	defer cs.Close()
+	p, err := store.NewPeer(ctx, "pa", streamSchema(), TrustAll(1), struct{ store.Store }{cs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = p.ReconcileStream(ctx, StreamOptions{})
+	if err == nil || store.IsTransient(err) || !strings.Contains(err.Error(), "cannot watch") {
+		t.Fatalf("ReconcileStream over a bare store.Store: %v, want a permanent cannot-watch error", err)
+	}
 }

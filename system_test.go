@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 )
 
 func TestSystemCentralQuickstart(t *testing.T) {
@@ -48,9 +47,6 @@ func TestSystemCentralQuickstart(t *testing.T) {
 	if got := StateRatio(sys.Instances(), "F"); got != 1 {
 		t.Errorf("state ratio = %v", got)
 	}
-	if sys.Messages() != 0 || sys.NetworkLatency() != 0 {
-		t.Error("central system should report no network activity")
-	}
 	if p, ok := sys.Peer("alice"); !ok || p != alice {
 		t.Error("Peer lookup")
 	}
@@ -62,98 +58,55 @@ func TestSystemCentralQuickstart(t *testing.T) {
 	}
 }
 
-func TestSystemDistributed(t *testing.T) {
-	ctx := context.Background()
-	schema := MustSchema(NewRelation("F", 2, "organism", "protein", "function"))
-	sys, err := NewSystem(schema, WithDistributedStore(200*time.Microsecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	for _, id := range []PeerID{"a", "b", "c"} {
-		if _, err := sys.AddPeer(id, TrustAll(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a, _ := sys.Peer("a")
-	if _, err := a.Edit(Insert("F", Strs("rat", "p1", "v"), "a")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.ReconcileAll(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if sys.Messages() == 0 {
-		t.Error("distributed system should generate traffic")
-	}
-	if sys.NetworkLatency() <= 0 {
-		t.Error("latency should be charged")
-	}
-	b, _ := sys.Peer("b")
-	if b.Instance().Len("F") != 1 {
-		t.Errorf("b's instance: %v", b.Instance().Tuples("F"))
-	}
-	if d := sys.DeferredAcross(); d["a"] != 0 || d["b"] != 0 {
-		t.Errorf("deferred = %v", d)
-	}
-}
-
-// TestSystemReconcileAllFanOut forces the parallel two-phase ReconcileAll
-// over both store kinds: because every peer publishes before anyone
-// reconciles, one round suffices for full convergence on disjoint keys.
+// TestSystemReconcileAllFanOut forces the parallel two-phase ReconcileAll:
+// because every peer publishes before anyone reconciles, one round suffices
+// for full convergence on disjoint keys.
 func TestSystemReconcileAllFanOut(t *testing.T) {
 	ctx := context.Background()
-	for _, distributed := range []bool{false, true} {
-		name := "central"
-		opts := []SystemOption{WithReconcileFanOut(4)}
-		if distributed {
-			name = "distributed"
-			opts = append(opts, WithDistributedStore(100*time.Microsecond))
+	t.Run("central", func(t *testing.T) {
+		schema := MustSchema(NewRelation("F", 2, "organism", "protein", "function"))
+		sys, err := NewSystem(schema, WithReconcileFanOut(4))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			schema := MustSchema(NewRelation("F", 2, "organism", "protein", "function"))
-			sys, err := NewSystem(schema, opts...)
+		defer sys.Close()
+		const n = 6
+		for i := 0; i < n; i++ {
+			id := PeerID(fmt.Sprintf("p%d", i))
+			p, err := sys.AddPeer(id, TrustAll(1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer sys.Close()
-			const n = 6
-			for i := 0; i < n; i++ {
-				id := PeerID(fmt.Sprintf("p%d", i))
-				p, err := sys.AddPeer(id, TrustAll(1))
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Disjoint keys: no conflicts, everything converges.
-				if _, err := p.Edit(Insert("F", Strs("org", fmt.Sprintf("prot%d", i), "v"), id)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			results, err := sys.ReconcileAll(ctx)
-			if err != nil {
+			// Disjoint keys: no conflicts, everything converges.
+			if _, err := p.Edit(Insert("F", Strs("org", fmt.Sprintf("prot%d", i), "v"), id)); err != nil {
 				t.Fatal(err)
 			}
-			if len(results) != n {
-				t.Fatalf("got %d results, want %d", len(results), n)
+		}
+		results, err := sys.ReconcileAll(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != n {
+			t.Fatalf("got %d results, want %d", len(results), n)
+		}
+		// Publish-barrier semantics: every peer imports all n-1 others'
+		// transactions in this single round.
+		for id, res := range results {
+			if len(res.Accepted) != n-1 {
+				t.Errorf("%s accepted %d txns, want %d", id, len(res.Accepted), n-1)
 			}
-			// Publish-barrier semantics: every peer imports all n-1 others'
-			// transactions in this single round.
-			for id, res := range results {
-				if len(res.Accepted) != n-1 {
-					t.Errorf("%s accepted %d txns, want %d", id, len(res.Accepted), n-1)
-				}
-			}
-			if got := StateRatio(sys.Instances(), "F"); got != 1 {
-				t.Errorf("state ratio = %v after one fan-out round", got)
-			}
-			snap := sys.Pipeline().Snapshot()
-			if snap.Reconciles != n {
-				t.Errorf("pipeline observed %d reconciles, want %d", snap.Reconciles, n)
-			}
-			if snap.WorkersBusy != 0 || snap.WorkersBusyPeak < 1 {
-				t.Errorf("busy gauge: %+v", snap)
-			}
-		})
-	}
+		}
+		if got := StateRatio(sys.Instances(), "F"); got != 1 {
+			t.Errorf("state ratio = %v after one fan-out round", got)
+		}
+		snap := sys.Pipeline().Snapshot()
+		if snap.Reconciles != n {
+			t.Errorf("pipeline observed %d reconciles, want %d", snap.Reconciles, n)
+		}
+		if snap.WorkersBusy != 0 || snap.WorkersBusyPeak < 1 {
+			t.Errorf("busy gauge: %+v", snap)
+		}
+	})
 }
 
 // TestSystemDurableFanOutRace: transactions recovered from a durable store
