@@ -47,12 +47,13 @@ bench-smoke:
 # the streaming cells that cut the watch stream mid-flight) and the
 # 16/32-peer scale matrix (churn, asymmetric partitions, store crash
 # composed with client rebuild, slow store — see docs/FAULTS.md) — and the
-# fabric/retry unit layer under the race detector. make verify covers
-# these too; this target runs them by name so a chaos regression is
-# unmissable in CI.
+# fabric/retry unit layer under the race detector, with the rpc.Client
+# pool's cut-connection test (one client shared by a watch loop and store
+# calls is the production shape). make verify covers these too; this target
+# runs them by name so a chaos regression is unmissable in CI.
 chaos-smoke:
 	$(GO) test -race -count=1 -run '^TestChaosMatrix|^TestScaleMatrix' .
-	$(GO) test -race -count=1 -run '^TestFault|^TestOneWayPartition|^TestCrashRestart|^TestLinkFaults|^TestRetry' ./internal/simnet ./internal/rpc
+	$(GO) test -race -count=1 -run '^TestFault|^TestOneWayPartition|^TestCrashRestart|^TestLinkFaults|^TestRetry|^TestClientSharedAcrossGoroutinesSurvivesDrops$$' ./internal/simnet ./internal/rpc
 
 # gateway-smoke runs the gateway contract suite under the race detector
 # (auth, per-group rate limits, backpressure shedding, idempotent retry

@@ -1,6 +1,6 @@
 // Package btree implements an in-memory B-tree with ordered iteration,
-// generic over key and value types. It backs the tables and indexes of the
-// reldb relational engine used by the central update store.
+// generic over key and value types. It backs the tables of the reldb
+// relational engine used by the central update store.
 //
 // The tree is not safe for concurrent use; reldb serializes access.
 package btree
@@ -303,38 +303,4 @@ func (t *Tree[K, V]) ascend(n *node[K, V], fn func(K, V) bool) bool {
 		return t.ascend(n.children[len(n.children)-1], fn)
 	}
 	return true
-}
-
-// AscendRange visits items with ge <= key < lt in ascending order until fn
-// returns false.
-func (t *Tree[K, V]) AscendRange(ge, lt K, fn func(key K, val V) bool) {
-	t.ascendRange(t.root, ge, lt, fn)
-}
-
-func (t *Tree[K, V]) ascendRange(n *node[K, V], ge, lt K, fn func(K, V) bool) bool {
-	if n == nil {
-		return true
-	}
-	i := sort.Search(len(n.items), func(i int) bool { return !t.less(n.items[i].key, ge) })
-	for ; i < len(n.items); i++ {
-		if n.children != nil && !t.ascendRange(n.children[i], ge, lt, fn) {
-			return false
-		}
-		if !t.less(n.items[i].key, lt) {
-			return false
-		}
-		if !fn(n.items[i].key, n.items[i].val) {
-			return false
-		}
-	}
-	if n.children != nil {
-		return t.ascendRange(n.children[len(n.children)-1], ge, lt, fn)
-	}
-	return true
-}
-
-// Clear removes all items.
-func (t *Tree[K, V]) Clear() {
-	t.root = nil
-	t.size = 0
 }

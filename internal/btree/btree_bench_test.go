@@ -48,19 +48,3 @@ func BenchmarkDelete(b *testing.B) {
 		tr.Delete(i)
 	}
 }
-
-func BenchmarkAscendRange(b *testing.B) {
-	tr := intTree()
-	const n = 100_000
-	for i := 0; i < n; i++ {
-		tr.Put(i, "v")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		count := 0
-		tr.AscendRange(n/2, n/2+100, func(int, string) bool {
-			count++
-			return true
-		})
-	}
-}

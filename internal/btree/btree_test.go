@@ -121,69 +121,6 @@ func TestAscendOrder(t *testing.T) {
 	}
 }
 
-func TestAscendRange(t *testing.T) {
-	tr := intTree()
-	for i := 0; i < 100; i++ {
-		tr.Put(i*2, "") // even keys 0..198
-	}
-	var got []int
-	tr.AscendRange(10, 30, func(k int, _ string) bool {
-		got = append(got, k)
-		return true
-	})
-	want := []int{10, 12, 14, 16, 18, 20, 22, 24, 26, 28}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	// Range starting between keys.
-	got = got[:0]
-	tr.AscendRange(11, 15, func(k int, _ string) bool {
-		got = append(got, k)
-		return true
-	})
-	if len(got) != 2 || got[0] != 12 || got[1] != 14 {
-		t.Fatalf("got %v", got)
-	}
-	// Empty range.
-	got = got[:0]
-	tr.AscendRange(15, 15, func(k int, _ string) bool {
-		got = append(got, k)
-		return true
-	})
-	if len(got) != 0 {
-		t.Fatalf("empty range got %v", got)
-	}
-	// Early stop in range.
-	n := 0
-	tr.AscendRange(0, 1000, func(k int, _ string) bool {
-		n++
-		return n < 5
-	})
-	if n != 5 {
-		t.Errorf("early stop in range visited %d", n)
-	}
-}
-
-func TestClear(t *testing.T) {
-	tr := intTree()
-	for i := 0; i < 100; i++ {
-		tr.Put(i, "")
-	}
-	tr.Clear()
-	if tr.Len() != 0 || tr.Has(5) {
-		t.Error("Clear did not empty the tree")
-	}
-	tr.Put(1, "x")
-	if tr.Len() != 1 {
-		t.Error("tree unusable after Clear")
-	}
-}
-
 // TestAgainstReference drives random operations against a map+sort oracle.
 func TestAgainstReference(t *testing.T) {
 	tr := intTree()

@@ -134,14 +134,3 @@ func (g *AntecedentGraph) Extension(root TxnID, applied func(TxnID) bool) ([]*Tr
 	sort.Slice(out, func(i, j int) bool { return out[i].Order < out[j].Order })
 	return out, nil
 }
-
-// ExtensionIDs is Extension returning the ID set, for subsumption checks.
-func (g *AntecedentGraph) ExtensionIDs(root TxnID, applied func(TxnID) bool) (TxnSet, error) {
-	xs, err := g.Extension(root, applied)
-	if err != nil {
-		return nil, err
-	}
-	set := make(TxnSet, len(xs))
-	set.AddAll(xs)
-	return set, nil
-}

@@ -116,11 +116,6 @@ func TestExtensionTransitiveClosure(t *testing.T) {
 	if _, err := g.Extension(xid("zz", 1), nil); err == nil {
 		t.Error("extension of unpublished txn should fail")
 	}
-
-	ids, err := g.ExtensionIDs(x2.ID, nil)
-	if err != nil || len(ids) != 3 {
-		t.Errorf("ExtensionIDs = %v, %v", ids, err)
-	}
 }
 
 func TestExtensionDiamond(t *testing.T) {

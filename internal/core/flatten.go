@@ -189,16 +189,6 @@ func Flatten(s *Schema, updates []Update) ([]Update, error) {
 	return out, nil
 }
 
-// MustFlatten is Flatten that panics on malformed input; used where the
-// sequence is known to be well-formed (e.g. produced by the engine itself).
-func MustFlatten(s *Schema, updates []Update) []Update {
-	out, err := Flatten(s, updates)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // sortUpdates orders updates deterministically: by relation, tuple encoding,
 // op, then replacement encoding. It uses the per-update encoding caches when
 // present, so the comparator does not re-encode tuples on every comparison.

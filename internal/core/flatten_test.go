@@ -183,16 +183,6 @@ func TestFlattenErrors(t *testing.T) {
 	}
 }
 
-func TestMustFlattenPanics(t *testing.T) {
-	s := flatSchema(t)
-	defer func() {
-		if recover() == nil {
-			t.Error("MustFlatten should panic on malformed input")
-		}
-	}()
-	MustFlatten(s, []Update{Insert("Z", Strs("a", "b", "c"), "x")})
-}
-
 // genUpdateSeq produces a random well-formed update sequence against a
 // scratch instance, so that the sequence is applicable from the base state.
 func genUpdateSeq(r *rand.Rand, s *Schema, base *Instance, n int) []Update {

@@ -32,9 +32,9 @@ import (
 	"orchestra/internal/trust"
 )
 
-// GroupHeader selects the tenant group a request belongs to; the rate
-// limiter buckets by its value (empty = the default group), and a
-// multi-group gateway routes to the group's store.
+// GroupHeader names the tenant group a request is charged to: the rate
+// limiter buckets by its value (empty = the default group). It selects
+// nothing else — a gateway serves one store.
 const GroupHeader = "X-Orchestra-Group"
 
 // IdempotencyKeyHeader carries the client-minted key for safe retries of
@@ -69,10 +69,6 @@ type Options struct {
 	// WatchWait caps a long-poll watch round trip (default 10s).
 	WatchWait time.Duration
 
-	// Stores resolves a group name to its store for multi-group serving.
-	// nil = every group is served by the gateway's single store.
-	Stores func(group string) (store.Store, error)
-
 	// Counters receives the gateway's health signals; nil = uninstrumented.
 	Counters *metrics.GatewayCounters
 }
@@ -89,7 +85,7 @@ type Gateway struct {
 	started time.Time
 }
 
-// New builds a gateway over st (the default group's store).
+// New builds a gateway over st.
 func New(st store.Store, schema *core.Schema, opts Options) *Gateway {
 	if opts.MaxInFlight == 0 {
 		opts.MaxInFlight = 64
@@ -185,15 +181,6 @@ func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 }
 
-// storeFor resolves the request's group to its backing store.
-func (g *Gateway) storeFor(r *http.Request) (store.Store, error) {
-	group := r.Header.Get(GroupHeader)
-	if g.opts.Stores == nil || group == "" {
-		return g.st, nil
-	}
-	return g.opts.Stores(group)
-}
-
 // writeErr maps a store error to the HTTP vocabulary: transient faults are
 // 503 (safe to retry, with a hint), unknown peers 404, bad requests 400.
 func (g *Gateway) writeErr(w http.ResponseWriter, err error) {
@@ -233,10 +220,7 @@ func writeJSON(w http.ResponseWriter, v any) error {
 // opCtx attaches the client's idempotency key, if any, to the operation's
 // context so the store's dedup layer sees it.
 func opCtx(r *http.Request) context.Context {
-	if k := r.Header.Get(IdempotencyKeyHeader); k != "" {
-		return store.WithIdempotencyKey(r.Context(), store.IdempotencyKey(k))
-	}
-	return r.Context()
+	return store.WithIdempotencyKey(r.Context(), store.IdempotencyKey(r.Header.Get(IdempotencyKeyHeader)))
 }
 
 // --- Handlers ---
@@ -266,11 +250,7 @@ func (g *Gateway) handleRegister(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return badRequest{fmt.Errorf("policy: %w", err)}
 	}
-	st, err := g.storeFor(r)
-	if err != nil {
-		return err
-	}
-	if err := st.RegisterPeer(opCtx(r), core.PeerID(req.Peer), pol); err != nil {
+	if err := g.st.RegisterPeer(opCtx(r), core.PeerID(req.Peer), pol); err != nil {
 		return err
 	}
 	return writeJSON(w, map[string]any{"ok": true})
@@ -295,11 +275,7 @@ func (g *Gateway) handlePublish(w http.ResponseWriter, r *http.Request) error {
 		}
 		pts[i] = pt
 	}
-	st, err := g.storeFor(r)
-	if err != nil {
-		return err
-	}
-	epoch, err := st.Publish(opCtx(r), peer, pts)
+	epoch, err := g.st.Publish(opCtx(r), peer, pts)
 	if err != nil {
 		return err
 	}
@@ -320,11 +296,7 @@ func (g *Gateway) handleBegin(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	st, err := g.storeFor(r)
-	if err != nil {
-		return err
-	}
-	rec, err := st.BeginReconciliation(opCtx(r), core.PeerID(req.Peer))
+	rec, err := g.st.BeginReconciliation(opCtx(r), core.PeerID(req.Peer))
 	if err != nil {
 		return err
 	}
@@ -356,11 +328,7 @@ func (g *Gateway) handleDecide(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	st, err := g.storeFor(r)
-	if err != nil {
-		return err
-	}
-	if err := st.RecordDecisions(opCtx(r), core.PeerID(req.Peer), req.Recno,
+	if err := g.st.RecordDecisions(opCtx(r), core.PeerID(req.Peer), req.Recno,
 		wireIDs(req.Accepted), wireIDs(req.Rejected)); err != nil {
 		return err
 	}
@@ -383,11 +351,7 @@ func (g *Gateway) handleDecideBatch(w http.ResponseWriter, r *http.Request) erro
 			Rejected: wireIDs(b.Rejected),
 		}
 	}
-	st, err := g.storeFor(r)
-	if err != nil {
-		return err
-	}
-	if err := st.RecordDecisionsBatch(opCtx(r), batches); err != nil {
+	if err := g.st.RecordDecisionsBatch(opCtx(r), batches); err != nil {
 		return err
 	}
 	return writeJSON(w, map[string]any{"ok": true})
@@ -398,11 +362,7 @@ func (g *Gateway) handleRecno(w http.ResponseWriter, r *http.Request) error {
 	if peer == "" {
 		return badRequest{errors.New("missing peer parameter")}
 	}
-	st, err := g.storeFor(r)
-	if err != nil {
-		return err
-	}
-	n, err := st.CurrentRecno(r.Context(), core.PeerID(peer))
+	n, err := g.st.CurrentRecno(r.Context(), core.PeerID(peer))
 	if err != nil {
 		return err
 	}
@@ -412,25 +372,17 @@ func (g *Gateway) handleRecno(w http.ResponseWriter, r *http.Request) error {
 // handleCapabilities reports the static method set of the store the gateway
 // was given; nothing is asked of the backend at run time.
 func (g *Gateway) handleCapabilities(w http.ResponseWriter, r *http.Request) error {
-	st, err := g.storeFor(r)
-	if err != nil {
-		return err
-	}
 	ctx := r.Context()
 	return writeJSON(w, map[string]bool{
-		"replay":   store.CanReplay(ctx, st),
-		"snapshot": store.CanSnapshot(ctx, st),
-		"watch":    store.CanWatch(ctx, st),
-		"dedupe":   store.CanDedupe(ctx, st),
+		"replay":   store.CanReplay(ctx, g.st),
+		"snapshot": store.CanSnapshot(ctx, g.st),
+		"watch":    store.CanWatch(ctx, g.st),
+		"dedupe":   store.CanDedupe(ctx, g.st),
 	})
 }
 
 func (g *Gateway) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
-	st, err := g.storeFor(r)
-	if err != nil {
-		return err
-	}
-	sn, ok := st.(store.Snapshotter)
+	sn, ok := g.st.(store.Snapshotter)
 	if !ok {
 		return badRequest{errors.New("backend does not support snapshots")}
 	}
@@ -442,11 +394,7 @@ func (g *Gateway) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (g *Gateway) handleSnapshotLatest(w http.ResponseWriter, r *http.Request) error {
-	st, err := g.storeFor(r)
-	if err != nil {
-		return err
-	}
-	sr, ok := st.(store.SnapshotReplayer)
+	sr, ok := g.st.(store.SnapshotReplayer)
 	if !ok {
 		return badRequest{errors.New("backend does not support snapshots")}
 	}
@@ -473,13 +421,10 @@ func (g *Gateway) handleReplay(w http.ResponseWriter, r *http.Request) error {
 	if peer == "" {
 		return badRequest{errors.New("missing peer parameter")}
 	}
-	st, err := g.storeFor(r)
-	if err != nil {
-		return err
-	}
 	var (
 		txns      []store.PublishedTxn
 		decisions map[core.TxnID]core.RestoredDecision
+		err       error
 	)
 	if q.Get("from") != "" {
 		from, err1 := strconv.ParseInt(q.Get("from"), 10, 64)
@@ -487,13 +432,13 @@ func (g *Gateway) handleReplay(w http.ResponseWriter, r *http.Request) error {
 		if err1 != nil || (q.Get("after_seq") != "" && err2 != nil) {
 			return badRequest{errors.New("bad from/after_seq parameters")}
 		}
-		sr, ok := st.(store.SnapshotReplayer)
+		sr, ok := g.st.(store.SnapshotReplayer)
 		if !ok {
 			return badRequest{errors.New("backend does not support tail replay")}
 		}
 		txns, decisions, err = sr.ReplayFrom(r.Context(), peer, core.Epoch(from), afterSeq)
 	} else {
-		rp, ok := st.(store.Replayer)
+		rp, ok := g.st.(store.Replayer)
 		if !ok {
 			return badRequest{errors.New("backend does not support replay")}
 		}
@@ -545,11 +490,7 @@ func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) error {
 			return badRequest{errors.New("bad from parameter")}
 		}
 	}
-	st, err := g.storeFor(r)
-	if err != nil {
-		return err
-	}
-	wt, ok := st.(store.Watcher)
+	wt, ok := g.st.(store.Watcher)
 	if !ok {
 		return badRequest{errors.New("backend does not support watch")}
 	}

@@ -17,7 +17,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"orchestra/internal/core"
 )
@@ -103,15 +102,6 @@ func Summarize(samples []float64) Summary {
 		Std:  std,
 		CI95: tCritical(n-1) * std / math.Sqrt(float64(n)),
 	}
-}
-
-// SummarizeDurations is Summarize over time.Durations, in seconds.
-func SummarizeDurations(ds []time.Duration) Summary {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Seconds()
-	}
-	return Summarize(out)
 }
 
 // String renders "mean ± ci".

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"testing"
-	"time"
 
 	"orchestra/internal/core"
 )
@@ -110,13 +109,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.String() == "" || Summarize([]float64{1}).String() == "" {
 		t.Error("String renders empty")
-	}
-}
-
-func TestSummarizeDurations(t *testing.T) {
-	s := SummarizeDurations([]time.Duration{time.Second, 3 * time.Second})
-	if math.Abs(s.Mean-2) > 1e-9 {
-		t.Errorf("duration mean = %v", s.Mean)
 	}
 }
 

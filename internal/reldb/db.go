@@ -1,5 +1,5 @@
 // Package reldb is a small relational storage engine: typed tables with
-// primary keys and secondary indexes over copy-on-read B-trees, atomic
+// primary keys over copy-on-read B-trees, atomic
 // read-write transactions with rollback, named sequences, and durability
 // through a write-ahead log plus snapshot checkpoints (package wal).
 //
@@ -52,8 +52,8 @@ import (
 // ErrClosed is returned by operations on a closed database.
 var ErrClosed = errors.New("reldb: database closed")
 
-// ErrDuplicateKey is returned when an insert or unique index would create a
-// duplicate.
+// ErrDuplicateKey is returned when an insert would create a duplicate
+// primary key.
 var ErrDuplicateKey = errors.New("reldb: duplicate key")
 
 // ErrNoTable is returned for operations on undeclared tables.
@@ -93,31 +93,16 @@ type DB struct {
 type table struct {
 	// mu is the table lock: Update transactions hold it exclusively from
 	// first touch to commit, View transactions hold it shared.
-	mu      sync.RWMutex
-	def     TableDef
-	rows    *btree.Tree[string, Row]
-	indexes []*index
+	mu   sync.RWMutex
+	def  TableDef
+	rows *btree.Tree[string, Row]
 	// pending is non-nil while the transaction that created this table is
 	// still uncommitted; other transactions treat the table as absent.
 	pending *Tx
 }
 
-type index struct {
-	def IndexDef
-	// entries are keyed by encoded(index cols) + encoded(pk); values are
-	// the pk encoding, so prefix scans enumerate matching rows.
-	tree *btree.Tree[string, string]
-}
-
 func newTable(def TableDef) *table {
-	t := &table{def: def, rows: btree.New[string, Row](func(a, b string) bool { return a < b })}
-	for _, ix := range def.Indexes {
-		t.indexes = append(t.indexes, &index{
-			def:  ix,
-			tree: btree.New[string, string](func(a, b string) bool { return a < b }),
-		})
-	}
-	return t
+	return &table{def: def, rows: btree.New[string, Row](func(a, b string) bool { return a < b })}
 }
 
 // Options configure a DB.
@@ -325,14 +310,7 @@ func (db *DB) applyOps(batch []walOp) error {
 }
 
 // put inserts or replaces a row (no constraint checks; callers check).
-func (t *table) put(r Row) {
-	pk := t.def.pkEnc(r)
-	if old, existed := t.rows.Get(pk); existed {
-		t.unindex(old, pk)
-	}
-	t.rows.Put(pk, r)
-	t.index(r, pk)
-}
+func (t *table) put(r Row) { t.rows.Put(t.def.pkEnc(r), r) }
 
 func (t *table) deleteByPK(pk string) (Row, bool) {
 	old, ok := t.rows.Get(pk)
@@ -340,43 +318,7 @@ func (t *table) deleteByPK(pk string) (Row, bool) {
 		return nil, false
 	}
 	t.rows.Delete(pk)
-	t.unindex(old, pk)
 	return old, true
-}
-
-func (t *table) index(r Row, pk string) {
-	for _, ix := range t.indexes {
-		ix.tree.Put(encodeVals(r.project(ix.def.Cols))+pk, pk)
-	}
-}
-
-func (t *table) unindex(r Row, pk string) {
-	for _, ix := range t.indexes {
-		ix.tree.Delete(encodeVals(r.project(ix.def.Cols)) + pk)
-	}
-}
-
-// uniqueViolated reports whether inserting r (with pk) would violate a
-// unique index.
-func (t *table) uniqueViolated(r Row, pk string) bool {
-	for _, ix := range t.indexes {
-		if !ix.def.Unique {
-			continue
-		}
-		prefix := encodeVals(r.project(ix.def.Cols))
-		violated := false
-		ix.tree.AscendRange(prefix, prefix+"\xff\xff\xff\xff", func(k, existingPK string) bool {
-			if len(k) >= len(prefix) && k[:len(prefix)] == prefix && existingPK != pk {
-				violated = true
-				return false
-			}
-			return true
-		})
-		if violated {
-			return true
-		}
-	}
-	return false
 }
 
 // groupCommitter batches concurrent WAL appends: the first committer to

@@ -14,9 +14,6 @@ func benchTable() TableDef {
 			{Name: "flag", Type: ColBool},
 		},
 		Key: []int{0},
-		Indexes: []IndexDef{
-			{Name: "by_name", Cols: []int{1}},
-		},
 	}
 }
 
@@ -72,34 +69,6 @@ func BenchmarkGetByPK(b *testing.B) {
 			_, _, err := tx.Get("t", Int(int64(i%n)))
 			return err
 		})
-	}
-}
-
-func BenchmarkIndexScan(b *testing.B) {
-	db := MustOpenMemory()
-	defer db.Close()
-	db.Update(func(tx *Tx) error { return tx.CreateTable(benchTable()) })
-	const n = 10_000
-	db.Update(func(tx *Tx) error {
-		for i := 0; i < n; i++ {
-			if err := tx.Insert("t", Row{Int(int64(i)), Str(fmt.Sprintf("n%d", i%100)), Bool(false)}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		count := 0
-		db.View(func(tx *Tx) error {
-			return tx.ScanIndex("t", "by_name", []V{Str("n42")}, func(Row) bool {
-				count++
-				return true
-			})
-		})
-		if count != n/100 {
-			b.Fatalf("count %d", count)
-		}
 	}
 }
 

@@ -1,9 +1,15 @@
 package reldb
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"orchestra/internal/wal"
 )
 
 func testDef() TableDef {
@@ -16,9 +22,6 @@ func testDef() TableDef {
 			{Name: "note", Type: ColString, Nullable: true},
 		},
 		Key: []int{0},
-		Indexes: []IndexDef{
-			{Name: "by_peer", Cols: []int{1}},
-		},
 	}
 }
 
@@ -48,14 +51,6 @@ func TestCreateTableValidation(t *testing.T) {
 		{Name: "x", Cols: []ColDef{{Name: "a", Type: ColInt}, {Name: "a", Type: ColInt}}, Key: []int{0}},
 		{Name: "x", Cols: []ColDef{{Name: ""}}, Key: []int{0}},
 		{Name: "x", Cols: []ColDef{{Name: "a"}}, Key: []int{0}},
-		{Name: "x", Cols: []ColDef{{Name: "a", Type: ColInt}}, Key: []int{0},
-			Indexes: []IndexDef{{Name: "", Cols: []int{0}}}},
-		{Name: "x", Cols: []ColDef{{Name: "a", Type: ColInt}}, Key: []int{0},
-			Indexes: []IndexDef{{Name: "i", Cols: []int{9}}}},
-		{Name: "x", Cols: []ColDef{{Name: "a", Type: ColInt}}, Key: []int{0},
-			Indexes: []IndexDef{{Name: "i"}}},
-		{Name: "x", Cols: []ColDef{{Name: "a", Type: ColInt}}, Key: []int{0},
-			Indexes: []IndexDef{{Name: "i", Cols: []int{0}}, {Name: "i", Cols: []int{0}}}},
 	}
 	for i, def := range bad {
 		if err := db.Update(func(tx *Tx) error { return tx.CreateTable(def) }); err == nil {
@@ -264,84 +259,6 @@ func TestScans(t *testing.T) {
 	if n != 3 {
 		t.Errorf("early stop scan visited %d", n)
 	}
-	// Index scan.
-	var byB []int64
-	db.View(func(tx *Tx) error {
-		return tx.ScanIndex("epochs", "by_peer", []V{Str("pB")}, func(r Row) bool {
-			byB = append(byB, r[0].I())
-			return true
-		})
-	})
-	if len(byB) != 5 {
-		t.Fatalf("index scan = %v", byB)
-	}
-	for _, e := range byB {
-		if e%2 != 0 {
-			t.Errorf("index scan returned %d", e)
-		}
-	}
-	// Unknown index.
-	err := db.View(func(tx *Tx) error {
-		return tx.ScanIndex("epochs", "nope", nil, func(Row) bool { return true })
-	})
-	if err == nil {
-		t.Error("unknown index accepted")
-	}
-	// ScanPrefix over a composite key table.
-	db.Update(func(tx *Tx) error {
-		if err := tx.CreateTable(TableDef{
-			Name: "pairs",
-			Cols: []ColDef{{Name: "a", Type: ColString}, {Name: "b", Type: ColInt}},
-			Key:  []int{0, 1},
-		}); err != nil {
-			return err
-		}
-		for i := int64(0); i < 3; i++ {
-			tx.Insert("pairs", Row{Str("x"), Int(i)})
-			tx.Insert("pairs", Row{Str("y"), Int(i)})
-		}
-		return nil
-	})
-	var xs []int64
-	db.View(func(tx *Tx) error {
-		return tx.ScanPrefix("pairs", []V{Str("x")}, func(r Row) bool {
-			xs = append(xs, r[1].I())
-			return true
-		})
-	})
-	if len(xs) != 3 {
-		t.Fatalf("prefix scan = %v", xs)
-	}
-}
-
-func TestUniqueIndex(t *testing.T) {
-	db := MustOpenMemory()
-	defer db.Close()
-	def := TableDef{
-		Name: "users",
-		Cols: []ColDef{{Name: "id", Type: ColInt}, {Name: "email", Type: ColString}},
-		Key:  []int{0},
-		Indexes: []IndexDef{
-			{Name: "by_email", Cols: []int{1}, Unique: true},
-		},
-	}
-	db.Update(func(tx *Tx) error { return tx.CreateTable(def) })
-	if err := db.Update(func(tx *Tx) error { return tx.Insert("users", Row{Int(1), Str("a@x")}) }); err != nil {
-		t.Fatal(err)
-	}
-	err := db.Update(func(tx *Tx) error { return tx.Insert("users", Row{Int(2), Str("a@x")}) })
-	if !errors.Is(err, ErrDuplicateKey) {
-		t.Errorf("unique violation: %v", err)
-	}
-	// Same row updated in place keeps its own email.
-	if err := db.Update(func(tx *Tx) error { return tx.Upsert("users", Row{Int(1), Str("a@x")}) }); err != nil {
-		t.Errorf("self-upsert rejected: %v", err)
-	}
-	// After deleting, the email is free again.
-	db.Update(func(tx *Tx) error { _, err := tx.Delete("users", Int(1)); return err })
-	if err := db.Update(func(tx *Tx) error { return tx.Insert("users", Row{Int(3), Str("a@x")}) }); err != nil {
-		t.Errorf("freed unique value rejected: %v", err)
-	}
 }
 
 func TestSequences(t *testing.T) {
@@ -380,8 +297,6 @@ func TestUnknownTableErrors(t *testing.T) {
 		func(tx *Tx) error { _, _, err := tx.Get("nope", Int(1)); return err },
 		func(tx *Tx) error { _, err := tx.Count("nope"); return err },
 		func(tx *Tx) error { return tx.Scan("nope", func(Row) bool { return true }) },
-		func(tx *Tx) error { return tx.ScanPrefix("nope", nil, func(Row) bool { return true }) },
-		func(tx *Tx) error { return tx.ScanIndex("nope", "i", nil, func(Row) bool { return true }) },
 	}
 	for i, fn := range checks {
 		if err := db.Update(fn); !errors.Is(err, ErrNoTable) {
@@ -432,14 +347,6 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 		}
 		return nil
 	})
-	// Secondary index rebuilt on recovery.
-	var hits int
-	db2.View(func(tx *Tx) error {
-		return tx.ScanIndex("epochs", "by_peer", []V{Str("p")}, func(Row) bool { hits++; return true })
-	})
-	if hits != 4 {
-		t.Errorf("index hits after recovery: %d", hits)
-	}
 }
 
 func TestCheckpointAndRecover(t *testing.T) {
@@ -535,10 +442,6 @@ func TestValueAccessorsAndStrings(t *testing.T) {
 }
 
 func TestTableDefHelpers(t *testing.T) {
-	def := testDef()
-	if def.ColIndex("peer") != 1 || def.ColIndex("nope") != -1 {
-		t.Error("ColIndex broken")
-	}
 	db := openWithTable(t)
 	if got, ok := db.TableDef("epochs"); !ok || got.Name != "epochs" {
 		t.Error("TableDef broken")
@@ -548,5 +451,98 @@ func TestTableDefHelpers(t *testing.T) {
 	}
 	if names := db.TableNames(); len(names) != 1 || names[0] != "epochs" {
 		t.Errorf("TableNames = %v", names)
+	}
+}
+
+// The TableDef shape directories were written with before secondary indexes
+// were removed: CreateTable WAL records and checkpoint files carry it,
+// gob-encoded.
+type (
+	oldIndex struct {
+		Name   string
+		Cols   []int
+		Unique bool
+	}
+	oldTableDef struct {
+		Name    string
+		Cols    []ColDef
+		Key     []int
+		Indexes []oldIndex
+	}
+	oldWalOp struct {
+		Kind  opKind
+		Table string
+		Row   Row
+		Def   oldTableDef
+	}
+	oldSnapshot struct {
+		Defs []oldTableDef
+		Rows map[string][]Row
+		Seqs map[string]int64
+	}
+)
+
+// TestReopenOldShapeTableDef pins the on-disk compatibility the index
+// removal relies on: gob drops stream fields the receiving struct lacks, so
+// a WAL CreateTable record and a checkpoint written with Indexes inside
+// their TableDefs both reopen — rows intact, table writable, and again after
+// a new-shape write landed on top — with the index definition simply gone.
+func TestReopenOldShapeTableDef(t *testing.T) {
+	old := oldTableDef{
+		Name: "epochs", Cols: testDef().Cols, Key: []int{0},
+		Indexes: []oldIndex{{Name: "by_peer", Cols: []int{1}}, {Name: "u", Cols: []int{0}, Unique: true}},
+	}
+	encode := func(v any) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	seed := map[string]func(dir string) error{
+		"wal": func(dir string) error {
+			l, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
+			if err != nil {
+				return err
+			}
+			defer l.Close()
+			return l.Append(encode([]oldWalOp{{Kind: opCreate, Def: old}, {Kind: opPut, Table: "epochs", Row: row(1, "p", false)}}))
+		},
+		"checkpoint": func(dir string) error {
+			snap := oldSnapshot{Defs: []oldTableDef{old}, Rows: map[string][]Row{"epochs": {row(1, "p", false)}}}
+			return os.WriteFile(filepath.Join(dir, snapshotFile), encode(&snap), 0o644)
+		},
+	}
+	for name, write := range seed {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := write(dir); err != nil {
+				t.Fatal(err)
+			}
+			for pass := 0; pass < 2; pass++ {
+				db, err := Open(Options{Dir: dir})
+				if err != nil {
+					t.Fatalf("reopen %d: %v", pass, err)
+				}
+				if def, ok := db.TableDef("epochs"); !ok || len(def.Cols) != 4 || len(def.Key) != 1 {
+					t.Fatalf("reopen %d: table def = %+v, %v", pass, def, ok)
+				}
+				err = db.Update(func(tx *Tx) error {
+					if n, _ := tx.Count("epochs"); n != 1+pass {
+						t.Errorf("reopen %d: %d rows", pass, n)
+					}
+					if r, ok, _ := tx.Get("epochs", Int(1)); !ok || r[1].S() != "p" {
+						t.Errorf("reopen %d: row 1 = %v, %v", pass, r, ok)
+					}
+					return tx.Insert("epochs", row(int64(2+pass), "q", true))
+				})
+				if err != nil {
+					t.Fatalf("reopen %d: write: %v", pass, err)
+				}
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -10,19 +10,12 @@ type ColDef struct {
 	Nullable bool
 }
 
-// IndexDef declares a secondary index over a projection of the table.
-type IndexDef struct {
-	Name   string
-	Cols   []int
-	Unique bool
-}
-
-// TableDef declares a table: columns, primary key, secondary indexes.
+// TableDef declares a table: columns and primary key. Tables are reached by
+// primary key or by full scan; there are no secondary indexes.
 type TableDef struct {
-	Name    string
-	Cols    []ColDef
-	Key     []int
-	Indexes []IndexDef
+	Name string
+	Cols []ColDef
+	Key  []int
 }
 
 // validate checks the definition's internal consistency.
@@ -57,24 +50,6 @@ func (d *TableDef) validate() error {
 			return fmt.Errorf("reldb: table %s: key column %s must not be nullable", d.Name, d.Cols[k].Name)
 		}
 	}
-	idxNames := map[string]bool{}
-	for _, ix := range d.Indexes {
-		if ix.Name == "" {
-			return fmt.Errorf("reldb: table %s has an unnamed index", d.Name)
-		}
-		if idxNames[ix.Name] {
-			return fmt.Errorf("reldb: table %s: duplicate index %s", d.Name, ix.Name)
-		}
-		idxNames[ix.Name] = true
-		if len(ix.Cols) == 0 {
-			return fmt.Errorf("reldb: table %s: index %s has no columns", d.Name, ix.Name)
-		}
-		for _, c := range ix.Cols {
-			if c < 0 || c >= len(d.Cols) {
-				return fmt.Errorf("reldb: table %s: index %s column %d out of range", d.Name, ix.Name, c)
-			}
-		}
-	}
 	return nil
 }
 
@@ -97,16 +72,6 @@ func (d *TableDef) checkRow(r Row) error {
 		}
 	}
 	return nil
-}
-
-// ColIndex returns the index of the named column, or -1.
-func (d *TableDef) ColIndex(name string) int {
-	for i, c := range d.Cols {
-		if c.Name == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // pkEnc computes the primary-key encoding of a row.

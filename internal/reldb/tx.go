@@ -200,14 +200,13 @@ func (tx *Tx) HasTable(name string) bool {
 	return tx.db.resolve(name, tx) != nil
 }
 
-// Insert adds a row; it fails with ErrDuplicateKey if the primary key or a
-// unique index already holds a matching entry.
+// Insert adds a row; it fails with ErrDuplicateKey if the primary key is
+// already present.
 func (tx *Tx) Insert(tableName string, r Row) error {
 	return tx.write(tableName, r, false)
 }
 
-// Upsert adds or replaces the row with the same primary key; unique index
-// constraints against *other* rows still apply.
+// Upsert adds or replaces the row with the same primary key.
 func (tx *Tx) Upsert(tableName string, r Row) error {
 	return tx.write(tableName, r, true)
 }
@@ -228,9 +227,6 @@ func (tx *Tx) write(tableName string, r Row, replace bool) error {
 	old, existed := t.rows.Get(pk)
 	if existed && !replace {
 		return fmt.Errorf("%w: table %s", ErrDuplicateKey, tableName)
-	}
-	if t.uniqueViolated(r, pk) {
-		return fmt.Errorf("%w: unique index on table %s", ErrDuplicateKey, tableName)
 	}
 	t.put(r)
 	if existed {
@@ -291,55 +287,6 @@ func (tx *Tx) Scan(tableName string, fn func(r Row) bool) error {
 		return err
 	}
 	t.rows.Ascend(func(_ string, r Row) bool { return fn(r.Clone()) })
-	return nil
-}
-
-// ScanPrefix visits rows whose primary key begins with the given values, in
-// key order, until fn returns false.
-func (tx *Tx) ScanPrefix(tableName string, prefix []V, fn func(r Row) bool) error {
-	t, err := tx.table(tableName)
-	if err != nil {
-		return err
-	}
-	p := encodeVals(prefix)
-	t.rows.AscendRange(p, p+"\xff\xff\xff\xff", func(k string, r Row) bool {
-		if len(k) < len(p) || k[:len(p)] != p {
-			return false
-		}
-		return fn(r.Clone())
-	})
-	return nil
-}
-
-// ScanIndex visits rows matching the given values on the named secondary
-// index (a prefix of the index columns), in index order, until fn returns
-// false.
-func (tx *Tx) ScanIndex(tableName, indexName string, vals []V, fn func(r Row) bool) error {
-	t, err := tx.table(tableName)
-	if err != nil {
-		return err
-	}
-	var ix *index
-	for _, cand := range t.indexes {
-		if cand.def.Name == indexName {
-			ix = cand
-			break
-		}
-	}
-	if ix == nil {
-		return fmt.Errorf("reldb: table %s has no index %s", tableName, indexName)
-	}
-	p := encodeVals(vals)
-	ix.tree.AscendRange(p, p+"\xff\xff\xff\xff", func(k, pk string) bool {
-		if len(k) < len(p) || k[:len(p)] != p {
-			return false
-		}
-		r, ok := t.rows.Get(pk)
-		if !ok {
-			return true // index entry racing a delete cannot happen under the lock; defensive
-		}
-		return fn(r.Clone())
-	})
 	return nil
 }
 

@@ -1,7 +1,7 @@
 // Package reldb implements a small embedded relational engine: typed
-// tables with primary keys and secondary indexes, unique constraints,
-// atomic multi-statement transactions with rollback, sequences, WAL-based
-// durability with crash recovery, and snapshot checkpoints.
+// tables with primary keys, atomic multi-statement transactions with
+// rollback, sequences, WAL-based durability with crash recovery, and
+// snapshot checkpoints.
 //
 // It stands in for the commercial RDBMS the paper uses as its centralized
 // update store backend (§5.2.1): the central store keeps its epochs,

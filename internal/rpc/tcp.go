@@ -150,9 +150,10 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Client is a TCP Caller with one pooled connection per remote address.
-// Calls on the same connection are serialized; the stores batch work into
-// few round trips, so this keeps the implementation simple.
+// Client is a TCP Caller with one pooled connection per remote address,
+// safe for concurrent use. Calls on the same connection are serialized; the
+// stores batch work into few round trips, so this keeps the implementation
+// simple.
 type Client struct {
 	// From identifies this client to servers.
 	From string
@@ -161,11 +162,10 @@ type Client struct {
 }
 
 type clientConn struct {
-	mu   sync.Mutex
-	c    net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	dead bool
+	mu sync.Mutex
+	c  net.Conn
+	br *bufio.Reader
+	bw *bufio.Writer
 }
 
 // NewClient returns a client identifying itself as from.
@@ -196,11 +196,15 @@ func (cl *Client) Call(ctx context.Context, to, method string, body []byte) ([]b
 	return resp.Body, nil
 }
 
+// get returns the pooled connection to the address, dialling one if the
+// pool has none. The pool map under cl.mu is the only record of which
+// connection is live: a caller that dialled while another filled the slot
+// closes its own connection and uses the winner's.
 func (cl *Client) get(ctx context.Context, to string) (*clientConn, error) {
 	cl.mu.Lock()
 	cc := cl.conn[to]
 	cl.mu.Unlock()
-	if cc != nil && !cc.dead {
+	if cc != nil {
 		return cc, nil
 	}
 	var d net.Dialer
@@ -208,21 +212,26 @@ func (cl *Client) get(ctx context.Context, to string) (*clientConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial %s: %w", to, err)
 	}
-	cc = &clientConn{c: c, br: bufio.NewReader(c), bw: bufio.NewWriter(c)}
 	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	if won := cl.conn[to]; won != nil {
+		c.Close()
+		return won, nil
+	}
+	cc = &clientConn{c: c, br: bufio.NewReader(c), bw: bufio.NewWriter(c)}
 	cl.conn[to] = cc
-	cl.mu.Unlock()
 	return cc, nil
 }
 
+// drop retires a connection a call failed on: out of the pool (unless a
+// newer one already took its slot) and closed, so the next call dials fresh.
 func (cl *Client) drop(to string, cc *clientConn) {
-	cc.dead = true
-	cc.c.Close()
 	cl.mu.Lock()
 	if cl.conn[to] == cc {
 		delete(cl.conn, to)
 	}
 	cl.mu.Unlock()
+	cc.c.Close()
 }
 
 // Close closes all pooled connections.

@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -243,5 +244,82 @@ func TestTCPClientSendsRemainingBudget(t *testing.T) {
 	}
 	if rem < 55*time.Minute {
 		t.Errorf("handler budget %v lost too much of the client's hour in transit", rem)
+	}
+}
+
+// TestClientSharedAcrossGoroutinesSurvivesDrops is the production shape of a
+// streaming remote.Client — watch loop and store calls on one rpc.Client —
+// under a server that keeps cutting its accepted connections. A caller may
+// see a cut as an error, but the pool must stay coherent: no data race
+// between dropping a broken connection and looking it up (run under -race),
+// a clean call once the cutting stops, and no connection orphaned where
+// Close cannot reach it (two callers that miss the pool both dial; the
+// loser's connection must be closed).
+func TestClientSharedAcrossGoroutinesSurvivesDrops(t *testing.T) {
+	addr, srv := startEcho(t)
+	cl := NewClient("me")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	serverConns := func(each func(net.Conn)) int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for c := range srv.conns {
+			each(c)
+		}
+		return len(srv.conns)
+	}
+
+	stop, cutterDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(cutterDone)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(200 * time.Microsecond):
+				serverConns(func(c net.Conn) { c.Close() })
+			}
+		}
+	}()
+	var callers sync.WaitGroup
+	var okCalls atomic.Int64
+	for g := 0; g < 4; g++ {
+		callers.Add(1)
+		go func() {
+			defer callers.Done()
+			for i := 0; i < 300; i++ {
+				if resp, err := cl.Call(ctx, addr, "m", []byte("x")); err == nil {
+					if string(resp) != "me/m:x" {
+						t.Errorf("resp = %q", resp)
+					}
+					okCalls.Add(1)
+				} // else: the cut, surfaced; the next call redials
+			}
+		}()
+	}
+	callers.Wait()
+	close(stop)
+	<-cutterDone
+	if okCalls.Load() == 0 {
+		t.Error("no call succeeded between cuts")
+	}
+
+	// Quiet server: at most one stale pooled connection stands between the
+	// client and a clean call.
+	_, err := cl.Call(ctx, addr, "m", nil)
+	if err != nil {
+		_, err = cl.Call(ctx, addr, "m", nil)
+	}
+	if err != nil {
+		t.Fatalf("call after the cuts stopped: %v", err)
+	}
+	// Every connection the client dialled is by now dropped, closed as a
+	// dial loser, or pooled; Close takes the pooled ones, so the server must
+	// see all of its connections end.
+	cl.Close()
+	for deadline := time.Now().Add(5 * time.Second); serverConns(func(net.Conn) {}) > 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("server connections still open after Client.Close: a dialled connection was orphaned")
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package central
 
 import (
+	"context"
 	"fmt"
 
 	"orchestra/internal/core"
@@ -58,8 +59,13 @@ type idemEntry struct {
 	op   string
 	done chan struct{}
 	err  error
-	// Results by op: publish/snapshot/compact memoize an epoch; begin
-	// memoizes its window; decide has no result beyond success.
+	idemResult
+}
+
+// idemResult is what a completed keyed operation memoizes for its
+// duplicates: publish/snapshot/compact an epoch (e); begin its window;
+// decide nothing beyond success (e holds its retention watermark).
+type idemResult struct {
 	e     core.Epoch
 	recno int
 	from  core.Epoch
@@ -75,6 +81,32 @@ func (en *idemEntry) watermark() core.Epoch {
 		return en.to
 	}
 	return en.e
+}
+
+// keyed is the one guard every non-idempotent operation runs under. Without
+// an idempotency key in ctx, run simply executes (with an empty key). With
+// one, the first delivery owns execution: run gets the key — so the dedup
+// row rides the operation's own commit — and returns what duplicates must
+// replay; a failed owner releases the key, so a retry re-executes. Every
+// other delivery of the key blocks until the owner finishes and then, with
+// dup set, gets the memoized result instead of running.
+func (s *Store) keyed(ctx context.Context, op string, run func(store.IdempotencyKey) (idemResult, error)) (res idemResult, dup bool, err error) {
+	key, ok := store.IdempotencyKeyFrom(ctx)
+	if !ok {
+		res, err = run("")
+		return res, false, err
+	}
+	en, dup, err := s.beginIdem(key, op)
+	if err != nil {
+		return idemResult{}, false, err
+	}
+	if dup {
+		return en.idemResult, true, nil
+	}
+	res, err = run(key)
+	en.idemResult = res
+	s.finishIdem(key, en, err)
+	return res, false, err
 }
 
 // beginIdem resolves a key: a completed duplicate returns its entry with
@@ -192,7 +224,7 @@ func (s *Store) dropIdem(keys []store.IdempotencyKey) {
 // cache entry lives, or by its index entry being released once all peers
 // settled it — and the client's engine drops already-decided candidates
 // and already-applied extension transactions regardless.
-func (s *Store) replayReconciliation(peer core.PeerID, en *idemEntry) (*store.Reconciliation, error) {
+func (s *Store) replayReconciliation(peer core.PeerID, res idemResult) (*store.Reconciliation, error) {
 	pm, err := s.peer(peer)
 	if err != nil {
 		return nil, err
@@ -206,9 +238,9 @@ func (s *Store) replayReconciliation(peer core.PeerID, en *idemEntry) (*store.Re
 		return nil, fmt.Errorf("central: peer %s has no trust policy (re-register after recovery)", peer)
 	}
 	return &store.Reconciliation{
-		Recno:      en.recno,
-		FromEpoch:  en.from,
-		ToEpoch:    en.to,
-		Candidates: s.replayCandidatesLocked(pm, peer, en.from, en.to),
+		Recno:      res.recno,
+		FromEpoch:  res.from,
+		ToEpoch:    res.to,
+		Candidates: s.replayCandidatesLocked(pm, peer, res.from, res.to),
 	}, nil
 }

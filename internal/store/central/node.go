@@ -147,18 +147,6 @@ func (n *Node) StoredGroups() []string {
 	return groups
 }
 
-// OpenGroups lists the groups currently open on this node.
-func (n *Node) OpenGroups() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	groups := make([]string, 0, len(n.groups))
-	for g := range n.groups {
-		groups = append(groups, g)
-	}
-	sort.Strings(groups)
-	return groups
-}
-
 // DB exposes the shared database — the migration path copies a group's
 // rows between nodes through it.
 func (n *Node) DB() *reldb.DB { return n.db }

@@ -1,0 +1,334 @@
+package central
+
+import (
+	"context"
+	"fmt"
+
+	"orchestra/internal/core"
+	"orchestra/internal/reldb"
+	"orchestra/internal/store"
+	"orchestra/internal/trust"
+)
+
+// RegisterPeer implements store.Store. Re-registering an existing peer
+// (e.g. after recovery, or to change trust mid-stream) replaces its trust
+// policy and keeps its history. Textual policies (*trust.Policy) are
+// persisted alongside the peer row so a recovered store serves
+// reconciliations without re-registration; in-process predicate policies
+// cannot travel into the directory, so any previously persisted text is
+// dropped rather than left to resurrect an outdated policy on the next
+// recovery.
+//
+// The textual form stays the durable format; what registration installs
+// is the policy's *effective* decision program, resolved through the
+// store's trust graph. Delegations must name peers this store already
+// knows. Re-registration recompiles only the affected participants —
+// those whose delegation closure reaches this peer.
+func (s *Store) RegisterPeer(_ context.Context, peer core.PeerID, t core.Trust) error {
+	s.peersMu.Lock()
+	defer s.peersMu.Unlock()
+	if pol, ok := t.(*trust.Policy); ok {
+		if pol.Schema() == nil {
+			pol.WithSchema(s.schema)
+		}
+		// A delegation to a peer this store has never seen would silently
+		// contribute nothing; refuse it instead.
+		for _, d := range pol.Delegations() {
+			if d.Peer == peer {
+				continue
+			}
+			if _, known := s.peers[d.Peer]; !known {
+				return fmt.Errorf("central: peer %s delegates to unregistered peer %s", peer, d.Peer)
+			}
+		}
+	}
+	_, known := s.peers[peer]
+	err := s.db.Update(func(tx *reldb.Tx) error {
+		if !known {
+			if err := tx.Insert(s.peersTab, reldb.Row{reldb.Str(string(peer)), reldb.Int(0), reldb.Int(0)}); err != nil {
+				return err
+			}
+		}
+		if p, ok := t.(*trust.Policy); ok {
+			return tx.Upsert(s.trustTab, reldb.Row{reldb.Str(string(peer)), reldb.Str(p.String())})
+		}
+		_, err := tx.Delete(s.trustTab, reldb.Str(string(peer)))
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	if !known {
+		s.peers[peer] = &peerMeta{
+			decided:    make(map[core.TxnID]core.Decision),
+			decidedSeq: make(map[core.TxnID]int64),
+		}
+	}
+	affected := s.trustGraph.Set(peer, t)
+	for _, ap := range affected {
+		pm := s.peers[ap]
+		if pm == nil {
+			continue
+		}
+		eff := s.trustGraph.Effective(ap)
+		pm.mu.Lock()
+		pm.trust = eff
+		pm.prio = core.NewPriorityCache(eff)
+		pm.mu.Unlock()
+	}
+	s.counters.ObserveTrustRecompiles(len(affected))
+	return nil
+}
+
+// EffectiveTrust implements store.TrustResolver: it returns the peer's
+// resolved, compiled trust — its own rules merged with every delegation
+// closure member's capped rules.
+func (s *Store) EffectiveTrust(_ context.Context, peer core.PeerID) (core.Trust, error) {
+	s.peersMu.RLock()
+	defer s.peersMu.RUnlock()
+	if _, ok := s.peers[peer]; !ok {
+		return nil, fmt.Errorf("central: unknown peer %s", peer)
+	}
+	return s.trustGraph.Effective(peer), nil
+}
+
+// PublishBegin allocates an epoch and records that the peer has started
+// publishing into it. Exposed separately so tests and the failure-injection
+// benchmarks can hold an epoch open.
+func (s *Store) PublishBegin(peer core.PeerID) (core.Epoch, error) {
+	if _, err := s.peer(peer); err != nil {
+		return 0, err
+	}
+	return s.allocEpoch(peer)
+}
+
+// allocEpoch is the publish path's single global critical section, and it
+// is normally memory-only: epoch numbers come from a pre-claimed block,
+// and the durable sequence commit runs once per epochBlock allocations.
+// The epoch becomes durable with its first publish commit (publishWrite
+// writes the epochs row in the same transaction as the batch); an epoch
+// that dies between allocation and its first commit leaves no durable
+// trace and is voided by recovery. Everything expensive — payload
+// encoding, cache warming, indexing — happens outside this lock, under
+// per-epoch and per-peer locks.
+func (s *Store) allocEpoch(peer core.PeerID) (core.Epoch, error) {
+	if !s.epochMu.TryLock() {
+		s.counters.ObserveEpochContention()
+		s.epochMu.Lock()
+	}
+	defer s.epochMu.Unlock()
+	if s.blockNext > s.blockEnd {
+		var end int64
+		err := s.db.Update(func(tx *reldb.Tx) error {
+			var err error
+			end, err = tx.AdvanceSeq(s.epochSeq, epochBlock)
+			return err
+		})
+		if err != nil {
+			return 0, err
+		}
+		s.blockNext, s.blockEnd = core.Epoch(end)-epochBlock+1, core.Epoch(end)
+	}
+	epoch := s.blockNext
+	s.blockNext++
+	s.epochs[epoch] = &epochMeta{peer: peer}
+	if epoch > s.maxE {
+		s.maxE = epoch
+	}
+	return epoch, nil
+}
+
+// PublishWrite appends the batch's transactions under the open epoch,
+// assigning global orders, and records them as accepted by the publisher.
+func (s *Store) PublishWrite(peer core.PeerID, epoch core.Epoch, txns []store.PublishedTxn) error {
+	return s.publishWrite(peer, epoch, txns, false, "")
+}
+
+// publishWrite is the shared write path; finish additionally marks the
+// epoch complete in the same database commit (the fast path used by
+// Publish, saving one commit per publish). A non-empty key records the
+// publish's dedup row in the same commit.
+func (s *Store) publishWrite(peer core.PeerID, epoch core.Epoch, txns []store.PublishedTxn, finish bool, key store.IdempotencyKey) error {
+	em := s.epoch(epoch)
+	if em == nil || em.peer != peer {
+		return fmt.Errorf("central: epoch %d not open for %s", epoch, peer)
+	}
+	pm, err := s.peer(peer)
+	if err != nil {
+		return err
+	}
+
+	em.mu.Lock()
+	defer em.mu.Unlock()
+	if em.finished.Load() {
+		return fmt.Errorf("central: epoch %d already finished", epoch)
+	}
+	if len(txns) == 0 {
+		return nil // nothing to write; Publish never reaches here empty
+	}
+	// Assign orders and encode the batch before taking the peer lock or
+	// the database lock: encoding is the expensive part of publishing, and
+	// it runs under the per-epoch lock only, which nobody else contends
+	// for. The whole batch becomes one compact binary payload
+	// (store.AppendPublishedTxns — reflection-free; gob's per-encoder type
+	// descriptors used to dominate the publish profile).
+	base := uint64(len(em.txns))
+	for i := range txns {
+		pt := &txns[i]
+		pt.Txn.Epoch = epoch
+		pt.Txn.Order = uint64(epoch)*OrderStride + base + uint64(i)
+		// Warm the encoding caches before the entries become visible:
+		// BeginReconciliation hands these *Transaction pointers to every
+		// peer, and concurrently reconciling engines must never lazily
+		// populate a shared cache.
+		pt.Txn.PrecomputeEncodings(s.schema)
+	}
+	payload := store.AppendPublishedTxns(nil, txns)
+
+	lockContended(&pm.mu, s.counters.ObservePeerContention)
+	defer pm.mu.Unlock()
+	// One commit carries the whole publish: the epoch registration (first
+	// durable trace of the epoch — allocation itself is memory-only), the
+	// batch payload, and the publisher's self-accepts. The fast path also
+	// finishes the epoch here. Everything lands in the epoch's shard k, in
+	// the documented epochs_k → txns_k → decisions_k order — publishes to
+	// epochs in other shards touch disjoint tables and commit in parallel.
+	k := s.shardOf(epoch)
+	s.counters.EnterShard(k)
+	err = s.db.Update(func(tx *reldb.Tx) error {
+		if err := tx.Upsert(s.epochsTab[k], reldb.Row{
+			reldb.Int(int64(epoch)), reldb.Str(string(peer)), reldb.Bool(finish),
+		}); err != nil {
+			return err
+		}
+		if err := tx.Insert(s.txnsTab[k], reldb.Row{
+			reldb.Int(int64(txns[0].Txn.Order)),
+			reldb.Int(int64(epoch)),
+			reldb.Int(int64(len(txns))),
+			reldb.Bytes(payload),
+		}); err != nil {
+			return err
+		}
+		for i := range txns {
+			pt := &txns[i]
+			if err := tx.Insert(s.decisionsTab[k], reldb.Row{
+				reldb.Str(string(peer)),
+				reldb.Str(string(pt.Txn.ID.Origin)),
+				reldb.Int(int64(pt.Txn.ID.Seq)),
+				reldb.Int(int64(core.DecisionAccept)),
+				reldb.Int(pm.nextSeq + int64(i) + 1),
+			}); err != nil {
+				return err
+			}
+		}
+		if key != "" {
+			return tx.Insert(s.idemTab, idemRow(key, opPublish, int64(epoch), 0, 0))
+		}
+		return nil
+	})
+	s.counters.LeaveShard(k)
+	if err != nil {
+		return err
+	}
+	for i := range txns {
+		pt := txns[i]
+		s.index(&entry{pub: pt, epoch: epoch})
+		em.txns = append(em.txns, pt.Txn.ID)
+		pm.recordDecisionLocked(pt.Txn.ID, core.DecisionAccept)
+	}
+	if finish {
+		em.finished.Store(true)
+		s.advanceFrontier()
+	}
+	return nil
+}
+
+// PublishFinish marks the epoch complete, making it visible to stable-epoch
+// computation.
+func (s *Store) PublishFinish(peer core.PeerID, epoch core.Epoch) error {
+	em := s.epoch(epoch)
+	if em == nil || em.peer != peer {
+		return fmt.Errorf("central: epoch %d not open for %s", epoch, peer)
+	}
+	em.mu.Lock()
+	defer em.mu.Unlock()
+	err := s.db.Update(func(tx *reldb.Tx) error {
+		return tx.Upsert(s.epochsTab[s.shardOf(epoch)], reldb.Row{reldb.Int(int64(epoch)), reldb.Str(string(peer)), reldb.Bool(true)})
+	})
+	if err != nil {
+		return err
+	}
+	em.finished.Store(true)
+	s.advanceFrontier()
+	return nil
+}
+
+// Publish implements store.Store: allocate an epoch, then write and finish
+// in a single database commit. When automatic maintenance is configured
+// (WithSnapshotEvery/WithCompactKeep), the publish that crosses the
+// snapshot cadence runs it before returning. A context carrying an
+// idempotency key (store.WithIdempotencyKey) makes the publish safe to
+// redeliver: duplicates of a committed publish return the original epoch
+// without publishing again.
+func (s *Store) Publish(ctx context.Context, peer core.PeerID, txns []store.PublishedTxn) (core.Epoch, error) {
+	s.counters.ObservePublish()
+	if _, err := s.peer(peer); err != nil {
+		return 0, err
+	}
+	res, _, err := s.keyed(ctx, opPublish, func(key store.IdempotencyKey) (idemResult, error) {
+		epoch, err := s.publish(ctx, peer, txns, key)
+		return idemResult{e: epoch}, err
+	})
+	return res.e, err
+}
+
+// publish is the Publish body; a non-empty key rides the publish commit as
+// a dedup record.
+func (s *Store) publish(ctx context.Context, peer core.PeerID, txns []store.PublishedTxn, key store.IdempotencyKey) (core.Epoch, error) {
+	if len(txns) == 0 {
+		// Naturally idempotent: nothing commits, so a keyed empty publish
+		// memoizes in memory only.
+		return s.maxEpoch(), nil
+	}
+	epoch, err := s.allocEpoch(peer)
+	if err != nil {
+		return 0, err
+	}
+	if err := s.publishWrite(peer, epoch, txns, true, key); err != nil {
+		return 0, err
+	}
+	s.maybeMaintain(ctx)
+	return epoch, nil
+}
+
+// stableEpoch returns the most recent epoch not preceded by an unfinished
+// allocated epoch — a single atomic load: the frontier is maintained
+// incrementally by advanceFrontier at every epoch finish instead of being
+// recomputed by an O(epochs) scan per reconciliation.
+func (s *Store) stableEpoch() core.Epoch {
+	return core.Epoch(s.stableE.Load())
+}
+
+// advanceFrontier pushes the stable-epoch frontier through consecutively
+// finished (or void) epochs. Called after every epoch finish; the critical
+// section touches only the epoch registry, so taking epochMu here while
+// holding epoch/peer locks cannot deadlock. Advancement is monotone and
+// re-scans from the current frontier, so racing finishers converge on the
+// same answer regardless of order.
+func (s *Store) advanceFrontier() {
+	s.epochMu.Lock()
+	old := core.Epoch(s.stableE.Load())
+	st := old
+	for {
+		em, ok := s.epochs[st+1]
+		if !ok || !em.finished.Load() {
+			break
+		}
+		st++
+	}
+	s.stableE.Store(int64(st))
+	s.epochMu.Unlock()
+	if st > old {
+		s.notifyWatchers()
+	}
+}

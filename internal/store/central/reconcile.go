@@ -1,0 +1,343 @@
+package central
+
+import (
+	"context"
+	"fmt"
+	"sort"
+
+	"orchestra/internal/core"
+	"orchestra/internal/reldb"
+	"orchestra/internal/store"
+)
+
+// BeginReconciliation implements store.Store. Only the reconciling peer's
+// own lock is held throughout, so any number of peers reconcile
+// concurrently; the epoch window is read under per-epoch locks and the
+// transaction index under its stripes. A context carrying an idempotency
+// key makes the call safe to redeliver: a duplicate of a committed begin
+// returns the original recno and window (with its candidates recomputed)
+// instead of advancing the frontier again — without the key, a retried
+// begin would permanently lose the first window's candidates.
+func (s *Store) BeginReconciliation(ctx context.Context, peer core.PeerID) (*store.Reconciliation, error) {
+	var rec *store.Reconciliation
+	res, dup, err := s.keyed(ctx, opBegin, func(key store.IdempotencyKey) (idemResult, error) {
+		var err error
+		if rec, err = s.beginReconciliation(peer, key); err != nil {
+			return idemResult{}, err
+		}
+		return idemResult{recno: rec.Recno, from: rec.FromEpoch, to: rec.ToEpoch}, nil
+	})
+	if dup {
+		return s.replayReconciliation(peer, res)
+	}
+	return rec, err
+}
+
+func (s *Store) beginReconciliation(peer core.PeerID, key store.IdempotencyKey) (*store.Reconciliation, error) {
+	pm, err := s.peer(peer)
+	if err != nil {
+		return nil, err
+	}
+	lockContended(&pm.mu, s.counters.ObservePeerContention)
+	defer pm.mu.Unlock()
+	// A recovered store may know the peer but not its trust policy (only
+	// textual policies persist). Refuse cleanly rather than computing
+	// candidate priorities against nothing: the error is permanent until
+	// the peer re-registers, and no reconciliation window is consumed.
+	if pm.trust == nil {
+		return nil, fmt.Errorf("central: peer %s has no trust policy (re-register after recovery)", peer)
+	}
+
+	stable := s.stableEpoch()
+	from := pm.lastEpoch
+	if stable < from {
+		stable = from
+	}
+	recno := pm.recno + 1
+	// Record the reconciliation point immediately and commit, as §5.2.1
+	// prescribes, so the epochs table is released for publishers. The dedup
+	// record rides the same commit.
+	err = s.db.Update(func(tx *reldb.Tx) error {
+		if err := tx.Upsert(s.peersTab, reldb.Row{
+			reldb.Str(string(peer)), reldb.Int(int64(stable)), reldb.Int(int64(recno)),
+		}); err != nil {
+			return err
+		}
+		if key != "" {
+			return tx.Insert(s.idemTab, idemRow(key, opBegin, int64(recno), int64(from), int64(stable)))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	pm.lastEpoch = stable
+	pm.recno = recno
+
+	return &store.Reconciliation{
+		Recno:      recno,
+		FromEpoch:  from,
+		ToEpoch:    stable,
+		Candidates: s.candidatesLocked(pm, peer, from, stable),
+	}, nil
+}
+
+// candidatesLocked walks the window (from, to] and collects the peer's
+// candidates. The caller holds the peer's lock. Walking in epoch order —
+// within an epoch the publish order is the global order — produces
+// candidates order-sorted exactly as the single-lock implementation did.
+func (s *Store) candidatesLocked(pm *peerMeta, peer core.PeerID, from, to core.Epoch) []*core.Candidate {
+	var out []*core.Candidate
+	for e := from + 1; e <= to; e++ {
+		em := s.epoch(e)
+		if em == nil {
+			continue
+		}
+		for _, id := range em.txnIDs() {
+			if en := s.lookup(id); en != nil {
+				out = s.appendCandidate(out, pm, peer, en)
+			}
+		}
+	}
+	return out
+}
+
+// appendCandidate is the candidate filter of both window walks: a published
+// transaction is a candidate for the peer unless the peer wrote it, has
+// already decided it, or does not trust it. The caller holds the peer's
+// lock.
+func (s *Store) appendCandidate(out []*core.Candidate, pm *peerMeta, peer core.PeerID, en *entry) []*core.Candidate {
+	x := en.pub.Txn
+	if x.ID.Origin == peer {
+		return out
+	}
+	if _, decided := pm.decided[x.ID]; decided {
+		return out
+	}
+	prio := pm.prio.TxnPriority(x)
+	if prio <= 0 {
+		return out
+	}
+	return append(out, &core.Candidate{Txn: x, Priority: prio, Ext: s.extension(x.ID, pm)})
+}
+
+// replayCandidatesLocked recomputes a memoized reconciliation window's
+// candidates for the dedup replay path. It applies the same filter as
+// candidatesLocked but collects the window's transactions from the index
+// instead of the epoch metas: a live begin always sees its window's epochs
+// (compaction cannot pass the peer's own pre-begin frontier), but a
+// duplicate can be delivered after those epochs were compacted to void —
+// the index, which retains every snapshot-residue entry, is what still
+// holds the window's undecided transactions then. Within uncompacted
+// windows the two walks agree exactly: the index holds precisely the
+// epochs' entries, and sorting by global order reproduces the epoch-order
+// walk. The caller holds the peer's lock.
+func (s *Store) replayCandidatesLocked(pm *peerMeta, peer core.PeerID, from, to core.Epoch) []*core.Candidate {
+	var out []*core.Candidate
+	for _, en := range s.entriesIn(from, to) {
+		out = s.appendCandidate(out, pm, peer, en)
+	}
+	return out
+}
+
+// extension computes the transaction extension of root for the peer: the
+// antecedent closure excluding transactions the peer has accepted, sorted
+// by global order. The caller holds the peer's lock.
+func (s *Store) extension(root core.TxnID, pm *peerMeta) []*core.Transaction {
+	visited := map[core.TxnID]bool{root: true}
+	var out []*core.Transaction
+	stack := []core.TxnID{root}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		en := s.lookup(id)
+		if en == nil {
+			continue // antecedent from before this store's history
+		}
+		if id != root && pm.decided[id] == core.DecisionAccept {
+			continue
+		}
+		out = append(out, en.pub.Txn)
+		for _, a := range en.pub.Antecedents {
+			if !visited[a] {
+				visited[a] = true
+				stack = append(stack, a)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Order < out[j].Order })
+	return out
+}
+
+// RecordDecisions implements store.Store as a single-entry batch.
+func (s *Store) RecordDecisions(ctx context.Context, peer core.PeerID, recno int, accepted, rejected []core.TxnID) error {
+	return s.RecordDecisionsBatch(ctx, []store.DecisionBatch{{
+		Peer: peer, Recno: recno, Accepted: accepted, Rejected: rejected,
+	}})
+}
+
+// RecordDecisionsBatch implements store.Store: every batch's decisions are
+// committed in one database transaction — one round trip for a whole
+// fan-out wave. Peers are locked in sorted order so concurrent batches
+// cannot deadlock. A context carrying an idempotency key makes the call
+// safe to redeliver: duplicates of a committed batch succeed without
+// writing a second set of decision rows.
+func (s *Store) RecordDecisionsBatch(ctx context.Context, batches []store.DecisionBatch) error {
+	_, _, err := s.keyed(ctx, opDecide, func(key store.IdempotencyKey) (idemResult, error) {
+		// The record's retention watermark: the current stable epoch is at or
+		// above every batch peer's reconciliation frontier, and the compaction
+		// horizon never passes a frontier — so the record survives at least
+		// until each of those peers advances its frontier again, which a peer
+		// still retrying this very call cannot do (see idempotency.go).
+		wm := s.stableEpoch()
+		return idemResult{e: wm}, s.recordDecisionsBatch(batches, key, wm)
+	})
+	return err
+}
+
+func (s *Store) recordDecisionsBatch(batches []store.DecisionBatch, key store.IdempotencyKey, wm core.Epoch) error {
+	if len(batches) == 0 {
+		return nil
+	}
+	pms := make([]*peerMeta, len(batches))
+	for i, b := range batches {
+		pm, err := s.peer(b.Peer)
+		if err != nil {
+			return err
+		}
+		pms[i] = pm
+	}
+	order := make([]int, len(batches))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return batches[order[a]].Peer < batches[order[b]].Peer })
+	locked := make(map[*peerMeta]bool, len(batches))
+	for _, i := range order {
+		if locked[pms[i]] {
+			continue // same peer twice in one batch: one lock covers both
+		}
+		lockContended(&pms[i].mu, s.counters.ObservePeerContention)
+		locked[pms[i]] = true
+	}
+	defer func() {
+		for pm := range locked {
+			pm.mu.Unlock()
+		}
+	}()
+
+	total := 0
+	for i, b := range batches {
+		if b.Recno > pms[i].recno {
+			return fmt.Errorf("central: decisions for future reconciliation %d (current %d)", b.Recno, pms[i].recno)
+		}
+		total += len(b.Accepted) + len(b.Rejected)
+	}
+	if total > 0 {
+		// dseq continues each peer's sequence across the whole commit; the
+		// cache update below replays the same order, keeping the durable
+		// and in-memory sequences identical. Rows are assigned their seq in
+		// batch order first, then written grouped by epoch-shard with the
+		// shard indexes ascending — the documented decisions_k lock order,
+		// so a wave's commit cannot deadlock against a concurrent publish
+		// or another wave.
+		type decRow struct {
+			peer core.PeerID
+			id   core.TxnID
+			d    core.Decision
+			dseq int64
+		}
+		perShard := make([][]decRow, s.tableShards)
+		next := make(map[*peerMeta]int64, len(batches))
+		for i, b := range batches {
+			pm := pms[i]
+			if _, ok := next[pm]; !ok {
+				next[pm] = pm.nextSeq
+			}
+			add := func(id core.TxnID, d core.Decision) {
+				next[pm]++
+				k := s.decisionShard(id)
+				perShard[k] = append(perShard[k], decRow{peer: b.Peer, id: id, d: d, dseq: next[pm]})
+			}
+			for _, id := range b.Accepted {
+				add(id, core.DecisionAccept)
+			}
+			for _, id := range b.Rejected {
+				add(id, core.DecisionReject)
+			}
+		}
+		err := s.db.Update(func(tx *reldb.Tx) error {
+			for k := 0; k < s.tableShards; k++ {
+				for _, r := range perShard[k] {
+					if err := tx.Upsert(s.decisionsTab[k], reldb.Row{
+						reldb.Str(string(r.peer)),
+						reldb.Str(string(r.id.Origin)),
+						reldb.Int(int64(r.id.Seq)),
+						reldb.Int(int64(r.d)),
+						reldb.Int(r.dseq),
+					}); err != nil {
+						return err
+					}
+				}
+			}
+			if key != "" {
+				return tx.Insert(s.idemTab, idemRow(key, opDecide, int64(wm), 0, 0))
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		for i, b := range batches {
+			for _, id := range b.Accepted {
+				pms[i].recordDecisionLocked(id, core.DecisionAccept)
+			}
+			for _, id := range b.Rejected {
+				pms[i].recordDecisionLocked(id, core.DecisionReject)
+			}
+		}
+	}
+	s.counters.ObserveDecisionRoundTrip(len(batches), total)
+	return nil
+}
+
+// CurrentRecno implements store.Store.
+func (s *Store) CurrentRecno(_ context.Context, peer core.PeerID) (int, error) {
+	pm, err := s.peer(peer)
+	if err != nil {
+		return 0, err
+	}
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	return pm.recno, nil
+}
+
+// ReplayFor implements store.Replayer: the full published log in global
+// order together with the peer's recorded decisions in acceptance order,
+// from which a lost client reconstructs itself (see docs/RECOVERY.md).
+// After compaction, full replay no longer exists for peers the retained
+// snapshot covers — their early history lives only in the snapshot — so
+// the call fails for them; store.RebuildPeer takes the snapshot + tail
+// path instead. Peers registered after the snapshot (whose whole history
+// is in the retained epochs) still replay fully.
+func (s *Store) ReplayFor(_ context.Context, peer core.PeerID) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
+	pm, err := s.peer(peer)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.snapState.mu.RLock()
+	compacted := s.snapState.compacted
+	snapCovered := s.snapState.covered[peer]
+	s.snapState.mu.RUnlock()
+	if compacted > 0 && snapCovered {
+		return nil, nil, fmt.Errorf("central: epochs through %d are compacted; rebuild %s from the retained snapshot (store.RebuildPeer)", compacted, peer)
+	}
+	log := s.windowTxns(0, s.maxEpoch())
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	decisions := make(map[core.TxnID]core.RestoredDecision, len(pm.decided))
+	for id, d := range pm.decided {
+		decisions[id] = core.RestoredDecision{Decision: d, Seq: pm.decidedSeq[id]}
+	}
+	return log, decisions, nil
+}

@@ -1,0 +1,392 @@
+package central
+
+import (
+	"context"
+	"fmt"
+	"sort"
+
+	"orchestra/internal/core"
+	"orchestra/internal/reldb"
+	"orchestra/internal/store"
+	"orchestra/internal/trust"
+)
+
+// resolveLayout decides the shard count: a fresh directory uses
+// defaultTableShards; an existing sharded directory has its count recorded
+// in the meta table and Open adopts it, since the count determines which
+// table holds each epoch. Pre-shard directories fail with a version error —
+// same no-migration policy as the binary-codec break.
+func (s *Store) resolveLayout() error {
+	if _, ok := s.db.TableDef(s.ns + "txns"); ok {
+		return fmt.Errorf("central: store directory uses the pre-shard single-table layout; no migration path (layout version %d writes epoch-sharded tables)", layoutVersion)
+	}
+	shards := defaultTableShards
+	if _, ok := s.db.TableDef(s.metaTab); ok {
+		var layout, stored int64
+		err := s.db.View(func(tx *reldb.Tx) error {
+			if r, ok, err := tx.Get(s.metaTab, reldb.Str("layout")); err != nil {
+				return err
+			} else if ok {
+				layout = r[1].I()
+			}
+			if r, ok, err := tx.Get(s.metaTab, reldb.Str("table_shards")); err != nil {
+				return err
+			} else if ok {
+				stored = r[1].I()
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		if layout != layoutVersion {
+			return fmt.Errorf("central: store directory has layout version %d, this build reads %d; no migration path", layout, layoutVersion)
+		}
+		if stored < 1 {
+			return fmt.Errorf("central: store directory records invalid table shard count %d", stored)
+		}
+		shards = int(stored)
+	}
+	s.tableShards = shards
+	s.epochsTab = make([]string, shards)
+	s.txnsTab = make([]string, shards)
+	s.decisionsTab = make([]string, shards)
+	for k := 0; k < shards; k++ {
+		s.epochsTab[k] = fmt.Sprintf("%sepochs_%02d", s.ns, k)
+		s.txnsTab[k] = fmt.Sprintf("%stxns_%02d", s.ns, k)
+		s.decisionsTab[k] = fmt.Sprintf("%sdecisions_%02d", s.ns, k)
+	}
+	s.counters.InitShards(shards)
+	return nil
+}
+
+func (s *Store) initTables() error {
+	if err := s.resolveLayout(); err != nil {
+		return err
+	}
+	return s.db.Update(func(tx *reldb.Tx) error {
+		create := func(def reldb.TableDef) error {
+			if tx.HasTable(def.Name) {
+				return nil
+			}
+			return tx.CreateTable(def)
+		}
+		if !tx.HasTable(s.metaTab) {
+			if err := tx.CreateTable(reldb.TableDef{
+				Name: s.metaTab,
+				Cols: []reldb.ColDef{
+					{Name: "key", Type: reldb.ColString},
+					{Name: "value", Type: reldb.ColInt},
+				},
+				Key: []int{0},
+			}); err != nil {
+				return err
+			}
+			if err := tx.Insert(s.metaTab, reldb.Row{reldb.Str("layout"), reldb.Int(layoutVersion)}); err != nil {
+				return err
+			}
+			if err := tx.Insert(s.metaTab, reldb.Row{reldb.Str("table_shards"), reldb.Int(int64(s.tableShards))}); err != nil {
+				return err
+			}
+		}
+		// Tables are created in the documented lock order (epochs_k, then
+		// txns_k, then decisions_k, shard indexes ascending) — irrelevant at
+		// open, which is single-threaded, but it keeps every multi-table
+		// transaction in this package consistent with the contract.
+		for k := 0; k < s.tableShards; k++ {
+			if err := create(reldb.TableDef{
+				Name: s.epochsTab[k],
+				Cols: []reldb.ColDef{
+					{Name: "epoch", Type: reldb.ColInt},
+					{Name: "peer", Type: reldb.ColString},
+					{Name: "finished", Type: reldb.ColBool},
+				},
+				Key: []int{0},
+			}); err != nil {
+				return err
+			}
+		}
+		// One row per published batch, not per transaction: the payload is
+		// the whole []store.PublishedTxn in one binary-codec stream
+		// (store.AppendPublishedTxns).
+		for k := 0; k < s.tableShards; k++ {
+			if err := create(reldb.TableDef{
+				Name: s.txnsTab[k],
+				Cols: []reldb.ColDef{
+					{Name: "ord", Type: reldb.ColInt},
+					{Name: "epoch", Type: reldb.ColInt},
+					{Name: "count", Type: reldb.ColInt},
+					{Name: "payload", Type: reldb.ColBytes},
+				},
+				Key: []int{0},
+			}); err != nil {
+				return err
+			}
+		}
+		for k := 0; k < s.tableShards; k++ {
+			if err := create(reldb.TableDef{
+				Name: s.decisionsTab[k],
+				Cols: []reldb.ColDef{
+					{Name: "peer", Type: reldb.ColString},
+					{Name: "origin", Type: reldb.ColString},
+					{Name: "seq", Type: reldb.ColInt},
+					{Name: "decision", Type: reldb.ColInt},
+					{Name: "dseq", Type: reldb.ColInt},
+				},
+				Key: []int{0, 1, 2},
+			}); err != nil {
+				return err
+			}
+		}
+		if err := create(reldb.TableDef{
+			Name: s.peersTab,
+			Cols: []reldb.ColDef{
+				{Name: "peer", Type: reldb.ColString},
+				{Name: "last_epoch", Type: reldb.ColInt},
+				{Name: "recno", Type: reldb.ColInt},
+			},
+			Key: []int{0},
+		}); err != nil {
+			return err
+		}
+		// One row: the retained global engine-state snapshot (binary codec,
+		// store.AppendSnapshot). Each Snapshot() commit atomically replaces
+		// it; a torn commit rolls back whole, so the previous snapshot (and
+		// the publish log) are never voided by a crash mid-snapshot.
+		if err := create(reldb.TableDef{
+			Name: s.snapsTab,
+			Cols: []reldb.ColDef{
+				{Name: "epoch", Type: reldb.ColInt},
+				{Name: "payload", Type: reldb.ColBytes},
+			},
+			Key: []int{0},
+		}); err != nil {
+			return err
+		}
+		// One row per idempotency-keyed operation that committed: the key,
+		// the operation, and its memoized result (see idempotency.go). Rows
+		// are written inside the keyed operation's own commit, so a crash
+		// can never separate an operation from its dedup record. Created
+		// conditionally: directories from before this table gain it on
+		// reopen with no layout break.
+		if err := create(reldb.TableDef{
+			Name: s.idemTab,
+			Cols: []reldb.ColDef{
+				{Name: "key", Type: reldb.ColString},
+				{Name: "op", Type: reldb.ColString},
+				{Name: "r1", Type: reldb.ColInt},
+				{Name: "r2", Type: reldb.ColInt},
+				{Name: "r3", Type: reldb.ColInt},
+			},
+			Key: []int{0},
+		}); err != nil {
+			return err
+		}
+		// One row per peer whose trust policy is textual (*trust.Policy):
+		// the policy source, so recovery restores it and the store serves
+		// reconciliations after a restart without waiting for peers to
+		// re-register. In-process predicate policies cannot be persisted;
+		// those peers must re-register after recovery (beginReconciliation
+		// refuses them with a clear error until they do).
+		return create(reldb.TableDef{
+			Name: s.trustTab,
+			Cols: []reldb.ColDef{
+				{Name: "peer", Type: reldb.ColString},
+				{Name: "policy", Type: reldb.ColString},
+			},
+			Key: []int{0},
+		})
+	})
+}
+
+// loadCaches rebuilds the in-memory indexes from the tables after recovery.
+// Open is single-threaded, so no store locks are taken here.
+func (s *Store) loadCaches() error {
+	err := s.db.View(func(tx *reldb.Tx) error {
+		for k := 0; k < s.tableShards; k++ {
+			if err := tx.Scan(s.epochsTab[k], func(r reldb.Row) bool {
+				e := core.Epoch(r[0].I())
+				em := &epochMeta{peer: core.PeerID(r[1].S())}
+				em.finished.Store(r[2].B())
+				s.epochs[e] = em
+				if e > s.maxE {
+					s.maxE = e
+				}
+				return true
+			}); err != nil {
+				return err
+			}
+		}
+		// The durable sequence is the allocator's block high-water mark.
+		// Epochs up to it that never reached a durable publish commit —
+		// the unissued block remainder, or allocations whose publishes
+		// died with the previous process — can never carry transactions
+		// now; register them as void (finished, empty) so the stable
+		// frontier passes over the gaps. Allocation resumes with a fresh
+		// block above the high-water mark.
+		seqHW := core.Epoch(tx.CurrentSeq(s.epochSeq))
+		for e := core.Epoch(1); e <= seqHW; e++ {
+			if _, ok := s.epochs[e]; !ok {
+				em := &epochMeta{}
+				em.finished.Store(true)
+				s.epochs[e] = em
+			}
+		}
+		if seqHW > s.maxE {
+			s.maxE = seqHW
+		}
+		s.blockNext, s.blockEnd = seqHW+1, seqHW
+		var scanErr error
+		var recovered []*entry
+		for k := 0; k < s.tableShards; k++ {
+			if err := tx.Scan(s.txnsTab[k], func(r reldb.Row) bool {
+				batch, err := store.DecodePublishedTxns(r[3].Raw())
+				if err != nil {
+					scanErr = err
+					return false
+				}
+				for _, pub := range batch {
+					// Decoding drops the unexported caches; re-warm before
+					// the recovered transactions are shared across
+					// reconciling peers.
+					pub.Txn.PrecomputeEncodings(s.schema)
+					recovered = append(recovered, &entry{pub: pub, epoch: core.Epoch(r[1].I())})
+				}
+				return true
+			}); err != nil {
+				return err
+			}
+			if scanErr != nil {
+				return scanErr
+			}
+		}
+		sort.Slice(recovered, func(i, j int) bool {
+			return recovered[i].pub.Txn.Order < recovered[j].pub.Txn.Order
+		})
+		for _, en := range recovered {
+			s.index(en)
+			if em := s.epochs[en.epoch]; em != nil {
+				em.txns = append(em.txns, en.pub.Txn.ID)
+			}
+		}
+		if err := tx.Scan(s.peersTab, func(r reldb.Row) bool {
+			s.peers[core.PeerID(r[0].S())] = &peerMeta{
+				lastEpoch:  core.Epoch(r[1].I()),
+				recno:      int(r[2].I()),
+				decided:    make(map[core.TxnID]core.Decision),
+				decidedSeq: make(map[core.TxnID]int64),
+			}
+			return true
+		}); err != nil {
+			return err
+		}
+		// Restore persisted textual trust policies. Peers registered with
+		// in-process predicate policies have no row here and stay
+		// trust-less until they re-register. Every row is parsed before
+		// any policy is resolved: a policy may delegate to a peer whose
+		// row scans later, and per-row resolution would bind incomplete
+		// closures.
+		recoveredTrust := make(map[core.PeerID]*trust.Policy)
+		if err := tx.Scan(s.trustTab, func(r reldb.Row) bool {
+			if s.peers[core.PeerID(r[0].S())] == nil {
+				return true
+			}
+			p, err := trust.Parse(r[1].S())
+			if err != nil {
+				scanErr = fmt.Errorf("central: peer %s persisted trust policy: %w", r[0].S(), err)
+				return false
+			}
+			recoveredTrust[core.PeerID(r[0].S())] = p.WithSchema(s.schema)
+			return true
+		}); err != nil {
+			return err
+		}
+		if scanErr != nil {
+			return scanErr
+		}
+		for peer, p := range recoveredTrust {
+			// Registration order is irrelevant: Set re-resolves every
+			// already-loaded policy whose closure reaches the new member.
+			s.trustGraph.Set(peer, p)
+		}
+		for peer := range recoveredTrust {
+			pm := s.peers[peer]
+			pm.trust = s.trustGraph.Effective(peer)
+			pm.prio = core.NewPriorityCache(pm.trust)
+		}
+		for k := 0; k < s.tableShards; k++ {
+			if err := tx.Scan(s.decisionsTab[k], func(r reldb.Row) bool {
+				pm := s.peers[core.PeerID(r[0].S())]
+				if pm == nil {
+					return true
+				}
+				id := core.TxnID{Origin: core.PeerID(r[1].S()), Seq: uint64(r[2].I())}
+				pm.decided[id] = core.Decision(r[3].I())
+				pm.decidedSeq[id] = r[4].I()
+				if r[4].I() > pm.nextSeq {
+					pm.nextSeq = r[4].I()
+				}
+				return true
+			}); err != nil {
+				return err
+			}
+		}
+		if r, ok, err := tx.Get(s.metaTab, reldb.Str("compacted_before")); err != nil {
+			return err
+		} else if ok {
+			s.snapState.compacted = core.Epoch(r[1].I())
+		}
+		return s.loadIdem(tx)
+	})
+	if err != nil {
+		return err
+	}
+	if err := s.loadSnapshotState(); err != nil {
+		return err
+	}
+	s.advanceFrontier()
+	return nil
+}
+
+// loadSnapshotState rebuilds the snapshot-derived caches after recovery:
+// the retained snapshot's epoch, per-peer decision high-water marks and
+// coverage, the residue entries (whose payloads exist only in the snapshot
+// once their epochs are compacted), and each peer's decision-sequence
+// floor. Open is single-threaded, so no store locks are taken here.
+func (s *Store) loadSnapshotState() error {
+	snap, err := s.LatestSnapshot(context.Background())
+	if err != nil {
+		return err
+	}
+	if snap == nil {
+		if s.snapState.compacted > 0 {
+			return fmt.Errorf("central: directory compacted through epoch %d but retains no snapshot", s.snapState.compacted)
+		}
+		return nil
+	}
+	s.snapState.epoch = snap.Epoch
+	s.snapState.hw = make(map[core.PeerID]int64, len(snap.Peers))
+	s.snapState.covered = make(map[core.PeerID]bool, len(snap.Peers))
+	s.snapState.residue = make(map[core.TxnID]bool, len(snap.Residue))
+	for i := range snap.Residue {
+		s.snapState.residue[snap.Residue[i].Txn.ID] = true
+	}
+	for i := range snap.Peers {
+		ps := &snap.Peers[i]
+		s.snapState.hw[ps.Engine.Peer] = ps.DecisionSeq
+		s.snapState.covered[ps.Engine.Peer] = true
+		// Decision sequences must keep ascending past what the snapshot
+		// folded in, even when compaction dropped every durable decision
+		// row of a peer.
+		if pm := s.peers[ps.Engine.Peer]; pm != nil && ps.DecisionSeq > pm.nextSeq {
+			pm.nextSeq = ps.DecisionSeq
+		}
+	}
+	for i := range snap.Residue {
+		pub := snap.Residue[i]
+		if s.lookup(pub.Txn.ID) == nil {
+			s.index(&entry{pub: pub, epoch: pub.Txn.Epoch})
+		}
+	}
+	return nil
+}

@@ -92,17 +92,18 @@ func (s *Store) copyPeers() ([]peerCopy, core.Epoch) {
 	return copies, stable
 }
 
-// entriesThrough returns every indexed transaction with epoch <= e, sorted
-// by global order. This covers both the live (uncompacted) epochs and the
-// residue of a previous snapshot, whose entries stay indexed after their
-// epochs are compacted.
-func (s *Store) entriesThrough(e core.Epoch) []*entry {
+// entriesIn is the one scan of the transaction index: every indexed
+// transaction of epochs (from, to], sorted by global order. Below the
+// compaction horizon that is the residue of the retained snapshot, whose
+// entries stay indexed after their epochs are compacted; above it, the live
+// epochs' entries.
+func (s *Store) entriesIn(from, to core.Epoch) []*entry {
 	var out []*entry
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for _, en := range sh.m {
-			if en.epoch <= e {
+			if en.epoch > from && en.epoch <= to {
 				out = append(out, en)
 			}
 		}
@@ -125,25 +126,13 @@ func (s *Store) entriesThrough(e core.Epoch) []*entry {
 // snapshot payload so compaction can never strand a payload a future
 // extension or late decision still needs.
 func (s *Store) Snapshot(ctx context.Context) (core.Epoch, error) {
-	key, keyed := store.IdempotencyKeyFrom(ctx)
-	if !keyed {
+	res, _, err := s.keyed(ctx, opSnapshot, func(key store.IdempotencyKey) (idemResult, error) {
 		s.snapMu.Lock()
 		defer s.snapMu.Unlock()
-		return s.snapshotLocked(ctx, "")
-	}
-	en, dup, err := s.beginIdem(key, opSnapshot)
-	if err != nil {
-		return 0, err
-	}
-	if dup {
-		return en.e, nil
-	}
-	s.snapMu.Lock()
-	epoch, err := s.snapshotLocked(ctx, key)
-	s.snapMu.Unlock()
-	en.e = epoch
-	s.finishIdem(key, en, err)
-	return epoch, err
+		epoch, err := s.snapshotLocked(ctx, key)
+		return idemResult{e: epoch}, err
+	})
+	return res.e, err
 }
 
 // snapshotLocked takes the snapshot under snapMu; a non-empty key rides the
@@ -157,7 +146,7 @@ func (s *Store) snapshotLocked(ctx context.Context, key store.IdempotencyKey) (c
 	if err != nil {
 		return 0, err
 	}
-	entries := s.entriesThrough(stable)
+	entries := s.entriesIn(0, stable)
 	logged := make([]core.LoggedTxn, len(entries))
 	for i, en := range entries {
 		logged[i] = core.LoggedTxn{Txn: en.pub.Txn, Antecedents: en.pub.Antecedents}
@@ -335,21 +324,7 @@ func (s *Store) ReplayFrom(_ context.Context, peer core.PeerID, from core.Epoch,
 	if from < compacted {
 		return nil, nil, fmt.Errorf("central: replay from epoch %d crosses the compaction horizon %d", from, compacted)
 	}
-	s.epochMu.RLock()
-	maxE := s.maxE
-	s.epochMu.RUnlock()
-	var log []store.PublishedTxn
-	for e := from + 1; e <= maxE; e++ {
-		em := s.epoch(e)
-		if em == nil {
-			continue
-		}
-		for _, id := range em.txnIDs() {
-			if en := s.lookup(id); en != nil {
-				log = append(log, en.pub)
-			}
-		}
-	}
+	log := s.windowTxns(from, s.maxEpoch())
 	lockContended(&pm.mu, s.counters.ObservePeerContention)
 	defer pm.mu.Unlock()
 	decisions := make(map[core.TxnID]core.RestoredDecision)
@@ -418,24 +393,11 @@ func (s *Store) CompactedBefore() core.Epoch {
 // snapshot-based rebuild replays, and the payloads they need live in the
 // snapshot's residue.
 func (s *Store) CompactBefore(ctx context.Context, e core.Epoch) error {
-	key, keyed := store.IdempotencyKeyFrom(ctx)
-	if !keyed {
+	_, _, err := s.keyed(ctx, opCompact, func(key store.IdempotencyKey) (idemResult, error) {
 		s.snapMu.Lock()
 		defer s.snapMu.Unlock()
-		return s.compactBeforeLocked(e, "")
-	}
-	en, dup, err := s.beginIdem(key, opCompact)
-	if err != nil {
-		return err
-	}
-	if dup {
-		return nil
-	}
-	s.snapMu.Lock()
-	err = s.compactBeforeLocked(e, key)
-	s.snapMu.Unlock()
-	en.e = e
-	s.finishIdem(key, en, err)
+		return idemResult{e: e}, s.compactBeforeLocked(e, key)
+	})
 	return err
 }
 
@@ -495,15 +457,8 @@ func (s *Store) compactBeforeLocked(e core.Epoch, key store.IdempotencyKey) erro
 	}
 	s.epochMu.RUnlock()
 	oldIDs := make(map[core.TxnID]bool)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for id, en := range sh.m {
-			if en.epoch <= e {
-				oldIDs[id] = true
-			}
-		}
-		sh.mu.RUnlock()
+	for _, en := range s.entriesIn(0, e) {
+		oldIDs[en.pub.Txn.ID] = true
 	}
 
 	// Dedup records whose retries are provably over ride out of existence

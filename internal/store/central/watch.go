@@ -145,10 +145,12 @@ func (s *Store) watchLoop(ctx context.Context, sub *watchSub, ch chan<- store.Wa
 	}
 }
 
-// windowTxns collects the published transactions of epochs (from, to] in
-// epoch order (= global order). Finished epochs' transaction lists are
-// immutable and read lock-free; the window is stable, so every epoch in it
-// is finished.
+// windowTxns is the one walk of the published log: the transactions of
+// epochs (from, to] in epoch order, publish order within an epoch — the
+// global order. The watch stream walks stable windows, ReplayFor and
+// ReplayFrom walk to the highest allocated epoch (each behind its own
+// compaction guard). A finished epoch's transaction list is immutable and
+// read lock-free; an epoch still publishing is copied under its lock.
 func (s *Store) windowTxns(from, to core.Epoch) []store.PublishedTxn {
 	var out []store.PublishedTxn
 	for e := from + 1; e <= to; e++ {

@@ -14,8 +14,13 @@ type IdempotencyKey string
 type idemCtxKey struct{}
 
 // WithIdempotencyKey returns a context carrying the idempotency key for the
-// next mutating store call.
+// next mutating store call. An empty key is no key: ctx comes back as it is,
+// so a layer that relays an optional key (a wire field, an HTTP header) need
+// not branch on its presence.
 func WithIdempotencyKey(ctx context.Context, key IdempotencyKey) context.Context {
+	if key == "" {
+		return ctx
+	}
 	return context.WithValue(ctx, idemCtxKey{}, key)
 }
 

@@ -138,13 +138,6 @@ func (p *Peer) LocalTime() time.Duration {
 	return p.localTime
 }
 
-// ResetTimers zeroes the time accounting.
-func (p *Peer) ResetTimers() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.storeTime, p.localTime = 0, 0
-}
-
 // Edit applies a local transaction and queues it for the next publish.
 func (p *Peer) Edit(updates ...core.Update) (*core.Transaction, error) {
 	p.mu.Lock()

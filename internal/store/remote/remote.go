@@ -19,6 +19,7 @@ import (
 	cryptorand "crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"time"
 
@@ -44,6 +45,9 @@ const (
 	mEffTrust     = "store.trust.effective"
 )
 
+// The wire bodies. gob matches fields by name and omits zero values, so a
+// struct shared by several ops costs nothing on the wire.
+
 type registerArgs struct {
 	Peer   core.PeerID
 	Policy string
@@ -56,30 +60,16 @@ type publishArgs struct {
 	// wire as gob, whose per-encoder type descriptors made every publish
 	// re-ship the schema of the whole Transaction/Update tree.
 	Payload []byte
-	// Key, when non-empty, dedupes retried deliveries server-side.
+	// Key, when non-empty, dedupes retried deliveries server-side: the
+	// handler puts it in the backend call's context.
 	Key store.IdempotencyKey
 }
 
-type publishReply struct {
-	Epoch core.Epoch
-}
-
-type beginArgs struct {
+// peerArgs is the body of every op that names only a peer (begin, recno,
+// replay, effective trust); begin is the one that is keyed.
+type peerArgs struct {
 	Peer core.PeerID
 	Key  store.IdempotencyKey
-}
-
-type wireCandidate struct {
-	Txn      *core.Transaction
-	Priority int
-	Ext      []*core.Transaction
-}
-
-type beginReply struct {
-	Recno      int
-	FromEpoch  core.Epoch
-	ToEpoch    core.Epoch
-	Candidates []wireCandidate
 }
 
 type decideBatchArgs struct {
@@ -87,48 +77,8 @@ type decideBatchArgs struct {
 	Key     store.IdempotencyKey
 }
 
-type recnoArgs struct {
-	Peer core.PeerID
-}
-
-type effTrustArgs struct {
-	Peer core.PeerID
-}
-
-type effTrustReply struct {
-	// Policy is the peer's effective trust in textual form. Over the wire
-	// everything is textual (Client.RegisterPeer refuses anything else),
-	// so the resolved closure round-trips losslessly as text.
-	Policy string
-}
-
-type recnoReply struct {
-	Recno int
-}
-
-type replayArgs struct {
-	Peer core.PeerID
-}
-
-type replayReply struct {
-	// Log is the full published log in global order, binary-codec encoded
-	// like a publish payload.
-	Log       []byte
-	Decisions map[core.TxnID]core.RestoredDecision
-}
-
 type takeSnapshotArgs struct {
 	Key store.IdempotencyKey
-}
-
-type takeSnapshotReply struct {
-	Epoch core.Epoch
-}
-
-type snapshotReply struct {
-	// Snapshot is the retained snapshot in the store codec's binary
-	// encoding (store.AppendSnapshot); empty when none is retained.
-	Snapshot []byte
 }
 
 type replayFromArgs struct {
@@ -156,6 +106,49 @@ type watchArgs struct {
 	WaitNanos int64
 }
 
+// none is the body of an op with no arguments or no result.
+type none struct{}
+
+// epochReply answers publish (the epoch assigned) and snapshot.take (the
+// epoch covered). begin answers with store.Reconciliation itself.
+type epochReply struct {
+	Epoch core.Epoch
+}
+
+type recnoReply struct {
+	Recno int
+}
+
+type effTrustReply struct {
+	// Policy is the peer's effective trust in textual form. Over the wire
+	// everything is textual (Client.RegisterPeer refuses anything else),
+	// so the resolved closure round-trips losslessly as text.
+	Policy string
+}
+
+// replayReply answers replay (the full log) and replayfrom (the tail).
+type replayReply struct {
+	// Log is the published log in global order, binary-codec encoded like a
+	// publish payload.
+	Log       []byte
+	Decisions map[core.TxnID]core.RestoredDecision
+}
+
+// txns decodes the reply for the client.
+func (r *replayReply) txns() ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
+	log, err := store.DecodePublishedTxns(r.Log)
+	if err != nil {
+		return nil, nil, fmt.Errorf("remote: replay payload: %w", err)
+	}
+	return log, r.Decisions, nil
+}
+
+type snapshotReply struct {
+	// Snapshot is the retained snapshot in the store codec's binary
+	// encoding (store.AppendSnapshot); empty when none is retained.
+	Snapshot []byte
+}
+
 type watchReply struct {
 	// To is the stable frontier observed by the poll; To == From means the
 	// bound elapsed with no advance (an empty poll).
@@ -169,15 +162,6 @@ type watchReply struct {
 // that requests an absurd bound cannot pin a server connection forever.
 const maxWatchWait = 30 * time.Second
 
-// withKey attaches a wire-carried idempotency key to the handler's context,
-// where the backend's dedup machinery picks it up.
-func withKey(ctx context.Context, key store.IdempotencyKey) context.Context {
-	if key == "" {
-		return ctx
-	}
-	return store.WithIdempotencyKey(ctx, key)
-}
-
 // Server adapts a store.Store to the RPC transport.
 type Server struct {
 	backend store.Store
@@ -189,22 +173,20 @@ type Server struct {
 // NewServer wraps the backend; trust policies received from clients are
 // compiled against the schema.
 func NewServer(backend store.Store, schema *core.Schema) *Server {
-	s := &Server{backend: backend, schema: schema}
-	mux := rpc.NewMux()
-	mux.Handle(mRegister, s.register)
-	mux.Handle(mPublish, s.publish)
-	mux.Handle(mBegin, s.begin)
-	mux.Handle(mDecideBatch, s.decideBatch)
-	mux.Handle(mRecno, s.recno)
-	mux.Handle(mReplay, s.replay)
-	mux.Handle(mTakeSnapshot, s.takeSnapshot)
-	mux.Handle(mSnapshot, s.latestSnapshot)
-	mux.Handle(mReplayFrom, s.replayFrom)
-	mux.Handle(mCompact, s.compact)
-	mux.Handle(mWatch, s.watch)
-	mux.Handle(mEffTrust, s.effectiveTrust)
-	s.mux = mux
-	s.srv = rpc.NewServer(mux)
+	s := &Server{backend: backend, schema: schema, mux: rpc.NewMux()}
+	s.mux.Handle(mRegister, serve(s.register))
+	s.mux.Handle(mPublish, serve(s.publish))
+	s.mux.Handle(mBegin, serve(s.begin))
+	s.mux.Handle(mDecideBatch, serve(s.decideBatch))
+	s.mux.Handle(mRecno, serve(s.recno))
+	s.mux.Handle(mReplay, serve(s.replay))
+	s.mux.Handle(mTakeSnapshot, serve(s.takeSnapshot))
+	s.mux.Handle(mSnapshot, serve(s.latestSnapshot))
+	s.mux.Handle(mReplayFrom, serve(s.replayFrom))
+	s.mux.Handle(mCompact, serve(s.compact))
+	s.mux.Handle(mWatch, serve(s.watch))
+	s.mux.Handle(mEffTrust, serve(s.effectiveTrust))
+	s.srv = rpc.NewServer(s.mux)
 	return s
 }
 
@@ -220,185 +202,128 @@ func (s *Server) Listen(addr string) (string, error) { return s.srv.Listen(addr)
 // Close stops the server.
 func (s *Server) Close() error { return s.srv.Close() }
 
-func (s *Server) register(ctx context.Context, req rpc.Request) ([]byte, error) {
-	var args registerArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
-		return nil, err
+// serve is the server half of every op: decode the body, run the typed
+// handler, encode its reply.
+func serve[A, R any](h func(context.Context, *A) (*R, error)) rpc.HandlerFunc {
+	return func(ctx context.Context, req rpc.Request) ([]byte, error) {
+		var args A
+		if err := rpc.Decode(req.Body, &args); err != nil {
+			return nil, err
+		}
+		reply, err := h(ctx, &args)
+		if err != nil {
+			return nil, err
+		}
+		return rpc.Encode(reply)
 	}
-	policy, err := trust.Parse(args.Policy)
+}
+
+// need asserts the store.Backend capability an op requires of the server's
+// backend (any store.Store may sit behind a Server); the refusal names the
+// backend's type.
+func need[T any](s *Server) (T, error) {
+	b, ok := s.backend.(T)
+	if !ok {
+		return b, fmt.Errorf("remote: backend %T is not a %v", s.backend, reflect.TypeFor[T]())
+	}
+	return b, nil
+}
+
+func (s *Server) register(ctx context.Context, a *registerArgs) (*none, error) {
+	policy, err := trust.Parse(a.Policy)
 	if err != nil {
-		return nil, fmt.Errorf("remote: peer %s policy: %w", args.Peer, err)
+		return nil, fmt.Errorf("remote: peer %s policy: %w", a.Peer, err)
 	}
 	policy.WithSchema(s.schema)
-	if err := s.backend.RegisterPeer(ctx, args.Peer, policy); err != nil {
-		return nil, err
-	}
-	return rpc.Encode(&struct{}{})
+	return &none{}, s.backend.RegisterPeer(ctx, a.Peer, policy)
 }
 
-func (s *Server) publish(ctx context.Context, req rpc.Request) ([]byte, error) {
-	var args publishArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
-		return nil, err
-	}
-	txns, err := store.DecodePublishedTxns(args.Payload)
+func (s *Server) publish(ctx context.Context, a *publishArgs) (*epochReply, error) {
+	txns, err := store.DecodePublishedTxns(a.Payload)
 	if err != nil {
-		return nil, fmt.Errorf("remote: publish payload from %s: %w", args.Peer, err)
+		return nil, fmt.Errorf("remote: publish payload from %s: %w", a.Peer, err)
 	}
-	epoch, err := s.backend.Publish(withKey(ctx, args.Key), args.Peer, txns)
-	if err != nil {
-		return nil, err
-	}
-	return rpc.Encode(&publishReply{Epoch: epoch})
+	epoch, err := s.backend.Publish(store.WithIdempotencyKey(ctx, a.Key), a.Peer, txns)
+	return &epochReply{Epoch: epoch}, err
 }
 
-func (s *Server) begin(ctx context.Context, req rpc.Request) ([]byte, error) {
-	var args beginArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
-		return nil, err
-	}
-	rec, err := s.backend.BeginReconciliation(withKey(ctx, args.Key), args.Peer)
-	if err != nil {
-		return nil, err
-	}
-	reply := beginReply{Recno: rec.Recno, FromEpoch: rec.FromEpoch, ToEpoch: rec.ToEpoch}
-	for _, c := range rec.Candidates {
-		reply.Candidates = append(reply.Candidates, wireCandidate{
-			Txn: c.Txn, Priority: c.Priority, Ext: c.Ext,
-		})
-	}
-	return rpc.Encode(&reply)
+func (s *Server) begin(ctx context.Context, a *peerArgs) (*store.Reconciliation, error) {
+	return s.backend.BeginReconciliation(store.WithIdempotencyKey(ctx, a.Key), a.Peer)
 }
 
-func (s *Server) decideBatch(ctx context.Context, req rpc.Request) ([]byte, error) {
-	var args decideBatchArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
-		return nil, err
-	}
-	if err := s.backend.RecordDecisionsBatch(withKey(ctx, args.Key), args.Batches); err != nil {
-		return nil, err
-	}
-	return rpc.Encode(&struct{}{})
+func (s *Server) decideBatch(ctx context.Context, a *decideBatchArgs) (*none, error) {
+	return &none{}, s.backend.RecordDecisionsBatch(store.WithIdempotencyKey(ctx, a.Key), a.Batches)
 }
 
-func (s *Server) recno(ctx context.Context, req rpc.Request) ([]byte, error) {
-	var args recnoArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
-		return nil, err
-	}
-	n, err := s.backend.CurrentRecno(ctx, args.Peer)
+func (s *Server) recno(ctx context.Context, a *peerArgs) (*recnoReply, error) {
+	n, err := s.backend.CurrentRecno(ctx, a.Peer)
+	return &recnoReply{Recno: n}, err
+}
+
+func (s *Server) replay(ctx context.Context, a *peerArgs) (*replayReply, error) {
+	rp, err := need[store.Replayer](s)
 	if err != nil {
 		return nil, err
 	}
-	return rpc.Encode(&recnoReply{Recno: n})
+	log, decisions, err := rp.ReplayFor(ctx, a.Peer)
+	return &replayReply{Log: store.AppendPublishedTxns(nil, log), Decisions: decisions}, err
 }
 
-func (s *Server) replay(ctx context.Context, req rpc.Request) ([]byte, error) {
-	var args replayArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
-		return nil, err
-	}
-	rp, ok := s.backend.(store.Replayer)
-	if !ok {
-		return nil, fmt.Errorf("remote: backend %T cannot replay peer state", s.backend)
-	}
-	log, decisions, err := rp.ReplayFor(ctx, args.Peer)
+func (s *Server) takeSnapshot(ctx context.Context, a *takeSnapshotArgs) (*epochReply, error) {
+	sn, err := need[store.Snapshotter](s)
 	if err != nil {
 		return nil, err
 	}
-	return rpc.Encode(&replayReply{
-		Log:       store.AppendPublishedTxns(nil, log),
-		Decisions: decisions,
-	})
+	epoch, err := sn.Snapshot(store.WithIdempotencyKey(ctx, a.Key))
+	return &epochReply{Epoch: epoch}, err
 }
 
-func (s *Server) takeSnapshot(ctx context.Context, req rpc.Request) ([]byte, error) {
-	var args takeSnapshotArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
-		return nil, err
-	}
-	sn, ok := s.backend.(store.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("remote: backend %T cannot take snapshots", s.backend)
-	}
-	epoch, err := sn.Snapshot(withKey(ctx, args.Key))
+func (s *Server) latestSnapshot(ctx context.Context, _ *none) (*snapshotReply, error) {
+	sr, err := need[store.SnapshotReplayer](s)
 	if err != nil {
 		return nil, err
-	}
-	return rpc.Encode(&takeSnapshotReply{Epoch: epoch})
-}
-
-func (s *Server) latestSnapshot(ctx context.Context, _ rpc.Request) ([]byte, error) {
-	sr, ok := s.backend.(store.SnapshotReplayer)
-	if !ok {
-		return nil, fmt.Errorf("remote: backend %T retains no snapshots", s.backend)
 	}
 	snap, err := sr.LatestSnapshot(ctx)
+	if err != nil || snap == nil {
+		return &snapshotReply{}, err
+	}
+	return &snapshotReply{Snapshot: store.AppendSnapshot(nil, snap)}, nil
+}
+
+func (s *Server) replayFrom(ctx context.Context, a *replayFromArgs) (*replayReply, error) {
+	sr, err := need[store.SnapshotReplayer](s)
 	if err != nil {
 		return nil, err
 	}
-	reply := snapshotReply{}
-	if snap != nil {
-		reply.Snapshot = store.AppendSnapshot(nil, snap)
-	}
-	return rpc.Encode(&reply)
+	log, decisions, err := sr.ReplayFrom(ctx, a.Peer, a.From, a.AfterSeq)
+	return &replayReply{Log: store.AppendPublishedTxns(nil, log), Decisions: decisions}, err
 }
 
-func (s *Server) replayFrom(ctx context.Context, req rpc.Request) ([]byte, error) {
-	var args replayFromArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
-		return nil, err
-	}
-	sr, ok := s.backend.(store.SnapshotReplayer)
-	if !ok {
-		return nil, fmt.Errorf("remote: backend %T cannot replay a tail", s.backend)
-	}
-	log, decisions, err := sr.ReplayFrom(ctx, args.Peer, args.From, args.AfterSeq)
+func (s *Server) compact(ctx context.Context, a *compactArgs) (*none, error) {
+	sn, err := need[store.Snapshotter](s)
 	if err != nil {
 		return nil, err
 	}
-	return rpc.Encode(&replayReply{
-		Log:       store.AppendPublishedTxns(nil, log),
-		Decisions: decisions,
-	})
-}
-
-func (s *Server) compact(ctx context.Context, req rpc.Request) ([]byte, error) {
-	var args compactArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
-		return nil, err
-	}
-	sn, ok := s.backend.(store.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("remote: backend %T cannot compact", s.backend)
-	}
-	if err := sn.CompactBefore(withKey(ctx, args.Key), args.Epoch); err != nil {
-		return nil, err
-	}
-	return rpc.Encode(&struct{}{})
+	return &none{}, sn.CompactBefore(store.WithIdempotencyKey(ctx, a.Key), a.Epoch)
 }
 
 // effectiveTrust serves a peer's resolved trust as text. Delegation
 // closures computed by the backend's trust graph travel as the flattened
 // effective policy, so the client never needs the other members' policies.
-func (s *Server) effectiveTrust(ctx context.Context, req rpc.Request) ([]byte, error) {
-	var args effTrustArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
+func (s *Server) effectiveTrust(ctx context.Context, a *peerArgs) (*effTrustReply, error) {
+	tr, err := need[store.TrustResolver](s)
+	if err != nil {
 		return nil, err
 	}
-	tr, ok := s.backend.(store.TrustResolver)
-	if !ok {
-		return nil, fmt.Errorf("remote: backend %T does not resolve trust", s.backend)
-	}
-	t, err := tr.EffectiveTrust(ctx, args.Peer)
+	t, err := tr.EffectiveTrust(ctx, a.Peer)
 	if err != nil {
 		return nil, err
 	}
 	pol, ok := t.(*trust.Policy)
 	if !ok {
-		return nil, fmt.Errorf("remote: peer %s effective trust %T is not textual", args.Peer, t)
+		return nil, fmt.Errorf("remote: peer %s effective trust %T is not textual", a.Peer, t)
 	}
-	return rpc.Encode(&effTrustReply{Policy: pol.String()})
+	return &effTrustReply{Policy: pol.String()}, nil
 }
 
 // watch serves one bounded long-poll: it subscribes to the backend at the
@@ -406,22 +331,18 @@ func (s *Server) effectiveTrust(ctx context.Context, req rpc.Request) ([]byte, e
 // window that arrives (or an empty poll). The subscription registered for
 // the call's duration also pins the backend's compaction horizon at the
 // cursor while the poll is in flight.
-func (s *Server) watch(ctx context.Context, req rpc.Request) ([]byte, error) {
-	var args watchArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
+func (s *Server) watch(ctx context.Context, a *watchArgs) (*watchReply, error) {
+	w, err := need[store.Watcher](s)
+	if err != nil {
 		return nil, err
 	}
-	w, ok := s.backend.(store.Watcher)
-	if !ok {
-		return nil, fmt.Errorf("remote: backend %T does not support watch subscriptions", s.backend)
-	}
-	wait := time.Duration(args.WaitNanos)
+	wait := time.Duration(a.WaitNanos)
 	if wait <= 0 || wait > maxWatchWait {
 		wait = maxWatchWait
 	}
 	wctx, cancel := context.WithTimeout(ctx, wait)
 	defer cancel()
-	ch, err := w.WatchFrom(wctx, args.From)
+	ch, err := w.WatchFrom(wctx, a.From)
 	if err != nil {
 		return nil, err
 	}
@@ -429,9 +350,9 @@ func (s *Server) watch(ctx context.Context, req rpc.Request) ([]byte, error) {
 	if !ok {
 		// The bound elapsed with no frontier advance (or the backend shut
 		// down): an empty poll, the client re-polls from the same cursor.
-		return rpc.Encode(&watchReply{To: args.From})
+		return &watchReply{To: a.From}, nil
 	}
-	return rpc.Encode(&watchReply{To: ev.To, Payload: store.AppendPublishedTxns(nil, ev.Txns)})
+	return &watchReply{To: ev.To, Payload: store.AppendPublishedTxns(nil, ev.Txns)}, nil
 }
 
 // Client implements store.Backend against a remote Server. Trust policies
@@ -451,17 +372,9 @@ type Client struct {
 	// watchPoll bounds the server-side wait of each watch long-poll (see
 	// WithWatchPoll).
 	watchPoll time.Duration
-	// group is the method prefix ("group/<encoded id>/", or empty) a
-	// WithGroup client stamps on every store call, routing it to one tenant
-	// of a multi-group server (see GroupServer).
-	group string
 }
 
 var _ store.Backend = (*Client)(nil)
-
-// m maps a store method name to the wire method this client calls:
-// group-scoped clients prefix every call with their group route.
-func (c *Client) m(name string) string { return c.group + name }
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
@@ -506,16 +419,6 @@ func WithWatchPoll(d time.Duration) ClientOption {
 	}
 }
 
-// WithGroup scopes every call of this client to one group of a
-// multi-group server (GroupServer): method names travel with the group's
-// route prefix. Against a single-group Server the prefixed methods do not
-// resolve, so a group-scoped client only works with a group gateway.
-func WithGroup(group string) ClientOption {
-	return func(c *Client) {
-		c.group = "group/" + store.EncodeNamespace(group) + "/"
-	}
-}
-
 // NewClient returns a client for the server at addr.
 func NewClient(from, addr string, opts ...ClientOption) *Client {
 	return NewClientOn(rpc.NewClient(from), addr, opts...)
@@ -555,6 +458,21 @@ func (c *Client) key(ctx context.Context, op string) store.IdempotencyKey {
 	return store.IdempotencyKey(fmt.Sprintf("%s/%s/%d", c.keyPrefix, op, c.keyCtr.Add(1)))
 }
 
+// call is the client half of every op: the typed body out through the
+// client's (possibly retrying) transport, the typed reply back.
+func call[R, A any](ctx context.Context, c *Client, method string, args *A) (R, error) {
+	var reply R
+	var into any = &reply
+	if _, empty := into.(*none); empty {
+		into = nil // nothing comes back: do not build a decoder for it
+	}
+	if err := rpc.Invoke(ctx, c.caller, c.addr, method, args, into); err != nil {
+		var zero R
+		return zero, err
+	}
+	return reply, nil
+}
+
 // RegisterPeer implements store.Store. The trust policy must be a
 // *trust.Policy. Registration is naturally idempotent (an upsert), so it
 // travels unkeyed.
@@ -563,19 +481,16 @@ func (c *Client) RegisterPeer(ctx context.Context, peer core.PeerID, t core.Trus
 	if !ok {
 		return fmt.Errorf("remote: peer %s: trust policy must be a *trust.Policy (textual rules)", peer)
 	}
-	return rpc.Invoke(ctx, c.caller, c.addr, c.m(mRegister),
-		&registerArgs{Peer: peer, Policy: policy.String()}, nil)
+	_, err := call[none](ctx, c, mRegister, &registerArgs{Peer: peer, Policy: policy.String()})
+	return err
 }
 
 // Publish implements store.Store; the batch travels in the binary store
 // codec, not gob.
 func (c *Client) Publish(ctx context.Context, peer core.PeerID, txns []store.PublishedTxn) (core.Epoch, error) {
-	var reply publishReply
-	args := publishArgs{Peer: peer, Payload: store.AppendPublishedTxns(nil, txns), Key: c.key(ctx, "publish")}
-	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mPublish), &args, &reply); err != nil {
-		return 0, err
-	}
-	return reply.Epoch, nil
+	r, err := call[epochReply](ctx, c, mPublish,
+		&publishArgs{Peer: peer, Payload: store.AppendPublishedTxns(nil, txns), Key: c.key(ctx, "publish")})
+	return r.Epoch, err
 }
 
 // BeginReconciliation implements store.Store. Keyed like the writes: the
@@ -583,18 +498,11 @@ func (c *Client) Publish(ctx context.Context, peer core.PeerID, txns []store.Pub
 // retried begin must replay the first delivery's window rather than be
 // given a new (empty) one.
 func (c *Client) BeginReconciliation(ctx context.Context, peer core.PeerID) (*store.Reconciliation, error) {
-	var reply beginReply
-	args := beginArgs{Peer: peer, Key: c.key(ctx, "begin")}
-	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mBegin), &args, &reply); err != nil {
+	rec, err := call[store.Reconciliation](ctx, c, mBegin, &peerArgs{Peer: peer, Key: c.key(ctx, "begin")})
+	if err != nil {
 		return nil, err
 	}
-	rec := &store.Reconciliation{Recno: reply.Recno, FromEpoch: reply.FromEpoch, ToEpoch: reply.ToEpoch}
-	for _, wc := range reply.Candidates {
-		rec.Candidates = append(rec.Candidates, &core.Candidate{
-			Txn: wc.Txn, Priority: wc.Priority, Ext: wc.Ext,
-		})
-	}
-	return rec, nil
+	return &rec, nil
 }
 
 // RecordDecisions implements store.Store as a single-entry batch.
@@ -607,28 +515,25 @@ func (c *Client) RecordDecisions(ctx context.Context, peer core.PeerID, recno in
 // RecordDecisionsBatch implements store.Store: the whole wave's decisions
 // travel in one network round trip.
 func (c *Client) RecordDecisionsBatch(ctx context.Context, batches []store.DecisionBatch) error {
-	args := decideBatchArgs{Batches: batches, Key: c.key(ctx, "decide.batch")}
-	return rpc.Invoke(ctx, c.caller, c.addr, c.m(mDecideBatch), &args, nil)
+	_, err := call[none](ctx, c, mDecideBatch, &decideBatchArgs{Batches: batches, Key: c.key(ctx, "decide.batch")})
+	return err
 }
 
 // CurrentRecno implements store.Store.
 func (c *Client) CurrentRecno(ctx context.Context, peer core.PeerID) (int, error) {
-	var reply recnoReply
-	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mRecno), &recnoArgs{Peer: peer}, &reply); err != nil {
-		return 0, err
-	}
-	return reply.Recno, nil
+	r, err := call[recnoReply](ctx, c, mRecno, &peerArgs{Peer: peer})
+	return r.Recno, err
 }
 
 // EffectiveTrust implements store.TrustResolver by RPC. The policy comes
 // back as a fresh parsed copy with no schema bound; callers that evaluate
 // attr('name') predicates locally bind their own schema (store.Peer does).
 func (c *Client) EffectiveTrust(ctx context.Context, peer core.PeerID) (core.Trust, error) {
-	var reply effTrustReply
-	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mEffTrust), &effTrustArgs{Peer: peer}, &reply); err != nil {
+	r, err := call[effTrustReply](ctx, c, mEffTrust, &peerArgs{Peer: peer})
+	if err != nil {
 		return nil, err
 	}
-	pol, err := trust.Parse(reply.Policy)
+	pol, err := trust.Parse(r.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("remote: effective trust payload: %w", err)
 	}
@@ -639,33 +544,35 @@ func (c *Client) EffectiveTrust(ctx context.Context, peer core.PeerID) (core.Tru
 // in the binary store codec, so a lost participant can rebuild its soft
 // state from a remote store exactly as from a local one (store.RebuildPeer).
 func (c *Client) ReplayFor(ctx context.Context, peer core.PeerID) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
-	var reply replayReply
-	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mReplay), &replayArgs{Peer: peer}, &reply); err != nil {
+	r, err := call[replayReply](ctx, c, mReplay, &peerArgs{Peer: peer})
+	if err != nil {
 		return nil, nil, err
 	}
-	log, err := store.DecodePublishedTxns(reply.Log)
+	return r.txns()
+}
+
+// ReplayFrom implements store.SnapshotReplayer: the post-snapshot tail and
+// the peer's post-snapshot decisions in one round trip.
+func (c *Client) ReplayFrom(ctx context.Context, peer core.PeerID, from core.Epoch, afterSeq int64) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
+	r, err := call[replayReply](ctx, c, mReplayFrom, &replayFromArgs{Peer: peer, From: from, AfterSeq: afterSeq})
 	if err != nil {
-		return nil, nil, fmt.Errorf("remote: replay payload: %w", err)
+		return nil, nil, err
 	}
-	return log, reply.Decisions, nil
+	return r.txns()
 }
 
 // Snapshot implements store.Snapshotter by proxy: the server's backend
 // takes and retains the snapshot; only the covered epoch returns.
 func (c *Client) Snapshot(ctx context.Context) (core.Epoch, error) {
-	var reply takeSnapshotReply
-	args := takeSnapshotArgs{Key: c.key(ctx, "snapshot")}
-	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mTakeSnapshot), &args, &reply); err != nil {
-		return 0, err
-	}
-	return reply.Epoch, nil
+	r, err := call[epochReply](ctx, c, mTakeSnapshot, &takeSnapshotArgs{Key: c.key(ctx, "snapshot")})
+	return r.Epoch, err
 }
 
 // CompactBefore implements store.Snapshotter by proxy; the backend enforces
 // the compaction safety invariants and its refusals travel back as errors.
 func (c *Client) CompactBefore(ctx context.Context, e core.Epoch) error {
-	args := compactArgs{Epoch: e, Key: c.key(ctx, "compact")}
-	return rpc.Invoke(ctx, c.caller, c.addr, c.m(mCompact), &args, nil)
+	_, err := call[none](ctx, c, mCompact, &compactArgs{Epoch: e, Key: c.key(ctx, "compact")})
+	return err
 }
 
 // LatestSnapshot implements store.SnapshotReplayer: the retained snapshot
@@ -673,14 +580,11 @@ func (c *Client) CompactBefore(ctx context.Context, e core.Epoch) error {
 // ReplayFrom this is the two-round-trip catch-up path store.RebuildPeer
 // uses against a remote store.
 func (c *Client) LatestSnapshot(ctx context.Context) (*store.Snapshot, error) {
-	var reply snapshotReply
-	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mSnapshot), &struct{}{}, &reply); err != nil {
+	r, err := call[snapshotReply](ctx, c, mSnapshot, &none{})
+	if err != nil || len(r.Snapshot) == 0 {
 		return nil, err
 	}
-	if len(reply.Snapshot) == 0 {
-		return nil, nil
-	}
-	snap, err := store.DecodeSnapshot(reply.Snapshot)
+	snap, err := store.DecodeSnapshot(r.Snapshot)
 	if err != nil {
 		return nil, fmt.Errorf("remote: snapshot payload: %w", err)
 	}
@@ -709,10 +613,8 @@ func (c *Client) WatchFrom(ctx context.Context, from core.Epoch) (<-chan store.W
 func (c *Client) watchLoop(ctx context.Context, cursor core.Epoch, ch chan<- store.WatchEvent) {
 	defer close(ch)
 	for ctx.Err() == nil {
-		var reply watchReply
 		pollCtx, cancel := context.WithTimeout(ctx, c.watchPoll+watchWaitSlack)
-		err := rpc.Invoke(pollCtx, c.caller, c.addr, c.m(mWatch),
-			&watchArgs{From: cursor, WaitNanos: int64(c.watchPoll)}, &reply)
+		reply, err := call[watchReply](pollCtx, c, mWatch, &watchArgs{From: cursor, WaitNanos: int64(c.watchPoll)})
 		cancel()
 		if err != nil {
 			// Retries already absorbed transient faults inside the poll; an
@@ -735,19 +637,4 @@ func (c *Client) watchLoop(ctx context.Context, cursor core.Epoch, ch chan<- sto
 			return
 		}
 	}
-}
-
-// ReplayFrom implements store.SnapshotReplayer: the post-snapshot tail and
-// the peer's post-snapshot decisions in one round trip.
-func (c *Client) ReplayFrom(ctx context.Context, peer core.PeerID, from core.Epoch, afterSeq int64) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
-	var reply replayReply
-	args := replayFromArgs{Peer: peer, From: from, AfterSeq: afterSeq}
-	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mReplayFrom), &args, &reply); err != nil {
-		return nil, nil, err
-	}
-	log, err := store.DecodePublishedTxns(reply.Log)
-	if err != nil {
-		return nil, nil, fmt.Errorf("remote: tail payload: %w", err)
-	}
-	return log, reply.Decisions, nil
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"orchestra/internal/core"
-	"orchestra/internal/rpc"
 	"orchestra/internal/store"
 	"orchestra/internal/store/central"
 	"orchestra/internal/store/storetest"
@@ -64,33 +63,6 @@ func TestWatchConformance(t *testing.T) {
 			return NewClient(string(p), addr, WithWatchPoll(10*time.Millisecond))
 		}, func() {}
 	})
-}
-
-// TestMultiGroupConformance runs the tenancy suite over TCP: a group
-// gateway in front of a shared-database Node, with every peer a
-// group-scoped client. Exercises the group route prefix, lazy per-group
-// sub-servers, and the namespace codec on the wire.
-func TestMultiGroupConformance(t *testing.T) {
-	storetest.RunMultiGroupConformance(t,
-		func(t *testing.T, schema *core.Schema) (func(string, core.PeerID) store.Store, func()) {
-			node, err := central.OpenNode("")
-			if err != nil {
-				t.Fatal(err)
-			}
-			gw := NewGroupServer(func(group string) (store.Store, error) {
-				return node.OpenGroup(group, schema)
-			}, schema)
-			addr, err := gw.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return func(group string, p core.PeerID) store.Store {
-					return NewClient(string(p), addr, WithGroup(group))
-				}, func() {
-					gw.Close()
-					node.Close()
-				}
-		})
 }
 
 func TestRemoteEndToEnd(t *testing.T) {
@@ -204,9 +176,55 @@ func TestRemoteBadPolicyRejectedServerSide(t *testing.T) {
 	// Send a syntactically invalid policy text directly: the server must
 	// reject it when compiling.
 	cl := NewClient("x", addr)
-	err := rpc.Invoke(context.Background(), cl.caller, addr, mRegister,
-		&registerArgs{Peer: "x", Policy: "garbage"}, nil)
+	_, err := call[none](context.Background(), cl, mRegister, &registerArgs{Peer: "x", Policy: "garbage"})
 	if err == nil {
 		t.Error("server accepted garbage policy")
+	}
+}
+
+// bareStore is a six-method store.Store and nothing more: embedding the
+// interface hides every store.Backend capability of the central store
+// behind it.
+type bareStore struct{ store.Store }
+
+// TestServerRefusesMissingCapability: a Server accepts any store.Store, so
+// each of the seven ops that need a store.Backend capability must refuse a
+// backend whose type lacks it, with an error naming that type — and the
+// six-method tier must keep working on the same server.
+func TestServerRefusesMissingCapability(t *testing.T) {
+	schema := storetest.Schema(t)
+	backend := central.MustOpenMemory(schema)
+	srv := NewServer(bareStore{backend}, schema)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		backend.Close()
+	})
+	ctx := context.Background()
+	cl := NewClient("x", addr)
+	if err := cl.RegisterPeer(ctx, "x", policyAll(t)); err != nil {
+		t.Fatalf("six-method tier over a bare store: %v", err)
+	}
+
+	gated := map[string]func() error{
+		mReplay:       func() error { _, _, err := cl.ReplayFor(ctx, "x"); return err },
+		mTakeSnapshot: func() error { _, err := cl.Snapshot(ctx); return err },
+		mSnapshot:     func() error { _, err := cl.LatestSnapshot(ctx); return err },
+		mReplayFrom:   func() error { _, _, err := cl.ReplayFrom(ctx, "x", 0, 0); return err },
+		mCompact:      func() error { return cl.CompactBefore(ctx, 1) },
+		mEffTrust:     func() error { _, err := cl.EffectiveTrust(ctx, "x"); return err },
+		mWatch: func() error {
+			_, err := call[watchReply](ctx, cl, mWatch, &watchArgs{From: 0, WaitNanos: int64(time.Millisecond)})
+			return err
+		},
+	}
+	for method, op := range gated {
+		err := op()
+		if err == nil || !strings.Contains(err.Error(), "remote.bareStore") {
+			t.Errorf("%s over a bare store: err = %v, want a refusal naming remote.bareStore", method, err)
+		}
 	}
 }

@@ -150,11 +150,6 @@ func (t *TrustTopology) Len() int { return len(t.peers) }
 // PeerID returns the i-th peer's ID.
 func (t *TrustTopology) PeerID(i int) core.PeerID { return t.peers[i] }
 
-// PeerIDs returns every peer ID in index order.
-func (t *TrustTopology) PeerIDs() []core.PeerID {
-	return append([]core.PeerID(nil), t.peers...)
-}
-
 // Edges returns the total delegation count across the topology.
 func (t *TrustTopology) Edges() int {
 	total := 0

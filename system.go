@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -374,23 +373,6 @@ func (s *System) Close() error {
 		return s.cs.Close()
 	}
 	return nil
-}
-
-// DeferredAcross summarizes, for diagnostics, how many transactions remain
-// deferred at each peer.
-func (s *System) DeferredAcross() map[PeerID]int {
-	out := make(map[PeerID]int, len(s.peers))
-	for id, p := range s.peers {
-		out[id] = len(p.Engine().DeferredIDs())
-	}
-	return out
-}
-
-// SortedPeerIDs returns the registered peer IDs, sorted.
-func (s *System) SortedPeerIDs() []PeerID {
-	out := append([]PeerID(nil), s.order...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Ensure the facade type aliases stay wired (compile-time checks).

@@ -50,7 +50,7 @@ func TestSystemCentralQuickstart(t *testing.T) {
 	if p, ok := sys.Peer("alice"); !ok || p != alice {
 		t.Error("Peer lookup")
 	}
-	if len(sys.Peers()) != 2 || len(sys.SortedPeerIDs()) != 2 {
+	if len(sys.Peers()) != 2 {
 		t.Error("peer enumeration")
 	}
 	if sys.Schema() != schema {
