@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify bench-check fmt-check bench bench-smoke chaos-smoke gateway-smoke multigroup-smoke trust-smoke fuzz-smoke linkcheck clean
+.PHONY: build vet test race verify bench-check simfree-check fmt-check bench bench-smoke chaos-smoke gateway-smoke multigroup-smoke trust-smoke fuzz-smoke linkcheck clean
 
 build:
 	$(GO) build ./...
@@ -16,8 +16,9 @@ race:
 
 # verify is the tier-1 gate: build + vet + full test suite under the race
 # detector (the serial-vs-parallel differential tests rely on -race to catch
-# worker-pool data races), then the same for the benchmark's module.
-verify: build vet race bench-check
+# worker-pool data races), then the same for the benchmark's module, and
+# the guard that production binaries stay simulator-free.
+verify: build vet race bench-check simfree-check
 
 # bench-check vets the repository's benchmark (bench/, a nested module that
 # ./... does not reach) and runs its 1/50-scale smoke test under the race
@@ -25,6 +26,11 @@ verify: build vet race bench-check
 # in the driver.
 bench-check:
 	(cd bench && $(GO) vet . && $(GO) test -race -count=1 .)
+
+# simfree-check fails if a production binary links the network simulator
+# (the sentinels IsTransient tests live in internal/rpc for this reason).
+simfree-check:
+	test "$$($(GO) list -deps ./cmd/orchestra-store ./cmd/orchestra-gateway ./cmd/orchestra-peer | grep -c internal/simnet)" = 0
 
 # fmt-check fails (listing the offenders) if any file is not gofmt-clean;
 # CI runs this as its lint step.

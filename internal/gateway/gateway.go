@@ -469,10 +469,11 @@ type watchResp struct {
 	Cursor int64            `json:"cursor"`
 }
 
+// watchEventJSON is a frontier advance, nothing more: a consumer that wants
+// the window it announces calls POST /v1/reconcile/begin.
 type watchEventJSON struct {
-	From int64     `json:"from"`
-	To   int64     `json:"to"`
-	Txns []WireTxn `json:"txns"`
+	From int64 `json:"from"`
+	To   int64 `json:"to"`
 }
 
 // handleWatch serves stable-frontier subscriptions two ways. Default: a
@@ -579,9 +580,5 @@ func (g *Gateway) watchSSE(w http.ResponseWriter, r *http.Request, wt store.Watc
 }
 
 func toWatchJSON(ev store.WatchEvent) watchEventJSON {
-	return watchEventJSON{
-		From: int64(ev.From),
-		To:   int64(ev.To),
-		Txns: wirePublished(ev.Txns),
-	}
+	return watchEventJSON{From: int64(ev.From), To: int64(ev.To)}
 }

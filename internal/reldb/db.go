@@ -37,6 +37,7 @@ package reldb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -498,13 +499,13 @@ func decodeV(src []byte) (V, []byte, error) {
 	case 0:
 		return V{}, src, nil
 	case ColString, ColBytes:
-		n, sz := uvarint(src)
+		n, sz := binary.Uvarint(src)
 		if sz <= 0 || uint64(len(src)-sz) < n {
 			return V{}, nil, fmt.Errorf("reldb: decode value: bad string")
 		}
 		return V{t: t, s: string(src[sz : sz+int(n)])}, src[sz+int(n):], nil
 	case ColInt, ColFloat, ColBool:
-		n, sz := uvarint(src)
+		n, sz := binary.Uvarint(src)
 		if sz <= 0 {
 			return V{}, nil, fmt.Errorf("reldb: decode value: bad number")
 		}
@@ -512,20 +513,4 @@ func decodeV(src []byte) (V, []byte, error) {
 	default:
 		return V{}, nil, fmt.Errorf("reldb: decode value: unknown type %d", t)
 	}
-}
-
-func uvarint(b []byte) (uint64, int) {
-	var x uint64
-	var s uint
-	for i, c := range b {
-		if c < 0x80 {
-			return x | uint64(c)<<s, i + 1
-		}
-		x |= uint64(c&0x7f) << s
-		s += 7
-		if s > 63 {
-			return 0, -1
-		}
-	}
-	return 0, 0
 }

@@ -417,6 +417,20 @@ func TestValueAccessorsAndStrings(t *testing.T) {
 		if v.String() == "" {
 			t.Errorf("%v: empty String", v.Type())
 		}
+		enc, _ := v.GobEncode()
+		var dec V
+		if err := dec.GobDecode(enc); err != nil || dec != v {
+			t.Errorf("%v: decoded %v, %v", v, dec, err)
+		}
+	}
+	for what, bad := range map[string][]byte{
+		"truncated varint":    {byte(ColInt), 0x80},
+		"10-byte overflow":    append(append([]byte{byte(ColInt)}, bytes.Repeat([]byte{0xff}, 9)...), 0x02),
+		"string past the end": {byte(ColString), 0x05, 'a'},
+	} {
+		if err := new(V).GobDecode(bad); err == nil {
+			t.Errorf("%s: decoded", what)
+		}
 	}
 	if !Null().IsNull() || Str("x").IsNull() {
 		t.Error("IsNull broken")

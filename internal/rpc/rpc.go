@@ -8,7 +8,23 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
+)
+
+// The two transport-failure sentinels a Caller may wrap. They are declared
+// here, not in the fabric that injects them, so that code classifying
+// errors (store.IsTransient) does not link the simulator; simnet exports
+// the same values under its own names, and the messages keep its prefix.
+var (
+	// ErrUnreachable: the request demonstrably never reached the target
+	// (unknown, partitioned or crashed node), so callers may retry any
+	// operation safely.
+	ErrUnreachable = errors.New("simnet: unreachable")
+	// ErrTimeout: the request or its reply was lost. The caller cannot know
+	// whether the handler ran — retrying is only safe for idempotent (or
+	// idempotency-keyed) operations.
+	ErrTimeout = errors.New("simnet: call timed out (message lost)")
 )
 
 // Request is one incoming call.

@@ -23,7 +23,6 @@ package simnet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -38,15 +37,13 @@ import (
 const DefaultLatency = 500 * time.Microsecond
 
 // ErrUnreachable is returned for calls to unknown, partitioned, or crashed
-// nodes: the request demonstrably never reached the target, so callers may
-// retry any operation safely.
-var ErrUnreachable = errors.New("simnet: unreachable")
-
-// ErrTimeout is returned when an injected fault swallowed the request or
-// its reply. From the caller's point of view the call timed out with no way
-// to know whether the handler ran — retrying is only safe for idempotent
-// (or idempotency-keyed) operations.
-var ErrTimeout = errors.New("simnet: call timed out (message lost)")
+// nodes, ErrTimeout when an injected fault swallowed the request or its
+// reply. They are the rpc package's sentinels (see there for what a caller
+// may retry), so errors.Is matches under either name.
+var (
+	ErrUnreachable = rpc.ErrUnreachable
+	ErrTimeout     = rpc.ErrTimeout
+)
 
 // Stats counts traffic on the fabric.
 type Stats struct {

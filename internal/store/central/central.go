@@ -53,9 +53,12 @@
 // snapshot and replays only the post-snapshot tail (ReplayFrom) instead
 // of the whole history, and CompactBefore drops the publish/decision rows
 // of epochs a retained snapshot has absorbed — refusing to outrun any
-// peer's reconciliation frontier or the snapshot's coverage. The recovery
-// contract lives in docs/RECOVERY.md; the differential matrix pins
-// compaction to change storage only, never decisions.
+// peer's reconciliation frontier or the snapshot's coverage. Those three
+// rules are all of them: watch subscriptions (watch.go) are wake signals
+// carrying two epoch numbers, the store keeps no registry of them, and an
+// attached subscriber never holds history. The recovery contract lives in
+// docs/RECOVERY.md; the differential matrix pins compaction to change
+// storage only, never decisions.
 //
 // Lock order: an epoch mutex may be taken before a peer mutex (publish),
 // and a peer mutex before a *finished* epoch's mutex (reconciliation
@@ -243,12 +246,11 @@ type Store struct {
 	idemMu sync.Mutex
 	idem   map[store.IdempotencyKey]*idemEntry
 
-	// watchMu guards the subscription registry and the frontier-advance
-	// broadcast channel (see watch.go). It is a leaf lock: taken briefly for
-	// registry/channel access, never while acquiring any other store lock.
+	// watchMu guards the frontier-advance broadcast channel (see watch.go).
+	// It is a leaf lock: taken briefly for channel access, never while
+	// acquiring any other store lock.
 	watchMu     sync.Mutex
 	watchSignal chan struct{}
-	watchers    map[*watchSub]struct{}
 	// watchDone is closed by Close so subscription goroutines whose
 	// consumers never cancel still terminate with the store.
 	watchDone   chan struct{}
@@ -364,7 +366,6 @@ func openOn(db *reldb.DB, schema *core.Schema, ns string, ownsDB bool, cfg confi
 		compactKeep: cfg.compactKeep,
 		idem:        make(map[store.IdempotencyKey]*idemEntry),
 		watchSignal: make(chan struct{}),
-		watchers:    make(map[*watchSub]struct{}),
 		watchDone:   make(chan struct{}),
 	}
 	for i := range s.shards {

@@ -20,8 +20,8 @@ import (
 // group-commit path — the multi-tenant win: one fsync can carry commits
 // from many groups.
 //
-// A Node owns the database; the tenant stores it opens do not (their Close
-// detaches watchers and leaves the database alone). Lifecycle:
+// A Node owns the database; the tenant stores it opens do not (a tenant store's
+// Close ends its watch subscriptions and leaves the database alone). Lifecycle:
 //
 //	node, _ := OpenNode(dir)
 //	g, _ := node.OpenGroup("proteomics", schema)   // open or create

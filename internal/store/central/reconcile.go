@@ -312,6 +312,27 @@ func (s *Store) CurrentRecno(_ context.Context, peer core.PeerID) (int, error) {
 	return pm.recno, nil
 }
 
+// windowTxns is the one walk of the published log: the transactions of
+// epochs (from, to] in epoch order, publish order within an epoch — the
+// global order. ReplayFor and ReplayFrom walk to the highest allocated
+// epoch, each behind its own compaction guard. A finished epoch's transaction list is immutable and
+// read lock-free; an epoch still publishing is copied under its lock.
+func (s *Store) windowTxns(from, to core.Epoch) []store.PublishedTxn {
+	var out []store.PublishedTxn
+	for e := from + 1; e <= to; e++ {
+		em := s.epoch(e)
+		if em == nil {
+			continue
+		}
+		for _, id := range em.txnIDs() {
+			if en := s.lookup(id); en != nil {
+				out = append(out, en.pub)
+			}
+		}
+	}
+	return out
+}
+
 // ReplayFor implements store.Replayer: the full published log in global
 // order together with the peer's recorded decisions in acceptance order,
 // from which a lost client reconstructs itself (see docs/RECOVERY.md).

@@ -337,10 +337,9 @@ func (s *Store) ReplayFrom(_ context.Context, peer core.PeerID, from core.Epoch,
 }
 
 // CompactionHorizon returns the highest epoch CompactBefore would currently
-// accept: the minimum of the retained snapshot's epoch, every registered
-// peer's reconciliation frontier, and every attached watch subscription's
-// delivery cursor. It returns 0 when no snapshot is retained or some
-// registered peer is not covered by it (a fresh snapshot fixes both).
+// accept: the minimum of the retained snapshot's epoch and every registered
+// peer's reconciliation frontier. It returns 0 when no snapshot is retained
+// or some registered peer is not covered by it (a fresh snapshot fixes both).
 func (s *Store) CompactionHorizon() core.Epoch {
 	s.snapState.mu.RLock()
 	h := s.snapState.epoch
@@ -360,9 +359,6 @@ func (s *Store) CompactionHorizon() core.Epoch {
 		if le < h {
 			h = le
 		}
-	}
-	if c, ok := s.minWatcherCursor(); ok && c < h {
-		h = c
 	}
 	return h
 }
@@ -431,15 +427,6 @@ func (s *Store) compactBeforeLocked(e core.Epoch, key store.IdempotencyKey) erro
 		if le < e {
 			return fmt.Errorf("central: cannot compact through epoch %d past peer %s's reconciliation frontier %d", e, ids[i], le)
 		}
-	}
-	// Fourth refusal rule: an attached watch subscription whose consumer has
-	// not received the epochs being dropped would have its promised windows
-	// destroyed out from under it — WatchFrom guarantees contiguous,
-	// per-epoch windows, which the snapshot residue cannot reconstruct. The
-	// cursor advances only on delivery (watch.go), so catching up lifts the
-	// refusal.
-	if c, ok := s.minWatcherCursor(); ok && c < e {
-		return fmt.Errorf("central: cannot compact through epoch %d past an attached watcher's cursor %d", e, c)
 	}
 
 	// The epochs whose rows go away this pass, and every indexed

@@ -131,11 +131,15 @@ func TestTenantMaintenanceIsolation(t *testing.T) {
 		t.Fatal("quiet watcher closed unexpectedly")
 	case <-time.After(50 * time.Millisecond):
 	}
-	quietIDs := pubBatch(t, quiet, "alice", 2000, 1)
+	qEpoch, err := quiet.Publish(ctx, "alice", []store.PublishedTxn{{Txn: core.NewTransaction(
+		core.TxnID{Origin: "alice", Seq: 2000}, core.Insert("F", core.Strs("mouse", "qp1", "fn"), "alice"))}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case ev := <-ch:
-		if len(ev.Txns) != 1 || ev.Txns[0].Txn.ID != quietIDs[0] {
-			t.Fatalf("quiet watcher got wrong window: %+v", ev)
+		if ev.From != qFrontier || ev.To != qEpoch {
+			t.Fatalf("quiet watcher woke with %+v, want (%d, %d]", ev, qFrontier, qEpoch)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("quiet watcher missed its own group's publish")

@@ -2,7 +2,6 @@ package central
 
 import (
 	"context"
-	"strings"
 	"testing"
 	"time"
 
@@ -11,12 +10,11 @@ import (
 	"orchestra/internal/store/storetest"
 )
 
-// TestCompactionRefusesLaggingWatcher: CompactBefore's fourth refusal rule.
-// An attached subscription whose cursor has not passed the requested epoch
-// pins the history — compacting it away would make the watcher's resume
-// cursor unservable — and once the subscriber catches up, the same
-// compaction goes through.
-func TestCompactionRefusesLaggingWatcher(t *testing.T) {
+// TestCompactionIgnoresAttachedWatcher: a subscription is a wake signal, not
+// a claim on history. A subscriber attached at epoch 0 that never receives
+// neither stops CompactBefore nor lowers CompactionHorizon, and when it
+// finally receives, it gets one event reaching the current stable epoch.
+func TestCompactionIgnoresAttachedWatcher(t *testing.T) {
 	schema := storetest.Schema(t)
 	s := MustOpenMemory(schema)
 	defer s.Close()
@@ -25,7 +23,7 @@ func TestCompactionRefusesLaggingWatcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fn := range []string{"p1", "p2", "p3"} {
+	publish := func(fn string) {
 		if _, err := pa.Edit(core.Insert("F", core.Strs("rat", fn, "v"), "pa")); err != nil {
 			t.Fatal(err)
 		}
@@ -33,55 +31,38 @@ func TestCompactionRefusesLaggingWatcher(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snapEpoch, err := s.Snapshot(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// A subscriber attaches at the beginning of history and does not consume
-	// anything yet: its cursor (0) lags the snapshot.
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ch, err := s.WatchFrom(wctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	publish("p1")
+	publish("p2")
+	publish("p3")
+	snapEpoch, err := s.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pa, the only peer, has reconciled through the snapshot: that is the min.
+	if h := s.CompactionHorizon(); h != snapEpoch {
+		t.Errorf("CompactionHorizon = %d with a watcher parked at 0, want the snapshot epoch %d", h, snapEpoch)
+	}
+	if err := s.CompactBefore(ctx, snapEpoch); err != nil {
+		t.Fatalf("CompactBefore(%d) with a watcher parked at 0: %v", snapEpoch, err)
+	}
+	publish("p4")
 
-	err = s.CompactBefore(ctx, snapEpoch)
-	if err == nil {
-		t.Fatal("CompactBefore succeeded past a lagging watcher's cursor")
-	}
-	if !strings.Contains(err.Error(), "watcher") {
-		t.Errorf("refusal does not name the watcher: %v", err)
-	}
-	// The auto-compaction horizon is clamped the same way, so background
-	// maintenance never trips the refusal.
-	if h := s.CompactionHorizon(); h > 0 {
-		t.Errorf("CompactionHorizon = %d with a watcher parked at 0", h)
-	}
-
-	// Catch up: consume events until the cursor passes the snapshot. The
-	// cursor advances after each delivery, so compaction may trail the last
-	// receive by an instant — retry briefly instead of asserting the race.
-	var cursor core.Epoch
-	for cursor < snapEpoch {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				t.Fatal("subscription closed during catch-up")
-			}
-			cursor = ev.To
-		case <-time.After(10 * time.Second):
-			t.Fatalf("no event beyond cursor %d (want %d)", cursor, snapEpoch)
+	select {
+	case ev, ok := <-ch:
+		if !ok {
+			t.Fatal("parked subscription was closed by compaction")
 		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if err := s.CompactBefore(ctx, snapEpoch); err == nil {
-			break
-		} else if time.Now().After(deadline) {
-			t.Fatalf("CompactBefore still refused after catch-up: %v", err)
+		if want := s.stableEpoch(); ev.From != 0 || ev.To != want || want <= snapEpoch {
+			t.Errorf("parked subscriber received %+v, want one event (0, %d] past the horizon %d", ev, want, snapEpoch)
 		}
-		time.Sleep(time.Millisecond)
+	case <-time.After(10 * time.Second):
+		t.Fatal("parked subscriber was never woken")
 	}
 }

@@ -97,7 +97,7 @@ type compactArgs struct {
 // a sequence of short polls rather than one unbounded stream — each poll
 // waits server-side up to WaitNanos for the stable frontier to pass From.
 // The poll is read-only and resumable by cursor (a redelivery with the same
-// From returns the same window), so it composes with rpc.WithRetry without
+// From reads the frontier again), so it composes with rpc.WithRetry without
 // idempotency keys.
 type watchArgs struct {
 	From core.Epoch
@@ -153,9 +153,6 @@ type watchReply struct {
 	// To is the stable frontier observed by the poll; To == From means the
 	// bound elapsed with no advance (an empty poll).
 	To core.Epoch
-	// Payload is the window (From, To]'s published transactions in the
-	// store codec's binary encoding (store.AppendPublishedTxns).
-	Payload []byte
 }
 
 // maxWatchWait caps the server-side wait of one watch poll, so a client
@@ -328,9 +325,7 @@ func (s *Server) effectiveTrust(ctx context.Context, a *peerArgs) (*effTrustRepl
 
 // watch serves one bounded long-poll: it subscribes to the backend at the
 // client's cursor for at most the requested wait and relays the first
-// window that arrives (or an empty poll). The subscription registered for
-// the call's duration also pins the backend's compaction horizon at the
-// cursor while the poll is in flight.
+// frontier advance that arrives (or an empty poll).
 func (s *Server) watch(ctx context.Context, a *watchArgs) (*watchReply, error) {
 	w, err := need[store.Watcher](s)
 	if err != nil {
@@ -352,7 +347,7 @@ func (s *Server) watch(ctx context.Context, a *watchArgs) (*watchReply, error) {
 		// down): an empty poll, the client re-polls from the same cursor.
 		return &watchReply{To: a.From}, nil
 	}
-	return &watchReply{To: ev.To, Payload: store.AppendPublishedTxns(nil, ev.Txns)}, nil
+	return &watchReply{To: ev.To}, nil
 }
 
 // Client implements store.Backend against a remote Server. Trust policies
@@ -618,20 +613,15 @@ func (c *Client) watchLoop(ctx context.Context, cursor core.Epoch, ch chan<- sto
 		cancel()
 		if err != nil {
 			// Retries already absorbed transient faults inside the poll; an
-			// error surfacing here breaks the subscription. The cursor never
-			// advanced past an undelivered window, so resuming from it skips
-			// nothing.
+			// error surfacing here breaks the subscription; the consumer
+			// resumes from its own cursor.
 			return
 		}
 		if reply.To <= cursor {
 			continue // empty poll
 		}
-		txns, err := store.DecodePublishedTxns(reply.Payload)
-		if err != nil {
-			return
-		}
 		select {
-		case ch <- store.WatchEvent{From: cursor, To: reply.To, Txns: txns}:
+		case ch <- store.WatchEvent{From: cursor, To: reply.To}:
 			cursor = reply.To
 		case <-ctx.Done():
 			return

@@ -53,8 +53,9 @@ func TestConformance(t *testing.T) {
 }
 
 // TestWatchConformance runs the watch-subscription suite over TCP: the
-// subscription crosses the wire as the bounded long-poll, so ordering,
-// contiguity, cursor resume, and the compaction boundary are all exercised
+// subscription crosses the wire as the bounded long-poll, so the cursor
+// contract (contiguity, resume), the exactly-once hand-out of one begin per
+// event and a watch from below the compaction horizon are all exercised
 // through the proxy. A short poll keeps the suite fast.
 func TestWatchConformance(t *testing.T) {
 	storetest.RunWatchConformance(t, func(t *testing.T, schema *core.Schema) (func(core.PeerID) store.Store, func()) {

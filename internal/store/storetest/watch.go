@@ -10,9 +10,11 @@ import (
 )
 
 // RunWatchConformance runs the watch legs of tier two: a subscription is
-// served and honours cancellation, event ordering and contiguity (no stable
-// epoch skipped or delivered twice), cursor resume across a disconnect, and
-// the compaction boundary.
+// served and honours cancellation; its events are a contiguous, strictly
+// advancing cursor that reaches every publish, live and across a resume;
+// one BeginReconciliation per event hands out every published transaction
+// exactly once; and a subscription below the compaction horizon is served
+// like any other.
 func RunWatchConformance(t *testing.T, factory Factory) {
 	t.Run("Capability", func(t *testing.T) { testWatchCapability(t, factory) })
 	t.Run("StreamOrdering", func(t *testing.T) { testWatchStreamOrdering(t, factory) })
@@ -52,221 +54,222 @@ func testWatchCapability(t *testing.T, factory Factory) {
 	}
 }
 
-// testWatchStreamOrdering: events are contiguous (each From equals the
-// previous To), strictly advancing, and carry every published transaction
-// exactly once, in publication order — the no-skip/no-duplicate guarantee,
-// across both catch-up (history published before the subscription) and live
-// delivery (history published while subscribed).
-func testWatchStreamOrdering(t *testing.T, factory Factory) {
-	s := Schema(t)
-	clientFor, cleanup := factory(t, s)
-	defer cleanup()
-	ctx := context.Background()
-	w := backendFor(t, clientFor, "pa")
+// watchRig is the fixture of the cursor legs: pa publishes, and pb — who
+// trusts pa — calls BeginReconciliation once per event, as a streaming
+// consumer does. Events carry no rows; what pb is handed across those
+// begins is where "neither skip nor double-apply" is decided.
+type watchRig struct {
+	t   *testing.T
+	w   store.Backend
+	pa  *store.Peer
+	pb  store.Store
+	ids []core.TxnID // published, in order
+	got []core.TxnID // handed to pb, in order
+	// last is the epoch the latest publish returned, cursor the To of the
+	// last event received.
+	last, cursor core.Epoch
+}
 
+func newWatchRig(t *testing.T, s *core.Schema, clientFor func(core.PeerID) store.Store) *watchRig {
+	t.Helper()
+	ctx := context.Background()
 	pa, err := store.NewPeer(ctx, "pa", s, TrustAll(1), clientFor("pa"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var published []core.TxnID
-	publish := func(fn string) {
-		x := mustEdit(t, pa, core.Insert("F", core.Strs("rat", fn, "v"), "pa"))
-		if _, err := pa.Publish(ctx); err != nil {
-			t.Fatalf("publish: %v", err)
+	if _, err := store.NewPeer(ctx, "pb", s, TrustAll(1), clientFor("pb")); err != nil {
+		t.Fatal(err)
+	}
+	return &watchRig{t: t, w: backendFor(t, clientFor, "pa"), pa: pa, pb: clientFor("pb")}
+}
+
+func (r *watchRig) publish(fns ...string) {
+	r.t.Helper()
+	for _, fn := range fns {
+		x := mustEdit(r.t, r.pa, core.Insert("F", core.Strs("rat", fn, "v"), "pa"))
+		e, err := r.pa.Publish(context.Background())
+		if err != nil {
+			r.t.Fatalf("publish: %v", err)
 		}
-		published = append(published, x.ID)
+		r.ids, r.last = append(r.ids, x.ID), e
 	}
+}
 
-	// Catch-up: three epochs exist before anyone subscribes.
-	publish("p1")
-	publish("p2")
-	publish("p3")
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch, err := w.WatchFrom(cctx, 0)
-	if err != nil {
-		t.Fatalf("WatchFrom(0): %v", err)
-	}
-
-	var got []core.TxnID
-	cursor := core.Epoch(0)
-	receiveThrough := func(n int) {
-		t.Helper()
-		for len(got) < n {
-			ev, ok := nextWatchEvent(t, ch)
-			if !ok {
-				t.Fatalf("subscription closed after %d/%d txns", len(got), n)
-			}
-			if ev.From != cursor {
-				t.Fatalf("event gap: From=%d after cursor %d", ev.From, cursor)
-			}
-			if ev.To <= ev.From {
-				t.Fatalf("non-advancing event: %d -> %d", ev.From, ev.To)
-			}
-			cursor = ev.To
-			for _, pt := range ev.Txns {
-				got = append(got, pt.Txn.ID)
-			}
+// follow receives until the cursor reaches the latest publish, holding
+// every event to the cursor contract and beginning once per event; pb must
+// by then have been handed exactly what was published, in order.
+func (r *watchRig) follow(ch <-chan store.WatchEvent) {
+	r.t.Helper()
+	for r.cursor < r.last {
+		ev, ok := nextWatchEvent(r.t, ch)
+		if !ok {
+			r.t.Fatalf("subscription closed at cursor %d, before epoch %d", r.cursor, r.last)
+		}
+		if ev.From != r.cursor {
+			r.t.Fatalf("event gap or re-delivery: From=%d at cursor %d", ev.From, r.cursor)
+		}
+		if ev.To <= ev.From {
+			r.t.Fatalf("non-advancing event: %d -> %d", ev.From, ev.To)
+		}
+		r.cursor = ev.To
+		rec, err := r.pb.BeginReconciliation(context.Background(), "pb")
+		if err != nil {
+			r.t.Fatalf("begin after %+v: %v", ev, err)
+		}
+		for _, c := range rec.Candidates {
+			r.got = append(r.got, c.Txn.ID)
 		}
 	}
-	receiveThrough(3)
-
-	// Live: two more epochs arrive while subscribed, with no re-delivery of
-	// the caught-up history.
-	publish("p4")
-	publish("p5")
-	receiveThrough(5)
-
-	if len(got) != len(published) {
-		t.Fatalf("received %d txns, published %d", len(got), len(published))
+	if r.cursor != r.last {
+		r.t.Fatalf("cursor %d is past the last published epoch %d", r.cursor, r.last)
 	}
-	for i := range published {
-		if got[i] != published[i] {
-			t.Errorf("txn %d: got %v, want %v (order or duplication broken)", i, got[i], published[i])
+	if len(r.got) != len(r.ids) {
+		r.t.Fatalf("pb was handed %v, published %v", r.got, r.ids)
+	}
+	for i := range r.ids {
+		if r.got[i] != r.ids[i] {
+			r.t.Errorf("txn %d: got %v, want %v (skip, repeat or reorder)", i, r.got[i], r.ids[i])
 		}
 	}
 }
 
+// testWatchStreamOrdering: events are contiguous (each From equals the
+// previous To), strictly advancing, and end at the epoch of the last
+// publish — across both catch-up (history published before the
+// subscription) and live wake-ups (history published while subscribed).
+func testWatchStreamOrdering(t *testing.T, factory Factory) {
+	s := Schema(t)
+	clientFor, cleanup := factory(t, s)
+	defer cleanup()
+	r := newWatchRig(t, s, clientFor)
+
+	// Catch-up: three epochs exist before anyone subscribes.
+	r.publish("p1", "p2", "p3")
+	cctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ch, err := r.w.WatchFrom(cctx, 0)
+	if err != nil {
+		t.Fatalf("WatchFrom(0): %v", err)
+	}
+	r.follow(ch)
+
+	// Live: two more epochs arrive while subscribed.
+	r.publish("p4", "p5")
+	r.follow(ch)
+}
+
 // testWatchCursorResume: a consumer that loses its subscription and
-// re-subscribes from its cursor sees exactly the epochs it has not yet
-// consumed — nothing skipped, nothing delivered twice.
+// re-subscribes from its cursor is woken for exactly the epochs it has not
+// yet seen: the first resumed event starts at the cursor, not before it.
 func testWatchCursorResume(t *testing.T, factory Factory) {
 	s := Schema(t)
 	clientFor, cleanup := factory(t, s)
 	defer cleanup()
-	ctx := context.Background()
-	w := backendFor(t, clientFor, "pa")
+	r := newWatchRig(t, s, clientFor)
 
-	pa, err := store.NewPeer(ctx, "pa", s, TrustAll(1), clientFor("pa"))
+	// First subscription: follow two epochs, then disconnect.
+	r.publish("p1", "p2")
+	cctx1, cancel1 := context.WithCancel(context.Background())
+	ch, err := r.w.WatchFrom(cctx1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var published []core.TxnID
-	publish := func(fn string) {
-		x := mustEdit(t, pa, core.Insert("F", core.Strs("rat", fn, "v"), "pa"))
-		if _, err := pa.Publish(ctx); err != nil {
-			t.Fatalf("publish: %v", err)
-		}
-		published = append(published, x.ID)
-	}
-
-	publish("p1")
-	publish("p2")
-
-	// First subscription: consume the two epochs, then disconnect.
-	cctx1, cancel1 := context.WithCancel(ctx)
-	ch, err := w.WatchFrom(cctx1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []core.TxnID
-	cursor := core.Epoch(0)
-	for len(got) < 2 {
-		ev, ok := nextWatchEvent(t, ch)
-		if !ok {
-			t.Fatal("subscription closed before delivering history")
-		}
-		cursor = ev.To
-		for _, pt := range ev.Txns {
-			got = append(got, pt.Txn.ID)
-		}
-	}
+	r.follow(ch)
 	cancel1()
 	for range ch {
 	}
 
 	// Epochs published while disconnected must be waiting on resume.
-	publish("p3")
-	publish("p4")
-
-	cctx2, cancel2 := context.WithCancel(ctx)
+	r.publish("p3", "p4")
+	cctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
-	ch, err = w.WatchFrom(cctx2, cursor)
+	ch, err = r.w.WatchFrom(cctx2, r.cursor)
 	if err != nil {
-		t.Fatalf("resume WatchFrom(%d): %v", cursor, err)
+		t.Fatalf("resume WatchFrom(%d): %v", r.cursor, err)
 	}
-	for len(got) < 4 {
-		ev, ok := nextWatchEvent(t, ch)
-		if !ok {
-			t.Fatal("resumed subscription closed early")
-		}
-		if ev.From < cursor {
-			t.Fatalf("resume re-delivered consumed window: From=%d, cursor=%d", ev.From, cursor)
-		}
-		cursor = ev.To
-		for _, pt := range ev.Txns {
-			got = append(got, pt.Txn.ID)
-		}
-	}
-	if len(got) != len(published) {
-		t.Fatalf("received %d txns across resume, published %d", len(got), len(published))
-	}
-	for i := range published {
-		if got[i] != published[i] {
-			t.Errorf("txn %d: got %v, want %v (skip or double-apply across resume)", i, got[i], published[i])
-		}
-	}
+	r.follow(ch)
 }
 
-// testWatchCompactedEpochs: a subscription cannot start below the
-// compaction horizon — the history is gone, so the store must refuse
-// (an immediate error, or a proxy's subscription that closes without
-// delivering) rather than silently skip the missing epochs.
+// testWatchCompactedEpochs: a subscription holds nothing in the store and
+// is owed nothing by it. After compaction a watch from epoch 0 is accepted
+// and woken past the horizon like any other, and the window its wake-up
+// announces — a registered peer's begin from its own frontier — is the one
+// an uncompacted twin hands out.
 func testWatchCompactedEpochs(t *testing.T, factory Factory) {
-	s := Schema(t)
-	clientFor, cleanup := factory(t, s)
-	defer cleanup()
-	ctx := context.Background()
-	st := backendFor(t, clientFor, "pa")
-
-	pa, err := store.NewPeer(ctx, "pa", s, TrustAll(1), clientFor("pa"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEdit(t, pa, core.Insert("F", core.Strs("rat", "p1", "v"), "pa"))
-	mustCycle(t, pa)
-	mustEdit(t, pa, core.Insert("F", core.Strs("rat", "p2", "v"), "pa"))
-	mustCycle(t, pa)
-
-	snapEpoch, err := st.Snapshot(ctx)
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	if err := st.CompactBefore(ctx, snapEpoch); err != nil {
-		t.Fatalf("compact through %d: %v", snapEpoch, err)
-	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch, err := st.WatchFrom(cctx, 0)
-	if err != nil {
-		return // refused up front: correct
-	}
-	select {
-	case ev, ok := <-ch:
-		if ok {
-			t.Fatalf("watch below compaction horizon delivered %+v instead of failing", ev)
+	// script runs one history on a fresh store, compacting it or not, and
+	// returns what pb's begin is handed after the last publish.
+	script := func(compact bool) *store.Reconciliation {
+		s := Schema(t)
+		clientFor, cleanup := factory(t, s)
+		defer cleanup()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		st := backendFor(t, clientFor, "pa")
+		pa, err := store.NewPeer(ctx, "pa", s, TrustAll(1), clientFor("pa"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Closed without delivering: the proxy form of the refusal.
-	case <-time.After(watchEventTimeout):
-		t.Fatal("watch below compaction horizon neither failed nor closed")
-	}
+		pb, err := store.NewPeer(ctx, "pb", s, TrustAll(1), clientFor("pb"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEdit(t, pa, core.Insert("F", core.Strs("rat", "p1", "v"), "pa"))
+		mustCycle(t, pa)
+		mustEdit(t, pa, core.Insert("F", core.Strs("rat", "p2", "v"), "pa"))
+		mustCycle(t, pa)
+		mustCycle(t, pb) // pb's frontier passes both epochs
 
-	// From the horizon itself the subscription works again.
-	ch, err = st.WatchFrom(cctx, snapEpoch)
-	if err != nil {
-		t.Fatalf("WatchFrom(%d) at the horizon: %v", snapEpoch, err)
+		var ch <-chan store.WatchEvent
+		var snapEpoch core.Epoch
+		if compact {
+			if snapEpoch, err = st.Snapshot(ctx); err != nil {
+				t.Fatalf("snapshot: %v", err)
+			}
+			if err := st.CompactBefore(ctx, snapEpoch); err != nil {
+				t.Fatalf("compact through %d: %v", snapEpoch, err)
+			}
+			if ch, err = st.WatchFrom(ctx, 0); err != nil {
+				t.Fatalf("WatchFrom(0) below the compaction horizon %d: %v", snapEpoch, err)
+			}
+		}
+		mustEdit(t, pa, core.Insert("F", core.Strs("rat", "p3", "v"), "pa"))
+		e3, err := pa.Publish(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if compact {
+			cursor := core.Epoch(0)
+			for cursor < e3 {
+				ev, ok := nextWatchEvent(t, ch)
+				if !ok {
+					t.Fatalf("watch from below the horizon closed at cursor %d", cursor)
+				}
+				if ev.From != cursor || ev.To <= ev.From {
+					t.Fatalf("event %+v at cursor %d", ev, cursor)
+				}
+				cursor = ev.To
+			}
+			if cursor <= snapEpoch {
+				t.Fatalf("woken through %d, not past the horizon %d", cursor, snapEpoch)
+			}
+		}
+		rec, err := clientFor("pb").BeginReconciliation(ctx, "pb")
+		if err != nil {
+			t.Fatalf("begin (compacted=%v): %v", compact, err)
+		}
+		return rec
 	}
-	mustEdit(t, pa, core.Insert("F", core.Strs("rat", "p3", "v"), "pa"))
-	if _, err := pa.Publish(ctx); err != nil {
-		t.Fatal(err)
+	got, want := script(true), script(false)
+	if got.FromEpoch != want.FromEpoch || got.ToEpoch != want.ToEpoch || len(got.Candidates) != len(want.Candidates) {
+		t.Fatalf("begin after compaction: window (%d, %d] with %d candidates, uncompacted twin (%d, %d] with %d",
+			got.FromEpoch, got.ToEpoch, len(got.Candidates), want.FromEpoch, want.ToEpoch, len(want.Candidates))
 	}
-	ev, ok := nextWatchEvent(t, ch)
-	if !ok {
-		t.Fatal("horizon subscription closed before delivering")
+	if len(want.Candidates) == 0 {
+		t.Fatal("twin handed out no candidate: the comparison is vacuous")
 	}
-	if ev.From < snapEpoch {
-		t.Errorf("horizon subscription reached back to %d (horizon %d)", ev.From, snapEpoch)
+	for i, c := range want.Candidates {
+		if g := got.Candidates[i]; g.Txn.ID != c.Txn.ID || g.Priority != c.Priority {
+			t.Errorf("candidate %d: %v prio %d, twin %v prio %d", i, g.Txn.ID, g.Priority, c.Txn.ID, c.Priority)
+		}
 	}
 }

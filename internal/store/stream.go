@@ -104,9 +104,8 @@ func (p *Peer) streamWatching(ctx context.Context, w Watcher, opts *StreamOption
 			if ctx.Err() != nil {
 				return nil
 			}
-			// Transient transport failure, or the cursor fell below a moved
-			// compaction horizon while no subscription was attached: refresh
-			// the frontier with a step and try again.
+			// Transient transport failure: refresh the frontier with a step
+			// and try again.
 			if !sleepCtx(ctx, backoff) {
 				return nil
 			}

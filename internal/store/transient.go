@@ -8,7 +8,7 @@ import (
 	"os"
 	"syscall"
 
-	"orchestra/internal/simnet"
+	"orchestra/internal/rpc"
 )
 
 // IsTransient reports whether an error from a store call looks like a
@@ -32,7 +32,7 @@ func IsTransient(err error) bool {
 	if errors.Is(err, context.Canceled) {
 		return false
 	}
-	if errors.Is(err, simnet.ErrUnreachable) || errors.Is(err, simnet.ErrTimeout) {
+	if errors.Is(err, rpc.ErrUnreachable) || errors.Is(err, rpc.ErrTimeout) {
 		return true
 	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, os.ErrDeadlineExceeded) {

@@ -13,15 +13,15 @@ import (
 // remote client proxies it as a resumable long-poll.
 
 // WatchEvent reports that the stable frontier advanced: every epoch in
-// (From, To] became stable, carrying those epochs' published transactions in
-// epoch order. Events on one subscription are contiguous — each event's From
-// equals the previous event's To — so a consumer's cursor is always the To
-// of the last event it processed, and resuming a broken subscription from
-// that cursor can neither skip nor repeat an epoch.
+// (From, To] became stable. It is a frontier advance, not a delivery — it
+// carries no transactions; the window a peer reconciles always comes from
+// BeginReconciliation, from the frontier the store records for that peer.
+// Events on one subscription are contiguous — each event's From equals the
+// previous event's To — so a consumer's cursor is always the To of the last
+// event it received, and a broken subscription resumes from that cursor.
 type WatchEvent struct {
 	From core.Epoch // exclusive
 	To   core.Epoch // inclusive
-	Txns []PublishedTxn
 }
 
 // Watcher is implemented by stores that can push stable-frontier advances.
@@ -31,8 +31,8 @@ type Watcher interface {
 	// the subscription breaks (store shutdown, transport failure), after
 	// which it is closed. A closed channel with a live ctx means the
 	// subscription broke; the consumer resumes by calling WatchFrom again
-	// with its cursor. Watching from below the store's compaction horizon
-	// fails: those epochs' windows are gone.
+	// with its cursor. A subscription holds nothing in the store, so any
+	// cursor is accepted and watching never fails for compaction reasons.
 	WatchFrom(ctx context.Context, from core.Epoch) (<-chan WatchEvent, error)
 }
 

@@ -112,13 +112,6 @@ func (g *Graph) Effective(peer core.PeerID) core.Trust {
 	return t
 }
 
-// Member returns the member's own (unresolved) trust, or nil.
-func (g *Graph) Member(peer core.PeerID) core.Trust {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.members[peer]
-}
-
 // Members returns the member IDs, sorted.
 func (g *Graph) Members() []core.PeerID {
 	g.mu.RLock()

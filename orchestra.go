@@ -116,8 +116,8 @@ type (
 	// Watcher is the store capability of subscribing to newly stable
 	// epochs; RunStreaming needs it of every peer's store.
 	Watcher = store.Watcher
-	// WatchEvent is one window of newly stable epochs delivered to a watch
-	// subscription.
+	// WatchEvent is one advance of the stable frontier, (From, To], as a
+	// watch subscription reports it; it carries no transactions.
 	WatchEvent = store.WatchEvent
 	// StreamOptions tunes Peer.ReconcileStream / System.RunStreaming.
 	StreamOptions = store.StreamOptions
