@@ -28,9 +28,13 @@ bench-check:
 	(cd bench && $(GO) vet . && $(GO) test -race -count=1 .)
 
 # simfree-check fails if a production binary links the network simulator
-# (the sentinels IsTransient tests live in internal/rpc for this reason).
+# (the sentinels IsTransient tests live in internal/rpc for this reason) or
+# anything under internal/exp. The root library is covered too — and
+# through it orchestra-demo, the examples and bench/: fleet.go needs only
+# internal/dht's Placement, and the Pastry overlay that runs on the
+# simulator is internal/exp/pastry, beside its one importer.
 simfree-check:
-	test "$$($(GO) list -deps ./cmd/orchestra-store ./cmd/orchestra-gateway ./cmd/orchestra-peer | grep -c internal/simnet)" = 0
+	test "$$($(GO) list -deps . ./cmd/orchestra-store ./cmd/orchestra-gateway ./cmd/orchestra-peer ./cmd/orchestra-demo ./examples/... | grep -cE 'internal/(simnet|exp)')" = 0
 
 # fmt-check fails (listing the offenders) if any file is not gofmt-clean;
 # CI runs this as its lint step.
@@ -64,12 +68,11 @@ chaos-smoke:
 # gateway-smoke runs the gateway contract suite under the race detector
 # (auth, per-group rate limits, backpressure shedding, idempotent retry
 # after a 429, long-poll + SSE watch, pool round-robin — see
-# docs/GATEWAY.md), then the closed-loop driver: concurrent keyed clients
-# saturating a tiny gate, with the exactly-once audit required to find
-# every operation despite the shedding.
+# docs/GATEWAY.md), including TestGatewayClosedLoopExactlyOnce: concurrent
+# keyed clients saturating a tiny gate, with the exactly-once audit
+# required to find every operation despite the shedding.
 gateway-smoke:
 	$(GO) test -race -count=1 ./internal/gateway
-	$(GO) run ./cmd/orchestra-bench -gateway -clients 8 -rounds 10
 
 # multigroup-smoke runs the multi-group contract gates under the race
 # detector (see docs/MULTIGROUP.md): the cross-tenant differential (every

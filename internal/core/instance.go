@@ -152,78 +152,11 @@ func incompat(u Update, format string, args ...any) error {
 // Compatible reports whether applying u to the current instance preserves
 // all integrity constraints; it returns nil if so and an
 // *IncompatibleError otherwise. Inserting a tuple that is already present
-// verbatim is a compatible no-op.
+// verbatim is a compatible no-op. The rule itself is overlay.apply, here
+// over an overlay with nothing pending and nowhere to record.
 func (in *Instance) Compatible(u Update) error {
-	rel, ok := in.schema.Relation(u.Rel)
-	if !ok {
-		return incompat(u, "unknown relation %s", u.Rel)
-	}
-	switch u.Op {
-	case OpInsert:
-		if err := rel.Validate(u.Tuple); err != nil {
-			return incompat(u, "%v", err)
-		}
-		if cur, exists := in.lookupEnc(u.Rel, u.keyEncTuple(rel)); exists && !cur.Equal(u.Tuple) {
-			return incompat(u, "key already bound to %s", cur)
-		}
-		return in.checkForeignKeys(rel, u, u.Tuple)
-	case OpDelete:
-		cur, exists := in.lookupEnc(u.Rel, u.keyEncTuple(rel))
-		if !exists {
-			return incompat(u, "tuple absent")
-		}
-		if !cur.Equal(u.Tuple) {
-			return incompat(u, "key bound to different value %s", cur)
-		}
-		return in.checkNotReferenced(rel, u, u.keyEncTuple(rel))
-	case OpModify:
-		if err := rel.Validate(u.New); err != nil {
-			return incompat(u, "%v", err)
-		}
-		cur, exists := in.lookupEnc(u.Rel, u.keyEncTuple(rel))
-		if !exists {
-			return incompat(u, "source tuple absent")
-		}
-		if !cur.Equal(u.Tuple) {
-			return incompat(u, "source key bound to different value %s", cur)
-		}
-		oldKey, newKey := u.keyEncTuple(rel), u.keyEncNew(rel)
-		if oldKey != newKey {
-			if clash, exists := in.lookupEnc(u.Rel, newKey); exists {
-				return incompat(u, "replacement key already bound to %s", clash)
-			}
-			if err := in.checkNotReferenced(rel, u, oldKey); err != nil {
-				return err
-			}
-		}
-		return in.checkForeignKeys(rel, u, u.New)
-	default:
-		return incompat(u, "unknown op")
-	}
-}
-
-// checkForeignKeys verifies every foreign key of rel holds for tuple t.
-func (in *Instance) checkForeignKeys(rel *Relation, u Update, t Tuple) error {
-	for _, fk := range rel.ForeignKeys {
-		refEnc := t.Project(fk.Attrs).Encode()
-		if _, ok := in.lookupEnc(fk.RefRel, refEnc); !ok {
-			return incompat(u, "dangling reference into %s", fk.RefRel)
-		}
-	}
-	return nil
-}
-
-// checkNotReferenced verifies that removing the tuple with the given key
-// encoding from rel leaves no dangling references from other relations.
-func (in *Instance) checkNotReferenced(rel *Relation, u Update, keyEnc string) error {
-	refs := in.fkCount[rel.Name]
-	if refs == nil {
-		return nil
-	}
-	if n := refs[keyEnc]; n > 0 {
-		return incompat(u, "key referenced by %d tuple(s)", n)
-	}
-	return nil
+	ov := overlay{base: in}
+	return ov.apply(u)
 }
 
 // Apply applies a single update after re-checking compatibility. The
@@ -300,7 +233,8 @@ func (in *Instance) CompatibleAll(us []Update) error {
 }
 
 // overlay is a copy-on-write view of an instance used for trial application
-// of update sequences without cloning the full instance.
+// of update sequences without cloning the full instance. With nil maps it
+// reads straight through to the instance and apply only checks.
 type overlay struct {
 	base *Instance
 	// mods maps (rel, keyEnc) to the overlaid tuple; nil tuple = deleted.
@@ -339,20 +273,26 @@ func (ov *overlay) bumpRefs(rel *Relation, t Tuple, delta int) {
 	}
 }
 
+// checkForeignKeys verifies every foreign key of rel holds for tuple t.
+func (ov *overlay) checkForeignKeys(rel *Relation, u Update, t Tuple) error {
+	for _, fk := range rel.ForeignKeys {
+		refEnc := t.Project(fk.Attrs).Encode()
+		if _, ok := ov.lookup(fk.RefRel, refEnc); !ok {
+			return incompat(u, "dangling reference into %s", fk.RefRel)
+		}
+	}
+	return nil
+}
+
+// apply is the integrity rule, stated once: it checks u against the
+// instance as the pending changes leave it and, when the overlay records
+// (mods non-nil), adds u to them.
 func (ov *overlay) apply(u Update) error {
 	rel, ok := ov.base.schema.Relation(u.Rel)
 	if !ok {
 		return incompat(u, "unknown relation %s", u.Rel)
 	}
-	checkFKs := func(t Tuple) error {
-		for _, fk := range rel.ForeignKeys {
-			refEnc := t.Project(fk.Attrs).Encode()
-			if _, ok := ov.lookup(fk.RefRel, refEnc); !ok {
-				return incompat(u, "dangling reference into %s", fk.RefRel)
-			}
-		}
-		return nil
-	}
+	record := ov.mods != nil
 	switch u.Op {
 	case OpInsert:
 		if err := rel.Validate(u.Tuple); err != nil {
@@ -365,7 +305,7 @@ func (ov *overlay) apply(u Update) error {
 			}
 			return incompat(u, "key already bound to %s", cur)
 		}
-		if err := checkFKs(u.Tuple); err != nil {
+		if err := ov.checkForeignKeys(rel, u, u.Tuple); err != nil || !record {
 			return err
 		}
 		ov.mods[tupleKey{rel: u.Rel, enc: keyEnc}] = u.Tuple
@@ -383,8 +323,10 @@ func (ov *overlay) apply(u Update) error {
 		if n := ov.refCount(u.Rel, keyEnc); n > 0 {
 			return incompat(u, "key referenced by %d tuple(s)", n)
 		}
-		ov.mods[tupleKey{rel: u.Rel, enc: keyEnc}] = nil
-		ov.bumpRefs(rel, u.Tuple, -1)
+		if record {
+			ov.mods[tupleKey{rel: u.Rel, enc: keyEnc}] = nil
+			ov.bumpRefs(rel, u.Tuple, -1)
+		}
 		return nil
 	case OpModify:
 		if err := rel.Validate(u.New); err != nil {
@@ -405,10 +347,12 @@ func (ov *overlay) apply(u Update) error {
 			if n := ov.refCount(u.Rel, oldKey); n > 0 {
 				return incompat(u, "key referenced by %d tuple(s)", n)
 			}
-			ov.mods[tupleKey{rel: u.Rel, enc: oldKey}] = nil
 		}
-		if err := checkFKs(u.New); err != nil {
+		if err := ov.checkForeignKeys(rel, u, u.New); err != nil || !record {
 			return err
+		}
+		if oldKey != newKey {
+			ov.mods[tupleKey{rel: u.Rel, enc: oldKey}] = nil
 		}
 		ov.mods[tupleKey{rel: u.Rel, enc: newKey}] = u.New
 		ov.bumpRefs(rel, u.Tuple, -1)

@@ -260,3 +260,67 @@ func TestOverlayForeignKeys(t *testing.T) {
 		t.Errorf("child-then-parent delete should be compatible: %v", err)
 	}
 }
+
+// TestCompatibleAgreesWithCompatibleAll: the one-update check and the
+// sequence check are one rule, so on every op against every state a key can
+// be in they return the same verdict for the same reason.
+func TestCompatibleAgreesWithCompatibleAll(t *testing.T) {
+	s := fkSchema(t)
+	in := NewInstance(s)
+	for _, u := range []Update{
+		Insert("Function", Strs("rat", "p1", "a"), "x"),
+		Insert("Function", Strs("rat", "p2", "b"), "x"), // referenced below
+		Insert("XRef", Strs("rat", "p2", "genbank"), "x"),
+	} {
+		if err := in.Apply(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p1, p2, short := Strs("rat", "p1", "a"), Strs("rat", "p2", "b"), Strs("rat", "p3")
+	arity := s.MustRelation("Function").Validate(short).Error()
+	cases := []struct {
+		name   string
+		u      Update
+		reason string // "" = compatible
+	}{
+		{"insert absent", Insert("Function", Strs("rat", "p3", "c"), "y"), ""},
+		{"insert present-equal", Insert("Function", p1, "y"), ""},
+		{"insert present-different", Insert("Function", Strs("rat", "p1", "z"), "y"), "key already bound to " + p1.String()},
+		{"insert dangling FK", Insert("XRef", Strs("rat", "p9", "embl"), "y"), "dangling reference into Function"},
+		{"insert invalid", Insert("Function", short, "y"), arity},
+		{"modify to invalid", Modify("Function", p1, short, "y"), arity},
+		{"delete absent", Delete("Function", Strs("rat", "p3", "c"), "y"), "tuple absent"},
+		{"delete present-equal", Delete("Function", p1, "y"), ""},
+		{"delete present-different", Delete("Function", Strs("rat", "p1", "z"), "y"), "key bound to different value " + p1.String()},
+		{"delete referenced", Delete("Function", p2, "y"), "key referenced by 1 tuple(s)"},
+		{"modify absent", Modify("Function", Strs("rat", "p3", "c"), Strs("rat", "p3", "d"), "y"), "source tuple absent"},
+		{"modify present-equal", Modify("Function", p1, Strs("rat", "p1", "d"), "y"), ""},
+		{"modify present-different", Modify("Function", Strs("rat", "p1", "z"), Strs("rat", "p1", "d"), "y"), "source key bound to different value " + p1.String()},
+		{"modify referenced, key kept", Modify("Function", p2, Strs("rat", "p2", "d"), "y"), ""},
+		{"modify key-changing", Modify("Function", p1, Strs("rat", "p3", "a"), "y"), ""},
+		{"modify key-changing onto bound key", Modify("Function", p1, Strs("rat", "p2", "a"), "y"), "replacement key already bound to " + p2.String()},
+		{"modify key-changing, referenced", Modify("Function", p2, Strs("rat", "p3", "b"), "y"), "key referenced by 1 tuple(s)"},
+		{"modify to dangling FK", Modify("XRef", Strs("rat", "p2", "genbank"), Strs("rat", "p9", "genbank"), "y"), "dangling reference into Function"},
+		{"unknown relation", Insert("Zed", Strs("a"), "y"), "unknown relation Zed"},
+		{"unknown op", Update{Op: Op(9), Rel: "Function", Tuple: p1}, "unknown op"},
+	}
+	reasonOf := func(err error) string {
+		var ie *IncompatibleError
+		if err == nil {
+			return ""
+		}
+		if !errors.As(err, &ie) {
+			t.Fatalf("not an *IncompatibleError: %v", err)
+		}
+		return ie.Reason
+	}
+	for _, c := range cases {
+		one, all := reasonOf(in.Compatible(c.u)), reasonOf(in.CompatibleAll([]Update{c.u}))
+		if one != all {
+			t.Errorf("%s: Compatible says %q, CompatibleAll says %q", c.name, one, all)
+		}
+		if one != c.reason {
+			t.Errorf("%s: reason %q, want %q", c.name, one, c.reason)
+		}
+	}
+}

@@ -5,12 +5,10 @@ import (
 	"sort"
 )
 
-// This file promotes the overlay's consistent-hash ring from routing
-// experiment to placement layer: a Placement maps group identifiers to
-// fleet members (store nodes) with no networking attached. It reuses the
-// ring's ownership rule — a key belongs to its successor on the 160-bit
-// identifier circle — and adds virtual nodes so small fleets still spread
-// load evenly.
+// A Placement maps group identifiers to fleet members (store nodes). It
+// uses the Pastry overlay's ownership rule — a key belongs to its successor
+// on the 160-bit identifier circle — and adds virtual nodes so small fleets
+// still spread load evenly.
 //
 // Determinism is the contract: the same member set always produces the
 // same group → member mapping, regardless of the order members were added,

@@ -119,3 +119,27 @@ func TestPlacementMinimalMovement(t *testing.T) {
 		}
 	}
 }
+
+// Place is a function of (membership, group id) that durable fleets depend
+// on across binaries: a fleet reopened by a newer build must find every
+// group on the node whose directory holds its rows. The owners below were
+// computed at 75c0f66, before the Pastry overlay left this package.
+func TestPlacementPinned(t *testing.T) {
+	p := NewPlacement(0)
+	for _, m := range []string{"store-a", "store-b", "store-c"} {
+		if err := p.AddMember(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for group, want := range map[string]string{
+		"g0":        "store-c",
+		"lab-7":     "store-a",
+		"swissprot": "store-a",
+		"tenant/42": "store-b",
+		"g13":       "store-b",
+	} {
+		if got := p.Place(group); got != want {
+			t.Errorf("Place(%q) = %s, want %s", group, got, want)
+		}
+	}
+}

@@ -9,7 +9,7 @@ import (
 	"sync/atomic"
 
 	"orchestra/internal/core"
-	"orchestra/internal/dht"
+	"orchestra/internal/exp/pastry"
 	"orchestra/internal/rpc"
 	"orchestra/internal/store"
 	"orchestra/internal/store/central"
@@ -19,7 +19,7 @@ import (
 // peer's own DHT node.
 type client struct {
 	cluster *Cluster
-	node    *dht.Node
+	node    *pastry.Node
 }
 
 // call routes a request to the owner of key and decodes the reply.

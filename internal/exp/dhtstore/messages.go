@@ -1,5 +1,5 @@
 // Package dhtstore implements the distributed update store of §5.2.2 on the
-// Pastry-style overlay of internal/dht. Work — both storage and computation
+// Pastry-style overlay of internal/exp/pastry. Work — both storage and computation
 // — is spread over the entire network of peers, using transaction
 // identifiers and epochs as keys:
 //

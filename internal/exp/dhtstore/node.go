@@ -6,7 +6,7 @@ import (
 	"sync"
 
 	"orchestra/internal/core"
-	"orchestra/internal/dht"
+	"orchestra/internal/exp/pastry"
 	"orchestra/internal/rpc"
 	"orchestra/internal/simnet"
 	"orchestra/internal/store"
@@ -16,7 +16,7 @@ import (
 // join it as DHT nodes and obtain store.Store clients bound to their node.
 type Cluster struct {
 	net  *simnet.Network
-	ring *dht.Ring
+	ring *pastry.Ring
 
 	mu       sync.RWMutex
 	policies map[core.PeerID]core.Trust
@@ -24,11 +24,11 @@ type Cluster struct {
 
 // NewCluster returns an empty cluster on the fabric.
 func NewCluster(net *simnet.Network) *Cluster {
-	return &Cluster{net: net, ring: dht.NewRing(net), policies: make(map[core.PeerID]core.Trust)}
+	return &Cluster{net: net, ring: pastry.NewRing(net), policies: make(map[core.PeerID]core.Trust)}
 }
 
 // Ring exposes the overlay (for tests and diagnostics).
-func (c *Cluster) Ring() *dht.Ring { return c.ring }
+func (c *Cluster) Ring() *pastry.Ring { return c.ring }
 
 // AddNode joins a storage node at addr and returns the store client bound
 // to it. In an Orchestra confederation every participant runs a node, so
@@ -86,7 +86,7 @@ type coordRec struct {
 // for the keys it owns.
 type nodeState struct {
 	cluster *Cluster
-	node    *dht.Node
+	node    *pastry.Node
 
 	mu      sync.Mutex
 	counter core.Epoch

@@ -1,4 +1,4 @@
-package dht
+package pastry
 
 import (
 	"fmt"

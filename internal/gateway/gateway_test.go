@@ -426,6 +426,95 @@ func TestGatewayIdempotentRetry(t *testing.T) {
 	}
 }
 
+// TestGatewayClosedLoopExactlyOnce is the closed-loop audit: 8 keyed
+// publishers drive a 4-slot gate over a store that takes ~1ms per publish,
+// every 429/503 is retried with the SAME Idempotency-Key, and afterwards an
+// auditor's reconciliation window must hold every keyed publish exactly
+// once although the gate shed some of their attempts.
+func TestGatewayClosedLoopExactlyOnce(t *testing.T) {
+	const clients, opsPerClient = 8, 10
+	schema := testSchema()
+	cs := central.MustOpenMemory(schema)
+	defer cs.Close()
+	bs := &blockingStore{Store: cs, gate: make(chan struct{})}
+	counters := &metrics.GatewayCounters{}
+	srv := httptest.NewServer(New(bs, schema, Options{
+		MaxInFlight: 4,
+		MaxQueue:    2,
+		QueueWait:   2 * time.Millisecond,
+		Counters:    counters,
+	}))
+	defer srv.Close()
+	url := srv.URL
+	register(t, url, "auditor")
+	for i := 0; i < clients; i++ {
+		register(t, url, fmt.Sprintf("c%d", i))
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(peer string) {
+			defer wg.Done()
+			for op := 1; op <= opsPerClient; op++ {
+				key := map[string]string{IdempotencyKeyHeader: fmt.Sprintf("%s/publish/%d", peer, op)}
+				for backoff := 500 * time.Microsecond; ; backoff = min(2*backoff, 4*time.Millisecond) {
+					code, _, _ := publishOne(t, url, peer, uint64(op), "fn", key)
+					if code == http.StatusOK {
+						break
+					}
+					if code != http.StatusTooManyRequests && code != http.StatusServiceUnavailable {
+						t.Errorf("%s op %d: status %d", peer, op, code)
+						return
+					}
+					time.Sleep(backoff)
+				}
+			}
+		}(fmt.Sprintf("c%d", i))
+	}
+	// The store admits nothing until the gate has shed: 8 clients against
+	// 4 slots and 2 queue positions must overflow. Then it serves one
+	// publish per quarter millisecond — four slots of ~1ms each.
+	for deadline := time.Now().Add(5 * time.Second); counters.Snapshot().Shed == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("gate never shed")
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for serving := true; serving; {
+		select {
+		case bs.gate <- struct{}{}:
+			time.Sleep(250 * time.Microsecond)
+		case <-done:
+			serving = false
+		}
+	}
+
+	rec, err := cs.BeginReconciliation(context.Background(), "auditor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[core.TxnID]int)
+	for _, c := range rec.Candidates {
+		seen[c.Txn.ID]++
+	}
+	for i := 0; i < clients; i++ {
+		for op := 1; op <= opsPerClient; op++ {
+			id := core.TxnID{Origin: core.PeerID(fmt.Sprintf("c%d", i)), Seq: uint64(op)}
+			if seen[id] != 1 {
+				t.Errorf("keyed publish %v appears %d times in the audit window, want exactly once", id, seen[id])
+			}
+		}
+	}
+	if len(rec.Candidates) != clients*opsPerClient {
+		t.Errorf("audit window holds %d transactions, want %d", len(rec.Candidates), clients*opsPerClient)
+	}
+}
+
 // TestGatewaySSE: the event-stream flavor of watch pushes frontier
 // advances as they happen.
 func TestGatewaySSE(t *testing.T) {

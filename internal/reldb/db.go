@@ -131,7 +131,8 @@ func Open(opts Options) (*DB, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("reldb: %w", err)
 	}
-	if err := db.loadSnapshot(); err != nil {
+	walFrom, err := db.loadSnapshot()
+	if err != nil {
 		return nil, err
 	}
 	l, err := wal.Open(filepath.Join(opts.Dir, "wal"), wal.Options{})
@@ -139,6 +140,13 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.log = l
+	// Finish the drop a crashed Checkpoint may have left undone: segments
+	// below the snapshot's mark are already in the snapshot, and replaying
+	// them over it would fail on the first create or drop they hold.
+	if err := l.RemoveBefore(walFrom); err != nil {
+		l.Close()
+		return nil, err
+	}
 	if err := l.Replay(func(payload []byte) error {
 		var batch []walOp
 		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&batch); err != nil {
@@ -406,10 +414,22 @@ type snapshot struct {
 	Defs []TableDef
 	Rows map[string][]Row
 	Seqs map[string]int64
+	// WALFrom is the first WAL segment not contained in the snapshot:
+	// recovery drops the segments below it and replays the rest. Zero —
+	// also what a snapshot written before the field existed decodes to —
+	// means replay every segment.
+	WALFrom int
 }
 
 // Checkpoint writes a full snapshot to disk and truncates the WAL, first
 // quiescing all transactions. It is a no-op for in-memory databases.
+//
+// The order is seal, install, drop: rotate the WAL to a fresh segment N,
+// install a snapshot that records N, then remove the segments below N. A
+// crash before the install recovers from the previous snapshot and the
+// whole log; a crash after it recovers from the new snapshot, with Open
+// finishing the drop before it replays — so no crash point leaves a
+// snapshot under log records it already contains.
 func (db *DB) Checkpoint() error {
 	db.stateMu.Lock()
 	defer db.stateMu.Unlock()
@@ -419,7 +439,11 @@ func (db *DB) Checkpoint() error {
 	if db.log == nil {
 		return nil
 	}
-	snap := snapshot{Rows: make(map[string][]Row), Seqs: make(map[string]int64)}
+	walFrom, err := db.log.Rotate()
+	if err != nil {
+		return err
+	}
+	snap := snapshot{Rows: make(map[string][]Row), Seqs: make(map[string]int64), WALFrom: walFrom}
 	for name, t := range db.tables {
 		snap.Defs = append(snap.Defs, t.def)
 		var rows []Row
@@ -436,28 +460,63 @@ func (db *DB) Checkpoint() error {
 	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
 		return fmt.Errorf("reldb: encode snapshot: %w", err)
 	}
+	if err := db.installSnapshot(buf.Bytes()); err != nil {
+		return err
+	}
+	return db.log.RemoveBefore(walFrom)
+}
+
+// installSnapshot replaces the snapshot file atomically: write a temporary
+// file, rename it into place. With SyncOnCommit the file is fsynced before
+// the rename and the directory after it, so a power failure leaves either
+// the old snapshot or the whole new one — never a name with no data while
+// the log segments it replaces are being removed.
+func (db *DB) installSnapshot(data []byte) error {
 	tmp := filepath.Join(db.dir, snapshotFile+".tmp")
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("reldb: write snapshot: %w", err)
+	}
+	_, err = f.Write(data)
+	if err == nil && db.sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return fmt.Errorf("reldb: write snapshot: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(db.dir, snapshotFile)); err != nil {
 		return fmt.Errorf("reldb: install snapshot: %w", err)
 	}
-	return db.log.Reset()
-}
-
-// loadSnapshot restores state from the snapshot file if present.
-func (db *DB) loadSnapshot() error {
-	data, err := os.ReadFile(filepath.Join(db.dir, snapshotFile))
-	if errors.Is(err, os.ErrNotExist) {
+	if !db.sync {
 		return nil
 	}
+	d, err := os.Open(db.dir)
 	if err != nil {
-		return fmt.Errorf("reldb: read snapshot: %w", err)
+		return fmt.Errorf("reldb: sync directory: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("reldb: sync directory: %w", err)
+	}
+	return nil
+}
+
+// loadSnapshot restores state from the snapshot file if present and
+// returns its WAL mark (0 without a snapshot: replay everything).
+func (db *DB) loadSnapshot() (walFrom int, err error) {
+	data, err := os.ReadFile(filepath.Join(db.dir, snapshotFile))
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("reldb: read snapshot: %w", err)
 	}
 	var snap snapshot
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return fmt.Errorf("reldb: decode snapshot: %w", err)
+		return 0, fmt.Errorf("reldb: decode snapshot: %w", err)
 	}
 	for _, def := range snap.Defs {
 		t := newTable(def)
@@ -469,7 +528,7 @@ func (db *DB) loadSnapshot() error {
 	for k, v := range snap.Seqs {
 		db.seqs[k] = v
 	}
-	return nil
+	return snap.WALFrom, nil
 }
 
 // GobEncode implements gob encoding for V (fields are unexported).

@@ -35,7 +35,8 @@ type Delegation struct {
 //
 // Rules are compiled into a flat decision program (program.go) lazily on
 // first evaluation and recompiled after mutation; WithInterpreted keeps
-// the AST-walking interpreter as an escape hatch. A compiled Policy is
+// the AST-walking interpreter as the reference evaluator for the
+// compiled-vs-interpreted differentials. A compiled Policy is
 // safe for concurrent evaluation, but mutation (Add, AddDelegation,
 // WithSchema) must not race with evaluation. Policies must not be copied
 // after first use.
@@ -69,9 +70,9 @@ func (p *Policy) WithSchema(s *core.Schema) *Policy {
 func (p *Policy) Schema() *core.Schema { return p.schema }
 
 // WithInterpreted returns the policy evaluating through the AST
-// interpreter instead of the compiled decision program — the escape hatch
-// (and the reference implementation the compiled-vs-interpreted
-// differential tests compare against).
+// interpreter instead of the compiled decision program: the reference
+// evaluator for the compiled-vs-interpreted differentials; no non-test
+// caller.
 func (p *Policy) WithInterpreted() *Policy {
 	p.interpret = true
 	return p

@@ -292,27 +292,55 @@ func (l *Log) Replay(fn func(payload []byte) error) error {
 	return nil
 }
 
-// Reset removes all records: used after a checkpoint has captured the state
-// elsewhere. The log remains open for appends.
-func (l *Log) Reset() error {
+// Rotate seals the log: the active segment is synced and closed and a fresh
+// one takes its place. It returns the new segment's index — every record
+// appended so far lives in a segment numbered below it, every later record
+// at or above it. A checkpoint rotates, records the index in the snapshot
+// it writes, and then calls RemoveBefore with it.
+func (l *Log) Rotate() (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return 0, ErrClosed
+	}
+	if err := l.rotateLocked(); err != nil {
+		return 0, err
+	}
+	return l.segIdx, nil
+}
+
+// RemoveBefore deletes every segment numbered below idx, oldest first, so a
+// crash part-way leaves a suffix of them; callers that recorded idx durably
+// call RemoveBefore(idx) again on open, before Replay, and converge. If the
+// active segment is itself below idx (the log directory was lost or
+// restored without the state that recorded idx), the log continues at idx.
+func (l *Log) RemoveBefore(idx int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
+	if l.segIdx < idx {
+		if err := l.seg.Close(); err != nil {
+			return fmt.Errorf("wal: close segment: %w", err)
+		}
+		if err := l.openSegment(idx, 0); err != nil {
+			return err
+		}
+	}
 	segs, err := l.segments()
 	if err != nil {
 		return err
 	}
-	if err := l.seg.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	for _, idx := range segs {
-		if err := os.Remove(l.segPath(idx)); err != nil {
+	for _, i := range segs {
+		if i >= idx {
+			break
+		}
+		if err := os.Remove(l.segPath(i)); err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
 	}
-	return l.openSegment(0, 0)
+	return nil
 }
 
 // Size returns the total byte size of all segments.

@@ -178,29 +178,57 @@ func TestCorruptRecordStopsReplay(t *testing.T) {
 	}
 }
 
+// Rotate then RemoveBefore is how a checkpoint resets the log: everything
+// appended before the rotation goes, everything after it stays, and a
+// repeat of RemoveBefore (recovery finishing an interrupted drop) or one
+// that names a segment past the active one (the log directory was lost)
+// leaves a log that still takes appends.
 func TestReset(t *testing.T) {
-	l, _ := openTemp(t, Options{SegmentSize: 64})
-	defer l.Close()
+	l, dir := openTemp(t, Options{SegmentSize: 64})
 	for i := 0; i < 10; i++ {
 		if err := l.Append(make([]byte, 40)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Reset(); err != nil {
+	mark, err := l.Rotate()
+	if err != nil {
 		t.Fatal(err)
-	}
-	if got := replayAll(t, l); len(got) != 0 {
-		t.Fatalf("records after reset: %v", got)
 	}
 	if err := l.Append([]byte("fresh")); err != nil {
 		t.Fatal(err)
 	}
-	if got := replayAll(t, l); len(got) != 1 {
-		t.Fatalf("append after reset: %v", got)
+	if got := replayAll(t, l); len(got) != 11 {
+		t.Fatalf("rotate must not drop records: %d", len(got))
+	}
+	for i := 0; i < 2; i++ {
+		if err := l.RemoveBefore(mark); err != nil {
+			t.Fatal(err)
+		}
+		if got := replayAll(t, l); len(got) != 1 || got[0] != "fresh" {
+			t.Fatalf("records after remove-before: %v", got)
+		}
 	}
 	sz, err := l.Size()
 	if err != nil || sz == 0 {
 		t.Errorf("Size = %d, %v", sz, err)
+	}
+	if err := l.RemoveBefore(mark + 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte("later")); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	l, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got := replayAll(t, l); len(got) != 1 || got[0] != "later" {
+		t.Fatalf("records after reopen: %v", got)
+	}
+	if next, err := l.Rotate(); err != nil || next != mark+6 {
+		t.Errorf("Rotate after reopen = %d, %v; want %d", next, err, mark+6)
 	}
 }
 
@@ -227,8 +255,11 @@ func TestClosedOperationsFail(t *testing.T) {
 	if err := l.Replay(func([]byte) error { return nil }); err != ErrClosed {
 		t.Errorf("Replay after close: %v", err)
 	}
-	if err := l.Reset(); err != ErrClosed {
-		t.Errorf("Reset after close: %v", err)
+	if _, err := l.Rotate(); err != ErrClosed {
+		t.Errorf("Rotate after close: %v", err)
+	}
+	if err := l.RemoveBefore(1); err != ErrClosed {
+		t.Errorf("RemoveBefore after close: %v", err)
 	}
 	if _, err := l.Size(); err != ErrClosed {
 		t.Errorf("Size after close: %v", err)

@@ -32,16 +32,6 @@ const (
 // Topologies lists every kind, in the order benchmarks sweep them.
 var Topologies = []TopologyKind{Star, Chain, Clique, DAG}
 
-// ParseTopology maps a flag string to its kind.
-func ParseTopology(s string) (TopologyKind, error) {
-	for _, k := range Topologies {
-		if s == string(k) {
-			return k, nil
-		}
-	}
-	return "", fmt.Errorf("workload: unknown trust topology %q (want star|chain|clique|dag)", s)
-}
-
 // TopologyConfig parameterizes a TrustTopology.
 type TopologyConfig struct {
 	Kind  TopologyKind

@@ -153,12 +153,6 @@ func TestTrustTopologyGenerator(t *testing.T) {
 			t.Errorf("%s: different seeds produced identical topologies", kind)
 		}
 	}
-	if _, err := workload.ParseTopology("star"); err != nil {
-		t.Error(err)
-	}
-	if _, err := workload.ParseTopology("mesh"); err == nil {
-		t.Error("unknown topology accepted")
-	}
 	if _, err := workload.NewTrustTopology(workload.TopologyConfig{Kind: workload.Star, Peers: 1}); err == nil {
 		t.Error("single-peer topology accepted")
 	}
