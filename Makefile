@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify bench-check simfree-check fmt-check bench bench-smoke chaos-smoke gateway-smoke multigroup-smoke trust-smoke fuzz-smoke linkcheck clean
+.PHONY: build vet test race verify bench-check simfree-check fmt-check bench bench-smoke chaos-smoke gateway-smoke multigroup-smoke trust-smoke storage-smoke fuzz-smoke linkcheck clean
 
 build:
 	$(GO) build ./...
@@ -99,6 +99,19 @@ trust-smoke:
 	$(GO) test -race -count=1 -run '^TestTrust' ./internal/store/central
 	$(GO) test -race -count=1 -run '^TestRefreshTrust|^TestPriorityCache|^TestSetTrustInvalidatesCache$$' ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzTrustParse$$' -fuzztime 10s ./internal/trust
+
+# storage-smoke runs the storage contract of docs/STORAGE.md by name under
+# the race detector: the whole wal and reldb suites (frame reader, rotation
+# and directory-sync bookkeeping, the table model test, group commit and
+# every checkpoint crash point), central's durability, torn-commit,
+# compaction and late-decision cells with the differential matrix, and a
+# short FuzzWALReplay budget. make verify covers the tests too; running
+# them by name makes a regression in the layer under the store unmissable
+# in CI.
+storage-smoke:
+	$(GO) test -race -count=1 ./internal/wal ./internal/reldb
+	$(GO) test -race -count=1 -run 'TestDurabilityAcrossReopen|TestCheckpointPreservesState|TestSharded|TestTornSnapshot|TestDifferentialMatrix|TestCompaction|TestLateDecision|TestSnapshotWith|TestTenantCrash' ./internal/store/central
+	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/wal
 
 # fuzz-smoke gives every native fuzz target a short budget on top of its
 # checked-in seed corpus (testdata/fuzz): enough to catch decoder panics

@@ -2,7 +2,9 @@ package orchestra
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"orchestra/internal/store/central"
@@ -75,8 +77,6 @@ func TestFleetBasic(t *testing.T) {
 	}
 }
 
-// Scheduler rounds over more groups than the concurrency bound: all
-// groups converge.
 // TestFleetCopyGroupSiblingPrefix: the migration copy must select exactly
 // the group's own tables. "team" and "team-1" overlapped under the old
 // single-'_' namespace terminator ('-' encodes as "_2d"), so migrating
@@ -118,6 +118,8 @@ func TestFleetCopyGroupSiblingPrefix(t *testing.T) {
 	}
 }
 
+// Scheduler rounds over more groups than the concurrency bound: all
+// groups converge.
 func TestSchedulerRounds(t *testing.T) {
 	ctx := context.Background()
 	schema := MustSchema(NewRelation("F", 1, "k", "v"))
@@ -152,5 +154,24 @@ func TestSchedulerRounds(t *testing.T) {
 		if n := len(b.Instance().Tuples("F")); n != 1 {
 			t.Fatalf("group %s: b has %d rows after scheduled rounds, want 1", g.ID(), n)
 		}
+	}
+
+	// A round that skips groups must say so: with ctx already cancelled no
+	// group is driven, and RunRound returns ctx's error, not success.
+	recnos := func() (out []int) {
+		for _, g := range fleet.Groups() {
+			b, _ := g.System().Peer("b")
+			out = append(out, b.Engine().Recno())
+		}
+		return out
+	}
+	before := recnos()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := sched.RunRound(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunRound on a cancelled context = %v, want context.Canceled", err)
+	}
+	if after := recnos(); !slices.Equal(before, after) {
+		t.Fatalf("cancelled round advanced recnos: %v -> %v", before, after)
 	}
 }

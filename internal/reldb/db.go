@@ -1,7 +1,8 @@
-// Package reldb is a small relational storage engine: typed tables with
-// primary keys over copy-on-read B-trees, atomic
-// read-write transactions with rollback, named sequences, and durability
-// through a write-ahead log plus snapshot checkpoints (package wal).
+// Package reldb is a small relational storage engine: typed tables keyed
+// by primary key (a map per table; lookups by full key, scans in
+// encoded-key order), atomic read-write transactions with rollback, named
+// sequences, and durability through a write-ahead log plus snapshot
+// checkpoints (package wal).
 //
 // # Concurrency
 //
@@ -43,9 +44,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
-	"orchestra/internal/btree"
 	"orchestra/internal/metrics"
 	"orchestra/internal/wal"
 )
@@ -94,16 +95,17 @@ type DB struct {
 type table struct {
 	// mu is the table lock: Update transactions hold it exclusively from
 	// first touch to commit, View transactions hold it shared.
-	mu   sync.RWMutex
-	def  TableDef
-	rows *btree.Tree[string, Row]
+	mu  sync.RWMutex
+	def TableDef
+	// rows is keyed by TableDef.pkEnc of the row.
+	rows map[string]Row
 	// pending is non-nil while the transaction that created this table is
 	// still uncommitted; other transactions treat the table as absent.
 	pending *Tx
 }
 
 func newTable(def TableDef) *table {
-	return &table{def: def, rows: btree.New[string, Row](func(a, b string) bool { return a < b })}
+	return &table{def: def, rows: make(map[string]Row)}
 }
 
 // Options configure a DB.
@@ -319,15 +321,28 @@ func (db *DB) applyOps(batch []walOp) error {
 }
 
 // put inserts or replaces a row (no constraint checks; callers check).
-func (t *table) put(r Row) { t.rows.Put(t.def.pkEnc(r), r) }
+func (t *table) put(r Row) { t.rows[t.def.pkEnc(r)] = r }
 
 func (t *table) deleteByPK(pk string) (Row, bool) {
-	old, ok := t.rows.Get(pk)
-	if !ok {
-		return nil, false
+	old, ok := t.rows[pk]
+	delete(t.rows, pk)
+	return old, ok
+}
+
+// ascend visits the rows in ascending encoded-key order — the byte order
+// of pkEnc, which is deterministic but not the order of the key's values
+// (see value.go) — until fn returns false.
+func (t *table) ascend(fn func(r Row) bool) {
+	keys := make([]string, 0, len(t.rows))
+	for k := range t.rows {
+		keys = append(keys, k)
 	}
-	t.rows.Delete(pk)
-	return old, true
+	slices.Sort(keys)
+	for _, k := range keys {
+		if !fn(t.rows[k]) {
+			return
+		}
+	}
 }
 
 // groupCommitter batches concurrent WAL appends: the first committer to
@@ -447,7 +462,7 @@ func (db *DB) Checkpoint() error {
 	for name, t := range db.tables {
 		snap.Defs = append(snap.Defs, t.def)
 		var rows []Row
-		t.rows.Ascend(func(_ string, r Row) bool {
+		t.ascend(func(r Row) bool {
 			rows = append(rows, r)
 			return true
 		})
@@ -493,15 +508,7 @@ func (db *DB) installSnapshot(data []byte) error {
 	if !db.sync {
 		return nil
 	}
-	d, err := os.Open(db.dir)
-	if err != nil {
-		return fmt.Errorf("reldb: sync directory: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("reldb: sync directory: %w", err)
-	}
-	return nil
+	return wal.SyncDir(db.dir)
 }
 
 // loadSnapshot restores state from the snapshot file if present and

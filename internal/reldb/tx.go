@@ -224,11 +224,11 @@ func (tx *Tx) write(tableName string, r Row, replace bool) error {
 	}
 	r = r.Clone()
 	pk := t.def.pkEnc(r)
-	old, existed := t.rows.Get(pk)
+	old, existed := t.rows[pk]
 	if existed && !replace {
 		return fmt.Errorf("%w: table %s", ErrDuplicateKey, tableName)
 	}
-	t.put(r)
+	t.rows[pk] = r
 	if existed {
 		tx.undo = append(tx.undo, undoOp{kind: undoPut, t: t, row: old})
 	} else {
@@ -264,7 +264,7 @@ func (tx *Tx) Get(tableName string, key ...V) (Row, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	r, ok := t.rows.Get(encodeVals(key))
+	r, ok := t.rows[encodeVals(key)]
 	if !ok {
 		return nil, false, nil
 	}
@@ -277,16 +277,19 @@ func (tx *Tx) Count(tableName string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return t.rows.Len(), nil
+	return len(t.rows), nil
 }
 
-// Scan visits every row in primary-key order until fn returns false.
+// Scan visits every row in ascending encoded-key order until fn returns
+// false. The order is deterministic — the same rows always scan the same
+// way — but it is the byte order of the key's encoding, not the order of
+// its values (integers are varints): callers that need value order sort.
 func (tx *Tx) Scan(tableName string, fn func(r Row) bool) error {
 	t, err := tx.table(tableName)
 	if err != nil {
 		return err
 	}
-	t.rows.Ascend(func(_ string, r Row) bool { return fn(r.Clone()) })
+	t.ascend(func(r Row) bool { return fn(r.Clone()) })
 	return nil
 }
 

@@ -225,13 +225,12 @@ type Store struct {
 	snapMu sync.Mutex
 	// snapState caches what the snapshots table and the compacted_before
 	// meta key record: the retained snapshot's epoch, its per-peer
-	// decision-sequence high-water marks and coverage, and the compaction
-	// horizon.
+	// decision-sequence high-water marks (a peer is covered by the snapshot
+	// iff it has one), and the compaction horizon.
 	snapState struct {
 		mu        sync.RWMutex
 		epoch     core.Epoch
 		hw        map[core.PeerID]int64
-		covered   map[core.PeerID]bool
 		residue   map[core.TxnID]bool
 		compacted core.Epoch
 	}
@@ -306,18 +305,16 @@ type peerMeta struct {
 	prio      *core.PriorityCache
 	lastEpoch core.Epoch
 	recno     int
-	decided   map[core.TxnID]core.Decision
-	// decidedSeq orders the peer's decisions: the valid replay order for
-	// reconstruction (store.Replayer).
-	decidedSeq map[core.TxnID]int64
-	nextSeq    int64
+	// decided holds each decision with its sequence number: the peer's
+	// valid replay order for reconstruction (store.Replayer).
+	decided map[core.TxnID]core.RestoredDecision
+	nextSeq int64
 }
 
-// recordDecisionLocked updates the decision caches.
+// recordDecisionLocked updates the decision cache.
 func (pm *peerMeta) recordDecisionLocked(id core.TxnID, d core.Decision) int64 {
 	pm.nextSeq++
-	pm.decided[id] = d
-	pm.decidedSeq[id] = pm.nextSeq
+	pm.decided[id] = core.RestoredDecision{Decision: d, Seq: pm.nextSeq}
 	return pm.nextSeq
 }
 

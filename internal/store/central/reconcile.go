@@ -3,6 +3,7 @@ package central
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 
 	"orchestra/internal/core"
@@ -154,7 +155,7 @@ func (s *Store) extension(root core.TxnID, pm *peerMeta) []*core.Transaction {
 		if en == nil {
 			continue // antecedent from before this store's history
 		}
-		if id != root && pm.decided[id] == core.DecisionAccept {
+		if id != root && pm.decided[id].Decision == core.DecisionAccept {
 			continue
 		}
 		out = append(out, en.pub.Txn)
@@ -348,7 +349,7 @@ func (s *Store) ReplayFor(_ context.Context, peer core.PeerID) ([]store.Publishe
 	}
 	s.snapState.mu.RLock()
 	compacted := s.snapState.compacted
-	snapCovered := s.snapState.covered[peer]
+	_, snapCovered := s.snapState.hw[peer]
 	s.snapState.mu.RUnlock()
 	if compacted > 0 && snapCovered {
 		return nil, nil, fmt.Errorf("central: epochs through %d are compacted; rebuild %s from the retained snapshot (store.RebuildPeer)", compacted, peer)
@@ -356,9 +357,5 @@ func (s *Store) ReplayFor(_ context.Context, peer core.PeerID) ([]store.Publishe
 	log := s.windowTxns(0, s.maxEpoch())
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	decisions := make(map[core.TxnID]core.RestoredDecision, len(pm.decided))
-	for id, d := range pm.decided {
-		decisions[id] = core.RestoredDecision{Decision: d, Seq: pm.decidedSeq[id]}
-	}
-	return log, decisions, nil
+	return log, maps.Clone(pm.decided), nil
 }

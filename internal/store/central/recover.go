@@ -271,10 +271,9 @@ func (s *Store) loadCaches() error {
 		}
 		if err := tx.Scan(s.peersTab, func(r reldb.Row) bool {
 			s.peers[core.PeerID(r[0].S())] = &peerMeta{
-				lastEpoch:  core.Epoch(r[1].I()),
-				recno:      int(r[2].I()),
-				decided:    make(map[core.TxnID]core.Decision),
-				decidedSeq: make(map[core.TxnID]int64),
+				lastEpoch: core.Epoch(r[1].I()),
+				recno:     int(r[2].I()),
+				decided:   make(map[core.TxnID]core.RestoredDecision),
 			}
 			return true
 		}); err != nil {
@@ -321,8 +320,7 @@ func (s *Store) loadCaches() error {
 					return true
 				}
 				id := core.TxnID{Origin: core.PeerID(r[1].S()), Seq: uint64(r[2].I())}
-				pm.decided[id] = core.Decision(r[3].I())
-				pm.decidedSeq[id] = r[4].I()
+				pm.decided[id] = core.RestoredDecision{Decision: core.Decision(r[3].I()), Seq: r[4].I()}
 				if r[4].I() > pm.nextSeq {
 					pm.nextSeq = r[4].I()
 				}
@@ -349,8 +347,8 @@ func (s *Store) loadCaches() error {
 }
 
 // loadSnapshotState rebuilds the snapshot-derived caches after recovery:
-// the retained snapshot's epoch, per-peer decision high-water marks and
-// coverage, the residue entries (whose payloads exist only in the snapshot
+// the retained snapshot's epoch, per-peer decision high-water marks, the
+// residue entries (whose payloads exist only in the snapshot
 // once their epochs are compacted), and each peer's decision-sequence
 // floor. Open is single-threaded, so no store locks are taken here.
 func (s *Store) loadSnapshotState() error {
@@ -366,7 +364,6 @@ func (s *Store) loadSnapshotState() error {
 	}
 	s.snapState.epoch = snap.Epoch
 	s.snapState.hw = make(map[core.PeerID]int64, len(snap.Peers))
-	s.snapState.covered = make(map[core.PeerID]bool, len(snap.Peers))
 	s.snapState.residue = make(map[core.TxnID]bool, len(snap.Residue))
 	for i := range snap.Residue {
 		s.snapState.residue[snap.Residue[i].Txn.ID] = true
@@ -374,7 +371,6 @@ func (s *Store) loadSnapshotState() error {
 	for i := range snap.Peers {
 		ps := &snap.Peers[i]
 		s.snapState.hw[ps.Engine.Peer] = ps.DecisionSeq
-		s.snapState.covered[ps.Engine.Peer] = true
 		// Decision sequences must keep ascending past what the snapshot
 		// folded in, even when compaction dropped every durable decision
 		// row of a peer.

@@ -3,6 +3,7 @@ package central
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 
 	"orchestra/internal/core"
@@ -22,13 +23,12 @@ import (
 // taken with every peer lock held so the decision sequences of all peers
 // describe the same instant.
 type peerCopy struct {
-	id         core.PeerID
-	trust      core.Trust
-	lastEpoch  core.Epoch
-	recno      int
-	nextSeq    int64
-	decided    map[core.TxnID]core.Decision
-	decidedSeq map[core.TxnID]int64
+	id        core.PeerID
+	trust     core.Trust
+	lastEpoch core.Epoch
+	recno     int
+	nextSeq   int64
+	decided   map[core.TxnID]core.RestoredDecision
 	// hw is the peer's folded decision prefix for the snapshot being
 	// taken: the largest sequence such that every decision at or below it
 	// references a transaction at or below the snapshot epoch. Usually
@@ -69,22 +69,14 @@ func (s *Store) copyPeers() ([]peerCopy, core.Epoch) {
 	stable := s.stableEpoch()
 	copies := make([]peerCopy, len(ids))
 	for i, pm := range pms {
-		cp := peerCopy{
-			id:         ids[i],
-			trust:      pm.trust,
-			lastEpoch:  pm.lastEpoch,
-			recno:      pm.recno,
-			nextSeq:    pm.nextSeq,
-			decided:    make(map[core.TxnID]core.Decision, len(pm.decided)),
-			decidedSeq: make(map[core.TxnID]int64, len(pm.decidedSeq)),
+		copies[i] = peerCopy{
+			id:        ids[i],
+			trust:     pm.trust,
+			lastEpoch: pm.lastEpoch,
+			recno:     pm.recno,
+			nextSeq:   pm.nextSeq,
+			decided:   maps.Clone(pm.decided),
 		}
-		for id, d := range pm.decided {
-			cp.decided[id] = d
-		}
-		for id, seq := range pm.decidedSeq {
-			cp.decidedSeq[id] = seq
-		}
-		copies[i] = cp
 	}
 	for _, pm := range pms {
 		pm.mu.Unlock()
@@ -169,9 +161,9 @@ func (s *Store) snapshotLocked(ctx context.Context, key store.IdempotencyKey) (c
 			seq int64
 			id  core.TxnID
 		}
-		ordered := make([]sd, 0, len(cp.decidedSeq))
-		for id, seq := range cp.decidedSeq {
-			ordered = append(ordered, sd{seq: seq, id: id})
+		ordered := make([]sd, 0, len(cp.decided))
+		for id, d := range cp.decided {
+			ordered = append(ordered, sd{seq: d.Seq, id: id})
 		}
 		sort.Slice(ordered, func(a, b int) bool { return ordered[a].seq < ordered[b].seq })
 		for _, d := range ordered {
@@ -200,9 +192,9 @@ func (s *Store) snapshotLocked(ctx context.Context, key store.IdempotencyKey) (c
 			eng = core.NewEngine(cp.id, s.schema, cp.trust)
 		}
 		decs := make(map[core.TxnID]core.RestoredDecision)
-		for id, seq := range cp.decidedSeq {
-			if seq > afterSeq && seq <= cp.hw {
-				decs[id] = core.RestoredDecision{Decision: cp.decided[id], Seq: seq}
+		for id, d := range cp.decided {
+			if d.Seq > afterSeq && d.Seq <= cp.hw {
+				decs[id] = d
 			}
 		}
 		if err := eng.RestoreTail(logged, decs); err != nil {
@@ -223,8 +215,7 @@ func (s *Store) snapshotLocked(ctx context.Context, key store.IdempotencyKey) (c
 		settled := true
 		for i := range copies {
 			cp := &copies[i]
-			id := en.pub.Txn.ID
-			if cp.decided[id] != core.DecisionAccept || cp.decidedSeq[id] > cp.hw {
+			if d := cp.decided[en.pub.Txn.ID]; d.Decision != core.DecisionAccept || d.Seq > cp.hw {
 				settled = false
 				break
 			}
@@ -262,10 +253,8 @@ func (s *Store) snapshotLocked(ctx context.Context, key store.IdempotencyKey) (c
 	s.snapState.mu.Lock()
 	s.snapState.epoch = stable
 	s.snapState.hw = make(map[core.PeerID]int64, len(copies))
-	s.snapState.covered = make(map[core.PeerID]bool, len(copies))
 	for i := range copies {
 		s.snapState.hw[copies[i].id] = copies[i].hw
-		s.snapState.covered[copies[i].id] = true
 	}
 	s.snapState.residue = make(map[core.TxnID]bool, len(snap.Residue))
 	for i := range snap.Residue {
@@ -328,9 +317,9 @@ func (s *Store) ReplayFrom(_ context.Context, peer core.PeerID, from core.Epoch,
 	lockContended(&pm.mu, s.counters.ObservePeerContention)
 	defer pm.mu.Unlock()
 	decisions := make(map[core.TxnID]core.RestoredDecision)
-	for id, seq := range pm.decidedSeq {
-		if seq > afterSeq {
-			decisions[id] = core.RestoredDecision{Decision: pm.decided[id], Seq: seq}
+	for id, d := range pm.decided {
+		if d.Seq > afterSeq {
+			decisions[id] = d
 		}
 	}
 	return log, decisions, nil
@@ -343,14 +332,14 @@ func (s *Store) ReplayFrom(_ context.Context, peer core.PeerID, from core.Epoch,
 func (s *Store) CompactionHorizon() core.Epoch {
 	s.snapState.mu.RLock()
 	h := s.snapState.epoch
-	covered := s.snapState.covered
+	hw := s.snapState.hw
 	s.snapState.mu.RUnlock()
 	if h == 0 {
 		return 0
 	}
 	ids, pms := s.sortedPeers()
 	for i, pm := range pms {
-		if !covered[ids[i]] {
+		if _, covered := hw[ids[i]]; !covered {
 			return 0
 		}
 		lockContended(&pm.mu, s.counters.ObservePeerContention)
@@ -403,7 +392,6 @@ func (s *Store) compactBeforeLocked(e core.Epoch, key store.IdempotencyKey) erro
 	s.snapState.mu.RLock()
 	snapE := s.snapState.epoch
 	compacted := s.snapState.compacted
-	covered := s.snapState.covered
 	hw := s.snapState.hw
 	residue := s.snapState.residue
 	s.snapState.mu.RUnlock()
@@ -418,7 +406,7 @@ func (s *Store) compactBeforeLocked(e core.Epoch, key store.IdempotencyKey) erro
 	}
 	ids, pms := s.sortedPeers()
 	for i, pm := range pms {
-		if !covered[ids[i]] {
+		if _, covered := hw[ids[i]]; !covered {
 			return fmt.Errorf("central: peer %s is not covered by the retained snapshot; take a new snapshot before compacting", ids[i])
 		}
 		lockContended(&pm.mu, s.counters.ObservePeerContention)
@@ -556,9 +544,8 @@ func (s *Store) compactBeforeLocked(e core.Epoch, key store.IdempotencyKey) erro
 		h := hw[ids[i]]
 		lockContended(&pm.mu, s.counters.ObservePeerContention)
 		for id := range oldIDs {
-			if seq, ok := pm.decidedSeq[id]; ok && seq <= h {
+			if d, ok := pm.decided[id]; ok && d.Seq <= h {
 				delete(pm.decided, id)
-				delete(pm.decidedSeq, id)
 			}
 		}
 		pm.mu.Unlock()

@@ -8,13 +8,14 @@
 // segment files; a segment whose size reaches the rotation threshold is
 // synced, closed, and succeeded by the next-numbered segment.
 //
-// Two append paths exist. Append frames one record. AppendBatch frames a
-// whole group of records and writes them with a single Write call (and at
-// most one fsync when SyncOnAppend is set) — the primitive behind reldb's
-// group commit, where concurrent committers share one flush. Either way a
-// record is atomic on recovery: replay stops at the first record whose
-// frame is torn or whose checksum fails, so a crash mid-flush drops the
-// uncommitted tail and nothing else.
+// There is one append path and one sync path. AppendBatch frames a group of
+// records and writes them with a single Write call — the primitive behind
+// reldb's group commit, where concurrent committers share one flush; Append
+// is AppendBatch of one record. Neither fsyncs: a caller that needs the
+// records on stable storage calls Sync after appending (reldb does, once
+// per group flush, under SyncOnCommit). A record is atomic on recovery:
+// replay stops at the first record whose frame is torn or whose checksum
+// fails, so a crash mid-flush drops the uncommitted tail and nothing else.
 package wal
 
 import (
@@ -50,19 +51,18 @@ type Log struct {
 	segSize int64
 	closed  bool
 
-	seg     *os.File // active segment
-	segIdx  int      // index of the active segment
-	segOff  int64    // size of the active segment
-	syncAll bool     // fsync on every append
+	seg    *os.File // active segment
+	segIdx int      // index of the active segment
+	segOff int64    // size of the active segment
+	// dirDirty is set when a segment file was created since the directory
+	// was last fsynced: the records in it are only as durable as its name.
+	dirDirty bool
 }
 
 // Options configure a Log.
 type Options struct {
 	// SegmentSize is the rotation threshold; DefaultSegmentSize if zero.
 	SegmentSize int64
-	// SyncOnAppend fsyncs after every append. Slower but loses nothing on
-	// a crash. Without it, Sync must be called at commit points.
-	SyncOnAppend bool
 }
 
 // Open opens (or creates) the log in dir, replaying existing segments to
@@ -74,7 +74,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{dir: dir, segSize: opts.SegmentSize, syncAll: opts.SyncOnAppend}
+	l := &Log{dir: dir, segSize: opts.SegmentSize}
 	segs, err := l.segments()
 	if err != nil {
 		return nil, err
@@ -133,19 +133,24 @@ func (l *Log) segments() ([]int, error) {
 	return out, nil
 }
 
-// openSegment creates and activates segment idx.
+// openSegment creates and activates segment idx. The new name is not
+// durable until the directory is fsynced; syncLocked does that.
 func (l *Log) openSegment(idx int, off int64) error {
 	f, err := os.OpenFile(l.segPath(idx), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	l.seg, l.segIdx, l.segOff = f, idx, off
+	l.dirDirty = true
 	return nil
 }
 
-// validLength scans a segment and returns the byte length of its valid
-// prefix (stopping at the first torn or corrupt record).
-func validLength(path string) (int64, error) {
+// readFrames is the one frame reader: it hands fn each intact record of the
+// segment at path, in order, and returns the byte length of the prefix
+// those records occupy. It stops — without error — at the end of the file
+// or at the first torn header, torn payload or checksum mismatch; an error
+// from fn stops it too and is returned.
+func readFrames(path string, fn func(payload []byte) error) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
@@ -155,7 +160,7 @@ func validLength(path string) (int64, error) {
 	hdr := make([]byte, headerSize)
 	for {
 		if _, err := io.ReadFull(f, hdr); err != nil {
-			return off, nil // clean EOF or torn header: stop here
+			return off, nil // clean EOF or torn header
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		crc := binary.LittleEndian.Uint32(hdr[4:8])
@@ -166,20 +171,27 @@ func validLength(path string) (int64, error) {
 		if crc32.Checksum(payload, castagnoli) != crc {
 			return off, nil // corrupt
 		}
+		if err := fn(payload); err != nil {
+			return off, err
+		}
 		off += headerSize + int64(n)
 	}
 }
 
+// validLength returns the byte length of a segment's valid prefix.
+func validLength(path string) (int64, error) {
+	return readFrames(path, func([]byte) error { return nil })
+}
+
 // Append frames and appends one record: AppendBatch with a single-record
-// group. It returns after the record is buffered in the OS (or fsynced
-// when SyncOnAppend is set).
+// group. It returns after the record is buffered in the OS.
 func (l *Log) Append(payload []byte) error {
 	return l.AppendBatch([][]byte{payload})
 }
 
-// AppendBatch frames and appends a group of records with one Write call
-// and, when SyncOnAppend is set, a single fsync — the group-commit flush
-// path. The records land in slice order; recovery sees an all-or-nothing
+// AppendBatch frames and appends a group of records with one Write call —
+// the group-commit flush path; Sync afterwards makes the group durable.
+// The records land in slice order; recovery sees an all-or-nothing
 // of the group: rotation happens before the batch (never inside it, so a
 // segment may overshoot the threshold by one group, exactly as a single
 // oversized Append overshoots it), the whole group goes down in one
@@ -220,17 +232,12 @@ func (l *Log) AppendBatch(payloads [][]byte) error {
 		return fmt.Errorf("wal: append batch: %w", err)
 	}
 	l.segOff += int64(len(buf))
-	if l.syncAll {
-		if err := l.seg.Sync(); err != nil {
-			return fmt.Errorf("wal: sync: %w", err)
-		}
-	}
 	return nil
 }
 
 func (l *Log) rotateLocked() error {
-	if err := l.seg.Sync(); err != nil {
-		return fmt.Errorf("wal: sync before rotate: %w", err)
+	if err := l.syncLocked(); err != nil {
+		return err
 	}
 	if err := l.seg.Close(); err != nil {
 		return fmt.Errorf("wal: close segment: %w", err)
@@ -238,17 +245,45 @@ func (l *Log) rotateLocked() error {
 	return l.openSegment(l.segIdx+1, 0)
 }
 
-// Sync flushes the active segment to stable storage.
+// syncLocked flushes the active segment to stable storage and, if a
+// segment was created since the last time, the directory that names it:
+// without that a power failure can lose a synced segment with its name.
+func (l *Log) syncLocked() error {
+	if err := l.seg.Sync(); err != nil {
+		return fmt.Errorf("wal: sync: %w", err)
+	}
+	if !l.dirDirty {
+		return nil
+	}
+	if err := SyncDir(l.dir); err != nil {
+		return err
+	}
+	l.dirDirty = false
+	return nil
+}
+
+// SyncDir fsyncs a directory, making the names created or renamed in it
+// durable; reldb uses it after installing a snapshot file.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("wal: sync directory: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("wal: sync directory: %w", err)
+	}
+	return nil
+}
+
+// Sync flushes everything appended so far to stable storage.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	if err := l.seg.Sync(); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
-	}
-	return nil
+	return l.syncLocked()
 }
 
 // Replay invokes fn for every valid record across all segments, in append
@@ -263,31 +298,10 @@ func (l *Log) Replay(fn func(payload []byte) error) error {
 	if err != nil {
 		return err
 	}
-	hdr := make([]byte, headerSize)
 	for _, idx := range segs {
-		f, err := os.Open(l.segPath(idx))
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
+		if _, err := readFrames(l.segPath(idx), fn); err != nil {
+			return err
 		}
-		for {
-			if _, err := io.ReadFull(f, hdr); err != nil {
-				break
-			}
-			n := binary.LittleEndian.Uint32(hdr[0:4])
-			crc := binary.LittleEndian.Uint32(hdr[4:8])
-			payload := make([]byte, n)
-			if _, err := io.ReadFull(f, payload); err != nil {
-				break
-			}
-			if crc32.Checksum(payload, castagnoli) != crc {
-				break
-			}
-			if err := fn(payload); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		f.Close()
 	}
 	return nil
 }
@@ -373,9 +387,9 @@ func (l *Log) Close() error {
 		return ErrClosed
 	}
 	l.closed = true
-	if err := l.seg.Sync(); err != nil {
+	if err := l.syncLocked(); err != nil {
 		l.seg.Close()
-		return fmt.Errorf("wal: %w", err)
+		return err
 	}
 	return l.seg.Close()
 }

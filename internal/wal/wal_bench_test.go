@@ -23,7 +23,7 @@ func BenchmarkAppend(b *testing.B) {
 }
 
 func BenchmarkAppendSync(b *testing.B) {
-	l, err := Open(b.TempDir(), Options{SyncOnAppend: true})
+	l, err := Open(b.TempDir(), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -32,6 +32,9 @@ func BenchmarkAppendSync(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := l.Append(payload); err != nil {
+			b.Fatal(err)
+		}
+		if err := l.Sync(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -80,14 +80,17 @@ func (s *Scheduler) rotate() []*Group {
 // RunRound runs one reconciliation round: every group's ReconcileAll, at
 // most Limit groups concurrently, in rotated order. A group whose round
 // fails is reported in the joined error as a *GroupError; the other
-// groups complete normally.
+// groups complete normally. If ctx ends before every group was started,
+// the rest are skipped and ctx's error joins the return: a round that did
+// not run every group never reports success.
 func (s *Scheduler) RunRound(ctx context.Context) error {
 	order := s.rotate()
 	errs := make([]error, len(order))
 	sem := make(chan struct{}, s.limit)
 	var wg sync.WaitGroup
+	var skipped error
 	for i, g := range order {
-		if ctx.Err() != nil {
+		if skipped = ctx.Err(); skipped != nil {
 			break
 		}
 		wg.Add(1)
@@ -100,7 +103,7 @@ func (s *Scheduler) RunRound(ctx context.Context) error {
 		}(i, g)
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	return errors.Join(append(errs, skipped)...)
 }
 
 // RunRounds runs n rounds, stopping at the first round with failures (the
