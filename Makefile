@@ -56,13 +56,16 @@ bench-smoke:
 # cells (loss, dup, jitter, partition, store crash + snapshot rebuild, and
 # the streaming cells that cut the watch stream mid-flight) and the
 # 16/32-peer scale matrix (churn, asymmetric partitions, store crash
-# composed with client rebuild, slow store — see docs/FAULTS.md) — and the
+# composed with client rebuild, slow store — see docs/FAULTS.md) — with
+# TestOwedDecisions (a store that fails decision writes, before the commit
+# and after it, through Reconcile, ReconcileAll, Resolve and
+# ReconcileStream: the peer owes the batch and pays it first), and the
 # fabric/retry unit layer under the race detector, with the rpc.Client
 # pool's cut-connection test (one client shared by a watch loop and store
 # calls is the production shape). make verify covers these too; this target
 # runs them by name so a chaos regression is unmissable in CI.
 chaos-smoke:
-	$(GO) test -race -count=1 -run '^TestChaosMatrix|^TestScaleMatrix' .
+	$(GO) test -race -count=1 -run '^TestChaosMatrix|^TestScaleMatrix|^TestOwedDecisions' .
 	$(GO) test -race -count=1 -run '^TestFault|^TestOneWayPartition|^TestCrashRestart|^TestLinkFaults|^TestRetry|^TestClientSharedAcrossGoroutinesSurvivesDrops$$' ./internal/simnet ./internal/rpc
 
 # gateway-smoke runs the gateway contract suite under the race detector

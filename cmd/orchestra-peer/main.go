@@ -11,7 +11,7 @@
 //	show [rel]                          print the local instance
 //	conflicts                           list deferred conflict groups
 //	resolve <group#> <option#|-1>       resolve a conflict group
-//	status                              peer status line
+//	status                              peer status line (owed: docs/FAULTS.md)
 //	quit
 //
 // Example:
@@ -151,13 +151,15 @@ func dispatch(ctx context.Context, peer *store.Peer, schema *core.Schema, fields
 				return err
 			}
 		}
+		// A result with an error: only the decision flush failed, and the
+		// peer owes the store those decisions (status shows owed=<n>).
 		res, err := peer.Reconcile(ctx)
-		if err != nil {
+		if res == nil {
 			return err
 		}
 		fmt.Printf("recno %d: accepted %v, rejected %v, deferred %v\n",
 			res.Recno, res.Accepted, res.Rejected, res.Deferred)
-		return nil
+		return err
 	case "show":
 		rels := schema.Names()
 		if len(fields) > 1 {
@@ -197,15 +199,15 @@ func dispatch(ctx context.Context, peer *store.Peer, schema *core.Schema, fields
 			return fmt.Errorf("no conflict group %d", gi)
 		}
 		res, err := peer.Resolve(ctx, groups[gi].Conflict, oi)
-		if err != nil {
+		if res == nil {
 			return err
 		}
 		fmt.Printf("resolved: accepted %v, rejected %v, still deferred %v\n",
 			res.Accepted, res.Rejected, res.Deferred)
-		return nil
+		return err
 	case "status":
-		fmt.Printf("peer %s: pending=%d deferred=%d store=%v local=%v\n",
-			peer.ID(), peer.PendingCount(), len(peer.Engine().DeferredIDs()),
+		fmt.Printf("peer %s: pending=%d owed=%d deferred=%d store=%v local=%v\n",
+			peer.ID(), peer.PendingCount(), peer.Owed(), len(peer.Engine().DeferredIDs()),
 			peer.StoreTime().Round(1e6), peer.LocalTime().Round(1e6))
 		return nil
 	default:

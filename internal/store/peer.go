@@ -30,13 +30,17 @@ type Peer struct {
 	storeTime time.Duration
 	localTime time.Duration
 
+	// owed is the ledger of decisions the engine has made and the store has
+	// not yet recorded. A step or Resolve appends, settleLocked — the one place
+	// decisions are recorded — empties it, and every store-mutating method
+	// settles first: no window is offered twice and the engine decides no
+	// transaction twice, so a batch dropped here is lost to RebuildPeer.
+	owed []DecisionBatch
+
 	// streaming is set while ReconcileStream runs; Publish then stamps each
 	// published epoch so the stream can report publish-to-stable lag.
 	streaming bool
 	pubStamps []pubStamp
-	// unflushed holds decision batches whose flush failed transiently; the
-	// stream retries them before beginning the next window.
-	unflushed []DecisionBatch
 }
 
 type pubStamp struct {
@@ -52,26 +56,35 @@ func NewPeer(ctx context.Context, id core.PeerID, schema *core.Schema, t core.Tr
 	if err := st.RegisterPeer(ctx, id, t); err != nil {
 		return nil, err
 	}
-	eff := effectiveTrust(ctx, st, id, schema, t)
+	eff, err := effectiveTrust(ctx, st, id, schema, t)
+	if err != nil {
+		return nil, err
+	}
 	return &Peer{engine: core.NewEngine(id, schema, eff), store: st}, nil
 }
 
-// effectiveTrust asks a resolving store for the peer's effective policy,
-// falling back to the registered one. A policy that crossed the wire comes
-// back schema-less; it is a private parsed copy, so binding the engine's
-// schema is safe (store-owned resolved policies arrive schema-bound
-// already and are never mutated here).
-func effectiveTrust(ctx context.Context, st Store, id core.PeerID, schema *core.Schema, t core.Trust) core.Trust {
+// effectiveTrust resolves the policy a peer's engine prices under: a
+// resolving store's answer for the peer, else the registered policy t. A
+// resolver's error is returned, not papered over with t — the store would
+// go on pricing under a policy the engine did not get. A policy that crossed
+// the wire comes back schema-less; it is a private parsed copy, so binding
+// the engine's schema is safe (store-owned resolved policies arrive
+// schema-bound already and are never mutated here).
+func effectiveTrust(ctx context.Context, st Store, id core.PeerID, schema *core.Schema, t core.Trust) (core.Trust, error) {
 	eff := t
 	if r, ok := st.(TrustResolver); ok {
-		if rt, err := r.EffectiveTrust(ctx, id); err == nil && rt != nil {
+		rt, err := r.EffectiveTrust(ctx, id)
+		if err != nil {
+			return nil, err
+		}
+		if rt != nil {
 			eff = rt
 		}
 	}
 	if pol, ok := eff.(*trust.Policy); ok && pol.Schema() == nil {
 		pol.WithSchema(schema)
 	}
-	return eff
+	return eff, nil
 }
 
 // SetTrust re-registers the peer at the store with a new trust policy and
@@ -86,24 +99,13 @@ func (p *Peer) SetTrust(ctx context.Context, t core.Trust) (int, error) {
 	defer p.mu.Unlock()
 	start := time.Now()
 	err := p.store.RegisterPeer(ctx, p.ID(), t)
+	var eff core.Trust
+	if err == nil {
+		eff, err = effectiveTrust(ctx, p.store, p.ID(), p.engine.Schema(), t)
+	}
 	p.storeTime += time.Since(start)
 	if err != nil {
 		return 0, err
-	}
-	eff := t
-	if r, ok := p.store.(TrustResolver); ok {
-		start = time.Now()
-		rt, rerr := r.EffectiveTrust(ctx, p.ID())
-		p.storeTime += time.Since(start)
-		if rerr != nil {
-			return 0, rerr
-		}
-		if rt != nil {
-			eff = rt
-		}
-	}
-	if pol, ok := eff.(*trust.Policy); ok && pol.Schema() == nil {
-		pol.WithSchema(p.engine.Schema())
 	}
 	start = time.Now()
 	changed := p.engine.RefreshTrust(eff)
@@ -117,9 +119,6 @@ func (p *Peer) ID() core.PeerID { return p.engine.Peer() }
 // Engine exposes the underlying engine (instance, conflict groups,
 // resolution).
 func (p *Peer) Engine() *core.Engine { return p.engine }
-
-// Store returns the update store this peer talks to.
-func (p *Peer) Store() Store { return p.store }
 
 // Instance returns the peer's materialized instance.
 func (p *Peer) Instance() *core.Instance { return p.engine.Instance() }
@@ -162,14 +161,72 @@ func (p *Peer) PendingCount() int {
 	return len(p.pending)
 }
 
-// Publish ships the pending local transactions to the update store.
+// Owed returns the number of decisions the peer's engine has made and the
+// store has not yet recorded: zero, except after a failed flush.
+func (p *Peer) Owed() (n int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, b := range p.owed {
+		n += len(b.Accepted) + len(b.Rejected)
+	}
+	return n
+}
+
+// Settle records everything the given peers owe, pooled in argument order
+// into one RecordDecisionsBatch round trip through (and timed against) the
+// first owing peer's store. On failure every batch stays owed. Concurrent
+// calls over overlapping peers must pass them in one consistent order.
+func Settle(ctx context.Context, peers ...*Peer) error {
+	for _, p := range peers {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+	}
+	return settleLocked(ctx, peers...)
+}
+
+// settleLocked is Settle under the peers' locks. A commit whose reply was
+// lost is recorded again, harmlessly: the peer makes no other store-mutating
+// call in between, so its decisions keep their acceptance order.
+func settleLocked(ctx context.Context, peers ...*Peer) error {
+	var payer *Peer
+	var owed []DecisionBatch
+	for _, p := range peers {
+		if payer == nil && len(p.owed) > 0 {
+			payer = p
+		}
+		owed = append(owed, p.owed...)
+	}
+	if payer == nil {
+		return nil
+	}
+	start := time.Now()
+	err := payer.store.RecordDecisionsBatch(ctx, owed)
+	payer.storeTime += time.Since(start)
+	if err != nil {
+		return err
+	}
+	for _, p := range peers {
+		p.owed = nil
+	}
+	return nil
+}
+
+// oweLocked enters an outcome in the ledger, unless it decided nothing.
+func (p *Peer) oweLocked(b DecisionBatch) {
+	if len(b.Accepted)+len(b.Rejected) > 0 {
+		p.owed = append(p.owed, b)
+	}
+}
+
+// Publish ships the pending local transactions to the update store — after
+// settling: their antecedents may be among the owed accepts, and a rebuild
+// replays decisions in the order the store got them.
 func (p *Peer) Publish(ctx context.Context) (core.Epoch, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.publishLocked(ctx)
-}
-
-func (p *Peer) publishLocked(ctx context.Context) (core.Epoch, error) {
+	if err := settleLocked(ctx, p); err != nil {
+		return 0, err
+	}
 	hadPending := len(p.pending) > 0
 	start := time.Now()
 	epoch, err := p.store.Publish(ctx, p.ID(), p.pending)
@@ -185,40 +242,34 @@ func (p *Peer) publishLocked(ctx context.Context) (core.Epoch, error) {
 }
 
 // Reconcile fetches the newly relevant transactions from the store, runs
-// the reconciliation algorithm, and records the decisions.
+// the reconciliation algorithm, and records the decisions. When only the
+// recording fails, the result comes back with the error: the engine did
+// decide, and the decisions stay owed.
 func (p *Peer) Reconcile(ctx context.Context) (*core.Result, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	res, batch, _, err := p.reconcileBufferedLocked(ctx)
+	res, err := p.Step(ctx)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	err = p.store.RecordDecisions(ctx, batch.Peer, batch.Recno, batch.Accepted, batch.Rejected)
-	p.storeTime += time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res, Settle(ctx, p)
 }
 
-// ReconcileBuffered runs the reconciliation but leaves decision recording
-// to the caller: it returns the result together with the DecisionBatch
-// that must still be recorded. System.ReconcileAll pools the batches of a
-// whole fan-out wave into one Store.RecordDecisionsBatch round trip. The
-// peer's store-time accounting covers BeginReconciliation only; the
-// pooled flush is charged to whoever issues it.
-func (p *Peer) ReconcileBuffered(ctx context.Context) (*core.Result, DecisionBatch, error) {
+// Step is Reconcile without the final settle: the outcome is left owed, for
+// a caller that pools several peers' steps into one Settle (ReconcileAll).
+func (p *Peer) Step(ctx context.Context) (*core.Result, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	res, batch, _, err := p.reconcileBufferedLocked(ctx)
-	return res, batch, err
+	res, _, _, err := p.stepLocked(ctx)
+	return res, err
 }
 
-// reconcileBufferedLocked is the shared begin-and-reconcile body; it also
-// returns the window's end epoch (the peer's new reconciliation frontier),
-// which the streaming loop uses as its resume cursor.
-func (p *Peer) reconcileBufferedLocked(ctx context.Context) (*core.Result, DecisionBatch, core.Epoch, error) {
+// stepLocked is the one reconciliation step: settle what is owed, begin,
+// reconcile, owe the outcome. The batch and the window's end epoch (the
+// peer's new frontier) are returned for the streaming loop, which reports
+// both and resumes from the epoch.
+func (p *Peer) stepLocked(ctx context.Context) (*core.Result, DecisionBatch, core.Epoch, error) {
+	if err := settleLocked(ctx, p); err != nil {
+		return nil, DecisionBatch{}, 0, err
+	}
 	start := time.Now()
 	rec, err := p.store.BeginReconciliation(ctx, p.ID())
 	p.storeTime += time.Since(start)
@@ -232,12 +283,8 @@ func (p *Peer) reconcileBufferedLocked(ctx context.Context) (*core.Result, Decis
 	if err != nil {
 		return nil, DecisionBatch{}, 0, err
 	}
-	batch := DecisionBatch{
-		Peer:     p.ID(),
-		Recno:    rec.Recno,
-		Accepted: res.Accepted,
-		Rejected: res.Rejected,
-	}
+	batch := DecisionBatch{Peer: p.ID(), Recno: rec.Recno, Accepted: res.Accepted, Rejected: res.Rejected}
+	p.oweLocked(batch)
 	return res, batch, rec.ToEpoch, nil
 }
 
@@ -251,29 +298,30 @@ func (p *Peer) PublishAndReconcile(ctx context.Context) (*core.Result, error) {
 }
 
 // Resolve applies a conflict resolution and reports the resulting
-// accept/reject decisions to the store.
+// accept/reject decisions to the store — like Reconcile, with the result
+// beside the error when only the recording fails.
 func (p *Peer) Resolve(ctx context.Context, c core.Conflict, winner int) (*core.Result, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if err := settleLocked(ctx, p); err != nil {
+		return nil, err
+	}
+	// Resolution re-runs the peer's latest reconciliation rather than
+	// starting a new one; decisions are recorded under the store's current
+	// reconciliation number — fetched first, so that nothing that can fail
+	// sits between the engine deciding and the peer owing.
 	start := time.Now()
+	recno, err := p.store.CurrentRecno(ctx, p.ID())
+	p.storeTime += time.Since(start)
+	if err != nil {
+		return nil, err
+	}
+	start = time.Now()
 	res, err := p.engine.Resolve(c, winner)
 	p.localTime += time.Since(start)
 	if err != nil {
 		return nil, err
 	}
-	// Resolution re-runs the peer's latest reconciliation rather than
-	// starting a new one; decisions are recorded under the store's current
-	// reconciliation number.
-	start = time.Now()
-	recno, err := p.store.CurrentRecno(ctx, p.ID())
-	if err != nil {
-		p.storeTime += time.Since(start)
-		return nil, err
-	}
-	err = p.store.RecordDecisions(ctx, p.ID(), recno, res.Accepted, res.Rejected)
-	p.storeTime += time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	p.oweLocked(DecisionBatch{Peer: p.ID(), Recno: recno, Accepted: res.Accepted, Rejected: res.Rejected})
+	return res, settleLocked(ctx, p)
 }

@@ -36,14 +36,14 @@ func CanReplay(_ context.Context, st Store) bool {
 // after the snapshot epoch is replayed — for a remote store, two round
 // trips instead of shipping the whole history. Otherwise it falls back to
 // FullReplayRebuild. Deferred state is not recorded in the store (it is
-// client soft state in the truest sense) and is reconstructed by the next
-// reconciliation, which reconsiders anything undecided.
+// client soft state in the truest sense), and today a rebuilt peer does not
+// get it back: the deferred transactions lie before the peer's stored
+// frontier and nothing re-offers a closed window (docs/RECOVERY.md).
 //
 // The returned peer is ready to continue reconciling where the lost one
 // stopped: like NewPeer, its engine prices candidates under the peer's
 // effective trust when the store resolves delegations.
 func RebuildPeer(ctx context.Context, id core.PeerID, schema *core.Schema, trust core.Trust, st Store) (*Peer, error) {
-	trust = effectiveTrust(ctx, st, id, schema, trust)
 	if sr, ok := st.(SnapshotReplayer); ok {
 		// LatestSnapshot and ReplayFrom are two calls; a concurrent
 		// snapshot + compaction cycle can retire the fetched snapshot in
@@ -64,21 +64,20 @@ func RebuildPeer(ctx context.Context, id core.PeerID, schema *core.Schema, trust
 			}
 		}
 	}
-	return fullReplayRebuild(ctx, id, schema, trust, st)
+	return FullReplayRebuild(ctx, id, schema, trust, st)
 }
 
 // FullReplayRebuild reconstructs the peer by replaying the complete
 // published log — the historical O(total history) path, and the fallback
 // for stores without a snapshot (or peers a snapshot does not cover).
 func FullReplayRebuild(ctx context.Context, id core.PeerID, schema *core.Schema, trust core.Trust, st Store) (*Peer, error) {
-	return fullReplayRebuild(ctx, id, schema, effectiveTrust(ctx, st, id, schema, trust), st)
-}
-
-// fullReplayRebuild is FullReplayRebuild under an already resolved trust.
-func fullReplayRebuild(ctx context.Context, id core.PeerID, schema *core.Schema, trust core.Trust, st Store) (*Peer, error) {
 	rp, ok := st.(Replayer)
 	if !ok {
 		return nil, fmt.Errorf("store: %T cannot replay peer state", st)
+	}
+	trust, err := effectiveTrust(ctx, st, id, schema, trust)
+	if err != nil {
+		return nil, err
 	}
 	log, decisions, err := rp.ReplayFor(ctx, id)
 	if err != nil {
@@ -95,6 +94,10 @@ func fullReplayRebuild(ctx context.Context, id core.PeerID, schema *core.Schema,
 // snapshot state, then replay the residue plus the post-snapshot tail with
 // the decisions recorded after the snapshot's high-water mark.
 func rebuildFromSnapshot(ctx context.Context, schema *core.Schema, trust core.Trust, st Store, sr SnapshotReplayer, snap *Snapshot, ps *PeerSnapshot) (*Peer, error) {
+	trust, err := effectiveTrust(ctx, st, ps.Engine.Peer, schema, trust)
+	if err != nil {
+		return nil, err
+	}
 	engine, err := core.NewEngineFromSnapshot(schema, trust, &ps.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("store: snapshot for %s: %w", ps.Engine.Peer, err)

@@ -2,10 +2,12 @@
 // retrieve updates, associate each published transaction with a client
 // reconciliation, and hold each peer's applied/rejected sets so that client
 // state is reconstructable soft state — together with the Peer wrapper that
-// drives a reconciliation engine against a store. Decision recording comes
-// in two shapes: per-reconciliation (RecordDecisions) and wave-batched
-// (RecordDecisionsBatch, fed by Peer.ReconcileBuffered), which amortizes
-// store round trips without changing outcomes.
+// drives a reconciliation engine against a store. The interface records
+// decisions per reconciliation (RecordDecisions) or batched
+// (RecordDecisionsBatch); Peer uses only the second, from one place: a peer
+// owes every decision its engine has made until the store has it, and Settle
+// pays what one peer or a whole fan-out wave owes in one round trip, which
+// amortizes store calls without changing outcomes (peer.go).
 //
 // The contract has two tiers, and a store's static type says which it
 // meets. Store is the six methods the reconciliation algorithm needs;
@@ -61,9 +63,6 @@ type DecisionBatch struct {
 	Accepted []core.TxnID
 	Rejected []core.TxnID
 }
-
-// Empty reports whether the batch carries no decisions.
-func (b DecisionBatch) Empty() bool { return len(b.Accepted)+len(b.Rejected) == 0 }
 
 // Store is the update store interface. Implementations must be safe for
 // concurrent use by multiple peers.

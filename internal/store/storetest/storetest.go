@@ -464,9 +464,9 @@ func testReplayRebuild(t *testing.T, factory Factory) {
 	wantTuples(t, ra.Instance(), "F", pa.Instance().Tuples("F")...)
 }
 
-// testBatchedDecisions: RecordDecisionsBatch persists several peers'
-// outcomes in one call, equivalently to per-peer RecordDecisions — nothing
-// is redelivered afterwards and recnos advance normally.
+// testBatchedDecisions: store.Settle persists several peers' owed outcomes
+// in one RecordDecisionsBatch call, equivalently to each peer settling alone
+// — nothing is redelivered afterwards and recnos advance normally.
 func testBatchedDecisions(t *testing.T, factory Factory) {
 	s := Schema(t)
 	clientFor, cleanup := factory(t, s)
@@ -480,19 +480,20 @@ func testBatchedDecisions(t *testing.T, factory Factory) {
 	xb := mustEdit(t, pa, core.Insert("F", core.Strs("mouse", "p2", "w"), "pa"))
 	mustCycle(t, pa)
 
-	// Both consumers reconcile with recording deferred, then one batch
-	// flushes both outcomes through a single store call.
-	var batches []store.DecisionBatch
+	// Both consumers step, leaving their outcomes owed, then one Settle
+	// flushes both through a single store call.
 	for _, p := range []*store.Peer{pq, pr} {
-		res, batch, err := p.ReconcileBuffered(ctx)
+		res, err := p.Step(ctx)
 		if err != nil {
-			t.Fatalf("buffered reconcile at %s: %v", p.ID(), err)
+			t.Fatalf("step at %s: %v", p.ID(), err)
 		}
 		wantIDSet(t, string(p.ID())+" accepted", res.Accepted, xa.ID, xb.ID)
-		batches = append(batches, batch)
 	}
-	if err := pq.Store().RecordDecisionsBatch(ctx, batches); err != nil {
-		t.Fatalf("batch flush: %v", err)
+	if owed := pq.Owed() + pr.Owed(); owed != 4 {
+		t.Errorf("%d decisions owed after the steps, want 4", owed)
+	}
+	if err := store.Settle(ctx, pq, pr); err != nil || pq.Owed()+pr.Owed() != 0 {
+		t.Fatalf("pooled settle: %v, still owed: pq %d, pr %d", err, pq.Owed(), pr.Owed())
 	}
 
 	// The recorded decisions stick: nothing is redelivered, and both

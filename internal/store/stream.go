@@ -12,8 +12,8 @@ import (
 // This file implements the incremental reconcile loop on top of the watch
 // subscription (watch.go): instead of the round barrier of
 // System.ReconcileAll, a peer subscribes to newly stable epochs and
-// reconciles each window as it arrives, flushing decisions with the
-// existing RecordDecisionsBatch.
+// reconciles each window as it arrives: the same step-then-settle as
+// Peer.Reconcile (peer.go), retried in place.
 //
 // Watch events serve as a wake signal and resume cursor ONLY: the actual
 // reconciliation windows always come from BeginReconciliation, which is
@@ -109,7 +109,7 @@ func (p *Peer) streamWatching(ctx context.Context, w Watcher, opts *StreamOption
 			if !sleepCtx(ctx, backoff) {
 				return nil
 			}
-			backoff = minDuration(backoff*2, opts.RetryMax)
+			backoff = min(backoff*2, opts.RetryMax)
 			to, serr := p.streamStepRetry(ctx, opts, time.Time{})
 			if serr != nil {
 				return serr
@@ -144,7 +144,7 @@ func (p *Peer) streamWatching(ctx context.Context, w Watcher, opts *StreamOption
 			if !sleepCtx(ctx, backoff) {
 				return nil
 			}
-			backoff = minDuration(backoff*2, opts.RetryMax)
+			backoff = min(backoff*2, opts.RetryMax)
 		}
 	}
 	return nil
@@ -169,41 +169,24 @@ func (p *Peer) streamStepRetry(ctx context.Context, opts *StreamOptions, arrived
 		if !sleepCtx(ctx, backoff) {
 			return 0, nil
 		}
-		backoff = minDuration(backoff*2, opts.RetryMax)
+		backoff = min(backoff*2, opts.RetryMax)
 	}
 }
 
-// streamStep is one begin → reconcile → flush pass. A non-zero arrived
-// time marks the step as event-driven and feeds the stable-to-decision lag
-// counter; publish-to-stable is observed for every own publish the window
-// covers.
+// streamStep is one step-then-settle pass. A failed flush fails the step
+// with the batch still owed, and the retry's step pays it before it begins
+// the next window. A non-zero arrived time marks the step as event-driven and
+// feeds the stable-to-decision lag counter; publish-to-stable is observed
+// for every own publish the window covers.
 func (p *Peer) streamStep(ctx context.Context, opts *StreamOptions, arrived time.Time) (core.Epoch, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// Decisions whose flush failed in an earlier step are recorded before a
-	// new window opens, preserving the store-side decision transcript even
-	// across a fault that outlived the flush's own retries.
-	if len(p.unflushed) > 0 {
-		start := time.Now()
-		err := p.store.RecordDecisionsBatch(ctx, p.unflushed)
-		p.storeTime += time.Since(start)
-		if err != nil {
-			return 0, err
-		}
-		p.unflushed = nil
+	res, batch, to, err := p.stepLocked(ctx)
+	if err == nil {
+		err = settleLocked(ctx, p)
 	}
-	res, batch, to, err := p.reconcileBufferedLocked(ctx)
 	if err != nil {
 		return 0, err
-	}
-	if !batch.Empty() {
-		start := time.Now()
-		err := p.store.RecordDecisionsBatch(ctx, []DecisionBatch{batch})
-		p.storeTime += time.Since(start)
-		if err != nil {
-			p.unflushed = append(p.unflushed, batch)
-			return 0, err
-		}
 	}
 	kept := p.pubStamps[:0]
 	for _, st := range p.pubStamps {
@@ -239,11 +222,4 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-t.C:
 		return true
 	}
-}
-
-func minDuration(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -85,25 +85,13 @@ func (s *Scheduler) rotate() []*Group {
 // not run every group never reports success.
 func (s *Scheduler) RunRound(ctx context.Context) error {
 	order := s.rotate()
-	errs := make([]error, len(order))
-	sem := make(chan struct{}, s.limit)
-	var wg sync.WaitGroup
-	var skipped error
-	for i, g := range order {
-		if skipped = ctx.Err(); skipped != nil {
-			break
+	errs := make([]error, len(order)+1)
+	errs[len(order)] = fanOut(ctx, len(order), s.limit, func(i int) {
+		if _, err := order[i].sys.ReconcileAll(ctx); err != nil {
+			errs[i] = &GroupError{Group: order[i].id, Err: err}
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, g *Group) {
-			defer func() { <-sem; wg.Done() }()
-			if _, err := g.sys.ReconcileAll(ctx); err != nil {
-				errs[i] = &GroupError{Group: g.id, Err: err}
-			}
-		}(i, g)
-	}
-	wg.Wait()
-	return errors.Join(append(errs, skipped)...)
+	})
+	return errors.Join(errs...)
 }
 
 // RunRounds runs n rounds, stopping at the first round with failures (the

@@ -186,110 +186,86 @@ func (e *PeerError) Unwrap() error { return e.Err }
 // same-round publication visible to every reconciler regardless of the
 // fan-out, so results do not depend on the host's core count.
 //
-// The reconcile pass runs in waves of fan-out size: each wave's peers
-// reconcile concurrently with decision recording deferred, then the whole
-// wave's accept/reject outcomes are flushed to the store in a single
-// RecordDecisionsBatch round trip. Batching changes round trips only,
-// never results — one peer's recorded decisions are invisible to another
-// peer's reconciliation, so flush timing cannot alter candidates.
+// The reconcile pass runs in waves of fan-out size: each wave's peers step
+// concurrently (Peer.Step, which leaves the outcome owed), then the whole
+// wave's accept/reject outcomes are settled in a single RecordDecisionsBatch
+// round trip (store.Settle). Batching changes round trips only, never
+// results — one peer's recorded decisions are invisible to another peer's
+// reconciliation, so flush timing cannot alter candidates.
 //
-// The round degrades gracefully under store failures: a peer whose publish
-// or reconcile fails is reported in the returned error as a *PeerError and
-// sits the rest of the round out — its pending work is untouched, so it
-// simply catches up on a later round — while every other peer completes
-// normally. The map carries the results of the peers that succeeded; the
-// returned error joins every per-peer failure.
+// The round degrades gracefully under store failures, each reported in the
+// returned error as a *PeerError while every other peer completes normally.
+// A peer whose publish or reconcile fails sits the rest of the round out
+// with its pending work untouched, and catches up on a later round. A peer
+// whose wave's flush fails (Op "record") did reconcile: its instance has
+// moved, its result is in the map, and its decisions stay owed — its next
+// publish or reconcile records them first. The map carries the result of
+// every peer whose engine decided; the error joins every per-peer failure.
 func (s *System) ReconcileAll(ctx context.Context) (map[PeerID]*Result, error) {
 	fan := s.fanout
 	if fan <= 0 {
 		fan = runtime.GOMAXPROCS(0)
 	}
-	out := make(map[PeerID]*Result, len(s.order))
+	// A round is never abandoned half-way: under a dead ctx every peer still
+	// takes its turn and reports its own store error.
+	run := context.WithoutCancel(ctx)
+	peers := s.Peers()
 	// Publish barrier: everyone's pending transactions reach the store
 	// before anyone reconciles. A failed publisher does not sink the round:
-	// its error is recorded and it skips the reconcile pass (publishing and
-	// reconciling later), while the rest of the confederation proceeds.
-	recErrs := make([]error, len(s.order))
-	s.forEachPeer(fan, func(i int) {
-		if _, err := s.peers[s.order[i]].Publish(ctx); err != nil {
+	// its error is recorded and it skips the reconcile pass.
+	recErrs := make([]error, len(peers))
+	fanOut(run, len(peers), fan, func(i int) {
+		if _, err := peers[i].Publish(ctx); err != nil {
 			recErrs[i] = &PeerError{Peer: s.order[i], Op: "publish", Err: err}
 		}
 	})
 
-	// Reconcile fan-out (skipping peers already failed in the barrier).
-	results := make([]*Result, len(s.order))
-	s.reconcileWaves(ctx, fan, results, recErrs)
-	for i, res := range results {
-		if res != nil {
-			out[s.order[i]] = res
+	// Reconcile pass, a wave of at most fan peers at a time.
+	out := make(map[PeerID]*Result, len(peers))
+	results := make([]*Result, len(peers))
+	for lo := 0; lo < len(peers); lo += fan {
+		wave := peers[lo:min(lo+fan, len(peers))]
+		fanOut(run, len(wave), fan, func(k int) {
+			i := lo + k
+			if recErrs[i] != nil {
+				return // failed its publish; sits the round out
+			}
+			done := s.pstats.WorkerStart()
+			defer done()
+			res, err := wave[k].Step(ctx)
+			if err != nil {
+				recErrs[i] = &PeerError{Peer: s.order[i], Op: "reconcile", Err: err}
+				return
+			}
+			results[i] = res
+		})
+
+		// Settle the wave: one store round trip for every peer that has
+		// decisions to record. Empty outcomes have nothing to persist.
+		owing, decisions := 0, 0
+		for _, p := range wave {
+			if n := p.Owed(); n > 0 {
+				owing++
+				decisions += n
+			}
+		}
+		if err := store.Settle(ctx, wave...); err != nil {
+			for k, p := range wave {
+				if recErrs[lo+k] == nil && p.Owed() > 0 {
+					recErrs[lo+k] = &PeerError{Peer: p.ID(), Op: "record", Err: err}
+				}
+			}
+		} else if owing > 0 {
+			s.pstats.ObserveDecisionFlush(owing, decisions)
+		}
+		for k := range wave {
+			if res := results[lo+k]; res != nil {
+				s.pstats.Observe(res)
+				out[s.order[lo+k]] = res
+			}
 		}
 	}
 	return out, errors.Join(recErrs...)
-}
-
-// reconcileWaves drives the batched reconcile pass: waves of at most fan
-// peers reconcile concurrently with recording deferred, then each wave's
-// decisions flush in one RecordDecisionsBatch round trip.
-func (s *System) reconcileWaves(ctx context.Context, fan int, results []*Result, recErrs []error) {
-	n := len(s.order)
-	batches := make([]store.DecisionBatch, n)
-	for lo := 0; lo < n; lo += fan {
-		hi := lo + fan
-		if hi > n {
-			hi = n
-		}
-		var wg sync.WaitGroup
-		for i := lo; i < hi; i++ {
-			if recErrs[i] != nil {
-				continue // failed its publish; sits the round out
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				done := s.pstats.WorkerStart()
-				defer done()
-				res, batch, err := s.peers[s.order[i]].ReconcileBuffered(ctx)
-				if err != nil {
-					recErrs[i] = &PeerError{Peer: s.order[i], Op: "reconcile", Err: err}
-					return
-				}
-				results[i] = res
-				batches[i] = batch
-			}(i)
-		}
-		wg.Wait()
-
-		// Flush the wave: one store round trip for every peer that has
-		// decisions to record. Empty outcomes have nothing to persist.
-		flush := make([]store.DecisionBatch, 0, hi-lo)
-		decisions := 0
-		for i := lo; i < hi; i++ {
-			if results[i] == nil || batches[i].Empty() {
-				continue
-			}
-			flush = append(flush, batches[i])
-			decisions += len(batches[i].Accepted) + len(batches[i].Rejected)
-		}
-		if len(flush) > 0 {
-			if err := s.peers[flush[0].Peer].Store().RecordDecisionsBatch(ctx, flush); err != nil {
-				// Only the peers whose decisions were in the failed flush
-				// lose their results; empty-outcome peers completed fine.
-				for i := lo; i < hi; i++ {
-					if results[i] != nil && recErrs[i] == nil && !batches[i].Empty() {
-						recErrs[i] = &PeerError{Peer: s.order[i], Op: "record", Err: err}
-						results[i] = nil
-					}
-				}
-			} else {
-				s.pstats.ObserveDecisionFlush(len(flush), decisions)
-			}
-		}
-		for i := lo; i < hi; i++ {
-			if results[i] != nil {
-				s.pstats.Observe(results[i])
-			}
-		}
-	}
 }
 
 // RunStreaming runs the incremental reconcile loop for every peer until
@@ -332,29 +308,34 @@ func (s *System) RunStreaming(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// forEachPeer runs fn(i) for every peer index on at most fan goroutines.
-func (s *System) forEachPeer(fan int, fn func(i int)) {
-	n := len(s.order)
-	if fan > n {
-		fan = n
-	}
-	if fan <= 1 {
+// fanOut runs fn(i) for every i in [0, n) on at most limit goroutines
+// (inline when that is one) and returns once all have finished. It starts
+// no further call after ctx ends, and then returns ctx's error.
+func fanOut(ctx context.Context, n, limit int, fn func(i int)) error {
+	if limit = min(limit, n); limit <= 1 {
 		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			fn(i)
 		}
-		return
+		return nil
 	}
-	sem := make(chan struct{}, fan)
+	sem := make(chan struct{}, limit)
 	var wg sync.WaitGroup
+	defer wg.Wait()
 	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int) {
+		go func() {
 			defer func() { <-sem; wg.Done() }()
 			fn(i)
-		}(i)
+		}()
 	}
-	wg.Wait()
+	return nil
 }
 
 // Pipeline exposes the aggregated reconciliation-pipeline counters (stage
