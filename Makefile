@@ -105,25 +105,33 @@ trust-smoke:
 
 # storage-smoke runs the storage contract of docs/STORAGE.md by name under
 # the race detector: the whole wal and reldb suites (frame reader, rotation
-# and directory-sync bookkeeping, the table model test, group commit and
-# every checkpoint crash point), central's durability, torn-commit,
-# compaction and late-decision cells with the differential matrix, and a
-# short FuzzWALReplay budget. make verify covers the tests too; running
-# them by name makes a regression in the layer under the store unmissable
-# in CI.
+# and directory-sync bookkeeping, the table model test, the record format's
+# round-trip, golden and malformed-input tests, the gob-directory upgrade,
+# group commit and every checkpoint crash point), central's durability,
+# torn-commit, compaction and late-decision cells with the differential
+# matrix, and a short budget each for FuzzWALReplay (the frame reader) and
+# FuzzDecodeWALRecord (what is inside a frame). make verify covers the
+# tests too; running them by name makes a regression in the layer under
+# the store unmissable in CI.
 storage-smoke:
 	$(GO) test -race -count=1 ./internal/wal ./internal/reldb
 	$(GO) test -race -count=1 -run 'TestDurabilityAcrossReopen|TestCheckpointPreservesState|TestSharded|TestTornSnapshot|TestDifferentialMatrix|TestCompaction|TestLateDecision|TestSnapshotWith|TestTenantCrash' ./internal/store/central
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime 10s ./internal/reldb
 
 # fuzz-smoke gives every native fuzz target a short budget on top of its
 # checked-in seed corpus (testdata/fuzz): enough to catch decoder panics
-# and corpus rot on every PR without CI paying for a real fuzzing campaign.
-# go's -fuzz runs one target per invocation, so each gets its own line.
+# and corpus rot on every PR without CI paying for a real fuzzing campaign:
+# the store codec, the WAL's frame reader, reldb's record and snapshot.db
+# decoders (FuzzDecodeWALRecord, FuzzDecodeSnapshotDB), the namespace codec
+# and the trust parser. go's -fuzz runs one target per invocation, so each
+# gets its own line.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePublishedTxns$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime 10s ./internal/reldb
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshotDB$$' -fuzztime 10s ./internal/reldb
 	$(GO) test -run '^$$' -fuzz '^FuzzNamespaceCodec$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzNamespacePrefixFree$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzTrustParse$$' -fuzztime 10s ./internal/trust

@@ -27,8 +27,12 @@
 //
 // # Durability
 //
-// Commit appends the transaction's operations to the WAL as one record;
-// recovery replays records in append order and truncates any torn tail.
+// Commit appends the transaction's operations to the WAL as one record,
+// encoded write by write as the transaction runs in the engine's own binary
+// format (record.go; Checkpoint's snapshot file shares it); recovery
+// replays records in append order, checking every definition and row it
+// applies, and truncates any torn tail. A directory written in the earlier
+// gob format is upgraded by the Open that finds it (legacy.go).
 // Concurrent committers hand their records to a shared flusher: the first
 // committer to arrive becomes the leader and writes every record queued by
 // then with one WAL write and at most one fsync — commits per flush is the
@@ -37,9 +41,6 @@
 package reldb
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -133,7 +134,7 @@ func Open(opts Options) (*DB, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("reldb: %w", err)
 	}
-	walFrom, err := db.loadSnapshot()
+	walFrom, legacy, err := db.loadSnapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -149,17 +150,39 @@ func Open(opts Options) (*DB, error) {
 		l.Close()
 		return nil, err
 	}
+	first, apply := true, db.replay
 	if err := l.Replay(func(payload []byte) error {
-		var batch []walOp
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&batch); err != nil {
-			return fmt.Errorf("reldb: decode wal record: %w", err)
+		// The first live record tells, as the snapshot's first byte does,
+		// whether gob wrote this directory; past it a gob record is
+		// corruption like any other.
+		if first && isLegacy(payload) {
+			legacy = true
 		}
-		return db.applyOps(batch)
+		first = false
+		decode := decodeRecord
+		if legacy {
+			decode = decodeLegacyRecord
+		}
+		if err := decode(payload, apply); err != nil {
+			return fmt.Errorf("reldb: recovery: wal record: %w", err)
+		}
+		return nil
 	}); err != nil {
 		l.Close()
 		return nil, err
 	}
 	db.gc = &groupCommitter{db: db}
+	if legacy {
+		// Read old, write new, once: the checkpoint leaves a snapshot in
+		// this format over an empty log. A crash before its install leaves
+		// the gob directory as it was, for the next Open to upgrade; a crash
+		// after it leaves the new snapshot over gob segments below its
+		// mark, which the next Open drops unread.
+		if err := db.Checkpoint(); err != nil {
+			l.Close()
+			return nil, err
+		}
+	}
 	return db, nil
 }
 
@@ -263,59 +286,42 @@ func (db *DB) TableDef(name string) (TableDef, bool) {
 	return t.def, true
 }
 
-// walOp is one logged mutation.
-type walOp struct {
-	Kind  opKind
-	Table string
-	PK    string
-	Row   Row
-	Def   TableDef
-	Seq   string
-	SeqV  int64
-}
-
-type opKind uint8
-
-const (
-	opPut opKind = iota + 1
-	opDelete
-	opCreate
-	opSeq
-	opDrop
-)
-
-// applyOps replays logged operations without re-logging; used by recovery.
-// Open is single-threaded, so no locks are taken here.
-func (db *DB) applyOps(batch []walOp) error {
-	for _, op := range batch {
-		switch op.Kind {
-		case opCreate:
-			if _, dup := db.tables[op.Def.Name]; dup {
-				return fmt.Errorf("reldb: recovery: duplicate table %s", op.Def.Name)
-			}
-			db.tables[op.Def.Name] = newTable(op.Def)
-		case opPut:
-			t, ok := db.tables[op.Table]
-			if !ok {
-				return fmt.Errorf("reldb: recovery: %w: %s", ErrNoTable, op.Table)
-			}
-			t.put(op.Row)
-		case opDelete:
-			t, ok := db.tables[op.Table]
-			if !ok {
-				return fmt.Errorf("reldb: recovery: %w: %s", ErrNoTable, op.Table)
-			}
-			t.deleteByPK(op.PK)
-		case opSeq:
-			db.seqs[op.Seq] = op.SeqV
-		case opDrop:
-			if _, ok := db.tables[op.Table]; !ok {
-				return fmt.Errorf("reldb: recovery: %w: %s", ErrNoTable, op.Table)
-			}
-			delete(db.tables, op.Table)
-		default:
-			return fmt.Errorf("reldb: recovery: unknown op %d", op.Kind)
+// replay applies one logged operation without re-logging it; recovery
+// feeds it every op of the snapshot and then of the log. The bytes came
+// from disk, so a created definition and a put row are checked exactly as
+// CreateTable and Insert check them. Open is single-threaded, so no locks
+// are taken here.
+func (db *DB) replay(op *walOp) error {
+	switch op.kind {
+	case opCreate:
+		if err := op.def.validate(); err != nil {
+			return err
 		}
+		if _, dup := db.tables[op.name]; dup {
+			return fmt.Errorf("duplicate table %s", op.name)
+		}
+		db.tables[op.name] = newTable(op.def)
+		return nil
+	case opSeq:
+		db.seqs[op.name] = op.seqV
+		return nil
+	}
+	t, ok := db.tables[op.name]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNoTable, op.name)
+	}
+	switch op.kind {
+	case opPut:
+		if err := t.def.checkRow(op.row); err != nil {
+			return err
+		}
+		t.put(op.row)
+	case opDelete:
+		t.deleteByPK(op.pk)
+	case opDrop:
+		delete(db.tables, op.name)
+	default:
+		return fmt.Errorf("unknown op %d", op.kind)
 	}
 	return nil
 }
@@ -424,18 +430,6 @@ func (gc *groupCommitter) lead() {
 	}
 }
 
-// snapshot is the gob-serialized full-state checkpoint.
-type snapshot struct {
-	Defs []TableDef
-	Rows map[string][]Row
-	Seqs map[string]int64
-	// WALFrom is the first WAL segment not contained in the snapshot:
-	// recovery drops the segments below it and replays the rest. Zero —
-	// also what a snapshot written before the field existed decodes to —
-	// means replay every segment.
-	WALFrom int
-}
-
 // Checkpoint writes a full snapshot to disk and truncates the WAL, first
 // quiescing all transactions. It is a no-op for in-memory databases.
 //
@@ -458,24 +452,7 @@ func (db *DB) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	snap := snapshot{Rows: make(map[string][]Row), Seqs: make(map[string]int64), WALFrom: walFrom}
-	for name, t := range db.tables {
-		snap.Defs = append(snap.Defs, t.def)
-		var rows []Row
-		t.ascend(func(r Row) bool {
-			rows = append(rows, r)
-			return true
-		})
-		snap.Rows[name] = rows
-	}
-	for k, v := range db.seqs {
-		snap.Seqs[k] = v
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		return fmt.Errorf("reldb: encode snapshot: %w", err)
-	}
-	if err := db.installSnapshot(buf.Bytes()); err != nil {
+	if err := db.installSnapshot(db.appendSnapshot(nil, walFrom)); err != nil {
 		return err
 	}
 	return db.log.RemoveBefore(walFrom)
@@ -512,71 +489,23 @@ func (db *DB) installSnapshot(data []byte) error {
 }
 
 // loadSnapshot restores state from the snapshot file if present and
-// returns its WAL mark (0 without a snapshot: replay everything).
-func (db *DB) loadSnapshot() (walFrom int, err error) {
+// returns its WAL mark — the first WAL segment the snapshot does not
+// contain (0, also without a snapshot: replay everything) — and whether gob
+// wrote the file.
+func (db *DB) loadSnapshot() (walFrom int, legacy bool, err error) {
 	data, err := os.ReadFile(filepath.Join(db.dir, snapshotFile))
 	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
+		return 0, false, nil
 	}
 	if err != nil {
-		return 0, fmt.Errorf("reldb: read snapshot: %w", err)
+		return 0, false, fmt.Errorf("reldb: read snapshot: %w", err)
 	}
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return 0, fmt.Errorf("reldb: decode snapshot: %w", err)
+	decode := decodeSnapshot
+	if legacy = isLegacy(data); legacy {
+		decode = decodeLegacySnapshot
 	}
-	for _, def := range snap.Defs {
-		t := newTable(def)
-		for _, r := range snap.Rows[def.Name] {
-			t.put(r)
-		}
-		db.tables[def.Name] = t
+	if walFrom, err = decode(data, db.replay); err != nil {
+		return 0, false, fmt.Errorf("reldb: recovery: snapshot: %w", err)
 	}
-	for k, v := range snap.Seqs {
-		db.seqs[k] = v
-	}
-	return snap.WALFrom, nil
-}
-
-// GobEncode implements gob encoding for V (fields are unexported).
-func (v V) GobEncode() ([]byte, error) { return v.appendEncoded(nil), nil }
-
-// GobDecode implements gob decoding for V.
-func (v *V) GobDecode(data []byte) error {
-	dec, rest, err := decodeV(data)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("reldb: trailing bytes in V encoding")
-	}
-	*v = dec
-	return nil
-}
-
-// decodeV decodes one value from the canonical encoding.
-func decodeV(src []byte) (V, []byte, error) {
-	if len(src) == 0 {
-		return V{}, nil, fmt.Errorf("reldb: decode value: empty input")
-	}
-	t := ColType(src[0])
-	src = src[1:]
-	switch t {
-	case 0:
-		return V{}, src, nil
-	case ColString, ColBytes:
-		n, sz := binary.Uvarint(src)
-		if sz <= 0 || uint64(len(src)-sz) < n {
-			return V{}, nil, fmt.Errorf("reldb: decode value: bad string")
-		}
-		return V{t: t, s: string(src[sz : sz+int(n)])}, src[sz+int(n):], nil
-	case ColInt, ColFloat, ColBool:
-		n, sz := binary.Uvarint(src)
-		if sz <= 0 {
-			return V{}, nil, fmt.Errorf("reldb: decode value: bad number")
-		}
-		return V{t: t, n: n}, src[sz:], nil
-	default:
-		return V{}, nil, fmt.Errorf("reldb: decode value: unknown type %d", t)
-	}
+	return walFrom, legacy, nil
 }

@@ -1,17 +1,13 @@
 package reldb
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-)
+import "fmt"
 
 // Tx is a transaction handle passed to View/Update callbacks. A writable
 // transaction write-locks each table at first touch and holds the lock to
-// commit (strict two-phase locking), buffering WAL operations and a typed
-// undo list for rollback; a read-only transaction read-locks tables at
-// first touch and holds the locks until the View returns. Reads always see
-// the transaction's own writes.
+// commit (strict two-phase locking), encoding its WAL record as it goes and
+// keeping a typed undo list for rollback; a read-only transaction
+// read-locks tables at first touch and holds the locks until the View
+// returns. Reads always see the transaction's own writes.
 type Tx struct {
 	db       *DB
 	writable bool
@@ -20,8 +16,10 @@ type Tx struct {
 	tabs    []*table
 	created []*table // tables created by this tx (pending until commit)
 	seqHeld bool
-	ops     []walOp
-	undo    []undoOp
+	// rec is the transaction's WAL record so far: the header, then every
+	// write already encoded (record.go). commit hands it to the log as is.
+	rec  []byte
+	undo []undoOp
 }
 
 // undoOp is one typed rollback step; undos run in reverse append order.
@@ -137,12 +135,17 @@ func (tx *Tx) requireWritable() error {
 	return nil
 }
 
-// logOp buffers op for the WAL; in-memory databases skip the buffer (and
-// its allocations) entirely since commit would discard it.
+// logOp encodes op onto the transaction's WAL record; in-memory databases
+// skip the record (and its allocations) entirely since commit would discard
+// it.
 func (tx *Tx) logOp(op walOp) {
-	if tx.db.log != nil {
-		tx.ops = append(tx.ops, op)
+	if tx.db.log == nil {
+		return
 	}
+	if tx.rec == nil {
+		tx.rec = appendHeader(tx.rec)
+	}
+	tx.rec = appendOp(tx.rec, &op)
 }
 
 // CreateTable declares a new table. The table becomes visible to other
@@ -168,7 +171,7 @@ func (tx *Tx) CreateTable(def TableDef) error {
 	tx.created = append(tx.created, t)
 	tx.tabs = append(tx.tabs, t)
 	tx.undo = append(tx.undo, undoOp{kind: undoDrop, t: t})
-	tx.logOp(walOp{Kind: opCreate, Def: def})
+	tx.logOp(walOp{kind: opCreate, name: def.Name, def: def})
 	return nil
 }
 
@@ -190,7 +193,7 @@ func (tx *Tx) DropTable(name string) error {
 	delete(tx.db.tables, name)
 	tx.db.tablesMu.Unlock()
 	tx.undo = append(tx.undo, undoOp{kind: undoRestore, t: t})
-	tx.logOp(walOp{Kind: opDrop, Table: name})
+	tx.logOp(walOp{kind: opDrop, name: name})
 	return nil
 }
 
@@ -234,7 +237,7 @@ func (tx *Tx) write(tableName string, r Row, replace bool) error {
 	} else {
 		tx.undo = append(tx.undo, undoOp{kind: undoDelete, t: t, pk: pk})
 	}
-	tx.logOp(walOp{Kind: opPut, Table: tableName, Row: r})
+	tx.logOp(walOp{kind: opPut, name: tableName, row: r})
 	return nil
 }
 
@@ -254,7 +257,7 @@ func (tx *Tx) Delete(tableName string, key ...V) (bool, error) {
 		return false, nil
 	}
 	tx.undo = append(tx.undo, undoOp{kind: undoPut, t: t, row: old})
-	tx.logOp(walOp{Kind: opDelete, Table: tableName, PK: pk})
+	tx.logOp(walOp{kind: opDelete, name: tableName, pk: pk})
 	return true, nil
 }
 
@@ -314,7 +317,7 @@ func (tx *Tx) AdvanceSeq(name string, by int64) (int64, error) {
 	next := prev + by
 	tx.db.seqs[name] = next
 	tx.undo = append(tx.undo, undoOp{kind: undoSeq, seq: name, seqV: prev})
-	tx.logOp(walOp{Kind: opSeq, Seq: name, SeqV: next})
+	tx.logOp(walOp{kind: opSeq, name: name, seqV: next})
 	return next, nil
 }
 
@@ -349,29 +352,23 @@ func (tx *Tx) rollback() {
 			tx.db.tablesMu.Unlock()
 		}
 	}
-	tx.ops, tx.undo = nil, nil
+	tx.rec, tx.undo = nil, nil
 }
 
-// commit logs the buffered operations to the WAL through the group
+// commit hands the transaction's record to the WAL through the group
 // committer, rolling back on a logging failure. Locks are released
 // by the caller afterwards, so a transaction's WAL record is durably
 // ordered before any conflicting transaction can even start. The commit
 // counter moves only after the append succeeded — a rolled-back
 // transaction is not a commit.
 func (tx *Tx) commit() error {
-	if len(tx.ops) == 0 || tx.db.log == nil {
+	if len(tx.rec) == 0 {
 		if len(tx.undo) > 0 {
 			tx.db.counters.ObserveCommit()
 		}
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(tx.ops); err != nil {
-		// Encoding failures would corrupt recovery: roll back.
-		tx.rollback()
-		return fmt.Errorf("reldb: encode wal batch: %w", err)
-	}
-	appended, err := tx.db.gc.commit(buf.Bytes())
+	appended, err := tx.db.gc.commit(tx.rec)
 	if !appended {
 		// Nothing durable (the failed group was truncated away): roll
 		// back so memory and log agree.

@@ -116,8 +116,9 @@ func (v V) String() string {
 	}
 }
 
-// appendEncoded appends a canonical order-irrelevant but injective encoding
-// (used for map/index keys, not for ordering comparisons).
+// appendEncoded appends a canonical order-irrelevant but injective encoding:
+// the form of a value in table keys (not for ordering comparisons) and on
+// disk (record.go; reader.value decodes it).
 func (v V) appendEncoded(dst []byte) []byte {
 	dst = append(dst, byte(v.t))
 	switch v.t {

@@ -57,6 +57,8 @@ type Log struct {
 	// dirDirty is set when a segment file was created since the directory
 	// was last fsynced: the records in it are only as durable as its name.
 	dirDirty bool
+	// frames is AppendBatch's frame buffer, reused across flushes.
+	frames []byte
 }
 
 // Options configure a Log.
@@ -211,17 +213,20 @@ func (l *Log) AppendBatch(payloads [][]byte) error {
 			return err
 		}
 	}
-	total := 0
-	for _, p := range payloads {
-		total += headerSize + len(p)
-	}
-	buf := make([]byte, 0, total)
+	buf := l.frames[:0]
 	for _, p := range payloads {
 		var hdr [headerSize]byte
 		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p)))
 		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(p, castagnoli))
 		buf = append(buf, hdr[:]...)
 		buf = append(buf, p...)
+	}
+	// Keep the buffer for the next flush, unless this one was so large — a
+	// batch past the segment's soft size — that keeping it would pin that
+	// much memory for good.
+	l.frames = buf
+	if int64(cap(buf)) > l.segSize {
+		l.frames = nil
 	}
 	if _, err := l.seg.Write(buf); err != nil {
 		// A short write would otherwise leave a durable prefix of a group

@@ -354,3 +354,27 @@ func TestEmptyPayload(t *testing.T) {
 		t.Fatalf("empty payload: %v", got)
 	}
 }
+
+// TestAppendBatchReusesFrameBuffer pins AppendBatch's one buffer: ordinary
+// flushes share it (no allocation per flush), and a flush that grew it past
+// the segment's soft size gives it back, so one huge batch pins nothing.
+func TestAppendBatchReusesFrameBuffer(t *testing.T) {
+	l, _ := openTemp(t, Options{SegmentSize: 1 << 10})
+	defer l.Close()
+	small := [][]byte{[]byte("a"), []byte("bb")}
+	if err := l.AppendBatch(small); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { l.AppendBatch(small) }); allocs != 0 {
+		t.Errorf("a small flush allocates %v times", allocs)
+	}
+	if err := l.Append(make([]byte, 4<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if l.frames != nil {
+		t.Errorf("a %d-byte frame buffer outlived the flush that needed it", cap(l.frames))
+	}
+	if got := replayAll(t, l); len(got) != 2*22+1 || got[0] != "a" || got[1] != "bb" || len(got[len(got)-1]) != 4<<10 {
+		t.Errorf("replayed %d records", len(got))
+	}
+}
