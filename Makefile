@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify bench-check simfree-check fmt-check bench bench-smoke chaos-smoke gateway-smoke multigroup-smoke trust-smoke storage-smoke fuzz-smoke linkcheck clean
+.PHONY: build vet test race verify bench-check simfree-check gobfree-check fmt-check bench bench-smoke chaos-smoke gateway-smoke multigroup-smoke trust-smoke storage-smoke fuzz-smoke linkcheck clean
 
 build:
 	$(GO) build ./...
@@ -16,9 +16,10 @@ race:
 
 # verify is the tier-1 gate: build + vet + full test suite under the race
 # detector (the serial-vs-parallel differential tests rely on -race to catch
-# worker-pool data races), then the same for the benchmark's module, and
-# the guard that production binaries stay simulator-free.
-verify: build vet race bench-check simfree-check
+# worker-pool data races), then the same for the benchmark's module, the
+# guard that production binaries stay simulator-free, and the guard that
+# gob stays out of the wire.
+verify: build vet race bench-check simfree-check gobfree-check
 
 # bench-check vets the repository's benchmark (bench/, a nested module that
 # ./... does not reach) and runs its 1/50-scale smoke test under the race
@@ -35,6 +36,13 @@ bench-check:
 # simulator is internal/exp/pastry, beside its one importer.
 simfree-check:
 	test "$$($(GO) list -deps . ./cmd/orchestra-store ./cmd/orchestra-gateway ./cmd/orchestra-peer ./cmd/orchestra-demo ./examples/... | grep -cE 'internal/(simnet|exp)')" = 0
+
+# gobfree-check fails if a non-test package imports encoding/gob outside
+# internal/exp (the DHT experiment's messages, which Figures 10/12 count)
+# and internal/reldb (legacy.go, which upgrades pre-record-format
+# directories). The rpc envelope and every remote body are hand-rolled.
+gobfree-check:
+	test "$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -vE '^orchestra/internal/(exp|reldb)[/ ]' | grep -c 'encoding/gob')" = 0
 
 # fmt-check fails (listing the offenders) if any file is not gofmt-clean;
 # CI runs this as its lint step.
@@ -62,11 +70,13 @@ bench-smoke:
 # ReconcileStream: the peer owes the batch and pays it first), and the
 # fabric/retry unit layer under the race detector, with the rpc.Client
 # pool's cut-connection test (one client shared by a watch loop and store
-# calls is the production shape). make verify covers these too; this target
-# runs them by name so a chaos regression is unmissable in CI.
+# calls is the production shape) and its cancellation test (a cancelled
+# call returns at once and drops its connection). make verify covers these
+# too; this target runs them by name so a chaos regression is unmissable in
+# CI.
 chaos-smoke:
 	$(GO) test -race -count=1 -run '^TestChaosMatrix|^TestScaleMatrix|^TestOwedDecisions' .
-	$(GO) test -race -count=1 -run '^TestFault|^TestOneWayPartition|^TestCrashRestart|^TestLinkFaults|^TestRetry|^TestClientSharedAcrossGoroutinesSurvivesDrops$$' ./internal/simnet ./internal/rpc
+	$(GO) test -race -count=1 -run '^TestFault|^TestOneWayPartition|^TestCrashRestart|^TestLinkFaults|^TestRetry|^TestClientSharedAcrossGoroutinesSurvivesDrops$$|^TestTCPCallHonoursCancel$$|^TestTCPCancelSparesQueuedCaller$$' ./internal/simnet ./internal/rpc
 
 # gateway-smoke runs the gateway contract suite under the race detector
 # (auth, per-group rate limits, backpressure shedding, idempotent retry
@@ -122,12 +132,16 @@ storage-smoke:
 # fuzz-smoke gives every native fuzz target a short budget on top of its
 # checked-in seed corpus (testdata/fuzz): enough to catch decoder panics
 # and corpus rot on every PR without CI paying for a real fuzzing campaign:
-# the store codec, the WAL's frame reader, reldb's record and snapshot.db
-# decoders (FuzzDecodeWALRecord, FuzzDecodeSnapshotDB), the namespace codec
-# and the trust parser. go's -fuzz runs one target per invocation, so each
-# gets its own line.
+# the store codec (publish payloads, snapshots, reconciliations), the wire
+# (the rpc envelope, every remote body), the WAL's frame reader, reldb's
+# record and snapshot.db decoders (FuzzDecodeWALRecord,
+# FuzzDecodeSnapshotDB), the namespace codec and the trust parser. go's
+# -fuzz runs one target per invocation, so each gets its own line.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePublishedTxns$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReconciliation$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/rpc
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWireBody$$' -fuzztime 10s ./internal/store/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime 10s ./internal/reldb

@@ -46,7 +46,7 @@ type Update struct {
 	// It is populated once — at transaction validation or when Flatten emits
 	// the update — and shared by copies of the update; it is never mutated
 	// afterwards, so concurrent readers are safe. A nil enc means "compute
-	// on demand". The cache is ignored by Equal, String, and gob encoding.
+	// on demand". The cache is ignored by Equal, String, and every encoder.
 	enc *updateEnc
 }
 

@@ -192,8 +192,10 @@ func (v Value) appendEncoded(dst []byte) []byte {
 	return dst
 }
 
-// GobEncode implements gob encoding for Value (its fields are unexported);
-// the update stores serialize transactions with encoding/gob.
+// GobEncode implements gob encoding for Value (its fields are unexported)
+// for the two gob users left: reldb's legacy-directory upgrade and the DHT
+// experiment's messages. The wire and the store encode tuples with the
+// store codec instead.
 func (v Value) GobEncode() ([]byte, error) { return v.appendEncoded(nil), nil }
 
 // GobDecode implements gob decoding for Value.

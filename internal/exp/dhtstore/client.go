@@ -10,7 +10,6 @@ import (
 
 	"orchestra/internal/core"
 	"orchestra/internal/exp/pastry"
-	"orchestra/internal/rpc"
 	"orchestra/internal/store"
 	"orchestra/internal/store/central"
 )
@@ -24,7 +23,7 @@ type client struct {
 
 // call routes a request to the owner of key and decodes the reply.
 func (cl *client) call(ctx context.Context, key, method string, args, reply any) error {
-	body, err := rpc.Encode(args)
+	body, err := pastry.Encode(args)
 	if err != nil {
 		return err
 	}
@@ -35,7 +34,7 @@ func (cl *client) call(ctx context.Context, key, method string, args, reply any)
 	if reply == nil {
 		return nil
 	}
-	return rpc.Decode(resp, reply)
+	return pastry.Decode(resp, reply)
 }
 
 // RegisterPeer implements store.Store.

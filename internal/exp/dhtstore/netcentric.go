@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"orchestra/internal/core"
+	"orchestra/internal/exp/pastry"
 	"orchestra/internal/rpc"
 	"orchestra/internal/store"
 )
@@ -44,14 +45,14 @@ type txnExtensionReply struct {
 // through the antecedents it reports.
 func (ns *nodeState) txnExtension(ctx context.Context, req rpc.Request) ([]byte, error) {
 	var args txnExtensionArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
+	if err := pastry.Decode(req.Body, &args); err != nil {
 		return nil, err
 	}
 	ns.mu.Lock()
 	tr, ok := ns.txns[args.ID]
 	if !ok {
 		ns.mu.Unlock()
-		return rpc.Encode(&txnExtensionReply{})
+		return pastry.Encode(&txnExtensionReply{})
 	}
 	prio := 0
 	if trust, okT := ns.cluster.trustOf(args.Requester); okT {
@@ -74,7 +75,7 @@ func (ns *nodeState) txnExtension(ctx context.Context, req rpc.Request) ([]byte,
 			continue
 		}
 		seen[aid] = true
-		body, err := rpc.Encode(&txnGetArgs{ID: aid, Requester: args.Requester})
+		body, err := pastry.Encode(&txnGetArgs{ID: aid, Requester: args.Requester})
 		if err != nil {
 			return nil, err
 		}
@@ -83,7 +84,7 @@ func (ns *nodeState) txnExtension(ctx context.Context, req rpc.Request) ([]byte,
 			return nil, fmt.Errorf("dhtstore: gather antecedent %s: %w", aid, err)
 		}
 		var ar txnGetReply
-		if err := rpc.Decode(resp, &ar); err != nil {
+		if err := pastry.Decode(resp, &ar); err != nil {
 			return nil, err
 		}
 		if !ar.Known || ar.Decision == core.DecisionAccept {
@@ -93,7 +94,7 @@ func (ns *nodeState) txnExtension(ctx context.Context, req rpc.Request) ([]byte,
 		pending = append(pending, ar.Pub.Antecedents...)
 	}
 	sort.Slice(reply.Ext, func(i, j int) bool { return reply.Ext[i].Order < reply.Ext[j].Order })
-	return rpc.Encode(&reply)
+	return pastry.Encode(&reply)
 }
 
 // NetworkCentric wraps a cluster client so that BeginReconciliation

@@ -118,33 +118,33 @@ func (ns *nodeState) mux() rpc.Handler {
 // counter could be reconstructed by polling for the largest epoch present.
 func (ns *nodeState) allocNext(ctx context.Context, req rpc.Request) ([]byte, error) {
 	var args allocNextArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
+	if err := pastry.Decode(req.Body, &args); err != nil {
 		return nil, err
 	}
 	ns.mu.Lock()
 	ns.counter++
 	e := ns.counter
 	ns.mu.Unlock()
-	body, err := rpc.Encode(&epochBeginArgs{Epoch: e, Peer: args.Peer})
+	body, err := pastry.Encode(&epochBeginArgs{Epoch: e, Peer: args.Peer})
 	if err != nil {
 		return nil, err
 	}
 	if _, err := ns.node.RouteString(ctx, epochKey(e), mEpochBegin, body); err != nil {
 		return nil, fmt.Errorf("dhtstore: inform epoch controller: %w", err)
 	}
-	return rpc.Encode(&allocNextReply{Epoch: e})
+	return pastry.Encode(&allocNextReply{Epoch: e})
 }
 
 func (ns *nodeState) allocCurrent(context.Context, rpc.Request) ([]byte, error) {
 	ns.mu.Lock()
 	e := ns.counter
 	ns.mu.Unlock()
-	return rpc.Encode(&allocCurrentReply{Epoch: e})
+	return pastry.Encode(&allocCurrentReply{Epoch: e})
 }
 
 func (ns *nodeState) epochBegin(ctx context.Context, req rpc.Request) ([]byte, error) {
 	var args epochBeginArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
+	if err := pastry.Decode(req.Body, &args); err != nil {
 		return nil, err
 	}
 	ns.mu.Lock()
@@ -153,12 +153,12 @@ func (ns *nodeState) epochBegin(ctx context.Context, req rpc.Request) ([]byte, e
 		return nil, fmt.Errorf("dhtstore: epoch %d already begun", args.Epoch)
 	}
 	ns.epochs[args.Epoch] = &epochRec{peer: args.Peer}
-	return rpc.Encode(&struct{}{})
+	return pastry.Encode(&struct{}{})
 }
 
 func (ns *nodeState) epochSetTxns(ctx context.Context, req rpc.Request) ([]byte, error) {
 	var args epochSetTxnsArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
+	if err := pastry.Decode(req.Body, &args); err != nil {
 		return nil, err
 	}
 	ns.mu.Lock()
@@ -172,26 +172,26 @@ func (ns *nodeState) epochSetTxns(ctx context.Context, req rpc.Request) ([]byte,
 	}
 	er.ids = args.IDs
 	er.complete = true
-	return rpc.Encode(&struct{}{})
+	return pastry.Encode(&struct{}{})
 }
 
 func (ns *nodeState) epochGet(ctx context.Context, req rpc.Request) ([]byte, error) {
 	var args epochGetArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
+	if err := pastry.Decode(req.Body, &args); err != nil {
 		return nil, err
 	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	er, ok := ns.epochs[args.Epoch]
 	if !ok {
-		return rpc.Encode(&epochGetReply{})
+		return pastry.Encode(&epochGetReply{})
 	}
-	return rpc.Encode(&epochGetReply{Known: true, Peer: er.peer, IDs: er.ids, Complete: er.complete})
+	return pastry.Encode(&epochGetReply{Known: true, Peer: er.peer, IDs: er.ids, Complete: er.complete})
 }
 
 func (ns *nodeState) txnPut(ctx context.Context, req rpc.Request) ([]byte, error) {
 	var args txnPutArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
+	if err := pastry.Decode(req.Body, &args); err != nil {
 		return nil, err
 	}
 	id := args.Pub.Txn.ID
@@ -207,25 +207,25 @@ func (ns *nodeState) txnPut(ctx context.Context, req rpc.Request) ([]byte, error
 			id.Origin: core.DecisionAccept,
 		},
 	}
-	return rpc.Encode(&struct{}{})
+	return pastry.Encode(&struct{}{})
 }
 
 func (ns *nodeState) txnGet(ctx context.Context, req rpc.Request) ([]byte, error) {
 	var args txnGetArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
+	if err := pastry.Decode(req.Body, &args); err != nil {
 		return nil, err
 	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	tr, ok := ns.txns[args.ID]
 	if !ok {
-		return rpc.Encode(&txnGetReply{})
+		return pastry.Encode(&txnGetReply{})
 	}
 	prio := 0
 	if trust, ok := ns.cluster.trustOf(args.Requester); ok {
 		prio = core.TxnPriority(trust, tr.pub.Txn)
 	}
-	return rpc.Encode(&txnGetReply{
+	return pastry.Encode(&txnGetReply{
 		Known:    true,
 		Pub:      tr.pub,
 		Priority: prio,
@@ -235,7 +235,7 @@ func (ns *nodeState) txnGet(ctx context.Context, req rpc.Request) ([]byte, error
 
 func (ns *nodeState) txnDecide(ctx context.Context, req rpc.Request) ([]byte, error) {
 	var args txnDecideArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
+	if err := pastry.Decode(req.Body, &args); err != nil {
 		return nil, err
 	}
 	ns.mu.Lock()
@@ -245,13 +245,13 @@ func (ns *nodeState) txnDecide(ctx context.Context, req rpc.Request) ([]byte, er
 		return nil, fmt.Errorf("dhtstore: decision for unknown transaction %s", args.ID)
 	}
 	tr.decisions[args.Peer] = args.Decision
-	return rpc.Encode(&struct{}{})
+	return pastry.Encode(&struct{}{})
 }
 
 // txnDecideBatch applies a whole wave's decisions for one transaction.
 func (ns *nodeState) txnDecideBatch(ctx context.Context, req rpc.Request) ([]byte, error) {
 	var args txnDecideBatchArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
+	if err := pastry.Decode(req.Body, &args); err != nil {
 		return nil, err
 	}
 	ns.mu.Lock()
@@ -263,12 +263,12 @@ func (ns *nodeState) txnDecideBatch(ctx context.Context, req rpc.Request) ([]byt
 	for _, d := range args.Decisions {
 		tr.decisions[d.Peer] = d.Decision
 	}
-	return rpc.Encode(&struct{}{})
+	return pastry.Encode(&struct{}{})
 }
 
 func (ns *nodeState) peerRecon(ctx context.Context, req rpc.Request) ([]byte, error) {
 	var args peerReconArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
+	if err := pastry.Decode(req.Body, &args); err != nil {
 		return nil, err
 	}
 	ns.mu.Lock()
@@ -285,21 +285,21 @@ func (ns *nodeState) peerRecon(ctx context.Context, req rpc.Request) ([]byte, er
 	}
 	cr.recno++
 	cr.lastEpoch = stable
-	return rpc.Encode(&peerReconReply{Recno: cr.recno, FromEpoch: from})
+	return pastry.Encode(&peerReconReply{Recno: cr.recno, FromEpoch: from})
 }
 
 func (ns *nodeState) peerMeta(ctx context.Context, req rpc.Request) ([]byte, error) {
 	var args peerMetaArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
+	if err := pastry.Decode(req.Body, &args); err != nil {
 		return nil, err
 	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	cr := ns.coords[args.Peer]
 	if cr == nil {
-		return rpc.Encode(&peerMetaReply{})
+		return pastry.Encode(&peerMetaReply{})
 	}
-	return rpc.Encode(&peerMetaReply{Recno: cr.recno, LastEpoch: cr.lastEpoch})
+	return pastry.Encode(&peerMetaReply{Recno: cr.recno, LastEpoch: cr.lastEpoch})
 }
 
 // Ensure simnet is linked for the package doc reference.

@@ -114,7 +114,7 @@ func (n *Node) nextHop(key ID) *Entry {
 // handleRoute is the overlay forwarding handler.
 func (n *Node) handleRoute(ctx context.Context, req rpc.Request) ([]byte, error) {
 	var env envelope
-	if err := rpc.Decode(req.Body, &env); err != nil {
+	if err := Decode(req.Body, &env); err != nil {
 		return nil, err
 	}
 	return n.route(ctx, env)
@@ -132,7 +132,7 @@ func (n *Node) route(ctx context.Context, env envelope) ([]byte, error) {
 	}
 	n.hopsForwarded.Add(1)
 	env.Hops++
-	body, err := rpc.Encode(&env)
+	body, err := Encode(&env)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +155,7 @@ func (n *Node) RouteString(ctx context.Context, key, method string, body []byte)
 // a transaction controller replying with antecedent locations.
 func (n *Node) Call(ctx context.Context, to, method string, body []byte) ([]byte, error) {
 	env := envelope{Key: NodeID(to), Method: method, Body: body, Origin: n.addr}
-	b, err := rpc.Encode(&env)
+	b, err := Encode(&env)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"orchestra/internal/rpc"
 	"orchestra/internal/simnet"
 )
 
@@ -29,7 +28,7 @@ func BenchmarkRoute(b *testing.B) {
 			ring := benchRing(b, n)
 			nodes := ring.Nodes()
 			ctx := context.Background()
-			body := rpc.MustEncode(kvArgs{K: "k", V: "v"})
+			body := MustEncode(kvArgs{K: "k", V: "v"})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := fmt.Sprintf("key-%d", i)

@@ -24,7 +24,7 @@ type kvArgs struct{ K, V string }
 
 func (a *kvApp) ServeRPC(_ context.Context, req rpc.Request) ([]byte, error) {
 	var args kvArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
+	if err := Decode(req.Body, &args); err != nil {
 		return nil, err
 	}
 	a.mu.Lock()
@@ -32,9 +32,9 @@ func (a *kvApp) ServeRPC(_ context.Context, req rpc.Request) ([]byte, error) {
 	switch req.Method {
 	case "kv.put":
 		a.data[args.K] = args.V
-		return rpc.Encode(a.addr)
+		return Encode(a.addr)
 	case "kv.get":
-		return rpc.Encode(a.data[args.K])
+		return Encode(a.data[args.K])
 	default:
 		return nil, fmt.Errorf("kv: unknown method %s", req.Method)
 	}
@@ -131,12 +131,12 @@ func TestRoutingReachesOwner(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("k%d", i)
 		start := nodes[i%len(nodes)]
-		got, err := start.RouteString(ctx, key, "kv.put", rpc.MustEncode(kvArgs{K: key, V: "v"}))
+		got, err := start.RouteString(ctx, key, "kv.put", MustEncode(kvArgs{K: key, V: "v"}))
 		if err != nil {
 			t.Fatalf("route %s: %v", key, err)
 		}
 		var deliveredAt string
-		if err := rpc.Decode(got, &deliveredAt); err != nil {
+		if err := Decode(got, &deliveredAt); err != nil {
 			t.Fatal(err)
 		}
 		if want := ring.OwnerOfString(key).Addr(); deliveredAt != want {
@@ -151,18 +151,18 @@ func TestPutGetAcrossRing(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 50; i++ {
 		k, v := fmt.Sprintf("key-%d", i), fmt.Sprintf("val-%d", i)
-		if _, err := nodes[i%20].RouteString(ctx, k, "kv.put", rpc.MustEncode(kvArgs{K: k, V: v})); err != nil {
+		if _, err := nodes[i%20].RouteString(ctx, k, "kv.put", MustEncode(kvArgs{K: k, V: v})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 50; i++ {
 		k, want := fmt.Sprintf("key-%d", i), fmt.Sprintf("val-%d", i)
-		resp, err := nodes[(i+7)%20].RouteString(ctx, k, "kv.get", rpc.MustEncode(kvArgs{K: k}))
+		resp, err := nodes[(i+7)%20].RouteString(ctx, k, "kv.get", MustEncode(kvArgs{K: k}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got string
-		rpc.Decode(resp, &got)
+		Decode(resp, &got)
 		if got != want {
 			t.Fatalf("get %s = %q, want %q", k, got, want)
 		}
@@ -177,7 +177,7 @@ func TestHopCountsReasonable(t *testing.T) {
 	const msgs = 200
 	for i := 0; i < msgs; i++ {
 		k := fmt.Sprintf("hops-%d", i)
-		if _, err := nodes[i%50].RouteString(ctx, k, "kv.put", rpc.MustEncode(kvArgs{K: k, V: ""})); err != nil {
+		if _, err := nodes[i%50].RouteString(ctx, k, "kv.put", MustEncode(kvArgs{K: k, V: ""})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,7 +205,7 @@ func TestSingleNodeRingOwnsEverything(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
 		k := fmt.Sprintf("solo-%d", i)
-		if _, err := node.RouteString(ctx, k, "kv.put", rpc.MustEncode(kvArgs{K: k, V: "v"})); err != nil {
+		if _, err := node.RouteString(ctx, k, "kv.put", MustEncode(kvArgs{K: k, V: "v"})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +239,7 @@ func TestJoinErrorsAndLeave(t *testing.T) {
 	// Routing still works after a departure.
 	nodes := ring.Nodes()
 	if _, err := nodes[0].RouteString(context.Background(), "post-leave", "kv.put",
-		rpc.MustEncode(kvArgs{K: "post-leave", V: "v"})); err != nil {
+		MustEncode(kvArgs{K: "post-leave", V: "v"})); err != nil {
 		t.Errorf("route after leave: %v", err)
 	}
 }
@@ -248,12 +248,12 @@ func TestDirectCall(t *testing.T) {
 	ring, _ := buildRing(t, 5)
 	nodes := ring.Nodes()
 	resp, err := nodes[0].Call(context.Background(), nodes[3].Addr(), "kv.put",
-		rpc.MustEncode(kvArgs{K: "direct", V: "v"}))
+		MustEncode(kvArgs{K: "direct", V: "v"}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var at string
-	rpc.Decode(resp, &at)
+	Decode(resp, &at)
 	if at != nodes[3].Addr() {
 		t.Errorf("direct call delivered at %s", at)
 	}

@@ -1,13 +1,13 @@
 // Package rpc defines the request/response transport abstraction shared by
 // the simulated network fabric (internal/simnet) and the TCP transport in
-// this package, plus gob codec helpers. The update stores and the DHT are
-// written against Caller/Handler and run unchanged over either transport.
+// this package. Bodies are opaque bytes here: each caller owns its body
+// format, and the TCP transport's own envelope is hand-rolled (frame.go).
+// The update stores and the DHT are written against Caller/Handler and run
+// unchanged over either transport.
 package rpc
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 )
@@ -33,15 +33,16 @@ type Request struct {
 	From string
 	// Method selects the handler behaviour, e.g. "epoch.alloc".
 	Method string
-	// Body is the gob-encoded argument.
+	// Body is the encoded argument, in the format the method's handler
+	// defines.
 	Body []byte
 }
 
 // Handler processes requests at an endpoint. The context carries the
 // caller's deadline and cancellation across the transport: the simulated
 // fabric passes the caller's context through directly, and the TCP
-// transport ships the remaining budget and reapplies it server-side
-// (wireRequest.TimeoutNanos), so client/server clock skew never shifts a
+// transport ships the remaining budget and reapplies it server-side (the
+// request frame's TimeoutNanos), so client/server clock skew never shifts a
 // handler's deadline.
 type Handler interface {
 	ServeRPC(ctx context.Context, req Request) ([]byte, error)
@@ -94,52 +95,4 @@ func (m *Mux) ServeRPC(ctx context.Context, req Request) ([]byte, error) {
 		return nil, fmt.Errorf("rpc: unknown method %q", req.Method)
 	}
 	return h(ctx, req)
-}
-
-// Encode gob-encodes a value for a request or response body.
-func Encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("rpc: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// MustEncode is Encode that panics on error; for values whose encodability
-// is guaranteed by construction.
-func MustEncode(v any) []byte {
-	b, err := Encode(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// Decode gob-decodes a request or response body into v.
-func Decode(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("rpc: decode: %w", err)
-	}
-	return nil
-}
-
-// Invoke encodes args, performs the call, and decodes the reply into reply
-// (which may be nil for calls without results).
-func Invoke(ctx context.Context, c Caller, to, method string, args, reply any) error {
-	var body []byte
-	if args != nil {
-		var err error
-		body, err = Encode(args)
-		if err != nil {
-			return err
-		}
-	}
-	resp, err := c.Call(ctx, to, method, body)
-	if err != nil {
-		return err
-	}
-	if reply == nil {
-		return nil
-	}
-	return Decode(resp, reply)
 }

@@ -4,38 +4,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"time"
 )
-
-// Wire format (both directions): 4-byte little-endian frame length, then
-// the frame. Request frames are gob-encoded wireRequest; response frames
-// are gob-encoded wireResponse.
-
-type wireRequest struct {
-	From   string
-	Method string
-	Body   []byte
-	// TimeoutNanos is the budget remaining on the caller's context deadline
-	// when the request was sent (0 = none); the server applies it as a
-	// relative timeout so handlers see (approximately) the deadline the
-	// client enforces on the connection. A duration travels instead of the
-	// absolute deadline because client and server clocks may disagree — an
-	// absolute wall-clock deadline would shift by the skew and a server
-	// clock running ahead would expire every handler context on arrival.
-	TimeoutNanos int64
-}
-
-type wireResponse struct {
-	Body []byte
-	Err  string
-}
-
-const maxFrame = 64 << 20
 
 // Server serves RPC requests over TCP.
 type Server struct {
@@ -100,28 +74,28 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		var req wireRequest
-		if err := Decode(frame, &req); err != nil {
+		req, timeout, err := decodeRequest(frame)
+		if err != nil {
+			// Answer before hanging up: a caller speaking another format
+			// gets a permanent error, not an EOF its retry policy would
+			// spend its whole budget on.
+			if writeFrame(bw, errHead, []byte(err.Error())) == nil {
+				bw.Flush()
+			}
 			return
 		}
-		var resp wireResponse
 		ctx := context.Background()
 		cancel := context.CancelFunc(func() {})
-		if req.TimeoutNanos != 0 {
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutNanos))
+		if timeout != 0 {
+			ctx, cancel = context.WithTimeout(ctx, time.Duration(timeout))
 		}
-		body, herr := s.handler.ServeRPC(ctx, Request{From: req.From, Method: req.Method, Body: req.Body})
+		body, herr := s.handler.ServeRPC(ctx, req)
 		cancel()
+		head := okHead
 		if herr != nil {
-			resp.Err = herr.Error()
-		} else {
-			resp.Body = body
+			head, body = errHead, []byte(herr.Error())
 		}
-		out, err := Encode(&resp)
-		if err != nil {
-			return
-		}
-		if err := writeFrame(bw, out); err != nil {
+		if err := writeFrame(bw, head, body); err != nil {
 			return
 		}
 		if err := bw.Flush(); err != nil {
@@ -162,38 +136,45 @@ type Client struct {
 }
 
 type clientConn struct {
-	mu sync.Mutex
-	c  net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
+	mu   sync.Mutex
+	c    net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	head []byte // request-head scratch, reused under mu
+	// dead is set, under mu, by the call that failed on c, which closes c
+	// before it unlocks: a caller queued on mu finds it set and has written
+	// nothing.
+	dead bool
 }
+
+// errRetired: the pooled connection was retired by another caller's failed
+// call while this one waited for it. Nothing of this call was sent.
+var errRetired = fmt.Errorf("rpc: connection retired by a failed call: %w", ErrUnreachable)
 
 // NewClient returns a client identifying itself as from.
 func NewClient(from string) *Client {
 	return &Client{From: from, conn: make(map[string]*clientConn)}
 }
 
-// Call implements Caller.
+// Call implements Caller. The context's deadline bounds the call on the
+// connection, and a cancellation ends it at once with an error wrapping
+// ctx.Err(). A call that fails on the connection retires it (see roundTrip),
+// since the reply may still arrive on it; a caller that was queued behind
+// that call dials once more.
 func (cl *Client) Call(ctx context.Context, to, method string, body []byte) ([]byte, error) {
-	cc, err := cl.get(ctx, to)
-	if err != nil {
-		return nil, err
+	for redial := true; ; redial = false {
+		cc, err := cl.get(ctx, to)
+		if err != nil {
+			return nil, err
+		}
+		reply, remote, err := cl.roundTrip(ctx, to, cc, method, body)
+		if err == nil {
+			return reply, remote
+		}
+		if err != errRetired || !redial {
+			return nil, err
+		}
 	}
-	req := wireRequest{From: cl.From, Method: method, Body: body}
-	if dl, ok := ctx.Deadline(); ok {
-		// An already-expired deadline still travels (as a minimal budget):
-		// the handler should see a done context rather than run unbounded.
-		req.TimeoutNanos = max(int64(time.Until(dl)), 1)
-	}
-	resp, err := cc.roundTrip(ctx, req)
-	if err != nil {
-		cl.drop(to, cc)
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
-	}
-	return resp.Body, nil
 }
 
 // get returns the pooled connection to the address, dialling one if the
@@ -223,15 +204,17 @@ func (cl *Client) get(ctx context.Context, to string) (*clientConn, error) {
 	return cc, nil
 }
 
-// drop retires a connection a call failed on: out of the pool (unless a
-// newer one already took its slot) and closed, so the next call dials fresh.
-func (cl *Client) drop(to string, cc *clientConn) {
+// retire takes a connection a call failed on out of service, under cc.mu:
+// marked dead, closed, and out of the pool (unless a newer one already took
+// its slot), so the next call dials fresh.
+func (cl *Client) retire(to string, cc *clientConn) {
+	cc.dead = true
+	cc.c.Close()
 	cl.mu.Lock()
 	if cl.conn[to] == cc {
 		delete(cl.conn, to)
 	}
 	cl.mu.Unlock()
-	cc.c.Close()
 }
 
 // Close closes all pooled connections.
@@ -244,42 +227,63 @@ func (cl *Client) Close() {
 	cl.conn = make(map[string]*clientConn)
 }
 
-func (cc *clientConn) roundTrip(ctx context.Context, req wireRequest) (wireResponse, error) {
+// roundTrip sends one request on cc and decodes its response into the
+// handler's reply or error (remote). A context deadline maps onto the
+// connection; a cancellation has no deadline to map, so context.AfterFunc
+// sets one in the past, which fails the blocked write or read at once. Any
+// failure after the request may have been written retires cc before mu is
+// released, so no queued caller writes on the connection or reads the late
+// reply.
+func (cl *Client) roundTrip(ctx context.Context, to string, cc *clientConn, method string, body []byte) (reply []byte, remote, err error) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if dl, ok := ctx.Deadline(); ok {
-		cc.c.SetDeadline(dl)
-	} else {
-		cc.c.SetDeadline(time.Time{})
+	if cc.dead {
+		return nil, nil, errRetired
 	}
-	frame, err := Encode(&req)
-	if err != nil {
-		return wireResponse{}, err
+	if err := ctx.Err(); err != nil {
+		return nil, nil, fmt.Errorf("rpc: %s: %w", method, err)
 	}
-	if err := writeFrame(cc.bw, frame); err != nil {
-		return wireResponse{}, err
+	var timeout int64
+	dl, ok := ctx.Deadline()
+	if ok {
+		// An already-expired deadline still travels (as a minimal budget):
+		// the handler should see a done context rather than run unbounded.
+		timeout = max(int64(time.Until(dl)), 1)
 	}
-	if err := cc.bw.Flush(); err != nil {
-		return wireResponse{}, err
+	cc.c.SetDeadline(dl)
+	stop := context.AfterFunc(ctx, func() { cc.c.SetDeadline(time.Unix(1, 0)) })
+	cc.head = appendRequestHead(cc.head[:0], cl.From, method, timeout)
+	frame, err := cc.exchange(body)
+	if !stop() {
+		err = fmt.Errorf("rpc: %s: %w", method, ctx.Err())
 	}
-	respFrame, err := readFrame(cc.br)
-	if err != nil {
-		return wireResponse{}, err
+	if err == nil {
+		if reply, remote, err = decodeResponse(frame); err == nil {
+			return reply, remote, nil
+		}
 	}
-	var resp wireResponse
-	if err := Decode(respFrame, &resp); err != nil {
-		return wireResponse{}, err
-	}
-	return resp, nil
+	cl.retire(to, cc)
+	return nil, nil, err
 }
 
-func writeFrame(w io.Writer, frame []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(frame)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("rpc: write frame: %w", err)
+func (cc *clientConn) exchange(body []byte) ([]byte, error) {
+	if err := writeFrame(cc.bw, cc.head, body); err != nil {
+		return nil, err
 	}
-	if _, err := w.Write(frame); err != nil {
+	if err := cc.bw.Flush(); err != nil {
+		return nil, fmt.Errorf("rpc: write frame: %w", err)
+	}
+	return readFrame(cc.br)
+}
+
+// writeFrame writes one length-prefixed frame, head then body.
+func writeFrame(w *bufio.Writer, head, body []byte) error {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(head)+len(body)))
+	// A bufio.Writer's error is sticky: the last Write reports any.
+	w.Write(hdr[:])
+	w.Write(head)
+	if _, err := w.Write(body); err != nil {
 		return fmt.Errorf("rpc: write frame: %w", err)
 	}
 	return nil

@@ -2,9 +2,13 @@ package rpc
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -146,21 +150,6 @@ func TestTCPReconnectAfterDrop(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeErrors(t *testing.T) {
-	if err := Decode([]byte("garbage"), &struct{ X int }{}); err == nil {
-		t.Error("decoding garbage should fail")
-	}
-	if _, err := Encode(make(chan int)); err == nil {
-		t.Error("encoding a channel should fail")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustEncode should panic on unencodable value")
-		}
-	}()
-	MustEncode(make(chan int))
-}
-
 // TestTCPServerAppliesTimeoutAsRelativeBudget: the wire carries a remaining
 // *duration*, and the server must apply it relative to its own clock. The
 // request frame here is hand-rolled with no client clock involved at all —
@@ -189,12 +178,8 @@ func TestTCPServerAppliesTimeoutAsRelativeBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	frame, err := Encode(&wireRequest{From: "raw", Method: "m", TimeoutNanos: int64(budget)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	bw := bufio.NewWriter(conn)
-	if err := writeFrame(bw, frame); err != nil {
+	if err := writeFrame(bw, appendRequestHead(nil, "raw", "m", int64(budget)), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -322,4 +307,159 @@ func TestClientSharedAcrossGoroutinesSurvivesDrops(t *testing.T) {
 			t.Fatal("server connections still open after Client.Close: a dialled connection was orphaned")
 		}
 	}
+}
+
+// TestTCPCallHonoursCancel: a cancelled context without a deadline must end
+// the call at once — there is no deadline to map onto the connection, so
+// before the fix the call waited out the handler and returned its reply
+// with a nil error. The connection the reply would have arrived on is
+// dropped, and the next call dials fresh.
+func TestTCPCallHonoursCancel(t *testing.T) {
+	release := make(chan struct{})
+	srv := NewServer(HandlerFunc(func(context.Context, Request) ([]byte, error) {
+		select {
+		case <-release:
+		case <-time.After(2 * time.Second):
+		}
+		return []byte("late"), nil
+	}))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl := NewClient("me")
+	defer cl.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	start := time.Now()
+	resp, err := cl.Call(ctx, addr, "slow", nil)
+	took := time.Since(start)
+	close(release)
+	if took > 100*time.Millisecond {
+		t.Errorf("cancelled call returned after %v (resp %q, err %v)", took, resp, err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled call: resp %q, err %v, want an error wrapping context.Canceled", resp, err)
+	}
+	if resp, err := cl.Call(context.Background(), addr, "slow", nil); err != nil || string(resp) != "late" {
+		t.Errorf("call after the cancelled one: %q %v", resp, err)
+	}
+}
+
+// TestTCPCancelSparesQueuedCaller: a cancelled call on a pooled connection
+// must not take down the caller queued behind it on the same connection.
+// The cancelled call retires the connection before it lets go of it, so the
+// queued call writes nothing there: it dials afresh, succeeds, and gets its
+// own reply, not the cancelled call's late one.
+func TestTCPCancelSparesQueuedCaller(t *testing.T) {
+	started, release := make(chan struct{}, 1), make(chan struct{})
+	srv := NewServer(HandlerFunc(func(_ context.Context, req Request) ([]byte, error) {
+		if req.Method == "slow" {
+			started <- struct{}{}
+			<-release
+			return []byte("late"), nil
+		}
+		return append([]byte(req.Method+":"), req.Body...), nil
+	}))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer close(release)
+	cl := NewClient("me")
+	defer cl.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	slowErr := make(chan error, 1)
+	go func() {
+		_, err := cl.Call(ctx, addr, "slow", nil)
+		slowErr <- err
+	}()
+	<-started // the slow call holds the pooled connection
+	type result struct {
+		resp []byte
+		err  error
+	}
+	queued := make(chan result, 1)
+	go func() {
+		resp, err := cl.Call(context.Background(), addr, "echo", []byte("mine"))
+		queued <- result{resp, err}
+	}()
+	time.Sleep(20 * time.Millisecond) // let the second call queue on the connection
+	cancel()
+	if err := <-slowErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled call: %v, want an error wrapping context.Canceled", err)
+	}
+	select {
+	case r := <-queued:
+		if r.err != nil || string(r.resp) != "echo:mine" {
+			t.Errorf("queued call: %q %v, want its own reply", r.resp, r.err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("queued call did not return")
+	}
+}
+
+// TestFrameGolden pins the envelope's bytes, length prefix included: a
+// request (version, From, Method, TimeoutNanos as a uvarint, body as the
+// rest) and both response statuses.
+func TestFrameGolden(t *testing.T) {
+	frame := func(head, body []byte) string {
+		var buf bytes.Buffer
+		bw := bufio.NewWriter(&buf)
+		if err := writeFrame(bw, head, body); err != nil {
+			t.Fatal(err)
+		}
+		bw.Flush()
+		return hex.EncodeToString(buf.Bytes())
+	}
+	for _, c := range []struct{ name, got, want string }{
+		{"request", frame(appendRequestHead(nil, "p1", "store.begin", 1500), []byte("body")),
+			"16000000" + "01" + "027031" + "0b73746f72652e626567696e" + "dc0b" + "626f6479"},
+		{"ok response", frame(okHead, []byte("ok")), "04000000" + "0100" + "6f6b"},
+		{"error response", frame(errHead, []byte("boom")), "06000000" + "0101" + "626f6f6d"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s frame:\n got %s\nwant %s", c.name, c.got, c.want)
+		}
+	}
+}
+
+// FuzzDecodeFrame feeds arbitrary frames to both envelope decoders. Neither
+// may panic, and anything accepted must be canonical: re-encoding the
+// decoded frame and decoding again gives the same value.
+func FuzzDecodeFrame(f *testing.F) {
+	f.Add(append(appendRequestHead(nil, "p1", "store.begin", 1500), "body"...))
+	f.Add(appendRequestHead(nil, "", "", 0))
+	f.Add(append(append([]byte(nil), okHead...), "reply"...))
+	f.Add(append(append([]byte(nil), errHead...), "boom"...))
+	f.Add([]byte{2, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if req, timeout, err := decodeRequest(data); err == nil {
+			re := append(appendRequestHead(nil, req.From, req.Method, timeout), req.Body...)
+			req2, timeout2, err := decodeRequest(re)
+			if err != nil {
+				t.Fatalf("re-encoded request failed to decode: %v\ninput: %x", err, data)
+			}
+			if !reflect.DeepEqual(req, req2) || timeout != timeout2 {
+				t.Fatalf("request decode not canonical: %+v/%d vs %+v/%d\ninput: %x", req, timeout, req2, timeout2, data)
+			}
+		}
+		if body, remote, err := decodeResponse(data); err == nil {
+			head, payload := okHead, body
+			if remote != nil {
+				head, payload = errHead, []byte(remote.Error())
+			}
+			body2, remote2, err := decodeResponse(append(append([]byte(nil), head...), payload...))
+			if err != nil {
+				t.Fatalf("re-encoded response failed to decode: %v\ninput: %x", err, data)
+			}
+			if !reflect.DeepEqual(body, body2) || fmt.Sprint(remote) != fmt.Sprint(remote2) {
+				t.Fatalf("response decode not canonical: %q/%v vs %q/%v\ninput: %x", body, remote, body2, remote2, data)
+			}
+		}
+	})
 }

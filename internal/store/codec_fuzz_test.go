@@ -53,3 +53,35 @@ func FuzzDecodePublishedTxns(f *testing.F) {
 		}
 	})
 }
+
+// fuzzSeedReconciliation is a window over fuzzSeedBatch: a candidate with
+// its extension chain and one without a transaction at all.
+func fuzzSeedReconciliation() *Reconciliation {
+	b := fuzzSeedBatch()
+	return &Reconciliation{Recno: 4, FromEpoch: 2, ToEpoch: 3, Candidates: []*core.Candidate{
+		{Txn: b[1].Txn, Priority: 2, Ext: []*core.Transaction{b[0].Txn, b[1].Txn}},
+		{Priority: -1},
+	}}
+}
+
+// FuzzDecodeReconciliation holds DecodeReconciliation to the contract of
+// FuzzDecodePublishedTxns: never panic, and anything accepted re-encodes to
+// a payload that decodes to the same value.
+func FuzzDecodeReconciliation(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(AppendReconciliation(nil, &Reconciliation{}))
+	f.Add(AppendReconciliation(nil, fuzzSeedReconciliation()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := DecodeReconciliation(data)
+		if err != nil {
+			return
+		}
+		again, err := DecodeReconciliation(AppendReconciliation(nil, rec))
+		if err != nil {
+			t.Fatalf("re-encoded reconciliation failed to decode: %v\ninput: %x", err, data)
+		}
+		if !reflect.DeepEqual(rec, again) {
+			t.Fatalf("decode not canonical:\nfirst:  %#v\nsecond: %#v\ninput: %x", rec, again, data)
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/hex"
 	"testing"
 
 	"orchestra/internal/core"
@@ -82,5 +83,15 @@ func TestPayloadCodecErrors(t *testing.T) {
 		if _, err := DecodePublishedTxns(payload[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestPublishedTxnsGolden pins the publish payload byte for byte: it is what
+// txns_k rows hold on disk, so the transaction writer it shares with the
+// wire-only codecs must never move a byte of it.
+func TestPublishedTxnsGolden(t *testing.T) {
+	const want = "010205616c696365070c838080060201014605616c6963650d0103726174010270310102666e0003014605616c6963650d0103726174010270310102666e010e0103726174010270310103666e3202056361726f6c0303626f620103626f62000c848080060102014603626f620e01056d6f757365010270320101780000"
+	if got := hex.EncodeToString(AppendPublishedTxns(nil, sampleBatch())); got != want {
+		t.Errorf("publish payload moved:\n got %s\nwant %s", got, want)
 	}
 }

@@ -6,6 +6,11 @@
 // the Server accepts any store.Store and refuses, per call, the capability
 // its backend's type lacks.
 //
+// Each op's args and reply travel in the hand-rolled format of wire.go,
+// inside the rpc envelope; the store-codec payloads (publish batches,
+// replayed logs, snapshots, reconciliations, decision batches) are the
+// store package's own encoders, carried verbatim.
+//
 // The client can retry transient failures (WithRetryPolicy): each
 // non-idempotent operation then carries a client-generated idempotency key
 // inside its request body, so a retried delivery dedupes server-side
@@ -45,8 +50,9 @@ const (
 	mEffTrust     = "store.trust.effective"
 )
 
-// The wire bodies. gob matches fields by name and omits zero values, so a
-// struct shared by several ops costs nothing on the wire.
+// The wire bodies; wire.go holds their codec and layout. A struct shared by
+// several ops (peerArgs, epochReply, replayReply) has one layout for all of
+// them.
 
 type registerArgs struct {
 	Peer   core.PeerID
@@ -56,9 +62,7 @@ type registerArgs struct {
 type publishArgs struct {
 	Peer core.PeerID
 	// Payload is the published batch in the store codec's binary encoding
-	// (store.AppendPublishedTxns) — the transaction graph never crosses the
-	// wire as gob, whose per-encoder type descriptors made every publish
-	// re-ship the schema of the whole Transaction/Update tree.
+	// (store.AppendPublishedTxns), decoded by the handler.
 	Payload []byte
 	// Key, when non-empty, dedupes retried deliveries server-side: the
 	// handler puts it in the backend call's context.
@@ -201,17 +205,17 @@ func (s *Server) Close() error { return s.srv.Close() }
 
 // serve is the server half of every op: decode the body, run the typed
 // handler, encode its reply.
-func serve[A, R any](h func(context.Context, *A) (*R, error)) rpc.HandlerFunc {
+func serve[A, R any, PA wireBody[A], PR wireBody[R]](h func(context.Context, *A) (*R, error)) rpc.HandlerFunc {
 	return func(ctx context.Context, req rpc.Request) ([]byte, error) {
 		var args A
-		if err := rpc.Decode(req.Body, &args); err != nil {
-			return nil, err
+		if err := PA(&args).readWire(req.Body); err != nil {
+			return nil, fmt.Errorf("remote: %s args: %w", req.Method, err)
 		}
 		reply, err := h(ctx, &args)
 		if err != nil {
 			return nil, err
 		}
-		return rpc.Encode(reply)
+		return PR(reply).appendWire(nil), nil
 	}
 }
 
@@ -244,8 +248,12 @@ func (s *Server) publish(ctx context.Context, a *publishArgs) (*epochReply, erro
 	return &epochReply{Epoch: epoch}, err
 }
 
-func (s *Server) begin(ctx context.Context, a *peerArgs) (*store.Reconciliation, error) {
-	return s.backend.BeginReconciliation(store.WithIdempotencyKey(ctx, a.Key), a.Peer)
+func (s *Server) begin(ctx context.Context, a *peerArgs) (*reconciliation, error) {
+	rec, err := s.backend.BeginReconciliation(store.WithIdempotencyKey(ctx, a.Key), a.Peer)
+	if err == nil && rec == nil {
+		err = fmt.Errorf("remote: backend %T began no reconciliation for %s", s.backend, a.Peer)
+	}
+	return (*reconciliation)(rec), err
 }
 
 func (s *Server) decideBatch(ctx context.Context, a *decideBatchArgs) (*none, error) {
@@ -455,15 +463,15 @@ func (c *Client) key(ctx context.Context, op string) store.IdempotencyKey {
 
 // call is the client half of every op: the typed body out through the
 // client's (possibly retrying) transport, the typed reply back.
-func call[R, A any](ctx context.Context, c *Client, method string, args *A) (R, error) {
+func call[R, A any, PR wireBody[R], PA wireBody[A]](ctx context.Context, c *Client, method string, args *A) (R, error) {
 	var reply R
-	var into any = &reply
-	if _, empty := into.(*none); empty {
-		into = nil // nothing comes back: do not build a decoder for it
+	resp, err := c.caller.Call(ctx, c.addr, method, PA(args).appendWire(nil))
+	if err != nil {
+		return reply, err
 	}
-	if err := rpc.Invoke(ctx, c.caller, c.addr, method, args, into); err != nil {
+	if err := PR(&reply).readWire(resp); err != nil {
 		var zero R
-		return zero, err
+		return zero, fmt.Errorf("remote: %s reply: %w", method, err)
 	}
 	return reply, nil
 }
@@ -481,7 +489,7 @@ func (c *Client) RegisterPeer(ctx context.Context, peer core.PeerID, t core.Trus
 }
 
 // Publish implements store.Store; the batch travels in the binary store
-// codec, not gob.
+// codec.
 func (c *Client) Publish(ctx context.Context, peer core.PeerID, txns []store.PublishedTxn) (core.Epoch, error) {
 	r, err := call[epochReply](ctx, c, mPublish,
 		&publishArgs{Peer: peer, Payload: store.AppendPublishedTxns(nil, txns), Key: c.key(ctx, "publish")})
@@ -493,11 +501,11 @@ func (c *Client) Publish(ctx context.Context, peer core.PeerID, txns []store.Pub
 // retried begin must replay the first delivery's window rather than be
 // given a new (empty) one.
 func (c *Client) BeginReconciliation(ctx context.Context, peer core.PeerID) (*store.Reconciliation, error) {
-	rec, err := call[store.Reconciliation](ctx, c, mBegin, &peerArgs{Peer: peer, Key: c.key(ctx, "begin")})
+	rec, err := call[reconciliation](ctx, c, mBegin, &peerArgs{Peer: peer, Key: c.key(ctx, "begin")})
 	if err != nil {
 		return nil, err
 	}
-	return &rec, nil
+	return (*store.Reconciliation)(&rec), nil
 }
 
 // RecordDecisions implements store.Store as a single-entry batch.

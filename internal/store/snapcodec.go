@@ -21,17 +21,6 @@ const snapshotVersion = 1
 func AppendSnapshot(dst []byte, snap *Snapshot) []byte {
 	dst = append(dst, snapshotVersion)
 	dst = binary.AppendUvarint(dst, uint64(snap.Epoch))
-	str := func(s string) {
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		dst = append(dst, s...)
-	}
-	ids := func(xs []core.TxnID) {
-		dst = binary.AppendUvarint(dst, uint64(len(xs)))
-		for _, id := range xs {
-			str(string(id.Origin))
-			dst = binary.AppendUvarint(dst, id.Seq)
-		}
-	}
 	dst = binary.AppendUvarint(dst, uint64(len(snap.Peers)))
 	for i := range snap.Peers {
 		ps := &snap.Peers[i]
@@ -39,23 +28,23 @@ func AppendSnapshot(dst []byte, snap *Snapshot) []byte {
 		dst = binary.AppendUvarint(dst, uint64(ps.Recno))
 		dst = binary.AppendUvarint(dst, uint64(ps.DecisionSeq))
 		eng := &ps.Engine
-		str(string(eng.Peer))
+		dst = AppendStr(dst, string(eng.Peer))
 		dst = binary.AppendUvarint(dst, eng.NextSeq)
-		ids(eng.Applied)
-		ids(eng.Rejected)
+		dst = appendIDs(dst, eng.Applied)
+		dst = appendIDs(dst, eng.Rejected)
 		dst = binary.AppendUvarint(dst, uint64(len(eng.Relations)))
 		for _, rs := range eng.Relations {
-			str(rs.Name)
+			dst = AppendStr(dst, rs.Name)
 			dst = binary.AppendUvarint(dst, uint64(len(rs.Tuples)))
 			for _, t := range rs.Tuples {
-				str(t.Encode())
+				dst = AppendStr(dst, t.Encode())
 			}
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(eng.Producers)))
 		for _, p := range eng.Producers {
-			str(p.Rel)
-			str(p.Tuple.Encode())
-			str(string(p.Txn.Origin))
+			dst = AppendStr(dst, p.Rel)
+			dst = AppendStr(dst, p.Tuple.Encode())
+			dst = AppendStr(dst, string(p.Txn.Origin))
 			dst = binary.AppendUvarint(dst, p.Txn.Seq)
 		}
 	}
@@ -66,95 +55,51 @@ func AppendSnapshot(dst []byte, snap *Snapshot) []byte {
 
 // DecodeSnapshot decodes a payload produced by AppendSnapshot.
 func DecodeSnapshot(payload []byte) (*Snapshot, error) {
-	r := &payloadReader{b: payload}
-	if v := r.byte(); r.err == nil && v != snapshotVersion {
+	r := NewReader(payload)
+	if v := r.Byte(); r.err == nil && v != snapshotVersion {
 		return nil, fmt.Errorf("store: snapshot version %d, want %d (no migration path across snapshot codec versions)", v, snapshotVersion)
 	}
-	capped := func(n uint64) int {
-		if n > uint64(len(r.b)) {
-			return len(r.b)
-		}
-		return int(n)
-	}
-	ids := func() []core.TxnID {
-		n := r.uvarint()
-		if r.err != nil || n == 0 {
-			return nil
-		}
-		out := make([]core.TxnID, 0, capped(n))
-		for i := uint64(0); i < n && r.err == nil; i++ {
-			id := core.TxnID{Origin: core.PeerID(r.str())}
-			id.Seq = r.uvarint()
-			out = append(out, id)
-		}
-		return out
-	}
-	tuple := func() core.Tuple {
-		t, err := core.DecodeTuple(r.str())
-		if err != nil && r.err == nil {
-			r.err = err
-		}
-		return t
-	}
-	snap := &Snapshot{Epoch: core.Epoch(r.uvarint())}
-	np := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
-	}
-	snap.Peers = make([]PeerSnapshot, 0, capped(np))
-	for i := uint64(0); i < np && r.err == nil; i++ {
+	snap := &Snapshot{Epoch: core.Epoch(r.Uvarint())}
+	np := r.Count()
+	snap.Peers = make([]PeerSnapshot, 0, np)
+	for i := 0; i < np && r.err == nil; i++ {
 		ps := PeerSnapshot{
-			LastEpoch:   core.Epoch(r.uvarint()),
-			Recno:       int(r.uvarint()),
-			DecisionSeq: int64(r.uvarint()),
+			LastEpoch:   core.Epoch(r.Uvarint()),
+			Recno:       int(r.Uvarint()),
+			DecisionSeq: int64(r.Uvarint()),
 		}
 		eng := &ps.Engine
-		eng.Peer = core.PeerID(r.str())
-		eng.NextSeq = r.uvarint()
-		eng.Applied = ids()
-		eng.Rejected = ids()
-		nr := r.uvarint()
-		if r.err != nil {
-			break
-		}
-		if nr > 0 {
-			eng.Relations = make([]core.RelationSnapshot, 0, capped(nr))
-		}
-		for j := uint64(0); j < nr && r.err == nil; j++ {
-			rs := core.RelationSnapshot{Name: r.str()}
-			nt := r.uvarint()
-			if r.err != nil {
-				break
+		eng.Peer = core.PeerID(r.Str())
+		eng.NextSeq = r.Uvarint()
+		eng.Applied = r.ids()
+		eng.Rejected = r.ids()
+		if nr := r.Count(); nr > 0 {
+			eng.Relations = make([]core.RelationSnapshot, 0, nr)
+			for j := 0; j < nr && r.err == nil; j++ {
+				rs := core.RelationSnapshot{Name: r.Str()}
+				if nt := r.Count(); nt > 0 {
+					rs.Tuples = make([]core.Tuple, 0, nt)
+					for k := 0; k < nt && r.err == nil; k++ {
+						rs.Tuples = append(rs.Tuples, r.tuple())
+					}
+				}
+				eng.Relations = append(eng.Relations, rs)
 			}
-			if nt > 0 {
-				rs.Tuples = make([]core.Tuple, 0, capped(nt))
+		}
+		if npr := r.Count(); npr > 0 {
+			eng.Producers = make([]core.ProducerSnapshot, 0, npr)
+			for j := 0; j < npr && r.err == nil; j++ {
+				p := core.ProducerSnapshot{Rel: r.Str(), Tuple: r.tuple()}
+				p.Txn.Origin = core.PeerID(r.Str())
+				p.Txn.Seq = r.Uvarint()
+				eng.Producers = append(eng.Producers, p)
 			}
-			for k := uint64(0); k < nt && r.err == nil; k++ {
-				rs.Tuples = append(rs.Tuples, tuple())
-			}
-			eng.Relations = append(eng.Relations, rs)
-		}
-		npr := r.uvarint()
-		if r.err != nil {
-			break
-		}
-		if npr > 0 {
-			eng.Producers = make([]core.ProducerSnapshot, 0, capped(npr))
-		}
-		for j := uint64(0); j < npr && r.err == nil; j++ {
-			p := core.ProducerSnapshot{Rel: r.str(), Tuple: tuple()}
-			p.Txn.Origin = core.PeerID(r.str())
-			p.Txn.Seq = r.uvarint()
-			eng.Producers = append(eng.Producers, p)
 		}
 		snap.Peers = append(snap.Peers, ps)
 	}
-	blob := r.str()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("store: %d trailing bytes after snapshot payload", len(r.b))
+	blob := r.Str()
+	if err := r.End(); err != nil {
+		return nil, err
 	}
 	residue, err := DecodePublishedTxns([]byte(blob))
 	if err != nil {
