@@ -117,15 +117,24 @@ trust-smoke:
 # the race detector: the whole wal and reldb suites (frame reader, rotation
 # and directory-sync bookkeeping, the table model test, the record format's
 # round-trip, golden and malformed-input tests, the gob-directory upgrade,
-# group commit and every checkpoint crash point), central's durability,
-# torn-commit, compaction and late-decision cells with the differential
-# matrix, and a short budget each for FuzzWALReplay (the frame reader) and
+# group commit and every checkpoint crash point), the frame reader's
+# one-read contract by name (TestReplayTornHugeLengthAllocatesLittle: a
+# torn header's length is bounded by the bytes left;
+# TestDecodedRecordOwnsItsBytes: what reldb decodes never aliases the
+# segment buffer), central's durability, torn-commit, compaction and
+# late-decision cells with the differential matrix, the decode-once
+# snapshot cache (TestSnapshotCacheDecodedOnce,
+# TestLatestSnapshotNeverGoesBack, TestSharedSnapshotSurvivesConcurrentRebuilds),
+# and a short budget each for FuzzWALReplay (the frame reader) and
 # FuzzDecodeWALRecord (what is inside a frame). make verify covers the
 # tests too; running them by name makes a regression in the layer under
 # the store unmissable in CI.
 storage-smoke:
 	$(GO) test -race -count=1 ./internal/wal ./internal/reldb
+	$(GO) test -race -count=3 -run '^TestReplayTornHugeLengthAllocatesLittle$$' ./internal/wal
+	$(GO) test -race -count=3 -run '^TestDecodedRecordOwnsItsBytes$$' ./internal/reldb
 	$(GO) test -race -count=1 -run 'TestDurabilityAcrossReopen|TestCheckpointPreservesState|TestSharded|TestTornSnapshot|TestDifferentialMatrix|TestCompaction|TestLateDecision|TestSnapshotWith|TestTenantCrash' ./internal/store/central
+	$(GO) test -race -count=3 -run '^TestSnapshotCacheDecodedOnce$$|^TestLatestSnapshotNeverGoesBack$$|^TestSharedSnapshotSurvivesConcurrentRebuilds$$' ./internal/store/central
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime 10s ./internal/reldb
 

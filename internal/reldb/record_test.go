@@ -330,6 +330,36 @@ func TestWALRecordGolden(t *testing.T) {
 	}
 }
 
+// TestDecodedRecordOwnsItsBytes pins the rule wal.Replay relies on: a
+// replayed payload is a slice of the whole segment buffer, so nothing the
+// decoder emits may point into it. Overwriting the input after the decode
+// must leave every emitted op — names, rows, keys, table definitions — as
+// it was.
+func TestDecodedRecordOwnsItsBytes(t *testing.T) {
+	rec, err := hex.DecodeString(goldenRecord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(payload []byte) []walOp {
+		var ops []walOp
+		if err := decodeRecord(payload, func(op *walOp) error {
+			ops = append(ops, *op)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return ops
+	}
+	buf := bytes.Clone(rec)
+	got := decode(buf)
+	for i := range buf {
+		buf[i] = 0xff
+	}
+	if want := decode(rec); !reflect.DeepEqual(got, want) {
+		t.Fatalf("overwriting the input changed the decoded ops:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // allocatedBy returns the heap bytes fn allocated. The fuzz engine runs one
 // input at a time per worker process, so nothing else allocates meanwhile.
 func allocatedBy(fn func()) uint64 {

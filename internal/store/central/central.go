@@ -224,11 +224,15 @@ type Store struct {
 	// is never needed by the publish/reconcile paths.
 	snapMu sync.Mutex
 	// snapState caches what the snapshots table and the compacted_before
-	// meta key record: the retained snapshot's epoch, its per-peer
+	// meta key record: the retained snapshot itself, decoded once and
+	// shared read-only (LatestSnapshot), its epoch, its per-peer
 	// decision-sequence high-water marks (a peer is covered by the snapshot
-	// iff it has one), and the compaction horizon.
+	// iff it has one), and the compaction horizon. Only a snapshot commit
+	// writes the snapshots table, and it replaces snap under mu before it
+	// returns.
 	snapState struct {
 		mu        sync.RWMutex
+		snap      *store.Snapshot
 		epoch     core.Epoch
 		hw        map[core.PeerID]int64
 		residue   map[core.TxnID]bool

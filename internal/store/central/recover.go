@@ -1,7 +1,6 @@
 package central
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -347,21 +346,41 @@ func (s *Store) loadCaches() error {
 }
 
 // loadSnapshotState rebuilds the snapshot-derived caches after recovery:
-// the retained snapshot's epoch, per-peer decision high-water marks, the
-// residue entries (whose payloads exist only in the snapshot
-// once their epochs are compacted), and each peer's decision-sequence
-// floor. Open is single-threaded, so no store locks are taken here.
+// the retained snapshot itself — the one decode of it this store makes,
+// its residue warmed before LatestSnapshot shares it — its epoch, per-peer
+// decision high-water marks, the residue entries (whose payloads exist
+// only in the snapshot once their epochs are compacted), and each peer's
+// decision-sequence floor. Open is single-threaded, so no store locks are
+// taken here.
 func (s *Store) loadSnapshotState() error {
-	snap, err := s.LatestSnapshot(context.Background())
+	var payload []byte
+	err := s.db.View(func(tx *reldb.Tx) error {
+		best := int64(-1)
+		return tx.Scan(s.snapsTab, func(r reldb.Row) bool {
+			if e := r[0].I(); e > best {
+				best = e
+				payload = r[1].Raw()
+			}
+			return true
+		})
+	})
 	if err != nil {
 		return err
 	}
-	if snap == nil {
+	if payload == nil {
 		if s.snapState.compacted > 0 {
 			return fmt.Errorf("central: directory compacted through epoch %d but retains no snapshot", s.snapState.compacted)
 		}
 		return nil
 	}
+	snap, err := store.DecodeSnapshot(payload)
+	if err != nil {
+		return fmt.Errorf("central: retained snapshot: %w", err)
+	}
+	for i := range snap.Residue {
+		snap.Residue[i].Txn.PrecomputeEncodings(s.schema)
+	}
+	s.snapState.snap = snap
 	s.snapState.epoch = snap.Epoch
 	s.snapState.hw = make(map[core.PeerID]int64, len(snap.Peers))
 	s.snapState.residue = make(map[core.TxnID]bool, len(snap.Residue))

@@ -134,10 +134,9 @@ func (s *Store) snapshotLocked(ctx context.Context, key store.IdempotencyKey) (c
 	if stable == 0 {
 		return 0, nil
 	}
-	prior, err := s.LatestSnapshot(ctx)
-	if err != nil {
-		return 0, err
-	}
+	s.snapState.mu.RLock()
+	prior := s.snapState.snap
+	s.snapState.mu.RUnlock()
 	entries := s.entriesIn(0, stable)
 	logged := make([]core.LoggedTxn, len(entries))
 	for i, en := range entries {
@@ -178,6 +177,7 @@ func (s *Store) snapshotLocked(ctx context.Context, key store.IdempotencyKey) (c
 	for i := range copies {
 		cp := &copies[i]
 		var eng *core.Engine
+		var err error
 		afterSeq := int64(0)
 		if prior != nil {
 			if ps := prior.Peer(cp.id); ps != nil {
@@ -210,7 +210,8 @@ func (s *Store) snapshotLocked(ctx context.Context, key store.IdempotencyKey) (c
 	// Residue: anything some registered peer has not accepted *within its
 	// folded prefix* can still appear in a future antecedent closure or
 	// have its (late, or unfolded) decision replayed after this snapshot;
-	// its payload must survive compaction.
+	// its payload must survive compaction. The entries are the index's,
+	// already warmed, so snap can be shared as it is.
 	for _, en := range entries {
 		settled := true
 		for i := range copies {
@@ -226,7 +227,7 @@ func (s *Store) snapshotLocked(ctx context.Context, key store.IdempotencyKey) (c
 	}
 
 	payload := store.AppendSnapshot(nil, snap)
-	err = s.db.Update(func(tx *reldb.Tx) error {
+	err := s.db.Update(func(tx *reldb.Tx) error {
 		var old []int64
 		if err := tx.Scan(s.snapsTab, func(r reldb.Row) bool {
 			old = append(old, r[0].I())
@@ -248,9 +249,10 @@ func (s *Store) snapshotLocked(ctx context.Context, key store.IdempotencyKey) (c
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return 0, err // the old row is still the retained one: keep its cache
 	}
 	s.snapState.mu.Lock()
+	s.snapState.snap = snap
 	s.snapState.epoch = stable
 	s.snapState.hw = make(map[core.PeerID]int64, len(copies))
 	for i := range copies {
@@ -265,36 +267,17 @@ func (s *Store) snapshotLocked(ctx context.Context, key store.IdempotencyKey) (c
 	return stable, nil
 }
 
-// LatestSnapshot implements store.SnapshotReplayer: the most recent
-// retained snapshot, decoded fresh (callers get private transaction
-// copies), or nil if none has been taken. Residue encodings are re-warmed
-// before the transactions reach reconciling engines.
+// LatestSnapshot implements store.SnapshotReplayer: the retained snapshot,
+// or nil if none has been taken. The value is shared and read-only —
+// decoded once per retained snapshot: Open decodes the stored row, and a
+// Snapshot commit installs the value it just encoded. Every call returns
+// that one pointer, its residue transactions already warmed, until the
+// next snapshot commit replaces it; once Snapshot has returned, no call
+// returns an older one.
 func (s *Store) LatestSnapshot(_ context.Context) (*store.Snapshot, error) {
-	var payload []byte
-	err := s.db.View(func(tx *reldb.Tx) error {
-		best := int64(-1)
-		return tx.Scan(s.snapsTab, func(r reldb.Row) bool {
-			if e := r[0].I(); e > best {
-				best = e
-				payload = append(payload[:0], r[1].Raw()...)
-			}
-			return true
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	if payload == nil {
-		return nil, nil
-	}
-	snap, err := store.DecodeSnapshot(payload)
-	if err != nil {
-		return nil, fmt.Errorf("central: retained snapshot: %w", err)
-	}
-	for i := range snap.Residue {
-		snap.Residue[i].Txn.PrecomputeEncodings(s.schema)
-	}
-	return snap, nil
+	s.snapState.mu.RLock()
+	defer s.snapState.mu.RUnlock()
+	return s.snapState.snap, nil
 }
 
 // ReplayFrom implements store.SnapshotReplayer: the published tail above

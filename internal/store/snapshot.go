@@ -84,7 +84,10 @@ type Snapshotter interface {
 // round trips instead of a replay of the whole history.
 type SnapshotReplayer interface {
 	// LatestSnapshot returns the most recent retained snapshot, or nil if
-	// none has been taken.
+	// none has been taken. The value may be shared and is read-only: the
+	// central store decodes it once per retained snapshot and hands every
+	// caller the same pointer, so a caller that needs to change any part
+	// of it copies that part first.
 	LatestSnapshot(ctx context.Context) (*Snapshot, error)
 
 	// ReplayFrom returns the published tail — every transaction in epochs

@@ -147,37 +147,38 @@ func (l *Log) openSegment(idx int, off int64) error {
 	return nil
 }
 
-// readFrames is the one frame reader: it hands fn each intact record of the
-// segment at path, in order, and returns the byte length of the prefix
-// those records occupy. It stops — without error — at the end of the file
-// or at the first torn header, torn payload or checksum mismatch; an error
-// from fn stops it too and is returned.
+// readFrames is the one frame reader: it reads the segment at path in one
+// read, hands fn each intact record in order, and returns the byte length
+// of the prefix those records occupy. It stops — without error — at the end
+// of the file or at the first torn header, torn payload or checksum
+// mismatch; an error from fn stops it too and is returned. A frame's length
+// is believed only up to the bytes that remain, so a torn header claiming
+// more allocates nothing. The payload fn gets aliases the segment buffer:
+// fn copies what it keeps.
 func readFrames(path string, fn func(payload []byte) error) (int64, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
-	defer f.Close()
-	var off int64
-	hdr := make([]byte, headerSize)
-	for {
-		if _, err := io.ReadFull(f, hdr); err != nil {
-			return off, nil // clean EOF or torn header
+	off := 0
+	for len(data)-off >= headerSize {
+		n := binary.LittleEndian.Uint32(data[off : off+4])
+		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
+		start := off + headerSize
+		if uint64(n) > uint64(len(data)-start) {
+			break // torn payload
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return off, nil // torn payload
-		}
+		end := start + int(n)
+		payload := data[start:end:end] // capped: an append by fn cannot reach the next frame
 		if crc32.Checksum(payload, castagnoli) != crc {
-			return off, nil // corrupt
+			break // corrupt
 		}
 		if err := fn(payload); err != nil {
-			return off, err
+			return int64(off), err
 		}
-		off += headerSize + int64(n)
+		off = end
 	}
+	return int64(off), nil // clean end or torn header
 }
 
 // validLength returns the byte length of a segment's valid prefix.
@@ -292,7 +293,9 @@ func (l *Log) Sync() error {
 }
 
 // Replay invokes fn for every valid record across all segments, in append
-// order. It is typically called once after Open, before new appends.
+// order. It is typically called once after Open, before new appends. Each
+// segment is read whole, and the payload fn gets is a slice of that buffer:
+// fn copies what it keeps, or keeping it holds the whole segment in memory.
 func (l *Log) Replay(fn func(payload []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

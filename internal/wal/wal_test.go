@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -148,6 +150,36 @@ func TestFrameReaderStopsAtOneByte(t *testing.T) {
 				t.Fatalf("validLength %d, Replay through %d, want both %d", valid, replayed, len(clean))
 			}
 		})
+	}
+}
+
+// TestReplayTornHugeLengthAllocatesLittle: a torn header can claim any
+// length below 4 GiB. The reader must bound the frame by the bytes that
+// remain before it allocates for it, so Open and Replay of one record
+// followed by a header claiming 0xF0000000 bytes allocate in proportion to
+// the file, not to the claim.
+func TestReplayTornHugeLengthAllocatesLittle(t *testing.T) {
+	dir := t.TempDir()
+	torn := make([]byte, headerSize)
+	binary.LittleEndian.PutUint32(torn, 0xF0000000)
+	seg := append(frame([]byte("committed")), torn...)
+	if err := os.WriteFile(filepath.Join(dir, "00000000.wal"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	got := replayAll(t, l)
+	runtime.ReadMemStats(&after)
+	if alloc, budget := after.TotalAlloc-before.TotalAlloc, 2*uint64(len(seg))+64<<10; alloc > budget {
+		t.Errorf("Open + Replay of a %d-byte segment allocated %d bytes (%d MiB), budget %d", len(seg), alloc, alloc>>20, budget)
+	}
+	if len(got) != 1 || got[0] != "committed" {
+		t.Errorf("replayed %q, want the one committed record", got)
 	}
 }
 
