@@ -125,6 +125,10 @@ trust-smoke:
 # late-decision cells with the differential matrix, the decode-once
 # snapshot cache (TestSnapshotCacheDecodedOnce,
 # TestLatestSnapshotNeverGoesBack, TestSharedSnapshotSurvivesConcurrentRebuilds),
+# the build-once decoders (TestDecodeTupleCanonical: canonical tuples, one
+# allocation; TestDecodeSeedsEncodingCaches: a decoded update keeps the
+# encodings it read, and owns them; TestScanSharesRowsReadOnly: Scan's
+# uncopied rows survive later writes),
 # and a short budget each for FuzzWALReplay (the frame reader) and
 # FuzzDecodeWALRecord (what is inside a frame). make verify covers the
 # tests too; running them by name makes a regression in the layer under
@@ -135,18 +139,24 @@ storage-smoke:
 	$(GO) test -race -count=3 -run '^TestDecodedRecordOwnsItsBytes$$' ./internal/reldb
 	$(GO) test -race -count=1 -run 'TestDurabilityAcrossReopen|TestCheckpointPreservesState|TestSharded|TestTornSnapshot|TestDifferentialMatrix|TestCompaction|TestLateDecision|TestSnapshotWith|TestTenantCrash' ./internal/store/central
 	$(GO) test -race -count=3 -run '^TestSnapshotCacheDecodedOnce$$|^TestLatestSnapshotNeverGoesBack$$|^TestSharedSnapshotSurvivesConcurrentRebuilds$$' ./internal/store/central
+	$(GO) test -race -count=3 -run '^TestDecodeTupleCanonical$$' ./internal/core
+	$(GO) test -race -count=3 -run '^TestDecodeSeedsEncodingCaches$$' ./internal/store
+	$(GO) test -race -count=3 -run '^TestScanSharesRowsReadOnly$$' ./internal/reldb
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime 10s ./internal/reldb
 
 # fuzz-smoke gives every native fuzz target a short budget on top of its
 # checked-in seed corpus (testdata/fuzz): enough to catch decoder panics
 # and corpus rot on every PR without CI paying for a real fuzzing campaign:
-# the store codec (publish payloads, snapshots, reconciliations), the wire
+# the canonical tuple decoder (FuzzDecodeTuple: what decodes re-encodes to
+# its input), the store codec (publish payloads, snapshots,
+# reconciliations), the wire
 # (the rpc envelope, every remote body), the WAL's frame reader, reldb's
 # record and snapshot.db decoders (FuzzDecodeWALRecord,
 # FuzzDecodeSnapshotDB), the namespace codec and the trust parser. go's
 # -fuzz runs one target per invocation, so each gets its own line.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTuple$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePublishedTxns$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReconciliation$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/rpc

@@ -52,20 +52,18 @@ func (g *AntecedentGraph) Add(x *Transaction) error {
 	var antes []TxnID
 	seen := map[TxnID]bool{}
 	for _, u := range x.Updates {
-		if c := u.Consumes(); c != nil {
-			k := mkTupleKey(u.Rel, c)
+		// Maintain the producer map as the log evolves, chaining
+		// within-transaction sequences to the transaction itself.
+		if u.Consumes() != nil {
+			k := u.consumedKey()
 			if p, ok := g.producers[k]; ok && p != x.ID && !seen[p] {
 				seen[p] = true
 				antes = append(antes, p)
 			}
+			delete(g.producers, k)
 		}
-		// Maintain the producer map as the log evolves, chaining
-		// within-transaction sequences to the transaction itself.
-		if c := u.Consumes(); c != nil {
-			delete(g.producers, mkTupleKey(u.Rel, c))
-		}
-		if p := u.Produces(); p != nil {
-			g.producers[mkTupleKey(u.Rel, p)] = x.ID
+		if u.Produces() != nil {
+			g.producers[u.producedKey()] = x.ID
 		}
 	}
 	if len(antes) > 0 {

@@ -14,11 +14,11 @@ package core
 func (e *Engine) noteProducers(xs []*Transaction) {
 	for _, x := range xs {
 		for _, u := range x.Updates {
-			if c := u.Consumes(); c != nil {
-				delete(e.producers, mkTupleKey(u.Rel, c))
+			if u.Consumes() != nil {
+				delete(e.producers, u.consumedKey())
 			}
-			if p := u.Produces(); p != nil {
-				e.producers[mkTupleKey(u.Rel, p)] = x.ID
+			if u.Produces() != nil {
+				e.producers[u.producedKey()] = x.ID
 			}
 		}
 	}
@@ -36,8 +36,8 @@ func (e *Engine) antecedentIDs(x *Transaction) []TxnID {
 	// transaction itself, not to an external antecedent.
 	local := map[tupleKey]bool{}
 	for _, u := range x.Updates {
-		if c := u.Consumes(); c != nil {
-			k := mkTupleKey(u.Rel, c)
+		if u.Consumes() != nil {
+			k := u.consumedKey()
 			if !local[k] {
 				if p, ok := e.producers[k]; ok && !seen[p] {
 					seen[p] = true
@@ -45,8 +45,8 @@ func (e *Engine) antecedentIDs(x *Transaction) []TxnID {
 				}
 			}
 		}
-		if p := u.Produces(); p != nil {
-			local[mkTupleKey(u.Rel, p)] = true
+		if u.Produces() != nil {
+			local[u.producedKey()] = true
 		}
 	}
 	return out

@@ -57,8 +57,20 @@ func (r *Relation) Arity() int { return len(r.Attrs) }
 // KeyOf projects a tuple onto the relation's key attributes.
 func (r *Relation) KeyOf(t Tuple) Tuple { return t.Project(r.Key) }
 
-// KeyEnc returns the canonical encoding of the tuple's key projection.
-func (r *Relation) KeyEnc(t Tuple) string { return r.KeyOf(t).Encode() }
+// KeyEnc returns the canonical encoding of the tuple's key projection,
+// KeyOf(t).Encode(), encoded straight from t's key columns.
+func (r *Relation) KeyEnc(t Tuple) string {
+	n := 0
+	for _, j := range r.Key {
+		n += t[j].encodedLen()
+	}
+	var buf [64]byte
+	dst := sized(buf[:0], n)
+	for _, j := range r.Key {
+		dst = t[j].appendEncoded(dst)
+	}
+	return string(dst)
+}
 
 // Validate checks a tuple's arity, attribute kinds and NOT NULL constraints
 // against the relation's definition.

@@ -75,28 +75,48 @@ func (t Tuple) Project(idx []int) Tuple {
 // Encode returns a canonical injective encoding of the tuple, suitable for
 // use as a map key. The empty tuple and nil encode identically.
 func (t Tuple) Encode() string {
-	if len(t) == 0 {
-		return ""
+	n := 0
+	for _, v := range t {
+		n += v.encodedLen()
 	}
-	var dst []byte
+	var buf [64]byte
+	dst := sized(buf[:0], n)
 	for _, v := range t {
 		dst = v.appendEncoded(dst)
 	}
 	return string(dst)
 }
 
+// sized returns buf when n bytes fit in it, else a fresh buffer of
+// capacity n, so an encoder appends without growing.
+func sized(buf []byte, n int) []byte {
+	if n <= cap(buf) {
+		return buf
+	}
+	return make([]byte, 0, n)
+}
+
 // DecodeTuple decodes a tuple produced by Encode. The arity is recovered
-// from the encoding itself.
+// from the encoding itself: one counting pass sizes the tuple, and string
+// values are substrings of enc, not copies. Decoding is canonical — it
+// rejects what Encode never writes (a non-minimal varint, for one) — so
+// anything it accepts re-encodes to exactly enc.
 func DecodeTuple(enc string) (Tuple, error) {
-	var t Tuple
-	src := []byte(enc)
-	for len(src) > 0 {
-		v, rest, err := decodeValue(src)
+	if enc == "" {
+		return nil, nil
+	}
+	n := 0
+	for rest := enc; rest != ""; n++ {
+		_, m, err := decodeValue(rest)
 		if err != nil {
 			return nil, err
 		}
-		t = append(t, v)
-		src = rest
+		rest = rest[m:]
+	}
+	t := make(Tuple, n)
+	for i := range t {
+		v, m, _ := decodeValue(enc)
+		t[i], enc = v, enc[m:]
 	}
 	return t, nil
 }

@@ -43,10 +43,14 @@ type Update struct {
 
 	// enc caches the canonical encodings the reconciliation hot path needs
 	// (full tuple encodings and key projections under the shared schema Σ).
-	// It is populated once — at transaction validation or when Flatten emits
-	// the update — and shared by copies of the update; it is never mutated
-	// afterwards, so concurrent readers are safe. A nil enc means "compute
-	// on demand". The cache is ignored by Equal, String, and every encoder.
+	// Decoders seed it (DecodeTuples) with the tuple encodings they read,
+	// which equal Encode() because decoding is canonical; cacheEnc then
+	// adds the key projections — at transaction validation, at
+	// PrecomputeEncodings, or when Flatten emits the update. It is shared
+	// by copies of the update and complete before the update is shared, so
+	// concurrent readers are safe. A nil enc, or one without keys, means
+	// "compute on demand". The cache is ignored by Equal, String, and every
+	// encoder.
 	enc *updateEnc
 }
 
@@ -54,24 +58,53 @@ type Update struct {
 type updateEnc struct {
 	tuple string // Tuple.Encode()
 	newt  string // New.Encode() ("" when New is nil)
-	keyT  string // rel.KeyEnc(Tuple)
+	keyT  string // rel.KeyEnc(Tuple); "" until cacheEnc runs (a key encoding never is)
 	keyN  string // rel.KeyEnc(New) ("" when New is nil)
 }
 
-// cacheEnc populates the encoding cache. rel must be the relation the update
-// targets under the shared schema. It is idempotent and must not race with
-// readers; callers populate it from a single goroutine before the update
-// reaches the parallel pipeline stages.
+// DecodeTuples sets u.Tuple, and u.New when hasNew, by decoding the
+// canonical encodings tuple and newt, and seeds u's encoding cache with
+// those strings, so a decoded update is never re-encoded. The tuples'
+// string values are substrings of tuple and newt.
+func (u *Update) DecodeTuples(tuple, newt string, hasNew bool) error {
+	var err error
+	if u.Tuple, err = DecodeTuple(tuple); err != nil {
+		return err
+	}
+	u.New = nil
+	if hasNew {
+		if u.New, err = DecodeTuple(newt); err != nil {
+			return err
+		}
+	}
+	u.enc = &updateEnc{tuple: tuple}
+	if u.New != nil {
+		u.enc.newt = newt
+	}
+	return nil
+}
+
+// cacheEnc completes the encoding cache: the tuple encodings unless a
+// decoder seeded them, then the key projections. rel must be the relation
+// the update targets under the shared schema. It is idempotent and must
+// not race with readers; callers populate it from a single goroutine
+// before the update reaches the parallel pipeline stages.
 func (u *Update) cacheEnc(rel *Relation) {
-	if u.enc != nil {
+	e := u.enc
+	switch {
+	case e == nil:
+		e = &updateEnc{tuple: u.Tuple.Encode()}
+		if u.New != nil {
+			e.newt = u.New.Encode()
+		}
+		u.enc = e
+	case e.keyT != "":
 		return
 	}
-	e := &updateEnc{tuple: u.Tuple.Encode(), keyT: rel.KeyEnc(u.Tuple)}
+	e.keyT = rel.KeyEnc(u.Tuple)
 	if u.New != nil {
-		e.newt = u.New.Encode()
 		e.keyN = rel.KeyEnc(u.New)
 	}
-	u.enc = e
 }
 
 // tupleEnc returns Tuple's canonical encoding, cached when available.
@@ -93,7 +126,7 @@ func (u *Update) newEnc() string {
 
 // keyEncTuple returns rel.KeyEnc(Tuple), cached when available.
 func (u *Update) keyEncTuple(rel *Relation) string {
-	if u.enc != nil {
+	if u.enc != nil && u.enc.keyT != "" {
 		return u.enc.keyT
 	}
 	return rel.KeyEnc(u.Tuple)
@@ -101,10 +134,22 @@ func (u *Update) keyEncTuple(rel *Relation) string {
 
 // keyEncNew returns rel.KeyEnc(New), cached when available.
 func (u *Update) keyEncNew(rel *Relation) string {
-	if u.enc != nil {
+	if u.enc != nil && u.enc.keyT != "" {
 		return u.enc.keyN
 	}
 	return rel.KeyEnc(u.New)
+}
+
+// consumedKey is mkTupleKey(u.Rel, u.Consumes()) and producedKey is
+// mkTupleKey(u.Rel, u.Produces()), from the cached encodings when
+// available; callers check that the tuple is non-nil.
+func (u *Update) consumedKey() tupleKey { return tupleKey{rel: u.Rel, enc: u.tupleEnc()} }
+
+func (u *Update) producedKey() tupleKey {
+	if u.Op == OpModify {
+		return tupleKey{rel: u.Rel, enc: u.newEnc()}
+	}
+	return tupleKey{rel: u.Rel, enc: u.tupleEnc()}
 }
 
 // Insert builds +rel(t; origin).

@@ -178,7 +178,8 @@ func (v Value) String() string {
 
 // appendEncoded appends a canonical, self-delimiting binary encoding of the
 // value to dst. The encoding is injective: distinct values have distinct
-// encodings, so encoded tuples can be used as map keys.
+// encodings, so encoded tuples can be used as map keys. Varints are
+// minimal, which decodeValue enforces.
 func (v Value) appendEncoded(dst []byte) []byte {
 	dst = append(dst, byte(v.kind))
 	switch v.kind {
@@ -192,6 +193,25 @@ func (v Value) appendEncoded(dst []byte) []byte {
 	return dst
 }
 
+// encodedLen is the number of bytes appendEncoded writes.
+func (v Value) encodedLen() int {
+	switch v.kind {
+	case KindString:
+		return 1 + uvarintLen(uint64(len(v.s))) + len(v.s)
+	case KindInt, KindFloat, KindBool:
+		return 1 + uvarintLen(v.n)
+	}
+	return 1
+}
+
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
 // GobEncode implements gob encoding for Value (its fields are unexported)
 // for the two gob users left: reldb's legacy-directory upgrade and the DHT
 // experiment's messages. The wire and the store encode tuples with the
@@ -200,45 +220,65 @@ func (v Value) GobEncode() ([]byte, error) { return v.appendEncoded(nil), nil }
 
 // GobDecode implements gob decoding for Value.
 func (v *Value) GobDecode(data []byte) error {
-	dec, rest, err := decodeValue(data)
+	dec, n, err := decodeValue(string(data))
 	if err != nil {
 		return err
 	}
-	if len(rest) != 0 {
+	if n != len(data) {
 		return fmt.Errorf("core: trailing bytes in Value encoding")
 	}
 	*v = dec
 	return nil
 }
 
-// decodeValue decodes a value encoded by appendEncoded and returns the
-// remaining bytes.
-func decodeValue(src []byte) (Value, []byte, error) {
+// decodeValue decodes the value appendEncoded wrote at the front of src and
+// reports how many bytes it took. A string value is a substring of src. It
+// accepts nothing appendEncoded does not write, so the bytes it takes
+// re-encode to themselves.
+func decodeValue(src string) (Value, int, error) {
 	if len(src) == 0 {
-		return Value{}, nil, fmt.Errorf("core: decode value: empty input")
+		return Value{}, 0, fmt.Errorf("core: decode value: empty input")
 	}
 	k := Kind(src[0])
-	src = src[1:]
 	switch k {
 	case KindNull:
-		return Value{}, src, nil
+		return Value{}, 1, nil
 	case KindString:
-		n, sz := binary.Uvarint(src)
-		if sz <= 0 {
-			return Value{}, nil, fmt.Errorf("core: decode value: bad string length")
+		n, sz := uvarint(src[1:])
+		if sz == 0 {
+			return Value{}, 0, fmt.Errorf("core: decode value: bad string length")
 		}
-		src = src[sz:]
-		if uint64(len(src)) < n {
-			return Value{}, nil, fmt.Errorf("core: decode value: short string payload")
+		start := 1 + sz
+		if uint64(len(src)-start) < n {
+			return Value{}, 0, fmt.Errorf("core: decode value: short string payload")
 		}
-		return S(string(src[:n])), src[n:], nil
+		end := start + int(n)
+		return S(src[start:end]), end, nil
 	case KindInt, KindFloat, KindBool:
-		n, sz := binary.Uvarint(src)
-		if sz <= 0 {
-			return Value{}, nil, fmt.Errorf("core: decode value: bad numeric payload")
+		n, sz := uvarint(src[1:])
+		if sz == 0 {
+			return Value{}, 0, fmt.Errorf("core: decode value: bad numeric payload")
 		}
-		return Value{kind: k, n: n}, src[sz:], nil
+		return Value{kind: k, n: n}, 1 + sz, nil
 	default:
-		return Value{}, nil, fmt.Errorf("core: decode value: unknown kind %d", k)
+		return Value{}, 0, fmt.Errorf("core: decode value: unknown kind %d", k)
 	}
+}
+
+// uvarint reads the minimal uvarint at the front of s — exactly what
+// binary.AppendUvarint writes — and its length; 0 when s starts with none,
+// with an overlong one, or with one that overflows 64 bits.
+func uvarint(s string) (uint64, int) {
+	var x uint64
+	for i := 0; i < len(s) && i < binary.MaxVarintLen64; i++ {
+		b := s[i]
+		if b < 0x80 {
+			if (i > 0 && b == 0) || (i == binary.MaxVarintLen64-1 && b > 1) {
+				return 0, 0
+			}
+			return x | uint64(b)<<(7*i), i + 1
+		}
+		x |= uint64(b&0x7f) << (7 * i)
+	}
+	return 0, 0
 }

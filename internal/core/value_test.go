@@ -101,8 +101,8 @@ func (genValue) Generate(r *rand.Rand, _ int) reflect.Value {
 func TestValueEncodeRoundTrip(t *testing.T) {
 	prop := func(g genValue) bool {
 		enc := g.V.appendEncoded(nil)
-		dec, rest, err := decodeValue(enc)
-		return err == nil && len(rest) == 0 && dec == g.V
+		dec, n, err := decodeValue(string(enc))
+		return err == nil && n == len(enc) && n == g.V.encodedLen() && dec == g.V
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -122,14 +122,18 @@ func TestValueEncodeInjective(t *testing.T) {
 
 func TestDecodeValueErrors(t *testing.T) {
 	bad := [][]byte{
-		{},                    // empty
-		{byte(KindString)},    // missing length
-		{byte(KindString), 5}, // short payload
-		{byte(KindInt)},       // missing varint
-		{99},                  // unknown kind
+		{},                                  // empty
+		{byte(KindString)},                  // missing length
+		{byte(KindString), 5},               // short payload
+		{byte(KindInt)},                     // missing varint
+		{99},                                // unknown kind
+		{byte(KindString), 0x81, 0x00, 'a'}, // padded length
+		{byte(KindInt), 0x80, 0x00},         // padded varint
+		{byte(KindInt), 0xff, 0xff, 0xff, 0xff, 0xff, // overflows 64 bits
+			0xff, 0xff, 0xff, 0xff, 0x02},
 	}
 	for _, b := range bad {
-		if _, _, err := decodeValue(b); err == nil {
+		if _, _, err := decodeValue(string(b)); err == nil {
 			t.Errorf("decodeValue(%v) should fail", b)
 		}
 	}

@@ -1,8 +1,8 @@
 // Package reldb is a small relational storage engine: typed tables keyed
-// by primary key (a map per table; lookups by full key, scans in
-// encoded-key order), atomic read-write transactions with rollback, named
-// sequences, and durability through a write-ahead log plus snapshot
-// checkpoints (package wal).
+// by primary key (a map per table; lookups by full key, unordered scans),
+// atomic read-write transactions with rollback, named sequences, and
+// durability through a write-ahead log plus snapshot checkpoints (package
+// wal).
 //
 // # Concurrency
 //
@@ -337,7 +337,8 @@ func (t *table) deleteByPK(pk string) (Row, bool) {
 
 // ascend visits the rows in ascending encoded-key order — the byte order
 // of pkEnc, which is deterministic but not the order of the key's values
-// (see value.go) — until fn returns false.
+// (see value.go) — until fn returns false. Checkpoint writes in this order
+// so that equal tables give equal snapshot.db bytes; Scan has no order.
 func (t *table) ascend(fn func(r Row) bool) {
 	keys := make([]string, 0, len(t.rows))
 	for k := range t.rows {

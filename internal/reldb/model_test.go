@@ -13,15 +13,15 @@ import (
 // rolled back by a returned error, the table dropped and re-created —
 // against a plain map, and after every transaction, after close + reopen
 // (WAL replay) and after Checkpoint + reopen requires Scan to yield exactly
-// the model's rows in ascending pkEnc order.
+// the model's rows, each once.
 func TestTablesAgainstModel(t *testing.T) {
 	def := TableDef{
 		Name: "m",
 		Cols: []ColDef{{Name: "a", Type: ColInt}, {Name: "b", Type: ColString}, {Name: "v", Type: ColInt}},
 		Key:  []int{0, 1},
 	}
-	// Key values straddle varint widths, so encoded-key order differs from
-	// value order and the test pins the former.
+	// Key values straddle varint widths, so encoded-key order (the order
+	// Checkpoint writes in) differs from value order.
 	as := []int64{-1, 0, 1, 2, 127, 128, 300, 1 << 40}
 	bs := []string{"", "a", "ab", "b"}
 	dir := t.TempDir()
@@ -58,8 +58,10 @@ func TestTablesAgainstModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Scan has no order: compare the key sets.
+		slices.Sort(keys)
 		if !slices.Equal(keys, slices.Sorted(maps.Keys(model))) {
-			t.Fatalf("step %d %s: scan order %q is not the model's sorted keys", step, when, keys)
+			t.Fatalf("step %d %s: scanned keys %q are not the model's keys", step, when, keys)
 		}
 	}
 

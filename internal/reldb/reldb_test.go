@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"orchestra/internal/wal"
@@ -248,7 +249,9 @@ func TestScans(t *testing.T) {
 			return true
 		})
 	})
-	if len(all) != 10 || all[0] != 1 || all[9] != 10 {
+	// Scan has no order: every row, once.
+	slices.Sort(all)
+	if !slices.Equal(all, []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) {
 		t.Fatalf("scan = %v", all)
 	}
 	// Early stop.
@@ -258,6 +261,47 @@ func TestScans(t *testing.T) {
 	})
 	if n != 3 {
 		t.Errorf("early stop scan visited %d", n)
+	}
+}
+
+// TestScanSharesRowsReadOnly: Scan hands out the table's own rows, without
+// a copy, and a row kept after its View stays as it was through a later
+// Upsert, Delete and rolled-back write of the same key — a write stores a
+// fresh Row and never changes a stored one.
+func TestScanSharesRowsReadOnly(t *testing.T) {
+	db := openWithTable(t)
+	if err := db.Update(func(tx *Tx) error { return tx.Insert("epochs", row(1, "pA", false)) }); err != nil {
+		t.Fatal(err)
+	}
+	scan := func() Row {
+		var kept Row
+		if err := db.View(func(tx *Tx) error {
+			return tx.Scan("epochs", func(r Row) bool { kept = r; return false })
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return kept
+	}
+	kept := scan()
+	if again := scan(); &again[0] != &kept[0] {
+		t.Error("Scan copied a row")
+	}
+	want := slices.Clone(kept)
+	writes := []func(tx *Tx) error{
+		func(tx *Tx) error { return tx.Upsert("epochs", row(1, "pB", true)) },
+		func(tx *Tx) error {
+			if err := tx.Upsert("epochs", row(1, "pC", false)); err != nil {
+				return err
+			}
+			return errors.New("roll back")
+		},
+		func(tx *Tx) error { _, err := tx.Delete("epochs", Int(1)); return err },
+	}
+	for i, w := range writes {
+		db.Update(w)
+		if !kept.Equal(want) {
+			t.Fatalf("write %d changed a scanned row: %v, want %v", i, kept, want)
+		}
 	}
 }
 

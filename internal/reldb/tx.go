@@ -283,16 +283,20 @@ func (tx *Tx) Count(tableName string) (int, error) {
 	return len(t.rows), nil
 }
 
-// Scan visits every row in ascending encoded-key order until fn returns
-// false. The order is deterministic — the same rows always scan the same
-// way — but it is the byte order of the key's encoding, not the order of
-// its values (integers are varints): callers that need value order sort.
+// Scan visits every row, in no particular order, until fn returns false:
+// callers that need an order sort what they collect. The rows are the
+// table's own, shared read-only — fn must not modify one, and may keep it,
+// because a write stores a fresh Row and never changes a stored one.
 func (tx *Tx) Scan(tableName string, fn func(r Row) bool) error {
 	t, err := tx.table(tableName)
 	if err != nil {
 		return err
 	}
-	t.ascend(func(r Row) bool { return fn(r.Clone()) })
+	for _, r := range t.rows {
+		if !fn(r) {
+			break
+		}
+	}
 	return nil
 }
 

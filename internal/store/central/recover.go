@@ -245,9 +245,9 @@ func (s *Store) loadCaches() error {
 					return false
 				}
 				for _, pub := range batch {
-					// Decoding drops the unexported caches; re-warm before
-					// the recovered transactions are shared across
-					// reconciling peers.
+					// Decoding seeds the tuple encodings; warming adds the
+					// key projections before the recovered transactions
+					// are shared across reconciling peers.
 					pub.Txn.PrecomputeEncodings(s.schema)
 					recovered = append(recovered, &entry{pub: pub, epoch: core.Epoch(r[1].I())})
 				}
@@ -272,7 +272,8 @@ func (s *Store) loadCaches() error {
 			s.peers[core.PeerID(r[0].S())] = &peerMeta{
 				lastEpoch: core.Epoch(r[1].I()),
 				recno:     int(r[2].I()),
-				decided:   make(map[core.TxnID]core.RestoredDecision),
+				// Sized for the usual case: a decision on every recovered entry.
+				decided: make(map[core.TxnID]core.RestoredDecision, len(recovered)),
 			}
 			return true
 		}); err != nil {

@@ -15,7 +15,8 @@ import (
 	"orchestra/internal/store/storetest"
 )
 
-// retainedRow returns the payload of the store's snapshots row.
+// retainedRow returns the payload of the store's snapshots row; the table
+// holds one row, so Scan's lack of order does not matter.
 func retainedRow(t *testing.T, s *Store) []byte {
 	t.Helper()
 	var row []byte

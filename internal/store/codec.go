@@ -233,9 +233,15 @@ func (r *Reader) txn() *core.Transaction {
 			u := core.Update{Op: core.Op(r.Byte())}
 			u.Rel = r.Str()
 			u.Origin = core.PeerID(r.Str())
-			u.Tuple = r.tuple()
-			if r.Flag() {
-				u.New = r.tuple()
+			tuple, newt := r.Str(), ""
+			hasNew := r.Flag()
+			if hasNew {
+				newt = r.Str()
+			}
+			if r.err == nil {
+				// The strings read are the tuples' canonical encodings:
+				// the update keeps them as its encoding cache.
+				r.err = u.DecodeTuples(tuple, newt, hasNew)
 			}
 			x.Updates = append(x.Updates, u)
 		}

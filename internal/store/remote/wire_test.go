@@ -3,9 +3,11 @@ package remote
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"orchestra/internal/core"
@@ -232,6 +234,87 @@ var wireCases = []wireCase{
 	caseOf("reconciliation", (*gen).reconciliation),
 }
 
+// sameWire reports whether a and b carry the same exported data: it is
+// reflect.DeepEqual without the unexported caches a decoder fills
+// (Update.enc, Transaction.encDone), which no wire body carries. nil and
+// empty collections still differ. core.Value, whose fields are all
+// unexported, compares with ==.
+func sameWire(a, b any) bool { return sameValue(reflect.ValueOf(a), reflect.ValueOf(b)) }
+
+var valueType = reflect.TypeFor[core.Value]()
+
+func sameValue(a, b reflect.Value) bool {
+	if !a.IsValid() || !b.IsValid() {
+		return a.IsValid() == b.IsValid()
+	}
+	if a.Type() != b.Type() {
+		return false
+	}
+	switch a.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameValue(a.Elem(), b.Elem())
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for i := range a.Len() {
+			if !sameValue(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for it := a.MapRange(); it.Next(); {
+			if bv := b.MapIndex(it.Key()); !bv.IsValid() || !sameValue(it.Value(), bv) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		if a.Type() == valueType {
+			return a.Interface() == b.Interface()
+		}
+		for i := range a.NumField() {
+			if a.Type().Field(i).IsExported() && !sameValue(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	default:
+		return a.Equal(b)
+	}
+}
+
+// roundTrip checks one value of case c: it decodes to exactly what was
+// encoded, and neither a padded nor a truncated body decodes to it. A body
+// whose rest belongs to another codec takes a trailing byte into that
+// rest; no body may drop one silently.
+func roundTrip(c wireCase, in any) error {
+	b := c.encode(in)
+	out, err := c.decode(b)
+	if err != nil {
+		return fmt.Errorf("%s: decode %x: %v", c.name, b, err)
+	}
+	if !sameWire(in, out) {
+		return fmt.Errorf("%s round trip:\n in %#v\nout %#v", c.name, in, out)
+	}
+	if out, err := c.decode(append(b, 0)); err == nil && sameWire(in, out) {
+		return fmt.Errorf("%s: a trailing byte was ignored", c.name)
+	}
+	if len(b) > 0 {
+		if out, err := c.decode(b[:len(b)-1]); err == nil && sameWire(in, out) {
+			return fmt.Errorf("%s: a truncated body decoded to the original", c.name)
+		}
+	}
+	return nil
+}
+
 // TestWireRoundTrip: every body decodes to exactly what was encoded, over
 // seeded random values — NULLs, every value kind, nil slices, extreme
 // epochs, recnos, priorities and seqs, multi-update transactions with New
@@ -241,27 +324,43 @@ func TestWireRoundTrip(t *testing.T) {
 	g := &gen{Rand: rand.New(rand.NewSource(1))}
 	for _, c := range wireCases {
 		for i := 0; i < 200; i++ {
-			in := c.random(g)
-			b := c.encode(in)
-			out, err := c.decode(b)
-			if err != nil {
-				t.Fatalf("%s: decode %x: %v", c.name, b, err)
-			}
-			if !reflect.DeepEqual(in, out) {
-				t.Fatalf("%s round trip:\n in %#v\nout %#v", c.name, in, out)
-			}
-			// A body whose rest belongs to another codec takes a trailing
-			// byte into that rest; no body may drop one silently.
-			if out, err := c.decode(append(b, 0)); err == nil && reflect.DeepEqual(in, out) {
-				t.Fatalf("%s: a trailing byte was ignored", c.name)
-			}
-			if len(b) > 0 {
-				if out, err := c.decode(b[:len(b)-1]); err == nil && reflect.DeepEqual(in, out) {
-					t.Fatalf("%s: a truncated body decoded to the original", c.name)
-				}
+			if err := roundTrip(c, c.random(g)); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
+}
+
+// TestRoundTripCatchesDroppedByte: the checks in roundTrip have teeth. A
+// reconciliation decoder that drops a trailing byte instead of failing
+// gives back a value whose transactions carry seeded encoding caches the
+// input lacks, so a comparison that saw the caches would never match it
+// and the trailing-byte check would pass whatever the decoder did.
+func TestRoundTripCatchesDroppedByte(t *testing.T) {
+	c := wireCases[len(wireCases)-1]
+	if c.name != "reconciliation" {
+		t.Fatalf("last wire case is %s", c.name)
+	}
+	decode := c.decode
+	c.decode = func(b []byte) (any, error) {
+		v, err := decode(b)
+		if err != nil && len(b) > 0 {
+			return decode(b[:len(b)-1])
+		}
+		return v, err
+	}
+	g := &gen{Rand: rand.New(rand.NewSource(4))}
+	for i := 0; i < 50; i++ {
+		in := g.reconciliation()
+		if in.Candidates == nil {
+			continue
+		}
+		if err := roundTrip(c, in); err == nil || !strings.Contains(err.Error(), "trailing byte") {
+			t.Fatalf("a decoder that drops a trailing byte passed: %v", err)
+		}
+		return
+	}
+	t.Fatal("no reconciliation with candidates drawn")
 }
 
 // TestWireMatchesGob is the differential against the format it replaced:
@@ -285,7 +384,7 @@ func TestWireMatchesGob(t *testing.T) {
 			if err := gob.NewDecoder(&buf).Decode(viaGob); err != nil {
 				t.Fatalf("%s: gob decode: %v", c.name, err)
 			}
-			if !reflect.DeepEqual(viaGob, viaWire) {
+			if !sameWire(viaGob, viaWire) {
 				t.Fatalf("%s: gob and the codec disagree:\n gob %#v\nwire %#v", c.name, viaGob, viaWire)
 			}
 		}
