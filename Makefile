@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify bench-check simfree-check gobfree-check fmt-check bench bench-smoke chaos-smoke gateway-smoke multigroup-smoke trust-smoke storage-smoke fuzz-smoke linkcheck clean
+.PHONY: build vet test race verify bench-check simfree-check gobfree-check onereader-check fmt-check bench bench-smoke chaos-smoke gateway-smoke multigroup-smoke trust-smoke storage-smoke fuzz-smoke linkcheck clean
 
 build:
 	$(GO) build ./...
@@ -17,9 +17,10 @@ race:
 # verify is the tier-1 gate: build + vet + full test suite under the race
 # detector (the serial-vs-parallel differential tests rely on -race to catch
 # worker-pool data races), then the same for the benchmark's module, the
-# guard that production binaries stay simulator-free, and the guard that
-# gob stays out of the wire.
-verify: build vet race bench-check simfree-check gobfree-check
+# guard that production binaries stay simulator-free, the guard that gob
+# stays out of the store and the wire, and the guard that they keep one
+# binary reader.
+verify: build vet race bench-check simfree-check gobfree-check onereader-check
 
 # bench-check vets the repository's benchmark (bench/, a nested module that
 # ./... does not reach) and runs its 1/50-scale smoke test under the race
@@ -37,12 +38,20 @@ bench-check:
 simfree-check:
 	test "$$($(GO) list -deps . ./cmd/orchestra-store ./cmd/orchestra-gateway ./cmd/orchestra-peer ./cmd/orchestra-demo ./examples/... | grep -cE 'internal/(simnet|exp)')" = 0
 
-# gobfree-check fails if a non-test package imports encoding/gob outside
-# internal/exp (the DHT experiment's messages, which Figures 10/12 count)
-# and internal/reldb (legacy.go, which upgrades pre-record-format
-# directories). The rpc envelope and every remote body are hand-rolled.
+# gobfree-check fails if a non-test package outside internal/exp (the DHT
+# experiment's messages, which Figures 10/12 count) imports encoding/gob.
+# reldb's files, the store's payloads, the rpc envelope and every remote
+# body are hand-rolled.
 gobfree-check:
-	test "$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -vE '^orchestra/internal/(exp|reldb)[/ ]' | grep -c 'encoding/gob')" = 0
+	test "$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -vE '^orchestra/internal/exp[/ ]' | grep -c 'encoding/gob')" = 0
+
+# onereader-check fails if a non-test file outside internal/codec and
+# internal/exp calls binary.Uvarint or binary.Varint: every byte the store,
+# the wire and core's tuples read goes through codec's minimal-varint
+# reader, and this keeps a second, laxer reader from growing back. (bench/
+# is a nested module that ./... does not reach.)
+onereader-check:
+	test -z "$$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -vE '/internal/(codec|exp)/' | xargs grep -lE 'binary\.(Uvarint|Varint)\(')"
 
 # fmt-check fails (listing the offenders) if any file is not gofmt-clean;
 # CI runs this as its lint step.
@@ -116,8 +125,11 @@ trust-smoke:
 # storage-smoke runs the storage contract of docs/STORAGE.md by name under
 # the race detector: the whole wal and reldb suites (frame reader, rotation
 # and directory-sync bookkeeping, the table model test, the record format's
-# round-trip, golden and malformed-input tests, the gob-directory upgrade,
-# group commit and every checkpoint crash point), the frame reader's
+# round-trip, golden and malformed-input tests, the refusal of a gob
+# directory, group commit and every checkpoint crash point), the one binary
+# reader's contract (TestReader: minimal varints at every width, bounded
+# counts, a sticky error, trailing bytes refused, Str owns its bytes), the
+# frame reader's
 # one-read contract by name (TestReplayTornHugeLengthAllocatesLittle: a
 # torn header's length is bounded by the bytes left;
 # TestDecodedRecordOwnsItsBytes: what reldb decodes never aliases the
@@ -135,6 +147,7 @@ trust-smoke:
 # the store unmissable in CI.
 storage-smoke:
 	$(GO) test -race -count=1 ./internal/wal ./internal/reldb
+	$(GO) test -race -count=3 -run '^TestReader$$' ./internal/codec
 	$(GO) test -race -count=3 -run '^TestReplayTornHugeLengthAllocatesLittle$$' ./internal/wal
 	$(GO) test -race -count=3 -run '^TestDecodedRecordOwnsItsBytes$$' ./internal/reldb
 	$(GO) test -race -count=1 -run 'TestDurabilityAcrossReopen|TestCheckpointPreservesState|TestSharded|TestTornSnapshot|TestDifferentialMatrix|TestCompaction|TestLateDecision|TestSnapshotWith|TestTenantCrash' ./internal/store/central
@@ -148,10 +161,10 @@ storage-smoke:
 # fuzz-smoke gives every native fuzz target a short budget on top of its
 # checked-in seed corpus (testdata/fuzz): enough to catch decoder panics
 # and corpus rot on every PR without CI paying for a real fuzzing campaign:
-# the canonical tuple decoder (FuzzDecodeTuple: what decodes re-encodes to
-# its input), the store codec (publish payloads, snapshots,
-# reconciliations), the wire
-# (the rpc envelope, every remote body), the WAL's frame reader, reldb's
+# the canonical tuple decoder (FuzzDecodeTuple), the store codec (publish
+# payloads, snapshots, reconciliations) and the wire (the rpc envelope,
+# every remote body) — each holding what it accepts to re-encode to its
+# input byte for byte — the WAL's frame reader, reldb's
 # record and snapshot.db decoders (FuzzDecodeWALRecord,
 # FuzzDecodeSnapshotDB), the namespace codec and the trust parser. go's
 # -fuzz runs one target per invocation, so each gets its own line.

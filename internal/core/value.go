@@ -25,6 +25,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"orchestra/internal/codec"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -179,7 +181,7 @@ func (v Value) String() string {
 // appendEncoded appends a canonical, self-delimiting binary encoding of the
 // value to dst. The encoding is injective: distinct values have distinct
 // encodings, so encoded tuples can be used as map keys. Varints are
-// minimal, which decodeValue enforces.
+// minimal, which decodeValue enforces (codec.Uvarint).
 func (v Value) appendEncoded(dst []byte) []byte {
 	dst = append(dst, byte(v.kind))
 	switch v.kind {
@@ -213,9 +215,9 @@ func uvarintLen(x uint64) int {
 }
 
 // GobEncode implements gob encoding for Value (its fields are unexported)
-// for the two gob users left: reldb's legacy-directory upgrade and the DHT
-// experiment's messages. The wire and the store encode tuples with the
-// store codec instead.
+// for the one gob user left: the DHT experiment's messages
+// (internal/exp/dhtstore/netcentric.go sends transactions over gob). The
+// wire and the store encode tuples with the store codec instead.
 func (v Value) GobEncode() ([]byte, error) { return v.appendEncoded(nil), nil }
 
 // GobDecode implements gob decoding for Value.
@@ -244,7 +246,7 @@ func decodeValue(src string) (Value, int, error) {
 	case KindNull:
 		return Value{}, 1, nil
 	case KindString:
-		n, sz := uvarint(src[1:])
+		n, sz := codec.Uvarint(src[1:])
 		if sz == 0 {
 			return Value{}, 0, fmt.Errorf("core: decode value: bad string length")
 		}
@@ -255,7 +257,7 @@ func decodeValue(src string) (Value, int, error) {
 		end := start + int(n)
 		return S(src[start:end]), end, nil
 	case KindInt, KindFloat, KindBool:
-		n, sz := uvarint(src[1:])
+		n, sz := codec.Uvarint(src[1:])
 		if sz == 0 {
 			return Value{}, 0, fmt.Errorf("core: decode value: bad numeric payload")
 		}
@@ -263,22 +265,4 @@ func decodeValue(src string) (Value, int, error) {
 	default:
 		return Value{}, 0, fmt.Errorf("core: decode value: unknown kind %d", k)
 	}
-}
-
-// uvarint reads the minimal uvarint at the front of s — exactly what
-// binary.AppendUvarint writes — and its length; 0 when s starts with none,
-// with an overlong one, or with one that overflows 64 bits.
-func uvarint(s string) (uint64, int) {
-	var x uint64
-	for i := 0; i < len(s) && i < binary.MaxVarintLen64; i++ {
-		b := s[i]
-		if b < 0x80 {
-			if (i > 0 && b == 0) || (i == binary.MaxVarintLen64-1 && b > 1) {
-				return 0, 0
-			}
-			return x | uint64(b)<<(7*i), i + 1
-		}
-		x |= uint64(b&0x7f) << (7 * i)
-	}
-	return 0, 0
 }

@@ -32,7 +32,7 @@
 // format (record.go; Checkpoint's snapshot file shares it); recovery
 // replays records in append order, checking every definition and row it
 // applies, and truncates any torn tail. A directory written in the earlier
-// gob format is upgraded by the Open that finds it (legacy.go).
+// gob format is refused (errGobDir).
 // Concurrent committers hand their records to a shared flusher: the first
 // committer to arrive becomes the leader and writes every record queued by
 // then with one WAL write and at most one fsync — commits per flush is the
@@ -134,7 +134,7 @@ func Open(opts Options) (*DB, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("reldb: %w", err)
 	}
-	walFrom, legacy, err := db.loadSnapshot()
+	walFrom, err := db.loadSnapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -150,20 +150,16 @@ func Open(opts Options) (*DB, error) {
 		l.Close()
 		return nil, err
 	}
-	first, apply := true, db.replay
+	first := true
 	if err := l.Replay(func(payload []byte) error {
 		// The first live record tells, as the snapshot's first byte does,
 		// whether gob wrote this directory; past it a gob record is
 		// corruption like any other.
-		if first && isLegacy(payload) {
-			legacy = true
+		if first && writtenByGob(payload) {
+			return errGobDir
 		}
 		first = false
-		decode := decodeRecord
-		if legacy {
-			decode = decodeLegacyRecord
-		}
-		if err := decode(payload, apply); err != nil {
+		if err := decodeRecord(payload, db.replay); err != nil {
 			return fmt.Errorf("reldb: recovery: wal record: %w", err)
 		}
 		return nil
@@ -172,19 +168,20 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.gc = &groupCommitter{db: db}
-	if legacy {
-		// Read old, write new, once: the checkpoint leaves a snapshot in
-		// this format over an empty log. A crash before its install leaves
-		// the gob directory as it was, for the next Open to upgrade; a crash
-		// after it leaves the new snapshot over gob segments below its
-		// mark, which the next Open drops unread.
-		if err := db.Checkpoint(); err != nil {
-			l.Close()
-			return nil, err
-		}
-	}
 	return db, nil
 }
+
+// errGobDir refuses a directory written before the record format of
+// record.go, when snapshot.db and every WAL record were gob streams. Open
+// tells one by the first byte of snapshot.db, or of the first live WAL
+// record, and returns this before it replays anything. The releases from
+// commit 85f5c48 through a794feb read such a directory and rewrite it in
+// this format on their first Open.
+var errGobDir = errors.New("reldb: directory written in the gob format, which this release no longer reads; open it once with a release from commit 85f5c48 through a794feb (the last), which upgrades it")
+
+// writtenByGob reports whether b, a snapshot file or a WAL record, is a gob
+// stream: anything that does not open with recMagic.
+func writtenByGob(b []byte) bool { return len(b) > 0 && b[0] != recMagic }
 
 // MustOpenMemory returns a volatile in-memory database, panicking on error;
 // for tests and examples.
@@ -491,22 +488,20 @@ func (db *DB) installSnapshot(data []byte) error {
 
 // loadSnapshot restores state from the snapshot file if present and
 // returns its WAL mark — the first WAL segment the snapshot does not
-// contain (0, also without a snapshot: replay everything) — and whether gob
-// wrote the file.
-func (db *DB) loadSnapshot() (walFrom int, legacy bool, err error) {
+// contain (0, also without a snapshot: replay everything).
+func (db *DB) loadSnapshot() (walFrom int, err error) {
 	data, err := os.ReadFile(filepath.Join(db.dir, snapshotFile))
 	if errors.Is(err, os.ErrNotExist) {
-		return 0, false, nil
+		return 0, nil
 	}
 	if err != nil {
-		return 0, false, fmt.Errorf("reldb: read snapshot: %w", err)
+		return 0, fmt.Errorf("reldb: read snapshot: %w", err)
 	}
-	decode := decodeSnapshot
-	if legacy = isLegacy(data); legacy {
-		decode = decodeLegacySnapshot
+	if writtenByGob(data) {
+		return 0, errGobDir
 	}
-	if walFrom, err = decode(data, db.replay); err != nil {
-		return 0, false, fmt.Errorf("reldb: recovery: snapshot: %w", err)
+	if walFrom, err = decodeSnapshot(data, db.replay); err != nil {
+		return 0, fmt.Errorf("reldb: recovery: snapshot: %w", err)
 	}
-	return walFrom, legacy, nil
+	return walFrom, nil
 }

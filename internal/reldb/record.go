@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"slices"
+
+	"orchestra/internal/codec"
 )
 
 // The one on-disk format, shared by WAL records and snapshot.db; the byte
@@ -14,8 +16,8 @@ import (
 // record_test.go make the change a deliberate edit.
 const (
 	// recMagic cannot open a gob stream (gob starts with a non-zero message
-	// length), which is how Open tells a directory written before this
-	// format existed (legacy.go).
+	// length), which is how Open tells, and refuses, a directory written
+	// before this format existed (errGobDir).
 	recMagic   = 0x00
 	recVersion = 1
 )
@@ -43,11 +45,6 @@ type walOp struct {
 
 func appendHeader(dst []byte) []byte { return append(dst, recMagic, recVersion) }
 
-func appendStr(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
 func appendRow(dst []byte, r Row) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(r)))
 	for _, v := range r {
@@ -65,7 +62,7 @@ func appendDef(dst []byte, d *TableDef) []byte {
 		if c.Nullable {
 			nullable = 1
 		}
-		dst = append(appendStr(dst, c.Name), byte(c.Type), nullable)
+		dst = append(codec.AppendStr(dst, c.Name), byte(c.Type), nullable)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(d.Key)))
 	for _, k := range d.Key {
@@ -76,12 +73,12 @@ func appendDef(dst []byte, d *TableDef) []byte {
 
 func appendOp(dst []byte, op *walOp) []byte {
 	dst = append(dst, byte(op.kind))
-	dst = appendStr(dst, op.name)
+	dst = codec.AppendStr(dst, op.name)
 	switch op.kind {
 	case opPut:
 		dst = appendRow(dst, op.row)
 	case opDelete:
-		dst = appendStr(dst, op.pk)
+		dst = codec.AppendStr(dst, op.pk)
 	case opCreate:
 		dst = appendDef(dst, &op.def)
 	case opSeq:
@@ -102,7 +99,7 @@ func (db *DB) appendSnapshot(dst []byte, walFrom int) []byte {
 	slices.Sort(seqs)
 	dst = binary.AppendUvarint(dst, uint64(len(seqs)))
 	for _, name := range seqs {
-		dst = appendStr(dst, name)
+		dst = codec.AppendStr(dst, name)
 		dst = binary.AppendUvarint(dst, uint64(db.seqs[name]))
 	}
 	tables := make([]string, 0, len(db.tables))
@@ -113,7 +110,7 @@ func (db *DB) appendSnapshot(dst []byte, walFrom int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(tables)))
 	for _, name := range tables {
 		t := db.tables[name]
-		dst = appendStr(dst, name)
+		dst = codec.AppendStr(dst, name)
 		dst = appendDef(dst, &t.def)
 		dst = binary.AppendUvarint(dst, uint64(len(t.rows)))
 		t.ascend(func(r Row) bool {
@@ -124,15 +121,14 @@ func (db *DB) appendSnapshot(dst []byte, walFrom int) []byte {
 	return dst
 }
 
-// reader is the one decoder. Its input is a file's bytes, so nothing in it
-// is trusted: every length and count is checked against the bytes that
-// remain before anything is sized by it, and varints must be minimal, so
-// that what decodes is exactly what the writer above would have written.
-// The first failure sticks in err and empties b; reads after it return
-// zero values, which keeps the callers free of a check per field.
+// reader decodes both. codec.Reader checks every length and count against
+// the bytes that remain and refuses non-minimal varints, so that what
+// decodes is exactly what the writer above would have written; reader adds
+// what is reldb's own. Its input is a file's bytes, so nothing in it is
+// trusted, and reads after a failure return zero values, which keeps the
+// callers free of a check per field.
 type reader struct {
-	b   []byte
-	err error
+	codec.Reader
 	// emit receives each decoded op; its error stops the decode. op is the
 	// one walOp every emit is handed, so a decode allocates what the ops
 	// carry and nothing per op.
@@ -140,88 +136,42 @@ type reader struct {
 	op   walOp
 }
 
-func (r *reader) fail(msg string) {
-	if r.err == nil {
-		r.err = errors.New(msg)
-	}
-	r.b = nil
-}
-
-func (r *reader) byte() byte {
-	if len(r.b) == 0 {
-		r.fail("truncated")
-		return 0
-	}
-	c := r.b[0]
-	r.b = r.b[1:]
-	return c
-}
-
-func (r *reader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
-		r.fail("truncated or malformed varint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// count reads a byte length or an element count. Every element takes at
-// least one byte, so a count above what remains is a lie — caught here,
-// before a slice is made from it.
-func (r *reader) count() int {
-	v := r.uvarint()
-	if v > uint64(len(r.b)) {
-		r.fail("length past the end of the input")
-		return 0
-	}
-	return int(v)
-}
-
 // index reads a non-negative int that is not a length: a key column's
 // position, a segment number.
 func (r *reader) index() int {
-	v := r.uvarint()
+	v := r.Uvarint()
 	if v > math.MaxInt32 {
-		r.fail("index out of range")
+		r.Fail(errors.New("index out of range"))
 		return 0
 	}
 	return int(v)
 }
 
-func (r *reader) bytes() []byte {
-	n := r.count()
-	s := r.b[:n]
-	r.b = r.b[n:]
-	return s
-}
-
 func (r *reader) header() {
-	if r.byte() != recMagic {
-		r.fail("bad magic byte")
+	if r.Byte() != recMagic {
+		r.Fail(errors.New("bad magic byte"))
 	}
-	if r.byte() != recVersion {
-		r.fail("unknown format version")
+	if r.Byte() != recVersion {
+		r.Fail(errors.New("unknown format version"))
 	}
 }
 
 func (r *reader) value() V {
-	switch t := ColType(r.byte()); t {
+	switch t := ColType(r.Byte()); t {
 	case 0:
 		return V{}
 	case ColString, ColBytes:
-		return V{t: t, s: string(r.bytes())}
+		return V{t: t, s: r.Str()}
 	case ColInt, ColFloat, ColBool:
-		return V{t: t, n: r.uvarint()}
+		return V{t: t, n: r.Uvarint()}
 	default:
-		r.fail("unknown value type")
+		r.Fail(errors.New("unknown value type"))
 		return V{}
 	}
 }
 
 func (r *reader) row() Row {
-	row := make(Row, r.count())
+	row := make(Row, r.Count())
 	for i := range row {
 		row[i] = r.value()
 	}
@@ -229,18 +179,11 @@ func (r *reader) row() Row {
 }
 
 func (r *reader) def(name string) TableDef {
-	d := TableDef{Name: name, Cols: make([]ColDef, r.count())}
+	d := TableDef{Name: name, Cols: make([]ColDef, r.Count())}
 	for i := range d.Cols {
-		d.Cols[i] = ColDef{Name: string(r.bytes()), Type: ColType(r.byte())}
-		switch r.byte() {
-		case 0:
-		case 1:
-			d.Cols[i].Nullable = true
-		default:
-			r.fail("bad nullable flag")
-		}
+		d.Cols[i] = ColDef{Name: r.Str(), Type: ColType(r.Byte()), Nullable: r.Flag()}
 	}
-	d.Key = make([]int, r.count())
+	d.Key = make([]int, r.Count())
 	for i := range d.Key {
 		d.Key[i] = r.index()
 	}
@@ -249,60 +192,56 @@ func (r *reader) def(name string) TableDef {
 
 // send hands op to emit unless the decode has already failed.
 func (r *reader) send(op walOp) {
-	if r.err != nil {
+	if r.Err() != nil {
 		return
 	}
 	r.op = op
 	if err := r.emit(&r.op); err != nil {
-		r.err = err
-		r.b = nil
+		r.Fail(err)
 	}
 }
 
 // decodeRecord reads one WAL record — the header, then ops to the end of
 // the payload — handing emit each op as it is read.
 func decodeRecord(payload []byte, emit func(*walOp) error) error {
-	r := reader{b: payload, emit: emit}
+	r := reader{Reader: codec.NewReader(payload), emit: emit}
 	r.header()
-	for len(r.b) > 0 {
-		op := walOp{kind: opKind(r.byte()), name: string(r.bytes())}
+	for r.Len() > 0 {
+		op := walOp{kind: opKind(r.Byte()), name: r.Str()}
 		switch op.kind {
 		case opPut:
 			op.row = r.row()
 		case opDelete:
-			op.pk = string(r.bytes())
+			op.pk = r.Str()
 		case opCreate:
 			op.def = r.def(op.name)
 		case opSeq:
-			op.seqV = int64(r.uvarint())
+			op.seqV = int64(r.Uvarint())
 		case opDrop:
 		default:
-			r.fail("unknown op kind")
+			r.Fail(errors.New("unknown op kind"))
 		}
 		r.send(op)
 	}
-	return r.err
+	return r.Err()
 }
 
 // decodeSnapshot reads snapshot.db as the ops that rebuild it — each
 // sequence an opSeq, each table an opCreate and one opPut per row — and
 // returns its WAL mark.
 func decodeSnapshot(data []byte, emit func(*walOp) error) (walFrom int, err error) {
-	r := reader{b: data, emit: emit}
+	r := reader{Reader: codec.NewReader(data), emit: emit}
 	r.header()
 	walFrom = r.index()
-	for n := r.count(); n > 0; n-- {
-		r.send(walOp{kind: opSeq, name: string(r.bytes()), seqV: int64(r.uvarint())})
+	for n := r.Count(); n > 0; n-- {
+		r.send(walOp{kind: opSeq, name: r.Str(), seqV: int64(r.Uvarint())})
 	}
-	for n := r.count(); n > 0; n-- {
-		name := string(r.bytes())
+	for n := r.Count(); n > 0; n-- {
+		name := r.Str()
 		r.send(walOp{kind: opCreate, name: name, def: r.def(name)})
-		for rows := r.count(); rows > 0; rows-- {
+		for rows := r.Count(); rows > 0; rows-- {
 			r.send(walOp{kind: opPut, name: name, row: r.row()})
 		}
 	}
-	if len(r.b) > 0 {
-		r.fail("trailing bytes")
-	}
-	return walFrom, r.err
+	return walFrom, r.End()
 }

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/wal"
 )
 
@@ -281,8 +282,8 @@ func goldenDB(t testing.TB) (db *DB, dir string) {
 }
 
 // The format, as bytes. A change to either string is a format change: bump
-// recVersion, keep a reader for the old version (or an upgrade step like
-// legacy.go's), and update docs/STORAGE.md.
+// recVersion, keep a reader for the old version, and update
+// docs/STORAGE.md.
 const (
 	// magic, version, then: create "t" (5 columns, key {1, 0}), two puts,
 	// a delete by pkEnc, seq "epoch" = 300, drop "old".
@@ -456,19 +457,12 @@ func TestReplayRejectsMalformed(t *testing.T) {
 	// snapshot is one table and its rows, with no regard for whether they fit.
 	snapshot := func(def TableDef, rows ...Row) []byte {
 		b := append(appendHeader(nil), 0, 0, 1)
-		b = appendDef(appendStr(b, def.Name), &def)
+		b = appendDef(codec.AppendStr(b, def.Name), &def)
 		b = append(b, byte(len(rows)))
 		for _, r := range rows {
 			b = appendRow(b, r)
 		}
 		return b
-	}
-	gobOf := func(v any) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
 	}
 	good := record(create(keyOnB), put(Row{Int(1), Int(2)}))
 
@@ -488,14 +482,11 @@ func TestReplayRejectsMalformed(t *testing.T) {
 		{name: "record: truncated", records: [][]byte{good[:len(good)-1]}, want: "truncated"},
 		{name: "record: count past the end", records: [][]byte{append(appendHeader(nil), byte(opPut), 0, 200, 1)}, want: "length past the end"},
 		{name: "record: padded varint", records: [][]byte{append(appendHeader(nil), byte(opSeq), 0, 0x80, 0)}, want: "malformed varint"},
-		{name: "record: gob after the first record", records: [][]byte{good, gobOf([]legacyOp{{Kind: opDrop, Table: "t"}})}, want: "bad magic"},
+		{name: "record: gob after the first record", records: [][]byte{good, gobRecord(t)}, want: "bad magic"},
 		{name: "snapshot: row shorter than the key", snapshot: snapshot(keyOnB, short), want: "row has 1 columns"},
 		{name: "snapshot: key past the columns", snapshot: snapshot(keyPastCols), want: "key column 2 out of range"},
 		{name: "snapshot: trailing bytes", snapshot: append(snapshot(keyOnB), 0), want: "trailing bytes"},
 		{name: "snapshot: empty file", snapshot: []byte{}, want: "truncated"},
-		{name: "legacy record: row shorter than the key", records: [][]byte{gobOf([]legacyOp{{Kind: opCreate, Def: keyOnB}, {Kind: opPut, Table: "t", Row: short}})}, want: "row has 1 columns"},
-		{name: "legacy record: key past the columns", records: [][]byte{gobOf([]legacyOp{{Kind: opCreate, Def: keyPastCols}})}, want: "key column 2 out of range"},
-		{name: "legacy snapshot: row shorter than the key", snapshot: gobOf(legacySnapshot{Defs: []TableDef{keyOnB}, Rows: map[string][]Row{"t": {short}}}), want: "row has 1 columns"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -521,6 +512,91 @@ func TestReplayRejectsMalformed(t *testing.T) {
 			}
 			if msg := err.Error(); !strings.HasPrefix(msg, "reldb: recovery: ") || !strings.Contains(msg, tc.want) {
 				t.Errorf("Open = %q, want a reldb: recovery: error about %q", msg, tc.want)
+			}
+		})
+	}
+}
+
+// gobRecord is a WAL record as directories written before this format hold
+// them: a gob-encoded op list (the shape of the time, trimmed to two fields).
+func gobRecord(t *testing.T) []byte {
+	t.Helper()
+	type gobOp struct {
+		Kind  opKind
+		Table string
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode([]gobOp{{Kind: opDrop, Table: "t"}}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// dirBytes returns every file under dir with its contents.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		files[path] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestRefuseGobDir: a directory written in the gob format — a snapshot.db,
+// or a first live WAL record, that does not open with recMagic — makes Open
+// return errGobDir, which names the last release able to upgrade it, and
+// leaves every file in the directory as it was.
+func TestRefuseGobDir(t *testing.T) {
+	gobSnapshot := gobRecord(t) // any gob stream: Open tells by the first byte
+	good := appendOp(appendHeader(nil), &walOp{kind: opSeq, name: "epoch", seqV: 3})
+	for _, tc := range []struct {
+		name     string
+		snapshot []byte
+		records  [][]byte
+	}{
+		{name: "gob snapshot", snapshot: gobSnapshot, records: [][]byte{gobRecord(t)}},
+		{name: "gob snapshot over an empty log", snapshot: gobSnapshot},
+		{name: "gob log, no snapshot", records: [][]byte{gobRecord(t), gobRecord(t)}},
+		{name: "gob log over a snapshot", snapshot: MustOpenMemory().appendSnapshot(nil, 0), records: [][]byte{gobRecord(t), good}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tc.snapshot != nil {
+				if err := os.WriteFile(filepath.Join(dir, snapshotFile), tc.snapshot, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.records != nil {
+				l, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rec := range tc.records {
+					if err := l.Append(rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+				l.Close()
+			}
+			before := dirBytes(t, dir)
+			db, err := Open(Options{Dir: dir})
+			if err == nil {
+				db.Close()
+				t.Fatal("Open accepted a gob directory")
+			}
+			if !errors.Is(err, errGobDir) || !strings.Contains(err.Error(), "a794feb") {
+				t.Errorf("Open = %v, want errGobDir naming commit a794feb", err)
+			}
+			if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+				t.Errorf("a refused Open changed the directory:\n got %q\nwant %q", after, before)
 			}
 		})
 	}

@@ -2,15 +2,12 @@ package reldb
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
-	"orchestra/internal/wal"
+	"orchestra/internal/codec"
 )
 
 func testDef() TableDef {
@@ -461,10 +458,9 @@ func TestValueAccessorsAndStrings(t *testing.T) {
 		if v.String() == "" {
 			t.Errorf("%v: empty String", v.Type())
 		}
-		enc, _ := v.GobEncode()
-		var dec V
-		if err := dec.GobDecode(enc); err != nil || dec != v {
-			t.Errorf("%v: decoded %v, %v", v, dec, err)
+		r := reader{Reader: codec.NewReader(v.appendEncoded(nil))}
+		if dec := r.value(); r.End() != nil || dec != v {
+			t.Errorf("%v: decoded %v, %v", v, dec, r.End())
 		}
 	}
 	for what, bad := range map[string][]byte{
@@ -472,7 +468,8 @@ func TestValueAccessorsAndStrings(t *testing.T) {
 		"10-byte overflow":    append(append([]byte{byte(ColInt)}, bytes.Repeat([]byte{0xff}, 9)...), 0x02),
 		"string past the end": {byte(ColString), 0x05, 'a'},
 	} {
-		if err := new(V).GobDecode(bad); err == nil {
+		r := reader{Reader: codec.NewReader(bad)}
+		if r.value(); r.End() == nil {
 			t.Errorf("%s: decoded", what)
 		}
 	}
@@ -509,98 +506,5 @@ func TestTableDefHelpers(t *testing.T) {
 	}
 	if names := db.TableNames(); len(names) != 1 || names[0] != "epochs" {
 		t.Errorf("TableNames = %v", names)
-	}
-}
-
-// The TableDef shape directories were written with before secondary indexes
-// were removed: CreateTable WAL records and checkpoint files carry it,
-// gob-encoded.
-type (
-	oldIndex struct {
-		Name   string
-		Cols   []int
-		Unique bool
-	}
-	oldTableDef struct {
-		Name    string
-		Cols    []ColDef
-		Key     []int
-		Indexes []oldIndex
-	}
-	oldWalOp struct {
-		Kind  opKind
-		Table string
-		Row   Row
-		Def   oldTableDef
-	}
-	oldSnapshot struct {
-		Defs []oldTableDef
-		Rows map[string][]Row
-		Seqs map[string]int64
-	}
-)
-
-// TestReopenOldShapeTableDef pins the on-disk compatibility the index
-// removal relies on: gob drops stream fields the receiving struct lacks, so
-// a WAL CreateTable record and a checkpoint written with Indexes inside
-// their TableDefs both reopen — rows intact, table writable, and again after
-// a new-shape write landed on top — with the index definition simply gone.
-func TestReopenOldShapeTableDef(t *testing.T) {
-	old := oldTableDef{
-		Name: "epochs", Cols: testDef().Cols, Key: []int{0},
-		Indexes: []oldIndex{{Name: "by_peer", Cols: []int{1}}, {Name: "u", Cols: []int{0}, Unique: true}},
-	}
-	encode := func(v any) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	seed := map[string]func(dir string) error{
-		"wal": func(dir string) error {
-			l, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
-			if err != nil {
-				return err
-			}
-			defer l.Close()
-			return l.Append(encode([]oldWalOp{{Kind: opCreate, Def: old}, {Kind: opPut, Table: "epochs", Row: row(1, "p", false)}}))
-		},
-		"checkpoint": func(dir string) error {
-			snap := oldSnapshot{Defs: []oldTableDef{old}, Rows: map[string][]Row{"epochs": {row(1, "p", false)}}}
-			return os.WriteFile(filepath.Join(dir, snapshotFile), encode(&snap), 0o644)
-		},
-	}
-	for name, write := range seed {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			if err := write(dir); err != nil {
-				t.Fatal(err)
-			}
-			for pass := 0; pass < 2; pass++ {
-				db, err := Open(Options{Dir: dir})
-				if err != nil {
-					t.Fatalf("reopen %d: %v", pass, err)
-				}
-				if def, ok := db.TableDef("epochs"); !ok || len(def.Cols) != 4 || len(def.Key) != 1 {
-					t.Fatalf("reopen %d: table def = %+v, %v", pass, def, ok)
-				}
-				err = db.Update(func(tx *Tx) error {
-					if n, _ := tx.Count("epochs"); n != 1+pass {
-						t.Errorf("reopen %d: %d rows", pass, n)
-					}
-					if r, ok, _ := tx.Get("epochs", Int(1)); !ok || r[1].S() != "p" {
-						t.Errorf("reopen %d: row 1 = %v, %v", pass, r, ok)
-					}
-					return tx.Insert("epochs", row(int64(2+pass), "q", true))
-				})
-				if err != nil {
-					t.Fatalf("reopen %d: write: %v", pass, err)
-				}
-				if err := db.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
 	}
 }

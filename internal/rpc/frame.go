@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"orchestra/internal/codec"
 )
 
 // Wire format (both directions): a 4-byte little-endian frame length, then
@@ -14,7 +16,8 @@ import (
 //	response: version | status (statusOK, statusErr) | body... or error text...
 //
 // The body is the rest of the frame: no length prefix, and the decoded
-// Request.Body aliases the frame. TimeoutNanos is the budget remaining on
+// Request.Body aliases the frame. The head is read with codec.Reader, so a
+// varint must be minimal and a decoded request re-encodes to its frame. TimeoutNanos is the budget remaining on
 // the caller's context deadline when the request was sent (0 = none); the
 // server applies it as a relative timeout so handlers see (approximately)
 // the deadline the client enforces on the connection. A duration travels
@@ -46,11 +49,7 @@ var (
 
 // appendRequestHead appends a request frame up to, not including, its body.
 func appendRequestHead(dst []byte, from, method string, timeoutNanos int64) []byte {
-	dst = append(dst, protocolVersion)
-	dst = binary.AppendUvarint(dst, uint64(len(from)))
-	dst = append(dst, from...)
-	dst = binary.AppendUvarint(dst, uint64(len(method)))
-	dst = append(dst, method...)
+	dst = codec.AppendStr(codec.AppendStr(append(dst, protocolVersion), from), method)
 	return binary.AppendUvarint(dst, uint64(timeoutNanos))
 }
 
@@ -60,26 +59,14 @@ func decodeRequest(frame []byte) (req Request, timeoutNanos int64, err error) {
 	if err != nil {
 		return Request{}, 0, err
 	}
-	var ok1, ok2 bool
-	req.From, b, ok1 = readStr(b)
-	req.Method, b, ok2 = readStr(b)
-	t, n := binary.Uvarint(b)
-	if !ok1 || !ok2 || n <= 0 || t > math.MaxInt64 {
+	r := codec.NewReader(b)
+	req.From, req.Method = r.Str(), r.Str()
+	t := r.Uvarint()
+	if r.Err() != nil || t > math.MaxInt64 {
 		return Request{}, 0, errBadRequest
 	}
-	if len(b) > n {
-		req.Body = b[n:]
-	}
+	req.Body = r.Rest()
 	return req, int64(t), nil
-}
-
-func readStr(b []byte) (string, []byte, bool) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 || n > uint64(len(b)-k) {
-		return "", nil, false
-	}
-	end := k + int(n)
-	return string(b[k:end]), b[end:], true
 }
 
 // decodeResponse parses a response frame into the handler's reply or the

@@ -6,9 +6,7 @@ import (
 	"context"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"net"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -430,7 +428,7 @@ func TestFrameGolden(t *testing.T) {
 
 // FuzzDecodeFrame feeds arbitrary frames to both envelope decoders. Neither
 // may panic, and anything accepted must be canonical: re-encoding the
-// decoded frame and decoding again gives the same value.
+// decoded frame gives back exactly its bytes.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add(append(appendRequestHead(nil, "p1", "store.begin", 1500), "body"...))
 	f.Add(appendRequestHead(nil, "", "", 0))
@@ -439,13 +437,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if req, timeout, err := decodeRequest(data); err == nil {
-			re := append(appendRequestHead(nil, req.From, req.Method, timeout), req.Body...)
-			req2, timeout2, err := decodeRequest(re)
-			if err != nil {
-				t.Fatalf("re-encoded request failed to decode: %v\ninput: %x", err, data)
-			}
-			if !reflect.DeepEqual(req, req2) || timeout != timeout2 {
-				t.Fatalf("request decode not canonical: %+v/%d vs %+v/%d\ninput: %x", req, timeout, req2, timeout2, data)
+			if re := append(appendRequestHead(nil, req.From, req.Method, timeout), req.Body...); !bytes.Equal(re, data) {
+				t.Fatalf("request decode not canonical: %x re-encodes to %x", data, re)
 			}
 		}
 		if body, remote, err := decodeResponse(data); err == nil {
@@ -453,12 +446,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			if remote != nil {
 				head, payload = errHead, []byte(remote.Error())
 			}
-			body2, remote2, err := decodeResponse(append(append([]byte(nil), head...), payload...))
-			if err != nil {
-				t.Fatalf("re-encoded response failed to decode: %v\ninput: %x", err, data)
-			}
-			if !reflect.DeepEqual(body, body2) || fmt.Sprint(remote) != fmt.Sprint(remote2) {
-				t.Fatalf("response decode not canonical: %q/%v vs %q/%v\ninput: %x", body, remote, body2, remote2, data)
+			if re := append(append([]byte(nil), head...), payload...); !bytes.Equal(re, data) {
+				t.Fatalf("response decode not canonical: %x re-encodes to %x", data, re)
 			}
 		}
 	})

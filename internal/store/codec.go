@@ -4,23 +4,24 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/core"
 )
 
-// payloadVersion tags the hand-rolled binary encoding of published
-// batches. The central store previously stored batches as gob streams;
-// gob's per-encoder type descriptors dominated the publish CPU profile, so
-// batches are now encoded with this reflection-free codec. Old gob
-// payloads are not migratable (the version byte makes the mismatch an
-// explicit error).
+// payloadVersion tags the binary encoding of published batches, which
+// outlive the process that wrote them: a payload of another version is an
+// explicit error, never a silent misparse.
 const payloadVersion = 1
 
 // The codecs in this file share one transaction writer (appendTxn) and one
-// reader (Reader.txn). Only the publish payload reaches disk, in
-// txns_k rows, so only it carries a version byte; a Reconciliation and a
-// decision-batch slice exist only on the wire, where the rpc envelope's
-// protocol version covers them. Decoders give back what gob did: a zero
-// count decodes to a nil slice, an empty tuple to a nil Tuple.
+// reader (readTxn), over codec.Reader. Only the publish payload reaches
+// disk, in txns_k rows, so only it carries a version byte; a
+// Reconciliation and a decision-batch slice exist only on the wire, where
+// the rpc envelope's protocol version covers them. Decoders give back what
+// gob did: a zero count decodes to a nil slice, an empty tuple to a nil
+// Tuple — so an update whose New is present but empty decodes to a nil
+// New, which re-encodes as absent. That is the one input with a second
+// encoding; everything else the reader accepts re-encodes to its input.
 
 // AppendPublishedTxns encodes a published batch into a compact binary
 // payload, appending to dst. The format is length-prefixed throughout:
@@ -65,7 +66,7 @@ func AppendDecisionBatches(dst []byte, batches []DecisionBatch) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(batches)))
 	for i := range batches {
 		b := &batches[i]
-		dst = AppendStr(dst, string(b.Peer))
+		dst = codec.AppendStr(dst, string(b.Peer))
 		dst = binary.AppendVarint(dst, int64(b.Recno))
 		dst = appendIDs(dst, b.Accepted)
 		dst = appendIDs(dst, b.Rejected)
@@ -73,16 +74,10 @@ func AppendDecisionBatches(dst []byte, batches []DecisionBatch) []byte {
 	return dst
 }
 
-// AppendStr writes s as a uvarint length and its bytes.
-func AppendStr(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
 // appendTxn writes one transaction: origin, seq, epoch, order, then each
 // update as (op, relation, origin, tuple, New present, New).
 func appendTxn(dst []byte, x *core.Transaction) []byte {
-	dst = AppendStr(dst, string(x.ID.Origin))
+	dst = codec.AppendStr(dst, string(x.ID.Origin))
 	dst = binary.AppendUvarint(dst, x.ID.Seq)
 	dst = binary.AppendUvarint(dst, uint64(x.Epoch))
 	dst = binary.AppendUvarint(dst, x.Order)
@@ -90,13 +85,13 @@ func appendTxn(dst []byte, x *core.Transaction) []byte {
 	for j := range x.Updates {
 		u := &x.Updates[j]
 		dst = append(dst, byte(u.Op))
-		dst = AppendStr(dst, u.Rel)
-		dst = AppendStr(dst, string(u.Origin))
-		dst = AppendStr(dst, u.Tuple.Encode())
+		dst = codec.AppendStr(dst, u.Rel)
+		dst = codec.AppendStr(dst, string(u.Origin))
+		dst = codec.AppendStr(dst, u.Tuple.Encode())
 		if u.New == nil {
 			dst = append(dst, 0)
 		} else {
-			dst = AppendStr(append(dst, 1), u.New.Encode())
+			dst = codec.AppendStr(append(dst, 1), u.New.Encode())
 		}
 	}
 	return dst
@@ -105,123 +100,23 @@ func appendTxn(dst []byte, x *core.Transaction) []byte {
 func appendIDs(dst []byte, ids []core.TxnID) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ids)))
 	for _, id := range ids {
-		dst = AppendStr(dst, string(id.Origin))
+		dst = codec.AppendStr(dst, string(id.Origin))
 		dst = binary.AppendUvarint(dst, id.Seq)
 	}
 	return dst
 }
 
-// Reader walks bytes written by this package's codecs and by the remote
-// wire bodies, which share it. The first failure sticks: every later read
-// returns a zero value, so decoders check the error once per loop, and End
-// reports it.
-type Reader struct {
-	b   []byte
-	err error
-}
-
-// NewReader returns a Reader over b.
-func NewReader(b []byte) Reader { return Reader{b: b} }
-
-func (r *Reader) Uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.err = fmt.Errorf("store: truncated payload")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *Reader) Varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.err = fmt.Errorf("store: truncated payload")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// Str reads what AppendStr wrote.
-func (r *Reader) Str() string {
-	n := r.Uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if uint64(len(r.b)) < n {
-		r.err = fmt.Errorf("store: truncated payload string")
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-func (r *Reader) Byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) == 0 {
-		r.err = fmt.Errorf("store: truncated payload")
-		return 0
-	}
-	c := r.b[0]
-	r.b = r.b[1:]
-	return c
-}
-
-// Flag reads a presence byte, which is 0 or 1.
-func (r *Reader) Flag() bool {
-	c := r.Byte()
-	if c > 1 && r.err == nil {
-		r.err = fmt.Errorf("store: presence byte %d", c)
-	}
-	return c == 1
-}
-
-// Count reads an element count and checks it against the bytes that
-// remain (every element costs at least one), so a corrupt varint yields a
-// decode error, not a giant allocation.
-func (r *Reader) Count() int {
-	n := r.Uvarint()
-	if r.err == nil && n > uint64(len(r.b)) {
-		r.err = fmt.Errorf("store: count %d exceeds the %d bytes left", n, len(r.b))
-	}
-	if r.err != nil {
-		return 0
-	}
-	return int(n)
-}
-
-// Rest takes every remaining byte, for a body that ends in bytes another
-// codec owns: nil when none are left (as gob gave an empty slice back) or
-// after a failure.
-func (r *Reader) Rest() []byte {
-	b := r.b
-	r.b = nil
-	if len(b) == 0 || r.err != nil {
-		return nil
-	}
-	return b
-}
-
-func (r *Reader) tuple() core.Tuple {
+// readTuple reads a tuple encoding appendTxn or AppendSnapshot wrote.
+func readTuple(r *codec.Reader) core.Tuple {
 	t, err := core.DecodeTuple(r.Str())
-	if err != nil && r.err == nil {
-		r.err = err
+	if err != nil {
+		r.Fail(err)
 	}
 	return t
 }
 
-// txn reads what appendTxn wrote.
-func (r *Reader) txn() *core.Transaction {
+// readTxn reads what appendTxn wrote.
+func readTxn(r *codec.Reader) *core.Transaction {
 	x := &core.Transaction{}
 	x.ID.Origin = core.PeerID(r.Str())
 	x.ID.Seq = r.Uvarint()
@@ -229,19 +124,19 @@ func (r *Reader) txn() *core.Transaction {
 	x.Order = r.Uvarint()
 	if n := r.Count(); n > 0 {
 		x.Updates = make([]core.Update, 0, n)
-		for j := 0; j < n && r.err == nil; j++ {
-			u := core.Update{Op: core.Op(r.Byte())}
-			u.Rel = r.Str()
-			u.Origin = core.PeerID(r.Str())
+		for j := 0; j < n && r.Err() == nil; j++ {
+			u := core.Update{Op: core.Op(r.Byte()), Rel: r.Str(), Origin: core.PeerID(r.Str())}
 			tuple, newt := r.Str(), ""
 			hasNew := r.Flag()
 			if hasNew {
 				newt = r.Str()
 			}
-			if r.err == nil {
+			if r.Err() == nil {
 				// The strings read are the tuples' canonical encodings:
 				// the update keeps them as its encoding cache.
-				r.err = u.DecodeTuples(tuple, newt, hasNew)
+				if err := u.DecodeTuples(tuple, newt, hasNew); err != nil {
+					r.Fail(err)
+				}
 			}
 			x.Updates = append(x.Updates, u)
 		}
@@ -249,49 +144,40 @@ func (r *Reader) txn() *core.Transaction {
 	return x
 }
 
-func (r *Reader) ids() []core.TxnID {
+// readIDs reads what appendIDs wrote.
+func readIDs(r *codec.Reader) []core.TxnID {
 	n := r.Count()
 	if n == 0 {
 		return nil
 	}
 	out := make([]core.TxnID, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		id := core.TxnID{Origin: core.PeerID(r.Str())}
-		id.Seq = r.Uvarint()
-		out = append(out, id)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		out = append(out, core.TxnID{Origin: core.PeerID(r.Str()), Seq: r.Uvarint()})
 	}
 	return out
 }
 
-// End reports the reader's first error, or trailing bytes as one.
-func (r *Reader) End() error {
-	if r.err == nil && len(r.b) != 0 {
-		r.err = fmt.Errorf("store: %d trailing bytes after payload", len(r.b))
-	}
-	return r.err
-}
-
 // DecodePublishedTxns decodes a payload produced by AppendPublishedTxns.
 func DecodePublishedTxns(payload []byte) ([]PublishedTxn, error) {
-	r := NewReader(payload)
-	if v := r.Byte(); r.err == nil && v != payloadVersion {
-		return nil, fmt.Errorf("store: payload version %d, want %d (pre-codec gob payloads have no migration path)", v, payloadVersion)
+	r := codec.NewReader(payload)
+	if v := r.Byte(); r.Err() == nil && v != payloadVersion {
+		return nil, fmt.Errorf("store: payload version %d, want %d (no migration path across payload versions)", v, payloadVersion)
 	}
 	n := r.Count()
 	out := make([]PublishedTxn, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		x := r.txn()
-		out = append(out, PublishedTxn{Txn: x, Antecedents: r.ids()})
+	for i := 0; i < n && r.Err() == nil; i++ {
+		x := readTxn(&r)
+		out = append(out, PublishedTxn{Txn: x, Antecedents: readIDs(&r)})
 	}
 	if err := r.End(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: publish payload: %w", err)
 	}
 	return out, nil
 }
 
 // DecodeReconciliation decodes a payload produced by AppendReconciliation.
 func DecodeReconciliation(payload []byte) (*Reconciliation, error) {
-	r := NewReader(payload)
+	r := codec.NewReader(payload)
 	rec := &Reconciliation{
 		Recno:     int(r.Varint()),
 		FromEpoch: core.Epoch(r.Uvarint()),
@@ -299,16 +185,16 @@ func DecodeReconciliation(payload []byte) (*Reconciliation, error) {
 	}
 	if n := r.Count(); n > 0 {
 		rec.Candidates = make([]*core.Candidate, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
+		for i := 0; i < n && r.Err() == nil; i++ {
 			c := &core.Candidate{}
 			if r.Flag() {
-				c.Txn = r.txn()
+				c.Txn = readTxn(&r)
 			}
 			c.Priority = int(r.Varint())
 			if ne := r.Count(); ne > 0 {
 				c.Ext = make([]*core.Transaction, 0, ne)
-				for j := 0; j < ne && r.err == nil; j++ {
-					c.Ext = append(c.Ext, r.txn())
+				for j := 0; j < ne && r.Err() == nil; j++ {
+					c.Ext = append(c.Ext, readTxn(&r))
 				}
 			}
 			rec.Candidates = append(rec.Candidates, c)
@@ -322,14 +208,14 @@ func DecodeReconciliation(payload []byte) (*Reconciliation, error) {
 
 // DecodeDecisionBatches decodes a payload produced by AppendDecisionBatches.
 func DecodeDecisionBatches(payload []byte) ([]DecisionBatch, error) {
-	r := NewReader(payload)
+	r := codec.NewReader(payload)
 	var out []DecisionBatch
 	if n := r.Count(); n > 0 {
 		out = make([]DecisionBatch, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
+		for i := 0; i < n && r.Err() == nil; i++ {
 			b := DecisionBatch{Peer: core.PeerID(r.Str()), Recno: int(r.Varint())}
-			b.Accepted = r.ids()
-			b.Rejected = r.ids()
+			b.Accepted = readIDs(&r)
+			b.Rejected = readIDs(&r)
 			out = append(out, b)
 		}
 	}

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"reflect"
+	"bytes"
 	"testing"
 
 	"orchestra/internal/core"
@@ -24,14 +24,60 @@ func fuzzSeedBatch() []PublishedTxn {
 	}
 }
 
+// reencodes reports whether encode, which re-encodes what data decoded to,
+// gives back data byte for byte. us are the decoded value's updates in
+// encoding order. It names the one input with a second encoding: an update
+// whose New is present but empty decodes to a nil New, as gob delivered it,
+// and a nil New encodes as absent. The writer writes the present form for
+// a New of core.Tuple{}, so the reader cannot refuse it; reencodes gives
+// each nil New back its empty tuple, last to first, where that makes more
+// of data's tail match.
+func reencodes(data []byte, us []*core.Update, encode func() []byte) bool {
+	tail := func() int {
+		a, n := encode(), 0
+		for n < len(a) && n < len(data) && a[len(a)-1-n] == data[len(data)-1-n] {
+			n++
+		}
+		return n
+	}
+	for i := len(us) - 1; i >= 0; i-- {
+		if u := us[i]; u.New == nil {
+			before := tail()
+			if u.New = (core.Tuple{}); tail() <= before {
+				u.New = nil
+			}
+		}
+	}
+	return bytes.Equal(encode(), data)
+}
+
+// updatesOf lists the updates of txns in encoding order.
+func updatesOf(txns ...*core.Transaction) []*core.Update {
+	var us []*core.Update
+	for _, x := range txns {
+		for j := range x.Updates {
+			us = append(us, &x.Updates[j])
+		}
+	}
+	return us
+}
+
+func publishedUpdates(batch []PublishedTxn) []*core.Update {
+	var txns []*core.Transaction
+	for _, p := range batch {
+		txns = append(txns, p.Txn)
+	}
+	return updatesOf(txns...)
+}
+
 // FuzzDecodePublishedTxns feeds arbitrary bytes — including random
 // mutations of valid payloads, via the seed corpus — to the publish-batch
 // decoder. The decoder must never panic and never "silently decode":
-// anything it accepts must be a canonical batch, i.e. re-encoding the
-// decoded value and decoding again reproduces it exactly. (A corrupt
+// anything it accepts must be canonical, re-encoding to exactly the bytes
+// it was decoded from (see reencodes for the one exception). A corrupt
 // payload that happens to parse is indistinguishable from a valid one by
-// construction; the canonical round-trip is the strongest property a
-// length-prefixed format can promise.)
+// construction; byte-exact re-encoding is the strongest property a
+// length-prefixed format can promise.
 func FuzzDecodePublishedTxns(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0}) // valid empty batch
@@ -43,13 +89,8 @@ func FuzzDecodePublishedTxns(f *testing.F) {
 		if err != nil {
 			return // rejected: fine, as long as it didn't panic
 		}
-		re := AppendPublishedTxns(nil, txns)
-		again, err := DecodePublishedTxns(re)
-		if err != nil {
-			t.Fatalf("re-encoded batch failed to decode: %v\ninput: %x", err, data)
-		}
-		if !reflect.DeepEqual(txns, again) {
-			t.Fatalf("decode not canonical:\nfirst:  %#v\nsecond: %#v\ninput: %x", txns, again, data)
+		if !reencodes(data, publishedUpdates(txns), func() []byte { return AppendPublishedTxns(nil, txns) }) {
+			t.Fatalf("decode not canonical: %x re-encodes to %x", data, AppendPublishedTxns(nil, txns))
 		}
 	})
 }
@@ -64,9 +105,21 @@ func fuzzSeedReconciliation() *Reconciliation {
 	}}
 }
 
+// reconciliationUpdates lists rec's updates in encoding order.
+func reconciliationUpdates(rec *Reconciliation) []*core.Update {
+	var txns []*core.Transaction
+	for _, c := range rec.Candidates {
+		if c.Txn != nil {
+			txns = append(txns, c.Txn)
+		}
+		txns = append(txns, c.Ext...)
+	}
+	return updatesOf(txns...)
+}
+
 // FuzzDecodeReconciliation holds DecodeReconciliation to the contract of
 // FuzzDecodePublishedTxns: never panic, and anything accepted re-encodes to
-// a payload that decodes to the same value.
+// its own bytes.
 func FuzzDecodeReconciliation(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendReconciliation(nil, &Reconciliation{}))
@@ -76,12 +129,8 @@ func FuzzDecodeReconciliation(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := DecodeReconciliation(AppendReconciliation(nil, rec))
-		if err != nil {
-			t.Fatalf("re-encoded reconciliation failed to decode: %v\ninput: %x", err, data)
-		}
-		if !reflect.DeepEqual(rec, again) {
-			t.Fatalf("decode not canonical:\nfirst:  %#v\nsecond: %#v\ninput: %x", rec, again, data)
+		if !reencodes(data, reconciliationUpdates(rec), func() []byte { return AppendReconciliation(nil, rec) }) {
+			t.Fatalf("decode not canonical: %x re-encodes to %x", data, AppendReconciliation(nil, rec))
 		}
 	})
 }

@@ -95,3 +95,37 @@ func TestPublishedTxnsGolden(t *testing.T) {
 		t.Errorf("publish payload moved:\n got %s\nwant %s", got, want)
 	}
 }
+
+// TestEmptyNewHasTwoEncodings pins the one input the codec reads two ways,
+// and the check the fuzz targets name it with. A New that is present but
+// empty, which the writer writes for core.Tuple{}, decodes to nil, as gob
+// delivered it, and re-encodes as absent, one byte shorter. reencodes
+// restores exactly the updates the input wrote that way — not an absent
+// New beside them — and still refuses any other difference.
+func TestEmptyNewHasTwoEncodings(t *testing.T) {
+	x := core.NewTransaction(core.TxnID{Origin: "pa", Seq: 1},
+		core.Insert("F", core.Strs("rat"), "pa"),
+		core.Modify("F", core.Strs("rat"), core.Tuple{}, "pa"),
+		core.Delete("F", core.Strs("rat"), "pa"))
+	data := AppendPublishedTxns(nil, []PublishedTxn{{Txn: x}})
+	txns, err := DecodePublishedTxns(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	us := publishedUpdates(txns)
+	encode := func() []byte { return AppendPublishedTxns(nil, txns) }
+	if us[1].New != nil || len(encode()) != len(data)-1 {
+		t.Fatalf("present but empty New decoded to %#v and re-encodes to %d bytes (input %d)", us[1].New, len(encode()), len(data))
+	}
+	if !reencodes(data, us, encode) {
+		t.Fatal("reencodes refused the named exception")
+	}
+	if us[0].New != nil || us[1].New == nil || us[2].New != nil {
+		t.Errorf("reencodes restored News %v, %v, %v; want only the second", us[0].New, us[1].New, us[2].New)
+	}
+	// The same value under a padded origin length: not the exception.
+	padded := append([]byte{payloadVersion, 1, 0x82, 0x00}, data[3:]...)
+	if reencodes(padded, us, encode) {
+		t.Error("reencodes accepted a padded varint")
+	}
+}

@@ -1,11 +1,11 @@
 package remote
 
 import (
-	"cmp"
 	"encoding/binary"
-	"slices"
-	"strings"
+	"errors"
+	"sort"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/core"
 	"orchestra/internal/store"
 )
@@ -14,10 +14,11 @@ import (
 // implements wireBody, and serve and call accept no other, so a body
 // without a codec does not compile. A body carries no version byte of its
 // own: the rpc envelope's protocol version covers it. Strings are a
-// uvarint length and the bytes (store.AppendStr), epochs a uvarint of their
-// bits, signed integers a zigzag varint. Readers are the store codecs'
-// store.Reader: every length and count is checked against the bytes that
-// remain, and trailing bytes are an error. A body that ends
+// uvarint length and the bytes (codec.AppendStr), epochs a uvarint of their
+// bits, signed integers a zigzag varint. Readers are codec.Reader: every
+// length and count is checked against the bytes that remain, varints must
+// be minimal, and trailing bytes are an error, so a body that decodes
+// re-encodes to itself. A body that ends
 // in bytes another codec owns (a publish payload, a snapshot, a
 // Reconciliation, a decision batch slice) carries them as its rest, with
 // no length prefix.
@@ -41,78 +42,75 @@ type wireBody[T any] interface {
 }
 
 func (a *registerArgs) appendWire(dst []byte) []byte {
-	return store.AppendStr(store.AppendStr(dst, string(a.Peer)), a.Policy)
+	return codec.AppendStr(codec.AppendStr(dst, string(a.Peer)), a.Policy)
 }
 
 func (a *registerArgs) readWire(b []byte) error {
-	r := store.NewReader(b)
+	r := codec.NewReader(b)
 	a.Peer, a.Policy = core.PeerID(r.Str()), r.Str()
 	return r.End()
 }
 
 func (a *publishArgs) appendWire(dst []byte) []byte {
-	dst = store.AppendStr(store.AppendStr(dst, string(a.Peer)), string(a.Key))
+	dst = codec.AppendStr(codec.AppendStr(dst, string(a.Peer)), string(a.Key))
 	return append(dst, a.Payload...)
 }
 
 func (a *publishArgs) readWire(b []byte) error {
-	r := store.NewReader(b)
+	r := codec.NewReader(b)
 	a.Peer, a.Key = core.PeerID(r.Str()), store.IdempotencyKey(r.Str())
 	a.Payload = r.Rest()
 	return r.End()
 }
 
 func (a *peerArgs) appendWire(dst []byte) []byte {
-	return store.AppendStr(store.AppendStr(dst, string(a.Peer)), string(a.Key))
+	return codec.AppendStr(codec.AppendStr(dst, string(a.Peer)), string(a.Key))
 }
 
 func (a *peerArgs) readWire(b []byte) error {
-	r := store.NewReader(b)
+	r := codec.NewReader(b)
 	a.Peer, a.Key = core.PeerID(r.Str()), store.IdempotencyKey(r.Str())
 	return r.End()
 }
 
 func (a *decideBatchArgs) appendWire(dst []byte) []byte {
-	return store.AppendDecisionBatches(store.AppendStr(dst, string(a.Key)), a.Batches)
+	return store.AppendDecisionBatches(codec.AppendStr(dst, string(a.Key)), a.Batches)
 }
 
 func (a *decideBatchArgs) readWire(b []byte) error {
-	r := store.NewReader(b)
+	r := codec.NewReader(b)
 	a.Key = store.IdempotencyKey(r.Str())
-	rest := r.Rest()
-	if err := r.End(); err != nil {
-		return err
-	}
+	// A torn key leaves no rest, which the batch decoder refuses.
 	var err error
-	a.Batches, err = store.DecodeDecisionBatches(rest)
+	a.Batches, err = store.DecodeDecisionBatches(r.Rest())
 	return err
 }
 
-func (a *takeSnapshotArgs) appendWire(dst []byte) []byte { return store.AppendStr(dst, string(a.Key)) }
+func (a *takeSnapshotArgs) appendWire(dst []byte) []byte { return codec.AppendStr(dst, string(a.Key)) }
 
 func (a *takeSnapshotArgs) readWire(b []byte) error {
-	r := store.NewReader(b)
+	r := codec.NewReader(b)
 	a.Key = store.IdempotencyKey(r.Str())
 	return r.End()
 }
 
 func (a *replayFromArgs) appendWire(dst []byte) []byte {
-	dst = binary.AppendUvarint(store.AppendStr(dst, string(a.Peer)), uint64(a.From))
+	dst = binary.AppendUvarint(codec.AppendStr(dst, string(a.Peer)), uint64(a.From))
 	return binary.AppendVarint(dst, a.AfterSeq)
 }
 
 func (a *replayFromArgs) readWire(b []byte) error {
-	r := store.NewReader(b)
+	r := codec.NewReader(b)
 	a.Peer, a.From, a.AfterSeq = core.PeerID(r.Str()), core.Epoch(r.Uvarint()), r.Varint()
 	return r.End()
 }
 
 func (a *compactArgs) appendWire(dst []byte) []byte {
-	return store.AppendStr(binary.AppendUvarint(dst, uint64(a.Epoch)), string(a.Key))
+	return codec.AppendStr(binary.AppendUvarint(dst, uint64(a.Epoch)), string(a.Key))
 }
 
 func (a *compactArgs) readWire(b []byte) error {
-	r := store.NewReader(b)
+	r := codec.NewReader(b)
 	a.Epoch, a.Key = core.Epoch(r.Uvarint()), store.IdempotencyKey(r.Str())
 	return r.End()
 }
@@ -122,7 +120,7 @@ func (a *watchArgs) appendWire(dst []byte) []byte {
 }
 
 func (a *watchArgs) readWire(b []byte) error {
-	r := store.NewReader(b)
+	r := codec.NewReader(b)
 	a.From, a.WaitNanos = core.Epoch(r.Uvarint()), r.Varint()
 	return r.End()
 }
@@ -130,14 +128,14 @@ func (a *watchArgs) readWire(b []byte) error {
 func (*none) appendWire(dst []byte) []byte { return dst }
 
 func (*none) readWire(b []byte) error {
-	r := store.NewReader(b)
+	r := codec.NewReader(b)
 	return r.End()
 }
 
 func (a *epochReply) appendWire(dst []byte) []byte { return binary.AppendUvarint(dst, uint64(a.Epoch)) }
 
 func (a *epochReply) readWire(b []byte) error {
-	r := store.NewReader(b)
+	r := codec.NewReader(b)
 	a.Epoch = core.Epoch(r.Uvarint())
 	return r.End()
 }
@@ -145,15 +143,15 @@ func (a *epochReply) readWire(b []byte) error {
 func (a *recnoReply) appendWire(dst []byte) []byte { return binary.AppendVarint(dst, int64(a.Recno)) }
 
 func (a *recnoReply) readWire(b []byte) error {
-	r := store.NewReader(b)
+	r := codec.NewReader(b)
 	a.Recno = int(r.Varint())
 	return r.End()
 }
 
-func (a *effTrustReply) appendWire(dst []byte) []byte { return store.AppendStr(dst, a.Policy) }
+func (a *effTrustReply) appendWire(dst []byte) []byte { return codec.AppendStr(dst, a.Policy) }
 
 func (a *effTrustReply) readWire(b []byte) error {
-	r := store.NewReader(b)
+	r := codec.NewReader(b)
 	a.Policy = r.Str()
 	return r.End()
 }
@@ -161,7 +159,9 @@ func (a *effTrustReply) readWire(b []byte) error {
 // appendWire writes the decisions sorted by TxnID, so the encoding is
 // deterministic, then the log as the rest. A presence byte before the
 // count tells a nil map from an empty one: gob delivered an empty map as
-// empty, not nil, and the decoder keeps that.
+// empty, not nil, and the decoder keeps that. The decoder refuses ids out
+// of TxnID.Less order, a repeated one among them, so a decision map has
+// one encoding.
 func (a *replayReply) appendWire(dst []byte) []byte {
 	if a.Decisions == nil {
 		return append(append(dst, 0), a.Log...)
@@ -170,26 +170,30 @@ func (a *replayReply) appendWire(dst []byte) []byte {
 	for id := range a.Decisions {
 		ids = append(ids, id)
 	}
-	slices.SortFunc(ids, func(x, y core.TxnID) int {
-		return cmp.Or(strings.Compare(string(x.Origin), string(y.Origin)), cmp.Compare(x.Seq, y.Seq))
-	})
+	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
 	dst = binary.AppendUvarint(append(dst, 1), uint64(len(ids)))
 	for _, id := range ids {
 		d := a.Decisions[id]
-		dst = binary.AppendUvarint(store.AppendStr(dst, string(id.Origin)), id.Seq)
+		dst = binary.AppendUvarint(codec.AppendStr(dst, string(id.Origin)), id.Seq)
 		dst = binary.AppendVarint(append(dst, byte(d.Decision)), d.Seq)
 	}
 	return append(dst, a.Log...)
 }
 
+var errUnsortedDecisions = errors.New("remote: replay decisions out of TxnID order")
+
 func (a *replayReply) readWire(b []byte) error {
-	r := store.NewReader(b)
+	r := codec.NewReader(b)
 	if r.Flag() {
 		n := r.Count()
 		a.Decisions = make(map[core.TxnID]core.RestoredDecision, n)
-		for range n {
+		var last core.TxnID
+		for i := range n {
 			id := core.TxnID{Origin: core.PeerID(r.Str()), Seq: r.Uvarint()}
-			a.Decisions[id] = core.RestoredDecision{Decision: core.Decision(r.Byte()), Seq: r.Varint()}
+			if i > 0 && !last.Less(id) {
+				r.Fail(errUnsortedDecisions)
+			}
+			a.Decisions[id], last = core.RestoredDecision{Decision: core.Decision(r.Byte()), Seq: r.Varint()}, id
 		}
 	}
 	a.Log = r.Rest()
@@ -199,7 +203,7 @@ func (a *replayReply) readWire(b []byte) error {
 func (a *snapshotReply) appendWire(dst []byte) []byte { return append(dst, a.Snapshot...) }
 
 func (a *snapshotReply) readWire(b []byte) error {
-	r := store.NewReader(b)
+	r := codec.NewReader(b)
 	a.Snapshot = r.Rest()
 	return r.End()
 }
@@ -207,7 +211,7 @@ func (a *snapshotReply) readWire(b []byte) error {
 func (a *watchReply) appendWire(dst []byte) []byte { return binary.AppendUvarint(dst, uint64(a.To)) }
 
 func (a *watchReply) readWire(b []byte) error {
-	r := store.NewReader(b)
+	r := codec.NewReader(b)
 	a.To = core.Epoch(r.Uvarint())
 	return r.End()
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/core"
 )
 
@@ -28,23 +29,23 @@ func AppendSnapshot(dst []byte, snap *Snapshot) []byte {
 		dst = binary.AppendUvarint(dst, uint64(ps.Recno))
 		dst = binary.AppendUvarint(dst, uint64(ps.DecisionSeq))
 		eng := &ps.Engine
-		dst = AppendStr(dst, string(eng.Peer))
+		dst = codec.AppendStr(dst, string(eng.Peer))
 		dst = binary.AppendUvarint(dst, eng.NextSeq)
 		dst = appendIDs(dst, eng.Applied)
 		dst = appendIDs(dst, eng.Rejected)
 		dst = binary.AppendUvarint(dst, uint64(len(eng.Relations)))
 		for _, rs := range eng.Relations {
-			dst = AppendStr(dst, rs.Name)
+			dst = codec.AppendStr(dst, rs.Name)
 			dst = binary.AppendUvarint(dst, uint64(len(rs.Tuples)))
 			for _, t := range rs.Tuples {
-				dst = AppendStr(dst, t.Encode())
+				dst = codec.AppendStr(dst, t.Encode())
 			}
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(eng.Producers)))
 		for _, p := range eng.Producers {
-			dst = AppendStr(dst, p.Rel)
-			dst = AppendStr(dst, p.Tuple.Encode())
-			dst = AppendStr(dst, string(p.Txn.Origin))
+			dst = codec.AppendStr(dst, p.Rel)
+			dst = codec.AppendStr(dst, p.Tuple.Encode())
+			dst = codec.AppendStr(dst, string(p.Txn.Origin))
 			dst = binary.AppendUvarint(dst, p.Txn.Seq)
 		}
 	}
@@ -55,14 +56,14 @@ func AppendSnapshot(dst []byte, snap *Snapshot) []byte {
 
 // DecodeSnapshot decodes a payload produced by AppendSnapshot.
 func DecodeSnapshot(payload []byte) (*Snapshot, error) {
-	r := NewReader(payload)
-	if v := r.Byte(); r.err == nil && v != snapshotVersion {
+	r := codec.NewReader(payload)
+	if v := r.Byte(); r.Err() == nil && v != snapshotVersion {
 		return nil, fmt.Errorf("store: snapshot version %d, want %d (no migration path across snapshot codec versions)", v, snapshotVersion)
 	}
 	snap := &Snapshot{Epoch: core.Epoch(r.Uvarint())}
 	np := r.Count()
 	snap.Peers = make([]PeerSnapshot, 0, np)
-	for i := 0; i < np && r.err == nil; i++ {
+	for i := 0; i < np && r.Err() == nil; i++ {
 		ps := PeerSnapshot{
 			LastEpoch:   core.Epoch(r.Uvarint()),
 			Recno:       int(r.Uvarint()),
@@ -71,16 +72,16 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 		eng := &ps.Engine
 		eng.Peer = core.PeerID(r.Str())
 		eng.NextSeq = r.Uvarint()
-		eng.Applied = r.ids()
-		eng.Rejected = r.ids()
+		eng.Applied = readIDs(&r)
+		eng.Rejected = readIDs(&r)
 		if nr := r.Count(); nr > 0 {
 			eng.Relations = make([]core.RelationSnapshot, 0, nr)
-			for j := 0; j < nr && r.err == nil; j++ {
+			for j := 0; j < nr && r.Err() == nil; j++ {
 				rs := core.RelationSnapshot{Name: r.Str()}
 				if nt := r.Count(); nt > 0 {
 					rs.Tuples = make([]core.Tuple, 0, nt)
-					for k := 0; k < nt && r.err == nil; k++ {
-						rs.Tuples = append(rs.Tuples, r.tuple())
+					for k := 0; k < nt && r.Err() == nil; k++ {
+						rs.Tuples = append(rs.Tuples, readTuple(&r))
 					}
 				}
 				eng.Relations = append(eng.Relations, rs)
@@ -88,8 +89,8 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 		}
 		if npr := r.Count(); npr > 0 {
 			eng.Producers = make([]core.ProducerSnapshot, 0, npr)
-			for j := 0; j < npr && r.err == nil; j++ {
-				p := core.ProducerSnapshot{Rel: r.Str(), Tuple: r.tuple()}
+			for j := 0; j < npr && r.Err() == nil; j++ {
+				p := core.ProducerSnapshot{Rel: r.Str(), Tuple: readTuple(&r)}
 				p.Txn.Origin = core.PeerID(r.Str())
 				p.Txn.Seq = r.Uvarint()
 				eng.Producers = append(eng.Producers, p)
@@ -97,11 +98,13 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 		}
 		snap.Peers = append(snap.Peers, ps)
 	}
-	blob := r.Str()
+	// The residue aliases payload, which is safe: DecodePublishedTxns
+	// copies every string it keeps.
+	blob := r.Bytes()
 	if err := r.End(); err != nil {
 		return nil, err
 	}
-	residue, err := DecodePublishedTxns([]byte(blob))
+	residue, err := DecodePublishedTxns(blob)
 	if err != nil {
 		return nil, fmt.Errorf("store: snapshot residue: %w", err)
 	}
