@@ -108,18 +108,19 @@ multigroup-smoke:
 	$(GO) test -race -count=1 -run '^TestTenant' ./internal/store/central
 
 # trust-smoke runs the trust-layer contract gates under the race detector
-# (see docs/TRUST.md): the compiled-vs-interpreted differentials (whole-
+# (see docs/TRUST.md): the planned-vs-reference differentials (whole-
 # system reconciliation transcripts across every topology, plus the
 # 1k-peer effective-policy sweep with its mid-stream blast-radius
-# assertions), the policy/graph unit layer, the recompile-counter and
-# restart-persistence cells, and a short parser fuzz budget. make verify
+# assertions), the policy/graph unit layer, the engine's re-pricing cells,
+# the recompile-counter and restart-persistence cells, and a short fuzz
+# budget that parses policies and compares the two evaluators. make verify
 # covers the tests too; running them by name makes a trust regression
 # unmissable in CI.
 trust-smoke:
 	$(GO) test -race -count=1 -run '^TestTrustTopologyDifferential$$|^TestTrustScale|^TestTrustTopologyGenerator$$' .
 	$(GO) test -race -count=1 ./internal/trust
 	$(GO) test -race -count=1 -run '^TestTrust' ./internal/store/central
-	$(GO) test -race -count=1 -run '^TestRefreshTrust|^TestPriorityCache|^TestSetTrustInvalidatesCache$$' ./internal/core
+	$(GO) test -race -count=1 -run '^TestRefreshTrust|^TestSetTrustInvalidatesCache$$' ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzTrustParse$$' -fuzztime 10s ./internal/trust
 
 # storage-smoke runs the storage contract of docs/STORAGE.md by name under

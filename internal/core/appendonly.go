@@ -12,7 +12,6 @@ type AppendOnlyEngine struct {
 	peer   PeerID
 	schema *Schema
 	trust  Trust
-	prio   *PriorityCache
 	inst   *Instance
 	// appliedKeys guards "does not conflict with a transaction published in
 	// an earlier epoch": any earlier transaction that touched a key, applied
@@ -26,7 +25,6 @@ func NewAppendOnlyEngine(peer PeerID, schema *Schema, trust Trust) *AppendOnlyEn
 		peer:   peer,
 		schema: schema,
 		trust:  trust,
-		prio:   NewPriorityCache(trust),
 		inst:   NewInstance(schema),
 		seen:   make(map[tupleKey]Tuple),
 	}
@@ -53,7 +51,7 @@ func (e *AppendOnlyEngine) ReconcileEpoch(batch []*Transaction) []TxnID {
 	}
 	entries := make([]entry, 0, len(ordered))
 	for _, x := range ordered {
-		entries = append(entries, entry{x: x, prio: e.prio.TxnPriority(x)})
+		entries = append(entries, entry{x: x, prio: TxnPriority(e.trust, x)})
 	}
 
 	// Index the batch by inserted key so intra-batch conflict checks only

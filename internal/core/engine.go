@@ -24,10 +24,7 @@ type Engine struct {
 	peer   PeerID
 	schema *Schema
 	trust  Trust
-	// prio memoizes transaction priorities by author set under the current
-	// trust policy; rebuilt whenever the policy changes.
-	prio *PriorityCache
-	inst *Instance
+	inst   *Instance
 
 	applied  TxnSet
 	rejected TxnSet
@@ -71,7 +68,6 @@ func NewEngine(peer PeerID, schema *Schema, trust Trust, opts ...EngineOption) *
 		peer:          peer,
 		schema:        schema,
 		trust:         trust,
-		prio:          NewPriorityCache(trust),
 		inst:          NewInstance(schema),
 		applied:       make(TxnSet),
 		rejected:      make(TxnSet),
@@ -102,27 +98,24 @@ func (e *Engine) Trust() Trust { return e.trust }
 
 // SetTrust replaces the trust policy; it affects future reconciliations
 // only ("once an update has been accepted ... it will not be rolled back").
-// The author-set priority cache is invalidated: a cache outliving its
-// policy would serve priorities from the old mappings.
+// Nothing is priced ahead of time: every later price is computed from the
+// new policy, and the next run reconsiders every deferred candidate.
 func (e *Engine) SetTrust(t Trust) {
 	e.trust = t
-	e.prio = NewPriorityCache(t)
 	e.unsettled = true
 }
 
-// TxnPriority computes pri_i(X) under the engine's current trust policy,
-// served from the author-set priority cache when the policy is
-// origin-only.
-func (e *Engine) TxnPriority(x *Transaction) int { return e.prio.TxnPriority(x) }
+// TxnPriority computes pri_i(X) under the engine's current trust policy.
+func (e *Engine) TxnPriority(x *Transaction) int { return TxnPriority(e.trust, x) }
 
 // RefreshTrust replaces the trust policy mid-stream and re-prices the
 // deferred candidates in place, without replaying history: each carried
-// candidate's priority is recomputed from the new policy (through a fresh
-// author-set cache) so the next reconciliation reconsiders it at its new
-// priority. A candidate whose transaction becomes untrusted drops to
-// priority 0 and falls out of the candidate set at the next run (its
-// dirty marks clear with the normal soft-state rebuild). It returns the
-// number of deferred candidates whose priority changed.
+// candidate's priority is recomputed from the new policy so the next
+// reconciliation reconsiders it at its new priority. A candidate whose
+// transaction becomes untrusted drops to priority 0 and falls out of the
+// candidate set at the next run (its dirty marks clear with the normal
+// soft-state rebuild). It returns the number of deferred candidates whose
+// priority changed.
 //
 // When the peer's policy delegates trust, pass the *effective* (resolved)
 // policy — the engine prices transactions exactly as given, it does not
@@ -131,7 +124,7 @@ func (e *Engine) RefreshTrust(t Trust) int {
 	e.SetTrust(t)
 	changed := 0
 	for _, d := range e.deferredCands {
-		p := e.prio.TxnPriority(d.cand.Txn)
+		p := TxnPriority(e.trust, d.cand.Txn)
 		if p == d.cand.Priority {
 			continue
 		}

@@ -1,10 +1,5 @@
 package core
 
-import (
-	"sort"
-	"strings"
-)
-
 // Trust evaluates a participant's acceptance rules A(p_i): given an update,
 // it returns the highest priority v among the rules (θ, v) whose predicate θ
 // the update satisfies, or 0 if no rule with v > 0 matches (the update is
@@ -14,17 +9,6 @@ type Trust interface {
 	// Priority returns the priority the participant assigns to the update,
 	// 0 meaning untrusted.
 	Priority(u Update) int
-}
-
-// OriginTrust is an optional refinement of Trust for policies whose
-// priorities depend only on an update's origin (the arc labels of
-// Figure 1, with no attribute or operation predicates). Origin-only
-// policies admit transaction-level priority caching keyed by the author
-// set — see PriorityCache.
-type OriginTrust interface {
-	Trust
-	// OriginOnly reports that Priority reads nothing but u.Origin.
-	OriginOnly() bool
 }
 
 // TrustFunc adapts a function to the Trust interface.
@@ -37,7 +21,6 @@ func (f TrustFunc) Priority(u Update) int { return f(u) }
 type constTrust int
 
 func (c constTrust) Priority(Update) int { return int(c) }
-func (constTrust) OriginOnly() bool      { return true }
 
 // TrustAll returns a policy that assigns the same priority to every update;
 // the paper's experiments use TrustAll(1) at every peer.
@@ -47,7 +30,6 @@ func TrustAll(priority int) Trust { return constTrust(priority) }
 type originsTrust map[PeerID]int
 
 func (m originsTrust) Priority(u Update) int { return m[u.Origin] }
-func (originsTrust) OriginOnly() bool        { return true }
 
 // TrustOrigins returns a policy that maps each originating peer to a
 // priority, 0 for unlisted peers — the arc labels of Figure 1.
@@ -64,7 +46,12 @@ func TrustOrigins(prio map[PeerID]int) Trust {
 //   - 0, if any update δ ∈ X is untrusted (no acceptance rule with v > 0
 //     matches δ);
 //   - max over all updates of the matched priority, otherwise.
+//
+// A nil policy trusts nothing.
 func TxnPriority(t Trust, x *Transaction) int {
+	if t == nil {
+		return 0
+	}
 	max := 0
 	for _, u := range x.Updates {
 		v := t.Priority(u)
@@ -76,107 +63,4 @@ func TxnPriority(t Trust, x *Transaction) int {
 		}
 	}
 	return max
-}
-
-// PriorityCache memoizes TxnPriority by the transaction's author set (its
-// distinct update origins). For an origin-only policy (OriginTrust),
-// pri_i(X) is a pure function of that set — 0 if any origin is untrusted,
-// the max origin priority otherwise — so transactions sharing authors
-// share one evaluation instead of walking every update through the
-// policy. For any other policy the cache transparently falls back to
-// TxnPriority.
-//
-// The cache is deliberately tied to one Trust value: replacing the policy
-// means building a new cache (Engine.SetTrust/RefreshTrust and the
-// central store's registration path do exactly that), which is what keeps
-// a mid-stream trust change from serving stale priorities. A
-// PriorityCache is not safe for concurrent use; each owner (an engine
-// goroutine, a store's per-peer shard) keeps its own.
-type PriorityCache struct {
-	t          Trust
-	originOnly bool
-	single     map[PeerID]int // single-author fast path
-	multi      map[string]int // sorted distinct author sets
-}
-
-// NewPriorityCache returns a cache over the policy. A nil policy yields a
-// nil cache (which TxnPriority treats as "no trust": every transaction
-// untrusted).
-func NewPriorityCache(t Trust) *PriorityCache {
-	if t == nil {
-		return nil
-	}
-	c := &PriorityCache{t: t}
-	if ot, ok := t.(OriginTrust); ok && ot.OriginOnly() {
-		c.originOnly = true
-		c.single = make(map[PeerID]int)
-	}
-	return c
-}
-
-// Trust returns the policy the cache evaluates.
-func (c *PriorityCache) Trust() Trust {
-	if c == nil {
-		return nil
-	}
-	return c.t
-}
-
-// TxnPriority returns pri_i(X), served from the author-set cache when the
-// policy is origin-only.
-func (c *PriorityCache) TxnPriority(x *Transaction) int {
-	if c == nil {
-		return 0
-	}
-	if !c.originOnly || len(x.Updates) == 0 {
-		return TxnPriority(c.t, x)
-	}
-	first := x.Updates[0].Origin
-	multi := false
-	for i := 1; i < len(x.Updates); i++ {
-		if x.Updates[i].Origin != first {
-			multi = true
-			break
-		}
-	}
-	if !multi {
-		if v, ok := c.single[first]; ok {
-			return v
-		}
-		v := TxnPriority(c.t, x)
-		c.single[first] = v
-		return v
-	}
-	key := authorSetKey(x)
-	if v, ok := c.multi[key]; ok {
-		return v
-	}
-	v := TxnPriority(c.t, x)
-	if c.multi == nil {
-		c.multi = make(map[string]int)
-	}
-	c.multi[key] = v
-	return v
-}
-
-// authorSetKey encodes the transaction's distinct origins, sorted. Only
-// the set matters: per-update priorities are a function of origin, so
-// multiplicity cannot change the min/max.
-func authorSetKey(x *Transaction) string {
-	origins := make([]string, 0, 4)
-	for _, u := range x.Updates {
-		s := string(u.Origin)
-		dup := false
-		for _, e := range origins {
-			if e == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			origins = append(origins, s)
-		}
-	}
-	sort.Strings(origins)
-	return strings.Join(origins, "\x00")
 }

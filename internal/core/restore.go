@@ -30,9 +30,11 @@ type RestoredDecision struct {
 // The instance is the net effect of every accepted transaction's updates in
 // acceptance order (flattened, so superseded intermediate states are
 // skipped exactly as the original reconciliations skipped them). Deferred
-// transactions are not recorded by the store; they are reconsidered
-// automatically by the next reconciliation, which the caller performs after
-// Restore.
+// transactions are not recorded by the store, and a rebuilt peer does not
+// get its deferred set back: the next reconciliation offers only the window
+// after the peer's stored frontier, so the deferred transactions stay
+// undecided until the store re-offers undecided transactions (ROADMAP item
+// 3; docs/RECOVERY.md).
 func (e *Engine) Restore(log []LoggedTxn, decisions map[TxnID]RestoredDecision) error {
 	if len(e.applied) > 0 || e.inst.TotalLen() > 0 {
 		return fmt.Errorf("core: Restore requires a fresh engine")

@@ -83,90 +83,8 @@ func TestRefreshTrustNoHistoryReplay(t *testing.T) {
 	wantTuples(t, q.Instance(), "F", Strs("rat", "p1", "va"))
 }
 
-// countingOriginTrust counts Priority evaluations; origin-only, so the
-// author-set cache may memoize it.
-type countingOriginTrust struct {
-	m     map[PeerID]int
-	calls int
-}
-
-func (c *countingOriginTrust) Priority(u Update) int { c.calls++; return c.m[u.Origin] }
-func (c *countingOriginTrust) OriginOnly() bool      { return true }
-
-// TestPriorityCacheMemoizes: transactions sharing an author set share one
-// policy evaluation; multi-origin sets are keyed by the sorted distinct
-// set; a non-origin-only policy transparently falls back.
-func TestPriorityCacheMemoizes(t *testing.T) {
-	ct := &countingOriginTrust{m: map[PeerID]int{"a": 2, "b": 3}}
-	c := NewPriorityCache(ct)
-
-	x1 := NewTransaction(TxnID{Origin: "a", Seq: 1},
-		Insert("F", Strs("r1", "p", "f"), "a"),
-		Insert("F", Strs("r2", "p", "f"), "a"),
-		Insert("F", Strs("r3", "p", "f"), "a"))
-	if got := c.TxnPriority(x1); got != 2 {
-		t.Fatalf("priority = %d", got)
-	}
-	after := ct.calls
-	x2 := NewTransaction(TxnID{Origin: "a", Seq: 2},
-		Insert("F", Strs("r4", "p", "f"), "a"),
-		Insert("F", Strs("r5", "p", "f"), "a"))
-	if got := c.TxnPriority(x2); got != 2 {
-		t.Fatalf("priority = %d", got)
-	}
-	if ct.calls != after {
-		t.Errorf("same-author txn re-evaluated the policy: %d extra calls", ct.calls-after)
-	}
-
-	// Multi-origin (an antecedent-carrying txn mixes authors; NewTransaction
-	// stamps one origin, so build directly): first evaluation walks the
-	// updates, the repeat — different multiplicity and order — is served
-	// from the sorted-distinct set key.
-	m1 := &Transaction{ID: TxnID{Origin: "a", Seq: 3}, Updates: []Update{
-		Insert("F", Strs("r6", "p", "f"), "a"),
-		Insert("F", Strs("r7", "p", "f"), "b"),
-	}}
-	if got := c.TxnPriority(m1); got != 3 {
-		t.Fatalf("multi priority = %d", got)
-	}
-	after = ct.calls
-	m2 := &Transaction{ID: TxnID{Origin: "b", Seq: 4}, Updates: []Update{
-		Insert("F", Strs("r8", "p", "f"), "b"),
-		Insert("F", Strs("r9", "p", "f"), "b"),
-		Insert("F", Strs("rA", "p", "f"), "a"),
-	}}
-	if got := c.TxnPriority(m2); got != 3 {
-		t.Fatalf("multi priority = %d", got)
-	}
-	if ct.calls != after {
-		t.Errorf("same author set re-evaluated the policy: %d extra calls", ct.calls-after)
-	}
-
-	// Untrusted-origin short circuit still yields 0 through the cache.
-	z := &Transaction{ID: TxnID{Origin: "z", Seq: 5}, Updates: []Update{
-		Insert("F", Strs("rB", "p", "f"), "z"),
-		Insert("F", Strs("rC", "p", "f"), "a"),
-	}}
-	if got := c.TxnPriority(z); got != 0 {
-		t.Fatalf("untrusted priority = %d", got)
-	}
-
-	// Non-origin-only policies bypass the cache: TrustFunc carries no
-	// OriginOnly marker.
-	fallback := NewPriorityCache(TrustFunc(func(u Update) int { return 7 }))
-	x := NewTransaction(TxnID{Origin: "a", Seq: 6}, Insert("F", Strs("rD", "p", "f"), "a"))
-	if got := fallback.TxnPriority(x); got != 7 {
-		t.Fatalf("fallback priority = %d", got)
-	}
-	// Nil cache (nil trust) treats everything as untrusted.
-	var nilCache *PriorityCache
-	if got := nilCache.TxnPriority(x); got != 0 {
-		t.Fatalf("nil cache priority = %d", got)
-	}
-}
-
-// TestSetTrustInvalidatesCache: replacing the policy rebuilds the cache,
-// so stale author-set entries can never serve the new policy's decisions.
+// TestSetTrustInvalidatesCache: replacing the policy takes effect on the
+// next price — nothing priced under the old policy is served after it.
 func TestSetTrustInvalidatesCache(t *testing.T) {
 	s := proteinSchema(t)
 	q := NewEngine("q", s, TrustOrigins(map[PeerID]int{"a": 1}))

@@ -188,4 +188,7 @@ func TestTxnPriority(t *testing.T) {
 	if got := TxnPriority(origins, y); got != 0 {
 		t.Errorf("unlisted origin priority = %d, want 0", got)
 	}
+	if got := TxnPriority(nil, x); got != 0 {
+		t.Errorf("nil trust priority = %d, want 0", got)
+	}
 }

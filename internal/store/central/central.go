@@ -213,7 +213,7 @@ type Store struct {
 	peers   map[core.PeerID]*peerMeta
 
 	// trustGraph resolves registered textual policies' delegations into
-	// each peer's effective, compiled trust. Registration (and recovery)
+	// each peer's effective, planned trust. Registration (and recovery)
 	// feed it; peerMeta.trust always holds the resolved form. Mutations
 	// happen under peersMu, so the affected peers' metas can be updated
 	// atomically with the graph.
@@ -301,12 +301,8 @@ func (em *epochMeta) txnIDs() []core.TxnID {
 type peerMeta struct {
 	// mu serializes this peer's publishes, reconciliations, and decision
 	// recording against each other — and nothing else.
-	mu    sync.Mutex
-	trust core.Trust
-	// prio memoizes transaction priorities by author set under the
-	// peer's current effective trust; rebuilt whenever trust changes.
-	// Guarded by mu like the candidate paths that read it.
-	prio      *core.PriorityCache
+	mu        sync.Mutex
+	trust     core.Trust
 	lastEpoch core.Epoch
 	recno     int
 	// decided holds each decision with its sequence number: the peer's

@@ -20,9 +20,9 @@ import (
 // recovery.
 //
 // The textual form stays the durable format; what registration installs
-// is the policy's *effective* decision program, resolved through the
-// store's trust graph. Delegations must name peers this store already
-// knows. Re-registration recompiles only the affected participants —
+// is the policy's *effective* trust, resolved through the store's trust
+// graph. Delegations must name peers this store already knows.
+// Re-registration re-resolves only the affected participants —
 // those whose delegation closure reaches this peer.
 func (s *Store) RegisterPeer(_ context.Context, peer core.PeerID, t core.Trust) error {
 	s.peersMu.Lock()
@@ -70,7 +70,6 @@ func (s *Store) RegisterPeer(_ context.Context, peer core.PeerID, t core.Trust) 
 		eff := s.trustGraph.Effective(ap)
 		pm.mu.Lock()
 		pm.trust = eff
-		pm.prio = core.NewPriorityCache(eff)
 		pm.mu.Unlock()
 	}
 	s.counters.ObserveTrustRecompiles(len(affected))
@@ -78,7 +77,7 @@ func (s *Store) RegisterPeer(_ context.Context, peer core.PeerID, t core.Trust) 
 }
 
 // EffectiveTrust implements store.TrustResolver: it returns the peer's
-// resolved, compiled trust — its own rules merged with every delegation
+// resolved trust — its own rules merged with every delegation
 // closure member's capped rules.
 func (s *Store) EffectiveTrust(_ context.Context, peer core.PeerID) (core.Trust, error) {
 	s.peersMu.RLock()

@@ -115,7 +115,7 @@ func (s *Store) appendCandidate(out []*core.Candidate, pm *peerMeta, peer core.P
 	if _, decided := pm.decided[x.ID]; decided {
 		return out
 	}
-	prio := pm.prio.TxnPriority(x)
+	prio := core.TxnPriority(pm.trust, x)
 	if prio <= 0 {
 		return out
 	}

@@ -309,9 +309,7 @@ func (s *Store) loadCaches() error {
 			s.trustGraph.Set(peer, p)
 		}
 		for peer := range recoveredTrust {
-			pm := s.peers[peer]
-			pm.trust = s.trustGraph.Effective(peer)
-			pm.prio = core.NewPriorityCache(pm.trust)
+			s.peers[peer].trust = s.trustGraph.Effective(peer)
 		}
 		for k := 0; k < s.tableShards; k++ {
 			if err := tx.Scan(s.decisionsTab[k], func(r reldb.Row) bool {

@@ -172,7 +172,7 @@ type Server struct {
 }
 
 // NewServer wraps the backend; trust policies received from clients are
-// compiled against the schema.
+// parsed and bound to the schema.
 func NewServer(backend store.Store, schema *core.Schema) *Server {
 	s := &Server{backend: backend, schema: schema, mux: rpc.NewMux()}
 	s.mux.Handle(mRegister, serve(s.register))

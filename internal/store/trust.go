@@ -9,7 +9,7 @@ import (
 // TrustResolver is the Backend capability of resolving trust delegations
 // (the central store's trust graph, the remote client by RPC): it reports
 // each peer's *effective* trust — the registered policy with its delegation
-// closure merged in and compiled. Peers use it to keep their local engine
+// closure merged in. Peers use it to keep their local engine
 // pricing candidates exactly as the store does.
 type TrustResolver interface {
 	// EffectiveTrust returns the peer's resolved trust. Unknown peers

@@ -1,7 +1,6 @@
 package trust
 
 import (
-	"strconv"
 	"strings"
 
 	"orchestra/internal/core"
@@ -24,20 +23,14 @@ var (
 
 func strVal(s string) val  { return val{kind: 's', s: s} }
 func numVal(f float64) val { return val{kind: 'f', f: f} }
-func boolVal(b bool) val   { return map[bool]val{true: trueVal, false: falseVal}[b] }
 func (v val) truthy() bool { return v.kind == 'b' && v.b }
 func (v val) isNull() bool { return v.kind == 'n' }
-func (v val) String() string {
-	switch v.kind {
-	case 's':
-		return "'" + v.s + "'"
-	case 'f':
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
-	case 'b':
-		return strconv.FormatBool(v.b)
-	default:
-		return "null"
+
+func boolVal(b bool) val {
+	if b {
+		return trueVal
 	}
+	return falseVal
 }
 
 // equalVal compares for (in)equality; values of different kinds are unequal.
@@ -121,16 +114,15 @@ func coreValueToVal(v core.Value) val {
 	}
 }
 
-// expr is a compiled predicate expression node.
+// expr is a parsed predicate expression node. A rule's predicate is
+// evaluated only by walking its expr tree.
 type expr interface {
 	eval(c *evalCtx) val
-	String() string
 }
 
 type litExpr struct{ v val }
 
 func (e *litExpr) eval(*evalCtx) val { return e.v }
-func (e *litExpr) String() string    { return e.v.String() }
 
 // fieldKind selects a built-in field of the update.
 type fieldKind uint8
@@ -162,17 +154,6 @@ func (e *fieldExpr) eval(c *evalCtx) val {
 	}
 }
 
-func (e *fieldExpr) String() string {
-	switch e.f {
-	case fieldOrigin:
-		return "origin"
-	case fieldRel:
-		return "rel"
-	default:
-		return "op"
-	}
-}
-
 // attrExpr reads attr('name') / attr(i) of the current tuple, or
 // newattr(...) of the replacement tuple.
 type attrExpr struct {
@@ -188,17 +169,6 @@ func (e *attrExpr) eval(c *evalCtx) val {
 		t = c.u.New
 	}
 	return c.attr(t, e.name, e.idx, e.byName)
-}
-
-func (e *attrExpr) String() string {
-	fn := "attr"
-	if e.replace {
-		fn = "newattr"
-	}
-	if e.byName {
-		return fn + "('" + e.name + "')"
-	}
-	return fn + "(" + strconv.Itoa(e.idx) + ")"
 }
 
 type cmpExpr struct {
@@ -231,11 +201,6 @@ func (e *cmpExpr) eval(c *evalCtx) val {
 	return falseVal
 }
 
-func (e *cmpExpr) String() string {
-	op := map[tokenKind]string{tokEq: "=", tokNe: "!=", tokLt: "<", tokLe: "<=", tokGt: ">", tokGe: ">="}[e.op]
-	return e.l.String() + " " + op + " " + e.r.String()
-}
-
 type inExpr struct {
 	l    expr
 	opts []val
@@ -249,14 +214,6 @@ func (e *inExpr) eval(c *evalCtx) val {
 		}
 	}
 	return falseVal
-}
-
-func (e *inExpr) String() string {
-	parts := make([]string, len(e.opts))
-	for i, o := range e.opts {
-		parts[i] = o.String()
-	}
-	return e.l.String() + " in (" + strings.Join(parts, ", ") + ")"
 }
 
 // likeExpr matches SQL LIKE patterns with % (any run) and _ (any one rune).
@@ -273,12 +230,11 @@ func (e *likeExpr) eval(c *evalCtx) val {
 	return boolVal(likeMatch(e.pattern, lv.s))
 }
 
-func (e *likeExpr) String() string { return e.l.String() + " like '" + e.pattern + "'" }
-
-// likeMatch implements LIKE with memoized recursion over runes.
+// likeMatch implements LIKE over runes: an iterative two-pointer match
+// that, on a mismatch, backtracks to the last '%' and lets it absorb one
+// more rune.
 func likeMatch(pattern, s string) bool {
 	p, str := []rune(pattern), []rune(s)
-	// Iterative two-pointer with backtracking on the last '%'.
 	pi, si := 0, 0
 	star, starSi := -1, 0
 	for si < len(str) {
@@ -306,7 +262,6 @@ func likeMatch(pattern, s string) bool {
 type notExpr struct{ e expr }
 
 func (e *notExpr) eval(c *evalCtx) val { return boolVal(!e.e.eval(c).truthy()) }
-func (e *notExpr) String() string      { return "not " + e.e.String() }
 
 type andExpr struct{ l, r expr }
 
@@ -316,7 +271,6 @@ func (e *andExpr) eval(c *evalCtx) val {
 	}
 	return boolVal(e.r.eval(c).truthy())
 }
-func (e *andExpr) String() string { return "(" + e.l.String() + " and " + e.r.String() + ")" }
 
 type orExpr struct{ l, r expr }
 
@@ -326,4 +280,3 @@ func (e *orExpr) eval(c *evalCtx) val {
 	}
 	return boolVal(e.r.eval(c).truthy())
 }
-func (e *orExpr) String() string { return "(" + e.l.String() + " or " + e.r.String() + ")" }

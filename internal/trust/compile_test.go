@@ -25,7 +25,7 @@ func differentialUpdates() []core.Update {
 	return out
 }
 
-// policyCorpus is the set of policy texts the compiled-vs-interpreted
+// policyCorpus is the set of policy texts the planned-vs-reference
 // differential sweeps: origin dispatch, IN sets, constant folding,
 // attribute predicates by name and index, operation and relation tests,
 // boolean structure, and delegation-free duplicates.
@@ -48,9 +48,9 @@ var policyCorpus = []string{
 }
 
 // TestCompiledMatchesInterpreted is the policy-level differential: for
-// every corpus policy and every update, the compiled decision program and
-// the AST interpreter must return bit-identical priorities — with and
-// without a schema bound.
+// every corpus policy and every update, the planned evaluation and the
+// reference walk over every rule must return bit-identical priorities —
+// with and without a schema bound.
 func TestCompiledMatchesInterpreted(t *testing.T) {
 	s := schema(t)
 	updates := differentialUpdates()
@@ -72,17 +72,17 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 	}
 }
 
-// TestOriginDispatch: pure origin-equality and origin-IN rules compile
+// TestOriginDispatch: pure origin-equality and origin-IN rules lower
 // into the dispatch map, leaving no general rules to scan per decision.
 func TestOriginDispatch(t *testing.T) {
 	p := MustParse("priority 3 when origin = 'a'\npriority 2 when origin in ('b', 'c')")
-	prog := p.compiled()
+	prog := p.planned()
 	if len(prog.rules) != 0 {
 		t.Fatalf("origin rules left %d general rules", len(prog.rules))
 	}
 	want := map[core.PeerID]int{"a": 3, "b": 2, "c": 2}
 	for id, prio := range want {
-		if got := prog.originPrio[id]; got != prio {
+		if got := prog.origins[id]; got != prio {
 			t.Errorf("dispatch[%s] = %d, want %d", id, got, prio)
 		}
 	}
@@ -91,17 +91,17 @@ func TestOriginDispatch(t *testing.T) {
 	}
 }
 
-// TestConstantFolding: leaf-free predicates fold at compile time — an
-// always-true rule becomes the program's constant floor, an always-false
+// TestConstantFolding: leaf-free predicates fold when the plan is built —
+// an always-true rule becomes the plan's constant floor, an always-false
 // rule vanishes.
 func TestConstantFolding(t *testing.T) {
 	p := MustParse("priority 2 when 1 < 2 and 'x' = 'x'\npriority 9 when 1 = 2")
-	prog := p.compiled()
-	if prog.constPrio != 2 {
-		t.Errorf("constPrio = %d, want 2", prog.constPrio)
+	prog := p.planned()
+	if prog.floor != 2 {
+		t.Errorf("floor = %d, want 2", prog.floor)
 	}
-	if len(prog.rules) != 0 || len(prog.originPrio) != 0 {
-		t.Errorf("folded policy kept rules: %d general, %d origin", len(prog.rules), len(prog.originPrio))
+	if len(prog.rules) != 0 || len(prog.origins) != 0 {
+		t.Errorf("folded policy kept rules: %d general, %d origin", len(prog.rules), len(prog.origins))
 	}
 	if got := p.Priority(ins("anyone", "a", "b", "c")); got != 2 {
 		t.Errorf("priority = %d, want 2", got)
@@ -114,13 +114,13 @@ func TestConstantFolding(t *testing.T) {
 func TestCompiledRuleOrdering(t *testing.T) {
 	p := MustParse(
 		"priority 1 when attr(0) = 'a'\npriority 5 when attr(0) = 'b'\npriority 3 when attr(0) = 'c'")
-	prog := p.compiled()
+	prog := p.planned()
 	if len(prog.rules) != 3 {
 		t.Fatalf("rules = %d", len(prog.rules))
 	}
 	for i := 1; i < len(prog.rules); i++ {
-		if prog.rules[i-1].prio < prog.rules[i].prio {
-			t.Fatalf("rules not sorted desc: %d then %d", prog.rules[i-1].prio, prog.rules[i].prio)
+		if prog.rules[i-1].Priority < prog.rules[i].Priority {
+			t.Fatalf("rules not sorted desc: %d then %d", prog.rules[i-1].Priority, prog.rules[i].Priority)
 		}
 	}
 }
@@ -151,48 +151,19 @@ func TestPolicyAddDedup(t *testing.T) {
 	}
 }
 
-// TestOriginOnlyAnalysis: the compiled program reports whether every
-// decision reads only the update's origin — the validity condition for the
-// author-set priority caches.
-func TestOriginOnlyAnalysis(t *testing.T) {
-	cases := []struct {
-		text string
-		want bool
-	}{
-		{"priority 2 when origin = 'a'", true},
-		{"priority 2 when origin in ('a', 'b')", true},
-		{"priority 2 when true", true},
-		{"priority 2 when origin = 'a'\npriority 1 when attr(0) = 'x'", false},
-		{"priority 2 when op = 'ins'", false},
-		{"priority 2 when rel = 'F'", false},
-		{"priority 2 when origin = 'a' and attr('organism') = 'rat'", false},
-	}
-	for _, c := range cases {
-		p := MustParse(c.text).WithSchema(schema(t))
-		if got := p.OriginOnly(); got != c.want {
-			t.Errorf("OriginOnly(%q) = %v, want %v", c.text, got, c.want)
-		}
-	}
-}
-
-// TestInterpretedEscapeHatch: WithInterpreted switches the evaluator and
-// reports it, without changing any decision.
+// TestInterpretedEscapeHatch: WithInterpreted switches the evaluator to
+// the reference walk without changing any decision.
 func TestInterpretedEscapeHatch(t *testing.T) {
 	p := MustParse("priority 2 when origin = 'a'").WithInterpreted()
-	if !p.Interpreted() {
-		t.Fatal("Interpreted() = false after WithInterpreted")
-	}
 	if got := p.Priority(ins("a", "x", "y", "z")); got != 2 {
 		t.Errorf("interpreted priority = %d", got)
 	}
-	if MustParse("priority 1 when true").Interpreted() {
-		t.Error("default policy reports interpreted")
-	}
 }
 
-// TestCompiledConcurrentEval: a compiled policy serves concurrent
-// evaluations (each goroutine gets its own scratch from the pool); run
-// with -race this pins the safety claim.
+// TestCompiledConcurrentEval: a planned policy serves concurrent
+// evaluations (the plan is shared and read-only, each evaluation walks
+// the rules with its own context); run with -race this pins the safety
+// claim.
 func TestCompiledConcurrentEval(t *testing.T) {
 	p := MustParse("priority 3 when attr('organism') = 'rat' and origin in ('a', 'b')\npriority 1 when true").
 		WithSchema(schema(t))

@@ -2,12 +2,16 @@ package trust
 
 import (
 	"testing"
+
+	"orchestra/internal/core"
 )
 
 // FuzzTrustParse: the textual policy format must never panic on arbitrary
 // input, and every accepted policy must satisfy the Parse(p.String())
 // fixpoint — the rendered form re-parses to an identical rendering, so the
-// persisted `trust` table rows always round-trip across recovery.
+// persisted `trust` table rows always round-trip across recovery. An
+// accepted policy's plan must also price every differential update exactly
+// as the reference walk does, with and without a schema bound.
 func FuzzTrustParse(f *testing.F) {
 	seeds := []string{
 		"",
@@ -17,6 +21,7 @@ func FuzzTrustParse(f *testing.F) {
 		"priority 4 when attr('organism') = 'rat' and attr('function') like 'immune%'",
 		"priority 2 when op = 'ins' and rel = 'F'",
 		"priority 5 when not (attr(0) = 'x' or newattr(1) <> 'y')",
+		"priority 3 when attr('organism') < 'sat' or op = 'delete'\npriority 1 when rel = 'G'",
 		"delegate 'pd' priority 3",
 		"priority 2 when origin = 'a'\ndelegate 'b' priority 3\ndelegate 'o''brien' priority 1",
 		"# comment\n-- also comment\n\npriority 1 when 1 < 2",
@@ -43,11 +48,17 @@ func FuzzTrustParse(f *testing.F) {
 		if again := q.String(); again != rendered {
 			t.Fatalf("Parse(String) not a fixpoint:\nfirst:  %q\nsecond: %q\ninput: %q", rendered, again, text)
 		}
-		// An accepted policy must also evaluate without panicking, in both
-		// modes (compilation runs on first use).
-		u := ins("pa", "rat", "prot1", "immune")
-		if c, i := p.Priority(u), q.WithInterpreted().Priority(u); c != i {
-			t.Fatalf("compiled=%d interpreted=%d for %q", c, i, rendered)
+		// Fuzzed attr/op/rel predicates are the general rules the plan
+		// walks; origin and constant rules exercise its dispatch and floor.
+		q.WithInterpreted()
+		for _, bind := range []*core.Schema{nil, schema(t)} {
+			p.WithSchema(bind)
+			q.WithSchema(bind)
+			for j, u := range differentialUpdates() {
+				if c, i := p.Priority(u), q.Priority(u); c != i {
+					t.Fatalf("update %d (schema=%v): planned=%d reference=%d for %q", j, bind != nil, c, i, rendered)
+				}
+			}
 		}
 	})
 }

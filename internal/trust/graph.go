@@ -17,8 +17,8 @@ import (
 // bottleneck priority of the best delegation path (the priority-preserving
 // transitive closure of Gatterbauer & Suciu: cap(B→D) is the maximum over
 // paths of the minimum edge priority, so cycles are harmless — a cycle
-// can never raise a cap). Effective policies are compiled at resolution
-// time.
+// can never raise a cap). Effective policies are lowered to their plans
+// at resolution time.
 //
 // Changing one member's trust (Set) re-resolves only the affected
 // participants — those whose closure can reach the changed member —
@@ -88,7 +88,7 @@ func (g *Graph) Remove(peer core.PeerID) []core.PeerID {
 	return out
 }
 
-// Effective returns the member's resolved, compiled trust, or nil for an
+// Effective returns the member's resolved, planned trust, or nil for an
 // unknown member.
 func (g *Graph) Effective(peer core.PeerID) core.Trust {
 	g.mu.RLock()
@@ -250,7 +250,7 @@ func (g *Graph) closureLocked(src core.PeerID) map[core.PeerID]int {
 	return best
 }
 
-// resolveLocked builds and compiles the member's effective trust: its own
+// resolveLocked builds and plans the member's effective trust: its own
 // rules uncapped, each closure member's direct rules capped at the
 // closure width, and non-textual closure members as dynamic sources. The
 // merge order (own rules, then closure members sorted by ID) and the
@@ -264,7 +264,7 @@ func (g *Graph) resolveLocked(peer core.PeerID) core.Trust {
 	}
 	caps := g.closureLocked(peer)
 	if len(caps) == 0 {
-		pol.compiled() // compile at registration even without delegations
+		pol.planned() // plan at registration even without delegations
 		return pol
 	}
 	eff := NewPolicy()
@@ -319,6 +319,6 @@ func (g *Graph) resolveLocked(peer core.PeerID) core.Trust {
 			eff.dyn = append(eff.dyn, dynSource{t: ct, cap: w})
 		}
 	}
-	eff.compiled() // compile at resolution, not first decision
+	eff.planned() // plan at resolution, not first decision
 	return eff
 }

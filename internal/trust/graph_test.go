@@ -142,6 +142,61 @@ func TestGraphNonTextualDelegate(t *testing.T) {
 	}
 }
 
+// TestGraphNonTextualDelegateDifferential: the dynamic-source loop exists
+// in both the plan and the reference walk. A textual member delegating to
+// a core.TrustOrigins member and a core.TrustFunc member (directly and
+// through a textual intermediary) prices every differential update the
+// same under both evaluators.
+func TestGraphNonTextualDelegateDifferential(t *testing.T) {
+	build := func(interpret bool) *Graph {
+		pol := func(text string) *Policy {
+			p := MustParse(text)
+			if interpret {
+				p.WithInterpreted()
+			}
+			return p
+		}
+		g := NewGraph(schema(t))
+		g.Set("orig", core.TrustOrigins(map[core.PeerID]int{"p1": 5, "vip": 2, "anon": 1}))
+		g.Set("fn", core.TrustFunc(func(u core.Update) int {
+			switch {
+			case u.Op == core.OpDelete:
+				return 4
+			case u.Op == core.OpModify:
+				return 1
+			case u.Rel == "G":
+				return 9
+			}
+			return 0
+		}))
+		g.Set("mid", pol("priority 2 when attr('organism') = 'mouse'\ndelegate 'fn' priority 6"))
+		g.Set("a", pol("priority 3 when origin = 'p2'\npriority 1 when op = 'insert' and rel = 'F'\n"+
+			"delegate 'orig' priority 4\ndelegate 'fn' priority 3\ndelegate 'mid' priority 5"))
+		return g
+	}
+	planned, ref := build(false), build(true)
+	if dyn := planned.Effective("a").(*Policy).planned().dyn; len(dyn) != 2 {
+		t.Fatalf("effective(a) has %d dynamic sources, want 2", len(dyn))
+	}
+	seen := map[int]bool{}
+	for _, peer := range []core.PeerID{"a", "mid"} {
+		for j, u := range differentialUpdates() {
+			p, r := planned.Effective(peer).Priority(u), ref.Effective(peer).Priority(u)
+			if p != r {
+				t.Errorf("effective(%s) update %d: planned=%d reference=%d", peer, j, p, r)
+			}
+			seen[p] = true
+		}
+	}
+	// The row reaches every cap: 0 (untrusted), the textual rules, and both
+	// dynamic sources clipped at their widths.
+	for _, want := range []int{0, 1, 2, 3, 4, 5} {
+		if !seen[want] {
+			t.Errorf("no update priced at %d; the row no longer exercises it", want)
+		}
+	}
+}
+
 // TestGraphUnknownDelegate: delegations to members the graph has never
 // seen contribute nothing (stores refuse them at registration; the graph
 // itself is lenient so recovery can load rows in any order).

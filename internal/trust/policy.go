@@ -10,7 +10,7 @@ import (
 	"orchestra/internal/core"
 )
 
-// Rule is one acceptance rule (θ, v): a compiled predicate and the integer
+// Rule is one acceptance rule (θ, v): a parsed predicate and the integer
 // priority assigned to updates satisfying it.
 type Rule struct {
 	Priority  int
@@ -33,13 +33,14 @@ type Delegation struct {
 // maximum priority among matching rules, or 0 (untrusted) if none match.
 // The zero Policy trusts nothing.
 //
-// Rules are compiled into a flat decision program (program.go) lazily on
-// first evaluation and recompiled after mutation; WithInterpreted keeps
-// the AST-walking interpreter as the reference evaluator for the
-// compiled-vs-interpreted differentials. A compiled Policy is
-// safe for concurrent evaluation, but mutation (Add, AddDelegation,
-// WithSchema) must not race with evaluation. Policies must not be copied
-// after first use.
+// Rules are lowered into a plan (plan.go) — a constant floor, an origin
+// map, and the remaining rules in priority order — lazily on first
+// evaluation and again after mutation. Every predicate is evaluated by
+// walking its parsed tree; WithInterpreted skips the plan and walks every
+// rule in order, the reference for the planned-vs-reference
+// differentials. A Policy is safe for concurrent evaluation, but mutation
+// (Add, AddDelegation, WithSchema) must not race with evaluation.
+// Policies must not be copied after first use.
 type Policy struct {
 	rules  []Rule
 	delegs []Delegation
@@ -47,11 +48,11 @@ type Policy struct {
 	// dyn carries delegated non-textual trust sources; only resolved
 	// policies built by Graph.Effective have them.
 	dyn []dynSource
-	// interpret disables the compiled program (WithInterpreted).
+	// interpret skips the plan (WithInterpreted).
 	interpret bool
-	// prog caches the compiled program; nil after any mutation. Racing
-	// recompiles are harmless: compilation is deterministic.
-	prog atomic.Pointer[program]
+	// lowered caches the plan; nil after any mutation. Racing rebuilds
+	// are harmless: lowering is deterministic.
+	lowered atomic.Pointer[plan]
 }
 
 // NewPolicy returns an empty policy. Bind a schema with WithSchema to
@@ -62,27 +63,22 @@ func NewPolicy() *Policy { return &Policy{} }
 // resolution. The receiver is returned for chaining.
 func (p *Policy) WithSchema(s *core.Schema) *Policy {
 	p.schema = s
-	p.prog.Store(nil)
+	p.lowered.Store(nil)
 	return p
 }
 
 // Schema returns the schema bound by WithSchema, nil if none.
 func (p *Policy) Schema() *core.Schema { return p.schema }
 
-// WithInterpreted returns the policy evaluating through the AST
-// interpreter instead of the compiled decision program: the reference
-// evaluator for the compiled-vs-interpreted differentials; no non-test
-// caller.
+// WithInterpreted returns the policy evaluating every rule in order
+// instead of through its plan: the reference evaluator for the
+// planned-vs-reference differentials; no non-test caller.
 func (p *Policy) WithInterpreted() *Policy {
 	p.interpret = true
 	return p
 }
 
-// Interpreted reports whether the policy evaluates through the
-// interpreter.
-func (p *Policy) Interpreted() bool { return p.interpret }
-
-// Add compiles and appends a rule. Priorities must be positive: priority 0
+// Add parses and appends a rule. Priorities must be positive: priority 0
 // is the implicit "untrusted" default. A rule identical to one already
 // present (same priority, same predicate text) is dropped: duplicates
 // cannot change the max-of-matching semantics and would only inflate
@@ -101,7 +97,7 @@ func (p *Policy) Add(priority int, predicate string) error {
 		}
 	}
 	p.rules = append(p.rules, Rule{Priority: priority, Predicate: predicate, expr: e})
-	p.prog.Store(nil)
+	p.lowered.Store(nil)
 	return nil
 }
 
@@ -160,14 +156,14 @@ func (p *Policy) Delegations() []Delegation {
 // Len returns the number of rules.
 func (p *Policy) Len() int { return len(p.rules) }
 
-// compiled returns the policy's decision program, compiling on first use.
-func (p *Policy) compiled() *program {
-	if pr := p.prog.Load(); pr != nil {
-		return pr
+// planned returns the policy's plan, lowering the rules on first use.
+func (p *Policy) planned() *plan {
+	if pl := p.lowered.Load(); pl != nil {
+		return pl
 	}
-	pr := compileProgram(p.rules, p.dyn, p.schema)
-	p.prog.Store(pr)
-	return pr
+	pl := newPlan(p.rules, p.dyn, p.schema)
+	p.lowered.Store(pl)
+	return pl
 }
 
 // Priority implements core.Trust. Delegations are not evaluated here —
@@ -176,10 +172,11 @@ func (p *Policy) Priority(u core.Update) int {
 	if p.interpret {
 		return p.interpretPriority(u)
 	}
-	return p.compiled().priority(u)
+	return p.planned().priority(u)
 }
 
-// interpretPriority is the reference evaluator: walk every rule's AST.
+// interpretPriority is the reference evaluator: every rule in order, no
+// plan.
 func (p *Policy) interpretPriority(u core.Update) int {
 	best := 0
 	ctx := &evalCtx{u: u, schema: p.schema}
@@ -208,13 +205,6 @@ func (p *Policy) interpretPriority(u core.Update) int {
 	}
 	return best
 }
-
-// OriginOnly implements core.OriginTrust: it reports whether every
-// decision depends only on the update's origin, the validity condition
-// for the engine- and store-side author-set priority caches. The analysis
-// runs on the compiled program regardless of evaluation mode — caching
-// memoizes identical results either way.
-func (p *Policy) OriginOnly() bool { return p.compiled().originOnly }
 
 // String renders the policy in the textual rule format accepted by Parse:
 // rules first, then delegations.

@@ -150,9 +150,6 @@ func TestExpressionOperators(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%q = %v, want %v", c.src, got, c.want)
 		}
-		if e.String() == "" {
-			t.Errorf("%q: empty String()", c.src)
-		}
 	}
 }
 

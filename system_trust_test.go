@@ -18,8 +18,8 @@ import (
 // registered before their delegators re-register. After the first round
 // one peer's policy changes mid-stream, exercising the incremental
 // re-evaluation path under live deferred candidates. With interpreted set,
-// every registered policy evaluates through the AST interpreter instead of
-// the compiled decision program — the store's candidate pricing resolves
+// every registered policy evaluates through the reference walk over every
+// rule instead of its plan — the store's candidate pricing resolves
 // effective policies from what was registered, so the flag flips the
 // evaluator for the whole system.
 func runTrustTopologyScenario(t *testing.T, kind workload.TopologyKind, interpreted bool) (map[string][]roundOutcome, map[PeerID][]string) {
@@ -108,11 +108,11 @@ func runTrustTopologyScenario(t *testing.T, kind workload.TopologyKind, interpre
 }
 
 // TestTrustTopologyDifferential: across every delegation topology, the
-// compiled decision programs and the AST interpreter produce bit-identical
-// reconciliation transcripts — per-round accept/reject/defer decisions and
-// final instances — including across a mid-stream trust change. Run with
-// -race (the tier-1 gate does), this also probes the compiled program's
-// concurrent evaluation under ReconcileAll's fan-out.
+// planned policies and the reference walk over every rule produce
+// bit-identical reconciliation transcripts — per-round accept/reject/defer
+// decisions and final instances — including across a mid-stream trust
+// change. Run with -race (the tier-1 gate does), this also probes a shared
+// plan's concurrent evaluation under ReconcileAll's fan-out.
 func TestTrustTopologyDifferential(t *testing.T) {
 	var accepts, rejects, defers, foreign int
 	for _, kind := range workload.Topologies {

@@ -30,8 +30,8 @@ func scaleTopology(t *testing.T, kind workload.TopologyKind, n int) (*workload.T
 }
 
 // assertCompiledMatchesInterpreted compares, for each sampled participant,
-// the compiled effective policy against a freshly parsed interpreted copy
-// of its own textual rendering, over updates from a spread of origins.
+// the planned effective policy against a freshly parsed reference-walk
+// copy of its own textual rendering, over updates from a spread of origins.
 // This is the pure trust-level differential: no reconciliation, just
 // priorities, at confederation scale.
 func assertCompiledMatchesInterpreted(t *testing.T, tt *workload.TrustTopology, g *trust.Graph, samples, origins []int) {
@@ -59,8 +59,8 @@ func assertCompiledMatchesInterpreted(t *testing.T, tt *workload.TrustTopology, 
 }
 
 // TestTrustScaleDifferential: at 1000 peers per topology, every sampled
-// participant's compiled effective decision program is bit-identical to
-// the interpreter over its own textual rendering — and a mid-stream
+// participant's planned effective policy is bit-identical to the
+// reference walk over its own textual rendering — and a mid-stream
 // mapping change re-resolves only the participants whose closure reaches
 // the changed peer, with the differential still holding afterwards.
 func TestTrustScaleDifferential(t *testing.T) {
