@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify bench-check simfree-check gobfree-check onereader-check fmt-check bench bench-smoke chaos-smoke gateway-smoke multigroup-smoke trust-smoke storage-smoke fuzz-smoke linkcheck clean
+.PHONY: build vet test race verify bench-check simfree-check gobfree-check onereader-check serialcore-check fmt-check bench bench-smoke chaos-smoke gateway-smoke multigroup-smoke trust-smoke storage-smoke fuzz-smoke linkcheck clean
 
 build:
 	$(GO) build ./...
@@ -15,12 +15,13 @@ race:
 	$(GO) test -race ./...
 
 # verify is the tier-1 gate: build + vet + full test suite under the race
-# detector (the serial-vs-parallel differential tests rely on -race to catch
-# worker-pool data races), then the same for the benchmark's module, the
-# guard that production binaries stay simulator-free, the guard that gob
-# stays out of the store and the wire, and the guard that they keep one
-# binary reader.
-verify: build vet race bench-check simfree-check gobfree-check onereader-check
+# detector (the ReconcileAll, streaming and store tests rely on -race to
+# catch data races between peers and in the stores), then the same for the
+# benchmark's module, the guard that production binaries stay
+# simulator-free, the guard that gob stays out of the store and the wire,
+# the guard that they keep one binary reader, and the guard that the
+# reconciliation engine stays on its caller's goroutine.
+verify: build vet race bench-check simfree-check gobfree-check onereader-check serialcore-check
 
 # bench-check vets the repository's benchmark (bench/, a nested module that
 # ./... does not reach) and runs its 1/50-scale smoke test under the race
@@ -52,6 +53,13 @@ gobfree-check:
 # is a nested module that ./... does not reach.)
 onereader-check:
 	test -z "$$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep -vE '/internal/(codec|exp)/' | xargs grep -lE 'binary\.(Uvarint|Varint)\(')"
+
+# serialcore-check fails if a non-test file under internal/core contains a
+# go statement: an engine runs every stage on its caller's goroutine, and
+# concurrency lives per peer (System.ReconcileAll) and per group
+# (Scheduler). This keeps a worker pool from growing back inside the engine.
+serialcore-check:
+	test -z "$$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./internal/core/... | tr ' ' '\n' | xargs grep -lE '^[[:space:]]*go[[:space:]]+[[:alnum:]_(]')"
 
 # fmt-check fails (listing the offenders) if any file is not gofmt-clean;
 # CI runs this as its lint step.

@@ -72,23 +72,11 @@ type ReconcileStats struct {
 	DirtyKeys       int // dirty keys after the run
 	DeferredCarried int // previously deferred roots reconsidered
 
-	// Pipeline instrumentation. Workers is the bound used for the parallel
-	// stages this run; the *Nanos fields are wall-clock stage latencies.
-	// These fields vary run to run and are excluded from the differential
-	// serial-vs-parallel comparison (see StripTiming).
-	Workers        int   // worker bound for the parallel stages
+	// Pipeline instrumentation: wall-clock stage latencies, which vary run
+	// to run.
 	CheckNanos     int64 // flatten extensions + CheckState (lines 5-8)
 	ConflictNanos  int64 // FindConflicts pair checks (line 9)
 	GroupNanos     int64 // DoGroup passes (lines 10-12)
 	ApplyNanos     int64 // decision recording + apply loop (lines 13-19)
 	SoftStateNanos int64 // UpdateSoftState (lines 20-21)
-}
-
-// StripTiming returns a copy of the stats with the nondeterministic
-// instrumentation fields zeroed; the remaining counters are identical for
-// serial and parallel runs over the same inputs.
-func (s ReconcileStats) StripTiming() ReconcileStats {
-	s.Workers = 0
-	s.CheckNanos, s.ConflictNanos, s.GroupNanos, s.ApplyNanos, s.SoftStateNanos = 0, 0, 0, 0, 0
-	return s
 }

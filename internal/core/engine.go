@@ -15,11 +15,9 @@ import (
 //
 // Engine is not safe for concurrent use; each participant drives its engine
 // from a single goroutine (reconciliation is "done frequently but not in
-// real time, by each specific participant"). Internally, Reconcile fans the
-// independent per-candidate stages (extension flattening + CheckState, and
-// FindConflicts pair checks) out over a bounded worker pool — see
-// WithParallelism — while the order-sensitive decision and apply loops stay
-// sequential, so decisions are bit-identical at every worker count.
+// real time, by each specific participant"), and Reconcile runs every stage
+// on that goroutine. Concurrency lives one level up: System.ReconcileAll
+// reconciles its peers' engines side by side.
 type Engine struct {
 	peer   PeerID
 	schema *Schema
@@ -56,15 +54,11 @@ type Engine struct {
 
 	recno   int
 	nextSeq uint64
-
-	// par bounds the worker pool for the parallel reconciliation stages;
-	// <= 0 means runtime.GOMAXPROCS(0). See WithParallelism.
-	par int
 }
 
 // NewEngine returns an engine for the participant with an empty instance.
-func NewEngine(peer PeerID, schema *Schema, trust Trust, opts ...EngineOption) *Engine {
-	e := &Engine{
+func NewEngine(peer PeerID, schema *Schema, trust Trust) *Engine {
+	return &Engine{
 		peer:          peer,
 		schema:        schema,
 		trust:         trust,
@@ -77,10 +71,6 @@ func NewEngine(peer PeerID, schema *Schema, trust Trust, opts ...EngineOption) *
 		producers:     make(map[tupleKey]TxnID),
 		localAntes:    make(map[TxnID][]TxnID),
 	}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
 }
 
 // Peer returns the participant's ID.
@@ -291,11 +281,12 @@ func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result
 	})
 	res.Stats.Candidates = len(order)
 
-	// Warm the per-update encoding caches from this goroutine before any
-	// parallel stage reads them: extensions share *Transaction pointers
-	// across candidates, so the lazy population must not race. (Stores that
-	// share transactions across peers warm them at ingestion; this pass is
-	// then a cheap no-op that covers direct users of the engine API.)
+	// Complete the per-update encoding caches once, key projections included,
+	// before the stages below read them: a candidate a remote client decoded
+	// arrives with only its tuple encodings seeded, and an update with no
+	// cached key computes it again on every read. (Stores that share
+	// transactions across peers warm them at ingestion; this pass is then a
+	// cheap no-op that covers direct users of the engine API.)
 	for _, st := range order {
 		st.cand.Txn.PrecomputeEncodings(e.schema)
 		for _, x := range st.cand.Ext {
@@ -310,29 +301,20 @@ func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result
 		// indicates a bug upstream.
 		return nil, fmt.Errorf("core: flatten own delta: %v", err)
 	}
-	// One index over it serves every candidate: the workers below only probe.
+	// One index over it serves every candidate: CheckState only probes it.
 	var ownIdx *conflictIndex
 	if len(ownDelta) > 0 {
 		ownIdx = newConflictIndex(e.schema, ownDelta)
 	}
 
 	// Lines 5-8: flattened update extensions + CheckState. Each candidate is
-	// independent — it reads only the engine's (unmutated) decided sets,
-	// dirty keys, and instance — so the stage fans out across the worker
-	// pool; every worker writes only its own candidateState.
-	workers := e.parallelism(len(order))
-	res.Stats.Workers = workers
+	// independent: it reads only the engine's decided sets, dirty keys and
+	// instance, none of which this stage changes.
 	start := time.Now()
-	parallelFor(workers, len(order), func(i int) {
-		st := order[i]
+	for _, st := range order {
 		ext := e.filterApplied(st.cand.Ext, st.cand.Txn)
 		st.upEx = NewUpdateExtension(e.schema, st.cand.Txn.ID, ext, st.cand.Priority)
 		st.decision = e.checkState(st.upEx, ownIdx, st.carried)
-		// Warm the TouchedKeys memo inside the pool so the serial index
-		// build below doesn't pay for it.
-		st.upEx.TouchedKeys(e.schema)
-	})
-	for _, st := range order {
 		res.Stats.ExtensionTxns += len(st.upEx.Source)
 		res.Stats.FlattenedOps += len(st.upEx.Operation)
 	}
@@ -595,12 +577,11 @@ func enumeratePairs(schema *Schema, states []*candidateState) []uint64 {
 
 // findConflicts implements FindConflicts of Figure 5 over the candidates'
 // flattened update extensions, skipping pairs where one extension subsumes
-// the other. Pair enumeration runs serially and deterministically
-// (enumeratePairs); the expensive per-pair conflict/subsumption checks fan
-// out across the worker pool, each writing only its own slots. Every
-// extension is indexed at most once per run, and only if it is the indexed
-// side of some pair: most candidates of a quiet run are in none, and an
-// index built for them would be pure allocation.
+// the other. Pairs are enumerated deterministically (enumeratePairs) and
+// checked in that order. Every extension is indexed at most once per run,
+// and only if it is the indexed side of some pair (the memo is lazy): most
+// candidates of a quiet run are in none, and an index built for them would
+// be pure allocation.
 func (e *Engine) findConflicts(order []*candidateState, stats *ReconcileStats) (map[TxnID][]*candidateState, pairConflicts) {
 	conflicts := make(map[TxnID][]*candidateState)
 	if len(order) < 2 {
@@ -611,43 +592,19 @@ func (e *Engine) findConflicts(order []*candidateState, stats *ReconcileStats) (
 	if len(pc.pairs) == 0 {
 		return conflicts, pc
 	}
-
-	// Warm the index memos before the pair pool reads them.
-	indexed := make([]bool, len(order))
-	for _, p := range pc.pairs {
-		i, j := unpackPair(p)
-		if _, ix := probeOrder(order[i].upEx, order[j].upEx); ix == order[i].upEx {
-			indexed[i] = true
-		} else {
-			indexed[j] = true
-		}
-	}
-	parallelFor(e.parallelism(len(order)), len(order), func(i int) {
-		if indexed[i] {
-			order[i].upEx.conflictIndex(e.schema)
-		}
-	})
-
 	pc.found = make([][]Conflict, len(pc.pairs))
-	conflicting := make([]bool, len(pc.pairs))
-	parallelFor(e.parallelism(len(pc.pairs)), len(pc.pairs), func(pi int) {
-		i, j := unpackPair(pc.pairs[pi])
+	for pi, p := range pc.pairs {
+		i, j := unpackPair(p)
 		si, sj := order[i], order[j]
 		cs := si.upEx.Conflicts(e.schema, sj.upEx)
 		if len(cs) == 0 {
-			return
+			continue
 		}
 		pc.found[pi] = cs
-		conflicting[pi] = !si.upEx.Subsumes(sj.upEx) && !sj.upEx.Subsumes(si.upEx)
-	})
-
-	for pi, hit := range conflicting {
-		if !hit {
+		if si.upEx.Subsumes(sj.upEx) || sj.upEx.Subsumes(si.upEx) {
 			continue
 		}
 		stats.ConflictsFound++
-		i, j := unpackPair(pc.pairs[pi])
-		si, sj := order[i], order[j]
 		conflicts[si.cand.Txn.ID] = append(conflicts[si.cand.Txn.ID], sj)
 		conflicts[sj.cand.Txn.ID] = append(conflicts[sj.cand.Txn.ID], si)
 	}

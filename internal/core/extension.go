@@ -91,27 +91,21 @@ func (ue *UpdateExtension) SharedWith(other *UpdateExtension) TxnSet {
 // both (Definition 4, direct conflict): the flattened footprints are
 // recomputed over Source − S when the extensions overlap. In the common
 // disjoint case no intermediate sets are materialized: the shorter
-// operation probes the memoized index of the longer. Concurrent calls are
-// safe once the indexed side's memo is warm (findConflicts warms the memos
-// of every pair it enumerates before its pool starts).
+// operation probes the memoized index of the longer, built on first use.
 func (ue *UpdateExtension) Conflicts(s *Schema, other *UpdateExtension) []Conflict {
 	shared := ue.SharedWith(other)
 	if len(shared) == 0 {
-		probe, indexed := probeOrder(ue, other)
+		// The sides SetsConflict picks: the longer operation is indexed,
+		// ties index other.
+		probe, indexed := ue, other
+		if len(ue.Operation) > len(other.Operation) {
+			probe, indexed = other, ue
+		}
 		return indexed.conflictIndex(s).probeAll(probe.Operation)
 	}
 	opA := flattenMinus(s, ue.Source, shared)
 	opB := flattenMinus(s, other.Source, shared)
 	return SetsConflict(s, opA, opB)
-}
-
-// probeOrder picks the sides of a disjoint pair's conflict check the way
-// SetsConflict does: the longer operation is indexed, ties index b.
-func probeOrder(a, b *UpdateExtension) (probe, indexed *UpdateExtension) {
-	if len(a.Operation) > len(b.Operation) {
-		return b, a
-	}
-	return a, b
 }
 
 // conflictIndex returns the memoized index over the flattened operation.

@@ -81,7 +81,7 @@ func TestCheckStateOwnDeltaSharedIndex(t *testing.T) {
 // neither with them nor with each other.
 func ownDeltaWorkload(tb testing.TB, s *Schema, n, d int) (*Engine, []*Candidate) {
 	tb.Helper()
-	e := NewEngine("q", s, TrustAll(1), WithParallelism(1))
+	e := NewEngine("q", s, TrustAll(1))
 	for i := 0; i < d; i++ {
 		if _, err := e.NewLocalTransaction(Insert("F", fTuple(fmt.Sprintf("own%d", i), "v"), "q")); err != nil {
 			tb.Fatal(err)
@@ -149,7 +149,7 @@ func BenchmarkResolveDrain(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e := NewEngine("q", s, TrustAll(1), WithParallelism(1))
+		e := NewEngine("q", s, TrustAll(1))
 		if res, err := e.Reconcile(cands); err != nil || len(res.Groups) != 64 {
 			b.Fatalf("reconcile: %v, %d groups", err, len(res.Groups))
 		}

@@ -307,23 +307,22 @@ func (sr *scopedRun) resolve(i int, c Conflict, winner int) bool {
 	return len(resS.Accepted)+len(resS.Rejected) > 0
 }
 
-// runScopedVsFull runs one scenario with the scoped engines on `workers`
-// workers and the oracle twins on the other of 1 and 4, so every comparison
-// also crosses the serial and the parallel pipeline.
-func runScopedVsFull(t *testing.T, seed int64, shape trustShape, multi bool, workers int) *scopedRun {
+// runScopedVsFull runs one scenario with the scoped engines and their
+// oracle twins side by side.
+func runScopedVsFull(t *testing.T, seed int64, shape trustShape, multi bool) *scopedRun {
 	const peers, rounds = 5, 4
 	s := scopedSchema(t)
 	sr := &scopedRun{
 		t:     t,
-		name:  fmt.Sprintf("seed %d shape %d multi %v workers %d", seed, shape, multi, workers),
+		name:  fmt.Sprintf("seed %d shape %d multi %v", seed, shape, multi),
 		r:     rand.New(rand.NewSource(seed)),
 		multi: multi,
 		log:   newTestLog(t, s),
 	}
 	for i := 0; i < peers; i++ {
 		id := PeerID(fmt.Sprintf("p%d", i))
-		sr.sut = append(sr.sut, NewEngine(id, s, shape.policy(i, peers), WithParallelism(workers)))
-		sr.ora = append(sr.ora, NewEngine(id, s, shape.policy(i, peers), WithParallelism(5-workers)))
+		sr.sut = append(sr.sut, NewEngine(id, s, shape.policy(i, peers)))
+		sr.ora = append(sr.ora, NewEngine(id, s, shape.policy(i, peers)))
 	}
 	r := sr.r
 	for sr.round = 0; sr.round < rounds; sr.round++ {
@@ -383,8 +382,7 @@ func runScopedVsFull(t *testing.T, seed int64, shape trustShape, multi bool, wor
 // components a resolution can reach, leaves the engine and reports results
 // exactly as reconsidering every deferred candidate does — across trust
 // shapes, single- and multi-update transactions, antecedent chains,
-// foreign keys, own edits between resolutions and a trust refresh, serial
-// and parallel.
+// foreign keys, own edits between resolutions and a trust refresh.
 func TestResolveScopedMatchesFullRerun(t *testing.T) {
 	seeds := int64(200)
 	if testing.Short() {
@@ -397,7 +395,7 @@ func TestResolveScopedMatchesFullRerun(t *testing.T) {
 				t.Parallel()
 				maxChain, scoped, resolves := 0, 0, 0
 				for seed := int64(1); seed <= seeds; seed++ {
-					sr := runScopedVsFull(t, seed, shape, multi, 1+3*int(seed%2))
+					sr := runScopedVsFull(t, seed, shape, multi)
 					if sr.maxChain > maxChain {
 						maxChain = sr.maxChain
 					}

@@ -94,8 +94,8 @@ func (e *Engine) ExportSnapshot() *EngineSnapshot {
 // policy (policies are not part of the snapshot, mirroring RebuildPeer's
 // signature). Use Engine.RestoreTail afterwards to replay the update-store
 // log suffix the snapshot does not cover.
-func NewEngineFromSnapshot(schema *Schema, trust Trust, snap *EngineSnapshot, opts ...EngineOption) (*Engine, error) {
-	e := NewEngine(snap.Peer, schema, trust, opts...)
+func NewEngineFromSnapshot(schema *Schema, trust Trust, snap *EngineSnapshot) (*Engine, error) {
+	e := NewEngine(snap.Peer, schema, trust)
 	e.nextSeq = snap.NextSeq
 	for _, id := range snap.Applied {
 		e.applied.Add(id)

@@ -136,8 +136,7 @@ func (e *Engine) updateSoftState(order []*candidateState, carried []*deferredCan
 		members := groupTxns[c]
 		// Iterate members in sorted ID order: the Effect string of an option
 		// is taken from the first member that introduces its signature, so a
-		// deterministic visit order keeps Results byte-identical across runs
-		// (and between the serial and parallel pipelines).
+		// deterministic visit order keeps Results byte-identical across runs.
 		memberIDs := make([]TxnID, 0, len(members))
 		for id := range members {
 			memberIDs = append(memberIDs, id)

@@ -81,12 +81,11 @@ func (x *Transaction) Validate(s *Schema) error {
 
 // PrecomputeEncodings populates the encoding caches of the transaction's
 // updates. Idempotent but not synchronized: it mutates the transaction, so
-// it must not race with other readers or writers. Each engine warms its
-// candidates from its own goroutine before fanning work out to the worker
-// pool; an update store that hands the *same* *Transaction pointers to
-// multiple peers (e.g. the in-memory central store) must warm them once at
-// ingestion, under its own lock, so concurrently reconciling peers only
-// ever observe a fully populated cache.
+// it must not race with other readers or writers. An update store that
+// hands the *same* *Transaction pointers to multiple peers (e.g. the
+// in-memory central store) must warm them once at ingestion, under its own
+// lock, so concurrently reconciling peers only ever observe a fully
+// populated cache.
 func (x *Transaction) PrecomputeEncodings(s *Schema) {
 	if x.encDone {
 		return

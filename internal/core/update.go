@@ -87,8 +87,8 @@ func (u *Update) DecodeTuples(tuple, newt string, hasNew bool) error {
 // cacheEnc completes the encoding cache: the tuple encodings unless a
 // decoder seeded them, then the key projections. rel must be the relation
 // the update targets under the shared schema. It is idempotent and must
-// not race with readers; callers populate it from a single goroutine
-// before the update reaches the parallel pipeline stages.
+// not race with readers: an update shared between goroutines is cached
+// before it is shared.
 func (u *Update) cacheEnc(rel *Relation) {
 	e := u.enc
 	switch {

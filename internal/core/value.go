@@ -11,12 +11,8 @@
 // options, and user-driven conflict resolution.
 //
 // An Engine is single-owner: one goroutine drives Reconcile/Resolve at a
-// time. Internally the embarrassingly parallel stages — per-candidate
-// flattening + CheckState, the FindConflicts pair checks, and the
-// soft-state pair scan — fan out over a bounded worker pool configured
-// with WithParallelism; the order-sensitive decision loops stay
-// sequential, so decisions are bit-identical at every worker count (see
-// docs/ARCHITECTURE.md).
+// time, and every stage runs on it. The package starts no goroutine;
+// concurrency is per peer, one engine each (see docs/ARCHITECTURE.md).
 package core
 
 import (

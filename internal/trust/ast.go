@@ -24,7 +24,6 @@ var (
 func strVal(s string) val  { return val{kind: 's', s: s} }
 func numVal(f float64) val { return val{kind: 'f', f: f} }
 func (v val) truthy() bool { return v.kind == 'b' && v.b }
-func (v val) isNull() bool { return v.kind == 'n' }
 
 func boolVal(b bool) val {
 	if b {

@@ -39,8 +39,6 @@ type Config struct {
 	KeySpace int
 	// XRefMean overrides DefaultXRefMean when positive.
 	XRefMean float64
-	// InsertOnly disables replacements (for append-only baselines).
-	InsertOnly bool
 }
 
 // Generator produces update streams against peers' instances.
@@ -105,7 +103,7 @@ func (g *Generator) NextUpdates(inst *core.Instance, peer core.PeerID) []core.Up
 		org, prot := g.key(ki)
 		keyT := core.Strs(org, prot)
 		cur, exists := inst.Lookup("Function", keyT)
-		if exists && !g.cfg.InsertOnly {
+		if exists {
 			// Replacement: curate the function value to a new draw.
 			next := g.function()
 			if cur[2].Str() == next {
@@ -119,9 +117,6 @@ func (g *Generator) NextUpdates(inst *core.Instance, peer core.PeerID) []core.Up
 			}
 			out = append(out, core.Modify("Function", cur, core.Strs(org, prot, next), peer))
 			continue
-		}
-		if exists {
-			continue // InsertOnly and key taken: skip
 		}
 		out = append(out, core.Insert("Function", core.Strs(org, prot, g.function()), peer))
 		out = append(out, g.xrefs(org, prot, peer)...)

@@ -140,22 +140,6 @@ func TestReplacementsChangeValues(t *testing.T) {
 	}
 }
 
-func TestInsertOnlyMode(t *testing.T) {
-	g := New(Config{Seed: 5, TxnSize: 2, KeySpace: 20, InsertOnly: true})
-	inst := core.NewInstance(Schema())
-	for i := 0; i < 100; i++ {
-		ups := g.NextUpdates(inst, "p")
-		for _, u := range ups {
-			if u.Op != core.OpInsert {
-				t.Fatalf("non-insert in insert-only mode: %v", u)
-			}
-		}
-		if err := inst.ApplyAll(ups); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestDeterministicXRefsAcrossPeers(t *testing.T) {
 	// Two peers creating the same key must generate the same references.
 	ga := New(Config{Seed: 100, TxnSize: 1, KeySpace: 1})

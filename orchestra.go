@@ -31,20 +31,15 @@
 //
 // # Reconciliation pipeline
 //
-// Reconciliation is executed as a concurrent, allocation-lean pipeline.
-// Inside a single engine, the embarrassingly parallel stages of Figure 4 —
-// per-candidate extension flattening + CheckState, and the FindConflicts
-// pair checks — fan out over a bounded worker pool, while the
-// order-sensitive decision/apply loop stays sequential, so decisions are
-// bit-identical at every worker count; WithParallelism(1) is the serial
-// escape hatch (the default bound is GOMAXPROCS). Across engines,
-// System.ReconcileAll publishes every peer and then reconciles every peer
-// concurrently (engines are single-owner, stores are safe for concurrent
-// use), bounded by WithReconcileFanOut — the bound changes concurrency,
-// never semantics. System.Pipeline exposes aggregated stage latencies,
-// work counters, and the fan-out busy gauge. The hot path avoids
-// re-encoding tuples (encodings are cached per update at validation time)
-// and recycles flattening scratch state through a sync.Pool.
+// Reconciliation is an allocation-lean pipeline. A single engine runs
+// every stage of Figure 4 on its caller's goroutine. Concurrency is per
+// peer: System.ReconcileAll publishes every peer and then reconciles every
+// peer concurrently (engines are single-owner, stores are safe for
+// concurrent use), bounded by WithReconcileFanOut — the bound changes
+// concurrency, never semantics. System.Pipeline exposes aggregated stage
+// latencies, work counters, and the fan-out busy gauge. The hot path
+// avoids re-encoding tuples (encodings are cached per update at validation
+// time) and recycles flattening scratch state through a sync.Pool.
 package orchestra
 
 import (
@@ -85,8 +80,6 @@ type (
 	Instance = core.Instance
 	// Engine is the client-centric reconciliation engine.
 	Engine = core.Engine
-	// EngineOption configures an Engine (e.g. WithParallelism).
-	EngineOption = core.EngineOption
 	// ReconcileStats counts the work done by one reconciliation, including
 	// per-stage pipeline latencies.
 	ReconcileStats = core.ReconcileStats
@@ -187,14 +180,11 @@ var (
 	Modify = core.Modify
 )
 
-// Engine construction and tuning.
+// Engine construction.
 var (
 	// NewEngine builds a standalone reconciliation engine (System.AddPeer
 	// constructs one implicitly per peer).
 	NewEngine = core.NewEngine
-	// WithParallelism bounds the engine's worker pool for the parallel
-	// reconciliation stages; 1 forces fully serial execution.
-	WithParallelism = core.WithParallelism
 )
 
 // Trust policy constructors.

@@ -10,42 +10,22 @@ import (
 
 // Scheduler drives many groups' reconciliation rounds with bounded global
 // concurrency and per-group fairness: RunRound/RunRounds run barrier
-// rounds (each group one ReconcileAll), at most Limit groups at once, and
-// a rotating start index guarantees no group is persistently served last
-// when the fleet is larger than the bound. A group that streams is driven
-// through its own System (Group.System()), not by the scheduler.
+// rounds (each group one ReconcileAll), at most GOMAXPROCS groups at once
+// (a group's store is an in-process tenant, so its round is CPU-bound),
+// and a rotating start index guarantees no group is persistently served
+// last when the fleet is larger than the bound. A group that streams is
+// driven through its own System (Group.System()), not by the scheduler.
 type Scheduler struct {
 	groups []*Group
-	limit  int
 
 	mu   sync.Mutex
 	next int // rotating fairness offset
 }
 
-// SchedulerOption configures NewScheduler.
-type SchedulerOption func(*Scheduler)
-
-// WithGroupLimit bounds how many groups the scheduler drives at once
-// (default GOMAXPROCS).
-func WithGroupLimit(n int) SchedulerOption {
-	return func(s *Scheduler) {
-		if n > 0 {
-			s.limit = n
-		}
-	}
-}
-
 // NewScheduler builds a scheduler over the given groups (usually
 // fleet.Groups()).
-func NewScheduler(groups []*Group, opts ...SchedulerOption) *Scheduler {
-	s := &Scheduler{
-		groups: append([]*Group(nil), groups...),
-		limit:  runtime.GOMAXPROCS(0),
-	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
+func NewScheduler(groups []*Group) *Scheduler {
+	return &Scheduler{groups: append([]*Group(nil), groups...)}
 }
 
 // GroupError reports one group's failure within a scheduler pass; the
@@ -78,7 +58,7 @@ func (s *Scheduler) rotate() []*Group {
 }
 
 // RunRound runs one reconciliation round: every group's ReconcileAll, at
-// most Limit groups concurrently, in rotated order. A group whose round
+// most GOMAXPROCS groups concurrently, in rotated order. A group whose round
 // fails is reported in the joined error as a *GroupError; the other
 // groups complete normally. If ctx ends before every group was started,
 // the rest are skipped and ctx's error joins the return: a round that did
@@ -86,7 +66,7 @@ func (s *Scheduler) rotate() []*Group {
 func (s *Scheduler) RunRound(ctx context.Context) error {
 	order := s.rotate()
 	errs := make([]error, len(order)+1)
-	errs[len(order)] = fanOut(ctx, len(order), s.limit, func(i int) {
+	errs[len(order)] = fanOut(ctx, len(order), runtime.GOMAXPROCS(0), func(i int) {
 		if _, err := order[i].sys.ReconcileAll(ctx); err != nil {
 			errs[i] = &GroupError{Group: order[i].id, Err: err}
 		}
