@@ -143,7 +143,12 @@ trust-smoke:
 # torn header's length is bounded by the bytes left;
 # TestDecodedRecordOwnsItsBytes: what reldb decodes never aliases the
 # segment buffer), central's durability, torn-commit, compaction and
-# late-decision cells with the differential matrix, the decode-once
+# late-decision cells with the differential matrix, the batched decision
+# rows (TestRedecidedSurvivesReopen: an id decided twice recovers to its
+# highest dseq; TestCompactionSplitsDecisionRow: a horizon that splits a
+# row keeps exactly the entries the per-decision rule keeps;
+# TestDecisionRowsPerBatch; TestRefuseLayout3: a layout-3 directory is
+# refused untouched), the decode-once
 # snapshot cache (TestSnapshotCacheDecodedOnce,
 # TestLatestSnapshotNeverGoesBack, TestSharedSnapshotSurvivesConcurrentRebuilds),
 # the build-once decoders (TestDecodeTupleCanonical: canonical tuples, one
@@ -159,7 +164,7 @@ storage-smoke:
 	$(GO) test -race -count=3 -run '^TestReader$$' ./internal/codec
 	$(GO) test -race -count=3 -run '^TestReplayTornHugeLengthAllocatesLittle$$' ./internal/wal
 	$(GO) test -race -count=3 -run '^TestDecodedRecordOwnsItsBytes$$' ./internal/reldb
-	$(GO) test -race -count=1 -run 'TestDurabilityAcrossReopen|TestCheckpointPreservesState|TestSharded|TestTornSnapshot|TestDifferentialMatrix|TestCompaction|TestLateDecision|TestSnapshotWith|TestTenantCrash' ./internal/store/central
+	$(GO) test -race -count=1 -run 'TestDurabilityAcrossReopen|TestCheckpointPreservesState|TestSharded|TestTornSnapshot|TestDifferentialMatrix|TestCompaction|TestLateDecision|TestSnapshotWith|TestTenantCrash|TestRedecidedSurvivesReopen|TestCompactionSplitsDecisionRow|TestDecisionRowsPerBatch|TestRefuseLayout3' ./internal/store/central
 	$(GO) test -race -count=3 -run '^TestSnapshotCacheDecodedOnce$$|^TestLatestSnapshotNeverGoesBack$$|^TestSharedSnapshotSurvivesConcurrentRebuilds$$' ./internal/store/central
 	$(GO) test -race -count=3 -run '^TestDecodeTupleCanonical$$' ./internal/core
 	$(GO) test -race -count=3 -run '^TestDecodeSeedsEncodingCaches$$' ./internal/store
@@ -175,7 +180,8 @@ storage-smoke:
 # every remote body) — each holding what it accepts to re-encode to its
 # input byte for byte — the WAL's frame reader, reldb's
 # record and snapshot.db decoders (FuzzDecodeWALRecord,
-# FuzzDecodeSnapshotDB), the namespace codec and the trust parser. go's
+# FuzzDecodeSnapshotDB), central's decision rows (FuzzDecodeDecisionRow),
+# the namespace codec and the trust parser. go's
 # -fuzz runs one target per invocation, so each gets its own line.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTuple$$' -fuzztime 10s ./internal/core
@@ -187,6 +193,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime 10s ./internal/reldb
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshotDB$$' -fuzztime 10s ./internal/reldb
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDecisionRow$$' -fuzztime 10s ./internal/store/central
 	$(GO) test -run '^$$' -fuzz '^FuzzNamespaceCodec$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzNamespacePrefixFree$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzTrustParse$$' -fuzztime 10s ./internal/trust

@@ -116,10 +116,12 @@ const defaultTableShards = 8
 
 // layoutVersion identifies the on-disk table layout; it is recorded in the
 // meta table when a directory is created. Version 2 was the epoch-sharded
-// layout; version 3 adds the snapshots table and the compacted_before meta
-// key. Earlier layouts (including pre-shard directories with no meta table
-// and a plain "txns" table) cannot be migrated.
-const layoutVersion = 3
+// layout; version 3 added the snapshots table and the compacted_before
+// meta key; version 4 keeps a peer's decisions as one decisions_k row per
+// commit and shard (decisions.go) instead of one row per decision. Earlier
+// layouts (including pre-shard directories with no meta table and a plain
+// "txns" table) cannot be migrated; layout 3 is refused with errLayout3.
+const layoutVersion = 4
 
 // Option configures Open.
 type Option func(*config)

@@ -143,9 +143,15 @@ func TestShardedCrashTornPublish(t *testing.T) {
 				}
 			}
 			if err := tx.Scan(s2.decisionsTab[k], func(r reldb.Row) bool {
-				for _, id := range tornIDs {
-					if core.PeerID(r[1].S()) == id.Origin && uint64(r[2].I()) == id.Seq {
-						t.Errorf("%s still holds a self-accept for torn txn %s", s2.decisionsTab[k], id)
+				es, err := decodeDecisionRow(r[1].I(), r[2].S())
+				if err != nil {
+					t.Errorf("%s: %v", s2.decisionsTab[k], err)
+				}
+				for _, e := range es {
+					for _, id := range tornIDs {
+						if e.id == id {
+							t.Errorf("%s still holds a self-accept for torn txn %s", s2.decisionsTab[k], id)
+						}
 					}
 				}
 				return true

@@ -185,10 +185,11 @@ func (s *Store) publishWrite(peer core.PeerID, epoch core.Epoch, txns []store.Pu
 	defer pm.mu.Unlock()
 	// One commit carries the whole publish: the epoch registration (first
 	// durable trace of the epoch — allocation itself is memory-only), the
-	// batch payload, and the publisher's self-accepts. The fast path also
-	// finishes the epoch here. Everything lands in the epoch's shard k, in
-	// the documented epochs_k → txns_k → decisions_k order — publishes to
-	// epochs in other shards touch disjoint tables and commit in parallel.
+	// batch payload, and the publisher's self-accepts as one decision row.
+	// The fast path also finishes the epoch here. Everything lands in the
+	// epoch's shard k, in the documented epochs_k → txns_k → decisions_k
+	// order — publishes to epochs in other shards touch disjoint tables and
+	// commit in parallel.
 	k := s.shardOf(epoch)
 	s.counters.EnterShard(k)
 	err = s.db.Update(func(tx *reldb.Tx) error {
@@ -205,17 +206,17 @@ func (s *Store) publishWrite(peer core.PeerID, epoch core.Epoch, txns []store.Pu
 		}); err != nil {
 			return err
 		}
+		// The self-accepts are one decision row, their dseqs consecutive
+		// from pm.nextSeq+1. Its payload is encoded into the batch
+		// payload's buffer, which the txns row has copied.
+		dec := payload[:0]
 		for i := range txns {
-			pt := &txns[i]
-			if err := tx.Insert(s.decisionsTab[k], reldb.Row{
-				reldb.Str(string(peer)),
-				reldb.Str(string(pt.Txn.ID.Origin)),
-				reldb.Int(int64(pt.Txn.ID.Seq)),
-				reldb.Int(int64(core.DecisionAccept)),
-				reldb.Int(pm.nextSeq + int64(i) + 1),
-			}); err != nil {
-				return err
-			}
+			dec = appendDecisionEntry(dec, txns[i].Txn.ID, core.DecisionAccept, min(int64(i), 1))
+		}
+		if err := tx.Insert(s.decisionsTab[k], reldb.Row{
+			reldb.Str(string(peer)), reldb.Int(pm.nextSeq + 1), reldb.Bytes(dec),
+		}); err != nil {
+			return err
 		}
 		if key != "" {
 			return tx.Insert(s.idemTab, idemRow(key, opPublish, int64(epoch), 0, 0))

@@ -208,11 +208,15 @@ func (s *Store) recordDecisionsBatch(batches []store.DecisionBatch, key store.Id
 		}
 		pms[i] = pm
 	}
+	// Batches are visited by peer, a stable sort: one peer's batches keep
+	// their relative order, so its dseqs are the ones the cache update
+	// below assigns, and its decisions in each shard come out contiguous —
+	// one row.
 	order := make([]int, len(batches))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return batches[order[a]].Peer < batches[order[b]].Peer })
+	sort.SliceStable(order, func(a, b int) bool { return batches[order[a]].Peer < batches[order[b]].Peer })
 	locked := make(map[*peerMeta]bool, len(batches))
 	for _, i := range order {
 		if locked[pms[i]] {
@@ -235,30 +239,27 @@ func (s *Store) recordDecisionsBatch(batches []store.DecisionBatch, key store.Id
 		total += len(b.Accepted) + len(b.Rejected)
 	}
 	if total > 0 {
-		// dseq continues each peer's sequence across the whole commit; the
-		// cache update below replays the same order, keeping the durable
-		// and in-memory sequences identical. Rows are assigned their seq in
-		// batch order first, then written grouped by epoch-shard with the
-		// shard indexes ascending — the documented decisions_k lock order,
-		// so a wave's commit cannot deadlock against a concurrent publish
-		// or another wave.
+		// dseq continues each peer's sequence across the whole commit.
+		// Decisions go to the shard of the decided transaction's epoch, and
+		// each (shard, peer) pair becomes one row (decisions.go), written
+		// with the shard indexes ascending — the documented decisions_k
+		// lock order, so a wave's commit cannot deadlock against a
+		// concurrent publish or another wave.
 		type decRow struct {
 			peer core.PeerID
-			id   core.TxnID
-			d    core.Decision
-			dseq int64
+			decisionEntry
 		}
 		perShard := make([][]decRow, s.tableShards)
 		next := make(map[*peerMeta]int64, len(batches))
-		for i, b := range batches {
-			pm := pms[i]
+		for _, i := range order {
+			b, pm := batches[i], pms[i]
 			if _, ok := next[pm]; !ok {
 				next[pm] = pm.nextSeq
 			}
 			add := func(id core.TxnID, d core.Decision) {
 				next[pm]++
 				k := s.decisionShard(id)
-				perShard[k] = append(perShard[k], decRow{peer: b.Peer, id: id, d: d, dseq: next[pm]})
+				perShard[k] = append(perShard[k], decRow{peer: b.Peer, decisionEntry: decisionEntry{id: id, d: d, dseq: next[pm]}})
 			}
 			for _, id := range b.Accepted {
 				add(id, core.DecisionAccept)
@@ -267,18 +268,22 @@ func (s *Store) recordDecisionsBatch(batches []store.DecisionBatch, key store.Id
 				add(id, core.DecisionReject)
 			}
 		}
+		var buf []byte
 		err := s.db.Update(func(tx *reldb.Tx) error {
-			for k := 0; k < s.tableShards; k++ {
-				for _, r := range perShard[k] {
-					if err := tx.Upsert(s.decisionsTab[k], reldb.Row{
-						reldb.Str(string(r.peer)),
-						reldb.Str(string(r.id.Origin)),
-						reldb.Int(int64(r.id.Seq)),
-						reldb.Int(int64(r.d)),
-						reldb.Int(r.dseq),
+			for k, rows := range perShard {
+				for len(rows) > 0 {
+					n, prev := 0, rows[0].dseq
+					buf = buf[:0]
+					for ; n < len(rows) && rows[n].peer == rows[0].peer; n++ {
+						buf = appendDecisionEntry(buf, rows[n].id, rows[n].d, rows[n].dseq-prev)
+						prev = rows[n].dseq
+					}
+					if err := tx.Insert(s.decisionsTab[k], reldb.Row{
+						reldb.Str(string(rows[0].peer)), reldb.Int(rows[0].dseq), reldb.Bytes(buf),
 					}); err != nil {
 						return err
 					}
+					rows = rows[n:]
 				}
 			}
 			if key != "" {

@@ -1,6 +1,7 @@
 package central
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -38,6 +39,9 @@ func (s *Store) resolveLayout() error {
 		if err != nil {
 			return err
 		}
+		if layout == 3 {
+			return errLayout3
+		}
 		if layout != layoutVersion {
 			return fmt.Errorf("central: store directory has layout version %d, this build reads %d; no migration path", layout, layoutVersion)
 		}
@@ -58,6 +62,12 @@ func (s *Store) resolveLayout() error {
 	s.counters.InitShards(shards)
 	return nil
 }
+
+// errLayout3 refuses a directory of layout 3, which kept one decisions_k
+// row per decision where layout 4 keeps one per (peer, shard) batch.
+// resolveLayout returns it before the store reads any table but meta, and
+// writes nothing. No release upgrades such a directory.
+var errLayout3 = errors.New("central: store directory has table layout 3 (one decision row per decision), which this release no longer reads; commit 948bb9d is the last that reads it, and no release migrates it")
 
 func (s *Store) initTables() error {
 	if err := s.resolveLayout(); err != nil {
@@ -127,12 +137,10 @@ func (s *Store) initTables() error {
 				Name: s.decisionsTab[k],
 				Cols: []reldb.ColDef{
 					{Name: "peer", Type: reldb.ColString},
-					{Name: "origin", Type: reldb.ColString},
-					{Name: "seq", Type: reldb.ColInt},
-					{Name: "decision", Type: reldb.ColInt},
-					{Name: "dseq", Type: reldb.ColInt},
+					{Name: "first_dseq", Type: reldb.ColInt},
+					{Name: "payload", Type: reldb.ColBytes},
 				},
-				Key: []int{0, 1, 2},
+				Key: []int{0, 1},
 			}); err != nil {
 				return err
 			}
@@ -311,20 +319,33 @@ func (s *Store) loadCaches() error {
 		for peer := range recoveredTrust {
 			s.peers[peer].trust = s.trustGraph.Effective(peer)
 		}
+		// An id decided more than once keeps its highest dseq, whatever
+		// order the rows scan in.
 		for k := 0; k < s.tableShards; k++ {
 			if err := tx.Scan(s.decisionsTab[k], func(r reldb.Row) bool {
 				pm := s.peers[core.PeerID(r[0].S())]
 				if pm == nil {
 					return true
 				}
-				id := core.TxnID{Origin: core.PeerID(r[1].S()), Seq: uint64(r[2].I())}
-				pm.decided[id] = core.RestoredDecision{Decision: core.Decision(r[3].I()), Seq: r[4].I()}
-				if r[4].I() > pm.nextSeq {
-					pm.nextSeq = r[4].I()
+				es, err := decodeDecisionRow(r[1].I(), r[2].S())
+				if err != nil {
+					scanErr = fmt.Errorf("central: %s (%s, %d): %w", s.decisionsTab[k], r[0].S(), r[1].I(), err)
+					return false
+				}
+				for _, e := range es {
+					if old, ok := pm.decided[e.id]; !ok || e.dseq > old.Seq {
+						pm.decided[e.id] = core.RestoredDecision{Decision: e.d, Seq: e.dseq}
+					}
+					if e.dseq > pm.nextSeq {
+						pm.nextSeq = e.dseq
+					}
 				}
 				return true
 			}); err != nil {
 				return err
+			}
+			if scanErr != nil {
+				return scanErr
 			}
 		}
 		if r, ok, err := tx.Get(s.metaTab, reldb.Str("compacted_before")); err != nil {

@@ -455,26 +455,54 @@ func (s *Store) compactBeforeLocked(e core.Epoch, key store.IdempotencyKey) erro
 				}
 			}
 		}
+		// A decision entry goes when its transaction's epoch is at or below
+		// the horizon (or its transaction is unindexed) and the snapshot
+		// folded it in (dseq <= the peer's high-water mark). A row keeps its
+		// key and is rewritten to the entries that stay, or deleted when
+		// none do.
+		type decRewrite struct {
+			peer    string
+			first   int64
+			payload []byte // nil: delete the row
+		}
 		for k := 0; k < s.tableShards; k++ {
-			type decKey struct {
-				peer, origin string
-				seq          int64
-			}
-			var drop []decKey
+			var rewrites []decRewrite
+			var scanErr error
 			if err := tx.Scan(s.decisionsTab[k], func(r reldb.Row) bool {
-				id := core.TxnID{Origin: core.PeerID(r[1].S()), Seq: uint64(r[2].I())}
-				if en := s.lookup(id); en != nil && en.epoch > e {
-					return true // retained epoch: keep
+				peer, first := r[0].S(), r[1].I()
+				es, err := decodeDecisionRow(first, r[2].S())
+				if err != nil {
+					scanErr = fmt.Errorf("central: %s (%s, %d): %w", s.decisionsTab[k], peer, first, err)
+					return false
 				}
-				if r[4].I() <= hw[core.PeerID(r[0].S())] {
-					drop = append(drop, decKey{peer: r[0].S(), origin: r[1].S(), seq: r[2].I()})
+				keep := es[:0]
+				for _, d := range es {
+					if en := s.lookup(d.id); (en != nil && en.epoch > e) || d.dseq > hw[core.PeerID(peer)] {
+						keep = append(keep, d)
+					}
+				}
+				switch {
+				case len(keep) == len(es):
+				case len(keep) == 0:
+					rewrites = append(rewrites, decRewrite{peer: peer, first: first})
+				default:
+					rewrites = append(rewrites, decRewrite{peer: peer, first: first, payload: appendDecisionRow(nil, first, keep)})
 				}
 				return true
 			}); err != nil {
 				return err
 			}
-			for _, d := range drop {
-				if _, err := tx.Delete(s.decisionsTab[k], reldb.Str(d.peer), reldb.Str(d.origin), reldb.Int(d.seq)); err != nil {
+			if scanErr != nil {
+				return scanErr
+			}
+			for _, rw := range rewrites {
+				var err error
+				if rw.payload == nil {
+					_, err = tx.Delete(s.decisionsTab[k], reldb.Str(rw.peer), reldb.Int(rw.first))
+				} else {
+					err = tx.Upsert(s.decisionsTab[k], reldb.Row{reldb.Str(rw.peer), reldb.Int(rw.first), reldb.Bytes(rw.payload)})
+				}
+				if err != nil {
 					return err
 				}
 			}
