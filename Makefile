@@ -181,10 +181,12 @@ storage-smoke:
 # input byte for byte — the WAL's frame reader, reldb's
 # record and snapshot.db decoders (FuzzDecodeWALRecord,
 # FuzzDecodeSnapshotDB), central's decision rows (FuzzDecodeDecisionRow),
-# the namespace codec and the trust parser. go's
+# the namespace codec, the trust parser, and core's decided table
+# (FuzzDecidedTable, model-checked against plain maps). go's
 # -fuzz runs one target per invocation, so each gets its own line.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTuple$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDecidedTable$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePublishedTxns$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReconciliation$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/rpc

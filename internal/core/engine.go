@@ -8,8 +8,9 @@ import (
 
 // Engine is the client-centric reconciliation engine for one participant.
 // It owns the participant's materialized instance, its applied/rejected
-// transaction sets, and the reconstructable soft state (deferred
-// transactions, dirty values, conflict groups). The update store feeds it
+// transaction sets (decided tables, a bit per transaction: decided.go), and
+// the reconstructable soft state (deferred transactions, dirty values,
+// conflict groups). The update store feeds it
 // Candidates; the engine implements ReconcileUpdates of Figure 4 with the
 // helper procedures of Figure 5.
 //
@@ -24,8 +25,10 @@ type Engine struct {
 	trust  Trust
 	inst   *Instance
 
-	applied  TxnSet
-	rejected TxnSet
+	// applied only grows; rejected loses only the same-run rejections an
+	// accepted chain rescinds.
+	applied  DecidedSet
+	rejected DecidedSet
 
 	// deferredCands carries deferred candidates across reconciliations so
 	// ReconcileUpdates can reconsider them without re-fetching, each with
@@ -63,8 +66,6 @@ func NewEngine(peer PeerID, schema *Schema, trust Trust) *Engine {
 		schema:        schema,
 		trust:         trust,
 		inst:          NewInstance(schema),
-		applied:       make(TxnSet),
-		rejected:      make(TxnSet),
 		deferredCands: make(map[TxnID]*deferredCand),
 		dirty:         make(map[tupleKey]bool),
 		groups:        make(map[Conflict]*ConflictGroup),
@@ -388,7 +389,7 @@ func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result
 				res.Accepted = append(res.Accepted, x.ID)
 				if runRejected.Has(x.ID) {
 					delete(runRejected, x.ID)
-					delete(e.rejected, x.ID)
+					e.rejected.Remove(x.ID)
 				}
 			}
 		case DecisionReject:

@@ -66,7 +66,7 @@ func TestInvariantDecisionSetsDisjoint(t *testing.T) {
 					t.Fatalf("seed %d: %s both deferred and rejected at %s", seed, id, e.Peer())
 				}
 			}
-			for id := range e.applied {
+			for _, id := range e.applied.Sorted() {
 				if e.rejected.Has(id) {
 					t.Fatalf("seed %d: %s both applied and rejected at %s", seed, id, e.Peer())
 				}

@@ -52,16 +52,40 @@ func (fs *flattenScratch) newChain(c flattenChain) *flattenChain {
 	return p
 }
 
-// release clears the scratch and returns it to the pool. The arena is
-// zeroed, not just truncated, so an idle pooled scratch does not pin the
-// previous call's tuples and encodings.
-func (fs *flattenScratch) release() {
-	clear(fs.live)
-	clear(fs.dead)
+// forget deletes from live and dead the keys the chains wrote, and reports
+// whether that emptied both. A chain is keyed in live by its current value
+// while it has one, and in dead by its source key once deleted, so deleting
+// those keys costs O(chains) where clear costs O(capacity): a map grown once
+// by a large Flatten is not swept on every later small one.
+func (fs *flattenScratch) forget() bool {
+	for _, c := range fs.all {
+		if c.cur != nil {
+			delete(fs.live, tupleKey{rel: c.rel.Name, enc: c.curEnc})
+		}
+		if c.source != nil {
+			delete(fs.dead, tupleKey{rel: c.rel.Name, enc: c.sourceKeyEnc})
+		}
+	}
+	return len(fs.live) == 0 && len(fs.dead) == 0
+}
+
+// reset empties the scratch for its next call. The arena is zeroed, not
+// just truncated, so an idle pooled scratch does not pin the previous
+// call's tuples and encodings.
+func (fs *flattenScratch) reset() {
+	if !fs.forget() {
+		clear(fs.live)
+		clear(fs.dead)
+	}
 	clear(fs.all)
 	fs.all = fs.all[:0]
 	clear(fs.arena)
 	fs.arena = fs.arena[:0]
+}
+
+// release resets the scratch and returns it to the pool.
+func (fs *flattenScratch) release() {
+	fs.reset()
 	flattenPool.Put(fs)
 }
 
@@ -84,6 +108,11 @@ func (fs *flattenScratch) release() {
 func Flatten(s *Schema, updates []Update) ([]Update, error) {
 	fs := flattenPool.Get().(*flattenScratch)
 	defer fs.release()
+	return fs.flatten(s, updates)
+}
+
+// flatten is Flatten on the given scratch, which it leaves for release.
+func (fs *flattenScratch) flatten(s *Schema, updates []Update) ([]Update, error) {
 	// live chains indexed by the encoding of their current value; dead
 	// chains indexed by the key of their source value so a later insert
 	// with the same key revives them as a modification.

@@ -303,3 +303,60 @@ func TestFlattenQuickNeverPanics(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFlattenScratchForgetsItsKeys runs Flatten's body on one explicit
+// scratch over the update sequences of the tests above, error returns
+// included, then over random ones, and checks that deleting the keys the
+// chains wrote empties both maps — so release never has to sweep a map's
+// whole capacity.
+func TestFlattenScratchForgetsItsKeys(t *testing.T) {
+	s := flatSchema(t)
+	a, b, c := Strs("rat", "p1", "a"), Strs("rat", "p1", "b"), Strs("rat", "p1", "c")
+	seqs := [][]Update{
+		{Insert("F", a, "x"), Modify("F", a, b, "x"), Modify("F", b, c, "x")},
+		{Modify("F", a, b, "x"), Modify("F", b, c, "x")},
+		{Insert("F", a, "x"), Delete("F", a, "x")},
+		{Insert("F", a, "x"), Modify("F", a, b, "x"), Delete("F", b, "x")},
+		{Modify("F", a, b, "x"), Delete("F", b, "x")},
+		{Delete("F", a, "x"), Insert("F", b, "x")},
+		{Delete("F", a, "x"), Insert("F", a, "x")},
+		{Modify("F", a, b, "x"), Modify("F", b, a, "x")},
+		{
+			Insert("F", Strs("mouse", "prot2", "cell-resp"), "p3"),
+			Modify("F", Strs("mouse", "prot2", "cell-resp"), Strs("mouse", "prot3", "cell-resp"), "p3"),
+		},
+		{
+			Insert("F", a, "x"),
+			Insert("F", Strs("mouse", "p2", "b"), "x"),
+			Modify("F", Strs("mouse", "p2", "b"), Strs("mouse", "p2", "c"), "x"),
+			Delete("F", Strs("dog", "p3", "d"), "x"),
+		},
+		{Insert("F", a, "x"), Insert("F", a, "y")},
+		{Delete("F", a, "x"), Delete("F", a, "y")},
+		{Modify("F", a, a, "x")},
+		{Insert("F", Strs("x", "p", "1"), "o"), Insert("F", Strs("a", "p", "1"), "o")},
+		// The error returns of TestFlattenErrors.
+		{Insert("Z", Strs("a", "b", "c"), "x")},
+		{{Op: Op(9), Rel: "F", Tuple: Strs("a", "b", "c")}},
+		{Insert("F", a, "x"), Modify("F", Strs("rat", "p2", "b"), a, "x")},
+		{Insert("F", a, "x"), Delete("F", Strs("dog", "p3", "d"), "x"), {Op: Op(9), Rel: "F", Tuple: b}},
+	}
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		base := NewInstance(s)
+		for i := 0; i < r.Intn(6); i++ {
+			org := []string{"rat", "mouse", "dog", "cat"}[r.Intn(4)]
+			prot := []string{"p0", "p1", "p2"}[r.Intn(3)]
+			_ = base.Apply(Insert("F", Strs(org, prot, "seed"), "x"))
+		}
+		seqs = append(seqs, genUpdateSeq(r, s, base, 1+r.Intn(24)))
+	}
+	fs := &flattenScratch{live: make(map[tupleKey]*flattenChain), dead: make(map[tupleKey]*flattenChain)}
+	for i, seq := range seqs {
+		fs.flatten(s, seq)
+		if !fs.forget() || len(fs.live) != 0 || len(fs.dead) != 0 {
+			t.Fatalf("sequence %d %v: %d live and %d dead keys left after forget", i, seq, len(fs.live), len(fs.dead))
+		}
+		fs.reset()
+	}
+}

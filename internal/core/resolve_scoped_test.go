@@ -246,10 +246,10 @@ func (sr *scopedRun) compare(step string, s, o *Engine, resS, resO *Result) {
 	if resS.Stats.DirtyKeys != resO.Stats.DirtyKeys {
 		fail("Stats.DirtyKeys", resS.Stats.DirtyKeys, resO.Stats.DirtyKeys)
 	}
-	if !reflect.DeepEqual(s.applied, o.applied) {
+	if !reflect.DeepEqual(s.applied.Sorted(), o.applied.Sorted()) {
 		fail("applied set", s.applied.Sorted(), o.applied.Sorted())
 	}
-	if !reflect.DeepEqual(s.rejected, o.rejected) {
+	if !reflect.DeepEqual(s.rejected.Sorted(), o.rejected.Sorted()) {
 		fail("rejected set", s.rejected.Sorted(), o.rejected.Sorted())
 	}
 	if !reflect.DeepEqual(s.DeferredIDs(), o.DeferredIDs()) {

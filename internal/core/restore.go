@@ -35,8 +35,12 @@ type RestoredDecision struct {
 // after the peer's stored frontier, so the deferred transactions stay
 // undecided until the store re-offers undecided transactions (ROADMAP item
 // 3; docs/RECOVERY.md).
+//
+// Restore refuses an engine that has applied, rejected or deferred anything
+// or holds any tuple; RestoreTail is the path for an engine seeded from a
+// snapshot.
 func (e *Engine) Restore(log []LoggedTxn, decisions map[TxnID]RestoredDecision) error {
-	if len(e.applied) > 0 || e.inst.TotalLen() > 0 {
+	if e.applied.Len() > 0 || e.rejected.Len() > 0 || len(e.deferredCands) > 0 || e.inst.TotalLen() > 0 {
 		return fmt.Errorf("core: Restore requires a fresh engine")
 	}
 	return e.restoreLog(log, decisions)

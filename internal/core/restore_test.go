@@ -112,6 +112,43 @@ func TestRestoreDirect(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesUsedEngine: Restore replays a whole history, so it
+// refuses an engine that holds any decision — a rejection or a deferral as
+// much as an acceptance — even with an empty instance. RestoreTail stays
+// the path for an engine seeded from a snapshot.
+func TestRestoreRefusesUsedEngine(t *testing.T) {
+	s := proteinSchema(t)
+	x := handTxn("o", 1, Insert("F", fTuple("k", "x"), "o"))
+	log := []LoggedTxn{{Txn: x}}
+	decisions := map[TxnID]RestoredDecision{x.ID: {Decision: DecisionAccept, Seq: 1}}
+
+	rejecter, err := NewEngineFromSnapshot(s, TrustAll(1), &EngineSnapshot{Peer: "me", Rejected: []TxnID{xid("r", 0)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rejecter.Restore(log, decisions); err == nil {
+		t.Error("Restore accepted an engine holding only a rejection")
+	}
+	if err := rejecter.RestoreTail(log, decisions); err != nil {
+		t.Errorf("RestoreTail on a seeded engine: %v", err)
+	}
+	if !rejecter.Applied(x.ID) || !rejecter.Rejected(xid("r", 0)) {
+		t.Error("RestoreTail lost the seeded rejection or the replayed acceptance")
+	}
+
+	deferrer := NewEngine("me", s, TrustAll(1))
+	a := handTxn("a", 2, Insert("F", fTuple("k", "a"), "a"))
+	b := handTxn("b", 3, Insert("F", fTuple("k", "b"), "b"))
+	res, err := deferrer.Reconcile([]*Candidate{handCand(a), handCand(b)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantIDs(t, "deferred", res.Deferred, a.ID, b.ID)
+	if err := deferrer.Restore(log, decisions); err == nil {
+		t.Error("Restore accepted an engine holding only deferrals")
+	}
+}
+
 func TestRestoreAcceptanceOrderBeatsGlobalOrder(t *testing.T) {
 	// The peer accepted its own modify before importing a later-published
 	// identical insert; replay must follow acceptance order.

@@ -12,10 +12,10 @@ func engineStateEqual(t *testing.T, what string, a, b *Engine) {
 	if !a.Instance().Equal(b.Instance()) {
 		t.Errorf("%s: instances differ", what)
 	}
-	if !reflect.DeepEqual(a.applied, b.applied) {
+	if !reflect.DeepEqual(a.applied.Sorted(), b.applied.Sorted()) {
 		t.Errorf("%s: applied sets differ: %v vs %v", what, a.applied.Sorted(), b.applied.Sorted())
 	}
-	if !reflect.DeepEqual(a.rejected, b.rejected) {
+	if !reflect.DeepEqual(a.rejected.Sorted(), b.rejected.Sorted()) {
 		t.Errorf("%s: rejected sets differ: %v vs %v", what, a.rejected.Sorted(), b.rejected.Sorted())
 	}
 	if !reflect.DeepEqual(a.producers, b.producers) {

@@ -308,15 +308,17 @@ type peerMeta struct {
 	lastEpoch core.Epoch
 	recno     int
 	// decided holds each decision with its sequence number: the peer's
-	// valid replay order for reconstruction (store.Replayer).
-	decided map[core.TxnID]core.RestoredDecision
+	// valid replay order for reconstruction (store.Replayer). A decided
+	// table, a word per decision, not a map: it only grows until
+	// compaction, and every candidate filter and extension reads it.
+	decided core.DecisionTable
 	nextSeq int64
 }
 
 // recordDecisionLocked updates the decision cache.
 func (pm *peerMeta) recordDecisionLocked(id core.TxnID, d core.Decision) int64 {
 	pm.nextSeq++
-	pm.decided[id] = core.RestoredDecision{Decision: d, Seq: pm.nextSeq}
+	pm.decided.Set(id, core.RestoredDecision{Decision: d, Seq: pm.nextSeq})
 	return pm.nextSeq
 }
 

@@ -153,8 +153,8 @@ func TestDecisionRowsPerBatch(t *testing.T) {
 		folded[d.peer][d.id] = core.RestoredDecision{Decision: d.d, Seq: d.dseq}
 	}
 	for _, p := range []core.PeerID{"pa", "pb", "pc"} {
-		if !reflect.DeepEqual(folded[p], s.peers[p].decided) {
-			t.Errorf("%s's rows and decision cache disagree:\n rows  %v\n cache %v", p, folded[p], s.peers[p].decided)
+		if cache := s.peers[p].decided.Map(); !reflect.DeepEqual(folded[p], cache) {
+			t.Errorf("%s's rows and decision cache disagree:\n rows  %v\n cache %v", p, folded[p], cache)
 		}
 	}
 }
@@ -279,7 +279,8 @@ func TestCompactionSplitsDecisionRow(t *testing.T) {
 	if snapE != core.Epoch(n) {
 		t.Fatalf("snapshot at epoch %d, want %d", snapE, n)
 	}
-	k, first := s.decisionShard(ids[0]), s.peers["pb"].decided[ids[0]].Seq
+	pbFirst, _ := s.peers["pb"].decided.Get(ids[0])
+	k, first := s.decisionShard(ids[0]), pbFirst.Seq
 	split := decisionRow(t, s, k, "pb", first)
 	if len(split) != 2 || split[0].id != ids[0] || split[1].id != ids[n-1] {
 		t.Fatalf("pb's row (%s, %d) holds %v, want %s and %s", s.decisionsTab[k], first, split, ids[0], ids[n-1])
@@ -309,7 +310,7 @@ func TestCompactionSplitsDecisionRow(t *testing.T) {
 	}
 	live := map[core.PeerID]map[core.TxnID]core.RestoredDecision{}
 	for _, p := range []core.PeerID{"pa", "pb"} {
-		live[p] = s.peers[p].decided
+		live[p] = s.peers[p].decided.Map()
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -324,7 +325,7 @@ func TestCompactionSplitsDecisionRow(t *testing.T) {
 		t.Errorf("decision entries after reopen:\n got %v\nwant %v", got, want)
 	}
 	for _, p := range []core.PeerID{"pa", "pb"} {
-		if got := s2.peers[p].decided; !reflect.DeepEqual(got, live[p]) {
+		if got := s2.peers[p].decided.Map(); !reflect.DeepEqual(got, live[p]) {
 			t.Errorf("%s's decisions after reopen:\n got %v\nwant %v", p, got, live[p])
 		}
 	}
@@ -425,5 +426,48 @@ func TestRefuseLayout3(t *testing.T) {
 	}
 	if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
 		t.Errorf("a refused Open changed the directory:\n got %q\nwant %q", after, before)
+	}
+}
+
+// TestOpenRefusesDecisionSeqPastCache: a decision row whose dseq the
+// decision cache cannot hold (past core.MaxDecisionSeq) makes Open fail
+// with an error naming the row, not panic.
+func TestOpenRefusesDecisionSeqPastCache(t *testing.T) {
+	ctx := context.Background()
+	schema := storetest.Schema(t)
+	dir := t.TempDir()
+	s, err := Open(schema, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterPeer(ctx, "pa", core.TrustAll(1)); err != nil {
+		t.Fatal(err)
+	}
+	id := pubBatch(t, s, "pa", 1, 1)[0]
+	tab := s.decisionsTab[s.decisionShard(id)]
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err := reldb.Open(reldb.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const first = core.MaxDecisionSeq + 1
+	row := appendDecisionRow(nil, first, []decisionEntry{{id: id, d: core.DecisionAccept, dseq: first}})
+	if err := db.Update(func(tx *reldb.Tx) error {
+		return tx.Insert(tab, reldb.Row{reldb.Str("pa"), reldb.Int(first), reldb.Bytes(row)})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(schema, dir)
+	if err == nil {
+		s.Close()
+		t.Fatal("Open accepted a dseq past core.MaxDecisionSeq")
+	}
+	if !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("Open: %v, want a dseq out of range", err)
 	}
 }

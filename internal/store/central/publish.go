@@ -59,7 +59,7 @@ func (s *Store) RegisterPeer(_ context.Context, peer core.PeerID, t core.Trust) 
 		return err
 	}
 	if !known {
-		s.peers[peer] = &peerMeta{decided: make(map[core.TxnID]core.RestoredDecision)}
+		s.peers[peer] = &peerMeta{}
 	}
 	affected := s.trustGraph.Set(peer, t)
 	for _, ap := range affected {

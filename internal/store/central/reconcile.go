@@ -3,7 +3,6 @@ package central
 import (
 	"context"
 	"fmt"
-	"maps"
 	"sort"
 
 	"orchestra/internal/core"
@@ -112,7 +111,7 @@ func (s *Store) appendCandidate(out []*core.Candidate, pm *peerMeta, peer core.P
 	if x.ID.Origin == peer {
 		return out
 	}
-	if _, decided := pm.decided[x.ID]; decided {
+	if _, decided := pm.decided.Get(x.ID); decided {
 		return out
 	}
 	prio := core.TxnPriority(pm.trust, x)
@@ -155,8 +154,10 @@ func (s *Store) extension(root core.TxnID, pm *peerMeta) []*core.Transaction {
 		if en == nil {
 			continue // antecedent from before this store's history
 		}
-		if id != root && pm.decided[id].Decision == core.DecisionAccept {
-			continue
+		if id != root {
+			if d, _ := pm.decided.Get(id); d.Decision == core.DecisionAccept {
+				continue
+			}
 		}
 		out = append(out, en.pub.Txn)
 		for _, a := range en.pub.Antecedents {
@@ -362,5 +363,5 @@ func (s *Store) ReplayFor(_ context.Context, peer core.PeerID) ([]store.Publishe
 	log := s.windowTxns(0, s.maxEpoch())
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	return log, maps.Clone(pm.decided), nil
+	return log, pm.decided.Map(), nil
 }

@@ -280,8 +280,6 @@ func (s *Store) loadCaches() error {
 			s.peers[core.PeerID(r[0].S())] = &peerMeta{
 				lastEpoch: core.Epoch(r[1].I()),
 				recno:     int(r[2].I()),
-				// Sized for the usual case: a decision on every recovered entry.
-				decided: make(map[core.TxnID]core.RestoredDecision, len(recovered)),
 			}
 			return true
 		}); err != nil {
@@ -333,8 +331,12 @@ func (s *Store) loadCaches() error {
 					return false
 				}
 				for _, e := range es {
-					if old, ok := pm.decided[e.id]; !ok || e.dseq > old.Seq {
-						pm.decided[e.id] = core.RestoredDecision{Decision: e.d, Seq: e.dseq}
+					if e.dseq < 0 || e.dseq > core.MaxDecisionSeq {
+						scanErr = fmt.Errorf("central: %s (%s, %d): dseq %d out of range", s.decisionsTab[k], r[0].S(), r[1].I(), e.dseq)
+						return false
+					}
+					if old, ok := pm.decided.Get(e.id); !ok || e.dseq > old.Seq {
+						pm.decided.Set(e.id, core.RestoredDecision{Decision: e.d, Seq: e.dseq})
 					}
 					if e.dseq > pm.nextSeq {
 						pm.nextSeq = e.dseq

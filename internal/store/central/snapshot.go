@@ -3,7 +3,6 @@ package central
 import (
 	"context"
 	"fmt"
-	"maps"
 	"sort"
 
 	"orchestra/internal/core"
@@ -28,7 +27,7 @@ type peerCopy struct {
 	lastEpoch core.Epoch
 	recno     int
 	nextSeq   int64
-	decided   map[core.TxnID]core.RestoredDecision
+	decided   core.DecisionTable
 	// hw is the peer's folded decision prefix for the snapshot being
 	// taken: the largest sequence such that every decision at or below it
 	// references a transaction at or below the snapshot epoch. Usually
@@ -75,7 +74,7 @@ func (s *Store) copyPeers() ([]peerCopy, core.Epoch) {
 			lastEpoch: pm.lastEpoch,
 			recno:     pm.recno,
 			nextSeq:   pm.nextSeq,
-			decided:   maps.Clone(pm.decided),
+			decided:   pm.decided.Clone(),
 		}
 	}
 	for _, pm := range pms {
@@ -160,10 +159,10 @@ func (s *Store) snapshotLocked(ctx context.Context, key store.IdempotencyKey) (c
 			seq int64
 			id  core.TxnID
 		}
-		ordered := make([]sd, 0, len(cp.decided))
-		for id, d := range cp.decided {
+		ordered := make([]sd, 0, cp.decided.Len())
+		cp.decided.Range(func(id core.TxnID, d core.RestoredDecision) {
 			ordered = append(ordered, sd{seq: d.Seq, id: id})
-		}
+		})
 		sort.Slice(ordered, func(a, b int) bool { return ordered[a].seq < ordered[b].seq })
 		for _, d := range ordered {
 			if !foldable(d.id) {
@@ -192,11 +191,11 @@ func (s *Store) snapshotLocked(ctx context.Context, key store.IdempotencyKey) (c
 			eng = core.NewEngine(cp.id, s.schema, cp.trust)
 		}
 		decs := make(map[core.TxnID]core.RestoredDecision)
-		for id, d := range cp.decided {
+		cp.decided.Range(func(id core.TxnID, d core.RestoredDecision) {
 			if d.Seq > afterSeq && d.Seq <= cp.hw {
 				decs[id] = d
 			}
-		}
+		})
 		if err := eng.RestoreTail(logged, decs); err != nil {
 			return 0, fmt.Errorf("central: snapshot state for %s: %w", cp.id, err)
 		}
@@ -216,7 +215,7 @@ func (s *Store) snapshotLocked(ctx context.Context, key store.IdempotencyKey) (c
 		settled := true
 		for i := range copies {
 			cp := &copies[i]
-			if d := cp.decided[en.pub.Txn.ID]; d.Decision != core.DecisionAccept || d.Seq > cp.hw {
+			if d, _ := cp.decided.Get(en.pub.Txn.ID); d.Decision != core.DecisionAccept || d.Seq > cp.hw {
 				settled = false
 				break
 			}
@@ -300,11 +299,11 @@ func (s *Store) ReplayFrom(_ context.Context, peer core.PeerID, from core.Epoch,
 	lockContended(&pm.mu, s.counters.ObservePeerContention)
 	defer pm.mu.Unlock()
 	decisions := make(map[core.TxnID]core.RestoredDecision)
-	for id, d := range pm.decided {
+	pm.decided.Range(func(id core.TxnID, d core.RestoredDecision) {
 		if d.Seq > afterSeq {
 			decisions[id] = d
 		}
-	}
+	})
 	return log, decisions, nil
 }
 
@@ -555,8 +554,8 @@ func (s *Store) compactBeforeLocked(e core.Epoch, key store.IdempotencyKey) erro
 		h := hw[ids[i]]
 		lockContended(&pm.mu, s.counters.ObservePeerContention)
 		for id := range oldIDs {
-			if d, ok := pm.decided[id]; ok && d.Seq <= h {
-				delete(pm.decided, id)
+			if d, ok := pm.decided.Get(id); ok && d.Seq <= h {
+				pm.decided.Delete(id)
 			}
 		}
 		pm.mu.Unlock()
