@@ -25,7 +25,6 @@ const (
 	pageShift  = 9
 	pageIDs    = 1 << pageShift // seqs per page
 	denseBound = 1 << 20        // seqs at or past it go to the overflow map
-	dirScan    = 8              // origins searched in order before the directory gets a map
 )
 
 // originRow is one origin's ids.
@@ -43,8 +42,8 @@ type originRow struct {
 // nothing (0). A wide table spends a word per slot, a narrow one a bit: its
 // only value is 1. Every method takes the width from its face.
 type idTable struct {
-	rows  []*originRow          // in the order origins were first written
-	index map[PeerID]*originRow // nil until there are more than dirScan rows
+	rows  []*originRow          // in the order origins were first written, for iteration
+	index map[PeerID]*originRow // the origin directory
 	n     int
 }
 
@@ -55,30 +54,15 @@ func pageWords(wide bool) int {
 	return pageIDs / 64
 }
 
-func (t *idTable) row(o PeerID) *originRow {
-	if t.index != nil {
-		return t.index[o]
-	}
-	for _, r := range t.rows {
-		if r.origin == o {
-			return r
-		}
-	}
-	return nil
-}
+func (t *idTable) row(o PeerID) *originRow { return t.index[o] }
 
 func (t *idTable) addRow(o PeerID) *originRow {
 	r := &originRow{origin: o}
 	t.rows = append(t.rows, r)
-	switch {
-	case t.index != nil:
-		t.index[o] = r
-	case len(t.rows) > dirScan:
-		t.index = make(map[PeerID]*originRow, len(t.rows))
-		for _, r := range t.rows {
-			t.index[r.origin] = r
-		}
+	if t.index == nil {
+		t.index = make(map[PeerID]*originRow)
 	}
+	t.index[o] = r
 	return r
 }
 
@@ -206,7 +190,7 @@ func (t *idTable) sorted(wide bool) []TxnID {
 
 // clone returns a copy that shares nothing with t.
 func (t *idTable) clone() idTable {
-	c := idTable{rows: make([]*originRow, len(t.rows)), n: t.n}
+	c := idTable{rows: make([]*originRow, len(t.rows)), index: make(map[PeerID]*originRow, len(t.rows)), n: t.n}
 	for i, r := range t.rows {
 		cr := &originRow{
 			origin: r.origin,
@@ -219,13 +203,7 @@ func (t *idTable) clone() idTable {
 				cr.pages[pi] = slices.Clone(p)
 			}
 		}
-		c.rows[i] = cr
-	}
-	if t.index != nil {
-		c.index = make(map[PeerID]*originRow, len(c.rows))
-		for _, r := range c.rows {
-			c.index[r.origin] = r
-		}
+		c.rows[i], c.index[r.origin] = cr, cr
 	}
 	return c
 }

@@ -92,7 +92,7 @@ var decidedSeqs = [16]uint64{
 }
 
 // decidedOrigins are the origins a fuzz input picks from: the empty origin
-// and more than dirScan others, so the directory gets its map.
+// and eleven others.
 var decidedOrigins = []PeerID{"", "p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8", "p9", "p10"}
 
 // FuzzDecidedTable interprets its input as Add/Remove on a DecidedSet and
