@@ -153,8 +153,11 @@ trust-smoke:
 # TestLatestSnapshotNeverGoesBack, TestSharedSnapshotSurvivesConcurrentRebuilds),
 # the build-once decoders (TestDecodeTupleCanonical: canonical tuples, one
 # allocation; TestDecodeSeedsEncodingCaches: a decoded update keeps the
-# encodings it read, and owns them; TestScanSharesRowsReadOnly: Scan's
-# uncopied rows survive later writes),
+# encodings it read, and owns them; TestScanSharesRowsReadOnly: the values
+# Scan hands out share the stored row's bytes, uncopied, and survive later
+# writes), reldb's reused transaction (TestPooledTxStartsClean: a
+# rolled-back Update leaves the next commit's WAL record byte-equal to a
+# fresh database's),
 # and a short budget each for FuzzWALReplay (the frame reader) and
 # FuzzDecodeWALRecord (what is inside a frame). make verify covers the
 # tests too; running them by name makes a regression in the layer under
@@ -169,6 +172,7 @@ storage-smoke:
 	$(GO) test -race -count=3 -run '^TestDecodeTupleCanonical$$' ./internal/core
 	$(GO) test -race -count=3 -run '^TestDecodeSeedsEncodingCaches$$' ./internal/store
 	$(GO) test -race -count=3 -run '^TestScanSharesRowsReadOnly$$' ./internal/reldb
+	$(GO) test -race -count=3 -run '^TestPooledTxStartsClean$$' ./internal/reldb
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime 10s ./internal/reldb
 

@@ -91,6 +91,10 @@ type DB struct {
 	seqs  map[string]int64
 
 	counters metrics.DBCounters
+
+	// txs holds finished transactions for reuse, record buffer, undo list
+	// and commit waiter included (see Tx.release).
+	txs sync.Pool
 }
 
 type table struct {
@@ -98,15 +102,17 @@ type table struct {
 	// first touch to commit, View transactions hold it shared.
 	mu  sync.RWMutex
 	def TableDef
-	// rows is keyed by TableDef.pkEnc of the row.
-	rows map[string]Row
+	// rows maps TableDef.keyOf of each row to the row, stored as its
+	// encoding: the bytes its WAL record and snapshot.db carry, shared
+	// with them.
+	rows map[string]string
 	// pending is non-nil while the transaction that created this table is
 	// still uncommitted; other transactions treat the table as absent.
 	pending *Tx
 }
 
 func newTable(def TableDef) *table {
-	return &table{def: def, rows: make(map[string]Row)}
+	return &table{def: def, rows: make(map[string]string)}
 }
 
 // Options configure a DB.
@@ -212,38 +218,52 @@ func (db *DB) Close() error {
 }
 
 // View runs fn with shared read access: every table fn touches is
-// read-locked from first touch until fn returns.
+// read-locked from first touch until fn returns. The Tx is reused once fn
+// returns: fn must not keep it.
 func (db *DB) View(fn func(tx *Tx) error) error {
 	db.stateMu.RLock()
 	defer db.stateMu.RUnlock()
 	if db.closed {
 		return ErrClosed
 	}
-	tx := &Tx{db: db}
+	tx := db.begin(false)
 	err := fn(tx)
 	tx.release()
+	db.txs.Put(tx)
 	return err
 }
 
 // Update runs fn with exclusive access to every table it touches; all
 // writes are applied atomically (rolled back if fn errors) and logged to
 // the WAL at commit. Concurrent Updates on disjoint tables proceed in
-// parallel; see the package comment for the lock-order contract.
+// parallel; see the package comment for the lock-order contract. The Tx
+// is reused once fn returns: fn must not keep it.
 func (db *DB) Update(fn func(tx *Tx) error) error {
 	db.stateMu.RLock()
 	defer db.stateMu.RUnlock()
 	if db.closed {
 		return ErrClosed
 	}
-	tx := &Tx{db: db, writable: true}
-	if err := fn(tx); err != nil {
+	tx := db.begin(true)
+	err := fn(tx)
+	if err != nil {
 		tx.rollback()
-		tx.release()
-		return err
+	} else {
+		err = tx.commit()
 	}
-	err := tx.commit()
 	tx.release()
+	db.txs.Put(tx)
 	return err
+}
+
+// begin takes a transaction from the pool, or makes one.
+func (db *DB) begin(writable bool) *Tx {
+	tx, _ := db.txs.Get().(*Tx)
+	if tx == nil {
+		tx = &Tx{db: db, wait: commitWait{done: make(chan flushResult, 1)}}
+	}
+	tx.writable = writable
+	return tx
 }
 
 // resolve returns the named table if it exists and is visible to tx
@@ -309,12 +329,12 @@ func (db *DB) replay(op *walOp) error {
 	}
 	switch op.kind {
 	case opPut:
-		if err := t.def.checkRow(op.row); err != nil {
+		if err := t.def.checkEncoded(op.row); err != nil {
 			return err
 		}
 		t.put(op.row)
 	case opDelete:
-		t.deleteByPK(op.pk)
+		delete(t.rows, op.pk)
 	case opDrop:
 		delete(db.tables, op.name)
 	default:
@@ -323,20 +343,16 @@ func (db *DB) replay(op *walOp) error {
 	return nil
 }
 
-// put inserts or replaces a row (no constraint checks; callers check).
-func (t *table) put(r Row) { t.rows[t.def.pkEnc(r)] = r }
+// put inserts or replaces a stored row (no constraint checks; callers
+// check).
+func (t *table) put(row string) { t.rows[t.def.keyOf(row)] = row }
 
-func (t *table) deleteByPK(pk string) (Row, bool) {
-	old, ok := t.rows[pk]
-	delete(t.rows, pk)
-	return old, ok
-}
-
-// ascend visits the rows in ascending encoded-key order — the byte order
-// of pkEnc, which is deterministic but not the order of the key's values
-// (see value.go) — until fn returns false. Checkpoint writes in this order
-// so that equal tables give equal snapshot.db bytes; Scan has no order.
-func (t *table) ascend(fn func(r Row) bool) {
+// ascend visits the stored rows in ascending encoded-key order — the byte
+// order of keyOf, which is deterministic but not the order of the key's
+// values (see value.go) — until fn returns false. Checkpoint writes in
+// this order so that equal tables give equal snapshot.db bytes; Scan has
+// no order.
+func (t *table) ascend(fn func(row string) bool) {
 	keys := make([]string, 0, len(t.rows))
 	for k := range t.rows {
 		keys = append(keys, k)
@@ -362,6 +378,9 @@ type groupCommitter struct {
 	mu      sync.Mutex
 	leading bool
 	queue   []*commitWait
+
+	// payloads is the leader's scratch: only the one leader touches it.
+	payloads [][]byte
 }
 
 // flushResult is what a flush hands each waiter: appended distinguishes a
@@ -373,16 +392,17 @@ type flushResult struct {
 	appended bool
 }
 
+// commitWait is a committer's place in the queue. Each Tx owns one, its
+// channel made once and reused by every commit of the Tx.
 type commitWait struct {
 	payload []byte
 	done    chan flushResult
 }
 
-// commit submits one encoded WAL record and blocks until the flush that
+// commit submits cw's encoded WAL record and blocks until the flush that
 // carried it completes. It reports whether the record was durably
 // appended alongside any flush error.
-func (gc *groupCommitter) commit(payload []byte) (bool, error) {
-	cw := &commitWait{payload: payload, done: make(chan flushResult, 1)}
+func (gc *groupCommitter) commit(cw *commitWait) (bool, error) {
 	gc.mu.Lock()
 	gc.queue = append(gc.queue, cw)
 	lead := !gc.leading
@@ -398,23 +418,31 @@ func (gc *groupCommitter) commit(payload []byte) (bool, error) {
 }
 
 // lead drains the queue in group flushes until it is empty, then abdicates.
+// The queue and the batch being flushed trade their slices, so a flush
+// allocates nothing.
 func (gc *groupCommitter) lead() {
+	var spare []*commitWait
 	for {
 		gc.mu.Lock()
 		batch := gc.queue
-		gc.queue = nil
 		if len(batch) == 0 {
+			if cap(batch) == 0 {
+				gc.queue = spare
+			}
 			gc.leading = false
 			gc.mu.Unlock()
 			return
 		}
+		gc.queue = spare
 		gc.mu.Unlock()
 
-		payloads := make([][]byte, len(batch))
-		for i, cw := range batch {
-			payloads[i] = cw.payload
+		payloads := gc.payloads[:0]
+		for _, cw := range batch {
+			payloads = append(payloads, cw.payload)
 		}
 		res := flushResult{err: gc.db.log.AppendBatch(payloads)}
+		clear(payloads)
+		gc.payloads = payloads
 		res.appended = res.err == nil
 		if res.appended && gc.db.sync {
 			res.err = gc.db.log.Sync()
@@ -425,6 +453,8 @@ func (gc *groupCommitter) lead() {
 		for _, cw := range batch {
 			cw.done <- res
 		}
+		clear(batch)
+		spare = batch[:0]
 	}
 }
 

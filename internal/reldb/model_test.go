@@ -13,13 +13,33 @@ import (
 // rolled back by a returned error, the table dropped and re-created —
 // against a plain map, and after every transaction, after close + reopen
 // (WAL replay) and after Checkpoint + reopen requires Scan to yield exactly
-// the model's rows, each once.
+// the model's rows, each once. It runs once for each way a table computes
+// a stored row's key: a substring of the row when the key is the leading
+// columns in order, and built from the values when it is not.
 func TestTablesAgainstModel(t *testing.T) {
-	def := TableDef{
-		Name: "m",
-		Cols: []ColDef{{Name: "a", Type: ColInt}, {Name: "b", Type: ColString}, {Name: "v", Type: ColInt}},
-		Key:  []int{0, 1},
+	for _, tc := range []struct {
+		name string
+		def  TableDef
+		row  func(a int64, b string, v int64) Row
+	}{
+		{"leading key", TableDef{
+			Name: "m",
+			Cols: []ColDef{{Name: "a", Type: ColInt}, {Name: "b", Type: ColString}, {Name: "v", Type: ColInt}},
+			Key:  []int{0, 1},
+		}, func(a int64, b string, v int64) Row { return Row{Int(a), Str(b), Int(v)} }},
+		{"key out of column order", TableDef{
+			Name: "m",
+			Cols: []ColDef{{Name: "v", Type: ColInt}, {Name: "b", Type: ColString}, {Name: "a", Type: ColInt}},
+			Key:  []int{2, 1},
+		}, func(a int64, b string, v int64) Row { return Row{Int(v), Str(b), Int(a)} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testTableAgainstModel(t, tc.def, tc.row) })
 	}
+}
+
+// testTableAgainstModel is TestTablesAgainstModel over one table, whose
+// rows mk builds from the key values a, b and a payload v.
+func testTableAgainstModel(t *testing.T, def TableDef, mk func(a int64, b string, v int64) Row) {
 	// Key values straddle varint widths, so encoded-key order (the order
 	// Checkpoint writes in) differs from value order.
 	as := []int64{-1, 0, 1, 2, 127, 128, 300, 1 << 40}
@@ -79,7 +99,8 @@ func TestTablesAgainstModel(t *testing.T) {
 				}
 			}
 			for n := rng.Intn(8); n > 0 && !recreate; n-- {
-				r := Row{Int(as[rng.Intn(len(as))]), Str(bs[rng.Intn(len(bs))]), Int(int64(step))}
+				r := mk(as[rng.Intn(len(as))], bs[rng.Intn(len(bs))], int64(step))
+				key := r.project(def.Key)
 				pk := def.pkEnc(r)
 				old, had := next[pk]
 				switch op := rng.Intn(20); {
@@ -96,17 +117,17 @@ func TestTablesAgainstModel(t *testing.T) {
 					}
 					next[pk] = r
 				case op < 17:
-					if ok, err := tx.Delete("m", r[0], r[1]); err != nil || ok != had {
-						t.Fatalf("step %d: Delete %v = %v, %v; model had it: %v", step, r[:2], ok, err, had)
+					if ok, err := tx.Delete("m", key...); err != nil || ok != had {
+						t.Fatalf("step %d: Delete %v = %v, %v; model had it: %v", step, key, ok, err, had)
 					}
 					delete(next, pk)
 				case op < 19:
-					if got, ok, err := tx.Get("m", r[0], r[1]); err != nil || ok != had || !slices.Equal(got, old) {
-						t.Fatalf("step %d: Get %v = %v, %v, %v; model has %v", step, r[:2], got, ok, err, old)
+					if got, ok, err := tx.Get("m", key...); err != nil || ok != had || !slices.Equal(got, old) {
+						t.Fatalf("step %d: Get %v = %v, %v, %v; model has %v", step, key, got, ok, err, old)
 					}
 				default: // delete to empty
 					for _, row := range next {
-						if _, err := tx.Delete("m", row[0], row[1]); err != nil {
+						if _, err := tx.Delete("m", row.project(def.Key)...); err != nil {
 							return err
 						}
 					}
@@ -145,4 +166,17 @@ func TestTablesAgainstModel(t *testing.T) {
 			check(step, when)
 		}
 	}
+}
+
+// pkEnc computes a row's primary-key encoding from its values, the way a
+// model of a table keys it.
+func (d *TableDef) pkEnc(r Row) string { return string(appendVals(nil, r.project(d.Key))) }
+
+// project extracts the columns at idx.
+func (r Row) project(idx []int) []V {
+	out := make([]V, len(idx))
+	for i, j := range idx {
+		out[i] = r[j]
+	}
+	return out
 }

@@ -37,8 +37,8 @@ const (
 type walOp struct {
 	kind opKind
 	name string   // the table; for opSeq the sequence; for opCreate def.Name
-	row  Row      // opPut
-	pk   string   // opDelete: the row's pkEnc
+	row  string   // opPut: the row's encoding (appendRow), the table's stored form
+	pk   string   // opDelete: the row's key encoding (TableDef.keyOf)
 	def  TableDef // opCreate
 	seqV int64    // opSeq: the sequence's new value
 }
@@ -76,7 +76,7 @@ func appendOp(dst []byte, op *walOp) []byte {
 	dst = codec.AppendStr(dst, op.name)
 	switch op.kind {
 	case opPut:
-		dst = appendRow(dst, op.row)
+		dst = append(dst, op.row...)
 	case opDelete:
 		dst = codec.AppendStr(dst, op.pk)
 	case opCreate:
@@ -113,8 +113,8 @@ func (db *DB) appendSnapshot(dst []byte, walFrom int) []byte {
 		dst = codec.AppendStr(dst, name)
 		dst = appendDef(dst, &t.def)
 		dst = binary.AppendUvarint(dst, uint64(len(t.rows)))
-		t.ascend(func(r Row) bool {
-			dst = appendRow(dst, r)
+		t.ascend(func(row string) bool {
+			dst = append(dst, row...)
 			return true
 		})
 	}
@@ -129,11 +129,13 @@ func (db *DB) appendSnapshot(dst []byte, walFrom int) []byte {
 // callers free of a check per field.
 type reader struct {
 	codec.Reader
+	in []byte // the whole input, which row slices
 	// emit receives each decoded op; its error stops the decode. op is the
 	// one walOp every emit is handed, so a decode allocates what the ops
 	// carry and nothing per op.
 	emit func(*walOp) error
 	op   walOp
+	last string // the last name read, which name reuses
 }
 
 // index reads a non-negative int that is not a length: a key column's
@@ -156,26 +158,37 @@ func (r *reader) header() {
 	}
 }
 
-func (r *reader) value() V {
-	switch t := ColType(r.Byte()); t {
-	case 0:
-		return V{}
-	case ColString, ColBytes:
-		return V{t: t, s: r.Str()}
-	case ColInt, ColFloat, ColBool:
-		return V{t: t, n: r.Uvarint()}
-	default:
-		r.Fail(errors.New("unknown value type"))
-		return V{}
+// name reads an op's table or sequence name. A record's puts, like a
+// snapshot's rows, name one table over and over, so a name that repeats
+// the last one read reuses its string.
+func (r *reader) name() string {
+	if b := r.Bytes(); string(b) != r.last {
+		r.last = string(b)
 	}
+	return r.last
 }
 
-func (r *reader) row() Row {
-	row := make(Row, r.Count())
-	for i := range row {
-		row[i] = r.value()
+// row checks that a row is well formed — a count, then that many values,
+// each of a known type with minimal varints and lengths inside the input —
+// and returns its bytes as a copy: the stored row, which never aliases the
+// input. Whether the row fits its table is DB.replay's check.
+func (r *reader) row() string {
+	start := len(r.in) - r.Len()
+	for n := r.Count(); n > 0; n-- {
+		switch ColType(r.Byte()) {
+		case 0:
+		case ColString, ColBytes:
+			r.Bytes()
+		case ColInt, ColFloat, ColBool:
+			r.Uvarint()
+		default:
+			r.Fail(errors.New("unknown value type"))
+		}
 	}
-	return row
+	if r.Err() != nil {
+		return ""
+	}
+	return string(r.in[start : len(r.in)-r.Len()])
 }
 
 func (r *reader) def(name string) TableDef {
@@ -204,10 +217,10 @@ func (r *reader) send(op walOp) {
 // decodeRecord reads one WAL record — the header, then ops to the end of
 // the payload — handing emit each op as it is read.
 func decodeRecord(payload []byte, emit func(*walOp) error) error {
-	r := reader{Reader: codec.NewReader(payload), emit: emit}
+	r := reader{Reader: codec.NewReader(payload), in: payload, emit: emit}
 	r.header()
 	for r.Len() > 0 {
-		op := walOp{kind: opKind(r.Byte()), name: r.Str()}
+		op := walOp{kind: opKind(r.Byte()), name: r.name()}
 		switch op.kind {
 		case opPut:
 			op.row = r.row()
@@ -230,14 +243,14 @@ func decodeRecord(payload []byte, emit func(*walOp) error) error {
 // sequence an opSeq, each table an opCreate and one opPut per row — and
 // returns its WAL mark.
 func decodeSnapshot(data []byte, emit func(*walOp) error) (walFrom int, err error) {
-	r := reader{Reader: codec.NewReader(data), emit: emit}
+	r := reader{Reader: codec.NewReader(data), in: data, emit: emit}
 	r.header()
 	walFrom = r.index()
 	for n := r.Count(); n > 0; n-- {
-		r.send(walOp{kind: opSeq, name: r.Str(), seqV: int64(r.Uvarint())})
+		r.send(walOp{kind: opSeq, name: r.name(), seqV: int64(r.Uvarint())})
 	}
 	for n := r.Count(); n > 0; n-- {
-		name := r.Str()
+		name := r.name()
 		r.send(walOp{kind: opCreate, name: name, def: r.def(name)})
 		for rows := r.Count(); rows > 0; rows-- {
 			r.send(walOp{kind: opPut, name: name, row: r.row()})

@@ -37,8 +37,8 @@ func stateOf(db *DB) dbState {
 	for name, t := range db.tables {
 		s.Defs[name] = t.def
 		s.Rows[name] = map[string]Row{}
-		for pk, r := range t.rows {
-			s.Rows[name][pk] = r
+		for pk, row := range t.rows {
+			s.Rows[name][pk] = decodeRow(nil, row)
 		}
 	}
 	for name, v := range db.seqs {
@@ -371,10 +371,10 @@ func allocatedBy(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// decodeBudget bounds what decoding n input bytes may allocate: the
-// costliest byte is a NULL or a key index, which becomes a 32-byte V or an
-// 8-byte int, so a small multiple of the input plus room for the reader
-// itself. A count the decoder believed without checking it against the
+// decodeBudget bounds what decoding n input bytes may allocate: a row is
+// one copy of its bytes, and the costliest byte is a key index or a column
+// definition's, which becomes an 8-byte int or part of a ColDef, so a
+// small multiple of the input plus room for the reader itself. A count the decoder believed without checking it against the
 // input would overshoot this by orders of magnitude.
 func decodeBudget(n int) uint64 { return 1<<14 + 64*uint64(n) }
 
@@ -453,7 +453,7 @@ func TestReplayRejectsMalformed(t *testing.T) {
 		return b
 	}
 	create := func(def TableDef) walOp { return walOp{kind: opCreate, name: def.Name, def: def} }
-	put := func(r Row) walOp { return walOp{kind: opPut, name: "t", row: r} }
+	put := func(r Row) walOp { return walOp{kind: opPut, name: "t", row: string(appendRow(nil, r))} }
 	// snapshot is one table and its rows, with no regard for whether they fit.
 	snapshot := func(def TableDef, rows ...Row) []byte {
 		b := append(appendHeader(nil), 0, 0, 1)

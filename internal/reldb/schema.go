@@ -56,23 +56,80 @@ func (d *TableDef) validate() error {
 // checkRow validates a row against the definition.
 func (d *TableDef) checkRow(r Row) error {
 	if len(r) != len(d.Cols) {
-		return fmt.Errorf("reldb: table %s: row has %d columns, want %d", d.Name, len(r), len(d.Cols))
+		return d.errCols(len(r))
 	}
 	for i, v := range r {
-		c := d.Cols[i]
-		if v.IsNull() {
-			if !c.Nullable {
-				return fmt.Errorf("reldb: table %s: column %s is NOT NULL", d.Name, c.Name)
-			}
-			continue
-		}
-		if v.Type() != c.Type {
-			return fmt.Errorf("reldb: table %s: column %s has type %s, want %s",
-				d.Name, c.Name, v.Type(), c.Type)
+		if err := d.checkValue(i, v); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// pkEnc computes the primary-key encoding of a row.
-func (d *TableDef) pkEnc(r Row) string { return encodeVals(r.project(d.Key)) }
+// checkEncoded validates a stored row, one the record decoder checked for
+// structure, against the definition, in place.
+func (d *TableDef) checkEncoded(enc string) error {
+	n, off := rowCols(enc)
+	if n != len(d.Cols) {
+		return d.errCols(n)
+	}
+	for i := range d.Cols {
+		var v V
+		v, off = valueAt(enc, off)
+		if err := d.checkValue(i, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (d *TableDef) errCols(n int) error {
+	return fmt.Errorf("reldb: table %s: row has %d columns, want %d", d.Name, n, len(d.Cols))
+}
+
+// checkValue validates the value of column i.
+func (d *TableDef) checkValue(i int, v V) error {
+	c := d.Cols[i]
+	if v.IsNull() {
+		if !c.Nullable {
+			return fmt.Errorf("reldb: table %s: column %s is NOT NULL", d.Name, c.Name)
+		}
+		return nil
+	}
+	if v.Type() != c.Type {
+		return fmt.Errorf("reldb: table %s: column %s has type %s, want %s",
+			d.Name, c.Name, v.Type(), c.Type)
+	}
+	return nil
+}
+
+// keyOf returns the primary-key encoding of a stored row: the encodings of
+// the key's values, in key order. When the key is the table's leading
+// columns in order, as every central table's is, that is a substring of
+// the row and costs no allocation; any other key is built from the
+// values.
+func (d *TableDef) keyOf(enc string) string {
+	_, start := rowCols(enc)
+	end := start
+	leading := true
+	for i, k := range d.Key {
+		if k != i {
+			leading = false
+			break
+		}
+		_, end = valueAt(enc, end)
+	}
+	if leading {
+		return enc[start:end]
+	}
+	var key []byte
+	for _, k := range d.Key {
+		off := start
+		for j := 0; j < k; j++ {
+			_, off = valueAt(enc, off)
+		}
+		_, end := valueAt(enc, off)
+		key = append(key, enc[off:end]...)
+	}
+	return string(key)
+}

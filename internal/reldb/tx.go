@@ -2,12 +2,17 @@ package reldb
 
 import "fmt"
 
-// Tx is a transaction handle passed to View/Update callbacks. A writable
-// transaction write-locks each table at first touch and holds the lock to
-// commit (strict two-phase locking), encoding its WAL record as it goes and
-// keeping a typed undo list for rollback; a read-only transaction
+// Tx is a transaction handle passed to View/Update callbacks, valid only
+// until the callback returns: the DB reuses it for a later transaction. A
+// writable transaction write-locks each table at first touch and holds the
+// lock to commit (strict two-phase locking), encoding its WAL record as it
+// goes and keeping a typed undo list for rollback; a read-only transaction
 // read-locks tables at first touch and holds the locks until the View
 // returns. Reads always see the transaction's own writes.
+//
+// A written row is encoded once, into the one string that the table
+// stores, the WAL record copies, the undo list restores and Checkpoint
+// writes.
 type Tx struct {
 	db       *DB
 	writable bool
@@ -20,14 +25,25 @@ type Tx struct {
 	// write already encoded (record.go). commit hands it to the log as is.
 	rec  []byte
 	undo []undoOp
+	// buf is scratch for encoding a row or a lookup's key.
+	buf  []byte
+	wait commitWait
 }
+
+// Past these sizes a finished transaction's record buffer or undo list is
+// dropped rather than kept for the next one, so that one bulk transaction
+// does not pin its memory in the pool.
+const (
+	maxPooledRec  = 64 << 10
+	maxPooledUndo = 1024
+)
 
 // undoOp is one typed rollback step; undos run in reverse append order.
 type undoOp struct {
 	kind undoKind
 	t    *table
 	pk   string
-	row  Row
+	row  string // a stored row
 	seq  string
 	seqV int64
 }
@@ -94,8 +110,9 @@ func (tx *Tx) lockSeqs() {
 	tx.seqHeld = true
 }
 
-// release unlocks everything the transaction holds; called exactly once,
-// after commit or rollback (Update) or after fn returns (View).
+// release unlocks everything the transaction holds and empties it for
+// reuse, keeping no table or row reachable; called exactly once, after
+// commit or rollback (Update) or after fn returns (View).
 func (tx *Tx) release() {
 	for _, t := range tx.tabs {
 		if t.pending == tx {
@@ -107,7 +124,8 @@ func (tx *Tx) release() {
 			t.mu.RUnlock()
 		}
 	}
-	tx.tabs = nil
+	clear(tx.tabs)
+	tx.tabs = tx.tabs[:0]
 	if len(tx.created) > 0 {
 		tx.db.tablesMu.Lock()
 		for _, t := range tx.created {
@@ -116,7 +134,20 @@ func (tx *Tx) release() {
 			}
 		}
 		tx.db.tablesMu.Unlock()
-		tx.created = nil
+		clear(tx.created)
+		tx.created = tx.created[:0]
+	}
+	tx.rec = tx.rec[:0]
+	if cap(tx.rec) > maxPooledRec {
+		tx.rec = nil
+	}
+	clear(tx.undo)
+	tx.undo = tx.undo[:0]
+	if cap(tx.undo) > maxPooledUndo {
+		tx.undo = nil
+	}
+	if cap(tx.buf) > maxPooledRec {
+		tx.buf = nil
 	}
 	if tx.seqHeld {
 		if tx.writable {
@@ -142,7 +173,7 @@ func (tx *Tx) logOp(op walOp) {
 	if tx.db.log == nil {
 		return
 	}
-	if tx.rec == nil {
+	if len(tx.rec) == 0 {
 		tx.rec = appendHeader(tx.rec)
 	}
 	tx.rec = appendOp(tx.rec, &op)
@@ -225,19 +256,20 @@ func (tx *Tx) write(tableName string, r Row, replace bool) error {
 	if err := t.def.checkRow(r); err != nil {
 		return err
 	}
-	r = r.Clone()
-	pk := t.def.pkEnc(r)
+	tx.buf = appendRow(tx.buf[:0], r)
+	row := string(tx.buf)
+	pk := t.def.keyOf(row)
 	old, existed := t.rows[pk]
 	if existed && !replace {
 		return fmt.Errorf("%w: table %s", ErrDuplicateKey, tableName)
 	}
-	t.rows[pk] = r
+	t.rows[pk] = row
 	if existed {
 		tx.undo = append(tx.undo, undoOp{kind: undoPut, t: t, row: old})
 	} else {
 		tx.undo = append(tx.undo, undoOp{kind: undoDelete, t: t, pk: pk})
 	}
-	tx.logOp(walOp{kind: opPut, name: tableName, row: r})
+	tx.logOp(walOp{kind: opPut, name: tableName, row: row})
 	return nil
 }
 
@@ -251,27 +283,32 @@ func (tx *Tx) Delete(tableName string, key ...V) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	pk := encodeVals(key)
-	old, ok := t.deleteByPK(pk)
+	tx.buf = appendVals(tx.buf[:0], key)
+	old, ok := t.rows[string(tx.buf)]
 	if !ok {
 		return false, nil
 	}
+	pk := t.def.keyOf(old)
+	delete(t.rows, pk)
 	tx.undo = append(tx.undo, undoOp{kind: undoPut, t: t, row: old})
 	tx.logOp(walOp{kind: opDelete, name: tableName, pk: pk})
 	return true, nil
 }
 
-// Get fetches the row with the given primary-key values.
+// Get fetches the row with the given primary-key values, as a Row of its
+// own; its string and bytes values share the stored row's bytes.
 func (tx *Tx) Get(tableName string, key ...V) (Row, bool, error) {
 	t, err := tx.table(tableName)
 	if err != nil {
 		return nil, false, err
 	}
-	r, ok := t.rows[encodeVals(key)]
+	tx.buf = appendVals(tx.buf[:0], key)
+	row, ok := t.rows[string(tx.buf)]
 	if !ok {
 		return nil, false, nil
 	}
-	return r.Clone(), true, nil
+	n, _ := rowCols(row)
+	return decodeRow(make(Row, 0, n), row), true, nil
 }
 
 // Count returns the number of rows in the table.
@@ -284,16 +321,19 @@ func (tx *Tx) Count(tableName string) (int, error) {
 }
 
 // Scan visits every row, in no particular order, until fn returns false:
-// callers that need an order sort what they collect. The rows are the
-// table's own, shared read-only — fn must not modify one, and may keep it,
-// because a write stores a fresh Row and never changes a stored one.
+// callers that need an order sort what they collect. Every row is decoded
+// into the one Row this call hands fn each time, so fn may keep the
+// values but not the Row: copy it to keep it. A string or bytes value
+// shares the stored row's bytes, which no later write changes — a write
+// stores a fresh row.
 func (tx *Tx) Scan(tableName string, fn func(r Row) bool) error {
 	t, err := tx.table(tableName)
 	if err != nil {
 		return err
 	}
-	for _, r := range t.rows {
-		if !fn(r) {
+	r := make(Row, 0, len(t.def.Cols))
+	for _, row := range t.rows {
+		if r = decodeRow(r, row); !fn(r) {
 			break
 		}
 	}
@@ -335,7 +375,7 @@ func (tx *Tx) CurrentSeq(name string) int64 {
 }
 
 // rollback undoes every buffered write in reverse order; the transaction
-// still holds its locks.
+// still holds its locks, and release empties it.
 func (tx *Tx) rollback() {
 	for i := len(tx.undo) - 1; i >= 0; i-- {
 		u := &tx.undo[i]
@@ -343,7 +383,7 @@ func (tx *Tx) rollback() {
 		case undoPut:
 			u.t.put(u.row)
 		case undoDelete:
-			u.t.deleteByPK(u.pk)
+			delete(u.t.rows, u.pk)
 		case undoSeq:
 			tx.db.seqs[u.seq] = u.seqV
 		case undoDrop:
@@ -356,7 +396,6 @@ func (tx *Tx) rollback() {
 			tx.db.tablesMu.Unlock()
 		}
 	}
-	tx.rec, tx.undo = nil, nil
 }
 
 // commit hands the transaction's record to the WAL through the group
@@ -372,7 +411,9 @@ func (tx *Tx) commit() error {
 		}
 		return nil
 	}
-	appended, err := tx.db.gc.commit(tx.rec)
+	tx.wait.payload = tx.rec
+	appended, err := tx.db.gc.commit(&tx.wait)
+	tx.wait.payload = nil
 	if !appended {
 		// Nothing durable (the failed group was truncated away): roll
 		// back so memory and log agree.

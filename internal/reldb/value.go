@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+
+	"orchestra/internal/codec"
 )
 
 // ColType is a column's declared type.
@@ -117,8 +119,8 @@ func (v V) String() string {
 }
 
 // appendEncoded appends a canonical order-irrelevant but injective encoding:
-// the form of a value in table keys (not for ordering comparisons) and on
-// disk (record.go; reader.value decodes it).
+// the form of a value in table keys (not for ordering comparisons), in
+// stored rows and on disk (record.go); valueAt decodes it.
 func (v V) appendEncoded(dst []byte) []byte {
 	dst = append(dst, byte(v.t))
 	switch v.t {
@@ -135,13 +137,6 @@ func (v V) appendEncoded(dst []byte) []byte {
 // Row is an ordered list of column values.
 type Row []V
 
-// Clone copies the row.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
-
 // Equal reports componentwise equality.
 func (r Row) Equal(o Row) bool {
 	if len(r) != len(o) {
@@ -155,20 +150,54 @@ func (r Row) Equal(o Row) bool {
 	return true
 }
 
-// encodeVals produces an injective encoding of a value list.
-func encodeVals(vals []V) string {
-	var dst []byte
+// appendVals appends the encoding of a value list: a primary key's, built
+// from the values a lookup names.
+func appendVals(dst []byte, vals []V) []byte {
 	for _, v := range vals {
 		dst = v.appendEncoded(dst)
 	}
-	return string(dst)
+	return dst
 }
 
-// project extracts the columns at idx.
-func (r Row) project(idx []int) []V {
-	out := make([]V, len(idx))
-	for i, j := range idx {
-		out[i] = r[j]
+// A table stores each row as its encoding, the bytes appendRow writes: the
+// column count, then every value as appendEncoded writes it. The walkers
+// below read a stored row, which appendRow wrote or the record decoder
+// checked, so they trust its structure.
+
+// rowCols returns a stored row's column count and the offset of its first
+// value.
+func rowCols(enc string) (n, off int) {
+	c, w := codec.Uvarint(enc)
+	return int(c), w
+}
+
+// valueAt decodes the value at enc[off:] and returns it with the offset
+// past it. A string or bytes value is a substring of enc: no payload is
+// copied.
+func valueAt(enc string, off int) (V, int) {
+	t := ColType(enc[off])
+	off++
+	switch t {
+	case 0:
+		return V{}, off
+	case ColString, ColBytes:
+		n, w := codec.Uvarint(enc[off:])
+		off += w
+		return V{t: t, s: enc[off : off+int(n)]}, off + int(n)
+	default:
+		n, w := codec.Uvarint(enc[off:])
+		return V{t: t, n: n}, off + w
 	}
-	return out
+}
+
+// decodeRow appends a stored row's values to dst[:0].
+func decodeRow(dst Row, enc string) Row {
+	n, off := rowCols(enc)
+	dst = dst[:0]
+	for ; n > 0; n-- {
+		var v V
+		v, off = valueAt(enc, off)
+		dst = append(dst, v)
+	}
+	return dst
 }
