@@ -135,7 +135,11 @@ trust-smoke:
 # the race detector: the whole wal and reldb suites (frame reader, rotation
 # and directory-sync bookkeeping, the table model test, the record format's
 # round-trip, golden and malformed-input tests, the refusal of a gob
-# directory, group commit and every checkpoint crash point), the one binary
+# directory, group commit and every checkpoint crash point), the record
+# format's table ids by name (TestPutRecordNamesTableByID: a put's record
+# is as long for a 40-byte table name as for "t" and holds no name;
+# TestOpenUpgradesVersion1: a version-1 directory, and each cut of its
+# upgrade, opens to its state and is left in version 2), the one binary
 # reader's contract (TestReader: minimal varints at every width, bounded
 # counts, a sticky error, trailing bytes refused, Str owns its bytes), the
 # frame reader's
@@ -167,6 +171,7 @@ storage-smoke:
 	$(GO) test -race -count=3 -run '^TestReader$$' ./internal/codec
 	$(GO) test -race -count=3 -run '^TestReplayTornHugeLengthAllocatesLittle$$' ./internal/wal
 	$(GO) test -race -count=3 -run '^TestDecodedRecordOwnsItsBytes$$' ./internal/reldb
+	$(GO) test -race -count=3 -run '^TestPutRecordNamesTableByID$$|^TestOpenUpgradesVersion1$$' ./internal/reldb
 	$(GO) test -race -count=1 -run 'TestDurabilityAcrossReopen|TestCheckpointPreservesState|TestSharded|TestTornSnapshot|TestDifferentialMatrix|TestCompaction|TestLateDecision|TestSnapshotWith|TestTenantCrash|TestRedecidedSurvivesReopen|TestCompactionSplitsDecisionRow|TestDecisionRowsPerBatch|TestRefuseLayout3' ./internal/store/central
 	$(GO) test -race -count=3 -run '^TestSnapshotCacheDecodedOnce$$|^TestLatestSnapshotNeverGoesBack$$|^TestSharedSnapshotSurvivesConcurrentRebuilds$$' ./internal/store/central
 	$(GO) test -race -count=3 -run '^TestDecodeTupleCanonical$$' ./internal/core

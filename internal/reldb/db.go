@@ -31,8 +31,12 @@
 // encoded write by write as the transaction runs in the engine's own binary
 // format (record.go; Checkpoint's snapshot file shares it); recovery
 // replays records in append order, checking every definition and row it
-// applies, and truncates any torn tail. A directory written in the earlier
-// gob format is refused (errGobDir).
+// applies, and truncates any torn tail. The log names a table by an id
+// that CreateTable assigns and never reuses; only a create and the
+// snapshot spell its name. Open still reads format version 1, which named
+// the table in every op, and checkpoints such a directory into the current
+// version before it returns. A directory written in the earlier gob format
+// is refused (errGobDir).
 // Concurrent committers hand their records to a shared flusher: the first
 // committer to arrive becomes the leader and writes every record queued by
 // then with one WAL write and at most one fsync — commits per flush is the
@@ -79,10 +83,15 @@ type DB struct {
 	sync bool
 	gc   *groupCommitter
 
-	// tablesMu guards the tables map itself; each table's data is guarded
-	// by the table's own lock.
+	// tablesMu guards the table maps and nextID; each table's data is
+	// guarded by the table's own lock.
 	tablesMu sync.RWMutex
 	tables   map[string]*table
+	// byID indexes the same tables by id, the name the log gives them.
+	byID map[uint64]*table
+	// nextID is the id the next CreateTable assigns: never one a table of
+	// this process had, and past every id the snapshot or log names.
+	nextID uint64
 
 	// seqMu guards seqs like a table lock: writers that touch sequences
 	// hold it exclusively to commit, read-only transactions hold it
@@ -102,6 +111,7 @@ type table struct {
 	// first touch to commit, View transactions hold it shared.
 	mu  sync.RWMutex
 	def TableDef
+	id  uint64
 	// rows maps TableDef.keyOf of each row to the row, stored as its
 	// encoding: the bytes its WAL record and snapshot.db carry, shared
 	// with them.
@@ -111,8 +121,8 @@ type table struct {
 	pending *Tx
 }
 
-func newTable(def TableDef) *table {
-	return &table{def: def, rows: make(map[string]string)}
+func newTable(def TableDef, id uint64) *table {
+	return &table{def: def, id: id, rows: make(map[string]string)}
 }
 
 // Options configure a DB.
@@ -132,6 +142,7 @@ func Open(opts Options) (*DB, error) {
 		dir:    opts.Dir,
 		sync:   opts.SyncOnCommit,
 		tables: make(map[string]*table),
+		byID:   make(map[uint64]*table),
 		seqs:   make(map[string]int64),
 	}
 	if opts.Dir == "" {
@@ -140,7 +151,7 @@ func Open(opts Options) (*DB, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("reldb: %w", err)
 	}
-	walFrom, err := db.loadSnapshot()
+	walFrom, upgrade, err := db.loadSnapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -165,6 +176,7 @@ func Open(opts Options) (*DB, error) {
 			return errGobDir
 		}
 		first = false
+		upgrade = upgrade || version1(payload)
 		if err := decodeRecord(payload, db.replay); err != nil {
 			return fmt.Errorf("reldb: recovery: wal record: %w", err)
 		}
@@ -174,6 +186,17 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.gc = &groupCommitter{db: db}
+	// A directory that holds version 1 is rewritten in the current version
+	// before anything is appended, so no log mixes the two and the old
+	// reader runs only here. Checkpoint's steps are crash-safe as they are:
+	// a cut before the install leaves the old files, a cut after it leaves
+	// old segments that the next Open drops before it replays.
+	if upgrade {
+		if err := db.Checkpoint(); err != nil {
+			l.Close()
+			return nil, err
+		}
+	}
 	return db, nil
 }
 
@@ -188,6 +211,10 @@ var errGobDir = errors.New("reldb: directory written in the gob format, which th
 // writtenByGob reports whether b, a snapshot file or a WAL record, is a gob
 // stream: anything that does not open with recMagic.
 func writtenByGob(b []byte) bool { return len(b) > 0 && b[0] != recMagic }
+
+// version1 reports whether b, a snapshot file or a WAL record that opens
+// with recMagic, is in version 1, which Open upgrades.
+func version1(b []byte) bool { return len(b) > 1 && b[1] == recVersion1 }
 
 // MustOpenMemory returns a volatile in-memory database, panicking on error;
 // for tests and examples.
@@ -306,26 +333,39 @@ func (db *DB) TableDef(name string) (TableDef, bool) {
 // replay applies one logged operation without re-logging it; recovery
 // feeds it every op of the snapshot and then of the log. The bytes came
 // from disk, so a created definition and a put row are checked exactly as
-// CreateTable and Insert check them. Open is single-threaded, so no locks
-// are taken here.
+// CreateTable and Insert check them, and a create may reuse neither a live
+// name nor a live id. Open is single-threaded, so no locks are taken here.
 func (db *DB) replay(op *walOp) error {
 	switch op.kind {
 	case opCreate:
 		if err := op.def.validate(); err != nil {
 			return err
 		}
+		if op.byName {
+			op.id = db.nextID
+		}
 		if _, dup := db.tables[op.name]; dup {
 			return fmt.Errorf("duplicate table %s", op.name)
 		}
-		db.tables[op.name] = newTable(op.def)
+		if _, dup := db.byID[op.id]; dup {
+			return fmt.Errorf("duplicate table id %d", op.id)
+		}
+		db.nextID = max(db.nextID, op.id+1)
+		db.addTable(newTable(op.def, op.id))
 		return nil
 	case opSeq:
 		db.seqs[op.name] = op.seqV
 		return nil
 	}
-	t, ok := db.tables[op.name]
+	t, ok := db.byID[op.id]
+	if op.byName {
+		t, ok = db.tables[op.name]
+	}
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoTable, op.name)
+		if op.byName {
+			return fmt.Errorf("%w: %s", ErrNoTable, op.name)
+		}
+		return fmt.Errorf("%w: id %d", ErrNoTable, op.id)
 	}
 	switch op.kind {
 	case opPut:
@@ -336,11 +376,23 @@ func (db *DB) replay(op *walOp) error {
 	case opDelete:
 		delete(t.rows, op.pk)
 	case opDrop:
-		delete(db.tables, op.name)
+		db.removeTable(t)
 	default:
 		return fmt.Errorf("unknown op %d", op.kind)
 	}
 	return nil
+}
+
+// addTable and removeTable keep the two table maps in step; the caller
+// holds tablesMu, or is replay.
+func (db *DB) addTable(t *table) {
+	db.tables[t.def.Name] = t
+	db.byID[t.id] = t
+}
+
+func (db *DB) removeTable(t *table) {
+	delete(db.tables, t.def.Name)
+	delete(db.byID, t.id)
 }
 
 // put inserts or replaces a stored row (no constraint checks; callers
@@ -518,20 +570,21 @@ func (db *DB) installSnapshot(data []byte) error {
 
 // loadSnapshot restores state from the snapshot file if present and
 // returns its WAL mark — the first WAL segment the snapshot does not
-// contain (0, also without a snapshot: replay everything).
-func (db *DB) loadSnapshot() (walFrom int, err error) {
+// contain (0, also without a snapshot: replay everything) — and whether
+// the file is in version 1.
+func (db *DB) loadSnapshot() (walFrom int, v1 bool, err error) {
 	data, err := os.ReadFile(filepath.Join(db.dir, snapshotFile))
 	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
+		return 0, false, nil
 	}
 	if err != nil {
-		return 0, fmt.Errorf("reldb: read snapshot: %w", err)
+		return 0, false, fmt.Errorf("reldb: read snapshot: %w", err)
 	}
 	if writtenByGob(data) {
-		return 0, errGobDir
+		return 0, false, errGobDir
 	}
 	if walFrom, err = decodeSnapshot(data, db.replay); err != nil {
-		return 0, fmt.Errorf("reldb: recovery: snapshot: %w", err)
+		return 0, false, fmt.Errorf("reldb: recovery: snapshot: %w", err)
 	}
-	return walFrom, nil
+	return walFrom, version1(data), nil
 }

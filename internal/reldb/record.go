@@ -10,16 +10,22 @@ import (
 )
 
 // The one on-disk format, shared by WAL records and snapshot.db; the byte
-// layout is in docs/STORAGE.md ("WAL: record format"). Both open with
-// recMagic and recVersion. A format change is a new version number: the
-// reader refuses versions it does not know, and the golden bytes in
-// record_test.go make the change a deliberate edit.
+// layout is in docs/STORAGE.md ("reldb's record and snapshot format"). Both
+// open with recMagic and a version. A format change is a new version
+// number: the reader refuses versions it does not know, keeps reading the
+// old one, and the golden bytes in record_test.go make the change a
+// deliberate edit.
 const (
 	// recMagic cannot open a gob stream (gob starts with a non-zero message
 	// length), which is how Open tells, and refuses, a directory written
 	// before this format existed (errGobDir).
-	recMagic   = 0x00
-	recVersion = 1
+	recMagic = 0x00
+	// recVersion is the version the encoder writes: a put, delete or drop
+	// names its table by id, a create and snapshot.db give name and id.
+	recVersion = 2
+	// recVersion1 named the table in every op. It is decoded only for Open
+	// to upgrade a directory that holds it (see Open).
+	recVersion1 = 1
 )
 
 type opKind uint8
@@ -36,11 +42,15 @@ const (
 // hand to DB.replay, one at a time.
 type walOp struct {
 	kind opKind
-	name string   // the table; for opSeq the sequence; for opCreate def.Name
-	row  string   // opPut: the row's encoding (appendRow), the table's stored form
-	pk   string   // opDelete: the row's key encoding (TableDef.keyOf)
-	def  TableDef // opCreate
-	seqV int64    // opSeq: the sequence's new value
+	id   uint64 // the table; for opCreate the id it gets
+	name string // opCreate: def.Name; opSeq: the sequence; a byName op: its table
+	// byName marks a version-1 op: it names its table instead of giving its
+	// id, and a create takes the next id when replayed.
+	byName bool
+	row    string   // opPut: the row's encoding (appendRow), the table's stored form
+	pk     string   // opDelete: the row's key encoding (TableDef.keyOf)
+	def    TableDef // opCreate
+	seqV   int64    // opSeq: the sequence's new value
 }
 
 func appendHeader(dst []byte) []byte { return append(dst, recMagic, recVersion) }
@@ -53,8 +63,8 @@ func appendRow(dst []byte, r Row) []byte {
 	return dst
 }
 
-// appendDef appends a table definition's columns and key; its name goes
-// before it, as every op's name does.
+// appendDef appends a table definition's columns and key; its name and id
+// go before it.
 func appendDef(dst []byte, d *TableDef) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(d.Cols)))
 	for _, c := range d.Cols {
@@ -73,16 +83,21 @@ func appendDef(dst []byte, d *TableDef) []byte {
 
 func appendOp(dst []byte, op *walOp) []byte {
 	dst = append(dst, byte(op.kind))
-	dst = codec.AppendStr(dst, op.name)
 	switch op.kind {
 	case opPut:
+		dst = binary.AppendUvarint(dst, op.id)
 		dst = append(dst, op.row...)
 	case opDelete:
+		dst = binary.AppendUvarint(dst, op.id)
 		dst = codec.AppendStr(dst, op.pk)
 	case opCreate:
+		dst = binary.AppendUvarint(codec.AppendStr(dst, op.name), op.id)
 		dst = appendDef(dst, &op.def)
 	case opSeq:
+		dst = codec.AppendStr(dst, op.name)
 		dst = binary.AppendUvarint(dst, uint64(op.seqV))
+	case opDrop:
+		dst = binary.AppendUvarint(dst, op.id)
 	}
 	return dst
 }
@@ -110,7 +125,7 @@ func (db *DB) appendSnapshot(dst []byte, walFrom int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(tables)))
 	for _, name := range tables {
 		t := db.tables[name]
-		dst = codec.AppendStr(dst, name)
+		dst = binary.AppendUvarint(codec.AppendStr(dst, name), t.id)
 		dst = appendDef(dst, &t.def)
 		dst = binary.AppendUvarint(dst, uint64(len(t.rows)))
 		t.ascend(func(row string) bool {
@@ -133,9 +148,10 @@ type reader struct {
 	// emit receives each decoded op; its error stops the decode. op is the
 	// one walOp every emit is handed, so a decode allocates what the ops
 	// carry and nothing per op.
-	emit func(*walOp) error
-	op   walOp
-	last string // the last name read, which name reuses
+	emit    func(*walOp) error
+	op      walOp
+	last    string // the last name read, which name reuses
+	version byte   // the header's
 }
 
 // index reads a non-negative int that is not a length: a key column's
@@ -149,12 +165,42 @@ func (r *reader) index() int {
 	return int(v)
 }
 
+// id reads a table id. Replay sets the next id to one past the largest it
+// sees, which the bound keeps from wrapping.
+func (r *reader) id() uint64 {
+	v := r.Uvarint()
+	if v > math.MaxInt64 {
+		r.Fail(errors.New("table id out of range"))
+		return 0
+	}
+	return v
+}
+
 func (r *reader) header() {
 	if r.Byte() != recMagic {
 		r.Fail(errors.New("bad magic byte"))
 	}
-	if r.Byte() != recVersion {
+	if r.version = r.Byte(); r.version != recVersion && r.version != recVersion1 {
 		r.Fail(errors.New("unknown format version"))
+	}
+}
+
+// table reads the table a put, delete or drop names: its id, or in version
+// 1 its name.
+func (r *reader) table(op *walOp) {
+	if op.byName = r.version == recVersion1; op.byName {
+		op.name = r.name()
+	} else {
+		op.id = r.id()
+	}
+}
+
+// create reads a create's table: its name, then its id unless the version
+// is 1, where replay assigns the id.
+func (r *reader) create(op *walOp) {
+	op.name = r.name()
+	if op.byName = r.version == recVersion1; !op.byName {
+		op.id = r.id()
 	}
 }
 
@@ -220,17 +266,22 @@ func decodeRecord(payload []byte, emit func(*walOp) error) error {
 	r := reader{Reader: codec.NewReader(payload), in: payload, emit: emit}
 	r.header()
 	for r.Len() > 0 {
-		op := walOp{kind: opKind(r.Byte()), name: r.name()}
+		op := walOp{kind: opKind(r.Byte())}
 		switch op.kind {
 		case opPut:
+			r.table(&op)
 			op.row = r.row()
 		case opDelete:
+			r.table(&op)
 			op.pk = r.Str()
 		case opCreate:
+			r.create(&op)
 			op.def = r.def(op.name)
 		case opSeq:
+			op.name = r.name()
 			op.seqV = int64(r.Uvarint())
 		case opDrop:
+			r.table(&op)
 		default:
 			r.Fail(errors.New("unknown op kind"))
 		}
@@ -250,10 +301,14 @@ func decodeSnapshot(data []byte, emit func(*walOp) error) (walFrom int, err erro
 		r.send(walOp{kind: opSeq, name: r.name(), seqV: int64(r.Uvarint())})
 	}
 	for n := r.Count(); n > 0; n-- {
-		name := r.name()
-		r.send(walOp{kind: opCreate, name: name, def: r.def(name)})
+		create := walOp{kind: opCreate}
+		r.create(&create)
+		create.def = r.def(create.name)
+		r.send(create)
+		put := walOp{kind: opPut, id: create.id, name: create.name, byName: create.byName}
 		for rows := r.Count(); rows > 0; rows-- {
-			r.send(walOp{kind: opPut, name: name, row: r.row()})
+			put.row = r.row()
+			r.send(put)
 		}
 	}
 	return walFrom, r.End()

@@ -190,19 +190,21 @@ func (tx *Tx) CreateTable(def TableDef) error {
 	if err := def.validate(); err != nil {
 		return err
 	}
-	t := newTable(def)
-	t.pending = tx
 	tx.db.tablesMu.Lock()
 	if _, dup := tx.db.tables[def.Name]; dup {
 		tx.db.tablesMu.Unlock()
 		return fmt.Errorf("reldb: table %s already exists", def.Name)
 	}
-	tx.db.tables[def.Name] = t
+	// A rollback leaves the id unused: ids are never reused.
+	t := newTable(def, tx.db.nextID)
+	tx.db.nextID++
+	t.pending = tx
+	tx.db.addTable(t)
 	tx.db.tablesMu.Unlock()
 	tx.created = append(tx.created, t)
 	tx.tabs = append(tx.tabs, t)
 	tx.undo = append(tx.undo, undoOp{kind: undoDrop, t: t})
-	tx.logOp(walOp{kind: opCreate, name: def.Name, def: def})
+	tx.logOp(walOp{kind: opCreate, id: t.id, name: def.Name, def: def})
 	return nil
 }
 
@@ -221,10 +223,10 @@ func (tx *Tx) DropTable(name string) error {
 		return err
 	}
 	tx.db.tablesMu.Lock()
-	delete(tx.db.tables, name)
+	tx.db.removeTable(t)
 	tx.db.tablesMu.Unlock()
 	tx.undo = append(tx.undo, undoOp{kind: undoRestore, t: t})
-	tx.logOp(walOp{kind: opDrop, name: name})
+	tx.logOp(walOp{kind: opDrop, id: t.id})
 	return nil
 }
 
@@ -269,7 +271,7 @@ func (tx *Tx) write(tableName string, r Row, replace bool) error {
 	} else {
 		tx.undo = append(tx.undo, undoOp{kind: undoDelete, t: t, pk: pk})
 	}
-	tx.logOp(walOp{kind: opPut, name: tableName, row: row})
+	tx.logOp(walOp{kind: opPut, id: t.id, row: row})
 	return nil
 }
 
@@ -291,7 +293,7 @@ func (tx *Tx) Delete(tableName string, key ...V) (bool, error) {
 	pk := t.def.keyOf(old)
 	delete(t.rows, pk)
 	tx.undo = append(tx.undo, undoOp{kind: undoPut, t: t, row: old})
-	tx.logOp(walOp{kind: opDelete, name: tableName, pk: pk})
+	tx.logOp(walOp{kind: opDelete, id: t.id, pk: pk})
 	return true, nil
 }
 
@@ -388,11 +390,11 @@ func (tx *Tx) rollback() {
 			tx.db.seqs[u.seq] = u.seqV
 		case undoDrop:
 			tx.db.tablesMu.Lock()
-			delete(tx.db.tables, u.t.def.Name)
+			tx.db.removeTable(u.t)
 			tx.db.tablesMu.Unlock()
 		case undoRestore:
 			tx.db.tablesMu.Lock()
-			tx.db.tables[u.t.def.Name] = u.t
+			tx.db.addTable(u.t)
 			tx.db.tablesMu.Unlock()
 		}
 	}

@@ -262,8 +262,10 @@ func (s *Store) PublishFinish(peer core.PeerID, epoch core.Epoch) error {
 
 // Publish implements store.Store: allocate an epoch, then write and finish
 // in a single database commit. When automatic maintenance is configured
-// (WithSnapshotEvery/WithCompactKeep), the publish that crosses the
-// snapshot cadence runs it before returning. A context carrying an
+// (WithSnapshotEvery/WithCompactKeep), a publish past the snapshot cadence
+// runs it before returning, unless another snapshot is running: maintenance
+// never blocks a publish, so that one skips it and the next publish past
+// the cadence takes it. A context carrying an
 // idempotency key (store.WithIdempotencyKey) makes the publish safe to
 // redeliver: duplicates of a committed publish return the original epoch
 // without publishing again.
