@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify bench-check simfree-check gobfree-check onereader-check serialcore-check fmt-check bench bench-smoke chaos-smoke gateway-smoke multigroup-smoke trust-smoke storage-smoke fuzz-smoke linkcheck clean
+.PHONY: build vet test race verify bench-check simfree-check gobfree-check onereader-check serialcore-check fmt-check bench bench-smoke core-smoke chaos-smoke gateway-smoke multigroup-smoke trust-smoke storage-smoke fuzz-smoke linkcheck clean
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,24 @@ bench:
 # real measurement run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# core-smoke runs the reconciliation engine's shape and equivalence gates
+# by name under the race detector, three times each: the one-update fast
+# paths against the general computation (TestUpdateExtensionMatchesGeneral:
+# operation, malformedness, conflicts both ways round and against the
+# naive reference, subsumption, sharing and touched keys over random
+# lists), the per-candidate allocation budgets
+# (TestReconcileSingleUpdateAllocations, TestReconcileOwnDeltaAllocations),
+# the scoped resolve re-run against the full one
+# (TestResolveScopedMatchesFullRerun), the engine invariants (TestInvariant*:
+# disjoint decision sets, idle fixpoints, instance consistency, producer
+# entries for exactly the instance's values), and the concurrent
+# ReconcileAll against the sequential reference
+# (TestReconcileAllDifferential). make verify covers these too; running
+# them by name makes an engine regression unmissable in CI.
+core-smoke:
+	$(GO) test -race -count=3 -run '^TestUpdateExtensionMatchesGeneral$$|^TestReconcileSingleUpdateAllocations$$|^TestReconcileOwnDeltaAllocations$$|^TestResolveScopedMatchesFullRerun$$|^TestInvariant' ./internal/core
+	$(GO) test -race -count=3 -run '^TestReconcileAllDifferential$$' .
 
 # chaos-smoke runs both fault-injection convergence matrices — the 4-peer
 # cells (loss, dup, jitter, partition, store crash + snapshot rebuild, and

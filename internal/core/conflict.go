@@ -244,12 +244,27 @@ func containsConflict(cs []Conflict, c Conflict) bool {
 	return false
 }
 
+// conflictsWithOne is probeAll over an index of the one update v, without
+// the index: us, the probing side, is no longer than the indexed one, so it
+// has one update at most; UpdatesConflict finds a conflict between an
+// update and v only if the buckets the update selects hold v, and lists
+// each conflict once.
+func conflictsWithOne(s *Schema, us []Update, v Update) []Conflict {
+	if len(us) == 0 {
+		return nil
+	}
+	return UpdatesConflict(s, us[0], v)
+}
+
 // SetsConflict returns the conflicts between two flattened update sets using
-// hash-based detection: the longer set is indexed, the shorter probes it. It
-// is symmetric.
+// hash-based detection: the longer set is indexed, the shorter probes it (a
+// one-update set is never indexed). It is symmetric.
 func SetsConflict(s *Schema, a, b []Update) []Conflict {
 	if len(a) > len(b) {
 		a, b = b, a
+	}
+	if len(b) == 1 {
+		return conflictsWithOne(s, a, b[0])
 	}
 	return newConflictIndex(s, b).probeAll(a)
 }

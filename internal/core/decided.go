@@ -210,7 +210,7 @@ func (t *idTable) clone() idTable {
 
 // DecidedSet is a set of transaction ids held as a bit per id in a decided
 // table: the engine's applied and rejected sets. The zero value is an
-// empty set. Short-lived sets stay TxnSet.
+// empty set. A run's short-lived sets are sorted slices of ids.
 type DecidedSet struct{ t idTable }
 
 // Has reports membership.

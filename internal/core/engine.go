@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -10,7 +12,8 @@ import (
 // It owns the participant's materialized instance, its applied/rejected
 // transaction sets (decided tables, a bit per transaction: decided.go), and
 // the reconstructable soft state (deferred transactions, dirty values,
-// conflict groups). The update store feeds it
+// conflict groups); a local transaction's antecedent set goes to its
+// publisher and is not kept. The update store feeds it
 // Candidates; the engine implements ReconcileUpdates of Figure 4 with the
 // helper procedures of Figure 5.
 //
@@ -25,8 +28,8 @@ type Engine struct {
 	trust  Trust
 	inst   *Instance
 
-	// applied only grows; rejected loses only the same-run rejections an
-	// accepted chain rescinds.
+	// Both only grow; a run records its rejections once its accepted
+	// chains are applied (see reconcile).
 	applied  DecidedSet
 	rejected DecidedSet
 
@@ -51,9 +54,6 @@ type Engine struct {
 	// producers maps each tuple value in the instance to the transaction
 	// that produced it (provenance; see provenance.go).
 	producers map[tupleKey]TxnID
-	// localAntes records the antecedent sets of the peer's own
-	// transactions, computed at creation time for publishing.
-	localAntes map[TxnID][]TxnID
 
 	recno   int
 	nextSeq uint64
@@ -70,7 +70,6 @@ func NewEngine(peer PeerID, schema *Schema, trust Trust) *Engine {
 		dirty:         make(map[tupleKey]bool),
 		groups:        make(map[Conflict]*ConflictGroup),
 		producers:     make(map[tupleKey]TxnID),
-		localAntes:    make(map[TxnID][]TxnID),
 	}
 }
 
@@ -154,16 +153,17 @@ func (e *Engine) DirtyKeyCount() int { return len(e.dirty) }
 // peer's own edits. The updates must be compatible with the local instance
 // — a participant's own instance is always internally consistent. The
 // returned transaction carries the next local sequence number and is ready
-// to be published.
-func (e *Engine) NewLocalTransaction(updates ...Update) (*Transaction, error) {
+// to be published with the returned antecedent set (Definition 3), which
+// the engine does not keep.
+func (e *Engine) NewLocalTransaction(updates ...Update) (*Transaction, []TxnID, error) {
 	x := NewTransaction(TxnID{Origin: e.peer, Seq: e.nextSeq}, updates...)
 	if err := x.Validate(e.schema); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := e.inst.CompatibleAll(x.Updates); err != nil {
-		return nil, fmt.Errorf("core: local transaction %s: %w", x.ID, err)
+		return nil, nil, fmt.Errorf("core: local transaction %s: %w", x.ID, err)
 	}
-	e.localAntes[x.ID] = e.antecedentIDs(x)
+	antes := e.antecedentIDs(x)
 	for _, u := range x.Updates {
 		e.inst.applyUnchecked(u)
 	}
@@ -172,20 +172,24 @@ func (e *Engine) NewLocalTransaction(updates ...Update) (*Transaction, error) {
 	e.applied.Add(x.ID)
 	e.ownSince = append(e.ownSince, x)
 	e.unsettled = true
-	return x, nil
+	return x, antes, nil
 }
 
-// LocalAntecedents returns the antecedent set computed when the peer's own
-// transaction was created; the publisher ships it to the update store.
-func (e *Engine) LocalAntecedents(id TxnID) []TxnID { return e.localAntes[id] }
-
 // candidateState pairs a candidate with its per-reconciliation soft state.
+// A run's scratch lives here, indexed by the candidate's position, rather
+// than in maps keyed by transaction.
 type candidateState struct {
 	cand     *Candidate
 	upEx     *UpdateExtension
 	decision Decision
 	carried  bool // previously deferred, reconsidered this run
 	deferred bool // left deferred by this run (set before UpdateSoftState)
+	// conflicts are the run's candidates whose extensions directly conflict
+	// with this one's (FindConflicts).
+	conflicts []*candidateState
+	// conflictVals are the values of the conflicts among deferred
+	// candidates that involve this one (UpdateSoftState).
+	conflictVals []tupleKey
 }
 
 // pairConflicts is what FindConflicts learned about the run's candidate
@@ -251,8 +255,7 @@ func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result
 
 	// Line 1: the undecided fully trusted transactions: new arrivals plus
 	// carried-over deferred ones.
-	states := make(map[TxnID]*candidateState, len(fresh)+len(carried))
-	var order []*candidateState
+	order := make([]*candidateState, 0, len(fresh)+len(carried))
 	addCand := func(c *Candidate, carried bool) {
 		if c.Priority <= 0 {
 			return // untrusted: never a root
@@ -260,12 +263,7 @@ func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result
 		if e.applied.Has(c.Txn.ID) || e.rejected.Has(c.Txn.ID) {
 			return // already decided
 		}
-		if _, dup := states[c.Txn.ID]; dup {
-			return
-		}
-		st := &candidateState{cand: c, carried: carried}
-		states[c.Txn.ID] = st
-		order = append(order, st)
+		order = append(order, &candidateState{cand: c, carried: carried})
 	}
 	for _, d := range carried {
 		addCand(d.cand, true)
@@ -273,12 +271,18 @@ func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result
 	for _, c := range fresh {
 		addCand(c, false)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i].cand.Txn, order[j].cand.Txn
-		if a.Order != b.Order {
-			return a.Order < b.Order
+	// A transaction has one position in the published order, so copies of
+	// a candidate sort next to each other, the first added first; the
+	// first is kept.
+	slices.SortStableFunc(order, func(a, b *candidateState) int {
+		x, y := a.cand.Txn, b.cand.Txn
+		if c := cmp.Compare(x.Order, y.Order); c != 0 {
+			return c
 		}
-		return a.ID.Less(b.ID)
+		return compareTxnIDs(x.ID, y.ID)
+	})
+	order = slices.CompactFunc(order, func(a, b *candidateState) bool {
+		return a.cand.Txn.ID == b.cand.Txn.ID
 	})
 	res.Stats.Candidates = len(order)
 
@@ -323,80 +327,70 @@ func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result
 
 	// Line 9: FindConflicts over the flattened extensions.
 	start = time.Now()
-	conflicts, pairs := e.findConflicts(order, &res.Stats)
+	pairs := e.findConflicts(order, &res.Stats)
 	res.Stats.ConflictNanos = time.Since(start).Nanoseconds()
 
 	// Lines 10-12: DoGroup per priority, in decreasing order. Sequential:
 	// decisions at one priority feed the next.
 	start = time.Now()
-	prios := map[int]bool{}
-	for _, st := range order {
-		prios[st.upEx.Priority] = true
+	prios := make([]int, len(order))
+	for i, st := range order {
+		prios[i] = st.upEx.Priority
 	}
-	sortedPrios := make([]int, 0, len(prios))
-	for p := range prios {
-		sortedPrios = append(sortedPrios, p)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sortedPrios)))
-	for _, p := range sortedPrios {
-		e.doGroup(p, order, conflicts, states)
+	slices.Sort(prios)
+	prios = slices.Compact(prios)
+	for i := len(prios) - 1; i >= 0; i-- {
+		e.doGroup(prios[i], order)
 	}
 	res.Stats.GroupNanos = time.Since(start).Nanoseconds()
 
-	// Lines 13-19: record decisions and apply accepted extensions in global
-	// order, recomputing each extension against the Used set.
+	// Lines 13-19: apply accepted extensions in global order, each
+	// recomputed without what is applied by now, then record the run's
+	// rejections.
 	//
 	// A transaction rejected standalone earlier in this run (e.g. its own
 	// flattened chain is instance-incompatible) may still ride along as the
 	// superseded prefix of an accepted chain — the §4.2 least-interaction
-	// example. Applying the chain rescinds such same-run rejections so the
-	// final decision sets stay disjoint; rejections from earlier
+	// example. Applying the chain rescinds such same-run rejections, so a
+	// rejection is recorded only if nothing applied the transaction and
+	// the final decision sets stay disjoint; rejections from earlier
 	// reconciliations are final (CheckState already rejected any dependent
 	// root before it reached this loop).
 	start = time.Now()
-	used := make(TxnSet)
-	runRejected := make(TxnSet)
-	reject := func(id TxnID) {
-		runRejected.Add(id)
-		e.rejected.Add(id)
-	}
 	for _, st := range order {
-		switch st.decision {
-		case DecisionAccept:
-			ext := e.filterAppliedOrUsed(st.cand.Ext, st.cand.Txn, used)
-			flat, ferr := Flatten(e.schema, UpdateFootprint(ext))
-			if ferr != nil {
-				st.decision = DecisionReject
-				reject(st.cand.Txn.ID)
-				continue
-			}
-			if cerr := e.inst.CompatibleAll(flat); cerr != nil {
-				// Defensive: Proposition 1 says this cannot happen for
-				// greedy processing; reject rather than corrupt the
-				// instance if it ever does.
-				st.decision = DecisionReject
-				reject(st.cand.Txn.ID)
-				continue
-			}
-			for _, u := range flat {
-				e.inst.applyUnchecked(u)
-			}
-			e.noteProducers(ext)
-			res.Stats.AppliedUpdates += len(flat)
-			for _, x := range ext {
-				used.Add(x.ID)
-				e.applied.Add(x.ID)
-				res.Accepted = append(res.Accepted, x.ID)
-				if runRejected.Has(x.ID) {
-					delete(runRejected, x.ID)
-					e.rejected.Remove(x.ID)
-				}
-			}
-		case DecisionReject:
-			reject(st.cand.Txn.ID)
+		if st.decision != DecisionAccept {
+			continue
+		}
+		ext, flat, ferr := e.applicable(st)
+		if ferr != nil {
+			st.decision = DecisionReject
+			continue
+		}
+		if cerr := e.inst.CompatibleAll(flat); cerr != nil {
+			// Defensive: Proposition 1 says this cannot happen for
+			// greedy processing; reject rather than corrupt the
+			// instance if it ever does.
+			st.decision = DecisionReject
+			continue
+		}
+		for _, u := range flat {
+			e.inst.applyUnchecked(u)
+		}
+		e.noteProducers(ext)
+		e.settleProducers(ext)
+		res.Stats.AppliedUpdates += len(flat)
+		for _, x := range ext {
+			e.applied.Add(x.ID)
+			res.Accepted = append(res.Accepted, x.ID)
 		}
 	}
-	res.Rejected = runRejected.Sorted()
+	for _, st := range order {
+		if id := st.cand.Txn.ID; st.decision == DecisionReject && !e.applied.Has(id) {
+			e.rejected.Add(id)
+			res.Rejected = append(res.Rejected, id)
+		}
+	}
+	slices.SortFunc(res.Rejected, compareTxnIDs)
 	res.Stats.ApplyNanos = time.Since(start).Nanoseconds()
 
 	// Lines 20-21: UpdateSoftState for the deferred set. A transaction
@@ -439,19 +433,28 @@ func (e *Engine) deferredInOrder() []TxnID {
 }
 
 // filterApplied returns the extension with already-applied transactions
-// removed; the root is always kept.
+// removed; the root is always kept. An extension that loses nothing is
+// returned as it is, with no room to grow: candidates are read-only.
 func (e *Engine) filterApplied(ext []*Transaction, root *Transaction) []*Transaction {
-	out := make([]*Transaction, 0, len(ext))
+	var out []*Transaction // nil while nothing is removed
 	rootSeen := false
-	for _, x := range ext {
-		if x.ID == root.ID {
+	for i, x := range ext {
+		keep := x.ID == root.ID
+		if keep {
 			rootSeen = true
-			out = append(out, x)
-			continue
+		} else {
+			keep = !e.applied.Has(x.ID)
 		}
-		if !e.applied.Has(x.ID) {
+		switch {
+		case keep && out != nil:
 			out = append(out, x)
+		case !keep && out == nil:
+			out = make([]*Transaction, i, len(ext))
+			copy(out, ext[:i])
 		}
+	}
+	if out == nil {
+		out = ext[:len(ext):len(ext)]
 	}
 	if !rootSeen {
 		out = append(out, root)
@@ -460,24 +463,22 @@ func (e *Engine) filterApplied(ext []*Transaction, root *Transaction) []*Transac
 	return out
 }
 
-func (e *Engine) filterAppliedOrUsed(ext []*Transaction, root *Transaction, used TxnSet) []*Transaction {
-	out := make([]*Transaction, 0, len(ext))
-	rootSeen := false
-	for _, x := range ext {
-		if x.ID == root.ID {
-			rootSeen = true
-			out = append(out, x)
-			continue
-		}
-		if !e.applied.Has(x.ID) && !used.Has(x.ID) {
-			out = append(out, x)
-		}
+// applicable returns what applying an accepted candidate applies: its
+// extension without the transactions applied by now, and that list's
+// flattened operation. A list that lost nothing since CheckState is the
+// update extension's source, whose operation is reused; a one-transaction
+// source is always such a list, since it holds only the root, which stays.
+func (e *Engine) applicable(st *candidateState) ([]*Transaction, []Update, error) {
+	upEx := st.upEx
+	if upEx.Malformed() == nil && len(upEx.Source) == 1 {
+		return upEx.Source, upEx.Operation, nil
 	}
-	if !rootSeen {
-		out = append(out, root)
-		sort.Slice(out, func(i, j int) bool { return out[i].Order < out[j].Order })
+	ext := e.filterApplied(st.cand.Ext, st.cand.Txn)
+	if upEx.Malformed() == nil && slices.Equal(ext, upEx.Source) {
+		return ext, upEx.Operation, nil
 	}
-	return out
+	flat, err := Flatten(e.schema, UpdateFootprint(ext))
+	return ext, flat, err
 }
 
 // checkState implements CheckState of Figure 5: it classifies one update
@@ -503,7 +504,7 @@ func (e *Engine) checkState(upEx *UpdateExtension, own *conflictIndex, carried b
 		}
 		// Dependency on a deferred transaction defers (the dirty check
 		// catches this in almost all cases; this is the explicit guarantee).
-		for id := range upEx.IDs {
+		for _, id := range upEx.IDs {
 			if id == upEx.Root {
 				continue
 			}
@@ -514,7 +515,7 @@ func (e *Engine) checkState(upEx *UpdateExtension, own *conflictIndex, carried b
 	}
 	// Line 3: an extension containing an already rejected transaction is
 	// rejected.
-	for id := range upEx.IDs {
+	for _, id := range upEx.IDs {
 		if e.rejected.Has(id) {
 			return DecisionReject
 		}
@@ -578,20 +579,20 @@ func enumeratePairs(schema *Schema, states []*candidateState) []uint64 {
 
 // findConflicts implements FindConflicts of Figure 5 over the candidates'
 // flattened update extensions, skipping pairs where one extension subsumes
-// the other. Pairs are enumerated deterministically (enumeratePairs) and
+// the other; it records each candidate's conflicting candidates in its
+// state. Pairs are enumerated deterministically (enumeratePairs) and
 // checked in that order. Every extension is indexed at most once per run,
-// and only if it is the indexed side of some pair (the memo is lazy): most
-// candidates of a quiet run are in none, and an index built for them would
-// be pure allocation.
-func (e *Engine) findConflicts(order []*candidateState, stats *ReconcileStats) (map[TxnID][]*candidateState, pairConflicts) {
-	conflicts := make(map[TxnID][]*candidateState)
+// and only if it is the indexed side of some pair with two updates or more
+// (the memo is lazy): most candidates of a quiet run are in none, and an
+// index built for them would be pure allocation.
+func (e *Engine) findConflicts(order []*candidateState, stats *ReconcileStats) pairConflicts {
 	if len(order) < 2 {
-		return conflicts, pairConflicts{}
+		return pairConflicts{}
 	}
 	pc := pairConflicts{pairs: enumeratePairs(e.schema, order)}
 	stats.ConflictPairs += len(pc.pairs)
 	if len(pc.pairs) == 0 {
-		return conflicts, pc
+		return pc
 	}
 	pc.found = make([][]Conflict, len(pc.pairs))
 	for pi, p := range pc.pairs {
@@ -606,17 +607,17 @@ func (e *Engine) findConflicts(order []*candidateState, stats *ReconcileStats) (
 			continue
 		}
 		stats.ConflictsFound++
-		conflicts[si.cand.Txn.ID] = append(conflicts[si.cand.Txn.ID], sj)
-		conflicts[sj.cand.Txn.ID] = append(conflicts[sj.cand.Txn.ID], si)
+		si.conflicts = append(si.conflicts, sj)
+		sj.conflicts = append(sj.conflicts, si)
 	}
-	return conflicts, pc
+	return pc
 }
 
 // doGroup implements DoGroup of Figure 5 for one priority level: reject
 // members that conflict with higher-priority accepted transactions, defer
 // members that conflict with higher-priority deferred ones, then defer every
 // conflicting pair within the group.
-func (e *Engine) doGroup(prio int, order []*candidateState, conflicts map[TxnID][]*candidateState, states map[TxnID]*candidateState) {
+func (e *Engine) doGroup(prio int, order []*candidateState) {
 	var grp []*candidateState
 	for _, st := range order {
 		if st.upEx.Priority == prio && st.decision != DecisionReject {
@@ -627,7 +628,7 @@ func (e *Engine) doGroup(prio int, order []*candidateState, conflicts map[TxnID]
 	kept := grp[:0]
 	for _, st := range grp {
 		rejected := false
-		for _, c := range conflicts[st.cand.Txn.ID] {
+		for _, c := range st.conflicts {
 			if c.upEx.Priority <= prio {
 				continue
 			}
@@ -649,11 +650,8 @@ func (e *Engine) doGroup(prio int, order []*candidateState, conflicts map[TxnID]
 	grp = kept
 	// Lines 13-17: conflicts within the group defer both sides.
 	for _, st := range grp {
-		for _, c := range conflicts[st.cand.Txn.ID] {
+		for _, c := range st.conflicts {
 			if c.upEx.Priority != prio || c.decision == DecisionReject {
-				continue
-			}
-			if states[c.cand.Txn.ID] == nil {
 				continue
 			}
 			st.decision = DecisionDefer

@@ -40,16 +40,35 @@ func randomCDSSRun(t *testing.T, seed int64, peers, rounds, editsPerRound int) (
 				} else {
 					u = Insert("F", Strs(org, prot, fn), e.Peer())
 				}
-				x, err := e.NewLocalTransaction(u)
+				x, _, err := e.NewLocalTransaction(u)
 				if err != nil {
 					continue // local conflict with a dirty shadow etc.
 				}
 				log.publish(x)
 			}
 			log.reconcile(e)
+			checkProducers(t, e, fmt.Sprintf("seed %d round %d", seed, round))
 		}
 	}
 	return log, engines
+}
+
+// checkProducers asserts the provenance invariant: the engine's producer
+// map has an entry for exactly the values its instance holds.
+func checkProducers(t *testing.T, e *Engine, what string) {
+	t.Helper()
+	n := 0
+	for _, rel := range e.Schema().Names() {
+		for _, tu := range e.Instance().Tuples(rel) {
+			n++
+			if _, ok := e.ProducerOf(rel, tu); !ok {
+				t.Fatalf("%s: %s%v in %s's instance has no producer", what, rel, tu, e.Peer())
+			}
+		}
+	}
+	if len(e.producers) != n {
+		t.Fatalf("%s: %s has %d producers for %d values", what, e.Peer(), len(e.producers), n)
+	}
 }
 
 // TestInvariantDecisionSetsDisjoint: applied, rejected, and deferred are
@@ -87,6 +106,7 @@ func TestInvariantReconcileIdempotent(t *testing.T) {
 			// terminates.
 			for i := 0; ; i++ {
 				res := log.reconcile(e)
+				checkProducers(t, e, fmt.Sprintf("seed %d idle run %d", seed, i))
 				if len(res.Accepted) == 0 && len(res.Rejected) == 0 {
 					break
 				}
@@ -176,12 +196,14 @@ func TestConvergenceUnderResolution(t *testing.T) {
 			pendingWork := false
 			for _, e := range engines {
 				log.reconcile(e)
+				checkProducers(t, e, fmt.Sprintf("seed %d pass %d", seed, pass))
 				for len(e.ConflictGroups()) > 0 {
 					pendingWork = true
 					g := e.ConflictGroups()[0]
 					if _, err := e.Resolve(g.Conflict, 0); err != nil {
 						t.Fatalf("seed %d: resolve: %v", seed, err)
 					}
+					checkProducers(t, e, fmt.Sprintf("seed %d pass %d resolve", seed, pass))
 				}
 				if len(e.DeferredIDs()) > 0 {
 					// Deferred without a group: blocked on upstream

@@ -283,13 +283,13 @@ func TestLocalTransactionValidation(t *testing.T) {
 	s := proteinSchema(t)
 	p := NewEngine("p", s, TrustAll(1))
 	mustLocal(t, p, Insert("F", Strs("rat", "p1", "a"), "p"))
-	if _, err := p.NewLocalTransaction(Insert("F", Strs("rat", "p1", "b"), "p")); err == nil {
+	if _, _, err := p.NewLocalTransaction(Insert("F", Strs("rat", "p1", "b"), "p")); err == nil {
 		t.Error("conflicting local insert should fail")
 	}
-	if _, err := p.NewLocalTransaction(Insert("F", Strs("bad"), "p")); err == nil {
+	if _, _, err := p.NewLocalTransaction(Insert("F", Strs("bad"), "p")); err == nil {
 		t.Error("invalid tuple should fail")
 	}
-	if _, err := p.NewLocalTransaction(); err == nil {
+	if _, _, err := p.NewLocalTransaction(); err == nil {
 		t.Error("empty transaction should fail")
 	}
 	// Sequence numbers increase.

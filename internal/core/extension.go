@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // UpdateExtension is U_i(X, L) from §4.2: the set of changes made by the
 // transaction list L (a subset of X's transaction extension, sorted by
 // application order) as seen by a reconciling peer, with all intermediate
@@ -10,12 +12,15 @@ type UpdateExtension struct {
 	// Source is the contents of L: the transactions whose footprint was
 	// flattened, in application order.
 	Source []*Transaction
-	// Operation is flatten(uf(Source)).
+	// Operation is flatten(uf(Source)). For a one-update source that
+	// flattens to itself it aliases the transaction's updates (see
+	// oneUpdateOperation), so it is read-only like them.
 	Operation []Update
 	// Priority is pri_i(X) for the reconciling peer.
 	Priority int
-	// IDs caches the ID set of Source for subsumption and sharing checks.
-	IDs TxnSet
+	// IDs are the IDs of Source sorted by TxnID.Less, so subsumption and
+	// sharing checks are merges.
+	IDs []TxnID
 	// malformed is set when the footprint could not be flattened; such an
 	// extension is rejected by CheckState.
 	malformed error
@@ -23,9 +28,11 @@ type UpdateExtension struct {
 	// replaced (updateSoftState builds trimmed copies rather than mutating).
 	touched []tupleKey
 	// index memoizes the conflict index over Operation, under the same rule
-	// as touched. Only extensions that are the indexed side of an enumerated
-	// pair ever build one (see findConflicts).
+	// as touched. Only extensions of two updates or more that are the
+	// indexed side of an enumerated pair ever build one (see Conflicts).
 	index *conflictIndex
+	// oneID backs IDs for a one-transaction source.
+	oneID [1]TxnID
 }
 
 // NewUpdateExtension computes the update extension of root over the
@@ -37,9 +44,22 @@ func NewUpdateExtension(s *Schema, root TxnID, list []*Transaction, priority int
 		Root:     root,
 		Source:   list,
 		Priority: priority,
-		IDs:      make(TxnSet, len(list)),
 	}
-	ue.IDs.AddAll(list)
+	if len(list) == 1 {
+		ue.oneID[0] = list[0].ID
+		ue.IDs = ue.oneID[:]
+	} else {
+		ue.IDs = make([]TxnID, len(list))
+		for i, x := range list {
+			ue.IDs[i] = x.ID
+		}
+		slices.SortFunc(ue.IDs, compareTxnIDs)
+		ue.IDs = slices.Compact(ue.IDs)
+	}
+	if op, ok := oneUpdateOperation(s, list); ok {
+		ue.Operation = op
+		return ue
+	}
 	op, err := Flatten(s, UpdateFootprint(list))
 	if err != nil {
 		ue.malformed = err
@@ -49,41 +69,73 @@ func NewUpdateExtension(s *Schema, root TxnID, list []*Transaction, priority int
 	return ue
 }
 
+// oneUpdateOperation returns, without flattening, the flattened operation
+// of a list that holds one transaction of one update, when Flatten would
+// return that update unchanged: an insert or delete (no replacement tuple)
+// or a modify to a different value, over a known relation. It reports
+// false otherwise — the list is longer, the update is malformed, or it is
+// a modify back to its own source, which flattens to nothing. The result
+// aliases the transaction's updates and has no room to grow.
+func oneUpdateOperation(s *Schema, list []*Transaction) ([]Update, bool) {
+	if len(list) != 1 || len(list[0].Updates) != 1 {
+		return nil, false
+	}
+	us := list[0].Updates[:1:1]
+	u := &us[0]
+	if _, ok := s.Relation(u.Rel); !ok {
+		return nil, false
+	}
+	switch u.Op {
+	case OpInsert, OpDelete:
+		return us, u.New == nil
+	case OpModify:
+		return us, u.New != nil && u.tupleEnc() != u.newEnc()
+	}
+	return nil, false
+}
+
 // Malformed returns the flattening error, if any.
 func (ue *UpdateExtension) Malformed() error { return ue.malformed }
 
 // Subsumes reports whether this extension's transaction set is a superset
 // of the other's (the paper's subsumption relation).
 func (ue *UpdateExtension) Subsumes(other *UpdateExtension) bool {
-	if len(ue.IDs) < len(other.IDs) {
+	a, b := ue.IDs, other.IDs
+	if len(a) < len(b) {
 		return false
 	}
-	for id := range other.IDs {
-		if !ue.IDs.Has(id) {
+	i := 0
+	for _, id := range b {
+		for i < len(a) && a[i].Less(id) {
+			i++
+		}
+		if i == len(a) || a[i] != id {
 			return false
 		}
+		i++
 	}
 	return true
 }
 
 // SharedWith returns the set S of transactions present in both extensions,
-// or nil when the extensions are disjoint (no set is allocated then — the
-// common case on the FindConflicts hot path).
-func (ue *UpdateExtension) SharedWith(other *UpdateExtension) TxnSet {
+// sorted, or nil when the extensions are disjoint (nothing is allocated
+// then — the common case on the FindConflicts hot path).
+func (ue *UpdateExtension) SharedWith(other *UpdateExtension) []TxnID {
 	a, b := ue.IDs, other.IDs
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	var s TxnSet
-	for id := range a {
-		if b.Has(id) {
-			if s == nil {
-				s = make(TxnSet)
-			}
-			s.Add(id)
+	var shared []TxnID
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] == b[j]:
+			shared = append(shared, a[i])
+			i++
+			j++
+		case a[i].Less(b[j]):
+			i++
+		default:
+			j++
 		}
 	}
-	return s
+	return shared
 }
 
 // Conflicts returns the conflicts between the flattened operations of two
@@ -91,7 +143,9 @@ func (ue *UpdateExtension) SharedWith(other *UpdateExtension) TxnSet {
 // both (Definition 4, direct conflict): the flattened footprints are
 // recomputed over Source − S when the extensions overlap. In the common
 // disjoint case no intermediate sets are materialized: the shorter
-// operation probes the memoized index of the longer, built on first use.
+// operation probes the memoized index of the longer, built on first use,
+// and a one-update side is never indexed — the other side has one update
+// at most, and UpdatesConflict is the whole probe.
 func (ue *UpdateExtension) Conflicts(s *Schema, other *UpdateExtension) []Conflict {
 	shared := ue.SharedWith(other)
 	if len(shared) == 0 {
@@ -100,6 +154,9 @@ func (ue *UpdateExtension) Conflicts(s *Schema, other *UpdateExtension) []Confli
 		probe, indexed := ue, other
 		if len(ue.Operation) > len(other.Operation) {
 			probe, indexed = other, ue
+		}
+		if len(indexed.Operation) == 1 {
+			return conflictsWithOne(s, probe.Operation, indexed.Operation[0])
 		}
 		return indexed.conflictIndex(s).probeAll(probe.Operation)
 	}
@@ -117,12 +174,13 @@ func (ue *UpdateExtension) conflictIndex(s *Schema) *conflictIndex {
 }
 
 // flattenMinus flattens the footprint of list with the shared transactions
-// removed. A malformed remainder yields its raw footprint (conservative:
-// more updates → more conflicts detected, never fewer).
-func flattenMinus(s *Schema, list []*Transaction, drop TxnSet) []Update {
+// (sorted by TxnID.Less) removed. A malformed remainder yields its raw
+// footprint (conservative: more updates → more conflicts detected, never
+// fewer).
+func flattenMinus(s *Schema, list []*Transaction, drop []TxnID) []Update {
 	kept := make([]*Transaction, 0, len(list))
 	for _, x := range list {
-		if !drop.Has(x.ID) {
+		if _, dropped := slices.BinarySearchFunc(drop, x.ID, compareTxnIDs); !dropped {
 			kept = append(kept, x)
 		}
 	}
@@ -146,9 +204,19 @@ func (ue *UpdateExtension) TouchedKeys(s *Schema) []tupleKey {
 		// Fall back to the raw footprint for dirty-key purposes.
 		ops = UpdateFootprint(ue.Source)
 	}
-	seen := make(map[tupleKey]bool, 2*len(ops))
 	out := make([]tupleKey, 0, 2*len(ops))
+	// One update touches two keys at most, which dedup by comparison.
+	var seen map[tupleKey]bool
+	if len(ops) > 1 {
+		seen = make(map[tupleKey]bool, 2*len(ops))
+	}
 	add := func(k tupleKey) {
+		if seen == nil {
+			if len(out) == 0 || out[0] != k {
+				out = append(out, k)
+			}
+			return
+		}
 		if !seen[k] {
 			seen[k] = true
 			out = append(out, k)

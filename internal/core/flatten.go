@@ -24,9 +24,11 @@ type flattenChain struct {
 }
 
 // flattenScratch holds the per-call working state of Flatten. Instances are
-// pooled: Flatten runs once per candidate per reconciliation (and again per
-// conflicting pair), so its maps and chain arena are the dominant transient
-// allocation of the pipeline.
+// pooled: Flatten runs for each candidate whose extension is more than one
+// update, again when applying one whose extension lost transactions since,
+// per overlapping pair FindConflicts checks, and once over the own delta
+// per reconciliation, so its maps and chain arena would otherwise be a
+// large transient allocation of the pipeline.
 type flattenScratch struct {
 	live  map[tupleKey]*flattenChain
 	dead  map[tupleKey]*flattenChain

@@ -62,7 +62,7 @@ func (l *testLog) reconcile(e *Engine) *Result {
 // mustLocal applies a local transaction or fails the test.
 func mustLocal(t *testing.T, e *Engine, us ...Update) *Transaction {
 	t.Helper()
-	x, err := e.NewLocalTransaction(us...)
+	x, _, err := e.NewLocalTransaction(us...)
 	if err != nil {
 		t.Fatalf("local txn at %s: %v", e.Peer(), err)
 	}

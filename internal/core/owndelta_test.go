@@ -83,7 +83,7 @@ func ownDeltaWorkload(tb testing.TB, s *Schema, n, d int) (*Engine, []*Candidate
 	tb.Helper()
 	e := NewEngine("q", s, TrustAll(1))
 	for i := 0; i < d; i++ {
-		if _, err := e.NewLocalTransaction(Insert("F", fTuple(fmt.Sprintf("own%d", i), "v"), "q")); err != nil {
+		if _, _, err := e.NewLocalTransaction(Insert("F", fTuple(fmt.Sprintf("own%d", i), "v"), "q")); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -99,10 +99,10 @@ func ownDeltaWorkload(tb testing.TB, s *Schema, n, d int) (*Engine, []*Candidate
 // TestReconcileOwnDeltaAllocations: reconciling N candidates against a
 // D-update own delta allocates O(N + D) — one index over the delta, probed N
 // times — not O(N·D), an index per candidate. The budget is about twice
-// what the run allocates today (~12.5k, building the engine and its delta
-// included); with an index per candidate it is over 43k.
+// what the run allocates today (~2.4k, building the engine and its delta
+// included); with an index per candidate it is over 30k.
 func TestReconcileOwnDeltaAllocations(t *testing.T) {
-	const n, d, budget = 400, 64, 25000
+	const n, d, budget = 400, 64, 5000
 	s := proteinSchema(t)
 	_, cands := ownDeltaWorkload(t, s, n, d)
 	allocs := testing.AllocsPerRun(5, func() {

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Resolve performs user-driven conflict resolution for one conflict group
 // (§4.2, end): the user selects the winning option by index, or passes
@@ -30,11 +33,9 @@ func (e *Engine) Resolve(c Conflict, winner int) (*Result, error) {
 	// The losers are the transactions of the losing options minus those of
 	// the winning option: a transaction that underlies both (a shared
 	// antecedent chain prefix) survives with the winner.
-	keep := make(TxnSet)
+	var keep []TxnID // sorted, as an option's transactions are
 	if winner >= 0 {
-		for _, id := range g.Options[winner].Txns {
-			keep.Add(id)
-		}
+		keep = g.Options[winner].Txns
 	}
 	resolved := make(map[uint64]bool, 1) // the group's component
 	var losers []TxnID
@@ -45,7 +46,7 @@ func (e *Engine) Resolve(c Conflict, winner int) (*Result, error) {
 				continue
 			}
 			resolved[d.comp] = true
-			if keep.Has(id) {
+			if _, kept := slices.BinarySearchFunc(keep, id, compareTxnIDs); kept {
 				continue
 			}
 			e.rejected.Add(id)

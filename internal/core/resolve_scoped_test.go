@@ -189,8 +189,8 @@ func (sr *scopedRun) localTxn(i int, org, prot string) {
 	if len(us) == 0 {
 		return
 	}
-	xS, errS := e.NewLocalTransaction(us...)
-	xO, errO := sr.ora[i].NewLocalTransaction(us...)
+	xS, _, errS := e.NewLocalTransaction(us...)
+	xO, _, errO := sr.ora[i].NewLocalTransaction(us...)
 	if (errS == nil) != (errO == nil) {
 		sr.t.Fatalf("%s: local txn at %s: scoped err=%v, oracle err=%v", sr.name, e.Peer(), errS, errO)
 	}

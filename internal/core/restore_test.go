@@ -47,22 +47,28 @@ func TestValueGobRoundTrip(t *testing.T) {
 func TestProducerTracking(t *testing.T) {
 	s := proteinSchema(t)
 	e := NewEngine("p", s, TrustAll(1))
-	x1 := mustLocal(t, e, Insert("F", Strs("rat", "p1", "v"), "p"))
+	x1, antes1, err := e.NewLocalTransaction(Insert("F", Strs("rat", "p1", "v"), "p"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(antes1) != 0 {
+		t.Errorf("insert antecedents = %v", antes1)
+	}
 	if got, ok := e.ProducerOf("F", Strs("rat", "p1", "v")); !ok || got != x1.ID {
 		t.Errorf("producer = %v %v", got, ok)
 	}
-	x2 := mustLocal(t, e, Modify("F", Strs("rat", "p1", "v"), Strs("rat", "p1", "w"), "p"))
+	x2, antes2, err := e.NewLocalTransaction(Modify("F", Strs("rat", "p1", "v"), Strs("rat", "p1", "w"), "p"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := e.ProducerOf("F", Strs("rat", "p1", "v")); ok {
 		t.Error("consumed value still has a producer")
 	}
 	if got, _ := e.ProducerOf("F", Strs("rat", "p1", "w")); got != x2.ID {
 		t.Errorf("producer of new value = %v", got)
 	}
-	if antes := e.LocalAntecedents(x2.ID); len(antes) != 1 || antes[0] != x1.ID {
-		t.Errorf("local antecedents = %v", antes)
-	}
-	if antes := e.LocalAntecedents(x1.ID); len(antes) != 0 {
-		t.Errorf("insert antecedents = %v", antes)
+	if len(antes2) != 1 || antes2[0] != x1.ID {
+		t.Errorf("local antecedents = %v", antes2)
 	}
 }
 
@@ -99,7 +105,7 @@ func TestRestoreDirect(t *testing.T) {
 		t.Error("rejected set incomplete")
 	}
 	// Local sequence continues after the own txn's seq.
-	nxt, err := e.NewLocalTransaction(Insert("F", Strs("dog", "p3", "q"), "me"))
+	nxt, _, err := e.NewLocalTransaction(Insert("F", Strs("dog", "p3", "q"), "me"))
 	if err != nil {
 		t.Fatal(err)
 	}

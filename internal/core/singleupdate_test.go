@@ -1,0 +1,89 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+)
+
+// singleUpdateCands is a run's worth of one-update candidates from 8
+// origins, 50 each, the shape of a contended workload: most insert a key of
+// their own and are accepted, every tenth of origins o0–o2 inserts a value
+// for a key the other two also write (a three-way conflict: all three
+// deferred, one group), and every tenth from offset 5 modifies a tuple the
+// instance does not hold (rejected).
+func singleUpdateCands() []*Candidate {
+	const origins, per = 8, 50
+	var cands []*Candidate
+	order := uint64(0)
+	for i := 0; i < per; i++ {
+		for o := 0; o < origins; o++ {
+			origin := PeerID(fmt.Sprintf("o%d", o))
+			var u Update
+			switch {
+			case i%10 == 0 && o < 3:
+				u = Insert("F", fTuple(fmt.Sprintf("c%d", i), string(origin)), origin)
+			case i%10 == 5:
+				u = Modify("F", fTuple(fmt.Sprintf("gone%d-%d", o, i), "x"), fTuple(fmt.Sprintf("gone%d-%d", o, i), "y"), origin)
+			default:
+				u = Insert("F", fTuple(fmt.Sprintf("u%d-%d", o, i), "v"), origin)
+			}
+			order++
+			x := handTxn(origin, order, u)
+			x.ID.Seq = uint64(i)
+			cands = append(cands, handCand(x))
+		}
+	}
+	return cands
+}
+
+// reconcileSingleUpdate reconciles the candidates on a new engine and
+// resolves the first conflict group, checking the decisions' shape.
+func reconcileSingleUpdate(tb testing.TB, s *Schema, cands []*Candidate) {
+	e := NewEngine("q", s, TrustAll(1))
+	res, err := e.Reconcile(cands)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// 5 contended keys × 3 writers deferred; 8 origins × 5 modifies rejected.
+	if len(res.Deferred) != 15 || len(res.Groups) != 5 || len(res.Rejected) != 40 ||
+		len(res.Accepted) != len(cands)-55 {
+		tb.Fatalf("reconcile: %d accepted, %d rejected, %d deferred, %d groups",
+			len(res.Accepted), len(res.Rejected), len(res.Deferred), len(res.Groups))
+	}
+	res, err = e.Resolve(res.Groups[0].Conflict, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(res.Accepted) != 1 || len(res.Rejected) != 2 || len(res.Deferred) != 12 {
+		tb.Fatalf("resolve: %d accepted, %d rejected, %d deferred",
+			len(res.Accepted), len(res.Rejected), len(res.Deferred))
+	}
+}
+
+// TestReconcileSingleUpdateAllocations: a run whose candidates are all one
+// update each allocates per candidate only what its shape needs — no ID
+// map, footprint, flatten or conflict index. The budget is about 1.5× what
+// the reconcile and resolve allocate today (~2.5k, building the engine
+// included); with the general path for every candidate and run scratch in
+// maps keyed by transaction it is over 8.3k.
+func TestReconcileSingleUpdateAllocations(t *testing.T) {
+	const budget = 3800
+	s := proteinSchema(t)
+	cands := singleUpdateCands()
+	allocs := testing.AllocsPerRun(5, func() { reconcileSingleUpdate(t, s, cands) })
+	t.Logf("%.0f allocations for %d one-update candidates and a resolve", allocs, len(cands))
+	if allocs > budget {
+		t.Errorf("%.0f allocations, budget %d", allocs, budget)
+	}
+}
+
+// BenchmarkReconcileSingleUpdate: one reconciliation of 400 one-update
+// candidates from 8 origins, with conflicts, deferrals and a resolve.
+func BenchmarkReconcileSingleUpdate(b *testing.B) {
+	s := MustSchema(NewRelation("F", 2, "organism", "protein", "function"))
+	cands := singleUpdateCands()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		reconcileSingleUpdate(b, s, cands)
+	}
+}

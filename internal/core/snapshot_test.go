@@ -57,11 +57,14 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	// Provenance round-trips: a new local edit computes the same
 	// antecedents on both engines, and the local sequence continues.
 	for _, e := range []*Engine{pq, back} {
-		x := mustLocal(t, e, Modify("F", Strs("rat", "p1", "v1"), Strs("rat", "p1", "v2"), "q"))
+		x, antes, err := e.NewLocalTransaction(Modify("F", Strs("rat", "p1", "v1"), Strs("rat", "p1", "v2"), "q"))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if x.ID.Seq != xq0.ID.Seq+1 {
 			t.Errorf("%p: next seq = %d, want %d", e, x.ID.Seq, xq0.ID.Seq+1)
 		}
-		if antes := e.LocalAntecedents(x.ID); len(antes) != 1 || antes[0] != xa1.ID {
+		if len(antes) != 1 || antes[0] != xa1.ID {
 			t.Errorf("antecedents after restore = %v, want [%s]", antes, xa1.ID)
 		}
 	}

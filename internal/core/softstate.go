@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -61,21 +63,10 @@ func (e *Engine) updateSoftState(order []*candidateState, carried []*deferredCan
 	// for grouping — FindConflicts already computed them for every candidate
 	// pair sharing a touched key, and only such pairs can conflict.
 	// Subsumption does not suppress grouping here: the conflicts were
-	// already established. conflictVals records which conflict values
-	// involve each transaction (for line 4's removal of clean inapplicable
-	// updates).
-	conflictVals := make(map[TxnID]map[tupleKey]bool)
-	groupTxns := make(map[Conflict]map[TxnID]*candidateState)
-	noteTxn := func(c Conflict, st *candidateState) {
-		if groupTxns[c] == nil {
-			groupTxns[c] = make(map[TxnID]*candidateState)
-		}
-		groupTxns[c][st.cand.Txn.ID] = st
-		if conflictVals[st.cand.Txn.ID] == nil {
-			conflictVals[st.cand.Txn.ID] = make(map[tupleKey]bool)
-		}
-		conflictVals[st.cand.Txn.ID][tupleKey{rel: c.Rel, enc: c.Value}] = true
-	}
+	// already established. Each candidate's conflictVals record which
+	// conflict values involve it (for line 4's removal of clean
+	// inapplicable updates).
+	var members []groupMember
 	for pi, cs := range pairs.found {
 		if len(cs) == 0 {
 			continue
@@ -86,8 +77,9 @@ func (e *Engine) updateSoftState(order []*candidateState, carried []*deferredCan
 			continue
 		}
 		for _, c := range cs {
-			noteTxn(c, a)
-			noteTxn(c, b)
+			members = append(members, groupMember{c: c, st: a}, groupMember{c: c, st: b})
+			a.noteConflictVal(c)
+			b.noteConflictVal(c)
 		}
 	}
 
@@ -97,7 +89,7 @@ func (e *Engine) updateSoftState(order []*candidateState, carried []*deferredCan
 	for _, st := range deferred {
 		trimmed := st.upEx.Operation[:0:0]
 		for _, u := range st.upEx.Operation {
-			if e.inst.Compatible(u) != nil && !e.touchesConflict(u, conflictVals[st.cand.Txn.ID]) {
+			if e.inst.Compatible(u) != nil && !e.touchesConflict(u, st.conflictVals) {
 				continue // clean update, inapplicable at recno: drop
 			}
 			trimmed = append(trimmed, u)
@@ -117,67 +109,92 @@ func (e *Engine) updateSoftState(order []*candidateState, carried []*deferredCan
 
 	// Lines 8-16: build conflict groups, combining compatible transactions
 	// (those making the same modification to the conflicted value) into the
-	// same option.
-	var conflictKeys []Conflict
-	for c := range groupTxns {
-		conflictKeys = append(conflictKeys, c)
-	}
-	sort.Slice(conflictKeys, func(i, j int) bool {
-		a, b := conflictKeys[i], conflictKeys[j]
-		if a.Rel != b.Rel {
-			return a.Rel < b.Rel
+	// same option. Sorted by conflict, then member ID, each group's members
+	// are a run of the list, visited in ID order: the Effect string of an
+	// option is taken from the first member that introduces its signature,
+	// so a deterministic visit order keeps Results byte-identical across
+	// runs.
+	slices.SortFunc(members, func(a, b groupMember) int {
+		if c := compareConflicts(a.c, b.c); c != 0 {
+			return c
 		}
-		if a.Value != b.Value {
-			return a.Value < b.Value
-		}
-		return a.Type < b.Type
+		return compareTxnIDs(a.st.cand.Txn.ID, b.st.cand.Txn.ID)
 	})
-	for _, c := range conflictKeys {
-		members := groupTxns[c]
-		// Iterate members in sorted ID order: the Effect string of an option
-		// is taken from the first member that introduces its signature, so a
-		// deterministic visit order keeps Results byte-identical across runs.
-		memberIDs := make([]TxnID, 0, len(members))
-		for id := range members {
-			memberIDs = append(memberIDs, id)
+	members = slices.CompactFunc(members, func(a, b groupMember) bool { return a.c == b.c && a.st == b.st })
+	for lo := 0; lo < len(members); {
+		hi := lo + 1
+		for hi < len(members) && members[hi].c == members[lo].c {
+			hi++
 		}
-		sort.Slice(memberIDs, func(i, j int) bool { return memberIDs[i].Less(memberIDs[j]) })
-		bySig := make(map[string]*Option)
-		optMembers := make(map[string]TxnSet)
-		var sigOrder []string
-		for _, id := range memberIDs {
-			st := members[id]
-			e.deferredCands[id].groups = append(e.deferredCands[id].groups, c)
-			sig, effect := e.modificationSignature(c, st.upEx)
-			opt := bySig[sig]
-			if opt == nil {
-				opt = &Option{Effect: effect}
-				bySig[sig] = opt
-				optMembers[sig] = make(TxnSet)
-				sigOrder = append(sigOrder, sig)
-			}
-			set := optMembers[sig]
-			set.Add(id)
-			// An option carries the deferred antecedents of its members:
-			// accepting the option accepts their whole extensions, and the
-			// shared prefix of a losing chain must not be rejected when it
-			// also underlies the winner (see Resolve).
-			for anteID := range st.upEx.IDs {
-				if _, isDeferred := e.deferredCands[anteID]; isDeferred {
-					set.Add(anteID)
+		e.groups[members[lo].c] = e.conflictGroup(members[lo:hi])
+		lo = hi
+	}
+	e.markComponents(order)
+}
+
+// groupMember is a deferred candidate in the conflict group of c, with its
+// modification signature there (see modificationSignature).
+type groupMember struct {
+	c   Conflict
+	st  *candidateState
+	sig string
+}
+
+// noteConflictVal records that a conflict on c's value involves the
+// candidate.
+func (st *candidateState) noteConflictVal(c Conflict) {
+	if k := (tupleKey{rel: c.Rel, enc: c.Value}); !slices.Contains(st.conflictVals, k) {
+		st.conflictVals = append(st.conflictVals, k)
+	}
+}
+
+// conflictGroup builds the conflict group of one conflict from its
+// members, sorted by ID, and records the group on each member's deferred
+// entry. The members are reordered.
+func (e *Engine) conflictGroup(members []groupMember) *ConflictGroup {
+	g := &ConflictGroup{Conflict: members[0].c}
+	for i := range members {
+		m := &members[i]
+		d := e.deferredCands[m.st.cand.Txn.ID]
+		d.groups = append(d.groups, g.Conflict)
+		m.sig = e.modificationSignature(g.Conflict, m.st.upEx)
+	}
+	// Options in signature order; a stable sort keeps each one's members in
+	// ID order, and the first one's effect is the option's.
+	slices.SortStableFunc(members, func(a, b groupMember) int { return strings.Compare(a.sig, b.sig) })
+	for lo := 0; lo < len(members); {
+		opt := &Option{Effect: e.modificationEffect(g.Conflict, members[lo].st.upEx)}
+		hi := lo
+		for ; hi < len(members) && members[hi].sig == members[lo].sig; hi++ {
+			// An option carries the deferred antecedents of its members
+			// (each member's IDs include itself): accepting the option
+			// accepts their whole extensions, and the shared prefix of a
+			// losing chain must not be rejected when it also underlies the
+			// winner (see Resolve).
+			for _, id := range members[hi].st.upEx.IDs {
+				if _, isDeferred := e.deferredCands[id]; isDeferred {
+					opt.Txns = append(opt.Txns, id)
 				}
 			}
 		}
-		sort.Strings(sigOrder)
-		g := &ConflictGroup{Conflict: c}
-		for _, sig := range sigOrder {
-			opt := bySig[sig]
-			opt.Txns = optMembers[sig].Sorted()
-			g.Options = append(g.Options, opt)
-		}
-		e.groups[c] = g
+		slices.SortFunc(opt.Txns, compareTxnIDs)
+		opt.Txns = slices.Compact(opt.Txns)
+		g.Options = append(g.Options, opt)
+		lo = hi
 	}
-	e.markComponents(order)
+	return g
+}
+
+// compareConflicts orders conflicts by relation, value, then type: the
+// order of ConflictGroups.
+func compareConflicts(a, b Conflict) int {
+	if a.Rel != b.Rel {
+		return strings.Compare(a.Rel, b.Rel)
+	}
+	if a.Value != b.Value {
+		return strings.Compare(a.Value, b.Value)
+	}
+	return int(a.Type) - int(b.Type)
 }
 
 // markComponents partitions the run's candidates into connected components
@@ -271,7 +288,7 @@ func appendLinkKeys(keys []tupleKey, s *Schema, us []Update) []tupleKey {
 
 // touchesConflict reports whether the update reads or writes one of the
 // transaction's conflicted values.
-func (e *Engine) touchesConflict(u Update, vals map[tupleKey]bool) bool {
+func (e *Engine) touchesConflict(u Update, vals []tupleKey) bool {
 	if len(vals) == 0 {
 		return false
 	}
@@ -285,55 +302,64 @@ func (e *Engine) touchesConflict(u Update, vals map[tupleKey]bool) bool {
 		}
 		// Conflict values are either key encodings or full source
 		// encodings; test both projections.
-		if vals[tupleKey{rel: u.Rel, enc: rel.KeyEnc(t)}] {
+		if slices.Contains(vals, tupleKey{rel: u.Rel, enc: rel.KeyEnc(t)}) {
 			return true
 		}
-		return vals[tupleKey{rel: u.Rel, enc: t.Encode()}]
+		return slices.Contains(vals, tupleKey{rel: u.Rel, enc: t.Encode()})
 	}
 	return check(u.Tuple) || check(u.New)
 }
 
 // modificationSignature summarizes what an extension does to the conflicted
 // value: transactions with equal signatures are compatible and share an
-// option.
-func (e *Engine) modificationSignature(c Conflict, upEx *UpdateExtension) (sig, effect string) {
+// option. It reads the updates' cached encodings.
+func (e *Engine) modificationSignature(c Conflict, upEx *UpdateExtension) string {
 	rel, ok := e.schema.Relation(c.Rel)
 	if !ok {
-		return "?", "?"
+		return "?"
 	}
 	var parts []string
-	var display []string
-	for _, u := range upEx.Operation {
-		if u.Rel != c.Rel {
-			continue
+	for i := range upEx.Operation {
+		if u := &upEx.Operation[i]; touchesValue(c, rel, u) {
+			parts = append(parts, strconv.Itoa(int(u.Op))+"|"+u.Rel+"|"+u.tupleEnc()+"|"+u.newEnc())
 		}
-		touches := false
-		switch c.Type {
-		case ConflictModifySource:
-			touches = u.Consumes() != nil && u.Consumes().Encode() == c.Value
-		default:
-			if p := u.Produces(); p != nil && rel.KeyEnc(p) == c.Value {
-				touches = true
-			}
-			if t := u.Consumes(); t != nil && rel.KeyEnc(t) == c.Value {
-				touches = true
-			}
-			if u.Op == OpDelete && rel.KeyEnc(u.Tuple) == c.Value {
-				touches = true
-			}
-		}
-		if !touches {
-			continue
-		}
-		parts = append(parts, fmt.Sprintf("%d|%s|%s|%s", u.Op, u.Rel, u.Tuple.Encode(), u.New.Encode()))
-		display = append(display, u.String())
 	}
 	sort.Strings(parts)
-	sort.Strings(display)
-	if len(display) == 0 {
-		return strings.Join(parts, ";"), "(no direct effect)"
+	return strings.Join(parts, ";")
+}
+
+// modificationEffect describes, for display, what an extension does to the
+// conflicted value: the updates of its operation that touch it.
+func (e *Engine) modificationEffect(c Conflict, upEx *UpdateExtension) string {
+	rel, ok := e.schema.Relation(c.Rel)
+	if !ok {
+		return "?"
 	}
-	return strings.Join(parts, ";"), strings.Join(display, ", ")
+	var display []string
+	for i := range upEx.Operation {
+		if u := &upEx.Operation[i]; touchesValue(c, rel, u) {
+			display = append(display, u.String())
+		}
+	}
+	if len(display) == 0 {
+		return "(no direct effect)"
+	}
+	sort.Strings(display)
+	return strings.Join(display, ", ")
+}
+
+// touchesValue reports whether the update touches the conflicted value of
+// c, a value of rel: consumes the source value of a modify-source conflict,
+// or produces or consumes a tuple with the conflicted key.
+func touchesValue(c Conflict, rel *Relation, u *Update) bool {
+	if u.Rel != c.Rel {
+		return false
+	}
+	if c.Type == ConflictModifySource {
+		return u.Consumes() != nil && u.tupleEnc() == c.Value
+	}
+	return (u.Produces() != nil && u.producedKeyEnc(rel) == c.Value) ||
+		(u.Consumes() != nil && u.keyEncTuple(rel) == c.Value)
 }
 
 // ConflictGroups returns the conflict groups recorded by the most recent
@@ -343,15 +369,6 @@ func (e *Engine) ConflictGroups() []*ConflictGroup {
 	for _, g := range e.groups {
 		out = append(out, g)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Conflict, out[j].Conflict
-		if a.Rel != b.Rel {
-			return a.Rel < b.Rel
-		}
-		if a.Value != b.Value {
-			return a.Value < b.Value
-		}
-		return a.Type < b.Type
-	})
+	slices.SortFunc(out, func(a, b *ConflictGroup) int { return compareConflicts(a.Conflict, b.Conflict) })
 	return out
 }

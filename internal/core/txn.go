@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 )
@@ -27,6 +28,11 @@ func (id TxnID) Less(other TxnID) bool {
 		return id.Origin < other.Origin
 	}
 	return id.Seq < other.Seq
+}
+
+// compareTxnIDs orders IDs as TxnID.Less does, for the slices package.
+func compareTxnIDs(a, b TxnID) int {
+	return cmp.Or(cmp.Compare(a.Origin, b.Origin), cmp.Compare(a.Seq, b.Seq))
 }
 
 // Transaction is an atomic group of updates X_{i:j} published by a single

@@ -23,13 +23,13 @@ func genBatches(b *testing.B, engines []*core.Engine, round int) [][]store.Publi
 	for p, eng := range engines {
 		batch := make([]store.PublishedTxn, 0, benchTxnsPerPublish)
 		for k := 0; k < benchTxnsPerPublish; k++ {
-			x, err := eng.NewLocalTransaction(core.Insert("F",
+			x, antes, err := eng.NewLocalTransaction(core.Insert("F",
 				core.Strs(fmt.Sprintf("org%d", p), fmt.Sprintf("prot-%d-%d", round, k), "fn"),
 				eng.Peer()))
 			if err != nil {
 				b.Fatal(err)
 			}
-			batch = append(batch, store.PublishedTxn{Txn: x, Antecedents: eng.LocalAntecedents(x.ID)})
+			batch = append(batch, store.PublishedTxn{Txn: x, Antecedents: antes})
 		}
 		out[p] = batch
 	}

@@ -73,14 +73,14 @@ func TestConcurrentPublishReconcileStress(t *testing.T) {
 				batch := make([]store.PublishedTxn, 0, perBatch)
 				ids := make([]core.TxnID, 0, perBatch)
 				for k := 0; k < perBatch; k++ {
-					x, err := eng.NewLocalTransaction(core.Insert("F",
+					x, antes, err := eng.NewLocalTransaction(core.Insert("F",
 						core.Strs(fmt.Sprintf("org%d", p), fmt.Sprintf("prot-%d-%d", r, k), "fn"),
 						pubIDs[p]))
 					if err != nil {
 						fail(err)
 						return
 					}
-					batch = append(batch, store.PublishedTxn{Txn: x, Antecedents: eng.LocalAntecedents(x.ID)})
+					batch = append(batch, store.PublishedTxn{Txn: x, Antecedents: antes})
 					ids = append(ids, x.ID)
 				}
 				epoch, err := s.Publish(ctx, pubIDs[p], batch)

@@ -290,7 +290,7 @@ func TestShardCountPinnedToDirectory(t *testing.T) {
 	eng := core.NewEngine("a", schema, core.TrustAll(1))
 	const epochs = 6
 	for i := 0; i < epochs; i++ {
-		x, err := eng.NewLocalTransaction(core.Insert("F", core.Strs("org", fmt.Sprintf("p-%d", i), "fn"), "a"))
+		x, _, err := eng.NewLocalTransaction(core.Insert("F", core.Strs("org", fmt.Sprintf("p-%d", i), "fn"), "a"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,7 +60,7 @@ func publishOne(t *testing.T, st store.Store, p *store.Peer, val string) *core.T
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := []store.PublishedTxn{{Txn: x, Antecedents: p.Engine().LocalAntecedents(x.ID)}}
+	batch := []store.PublishedTxn{{Txn: x}} // an insert of a new value has no antecedents
 	if _, err := st.Publish(context.Background(), p.ID(), batch); err != nil {
 		t.Fatalf("publish %s: %v", val, err)
 	}
@@ -231,7 +231,7 @@ func TestCompactionPrunesIdempotencyRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pubBatch := []store.PublishedTxn{{Txn: x, Antecedents: pa.Engine().LocalAntecedents(x.ID)}}
+	pubBatch := []store.PublishedTxn{{Txn: x}} // an insert of a new value has no antecedents
 	if _, err := s.Publish(store.WithIdempotencyKey(ctx, "old/publish"), "pa", pubBatch); err != nil {
 		t.Fatal(err)
 	}

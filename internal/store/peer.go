@@ -142,15 +142,12 @@ func (p *Peer) Edit(updates ...core.Update) (*core.Transaction, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	start := time.Now()
-	x, err := p.engine.NewLocalTransaction(updates...)
+	x, antes, err := p.engine.NewLocalTransaction(updates...)
 	p.localTime += time.Since(start)
 	if err != nil {
 		return nil, err
 	}
-	p.pending = append(p.pending, PublishedTxn{
-		Txn:         x,
-		Antecedents: p.engine.LocalAntecedents(x.ID),
-	})
+	p.pending = append(p.pending, PublishedTxn{Txn: x, Antecedents: antes})
 	return x, nil
 }
 
