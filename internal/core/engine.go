@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sort"
 	"time"
+
+	"orchestra/internal/spread"
 )
 
 // Engine is the client-centric reconciliation engine for one participant.
@@ -53,7 +55,7 @@ type Engine struct {
 
 	// producers maps each tuple value in the instance to the transaction
 	// that produced it (provenance; see provenance.go).
-	producers map[tupleKey]TxnID
+	producers spread.Map[tupleKey, TxnID]
 
 	recno   int
 	nextSeq uint64
@@ -69,7 +71,7 @@ func NewEngine(peer PeerID, schema *Schema, trust Trust) *Engine {
 		deferredCands: make(map[TxnID]*deferredCand),
 		dirty:         make(map[tupleKey]bool),
 		groups:        make(map[Conflict]*ConflictGroup),
-		producers:     make(map[tupleKey]TxnID),
+		producers:     spread.Make[tupleKey, TxnID](),
 	}
 }
 

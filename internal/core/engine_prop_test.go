@@ -66,8 +66,8 @@ func checkProducers(t *testing.T, e *Engine, what string) {
 			}
 		}
 	}
-	if len(e.producers) != n {
-		t.Fatalf("%s: %s has %d producers for %d values", what, e.Peer(), len(e.producers), n)
+	if e.producers.Len() != n {
+		t.Fatalf("%s: %s has %d producers for %d values", what, e.Peer(), e.producers.Len(), n)
 	}
 }
 

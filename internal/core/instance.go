@@ -2,7 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
+
+	"orchestra/internal/spread"
 )
 
 // Instance is one participant's materialized database instance I_i(Σ): for
@@ -12,7 +16,7 @@ import (
 // *incompatible* with the instance in the paper's sense.
 type Instance struct {
 	schema *Schema
-	rels   map[string]map[string]Tuple // rel -> keyEnc -> tuple
+	rels   map[string]*spread.Map[string, Tuple] // rel -> keyEnc -> tuple
 	// fkCount tracks, per referenced relation, how many referencing tuples
 	// point at each referenced key (for reverse foreign-key checks).
 	fkCount map[string]map[string]int
@@ -22,11 +26,12 @@ type Instance struct {
 func NewInstance(s *Schema) *Instance {
 	in := &Instance{
 		schema:  s,
-		rels:    make(map[string]map[string]Tuple, s.Len()),
+		rels:    make(map[string]*spread.Map[string, Tuple], s.Len()),
 		fkCount: make(map[string]map[string]int),
 	}
 	for _, name := range s.Names() {
-		in.rels[name] = make(map[string]Tuple)
+		m := spread.Make[string, Tuple]()
+		in.rels[name] = &m
 	}
 	return in
 }
@@ -40,24 +45,31 @@ func (in *Instance) Lookup(rel string, key Tuple) (Tuple, bool) {
 	if !ok {
 		return nil, false
 	}
-	t, ok := m[key.Encode()]
-	return t, ok
+	return m.Get(key.Encode())
 }
 
 // lookupEnc is Lookup with a pre-encoded key.
 func (in *Instance) lookupEnc(rel, keyEnc string) (Tuple, bool) {
-	t, ok := in.rels[rel][keyEnc]
-	return t, ok
+	m, ok := in.rels[rel]
+	if !ok {
+		return nil, false
+	}
+	return m.Get(keyEnc)
 }
 
 // Len returns the number of tuples in a relation.
-func (in *Instance) Len(rel string) int { return len(in.rels[rel]) }
+func (in *Instance) Len(rel string) int {
+	if m, ok := in.rels[rel]; ok {
+		return m.Len()
+	}
+	return 0
+}
 
 // TotalLen returns the number of tuples across all relations.
 func (in *Instance) TotalLen() int {
 	n := 0
 	for _, m := range in.rels {
-		n += len(m)
+		n += m.Len()
 	}
 	return n
 }
@@ -65,25 +77,31 @@ func (in *Instance) TotalLen() int {
 // Tuples returns the tuples of a relation sorted by key encoding, for
 // deterministic iteration.
 func (in *Instance) Tuples(rel string) []Tuple {
-	m := in.rels[rel]
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	type kt struct {
+		k string
+		t Tuple
 	}
-	sort.Strings(keys)
-	out := make([]Tuple, len(keys))
-	for i, k := range keys {
-		out[i] = m[k]
+	rows := make([]kt, 0, in.Len(rel))
+	if m, ok := in.rels[rel]; ok {
+		for k, t := range m.All() {
+			rows = append(rows, kt{k, t})
+		}
+	}
+	slices.SortFunc(rows, func(a, b kt) int { return strings.Compare(a.k, b.k) })
+	out := make([]Tuple, len(rows))
+	for i, r := range rows {
+		out[i] = r.t
 	}
 	return out
 }
 
 // Keys returns the encoded keys present in a relation, sorted.
 func (in *Instance) Keys(rel string) []string {
-	m := in.rels[rel]
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	keys := make([]string, 0, in.Len(rel))
+	if m, ok := in.rels[rel]; ok {
+		for k := range m.All() {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	return keys
@@ -94,15 +112,12 @@ func (in *Instance) Keys(rel string) []string {
 func (in *Instance) Clone() *Instance {
 	cp := &Instance{
 		schema:  in.schema,
-		rels:    make(map[string]map[string]Tuple, len(in.rels)),
+		rels:    make(map[string]*spread.Map[string, Tuple], len(in.rels)),
 		fkCount: make(map[string]map[string]int, len(in.fkCount)),
 	}
 	for name, m := range in.rels {
-		nm := make(map[string]Tuple, len(m))
-		for k, v := range m {
-			nm[k] = v
-		}
-		cp.rels[name] = nm
+		nm := m.Clone()
+		cp.rels[name] = &nm
 	}
 	for name, m := range in.fkCount {
 		nm := make(map[string]int, len(m))
@@ -121,11 +136,11 @@ func (in *Instance) Equal(other *Instance) bool {
 	}
 	for name, m := range in.rels {
 		om, ok := other.rels[name]
-		if !ok || len(m) != len(om) {
+		if !ok || m.Len() != om.Len() {
 			return false
 		}
-		for k, t := range m {
-			ot, ok := om[k]
+		for k, t := range m.All() {
+			ot, ok := om.Get(k)
 			if !ok || !t.Equal(ot) {
 				return false
 			}
@@ -184,7 +199,7 @@ func (in *Instance) applyUnchecked(u Update) {
 }
 
 func (in *Instance) put(rel *Relation, t Tuple, keyEnc string) {
-	in.rels[rel.Name][keyEnc] = t
+	in.rels[rel.Name].Set(keyEnc, t)
 	for _, fk := range rel.ForeignKeys {
 		m := in.fkCount[fk.RefRel]
 		if m == nil {
@@ -196,7 +211,7 @@ func (in *Instance) put(rel *Relation, t Tuple, keyEnc string) {
 }
 
 func (in *Instance) del(rel *Relation, t Tuple, keyEnc string) {
-	delete(in.rels[rel.Name], keyEnc)
+	in.rels[rel.Name].Delete(keyEnc)
 	for _, fk := range rel.ForeignKeys {
 		if m := in.fkCount[fk.RefRel]; m != nil {
 			enc := t.Project(fk.Attrs).Encode()

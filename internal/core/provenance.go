@@ -17,10 +17,10 @@ func (e *Engine) noteProducers(xs []*Transaction) {
 	for _, x := range xs {
 		for _, u := range x.Updates {
 			if u.Consumes() != nil {
-				delete(e.producers, u.consumedKey())
+				e.producers.Delete(u.consumedKey())
 			}
 			if u.Produces() != nil {
-				e.producers[u.producedKey()] = x.ID
+				e.producers.Set(u.producedKey(), x.ID)
 			}
 		}
 	}
@@ -60,14 +60,14 @@ func (e *Engine) settleProducers(xs []*Transaction) {
 func (e *Engine) settleProducer(xs []*Transaction, k tupleKey, t Tuple, keyEnc string) {
 	cur, held := e.inst.lookupEnc(k.rel, keyEnc)
 	held = held && cur.Equal(t)
-	_, noted := e.producers[k]
+	_, noted := e.producers.Get(k)
 	switch {
 	case held && !noted:
 		if id, ok := lastProducer(xs, k); ok {
-			e.producers[k] = id
+			e.producers.Set(k, id)
 		}
 	case !held && noted:
-		delete(e.producers, k)
+		e.producers.Delete(k)
 	}
 }
 
@@ -99,7 +99,7 @@ func (e *Engine) antecedentIDs(x *Transaction) []TxnID {
 		if u.Consumes() != nil {
 			k := u.consumedKey()
 			if !local[k] {
-				if p, ok := e.producers[k]; ok && !seen[p] {
+				if p, ok := e.producers.Get(k); ok && !seen[p] {
 					seen[p] = true
 					out = append(out, p)
 				}
@@ -115,6 +115,5 @@ func (e *Engine) antecedentIDs(x *Transaction) []TxnID {
 // ProducerOf returns the transaction that produced the given tuple value in
 // this peer's instance, if known.
 func (e *Engine) ProducerOf(rel string, t Tuple) (TxnID, bool) {
-	id, ok := e.producers[mkTupleKey(rel, t)]
-	return id, ok
+	return e.producers.Get(mkTupleKey(rel, t))
 }

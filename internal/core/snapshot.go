@@ -64,8 +64,8 @@ func (e *Engine) ExportSnapshot() *EngineSnapshot {
 		})
 	}
 	type prodKey struct{ rel, enc string }
-	keys := make([]prodKey, 0, len(e.producers))
-	for k := range e.producers {
+	keys := make([]prodKey, 0, e.producers.Len())
+	for k := range e.producers.All() {
 		keys = append(keys, prodKey{rel: k.rel, enc: k.enc})
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -75,6 +75,7 @@ func (e *Engine) ExportSnapshot() *EngineSnapshot {
 		return keys[i].enc < keys[j].enc
 	})
 	for _, k := range keys {
+		id, _ := e.producers.Get(tupleKey{rel: k.rel, enc: k.enc})
 		t, err := DecodeTuple(k.enc)
 		if err != nil {
 			continue // producers only ever hold canonical encodings
@@ -82,7 +83,7 @@ func (e *Engine) ExportSnapshot() *EngineSnapshot {
 		snap.Producers = append(snap.Producers, ProducerSnapshot{
 			Rel:   k.rel,
 			Tuple: t,
-			Txn:   e.producers[tupleKey{rel: k.rel, enc: k.enc}],
+			Txn:   id,
 		})
 	}
 	return snap
@@ -119,7 +120,7 @@ func NewEngineFromSnapshot(schema *Schema, trust Trust, snap *EngineSnapshot) (*
 		if _, ok := schema.Relation(p.Rel); !ok {
 			return nil, fmt.Errorf("core: snapshot producer relation %s not in schema", p.Rel)
 		}
-		e.producers[mkTupleKey(p.Rel, p.Tuple)] = p.Txn
+		e.producers.Set(mkTupleKey(p.Rel, p.Tuple), p.Txn)
 	}
 	return e, nil
 }

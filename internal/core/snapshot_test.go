@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 )
@@ -18,7 +19,7 @@ func engineStateEqual(t *testing.T, what string, a, b *Engine) {
 	if !reflect.DeepEqual(a.rejected.Sorted(), b.rejected.Sorted()) {
 		t.Errorf("%s: rejected sets differ: %v vs %v", what, a.rejected.Sorted(), b.rejected.Sorted())
 	}
-	if !reflect.DeepEqual(a.producers, b.producers) {
+	if !maps.Equal(maps.Collect(a.producers.All()), maps.Collect(b.producers.All())) {
 		t.Errorf("%s: producer maps differ", what)
 	}
 	if a.nextSeq != b.nextSeq {

@@ -1,6 +1,6 @@
 // Package reldb is a small relational storage engine: typed tables keyed
-// by primary key (a map per table; lookups by full key, unordered scans),
-// atomic read-write transactions with rollback, named sequences, and
+// by primary key (a spread.Map per table; lookups by full key, unordered
+// scans), atomic read-write transactions with rollback, named sequences, and
 // durability through a write-ahead log plus snapshot checkpoints (package
 // wal).
 //
@@ -50,9 +50,11 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 
 	"orchestra/internal/metrics"
+	"orchestra/internal/spread"
 	"orchestra/internal/wal"
 )
 
@@ -112,17 +114,17 @@ type table struct {
 	mu  sync.RWMutex
 	def TableDef
 	id  uint64
-	// rows maps TableDef.keyOf of each row to the row, stored as its
+	// rows holds each row under TableDef.keyOf of it, stored as its
 	// encoding: the bytes its WAL record and snapshot.db carry, shared
 	// with them.
-	rows map[string]string
+	rows spread.Map[string, string]
 	// pending is non-nil while the transaction that created this table is
 	// still uncommitted; other transactions treat the table as absent.
 	pending *Tx
 }
 
 func newTable(def TableDef, id uint64) *table {
-	return &table{def: def, id: id, rows: make(map[string]string)}
+	return &table{def: def, id: id, rows: spread.Make[string, string]()}
 }
 
 // Options configure a DB.
@@ -374,7 +376,7 @@ func (db *DB) replay(op *walOp) error {
 		}
 		t.put(op.row)
 	case opDelete:
-		delete(t.rows, op.pk)
+		t.rows.Delete(op.pk)
 	case opDrop:
 		db.removeTable(t)
 	default:
@@ -397,7 +399,7 @@ func (db *DB) removeTable(t *table) {
 
 // put inserts or replaces a stored row (no constraint checks; callers
 // check).
-func (t *table) put(row string) { t.rows[t.def.keyOf(row)] = row }
+func (t *table) put(row string) { t.rows.Set(t.def.keyOf(row), row) }
 
 // ascend visits the stored rows in ascending encoded-key order — the byte
 // order of keyOf, which is deterministic but not the order of the key's
@@ -405,13 +407,14 @@ func (t *table) put(row string) { t.rows[t.def.keyOf(row)] = row }
 // this order so that equal tables give equal snapshot.db bytes; Scan has
 // no order.
 func (t *table) ascend(fn func(row string) bool) {
-	keys := make([]string, 0, len(t.rows))
-	for k := range t.rows {
-		keys = append(keys, k)
+	type kv struct{ pk, row string }
+	rows := make([]kv, 0, t.rows.Len())
+	for pk, row := range t.rows.All() {
+		rows = append(rows, kv{pk, row})
 	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		if !fn(t.rows[k]) {
+	slices.SortFunc(rows, func(a, b kv) int { return strings.Compare(a.pk, b.pk) })
+	for _, r := range rows {
+		if !fn(r.row) {
 			return
 		}
 	}

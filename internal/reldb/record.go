@@ -127,7 +127,7 @@ func (db *DB) appendSnapshot(dst []byte, walFrom int) []byte {
 		t := db.tables[name]
 		dst = binary.AppendUvarint(codec.AppendStr(dst, name), t.id)
 		dst = appendDef(dst, &t.def)
-		dst = binary.AppendUvarint(dst, uint64(len(t.rows)))
+		dst = binary.AppendUvarint(dst, uint64(t.rows.Len()))
 		t.ascend(func(row string) bool {
 			dst = append(dst, row...)
 			return true

@@ -38,7 +38,7 @@ func stateOf(db *DB) dbState {
 	for name, t := range db.tables {
 		s.Defs[name] = t.def
 		s.Rows[name] = map[string]Row{}
-		for pk, row := range t.rows {
+		for pk, row := range t.rows.All() {
 			s.Rows[name][pk] = decodeRow(nil, row)
 		}
 	}

@@ -1,6 +1,10 @@
 package reldb
 
-import "fmt"
+import (
+	"fmt"
+
+	"orchestra/internal/spread"
+)
 
 // Tx is a transaction handle passed to View/Update callbacks, valid only
 // until the callback returns: the DB reuses it for a later transaction. A
@@ -261,11 +265,11 @@ func (tx *Tx) write(tableName string, r Row, replace bool) error {
 	tx.buf = appendRow(tx.buf[:0], r)
 	row := string(tx.buf)
 	pk := t.def.keyOf(row)
-	old, existed := t.rows[pk]
+	old, existed := t.rows.Swap(pk, row)
 	if existed && !replace {
+		t.rows.Set(pk, old)
 		return fmt.Errorf("%w: table %s", ErrDuplicateKey, tableName)
 	}
-	t.rows[pk] = row
 	if existed {
 		tx.undo = append(tx.undo, undoOp{kind: undoPut, t: t, row: old})
 	} else {
@@ -286,12 +290,12 @@ func (tx *Tx) Delete(tableName string, key ...V) (bool, error) {
 		return false, err
 	}
 	tx.buf = appendVals(tx.buf[:0], key)
-	old, ok := t.rows[string(tx.buf)]
+	old, ok := spread.GetBytes(&t.rows, tx.buf)
 	if !ok {
 		return false, nil
 	}
 	pk := t.def.keyOf(old)
-	delete(t.rows, pk)
+	t.rows.Delete(pk)
 	tx.undo = append(tx.undo, undoOp{kind: undoPut, t: t, row: old})
 	tx.logOp(walOp{kind: opDelete, id: t.id, pk: pk})
 	return true, nil
@@ -305,7 +309,7 @@ func (tx *Tx) Get(tableName string, key ...V) (Row, bool, error) {
 		return nil, false, err
 	}
 	tx.buf = appendVals(tx.buf[:0], key)
-	row, ok := t.rows[string(tx.buf)]
+	row, ok := spread.GetBytes(&t.rows, tx.buf)
 	if !ok {
 		return nil, false, nil
 	}
@@ -319,7 +323,7 @@ func (tx *Tx) Count(tableName string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return len(t.rows), nil
+	return t.rows.Len(), nil
 }
 
 // Scan visits every row, in no particular order, until fn returns false:
@@ -334,7 +338,7 @@ func (tx *Tx) Scan(tableName string, fn func(r Row) bool) error {
 		return err
 	}
 	r := make(Row, 0, len(t.def.Cols))
-	for _, row := range t.rows {
+	for _, row := range t.rows.All() {
 		if r = decodeRow(r, row); !fn(r) {
 			break
 		}
@@ -385,7 +389,7 @@ func (tx *Tx) rollback() {
 		case undoPut:
 			u.t.put(u.row)
 		case undoDelete:
-			delete(u.t.rows, u.pk)
+			u.t.rows.Delete(u.pk)
 		case undoSeq:
 			tx.db.seqs[u.seq] = u.seqV
 		case undoDrop:
