@@ -131,81 +131,162 @@ func deleteWriteConflict(rel *Relation, d, w Update) (Conflict, bool) {
 
 // conflictIndex supports hash-based conflict detection between flattened
 // update sets, as required for the O(t² + t·u·a) bound in §5.1: each update
-// is indexed under a small number of derived keys, and probing an update
-// touches only the buckets its own keys select.
+// is indexed under a small number of derived keys (bucketKeys), and probing
+// an update touches only the buckets its own keys select. The buckets live
+// in an indexTable, which every index of a run shares.
 type conflictIndex struct {
-	s *Schema
-	// byKey indexes updates by the key encodings of the tuples they produce
-	// or delete.
-	byKey map[tupleKey][]Update
-	// bySource indexes replacements by their full source encoding.
-	bySource map[tupleKey][]Update
+	s  *Schema
+	t  *indexTable
+	id int32 // the index's keys in t
+	us []Update
 }
 
+// indexTable holds the buckets of conflict indexes, each index's under
+// keys tagged with its id, so that a run's indexes share two maps made once
+// per pooled scratch. A bucket is a chain of entries in insertion order.
+// Indexed updates are read in place: they are never modified while an
+// index over them lives.
+type indexTable struct {
+	// byKey buckets updates by the key encodings of the tuples they produce
+	// or delete, bySource replacements by their full source encoding.
+	byKey    map[indexKey]indexChain
+	bySource map[indexKey]indexChain
+	entries  []indexEntry
+	// built are the table's indexes, by id, so reset can delete the keys
+	// their updates were indexed under.
+	built []conflictIndex
+}
+
+type indexKey struct {
+	id int32
+	k  tupleKey
+}
+
+// indexChain is one bucket: the positions of its first and last entry.
+type indexChain struct{ head, tail int32 }
+
+// indexEntry is an update of a bucket, by position in its index's updates,
+// and the position of the next entry, -1 at the end of the chain.
+type indexEntry struct{ u, next int32 }
+
 func newConflictIndex(s *Schema, us []Update) *conflictIndex {
-	ci := &conflictIndex{
-		s:        s,
-		byKey:    make(map[tupleKey][]Update),
-		bySource: make(map[tupleKey][]Update),
+	ci := new(indexTable).newIndex(s, us)
+	return &ci
+}
+
+// newIndex builds an index over us in the table.
+func (t *indexTable) newIndex(s *Schema, us []Update) conflictIndex {
+	if t.byKey == nil {
+		t.byKey = make(map[indexKey]indexChain)
+		t.bySource = make(map[indexKey]indexChain)
 	}
-	for _, u := range us {
-		ci.add(u)
+	ci := conflictIndex{s: s, t: t, id: int32(len(t.built)), us: us}
+	t.built = append(t.built, ci)
+	for i := range us {
+		u := &us[i]
+		rel, ok := s.Relation(u.Rel)
+		if !ok {
+			continue
+		}
+		k1, k2, src := bucketKeys(u, rel)
+		if k1.rel != "" {
+			t.push(t.byKey, indexKey{ci.id, k1}, i)
+		}
+		if k2.rel != "" {
+			t.push(t.byKey, indexKey{ci.id, k2}, i)
+		}
+		if src.rel != "" {
+			t.push(t.bySource, indexKey{ci.id, src}, i)
+		}
 	}
 	return ci
 }
 
-func (ci *conflictIndex) add(u Update) {
-	rel, ok := ci.s.Relation(u.Rel)
-	if !ok {
-		return
-	}
-	switch u.Op {
-	case OpInsert, OpDelete:
-		k := tupleKey{rel: u.Rel, enc: u.keyEncTuple(rel)}
-		ci.byKey[k] = append(ci.byKey[k], u)
-	case OpModify:
-		kt := tupleKey{rel: u.Rel, enc: u.keyEncTuple(rel)}
-		ci.byKey[kt] = append(ci.byKey[kt], u)
-		if kn := (tupleKey{rel: u.Rel, enc: u.keyEncNew(rel)}); kn != kt {
-			ci.byKey[kn] = append(ci.byKey[kn], u)
-		}
-		sk := tupleKey{rel: u.Rel, enc: u.tupleEnc()}
-		ci.bySource[sk] = append(ci.bySource[sk], u)
+// push appends the update at position u to the bucket k of m.
+func (t *indexTable) push(m map[indexKey]indexChain, k indexKey, u int) {
+	e := int32(len(t.entries))
+	t.entries = append(t.entries, indexEntry{u: int32(u), next: -1})
+	if c, ok := m[k]; ok {
+		t.entries[c.tail].next = e
+		m[k] = indexChain{head: c.head, tail: e}
+	} else {
+		m[k] = indexChain{head: e, tail: e}
 	}
 }
 
-// buckets returns the (at most three) index buckets u's derived keys
-// select, without copying them. A replacement whose key does not change
-// selects its key bucket once.
-func (ci *conflictIndex) buckets(u *Update, rel *Relation) (b [3][]Update) {
+// reset empties the table for its next run, deleting the keys its indexes
+// wrote rather than clearing the maps, for the reason flattenScratch.forget
+// gives.
+func (t *indexTable) reset() {
+	for _, ci := range t.built {
+		for i := range ci.us {
+			u := &ci.us[i]
+			rel, ok := ci.s.Relation(u.Rel)
+			if !ok {
+				continue
+			}
+			k1, k2, src := bucketKeys(u, rel)
+			delete(t.byKey, indexKey{ci.id, k1})
+			delete(t.byKey, indexKey{ci.id, k2})
+			delete(t.bySource, indexKey{ci.id, src})
+		}
+	}
+	if len(t.byKey) > 0 || len(t.bySource) > 0 {
+		clear(t.byKey)
+		clear(t.bySource)
+	}
+	t.built = zeroed(t.built)
+	t.entries = t.entries[:0]
+}
+
+// bucketKeys returns the keys an update is indexed and probed under: the
+// key of its tuple, the key of its replacement when that differs, and for
+// a replacement its source value. A key it does not have is zero.
+func bucketKeys(u *Update, rel *Relation) (k1, k2, src tupleKey) {
 	switch u.Op {
 	case OpInsert, OpDelete:
-		b[0] = ci.byKey[tupleKey{rel: u.Rel, enc: u.keyEncTuple(rel)}]
+		k1 = tupleKey{rel: u.Rel, enc: u.keyEncTuple(rel)}
 	case OpModify:
-		kt := tupleKey{rel: u.Rel, enc: u.keyEncTuple(rel)}
-		b[0] = ci.byKey[kt]
-		if kn := (tupleKey{rel: u.Rel, enc: u.keyEncNew(rel)}); kn != kt {
-			b[1] = ci.byKey[kn]
+		k1 = tupleKey{rel: u.Rel, enc: u.keyEncTuple(rel)}
+		if kn := (tupleKey{rel: u.Rel, enc: u.keyEncNew(rel)}); kn != k1 {
+			k2 = kn
 		}
-		b[2] = ci.bySource[tupleKey{rel: u.Rel, enc: u.tupleEnc()}]
+		src = tupleKey{rel: u.Rel, enc: u.tupleEnc()}
 	}
-	return b
+	return k1, k2, src
 }
 
 // probe appends to out the conflicts between u and the indexed updates that
 // out does not hold yet. It allocates only when it finds one: the common
 // probe selects empty buckets.
-func (ci *conflictIndex) probe(u Update, out []Conflict) []Conflict {
+func (ci *conflictIndex) probe(u *Update, out []Conflict) []Conflict {
 	rel, ok := ci.s.Relation(u.Rel)
 	if !ok {
 		return out
 	}
-	for _, bucket := range ci.buckets(&u, rel) {
-		for _, v := range bucket {
-			for _, c := range UpdatesConflict(ci.s, u, v) {
-				if !containsConflict(out, c) {
-					out = append(out, c)
-				}
+	k1, k2, src := bucketKeys(u, rel)
+	if k1.rel != "" {
+		out = ci.probeBucket(ci.t.byKey, k1, u, out)
+	}
+	if k2.rel != "" {
+		out = ci.probeBucket(ci.t.byKey, k2, u, out)
+	}
+	if src.rel != "" {
+		out = ci.probeBucket(ci.t.bySource, src, u, out)
+	}
+	return out
+}
+
+// probeBucket is probe over the one bucket k of m.
+func (ci *conflictIndex) probeBucket(m map[indexKey]indexChain, k tupleKey, u *Update, out []Conflict) []Conflict {
+	c, ok := m[indexKey{ci.id, k}]
+	if !ok {
+		return out
+	}
+	for e := c.head; e >= 0; e = ci.t.entries[e].next {
+		for _, c := range UpdatesConflict(ci.s, *u, ci.us[ci.t.entries[e].u]) {
+			if !containsConflict(out, c) {
+				out = append(out, c)
 			}
 		}
 	}
@@ -216,8 +297,8 @@ func (ci *conflictIndex) probe(u Update, out []Conflict) []Conflict {
 // each once, in probe order.
 func (ci *conflictIndex) probeAll(us []Update) []Conflict {
 	var out []Conflict
-	for _, u := range us {
-		out = ci.probe(u, out)
+	for i := range us {
+		out = ci.probe(&us[i], out)
 	}
 	return out
 }
@@ -225,8 +306,8 @@ func (ci *conflictIndex) probeAll(us []Update) []Conflict {
 // conflictsAny reports whether any of the updates conflicts with an indexed
 // one, stopping at the first update that does.
 func (ci *conflictIndex) conflictsAny(us []Update) bool {
-	for _, u := range us {
-		if len(ci.probe(u, nil)) > 0 {
+	for i := range us {
+		if len(ci.probe(&us[i], nil)) > 0 {
 			return true
 		}
 	}

@@ -179,15 +179,16 @@ func (e *Engine) NewLocalTransaction(updates ...Update) (*Transaction, []TxnID, 
 
 // candidateState pairs a candidate with its per-reconciliation soft state.
 // A run's scratch lives here, indexed by the candidate's position, rather
-// than in maps keyed by transaction.
+// than in maps keyed by transaction; the states themselves are the run
+// scratch's (runScratch.states).
 type candidateState struct {
 	cand     *Candidate
-	upEx     *UpdateExtension
+	upEx     UpdateExtension
 	decision Decision
 	carried  bool // previously deferred, reconsidered this run
 	deferred bool // left deferred by this run (set before UpdateSoftState)
 	// conflicts are the run's candidates whose extensions directly conflict
-	// with this one's (FindConflicts).
+	// with this one's (FindConflicts), in pair order.
 	conflicts []*candidateState
 	// conflictVals are the values of the conflicts among deferred
 	// candidates that involve this one (UpdateSoftState).
@@ -238,26 +239,37 @@ func (e *Engine) dropDeferred(d *deferredCand) {
 // automatically. It returns the decisions made and updates the instance,
 // the applied/rejected sets, and the soft state.
 func (e *Engine) Reconcile(fresh []*Candidate) (*Result, error) {
-	carried := make([]*deferredCand, 0, len(e.deferredCands))
-	for _, d := range e.deferredCands {
-		carried = append(carried, d)
-	}
-	return e.reconcile(fresh, carried)
+	return e.reconcile(fresh, nil)
 }
 
 // reconcile is ReconcileUpdates over the fresh candidates and the carried
-// deferred ones. carried is every deferred candidate, or (Resolve) a union
-// of whole components that holds every unsettled one: the deferred
+// deferred ones, on a pooled run scratch. The carried ones are every
+// deferred candidate (carry nil), or (Resolve) those carry reports, a
+// union of whole components that holds every unsettled one: the deferred
 // candidates left out keep their entries, dirty keys and conflict groups,
 // which is what running them again would rebuild.
-func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result, error) {
+func (e *Engine) reconcile(fresh []*Candidate, carry func(*deferredCand) bool) (*Result, error) {
+	rs := runPool.Get().(*runScratch)
+	defer rs.release()
+	return e.run(rs, fresh, carry)
+}
+
+// run is reconcile on the scratch rs, which it leaves for release.
+func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCand) bool) (*Result, error) {
+	for _, d := range e.deferredCands {
+		if carry == nil || carry(d) {
+			rs.carried = append(rs.carried, d)
+		}
+	}
+	carried := rs.carried
 	e.recno++
 	res := &Result{Recno: e.recno}
 	res.Stats.DeferredCarried = len(carried)
 
 	// Line 1: the undecided fully trusted transactions: new arrivals plus
-	// carried-over deferred ones.
-	order := make([]*candidateState, 0, len(fresh)+len(carried))
+	// carried-over deferred ones. The states never move: the arena has
+	// room for every candidate before the first is added.
+	rs.states = slices.Grow(rs.states, len(fresh)+len(carried))
 	addCand := func(c *Candidate, carried bool) {
 		if c.Priority <= 0 {
 			return // untrusted: never a root
@@ -265,7 +277,8 @@ func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result
 		if e.applied.Has(c.Txn.ID) || e.rejected.Has(c.Txn.ID) {
 			return // already decided
 		}
-		order = append(order, &candidateState{cand: c, carried: carried})
+		rs.states = append(rs.states, candidateState{cand: c, carried: carried})
+		rs.order = append(rs.order, &rs.states[len(rs.states)-1])
 	}
 	for _, d := range carried {
 		addCand(d.cand, true)
@@ -273,6 +286,7 @@ func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result
 	for _, c := range fresh {
 		addCand(c, false)
 	}
+	order := rs.order
 	// A transaction has one position in the published order, so copies of
 	// a candidate sort next to each other, the first added first; the
 	// first is kept.
@@ -286,6 +300,7 @@ func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result
 	order = slices.CompactFunc(order, func(a, b *candidateState) bool {
 		return a.cand.Txn.ID == b.cand.Txn.ID
 	})
+	rs.order = order // CompactFunc zeroed the tail
 	res.Stats.Candidates = len(order)
 
 	// Complete the per-update encoding caches once, key projections included,
@@ -311,7 +326,8 @@ func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result
 	// One index over it serves every candidate: CheckState only probes it.
 	var ownIdx *conflictIndex
 	if len(ownDelta) > 0 {
-		ownIdx = newConflictIndex(e.schema, ownDelta)
+		rs.own = rs.index.newIndex(e.schema, ownDelta)
+		ownIdx = &rs.own
 	}
 
 	// Lines 5-8: flattened update extensions + CheckState. Each candidate is
@@ -320,8 +336,8 @@ func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result
 	start := time.Now()
 	for _, st := range order {
 		ext := e.filterApplied(st.cand.Ext, st.cand.Txn)
-		st.upEx = NewUpdateExtension(e.schema, st.cand.Txn.ID, ext, st.cand.Priority)
-		st.decision = e.checkState(st.upEx, ownIdx, st.carried)
+		st.upEx.init(e.schema, rs, st.cand.Txn.ID, ext, st.cand.Priority)
+		st.decision = e.checkState(&st.upEx, ownIdx, st.carried)
 		res.Stats.ExtensionTxns += len(st.upEx.Source)
 		res.Stats.FlattenedOps += len(st.upEx.Operation)
 	}
@@ -329,20 +345,20 @@ func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result
 
 	// Line 9: FindConflicts over the flattened extensions.
 	start = time.Now()
-	pairs := e.findConflicts(order, &res.Stats)
+	pairs := e.findConflicts(rs, order, &res.Stats)
 	res.Stats.ConflictNanos = time.Since(start).Nanoseconds()
 
 	// Lines 10-12: DoGroup per priority, in decreasing order. Sequential:
 	// decisions at one priority feed the next.
 	start = time.Now()
-	prios := make([]int, len(order))
+	rs.prios = resized(rs.prios, len(order))
 	for i, st := range order {
-		prios[i] = st.upEx.Priority
+		rs.prios[i] = st.upEx.Priority
 	}
-	slices.Sort(prios)
-	prios = slices.Compact(prios)
+	slices.Sort(rs.prios)
+	prios := slices.Compact(rs.prios)
 	for i := len(prios) - 1; i >= 0; i-- {
-		e.doGroup(prios[i], order)
+		rs.doGroup(prios[i], order)
 	}
 	res.Stats.GroupNanos = time.Since(start).Nanoseconds()
 
@@ -359,6 +375,7 @@ func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result
 	// reconciliations are final (CheckState already rejected any dependent
 	// root before it reached this loop).
 	start = time.Now()
+	accepted := rs.accepted
 	for _, st := range order {
 		if st.decision != DecisionAccept {
 			continue
@@ -383,16 +400,29 @@ func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result
 		res.Stats.AppliedUpdates += len(flat)
 		for _, x := range ext {
 			e.applied.Add(x.ID)
-			res.Accepted = append(res.Accepted, x.ID)
+			accepted = append(accepted, x.ID)
 		}
 	}
+	rs.accepted = accepted
+	if len(accepted) > 0 {
+		res.Accepted = slices.Clone(accepted)
+	}
+	rejected := 0
 	for _, st := range order {
-		if id := st.cand.Txn.ID; st.decision == DecisionReject && !e.applied.Has(id) {
-			e.rejected.Add(id)
-			res.Rejected = append(res.Rejected, id)
+		if st.decision == DecisionReject && !e.applied.Has(st.cand.Txn.ID) {
+			rejected++
 		}
 	}
-	slices.SortFunc(res.Rejected, compareTxnIDs)
+	if rejected > 0 {
+		res.Rejected = make([]TxnID, 0, rejected)
+		for _, st := range order {
+			if id := st.cand.Txn.ID; st.decision == DecisionReject && !e.applied.Has(id) {
+				e.rejected.Add(id)
+				res.Rejected = append(res.Rejected, id)
+			}
+		}
+		slices.SortFunc(res.Rejected, compareTxnIDs)
+	}
 	res.Stats.ApplyNanos = time.Since(start).Nanoseconds()
 
 	// Lines 20-21: UpdateSoftState for the deferred set. A transaction
@@ -404,8 +434,8 @@ func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result
 		id := st.cand.Txn.ID
 		st.deferred = st.decision == DecisionDefer && !e.applied.Has(id) && !e.rejected.Has(id)
 	}
-	e.updateSoftState(order, carried, pairs)
-	res.Deferred = e.deferredInOrder()
+	e.updateSoftState(rs, order, carried, pairs)
+	res.Deferred = e.deferredInOrder(rs)
 	if len(e.groups) > 0 {
 		res.Groups = e.ConflictGroups()
 	}
@@ -418,14 +448,15 @@ func (e *Engine) reconcile(fresh []*Candidate, carried []*deferredCand) (*Result
 
 // deferredInOrder lists the deferred transactions in the order runs
 // consider candidates (publication order, then ID); nil when there are none.
-func (e *Engine) deferredInOrder() []TxnID {
+func (e *Engine) deferredInOrder(rs *runScratch) []TxnID {
 	if len(e.deferredCands) == 0 {
 		return nil
 	}
-	txns := make([]*Transaction, 0, len(e.deferredCands))
+	txns := rs.txns
 	for _, d := range e.deferredCands {
 		txns = append(txns, d.cand.Txn)
 	}
+	rs.txns = txns
 	SortTxns(txns)
 	out := make([]TxnID, len(txns))
 	for i, x := range txns {
@@ -471,7 +502,7 @@ func (e *Engine) filterApplied(ext []*Transaction, root *Transaction) []*Transac
 // update extension's source, whose operation is reused; a one-transaction
 // source is always such a list, since it holds only the root, which stays.
 func (e *Engine) applicable(st *candidateState) ([]*Transaction, []Update, error) {
-	upEx := st.upEx
+	upEx := &st.upEx
 	if upEx.Malformed() == nil && len(upEx.Source) == 1 {
 		return upEx.Source, upEx.Operation, nil
 	}
@@ -549,33 +580,71 @@ func unpackPair(p uint64) (i, j int) { return int(p >> 32), int(uint32(p)) }
 // keys to candidates so only potentially conflicting pairs are emitted.
 // The order is deterministic — ascending in i, and for fixed i following
 // the candidate's TouchedKeys/posting-list order (NOT ascending j) — which
-// is what keeps downstream results identical across runs; dedup uses a
-// packed-uint64 set rather than a map[[2]int]bool.
-func enumeratePairs(schema *Schema, states []*candidateState) []uint64 {
-	byKey := make(map[tupleKey][]int32, len(states))
-	for i, st := range states {
+// is what keeps downstream results identical across runs. The index is
+// one array of posting lists, each ascending, over the touched keys
+// numbered in first-touch order; a pair (i, j) is new while the mark of j
+// is not i's, since pairs of one i are all emitted together.
+func (rs *runScratch) enumeratePairs(schema *Schema, states []*candidateState) []uint64 {
+	refs := rs.refs[:0] // each candidate's touched keys by number, in order
+	for _, st := range states {
 		for _, k := range st.upEx.TouchedKeys(schema) {
-			byKey[k] = append(byKey[k], int32(i))
+			id, ok := rs.keyIDs[k]
+			if !ok {
+				id = int32(len(rs.keyIDs))
+				rs.keyIDs[k] = id
+			}
+			refs = append(refs, id)
 		}
 	}
-	pairSeen := make(map[uint64]struct{})
-	var pairs []uint64
-	for i, st := range states {
+	rs.refs = refs
+	nkeys := len(rs.keyIDs)
+	for _, st := range states {
 		for _, k := range st.upEx.TouchedKeys(schema) {
-			for _, j32 := range byKey[k] {
-				j := int(j32)
-				if j <= i {
+			delete(rs.keyIDs, k)
+		}
+	}
+
+	// Key id's posting list is post[pos[id]:pos[id+1]]: count, sum to
+	// each list's end, then fill backwards, the last candidate first.
+	rs.pos = resized(rs.pos, nkeys+1)
+	pos := rs.pos
+	for _, id := range refs {
+		pos[id]++
+	}
+	for id := 1; id < nkeys; id++ {
+		pos[id] += pos[id-1]
+	}
+	pos[nkeys] = int32(len(refs))
+	rs.post = resized(rs.post, len(refs))
+	post := rs.post
+	r := len(refs)
+	for i := len(states) - 1; i >= 0; i-- {
+		n := len(states[i].upEx.touched)
+		for _, id := range refs[r-n : r] {
+			pos[id]--
+			post[pos[id]] = int32(i)
+		}
+		r -= n
+	}
+
+	// r is 0 again: the walk below goes forwards.
+	rs.last = resized(rs.last, len(states))
+	last := rs.last // last[j] = i+1 once (i, j) is emitted
+	pairs := rs.pairs[:0]
+	for i, st := range states {
+		n := len(st.upEx.touched)
+		for _, id := range refs[r : r+n] {
+			for _, j := range post[pos[id]:pos[id+1]] {
+				if int(j) <= i || last[j] == int32(i+1) {
 					continue
 				}
-				p := packPair(i, j)
-				if _, dup := pairSeen[p]; dup {
-					continue
-				}
-				pairSeen[p] = struct{}{}
-				pairs = append(pairs, p)
+				last[j] = int32(i + 1)
+				pairs = append(pairs, packPair(i, int(j)))
 			}
 		}
+		r += n
 	}
+	rs.pairs = pairs
 	return pairs
 }
 
@@ -587,45 +656,77 @@ func enumeratePairs(schema *Schema, states []*candidateState) []uint64 {
 // and only if it is the indexed side of some pair with two updates or more
 // (the memo is lazy): most candidates of a quiet run are in none, and an
 // index built for them would be pure allocation.
-func (e *Engine) findConflicts(order []*candidateState, stats *ReconcileStats) pairConflicts {
+func (e *Engine) findConflicts(rs *runScratch, order []*candidateState, stats *ReconcileStats) pairConflicts {
 	if len(order) < 2 {
 		return pairConflicts{}
 	}
-	pc := pairConflicts{pairs: enumeratePairs(e.schema, order)}
+	pc := pairConflicts{pairs: rs.enumeratePairs(e.schema, order)}
 	stats.ConflictPairs += len(pc.pairs)
 	if len(pc.pairs) == 0 {
 		return pc
 	}
-	pc.found = make([][]Conflict, len(pc.pairs))
+	rs.found = resized(rs.found, len(pc.pairs))
+	pc.found = rs.found
+	hits := rs.hits[:0] // the conflicting, non-subsuming pairs
 	for pi, p := range pc.pairs {
 		i, j := unpackPair(p)
-		si, sj := order[i], order[j]
-		cs := si.upEx.Conflicts(e.schema, sj.upEx)
+		si, sj := &order[i].upEx, &order[j].upEx
+		cs := si.Conflicts(e.schema, sj)
 		if len(cs) == 0 {
 			continue
 		}
 		pc.found[pi] = cs
-		if si.upEx.Subsumes(sj.upEx) || sj.upEx.Subsumes(si.upEx) {
+		if si.Subsumes(sj) || sj.Subsumes(si) {
 			continue
 		}
 		stats.ConflictsFound++
+		hits = append(hits, int32(pi))
+	}
+	rs.hits = hits
+	rs.linkConflicts(order, pc.pairs, hits)
+	return pc
+}
+
+// linkConflicts gives each candidate the candidates it conflicts with, in
+// the order of the pairs hits lists: counted first, then appended into a
+// window of one buffer sized to the count.
+func (rs *runScratch) linkConflicts(order []*candidateState, pairs []uint64, hits []int32) {
+	if len(hits) == 0 {
+		return
+	}
+	rs.counts = resized(rs.counts, len(order))
+	counts := rs.counts
+	for _, pi := range hits {
+		i, j := unpackPair(pairs[pi])
+		counts[i]++
+		counts[j]++
+	}
+	rs.conflicts = resized(rs.conflicts, 2*len(hits))
+	off := 0
+	for i, n := range counts {
+		order[i].conflicts = rs.conflicts[off:off:off+int(n)]
+		off += int(n)
+	}
+	for _, pi := range hits {
+		i, j := unpackPair(pairs[pi])
+		si, sj := order[i], order[j]
 		si.conflicts = append(si.conflicts, sj)
 		sj.conflicts = append(sj.conflicts, si)
 	}
-	return pc
 }
 
 // doGroup implements DoGroup of Figure 5 for one priority level: reject
 // members that conflict with higher-priority accepted transactions, defer
 // members that conflict with higher-priority deferred ones, then defer every
 // conflicting pair within the group.
-func (e *Engine) doGroup(prio int, order []*candidateState) {
-	var grp []*candidateState
+func (rs *runScratch) doGroup(prio int, order []*candidateState) {
+	grp := rs.grp
 	for _, st := range order {
 		if st.upEx.Priority == prio && st.decision != DecisionReject {
 			grp = append(grp, st)
 		}
 	}
+	rs.grp = grp
 	// Lines 4-12: interactions with strictly higher priorities.
 	kept := grp[:0]
 	for _, st := range grp {
@@ -660,4 +761,5 @@ func (e *Engine) doGroup(prio int, order []*candidateState) {
 			c.decision = DecisionDefer
 		}
 	}
+	rs.grp = zeroed(rs.grp)
 }

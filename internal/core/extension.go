@@ -27,12 +27,17 @@ type UpdateExtension struct {
 	// touched memoizes TouchedKeys; it is invalidated when Operation is
 	// replaced (updateSoftState builds trimmed copies rather than mutating).
 	touched []tupleKey
-	// index memoizes the conflict index over Operation, under the same rule
-	// as touched. Only extensions of two updates or more that are the
-	// indexed side of an enumerated pair ever build one (see Conflicts).
-	index *conflictIndex
+	// index memoizes the conflict index over Operation (built once index.t
+	// is set), under the same rule as touched. Only extensions of two
+	// updates or more that are the indexed side of an enumerated pair ever
+	// build one (see Conflicts).
+	index conflictIndex
 	// oneID backs IDs for a one-transaction source.
 	oneID [1]TxnID
+	// run is the scratch of the reconciliation run the extension belongs
+	// to, which backs its IDs, touched keys and index; nil for one built
+	// by NewUpdateExtension.
+	run *runScratch
 }
 
 // NewUpdateExtension computes the update extension of root over the
@@ -40,16 +45,21 @@ type UpdateExtension struct {
 // marks the extension malformed rather than failing: the reconciliation
 // algorithm rejects malformed extensions.
 func NewUpdateExtension(s *Schema, root TxnID, list []*Transaction, priority int) *UpdateExtension {
-	ue := &UpdateExtension{
-		Root:     root,
-		Source:   list,
-		Priority: priority,
-	}
+	ue := new(UpdateExtension)
+	ue.init(s, nil, root, list, priority)
+	return ue
+}
+
+// init sets ue to the update extension of root over the list, as
+// NewUpdateExtension computes it, with its scratch taken from run (nil
+// outside a run).
+func (ue *UpdateExtension) init(s *Schema, run *runScratch, root TxnID, list []*Transaction, priority int) {
+	*ue = UpdateExtension{Root: root, Source: list, Priority: priority, run: run}
 	if len(list) == 1 {
 		ue.oneID[0] = list[0].ID
 		ue.IDs = ue.oneID[:]
 	} else {
-		ue.IDs = make([]TxnID, len(list))
+		ue.IDs = run.txnIDs(len(list))
 		for i, x := range list {
 			ue.IDs[i] = x.ID
 		}
@@ -58,15 +68,9 @@ func NewUpdateExtension(s *Schema, root TxnID, list []*Transaction, priority int
 	}
 	if op, ok := oneUpdateOperation(s, list); ok {
 		ue.Operation = op
-		return ue
+		return
 	}
-	op, err := Flatten(s, UpdateFootprint(list))
-	if err != nil {
-		ue.malformed = err
-		return ue
-	}
-	ue.Operation = op
-	return ue
+	ue.Operation, ue.malformed = Flatten(s, UpdateFootprint(list))
 }
 
 // oneUpdateOperation returns, without flattening, the flattened operation
@@ -167,10 +171,10 @@ func (ue *UpdateExtension) Conflicts(s *Schema, other *UpdateExtension) []Confli
 
 // conflictIndex returns the memoized index over the flattened operation.
 func (ue *UpdateExtension) conflictIndex(s *Schema) *conflictIndex {
-	if ue.index == nil {
-		ue.index = newConflictIndex(s, ue.Operation)
+	if ue.index.t == nil {
+		ue.index = ue.run.indexTable().newIndex(s, ue.Operation)
 	}
-	return ue.index
+	return &ue.index
 }
 
 // flattenMinus flattens the footprint of list with the shared transactions
@@ -194,7 +198,8 @@ func flattenMinus(s *Schema, list []*Transaction, drop []TxnID) []Update {
 
 // TouchedKeys returns the (relation, encoded key) pairs read or written by
 // the extension's flattened operation — the keys that become dirty if the
-// extension is deferred. The result is memoized.
+// extension is deferred. The result is memoized; in a run it is a window
+// of the run's touched-key buffer, with no room to grow.
 func (ue *UpdateExtension) TouchedKeys(s *Schema) []tupleKey {
 	if ue.touched != nil {
 		return ue.touched
@@ -204,21 +209,27 @@ func (ue *UpdateExtension) TouchedKeys(s *Schema) []tupleKey {
 		// Fall back to the raw footprint for dirty-key purposes.
 		ops = UpdateFootprint(ue.Source)
 	}
-	out := make([]tupleKey, 0, 2*len(ops))
-	// One update touches two keys at most, which dedup by comparison.
-	var seen map[tupleKey]bool
-	if len(ops) > 1 {
-		seen = make(map[tupleKey]bool, 2*len(ops))
+	var out []tupleKey
+	var seen map[tupleKey]struct{}
+	if ue.run != nil {
+		out, seen = ue.run.touched, ue.run.seen
+	} else {
+		out = make([]tupleKey, 0, 2*len(ops))
+		if len(ops) > 1 {
+			seen = make(map[tupleKey]struct{}, 2*len(ops))
+		}
 	}
+	from := len(out)
+	// One update touches two keys at most, which dedup by comparison.
 	add := func(k tupleKey) {
-		if seen == nil {
-			if len(out) == 0 || out[0] != k {
+		if len(ops) == 1 {
+			if len(out) == from || out[from] != k {
 				out = append(out, k)
 			}
 			return
 		}
-		if !seen[k] {
-			seen[k] = true
+		if _, dup := seen[k]; !dup {
+			seen[k] = struct{}{}
 			out = append(out, k)
 		}
 	}
@@ -235,6 +246,14 @@ func (ue *UpdateExtension) TouchedKeys(s *Schema) []tupleKey {
 			add(tupleKey{rel: u.Rel, enc: u.keyEncNew(rel)})
 		}
 	}
-	ue.touched = out
-	return out
+	ue.touched = out[from:len(out):len(out)]
+	if ue.run != nil {
+		ue.run.touched = out
+		if len(ops) > 1 {
+			for _, k := range ue.touched {
+				delete(seen, k)
+			}
+		}
+	}
+	return ue.touched
 }

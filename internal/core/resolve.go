@@ -60,13 +60,9 @@ func (e *Engine) Resolve(c Conflict, winner int) (*Result, error) {
 	// soft state (dirty values, remaining groups) is rebuilt. The
 	// explicitly rejected losers are part of the result so the update
 	// store learns of them.
-	var carried []*deferredCand
-	for _, d := range e.deferredCands {
-		if e.unsettled || !d.settled || resolved[d.comp] {
-			carried = append(carried, d)
-		}
-	}
-	res, err := e.reconcile(nil, carried)
+	res, err := e.reconcile(nil, func(d *deferredCand) bool {
+		return e.unsettled || !d.settled || resolved[d.comp]
+	})
 	if err != nil {
 		return nil, err
 	}

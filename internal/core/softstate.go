@@ -43,18 +43,19 @@ func (g *ConflictGroup) String() string {
 // deferred (st.deferred). Soft state is fully reconstructable from the
 // deferred set and the instance; what deferred candidates outside the run
 // contributed is left as it is. order and pairs are the run's candidates and
-// what FindConflicts found between them.
-func (e *Engine) updateSoftState(order []*candidateState, carried []*deferredCand, pairs pairConflicts) {
+// what FindConflicts found between them; rs is the run's scratch.
+func (e *Engine) updateSoftState(rs *runScratch, order []*candidateState, carried []*deferredCand, pairs pairConflicts) {
 	// Line 1: clear the soft state the run is about to rebuild.
 	for _, d := range carried {
 		e.dropDeferred(d)
 	}
-	var deferred []*candidateState
+	deferred := rs.deferred
 	for _, st := range order {
 		if st.deferred {
 			deferred = append(deferred, st)
 		}
 	}
+	rs.deferred = deferred
 	if len(deferred) == 0 {
 		return
 	}
@@ -66,7 +67,7 @@ func (e *Engine) updateSoftState(order []*candidateState, carried []*deferredCan
 	// already established. Each candidate's conflictVals record which
 	// conflict values involve it (for line 4's removal of clean
 	// inapplicable updates).
-	var members []groupMember
+	members := rs.members
 	for pi, cs := range pairs.found {
 		if len(cs) == 0 {
 			continue
@@ -82,25 +83,29 @@ func (e *Engine) updateSoftState(order []*candidateState, carried []*deferredCan
 			b.noteConflictVal(c)
 		}
 	}
+	rs.members = members
 
 	// Lines 2-6: for each deferred transaction, trim clean updates that are
 	// inapplicable at this recno, then mark the remaining touched keys
-	// dirty and retain the candidate for the next reconciliation.
+	// dirty and retain the candidate for the next reconciliation. The
+	// trimmed operations are windows of one scratch buffer; the dirty keys
+	// a deferred candidate keeps are its own copy.
 	for _, st := range deferred {
-		trimmed := st.upEx.Operation[:0:0]
+		from := len(rs.trimmed)
 		for _, u := range st.upEx.Operation {
 			if e.inst.Compatible(u) != nil && !e.touchesConflict(u, st.conflictVals) {
 				continue // clean update, inapplicable at recno: drop
 			}
-			trimmed = append(trimmed, u)
+			rs.trimmed = append(rs.trimmed, u)
 		}
+		trimmed := rs.trimmed[from:len(rs.trimmed):len(rs.trimmed)]
 		if len(trimmed) == 0 && st.upEx.Malformed() == nil {
 			trimmed = st.upEx.Operation // keep everything rather than nothing
 		}
-		softEx := *st.upEx
+		softEx := st.upEx
 		softEx.Operation = trimmed
-		softEx.touched, softEx.index = nil, nil // the memos belong to the untrimmed operation
-		d := &deferredCand{cand: st.cand, dirty: softEx.TouchedKeys(e.schema)}
+		softEx.touched, softEx.index = nil, conflictIndex{} // the memos belong to the untrimmed operation
+		d := &deferredCand{cand: st.cand, dirty: append([]tupleKey(nil), softEx.TouchedKeys(e.schema)...)}
 		for _, k := range d.dirty {
 			e.dirty[k] = true
 		}
@@ -129,7 +134,7 @@ func (e *Engine) updateSoftState(order []*candidateState, carried []*deferredCan
 		e.groups[members[lo].c] = e.conflictGroup(members[lo:hi])
 		lo = hi
 	}
-	e.markComponents(order)
+	e.markComponents(rs, order)
 }
 
 // groupMember is a deferred candidate in the conflict group of c, with its
@@ -157,13 +162,13 @@ func (e *Engine) conflictGroup(members []groupMember) *ConflictGroup {
 		m := &members[i]
 		d := e.deferredCands[m.st.cand.Txn.ID]
 		d.groups = append(d.groups, g.Conflict)
-		m.sig = e.modificationSignature(g.Conflict, m.st.upEx)
+		m.sig = e.modificationSignature(g.Conflict, &m.st.upEx)
 	}
 	// Options in signature order; a stable sort keeps each one's members in
 	// ID order, and the first one's effect is the option's.
 	slices.SortStableFunc(members, func(a, b groupMember) int { return strings.Compare(a.sig, b.sig) })
 	for lo := 0; lo < len(members); {
-		opt := &Option{Effect: e.modificationEffect(g.Conflict, members[lo].st.upEx)}
+		opt := &Option{Effect: e.modificationEffect(g.Conflict, &members[lo].st.upEx)}
 		hi := lo
 		for ; hi < len(members) && members[hi].sig == members[lo].sig; hi++ {
 			// An option carries the deferred antecedents of its members
@@ -211,8 +216,9 @@ func compareConflicts(a, b Conflict) int {
 // deferred on a dirty key alone is accepted by the next run once it is
 // carried, and a candidate whose neighbour was just accepted or rejected
 // was judged against that neighbour's old decision.
-func (e *Engine) markComponents(order []*candidateState) {
-	parent := make([]int32, len(order))
+func (e *Engine) markComponents(rs *runScratch, order []*candidateState) {
+	rs.parent = resized(rs.parent, len(order))
+	parent := rs.parent
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -223,13 +229,13 @@ func (e *Engine) markComponents(order []*candidateState) {
 		}
 		return i
 	}
-	byKey := make(map[tupleKey]int32, len(order))
-	var keys []tupleKey
+	byKey, keys := rs.linkOf, rs.linkKeys
 	for i, st := range order {
 		i := int32(i)
 		for _, x := range st.upEx.Source {
-			keys = appendLinkKeys(keys[:0], e.schema, x.Updates)
-			for _, k := range keys {
+			from := len(keys)
+			keys = appendLinkKeys(keys, e.schema, x.Updates)
+			for _, k := range keys[from:] {
 				if j, seen := byKey[k]; seen {
 					parent[find(i)] = find(j)
 				} else {
@@ -238,7 +244,12 @@ func (e *Engine) markComponents(order []*candidateState) {
 			}
 		}
 	}
-	unsettled := make([]bool, len(order))
+	for _, k := range keys {
+		delete(byKey, k)
+	}
+	rs.linkKeys = keys
+	rs.unsettled = resized(rs.unsettled, len(order))
+	unsettled := rs.unsettled
 	for i, st := range order {
 		if !st.carried || !st.deferred {
 			unsettled[find(int32(i))] = true

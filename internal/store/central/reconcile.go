@@ -3,6 +3,7 @@ package central
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"orchestra/internal/core"
@@ -246,12 +247,31 @@ func (s *Store) recordDecisionsBatch(batches []store.DecisionBatch, key store.Id
 		// with the shard indexes ascending — the documented decisions_k
 		// lock order, so a wave's commit cannot deadlock against a
 		// concurrent publish or another wave.
+		//
+		// The rows are counted per shard first, then placed in one slice:
+		// shard k's are rows[start[k]:start[k+1]], in visiting order.
 		type decRow struct {
 			peer core.PeerID
 			decisionEntry
 		}
-		perShard := make([][]decRow, s.tableShards)
+		shardOf := make([]int, 0, total) // per decision, in visiting order
+		start := make([]int, s.tableShards+1)
+		for _, i := range order {
+			for _, ids := range [2][]core.TxnID{batches[i].Accepted, batches[i].Rejected} {
+				for _, id := range ids {
+					k := s.decisionShard(id)
+					shardOf = append(shardOf, k)
+					start[k+1]++
+				}
+			}
+		}
+		for k := 1; k <= s.tableShards; k++ {
+			start[k] += start[k-1]
+		}
+		rows := make([]decRow, total)
+		fill := slices.Clone(start[:s.tableShards])
 		next := make(map[*peerMeta]int64, len(batches))
+		placed := 0
 		for _, i := range order {
 			b, pm := batches[i], pms[i]
 			if _, ok := next[pm]; !ok {
@@ -259,8 +279,10 @@ func (s *Store) recordDecisionsBatch(batches []store.DecisionBatch, key store.Id
 			}
 			add := func(id core.TxnID, d core.Decision) {
 				next[pm]++
-				k := s.decisionShard(id)
-				perShard[k] = append(perShard[k], decRow{peer: b.Peer, decisionEntry: decisionEntry{id: id, d: d, dseq: next[pm]}})
+				k := shardOf[placed]
+				placed++
+				rows[fill[k]] = decRow{peer: b.Peer, decisionEntry: decisionEntry{id: id, d: d, dseq: next[pm]}}
+				fill[k]++
 			}
 			for _, id := range b.Accepted {
 				add(id, core.DecisionAccept)
@@ -271,7 +293,8 @@ func (s *Store) recordDecisionsBatch(batches []store.DecisionBatch, key store.Id
 		}
 		var buf []byte
 		err := s.db.Update(func(tx *reldb.Tx) error {
-			for k, rows := range perShard {
+			for k := 0; k < s.tableShards; k++ {
+				rows := rows[start[k]:start[k+1]]
 				for len(rows) > 0 {
 					n, prev := 0, rows[0].dseq
 					buf = buf[:0]
