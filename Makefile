@@ -83,7 +83,10 @@ bench-smoke:
 # operation, malformedness, conflicts both ways round and against the
 # naive reference, subsumption, sharing and touched keys over random
 # lists), the per-candidate allocation budgets
-# (TestReconcileSingleUpdateAllocations, TestReconcileOwnDeltaAllocations),
+# (TestReconcileSingleUpdateAllocations, TestReconcileOwnDeltaAllocations)
+# and the warm-run byte budget (TestReconcileSingleUpdateBytes), the pooled
+# run scratch (TestRunScratch*: engines sharing it equal fresh ones, nothing
+# a run hands out aliases it, and it is zeroed after every run),
 # the scoped resolve re-run against the full one
 # (TestResolveScopedMatchesFullRerun), the engine invariants (TestInvariant*:
 # disjoint decision sets, idle fixpoints, instance consistency, producer
@@ -92,7 +95,7 @@ bench-smoke:
 # (TestReconcileAllDifferential). make verify covers these too; running
 # them by name makes an engine regression unmissable in CI.
 core-smoke:
-	$(GO) test -race -count=3 -run '^TestUpdateExtensionMatchesGeneral$$|^TestReconcileSingleUpdateAllocations$$|^TestReconcileOwnDeltaAllocations$$|^TestResolveScopedMatchesFullRerun$$|^TestInvariant' ./internal/core
+	$(GO) test -race -count=3 -run '^TestUpdateExtensionMatchesGeneral$$|^TestReconcileSingleUpdateAllocations$$|^TestReconcileOwnDeltaAllocations$$|^TestReconcileSingleUpdateBytes$$|^TestRunScratch|^TestResolveScopedMatchesFullRerun$$|^TestInvariant' ./internal/core
 	$(GO) test -race -count=3 -run '^TestReconcileAllDifferential$$' .
 
 # chaos-smoke runs both fault-injection convergence matrices — the 4-peer

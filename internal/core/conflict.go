@@ -236,7 +236,7 @@ func (t *indexTable) reset() {
 		clear(t.bySource)
 	}
 	t.built = zeroed(t.built)
-	t.entries = t.entries[:0]
+	t.entries = zeroed(t.entries)
 }
 
 // bucketKeys returns the keys an update is indexed and probed under: the

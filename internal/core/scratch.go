@@ -14,9 +14,8 @@ import (
 // keys and its share of the pair and component maps, and a deferred
 // transaction is a candidate again on every run until it is decided.
 //
-// Slices are reused up to their length and zeroed when the run ends, so
-// everything past a slice's length is zero and an idle scratch pins no
-// candidate; maps are emptied by deleting the keys the run wrote.
+// Slices are reused and zeroed when the run ends, so an idle scratch pins
+// no candidate; maps are emptied by deleting the keys the run wrote.
 type runScratch struct {
 	// states holds the run's candidate states, each with its update
 	// extension; order points into it. carried are the deferred candidates
@@ -82,25 +81,25 @@ func (rs *runScratch) reset() {
 	rs.touched = zeroed(rs.touched)
 	rs.index.reset()
 	rs.own = conflictIndex{}
-	rs.refs = rs.refs[:0]
-	rs.pos = rs.pos[:0]
-	rs.post = rs.post[:0]
-	rs.last = rs.last[:0]
-	rs.pairs = rs.pairs[:0]
+	rs.refs = zeroed(rs.refs)
+	rs.pos = zeroed(rs.pos)
+	rs.post = zeroed(rs.post)
+	rs.last = zeroed(rs.last)
+	rs.pairs = zeroed(rs.pairs)
 	rs.found = zeroed(rs.found)
-	rs.hits = rs.hits[:0]
-	rs.counts = rs.counts[:0]
+	rs.hits = zeroed(rs.hits)
+	rs.counts = zeroed(rs.counts)
 	rs.conflicts = zeroed(rs.conflicts)
-	rs.prios = rs.prios[:0]
+	rs.prios = zeroed(rs.prios)
 	rs.grp = zeroed(rs.grp)
 	rs.accepted = zeroed(rs.accepted)
 	rs.deferred = zeroed(rs.deferred)
 	rs.trimmed = zeroed(rs.trimmed)
 	rs.members = zeroed(rs.members)
 	rs.txns = zeroed(rs.txns)
-	rs.parent = rs.parent[:0]
+	rs.parent = zeroed(rs.parent)
 	rs.linkKeys = zeroed(rs.linkKeys)
-	rs.unsettled = rs.unsettled[:0]
+	rs.unsettled = zeroed(rs.unsettled)
 	// The maps are emptied as they are used; this only covers a run that
 	// ended early.
 	clear(rs.seen)
