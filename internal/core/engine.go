@@ -317,7 +317,7 @@ func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCan
 	}
 
 	// The peer's own delta for this recno, used by CheckState line 7.
-	ownDelta, err := Flatten(e.schema, UpdateFootprint(e.ownSince))
+	ownDelta, err := rs.flattenList(e.schema, e.ownSince)
 	if err != nil {
 		// A peer's own applied transactions always flatten; failure here
 		// indicates a bug upstream.
@@ -510,7 +510,7 @@ func (e *Engine) applicable(st *candidateState) ([]*Transaction, []Update, error
 	if upEx.Malformed() == nil && slices.Equal(ext, upEx.Source) {
 		return ext, upEx.Operation, nil
 	}
-	flat, err := Flatten(e.schema, UpdateFootprint(ext))
+	flat, err := upEx.run.flattenList(e.schema, ext)
 	return ext, flat, err
 }
 
@@ -704,7 +704,7 @@ func (rs *runScratch) linkConflicts(order []*candidateState, pairs []uint64, hit
 	rs.conflicts = resized(rs.conflicts, 2*len(hits))
 	off := 0
 	for i, n := range counts {
-		order[i].conflicts = rs.conflicts[off:off:off+int(n)]
+		order[i].conflicts = rs.conflicts[off : off : off+int(n)]
 		off += int(n)
 	}
 	for _, pi := range hits {

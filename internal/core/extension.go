@@ -70,7 +70,7 @@ func (ue *UpdateExtension) init(s *Schema, run *runScratch, root TxnID, list []*
 		ue.Operation = op
 		return
 	}
-	ue.Operation, ue.malformed = Flatten(s, UpdateFootprint(list))
+	ue.Operation, ue.malformed = run.flattenList(s, list)
 }
 
 // oneUpdateOperation returns, without flattening, the flattened operation

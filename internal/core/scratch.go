@@ -29,9 +29,11 @@ type runScratch struct {
 	// of a multi-update operation.
 	ids     []TxnID
 	touched []tupleKey
-	seen    map[tupleKey]struct{}
-	index   indexTable
-	own     conflictIndex // over the peer's own delta
+	// footprint is the update footprint a flatten reads (see flattenList).
+	footprint []Update
+	seen      map[tupleKey]struct{}
+	index     indexTable
+	own       conflictIndex // over the peer's own delta
 
 	// FindConflicts: enumeratePairs' key numbering, posting lists and
 	// per-candidate pair marks; the pairs, their conflicts, the pairs that
@@ -79,6 +81,7 @@ func (rs *runScratch) reset() {
 	rs.carried = zeroed(rs.carried)
 	rs.ids = zeroed(rs.ids)
 	rs.touched = zeroed(rs.touched)
+	rs.footprint = zeroed(rs.footprint)
 	rs.index.reset()
 	rs.own = conflictIndex{}
 	rs.refs = zeroed(rs.refs)
@@ -145,4 +148,20 @@ func (rs *runScratch) indexTable() *indexTable {
 		return new(indexTable)
 	}
 	return &rs.index
+}
+
+// flattenList returns Flatten of the list's update footprint, which it
+// builds in the run's footprint buffer: Flatten's output does not share
+// its input. Outside a run (rs nil) the footprint is allocated.
+func (rs *runScratch) flattenList(s *Schema, list []*Transaction) ([]Update, error) {
+	if rs == nil {
+		return Flatten(s, UpdateFootprint(list))
+	}
+	fp := rs.footprint
+	for _, x := range list {
+		fp = append(fp, x.Updates...)
+	}
+	op, err := Flatten(s, fp)
+	rs.footprint = zeroed(fp)
+	return op, err
 }
