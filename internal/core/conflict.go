@@ -231,10 +231,8 @@ func (t *indexTable) reset() {
 			delete(t.bySource, indexKey{ci.id, src})
 		}
 	}
-	if len(t.byKey) > 0 || len(t.bySource) > 0 {
-		clear(t.byKey)
-		clear(t.bySource)
-	}
+	clear(t.byKey) // a no-op on an empty map; covers a build a panic cut short
+	clear(t.bySource)
 	t.built = zeroed(t.built)
 	t.entries = zeroed(t.entries)
 }

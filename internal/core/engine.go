@@ -326,8 +326,8 @@ func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCan
 	// One index over it serves every candidate: CheckState only probes it.
 	var ownIdx *conflictIndex
 	if len(ownDelta) > 0 {
-		rs.own = rs.index.newIndex(e.schema, ownDelta)
-		ownIdx = &rs.own
+		own := rs.index.newIndex(e.schema, ownDelta)
+		ownIdx = &own
 	}
 
 	// Lines 5-8: flattened update extensions + CheckState. Each candidate is

@@ -33,7 +33,6 @@ type runScratch struct {
 	footprint []Update
 	seen      map[tupleKey]struct{}
 	index     indexTable
-	own       conflictIndex // over the peer's own delta
 
 	// FindConflicts: enumeratePairs' key numbering, posting lists and
 	// per-candidate pair marks; the pairs, their conflicts, the pairs that
@@ -83,7 +82,6 @@ func (rs *runScratch) reset() {
 	rs.touched = zeroed(rs.touched)
 	rs.footprint = zeroed(rs.footprint)
 	rs.index.reset()
-	rs.own = conflictIndex{}
 	rs.refs = zeroed(rs.refs)
 	rs.pos = zeroed(rs.pos)
 	rs.post = zeroed(rs.post)
@@ -103,8 +101,8 @@ func (rs *runScratch) reset() {
 	rs.parent = zeroed(rs.parent)
 	rs.linkKeys = zeroed(rs.linkKeys)
 	rs.unsettled = zeroed(rs.unsettled)
-	// The maps are emptied as they are used; this only covers a run that
-	// ended early.
+	// The maps are emptied as they are used; this covers a run that a
+	// panic cut short.
 	clear(rs.seen)
 	clear(rs.keyIDs)
 	clear(rs.linkOf)
