@@ -3,7 +3,6 @@ package central
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"orchestra/internal/core"
@@ -249,7 +248,8 @@ func (s *Store) recordDecisionsBatch(batches []store.DecisionBatch, key store.Id
 		// concurrent publish or another wave.
 		//
 		// The rows are counted per shard first, then placed in one slice:
-		// shard k's are rows[start[k]:start[k+1]], in visiting order.
+		// start[k+1] is where shard k's rows go next, so once they are all
+		// placed shard k's are rows[start[k]:start[k+1]], in visiting order.
 		type decRow struct {
 			peer core.PeerID
 			decisionEntry
@@ -265,11 +265,10 @@ func (s *Store) recordDecisionsBatch(batches []store.DecisionBatch, key store.Id
 				}
 			}
 		}
-		for k := 1; k <= s.tableShards; k++ {
-			start[k] += start[k-1]
+		for k, before := 0, 0; k < s.tableShards; k++ {
+			before, start[k+1] = before+start[k+1], before
 		}
 		rows := make([]decRow, total)
-		fill := slices.Clone(start[:s.tableShards])
 		next := make(map[*peerMeta]int64, len(batches))
 		placed := 0
 		for _, i := range order {
@@ -281,8 +280,8 @@ func (s *Store) recordDecisionsBatch(batches []store.DecisionBatch, key store.Id
 				next[pm]++
 				k := shardOf[placed]
 				placed++
-				rows[fill[k]] = decRow{peer: b.Peer, decisionEntry: decisionEntry{id: id, d: d, dseq: next[pm]}}
-				fill[k]++
+				rows[start[k+1]] = decRow{peer: b.Peer, decisionEntry: decisionEntry{id: id, d: d, dseq: next[pm]}}
+				start[k+1]++
 			}
 			for _, id := range b.Accepted {
 				add(id, core.DecisionAccept)
