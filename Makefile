@@ -82,7 +82,9 @@ bench-smoke:
 # paths against the general computation (TestUpdateExtensionMatchesGeneral:
 # operation, malformedness, conflicts both ways round and against the
 # naive reference, subsumption, sharing and touched keys over random
-# lists), the per-candidate allocation budgets
+# lists; TestUpdateExtensionsShareRunScratch: the same over extensions
+# built on one shared scratch, as a run builds them), the per-candidate
+# allocation budgets
 # (TestReconcileSingleUpdateAllocations, TestReconcileOwnDeltaAllocations)
 # and the warm-run byte budget (TestReconcileSingleUpdateBytes), the pooled
 # run scratch (TestRunScratch*: engines sharing it equal fresh ones, nothing
@@ -95,7 +97,7 @@ bench-smoke:
 # (TestReconcileAllDifferential). make verify covers these too; running
 # them by name makes an engine regression unmissable in CI.
 core-smoke:
-	$(GO) test -race -count=3 -run '^TestUpdateExtensionMatchesGeneral$$|^TestReconcileSingleUpdateAllocations$$|^TestReconcileOwnDeltaAllocations$$|^TestReconcileSingleUpdateBytes$$|^TestRunScratch|^TestResolveScopedMatchesFullRerun$$|^TestInvariant' ./internal/core
+	$(GO) test -race -count=3 -run '^TestUpdateExtensionMatchesGeneral$$|^TestUpdateExtensionsShareRunScratch$$|^TestReconcileSingleUpdateAllocations$$|^TestReconcileOwnDeltaAllocations$$|^TestReconcileSingleUpdateBytes$$|^TestRunScratch|^TestResolveScopedMatchesFullRerun$$|^TestInvariant' ./internal/core
 	$(GO) test -race -count=3 -run '^TestReconcileAllDifferential$$' .
 
 # chaos-smoke runs both fault-injection convergence matrices — the 4-peer

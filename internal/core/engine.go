@@ -407,20 +407,16 @@ func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCan
 	if len(accepted) > 0 {
 		res.Accepted = slices.Clone(accepted)
 	}
-	rejected := 0
+	rejected := rs.rejected
 	for _, st := range order {
-		if st.decision == DecisionReject && !e.applied.Has(st.cand.Txn.ID) {
-			rejected++
+		if id := st.cand.Txn.ID; st.decision == DecisionReject && !e.applied.Has(id) {
+			e.rejected.Add(id)
+			rejected = append(rejected, id)
 		}
 	}
-	if rejected > 0 {
-		res.Rejected = make([]TxnID, 0, rejected)
-		for _, st := range order {
-			if id := st.cand.Txn.ID; st.decision == DecisionReject && !e.applied.Has(id) {
-				e.rejected.Add(id)
-				res.Rejected = append(res.Rejected, id)
-			}
-		}
+	rs.rejected = rejected
+	if len(rejected) > 0 {
+		res.Rejected = slices.Clone(rejected)
 		slices.SortFunc(res.Rejected, compareTxnIDs)
 	}
 	res.Stats.ApplyNanos = time.Since(start).Nanoseconds()

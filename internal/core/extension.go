@@ -34,9 +34,9 @@ type UpdateExtension struct {
 	index conflictIndex
 	// oneID backs IDs for a one-transaction source.
 	oneID [1]TxnID
-	// run is the scratch of the reconciliation run the extension belongs
-	// to, which backs its IDs, touched keys and index; nil for one built
-	// by NewUpdateExtension.
+	// run is the scratch that backs the extension's IDs, touched keys and
+	// index: its reconciliation run's, or one of its own for an extension
+	// built by NewUpdateExtension.
 	run *runScratch
 }
 
@@ -46,13 +46,12 @@ type UpdateExtension struct {
 // algorithm rejects malformed extensions.
 func NewUpdateExtension(s *Schema, root TxnID, list []*Transaction, priority int) *UpdateExtension {
 	ue := new(UpdateExtension)
-	ue.init(s, nil, root, list, priority)
+	ue.init(s, newRunScratch(), root, list, priority)
 	return ue
 }
 
 // init sets ue to the update extension of root over the list, as
-// NewUpdateExtension computes it, with its scratch taken from run (nil
-// outside a run).
+// NewUpdateExtension computes it, with its scratch taken from run.
 func (ue *UpdateExtension) init(s *Schema, run *runScratch, root TxnID, list []*Transaction, priority int) {
 	*ue = UpdateExtension{Root: root, Source: list, Priority: priority, run: run}
 	if len(list) == 1 {
@@ -172,7 +171,7 @@ func (ue *UpdateExtension) Conflicts(s *Schema, other *UpdateExtension) []Confli
 // conflictIndex returns the memoized index over the flattened operation.
 func (ue *UpdateExtension) conflictIndex(s *Schema) *conflictIndex {
 	if ue.index.t == nil {
-		ue.index = ue.run.indexTable().newIndex(s, ue.Operation)
+		ue.index = ue.run.index.newIndex(s, ue.Operation)
 	}
 	return &ue.index
 }
@@ -198,8 +197,8 @@ func flattenMinus(s *Schema, list []*Transaction, drop []TxnID) []Update {
 
 // TouchedKeys returns the (relation, encoded key) pairs read or written by
 // the extension's flattened operation — the keys that become dirty if the
-// extension is deferred. The result is memoized; in a run it is a window
-// of the run's touched-key buffer, with no room to grow.
+// extension is deferred. The result is memoized as a window of the
+// scratch's touched-key buffer, with no room to grow.
 func (ue *UpdateExtension) TouchedKeys(s *Schema) []tupleKey {
 	if ue.touched != nil {
 		return ue.touched
@@ -209,16 +208,7 @@ func (ue *UpdateExtension) TouchedKeys(s *Schema) []tupleKey {
 		// Fall back to the raw footprint for dirty-key purposes.
 		ops = UpdateFootprint(ue.Source)
 	}
-	var out []tupleKey
-	var seen map[tupleKey]struct{}
-	if ue.run != nil {
-		out, seen = ue.run.touched, ue.run.seen
-	} else {
-		out = make([]tupleKey, 0, 2*len(ops))
-		if len(ops) > 1 {
-			seen = make(map[tupleKey]struct{}, 2*len(ops))
-		}
-	}
+	out, seen := ue.run.touched, ue.run.seen
 	from := len(out)
 	// One update touches two keys at most, which dedup by comparison.
 	add := func(k tupleKey) {
@@ -247,12 +237,10 @@ func (ue *UpdateExtension) TouchedKeys(s *Schema) []tupleKey {
 		}
 	}
 	ue.touched = out[from:len(out):len(out)]
-	if ue.run != nil {
-		ue.run.touched = out
-		if len(ops) > 1 {
-			for _, k := range ue.touched {
-				delete(seen, k)
-			}
+	ue.run.touched = out
+	if len(ops) > 1 {
+		for _, k := range ue.touched {
+			delete(seen, k)
 		}
 	}
 	return ue.touched

@@ -391,3 +391,73 @@ func TestOneUpdateExtensionEdges(t *testing.T) {
 		}
 	}
 }
+
+// TestUpdateExtensionsShareRunScratch builds the extensions of a round the
+// way a run does — by value, on one scratch — and interleaves their touched
+// keys, indexes and conflicts, so IDs and touched keys are windows of the
+// same buffers and dedup goes through the one shared map. Each answers as
+// the general computation does when it is asked, and still does once every
+// other extension of the round has written to the scratch. The rounds
+// reuse one scratch, reset between them as a pooled one is, so its buffers
+// have room and the windows are carved out of one backing array.
+func TestUpdateExtensionsShareRunScratch(t *testing.T) {
+	s := flatSchema(t)
+	r := rand.New(rand.NewSource(2))
+	rs := newRunScratch()
+	for round := 0; round < 200; round++ {
+		rs.reset()
+		pool := randomExtensionPool(r, s, 6)
+		exts := make([]UpdateExtension, 8)
+		for k := range exts {
+			var list []*Transaction
+			if r.Intn(2) == 0 {
+				list = []*Transaction{pool[r.Intn(len(pool))]}
+			} else {
+				for _, x := range pool {
+					if r.Intn(3) == 0 {
+						list = append(list, x)
+					}
+				}
+			}
+			exts[k].init(s, rs, TxnID{Origin: "root"}, list, 1)
+		}
+		check := func(ue *UpdateExtension) {
+			t.Helper()
+			g := newGeneralExtension(s, ue.Source)
+			if (ue.Malformed() == nil) != (g.malformed == nil) || !sameUpdates(ue.Operation, g.op) {
+				t.Fatalf("%v: operation %v (%v), general %v (%v)", ue.Source, ue.Operation, ue.Malformed(), g.op, g.malformed)
+			}
+			if !slices.Equal(ue.IDs, g.ids.Sorted()) {
+				t.Fatalf("%v: IDs %v, general %v", ue.Source, ue.IDs, g.ids.Sorted())
+			}
+			if got, want := ue.TouchedKeys(s), generalTouchedKeys(s, ue); !slices.Equal(got, want) {
+				t.Fatalf("%v: touched %v, general %v", ue.Source, got, want)
+			}
+			if len(rs.seen) != 0 {
+				t.Fatalf("%v: %d keys left in the dedup map", ue.Source, len(rs.seen))
+			}
+		}
+		for _, i := range r.Perm(len(exts)) {
+			check(&exts[i])
+			a, b := &exts[i], &exts[r.Intn(len(exts))]
+			if a.Malformed() != nil || b.Malformed() != nil {
+				continue
+			}
+			if got, want := a.Conflicts(s, b), generalConflicts(s, a, b); !slices.Equal(got, want) {
+				t.Fatalf("conflicts of %v and %v: %v, general %v", a.Source, b.Source, got, want)
+			}
+		}
+		for i := range exts {
+			check(&exts[i])
+			for j := range exts {
+				a, b := &exts[i], &exts[j]
+				if a.Malformed() != nil || b.Malformed() != nil {
+					continue
+				}
+				if got, want := a.Conflicts(s, b), generalConflicts(s, a, b); !slices.Equal(got, want) {
+					t.Fatalf("conflicts of %v and %v: %v, general %v", a.Source, b.Source, got, want)
+				}
+			}
+		}
+	}
+}

@@ -53,6 +53,7 @@ type runScratch struct {
 	prios     []int
 	grp       []*candidateState
 	accepted  []TxnID
+	rejected  []TxnID
 	deferred  []*candidateState
 	trimmed   []Update
 	members   []groupMember
@@ -63,14 +64,16 @@ type runScratch struct {
 	unsettled []bool
 }
 
-var runPool = sync.Pool{
-	New: func() any {
-		return &runScratch{
-			seen:   make(map[tupleKey]struct{}),
-			keyIDs: make(map[tupleKey]int32),
-			linkOf: make(map[tupleKey]int32),
-		}
-	},
+var runPool = sync.Pool{New: func() any { return newRunScratch() }}
+
+// newRunScratch returns an empty scratch. NewUpdateExtension gives each
+// extension it builds one of its own, which it keeps.
+func newRunScratch() *runScratch {
+	return &runScratch{
+		seen:   make(map[tupleKey]struct{}),
+		keyIDs: make(map[tupleKey]int32),
+		linkOf: make(map[tupleKey]int32),
+	}
 }
 
 // reset zeroes what the run used and empties the maps, for the next run.
@@ -94,6 +97,7 @@ func (rs *runScratch) reset() {
 	rs.prios = zeroed(rs.prios)
 	rs.grp = zeroed(rs.grp)
 	rs.accepted = zeroed(rs.accepted)
+	rs.rejected = zeroed(rs.rejected)
 	rs.deferred = zeroed(rs.deferred)
 	rs.trimmed = zeroed(rs.trimmed)
 	rs.members = zeroed(rs.members)
@@ -128,33 +132,18 @@ func resized[E any](s []E, n int) []E {
 	return s
 }
 
-// txnIDs returns room for n transaction IDs: a window of the run's ID
-// buffer, or an allocation of its own outside a run (rs nil).
+// txnIDs returns room for n transaction IDs, a window of the run's ID
+// buffer.
 func (rs *runScratch) txnIDs(n int) []TxnID {
-	if rs == nil {
-		return make([]TxnID, n)
-	}
 	from := len(rs.ids)
 	rs.ids = slices.Grow(rs.ids, n)[:from+n]
 	return rs.ids[from : from+n : from+n]
 }
 
-// indexTable returns the table conflict indexes are built in: the run's,
-// or a table of their own outside a run (rs nil).
-func (rs *runScratch) indexTable() *indexTable {
-	if rs == nil {
-		return new(indexTable)
-	}
-	return &rs.index
-}
-
 // flattenList returns Flatten of the list's update footprint, which it
 // builds in the run's footprint buffer: Flatten's output does not share
-// its input. Outside a run (rs nil) the footprint is allocated.
+// its input.
 func (rs *runScratch) flattenList(s *Schema, list []*Transaction) ([]Update, error) {
-	if rs == nil {
-		return Flatten(s, UpdateFootprint(list))
-	}
 	fp := rs.footprint
 	for _, x := range list {
 		fp = append(fp, x.Updates...)
