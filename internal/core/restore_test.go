@@ -70,6 +70,73 @@ func TestProducerTracking(t *testing.T) {
 	if len(antes2) != 1 || antes2[0] != x1.ID {
 		t.Errorf("local antecedents = %v", antes2)
 	}
+
+	// Two lists whose flattened footprint skips what their raw updates
+	// record, each applied as one accepted extension: the candidate is the
+	// last transaction, and the ones before it ride along.
+	v, w := Strs("rat", "p1", "v"), Strs("rat", "p1", "w")
+	applyExt := func(name string, e *Engine, log *testLog, xs ...*Transaction) {
+		t.Helper()
+		log.publish(xs...)
+		root := xs[len(xs)-1]
+		ext, err := log.graph.Extension(root.ID, e.Applied)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ext) != len(xs) {
+			t.Fatalf("%s: extension %d transactions, want %d", name, len(ext), len(xs))
+		}
+		res, err := e.Reconcile([]*Candidate{{Txn: root, Priority: 1, Ext: ext}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Accepted) != len(xs) {
+			t.Fatalf("%s: accepted %v", name, res.Accepted)
+		}
+	}
+	wantProducer := func(name string, e *Engine, tu Tuple, want TxnID) {
+		t.Helper()
+		wantTuples(t, e.Instance(), "F", tu)
+		if got, ok := e.ProducerOf("F", tu); !ok || got != want {
+			t.Errorf("%s: producer of %v = %v %v, want %v", name, tu, got, ok, want)
+		}
+		_, antes, err := e.NewLocalTransaction(Delete("F", tu, e.Peer()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(antes) != 1 || antes[0] != want {
+			t.Errorf("%s: antecedents of a delete of %v = %v, want [%v]", name, tu, antes, want)
+		}
+	}
+
+	// A chain back to its source inside one extension (v→w, then w→v):
+	// the flattened footprint is empty, and v goes to the transaction that
+	// produced it last.
+	log := newTestLog(t, s)
+	q := NewEngine("q", s, TrustAll(1))
+	xa0 := NewTransaction(xid("a", 0), Insert("F", v, "a"))
+	log.publish(xa0)
+	log.reconcile(q)
+	xa1 := NewTransaction(xid("a", 1), Modify("F", v, w, "a"))
+	xa2 := NewTransaction(xid("a", 2), Modify("F", w, v, "a"))
+	applyExt("chain back to source", q, log, xa1, xa2)
+	if _, ok := q.ProducerOf("F", w); ok {
+		t.Error("chain back to source: the intermediate value has a producer")
+	}
+	wantProducer("chain back to source", q, v, xa2.ID)
+
+	// An insert of a value the instance already holds, deleted later in
+	// the same list: the pair flattens away and the value stays, produced
+	// by the list's insert.
+	log = newTestLog(t, s)
+	q = NewEngine("q", s, TrustAll(1))
+	xa0 = NewTransaction(xid("a", 0), Insert("F", v, "a"))
+	log.publish(xa0)
+	log.reconcile(q)
+	xb0 := NewTransaction(xid("b", 0), Insert("F", v, "b"))
+	xb1 := NewTransaction(xid("b", 1), Delete("F", v, "b"))
+	applyExt("held insert deleted later", q, log, xb0, xb1)
+	wantProducer("held insert deleted later", q, v, xb0.ID)
 }
 
 func TestRestoreDirect(t *testing.T) {
