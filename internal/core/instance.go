@@ -184,12 +184,18 @@ func (in *Instance) Apply(u Update) error {
 	return nil
 }
 
-// applyUnchecked mutates the instance assuming Compatible(u) == nil.
+// applyUnchecked mutates the instance assuming Compatible(u) == nil. An
+// insert of the value its key already holds changes nothing, as
+// overlay.apply has it: put would count its references a second time.
 func (in *Instance) applyUnchecked(u Update) {
 	rel := in.schema.MustRelation(u.Rel)
 	switch u.Op {
 	case OpInsert:
-		in.put(rel, u.Tuple, u.keyEncTuple(rel))
+		keyEnc := u.keyEncTuple(rel)
+		if cur, ok := in.lookupEnc(u.Rel, keyEnc); ok && cur.Equal(u.Tuple) {
+			return
+		}
+		in.put(rel, u.Tuple, keyEnc)
 	case OpDelete:
 		in.del(rel, u.Tuple, u.keyEncTuple(rel))
 	case OpModify:

@@ -122,6 +122,36 @@ func TestInstanceForeignKeys(t *testing.T) {
 	}
 }
 
+// TestInstanceVerbatimInsertCountsOnce: inserting a referencing tuple the
+// instance already holds is a no-op, so its reference counts once and goes
+// with the one delete of the tuple.
+func TestInstanceVerbatimInsertCountsOnce(t *testing.T) {
+	s := fkSchema(t)
+	in := NewInstance(s)
+	parent, child := Strs("rat", "p1", "a"), Strs("rat", "p1", "genbank")
+	for _, u := range []Update{
+		Insert("Function", parent, "x"),
+		Insert("XRef", child, "x"),
+		Insert("XRef", child, "y"), // verbatim: compatible and a no-op
+	} {
+		if err := in.Apply(u); err != nil {
+			t.Fatalf("%s: %v", u, err)
+		}
+	}
+	if in.Len("XRef") != 1 {
+		t.Fatalf("XRef holds %d tuples", in.Len("XRef"))
+	}
+	if n := in.fkCount["Function"][s.MustRelation("Function").KeyEnc(parent)]; n != 1 {
+		t.Fatalf("parent referenced %d times, want 1", n)
+	}
+	if err := in.Apply(Delete("XRef", child, "x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Apply(Delete("Function", parent, "x")); err != nil {
+		t.Errorf("parent delete after its one child went: %v", err)
+	}
+}
+
 func TestIncompatibleErrorType(t *testing.T) {
 	s := flatSchema(t)
 	in := NewInstance(s)

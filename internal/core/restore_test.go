@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"reflect"
 	"testing"
 )
 
@@ -260,5 +261,52 @@ func TestConflictGroupString(t *testing.T) {
 	e := NewEngine("p", s, TrustAll(1))
 	if e.Instance().Schema() != s {
 		t.Error("Instance.Schema accessor broken")
+	}
+}
+
+// TestVerbatimReinsertLiveMatchesRestore: two peers insert the same
+// referencing tuple and a third accepts both. The second insert is a no-op
+// at the live engine as in the rebuilt one, so both count the reference
+// once and both can delete the parent once the child is gone.
+func TestVerbatimReinsertLiveMatchesRestore(t *testing.T) {
+	s := fkSchema(t)
+	log := newTestLog(t, s)
+	pa := NewEngine("a", s, TrustAll(1))
+	pb := NewEngine("b", s, TrustAll(1))
+	live := NewEngine("c", s, TrustAll(1))
+	parent, child := Strs("rat", "p1", "a"), Strs("rat", "p1", "genbank")
+	xa0 := mustLocal(t, pa, Insert("Function", parent, "a"))
+	log.publish(xa0)
+	log.reconcile(pb)
+	accepted := log.reconcile(live).Accepted
+	xa1 := mustLocal(t, pa, Insert("XRef", child, "a"))
+	xb0 := mustLocal(t, pb, Insert("XRef", child, "b"))
+	log.publish(xa1, xb0)
+	accepted = append(accepted, log.reconcile(live).Accepted...)
+	if len(accepted) != 3 {
+		t.Fatalf("accepted %v, want all three", accepted)
+	}
+
+	var logged []LoggedTxn
+	for _, x := range []*Transaction{xa0, xa1, xb0} {
+		logged = append(logged, LoggedTxn{Txn: x, Antecedents: log.graph.Antecedents(x.ID)})
+	}
+	decisions := map[TxnID]RestoredDecision{}
+	for i, id := range accepted {
+		decisions[id] = RestoredDecision{Decision: DecisionAccept, Seq: int64(i + 1)}
+	}
+	rebuilt := NewEngine("c", s, TrustAll(1))
+	if err := rebuilt.Restore(logged, decisions); err != nil {
+		t.Fatal(err)
+	}
+	engineStateEqual(t, "verbatim re-insert", live, rebuilt)
+	if !reflect.DeepEqual(live.inst.fkCount, rebuilt.inst.fkCount) {
+		t.Errorf("reference counts: live %v, rebuilt %v", live.inst.fkCount, rebuilt.inst.fkCount)
+	}
+	for _, e := range []*Engine{live, rebuilt} {
+		mustLocal(t, e, Delete("XRef", child, "c"))
+		if _, _, err := e.NewLocalTransaction(Delete("Function", parent, "c")); err != nil {
+			t.Errorf("parent delete after its one child went: %v", err)
+		}
 	}
 }
