@@ -6,8 +6,6 @@ import (
 	"slices"
 	"sort"
 	"time"
-
-	"orchestra/internal/spread"
 )
 
 // Engine is the client-centric reconciliation engine for one participant.
@@ -53,10 +51,6 @@ type Engine struct {
 	// since the last reconciliation ("the delta for recno").
 	ownSince []*Transaction
 
-	// producers maps each tuple value in the instance to the transaction
-	// that produced it (provenance; see provenance.go).
-	producers spread.Map[tupleKey, TxnID]
-
 	recno   int
 	nextSeq uint64
 }
@@ -71,7 +65,6 @@ func NewEngine(peer PeerID, schema *Schema, trust Trust) *Engine {
 		deferredCands: make(map[TxnID]*deferredCand),
 		dirty:         make(map[tupleKey]bool),
 		groups:        make(map[Conflict]*ConflictGroup),
-		producers:     spread.Make[tupleKey, TxnID](),
 	}
 }
 
@@ -396,7 +389,6 @@ func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCan
 			e.inst.applyUnchecked(u)
 		}
 		e.noteProducers(ext)
-		e.settleProducers(ext)
 		res.Stats.AppliedUpdates += len(flat)
 		for _, x := range ext {
 			e.applied.Add(x.ID)

@@ -10,27 +10,34 @@ import (
 )
 
 // Instance is one participant's materialized database instance I_i(Σ): for
-// each relation, a map from encoded key to the tuple holding that key.
+// each relation, a map from encoded key to the row holding that key.
 // Instances enforce the schema's integrity constraints (key uniqueness,
 // NOT NULL, foreign keys); an update that would violate them is
 // *incompatible* with the instance in the paper's sense.
 type Instance struct {
 	schema *Schema
-	rels   map[string]*spread.Map[string, Tuple] // rel -> keyEnc -> tuple
+	rels   map[string]*spread.Map[string, row] // rel -> keyEnc -> row
 	// fkCount tracks, per referenced relation, how many referencing tuples
 	// point at each referenced key (for reverse foreign-key checks).
 	fkCount map[string]map[string]int
+}
+
+// row is the value a key holds and the transaction that produced it (set
+// by the engine, see provenance.go; zero in an instance no engine owns).
+type row struct {
+	t  Tuple
+	by TxnID
 }
 
 // NewInstance returns an empty instance of the schema.
 func NewInstance(s *Schema) *Instance {
 	in := &Instance{
 		schema:  s,
-		rels:    make(map[string]*spread.Map[string, Tuple], s.Len()),
+		rels:    make(map[string]*spread.Map[string, row], s.Len()),
 		fkCount: make(map[string]map[string]int),
 	}
 	for _, name := range s.Names() {
-		m := spread.Make[string, Tuple]()
+		m := spread.Make[string, row]()
 		in.rels[name] = &m
 	}
 	return in
@@ -41,11 +48,7 @@ func (in *Instance) Schema() *Schema { return in.schema }
 
 // Lookup returns the tuple holding the given key, if any.
 func (in *Instance) Lookup(rel string, key Tuple) (Tuple, bool) {
-	m, ok := in.rels[rel]
-	if !ok {
-		return nil, false
-	}
-	return m.Get(key.Encode())
+	return in.lookupEnc(rel, key.Encode())
 }
 
 // lookupEnc is Lookup with a pre-encoded key.
@@ -54,7 +57,8 @@ func (in *Instance) lookupEnc(rel, keyEnc string) (Tuple, bool) {
 	if !ok {
 		return nil, false
 	}
-	return m.Get(keyEnc)
+	r, ok := m.Get(keyEnc)
+	return r.t, ok
 }
 
 // Len returns the number of tuples in a relation.
@@ -83,8 +87,8 @@ func (in *Instance) Tuples(rel string) []Tuple {
 	}
 	rows := make([]kt, 0, in.Len(rel))
 	if m, ok := in.rels[rel]; ok {
-		for k, t := range m.All() {
-			rows = append(rows, kt{k, t})
+		for k, r := range m.All() {
+			rows = append(rows, kt{k, r.t})
 		}
 	}
 	slices.SortFunc(rows, func(a, b kt) int { return strings.Compare(a.k, b.k) })
@@ -112,7 +116,7 @@ func (in *Instance) Keys(rel string) []string {
 func (in *Instance) Clone() *Instance {
 	cp := &Instance{
 		schema:  in.schema,
-		rels:    make(map[string]*spread.Map[string, Tuple], len(in.rels)),
+		rels:    make(map[string]*spread.Map[string, row], len(in.rels)),
 		fkCount: make(map[string]map[string]int, len(in.fkCount)),
 	}
 	for name, m := range in.rels {
@@ -139,9 +143,9 @@ func (in *Instance) Equal(other *Instance) bool {
 		if !ok || m.Len() != om.Len() {
 			return false
 		}
-		for k, t := range m.All() {
-			ot, ok := om.Get(k)
-			if !ok || !t.Equal(ot) {
+		for k, r := range m.All() {
+			or, ok := om.Get(k)
+			if !ok || !r.t.Equal(or.t) {
 				return false
 			}
 		}
@@ -195,17 +199,18 @@ func (in *Instance) applyUnchecked(u Update) {
 		if cur, ok := in.lookupEnc(u.Rel, keyEnc); ok && cur.Equal(u.Tuple) {
 			return
 		}
-		in.put(rel, u.Tuple, keyEnc)
+		in.put(rel, u.Tuple, keyEnc, TxnID{})
 	case OpDelete:
 		in.del(rel, u.Tuple, u.keyEncTuple(rel))
 	case OpModify:
 		in.del(rel, u.Tuple, u.keyEncTuple(rel))
-		in.put(rel, u.New, u.keyEncNew(rel))
+		in.put(rel, u.New, u.keyEncNew(rel), TxnID{})
 	}
 }
 
-func (in *Instance) put(rel *Relation, t Tuple, keyEnc string) {
-	in.rels[rel.Name].Set(keyEnc, t)
+// put binds keyEnc to t, produced by by (zero: attributed later, if ever).
+func (in *Instance) put(rel *Relation, t Tuple, keyEnc string, by TxnID) {
+	in.rels[rel.Name].Set(keyEnc, row{t: t, by: by})
 	for _, fk := range rel.ForeignKeys {
 		m := in.fkCount[fk.RefRel]
 		if m == nil {

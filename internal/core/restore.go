@@ -108,7 +108,6 @@ func (e *Engine) restoreLog(log []LoggedTxn, decisions map[TxnID]RestoredDecisio
 		e.inst.applyUnchecked(u)
 	}
 	e.noteProducers(accepted)
-	e.settleProducers(accepted)
 	e.unsettled = true // the instance and the decided sets moved under any deferred candidate
 	if haveOwn && maxOwnSeq+1 > e.nextSeq {
 		e.nextSeq = maxOwnSeq + 1

@@ -65,11 +65,15 @@ func (r *Relation) KeyEnc(t Tuple) string {
 		n += t[j].encodedLen()
 	}
 	var buf [64]byte
-	dst := sized(buf[:0], n)
+	return string(r.appendKeyEnc(sized(buf[:0], n), t))
+}
+
+// appendKeyEnc appends KeyEnc(t) to dst.
+func (r *Relation) appendKeyEnc(dst []byte, t Tuple) []byte {
 	for _, j := range r.Key {
 		dst = t[j].appendEncoded(dst)
 	}
-	return string(dst)
+	return dst
 }
 
 // Validate checks a tuple's arity, attribute kinds and NOT NULL constraints
