@@ -91,13 +91,19 @@ bench-smoke:
 # a run hands out aliases it, and it is zeroed after every run),
 # the scoped resolve re-run against the full one
 # (TestResolveScopedMatchesFullRerun), the engine invariants (TestInvariant*:
-# disjoint decision sets, idle fixpoints, instance consistency, producer
-# entries for exactly the instance's values), and the concurrent
-# ReconcileAll against the sequential reference
+# disjoint decision sets, idle fixpoints, instance consistency, every held
+# value's row naming an applied producer whose updates wrote it), a
+# verbatim re-insert counting its foreign-key references once in the
+# instance and in a live engine against its Restore
+# (TestInstanceVerbatimInsertCountsOnce,
+# TestVerbatimReinsertLiveMatchesRestore), the bytes of exported engine
+# snapshots through the store's codec (TestEngineSnapshotGolden), and the
+# concurrent ReconcileAll against the sequential reference
 # (TestReconcileAllDifferential). make verify covers these too; running
 # them by name makes an engine regression unmissable in CI.
 core-smoke:
-	$(GO) test -race -count=3 -run '^TestUpdateExtensionMatchesGeneral$$|^TestUpdateExtensionsShareRunScratch$$|^TestReconcileSingleUpdateAllocations$$|^TestReconcileOwnDeltaAllocations$$|^TestReconcileSingleUpdateBytes$$|^TestRunScratch|^TestResolveScopedMatchesFullRerun$$|^TestInvariant' ./internal/core
+	$(GO) test -race -count=3 -run '^TestUpdateExtensionMatchesGeneral$$|^TestUpdateExtensionsShareRunScratch$$|^TestReconcileSingleUpdateAllocations$$|^TestReconcileOwnDeltaAllocations$$|^TestReconcileSingleUpdateBytes$$|^TestRunScratch|^TestResolveScopedMatchesFullRerun$$|^TestInvariant|^TestInstanceVerbatimInsertCountsOnce$$|^TestVerbatimReinsertLiveMatchesRestore$$' ./internal/core
+	$(GO) test -race -count=3 -run '^TestEngineSnapshotGolden$$' ./internal/store
 	$(GO) test -race -count=3 -run '^TestReconcileAllDifferential$$' .
 
 # chaos-smoke runs both fault-injection convergence matrices — the 4-peer
