@@ -81,20 +81,30 @@ func (in *Instance) TotalLen() int {
 // Tuples returns the tuples of a relation sorted by key encoding, for
 // deterministic iteration.
 func (in *Instance) Tuples(rel string) []Tuple {
-	type kt struct {
-		k string
-		t Tuple
-	}
-	rows := make([]kt, 0, in.Len(rel))
-	if m, ok := in.rels[rel]; ok {
-		for k, r := range m.All() {
-			rows = append(rows, kt{k, r.t})
-		}
-	}
-	slices.SortFunc(rows, func(a, b kt) int { return strings.Compare(a.k, b.k) })
+	rows := in.sortedRows(rel)
 	out := make([]Tuple, len(rows))
 	for i, r := range rows {
 		out[i] = r.t
+	}
+	return out
+}
+
+// sortedRows returns the rows of a relation sorted by key encoding.
+func (in *Instance) sortedRows(rel string) []row {
+	type kr struct {
+		k string
+		r row
+	}
+	krs := make([]kr, 0, in.Len(rel))
+	if m, ok := in.rels[rel]; ok {
+		for k, r := range m.All() {
+			krs = append(krs, kr{k, r})
+		}
+	}
+	slices.SortFunc(krs, func(a, b kr) int { return strings.Compare(a.k, b.k) })
+	out := make([]row, len(krs))
+	for i, x := range krs {
+		out[i] = x.r
 	}
 	return out
 }

@@ -65,15 +65,11 @@ func (r *Relation) KeyEnc(t Tuple) string {
 		n += t[j].encodedLen()
 	}
 	var buf [64]byte
-	return string(r.appendKeyEnc(sized(buf[:0], n), t))
-}
-
-// appendKeyEnc appends KeyEnc(t) to dst.
-func (r *Relation) appendKeyEnc(dst []byte, t Tuple) []byte {
+	dst := sized(buf[:0], n)
 	for _, j := range r.Key {
 		dst = t[j].appendEncoded(dst)
 	}
-	return dst
+	return string(dst)
 }
 
 // Validate checks a tuple's arity, attribute kinds and NOT NULL constraints

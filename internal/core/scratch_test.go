@@ -252,9 +252,8 @@ func copySnapshot(s *EngineSnapshot) *EngineSnapshot {
 	c.Rejected = slices.Clone(s.Rejected)
 	c.Relations = slices.Clone(s.Relations)
 	for i := range c.Relations {
-		c.Relations[i].Tuples = slices.Clone(s.Relations[i].Tuples)
+		c.Relations[i].Rows = slices.Clone(s.Relations[i].Rows)
 	}
-	c.Producers = slices.Clone(s.Producers)
 	return &c
 }
 

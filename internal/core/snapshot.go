@@ -1,24 +1,20 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"slices"
 	"sort"
-
-	"orchestra/internal/spread"
 )
 
 // EngineSnapshot is the serializable image of a participant's durable engine
-// state: the materialized instance, the applied/rejected decision sets, the
-// provenance of every value the instance holds, and the local transaction
-// sequence. It captures exactly the state core.Restore reconstructs from the
-// update store's log — reconciliation soft state (deferred candidates, dirty
+// state: the materialized instance with each held value's producer, the
+// applied/rejected decision sets, and the local transaction sequence. It
+// captures exactly the state core.Restore reconstructs from the update
+// store's log — reconciliation soft state (deferred candidates, dirty
 // values, conflict groups) is deliberately absent, because the store never
 // records it and the next reconciliation rebuilds it (see docs/RECOVERY.md).
 //
-// A snapshot is canonical: relations, tuples, decision sets, and producers
-// are sorted, so the same engine state always exports the same snapshot.
+// A snapshot is canonical: relations, rows and decision sets are sorted, so
+// the same engine state always exports the same snapshot.
 type EngineSnapshot struct {
 	Peer    PeerID
 	NextSeq uint64
@@ -26,25 +22,20 @@ type EngineSnapshot struct {
 	Applied  []TxnID
 	Rejected []TxnID
 	// Relations holds the instance contents, sorted by relation name;
-	// relations with no tuples are omitted.
+	// relations with no rows are omitted.
 	Relations []RelationSnapshot
-	// Producers is the provenance: for each tuple value the relations hold,
-	// the transaction that produced it. Sorted by relation name, then tuple
-	// encoding.
-	Producers []ProducerSnapshot
 }
 
-// RelationSnapshot is one relation's tuples, sorted by key encoding.
+// RelationSnapshot is one relation's rows, sorted by key encoding.
 type RelationSnapshot struct {
-	Name   string
-	Tuples []Tuple
+	Name string
+	Rows []RowSnapshot
 }
 
-// ProducerSnapshot records that Txn produced the value Tuple in relation Rel.
-type ProducerSnapshot struct {
-	Rel   string
+// RowSnapshot is one held value and the transaction that produced it.
+type RowSnapshot struct {
 	Tuple Tuple
-	Txn   TxnID
+	By    TxnID
 }
 
 // ExportSnapshot captures the engine's durable state as a canonical
@@ -57,45 +48,31 @@ func (e *Engine) ExportSnapshot() *EngineSnapshot {
 		Applied:  e.applied.Sorted(),
 		Rejected: e.rejected.Sorted(),
 	}
-	snap.Producers = slices.Grow(snap.Producers, e.inst.TotalLen())
-	type encoded struct {
-		enc string
-		p   ProducerSnapshot
-	}
-	var prods []encoded // one relation's producers, sorted by tuple encoding
 	names := e.schema.Names()
 	sort.Strings(names)
 	for _, name := range names {
-		m := e.inst.rels[name]
-		if m.Len() == 0 {
+		rows := e.inst.sortedRows(name)
+		if len(rows) == 0 {
 			continue
 		}
-		snap.Relations = append(snap.Relations, RelationSnapshot{
-			Name:   name,
-			Tuples: e.inst.Tuples(name),
-		})
-		prods = prods[:0]
-		for _, r := range m.All() {
-			prods = append(prods, encoded{enc: r.t.Encode(), p: ProducerSnapshot{Rel: name, Tuple: r.t, Txn: r.by}})
+		rs := RelationSnapshot{Name: name, Rows: make([]RowSnapshot, len(rows))}
+		for i, r := range rows {
+			rs.Rows[i] = RowSnapshot{Tuple: r.t, By: r.by}
 		}
-		sort.Slice(prods, func(i, j int) bool { return prods[i].enc < prods[j].enc })
-		for _, pr := range prods {
-			snap.Producers = append(snap.Producers, pr.p)
-		}
+		snap.Relations = append(snap.Relations, rs)
 	}
 	return snap
 }
 
 // NewEngineFromSnapshot builds an engine whose durable state is restored
-// from the snapshot: instance, applied/rejected sets, provenance, and local
+// from the snapshot: instance, provenance, applied/rejected sets and local
 // sequence come back exactly as exported. The caller supplies the trust
 // policy (policies are not part of the snapshot, mirroring RebuildPeer's
 // signature). Use Engine.RestoreTail afterwards to replay the update-store
 // log suffix the snapshot does not cover.
 //
-// Every value the snapshot's relations hold must have exactly one
-// producer, and every producer must name such a value; the relations must
-// be in canonical order. A snapshot that breaks any of this is refused.
+// A snapshot naming a relation the schema lacks, or whose relations or rows
+// are out of canonical order or repeated, is refused.
 func NewEngineFromSnapshot(schema *Schema, trust Trust, snap *EngineSnapshot) (*Engine, error) {
 	e := NewEngine(snap.Peer, schema, trust)
 	e.nextSeq = snap.NextSeq
@@ -105,24 +82,6 @@ func NewEngineFromSnapshot(schema *Schema, trust Trust, snap *EngineSnapshot) (*
 	for _, id := range snap.Rejected {
 		e.rejected.Add(id)
 	}
-	// A key holds one value, so the rows come from the producers; the
-	// relations must then list exactly the values the rows hold.
-	for _, p := range snap.Producers {
-		rel, ok := schema.Relation(p.Rel)
-		if !ok {
-			return nil, fmt.Errorf("core: snapshot producer relation %s not in schema", p.Rel)
-		}
-		if err := rel.Validate(p.Tuple); err != nil {
-			return nil, fmt.Errorf("core: snapshot producer for %s: %w", p.Rel, err)
-		}
-		keyEnc := rel.KeyEnc(p.Tuple)
-		if cur, held := e.inst.lookupEnc(p.Rel, keyEnc); held {
-			return nil, fmt.Errorf("core: snapshot has two producers for the key of %s%v", p.Rel, cur)
-		}
-		e.inst.put(rel, p.Tuple, keyEnc, p.Txn)
-	}
-	held := 0
-	var key, prev []byte
 	for i, rs := range snap.Relations {
 		rel, ok := schema.Relation(rs.Name)
 		if !ok {
@@ -131,23 +90,18 @@ func NewEngineFromSnapshot(schema *Schema, trust Trust, snap *EngineSnapshot) (*
 		if i > 0 && rs.Name <= snap.Relations[i-1].Name {
 			return nil, fmt.Errorf("core: snapshot relation %s out of order or repeated", rs.Name)
 		}
-		for j, t := range rs.Tuples {
-			if err := rel.Validate(t); err != nil {
-				return nil, fmt.Errorf("core: snapshot tuple for %s: %w", rs.Name, err)
+		prev := ""
+		for j, r := range rs.Rows {
+			if err := rel.Validate(r.Tuple); err != nil {
+				return nil, fmt.Errorf("core: snapshot row of %s: %w", rs.Name, err)
 			}
-			key = rel.appendKeyEnc(key[:0], t)
-			if j > 0 && bytes.Compare(key, prev) <= 0 {
-				return nil, fmt.Errorf("core: snapshot tuple %s%v out of key order or repeated", rs.Name, t)
+			key := rel.KeyEnc(r.Tuple)
+			if j > 0 && key <= prev {
+				return nil, fmt.Errorf("core: snapshot row %s%v out of key order or repeated", rs.Name, r.Tuple)
 			}
-			if r, ok := spread.GetBytes(e.inst.rels[rs.Name], key); !ok || !r.t.Equal(t) {
-				return nil, fmt.Errorf("core: snapshot value %s%v has no producer", rs.Name, t)
-			}
-			key, prev = prev, key
+			e.inst.put(rel, r.Tuple, key, r.By)
+			prev = key
 		}
-		held += len(rs.Tuples)
-	}
-	if held != len(snap.Producers) {
-		return nil, fmt.Errorf("core: snapshot has %d producers for the %d values its relations hold", len(snap.Producers), held)
 	}
 	return e, nil
 }

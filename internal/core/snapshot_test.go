@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"slices"
 	"testing"
 )
 
@@ -19,8 +18,8 @@ func engineStateEqual(t *testing.T, what string, a, b *Engine) {
 	if !reflect.DeepEqual(a.rejected.Sorted(), b.rejected.Sorted()) {
 		t.Errorf("%s: rejected sets differ: %v vs %v", what, a.rejected.Sorted(), b.rejected.Sorted())
 	}
-	if !reflect.DeepEqual(a.ExportSnapshot().Producers, b.ExportSnapshot().Producers) {
-		t.Errorf("%s: producers differ", what)
+	if !reflect.DeepEqual(a.ExportSnapshot().Relations, b.ExportSnapshot().Relations) {
+		t.Errorf("%s: rows or producers differ", what)
 	}
 	if a.nextSeq != b.nextSeq {
 		t.Errorf("%s: nextSeq %d vs %d", what, a.nextSeq, b.nextSeq)
@@ -72,54 +71,9 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 
 	// An unknown relation in the snapshot is rejected.
 	bad := *snap
-	bad.Relations = append(bad.Relations, RelationSnapshot{Name: "nope", Tuples: []Tuple{Strs("x")}})
+	bad.Relations = append(bad.Relations, RelationSnapshot{Name: "nope", Rows: []RowSnapshot{{Tuple: Strs("x")}}})
 	if _, err := NewEngineFromSnapshot(s, TrustAll(1), &bad); err == nil {
 		t.Error("snapshot with unknown relation accepted")
-	}
-}
-
-// snapshotOfTwo exports an engine holding two values of F.
-func snapshotOfTwo(t *testing.T) (*Schema, *EngineSnapshot) {
-	t.Helper()
-	s := proteinSchema(t)
-	e := NewEngine("q", s, TrustAll(1))
-	mustLocal(t, e, Insert("F", Strs("rat", "p1", "v"), "q"))
-	mustLocal(t, e, Insert("F", Strs("mouse", "p2", "w"), "q"))
-	snap := e.ExportSnapshot()
-	if len(snap.Producers) != 2 {
-		t.Fatalf("exported %d producers, want 2", len(snap.Producers))
-	}
-	return s, snap
-}
-
-// TestSnapshotRefusesOrphanProducer: a producer for a value the snapshot's
-// relations do not hold is refused, whether its key is free or bound to
-// another value.
-func TestSnapshotRefusesOrphanProducer(t *testing.T) {
-	s, snap := snapshotOfTwo(t)
-	for _, orphan := range []Tuple{Strs("dog", "p3", "x"), Strs("rat", "p1", "other")} {
-		bad := *snap
-		bad.Producers = append(slices.Clone(snap.Producers), ProducerSnapshot{Rel: "F", Tuple: orphan, Txn: xid("q", 0)})
-		if _, err := NewEngineFromSnapshot(s, TrustAll(1), &bad); err == nil {
-			t.Errorf("producer for the unheld value %v accepted", orphan)
-		}
-	}
-}
-
-// TestSnapshotRefusesValueWithoutProducer: a value the snapshot's relations
-// hold must have a producer, also when another producer is listed twice in
-// its place.
-func TestSnapshotRefusesValueWithoutProducer(t *testing.T) {
-	s, snap := snapshotOfTwo(t)
-	for _, prods := range [][]ProducerSnapshot{
-		snap.Producers[:1],
-		{snap.Producers[0], snap.Producers[0]},
-	} {
-		bad := *snap
-		bad.Producers = prods
-		if _, err := NewEngineFromSnapshot(s, TrustAll(1), &bad); err == nil {
-			t.Errorf("snapshot with producers %v for values %v accepted", prods, snap.Relations)
-		}
 	}
 }
 

@@ -152,9 +152,15 @@ func readIDs(r *codec.Reader) []core.TxnID {
 	}
 	out := make([]core.TxnID, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		out = append(out, core.TxnID{Origin: core.PeerID(r.Str()), Seq: r.Uvarint()})
+		out = append(out, readID(r))
 	}
 	return out
+}
+
+// readID reads one id as appendIDs writes it.
+func readID(r *codec.Reader) core.TxnID {
+	origin := core.PeerID(r.Str())
+	return core.TxnID{Origin: origin, Seq: r.Uvarint()}
 }
 
 // DecodePublishedTxns decodes a payload produced by AppendPublishedTxns.

@@ -10,15 +10,17 @@ import (
 
 // snapshotVersion tags the binary encoding of store snapshots. Same policy
 // as the publish-payload codec: hand-rolled, length-prefixed, version byte
-// first, and no migration across versions — a mismatched byte is an
-// explicit error, never a silent misparse.
-const snapshotVersion = 1
+// first, and a byte this release does not read is an explicit error, never
+// a silent misparse. Version 2 writes each held value once, with its
+// producer; DecodeSnapshot still reads version 1 (values, then producers),
+// which retained snapshots of earlier releases are in.
+const snapshotVersion = 2
 
 // AppendSnapshot encodes a store snapshot into a compact binary payload,
 // appending to dst. Layout: version byte; snapshot epoch; the per-peer
 // entries (frontier, recno, decision high-water, engine state with sorted
-// decision sets, relations, and producers); then the residue as one nested
-// publish payload (AppendPublishedTxns).
+// decision sets and relations of (tuple, producer) rows); then the residue
+// as one nested publish payload (AppendPublishedTxns).
 func AppendSnapshot(dst []byte, snap *Snapshot) []byte {
 	dst = append(dst, snapshotVersion)
 	dst = binary.AppendUvarint(dst, uint64(snap.Epoch))
@@ -36,17 +38,12 @@ func AppendSnapshot(dst []byte, snap *Snapshot) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(eng.Relations)))
 		for _, rs := range eng.Relations {
 			dst = codec.AppendStr(dst, rs.Name)
-			dst = binary.AppendUvarint(dst, uint64(len(rs.Tuples)))
-			for _, t := range rs.Tuples {
-				dst = codec.AppendStr(dst, t.Encode())
+			dst = binary.AppendUvarint(dst, uint64(len(rs.Rows)))
+			for _, row := range rs.Rows {
+				dst = codec.AppendStr(dst, row.Tuple.Encode())
+				dst = codec.AppendStr(dst, string(row.By.Origin))
+				dst = binary.AppendUvarint(dst, row.By.Seq)
 			}
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(eng.Producers)))
-		for _, p := range eng.Producers {
-			dst = codec.AppendStr(dst, p.Rel)
-			dst = codec.AppendStr(dst, p.Tuple.Encode())
-			dst = codec.AppendStr(dst, string(p.Txn.Origin))
-			dst = binary.AppendUvarint(dst, p.Txn.Seq)
 		}
 	}
 	residue := AppendPublishedTxns(nil, snap.Residue)
@@ -54,11 +51,13 @@ func AppendSnapshot(dst []byte, snap *Snapshot) []byte {
 	return append(dst, residue...)
 }
 
-// DecodeSnapshot decodes a payload produced by AppendSnapshot.
+// DecodeSnapshot decodes a payload produced by AppendSnapshot, of this
+// version or of version 1.
 func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 	r := codec.NewReader(payload)
-	if v := r.Byte(); r.Err() == nil && v != snapshotVersion {
-		return nil, fmt.Errorf("store: snapshot version %d, want %d (no migration path across snapshot codec versions)", v, snapshotVersion)
+	v := r.Byte()
+	if r.Err() == nil && v != snapshotVersion && v != 1 {
+		return nil, fmt.Errorf("store: snapshot version %d, want %d (or 1, which is read but not written)", v, snapshotVersion)
 	}
 	snap := &Snapshot{Epoch: core.Epoch(r.Uvarint())}
 	np := r.Count()
@@ -74,27 +73,13 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 		eng.NextSeq = r.Uvarint()
 		eng.Applied = readIDs(&r)
 		eng.Rejected = readIDs(&r)
-		if nr := r.Count(); nr > 0 {
-			eng.Relations = make([]core.RelationSnapshot, 0, nr)
-			for j := 0; j < nr && r.Err() == nil; j++ {
-				rs := core.RelationSnapshot{Name: r.Str()}
-				if nt := r.Count(); nt > 0 {
-					rs.Tuples = make([]core.Tuple, 0, nt)
-					for k := 0; k < nt && r.Err() == nil; k++ {
-						rs.Tuples = append(rs.Tuples, readTuple(&r))
-					}
-				}
-				eng.Relations = append(eng.Relations, rs)
-			}
-		}
-		if npr := r.Count(); npr > 0 {
-			eng.Producers = make([]core.ProducerSnapshot, 0, npr)
-			for j := 0; j < npr && r.Err() == nil; j++ {
-				p := core.ProducerSnapshot{Rel: r.Str(), Tuple: readTuple(&r)}
-				p.Txn.Origin = core.PeerID(r.Str())
-				p.Txn.Seq = r.Uvarint()
-				eng.Producers = append(eng.Producers, p)
-			}
+		if v == 1 {
+			eng.Relations = readRelationsV1(&r)
+		} else {
+			eng.Relations = readRelations(&r, func() core.RowSnapshot {
+				t := readTuple(&r)
+				return core.RowSnapshot{Tuple: t, By: readID(&r)}
+			})
 		}
 		snap.Peers = append(snap.Peers, ps)
 	}
@@ -110,4 +95,59 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 	}
 	snap.Residue = residue
 	return snap, nil
+}
+
+// readRelations reads the relations of one engine state, each row as
+// readRow reads it.
+func readRelations(r *codec.Reader, readRow func() core.RowSnapshot) []core.RelationSnapshot {
+	nr := r.Count()
+	if nr == 0 {
+		return nil
+	}
+	rels := make([]core.RelationSnapshot, 0, nr)
+	for j := 0; j < nr && r.Err() == nil; j++ {
+		rs := core.RelationSnapshot{Name: r.Str()}
+		if n := r.Count(); n > 0 {
+			rs.Rows = make([]core.RowSnapshot, 0, n)
+			for k := 0; k < n && r.Err() == nil; k++ {
+				rs.Rows = append(rs.Rows, readRow())
+			}
+		}
+		rels = append(rels, rs)
+	}
+	return rels
+}
+
+// readRelationsV1 reads a version-1 engine state's relations and producers.
+// Version 1 lists every held value twice: in its relation, then with its
+// relation's name and producer. The reader pairs the two by tuple encoding
+// and fails r unless they match one to one.
+func readRelationsV1(r *codec.Reader) []core.RelationSnapshot {
+	rels := readRelations(r, func() core.RowSnapshot { return core.RowSnapshot{Tuple: readTuple(r)} })
+	type value struct{ rel, enc string }
+	unpaired := map[value]*core.RowSnapshot{}
+	for i := range rels {
+		for j := range rels[i].Rows {
+			row := &rels[i].Rows[j]
+			v := value{rels[i].Name, row.Tuple.Encode()}
+			if unpaired[v] != nil {
+				r.Fail(fmt.Errorf("store: snapshot value %s%v listed twice", v.rel, row.Tuple))
+			}
+			unpaired[v] = row
+		}
+	}
+	for j, n := 0, r.Count(); j < n && r.Err() == nil; j++ {
+		v := value{rel: r.Str(), enc: r.Str()}
+		by := readID(r)
+		if row := unpaired[v]; row != nil {
+			row.By = by
+			delete(unpaired, v)
+		} else {
+			r.Fail(fmt.Errorf("store: snapshot producer %s names a value of %s that is not held or has a producer already", by, v.rel))
+		}
+	}
+	if len(unpaired) > 0 {
+		r.Fail(fmt.Errorf("store: snapshot holds %d values with no producer", len(unpaired)))
+	}
+	return rels
 }

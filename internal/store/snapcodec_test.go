@@ -1,15 +1,18 @@
 package store
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"reflect"
+	"slices"
 	"testing"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/core"
 )
 
 // testSnapshot builds a representative store snapshot: two peers with
-// populated engine states (decision sets, instance tuples, producers) and a
+// populated engine states (decision sets, instance rows with producers) and a
 // residue carrying a multi-update transaction with antecedents.
 func testSnapshot() *Snapshot {
 	return &Snapshot{
@@ -25,13 +28,10 @@ func testSnapshot() *Snapshot {
 					Applied:  []core.TxnID{{Origin: "pa", Seq: 0}, {Origin: "pb", Seq: 2}},
 					Rejected: []core.TxnID{{Origin: "pz", Seq: 1}},
 					Relations: []core.RelationSnapshot{
-						{Name: "F", Tuples: []core.Tuple{
-							core.Strs("mouse", "prot2", "immune"),
-							core.Strs("rat", "prot1", "cell-metab"),
+						{Name: "F", Rows: []core.RowSnapshot{
+							{Tuple: core.Strs("mouse", "prot2", "immune"), By: core.TxnID{Origin: "pb", Seq: 2}},
+							{Tuple: core.Strs("rat", "prot1", "cell-metab"), By: core.TxnID{Origin: "pa", Seq: 0}},
 						}},
-					},
-					Producers: []core.ProducerSnapshot{
-						{Rel: "F", Tuple: core.Strs("rat", "prot1", "cell-metab"), Txn: core.TxnID{Origin: "pa", Seq: 0}},
 					},
 				},
 			},
@@ -71,20 +71,15 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		if len(have.Engine.Relations) != len(want.Engine.Relations) {
 			t.Fatalf("peer %d relations: %d vs %d", i, len(have.Engine.Relations), len(want.Engine.Relations))
 		}
-		for j := range want.Engine.Relations {
-			if have.Engine.Relations[j].Name != want.Engine.Relations[j].Name {
-				t.Errorf("relation name mismatch")
+		for j, wr := range want.Engine.Relations {
+			hr := have.Engine.Relations[j]
+			if hr.Name != wr.Name || len(hr.Rows) != len(wr.Rows) {
+				t.Fatalf("relation %s with %d rows decoded as %s with %d", wr.Name, len(wr.Rows), hr.Name, len(hr.Rows))
 			}
-			for k := range want.Engine.Relations[j].Tuples {
-				if !have.Engine.Relations[j].Tuples[k].Equal(want.Engine.Relations[j].Tuples[k]) {
-					t.Errorf("tuple mismatch at %d/%d", j, k)
+			for k, row := range wr.Rows {
+				if !hr.Rows[k].Tuple.Equal(row.Tuple) || hr.Rows[k].By != row.By {
+					t.Errorf("row %d/%d: %v, want %v", j, k, hr.Rows[k], row)
 				}
-			}
-		}
-		for j := range want.Engine.Producers {
-			if have.Engine.Producers[j].Txn != want.Engine.Producers[j].Txn ||
-				!have.Engine.Producers[j].Tuple.Equal(want.Engine.Producers[j].Tuple) {
-				t.Errorf("producer mismatch at %d", j)
 			}
 		}
 	}
@@ -128,17 +123,22 @@ func TestSnapshotCodecErrors(t *testing.T) {
 	}
 }
 
-// goldenEngineSnapshot builds a store snapshot whose engine states come
-// from real engines rather than literals: three relations, a foreign key, a
-// key-moving modify, a rejected transaction, transactions imported through
-// a reconciliation and local transactions on top of them.
-func goldenEngineSnapshot(t *testing.T) *Snapshot {
-	t.Helper()
+// goldenSchema is the schema of goldenEngineSnapshot's engines.
+func goldenSchema() *core.Schema {
 	fn := core.NewRelation("Function", 2, "organism", "protein", "function")
 	xref := core.NewRelation("XRef", 3, "organism", "protein", "db")
 	xref.ForeignKeys = []core.ForeignKey{{Attrs: []int{0, 1}, RefRel: "Function"}}
 	note := core.NewRelation("Note", 1, "id", "text")
-	s := core.MustSchema(fn, xref, note)
+	return core.MustSchema(fn, xref, note)
+}
+
+// goldenEngineSnapshot builds a store snapshot whose engine states come
+// from real engines rather than literals: three relations, a foreign key, a
+// key-moving modify, a rejected transaction, transactions imported through
+// a reconciliation and local transactions on top of them.
+func goldenEngineSnapshot(t testing.TB) *Snapshot {
+	t.Helper()
+	s := goldenSchema()
 	g := core.NewAntecedentGraph(s)
 	local := func(e *core.Engine, us ...core.Update) *core.Transaction {
 		t.Helper()
@@ -197,13 +197,177 @@ func goldenEngineSnapshot(t *testing.T) *Snapshot {
 	}
 }
 
+// goldenV1 is goldenEngineSnapshot in the version-1 layout, as releases
+// before version 2 wrote it: every held value in its relation, then again
+// with its relation's name and producer.
+const goldenV1 = "0104020400020270610202027061000270610100030846756e6374696f6e011101037261740102703101066c6967617365044e6f7465010b01026e320105647261667404585265660112010372617401027031010767656e62616e6b030846756e6374696f6e1101037261740102703101066c696761736502706101044e6f74650b01026e320105647261667402706101045852656612010372617401027031010767656e62616e6b027061000402050270620204027061000270610102706200027062010102706300030846756e6374696f6e021101037261740102703101066c69676173651301056d6f757365010270330106696d6d756e65044e6f7465010b01026e32010566696e616c04585265660212010372617401027031010767656e62616e6b120103726174010270310107756e6970726f74050846756e6374696f6e1101037261740102703101066c6967617365027061010846756e6374696f6e1301056d6f757365010270330106696d6d756e6502706201044e6f74650b01026e32010566696e616c02706201045852656612010372617401027031010767656e62616e6b027061000458526566120103726174010270310107756e6970726f7402706200020100"
+
 // TestEngineSnapshotGolden pins the bytes of exported engine states through
 // the snapshot codec: the instance, the decided sets and the provenance an
 // engine exports must not move a byte whatever the engine keeps them in,
 // since retained snapshots are decoded by later releases.
 func TestEngineSnapshotGolden(t *testing.T) {
-	const want = "0104020400020270610202027061000270610100030846756e6374696f6e011101037261740102703101066c6967617365044e6f7465010b01026e320105647261667404585265660112010372617401027031010767656e62616e6b030846756e6374696f6e1101037261740102703101066c696761736502706101044e6f74650b01026e320105647261667402706101045852656612010372617401027031010767656e62616e6b027061000402050270620204027061000270610102706200027062010102706300030846756e6374696f6e021101037261740102703101066c69676173651301056d6f757365010270330106696d6d756e65044e6f7465010b01026e32010566696e616c04585265660212010372617401027031010767656e62616e6b120103726174010270310107756e6970726f74050846756e6374696f6e1101037261740102703101066c6967617365027061010846756e6374696f6e1301056d6f757365010270330106696d6d756e6502706201044e6f74650b01026e32010566696e616c02706201045852656612010372617401027031010767656e62616e6b027061000458526566120103726174010270310107756e6970726f7402706200020100"
+	const want = "0204020400020270610202027061000270610100030846756e6374696f6e011101037261740102703101066c696761736502706101044e6f7465010b01026e32010564726166740270610104585265660112010372617401027031010767656e62616e6b027061000402050270620204027061000270610102706200027062010102706300030846756e6374696f6e021101037261740102703101066c6967617365027061011301056d6f757365010270330106696d6d756e6502706201044e6f7465010b01026e32010566696e616c0270620104585265660212010372617401027031010767656e62616e6b02706100120103726174010270310107756e6970726f7402706200020100"
 	if got := hex.EncodeToString(AppendSnapshot(nil, goldenEngineSnapshot(t))); got != want {
 		t.Errorf("engine snapshot bytes moved:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestEngineSnapshotGoldenV1: a retained version-1 snapshot still decodes,
+// into engines that export exactly what the engines it was taken from do.
+func TestEngineSnapshotGoldenV1(t *testing.T) {
+	golden := goldenEngineSnapshot(t)
+	snap, err := DecodeSnapshot(mustHex(t, goldenV1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Peers) != len(golden.Peers) {
+		t.Fatalf("decoded %d peers, want %d", len(snap.Peers), len(golden.Peers))
+	}
+	for i := range snap.Peers {
+		e, err := core.NewEngineFromSnapshot(goldenSchema(), core.TrustAll(1), &snap.Peers[i].Engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := e.ExportSnapshot(), &golden.Peers[i].Engine; !reflect.DeepEqual(got, want) {
+			t.Errorf("peer %d exports %+v, want %+v", i, got, want)
+		}
+	}
+}
+
+func mustHex(t testing.TB, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// v1Producer is one entry of a version-1 engine state's producer list.
+type v1Producer struct {
+	rel string
+	t   core.Tuple
+	by  core.TxnID
+}
+
+// appendSnapshotV1 encodes a snapshot of one peer in the version-1 layout:
+// the engine's values in its relations, then prods as its producer list.
+func appendSnapshotV1(eng *core.EngineSnapshot, prods []v1Producer) []byte {
+	dst := []byte{1, 0, 1, 0, 0, 0}
+	dst = codec.AppendStr(dst, string(eng.Peer))
+	dst = binary.AppendUvarint(dst, eng.NextSeq)
+	dst = appendIDs(dst, eng.Applied)
+	dst = appendIDs(dst, eng.Rejected)
+	dst = binary.AppendUvarint(dst, uint64(len(eng.Relations)))
+	for _, rs := range eng.Relations {
+		dst = codec.AppendStr(dst, rs.Name)
+		dst = binary.AppendUvarint(dst, uint64(len(rs.Rows)))
+		for _, row := range rs.Rows {
+			dst = codec.AppendStr(dst, row.Tuple.Encode())
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(prods)))
+	for _, p := range prods {
+		dst = codec.AppendStr(dst, p.rel)
+		dst = codec.AppendStr(dst, p.t.Encode())
+		dst = codec.AppendStr(dst, string(p.by.Origin))
+		dst = binary.AppendUvarint(dst, p.by.Seq)
+	}
+	residue := AppendPublishedTxns(nil, nil)
+	dst = binary.AppendUvarint(dst, uint64(len(residue)))
+	return append(dst, residue...)
+}
+
+// snapshotOfTwo returns the schema and exported state of an engine holding
+// two values of F, and the state's producers as version 1 lists them.
+func snapshotOfTwo(t *testing.T) (*core.Schema, *core.EngineSnapshot, []v1Producer) {
+	t.Helper()
+	s := core.MustSchema(core.NewRelation("F", 2, "organism", "protein", "function"))
+	e := core.NewEngine("q", s, core.TrustAll(1))
+	for _, u := range []core.Update{
+		core.Insert("F", core.Strs("rat", "p1", "v"), "q"),
+		core.Insert("F", core.Strs("mouse", "p2", "w"), "q"),
+	} {
+		if _, _, err := e.NewLocalTransaction(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := e.ExportSnapshot()
+	var prods []v1Producer
+	for _, row := range snap.Relations[0].Rows {
+		prods = append(prods, v1Producer{rel: "F", t: row.Tuple, by: row.By})
+	}
+	if len(prods) != 2 {
+		t.Fatalf("exported %d rows, want 2", len(prods))
+	}
+	return s, snap, prods
+}
+
+// TestSnapshotV1PairsProducers: a version-1 payload whose producers match
+// its values one to one decodes into the rows the engine exported.
+func TestSnapshotV1PairsProducers(t *testing.T) {
+	_, snap, prods := snapshotOfTwo(t)
+	// Version 1 lists producers by tuple encoding, not by key.
+	prods[0], prods[1] = prods[1], prods[0]
+	got, err := DecodeSnapshot(appendSnapshotV1(snap, prods))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rels := got.Peers[0].Engine.Relations; !reflect.DeepEqual(rels, snap.Relations) {
+		t.Errorf("decoded %+v, want %+v", rels, snap.Relations)
+	}
+}
+
+// TestSnapshotRefusesOrphanProducer: a version-1 producer for a value the
+// relations do not hold is refused, whether its key is free or bound to
+// another value.
+func TestSnapshotRefusesOrphanProducer(t *testing.T) {
+	_, snap, prods := snapshotOfTwo(t)
+	for _, orphan := range []core.Tuple{core.Strs("dog", "p3", "x"), core.Strs("rat", "p1", "other")} {
+		bad := append(slices.Clone(prods), v1Producer{rel: "F", t: orphan, by: core.TxnID{Origin: "q"}})
+		if _, err := DecodeSnapshot(appendSnapshotV1(snap, bad)); err == nil {
+			t.Errorf("producer for the unheld value %v accepted", orphan)
+		}
+	}
+}
+
+// TestSnapshotRefusesValueWithoutProducer: a value a version-1 payload's
+// relations hold must have a producer, also when another producer is listed
+// twice in its place.
+func TestSnapshotRefusesValueWithoutProducer(t *testing.T) {
+	_, snap, prods := snapshotOfTwo(t)
+	for _, bad := range [][]v1Producer{prods[:1], {prods[0], prods[0]}} {
+		if _, err := DecodeSnapshot(appendSnapshotV1(snap, bad)); err == nil {
+			t.Errorf("producers %v for values %v accepted", bad, snap.Relations)
+		}
+	}
+}
+
+// TestSnapshotV2Refusals: version 2 cannot say that a value has no
+// producer, or two; the codec reads whatever rows it holds, and the engine
+// refuses rows out of key order, a repeated key and an unknown relation.
+func TestSnapshotV2Refusals(t *testing.T) {
+	s, snap, _ := snapshotOfTwo(t)
+	rows := snap.Relations[0].Rows
+	for name, rels := range map[string][]core.RelationSnapshot{
+		"rows out of key order": {{Name: "F", Rows: []core.RowSnapshot{rows[1], rows[0]}}},
+		"repeated key": {{Name: "F", Rows: []core.RowSnapshot{
+			rows[0], {Tuple: core.Strs("rat", "p1", "other"), By: rows[1].By}, rows[1],
+		}}},
+		"unknown relation": {{Name: "F", Rows: rows}, {Name: "G", Rows: rows[:1]}},
+	} {
+		bad := *snap
+		bad.Relations = rels
+		got, err := DecodeSnapshot(AppendSnapshot(nil, &Snapshot{Peers: []PeerSnapshot{{Engine: bad}}}))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := core.NewEngineFromSnapshot(s, core.TrustAll(1), &got.Peers[0].Engine); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := core.NewEngineFromSnapshot(s, core.TrustAll(1), snap); err != nil {
+		t.Errorf("the snapshot itself: %v", err)
 	}
 }
