@@ -219,9 +219,6 @@ func (s *DecidedSet) Has(id TxnID) bool { return s.t.get(id, false) != 0 }
 // Add inserts an id.
 func (s *DecidedSet) Add(id TxnID) { s.t.set(id, 1, false) }
 
-// Remove deletes an id.
-func (s *DecidedSet) Remove(id TxnID) { s.t.set(id, 0, false) }
-
 // Len returns the number of ids held.
 func (s *DecidedSet) Len() int { return s.t.n }
 

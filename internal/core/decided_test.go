@@ -95,10 +95,10 @@ var decidedSeqs = [16]uint64{
 // and eleven others.
 var decidedOrigins = []PeerID{"", "p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8", "p9", "p10"}
 
-// FuzzDecidedTable interprets its input as Add/Remove on a DecidedSet and
+// FuzzDecidedTable interprets its input as Add on a DecidedSet and
 // Set/Delete/Get on a DecisionTable, each against a plain-map model, and
-// compares table and model after every op: the op's id, Len, Sorted and
-// the Map export. Each op is a kind byte, an origin byte and a seq (one
+// compares table and model after every op (kind 1 is no op, so the corpus
+// keeps its meaning): the op's id, Len, Sorted and the Map export. Each op is a kind byte, an origin byte and a seq (one
 // byte: decidedSeqs below 16, the value itself below 128, else eight more
 // bytes); Set adds a decision byte and a dseq read the same way. At the
 // end, a Clone must not see later writes to the original.
@@ -151,9 +151,6 @@ func checkDecidedOps(t *testing.T, in []byte) {
 		case 0:
 			set.Add(id)
 			setModel[id] = true
-		case 1:
-			set.Remove(id)
-			delete(setModel, id)
 		case 2:
 			d, ok := next()
 			if !ok {

@@ -211,6 +211,4 @@ var (
 	// StateRatio computes the paper's sharing-quality metric over
 	// instances: the average number of distinct per-key states.
 	StateRatio = metrics.StateRatio
-	// CanWatch reports whether a store is a Watcher.
-	CanWatch = store.CanWatch
 )
