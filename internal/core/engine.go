@@ -310,7 +310,7 @@ func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCan
 	}
 
 	// The peer's own delta for this recno, used by CheckState line 7.
-	ownDelta, err := rs.flattenList(e.schema, e.ownSince)
+	ownDelta, err := rs.flattenList(e.schema, nil, e.ownSince)
 	if err != nil {
 		// A peer's own applied transactions always flatten; failure here
 		// indicates a bug upstream.
@@ -329,7 +329,7 @@ func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCan
 	start := time.Now()
 	for _, st := range order {
 		ext := e.filterApplied(st.cand.Ext, st.cand.Txn)
-		st.upEx.init(e.schema, rs, st.cand.Txn.ID, ext, st.cand.Priority)
+		st.upEx.init(e.schema, e.inst, rs, st.cand.Txn.ID, ext, st.cand.Priority)
 		st.decision = e.checkState(&st.upEx, ownIdx, st.carried)
 		res.Stats.ExtensionTxns += len(st.upEx.Source)
 		res.Stats.FlattenedOps += len(st.upEx.Operation)
@@ -486,19 +486,22 @@ func (e *Engine) filterApplied(ext []*Transaction, root *Transaction) []*Transac
 
 // applicable returns what applying an accepted candidate applies: its
 // extension without the transactions applied by now, and that list's
-// flattened operation. A list that lost nothing since CheckState is the
-// update extension's source, whose operation is reused; a one-transaction
-// source is always such a list, since it holds only the root, which stays.
+// operation flattened on the instance as it is now. A list that lost
+// nothing since CheckState is the update extension's source (a
+// one-transaction source always is, since it holds only the root, which
+// stays), and its operation is reused unless flattening it read the
+// instance then or would now: an accepted candidate applied before it may
+// have inserted or removed a value it inserts.
 func (e *Engine) applicable(st *candidateState) ([]*Transaction, []Update, error) {
 	upEx := &st.upEx
-	if upEx.Malformed() == nil && len(upEx.Source) == 1 {
-		return upEx.Source, upEx.Operation, nil
+	ext := upEx.Source
+	if len(ext) > 1 {
+		ext = e.filterApplied(st.cand.Ext, st.cand.Txn)
 	}
-	ext := e.filterApplied(st.cand.Ext, st.cand.Txn)
-	if upEx.Malformed() == nil && slices.Equal(ext, upEx.Source) {
+	if upEx.Malformed() == nil && slices.Equal(ext, upEx.Source) && upEx.base == nil && !readsBase(e.inst, ext) {
 		return ext, upEx.Operation, nil
 	}
-	flat, err := upEx.run.flattenList(e.schema, ext)
+	flat, err := upEx.run.flattenList(e.schema, e.inst, ext)
 	return ext, flat, err
 }
 

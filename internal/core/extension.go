@@ -24,6 +24,9 @@ type UpdateExtension struct {
 	// malformed is set when the footprint could not be flattened; such an
 	// extension is rejected by CheckState.
 	malformed error
+	// base is the instance Operation was flattened on, when that read it
+	// (see readsBase); nil otherwise.
+	base *Instance
 	// touched memoizes TouchedKeys; it is invalidated when Operation is
 	// replaced (updateSoftState builds trimmed copies rather than mutating).
 	touched []tupleKey
@@ -46,13 +49,14 @@ type UpdateExtension struct {
 // algorithm rejects malformed extensions.
 func NewUpdateExtension(s *Schema, root TxnID, list []*Transaction, priority int) *UpdateExtension {
 	ue := new(UpdateExtension)
-	ue.init(s, newRunScratch(), root, list, priority)
+	ue.init(s, nil, newRunScratch(), root, list, priority)
 	return ue
 }
 
 // init sets ue to the update extension of root over the list, as
-// NewUpdateExtension computes it, with its scratch taken from run.
-func (ue *UpdateExtension) init(s *Schema, run *runScratch, root TxnID, list []*Transaction, priority int) {
+// NewUpdateExtension computes it, flattened on base (see flattenOn; nil:
+// Flatten), with its scratch taken from run.
+func (ue *UpdateExtension) init(s *Schema, base *Instance, run *runScratch, root TxnID, list []*Transaction, priority int) {
 	*ue = UpdateExtension{Root: root, Source: list, Priority: priority, run: run}
 	if len(list) == 1 {
 		ue.oneID[0] = list[0].ID
@@ -69,7 +73,10 @@ func (ue *UpdateExtension) init(s *Schema, run *runScratch, root TxnID, list []*
 		ue.Operation = op
 		return
 	}
-	ue.Operation, ue.malformed = run.flattenList(s, list)
+	if readsBase(base, list) {
+		ue.base = base
+	}
+	ue.Operation, ue.malformed = run.flattenList(s, ue.base, list)
 }
 
 // oneUpdateOperation returns, without flattening, the flattened operation

@@ -419,7 +419,7 @@ func TestUpdateExtensionsShareRunScratch(t *testing.T) {
 					}
 				}
 			}
-			exts[k].init(s, rs, TxnID{Origin: "root"}, list, 1)
+			exts[k].init(s, nil, rs, TxnID{Origin: "root"}, list, 1)
 		}
 		check := func(ue *UpdateExtension) {
 			t.Helper()

@@ -31,7 +31,7 @@ type flattenChain struct {
 // large transient allocation of the pipeline.
 type flattenScratch struct {
 	live  map[tupleKey]*flattenChain
-	dead  map[tupleKey]*flattenChain
+	left  map[tupleKey]*flattenChain
 	all   []*flattenChain
 	arena []flattenChain
 }
@@ -40,7 +40,7 @@ var flattenPool = sync.Pool{
 	New: func() any {
 		return &flattenScratch{
 			live: make(map[tupleKey]*flattenChain),
-			dead: make(map[tupleKey]*flattenChain),
+			left: make(map[tupleKey]*flattenChain),
 		}
 	},
 }
@@ -54,9 +54,37 @@ func (fs *flattenScratch) newChain(c flattenChain) *flattenChain {
 	return p
 }
 
-// forget deletes from live and dead the keys the chains wrote, and reports
+// vacate records that c no longer holds its source's key, if it has a
+// source: it was deleted or moved to another key.
+func (fs *flattenScratch) vacate(c *flattenChain) {
+	if c.source != nil {
+		fs.left[tupleKey{rel: c.rel.Name, enc: c.sourceKeyEnc}] = c
+	}
+}
+
+// claim returns the chain a value arriving at key kk continues, or nil if
+// it starts one: the chain whose source held kk and has left it, so each
+// key's source stays with one chain and the flattened updates apply in any
+// order. A deleted chain revives (−t then +t′ with the same key is
+// source→t′); a chain that moved to another key keeps its value as an
+// insert, and its source goes to a new chain that kk's value continues.
+func (fs *flattenScratch) claim(kk tupleKey) *flattenChain {
+	c, ok := fs.left[kk]
+	if !ok {
+		return nil
+	}
+	delete(fs.left, kk)
+	if c.cur == nil {
+		return c
+	}
+	home := fs.newChain(flattenChain{rel: c.rel, source: c.source, sourceEnc: c.sourceEnc, sourceKeyEnc: c.sourceKeyEnc})
+	c.source, c.sourceEnc, c.sourceKeyEnc = nil, "", ""
+	return home
+}
+
+// forget deletes from live and left the keys the chains wrote, and reports
 // whether that emptied both. A chain is keyed in live by its current value
-// while it has one, and in dead by its source key once deleted, so deleting
+// while it has one, and in left by its source key once it leaves it, so deleting
 // those keys costs O(chains) where clear costs O(capacity): a map grown once
 // by a large Flatten is not swept on every later small one.
 func (fs *flattenScratch) forget() bool {
@@ -65,10 +93,10 @@ func (fs *flattenScratch) forget() bool {
 			delete(fs.live, tupleKey{rel: c.rel.Name, enc: c.curEnc})
 		}
 		if c.source != nil {
-			delete(fs.dead, tupleKey{rel: c.rel.Name, enc: c.sourceKeyEnc})
+			delete(fs.left, tupleKey{rel: c.rel.Name, enc: c.sourceKeyEnc})
 		}
 	}
-	return len(fs.live) == 0 && len(fs.dead) == 0
+	return len(fs.live) == 0 && len(fs.left) == 0
 }
 
 // reset empties the scratch for its next call. The arena is zeroed, not
@@ -77,7 +105,7 @@ func (fs *flattenScratch) forget() bool {
 func (fs *flattenScratch) reset() {
 	if !fs.forget() {
 		clear(fs.live)
-		clear(fs.dead)
+		clear(fs.left)
 	}
 	clear(fs.all)
 	fs.all = fs.all[:0]
@@ -98,9 +126,15 @@ func (fs *flattenScratch) release() {
 // Value chains are composed: an insert followed by modifications of the
 // inserted value collapses to a single insert of the final value; a
 // modification chain a→b→c collapses to a→c; an insert followed by a delete
-// of the same chain vanishes; a delete of an existing value followed by an
-// insert with the same key collapses to a modification; a chain that returns
-// to its source value has no net effect.
+// of the same chain vanishes; a value arriving at the key of an existing
+// value that was deleted or moved away (by an insert, or a modify that
+// changes its key) continues that value's chain, so a delete followed by an
+// insert with the same key collapses to a modification; a chain that
+// returns to its source value has no net effect.
+//
+// Flatten knows nothing of the instance the sequence applies to, so it
+// takes an insert of a value no chain holds for the creation of that value;
+// flattenOn reads the instance instead.
 //
 // The schema is needed to compute key projections. The output is sorted
 // deterministically (by relation, then tuple encoding) and carries populated
@@ -108,17 +142,44 @@ func (fs *flattenScratch) release() {
 // e.g. a modification would move a chain onto a value already held live by
 // another chain. It is safe for concurrent use.
 func Flatten(s *Schema, updates []Update) ([]Update, error) {
-	fs := flattenPool.Get().(*flattenScratch)
-	defer fs.release()
-	return fs.flatten(s, updates)
+	return flattenOn(s, nil, updates)
 }
 
-// flatten is Flatten on the given scratch, which it leaves for release.
-func (fs *flattenScratch) flatten(s *Schema, updates []Update) ([]Update, error) {
-	// live chains indexed by the encoding of their current value; dead
-	// chains indexed by the key of their source value so a later insert
-	// with the same key revives them as a modification.
-	live, deadByKey := fs.live, fs.dead
+// flattenOn is Flatten of a sequence that applies to base (nil: Flatten).
+// An insert of a value base holds, which no chain has touched yet, changes
+// nothing: it opens a chain whose source is that value, so a later delete
+// or modify of the value deletes or modifies it in base.
+func flattenOn(s *Schema, base *Instance, updates []Update) ([]Update, error) {
+	fs := flattenPool.Get().(*flattenScratch)
+	defer fs.release()
+	return fs.flatten(s, base, updates)
+}
+
+// readsBase reports whether flattenOn(…, base, …) of the list's footprint
+// reads base: the list has two updates or more, and one inserts a value
+// base holds. Where it does not, flattenOn is Flatten.
+func readsBase(base *Instance, list []*Transaction) bool {
+	if base == nil || len(list) == 1 && len(list[0].Updates) < 2 {
+		return false
+	}
+	for _, x := range list {
+		for i := range x.Updates {
+			u := &x.Updates[i]
+			if rel, ok := base.schema.Relation(u.Rel); ok && u.Op == OpInsert {
+				if cur, held := base.lookupEnc(u.Rel, u.keyEncTuple(rel)); held && cur.Equal(u.Tuple) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// flatten is flattenOn on the given scratch, which it leaves for release.
+func (fs *flattenScratch) flatten(s *Schema, base *Instance, updates []Update) ([]Update, error) {
+	// live chains indexed by the encoding of their current value (chains
+	// that left their source's key are in fs.left, see claim).
+	live := fs.live
 
 	for i, u := range updates {
 		rel, ok := s.Relation(u.Rel)
@@ -132,16 +193,17 @@ func (fs *flattenScratch) flatten(s *Schema, updates []Update) ([]Update, error)
 				continue // duplicate insert of the same value: idempotent
 			}
 			kk := tupleKey{rel: u.Rel, enc: u.keyEncTuple(rel)}
-			if dc, ok := deadByKey[kk]; ok {
-				// −t then +t′ with the same key: revive as source→t′.
-				delete(deadByKey, kk)
-				dc.cur = u.Tuple
-				dc.curEnc = vk.enc
-				dc.origin = u.Origin
-				live[vk] = dc
-				continue
+			c := fs.claim(kk)
+			if c == nil {
+				c = fs.newChain(flattenChain{rel: rel})
+				if base != nil {
+					if cur, held := base.lookupEnc(u.Rel, kk.enc); held && cur.Equal(u.Tuple) {
+						c.source, c.sourceEnc, c.sourceKeyEnc = u.Tuple, vk.enc, kk.enc
+					}
+				}
 			}
-			live[vk] = fs.newChain(flattenChain{rel: rel, cur: u.Tuple, curEnc: vk.enc, origin: u.Origin})
+			c.cur, c.curEnc, c.origin = u.Tuple, vk.enc, u.Origin
+			live[vk] = c
 		case OpModify:
 			srcK := tupleKey{rel: u.Rel, enc: u.tupleEnc()}
 			dstK := tupleKey{rel: u.Rel, enc: u.newEnc()}
@@ -151,37 +213,36 @@ func (fs *flattenScratch) flatten(s *Schema, updates []Update) ([]Update, error)
 			if _, exists := live[dstK]; exists {
 				return nil, fmt.Errorf("core: flatten: update %d (%s) collides with a live value", i, u)
 			}
-			if c, ok := live[srcK]; ok {
+			c, ok := live[srcK]
+			if ok {
 				delete(live, srcK)
-				c.cur = u.New
-				c.curEnc = dstK.enc
-				c.origin = u.Origin
-				live[dstK] = c
-				continue
+			} else {
+				c = fs.newChain(flattenChain{rel: rel, source: u.Tuple, sourceEnc: srcK.enc, sourceKeyEnc: u.keyEncTuple(rel)})
 			}
-			live[dstK] = fs.newChain(flattenChain{
-				rel: rel, source: u.Tuple, cur: u.New, origin: u.Origin,
-				sourceEnc: srcK.enc, sourceKeyEnc: u.keyEncTuple(rel), curEnc: dstK.enc,
-			})
+			if u.New != nil && u.keyEncNew(rel) != u.keyEncTuple(rel) {
+				// The value leaves its key for another: as a delete
+				// there and an insert here.
+				fs.vacate(c)
+				if a := fs.claim(tupleKey{rel: u.Rel, enc: u.keyEncNew(rel)}); a != nil {
+					c.cur, c.curEnc, c.origin = nil, "", u.Origin
+					c = a
+				}
+			}
+			c.cur, c.curEnc, c.origin = u.New, dstK.enc, u.Origin
+			live[dstK] = c
 		case OpDelete:
 			vk := tupleKey{rel: u.Rel, enc: u.tupleEnc()}
 			if c, ok := live[vk]; ok {
 				delete(live, vk)
-				c.cur = nil
-				c.curEnc = ""
-				c.origin = u.Origin
-				if c.source == nil {
-					continue // insert followed by delete: the chain vanishes
-				}
-				kk := tupleKey{rel: u.Rel, enc: c.sourceKeyEnc}
-				deadByKey[kk] = c
+				c.cur, c.curEnc, c.origin = nil, "", u.Origin
+				fs.vacate(c) // a chain with no source vanishes
 				continue
 			}
 			kk := tupleKey{rel: u.Rel, enc: u.keyEncTuple(rel)}
-			if _, dup := deadByKey[kk]; dup {
+			if _, dup := fs.left[kk]; dup {
 				continue // repeated delete with the same source key: idempotent
 			}
-			deadByKey[kk] = fs.newChain(flattenChain{
+			fs.left[kk] = fs.newChain(flattenChain{
 				rel: rel, source: u.Tuple, origin: u.Origin,
 				sourceEnc: vk.enc, sourceKeyEnc: kk.enc,
 			})

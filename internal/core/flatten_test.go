@@ -351,11 +351,11 @@ func TestFlattenScratchForgetsItsKeys(t *testing.T) {
 		}
 		seqs = append(seqs, genUpdateSeq(r, s, base, 1+r.Intn(24)))
 	}
-	fs := &flattenScratch{live: make(map[tupleKey]*flattenChain), dead: make(map[tupleKey]*flattenChain)}
+	fs := &flattenScratch{live: make(map[tupleKey]*flattenChain), left: make(map[tupleKey]*flattenChain)}
 	for i, seq := range seqs {
-		fs.flatten(s, seq)
-		if !fs.forget() || len(fs.live) != 0 || len(fs.dead) != 0 {
-			t.Fatalf("sequence %d %v: %d live and %d dead keys left after forget", i, seq, len(fs.live), len(fs.dead))
+		fs.flatten(s, nil, seq)
+		if !fs.forget() || len(fs.live) != 0 || len(fs.left) != 0 {
+			t.Fatalf("sequence %d %v: %d live and %d left keys left after forget", i, seq, len(fs.live), len(fs.left))
 		}
 		fs.reset()
 	}

@@ -97,7 +97,7 @@ func (e *Engine) restoreLog(log []LoggedTxn, decisions map[TxnID]RestoredDecisio
 		return accepted[i].Order < accepted[j].Order
 	})
 
-	flat, err := Flatten(e.schema, UpdateFootprint(accepted))
+	flat, err := flattenOn(e.schema, e.inst, UpdateFootprint(accepted))
 	if err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}

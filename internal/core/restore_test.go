@@ -127,8 +127,8 @@ func TestProducerTracking(t *testing.T) {
 	wantProducer("chain back to source", q, v, xa2.ID)
 
 	// An insert of a value the instance already holds, deleted later in
-	// the same list: the pair flattens away and the value stays, produced
-	// by the list's insert.
+	// the same list: the insert changes nothing and the delete removes
+	// the value, as applying the two one at a time does.
 	log = newTestLog(t, s)
 	q = NewEngine("q", s, TrustAll(1))
 	xa0 = NewTransaction(xid("a", 0), Insert("F", v, "a"))
@@ -137,7 +137,19 @@ func TestProducerTracking(t *testing.T) {
 	xb0 := NewTransaction(xid("b", 0), Insert("F", v, "b"))
 	xb1 := NewTransaction(xid("b", 1), Delete("F", v, "b"))
 	applyExt("held insert deleted later", q, log, xb0, xb1)
-	wantProducer("held insert deleted later", q, v, xb0.ID)
+	wantTuples(t, q.Instance(), "F")
+
+	// A verbatim re-insert in a list leaves its transaction the producer,
+	// as the last transaction of the list that produces the value.
+	log = newTestLog(t, s)
+	q = NewEngine("q", s, TrustAll(1))
+	log.publish(xa0)
+	log.reconcile(q)
+	xb0 = NewTransaction(xid("b", 0), Insert("F", v, "b"), Insert("F", Strs("dog", "p2", "u"), "b"))
+	applyExt("held insert re-produced", q, log, xb0)
+	if got, ok := q.ProducerOf("F", v); !ok || got != xb0.ID {
+		t.Errorf("held insert re-produced: producer of %v = %v %v, want %v", v, got, ok, xb0.ID)
+	}
 }
 
 func TestRestoreDirect(t *testing.T) {

@@ -140,15 +140,15 @@ func (rs *runScratch) txnIDs(n int) []TxnID {
 	return rs.ids[from : from+n : from+n]
 }
 
-// flattenList returns Flatten of the list's update footprint, which it
-// builds in the run's footprint buffer: Flatten's output does not share
-// its input.
-func (rs *runScratch) flattenList(s *Schema, list []*Transaction) ([]Update, error) {
+// flattenList returns flattenOn(s, base, …) of the list's update
+// footprint, which it builds in the run's footprint buffer: the output does
+// not share its input.
+func (rs *runScratch) flattenList(s *Schema, base *Instance, list []*Transaction) ([]Update, error) {
 	fp := rs.footprint
 	for _, x := range list {
 		fp = append(fp, x.Updates...)
 	}
-	op, err := Flatten(s, fp)
+	op, err := flattenOn(s, base, fp)
 	rs.footprint = zeroed(fp)
 	return op, err
 }
