@@ -156,19 +156,35 @@ func flattenOn(s *Schema, base *Instance, updates []Update) ([]Update, error) {
 }
 
 // readsBase reports whether flattenOn(…, base, …) of the list's footprint
-// reads base: the list has two updates or more, and one inserts a value
-// base holds. Where it does not, flattenOn is Flatten.
+// can differ from Flatten: an update of the list inserts a value base holds
+// and a later one consumes it. An insert of a held value that nothing
+// consumes after it applies as a no-op either way.
 func readsBase(base *Instance, list []*Transaction) bool {
-	if base == nil || len(list) == 1 && len(list[0].Updates) < 2 {
+	if base == nil {
 		return false
 	}
-	for _, x := range list {
+	for xi, x := range list {
 		for i := range x.Updates {
 			u := &x.Updates[i]
-			if rel, ok := base.schema.Relation(u.Rel); ok && u.Op == OpInsert {
-				if cur, held := base.lookupEnc(u.Rel, u.keyEncTuple(rel)); held && cur.Equal(u.Tuple) {
-					return true
-				}
+			if u.Op != OpInsert || !consumedAfter(list[xi:], i, u) {
+				continue
+			}
+			if rel, ok := base.schema.Relation(u.Rel); ok && base.holds(u.Rel, u.keyEncTuple(rel), u.Tuple) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// consumedAfter reports whether an update after the i-th of list[0], in
+// list order, deletes or modifies the value u inserts.
+func consumedAfter(list []*Transaction, i int, u *Update) bool {
+	for xi, x := range list {
+		for j := range x.Updates {
+			w := &x.Updates[j]
+			if (xi > 0 || j > i) && w.Op != OpInsert && w.Rel == u.Rel && w.tupleEnc() == u.tupleEnc() {
+				return true
 			}
 		}
 	}
@@ -196,10 +212,8 @@ func (fs *flattenScratch) flatten(s *Schema, base *Instance, updates []Update) (
 			c := fs.claim(kk)
 			if c == nil {
 				c = fs.newChain(flattenChain{rel: rel})
-				if base != nil {
-					if cur, held := base.lookupEnc(u.Rel, kk.enc); held && cur.Equal(u.Tuple) {
-						c.source, c.sourceEnc, c.sourceKeyEnc = u.Tuple, vk.enc, kk.enc
-					}
+				if base.holds(u.Rel, kk.enc, u.Tuple) {
+					c.source, c.sourceEnc, c.sourceKeyEnc = u.Tuple, vk.enc, kk.enc
 				}
 			}
 			c.cur, c.curEnc, c.origin = u.Tuple, vk.enc, u.Origin

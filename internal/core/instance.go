@@ -84,29 +84,39 @@ func (in *Instance) Tuples(rel string) []Tuple {
 	rows := in.sortedRows(rel)
 	out := make([]Tuple, len(rows))
 	for i, r := range rows {
-		out[i] = r.t
+		out[i] = r.Tuple
 	}
 	return out
 }
 
 // sortedRows returns the rows of a relation sorted by key encoding.
-func (in *Instance) sortedRows(rel string) []row {
+func (in *Instance) sortedRows(rel string) []RowSnapshot {
 	type kr struct {
 		k string
-		r row
+		r RowSnapshot
 	}
 	krs := make([]kr, 0, in.Len(rel))
 	if m, ok := in.rels[rel]; ok {
 		for k, r := range m.All() {
-			krs = append(krs, kr{k, r})
+			krs = append(krs, kr{k, RowSnapshot{Tuple: r.t, By: r.by}})
 		}
 	}
 	slices.SortFunc(krs, func(a, b kr) int { return strings.Compare(a.k, b.k) })
-	out := make([]row, len(krs))
+	out := make([]RowSnapshot, len(krs))
 	for i, x := range krs {
 		out[i] = x.r
 	}
 	return out
+}
+
+// holds reports whether the instance holds t at the key that encodes to
+// keyEnc. A nil instance holds nothing.
+func (in *Instance) holds(rel, keyEnc string, t Tuple) bool {
+	if in == nil {
+		return false
+	}
+	cur, ok := in.lookupEnc(rel, keyEnc)
+	return ok && cur.Equal(t)
 }
 
 // Keys returns the encoded keys present in a relation, sorted.
@@ -206,7 +216,7 @@ func (in *Instance) applyUnchecked(u Update) {
 	switch u.Op {
 	case OpInsert:
 		keyEnc := u.keyEncTuple(rel)
-		if cur, ok := in.lookupEnc(u.Rel, keyEnc); ok && cur.Equal(u.Tuple) {
+		if in.holds(u.Rel, keyEnc, u.Tuple) {
 			return
 		}
 		in.put(rel, u.Tuple, keyEnc, TxnID{})

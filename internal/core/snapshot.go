@@ -51,15 +51,9 @@ func (e *Engine) ExportSnapshot() *EngineSnapshot {
 	names := e.schema.Names()
 	sort.Strings(names)
 	for _, name := range names {
-		rows := e.inst.sortedRows(name)
-		if len(rows) == 0 {
-			continue
+		if rows := e.inst.sortedRows(name); len(rows) > 0 {
+			snap.Relations = append(snap.Relations, RelationSnapshot{Name: name, Rows: rows})
 		}
-		rs := RelationSnapshot{Name: name, Rows: make([]RowSnapshot, len(rows))}
-		for i, r := range rows {
-			rs.Rows[i] = RowSnapshot{Tuple: r.t, By: r.by}
-		}
-		snap.Relations = append(snap.Relations, rs)
 	}
 	return snap
 }
