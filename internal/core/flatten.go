@@ -156,20 +156,20 @@ func flattenOn(s *Schema, base *Instance, updates []Update) ([]Update, error) {
 }
 
 // readsBase reports whether flattenOn(…, base, …) of the list's footprint
-// can differ from Flatten: an update of the list inserts a value base holds
-// and a later one consumes it. An insert of a held value that nothing
-// consumes after it applies as a no-op either way.
+// can differ from Flatten: an update of the list deletes or modifies a
+// value base holds that an earlier update of the list inserts. An insert of
+// a held value that nothing consumes after it applies as a no-op either way.
 func readsBase(base *Instance, list []*Transaction) bool {
 	if base == nil {
 		return false
 	}
 	for xi, x := range list {
-		for i := range x.Updates {
-			u := &x.Updates[i]
-			if u.Op != OpInsert || !consumedAfter(list[xi:], i, u) {
+		for j := range x.Updates {
+			w := &x.Updates[j]
+			if w.Op == OpInsert || !insertedBefore(list[:xi+1], j, w) {
 				continue
 			}
-			if rel, ok := base.schema.Relation(u.Rel); ok && base.holds(u.Rel, u.keyEncTuple(rel), u.Tuple) {
+			if rel, ok := base.schema.Relation(w.Rel); ok && base.holds(w.Rel, w.keyEncTuple(rel), w.Tuple) {
 				return true
 			}
 		}
@@ -177,13 +177,15 @@ func readsBase(base *Instance, list []*Transaction) bool {
 	return false
 }
 
-// consumedAfter reports whether an update after the i-th of list[0], in
-// list order, deletes or modifies the value u inserts.
-func consumedAfter(list []*Transaction, i int, u *Update) bool {
+// insertedBefore reports whether an update of list before the j-th update
+// of its last transaction inserts the value w deletes or modifies.
+func insertedBefore(list []*Transaction, j int, w *Update) bool {
 	for xi, x := range list {
-		for j := range x.Updates {
-			w := &x.Updates[j]
-			if (xi > 0 || j > i) && w.Op != OpInsert && w.Rel == u.Rel && w.tupleEnc() == u.tupleEnc() {
+		for i := range x.Updates {
+			if xi == len(list)-1 && i == j {
+				return false
+			}
+			if u := &x.Updates[i]; u.Op == OpInsert && u.Rel == w.Rel && u.tupleEnc() == w.tupleEnc() {
 				return true
 			}
 		}
