@@ -96,14 +96,19 @@ bench-smoke:
 # verbatim re-insert counting its foreign-key references once in the
 # instance and in a live engine against its Restore
 # (TestInstanceVerbatimInsertCountsOnce,
-# TestVerbatimReinsertLiveMatchesRestore), the bytes of exported engine
-# snapshots through the store's codec (TestEngineSnapshotGolden), and the
+# TestVerbatimReinsertLiveMatchesRestore), an accepted list leaving the same
+# state however it is cut into runs, live, restored, and from a snapshot
+# plus its tail (TestHeldInsertDeletedLiveMatchesRestore,
+# TestApplyFlattensOnTheRunsInstance, TestAppliedRunsMatchRestore), the
+# bytes of exported engine snapshots through the store's codec
+# (TestEngineSnapshotGolden: version 2) and the version-1 golden still
+# decoding into the same engines (TestEngineSnapshotGoldenV1), and the
 # concurrent ReconcileAll against the sequential reference
 # (TestReconcileAllDifferential). make verify covers these too; running
 # them by name makes an engine regression unmissable in CI.
 core-smoke:
-	$(GO) test -race -count=3 -run '^TestUpdateExtensionMatchesGeneral$$|^TestUpdateExtensionsShareRunScratch$$|^TestReconcileSingleUpdateAllocations$$|^TestReconcileOwnDeltaAllocations$$|^TestReconcileSingleUpdateBytes$$|^TestRunScratch|^TestResolveScopedMatchesFullRerun$$|^TestInvariant|^TestInstanceVerbatimInsertCountsOnce$$|^TestVerbatimReinsertLiveMatchesRestore$$' ./internal/core
-	$(GO) test -race -count=3 -run '^TestEngineSnapshotGolden$$' ./internal/store
+	$(GO) test -race -count=3 -run '^TestUpdateExtensionMatchesGeneral$$|^TestUpdateExtensionsShareRunScratch$$|^TestReconcileSingleUpdateAllocations$$|^TestReconcileOwnDeltaAllocations$$|^TestReconcileSingleUpdateBytes$$|^TestRunScratch|^TestResolveScopedMatchesFullRerun$$|^TestInvariant|^TestInstanceVerbatimInsertCountsOnce$$|^TestVerbatimReinsertLiveMatchesRestore$$|^TestHeldInsertDeletedLiveMatchesRestore$$|^TestApplyFlattensOnTheRunsInstance$$|^TestAppliedRunsMatchRestore$$' ./internal/core
+	$(GO) test -race -count=3 -run '^TestEngineSnapshotGolden(V1)?$$' ./internal/store
 	$(GO) test -race -count=3 -run '^TestReconcileAllDifferential$$' .
 
 # chaos-smoke runs both fault-injection convergence matrices — the 4-peer

@@ -334,7 +334,7 @@ func TestSnapshotRefusesOrphanProducer(t *testing.T) {
 
 // TestSnapshotRefusesValueWithoutProducer: a value a version-1 payload's
 // relations hold must have a producer, also when another producer is listed
-// twice in its place.
+// twice in its place, and when the value is listed twice with one producer.
 func TestSnapshotRefusesValueWithoutProducer(t *testing.T) {
 	_, snap, prods := snapshotOfTwo(t)
 	for _, bad := range [][]v1Producer{prods[:1], {prods[0], prods[0]}} {
@@ -342,11 +342,18 @@ func TestSnapshotRefusesValueWithoutProducer(t *testing.T) {
 			t.Errorf("producers %v for values %v accepted", bad, snap.Relations)
 		}
 	}
+	twice := *snap
+	rows := snap.Relations[0].Rows
+	twice.Relations = []core.RelationSnapshot{{Name: "F", Rows: []core.RowSnapshot{rows[0], rows[0], rows[1]}}}
+	if _, err := DecodeSnapshot(appendSnapshotV1(&twice, prods)); err == nil {
+		t.Errorf("value %v listed twice with one producer accepted", rows[0].Tuple)
+	}
 }
 
 // TestSnapshotV2Refusals: version 2 cannot say that a value has no
 // producer, or two; the codec reads whatever rows it holds, and the engine
-// refuses rows out of key order, a repeated key and an unknown relation.
+// refuses rows out of key order, a repeated key, an unknown relation and a
+// repeated one.
 func TestSnapshotV2Refusals(t *testing.T) {
 	s, snap, _ := snapshotOfTwo(t)
 	rows := snap.Relations[0].Rows
@@ -355,7 +362,8 @@ func TestSnapshotV2Refusals(t *testing.T) {
 		"repeated key": {{Name: "F", Rows: []core.RowSnapshot{
 			rows[0], {Tuple: core.Strs("rat", "p1", "other"), By: rows[1].By}, rows[1],
 		}}},
-		"unknown relation": {{Name: "F", Rows: rows}, {Name: "G", Rows: rows[:1]}},
+		"unknown relation":  {{Name: "F", Rows: rows}, {Name: "G", Rows: rows[:1]}},
+		"repeated relation": {{Name: "F", Rows: rows[:1]}, {Name: "F", Rows: rows[1:]}},
 	} {
 		bad := *snap
 		bad.Relations = rels
