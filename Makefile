@@ -86,7 +86,10 @@ bench-smoke:
 # built on one shared scratch, as a run builds them), the per-candidate
 # allocation budgets
 # (TestReconcileSingleUpdateAllocations, TestReconcileOwnDeltaAllocations)
-# and the warm-run byte budget (TestReconcileSingleUpdateBytes), the pooled
+# and the warm-run byte budget (TestReconcileSingleUpdateBytes), a resolve's
+# bytes not growing with the deferred set it leaves alone
+# (TestResolveDrainAllocations), the text of conflict groups and their
+# options' effects (TestConflictGroupsGolden), the pooled
 # run scratch (TestRunScratch*: engines sharing it equal fresh ones, nothing
 # a run hands out aliases it, and it is zeroed after every run),
 # the scoped resolve re-run against the full one
@@ -107,7 +110,7 @@ bench-smoke:
 # (TestReconcileAllDifferential). make verify covers these too; running
 # them by name makes an engine regression unmissable in CI.
 core-smoke:
-	$(GO) test -race -count=3 -run '^TestUpdateExtensionMatchesGeneral$$|^TestUpdateExtensionsShareRunScratch$$|^TestReconcileSingleUpdateAllocations$$|^TestReconcileOwnDeltaAllocations$$|^TestReconcileSingleUpdateBytes$$|^TestRunScratch|^TestResolveScopedMatchesFullRerun$$|^TestInvariant|^TestInstanceVerbatimInsertCountsOnce$$|^TestVerbatimReinsertLiveMatchesRestore$$|^TestHeldInsertDeletedLiveMatchesRestore$$|^TestApplyFlattensOnTheRunsInstance$$|^TestAppliedRunsMatchRestore$$' ./internal/core
+	$(GO) test -race -count=3 -run '^TestUpdateExtensionMatchesGeneral$$|^TestUpdateExtensionsShareRunScratch$$|^TestReconcileSingleUpdateAllocations$$|^TestReconcileOwnDeltaAllocations$$|^TestReconcileSingleUpdateBytes$$|^TestResolveDrainAllocations$$|^TestConflictGroupsGolden$$|^TestRunScratch|^TestResolveScopedMatchesFullRerun$$|^TestInvariant|^TestInstanceVerbatimInsertCountsOnce$$|^TestVerbatimReinsertLiveMatchesRestore$$|^TestHeldInsertDeletedLiveMatchesRestore$$|^TestApplyFlattensOnTheRunsInstance$$|^TestAppliedRunsMatchRestore$$' ./internal/core
 	$(GO) test -race -count=3 -run '^TestEngineSnapshotGolden(V1)?$$' ./internal/store
 	$(GO) test -race -count=3 -run '^TestReconcileAllDifferential$$' .
 

@@ -73,13 +73,13 @@ func run(choice string) {
 	g := groups[0]
 	fmt.Printf("  conflict at p1: %v\n", g.Conflict)
 	for i, o := range g.Options {
-		fmt.Printf("    option %d: %s (txns %v)\n", i, o.Effect, o.Txns)
+		fmt.Printf("    option %d: %s (txns %v)\n", i, o.Effect(), o.Txns)
 	}
 
 	winner := -1
 	if choice != "reject all" {
 		for i, o := range g.Options {
-			if contains(o.Effect, choice) {
+			if contains(o.Effect(), choice) {
 				winner = i
 			}
 		}

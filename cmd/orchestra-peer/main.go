@@ -181,7 +181,7 @@ func dispatch(ctx context.Context, peer *store.Peer, schema *core.Schema, fields
 		for i, g := range groups {
 			fmt.Printf("[%d] %v\n", i, g.Conflict)
 			for j, o := range g.Options {
-				fmt.Printf("    option %d: %s (txns %v)\n", j, o.Effect, o.Txns)
+				fmt.Printf("    option %d: %s (txns %v)\n", j, o.Effect(), o.Txns)
 			}
 		}
 		return nil
@@ -202,8 +202,10 @@ func dispatch(ctx context.Context, peer *store.Peer, schema *core.Schema, fields
 		if res == nil {
 			return err
 		}
+		// The re-run's result lists only the components it reconsidered;
+		// the engine has the whole deferred set.
 		fmt.Printf("resolved: accepted %v, rejected %v, still deferred %v\n",
-			res.Accepted, res.Rejected, res.Deferred)
+			res.Accepted, res.Rejected, peer.Engine().DeferredIDs())
 		return err
 	case "status":
 		fmt.Printf("peer %s: pending=%d owed=%d deferred=%d store=%v local=%v\n",

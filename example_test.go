@@ -35,7 +35,7 @@ func Example() {
 
 	g := carol.Engine().ConflictGroups()[0]
 	for i, o := range g.Options {
-		fmt.Printf("option %d: %s\n", i, o.Effect)
+		fmt.Printf("option %d: %s\n", i, o.Effect())
 	}
 	carol.Resolve(ctx, g.Conflict, 0)
 	tuple, _ := carol.Instance().Lookup("F", orchestra.Strs("rat", "prot1"))

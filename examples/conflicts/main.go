@@ -90,7 +90,7 @@ func main() {
 // mentions the given function value.
 func optionOf(g *orchestra.ConflictGroup, fn string) int {
 	for i, o := range g.Options {
-		if contains(o.Effect, fn) {
+		if contains(o.Effect(), fn) {
 			return i
 		}
 	}

@@ -53,10 +53,13 @@ type Result struct {
 	Accepted []TxnID
 	// Rejected lists roots rejected during the run.
 	Rejected []TxnID
-	// Deferred lists roots left deferred after the run.
+	// Deferred lists the roots the run considered and left deferred, in
+	// the order runs consider candidates (publication order, then ID).
+	// Reconcile considers every deferred root, so its Deferred is the whole
+	// deferred set; a Resolve re-run lists only the components it
+	// reconsidered. Engine.DeferredIDs and Engine.ConflictGroups give the
+	// whole deferred set and its conflict groups.
 	Deferred []TxnID
-	// Groups are the conflict groups recorded for the deferred roots.
-	Groups []*ConflictGroup
 	// Stats capture work counters for benchmarks.
 	Stats ReconcileStats
 }

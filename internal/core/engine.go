@@ -423,34 +423,17 @@ func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCan
 		st.deferred = st.decision == DecisionDefer && !e.applied.Has(id) && !e.rejected.Has(id)
 	}
 	e.updateSoftState(rs, order, carried, pairs)
-	res.Deferred = e.deferredInOrder(rs)
-	if len(e.groups) > 0 {
-		res.Groups = e.ConflictGroups()
+	if len(rs.deferred) > 0 {
+		res.Deferred = make([]TxnID, len(rs.deferred))
+		for i, st := range rs.deferred {
+			res.Deferred[i] = st.cand.Txn.ID
+		}
 	}
 	res.Stats.DirtyKeys = len(e.dirty)
 	res.Stats.SoftStateNanos = time.Since(start).Nanoseconds()
 	e.ownSince = nil
 	e.unsettled = false
 	return res, nil
-}
-
-// deferredInOrder lists the deferred transactions in the order runs
-// consider candidates (publication order, then ID); nil when there are none.
-func (e *Engine) deferredInOrder(rs *runScratch) []TxnID {
-	if len(e.deferredCands) == 0 {
-		return nil
-	}
-	txns := rs.txns
-	for _, d := range e.deferredCands {
-		txns = append(txns, d.cand.Txn)
-	}
-	rs.txns = txns
-	SortTxns(txns)
-	out := make([]TxnID, len(txns))
-	for i, x := range txns {
-		out[i] = x.ID
-	}
-	return out
 }
 
 // filterApplied returns the extension with already-applied transactions

@@ -38,8 +38,8 @@ func TestEqualPriorityDefers(t *testing.T) {
 
 	res := log.reconcile(q)
 	wantIDs(t, "deferred", res.Deferred, xa.ID, xb.ID)
-	if len(res.Groups) != 1 || len(res.Groups[0].Options) != 2 {
-		t.Fatalf("groups = %v", res.Groups)
+	if gs := q.ConflictGroups(); len(gs) != 1 || len(gs[0].Options) != 2 {
+		t.Fatalf("groups = %v", gs)
 	}
 	if q.DirtyKeyCount() == 0 {
 		t.Error("deferred conflict should mark dirty keys")

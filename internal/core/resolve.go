@@ -18,8 +18,9 @@ import (
 // deferred with their dirty keys and conflict groups in place, which is what
 // reconsidering them would arrive at.
 //
-// Resolve returns the result of the re-run; its Deferred and Groups list the
-// engine's whole deferred set. Transactions that still conflict in another
+// Resolve returns the result of the re-run; its Deferred lists the roots of
+// the reconsidered components that stay deferred, and DeferredIDs and
+// ConflictGroups the whole set. Transactions that still conflict in another
 // group remain deferred.
 func (e *Engine) Resolve(c Conflict, winner int) (*Result, error) {
 	g, ok := e.groups[c]

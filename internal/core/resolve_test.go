@@ -35,8 +35,8 @@ func TestResolveMinusOneRejectsEveryOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantIDs(t, "deferred", res.Deferred, a.ID, b.ID, c.ID)
-	if len(res.Groups) != 1 || len(res.Groups[0].Options) != 3 {
-		t.Fatalf("want one group of three options, got %v", res.Groups)
+	if gs := q.ConflictGroups(); len(gs) != 1 || len(gs[0].Options) != 3 {
+		t.Fatalf("want one group of three options, got %v", gs)
 	}
 	chosen := 0
 	res, err = q.ResolveAll(func(g *ConflictGroup) int {
@@ -82,8 +82,8 @@ func TestResolveAllStopsWhenAPassDecidesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantIDs(t, "deferred", res.Deferred, a.ID, b.ID)
-	if len(res.Groups) != 1 || len(res.Groups[0].Options) != 1 {
-		t.Fatalf("want one group of one option, got %v", res.Groups)
+	if gs := q.ConflictGroups(); len(gs) != 1 || len(gs[0].Options) != 1 {
+		t.Fatalf("want one group of one option, got %v", gs)
 	}
 	res, err = q.ResolveAll(func(*ConflictGroup) int { return 0 })
 	if err != nil {
@@ -105,8 +105,9 @@ func TestResolveAllStopsWhenAPassDecidesNothing(t *testing.T) {
 }
 
 // TestResolveLeavesSettledComponentsInPlace: a resolution reconsiders the
-// resolved group's component and nothing else once the others are settled,
-// yet reports the whole deferred set and every group.
+// resolved group's component and nothing else once the others are settled.
+// Its result lists what it reconsidered; DeferredIDs and ConflictGroups
+// still list the rest.
 func TestResolveLeavesSettledComponentsInPlace(t *testing.T) {
 	s := proteinSchema(t)
 	q := NewEngine("q", s, TrustAll(1))
@@ -124,12 +125,12 @@ func TestResolveLeavesSettledComponentsInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Deferred) != 6 || len(res.Groups) != 3 {
-		t.Fatalf("want 6 deferred in 3 groups, got %v / %v", res.Deferred, res.Groups)
+	if len(res.Deferred) != 6 || len(q.ConflictGroups()) != 3 {
+		t.Fatalf("want 6 deferred in 3 groups, got %v / %v", res.Deferred, q.ConflictGroups())
 	}
 	// The first resolution after fresh candidates reconsiders everything
 	// left: a fresh deferral is not settled.
-	res, err = q.Resolve(res.Groups[0].Conflict, 0)
+	res, err = q.Resolve(q.ConflictGroups()[0].Conflict, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +140,8 @@ func TestResolveLeavesSettledComponentsInPlace(t *testing.T) {
 	wantIDs(t, "accepted", res.Accepted, txns[0].ID)
 	wantIDs(t, "rejected", res.Rejected, txns[1].ID)
 	wantIDs(t, "deferred", res.Deferred, txns[2].ID, txns[3].ID, txns[4].ID, txns[5].ID)
-	// The second one only its own component — and still lists the rest.
-	res, err = q.Resolve(res.Groups[0].Conflict, 1)
+	// The second one only its own component, and the rest stays deferred.
+	res, err = q.Resolve(q.ConflictGroups()[0].Conflict, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +151,10 @@ func TestResolveLeavesSettledComponentsInPlace(t *testing.T) {
 	}
 	wantIDs(t, "accepted", res.Accepted, txns[3].ID)
 	wantIDs(t, "rejected", res.Rejected, txns[2].ID)
-	wantIDs(t, "deferred", res.Deferred, txns[4].ID, txns[5].ID)
-	if len(res.Groups) != 1 || res.Stats.DirtyKeys != 1 || q.DirtyKeyCount() != 1 {
-		t.Errorf("want the third group and its dirty key left, got %v, %d dirty", res.Groups, q.DirtyKeyCount())
+	wantIDs(t, "deferred by the second resolution", res.Deferred)
+	wantIDs(t, "deferred", q.DeferredIDs(), txns[4].ID, txns[5].ID)
+	if gs := q.ConflictGroups(); len(gs) != 1 || res.Stats.DirtyKeys != 1 || q.DirtyKeyCount() != 1 {
+		t.Errorf("want the third group and its dirty key left, got %v, %d dirty", gs, q.DirtyKeyCount())
 	}
 	// A local edit unsettles everything: the own delta is checked against
 	// every deferred candidate, so the untouched component is reconsidered
@@ -228,7 +230,7 @@ func TestResolveReachesKeysOnlyTheRawUpdatesTouch(t *testing.T) {
 		if errS != nil || errO != nil {
 			t.Fatalf("resolve %s: %v / %v", c, errS, errO)
 		}
-		sr.compare("Resolve("+c.String()+")", sut, ora, resS, resO)
+		sr.compare("Resolve("+c.String()+")", true, sut, ora, resS, resO)
 		return resS
 	}
 
@@ -241,7 +243,7 @@ func TestResolveReachesKeysOnlyTheRawUpdatesTouch(t *testing.T) {
 	}
 	resS, _ := sut.Reconcile(cands)
 	resO, _ := ora.Reconcile(cands)
-	sr.compare("Reconcile", sut, ora, resS, resO)
+	sr.compare("Reconcile", false, sut, ora, resS, resO)
 	if len(resS.Deferred) != 9 {
 		t.Fatalf("want everything deferred, got %+v", resS)
 	}
@@ -258,7 +260,8 @@ func TestResolveReachesKeysOnlyTheRawUpdatesTouch(t *testing.T) {
 	c = group("k6")
 	res = resolve(c, winner(c, v1.ID))
 	wantIDs(t, "rejected with v1", res.Rejected, v2.ID)
-	wantIDs(t, "deferred over k1", res.Deferred, x.ID, y.ID, z.ID, w.ID)
+	wantIDs(t, "deferred by the k6 resolution", res.Deferred)
+	wantIDs(t, "deferred over k1", sut.DeferredIDs(), x.ID, y.ID, z.ID, w.ID)
 	if _, held := sut.Instance().Lookup("F", Strs("o", "k1")); !held {
 		t.Error("k1 gone while every candidate that consumes it is deferred")
 	}

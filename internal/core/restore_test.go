@@ -263,11 +263,11 @@ func TestConflictGroupString(t *testing.T) {
 	g := &ConflictGroup{
 		Conflict: Conflict{Type: ConflictKeyValue, Rel: "F", Value: Strs("rat", "p1").Encode()},
 		Options: []*Option{
-			{Txns: []TxnID{xid("a", 0)}, Effect: "+F(rat, p1, x; a)"},
+			{Txns: []TxnID{xid("a", 0)}, effect: []Update{Insert("F", Strs("rat", "p1", "x"), "a")}},
 		},
 	}
-	if got := g.String(); got == "" {
-		t.Error("empty group string")
+	if got, want := g.String(), "conflict key-value on F(rat, p1): option[0]{[a:0] => +F(rat, p1, x; a)}"; got != want {
+		t.Errorf("group string %q, want %q", got, want)
 	}
 	s := proteinSchema(t)
 	e := NewEngine("p", s, TrustAll(1))

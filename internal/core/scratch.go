@@ -49,7 +49,8 @@ type runScratch struct {
 	counts    []int32
 	conflicts []*candidateState
 
-	// DoGroup, the apply loop and UpdateSoftState.
+	// DoGroup, the apply loop and UpdateSoftState; touch backs each group
+	// member's updates on its conflicted value.
 	prios     []int
 	grp       []*candidateState
 	accepted  []TxnID
@@ -57,7 +58,7 @@ type runScratch struct {
 	deferred  []*candidateState
 	trimmed   []Update
 	members   []groupMember
-	txns      []*Transaction
+	touch     []*Update
 	parent    []int32
 	linkOf    map[tupleKey]int32
 	linkKeys  []tupleKey
@@ -101,7 +102,7 @@ func (rs *runScratch) reset() {
 	rs.deferred = zeroed(rs.deferred)
 	rs.trimmed = zeroed(rs.trimmed)
 	rs.members = zeroed(rs.members)
-	rs.txns = zeroed(rs.txns)
+	rs.touch = zeroed(rs.touch)
 	rs.parent = zeroed(rs.parent)
 	rs.linkKeys = zeroed(rs.linkKeys)
 	rs.unsettled = zeroed(rs.unsettled)

@@ -22,6 +22,8 @@ type scriptedPeer struct {
 	seed   int64
 	cursor int
 	steps  int
+	// resolved reports that the last step was a resolve.
+	resolved bool
 }
 
 // step runs the peer's next step and returns what it returned.
@@ -29,7 +31,9 @@ func (p *scriptedPeer) step(t *testing.T) *Result {
 	t.Helper()
 	r := rand.New(rand.NewSource(p.seed<<16 | int64(p.steps)))
 	p.steps++
+	p.resolved = false
 	if gs := p.e.ConflictGroups(); len(gs) > 0 && r.Intn(4) == 0 {
+		p.resolved = true
 		g := gs[r.Intn(len(gs))]
 		res, err := p.e.Resolve(g.Conflict, r.Intn(len(g.Options)+1)-1)
 		if err != nil {
@@ -97,7 +101,6 @@ func copyResult(res *Result) *Result {
 	c.Accepted = slices.Clone(res.Accepted)
 	c.Rejected = slices.Clone(res.Rejected)
 	c.Deferred = slices.Clone(res.Deferred)
-	c.Groups = copyGroups(res.Groups)
 	return &c
 }
 
@@ -109,9 +112,22 @@ func copyGroups(gs []*ConflictGroup) []*ConflictGroup {
 	for i, g := range gs {
 		c := &ConflictGroup{Conflict: g.Conflict, Options: make([]*Option, len(g.Options))}
 		for j, o := range g.Options {
-			c.Options[j] = &Option{Txns: slices.Clone(o.Txns), Effect: o.Effect}
+			c.Options[j] = &Option{Txns: slices.Clone(o.Txns), effect: copyUpdates(o.effect)}
 		}
 		out[i] = c
+	}
+	return out
+}
+
+func copyUpdates(us []Update) []Update {
+	out := slices.Clone(us)
+	for i := range out {
+		u := &out[i]
+		u.Tuple, u.New = slices.Clone(u.Tuple), slices.Clone(u.New)
+		if u.enc != nil {
+			enc := *u.enc
+			u.enc = &enc
+		}
 	}
 	return out
 }
@@ -133,9 +149,11 @@ func compareTupleKeys(a, b tupleKey) int {
 }
 
 // checkSoftState asserts that a run's result and the soft state it left
-// agree with the engine: the result's decisions are the engine's, and the
-// dirty keys are exactly those its deferred candidates keep.
-func checkSoftState(t *testing.T, what string, e *Engine, res *Result) {
+// agree with the engine: the result's decisions are the engine's — its
+// deferred roots the whole deferred set, or some of it after a resolve
+// (resolved) — and the dirty keys are exactly those its deferred candidates
+// keep.
+func checkSoftState(t *testing.T, what string, e *Engine, res *Result, resolved bool) {
 	t.Helper()
 	for _, id := range res.Accepted {
 		if !e.Applied(id) {
@@ -149,8 +167,8 @@ func checkSoftState(t *testing.T, what string, e *Engine, res *Result) {
 	}
 	deferred := slices.Clone(res.Deferred)
 	slices.SortFunc(deferred, compareTxnIDs)
-	if !slices.Equal(deferred, e.DeferredIDs()) {
-		t.Fatalf("%s: result defers %v, engine %v", what, deferred, e.DeferredIDs())
+	if all := e.DeferredIDs(); !slices.Equal(deferred, all) && !(resolved && isSubList(deferred, all)) {
+		t.Fatalf("%s: result defers %v, engine %v", what, deferred, all)
 	}
 	kept := map[tupleKey]bool{}
 	for _, d := range e.deferredCands {
@@ -222,7 +240,7 @@ func TestRunScratchLeavesNoAlias(t *testing.T) {
 			p := peers[i]
 			what := fmt.Sprintf("seed %d step %d (%s's %d)", seed, n, p.e.Peer(), p.steps)
 			res := p.step(t)
-			checkSoftState(t, what, p.e, res)
+			checkSoftState(t, what, p.e, res, p.resolved)
 			if got := viewOf(p.e, res); !reflect.DeepEqual(got, want[i][p.steps-1]) {
 				t.Fatalf("%s: engine differs from a fresh one:\n%+v\n%+v", what, got, want[i][p.steps-1])
 			}

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -15,9 +15,24 @@ import (
 type Option struct {
 	// Txns are the deferred transactions backing this option, sorted.
 	Txns []TxnID
-	// Effect describes the modification the option makes to the conflicted
-	// value, e.g. "+F(rat, prot1, immune)" or "delete".
-	Effect string
+	// effect is a copy of the updates of the first member's operation (in
+	// ID order) that touch the conflicted value: what Effect renders.
+	effect []Update
+}
+
+// Effect describes the modification the option makes to the conflicted
+// value, e.g. "+F(rat, prot1, immune)" or "(no direct effect)". It is
+// rendered when asked for: nothing on the run path reads it.
+func (o *Option) Effect() string {
+	if len(o.effect) == 0 {
+		return "(no direct effect)"
+	}
+	display := make([]string, len(o.effect))
+	for i := range o.effect {
+		display[i] = o.effect[i].String()
+	}
+	sort.Strings(display)
+	return strings.Join(display, ", ")
 }
 
 // ConflictGroup is a group of conflicts of the same type involving the same
@@ -32,7 +47,7 @@ func (g *ConflictGroup) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "conflict %s:", g.Conflict)
 	for i, o := range g.Options {
-		fmt.Fprintf(&b, " option[%d]{%v => %s}", i, o.Txns, o.Effect)
+		fmt.Fprintf(&b, " option[%d]{%v => %s}", i, o.Txns, o.Effect())
 	}
 	return b.String()
 }
@@ -115,10 +130,9 @@ func (e *Engine) updateSoftState(rs *runScratch, order []*candidateState, carrie
 	// Lines 8-16: build conflict groups, combining compatible transactions
 	// (those making the same modification to the conflicted value) into the
 	// same option. Sorted by conflict, then member ID, each group's members
-	// are a run of the list, visited in ID order: the Effect string of an
-	// option is taken from the first member that introduces its signature,
-	// so a deterministic visit order keeps Results byte-identical across
-	// runs.
+	// are a run of the list, visited in ID order: an option's effect is
+	// taken from the first member that makes its modification, so a
+	// deterministic visit order keeps the groups identical across runs.
 	slices.SortFunc(members, func(a, b groupMember) int {
 		if c := compareConflicts(a.c, b.c); c != 0 {
 			return c
@@ -131,18 +145,19 @@ func (e *Engine) updateSoftState(rs *runScratch, order []*candidateState, carrie
 		for hi < len(members) && members[hi].c == members[lo].c {
 			hi++
 		}
-		e.groups[members[lo].c] = e.conflictGroup(members[lo:hi])
+		e.groups[members[lo].c] = e.conflictGroup(rs, members[lo:hi])
 		lo = hi
 	}
 	e.markComponents(rs, order)
 }
 
-// groupMember is a deferred candidate in the conflict group of c, with its
-// modification signature there (see modificationSignature).
+// groupMember is a deferred candidate in the conflict group of c, with the
+// updates of its operation that touch the conflicted value, sorted (see
+// conflictGroup): its modification there.
 type groupMember struct {
-	c   Conflict
-	st  *candidateState
-	sig string
+	c     Conflict
+	st    *candidateState
+	touch []*Update
 }
 
 // noteConflictVal records that a conflict on c's value involves the
@@ -155,22 +170,43 @@ func (st *candidateState) noteConflictVal(c Conflict) {
 
 // conflictGroup builds the conflict group of one conflict from its
 // members, sorted by ID, and records the group on each member's deferred
-// entry. The members are reordered.
-func (e *Engine) conflictGroup(members []groupMember) *ConflictGroup {
+// entry. Members whose updates touching the conflicted value are equal make
+// the same modification and share an option; options come in the order of
+// those update lists. The members are reordered.
+func (e *Engine) conflictGroup(rs *runScratch, members []groupMember) *ConflictGroup {
 	g := &ConflictGroup{Conflict: members[0].c}
+	rel, _ := e.schema.Relation(g.Conflict.Rel) // conflicts are found on schema relations only
+	from := len(rs.touch)
 	for i := range members {
 		m := &members[i]
 		d := e.deferredCands[m.st.cand.Txn.ID]
 		d.groups = append(d.groups, g.Conflict)
-		m.sig = e.modificationSignature(g.Conflict, &m.st.upEx)
+		lo := len(rs.touch)
+		for j := range m.st.upEx.Operation {
+			if u := &m.st.upEx.Operation[j]; touchesValue(g.Conflict, rel, u) {
+				rs.touch = append(rs.touch, u)
+			}
+		}
+		slices.SortFunc(rs.touch[lo:], compareUpdates)
+		m.touch = rs.touch[lo:]
 	}
-	// Options in signature order; a stable sort keeps each one's members in
-	// ID order, and the first one's effect is the option's.
-	slices.SortStableFunc(members, func(a, b groupMember) int { return strings.Compare(a.sig, b.sig) })
+	// The windows are cut again once the buffer has stopped growing.
+	for i := range members {
+		n := len(members[i].touch)
+		members[i].touch = rs.touch[from : from+n : from+n]
+		from += n
+	}
+	// Options in update-list order; a stable sort keeps each one's members
+	// in ID order, and the first one's updates are the option's effect.
+	slices.SortStableFunc(members, func(a, b groupMember) int { return slices.CompareFunc(a.touch, b.touch, compareUpdates) })
 	for lo := 0; lo < len(members); {
-		opt := &Option{Effect: e.modificationEffect(g.Conflict, &members[lo].st.upEx)}
+		touch := members[lo].touch
+		opt := &Option{effect: make([]Update, len(touch))}
+		for i, u := range touch {
+			opt.effect[i] = *u
+		}
 		hi := lo
-		for ; hi < len(members) && members[hi].sig == members[lo].sig; hi++ {
+		for ; hi < len(members) && slices.CompareFunc(members[hi].touch, touch, compareUpdates) == 0; hi++ {
 			// An option carries the deferred antecedents of its members
 			// (each member's IDs include itself): accepting the option
 			// accepts their whole extensions, and the shared prefix of a
@@ -321,42 +357,22 @@ func (e *Engine) touchesConflict(u Update, vals []tupleKey) bool {
 	return check(u.Tuple) || check(u.New)
 }
 
-// modificationSignature summarizes what an extension does to the conflicted
-// value: transactions with equal signatures are compatible and share an
-// option. It reads the updates' cached encodings.
-func (e *Engine) modificationSignature(c Conflict, upEx *UpdateExtension) string {
-	rel, ok := e.schema.Relation(c.Rel)
-	if !ok {
-		return "?"
+// compareUpdates orders updates by op, relation, then the encodings of
+// their tuples. A relation's tuple encodings are prefix-free, so over the
+// updates touching one conflicted value this is the byte order of their
+// op|rel|tuple|new strings, and lists of them compare as those strings
+// joined.
+func compareUpdates(a, b *Update) int {
+	if a.Op != b.Op {
+		return cmp.Compare(a.Op, b.Op)
 	}
-	var parts []string
-	for i := range upEx.Operation {
-		if u := &upEx.Operation[i]; touchesValue(c, rel, u) {
-			parts = append(parts, strconv.Itoa(int(u.Op))+"|"+u.Rel+"|"+u.tupleEnc()+"|"+u.newEnc())
-		}
+	if a.Rel != b.Rel {
+		return strings.Compare(a.Rel, b.Rel)
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, ";")
-}
-
-// modificationEffect describes, for display, what an extension does to the
-// conflicted value: the updates of its operation that touch it.
-func (e *Engine) modificationEffect(c Conflict, upEx *UpdateExtension) string {
-	rel, ok := e.schema.Relation(c.Rel)
-	if !ok {
-		return "?"
+	if c := strings.Compare(a.tupleEnc(), b.tupleEnc()); c != 0 {
+		return c
 	}
-	var display []string
-	for i := range upEx.Operation {
-		if u := &upEx.Operation[i]; touchesValue(c, rel, u) {
-			display = append(display, u.String())
-		}
-	}
-	if len(display) == 0 {
-		return "(no direct effect)"
-	}
-	sort.Strings(display)
-	return strings.Join(display, ", ")
+	return strings.Compare(a.newEnc(), b.newEnc())
 }
 
 // touchesValue reports whether the update touches the conflicted value of

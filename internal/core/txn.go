@@ -125,17 +125,6 @@ func (x *Transaction) String() string {
 	return s + "}"
 }
 
-// SortTxns sorts transactions by their global publication order in place,
-// breaking ties (unpublished transactions) by ID.
-func SortTxns(xs []*Transaction) {
-	sort.Slice(xs, func(i, j int) bool {
-		if xs[i].Order != xs[j].Order {
-			return xs[i].Order < xs[j].Order
-		}
-		return xs[i].ID.Less(xs[j].ID)
-	})
-}
-
 // UpdateFootprint returns the update footprint uf(L) of a list of
 // transactions sorted by application order: the concatenation of their
 // constituent updates.

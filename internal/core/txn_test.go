@@ -60,15 +60,10 @@ func TestTransactionCloneAndString(t *testing.T) {
 	}
 }
 
-func TestSortTxnsAndFootprint(t *testing.T) {
+func TestUpdateFootprint(t *testing.T) {
 	a := NewTransaction(xid("a", 0), Insert("F", Strs("1", "1", "1"), "a"))
 	b := NewTransaction(xid("b", 0), Insert("F", Strs("2", "2", "2"), "b"), Delete("F", Strs("3", "3", "3"), "b"))
-	a.Order, b.Order = 5, 2
-	xs := []*Transaction{a, b}
-	SortTxns(xs)
-	if xs[0] != b || xs[1] != a {
-		t.Error("SortTxns by order broken")
-	}
+	xs := []*Transaction{b, a}
 	fp := UpdateFootprint(xs)
 	if len(fp) != 3 || fp[0].Op != OpInsert || fp[2].Op != OpInsert {
 		t.Errorf("footprint = %v", fp)

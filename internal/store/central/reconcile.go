@@ -247,66 +247,78 @@ func (s *Store) recordDecisionsBatch(batches []store.DecisionBatch, key store.Id
 		// lock order, so a wave's commit cannot deadlock against a
 		// concurrent publish or another wave.
 		//
-		// The rows are counted per shard first, then placed in one slice:
-		// start[k+1] is where shard k's rows go next, so once they are all
-		// placed shard k's are rows[start[k]:start[k+1]], in visiting order.
-		type decRow struct {
-			peer core.PeerID
-			decisionEntry
-		}
-		shardOf := make([]int, 0, total) // per decision, in visiting order
+		// Decisions are numbered in visiting order: batches[order[p]]'s are
+		// from[p] <= v < from[p+1], accepted first. A peer's batches are
+		// visited one after another, so its v-th decision has dseq
+		// seqBefore[p] + v - from[p] + 1. The numbers are counted per shard
+		// first, then placed in one slice: start[k+1] is where shard k's go
+		// next, so once they are all placed shard k's are
+		// slot[start[k]:start[k+1]], ascending.
+		from := make([]int32, len(order)+1)
+		seqBefore := make([]int64, len(order))
+		shard := make([]int32, 0, total) // per decision, in visiting order
 		start := make([]int, s.tableShards+1)
-		for _, i := range order {
+		for p, i := range order {
+			from[p] = int32(len(shard))
+			if p > 0 && pms[order[p-1]] == pms[i] {
+				seqBefore[p] = seqBefore[p-1] + int64(from[p]-from[p-1])
+			} else {
+				seqBefore[p] = pms[i].nextSeq
+			}
 			for _, ids := range [2][]core.TxnID{batches[i].Accepted, batches[i].Rejected} {
 				for _, id := range ids {
 					k := s.decisionShard(id)
-					shardOf = append(shardOf, k)
+					shard = append(shard, int32(k))
 					start[k+1]++
 				}
 			}
 		}
+		from[len(order)] = int32(total)
 		for k, before := 0, 0; k < s.tableShards; k++ {
 			before, start[k+1] = before+start[k+1], before
 		}
-		rows := make([]decRow, total)
-		next := make(map[*peerMeta]int64, len(batches))
-		placed := 0
-		for _, i := range order {
-			b, pm := batches[i], pms[i]
-			if _, ok := next[pm]; !ok {
-				next[pm] = pm.nextSeq
+		slot := make([]int32, total)
+		for v, k := range shard {
+			slot[start[k+1]] = int32(v)
+			start[k+1]++
+		}
+		// decision returns the peer and entry of decision v, moving p
+		// forward to its batch: v never goes back within a shard.
+		decision := func(p *int, v int32) (core.PeerID, decisionEntry) {
+			for from[*p+1] <= v {
+				*p++
 			}
-			add := func(id core.TxnID, d core.Decision) {
-				next[pm]++
-				k := shardOf[placed]
-				placed++
-				rows[start[k+1]] = decRow{peer: b.Peer, decisionEntry: decisionEntry{id: id, d: d, dseq: next[pm]}}
-				start[k+1]++
+			b, j := batches[order[*p]], int(v-from[*p])
+			e := decisionEntry{d: core.DecisionAccept, dseq: seqBefore[*p] + int64(j) + 1}
+			if j < len(b.Accepted) {
+				e.id = b.Accepted[j]
+			} else {
+				e.id, e.d = b.Rejected[j-len(b.Accepted)], core.DecisionReject
 			}
-			for _, id := range b.Accepted {
-				add(id, core.DecisionAccept)
-			}
-			for _, id := range b.Rejected {
-				add(id, core.DecisionReject)
-			}
+			return b.Peer, e
 		}
 		var buf []byte
 		err := s.db.Update(func(tx *reldb.Tx) error {
 			for k := 0; k < s.tableShards; k++ {
-				rows := rows[start[k]:start[k+1]]
-				for len(rows) > 0 {
-					n, prev := 0, rows[0].dseq
-					buf = buf[:0]
-					for ; n < len(rows) && rows[n].peer == rows[0].peer; n++ {
-						buf = appendDecisionEntry(buf, rows[n].id, rows[n].d, rows[n].dseq-prev)
-						prev = rows[n].dseq
+				vs, p := slot[start[k]:start[k+1]], 0
+				for len(vs) > 0 {
+					peer, first := decision(&p, vs[0])
+					buf = appendDecisionEntry(buf[:0], first.id, first.d, 0)
+					n, prev := 1, first.dseq
+					for ; n < len(vs); n++ {
+						q, e := decision(&p, vs[n])
+						if q != peer {
+							break
+						}
+						buf = appendDecisionEntry(buf, e.id, e.d, e.dseq-prev)
+						prev = e.dseq
 					}
 					if err := tx.Insert(s.decisionsTab[k], reldb.Row{
-						reldb.Str(string(rows[0].peer)), reldb.Int(rows[0].dseq), reldb.Bytes(buf),
+						reldb.Str(string(peer)), reldb.Int(first.dseq), reldb.Bytes(buf),
 					}); err != nil {
 						return err
 					}
-					rows = rows[n:]
+					vs = vs[n:]
 				}
 			}
 			if key != "" {

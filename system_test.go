@@ -215,8 +215,8 @@ func TestSystemConflictResolutionFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Deferred) != 2 || len(res.Groups) != 1 {
-		t.Fatalf("deferral: %+v", res)
+	if len(res.Deferred) != 2 || len(q.Engine().ConflictGroups()) != 1 {
+		t.Fatalf("deferral: %+v, groups %v", res, q.Engine().ConflictGroups())
 	}
 	g := q.Engine().ConflictGroups()[0]
 	if _, err := q.Resolve(ctx, g.Conflict, 0); err != nil {
