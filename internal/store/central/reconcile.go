@@ -247,78 +247,56 @@ func (s *Store) recordDecisionsBatch(batches []store.DecisionBatch, key store.Id
 		// lock order, so a wave's commit cannot deadlock against a
 		// concurrent publish or another wave.
 		//
-		// Decisions are numbered in visiting order: batches[order[p]]'s are
-		// from[p] <= v < from[p+1], accepted first. A peer's batches are
-		// visited one after another, so its v-th decision has dseq
-		// seqBefore[p] + v - from[p] + 1. The numbers are counted per shard
-		// first, then placed in one slice: start[k+1] is where shard k's go
-		// next, so once they are all placed shard k's are
-		// slot[start[k]:start[k+1]], ascending.
-		from := make([]int32, len(order)+1)
-		seqBefore := make([]int64, len(order))
-		shard := make([]int32, 0, total) // per decision, in visiting order
-		start := make([]int, s.tableShards+1)
-		for p, i := range order {
-			from[p] = int32(len(shard))
-			if p > 0 && pms[order[p-1]] == pms[i] {
-				seqBefore[p] = seqBefore[p-1] + int64(from[p]-from[p-1])
-			} else {
-				seqBefore[p] = pms[i].nextSeq
-			}
+		// Each shard's rows come from one walk over the decisions in
+		// visiting order, which numbers every peer's decisions in turn;
+		// shard holds each decision's shard, looked up once.
+		shard := make([]int32, 0, total)
+		for _, i := range order {
 			for _, ids := range [2][]core.TxnID{batches[i].Accepted, batches[i].Rejected} {
 				for _, id := range ids {
-					k := s.decisionShard(id)
-					shard = append(shard, int32(k))
-					start[k+1]++
+					shard = append(shard, int32(s.decisionShard(id)))
 				}
 			}
 		}
-		from[len(order)] = int32(total)
-		for k, before := 0, 0; k < s.tableShards; k++ {
-			before, start[k+1] = before+start[k+1], before
-		}
-		slot := make([]int32, total)
-		for v, k := range shard {
-			slot[start[k+1]] = int32(v)
-			start[k+1]++
-		}
-		// decision returns the peer and entry of decision v, moving p
-		// forward to its batch: v never goes back within a shard.
-		decision := func(p *int, v int32) (core.PeerID, decisionEntry) {
-			for from[*p+1] <= v {
-				*p++
-			}
-			b, j := batches[order[*p]], int(v-from[*p])
-			e := decisionEntry{d: core.DecisionAccept, dseq: seqBefore[*p] + int64(j) + 1}
-			if j < len(b.Accepted) {
-				e.id = b.Accepted[j]
-			} else {
-				e.id, e.d = b.Rejected[j-len(b.Accepted)], core.DecisionReject
-			}
-			return b.Peer, e
-		}
+		decisions := [2]core.Decision{core.DecisionAccept, core.DecisionReject}
 		var buf []byte
 		err := s.db.Update(func(tx *reldb.Tx) error {
-			for k := 0; k < s.tableShards; k++ {
-				vs, p := slot[start[k]:start[k+1]], 0
-				for len(vs) > 0 {
-					peer, first := decision(&p, vs[0])
-					buf = appendDecisionEntry(buf[:0], first.id, first.d, 0)
-					n, prev := 1, first.dseq
-					for ; n < len(vs); n++ {
-						q, e := decision(&p, vs[n])
-						if q != peer {
-							break
+			for k := range s.tableShards {
+				var peer core.PeerID // the row in buf is peer's, from dseq first
+				var first, prev, dseq int64
+				flush := func() error {
+					if len(buf) == 0 {
+						return nil
+					}
+					err := tx.Insert(s.decisionsTab[k], reldb.Row{reldb.Str(string(peer)), reldb.Int(first), reldb.Bytes(buf)})
+					buf = buf[:0]
+					return err
+				}
+				v := 0
+				for p, i := range order {
+					b := batches[i]
+					if p == 0 || pms[order[p-1]] != pms[i] {
+						dseq = pms[i].nextSeq
+					}
+					for d, ids := range [2][]core.TxnID{b.Accepted, b.Rejected} {
+						for _, id := range ids {
+							dseq++
+							if int(shard[v]) == k {
+								if len(buf) == 0 || b.Peer != peer {
+									if err := flush(); err != nil {
+										return err
+									}
+									peer, first, prev = b.Peer, dseq, dseq
+								}
+								buf = appendDecisionEntry(buf, id, decisions[d], dseq-prev)
+								prev = dseq
+							}
+							v++
 						}
-						buf = appendDecisionEntry(buf, e.id, e.d, e.dseq-prev)
-						prev = e.dseq
 					}
-					if err := tx.Insert(s.decisionsTab[k], reldb.Row{
-						reldb.Str(string(peer)), reldb.Int(first.dseq), reldb.Bytes(buf),
-					}); err != nil {
-						return err
-					}
-					vs = vs[n:]
+				}
+				if err := flush(); err != nil {
+					return err
 				}
 			}
 			if key != "" {
