@@ -176,7 +176,6 @@ func (st *candidateState) noteConflictVal(c Conflict) {
 func (e *Engine) conflictGroup(rs *runScratch, members []groupMember) *ConflictGroup {
 	g := &ConflictGroup{Conflict: members[0].c}
 	rel, _ := e.schema.Relation(g.Conflict.Rel) // conflicts are found on schema relations only
-	from := len(rs.touch)
 	for i := range members {
 		m := &members[i]
 		d := e.deferredCands[m.st.cand.Txn.ID]
@@ -187,14 +186,8 @@ func (e *Engine) conflictGroup(rs *runScratch, members []groupMember) *ConflictG
 				rs.touch = append(rs.touch, u)
 			}
 		}
-		slices.SortFunc(rs.touch[lo:], compareUpdates)
-		m.touch = rs.touch[lo:]
-	}
-	// The windows are cut again once the buffer has stopped growing.
-	for i := range members {
-		n := len(members[i].touch)
-		members[i].touch = rs.touch[from : from+n : from+n]
-		from += n
+		m.touch = rs.touch[lo:len(rs.touch):len(rs.touch)]
+		slices.SortFunc(m.touch, compareUpdates)
 	}
 	// Options in update-list order; a stable sort keeps each one's members
 	// in ID order, and the first one's updates are the option's effect.
