@@ -145,7 +145,9 @@ gateway-smoke:
 # detector (see docs/MULTIGROUP.md): the cross-tenant differential (every
 # fleet-hosted group bit-identical to a standalone run, across fleet sizes
 # and drive modes), the tenant-isolation suite with the torn multi-tenant
-# WAL crash cell, and the placement/rebalance drain proofs. make verify
+# WAL crash cell, the placement/rebalance drain proofs, and the store
+# contract's suites over a group's routed store (TestFleetConformance,
+# TestFleetWatchConformance: every forwarder runs). make verify
 # covers these too; running them by name makes a tenancy regression
 # unmissable in CI.
 multigroup-smoke:

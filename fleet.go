@@ -559,12 +559,6 @@ func (rs *routedStore) ReplayFrom(ctx context.Context, peer core.PeerID, from co
 	return st.ReplayFrom(ctx, peer, from, afterSeq)
 }
 
-func (rs *routedStore) ReplayFor(ctx context.Context, peer core.PeerID) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
-	st := rs.enter()
-	defer rs.exit()
-	return st.ReplayFor(ctx, peer)
-}
-
 func (rs *routedStore) EffectiveTrust(ctx context.Context, peer core.PeerID) (core.Trust, error) {
 	st := rs.enter()
 	defer rs.exit()

@@ -7,7 +7,9 @@ import (
 	"slices"
 	"testing"
 
+	"orchestra/internal/store"
 	"orchestra/internal/store/central"
+	"orchestra/internal/store/storetest"
 )
 
 func fleetPolicy(t *testing.T) *TrustPolicy {
@@ -75,6 +77,35 @@ func TestFleetBasic(t *testing.T) {
 	if len(fleet.Groups()) != 4 {
 		t.Fatalf("fleet has %d groups, want 4", len(fleet.Groups()))
 	}
+}
+
+// fleetFactory builds a two-store fleet holding one group with no declared
+// peers and hands every peer that group's routed store, the Backend a
+// group's peers talk through; the suites register their own peers on it.
+func fleetFactory(t *testing.T, schema *Schema) (func(PeerID) store.Store, func()) {
+	fleet := NewFleet()
+	for _, s := range []string{"s0", "s1"} {
+		if err := fleet.AddStore(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := fleet.AddGroup(GroupSpec{ID: "conformance", Schema: schema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(PeerID) store.Store { return g.routed }, func() { fleet.Close() }
+}
+
+// TestFleetConformance runs both tiers of the store contract over a fleet
+// group's routed store, so its forwarders run in tier-1; the watch legs are
+// the next test.
+func TestFleetConformance(t *testing.T) {
+	storetest.RunConformance(t, fleetFactory)
+	storetest.RunBackendConformance(t, fleetFactory)
+}
+
+func TestFleetWatchConformance(t *testing.T) {
+	storetest.RunWatchConformance(t, fleetFactory)
 }
 
 // TestFleetCopyGroupSiblingPrefix: the migration copy must select exactly

@@ -201,22 +201,11 @@ func (cl *client) BeginReconciliation(ctx context.Context, peer core.PeerID) (*s
 	return out, nil
 }
 
-// RecordDecisions implements store.Store: the reconciliation algorithm
-// notifies the appropriate transaction controllers of accepts and rejects.
-func (cl *client) RecordDecisions(ctx context.Context, peer core.PeerID, _ int, accepted, rejected []core.TxnID) error {
-	for _, id := range accepted {
-		if err := cl.call(ctx, txnKey(id), mTxnDecide,
-			&txnDecideArgs{Peer: peer, ID: id, Decision: core.DecisionAccept}, nil); err != nil {
-			return fmt.Errorf("dhtstore: record accept %s: %w", id, err)
-		}
-	}
-	for _, id := range rejected {
-		if err := cl.call(ctx, txnKey(id), mTxnDecide,
-			&txnDecideArgs{Peer: peer, ID: id, Decision: core.DecisionReject}, nil); err != nil {
-			return fmt.Errorf("dhtstore: record reject %s: %w", id, err)
-		}
-	}
-	return nil
+// RecordDecisions implements store.Store as a one-batch
+// RecordDecisionsBatch: each transaction controller learns the peer's
+// verdict through the batched decide message, the only one it serves.
+func (cl *client) RecordDecisions(ctx context.Context, peer core.PeerID, recno int, accepted, rejected []core.TxnID) error {
+	return cl.RecordDecisionsBatch(ctx, []store.DecisionBatch{{Peer: peer, Recno: recno, Accepted: accepted, Rejected: rejected}})
 }
 
 // decidePipelineWidth bounds how many controller messages

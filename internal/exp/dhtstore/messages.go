@@ -45,7 +45,6 @@ const (
 	mEpochGet     = "epoch.get"
 	mTxnPut       = "txn.put"
 	mTxnGet       = "txn.get"
-	mTxnDecide    = "txn.decide"
 	mTxnDecideN   = "txn.decide.batch"
 	mPeerRecon    = "peer.recon"
 	mPeerMeta     = "peer.meta"
@@ -143,12 +142,6 @@ type txnGetReply struct {
 	Known    bool
 	Pub      store.PublishedTxn
 	Priority int
-	Decision core.Decision
-}
-
-type txnDecideArgs struct {
-	Peer     core.PeerID
-	ID       core.TxnID
 	Decision core.Decision
 }
 

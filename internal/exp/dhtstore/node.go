@@ -105,7 +105,6 @@ func (ns *nodeState) mux() rpc.Handler {
 	m.Handle(mTxnPut, ns.txnPut)
 	m.Handle(mTxnGet, ns.txnGet)
 	m.Handle(mTxnExtension, ns.txnExtension)
-	m.Handle(mTxnDecide, ns.txnDecide)
 	m.Handle(mTxnDecideN, ns.txnDecideBatch)
 	m.Handle(mPeerRecon, ns.peerRecon)
 	m.Handle(mPeerMeta, ns.peerMeta)
@@ -231,21 +230,6 @@ func (ns *nodeState) txnGet(ctx context.Context, req rpc.Request) ([]byte, error
 		Priority: prio,
 		Decision: tr.decisions[args.Requester],
 	})
-}
-
-func (ns *nodeState) txnDecide(ctx context.Context, req rpc.Request) ([]byte, error) {
-	var args txnDecideArgs
-	if err := pastry.Decode(req.Body, &args); err != nil {
-		return nil, err
-	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	tr, ok := ns.txns[args.ID]
-	if !ok {
-		return nil, fmt.Errorf("dhtstore: decision for unknown transaction %s", args.ID)
-	}
-	tr.decisions[args.Peer] = args.Decision
-	return pastry.Encode(&struct{}{})
 }
 
 // txnDecideBatch applies a whole wave's decisions for one transaction.

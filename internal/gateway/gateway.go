@@ -122,10 +122,8 @@ func (g *Gateway) routes() {
 	g.handle("POST /v1/peers", "peers", g.handleRegister)
 	g.handle("POST /v1/publish", "publish", g.handlePublish)
 	g.handle("POST /v1/reconcile/begin", "begin", g.handleBegin)
-	g.handle("POST /v1/reconcile/decide", "decide", g.handleDecide)
 	g.handle("POST /v1/reconcile/decide-batch", "decide-batch", g.handleDecideBatch)
 	g.handle("GET /v1/recno", "recno", g.handleRecno)
-	g.handle("GET /v1/capabilities", "capabilities", g.handleCapabilities)
 	g.handle("GET /v1/watch", "watch", g.handleWatch)
 	g.handle("POST /v1/snapshot", "snapshot", g.handleSnapshot)
 	g.handle("GET /v1/snapshot/latest", "snapshot-latest", g.handleSnapshotLatest)
@@ -323,18 +321,6 @@ type decideReq struct {
 	Rejected []WireTxnID `json:"rejected"`
 }
 
-func (g *Gateway) handleDecide(w http.ResponseWriter, r *http.Request) error {
-	var req decideReq
-	if err := decode(r, &req); err != nil {
-		return err
-	}
-	if err := g.st.RecordDecisions(opCtx(r), core.PeerID(req.Peer), req.Recno,
-		wireIDs(req.Accepted), wireIDs(req.Rejected)); err != nil {
-		return err
-	}
-	return writeJSON(w, map[string]any{"ok": true})
-}
-
 func (g *Gateway) handleDecideBatch(w http.ResponseWriter, r *http.Request) error {
 	var req struct {
 		Batches []decideReq `json:"batches"`
@@ -369,18 +355,6 @@ func (g *Gateway) handleRecno(w http.ResponseWriter, r *http.Request) error {
 	return writeJSON(w, map[string]any{"recno": n})
 }
 
-// handleCapabilities reports the static method set of the store the gateway
-// was given; nothing is asked of the backend at run time.
-func (g *Gateway) handleCapabilities(w http.ResponseWriter, r *http.Request) error {
-	ctx := r.Context()
-	return writeJSON(w, map[string]bool{
-		"replay":   store.CanReplay(ctx, g.st),
-		"snapshot": store.CanSnapshot(ctx, g.st),
-		"watch":    store.CanWatch(ctx, g.st),
-		"dedupe":   store.CanDedupe(ctx, g.st),
-	})
-}
-
 func (g *Gateway) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
 	sn, ok := g.st.(store.Snapshotter)
 	if !ok {
@@ -413,37 +387,33 @@ func (g *Gateway) handleSnapshotLatest(w http.ResponseWriter, r *http.Request) e
 	})
 }
 
-// handleReplay serves peer reconstruction: without from/after_seq it is the
-// full-history ReplayFor; with them, the post-snapshot tail ReplayFrom.
+// handleReplay serves peer reconstruction through the one replay verb,
+// ReplayFrom: the log after from (default 0) and the peer's decisions after
+// after_seq (default −1), so a request that names only the peer gets the
+// whole history.
 func (g *Gateway) handleReplay(w http.ResponseWriter, r *http.Request) error {
 	q := r.URL.Query()
 	peer := core.PeerID(q.Get("peer"))
 	if peer == "" {
 		return badRequest{errors.New("missing peer parameter")}
 	}
-	var (
-		txns      []store.PublishedTxn
-		decisions map[core.TxnID]core.RestoredDecision
-		err       error
-	)
-	if q.Get("from") != "" {
-		from, err1 := strconv.ParseInt(q.Get("from"), 10, 64)
-		afterSeq, err2 := strconv.ParseInt(q.Get("after_seq"), 10, 64)
-		if err1 != nil || (q.Get("after_seq") != "" && err2 != nil) {
-			return badRequest{errors.New("bad from/after_seq parameters")}
+	from, afterSeq := int64(0), int64(-1)
+	var err error
+	if v := q.Get("from"); v != "" {
+		if from, err = strconv.ParseInt(v, 10, 64); err != nil {
+			return badRequest{fmt.Errorf("from: %w", err)}
 		}
-		sr, ok := g.st.(store.SnapshotReplayer)
-		if !ok {
-			return badRequest{errors.New("backend does not support tail replay")}
-		}
-		txns, decisions, err = sr.ReplayFrom(r.Context(), peer, core.Epoch(from), afterSeq)
-	} else {
-		rp, ok := g.st.(store.Replayer)
-		if !ok {
-			return badRequest{errors.New("backend does not support replay")}
-		}
-		txns, decisions, err = rp.ReplayFor(r.Context(), peer)
 	}
+	if v := q.Get("after_seq"); v != "" {
+		if afterSeq, err = strconv.ParseInt(v, 10, 64); err != nil {
+			return badRequest{fmt.Errorf("after_seq: %w", err)}
+		}
+	}
+	sr, ok := g.st.(store.SnapshotReplayer)
+	if !ok {
+		return badRequest{errors.New("backend does not support replay")}
+	}
+	txns, decisions, err := sr.ReplayFrom(r.Context(), peer, core.Epoch(from), afterSeq)
 	if err != nil {
 		return err
 	}

@@ -115,7 +115,7 @@ func publishOne(t *testing.T, url, peer string, seq uint64, fn string, hdr map[s
 
 // TestGatewayEndToEnd drives the whole §5.2 protocol through the JSON
 // surface: register, publish, begin, decide, recno, watch, snapshot,
-// replay, capabilities.
+// replay, and the metrics scrape that counted it all.
 func TestGatewayEndToEnd(t *testing.T) {
 	srv, cs, _ := newTestGateway(t, Options{})
 	url := srv.URL
@@ -145,9 +145,11 @@ func TestGatewayEndToEnd(t *testing.T) {
 		t.Fatalf("candidate tuple: %v", got)
 	}
 	recno := intField(t, body, "recno")
-	code, _, _ = call(t, "POST", url+"/v1/reconcile/decide", map[string]any{
-		"peer": "bob", "recno": recno,
-		"accepted": []map[string]any{{"origin": "alice", "seq": 1}},
+	code, _, _ = call(t, "POST", url+"/v1/reconcile/decide-batch", map[string]any{
+		"batches": []map[string]any{{
+			"peer": "bob", "recno": recno,
+			"accepted": []map[string]any{{"origin": "alice", "seq": 1}},
+		}},
 	}, nil)
 	if code != http.StatusOK {
 		t.Fatalf("decide: status %d", code)
@@ -193,14 +195,41 @@ func TestGatewayEndToEnd(t *testing.T) {
 	if len(txns) != 1 || txns[0].Epoch != 1 {
 		t.Fatalf("replay txns: %+v", txns)
 	}
-
-	code, body, _ = call(t, "GET", url+"/v1/capabilities", nil, nil)
-	if code != http.StatusOK {
-		t.Fatalf("capabilities: status %d", code)
+	var decisions []struct {
+		ID       WireTxnID `json:"id"`
+		Accepted bool      `json:"accepted"`
 	}
-	for _, cap := range []string{"replay", "snapshot", "watch", "dedupe"} {
-		if string(body[cap]) != "true" {
-			t.Errorf("capability %s: %v", cap, string(body[cap]))
+	if err := json.Unmarshal(body["decisions"], &decisions); err != nil {
+		t.Fatal(err)
+	}
+	if len(decisions) != 1 || !decisions[0].Accepted || decisions[0].ID.Origin != "alice" {
+		t.Fatalf("replay decisions: %+v", decisions)
+	}
+	// The tail after the snapshot epoch holds nothing; a bad bound is 400.
+	code, body, _ = call(t, "GET", url+"/v1/replay?peer=bob&from=1&after_seq=1", nil, nil)
+	if code != http.StatusOK || string(body["txns"]) != "[]" || string(body["decisions"]) != "null" {
+		t.Fatalf("tail replay: status %d body %v", code, body)
+	}
+	if code, _, _ = call(t, "GET", url+"/v1/replay?peer=bob&from=x", nil, nil); code != http.StatusBadRequest {
+		t.Errorf("replay from=x: status %d, want 400", code)
+	}
+
+	// The ungated scrape reports every route the test drove.
+	code, body, _ = call(t, "GET", url+"/v1/metrics", nil, nil)
+	if code != http.StatusOK {
+		t.Fatalf("metrics: status %d", code)
+	}
+	var routes []metrics.RouteSnapshot
+	if err := json.Unmarshal(body["Routes"], &routes); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int64{}
+	for _, r := range routes {
+		seen[r.Route] = r.Count
+	}
+	for _, route := range []string{"peers", "publish", "begin", "decide-batch", "recno", "watch", "snapshot", "snapshot-latest", "replay"} {
+		if seen[route] == 0 {
+			t.Errorf("metrics: route %q not counted (have %v)", route, seen)
 		}
 	}
 
@@ -275,11 +304,11 @@ func TestGatewayRateLimit(t *testing.T) {
 
 	g1 := map[string]string{GroupHeader: "tenant-1"}
 	for i := 0; i < 3; i++ {
-		if code, _, _ := call(t, "GET", url+"/v1/capabilities", nil, g1); code != http.StatusOK {
+		if code, _, _ := call(t, "GET", url+"/v1/snapshot/latest", nil, g1); code != http.StatusOK {
 			t.Fatalf("burst request %d: status %d", i, code)
 		}
 	}
-	code, _, hdr := call(t, "GET", url+"/v1/capabilities", nil, g1)
+	code, _, hdr := call(t, "GET", url+"/v1/snapshot/latest", nil, g1)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("over-burst request: status %d, want 429", code)
 	}
@@ -290,7 +319,7 @@ func TestGatewayRateLimit(t *testing.T) {
 		t.Errorf("RateLimited = %d, want 1", got)
 	}
 	// tenant-2 still has a full bucket.
-	if code, _, _ := call(t, "GET", url+"/v1/capabilities", nil, map[string]string{GroupHeader: "tenant-2"}); code != http.StatusOK {
+	if code, _, _ := call(t, "GET", url+"/v1/snapshot/latest", nil, map[string]string{GroupHeader: "tenant-2"}); code != http.StatusOK {
 		t.Errorf("other group caught the limit: status %d", code)
 	}
 }

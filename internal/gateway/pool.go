@@ -60,10 +60,6 @@ func (p *Pool) CurrentRecno(ctx context.Context, peer core.PeerID) (int, error) 
 	return p.pick().CurrentRecno(ctx, peer)
 }
 
-func (p *Pool) ReplayFor(ctx context.Context, peer core.PeerID) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
-	return p.pick().ReplayFor(ctx, peer)
-}
-
 func (p *Pool) Snapshot(ctx context.Context) (core.Epoch, error) {
 	return p.pick().Snapshot(ctx)
 }

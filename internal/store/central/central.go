@@ -308,7 +308,7 @@ type peerMeta struct {
 	lastEpoch core.Epoch
 	recno     int
 	// decided holds each decision with its sequence number: the peer's
-	// valid replay order for reconstruction (store.Replayer). A decided
+	// valid replay order for reconstruction (ReplayFrom). A decided
 	// table, a word per decision, not a map: it only grows until
 	// compaction, and every candidate filter and extension reads it.
 	decided core.DecisionTable

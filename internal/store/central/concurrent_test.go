@@ -205,7 +205,7 @@ func TestConcurrentPublishReconcileStress(t *testing.T) {
 			}
 		}
 	}
-	log, _, err := s.ReplayFor(ctx, recIDs[0])
+	log, _, err := s.ReplayFrom(ctx, recIDs[0], 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,7 +169,7 @@ func TestShardedCrashTornPublish(t *testing.T) {
 	if err := s2.RegisterPeer(ctx, tornPeer, core.TrustAll(1)); err != nil {
 		t.Fatal(err)
 	}
-	_, decisions, err := s2.ReplayFor(ctx, tornPeer)
+	_, decisions, err := s2.ReplayFrom(ctx, tornPeer, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

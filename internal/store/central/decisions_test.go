@@ -198,7 +198,7 @@ func TestRedecidedSurvivesReopen(t *testing.T) {
 	}
 	live := map[core.PeerID]map[core.TxnID]core.RestoredDecision{}
 	for _, p := range []core.PeerID{"pa", "pb"} {
-		if _, live[p], err = s.ReplayFor(ctx, p); err != nil {
+		if _, live[p], err = s.ReplayFrom(ctx, p, 0, -1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,7 +216,7 @@ func TestRedecidedSurvivesReopen(t *testing.T) {
 	}
 	defer s2.Close()
 	for _, p := range []core.PeerID{"pa", "pb"} {
-		_, got, err := s2.ReplayFor(ctx, p)
+		_, got, err := s2.ReplayFrom(ctx, p, 0, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestRedecidedSurvivesReopen(t *testing.T) {
 	if err := s2.RecordDecisions(ctx, "pb", rec.Recno, nil, ids[1:2]); err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := s2.ReplayFor(ctx, "pb")
+	_, got, err := s2.ReplayFrom(ctx, "pb", 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func differentialWorkload(t *testing.T, compact bool) string {
 	if !compact {
 		// Uncompacted stores also pin the raw replayed decision sequences.
 		for _, id := range ids {
-			_, decisions, err := s2.ReplayFor(ctx, id)
+			_, decisions, err := s2.ReplayFrom(ctx, id, 0, -1)
 			if err != nil {
 				t.Fatal(err)
 			}

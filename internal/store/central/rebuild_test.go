@@ -60,7 +60,7 @@ func TestRebuildPeerReconstructsState(t *testing.T) {
 					seed, orig.ID(), orig.Instance().Tuples("F"), rebuilt.Instance().Tuples("F"))
 			}
 			// Decision sets match for every published transaction.
-			log, decisions, err := s.ReplayFor(ctx, orig.ID())
+			log, decisions, err := s.ReplayFrom(ctx, orig.ID(), 0, -1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,13 +129,18 @@ func TestRebuiltPeerContinues(t *testing.T) {
 	}
 }
 
-func TestRebuildRequiresReplayer(t *testing.T) {
-	// A store without Replayer support is rejected cleanly.
+// TestRebuildRequiresSnapshotReplayer: a bare store.Store, which cannot
+// replay, is refused cleanly by both rebuild entry points.
+func TestRebuildRequiresSnapshotReplayer(t *testing.T) {
 	schema := storetest.Schema(t)
 	ctx := context.Background()
-	if _, err := store.RebuildPeer(ctx, "x", schema, core.TrustAll(1), nonReplayer{}); err == nil {
-		t.Error("non-replayer store accepted")
+	if _, err := store.RebuildPeer(ctx, "x", schema, core.TrustAll(1), bareStore{}); err == nil {
+		t.Error("RebuildPeer accepted a store that cannot replay")
+	}
+	if _, err := store.FullReplayRebuild(ctx, "x", schema, core.TrustAll(1), bareStore{}); err == nil {
+		t.Error("FullReplayRebuild accepted a store that cannot replay")
 	}
 }
 
-type nonReplayer struct{ store.Store }
+// bareStore is a six-method store.Store and nothing more.
+type bareStore struct{ store.Store }

@@ -333,9 +333,9 @@ func (s *Store) CurrentRecno(_ context.Context, peer core.PeerID) (int, error) {
 
 // windowTxns is the one walk of the published log: the transactions of
 // epochs (from, to] in epoch order, publish order within an epoch — the
-// global order. ReplayFor and ReplayFrom walk to the highest allocated
-// epoch, each behind its own compaction guard. A finished epoch's transaction list is immutable and
-// read lock-free; an epoch still publishing is copied under its lock.
+// global order. ReplayFrom walks to the highest allocated epoch, behind
+// the compaction guard. A finished epoch's transaction list is immutable
+// and read lock-free; an epoch still publishing is copied under its lock.
 func (s *Store) windowTxns(from, to core.Epoch) []store.PublishedTxn {
 	var out []store.PublishedTxn
 	for e := from + 1; e <= to; e++ {
@@ -350,30 +350,4 @@ func (s *Store) windowTxns(from, to core.Epoch) []store.PublishedTxn {
 		}
 	}
 	return out
-}
-
-// ReplayFor implements store.Replayer: the full published log in global
-// order together with the peer's recorded decisions in acceptance order,
-// from which a lost client reconstructs itself (see docs/RECOVERY.md).
-// After compaction, full replay no longer exists for peers the retained
-// snapshot covers — their early history lives only in the snapshot — so
-// the call fails for them; store.RebuildPeer takes the snapshot + tail
-// path instead. Peers registered after the snapshot (whose whole history
-// is in the retained epochs) still replay fully.
-func (s *Store) ReplayFor(_ context.Context, peer core.PeerID) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
-	pm, err := s.peer(peer)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.snapState.mu.RLock()
-	compacted := s.snapState.compacted
-	_, snapCovered := s.snapState.hw[peer]
-	s.snapState.mu.RUnlock()
-	if compacted > 0 && snapCovered {
-		return nil, nil, fmt.Errorf("central: epochs through %d are compacted; rebuild %s from the retained snapshot (store.RebuildPeer)", compacted, peer)
-	}
-	log := s.windowTxns(0, s.maxEpoch())
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	return log, pm.decided.Map(), nil
 }

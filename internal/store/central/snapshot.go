@@ -281,9 +281,13 @@ func (s *Store) LatestSnapshot(_ context.Context) (*store.Snapshot, error) {
 
 // ReplayFrom implements store.SnapshotReplayer: the published tail above
 // the given epoch in global order, plus the peer's decisions recorded after
-// the afterSeq high-water mark. The tail never needs compacted payloads:
-// from must be at or above the compaction horizon (snapshot epochs always
-// are).
+// the afterSeq high-water mark; ReplayFrom(peer, 0, -1) is the whole
+// history (see docs/RECOVERY.md). After compaction, a from below the
+// horizon is refused for a peer the retained snapshot covers — its early
+// history lives only in the snapshot, and store.RebuildPeer starts it from
+// there. A peer the snapshot does not cover registered after it, so every
+// epoch it could have seen lies above the horizon: compacted epochs are
+// void, and its walk from below the horizon is its whole history.
 func (s *Store) ReplayFrom(_ context.Context, peer core.PeerID, from core.Epoch, afterSeq int64) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
 	pm, err := s.peer(peer)
 	if err != nil {
@@ -291,9 +295,10 @@ func (s *Store) ReplayFrom(_ context.Context, peer core.PeerID, from core.Epoch,
 	}
 	s.snapState.mu.RLock()
 	compacted := s.snapState.compacted
+	_, snapCovered := s.snapState.hw[peer]
 	s.snapState.mu.RUnlock()
-	if from < compacted {
-		return nil, nil, fmt.Errorf("central: replay from epoch %d crosses the compaction horizon %d", from, compacted)
+	if from < compacted && snapCovered {
+		return nil, nil, fmt.Errorf("central: epochs through %d are compacted; rebuild %s from the retained snapshot (store.RebuildPeer)", compacted, peer)
 	}
 	log := s.windowTxns(from, s.maxEpoch())
 	lockContended(&pm.mu, s.counters.ObservePeerContention)

@@ -243,11 +243,11 @@ func TestCompactionSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Full replay is gone for snapshot-covered peers — by design, with a
-	// pointed error — but the snapshot + tail rebuild matches the
-	// pre-reopen rebuild exactly.
-	if _, _, err := s2.ReplayFor(ctx, "pq"); err == nil || !strings.Contains(err.Error(), "compacted") {
-		t.Errorf("ReplayFor after compaction: %v, want compaction error", err)
+	// Replay from below the horizon is gone for snapshot-covered peers —
+	// by design, with a pointed error — but the snapshot + tail rebuild
+	// matches the pre-reopen rebuild exactly.
+	if _, _, err := s2.ReplayFrom(ctx, "pq", 0, -1); err == nil || !strings.Contains(err.Error(), "compacted") {
+		t.Errorf("ReplayFrom(0) after compaction: %v, want compaction error", err)
 	}
 	post, err := store.RebuildPeer(ctx, "pq", schema, trustQ, s2)
 	if err != nil {
@@ -336,6 +336,84 @@ func TestCompactionRefusals(t *testing.T) {
 		t.Errorf("compaction after covering snapshot: %v", err)
 	}
 	_ = peers
+}
+
+// TestRebuildNewcomerAfterCompaction: a peer that registers after a
+// compaction is not covered by the retained snapshot, so its rebuild
+// replays from epoch 0. The replay is not refused — the compacted epochs
+// are void, and every epoch the newcomer could have decided lies above the
+// horizon — while the same replay for a covered peer is. The rebuilt
+// newcomer equals the live one.
+func TestRebuildNewcomerAfterCompaction(t *testing.T) {
+	ctx := context.Background()
+	schema := storetest.Schema(t)
+	s := MustOpenMemory(schema)
+	defer s.Close()
+	peers := snapshotHistory(t, s, schema)
+	if _, err := s.Snapshot(ctx); err != nil {
+		t.Fatal(err)
+	}
+	horizon := s.CompactionHorizon()
+	if horizon == 0 {
+		t.Fatal("no compaction horizon: scenario not exercised")
+	}
+	if err := s.CompactBefore(ctx, horizon); err != nil {
+		t.Fatal(err)
+	}
+
+	trustN := storetest.TrustOrigins(map[core.PeerID]int{"pa": 2, "pb": 1})
+	pn, err := store.NewPeer(ctx, "pn", schema, trustN, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A window with an accept, a reject and the newcomer's own edit: pa and
+	// pb write the same key, and pn trusts pa more.
+	cycle := func(p *store.Peer, us ...core.Update) *core.Result {
+		t.Helper()
+		if len(us) > 0 {
+			if _, err := p.Edit(us...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := p.PublishAndReconcile(ctx)
+		if err != nil {
+			t.Fatalf("cycle %s: %v", p.ID(), err)
+		}
+		return res
+	}
+	cycle(peers["pa"], core.Insert("F", core.Strs("mouse", "p2", "high"), "pa"))
+	cycle(peers["pb"], core.Insert("F", core.Strs("mouse", "p2", "low"), "pb"))
+	res := cycle(pn, core.Insert("F", core.Strs("dog", "p3", "pn-val"), "pn"))
+	if len(res.Accepted) == 0 || len(res.Rejected) == 0 {
+		t.Fatalf("newcomer's window decided %+v, want an accept and a reject", res)
+	}
+
+	if _, _, err := s.ReplayFrom(ctx, "pq", 0, -1); err == nil || !strings.Contains(err.Error(), "compacted") {
+		t.Errorf("ReplayFrom(pq, 0) after compaction: %v, want compaction error", err)
+	}
+	log, decisions, err := s.ReplayFrom(ctx, "pn", 0, -1)
+	if err != nil {
+		t.Fatalf("ReplayFrom(pn, 0): %v", err)
+	}
+	rebuilt, err := store.RebuildPeer(ctx, "pn", schema, trustN, s)
+	if err != nil {
+		t.Fatalf("rebuild newcomer: %v", err)
+	}
+	if !rebuilt.Instance().Equal(pn.Instance()) {
+		t.Errorf("rebuilt instance %v, want %v", rebuilt.Instance().Tuples("F"), pn.Instance().Tuples("F"))
+	}
+	for _, pt := range log {
+		id := pt.Txn.ID
+		if got, want := rebuilt.Engine().Applied(id), pn.Engine().Applied(id); got != want {
+			t.Errorf("applied(%s) = %v after rebuild, %v live", id, got, want)
+		}
+		if got, want := rebuilt.Engine().Rejected(id), pn.Engine().Rejected(id); got != want {
+			t.Errorf("rejected(%s) = %v after rebuild, %v live", id, got, want)
+		}
+	}
+	if len(decisions) != len(res.Accepted)+len(res.Rejected)+1 {
+		t.Errorf("replayed %d decisions, want the window's %d plus the self-accept", len(decisions), len(res.Accepted)+len(res.Rejected))
+	}
 }
 
 // TestLateDecisionOnCompactedEpoch is the residue invariant end-to-end: a

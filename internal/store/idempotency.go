@@ -29,12 +29,3 @@ func IdempotencyKeyFrom(ctx context.Context) (IdempotencyKey, bool) {
 	key, ok := ctx.Value(idemCtxKey{}).(IdempotencyKey)
 	return key, ok && key != ""
 }
-
-// CanDedupe reports whether the store dedupes idempotency-keyed calls: a
-// Backend does (it is part of that tier's contract); a bare Store executes
-// every delivery, so retrying non-idempotent operations against it is
-// unsafe.
-func CanDedupe(_ context.Context, st Store) bool {
-	_, ok := st.(Backend)
-	return ok
-}

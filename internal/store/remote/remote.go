@@ -41,7 +41,6 @@ const (
 	mBegin        = "store.begin"
 	mDecideBatch  = "store.decide.batch"
 	mRecno        = "store.recno"
-	mReplay       = "store.replay"
 	mTakeSnapshot = "store.snapshot.take"
 	mSnapshot     = "store.snapshot"
 	mReplayFrom   = "store.replayfrom"
@@ -51,8 +50,7 @@ const (
 )
 
 // The wire bodies; wire.go holds their codec and layout. A struct shared by
-// several ops (peerArgs, epochReply, replayReply) has one layout for all of
-// them.
+// several ops (peerArgs, epochReply) has one layout for all of them.
 
 type registerArgs struct {
 	Peer   core.PeerID
@@ -70,7 +68,7 @@ type publishArgs struct {
 }
 
 // peerArgs is the body of every op that names only a peer (begin, recno,
-// replay, effective trust); begin is the one that is keyed.
+// effective trust); begin is the one that is keyed.
 type peerArgs struct {
 	Peer core.PeerID
 	Key  store.IdempotencyKey
@@ -130,21 +128,12 @@ type effTrustReply struct {
 	Policy string
 }
 
-// replayReply answers replay (the full log) and replayfrom (the tail).
+// replayReply answers replayfrom.
 type replayReply struct {
 	// Log is the published log in global order, binary-codec encoded like a
 	// publish payload.
 	Log       []byte
 	Decisions map[core.TxnID]core.RestoredDecision
-}
-
-// txns decodes the reply for the client.
-func (r *replayReply) txns() ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
-	log, err := store.DecodePublishedTxns(r.Log)
-	if err != nil {
-		return nil, nil, fmt.Errorf("remote: replay payload: %w", err)
-	}
-	return log, r.Decisions, nil
 }
 
 type snapshotReply struct {
@@ -180,7 +169,6 @@ func NewServer(backend store.Store, schema *core.Schema) *Server {
 	s.mux.Handle(mBegin, serve(s.begin))
 	s.mux.Handle(mDecideBatch, serve(s.decideBatch))
 	s.mux.Handle(mRecno, serve(s.recno))
-	s.mux.Handle(mReplay, serve(s.replay))
 	s.mux.Handle(mTakeSnapshot, serve(s.takeSnapshot))
 	s.mux.Handle(mSnapshot, serve(s.latestSnapshot))
 	s.mux.Handle(mReplayFrom, serve(s.replayFrom))
@@ -263,15 +251,6 @@ func (s *Server) decideBatch(ctx context.Context, a *decideBatchArgs) (*none, er
 func (s *Server) recno(ctx context.Context, a *peerArgs) (*recnoReply, error) {
 	n, err := s.backend.CurrentRecno(ctx, a.Peer)
 	return &recnoReply{Recno: n}, err
-}
-
-func (s *Server) replay(ctx context.Context, a *peerArgs) (*replayReply, error) {
-	rp, err := need[store.Replayer](s)
-	if err != nil {
-		return nil, err
-	}
-	log, decisions, err := rp.ReplayFor(ctx, a.Peer)
-	return &replayReply{Log: store.AppendPublishedTxns(nil, log), Decisions: decisions}, err
 }
 
 func (s *Server) takeSnapshot(ctx context.Context, a *takeSnapshotArgs) (*epochReply, error) {
@@ -543,25 +522,21 @@ func (c *Client) EffectiveTrust(ctx context.Context, peer core.PeerID) (core.Tru
 	return pol, nil
 }
 
-// ReplayFor implements store.Replayer: the full log crosses the wire once,
-// in the binary store codec, so a lost participant can rebuild its soft
-// state from a remote store exactly as from a local one (store.RebuildPeer).
-func (c *Client) ReplayFor(ctx context.Context, peer core.PeerID) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
-	r, err := call[replayReply](ctx, c, mReplay, &peerArgs{Peer: peer})
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.txns()
-}
-
-// ReplayFrom implements store.SnapshotReplayer: the post-snapshot tail and
-// the peer's post-snapshot decisions in one round trip.
+// ReplayFrom implements store.SnapshotReplayer: the log after an epoch and
+// the peer's decisions after a sequence in one round trip, in the binary
+// store codec — the post-snapshot tail, or from (0, −1) the whole history,
+// so a lost participant rebuilds from a remote store exactly as from a
+// local one (store.RebuildPeer).
 func (c *Client) ReplayFrom(ctx context.Context, peer core.PeerID, from core.Epoch, afterSeq int64) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
 	r, err := call[replayReply](ctx, c, mReplayFrom, &replayFromArgs{Peer: peer, From: from, AfterSeq: afterSeq})
 	if err != nil {
 		return nil, nil, err
 	}
-	return r.txns()
+	log, err := store.DecodePublishedTxns(r.Log)
+	if err != nil {
+		return nil, nil, fmt.Errorf("remote: replay payload: %w", err)
+	}
+	return log, r.Decisions, nil
 }
 
 // Snapshot implements store.Snapshotter by proxy: the server's backend

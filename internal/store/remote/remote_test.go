@@ -189,7 +189,7 @@ func TestRemoteBadPolicyRejectedServerSide(t *testing.T) {
 type bareStore struct{ store.Store }
 
 // TestServerRefusesMissingCapability: a Server accepts any store.Store, so
-// each of the seven ops that need a store.Backend capability must refuse a
+// each of the six ops that need a store.Backend capability must refuse a
 // backend whose type lacks it, with an error naming that type — and the
 // six-method tier must keep working on the same server.
 func TestServerRefusesMissingCapability(t *testing.T) {
@@ -211,7 +211,6 @@ func TestServerRefusesMissingCapability(t *testing.T) {
 	}
 
 	gated := map[string]func() error{
-		mReplay:       func() error { _, _, err := cl.ReplayFor(ctx, "x"); return err },
 		mTakeSnapshot: func() error { _, err := cl.Snapshot(ctx); return err },
 		mSnapshot:     func() error { _, err := cl.LatestSnapshot(ctx); return err },
 		mReplayFrom:   func() error { _, _, err := cl.ReplayFrom(ctx, "x", 0, 0); return err },

@@ -10,7 +10,7 @@ import (
 	"orchestra/internal/store"
 )
 
-// The wire bodies' format. Every args and reply type of the 12 ops
+// The wire bodies' format. Every args and reply type of the 11 ops
 // implements wireBody, and serve and call accept no other, so a body
 // without a codec does not compile. A body carries no version byte of its
 // own: the rpc envelope's protocol version covers it. Strings are a
@@ -28,7 +28,6 @@ import (
 //	begin           Peer, Key                 -> Reconciliation...
 //	decide.batch    Key, batches...           -> none
 //	recno           Peer, Key                 -> Recno
-//	replay          Peer, Key                 -> decisions, log...
 //	snapshot.take   Key                       -> Epoch
 //	snapshot        (empty)                   -> snapshot...
 //	replayfrom      Peer, From, AfterSeq      -> decisions, log...

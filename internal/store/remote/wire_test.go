@@ -194,7 +194,7 @@ func caseOf[T any, P wireBody[T]](name string, random func(g *gen) *T) wireCase 
 	}
 }
 
-// wireCases covers every args and reply type of the 12 ops. Its order is
+// wireCases covers every args and reply type of the 11 ops. Its order is
 // FuzzDecodeWireBody's op byte: append, never reorder.
 var wireCases = []wireCase{
 	caseOf("registerArgs", func(g *gen) *registerArgs {

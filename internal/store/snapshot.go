@@ -78,10 +78,10 @@ type Snapshotter interface {
 	CompactBefore(ctx context.Context, e core.Epoch) error
 }
 
-// SnapshotReplayer is the bounded catch-up capability: the snapshot plus
-// the log tail it does not cover. RebuildPeer prefers it over a full
-// ReplayFor whenever the peer is covered by a retained snapshot — two
-// round trips instead of a replay of the whole history.
+// SnapshotReplayer is the replay capability: the retained snapshot plus
+// the log after it, which is how RebuildPeer rebuilds every peer — two
+// round trips against a remote store. A peer no snapshot covers replays
+// from epoch 0 with afterSeq −1, the whole history.
 type SnapshotReplayer interface {
 	// LatestSnapshot returns the most recent retained snapshot, or nil if
 	// none has been taken. The value may be shared and is read-only: the
@@ -94,11 +94,15 @@ type SnapshotReplayer interface {
 	// strictly after from, in global order — together with the peer's
 	// decisions recorded after the afterSeq decision-sequence high-water
 	// mark. It does not include the snapshot's residue: the caller already
-	// holds it.
+	// holds it. After compaction, a from below the horizon fails for a peer
+	// the retained snapshot covers: that peer's early history exists only
+	// in the snapshot.
 	ReplayFrom(ctx context.Context, peer core.PeerID, from core.Epoch, afterSeq int64) ([]PublishedTxn, map[core.TxnID]core.RestoredDecision, error)
 }
 
-// CanSnapshot reports whether the store supports snapshot-based catch-up.
+// CanSnapshot reports whether st implements SnapshotReplayer. Nothing in
+// this module calls it; it is kept until bench/trace.go stops naming it
+// (see Replayer).
 func CanSnapshot(_ context.Context, st Store) bool {
 	_, ok := st.(SnapshotReplayer)
 	return ok

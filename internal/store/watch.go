@@ -36,7 +36,8 @@ type Watcher interface {
 	WatchFrom(ctx context.Context, from core.Epoch) (<-chan WatchEvent, error)
 }
 
-// CanWatch reports whether st supports WatchFrom.
+// CanWatch reports whether st implements Watcher. Nothing in this module
+// calls it; it is kept until bench/trace.go stops naming it (see Replayer).
 func CanWatch(_ context.Context, st Store) bool {
 	_, ok := st.(Watcher)
 	return ok

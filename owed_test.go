@@ -126,7 +126,7 @@ func (s *owedStore) checkPaidFirst(t *testing.T, peer PeerID) {
 func (s *owedStore) checkSettled(t *testing.T, schema *Schema, p *Peer) {
 	t.Helper()
 	ctx := context.Background()
-	log, decisions, err := s.Backend.ReplayFor(ctx, p.ID())
+	log, decisions, err := s.Backend.ReplayFrom(ctx, p.ID(), 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
