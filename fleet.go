@@ -520,12 +520,6 @@ func (rs *routedStore) RecordDecisionsBatch(ctx context.Context, batches []store
 	return st.RecordDecisionsBatch(ctx, batches)
 }
 
-func (rs *routedStore) CurrentRecno(ctx context.Context, peer core.PeerID) (int, error) {
-	st := rs.enter()
-	defer rs.exit()
-	return st.CurrentRecno(ctx, peer)
-}
-
 // WatchFrom subscribes against the current tenant store. The channel is
 // bound to that location: a migration closes it, and resubscribing (which
 // the streaming layer does on close) routes to the new one.

@@ -10,8 +10,8 @@ import (
 )
 
 // TestHeldInsertDeletedLiveMatchesRestore: a peer that accepts an insert of
-// a value it holds and that value's delete as one extension ends where a
-// Restore of its log and decisions does, and where the publisher is: the
+// a value it holds and that value's delete as one extension ends where
+// RestoreTail of its log and decisions on a fresh engine does, and where the publisher is: the
 // value is gone. Peer a inserts v, and b and q accept it; b inserts v again
 // and then deletes it; q trusts b's deletes but not its inserts, so b's
 // delete is q's candidate and the insert rides in its extension.
@@ -48,7 +48,7 @@ func TestHeldInsertDeletedLiveMatchesRestore(t *testing.T) {
 		decisions[id] = RestoredDecision{Decision: DecisionAccept, Seq: int64(i + 1)}
 	}
 	rebuilt := NewEngine("q", s, TrustAll(1))
-	if err := rebuilt.Restore(logged, decisions); err != nil {
+	if err := rebuilt.RestoreTail(logged, decisions); err != nil {
 		t.Fatal(err)
 	}
 	engineStateEqual(t, "held insert deleted later", q, rebuilt)
@@ -61,8 +61,8 @@ func TestHeldInsertDeletedLiveMatchesRestore(t *testing.T) {
 // the instance as the candidates applied before it left it. Candidate A
 // inserts v, which q does not hold when the run checks its candidates; B's
 // extension inserts v and then deletes it, which cancels out then. Applied
-// after A, B's insert changes nothing and its delete removes v, as a
-// Restore of the log has it.
+// after A, B's insert changes nothing and its delete removes v, as
+// RestoreTail of the log has it.
 func TestApplyFlattensOnTheRunsInstance(t *testing.T) {
 	s := proteinSchema(t)
 	v := Strs("rat", "p1", "v")
@@ -86,7 +86,7 @@ func TestApplyFlattensOnTheRunsInstance(t *testing.T) {
 	wantIDs(t, "accepted", res.Accepted, xa.ID, xb0.ID, xb1.ID)
 	wantTuples(t, live.Instance(), "F")
 	rebuilt := NewEngine("q", s, TrustAll(1))
-	if err := rebuilt.Restore(logged, decisions); err != nil {
+	if err := rebuilt.RestoreTail(logged, decisions); err != nil {
 		t.Fatal(err)
 	}
 	engineStateEqual(t, "one run", live, rebuilt)
@@ -100,11 +100,15 @@ func TestApplyFlattensOnTheRunsInstance(t *testing.T) {
 // their source). The list is cut at every subset of its transaction
 // boundaries; each run is one candidate whose extension is the run, and the
 // engine that accepted them run by run must hold the values the sequential
-// model holds and export the snapshot a Restore of the whole list exports.
-// So must an engine built from a snapshot of a prefix, after RestoreTail of
-// the rest.
+// model holds and export the snapshot RestoreTail of the whole list on a
+// fresh engine exports. So must an engine built from a snapshot of a
+// prefix, after RestoreTail of the rest; and an engine that accepted a
+// prefix, then deferred the rest as one run against a rival and resolved
+// the conflict for the run, against the whole list with the rival
+// rejected.
 func TestAppliedRunsMatchRestore(t *testing.T) {
 	s := proteinSchema(t)
+	resolved := 0
 	for seed := int64(0); seed < 150; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		xs, model := randomValidList(rng, 2+rng.Intn(5))
@@ -116,7 +120,7 @@ func TestAppliedRunsMatchRestore(t *testing.T) {
 			decisions[x.ID] = RestoredDecision{Decision: DecisionAccept, Seq: int64(i + 1)}
 		}
 		whole := NewEngine("q", s, TrustAll(1))
-		if err := whole.Restore(logged, decisions); err != nil {
+		if err := whole.RestoreTail(logged, decisions); err != nil {
 			t.Fatalf("seed %d: restore: %v", seed, err)
 		}
 		wantTuples(t, whole.Instance(), "F", slices.Collect(maps.Values(model))...)
@@ -149,7 +153,7 @@ func TestAppliedRunsMatchRestore(t *testing.T) {
 		// grouping.
 		for cut := 1; cut < len(xs); cut++ {
 			prefix := NewEngine("q", s, TrustAll(1))
-			if err := prefix.Restore(logged[:cut], decisions); err != nil {
+			if err := prefix.RestoreTail(logged[:cut], decisions); err != nil {
 				t.Fatal(err)
 			}
 			tail, err := NewEngineFromSnapshot(s, TrustAll(1), prefix.ExportSnapshot())
@@ -164,7 +168,83 @@ func TestAppliedRunsMatchRestore(t *testing.T) {
 					seed, cut, xs, tail.ExportSnapshot().Relations, whole.ExportSnapshot().Relations)
 			}
 		}
+
+		// A resolve's re-run is one more grouping.
+		for cut := range xs {
+			if resolveRunMatchesRestore(t, s, xs, cut, logged, decisions) {
+				resolved++
+			}
+		}
 	}
+	if resolved < 400 {
+		t.Errorf("only %d runs deferred against their rival and resolved", resolved)
+	}
+}
+
+// resolveRunMatchesRestore accepts xs[:cut] in one run, then offers the
+// rest as one run beside a rival that writes another value at the key the
+// run's last update touches, at the same priority. When both defer, it
+// resolves every conflict against the rival and reports true: the engine
+// must then export what RestoreTail of the whole list, with the rival
+// rejected, exports on a fresh engine. A pair that does not defer (the
+// run's net effect leaves the key alone) reports false.
+func resolveRunMatchesRestore(t *testing.T, s *Schema, xs []*Transaction, cut int, logged []LoggedTxn, decisions map[TxnID]RestoredDecision) bool {
+	t.Helper()
+	what := fmt.Sprintf("list %v resolved after %d", xs, cut)
+	live := NewEngine("q", s, TrustAll(1))
+	if cut > 0 {
+		res, err := live.Reconcile([]*Candidate{{Txn: xs[cut-1], Priority: 1, Ext: xs[:cut]}})
+		if err != nil || len(res.Accepted) != cut {
+			t.Fatalf("%s: prefix: %+v %v", what, res, err)
+		}
+	}
+	run := xs[cut:]
+	last := run[len(run)-1].Updates[len(run[len(run)-1].Updates)-1]
+	key := last.Tuple
+	if p := last.Produces(); p != nil {
+		key = p
+	}
+	z := Strs(key[0].String(), "p1", "z")
+	rival := NewTransaction(xid("r", 0), Insert("F", z, "r"))
+	if held, ok := live.Instance().Lookup("F", Strs(key[0].String(), "p1")); ok {
+		rival = NewTransaction(xid("r", 0), Modify("F", held, z, "r"))
+	}
+	rival.Order = uint64(len(xs) + 1)
+	res, err := live.Reconcile([]*Candidate{
+		{Txn: run[len(run)-1], Priority: 1, Ext: run},
+		{Txn: rival, Priority: 1, Ext: []*Transaction{rival}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Deferred) != 2 {
+		return false
+	}
+	if _, err := live.ResolveAll(func(g *ConflictGroup) int {
+		for i, o := range g.Options {
+			if !slices.Contains(o.Txns, rival.ID) {
+				return i
+			}
+		}
+		return -1
+	}); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if !live.Rejected(rival.ID) || len(live.DeferredIDs()) != 0 {
+		t.Fatalf("%s: rival rejected %v, still deferred %v", what, live.Rejected(rival.ID), live.DeferredIDs())
+	}
+
+	withRival := maps.Clone(decisions)
+	withRival[rival.ID] = RestoredDecision{Decision: DecisionReject, Seq: int64(len(xs) + 1)}
+	whole := NewEngine("q", s, TrustAll(1))
+	if err := whole.RestoreTail(append(slices.Clone(logged), LoggedTxn{Txn: rival}), withRival); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(live.ExportSnapshot(), whole.ExportSnapshot()) {
+		t.Fatalf("%s\ndeferred and resolved exports %+v\nwhole list exports %+v",
+			what, live.ExportSnapshot(), whole.ExportSnapshot())
+	}
+	return true
 }
 
 // randomValidList returns n transactions of one or two updates each, over

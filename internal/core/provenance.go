@@ -14,7 +14,7 @@ package core
 // to the transaction that produced it, so each held value ends with the
 // last transaction of xs that produces it. A value xs consumed and did not
 // produce again has no row left, or a row holding another value, so it
-// needs no step of its own. Replaying a log in one list (restoreLog)
+// needs no step of its own. Replaying a log in one list (RestoreTail)
 // attributes as one list per reconciliation does: a later list that
 // produces a value again overrides, one that leaves it alone keeps it.
 func (e *Engine) noteProducers(xs []*Transaction) {

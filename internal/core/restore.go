@@ -23,9 +23,18 @@ type RestoredDecision struct {
 	Seq      int64
 }
 
-// Restore rebuilds the engine's state from the update store's full log and
+// RestoreTail rebuilds the engine's state from the update store's log and
 // this peer's recorded decisions — the soft-state reconstruction path of
-// the paper's §5.2 (see docs/RECOVERY.md for the recovery contract).
+// the paper's §5.2 (see docs/RECOVERY.md for the recovery contract). It
+// folds the decisions over the log in acceptance order, applying accepted
+// transactions' updates on top of whatever state the engine already holds.
+// On a fresh engine the log and decisions are the whole history. On an
+// engine seeded from a snapshot (NewEngineFromSnapshot) the log should
+// contain every published transaction the snapshot does not already fold
+// in (the post-snapshot epochs plus the snapshot's residue), and decisions
+// the peer's decisions recorded after the snapshot's per-peer sequence
+// high-water mark. Transactions the engine has already decided are skipped,
+// so overlapping log entries are harmless.
 //
 // The instance is the net effect of every accepted transaction's updates in
 // acceptance order (flattened, so superseded intermediate states are
@@ -35,33 +44,7 @@ type RestoredDecision struct {
 // after the peer's stored frontier, so the deferred transactions stay
 // undecided until the store re-offers undecided transactions (ROADMAP item
 // 3; docs/RECOVERY.md).
-//
-// Restore refuses an engine that has applied, rejected or deferred anything
-// or holds any tuple; RestoreTail is the path for an engine seeded from a
-// snapshot.
-func (e *Engine) Restore(log []LoggedTxn, decisions map[TxnID]RestoredDecision) error {
-	if e.applied.Len() > 0 || e.rejected.Len() > 0 || len(e.deferredCands) > 0 || e.inst.TotalLen() > 0 {
-		return fmt.Errorf("core: Restore requires a fresh engine")
-	}
-	return e.restoreLog(log, decisions)
-}
-
-// RestoreTail replays a suffix of the update store's log onto an engine
-// previously seeded from a snapshot (NewEngineFromSnapshot): the log should
-// contain every published transaction the snapshot does not already fold in
-// (the post-snapshot epochs plus the snapshot's residue), and decisions the
-// peer's decisions recorded after the snapshot's per-peer sequence
-// high-water mark. Transactions the engine has already decided are skipped,
-// so overlapping log entries are harmless. RestoreTail on a fresh engine is
-// exactly Restore.
 func (e *Engine) RestoreTail(log []LoggedTxn, decisions map[TxnID]RestoredDecision) error {
-	return e.restoreLog(log, decisions)
-}
-
-// restoreLog is the shared replay body of Restore and RestoreTail: fold the
-// given decisions over the log in acceptance order, applying accepted
-// transactions' updates on top of whatever state the engine already holds.
-func (e *Engine) restoreLog(log []LoggedTxn, decisions map[TxnID]RestoredDecision) error {
 	ordered := append([]LoggedTxn(nil), log...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Txn.Order < ordered[j].Txn.Order })
 

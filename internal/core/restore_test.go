@@ -173,7 +173,7 @@ func TestRestoreDirect(t *testing.T) {
 		xo.ID: {Decision: DecisionAccept, Seq: 4},
 	}
 	e := NewEngine("me", s, TrustAll(1))
-	if err := e.Restore(log, decisions); err != nil {
+	if err := e.RestoreTail(log, decisions); err != nil {
 		t.Fatal(err)
 	}
 	wantTuples(t, e.Instance(), "F",
@@ -192,17 +192,12 @@ func TestRestoreDirect(t *testing.T) {
 	if nxt.ID.Seq != 6 {
 		t.Errorf("next local seq = %d, want 6", nxt.ID.Seq)
 	}
-	// Restore requires a fresh engine.
-	if err := e.Restore(log, decisions); err == nil {
-		t.Error("restore onto a used engine accepted")
-	}
 }
 
-// TestRestoreRefusesUsedEngine: Restore replays a whole history, so it
-// refuses an engine that holds any decision — a rejection or a deferral as
-// much as an acceptance — even with an empty instance. RestoreTail stays
-// the path for an engine seeded from a snapshot.
-func TestRestoreRefusesUsedEngine(t *testing.T) {
+// TestRestoreTailKeepsSeededDecisions: RestoreTail onto an engine seeded
+// from a snapshot that holds only a rejection keeps that rejection and
+// replays the tail's acceptance on top of it.
+func TestRestoreTailKeepsSeededDecisions(t *testing.T) {
 	s := proteinSchema(t)
 	x := handTxn("o", 1, Insert("F", fTuple("k", "x"), "o"))
 	log := []LoggedTxn{{Txn: x}}
@@ -212,26 +207,11 @@ func TestRestoreRefusesUsedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rejecter.Restore(log, decisions); err == nil {
-		t.Error("Restore accepted an engine holding only a rejection")
-	}
 	if err := rejecter.RestoreTail(log, decisions); err != nil {
 		t.Errorf("RestoreTail on a seeded engine: %v", err)
 	}
 	if !rejecter.Applied(x.ID) || !rejecter.Rejected(xid("r", 0)) {
 		t.Error("RestoreTail lost the seeded rejection or the replayed acceptance")
-	}
-
-	deferrer := NewEngine("me", s, TrustAll(1))
-	a := handTxn("a", 2, Insert("F", fTuple("k", "a"), "a"))
-	b := handTxn("b", 3, Insert("F", fTuple("k", "b"), "b"))
-	res, err := deferrer.Reconcile([]*Candidate{handCand(a), handCand(b)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantIDs(t, "deferred", res.Deferred, a.ID, b.ID)
-	if err := deferrer.Restore(log, decisions); err == nil {
-		t.Error("Restore accepted an engine holding only deferrals")
 	}
 }
 
@@ -253,7 +233,7 @@ func TestRestoreAcceptanceOrderBeatsGlobalOrder(t *testing.T) {
 		other.ID: {Decision: DecisionAccept, Seq: 3}, // idempotent at acceptance time
 	}
 	e := NewEngine("me", s, TrustAll(1))
-	if err := e.Restore(log, decisions); err != nil {
+	if err := e.RestoreTail(log, decisions); err != nil {
 		t.Fatal(err)
 	}
 	wantTuples(t, e.Instance(), "F", Strs("rat", "p1", "f1"))
@@ -308,7 +288,7 @@ func TestVerbatimReinsertLiveMatchesRestore(t *testing.T) {
 		decisions[id] = RestoredDecision{Decision: DecisionAccept, Seq: int64(i + 1)}
 	}
 	rebuilt := NewEngine("c", s, TrustAll(1))
-	if err := rebuilt.Restore(logged, decisions); err != nil {
+	if err := rebuilt.RestoreTail(logged, decisions); err != nil {
 		t.Fatal(err)
 	}
 	engineStateEqual(t, "verbatim re-insert", live, rebuilt)

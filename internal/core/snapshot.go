@@ -8,7 +8,7 @@ import (
 // EngineSnapshot is the serializable image of a participant's durable engine
 // state: the materialized instance with each held value's producer, the
 // applied/rejected decision sets, and the local transaction sequence. It
-// captures exactly the state core.Restore reconstructs from the update
+// captures exactly the state Engine.RestoreTail reconstructs from the update
 // store's log — reconciliation soft state (deferred candidates, dirty
 // values, conflict groups) is deliberately absent, because the store never
 // records it and the next reconciliation rebuilds it (see docs/RECOVERY.md).

@@ -104,14 +104,14 @@ func TestRestoreTailEquivalence(t *testing.T) {
 	}
 
 	fullEng := NewEngine("me", s, TrustAll(1))
-	if err := fullEng.Restore(full, decisions); err != nil {
+	if err := fullEng.RestoreTail(full, decisions); err != nil {
 		t.Fatal(err)
 	}
 
 	// Snapshot after seq 2 (x1, x2 folded in), tail = everything after.
 	prefixEng := NewEngine("me", s, TrustAll(1))
 	prefixDecs := map[TxnID]RestoredDecision{x1.ID: decisions[x1.ID], x2.ID: decisions[x2.ID]}
-	if err := prefixEng.Restore(full[:2], prefixDecs); err != nil {
+	if err := prefixEng.RestoreTail(full[:2], prefixDecs); err != nil {
 		t.Fatal(err)
 	}
 	tailEng, err := NewEngineFromSnapshot(s, TrustAll(1), prefixEng.ExportSnapshot())

@@ -97,9 +97,3 @@ func (c *chargedStore) RecordDecisionsBatch(ctx context.Context, batches []store
 	c.charge(1, 0)
 	return c.inner.RecordDecisionsBatch(ctx, batches)
 }
-
-// CurrentRecno implements store.Store.
-func (c *chargedStore) CurrentRecno(ctx context.Context, peer core.PeerID) (int, error) {
-	c.charge(1, 0)
-	return c.inner.CurrentRecno(ctx, peer)
-}

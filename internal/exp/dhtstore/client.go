@@ -277,12 +277,3 @@ func (cl *client) RecordDecisionsBatch(ctx context.Context, batches []store.Deci
 	wg.Wait()
 	return errors.Join(errs...)
 }
-
-// CurrentRecno implements store.Store.
-func (cl *client) CurrentRecno(ctx context.Context, peer core.PeerID) (int, error) {
-	var meta peerMetaReply
-	if err := cl.call(ctx, peerKey(peer), mPeerMeta, &peerMetaArgs{Peer: peer}, &meta); err != nil {
-		return 0, err
-	}
-	return meta.Recno, nil
-}

@@ -84,8 +84,10 @@ func TestMessageAccounting(t *testing.T) {
 		t.Fatalf("accepted %d", len(res.Accepted))
 	}
 	msgs := net.Stats().Messages()
-	// At minimum: one txn.get and one txn.decide per transaction, plus
-	// epoch/allocator/coordinator traffic.
+	// At minimum: one txn.get and one txn.decide.batch per transaction
+	// (decisions are grouped by transaction controller, and each
+	// transaction is its own controller), plus epoch/allocator/coordinator
+	// traffic.
 	if msgs < 40 {
 		t.Errorf("messages = %d, expected per-transaction request traffic", msgs)
 	}

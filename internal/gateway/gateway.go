@@ -123,7 +123,6 @@ func (g *Gateway) routes() {
 	g.handle("POST /v1/publish", "publish", g.handlePublish)
 	g.handle("POST /v1/reconcile/begin", "begin", g.handleBegin)
 	g.handle("POST /v1/reconcile/decide-batch", "decide-batch", g.handleDecideBatch)
-	g.handle("GET /v1/recno", "recno", g.handleRecno)
 	g.handle("GET /v1/watch", "watch", g.handleWatch)
 	g.handle("POST /v1/snapshot", "snapshot", g.handleSnapshot)
 	g.handle("GET /v1/snapshot/latest", "snapshot-latest", g.handleSnapshotLatest)
@@ -341,18 +340,6 @@ func (g *Gateway) handleDecideBatch(w http.ResponseWriter, r *http.Request) erro
 		return err
 	}
 	return writeJSON(w, map[string]any{"ok": true})
-}
-
-func (g *Gateway) handleRecno(w http.ResponseWriter, r *http.Request) error {
-	peer := r.URL.Query().Get("peer")
-	if peer == "" {
-		return badRequest{errors.New("missing peer parameter")}
-	}
-	n, err := g.st.CurrentRecno(r.Context(), core.PeerID(peer))
-	if err != nil {
-		return err
-	}
-	return writeJSON(w, map[string]any{"recno": n})
 }
 
 func (g *Gateway) handleSnapshot(w http.ResponseWriter, r *http.Request) error {

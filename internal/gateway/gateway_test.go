@@ -154,11 +154,6 @@ func TestGatewayEndToEnd(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("decide: status %d", code)
 	}
-	code, body, _ = call(t, "GET", url+"/v1/recno?peer=bob", nil, nil)
-	if code != http.StatusOK || intField(t, body, "recno") != recno {
-		t.Fatalf("recno: status %d body %v", code, body)
-	}
-
 	// Long-poll watch from 0 is woken by the published epoch; no rows travel.
 	code, body, _ = call(t, "GET", url+"/v1/watch?from=0&wait_ms=2000", nil, nil)
 	if code != http.StatusOK {
@@ -227,15 +222,16 @@ func TestGatewayEndToEnd(t *testing.T) {
 	for _, r := range routes {
 		seen[r.Route] = r.Count
 	}
-	for _, route := range []string{"peers", "publish", "begin", "decide-batch", "recno", "watch", "snapshot", "snapshot-latest", "replay"} {
+	for _, route := range []string{"peers", "publish", "begin", "decide-batch", "watch", "snapshot", "snapshot-latest", "replay"} {
 		if seen[route] == 0 {
 			t.Errorf("metrics: route %q not counted (have %v)", route, seen)
 		}
 	}
 
-	// The store agrees with everything the JSON surface reported.
-	if n, err := cs.CurrentRecno(context.Background(), "bob"); err != nil || int64(n) != recno {
-		t.Errorf("store recno: %d %v", n, err)
+	// The store agrees with everything the JSON surface reported: bob's
+	// next reconciliation follows the one the decisions were recorded under.
+	if rec, err := cs.BeginReconciliation(context.Background(), "bob"); err != nil || int64(rec.Recno) != recno+1 {
+		t.Errorf("store's next recno for bob: %+v %v, want %d", rec, err, recno+1)
 	}
 }
 
@@ -245,7 +241,7 @@ func TestGatewayErrorMapping(t *testing.T) {
 	srv, _, _ := newTestGateway(t, Options{})
 	url := srv.URL
 
-	if code, _, _ := call(t, "GET", url+"/v1/recno?peer=nobody", nil, nil); code != http.StatusNotFound {
+	if code, _, _ := call(t, "POST", url+"/v1/reconcile/begin", map[string]string{"peer": "nobody"}, nil); code != http.StatusNotFound {
 		t.Errorf("unknown peer: status %d, want 404", code)
 	}
 	code, _, _ := call(t, "POST", url+"/v1/peers", map[string]string{"peer": "x", "policy": "garbage"}, nil)
@@ -599,11 +595,11 @@ type countingStore struct {
 	mu    sync.Mutex
 }
 
-func (s *countingStore) CurrentRecno(ctx context.Context, peer core.PeerID) (int, error) {
+func (s *countingStore) LatestSnapshot(ctx context.Context) (*store.Snapshot, error) {
 	s.mu.Lock()
 	s.calls++
 	s.mu.Unlock()
-	return s.Backend.CurrentRecno(ctx, peer)
+	return s.Backend.LatestSnapshot(ctx)
 }
 
 // TestPoolRoundRobin: the connection pool spreads calls across its lanes.
@@ -611,13 +607,10 @@ func TestPoolRoundRobin(t *testing.T) {
 	schema := testSchema()
 	cs := central.MustOpenMemory(schema)
 	defer cs.Close()
-	if err := cs.RegisterPeer(context.Background(), "a", core.TrustAll(1)); err != nil {
-		t.Fatal(err)
-	}
 	lanes := []*countingStore{{Backend: cs}, {Backend: cs}, {Backend: cs}}
 	p := NewPool(lanes[0], lanes[1], lanes[2])
 	for i := 0; i < 9; i++ {
-		if _, err := p.CurrentRecno(context.Background(), "a"); err != nil {
+		if _, err := p.LatestSnapshot(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}

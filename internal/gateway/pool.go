@@ -56,10 +56,6 @@ func (p *Pool) RecordDecisionsBatch(ctx context.Context, batches []store.Decisio
 	return p.pick().RecordDecisionsBatch(ctx, batches)
 }
 
-func (p *Pool) CurrentRecno(ctx context.Context, peer core.PeerID) (int, error) {
-	return p.pick().CurrentRecno(ctx, peer)
-}
-
 func (p *Pool) Snapshot(ctx context.Context) (core.Epoch, error) {
 	return p.pick().Snapshot(ctx)
 }

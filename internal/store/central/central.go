@@ -275,7 +275,6 @@ type entry struct {
 }
 
 type epochMeta struct {
-	peer core.PeerID
 	// finished flips exactly once, after every transaction of the epoch is
 	// durably recorded and indexed; the stable-epoch scan reads it
 	// lock-free.

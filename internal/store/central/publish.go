@@ -88,16 +88,6 @@ func (s *Store) EffectiveTrust(_ context.Context, peer core.PeerID) (core.Trust,
 	return s.trustGraph.Effective(peer), nil
 }
 
-// PublishBegin allocates an epoch and records that the peer has started
-// publishing into it. Exposed separately so tests and the failure-injection
-// benchmarks can hold an epoch open.
-func (s *Store) PublishBegin(peer core.PeerID) (core.Epoch, error) {
-	if _, err := s.peer(peer); err != nil {
-		return 0, err
-	}
-	return s.allocEpoch(peer)
-}
-
 // allocEpoch is the publish path's single global critical section, and it
 // is normally memory-only: epoch numbers come from a pre-claimed block,
 // and the durable sequence commit runs once per epochBlock allocations.
@@ -107,7 +97,7 @@ func (s *Store) PublishBegin(peer core.PeerID) (core.Epoch, error) {
 // trace and is voided by recovery. Everything expensive — payload
 // encoding, cache warming, indexing — happens outside this lock, under
 // per-epoch and per-peer locks.
-func (s *Store) allocEpoch(peer core.PeerID) (core.Epoch, error) {
+func (s *Store) allocEpoch() (core.Epoch, error) {
 	if !s.epochMu.TryLock() {
 		s.counters.ObserveEpochContention()
 		s.epochMu.Lock()
@@ -127,28 +117,20 @@ func (s *Store) allocEpoch(peer core.PeerID) (core.Epoch, error) {
 	}
 	epoch := s.blockNext
 	s.blockNext++
-	s.epochs[epoch] = &epochMeta{peer: peer}
+	s.epochs[epoch] = &epochMeta{}
 	if epoch > s.maxE {
 		s.maxE = epoch
 	}
 	return epoch, nil
 }
 
-// PublishWrite appends the batch's transactions under the open epoch,
-// assigning global orders, and records them as accepted by the publisher.
-func (s *Store) PublishWrite(peer core.PeerID, epoch core.Epoch, txns []store.PublishedTxn) error {
-	return s.publishWrite(peer, epoch, txns, false, "")
-}
-
-// publishWrite is the shared write path; finish additionally marks the
-// epoch complete in the same database commit (the fast path used by
-// Publish, saving one commit per publish). A non-empty key records the
-// publish's dedup row in the same commit.
-func (s *Store) publishWrite(peer core.PeerID, epoch core.Epoch, txns []store.PublishedTxn, finish bool, key store.IdempotencyKey) error {
+// publishWrite writes a non-empty batch into the epoch the peer was just
+// allocated and finishes the epoch, in one database commit: the batch's
+// transactions get their global orders and are recorded as accepted by
+// the publisher. A non-empty key records the publish's dedup row in the
+// same commit.
+func (s *Store) publishWrite(peer core.PeerID, epoch core.Epoch, txns []store.PublishedTxn, key store.IdempotencyKey) error {
 	em := s.epoch(epoch)
-	if em == nil || em.peer != peer {
-		return fmt.Errorf("central: epoch %d not open for %s", epoch, peer)
-	}
 	pm, err := s.peer(peer)
 	if err != nil {
 		return err
@@ -156,12 +138,6 @@ func (s *Store) publishWrite(peer core.PeerID, epoch core.Epoch, txns []store.Pu
 
 	em.mu.Lock()
 	defer em.mu.Unlock()
-	if em.finished.Load() {
-		return fmt.Errorf("central: epoch %d already finished", epoch)
-	}
-	if len(txns) == 0 {
-		return nil // nothing to write; Publish never reaches here empty
-	}
 	// Assign orders and encode the batch before taking the peer lock or
 	// the database lock: encoding is the expensive part of publishing, and
 	// it runs under the per-epoch lock only, which nobody else contends
@@ -185,8 +161,8 @@ func (s *Store) publishWrite(peer core.PeerID, epoch core.Epoch, txns []store.Pu
 	defer pm.mu.Unlock()
 	// One commit carries the whole publish: the epoch registration (first
 	// durable trace of the epoch — allocation itself is memory-only), the
-	// batch payload, and the publisher's self-accepts as one decision row.
-	// The fast path also finishes the epoch here. Everything lands in the
+	// batch payload, and the publisher's self-accepts as one decision row,
+	// with the epoch already marked finished. Everything lands in the
 	// epoch's shard k, in the documented epochs_k → txns_k → decisions_k
 	// order — publishes to epochs in other shards touch disjoint tables and
 	// commit in parallel.
@@ -194,7 +170,7 @@ func (s *Store) publishWrite(peer core.PeerID, epoch core.Epoch, txns []store.Pu
 	s.counters.EnterShard(k)
 	err = s.db.Update(func(tx *reldb.Tx) error {
 		if err := tx.Upsert(s.epochsTab[k], reldb.Row{
-			reldb.Int(int64(epoch)), reldb.Str(string(peer)), reldb.Bool(finish),
+			reldb.Int(int64(epoch)), reldb.Str(string(peer)), reldb.Bool(true),
 		}); err != nil {
 			return err
 		}
@@ -233,28 +209,6 @@ func (s *Store) publishWrite(peer core.PeerID, epoch core.Epoch, txns []store.Pu
 		em.txns = append(em.txns, pt.Txn.ID)
 		pm.recordDecisionLocked(pt.Txn.ID, core.DecisionAccept)
 	}
-	if finish {
-		em.finished.Store(true)
-		s.advanceFrontier()
-	}
-	return nil
-}
-
-// PublishFinish marks the epoch complete, making it visible to stable-epoch
-// computation.
-func (s *Store) PublishFinish(peer core.PeerID, epoch core.Epoch) error {
-	em := s.epoch(epoch)
-	if em == nil || em.peer != peer {
-		return fmt.Errorf("central: epoch %d not open for %s", epoch, peer)
-	}
-	em.mu.Lock()
-	defer em.mu.Unlock()
-	err := s.db.Update(func(tx *reldb.Tx) error {
-		return tx.Upsert(s.epochsTab[s.shardOf(epoch)], reldb.Row{reldb.Int(int64(epoch)), reldb.Str(string(peer)), reldb.Bool(true)})
-	})
-	if err != nil {
-		return err
-	}
 	em.finished.Store(true)
 	s.advanceFrontier()
 	return nil
@@ -289,11 +243,11 @@ func (s *Store) publish(ctx context.Context, peer core.PeerID, txns []store.Publ
 		// memoizes in memory only.
 		return s.maxEpoch(), nil
 	}
-	epoch, err := s.allocEpoch(peer)
+	epoch, err := s.allocEpoch()
 	if err != nil {
 		return 0, err
 	}
-	if err := s.publishWrite(peer, epoch, txns, true, key); err != nil {
+	if err := s.publishWrite(peer, epoch, txns, key); err != nil {
 		return 0, err
 	}
 	s.maybeMaintain(ctx)

@@ -124,8 +124,8 @@ func TestRebuiltPeerContinues(t *testing.T) {
 	}
 	// Its local sequence numbers continue past the pre-crash ones: the new
 	// transaction must not collide in the store.
-	if n, _ := s.CurrentRecno(ctx, "q"); n < 2 {
-		t.Errorf("recno = %d", n)
+	if rec, err := s.BeginReconciliation(ctx, "q"); err != nil || rec.Recno < 3 {
+		t.Errorf("next recno = %+v, %v", rec, err)
 	}
 }
 
@@ -142,5 +142,5 @@ func TestRebuildRequiresSnapshotReplayer(t *testing.T) {
 	}
 }
 
-// bareStore is a six-method store.Store and nothing more.
+// bareStore is a five-method store.Store and nothing more.
 type bareStore struct{ store.Store }

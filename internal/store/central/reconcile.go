@@ -320,17 +320,6 @@ func (s *Store) recordDecisionsBatch(batches []store.DecisionBatch, key store.Id
 	return nil
 }
 
-// CurrentRecno implements store.Store.
-func (s *Store) CurrentRecno(_ context.Context, peer core.PeerID) (int, error) {
-	pm, err := s.peer(peer)
-	if err != nil {
-		return 0, err
-	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	return pm.recno, nil
-}
-
 // windowTxns is the one walk of the published log: the transactions of
 // epochs (from, to] in epoch order, publish order within an epoch — the
 // global order. ReplayFrom walks to the highest allocated epoch, behind

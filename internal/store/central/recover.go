@@ -213,7 +213,7 @@ func (s *Store) loadCaches() error {
 		for k := 0; k < s.tableShards; k++ {
 			if err := tx.Scan(s.epochsTab[k], func(r reldb.Row) bool {
 				e := core.Epoch(r[0].I())
-				em := &epochMeta{peer: core.PeerID(r[1].S())}
+				em := &epochMeta{}
 				em.finished.Store(r[2].B())
 				s.epochs[e] = em
 				if e > s.maxE {

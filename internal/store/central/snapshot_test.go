@@ -551,7 +551,7 @@ func TestSnapshotWithSelfAcceptAboveStable(t *testing.T) {
 	}
 	early := publish("pa", 0, "stable") // epoch 1, finished: the stable frontier
 	// pb holds epoch 2 open, then pa finishes epoch 3 above it.
-	open, err := s.PublishBegin("pb")
+	open, err := s.allocEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,10 +586,7 @@ func TestSnapshotWithSelfAcceptAboveStable(t *testing.T) {
 	// snapshot boundary.
 	xb := core.NewTransaction(core.TxnID{Origin: "pb", Seq: 0},
 		core.Insert("F", core.Strs("pb", "mid", "fn"), "pb"))
-	if err := s.PublishWrite("pb", open, []store.PublishedTxn{{Txn: xb}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PublishFinish("pb", open); err != nil {
+	if err := s.publishWrite("pb", open, []store.PublishedTxn{{Txn: xb}}, ""); err != nil {
 		t.Fatal(err)
 	}
 	ra, err := store.RebuildPeer(ctx, "pa", schema, storetest.TrustAll(1), s)

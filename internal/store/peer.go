@@ -37,6 +37,11 @@ type Peer struct {
 	// transaction twice, so a batch dropped here is lost to RebuildPeer.
 	owed []DecisionBatch
 
+	// recno is the reconciliation number of the peer's last successful
+	// BeginReconciliation (0 before its first): Resolve re-decides inside
+	// that reconciliation and tags its batch with it.
+	recno int
+
 	// streaming is set while ReconcileStream runs; Publish then stamps each
 	// published epoch so the stream can report publish-to-stable lag.
 	streaming bool
@@ -273,6 +278,7 @@ func (p *Peer) stepLocked(ctx context.Context) (*core.Result, DecisionBatch, cor
 	if err != nil {
 		return nil, DecisionBatch{}, 0, err
 	}
+	p.recno = rec.Recno
 
 	start = time.Now()
 	res, err := p.engine.Reconcile(rec.Candidates)
@@ -304,21 +310,15 @@ func (p *Peer) Resolve(ctx context.Context, c core.Conflict, winner int) (*core.
 		return nil, err
 	}
 	// Resolution re-runs the peer's latest reconciliation rather than
-	// starting a new one; decisions are recorded under the store's current
-	// reconciliation number — fetched first, so that nothing that can fail
-	// sits between the engine deciding and the peer owing.
+	// starting a new one, so its decisions are recorded under the recno that
+	// reconciliation's begin returned. No store call sits between the engine
+	// deciding and the peer owing.
 	start := time.Now()
-	recno, err := p.store.CurrentRecno(ctx, p.ID())
-	p.storeTime += time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	start = time.Now()
 	res, err := p.engine.Resolve(c, winner)
 	p.localTime += time.Since(start)
 	if err != nil {
 		return nil, err
 	}
-	p.oweLocked(DecisionBatch{Peer: p.ID(), Recno: recno, Accepted: res.Accepted, Rejected: res.Rejected})
+	p.oweLocked(DecisionBatch{Peer: p.ID(), Recno: p.recno, Accepted: res.Accepted, Rejected: res.Rejected})
 	return res, settleLocked(ctx, p)
 }

@@ -40,7 +40,6 @@ const (
 	mPublish      = "store.publish"
 	mBegin        = "store.begin"
 	mDecideBatch  = "store.decide.batch"
-	mRecno        = "store.recno"
 	mTakeSnapshot = "store.snapshot.take"
 	mSnapshot     = "store.snapshot"
 	mReplayFrom   = "store.replayfrom"
@@ -67,7 +66,7 @@ type publishArgs struct {
 	Key store.IdempotencyKey
 }
 
-// peerArgs is the body of every op that names only a peer (begin, recno,
+// peerArgs is the body of every op that names only a peer (begin,
 // effective trust); begin is the one that is keyed.
 type peerArgs struct {
 	Peer core.PeerID
@@ -117,10 +116,6 @@ type epochReply struct {
 	Epoch core.Epoch
 }
 
-type recnoReply struct {
-	Recno int
-}
-
 type effTrustReply struct {
 	// Policy is the peer's effective trust in textual form. Over the wire
 	// everything is textual (Client.RegisterPeer refuses anything else),
@@ -168,7 +163,6 @@ func NewServer(backend store.Store, schema *core.Schema) *Server {
 	s.mux.Handle(mPublish, serve(s.publish))
 	s.mux.Handle(mBegin, serve(s.begin))
 	s.mux.Handle(mDecideBatch, serve(s.decideBatch))
-	s.mux.Handle(mRecno, serve(s.recno))
 	s.mux.Handle(mTakeSnapshot, serve(s.takeSnapshot))
 	s.mux.Handle(mSnapshot, serve(s.latestSnapshot))
 	s.mux.Handle(mReplayFrom, serve(s.replayFrom))
@@ -246,11 +240,6 @@ func (s *Server) begin(ctx context.Context, a *peerArgs) (*reconciliation, error
 
 func (s *Server) decideBatch(ctx context.Context, a *decideBatchArgs) (*none, error) {
 	return &none{}, s.backend.RecordDecisionsBatch(store.WithIdempotencyKey(ctx, a.Key), a.Batches)
-}
-
-func (s *Server) recno(ctx context.Context, a *peerArgs) (*recnoReply, error) {
-	n, err := s.backend.CurrentRecno(ctx, a.Peer)
-	return &recnoReply{Recno: n}, err
 }
 
 func (s *Server) takeSnapshot(ctx context.Context, a *takeSnapshotArgs) (*epochReply, error) {
@@ -499,12 +488,6 @@ func (c *Client) RecordDecisions(ctx context.Context, peer core.PeerID, recno in
 func (c *Client) RecordDecisionsBatch(ctx context.Context, batches []store.DecisionBatch) error {
 	_, err := call[none](ctx, c, mDecideBatch, &decideBatchArgs{Batches: batches, Key: c.key(ctx, "decide.batch")})
 	return err
-}
-
-// CurrentRecno implements store.Store.
-func (c *Client) CurrentRecno(ctx context.Context, peer core.PeerID) (int, error) {
-	r, err := call[recnoReply](ctx, c, mRecno, &peerArgs{Peer: peer})
-	return r.Recno, err
 }
 
 // EffectiveTrust implements store.TrustResolver by RPC. The policy comes

@@ -97,8 +97,8 @@ func TestRemoteEndToEnd(t *testing.T) {
 	if bob.Instance().Len("F") != 1 {
 		t.Errorf("bob instance: %v", bob.Instance().Tuples("F"))
 	}
-	if n, err := NewClient("x", addr).CurrentRecno(ctx, "bob"); err != nil || n != 1 {
-		t.Errorf("recno over the wire: %d %v", n, err)
+	if rec, err := NewClient("x", addr).BeginReconciliation(ctx, "bob"); err != nil || rec.Recno != 2 {
+		t.Errorf("bob's next recno over the wire: %+v %v", rec, err)
 	}
 }
 
@@ -183,7 +183,7 @@ func TestRemoteBadPolicyRejectedServerSide(t *testing.T) {
 	}
 }
 
-// bareStore is a six-method store.Store and nothing more: embedding the
+// bareStore is a five-method store.Store and nothing more: embedding the
 // interface hides every store.Backend capability of the central store
 // behind it.
 type bareStore struct{ store.Store }
@@ -191,7 +191,7 @@ type bareStore struct{ store.Store }
 // TestServerRefusesMissingCapability: a Server accepts any store.Store, so
 // each of the six ops that need a store.Backend capability must refuse a
 // backend whose type lacks it, with an error naming that type — and the
-// six-method tier must keep working on the same server.
+// five-method tier must keep working on the same server.
 func TestServerRefusesMissingCapability(t *testing.T) {
 	schema := storetest.Schema(t)
 	backend := central.MustOpenMemory(schema)
@@ -207,7 +207,7 @@ func TestServerRefusesMissingCapability(t *testing.T) {
 	ctx := context.Background()
 	cl := NewClient("x", addr)
 	if err := cl.RegisterPeer(ctx, "x", policyAll(t)); err != nil {
-		t.Fatalf("six-method tier over a bare store: %v", err)
+		t.Fatalf("five-method tier over a bare store: %v", err)
 	}
 
 	gated := map[string]func() error{

@@ -10,7 +10,7 @@ import (
 	"orchestra/internal/store"
 )
 
-// The wire bodies' format. Every args and reply type of the 11 ops
+// The wire bodies' format. Every args and reply type of the 10 ops
 // implements wireBody, and serve and call accept no other, so a body
 // without a codec does not compile. A body carries no version byte of its
 // own: the rpc envelope's protocol version covers it. Strings are a
@@ -27,7 +27,6 @@ import (
 //	publish         Peer, Key, payload...     -> Epoch
 //	begin           Peer, Key                 -> Reconciliation...
 //	decide.batch    Key, batches...           -> none
-//	recno           Peer, Key                 -> Recno
 //	snapshot.take   Key                       -> Epoch
 //	snapshot        (empty)                   -> snapshot...
 //	replayfrom      Peer, From, AfterSeq      -> decisions, log...
@@ -136,14 +135,6 @@ func (a *epochReply) appendWire(dst []byte) []byte { return binary.AppendUvarint
 func (a *epochReply) readWire(b []byte) error {
 	r := codec.NewReader(b)
 	a.Epoch = core.Epoch(r.Uvarint())
-	return r.End()
-}
-
-func (a *recnoReply) appendWire(dst []byte) []byte { return binary.AppendVarint(dst, int64(a.Recno)) }
-
-func (a *recnoReply) readWire(b []byte) error {
-	r := codec.NewReader(b)
-	a.Recno = int(r.Varint())
 	return r.End()
 }
 

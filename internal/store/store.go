@@ -10,7 +10,7 @@
 // amortizes store calls without changing outcomes (peer.go).
 //
 // The contract has two tiers, and a store's static type says which it
-// meets. Store is the six methods the reconciliation algorithm needs;
+// meets. Store is the five methods the reconciliation algorithm needs;
 // storetest.RunConformance checks them. Backend adds what a production
 // store must also do — snapshot + log replay (RebuildPeer), publish-log
 // compaction, watch subscriptions (ReconcileStream), delegation
@@ -98,12 +98,9 @@ type Store interface {
 	// regroups the decisions by transaction controller. ReconcileAll uses
 	// it to flush each fan-out wave's decisions together.
 	RecordDecisionsBatch(ctx context.Context, batches []DecisionBatch) error
-
-	// CurrentRecno returns the peer's most recent reconciliation number.
-	CurrentRecno(ctx context.Context, peer core.PeerID) (int, error)
 }
 
-// Backend is the full contract of a production update store: the six Store
+// Backend is the full contract of a production update store: the five Store
 // methods plus every capability the recovery, streaming and gateway paths
 // use. Its one replay verb is SnapshotReplayer.ReplayFrom. Code that holds
 // a Backend calls those capabilities directly; code handed a bare Store

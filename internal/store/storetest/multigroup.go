@@ -110,16 +110,10 @@ func testMultiGroupFrontiers(t *testing.T, mg MultiGroupFactory) {
 	mustCycle(t, busySub)
 	// Recnos advanced independently: busy bob reconciled twice, idle bob
 	// once — same peer ID, separate per-group counters.
-	busyRecno, err := clientFor("busy", "bob").CurrentRecno(ctx, "bob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	idleRecno, err := idleStore.CurrentRecno(ctx, "bob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if busyRecno != 2 || idleRecno != 1 {
-		t.Fatalf("recnos not independent: busy=%d idle=%d, want 2 and 1", busyRecno, idleRecno)
+	busyRecno := nextRecno(t, clientFor("busy", "bob"), "bob")
+	idleRecno := nextRecno(t, idleStore, "bob")
+	if busyRecno != 3 || idleRecno != 2 {
+		t.Fatalf("recnos not independent: next busy=%d idle=%d, want 3 and 2", busyRecno, idleRecno)
 	}
 }
 

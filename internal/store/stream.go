@@ -18,9 +18,14 @@ import (
 // Watch events serve as a wake signal and resume cursor ONLY: the actual
 // reconciliation windows always come from BeginReconciliation, which is
 // frontier-driven, idempotency-keyed under a retrying client, and
-// crash-safe. A window can therefore never be skipped or double-applied no
-// matter how the subscription breaks and resumes — the store's per-peer
-// frontier, not the stream, defines window boundaries.
+// crash-safe. Over such a keyed client a window can therefore never be
+// skipped or double-applied no matter how the subscription breaks and
+// resumes — the store's per-peer frontier, not the stream, defines window
+// boundaries. Over an unkeyed client (a remote.Client without
+// WithRetryPolicy) it can be skipped: streamStepRetry re-runs a step after
+// any transient error, and a begin whose reply was lost after it committed
+// has already moved the frontier past its window, which nothing offers
+// again (docs/FAULTS.md).
 
 // StreamResult reports one completed streaming step: the window's end
 // epoch (the peer's new reconciliation frontier) and the reconciliation

@@ -17,7 +17,7 @@ import (
 // owedCall is one line of the store-call transcript.
 type owedCall struct {
 	peer   PeerID
-	op     string // "publish", "begin", "recno" or "decide"
+	op     string // "publish", "begin" or "decide"
 	failed bool
 }
 
@@ -60,11 +60,6 @@ func (s *owedStore) Publish(ctx context.Context, peer PeerID, txns []store.Publi
 func (s *owedStore) BeginReconciliation(ctx context.Context, peer PeerID) (*store.Reconciliation, error) {
 	s.log(peer, "begin", false)
 	return s.Backend.BeginReconciliation(ctx, peer)
-}
-
-func (s *owedStore) CurrentRecno(ctx context.Context, peer PeerID) (int, error) {
-	s.log(peer, "recno", false)
-	return s.Backend.CurrentRecno(ctx, peer)
 }
 
 func (s *owedStore) RecordDecisions(ctx context.Context, peer PeerID, recno int, accepted, rejected []TxnID) error {

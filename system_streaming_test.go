@@ -388,7 +388,7 @@ func TestStreamingDifferential(t *testing.T) {
 	}
 }
 
-// TestStreamingNeedsWatcher: a store that is only the six-method
+// TestStreamingNeedsWatcher: a store that is only the five-method
 // store.Store cannot stream, and the stream says so at once instead of
 // retrying.
 func TestStreamingNeedsWatcher(t *testing.T) {
