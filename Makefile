@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify bench-check simfree-check gobfree-check onereader-check serialcore-check fmt-check bench bench-smoke core-smoke chaos-smoke gateway-smoke multigroup-smoke trust-smoke storage-smoke fuzz-smoke linkcheck clean
+.PHONY: build vet test race verify bench-check simfree-check gobfree-check onereader-check serialcore-check cover-check fmt-check bench bench-smoke core-smoke chaos-smoke gateway-smoke multigroup-smoke trust-smoke storage-smoke fuzz-smoke linkcheck clean
 
 build:
 	$(GO) build ./...
@@ -19,9 +19,10 @@ race:
 # catch data races between peers and in the stores), then the same for the
 # benchmark's module, the guard that production binaries stay
 # simulator-free, the guard that gob stays out of the store and the wire,
-# the guard that they keep one binary reader, and the guard that the
-# reconciliation engine stays on its caller's goroutine.
-verify: build vet race bench-check simfree-check gobfree-check onereader-check serialcore-check
+# the guard that they keep one binary reader, the guard that the
+# reconciliation engine stays on its caller's goroutine, and the guard that
+# no function goes untested unless it is on the coverage allowlist.
+verify: build vet race bench-check simfree-check gobfree-check onereader-check serialcore-check cover-check
 
 # bench-check vets the repository's benchmark (bench/, a nested module that
 # ./... does not reach) and runs its 1/50-scale smoke test under the race
@@ -60,6 +61,17 @@ onereader-check:
 # (Scheduler). This keeps a worker pool from growing back inside the engine.
 serialcore-check:
 	test -z "$$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./internal/core/... | tr ' ' '\n' | xargs grep -lE '^[[:space:]]*go[[:space:]]+[[:alnum:]_(]')"
+
+# cover-check runs the test suite with coverage of every package
+# (-coverpkg=./..., ~40 s on a 2-vCPU host) and fails, printing a diff, if a
+# non-test function outside cmd/, examples/ and internal/store/storetest is
+# never run and is not on cover-allowlist.txt (its file's import path, then
+# its name, one per line, sorted), or if a listed function is run or gone.
+# The list may only shrink: a new function gets a test or is deleted, and
+# a covered one leaves the list.
+cover-check:
+	$(GO) test -coverpkg=./... -coverprofile=cover.out ./...
+	$(GO) tool cover -func=cover.out | awk '$$NF == "0.0%" { sub(/:[0-9]+:$$/, "", $$1); print $$1, $$2 }' | grep -vE '^orchestra/(cmd|examples|internal/store/storetest)/' | LC_ALL=C sort | diff cover-allowlist.txt -
 
 # fmt-check fails (listing the offenders) if any file is not gofmt-clean;
 # CI runs this as its lint step.
@@ -104,14 +116,14 @@ bench-smoke:
 # plus its tail (TestHeldInsertDeletedLiveMatchesRestore,
 # TestApplyFlattensOnTheRunsInstance, TestAppliedRunsMatchRestore), the
 # bytes of exported engine snapshots through the store's codec
-# (TestEngineSnapshotGolden: version 2) and the version-1 golden still
-# decoding into the same engines (TestEngineSnapshotGoldenV1), and the
+# (TestEngineSnapshotGolden: version 2) and the version-1 golden refused
+# with the commits that upgrade it (TestSnapshotRefusesV1), and the
 # concurrent ReconcileAll against the sequential reference
 # (TestReconcileAllDifferential). make verify covers these too; running
 # them by name makes an engine regression unmissable in CI.
 core-smoke:
 	$(GO) test -race -count=3 -run '^TestUpdateExtensionMatchesGeneral$$|^TestUpdateExtensionsShareRunScratch$$|^TestReconcileSingleUpdateAllocations$$|^TestReconcileOwnDeltaAllocations$$|^TestReconcileSingleUpdateBytes$$|^TestResolveDrainAllocations$$|^TestConflictGroupsGolden$$|^TestRunScratch|^TestResolveScopedMatchesFullRerun$$|^TestInvariant|^TestInstanceVerbatimInsertCountsOnce$$|^TestVerbatimReinsertLiveMatchesRestore$$|^TestHeldInsertDeletedLiveMatchesRestore$$|^TestApplyFlattensOnTheRunsInstance$$|^TestAppliedRunsMatchRestore$$' ./internal/core
-	$(GO) test -race -count=3 -run '^TestEngineSnapshotGolden(V1)?$$' ./internal/store
+	$(GO) test -race -count=3 -run '^TestEngineSnapshotGolden$$|^TestSnapshotRefusesV1$$' ./internal/store
 	$(GO) test -race -count=3 -run '^TestReconcileAllDifferential$$' .
 
 # chaos-smoke runs both fault-injection convergence matrices — the 4-peer
@@ -177,8 +189,8 @@ trust-smoke:
 # directory, group commit and every checkpoint crash point), the record
 # format's table ids by name (TestPutRecordNamesTableByID: a put's record
 # is as long for a 40-byte table name as for "t" and holds no name;
-# TestOpenUpgradesVersion1: a version-1 directory, and each cut of its
-# upgrade, opens to its state and is left in version 2), the one binary
+# TestRefuseVersion1Dir: a version-1 directory is refused untouched with
+# the commits that upgrade it), the one binary
 # reader's contract (TestReader: minimal varints at every width, bounded
 # counts, a sticky error, trailing bytes refused, Str owns its bytes), the
 # frame reader's
@@ -210,7 +222,7 @@ storage-smoke:
 	$(GO) test -race -count=3 -run '^TestReader$$' ./internal/codec
 	$(GO) test -race -count=3 -run '^TestReplayTornHugeLengthAllocatesLittle$$' ./internal/wal
 	$(GO) test -race -count=3 -run '^TestDecodedRecordOwnsItsBytes$$' ./internal/reldb
-	$(GO) test -race -count=3 -run '^TestPutRecordNamesTableByID$$|^TestOpenUpgradesVersion1$$' ./internal/reldb
+	$(GO) test -race -count=3 -run '^TestPutRecordNamesTableByID$$|^TestRefuseVersion1Dir$$' ./internal/reldb
 	$(GO) test -race -count=1 -run 'TestDurabilityAcrossReopen|TestCheckpointPreservesState|TestSharded|TestTornSnapshot|TestDifferentialMatrix|TestCompaction|TestLateDecision|TestSnapshotWith|TestTenantCrash|TestRedecidedSurvivesReopen|TestCompactionSplitsDecisionRow|TestDecisionRowsPerBatch|TestRefuseLayout3' ./internal/store/central
 	$(GO) test -race -count=3 -run '^TestSnapshotCacheDecodedOnce$$|^TestLatestSnapshotNeverGoesBack$$|^TestSharedSnapshotSurvivesConcurrentRebuilds$$' ./internal/store/central
 	$(GO) test -race -count=3 -run '^TestDecodeTupleCanonical$$' ./internal/core

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -403,6 +404,9 @@ func TestChaosMatrixPartition(t *testing.T) {
 			}
 			if pe.Peer != victim {
 				t.Errorf("round %d: PeerError for %s, want %s", r, pe.Peer, victim)
+			}
+			if !strings.HasPrefix(pe.Error(), "orchestra: "+pe.Op+" "+string(victim)+": ") {
+				t.Errorf("round %d: PeerError reads %q, want it to name the op and the peer", r, pe.Error())
 			}
 			if !store.IsTransient(pe.Err) {
 				t.Errorf("round %d: partition error should classify transient: %v", r, pe.Err)

@@ -149,8 +149,9 @@ func TestFleetCopyGroupSiblingPrefix(t *testing.T) {
 	}
 }
 
-// Scheduler rounds over seven groups: all groups converge, and a round on
-// a cancelled context drives none of them.
+// Scheduler rounds over seven groups: all groups converge, a round on a
+// cancelled context drives none of them, and a group whose tables are
+// dropped is reported as a *GroupError.
 func TestSchedulerRounds(t *testing.T) {
 	ctx := context.Background()
 	schema := MustSchema(NewRelation("F", 1, "k", "v"))
@@ -204,5 +205,24 @@ func TestSchedulerRounds(t *testing.T) {
 	}
 	if after := recnos(); !slices.Equal(before, after) {
 		t.Fatalf("cancelled round advanced recnos: %v -> %v", before, after)
+	}
+
+	// A group whose tables are gone fails its round; the round's error
+	// names it, and its peers' errors are reachable through it.
+	node, ok := fleet.Node("s0")
+	if !ok {
+		t.Fatal("no node s0")
+	}
+	if err := node.CloseGroup("g0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.DetachGroup("g0"); err != nil {
+		t.Fatal(err)
+	}
+	err := sched.RunRound(ctx)
+	var ge *GroupError
+	var pe *PeerError
+	if !errors.As(err, &ge) || ge.Error() != "orchestra: group g0: "+ge.Err.Error() || !errors.As(ge, &pe) {
+		t.Fatalf("RunRound with g0's store closed = %v, want a *GroupError for g0 wrapping its *PeerErrors", err)
 	}
 }

@@ -177,6 +177,5 @@ type peerMetaArgs struct {
 }
 
 type peerMetaReply struct {
-	Recno     int
 	LastEpoch core.Epoch
 }

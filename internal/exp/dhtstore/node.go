@@ -283,7 +283,7 @@ func (ns *nodeState) peerMeta(ctx context.Context, req rpc.Request) ([]byte, err
 	if cr == nil {
 		return pastry.Encode(&peerMetaReply{})
 	}
-	return pastry.Encode(&peerMetaReply{Recno: cr.recno, LastEpoch: cr.lastEpoch})
+	return pastry.Encode(&peerMetaReply{LastEpoch: cr.lastEpoch})
 }
 
 // Ensure simnet is linked for the package doc reference.

@@ -200,7 +200,6 @@ func (g *Gateway) writeErr(w http.ResponseWriter, err error) {
 type badRequest struct{ err error }
 
 func (b badRequest) Error() string { return b.err.Error() }
-func (b badRequest) Unwrap() error { return b.err }
 
 func decode[T any](r *http.Request, v *T) error {
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {

@@ -33,10 +33,9 @@
 // replays records in append order, checking every definition and row it
 // applies, and truncates any torn tail. The log names a table by an id
 // that CreateTable assigns and never reuses; only a create and the
-// snapshot spell its name. Open still reads format version 1, which named
-// the table in every op, and checkpoints such a directory into the current
-// version before it returns. A directory written in the earlier gob format
-// is refused (errGobDir).
+// snapshot spell its name. A directory written in an older format — gob,
+// or version 1 of this one — is refused, untouched, with an error naming
+// the releases that upgrade it (errGobDir, errVersion1Dir).
 // Concurrent committers hand their records to a shared flusher: the first
 // committer to arrive becomes the leader and writes every record queued by
 // then with one WAL write and at most one fsync — commits per flush is the
@@ -153,7 +152,7 @@ func Open(opts Options) (*DB, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("reldb: %w", err)
 	}
-	walFrom, upgrade, err := db.loadSnapshot()
+	walFrom, err := db.loadSnapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -171,14 +170,15 @@ func Open(opts Options) (*DB, error) {
 	}
 	first := true
 	if err := l.Replay(func(payload []byte) error {
-		// The first live record tells, as the snapshot's first byte does,
-		// whether gob wrote this directory; past it a gob record is
-		// corruption like any other.
-		if first && writtenByGob(payload) {
-			return errGobDir
+		// The first live record tells, as the snapshot's first bytes do,
+		// whether an older format wrote this directory; past it an old
+		// record is corruption like any other.
+		if first {
+			if err := olderFormat(payload); err != nil {
+				return err
+			}
 		}
 		first = false
-		upgrade = upgrade || version1(payload)
 		if err := decodeRecord(payload, db.replay); err != nil {
 			return fmt.Errorf("reldb: recovery: wal record: %w", err)
 		}
@@ -188,17 +188,6 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.gc = &groupCommitter{db: db}
-	// A directory that holds version 1 is rewritten in the current version
-	// before anything is appended, so no log mixes the two and the old
-	// reader runs only here. Checkpoint's steps are crash-safe as they are:
-	// a cut before the install leaves the old files, a cut after it leaves
-	// old segments that the next Open drops before it replays.
-	if upgrade {
-		if err := db.Checkpoint(); err != nil {
-			l.Close()
-			return nil, err
-		}
-	}
 	return db, nil
 }
 
@@ -207,16 +196,30 @@ func Open(opts Options) (*DB, error) {
 // tells one by the first byte of snapshot.db, or of the first live WAL
 // record, and returns this before it replays anything. The releases from
 // commit 85f5c48 through a794feb read such a directory and rewrite it in
-// this format on their first Open.
-var errGobDir = errors.New("reldb: directory written in the gob format, which this release no longer reads; open it once with a release from commit 85f5c48 through a794feb (the last), which upgrades it")
+// this format's version 1 on their first Open; the releases from commit
+// eba415a through 9523137 then rewrite that in the current version.
+var errGobDir = errors.New("reldb: directory written in the gob format, which this release no longer reads; open it once with a release from commit 85f5c48 through a794feb (the last), which upgrades it to version 1, then once with a release from commit eba415a through 9523137, which upgrades it to version 2")
 
-// writtenByGob reports whether b, a snapshot file or a WAL record, is a gob
-// stream: anything that does not open with recMagic.
-func writtenByGob(b []byte) bool { return len(b) > 0 && b[0] != recMagic }
+// errVersion1Dir refuses a directory in version 1 of the record format,
+// which named the table in every op. Open tells one, as it tells a gob
+// directory, by the header of snapshot.db or of the first live WAL record,
+// and returns this before it replays anything. The releases from commit
+// eba415a through 9523137 read version 1 and rewrite the directory in
+// version 2 on their first Open.
+var errVersion1Dir = errors.New("reldb: directory written in record format version 1, which this release no longer reads; open it once with a release from commit eba415a through 9523137 (the last), which upgrades it to version 2")
 
-// version1 reports whether b, a snapshot file or a WAL record that opens
-// with recMagic, is in version 1, which Open upgrades.
-func version1(b []byte) bool { return len(b) > 1 && b[1] == recVersion1 }
+// olderFormat refuses b, a snapshot file or a WAL record, if a format
+// before the current one wrote it: gob, which never opens with recMagic,
+// or version 1. Anything else is left to the decoder.
+func olderFormat(b []byte) error {
+	switch {
+	case len(b) > 0 && b[0] != recMagic:
+		return errGobDir
+	case len(b) > 1 && b[1] == 1:
+		return errVersion1Dir
+	}
+	return nil
+}
 
 // MustOpenMemory returns a volatile in-memory database, panicking on error;
 // for tests and examples.
@@ -343,9 +346,6 @@ func (db *DB) replay(op *walOp) error {
 		if err := op.def.validate(); err != nil {
 			return err
 		}
-		if op.byName {
-			op.id = db.nextID
-		}
 		if _, dup := db.tables[op.name]; dup {
 			return fmt.Errorf("duplicate table %s", op.name)
 		}
@@ -360,13 +360,7 @@ func (db *DB) replay(op *walOp) error {
 		return nil
 	}
 	t, ok := db.byID[op.id]
-	if op.byName {
-		t, ok = db.tables[op.name]
-	}
 	if !ok {
-		if op.byName {
-			return fmt.Errorf("%w: %s", ErrNoTable, op.name)
-		}
 		return fmt.Errorf("%w: id %d", ErrNoTable, op.id)
 	}
 	switch op.kind {
@@ -573,21 +567,20 @@ func (db *DB) installSnapshot(data []byte) error {
 
 // loadSnapshot restores state from the snapshot file if present and
 // returns its WAL mark — the first WAL segment the snapshot does not
-// contain (0, also without a snapshot: replay everything) — and whether
-// the file is in version 1.
-func (db *DB) loadSnapshot() (walFrom int, v1 bool, err error) {
+// contain (0, also without a snapshot: replay everything).
+func (db *DB) loadSnapshot() (walFrom int, err error) {
 	data, err := os.ReadFile(filepath.Join(db.dir, snapshotFile))
 	if errors.Is(err, os.ErrNotExist) {
-		return 0, false, nil
+		return 0, nil
 	}
 	if err != nil {
-		return 0, false, fmt.Errorf("reldb: read snapshot: %w", err)
+		return 0, fmt.Errorf("reldb: read snapshot: %w", err)
 	}
-	if writtenByGob(data) {
-		return 0, false, errGobDir
+	if err := olderFormat(data); err != nil {
+		return 0, err
 	}
 	if walFrom, err = decodeSnapshot(data, db.replay); err != nil {
-		return 0, false, fmt.Errorf("reldb: recovery: snapshot: %w", err)
+		return 0, fmt.Errorf("reldb: recovery: snapshot: %w", err)
 	}
-	return walFrom, version1(data), nil
+	return walFrom, nil
 }

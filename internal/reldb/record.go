@@ -12,9 +12,10 @@ import (
 // The one on-disk format, shared by WAL records and snapshot.db; the byte
 // layout is in docs/STORAGE.md ("reldb's record and snapshot format"). Both
 // open with recMagic and a version. A format change is a new version
-// number: the reader refuses versions it does not know, keeps reading the
-// old one, and the golden bytes in record_test.go make the change a
-// deliberate edit.
+// number: the reader reads the one version the encoder writes, Open refuses
+// a directory in an older one with an error naming the releases that
+// upgrade it (errGobDir, errVersion1Dir), and the golden bytes in
+// record_test.go make the change a deliberate edit.
 const (
 	// recMagic cannot open a gob stream (gob starts with a non-zero message
 	// length), which is how Open tells, and refuses, a directory written
@@ -22,10 +23,8 @@ const (
 	recMagic = 0x00
 	// recVersion is the version the encoder writes: a put, delete or drop
 	// names its table by id, a create and snapshot.db give name and id.
+	// Version 1 named the table in every op (errVersion1Dir).
 	recVersion = 2
-	// recVersion1 named the table in every op. It is decoded only for Open
-	// to upgrade a directory that holds it (see Open).
-	recVersion1 = 1
 )
 
 type opKind uint8
@@ -42,15 +41,12 @@ const (
 // hand to DB.replay, one at a time.
 type walOp struct {
 	kind opKind
-	id   uint64 // the table; for opCreate the id it gets
-	name string // opCreate: def.Name; opSeq: the sequence; a byName op: its table
-	// byName marks a version-1 op: it names its table instead of giving its
-	// id, and a create takes the next id when replayed.
-	byName bool
-	row    string   // opPut: the row's encoding (appendRow), the table's stored form
-	pk     string   // opDelete: the row's key encoding (TableDef.keyOf)
-	def    TableDef // opCreate
-	seqV   int64    // opSeq: the sequence's new value
+	id   uint64   // the table; for opCreate the id it gets
+	name string   // opCreate: def.Name; opSeq: the sequence
+	row  string   // opPut: the row's encoding (appendRow), the table's stored form
+	pk   string   // opDelete: the row's key encoding (TableDef.keyOf)
+	def  TableDef // opCreate
+	seqV int64    // opSeq: the sequence's new value
 }
 
 func appendHeader(dst []byte) []byte { return append(dst, recMagic, recVersion) }
@@ -148,10 +144,8 @@ type reader struct {
 	// emit receives each decoded op; its error stops the decode. op is the
 	// one walOp every emit is handed, so a decode allocates what the ops
 	// carry and nothing per op.
-	emit    func(*walOp) error
-	op      walOp
-	last    string // the last name read, which name reuses
-	version byte   // the header's
+	emit func(*walOp) error
+	op   walOp
 }
 
 // index reads a non-negative int that is not a length: a key column's
@@ -180,38 +174,9 @@ func (r *reader) header() {
 	if r.Byte() != recMagic {
 		r.Fail(errors.New("bad magic byte"))
 	}
-	if r.version = r.Byte(); r.version != recVersion && r.version != recVersion1 {
+	if r.Byte() != recVersion {
 		r.Fail(errors.New("unknown format version"))
 	}
-}
-
-// table reads the table a put, delete or drop names: its id, or in version
-// 1 its name.
-func (r *reader) table(op *walOp) {
-	if op.byName = r.version == recVersion1; op.byName {
-		op.name = r.name()
-	} else {
-		op.id = r.id()
-	}
-}
-
-// create reads a create's table: its name, then its id unless the version
-// is 1, where replay assigns the id.
-func (r *reader) create(op *walOp) {
-	op.name = r.name()
-	if op.byName = r.version == recVersion1; !op.byName {
-		op.id = r.id()
-	}
-}
-
-// name reads an op's table or sequence name. A record's puts, like a
-// snapshot's rows, name one table over and over, so a name that repeats
-// the last one read reuses its string.
-func (r *reader) name() string {
-	if b := r.Bytes(); string(b) != r.last {
-		r.last = string(b)
-	}
-	return r.last
 }
 
 // row checks that a row is well formed — a count, then that many values,
@@ -269,19 +234,20 @@ func decodeRecord(payload []byte, emit func(*walOp) error) error {
 		op := walOp{kind: opKind(r.Byte())}
 		switch op.kind {
 		case opPut:
-			r.table(&op)
+			op.id = r.id()
 			op.row = r.row()
 		case opDelete:
-			r.table(&op)
+			op.id = r.id()
 			op.pk = r.Str()
 		case opCreate:
-			r.create(&op)
+			op.name = r.Str()
+			op.id = r.id()
 			op.def = r.def(op.name)
 		case opSeq:
-			op.name = r.name()
+			op.name = r.Str()
 			op.seqV = int64(r.Uvarint())
 		case opDrop:
-			r.table(&op)
+			op.id = r.id()
 		default:
 			r.Fail(errors.New("unknown op kind"))
 		}
@@ -298,14 +264,13 @@ func decodeSnapshot(data []byte, emit func(*walOp) error) (walFrom int, err erro
 	r.header()
 	walFrom = r.index()
 	for n := r.Count(); n > 0; n-- {
-		r.send(walOp{kind: opSeq, name: r.name(), seqV: int64(r.Uvarint())})
+		r.send(walOp{kind: opSeq, name: r.Str(), seqV: int64(r.Uvarint())})
 	}
 	for n := r.Count(); n > 0; n-- {
-		create := walOp{kind: opCreate}
-		r.create(&create)
+		create := walOp{kind: opCreate, name: r.Str(), id: r.id()}
 		create.def = r.def(create.name)
 		r.send(create)
-		put := walOp{kind: opPut, id: create.id, name: create.name, byName: create.byName}
+		put := walOp{kind: opPut, id: create.id}
 		for rows := r.Count(); rows > 0; rows-- {
 			put.row = r.row()
 			r.send(put)

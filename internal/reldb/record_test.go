@@ -67,42 +67,15 @@ func walRecords(t testing.TB, dir string) [][]byte {
 	return out
 }
 
-// reencode decodes a record, encoding every op it is handed back into one
-// of the same version.
+// reencode decodes a record, encoding every op it is handed back into a
+// record.
 func reencode(payload []byte, into []byte) ([]byte, error) {
-	v1 := version1(payload)
-	if v1 {
-		into = append(into, recMagic, recVersion1)
-	} else {
-		into = appendHeader(into)
-	}
+	into = appendHeader(into)
 	err := decodeRecord(payload, func(op *walOp) error {
-		if v1 {
-			into = appendOpV1(into, op)
-		} else {
-			into = appendOp(into, op)
-		}
+		into = appendOp(into, op)
 		return nil
 	})
 	return into, err
-}
-
-// appendOpV1 is the version-1 op encoder, which the package no longer
-// writes: every op names its table, and a create carries no id.
-func appendOpV1(dst []byte, op *walOp) []byte {
-	dst = append(dst, byte(op.kind))
-	dst = codec.AppendStr(dst, op.name)
-	switch op.kind {
-	case opPut:
-		dst = append(dst, op.row...)
-	case opDelete:
-		dst = codec.AppendStr(dst, op.pk)
-	case opCreate:
-		dst = appendDef(dst, &op.def)
-	case opSeq:
-		dst = binary.AppendUvarint(dst, uint64(op.seqV))
-	}
-	return dst
 }
 
 // TestWALRecordRoundTrip drives seeded random transactions over all five op
@@ -311,8 +284,9 @@ func goldenDB(t testing.TB) (db *DB, dir string) {
 }
 
 // The format, as bytes. A change to either string is a format change: bump
-// recVersion, keep a reader for the old version, keep the old strings as
-// its fixtures, and update docs/STORAGE.md.
+// recVersion, refuse the old version in Open with an error naming the
+// commits that upgrade it, keep the old strings as the refusal's fixtures,
+// and update docs/STORAGE.md.
 const (
 	// magic, version 2, then: create "t" as id 1 (5 columns, key {1, 0}),
 	// two puts into id 1, a delete from it by pkEnc, seq "epoch" = 300,
@@ -334,8 +308,7 @@ const (
 	goldenCreate = "0002" + "03036f6c64" + "00" + "01" + "016b0200" + "01" + "00"
 
 	// The same two files and create in version 1, which named the table in
-	// every op and gave no ids: the fixtures of the version-1 reader, which
-	// Open keeps to upgrade old directories.
+	// every op and gave no ids: the fixtures of errVersion1Dir.
 	goldenRecordV1 = "0001" +
 		"030174" + "05" + "01730100" + "01690200" + "01660301" + "01620400" + "01790501" + "02" + "0100" +
 		"010174" + "05" + "010161" + "02ffffffffffffffffff01" + "0380808080808080fc3f" + "0401" + "0501ff" +
@@ -392,14 +365,11 @@ func TestWALRecordGolden(t *testing.T) {
 	if got := hex.EncodeToString(snap); got != goldenSnapshot {
 		t.Errorf("snapshot bytes changed:\n got %s\nwant %s", got, goldenSnapshot)
 	}
-	// And the checked-in bytes still open, in both versions, to the state
-	// that wrote them.
+	// And the checked-in bytes still open to the state that wrote them.
 	want := stateOf(db)
 	for _, fresh := range []*DB{
 		replayHex(t, "", goldenCreate, goldenRecord),
-		replayHex(t, "", goldenCreateV1, goldenRecordV1),
 		replayHex(t, goldenSnapshot),
-		replayHex(t, goldenSnapshotV1),
 	} {
 		if got := stateOf(fresh); !reflect.DeepEqual(got, want) {
 			t.Errorf("golden bytes decode to %v, want %v", got, want)
@@ -489,97 +459,61 @@ func writeDir(t *testing.T, dir string, snapshot []byte, segments ...[]string) {
 	}
 }
 
-// TestOpenUpgradesVersion1 opens directories written in version 1 — the
-// golden fixtures as a log, as a snapshot under a log, and as the two
-// crash points of the upgrade itself — and requires each to open with the
-// state its bytes describe, ids given in file order, and to be rewritten
-// in the current version before Open returns: snapshot.db in version 2, no
-// version-1 record in a live segment, and a second Open to the same state.
-func TestOpenUpgradesVersion1(t *testing.T) {
-	// A version-1 record that follows goldenSnapshotV1: create "u", a put
-	// into each table.
-	var follow []byte
-	follow = append(follow, recMagic, recVersion1)
-	for _, op := range []walOp{
-		{kind: opCreate, name: "u", def: TableDef{Name: "u", Cols: []ColDef{{Name: "k", Type: ColInt}}, Key: []int{0}}},
-		{kind: opPut, name: "t", row: string(appendRow(nil, Row{Str("b"), Int(7), Null(), Bool(true), Null()}))},
-		{kind: opPut, name: "u", row: string(appendRow(nil, Row{Int(5)}))},
-	} {
-		follow = appendOpV1(follow, &op)
-	}
-	followHex := hex.EncodeToString(follow)
+// TestRefuseVersion1Dir: a directory in version 1 of the record format —
+// a snapshot.db, or a first live WAL record, whose header says version 1,
+// the golden strings of that version laid out as the directories the
+// releases before version 2 left — makes Open return errVersion1Dir, which
+// names the commits able to upgrade it, and leaves every file in the
+// directory as it was. An upgrade those releases cut after installing its
+// version-2 snapshot is no longer version 1: the stale segments lie below
+// the snapshot's mark, and it opens.
+func TestRefuseVersion1Dir(t *testing.T) {
 	snapV1, err := hex.DecodeString(goldenSnapshotV1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	snapV2, err := hex.DecodeString(goldenSnapshot) // marked past segment 0
+	if err != nil {
+		t.Fatal(err)
+	}
 	logV1 := []string{goldenCreateV1, goldenRecordV1}
-
-	// The snapshot an upgrade of logV1 installs, for the cut before its
-	// RemoveBefore: version 2, marked past segment 0.
-	upgraded := t.TempDir()
-	writeDir(t, upgraded, nil, logV1)
-	db, err := Open(Options{Dir: upgraded})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-	snapV2, err := os.ReadFile(filepath.Join(upgraded, snapshotFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	for _, tc := range []struct {
 		name     string
 		snapshot []byte
 		segments [][]string
-		want     *DB
-		ids      map[string]uint64
+		opens    bool
 	}{
-		{name: "log", segments: [][]string{logV1},
-			want: replayHex(t, "", logV1...), ids: map[string]uint64{"t": 1}},
-		{name: "snapshot under a log", snapshot: snapV1, segments: [][]string{nil, {followHex}},
-			want: replayHex(t, goldenSnapshotV1, followHex), ids: map[string]uint64{"t": 0, "u": 1}},
-		{name: "upgrade cut after the seal", segments: [][]string{logV1, nil},
-			want: replayHex(t, "", logV1...), ids: map[string]uint64{"t": 1}},
-		{name: "upgrade cut after the install", snapshot: snapV2, segments: [][]string{logV1},
-			want: replayHex(t, "", logV1...), ids: map[string]uint64{"t": 1}},
+		{name: "snapshot", snapshot: snapV1},
+		{name: "log", segments: [][]string{logV1}},
+		{name: "snapshot under a log", snapshot: snapV1, segments: [][]string{nil, {goldenRecordV1}}},
+		{name: "log over a version-2 snapshot", snapshot: replayHex(t, goldenSnapshot).appendSnapshot(nil, 0), segments: [][]string{logV1}},
+		{name: "upgrade cut after the seal", segments: [][]string{logV1, nil}},
+		{name: "upgrade cut after the install", snapshot: snapV2, segments: [][]string{logV1}, opens: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			writeDir(t, dir, tc.snapshot, tc.segments...)
-			want := stateOf(tc.want)
+			before := dirBytes(t, dir)
 			db, err := Open(Options{Dir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := stateOf(db); !reflect.DeepEqual(got, want) {
-				t.Errorf("upgraded state %v, want %v", got, want)
-			}
-			for name, id := range tc.ids {
-				if got := db.tables[name].id; got != id {
-					t.Errorf("table %s has id %d, want %d", name, got, id)
+			if tc.opens {
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			db.Close()
-			snap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.HasPrefix(snap, []byte{recMagic, recVersion}) {
-				t.Errorf("snapshot.db opens %x, want %x", snap[:min(2, len(snap))], []byte{recMagic, recVersion})
-			}
-			for _, rec := range walRecords(t, dir) {
-				if version1(rec) {
-					t.Errorf("a live segment still holds the version-1 record %x", rec)
+				defer db.Close()
+				if got, want := stateOf(db), stateOf(replayHex(t, goldenSnapshot)); !reflect.DeepEqual(got, want) {
+					t.Errorf("state %v, want %v", got, want)
 				}
+				return
 			}
-			again, err := Open(Options{Dir: dir})
-			if err != nil {
-				t.Fatal(err)
+			if err == nil {
+				db.Close()
+				t.Fatal("Open accepted a version-1 directory")
 			}
-			defer again.Close()
-			if got := stateOf(again); !reflect.DeepEqual(got, want) {
-				t.Errorf("second Open: state %v, want %v", got, want)
+			if !errors.Is(err, errVersion1Dir) || !strings.Contains(err.Error(), "eba415a") {
+				t.Errorf("Open = %v, want errVersion1Dir naming commit eba415a", err)
+			}
+			if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+				t.Errorf("a refused Open changed the directory:\n got %q\nwant %q", after, before)
 			}
 		})
 	}
@@ -633,11 +567,11 @@ func allocatedBy(fn func()) uint64 {
 func decodeBudget(n int) uint64 { return 1<<14 + 64*uint64(n) }
 
 // FuzzDecodeWALRecord hands the record decoder arbitrary bytes, starting
-// from testdata/fuzz (the golden record and seeds in both versions among
-// them). It must never panic — not in the decoder, and not in replay when
-// the ops are applied to an empty database — never allocate more than
-// decodeBudget, and whatever it accepts must re-encode, in its own version,
-// to the same bytes: each version has one encoding of every record.
+// from testdata/fuzz (the golden record among its seeds, and version-1
+// seeds, which it now refuses). It must never panic — not in the decoder,
+// and not in replay when the ops are applied to an empty database — never
+// allocate more than decodeBudget, and whatever it accepts must re-encode
+// to the same bytes: the format has one encoding of every record.
 func FuzzDecodeWALRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var again []byte
@@ -692,96 +626,69 @@ func FuzzDecodeSnapshotDB(f *testing.F) {
 // TestReplayRejectsMalformed opens directories whose log or snapshot passes
 // every checksum and is still wrong. Recovery must return an error — it
 // used to put a replayed row unchecked, and a row shorter than the table's
-// key died in Row.project with "index out of range". Every case runs in
-// the current version and, as "v1 …", in version 1, which Open still
-// reads.
+// key died in Row.project with "index out of range".
 func TestReplayRejectsMalformed(t *testing.T) {
 	cols := []ColDef{{Name: "a", Type: ColInt}, {Name: "b", Type: ColInt}}
 	keyOnB := TableDef{Name: "t", Cols: cols, Key: []int{1}}
 	keyPastCols := TableDef{Name: "t", Cols: cols, Key: []int{2}}
 	short, typed := Row{Int(1)}, Row{Int(1), Str("not an int")}
 
-	type testCase struct {
+	// The table "t" is id 0 and a put names it; put(1, …) names an id no
+	// create gave.
+	header := func() []byte { return appendHeader(nil) }
+	record := func(ops ...walOp) []byte {
+		b := header()
+		for i := range ops {
+			b = appendOp(b, &ops[i])
+		}
+		return b
+	}
+	create := func(def TableDef, id uint64) walOp {
+		return walOp{kind: opCreate, id: id, name: def.Name, def: def}
+	}
+	put := func(id uint64, r Row) walOp {
+		return walOp{kind: opPut, id: id, row: string(appendRow(nil, r))}
+	}
+	// snapshot is one table, id 0, and its rows, with no regard for
+	// whether they fit.
+	snapshot := func(def TableDef, rows ...Row) []byte {
+		b := append(header(), 0, 0, 1)
+		b = append(codec.AppendStr(b, def.Name), 0)
+		b = appendDef(b, &def)
+		b = append(b, byte(len(rows)))
+		for _, r := range rows {
+			b = appendRow(b, r)
+		}
+		return b
+	}
+	good := record(create(keyOnB, 0), put(0, Row{Int(1), Int(2)}))
+	other := TableDef{Name: "u", Cols: cols, Key: []int{0}}
+	for _, tc := range []struct {
 		name     string
 		snapshot []byte
 		records  [][]byte
 		want     string
-	}
-	// cases builds every case in one version. The table "t" is id 0 and a
-	// put names it; put(1, …) names an id no create gave.
-	cases := func(version byte) []testCase {
-		v1 := version == recVersion1
-		header := func() []byte { return []byte{recMagic, version} }
-		record := func(ops ...walOp) []byte {
-			b := header()
-			for i := range ops {
-				if v1 {
-					b = appendOpV1(b, &ops[i])
-				} else {
-					b = appendOp(b, &ops[i])
-				}
-			}
-			return b
-		}
-		create := func(def TableDef, id uint64) walOp {
-			return walOp{kind: opCreate, id: id, name: def.Name, def: def}
-		}
-		put := func(id uint64, r Row) walOp {
-			return walOp{kind: opPut, id: id, name: "t", row: string(appendRow(nil, r))}
-		}
-		// snapshot is one table, id 0, and its rows, with no regard for
-		// whether they fit.
-		snapshot := func(def TableDef, rows ...Row) []byte {
-			b := append(header(), 0, 0, 1)
-			b = codec.AppendStr(b, def.Name)
-			if !v1 {
-				b = append(b, 0)
-			}
-			b = appendDef(b, &def)
-			b = append(b, byte(len(rows)))
-			for _, r := range rows {
-				b = appendRow(b, r)
-			}
-			return b
-		}
-		good := record(create(keyOnB, 0), put(0, Row{Int(1), Int(2)}))
-		unknownVersion := byte(recVersion + 1)
-		if v1 {
-			unknownVersion = 0 // a version before either
-		}
-		tcs := []testCase{
-			{name: "record: row shorter than the key", records: [][]byte{record(create(keyOnB, 0), put(0, short))}, want: "row has 1 columns"},
-			{name: "record: row of the wrong type", records: [][]byte{record(create(keyOnB, 0), put(0, typed))}, want: "has type string"},
-			{name: "record: key past the columns", records: [][]byte{record(create(keyPastCols, 0))}, want: "key column 2 out of range"},
-			{name: "record: put into no table", records: [][]byte{record(put(0, short))}, want: "no such table"},
-			{name: "record: duplicate create", records: [][]byte{good, record(create(keyOnB, 1))}, want: "duplicate table t"},
-			{name: "record: unknown kind", records: [][]byte{append(bytes.Clone(good), 9, 0)}, want: "unknown op kind"},
-			{name: "record: unknown version", records: [][]byte{{recMagic, unknownVersion}}, want: "unknown format version"},
-			{name: "record: truncated", records: [][]byte{good[:len(good)-1]}, want: "truncated"},
-			{name: "record: count past the end", records: [][]byte{append(header(), byte(opPut), 0, 200, 1)}, want: "length past the end"},
-			{name: "record: padded varint", records: [][]byte{append(header(), byte(opSeq), 0, 0x80, 0)}, want: "malformed varint"},
-			{name: "record: gob after the first record", records: [][]byte{good, gobRecord(t)}, want: "bad magic"},
-			{name: "snapshot: row shorter than the key", snapshot: snapshot(keyOnB, short), want: "row has 1 columns"},
-			{name: "snapshot: key past the columns", snapshot: snapshot(keyPastCols), want: "key column 2 out of range"},
-			{name: "snapshot: trailing bytes", snapshot: append(snapshot(keyOnB), 0), want: "trailing bytes"},
-			{name: "snapshot: empty file", snapshot: []byte{}, want: "truncated"},
-		}
-		if v1 {
-			for i := range tcs {
-				tcs[i].name = "v1 " + tcs[i].name
-			}
-			return tcs
-		}
-		other := TableDef{Name: "u", Cols: cols, Key: []int{0}}
-		return append(tcs,
-			testCase{name: "record: put naming an unknown id", records: [][]byte{good, record(put(1, Row{Int(1), Int(2)}))}, want: "no such table: id 1"},
-			testCase{name: "record: create reusing an id", records: [][]byte{good, record(create(other, 0))}, want: "duplicate table id 0"},
-			testCase{name: "record: drop naming an unknown id", records: [][]byte{good, record(walOp{kind: opDrop, id: 7})}, want: "no such table: id 7"},
-			testCase{name: "record: table id out of range", records: [][]byte{binary.AppendUvarint(append(header(), byte(opDrop)), math.MaxInt64+1)}, want: "table id out of range"},
-		)
-	}
-
-	for _, tc := range append(cases(recVersion), cases(recVersion1)...) {
+	}{
+		{name: "record: row shorter than the key", records: [][]byte{record(create(keyOnB, 0), put(0, short))}, want: "row has 1 columns"},
+		{name: "record: row of the wrong type", records: [][]byte{record(create(keyOnB, 0), put(0, typed))}, want: "has type string"},
+		{name: "record: key past the columns", records: [][]byte{record(create(keyPastCols, 0))}, want: "key column 2 out of range"},
+		{name: "record: put into no table", records: [][]byte{record(put(0, short))}, want: "no such table"},
+		{name: "record: duplicate create", records: [][]byte{good, record(create(keyOnB, 1))}, want: "duplicate table t"},
+		{name: "record: unknown kind", records: [][]byte{append(bytes.Clone(good), 9, 0)}, want: "unknown op kind"},
+		{name: "record: unknown version", records: [][]byte{{recMagic, recVersion + 1}}, want: "unknown format version"},
+		{name: "record: truncated", records: [][]byte{good[:len(good)-1]}, want: "truncated"},
+		{name: "record: count past the end", records: [][]byte{append(header(), byte(opPut), 0, 200, 1)}, want: "length past the end"},
+		{name: "record: padded varint", records: [][]byte{append(header(), byte(opSeq), 0, 0x80, 0)}, want: "malformed varint"},
+		{name: "record: gob after the first record", records: [][]byte{good, gobRecord(t)}, want: "bad magic"},
+		{name: "record: put naming an unknown id", records: [][]byte{good, record(put(1, Row{Int(1), Int(2)}))}, want: "no such table: id 1"},
+		{name: "record: create reusing an id", records: [][]byte{good, record(create(other, 0))}, want: "duplicate table id 0"},
+		{name: "record: drop naming an unknown id", records: [][]byte{good, record(walOp{kind: opDrop, id: 7})}, want: "no such table: id 7"},
+		{name: "record: table id out of range", records: [][]byte{binary.AppendUvarint(append(header(), byte(opDrop)), math.MaxInt64+1)}, want: "table id out of range"},
+		{name: "snapshot: row shorter than the key", snapshot: snapshot(keyOnB, short), want: "row has 1 columns"},
+		{name: "snapshot: key past the columns", snapshot: snapshot(keyPastCols), want: "key column 2 out of range"},
+		{name: "snapshot: trailing bytes", snapshot: append(snapshot(keyOnB), 0), want: "trailing bytes"},
+		{name: "snapshot: empty file", snapshot: []byte{}, want: "truncated"},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			if tc.snapshot != nil {

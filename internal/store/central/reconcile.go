@@ -3,6 +3,7 @@ package central
 import (
 	"context"
 	"fmt"
+	"iter"
 	"sort"
 
 	"orchestra/internal/core"
@@ -83,21 +84,12 @@ func (s *Store) beginReconciliation(peer core.PeerID, key store.IdempotencyKey) 
 }
 
 // candidatesLocked walks the window (from, to] and collects the peer's
-// candidates. The caller holds the peer's lock. Walking in epoch order —
-// within an epoch the publish order is the global order — produces
-// candidates order-sorted exactly as the single-lock implementation did.
+// candidates, order-sorted as the walk is. The caller holds the peer's
+// lock.
 func (s *Store) candidatesLocked(pm *peerMeta, peer core.PeerID, from, to core.Epoch) []*core.Candidate {
 	var out []*core.Candidate
-	for e := from + 1; e <= to; e++ {
-		em := s.epoch(e)
-		if em == nil {
-			continue
-		}
-		for _, id := range em.txnIDs() {
-			if en := s.lookup(id); en != nil {
-				out = s.appendCandidate(out, pm, peer, en)
-			}
-		}
+	for en := range s.window(from, to) {
+		out = s.appendCandidate(out, pm, peer, en)
 	}
 	return out
 }
@@ -320,23 +312,25 @@ func (s *Store) recordDecisionsBatch(batches []store.DecisionBatch, key store.Id
 	return nil
 }
 
-// windowTxns is the one walk of the published log: the transactions of
-// epochs (from, to] in epoch order, publish order within an epoch — the
-// global order. ReplayFrom walks to the highest allocated epoch, behind
-// the compaction guard. A finished epoch's transaction list is immutable
-// and read lock-free; an epoch still publishing is copied under its lock.
-func (s *Store) windowTxns(from, to core.Epoch) []store.PublishedTxn {
-	var out []store.PublishedTxn
-	for e := from + 1; e <= to; e++ {
-		em := s.epoch(e)
-		if em == nil {
-			continue
-		}
-		for _, id := range em.txnIDs() {
-			if en := s.lookup(id); en != nil {
-				out = append(out, en.pub)
+// window is the one walk of the published log: the indexed transactions
+// of epochs (from, to] in epoch order, publish order within an epoch — the
+// global order. A begin walks its reconciliation window
+// (candidatesLocked); ReplayFrom walks to the highest allocated epoch,
+// behind the compaction guard. A finished epoch's transaction
+// list is immutable and read lock-free; an epoch still publishing is
+// copied under its lock.
+func (s *Store) window(from, to core.Epoch) iter.Seq[*entry] {
+	return func(yield func(*entry) bool) {
+		for e := from + 1; e <= to; e++ {
+			em := s.epoch(e)
+			if em == nil {
+				continue
+			}
+			for _, id := range em.txnIDs() {
+				if en := s.lookup(id); en != nil && !yield(en) {
+					return
+				}
 			}
 		}
 	}
-	return out
 }

@@ -175,20 +175,9 @@ func (s *Store) snapshotLocked(ctx context.Context, key store.IdempotencyKey) (c
 	snap := &store.Snapshot{Epoch: stable}
 	for i := range copies {
 		cp := &copies[i]
-		var eng *core.Engine
-		var err error
-		afterSeq := int64(0)
-		if prior != nil {
-			if ps := prior.Peer(cp.id); ps != nil {
-				eng, err = core.NewEngineFromSnapshot(s.schema, cp.trust, &ps.Engine)
-				if err != nil {
-					return 0, fmt.Errorf("central: seed snapshot for %s: %w", cp.id, err)
-				}
-				afterSeq = ps.DecisionSeq
-			}
-		}
-		if eng == nil {
-			eng = core.NewEngine(cp.id, s.schema, cp.trust)
+		eng, afterSeq, err := store.SeedEngine(prior.Peer(cp.id), cp.id, s.schema, cp.trust)
+		if err != nil {
+			return 0, fmt.Errorf("central: seed: %w", err)
 		}
 		decs := make(map[core.TxnID]core.RestoredDecision)
 		cp.decided.Range(func(id core.TxnID, d core.RestoredDecision) {
@@ -300,7 +289,10 @@ func (s *Store) ReplayFrom(_ context.Context, peer core.PeerID, from core.Epoch,
 	if from < compacted && snapCovered {
 		return nil, nil, fmt.Errorf("central: epochs through %d are compacted; rebuild %s from the retained snapshot (store.RebuildPeer)", compacted, peer)
 	}
-	log := s.windowTxns(from, s.maxEpoch())
+	var log []store.PublishedTxn
+	for en := range s.window(from, s.maxEpoch()) {
+		log = append(log, en.pub)
+	}
 	lockContended(&pm.mu, s.counters.ObservePeerContention)
 	defer pm.mu.Unlock()
 	decisions := make(map[core.TxnID]core.RestoredDecision)

@@ -62,6 +62,52 @@ func snapshotHistory(t *testing.T, s *Store, schema *core.Schema) map[core.PeerI
 	return peers
 }
 
+// TestOpenRefusesSnapshotV1: a directory whose retained snapshot row is in
+// version 1 of the snapshot codec — here a real snapshot's row with its
+// version byte set back to 1 — makes Open fail with the codec's refusal,
+// which names commit d723caa, the first release that can upgrade it.
+func TestOpenRefusesSnapshotV1(t *testing.T) {
+	schema := storetest.Schema(t)
+	dir := t.TempDir()
+	s, err := Open(schema, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshotHistory(t, s, schema)
+	epoch, err := s.Snapshot(context.Background())
+	if err != nil || epoch == 0 {
+		t.Fatalf("snapshot: %d, %v", epoch, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err := reldb.Open(reldb.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = db.Update(func(tx *reldb.Tx) error {
+		row, ok, err := tx.Get("snapshots", reldb.Int(int64(epoch)))
+		if err != nil || !ok {
+			return fmt.Errorf("retained row at epoch %d: %t, %v", epoch, ok, err)
+		}
+		payload := row[1].Raw()
+		payload[0] = 1
+		return tx.Upsert("snapshots", reldb.Row{reldb.Int(int64(epoch)), reldb.Bytes(payload)})
+	})
+	if cerr := db.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(schema, dir); err == nil {
+		s.Close()
+		t.Fatal("Open accepted a version-1 retained snapshot")
+	} else if !strings.Contains(err.Error(), "d723caa") {
+		t.Errorf("Open = %v, want the refusal naming commit d723caa", err)
+	}
+}
+
 // TestTornSnapshotCommitNeverVoidsTheLog: a crash that tears the WAL in the
 // middle of a Snapshot() commit must roll the whole snapshot write back —
 // the publish log keeps every transaction, the previously retained snapshot

@@ -81,29 +81,35 @@ func rebuild(ctx context.Context, id core.PeerID, schema *core.Schema, trust cor
 	}
 }
 
-// replay seeds an engine and restores the log onto it: from the peer's
-// entry in snap (from = the snapshot epoch, afterSeq = the entry's
-// DecisionSeq, the residue first in the log), or, when snap is nil or does
-// not cover the peer, from a fresh engine (from 0, afterSeq −1).
-func replay(ctx context.Context, id core.PeerID, schema *core.Schema, trust core.Trust, sr SnapshotReplayer, snap *Snapshot) (*core.Engine, error) {
-	var ps *PeerSnapshot
-	if snap != nil {
-		ps = snap.Peer(id)
-	}
-	var (
-		engine   *core.Engine
-		from     core.Epoch
-		afterSeq int64 = -1
-		log      []core.LoggedTxn
-	)
+// SeedEngine is the one seed step of a peer's engine state, which a
+// rebuild and a store's next snapshot both restore decisions onto: the
+// engine of ps, the peer's snapshot entry, and the decision seq the tail
+// starts after, ps.DecisionSeq; or, when ps is nil, a fresh engine and −1
+// (decision seqs start at 1, so the tail is every decision).
+func SeedEngine(ps *PeerSnapshot, id core.PeerID, schema *core.Schema, trust core.Trust) (*core.Engine, int64, error) {
 	if ps == nil {
-		engine = core.NewEngine(id, schema, trust)
-	} else {
-		var err error
-		if engine, err = core.NewEngineFromSnapshot(schema, trust, &ps.Engine); err != nil {
-			return nil, fmt.Errorf("store: snapshot for %s: %w", id, err)
-		}
-		from, afterSeq, log = snap.Epoch, ps.DecisionSeq, loggedTxns(snap.Residue)
+		return core.NewEngine(id, schema, trust), -1, nil
+	}
+	engine, err := core.NewEngineFromSnapshot(schema, trust, &ps.Engine)
+	if err != nil {
+		return nil, 0, fmt.Errorf("store: snapshot for %s: %w", id, err)
+	}
+	return engine, ps.DecisionSeq, nil
+}
+
+// replay seeds an engine from the peer's entry in snap (SeedEngine) and
+// restores the log onto it: the residue and the epochs after the snapshot,
+// or, when snap does not cover the peer, the whole history from epoch 0.
+func replay(ctx context.Context, id core.PeerID, schema *core.Schema, trust core.Trust, sr SnapshotReplayer, snap *Snapshot) (*core.Engine, error) {
+	ps := snap.Peer(id)
+	engine, afterSeq, err := SeedEngine(ps, id, schema, trust)
+	if err != nil {
+		return nil, err
+	}
+	var from core.Epoch
+	var log []core.LoggedTxn
+	if ps != nil {
+		from, log = snap.Epoch, loggedTxns(snap.Residue)
 	}
 	tail, decisions, err := sr.ReplayFrom(ctx, id, from, afterSeq)
 	if err != nil {

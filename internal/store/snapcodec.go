@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"orchestra/internal/codec"
@@ -12,9 +13,15 @@ import (
 // as the publish-payload codec: hand-rolled, length-prefixed, version byte
 // first, and a byte this release does not read is an explicit error, never
 // a silent misparse. Version 2 writes each held value once, with its
-// producer; DecodeSnapshot still reads version 1 (values, then producers),
-// which retained snapshots of earlier releases are in.
+// producer. Version 1 listed the values, then the producers; DecodeSnapshot
+// refuses it (errSnapshotV1).
 const snapshotVersion = 2
+
+// errSnapshotV1 refuses a version-1 snapshot, as the retained snapshot row
+// of a central store written before version 2 holds one. The releases from
+// commit d723caa through 9523137 read version 1, and a Snapshot (POST
+// /v1/snapshot) there rewrites the retained row in version 2.
+var errSnapshotV1 = errors.New("store: snapshot in version 1, which this release no longer reads; open the store once with a release from commit d723caa through 9523137 (the last) and take a snapshot (Snapshot, or POST /v1/snapshot), which rewrites it in version 2")
 
 // AppendSnapshot encodes a store snapshot into a compact binary payload,
 // appending to dst. Layout: version byte; snapshot epoch; the per-peer
@@ -51,13 +58,14 @@ func AppendSnapshot(dst []byte, snap *Snapshot) []byte {
 	return append(dst, residue...)
 }
 
-// DecodeSnapshot decodes a payload produced by AppendSnapshot, of this
-// version or of version 1.
+// DecodeSnapshot decodes a payload produced by AppendSnapshot.
 func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 	r := codec.NewReader(payload)
-	v := r.Byte()
-	if r.Err() == nil && v != snapshotVersion && v != 1 {
-		return nil, fmt.Errorf("store: snapshot version %d, want %d (or 1, which is read but not written)", v, snapshotVersion)
+	if v := r.Byte(); r.Err() == nil && v != snapshotVersion {
+		if v == 1 {
+			return nil, errSnapshotV1
+		}
+		return nil, fmt.Errorf("store: snapshot version %d, want %d", v, snapshotVersion)
 	}
 	snap := &Snapshot{Epoch: core.Epoch(r.Uvarint())}
 	np := r.Count()
@@ -73,14 +81,7 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 		eng.NextSeq = r.Uvarint()
 		eng.Applied = readIDs(&r)
 		eng.Rejected = readIDs(&r)
-		if v == 1 {
-			eng.Relations = readRelationsV1(&r)
-		} else {
-			eng.Relations = readRelations(&r, func() core.RowSnapshot {
-				t := readTuple(&r)
-				return core.RowSnapshot{Tuple: t, By: readID(&r)}
-			})
-		}
+		eng.Relations = readRelations(&r)
 		snap.Peers = append(snap.Peers, ps)
 	}
 	// The residue aliases payload, which is safe: DecodePublishedTxns
@@ -97,9 +98,9 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 	return snap, nil
 }
 
-// readRelations reads the relations of one engine state, each row as
-// readRow reads it.
-func readRelations(r *codec.Reader, readRow func() core.RowSnapshot) []core.RelationSnapshot {
+// readRelations reads the relations of one engine state: each row its
+// tuple, then its producer.
+func readRelations(r *codec.Reader) []core.RelationSnapshot {
 	nr := r.Count()
 	if nr == 0 {
 		return nil
@@ -110,44 +111,11 @@ func readRelations(r *codec.Reader, readRow func() core.RowSnapshot) []core.Rela
 		if n := r.Count(); n > 0 {
 			rs.Rows = make([]core.RowSnapshot, 0, n)
 			for k := 0; k < n && r.Err() == nil; k++ {
-				rs.Rows = append(rs.Rows, readRow())
+				t := readTuple(r)
+				rs.Rows = append(rs.Rows, core.RowSnapshot{Tuple: t, By: readID(r)})
 			}
 		}
 		rels = append(rels, rs)
-	}
-	return rels
-}
-
-// readRelationsV1 reads a version-1 engine state's relations and producers.
-// Version 1 lists every held value twice: in its relation, then with its
-// relation's name and producer. The reader pairs the two by tuple encoding
-// and fails r unless they match one to one.
-func readRelationsV1(r *codec.Reader) []core.RelationSnapshot {
-	rels := readRelations(r, func() core.RowSnapshot { return core.RowSnapshot{Tuple: readTuple(r)} })
-	type value struct{ rel, enc string }
-	unpaired := map[value]*core.RowSnapshot{}
-	for i := range rels {
-		for j := range rels[i].Rows {
-			row := &rels[i].Rows[j]
-			v := value{rels[i].Name, row.Tuple.Encode()}
-			if unpaired[v] != nil {
-				r.Fail(fmt.Errorf("store: snapshot value %s%v listed twice", v.rel, row.Tuple))
-			}
-			unpaired[v] = row
-		}
-	}
-	for j, n := 0, r.Count(); j < n && r.Err() == nil; j++ {
-		v := value{rel: r.Str(), enc: r.Str()}
-		by := readID(r)
-		if row := unpaired[v]; row != nil {
-			row.By = by
-			delete(unpaired, v)
-		} else {
-			r.Fail(fmt.Errorf("store: snapshot producer %s names a value of %s that is not held or has a producer already", by, v.rel))
-		}
-	}
-	if len(unpaired) > 0 {
-		r.Fail(fmt.Errorf("store: snapshot holds %d values with no producer", len(unpaired)))
 	}
 	return rels
 }

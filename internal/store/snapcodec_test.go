@@ -1,13 +1,13 @@
 package store
 
 import (
-	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"reflect"
-	"slices"
+	"strings"
 	"testing"
 
-	"orchestra/internal/codec"
 	"orchestra/internal/core"
 )
 
@@ -199,7 +199,7 @@ func goldenEngineSnapshot(t testing.TB) *Snapshot {
 
 // goldenV1 is goldenEngineSnapshot in the version-1 layout, as releases
 // before version 2 wrote it: every held value in its relation, then again
-// with its relation's name and producer.
+// with its relation's name and producer. It is the fixture of the refusal.
 const goldenV1 = "0104020400020270610202027061000270610100030846756e6374696f6e011101037261740102703101066c6967617365044e6f7465010b01026e320105647261667404585265660112010372617401027031010767656e62616e6b030846756e6374696f6e1101037261740102703101066c696761736502706101044e6f74650b01026e320105647261667402706101045852656612010372617401027031010767656e62616e6b027061000402050270620204027061000270610102706200027062010102706300030846756e6374696f6e021101037261740102703101066c69676173651301056d6f757365010270330106696d6d756e65044e6f7465010b01026e32010566696e616c04585265660212010372617401027031010767656e62616e6b120103726174010270310107756e6970726f74050846756e6374696f6e1101037261740102703101066c6967617365027061010846756e6374696f6e1301056d6f757365010270330106696d6d756e6502706201044e6f74650b01026e32010566696e616c02706201045852656612010372617401027031010767656e62616e6b027061000458526566120103726174010270310107756e6970726f7402706200020100"
 
 // TestEngineSnapshotGolden pins the bytes of exported engine states through
@@ -213,25 +213,13 @@ func TestEngineSnapshotGolden(t *testing.T) {
 	}
 }
 
-// TestEngineSnapshotGoldenV1: a retained version-1 snapshot still decodes,
-// into engines that export exactly what the engines it was taken from do.
-func TestEngineSnapshotGoldenV1(t *testing.T) {
-	golden := goldenEngineSnapshot(t)
+// TestSnapshotRefusesV1: a retained version-1 snapshot is refused with an
+// error naming commit d723caa, the first release that reads it and, on a
+// Snapshot, rewrites it in version 2.
+func TestSnapshotRefusesV1(t *testing.T) {
 	snap, err := DecodeSnapshot(mustHex(t, goldenV1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Peers) != len(golden.Peers) {
-		t.Fatalf("decoded %d peers, want %d", len(snap.Peers), len(golden.Peers))
-	}
-	for i := range snap.Peers {
-		e, err := core.NewEngineFromSnapshot(goldenSchema(), core.TrustAll(1), &snap.Peers[i].Engine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := e.ExportSnapshot(), &golden.Peers[i].Engine; !reflect.DeepEqual(got, want) {
-			t.Errorf("peer %d exports %+v, want %+v", i, got, want)
-		}
+	if !errors.Is(err, errSnapshotV1) || !strings.Contains(fmt.Sprint(err), "d723caa") {
+		t.Errorf("DecodeSnapshot(goldenV1) = %v, %v; want errSnapshotV1 naming commit d723caa", snap, err)
 	}
 }
 
@@ -244,44 +232,9 @@ func mustHex(t testing.TB, s string) []byte {
 	return b
 }
 
-// v1Producer is one entry of a version-1 engine state's producer list.
-type v1Producer struct {
-	rel string
-	t   core.Tuple
-	by  core.TxnID
-}
-
-// appendSnapshotV1 encodes a snapshot of one peer in the version-1 layout:
-// the engine's values in its relations, then prods as its producer list.
-func appendSnapshotV1(eng *core.EngineSnapshot, prods []v1Producer) []byte {
-	dst := []byte{1, 0, 1, 0, 0, 0}
-	dst = codec.AppendStr(dst, string(eng.Peer))
-	dst = binary.AppendUvarint(dst, eng.NextSeq)
-	dst = appendIDs(dst, eng.Applied)
-	dst = appendIDs(dst, eng.Rejected)
-	dst = binary.AppendUvarint(dst, uint64(len(eng.Relations)))
-	for _, rs := range eng.Relations {
-		dst = codec.AppendStr(dst, rs.Name)
-		dst = binary.AppendUvarint(dst, uint64(len(rs.Rows)))
-		for _, row := range rs.Rows {
-			dst = codec.AppendStr(dst, row.Tuple.Encode())
-		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(prods)))
-	for _, p := range prods {
-		dst = codec.AppendStr(dst, p.rel)
-		dst = codec.AppendStr(dst, p.t.Encode())
-		dst = codec.AppendStr(dst, string(p.by.Origin))
-		dst = binary.AppendUvarint(dst, p.by.Seq)
-	}
-	residue := AppendPublishedTxns(nil, nil)
-	dst = binary.AppendUvarint(dst, uint64(len(residue)))
-	return append(dst, residue...)
-}
-
 // snapshotOfTwo returns the schema and exported state of an engine holding
-// two values of F, and the state's producers as version 1 lists them.
-func snapshotOfTwo(t *testing.T) (*core.Schema, *core.EngineSnapshot, []v1Producer) {
+// two values of F.
+func snapshotOfTwo(t *testing.T) (*core.Schema, *core.EngineSnapshot) {
 	t.Helper()
 	s := core.MustSchema(core.NewRelation("F", 2, "organism", "protein", "function"))
 	e := core.NewEngine("q", s, core.TrustAll(1))
@@ -294,60 +247,10 @@ func snapshotOfTwo(t *testing.T) (*core.Schema, *core.EngineSnapshot, []v1Produc
 		}
 	}
 	snap := e.ExportSnapshot()
-	var prods []v1Producer
-	for _, row := range snap.Relations[0].Rows {
-		prods = append(prods, v1Producer{rel: "F", t: row.Tuple, by: row.By})
+	if n := len(snap.Relations[0].Rows); n != 2 {
+		t.Fatalf("exported %d rows, want 2", n)
 	}
-	if len(prods) != 2 {
-		t.Fatalf("exported %d rows, want 2", len(prods))
-	}
-	return s, snap, prods
-}
-
-// TestSnapshotV1PairsProducers: a version-1 payload whose producers match
-// its values one to one decodes into the rows the engine exported.
-func TestSnapshotV1PairsProducers(t *testing.T) {
-	_, snap, prods := snapshotOfTwo(t)
-	// Version 1 lists producers by tuple encoding, not by key.
-	prods[0], prods[1] = prods[1], prods[0]
-	got, err := DecodeSnapshot(appendSnapshotV1(snap, prods))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rels := got.Peers[0].Engine.Relations; !reflect.DeepEqual(rels, snap.Relations) {
-		t.Errorf("decoded %+v, want %+v", rels, snap.Relations)
-	}
-}
-
-// TestSnapshotRefusesOrphanProducer: a version-1 producer for a value the
-// relations do not hold is refused, whether its key is free or bound to
-// another value.
-func TestSnapshotRefusesOrphanProducer(t *testing.T) {
-	_, snap, prods := snapshotOfTwo(t)
-	for _, orphan := range []core.Tuple{core.Strs("dog", "p3", "x"), core.Strs("rat", "p1", "other")} {
-		bad := append(slices.Clone(prods), v1Producer{rel: "F", t: orphan, by: core.TxnID{Origin: "q"}})
-		if _, err := DecodeSnapshot(appendSnapshotV1(snap, bad)); err == nil {
-			t.Errorf("producer for the unheld value %v accepted", orphan)
-		}
-	}
-}
-
-// TestSnapshotRefusesValueWithoutProducer: a value a version-1 payload's
-// relations hold must have a producer, also when another producer is listed
-// twice in its place, and when the value is listed twice with one producer.
-func TestSnapshotRefusesValueWithoutProducer(t *testing.T) {
-	_, snap, prods := snapshotOfTwo(t)
-	for _, bad := range [][]v1Producer{prods[:1], {prods[0], prods[0]}} {
-		if _, err := DecodeSnapshot(appendSnapshotV1(snap, bad)); err == nil {
-			t.Errorf("producers %v for values %v accepted", bad, snap.Relations)
-		}
-	}
-	twice := *snap
-	rows := snap.Relations[0].Rows
-	twice.Relations = []core.RelationSnapshot{{Name: "F", Rows: []core.RowSnapshot{rows[0], rows[0], rows[1]}}}
-	if _, err := DecodeSnapshot(appendSnapshotV1(&twice, prods)); err == nil {
-		t.Errorf("value %v listed twice with one producer accepted", rows[0].Tuple)
-	}
+	return s, snap
 }
 
 // TestSnapshotV2Refusals: version 2 cannot say that a value has no
@@ -355,7 +258,7 @@ func TestSnapshotRefusesValueWithoutProducer(t *testing.T) {
 // refuses rows out of key order, a repeated key, an unknown relation and a
 // repeated one.
 func TestSnapshotV2Refusals(t *testing.T) {
-	s, snap, _ := snapshotOfTwo(t)
+	s, snap := snapshotOfTwo(t)
 	rows := snap.Relations[0].Rows
 	for name, rels := range map[string][]core.RelationSnapshot{
 		"rows out of key order": {{Name: "F", Rows: []core.RowSnapshot{rows[1], rows[0]}}},

@@ -50,8 +50,12 @@ type PeerSnapshot struct {
 }
 
 // Peer returns the snapshot entry for the given peer, or nil if the peer
-// was not registered when the snapshot was taken.
+// was not registered when the snapshot was taken or there is no snapshot
+// (s is nil).
 func (s *Snapshot) Peer(id core.PeerID) *PeerSnapshot {
+	if s == nil {
+		return nil
+	}
 	for i := range s.Peers {
 		if s.Peers[i].Engine.Peer == id {
 			return &s.Peers[i]

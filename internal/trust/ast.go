@@ -81,8 +81,8 @@ type evalCtx struct {
 // or deleted tuple, or the source of a modification); newAttr resolves
 // against the replacement tuple of a modification (falling back to the
 // current tuple for inserts/deletes).
-func (c *evalCtx) attr(t core.Tuple, name string, idx int, byName bool) val {
-	if byName {
+func (c *evalCtx) attr(t core.Tuple, name string, idx int, named bool) val {
+	if named {
 		if c.schema == nil {
 			return nullVal
 		}
@@ -158,7 +158,7 @@ func (e *fieldExpr) eval(c *evalCtx) val {
 type attrExpr struct {
 	name    string
 	idx     int
-	byName  bool
+	named   bool
 	replace bool // newattr
 }
 
@@ -167,7 +167,7 @@ func (e *attrExpr) eval(c *evalCtx) val {
 	if e.replace && c.u.New != nil {
 		t = c.u.New
 	}
-	return c.attr(t, e.name, e.idx, e.byName)
+	return c.attr(t, e.name, e.idx, e.named)
 }
 
 type cmpExpr struct {

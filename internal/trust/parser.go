@@ -222,7 +222,7 @@ func (p *parser) parseOperand() (expr, error) {
 			e := &attrExpr{replace: replace}
 			switch p.tok.kind {
 			case tokString:
-				e.name, e.byName = p.tok.text, true
+				e.name, e.named = p.tok.text, true
 			case tokNumber:
 				i, err := strconv.Atoi(p.tok.text)
 				if err != nil {
