@@ -107,7 +107,9 @@ bench-smoke:
 # the scoped resolve re-run against the full one
 # (TestResolveScopedMatchesFullRerun), the engine invariants (TestInvariant*:
 # disjoint decision sets, idle fixpoints, instance consistency, every held
-# value's row naming an applied producer whose updates wrote it), a
+# value's row naming an applied producer whose updates wrote it, and the
+# soft state a run keeps where it reproduces it equal to soft state built
+# from nothing, TestInvariantSoftStateRebuilds), a
 # verbatim re-insert counting its foreign-key references once in the
 # instance and in a live engine against its Restore
 # (TestInstanceVerbatimInsertCountsOnce,
@@ -117,13 +119,16 @@ bench-smoke:
 # TestApplyFlattensOnTheRunsInstance, TestAppliedRunsMatchRestore), the
 # bytes of exported engine snapshots through the store's codec
 # (TestEngineSnapshotGolden: version 2) and the version-1 golden refused
-# with the commits that upgrade it (TestSnapshotRefusesV1), and the
+# with the commits that upgrade it (TestSnapshotRefusesV1), central's begin
+# window (TestBeginWindowBlock: its candidates in one block equal the old
+# per-candidate build, and an engine keeps nothing of the block), and the
 # concurrent ReconcileAll against the sequential reference
 # (TestReconcileAllDifferential). make verify covers these too; running
 # them by name makes an engine regression unmissable in CI.
 core-smoke:
 	$(GO) test -race -count=3 -run '^TestUpdateExtensionMatchesGeneral$$|^TestUpdateExtensionsShareRunScratch$$|^TestReconcileSingleUpdateAllocations$$|^TestReconcileOwnDeltaAllocations$$|^TestReconcileSingleUpdateBytes$$|^TestResolveDrainAllocations$$|^TestConflictGroupsGolden$$|^TestRunScratch|^TestResolveScopedMatchesFullRerun$$|^TestInvariant|^TestInstanceVerbatimInsertCountsOnce$$|^TestVerbatimReinsertLiveMatchesRestore$$|^TestHeldInsertDeletedLiveMatchesRestore$$|^TestApplyFlattensOnTheRunsInstance$$|^TestAppliedRunsMatchRestore$$' ./internal/core
 	$(GO) test -race -count=3 -run '^TestEngineSnapshotGolden$$|^TestSnapshotRefusesV1$$' ./internal/store
+	$(GO) test -race -count=3 -run '^TestBeginWindowBlock$$' ./internal/store/central
 	$(GO) test -race -count=3 -run '^TestReconcileAllDifferential$$' .
 
 # chaos-smoke runs both fault-injection convergence matrices — the 4-peer

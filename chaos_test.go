@@ -55,10 +55,14 @@ type chaosHarness struct {
 	dir    string
 	sys    *System
 
-	// Streaming cells: per-stream reconciliation frontiers reported by the
-	// stream observer, read by streamQuiesce to detect convergence.
+	// Streaming cells: per-stream reconciliation frontiers and last steps
+	// reported by the stream observer, read by streamQuiesce to detect
+	// convergence (and to say which stream stalled when it does not), and
+	// the running RunStreaming.
 	obsMu    sync.Mutex
 	frontier map[PeerID]Epoch
+	lastStep map[PeerID]observedStep
+	stream   *streamRun
 
 	universe []TxnID // every transaction the workload created
 }
@@ -89,6 +93,7 @@ func newChaosHarness(t *testing.T, seed int64, durable bool) *chaosHarness {
 	}
 	h.net.Seed(seed)
 	h.frontier = make(map[PeerID]Epoch)
+	h.lastStep = make(map[PeerID]observedStep)
 	if durable {
 		h.dir = t.TempDir()
 	}
@@ -109,6 +114,7 @@ func newChaosHarness(t *testing.T, seed int64, durable bool) *chaosHarness {
 			if r.To > h.frontier[r.Peer] {
 				h.frontier[r.Peer] = r.To
 			}
+			h.lastStep[r.Peer] = observedStep{at: time.Now(), res: r}
 			h.obsMu.Unlock()
 		}))
 	if err != nil {
@@ -236,18 +242,105 @@ func (h *chaosHarness) quiesce(rounds int) {
 	}
 }
 
+// observedStep is a stream step the observer saw, and when.
+type observedStep struct {
+	at  time.Time
+	res StreamResult
+}
+
+// streamRun is a running System.RunStreaming and, once it has returned,
+// its result.
+type streamRun struct {
+	done     chan error
+	returned bool
+	err      error
+}
+
+// poll reads the run's result if it has returned, without blocking, and
+// reports whether it has.
+func (r *streamRun) poll() bool {
+	if !r.returned {
+		select {
+		case r.err = <-r.done:
+			r.returned = true
+		default:
+		}
+	}
+	return r.returned
+}
+
 // startStreaming launches System.RunStreaming against the harness and
 // returns a stop function that cancels the streams and joins the run.
 func (h *chaosHarness) startStreaming() (stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- h.sys.RunStreaming(ctx) }()
+	run := &streamRun{done: make(chan error, 1)}
+	h.stream = run
+	go func() { run.done <- h.sys.RunStreaming(ctx) }()
 	return func() {
 		cancel()
-		if err := <-done; err != nil {
-			h.t.Errorf("RunStreaming: %v", err)
+		if !run.returned {
+			run.err, run.returned = <-run.done, true
+		}
+		if run.err != nil {
+			h.t.Errorf("RunStreaming: %v", run.err)
 		}
 	}
+}
+
+// streamStall describes the streams that have not caught up with the
+// target epoch: each one's frontier, pending publishes, last observed step
+// and the error its stream died with, if RunStreaming has returned. It
+// takes obsMu, which the caller must not hold: the observer runs under the
+// peer's lock, which PendingCount takes.
+func (h *chaosHarness) streamStall(target Epoch) string {
+	returned := h.stream != nil && h.stream.poll()
+	var b strings.Builder
+	fmt.Fprintf(&b, "target epoch %d; RunStreaming returned: %v", target, returned)
+	if returned {
+		fmt.Fprintf(&b, " (%v)", h.stream.err)
+	}
+	for _, id := range chaosPeerIDs {
+		p, _ := h.sys.Peer(id)
+		pending := p.PendingCount()
+		h.obsMu.Lock()
+		front := h.frontier[id]
+		st, seen := h.lastStep[id]
+		h.obsMu.Unlock()
+		if front >= target && pending == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, "\n  %s: frontier %d, %d pending; last step: ", id, front, pending)
+		if seen {
+			r := st.res
+			fmt.Fprintf(&b, "recno %d to epoch %d, %d accepted, %d rejected, %s ago",
+				r.Batch.Recno, r.To, len(r.Batch.Accepted), len(r.Batch.Rejected), time.Since(st.at).Round(time.Millisecond))
+		} else {
+			b.WriteString("none")
+		}
+		b.WriteString("; error: ")
+		if returned {
+			fmt.Fprint(&b, streamErrOf(h.stream.err, id))
+		} else {
+			b.WriteString("none yet (still streaming)")
+		}
+	}
+	return b.String()
+}
+
+// streamErrOf returns the *PeerError RunStreaming's joined error holds for
+// the peer, nil if none.
+func streamErrOf(err error, id PeerID) error {
+	errs := []error{err}
+	if j, ok := err.(interface{ Unwrap() []error }); ok {
+		errs = j.Unwrap()
+	}
+	for _, e := range errs {
+		var pe *PeerError
+		if errors.As(e, &pe) && pe.Peer == id {
+			return pe
+		}
+	}
+	return nil
 }
 
 // publishAll ships every peer's pending edits while the streams run,
@@ -300,9 +393,7 @@ func (h *chaosHarness) streamQuiesce(target Epoch) {
 			return
 		}
 		if time.Now().After(deadline) {
-			h.obsMu.Lock()
-			defer h.obsMu.Unlock()
-			h.t.Fatalf("streams never converged: target epoch %d, frontiers %v", target, h.frontier)
+			h.t.Fatalf("streams never converged: %s", h.streamStall(target))
 		}
 		time.Sleep(500 * time.Microsecond)
 	}

@@ -67,14 +67,19 @@ func (c Conflict) String() string {
 //  3. both are replacements with the same source tuple value but different
 //     replacement values.
 func UpdatesConflict(s *Schema, a, b Update) []Conflict {
-	if a.Rel != b.Rel || a.Equal(b) {
-		return nil
+	return appendUpdatesConflict(nil, s, &a, &b)
+}
+
+// appendUpdatesConflict appends the conflicts UpdatesConflict returns to
+// out.
+func appendUpdatesConflict(out []Conflict, s *Schema, a, b *Update) []Conflict {
+	if a.Rel != b.Rel || a.Equal(*b) {
+		return out
 	}
 	rel, ok := s.Relation(a.Rel)
 	if !ok {
-		return nil
+		return out
 	}
-	var out []Conflict
 
 	// Rule 3: same source, different replacement.
 	if a.Op == OpModify && b.Op == OpModify && a.Tuple.Equal(b.Tuple) && !a.New.Equal(b.New) {
@@ -109,7 +114,7 @@ func (u *Update) producedKeyEnc(rel *Relation) string {
 }
 
 // deleteWriteConflict checks rule 2 with d as the deletion candidate.
-func deleteWriteConflict(rel *Relation, d, w Update) (Conflict, bool) {
+func deleteWriteConflict(rel *Relation, d, w *Update) (Conflict, bool) {
 	if d.Op != OpDelete {
 		return Conflict{}, false
 	}
@@ -255,38 +260,44 @@ func bucketKeys(u *Update, rel *Relation) (k1, k2, src tupleKey) {
 }
 
 // probe appends to out the conflicts between u and the indexed updates that
-// out does not hold yet. It allocates only when it finds one: the common
-// probe selects empty buckets.
-func (ci *conflictIndex) probe(u *Update, out []Conflict) []Conflict {
+// out[base:] does not hold yet. It allocates only when it finds one and out
+// has no room: the common probe selects empty buckets.
+func (ci *conflictIndex) probe(u *Update, out []Conflict, base int) []Conflict {
 	rel, ok := ci.s.Relation(u.Rel)
 	if !ok {
 		return out
 	}
 	k1, k2, src := bucketKeys(u, rel)
 	if k1.rel != "" {
-		out = ci.probeBucket(ci.t.byKey, k1, u, out)
+		out = ci.probeBucket(ci.t.byKey, k1, u, out, base)
 	}
 	if k2.rel != "" {
-		out = ci.probeBucket(ci.t.byKey, k2, u, out)
+		out = ci.probeBucket(ci.t.byKey, k2, u, out, base)
 	}
 	if src.rel != "" {
-		out = ci.probeBucket(ci.t.bySource, src, u, out)
+		out = ci.probeBucket(ci.t.bySource, src, u, out, base)
 	}
 	return out
 }
 
 // probeBucket is probe over the one bucket k of m.
-func (ci *conflictIndex) probeBucket(m map[indexKey]indexChain, k tupleKey, u *Update, out []Conflict) []Conflict {
+func (ci *conflictIndex) probeBucket(m map[indexKey]indexChain, k tupleKey, u *Update, out []Conflict, base int) []Conflict {
 	c, ok := m[indexKey{ci.id, k}]
 	if !ok {
 		return out
 	}
 	for e := c.head; e >= 0; e = ci.t.entries[e].next {
-		for _, c := range UpdatesConflict(ci.s, *u, ci.us[ci.t.entries[e].u]) {
-			if !containsConflict(out, c) {
-				out = append(out, c)
+		from := len(out)
+		out = appendUpdatesConflict(out, ci.s, u, &ci.us[ci.t.entries[e].u])
+		// Keep, in order, those out[base:from] does not hold yet.
+		n := from
+		for _, c := range out[from:] {
+			if !containsConflict(out[base:n], c) {
+				out[n] = c
+				n++
 			}
 		}
+		out = out[:n]
 	}
 	return out
 }
@@ -294,9 +305,14 @@ func (ci *conflictIndex) probeBucket(m map[indexKey]indexChain, k tupleKey, u *U
 // probeAll returns the conflicts between the updates and the indexed ones,
 // each once, in probe order.
 func (ci *conflictIndex) probeAll(us []Update) []Conflict {
-	var out []Conflict
+	return ci.appendProbeAll(nil, us)
+}
+
+// appendProbeAll appends what probeAll returns to out.
+func (ci *conflictIndex) appendProbeAll(out []Conflict, us []Update) []Conflict {
+	base := len(out)
 	for i := range us {
-		out = ci.probe(&us[i], out)
+		out = ci.probe(&us[i], out, base)
 	}
 	return out
 }
@@ -305,7 +321,7 @@ func (ci *conflictIndex) probeAll(us []Update) []Conflict {
 // one, stopping at the first update that does.
 func (ci *conflictIndex) conflictsAny(us []Update) bool {
 	for i := range us {
-		if len(ci.probe(&us[i], nil)) > 0 {
+		if len(ci.probe(&us[i], nil, 0)) > 0 {
 			return true
 		}
 	}
@@ -323,16 +339,16 @@ func containsConflict(cs []Conflict, c Conflict) bool {
 	return false
 }
 
-// conflictsWithOne is probeAll over an index of the one update v, without
-// the index: us, the probing side, is no longer than the indexed one, so it
-// has one update at most; UpdatesConflict finds a conflict between an
-// update and v only if the buckets the update selects hold v, and lists
-// each conflict once.
-func conflictsWithOne(s *Schema, us []Update, v Update) []Conflict {
+// appendConflictsWithOne is appendProbeAll over an index of the one update
+// v, without the index: us, the probing side, is no longer than the indexed
+// one, so it has one update at most; UpdatesConflict finds a conflict
+// between an update and v only if the buckets the update selects hold v,
+// and lists each conflict once.
+func appendConflictsWithOne(out []Conflict, s *Schema, us []Update, v *Update) []Conflict {
 	if len(us) == 0 {
-		return nil
+		return out
 	}
-	return UpdatesConflict(s, us[0], v)
+	return appendUpdatesConflict(out, s, &us[0], v)
 }
 
 // SetsConflict returns the conflicts between two flattened update sets using
@@ -343,7 +359,7 @@ func SetsConflict(s *Schema, a, b []Update) []Conflict {
 		a, b = b, a
 	}
 	if len(b) == 1 {
-		return conflictsWithOne(s, a, b[0])
+		return appendConflictsWithOne(nil, s, a, &b[0])
 	}
 	return newConflictIndex(s, b).probeAll(a)
 }

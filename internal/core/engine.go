@@ -109,15 +109,10 @@ func (e *Engine) RefreshTrust(t Trust) int {
 	e.SetTrust(t)
 	changed := 0
 	for _, d := range e.deferredCands {
-		p := TxnPriority(e.trust, d.cand.Txn)
-		if p == d.cand.Priority {
-			continue
+		if p := TxnPriority(e.trust, d.cand.Txn); p != d.cand.Priority {
+			d.cand.Priority = p // the entry's own copy (see deferredCand)
+			changed++
 		}
-		// Candidates may be shared with the store layer; re-price a copy.
-		cc := *d.cand
-		cc.Priority = p
-		d.cand = &cc
-		changed++
 	}
 	return changed
 }
@@ -178,13 +173,16 @@ type candidateState struct {
 	cand     *Candidate
 	upEx     UpdateExtension
 	decision Decision
-	carried  bool // previously deferred, reconsidered this run
+	// carried is the deferred entry of a previously deferred candidate
+	// the run reconsiders (cand is its Candidate); nil for a fresh one.
+	carried  *deferredCand
 	deferred bool // left deferred by this run (set before UpdateSoftState)
 	// conflicts are the run's candidates whose extensions directly conflict
 	// with this one's (FindConflicts), in pair order.
 	conflicts []*candidateState
-	// conflictVals are the values of the conflicts among deferred
-	// candidates that involve this one (UpdateSoftState).
+	// groups are the conflicts among deferred candidates that involve this
+	// one, sorted (UpdateSoftState), and conflictVals their values.
+	groups       []Conflict
 	conflictVals []tupleKey
 }
 
@@ -199,9 +197,11 @@ type pairConflicts struct {
 
 // deferredCand is a deferred candidate together with the soft state it
 // contributed, so that a run which does not reconsider it can leave that
-// state in place and a run which does can take exactly it back out.
+// state in place and a run which does can take exactly it back out. It
+// owns its Candidate, Ext included: a store may hand out its candidates
+// as windows of one block per begin, which a deferral must not pin.
 type deferredCand struct {
-	cand *Candidate
+	cand Candidate
 	// dirty are the keys it keeps dirty; groups the conflict groups it is a
 	// member of. Candidates of different components share neither.
 	dirty  []tupleKey
@@ -214,8 +214,9 @@ type deferredCand struct {
 }
 
 // dropDeferred takes a deferred candidate and its soft state out of the
-// engine. The conflict groups it was a member of go with it: a run that
-// drops one member of a component drops or re-evaluates all of them.
+// engine, as Resolve does with its losers. The conflict groups it was a
+// member of go with it: the re-run that follows re-evaluates the rest of
+// its component.
 func (e *Engine) dropDeferred(d *deferredCand) {
 	for _, k := range d.dirty {
 		delete(e.dirty, k)
@@ -263,7 +264,7 @@ func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCan
 	// carried-over deferred ones. The states never move: the arena has
 	// room for every candidate before the first is added.
 	rs.states = slices.Grow(rs.states, len(fresh)+len(carried))
-	addCand := func(c *Candidate, carried bool) {
+	addCand := func(c *Candidate, carried *deferredCand) {
 		if c.Priority <= 0 {
 			return // untrusted: never a root
 		}
@@ -274,10 +275,10 @@ func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCan
 		rs.order = append(rs.order, &rs.states[len(rs.states)-1])
 	}
 	for _, d := range carried {
-		addCand(d.cand, true)
+		addCand(&d.cand, d)
 	}
 	for _, c := range fresh {
-		addCand(c, false)
+		addCand(c, nil)
 	}
 	order := rs.order
 	// A transaction has one position in the published order, so copies of
@@ -330,7 +331,7 @@ func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCan
 	for _, st := range order {
 		ext := e.filterApplied(st.cand.Ext, st.cand.Txn)
 		st.upEx.init(e.schema, e.inst, rs, st.cand.Txn.ID, ext, st.cand.Priority)
-		st.decision = e.checkState(&st.upEx, ownIdx, st.carried)
+		st.decision = e.checkState(&st.upEx, ownIdx, st.carried != nil)
 		res.Stats.ExtensionTxns += len(st.upEx.Source)
 		res.Stats.FlattenedOps += len(st.upEx.Operation)
 	}
@@ -378,7 +379,7 @@ func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCan
 			st.decision = DecisionReject
 			continue
 		}
-		if cerr := e.inst.CompatibleAll(flat); cerr != nil {
+		if !e.inst.compatibleAll(flat) {
 			// Defensive: Proposition 1 says this cannot happen for
 			// greedy processing; reject rather than corrupt the
 			// instance if it ever does.
@@ -532,7 +533,7 @@ func (e *Engine) checkState(upEx *UpdateExtension, own *conflictIndex, carried b
 		return DecisionReject
 	}
 	// Line 5: incompatible with the instance at recno.
-	if err := e.inst.CompatibleAll(upEx.Operation); err != nil {
+	if !e.inst.compatibleAll(upEx.Operation) {
 		return DecisionReject
 	}
 	// Line 7: conflicts with the peer's own delta — the participant always
@@ -641,21 +642,26 @@ func (e *Engine) findConflicts(rs *runScratch, order []*candidateState, stats *R
 	}
 	rs.found = resized(rs.found, len(pc.pairs))
 	pc.found = rs.found
+	// Each pair's conflicts are a window of one buffer. A window taken
+	// before the buffer grew reads the old array, which keeps what it held.
+	buf := rs.foundBuf
 	hits := rs.hits[:0] // the conflicting, non-subsuming pairs
 	for pi, p := range pc.pairs {
 		i, j := unpackPair(p)
 		si, sj := &order[i].upEx, &order[j].upEx
-		cs := si.Conflicts(e.schema, sj)
-		if len(cs) == 0 {
+		from := len(buf)
+		buf = si.appendConflicts(buf, e.schema, sj)
+		if len(buf) == from {
 			continue
 		}
-		pc.found[pi] = cs
+		pc.found[pi] = buf[from:len(buf):len(buf)]
 		if si.Subsumes(sj) || sj.Subsumes(si) {
 			continue
 		}
 		stats.ConflictsFound++
 		hits = append(hits, int32(pi))
 	}
+	rs.foundBuf = buf
 	rs.hits = hits
 	rs.linkConflicts(order, pc.pairs, hits)
 	return pc

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -228,6 +229,107 @@ func TestConvergenceUnderResolution(t *testing.T) {
 			if n := len(e.ConflictGroups()); n != 0 {
 				t.Errorf("seed %d: %s still has %d conflict groups", seed, e.Peer(), n)
 			}
+		}
+	}
+}
+
+// TestInvariantSoftStateRebuilds: the soft state the engine keeps is the
+// soft state its deferred set stands for, however much of it runs kept
+// rather than rebuilt. After every run and resolve of scripted sequences
+// of reconciles, resolves and local edits, the dirty keys, each deferred
+// entry (its candidate, dirty keys and groups) and the conflict groups
+// (their options and effects, as String renders them) equal those built
+// from nothing by rebuiltSoftState.
+func TestInvariantSoftStateRebuilds(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		tl, _ := randomCDSSRun(t, seed, 4, 5, 3)
+		log := tl.graph.InOrder(0, uint64(tl.graph.Len()))
+		trusts := []Trust{
+			TrustAll(1),
+			TrustOrigins(map[PeerID]int{"p0": 3, "p1": 2, "p2": 1, "p3": 1}),
+		}
+		for i, trust := range trusts {
+			p := &scriptedPeer{e: NewEngine("q", tl.schema, trust), log: log, graph: tl.graph, seed: seed*10 + int64(i)}
+			var before *EngineSnapshot
+			p.beforeRun = func() { before = p.e.ExportSnapshot() }
+			for p.steps < 80 {
+				p.step(t)
+				checkSoftStateRebuilds(t, fmt.Sprintf("seed %d trust %d step %d", seed, i, p.steps), before, p.e)
+			}
+		}
+	}
+}
+
+// rebuiltSoftState returns an engine with e's instance and decided sets
+// whose soft state is built from nothing for e's deferred candidates: one
+// UpdateSoftState with every one of them a candidate the run left
+// deferred. A run flattens its candidates' extensions before it applies
+// anything, so each is flattened as the run that last considered it did:
+// on the instance and applied set before it began (before). A deferred
+// candidate a run did not consider is in a component whose keys nothing
+// touched since, so before serves it too.
+func rebuiltSoftState(t *testing.T, before *EngineSnapshot, e *Engine) *Engine {
+	t.Helper()
+	f, err := NewEngineFromSnapshot(e.schema, e.trust, e.ExportSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	then, err := NewEngineFromSnapshot(e.schema, e.trust, before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.recno = e.recno
+	rs := newRunScratch()
+	ids := e.DeferredIDs()
+	rs.states = make([]candidateState, len(ids))
+	order := make([]*candidateState, len(ids))
+	for i, id := range ids {
+		c := e.deferredCands[id].cand
+		st := &rs.states[i]
+		st.cand = &c
+		st.upEx.init(f.schema, then.inst, rs, id, then.filterApplied(c.Ext, c.Txn), c.Priority)
+		st.deferred = true
+		order[i] = st
+	}
+	slices.SortFunc(order, func(a, b *candidateState) int {
+		if c := cmp.Compare(a.cand.Txn.Order, b.cand.Txn.Order); c != 0 {
+			return c
+		}
+		return compareTxnIDs(a.cand.Txn.ID, b.cand.Txn.ID)
+	})
+	f.updateSoftState(rs, order, nil, f.findConflicts(rs, order, new(ReconcileStats)))
+	return f
+}
+
+// checkSoftStateRebuilds fails unless e's soft state equals
+// rebuiltSoftState's.
+func checkSoftStateRebuilds(t *testing.T, what string, before *EngineSnapshot, e *Engine) {
+	t.Helper()
+	f := rebuiltSoftState(t, before, e)
+	if got, want := sortedKeys(e.dirty), sortedKeys(f.dirty); !slices.Equal(got, want) {
+		t.Fatalf("%s: dirty keys %v, rebuilt %v", what, got, want)
+	}
+	if got, want := e.DeferredIDs(), f.DeferredIDs(); !slices.Equal(got, want) {
+		t.Fatalf("%s: deferred %v, rebuilt %v", what, got, want)
+	}
+	for id, d := range e.deferredCands {
+		r := f.deferredCands[id]
+		switch {
+		case d.cand.Txn != r.cand.Txn || d.cand.Priority != r.cand.Priority || !slices.Equal(d.cand.Ext, r.cand.Ext):
+			t.Fatalf("%s: %v's candidate %+v, rebuilt %+v", what, id, d.cand, r.cand)
+		case !slices.Equal(d.dirty, r.dirty):
+			t.Fatalf("%s: %v keeps %v dirty, rebuilt %v", what, id, d.dirty, r.dirty)
+		case !slices.Equal(d.groups, r.groups):
+			t.Fatalf("%s: %v is in groups %v, rebuilt %v", what, id, d.groups, r.groups)
+		}
+	}
+	got, want := e.ConflictGroups(), f.ConflictGroups()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d conflict groups, rebuilt %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if g, w := got[i].String(), want[i].String(); g != w {
+			t.Fatalf("%s: group\n%s\nrebuilt\n%s", what, g, w)
 		}
 	}
 }

@@ -157,6 +157,11 @@ func (ue *UpdateExtension) SharedWith(other *UpdateExtension) []TxnID {
 // and a one-update side is never indexed — the other side has one update
 // at most, and UpdatesConflict is the whole probe.
 func (ue *UpdateExtension) Conflicts(s *Schema, other *UpdateExtension) []Conflict {
+	return ue.appendConflicts(nil, s, other)
+}
+
+// appendConflicts appends what Conflicts returns to out.
+func (ue *UpdateExtension) appendConflicts(out []Conflict, s *Schema, other *UpdateExtension) []Conflict {
 	shared := ue.SharedWith(other)
 	if len(shared) == 0 {
 		// The sides SetsConflict picks: the longer operation is indexed,
@@ -166,13 +171,13 @@ func (ue *UpdateExtension) Conflicts(s *Schema, other *UpdateExtension) []Confli
 			probe, indexed = other, ue
 		}
 		if len(indexed.Operation) == 1 {
-			return conflictsWithOne(s, probe.Operation, indexed.Operation[0])
+			return appendConflictsWithOne(out, s, probe.Operation, &indexed.Operation[0])
 		}
-		return indexed.conflictIndex(s).probeAll(probe.Operation)
+		return indexed.conflictIndex(s).appendProbeAll(out, probe.Operation)
 	}
 	opA := flattenMinus(s, ue.Source, shared)
 	opB := flattenMinus(s, other.Source, shared)
-	return SetsConflict(s, opA, opB)
+	return append(out, SetsConflict(s, opA, opB)...)
 }
 
 // conflictIndex returns the memoized index over the flattened operation.

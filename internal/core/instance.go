@@ -184,8 +184,48 @@ func (e *IncompatibleError) Error() string {
 	return fmt.Sprintf("core: update %s incompatible with instance: %s", e.Update, e.Reason)
 }
 
-func incompat(u Update, format string, args ...any) error {
-	return &IncompatibleError{Update: u, Reason: fmt.Sprintf(format, args...)}
+// incompatibility is why an update cannot be applied, zero when it can:
+// the reason's format, with at most one verb, and that verb's argument in
+// the field of its kind. A check builds nothing; the error text is made
+// only for a caller that asks for an error (err).
+type incompatibility struct {
+	format string
+	kind   argKind
+	str    string // argStr
+	tuple  Tuple  // argTuple
+	n      int    // argInt
+	cause  error  // argErr
+}
+
+type argKind uint8
+
+const (
+	argNone argKind = iota
+	argStr
+	argTuple
+	argInt
+	argErr
+)
+
+func (w incompatibility) ok() bool { return w.format == "" }
+
+// err returns w as an *IncompatibleError about u, nil when w is zero.
+func (w incompatibility) err(u Update) error {
+	reason := w.format
+	switch w.kind {
+	case argStr:
+		reason = fmt.Sprintf(w.format, w.str)
+	case argTuple:
+		reason = fmt.Sprintf(w.format, w.tuple)
+	case argInt:
+		reason = fmt.Sprintf(w.format, w.n)
+	case argErr:
+		reason = fmt.Sprintf(w.format, w.cause)
+	}
+	if reason == "" {
+		return nil
+	}
+	return &IncompatibleError{Update: u, Reason: reason}
 }
 
 // Compatible reports whether applying u to the current instance preserves
@@ -194,6 +234,13 @@ func incompat(u Update, format string, args ...any) error {
 // verbatim is a compatible no-op. The rule itself is overlay.apply, here
 // over an overlay with nothing pending and nowhere to record.
 func (in *Instance) Compatible(u Update) error {
+	return in.check(u).err(u)
+}
+
+// compatible is Compatible for a caller that only needs the answer.
+func (in *Instance) compatible(u Update) bool { return in.check(u).ok() }
+
+func (in *Instance) check(u Update) incompatibility {
 	ov := overlay{base: in}
 	return ov.apply(u)
 }
@@ -271,11 +318,22 @@ func (in *Instance) ApplyAll(us []Update) error {
 func (in *Instance) CompatibleAll(us []Update) error {
 	ov := newOverlay(in)
 	for _, u := range us {
-		if err := ov.apply(u); err != nil {
-			return err
+		if w := ov.apply(u); !w.ok() {
+			return w.err(u)
 		}
 	}
 	return nil
+}
+
+// compatibleAll is CompatibleAll for a caller that only needs the answer.
+func (in *Instance) compatibleAll(us []Update) bool {
+	ov := newOverlay(in)
+	for _, u := range us {
+		if !ov.apply(u).ok() {
+			return false
+		}
+	}
+	return true
 }
 
 // overlay is a copy-on-write view of an instance used for trial application
@@ -320,82 +378,82 @@ func (ov *overlay) bumpRefs(rel *Relation, t Tuple, delta int) {
 }
 
 // checkForeignKeys verifies every foreign key of rel holds for tuple t.
-func (ov *overlay) checkForeignKeys(rel *Relation, u Update, t Tuple) error {
+func (ov *overlay) checkForeignKeys(rel *Relation, t Tuple) incompatibility {
 	for _, fk := range rel.ForeignKeys {
 		refEnc := t.Project(fk.Attrs).Encode()
 		if _, ok := ov.lookup(fk.RefRel, refEnc); !ok {
-			return incompat(u, "dangling reference into %s", fk.RefRel)
+			return incompatibility{format: "dangling reference into %s", kind: argStr, str: fk.RefRel}
 		}
 	}
-	return nil
+	return incompatibility{}
 }
 
 // apply is the integrity rule, stated once: it checks u against the
 // instance as the pending changes leave it and, when the overlay records
 // (mods non-nil), adds u to them.
-func (ov *overlay) apply(u Update) error {
+func (ov *overlay) apply(u Update) incompatibility {
 	rel, ok := ov.base.schema.Relation(u.Rel)
 	if !ok {
-		return incompat(u, "unknown relation %s", u.Rel)
+		return incompatibility{format: "unknown relation %s", kind: argStr, str: u.Rel}
 	}
 	record := ov.mods != nil
 	switch u.Op {
 	case OpInsert:
 		if err := rel.Validate(u.Tuple); err != nil {
-			return incompat(u, "%v", err)
+			return incompatibility{format: "%v", kind: argErr, cause: err}
 		}
 		keyEnc := u.keyEncTuple(rel)
 		if cur, exists := ov.lookup(u.Rel, keyEnc); exists {
 			if cur.Equal(u.Tuple) {
-				return nil // idempotent
+				return incompatibility{} // idempotent
 			}
-			return incompat(u, "key already bound to %s", cur)
+			return incompatibility{format: "key already bound to %s", kind: argTuple, tuple: cur}
 		}
-		if err := ov.checkForeignKeys(rel, u, u.Tuple); err != nil || !record {
-			return err
+		if w := ov.checkForeignKeys(rel, u.Tuple); !w.ok() || !record {
+			return w
 		}
 		ov.mods[tupleKey{rel: u.Rel, enc: keyEnc}] = u.Tuple
 		ov.bumpRefs(rel, u.Tuple, 1)
-		return nil
+		return incompatibility{}
 	case OpDelete:
 		keyEnc := u.keyEncTuple(rel)
 		cur, exists := ov.lookup(u.Rel, keyEnc)
 		if !exists {
-			return incompat(u, "tuple absent")
+			return incompatibility{format: "tuple absent"}
 		}
 		if !cur.Equal(u.Tuple) {
-			return incompat(u, "key bound to different value %s", cur)
+			return incompatibility{format: "key bound to different value %s", kind: argTuple, tuple: cur}
 		}
 		if n := ov.refCount(u.Rel, keyEnc); n > 0 {
-			return incompat(u, "key referenced by %d tuple(s)", n)
+			return incompatibility{format: "key referenced by %d tuple(s)", kind: argInt, n: n}
 		}
 		if record {
 			ov.mods[tupleKey{rel: u.Rel, enc: keyEnc}] = nil
 			ov.bumpRefs(rel, u.Tuple, -1)
 		}
-		return nil
+		return incompatibility{}
 	case OpModify:
 		if err := rel.Validate(u.New); err != nil {
-			return incompat(u, "%v", err)
+			return incompatibility{format: "%v", kind: argErr, cause: err}
 		}
 		oldKey, newKey := u.keyEncTuple(rel), u.keyEncNew(rel)
 		cur, exists := ov.lookup(u.Rel, oldKey)
 		if !exists {
-			return incompat(u, "source tuple absent")
+			return incompatibility{format: "source tuple absent"}
 		}
 		if !cur.Equal(u.Tuple) {
-			return incompat(u, "source key bound to different value %s", cur)
+			return incompatibility{format: "source key bound to different value %s", kind: argTuple, tuple: cur}
 		}
 		if oldKey != newKey {
 			if clash, exists := ov.lookup(u.Rel, newKey); exists {
-				return incompat(u, "replacement key already bound to %s", clash)
+				return incompatibility{format: "replacement key already bound to %s", kind: argTuple, tuple: clash}
 			}
 			if n := ov.refCount(u.Rel, oldKey); n > 0 {
-				return incompat(u, "key referenced by %d tuple(s)", n)
+				return incompatibility{format: "key referenced by %d tuple(s)", kind: argInt, n: n}
 			}
 		}
-		if err := ov.checkForeignKeys(rel, u, u.New); err != nil || !record {
-			return err
+		if w := ov.checkForeignKeys(rel, u.New); !w.ok() || !record {
+			return w
 		}
 		if oldKey != newKey {
 			ov.mods[tupleKey{rel: u.Rel, enc: oldKey}] = nil
@@ -403,8 +461,8 @@ func (ov *overlay) apply(u Update) error {
 		ov.mods[tupleKey{rel: u.Rel, enc: newKey}] = u.New
 		ov.bumpRefs(rel, u.Tuple, -1)
 		ov.bumpRefs(rel, u.New, 1)
-		return nil
+		return incompatibility{}
 	default:
-		return incompat(u, "unknown op")
+		return incompatibility{format: "unknown op"}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -164,26 +165,38 @@ func drainBytes(t *testing.T, s *Schema, n int) uint64 {
 		if _, err := e.Reconcile(cands); err != nil || len(e.ConflictGroups()) != n {
 			t.Fatalf("reconcile: %v, %d groups", err, len(e.ConflictGroups()))
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := e.ResolveAll(func(*ConflictGroup) int { return 0 }); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
+		bytes := allocatedBy(func() {
+			if _, err := e.ResolveAll(func(*ConflictGroup) int { return 0 }); err != nil {
+				t.Fatal(err)
+			}
+		})
 		if d := len(e.DeferredIDs()); d != 0 {
 			t.Fatalf("%d still deferred", d)
 		}
-		least = min(least, (after.TotalAlloc-before.TotalAlloc)/uint64(n))
+		least = min(least, bytes/uint64(n))
 	}
 	return least
 }
 
+// allocatedBy returns the bytes f allocates. The collector is held off
+// meanwhile: a cycle empties the pooled run scratch, and the runs after it
+// would count building it again.
+func allocatedBy(f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestResolveDrainAllocations: a resolve re-runs its own component, and
 // what it allocates does not grow with the deferred set it leaves alone.
-// Draining 64 and then 256 independent groups costs ~1.3 KB per resolve
-// either way (~1.8 KB under the race detector); when every run listed the
-// whole deferred set and its groups in its Result, it was ~3.3 KB among 64
-// groups and ~9 KB among 256.
+// Draining 64 and then 256 independent groups costs ~0.5 KB per resolve
+// either way (~1.1 KB under the race detector; ~1.3 KB while a run rebuilt
+// the soft state it reproduced); when every run listed the whole deferred
+// set and its groups in its Result, it was ~3.3 KB among 64 groups and
+// ~9 KB among 256.
 func TestResolveDrainAllocations(t *testing.T) {
 	s := proteinSchema(t)
 	small, large := drainBytes(t, s, 64), drainBytes(t, s, 256)

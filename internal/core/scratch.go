@@ -8,7 +8,8 @@ import (
 // runScratch holds the working state of one reconciliation run (see
 // Engine.reconcile). Nothing in it outlives the run: what does — the
 // Result, each deferred candidate with its dirty keys, conflict groups and
-// their options — gets an exact-size allocation of its own. Instances are
+// their options — gets an exact-size allocation of its own, made only when
+// the run did not reproduce what the engine holds. Instances are
 // pooled, in the style of flattenScratch: every candidate of every run
 // would otherwise allocate its state, its update extension, its touched
 // keys and its share of the pair and component maps, and a deferred
@@ -35,9 +36,9 @@ type runScratch struct {
 	index     indexTable
 
 	// FindConflicts: enumeratePairs' key numbering, posting lists and
-	// per-candidate pair marks; the pairs, their conflicts, the pairs that
-	// link two candidates (hits) and the windows of conflicts that back
-	// each state's conflicts.
+	// per-candidate pair marks; the pairs, their conflicts (windows of
+	// foundBuf), the pairs that link two candidates (hits) and the windows
+	// of conflicts that back each state's conflicts.
 	keyIDs    map[tupleKey]int32
 	refs      []int32
 	pos       []int32
@@ -45,12 +46,15 @@ type runScratch struct {
 	last      []int32
 	pairs     []uint64
 	found     [][]Conflict
+	foundBuf  []Conflict
 	hits      []int32
 	counts    []int32
 	conflicts []*candidateState
 
-	// DoGroup, the apply loop and UpdateSoftState; touch backs each group
-	// member's updates on its conflicted value.
+	// DoGroup, the apply loop and UpdateSoftState; groupOf and vals back
+	// each deferred state's groups and their values, touch each group
+	// member's updates on its conflicted value, and opts and optTxns the
+	// options of the group being made.
 	prios     []int
 	grp       []*candidateState
 	accepted  []TxnID
@@ -58,7 +62,11 @@ type runScratch struct {
 	deferred  []*candidateState
 	trimmed   []Update
 	members   []groupMember
+	groupOf   []Conflict
+	vals      []tupleKey
 	touch     []*Update
+	opts      []optionSpan
+	optTxns   []TxnID
 	parent    []int32
 	linkOf    map[tupleKey]int32
 	linkKeys  []tupleKey
@@ -92,6 +100,7 @@ func (rs *runScratch) reset() {
 	rs.last = zeroed(rs.last)
 	rs.pairs = zeroed(rs.pairs)
 	rs.found = zeroed(rs.found)
+	rs.foundBuf = zeroed(rs.foundBuf)
 	rs.hits = zeroed(rs.hits)
 	rs.counts = zeroed(rs.counts)
 	rs.conflicts = zeroed(rs.conflicts)
@@ -102,7 +111,11 @@ func (rs *runScratch) reset() {
 	rs.deferred = zeroed(rs.deferred)
 	rs.trimmed = zeroed(rs.trimmed)
 	rs.members = zeroed(rs.members)
+	rs.groupOf = zeroed(rs.groupOf)
+	rs.vals = zeroed(rs.vals)
 	rs.touch = zeroed(rs.touch)
+	rs.opts = zeroed(rs.opts)
+	rs.optTxns = zeroed(rs.optTxns)
 	rs.parent = zeroed(rs.parent)
 	rs.linkKeys = zeroed(rs.linkKeys)
 	rs.unsettled = zeroed(rs.unsettled)

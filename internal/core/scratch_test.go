@@ -24,6 +24,9 @@ type scriptedPeer struct {
 	steps  int
 	// resolved reports that the last step was a resolve.
 	resolved bool
+	// beforeRun, when set, is called as the step calls Reconcile or
+	// Resolve, after any local edit.
+	beforeRun func()
 }
 
 // step runs the peer's next step and returns what it returned.
@@ -35,6 +38,7 @@ func (p *scriptedPeer) step(t *testing.T) *Result {
 	if gs := p.e.ConflictGroups(); len(gs) > 0 && r.Intn(4) == 0 {
 		p.resolved = true
 		g := gs[r.Intn(len(gs))]
+		p.ran()
 		res, err := p.e.Resolve(g.Conflict, r.Intn(len(g.Options)+1)-1)
 		if err != nil {
 			t.Fatalf("resolve %s: %v", g.Conflict, err)
@@ -65,11 +69,18 @@ func (p *scriptedPeer) step(t *testing.T) *Result {
 		cands = append(cands, &Candidate{Txn: x, Priority: prio, Ext: ext})
 	}
 	p.cursor = to
+	p.ran()
 	res, err := p.e.Reconcile(cands)
 	if err != nil {
 		t.Fatalf("reconcile: %v", err)
 	}
 	return res
+}
+
+func (p *scriptedPeer) ran() {
+	if p.beforeRun != nil {
+		p.beforeRun()
+	}
 }
 
 // engineView is what a step shows of an engine: the step's result (its

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 )
 
@@ -68,9 +67,10 @@ func reconcileSingleUpdate(tb testing.TB, s *Schema, cands []*Candidate) {
 // TestReconcileSingleUpdateAllocations: a run whose candidates are all one
 // update each allocates per candidate only what its shape needs — no ID
 // map, footprint, flatten or conflict index — and its scratch comes from
-// the pooled run scratch. The reconcile and resolve allocate ~0.55k times
-// (building the engine included), ~0.7k under the race detector with a
-// scratch that is never pooled; with each option's Effect formatted and
+// the pooled run scratch. The reconcile and resolve allocate ~0.31k times
+// (building the engine included), ~0.5k under the race detector (~0.55k
+// and ~0.7k while a run rebuilt the soft state it reproduced and every
+// incompatible check made its error); with each option's Effect formatted and
 // every Result listing the whole deferred set and its groups it was ~0.77k
 // (~1.0k), with a state, an extension and touched keys per candidate over
 // 2.5k, with the general path for every candidate over 8.3k.
@@ -91,9 +91,10 @@ func TestReconcileSingleUpdateAllocations(t *testing.T) {
 // little else. The least of several runs is the warm one: under the race
 // detector sync.Pool drops some of what it is given.
 func TestReconcileSingleUpdateBytes(t *testing.T) {
-	// ~98 KB today, up to ~111 KB under the race detector (~102 KB
-	// with each option's Effect formatted and every Result listing the
-	// whole deferred set and its groups); ~0.39 MB with a state, an
+	// ~89 KB today, ~90 KB under the race detector (~100 KB while a run
+	// rebuilt the soft state it reproduced, ~102 KB with each option's
+	// Effect formatted and every Result listing the whole deferred set and
+	// its groups); ~0.39 MB with a state, an
 	// extension and touched keys per candidate, and ~0.52 MB if the run
 	// scratch is never pooled.
 	const runs, budget = 10, 130_000
@@ -102,11 +103,7 @@ func TestReconcileSingleUpdateBytes(t *testing.T) {
 	reconcileSingleUpdate(t, s, cands)
 	least := uint64(math.MaxUint64)
 	for range runs {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		reconcileSingleUpdate(t, s, cands)
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		least = min(least, allocatedBy(func() { reconcileSingleUpdate(t, s, cands) }))
 	}
 	t.Logf("%d bytes for a warm run of %d one-update candidates and a resolve", least, len(cands))
 	if least > budget {

@@ -53,17 +53,18 @@ func (g *ConflictGroup) String() string {
 }
 
 // updateSoftState implements UpdateSoftState of Figure 5 for the candidates
-// of one run: it takes out the dirty keys, conflict groups and entries of
-// the carried candidates, and puts in those of the candidates the run left
-// deferred (st.deferred). Soft state is fully reconstructable from the
-// deferred set and the instance; what deferred candidates outside the run
-// contributed is left as it is. order and pairs are the run's candidates and
-// what FindConflicts found between them; rs is the run's scratch.
+// of one run: it puts in the dirty keys, conflict groups and entries of the
+// candidates the run left deferred (st.deferred), and takes out what the
+// carried candidates contributed that the run did not reproduce. Soft state
+// is fully reconstructable from the deferred set and the instance; what
+// deferred candidates outside the run contributed is left as it is, and so
+// is what the run reproduces: a carried candidate that stays deferred keeps
+// its entry, dirty keys and group list when they come out the same, and a
+// conflict group whose options come out the same stays the same
+// *ConflictGroup. Everything is worked out and compared on the run's
+// scratch rs; only what changed is allocated. order and pairs are the
+// run's candidates and what FindConflicts found between them.
 func (e *Engine) updateSoftState(rs *runScratch, order []*candidateState, carried []*deferredCand, pairs pairConflicts) {
-	// Line 1: clear the soft state the run is about to rebuild.
-	for _, d := range carried {
-		e.dropDeferred(d)
-	}
 	deferred := rs.deferred
 	for _, st := range order {
 		if st.deferred {
@@ -71,17 +72,15 @@ func (e *Engine) updateSoftState(rs *runScratch, order []*candidateState, carrie
 		}
 	}
 	rs.deferred = deferred
-	if len(deferred) == 0 {
-		return
-	}
 
 	// Line 7: the conflicts among the deferred extensions, by (type, value),
 	// for grouping — FindConflicts already computed them for every candidate
 	// pair sharing a touched key, and only such pairs can conflict.
 	// Subsumption does not suppress grouping here: the conflicts were
-	// already established. Each candidate's conflictVals record which
-	// conflict values involve it (for line 4's removal of clean
-	// inapplicable updates).
+	// already established. Sorted by conflict, then member ID, each group's
+	// members are a run of the list, visited in ID order: an option's effect
+	// is taken from the first member that makes its modification, so a
+	// deterministic visit order keeps the groups identical across runs.
 	members := rs.members
 	for pi, cs := range pairs.found {
 		if len(cs) == 0 {
@@ -93,22 +92,50 @@ func (e *Engine) updateSoftState(rs *runScratch, order []*candidateState, carrie
 			continue
 		}
 		for _, c := range cs {
-			members = append(members, groupMember{c: c, st: a}, groupMember{c: c, st: b})
-			a.noteConflictVal(c)
-			b.noteConflictVal(c)
+			members = append(members, groupMember{c: c, st: a, i: int32(i)}, groupMember{c: c, st: b, i: int32(j)})
 		}
 	}
+	slices.SortFunc(members, func(a, b groupMember) int {
+		if c := compareConflicts(a.c, b.c); c != 0 {
+			return c
+		}
+		return compareTxnIDs(a.st.cand.Txn.ID, b.st.cand.Txn.ID)
+	})
+	members = slices.CompactFunc(members, func(a, b groupMember) bool { return a.c == b.c && a.st == b.st })
 	rs.members = members
+	rs.noteGroups(order, members)
+
+	// Line 1: take out what the carried candidates contributed: their dirty
+	// keys and entries, which those staying deferred get back below, and
+	// the groups the run does not reproduce. The groups it does are
+	// compared with what it makes of them below.
+	for _, d := range carried {
+		for _, k := range d.dirty {
+			delete(e.dirty, k)
+		}
+		for _, c := range d.groups {
+			if _, found := slices.BinarySearchFunc(members, c, func(m groupMember, c Conflict) int {
+				return compareConflicts(m.c, c)
+			}); !found {
+				delete(e.groups, c)
+			}
+		}
+		delete(e.deferredCands, d.cand.Txn.ID)
+	}
+	if len(deferred) == 0 {
+		return
+	}
 
 	// Lines 2-6: for each deferred transaction, trim clean updates that are
 	// inapplicable at this recno, then mark the remaining touched keys
 	// dirty and retain the candidate for the next reconciliation. The
 	// trimmed operations are windows of one scratch buffer; the dirty keys
-	// a deferred candidate keeps are its own copy.
+	// and groups a deferred candidate keeps are its own copies, made when
+	// they change.
 	for _, st := range deferred {
 		from := len(rs.trimmed)
 		for _, u := range st.upEx.Operation {
-			if e.inst.Compatible(u) != nil && !e.touchesConflict(u, st.conflictVals) {
+			if !e.inst.compatible(u) && !e.touchesConflict(u, st.conflictVals) {
 				continue // clean update, inapplicable at recno: drop
 			}
 			rs.trimmed = append(rs.trimmed, u)
@@ -120,7 +147,18 @@ func (e *Engine) updateSoftState(rs *runScratch, order []*candidateState, carrie
 		softEx := st.upEx
 		softEx.Operation = trimmed
 		softEx.touched, softEx.index = nil, conflictIndex{} // the memos belong to the untrimmed operation
-		d := &deferredCand{cand: st.cand, dirty: append([]tupleKey(nil), softEx.TouchedKeys(e.schema)...)}
+		dirty := softEx.TouchedKeys(e.schema)
+		d := st.carried
+		if d == nil {
+			d = &deferredCand{cand: *st.cand}
+			d.cand.Ext = owned(st.cand.Ext)
+		}
+		if !slices.Equal(d.dirty, dirty) {
+			d.dirty = owned(dirty)
+		}
+		if !slices.Equal(d.groups, st.groups) {
+			d.groups = owned(st.groups)
+		}
 		for _, k := range d.dirty {
 			e.dirty[k] = true
 		}
@@ -129,60 +167,86 @@ func (e *Engine) updateSoftState(rs *runScratch, order []*candidateState, carrie
 
 	// Lines 8-16: build conflict groups, combining compatible transactions
 	// (those making the same modification to the conflicted value) into the
-	// same option. Sorted by conflict, then member ID, each group's members
-	// are a run of the list, visited in ID order: an option's effect is
-	// taken from the first member that makes its modification, so a
-	// deterministic visit order keeps the groups identical across runs.
-	slices.SortFunc(members, func(a, b groupMember) int {
-		if c := compareConflicts(a.c, b.c); c != 0 {
-			return c
-		}
-		return compareTxnIDs(a.st.cand.Txn.ID, b.st.cand.Txn.ID)
-	})
-	members = slices.CompactFunc(members, func(a, b groupMember) bool { return a.c == b.c && a.st == b.st })
+	// same option.
 	for lo := 0; lo < len(members); {
 		hi := lo + 1
 		for hi < len(members) && members[hi].c == members[lo].c {
 			hi++
 		}
-		e.groups[members[lo].c] = e.conflictGroup(rs, members[lo:hi])
+		e.putGroup(rs, members[lo:hi])
 		lo = hi
 	}
 	e.markComponents(rs, order)
 }
 
-// groupMember is a deferred candidate in the conflict group of c, with the
-// updates of its operation that touch the conflicted value, sorted (see
-// conflictGroup): its modification there.
+// owned returns a copy of s that shares nothing with it, nil when s is
+// empty.
+func owned[E any](s []E) []E {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clone(s)
+}
+
+// groupMember is a deferred candidate in the conflict group of c, at
+// position i of the run's order, with the updates of its operation that
+// touch the conflicted value, sorted (see putGroup): its modification
+// there.
 type groupMember struct {
 	c     Conflict
 	st    *candidateState
+	i     int32
 	touch []*Update
 }
 
-// noteConflictVal records that a conflict on c's value involves the
-// candidate.
-func (st *candidateState) noteConflictVal(c Conflict) {
-	if k := (tupleKey{rel: c.Rel, enc: c.Value}); !slices.Contains(st.conflictVals, k) {
-		st.conflictVals = append(st.conflictVals, k)
+// noteGroups gives each deferred candidate its groups (candidateState.groups)
+// and their values, from the members sorted by conflict: windows of two
+// scratch buffers, counted first.
+func (rs *runScratch) noteGroups(order []*candidateState, members []groupMember) {
+	if len(members) == 0 {
+		return
+	}
+	rs.counts = resized(rs.counts, len(order))
+	counts := rs.counts
+	for _, m := range members {
+		counts[m.i]++
+	}
+	rs.groupOf = resized(rs.groupOf, len(members))
+	rs.vals = resized(rs.vals, len(members))
+	off := 0
+	for i, n := range counts {
+		order[i].groups = rs.groupOf[off : off : off+int(n)]
+		order[i].conflictVals = rs.vals[off : off : off+int(n)]
+		off += int(n)
+	}
+	for _, m := range members {
+		st := order[m.i]
+		st.groups = append(st.groups, m.c)
+		if k := (tupleKey{rel: m.c.Rel, enc: m.c.Value}); !slices.Contains(st.conflictVals, k) {
+			st.conflictVals = append(st.conflictVals, k)
+		}
 	}
 }
 
-// conflictGroup builds the conflict group of one conflict from its
-// members, sorted by ID, and records the group on each member's deferred
-// entry. Members whose updates touching the conflicted value are equal make
-// the same modification and share an option; options come in the order of
-// those update lists. The members are reordered.
-func (e *Engine) conflictGroup(rs *runScratch, members []groupMember) *ConflictGroup {
-	g := &ConflictGroup{Conflict: members[0].c}
-	rel, _ := e.schema.Relation(g.Conflict.Rel) // conflicts are found on schema relations only
+// optionSpan is an option of a group being made, on the run scratch: its
+// first member and its transactions, rs.optTxns[from:to].
+type optionSpan struct{ first, from, to int32 }
+
+// putGroup makes the conflict group of one conflict from its members,
+// sorted by ID. Members whose updates touching the conflicted value are
+// equal make the same modification and share an option; options come in
+// the order of those update lists. The options are worked out on the
+// scratch, and a group is allocated only when they differ from those of
+// the group the engine holds for the conflict, which otherwise stays. The
+// members are reordered.
+func (e *Engine) putGroup(rs *runScratch, members []groupMember) {
+	c := members[0].c
+	rel, _ := e.schema.Relation(c.Rel) // conflicts are found on schema relations only
 	for i := range members {
 		m := &members[i]
-		d := e.deferredCands[m.st.cand.Txn.ID]
-		d.groups = append(d.groups, g.Conflict)
 		lo := len(rs.touch)
 		for j := range m.st.upEx.Operation {
-			if u := &m.st.upEx.Operation[j]; touchesValue(g.Conflict, rel, u) {
+			if u := &m.st.upEx.Operation[j]; touchesValue(c, rel, u) {
 				rs.touch = append(rs.touch, u)
 			}
 		}
@@ -192,12 +256,10 @@ func (e *Engine) conflictGroup(rs *runScratch, members []groupMember) *ConflictG
 	// Options in update-list order; a stable sort keeps each one's members
 	// in ID order, and the first one's updates are the option's effect.
 	slices.SortStableFunc(members, func(a, b groupMember) int { return slices.CompareFunc(a.touch, b.touch, compareUpdates) })
+	opts, txns := rs.opts[:0], rs.optTxns[:0]
 	for lo := 0; lo < len(members); {
 		touch := members[lo].touch
-		opt := &Option{effect: make([]Update, len(touch))}
-		for i, u := range touch {
-			opt.effect[i] = *u
-		}
+		from := len(txns)
 		hi := lo
 		for ; hi < len(members) && slices.CompareFunc(members[hi].touch, touch, compareUpdates) == 0; hi++ {
 			// An option carries the deferred antecedents of its members
@@ -207,16 +269,64 @@ func (e *Engine) conflictGroup(rs *runScratch, members []groupMember) *ConflictG
 			// winner (see Resolve).
 			for _, id := range members[hi].st.upEx.IDs {
 				if _, isDeferred := e.deferredCands[id]; isDeferred {
-					opt.Txns = append(opt.Txns, id)
+					txns = append(txns, id)
 				}
 			}
 		}
-		slices.SortFunc(opt.Txns, compareTxnIDs)
-		opt.Txns = slices.Compact(opt.Txns)
-		g.Options = append(g.Options, opt)
+		slices.SortFunc(txns[from:], compareTxnIDs)
+		txns = txns[:from+len(slices.Compact(txns[from:]))]
+		opts = append(opts, optionSpan{first: int32(lo), from: int32(from), to: int32(len(txns))})
 		lo = hi
 	}
-	return g
+	rs.opts, rs.optTxns = opts, txns
+	if old := e.groups[c]; old != nil && sameOptions(old, members, opts, txns) {
+		return
+	}
+
+	g := &ConflictGroup{Conflict: c, Options: make([]*Option, len(opts))}
+	block := make([]Option, len(opts))
+	neffect := 0
+	for _, o := range opts {
+		neffect += len(members[o.first].touch)
+	}
+	ids := slices.Clone(txns)
+	effects := make([]Update, 0, neffect)
+	for i, o := range opts {
+		opt := &block[i]
+		opt.Txns = ids[o.from:o.to:o.to]
+		n := len(effects)
+		for _, u := range members[o.first].touch {
+			effects = append(effects, *u)
+		}
+		opt.effect = effects[n:len(effects):len(effects)]
+		g.Options[i] = opt
+	}
+	e.groups[c] = g
+}
+
+// sameOptions reports whether the group has the options putGroup worked
+// out: the same transactions and effects that compare equal, origins
+// included (Effect renders them).
+func sameOptions(g *ConflictGroup, members []groupMember, opts []optionSpan, txns []TxnID) bool {
+	if len(g.Options) != len(opts) {
+		return false
+	}
+	for i, o := range opts {
+		have := g.Options[i]
+		if !slices.Equal(have.Txns, txns[o.from:o.to]) {
+			return false
+		}
+		touch := members[o.first].touch
+		if len(have.effect) != len(touch) {
+			return false
+		}
+		for j, u := range touch {
+			if compareUpdates(&have.effect[j], u) != 0 || have.effect[j].Origin != u.Origin {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // compareConflicts orders conflicts by relation, value, then type: the
@@ -280,7 +390,7 @@ func (e *Engine) markComponents(rs *runScratch, order []*candidateState) {
 	rs.unsettled = resized(rs.unsettled, len(order))
 	unsettled := rs.unsettled
 	for i, st := range order {
-		if !st.carried || !st.deferred {
+		if st.carried == nil || !st.deferred {
 			unsettled[find(int32(i))] = true
 		}
 	}

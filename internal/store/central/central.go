@@ -81,6 +81,7 @@
 package central
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -260,7 +261,32 @@ type Store struct {
 	// consumers never cancel still terminate with the store.
 	watchDone   chan struct{}
 	watchClosed bool
+
+	// life fences the store's lifetime: every verb holds it shared for its
+	// whole run (enter, exit), Close takes it exclusively and sets closed,
+	// so no verb runs on, or commits after, a closed store.
+	life   sync.RWMutex
+	closed bool
 }
+
+// ErrClosed is what every verb of a closed store returns. It is permanent:
+// a retry gets it again.
+var ErrClosed = errors.New("central: store is closed")
+
+// enter admits a verb, or refuses it once the store is closed. An
+// admitted verb calls exit when it is done; verbs never enter from inside
+// one another, since a shared hold cannot be taken twice while Close
+// waits.
+func (s *Store) enter() error {
+	s.life.RLock()
+	if s.closed {
+		s.life.RUnlock()
+		return ErrClosed
+	}
+	return nil
+}
+
+func (s *Store) exit() { s.life.RUnlock() }
 
 var _ store.Backend = (*Store)(nil)
 
@@ -389,9 +415,12 @@ func MustOpenMemory(schema *core.Schema) *Store {
 	return s
 }
 
-// Close terminates open watch subscriptions and, for a store that owns its
-// database (opened with Open), closes it. A tenant store opened through a
-// Node leaves the shared database to the Node.
+// Close terminates open watch subscriptions, waits for the verbs in flight,
+// and from then on refuses every verb with ErrClosed. A store that owns its
+// database (opened with Open) closes it; a tenant store opened through a
+// Node leaves the shared database to the Node, and a later OpenGroup of
+// the same group gets a new store that this one can no longer write
+// behind. Closing a closed store does nothing.
 func (s *Store) Close() error {
 	s.watchMu.Lock()
 	if !s.watchClosed {
@@ -399,7 +428,11 @@ func (s *Store) Close() error {
 		close(s.watchDone)
 	}
 	s.watchMu.Unlock()
-	if !s.ownsDB {
+	s.life.Lock()
+	already := s.closed
+	s.closed = true
+	s.life.Unlock()
+	if already || !s.ownsDB {
 		return nil
 	}
 	return s.db.Close()
@@ -502,6 +535,10 @@ func (s *Store) decisionShard(id core.TxnID) int {
 
 // Checkpoint snapshots the backing database and truncates its WAL.
 func (s *Store) Checkpoint() error {
+	if err := s.enter(); err != nil {
+		return err
+	}
+	defer s.exit()
 	return s.db.Checkpoint()
 }
 

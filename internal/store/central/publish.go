@@ -25,6 +25,10 @@ import (
 // Re-registration re-resolves only the affected participants —
 // those whose delegation closure reaches this peer.
 func (s *Store) RegisterPeer(_ context.Context, peer core.PeerID, t core.Trust) error {
+	if err := s.enter(); err != nil {
+		return err
+	}
+	defer s.exit()
 	s.peersMu.Lock()
 	defer s.peersMu.Unlock()
 	if pol, ok := t.(*trust.Policy); ok {
@@ -80,6 +84,10 @@ func (s *Store) RegisterPeer(_ context.Context, peer core.PeerID, t core.Trust) 
 // resolved trust — its own rules merged with every delegation
 // closure member's capped rules.
 func (s *Store) EffectiveTrust(_ context.Context, peer core.PeerID) (core.Trust, error) {
+	if err := s.enter(); err != nil {
+		return nil, err
+	}
+	defer s.exit()
 	s.peersMu.RLock()
 	defer s.peersMu.RUnlock()
 	if _, ok := s.peers[peer]; !ok {
@@ -224,6 +232,10 @@ func (s *Store) publishWrite(peer core.PeerID, epoch core.Epoch, txns []store.Pu
 // redeliver: duplicates of a committed publish return the original epoch
 // without publishing again.
 func (s *Store) Publish(ctx context.Context, peer core.PeerID, txns []store.PublishedTxn) (core.Epoch, error) {
+	if err := s.enter(); err != nil {
+		return 0, err
+	}
+	defer s.exit()
 	s.counters.ObservePublish()
 	if _, err := s.peer(peer); err != nil {
 		return 0, err

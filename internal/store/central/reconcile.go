@@ -1,10 +1,13 @@
 package central
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
+	"sync"
 
 	"orchestra/internal/core"
 	"orchestra/internal/reldb"
@@ -20,6 +23,10 @@ import (
 // instead of advancing the frontier again — without the key, a retried
 // begin would permanently lose the first window's candidates.
 func (s *Store) BeginReconciliation(ctx context.Context, peer core.PeerID) (*store.Reconciliation, error) {
+	if err := s.enter(); err != nil {
+		return nil, err
+	}
+	defer s.exit()
 	var rec *store.Reconciliation
 	res, dup, err := s.keyed(ctx, opBegin, func(key store.IdempotencyKey) (idemResult, error) {
 		var err error
@@ -87,30 +94,12 @@ func (s *Store) beginReconciliation(peer core.PeerID, key store.IdempotencyKey) 
 // candidates, order-sorted as the walk is. The caller holds the peer's
 // lock.
 func (s *Store) candidatesLocked(pm *peerMeta, peer core.PeerID, from, to core.Epoch) []*core.Candidate {
-	var out []*core.Candidate
+	w := newWindowWalk(s, pm, peer)
+	defer w.release()
 	for en := range s.window(from, to) {
-		out = s.appendCandidate(out, pm, peer, en)
+		w.add(en)
 	}
-	return out
-}
-
-// appendCandidate is the candidate filter of both window walks: a published
-// transaction is a candidate for the peer unless the peer wrote it, has
-// already decided it, or does not trust it. The caller holds the peer's
-// lock.
-func (s *Store) appendCandidate(out []*core.Candidate, pm *peerMeta, peer core.PeerID, en *entry) []*core.Candidate {
-	x := en.pub.Txn
-	if x.ID.Origin == peer {
-		return out
-	}
-	if _, decided := pm.decided.Get(x.ID); decided {
-		return out
-	}
-	prio := core.TxnPriority(pm.trust, x)
-	if prio <= 0 {
-		return out
-	}
-	return append(out, &core.Candidate{Txn: x, Priority: prio, Ext: s.extension(x.ID, pm)})
+	return w.candidates()
 }
 
 // replayCandidatesLocked recomputes a memoized reconciliation window's
@@ -125,41 +114,144 @@ func (s *Store) appendCandidate(out []*core.Candidate, pm *peerMeta, peer core.P
 // epochs' entries, and sorting by global order reproduces the epoch-order
 // walk. The caller holds the peer's lock.
 func (s *Store) replayCandidatesLocked(pm *peerMeta, peer core.PeerID, from, to core.Epoch) []*core.Candidate {
-	var out []*core.Candidate
+	w := newWindowWalk(s, pm, peer)
+	defer w.release()
 	for _, en := range s.entriesIn(from, to) {
-		out = s.appendCandidate(out, pm, peer, en)
+		w.add(en)
 	}
-	return out
+	return w.candidates()
 }
 
-// extension computes the transaction extension of root for the peer: the
-// antecedent closure excluding transactions the peer has accepted, sorted
-// by global order. The caller holds the peer's lock.
-func (s *Store) extension(root core.TxnID, pm *peerMeta) []*core.Transaction {
-	visited := map[core.TxnID]bool{root: true}
-	var out []*core.Transaction
-	stack := []core.TxnID{root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		en := s.lookup(id)
-		if en == nil {
-			continue // antecedent from before this store's history
-		}
-		if id != root {
-			if d, _ := pm.decided.Get(id); d.Decision == core.DecisionAccept {
+// windowWalk collects one window's candidates for a peer. The walk finds
+// them and their extensions on pooled buffers, back to back; candidates
+// then copies them into one block of candidates and one of extension
+// transactions, each sized to the window, so a begin allocates three
+// times whatever its window holds. Begins of different peers walk side by
+// side, each on a walk of its own. The caller holds the peer's lock.
+type windowWalk struct {
+	s    *Store
+	pm   *peerMeta
+	peer core.PeerID
+
+	cands []foundCandidate
+	// ext holds every extension found, in candidate order; seen and stack
+	// are the antecedent closure's visited set (emptied per candidate, by
+	// the IDs in seenIDs) and work list.
+	ext     []*core.Transaction
+	seen    map[core.TxnID]struct{}
+	seenIDs []core.TxnID
+	stack   []core.TxnID
+}
+
+// foundCandidate is a candidate the walk found: its extension ends at
+// ext[end], where the next one's begins.
+type foundCandidate struct {
+	txn  *core.Transaction
+	prio int
+	end  int
+}
+
+var windowPool = sync.Pool{New: func() any {
+	return &windowWalk{seen: make(map[core.TxnID]struct{})}
+}}
+
+func newWindowWalk(s *Store, pm *peerMeta, peer core.PeerID) *windowWalk {
+	w := windowPool.Get().(*windowWalk)
+	w.s, w.pm, w.peer = s, pm, peer
+	return w
+}
+
+// release empties the walk, pinning nothing, and pools it.
+func (w *windowWalk) release() {
+	clear(w.cands)
+	clear(w.ext)
+	clear(w.stack[:cap(w.stack)]) // popped IDs stay past the length
+	w.s, w.pm, w.peer = nil, nil, ""
+	w.cands, w.ext, w.stack = w.cands[:0], w.ext[:0], w.stack[:0]
+	windowPool.Put(w)
+}
+
+// add is the candidate filter of both window walks: a published
+// transaction is a candidate for the peer unless the peer wrote it, has
+// already decided it, or does not trust it.
+func (w *windowWalk) add(en *entry) {
+	x := en.pub.Txn
+	if x.ID.Origin == w.peer {
+		return
+	}
+	if _, decided := w.pm.decided.Get(x.ID); decided {
+		return
+	}
+	prio := core.TxnPriority(w.pm.trust, x)
+	if prio <= 0 {
+		return
+	}
+	w.extension(en)
+	w.cands = append(w.cands, foundCandidate{txn: x, prio: prio, end: len(w.ext)})
+}
+
+// extension appends to ext the transaction extension of the root entry
+// for the peer: the antecedent closure excluding transactions the peer
+// has accepted, sorted by global order.
+func (w *windowWalk) extension(root *entry) {
+	from := len(w.ext)
+	w.ext = append(w.ext, root.pub.Txn)
+	if len(root.pub.Antecedents) > 0 {
+		w.seen[root.pub.Txn.ID] = struct{}{}
+		w.seenIDs = append(w.seenIDs, root.pub.Txn.ID)
+		w.push(root)
+		for len(w.stack) > 0 {
+			id := w.stack[len(w.stack)-1]
+			w.stack = w.stack[:len(w.stack)-1]
+			en := w.s.lookup(id)
+			if en == nil {
+				continue // antecedent from before this store's history
+			}
+			if d, _ := w.pm.decided.Get(id); d.Decision == core.DecisionAccept {
 				continue
 			}
+			w.ext = append(w.ext, en.pub.Txn)
+			w.push(en)
 		}
-		out = append(out, en.pub.Txn)
-		for _, a := range en.pub.Antecedents {
-			if !visited[a] {
-				visited[a] = true
-				stack = append(stack, a)
-			}
+		for _, id := range w.seenIDs {
+			delete(w.seen, id)
+		}
+		clear(w.seenIDs)
+		w.seenIDs = w.seenIDs[:0]
+	}
+	if ext := w.ext[from:]; len(ext) > 1 {
+		slices.SortFunc(ext, func(a, b *core.Transaction) int { return cmp.Compare(a.Order, b.Order) })
+	}
+}
+
+// push puts the antecedents of en not seen yet on the stack, marking them
+// seen.
+func (w *windowWalk) push(en *entry) {
+	for _, a := range en.pub.Antecedents {
+		if _, ok := w.seen[a]; !ok {
+			w.seen[a] = struct{}{}
+			w.seenIDs = append(w.seenIDs, a)
+			w.stack = append(w.stack, a)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Order < out[j].Order })
+}
+
+// candidates returns what the walk found: the candidates in one block,
+// each extension a capped window of one block of transactions; nil for
+// none.
+func (w *windowWalk) candidates() []*core.Candidate {
+	if len(w.cands) == 0 {
+		return nil
+	}
+	block := make([]core.Candidate, len(w.cands))
+	out := make([]*core.Candidate, len(w.cands))
+	ext := slices.Clone(w.ext)
+	lo := 0
+	for i, c := range w.cands {
+		block[i] = core.Candidate{Txn: c.txn, Priority: c.prio, Ext: ext[lo:c.end:c.end]}
+		out[i] = &block[i]
+		lo = c.end
+	}
 	return out
 }
 
@@ -177,6 +269,10 @@ func (s *Store) RecordDecisions(ctx context.Context, peer core.PeerID, recno int
 // safe to redeliver: duplicates of a committed batch succeed without
 // writing a second set of decision rows.
 func (s *Store) RecordDecisionsBatch(ctx context.Context, batches []store.DecisionBatch) error {
+	if err := s.enter(); err != nil {
+		return err
+	}
+	defer s.exit()
 	_, _, err := s.keyed(ctx, opDecide, func(key store.IdempotencyKey) (idemResult, error) {
 		// The record's retention watermark: the current stable epoch is at or
 		// above every batch peer's reconciliation frontier, and the compaction

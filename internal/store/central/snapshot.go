@@ -117,6 +117,10 @@ func (s *Store) entriesIn(from, to core.Epoch) []*entry {
 // snapshot payload so compaction can never strand a payload a future
 // extension or late decision still needs.
 func (s *Store) Snapshot(ctx context.Context) (core.Epoch, error) {
+	if err := s.enter(); err != nil {
+		return 0, err
+	}
+	defer s.exit()
 	res, _, err := s.keyed(ctx, opSnapshot, func(key store.IdempotencyKey) (idemResult, error) {
 		s.snapMu.Lock()
 		defer s.snapMu.Unlock()
@@ -263,6 +267,10 @@ func (s *Store) snapshotLocked(ctx context.Context, key store.IdempotencyKey) (c
 // next snapshot commit replaces it; once Snapshot has returned, no call
 // returns an older one.
 func (s *Store) LatestSnapshot(_ context.Context) (*store.Snapshot, error) {
+	if err := s.enter(); err != nil {
+		return nil, err
+	}
+	defer s.exit()
 	s.snapState.mu.RLock()
 	defer s.snapState.mu.RUnlock()
 	return s.snapState.snap, nil
@@ -278,6 +286,10 @@ func (s *Store) LatestSnapshot(_ context.Context) (*store.Snapshot, error) {
 // epoch it could have seen lies above the horizon: compacted epochs are
 // void, and its walk from below the horizon is its whole history.
 func (s *Store) ReplayFrom(_ context.Context, peer core.PeerID, from core.Epoch, afterSeq int64) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
+	if err := s.enter(); err != nil {
+		return nil, nil, err
+	}
+	defer s.exit()
 	pm, err := s.peer(peer)
 	if err != nil {
 		return nil, nil, err
@@ -357,6 +369,10 @@ func (s *Store) CompactedBefore() core.Epoch {
 // snapshot-based rebuild replays, and the payloads they need live in the
 // snapshot's residue.
 func (s *Store) CompactBefore(ctx context.Context, e core.Epoch) error {
+	if err := s.enter(); err != nil {
+		return err
+	}
+	defer s.exit()
 	_, _, err := s.keyed(ctx, opCompact, func(key store.IdempotencyKey) (idemResult, error) {
 		s.snapMu.Lock()
 		defer s.snapMu.Unlock()

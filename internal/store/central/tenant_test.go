@@ -2,7 +2,9 @@ package central
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -352,5 +354,127 @@ func TestTenantCrashTornMultiGroupWAL(t *testing.T) {
 	}
 	if len(rec.Candidates) != 1 || rec.Candidates[0].Txn.ID != retry[0] {
 		t.Fatalf("group b retry after torn recovery not delivered: %+v", rec.Candidates)
+	}
+}
+
+// TestClosedTenantRefusesEveryVerb: a tenant store closed by CloseGroup
+// writes nothing. Every verb of the stale handle fails with ErrClosed,
+// which is permanent, so it cannot write rows behind a later OpenGroup of
+// the same group: that store's caches match a fresh open of the node's
+// directory. Close waits for the verbs in flight: once it returns, the
+// closed store's transaction count no longer moves, and it is what the
+// directory holds.
+func TestClosedTenantRefusesEveryVerb(t *testing.T) {
+	ctx := context.Background()
+	schema := storetest.Schema(t)
+	dir := t.TempDir()
+	node, err := OpenNode(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := node.OpenGroup("g", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []core.PeerID{"a", "b"} {
+		if err := stale.RegisterPeer(ctx, p, storetest.TrustAll(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := pubBatch(t, stale, "a", 0, 3)
+	rec, err := stale.BeginReconciliation(ctx, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.CloseGroup("g"); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := node.OpenGroup("g", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pub := []store.PublishedTxn{{Txn: core.NewTransaction(core.TxnID{Origin: "a", Seq: 3},
+		core.Insert("F", core.Strs("a", "late", "fn"), "a"))}}
+	verbs := map[string]func() error{
+		"Publish": func() error { _, err := stale.Publish(ctx, "a", pub); return err },
+		"BeginReconciliation": func() error {
+			_, err := stale.BeginReconciliation(ctx, "b")
+			return err
+		},
+		"RecordDecisionsBatch": func() error {
+			return stale.RecordDecisionsBatch(ctx, []store.DecisionBatch{{Peer: "b", Recno: rec.Recno, Accepted: ids}})
+		},
+		"RecordDecisions": func() error { return stale.RecordDecisions(ctx, "b", rec.Recno, ids, nil) },
+		"RegisterPeer":    func() error { return stale.RegisterPeer(ctx, "c", storetest.TrustAll(1)) },
+		"EffectiveTrust":  func() error { _, err := stale.EffectiveTrust(ctx, "a"); return err },
+		"Snapshot":        func() error { _, err := stale.Snapshot(ctx); return err },
+		"LatestSnapshot":  func() error { _, err := stale.LatestSnapshot(ctx); return err },
+		"ReplayFrom":      func() error { _, _, err := stale.ReplayFrom(ctx, "b", 0, -1); return err },
+		"CompactBefore":   func() error { return stale.CompactBefore(ctx, 1) },
+		"WatchFrom":       func() error { _, err := stale.WatchFrom(ctx, 0); return err },
+		"Checkpoint":      stale.Checkpoint,
+	}
+	for name, verb := range verbs {
+		if err := verb(); !errors.Is(err, ErrClosed) || store.IsTransient(err) {
+			t.Errorf("%s on a closed tenant store: %v, want the permanent ErrClosed", name, err)
+		}
+	}
+	want := fresh.TxnCount()
+	if err := node.Close(); err != nil {
+		t.Fatal(err)
+	}
+	node, err = OpenNode(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	reopened, err := node.OpenGroup("g", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reopened.TxnCount(); got != want || want != len(ids) {
+		t.Fatalf("the group reopened holds %d txns, the store opened after the close %d, published before it %d", got, want, len(ids))
+	}
+
+	// Publishers racing a Close.
+	var wg sync.WaitGroup
+	publishers := []core.PeerID{"a", "b"}
+	errs := make([]error, len(publishers))
+	for w, p := range publishers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := uint64(100); ; seq++ {
+				id := core.TxnID{Origin: p, Seq: seq}
+				_, err := reopened.Publish(ctx, p, []store.PublishedTxn{{Txn: core.NewTransaction(id,
+					core.Insert("F", core.Strs(string(p), fmt.Sprintf("race-%d", seq), "fn"), p))}})
+				if err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}()
+	}
+	time.Sleep(5 * time.Millisecond)
+	if err := node.CloseGroup("g"); err != nil {
+		t.Fatal(err)
+	}
+	closedAt := reopened.TxnCount()
+	wg.Wait()
+	for w, err := range errs {
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("publisher %d stopped on %v, want ErrClosed", w, err)
+		}
+	}
+	if n := reopened.TxnCount(); n != closedAt {
+		t.Fatalf("%d txns when Close returned, %d after: a verb ran past it", closedAt, n)
+	}
+	again, err := node.OpenGroup("g", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := again.TxnCount(); n != closedAt {
+		t.Fatalf("the closed store counted %d txns, the directory holds %d", closedAt, n)
 	}
 }

@@ -2,7 +2,6 @@ package central
 
 import (
 	"context"
-	"fmt"
 
 	"orchestra/internal/core"
 	"orchestra/internal/store"
@@ -54,7 +53,7 @@ func (s *Store) WatchFrom(ctx context.Context, from core.Epoch) (<-chan store.Wa
 	closed := s.watchClosed
 	s.watchMu.Unlock()
 	if closed {
-		return nil, fmt.Errorf("central: store is closed")
+		return nil, ErrClosed
 	}
 	ch := make(chan store.WatchEvent)
 	go s.watchLoop(ctx, from, ch)
