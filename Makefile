@@ -208,7 +208,11 @@ trust-smoke:
 # highest dseq; TestCompactionSplitsDecisionRow: a horizon that splits a
 # row keeps exactly the entries the per-decision rule keeps;
 # TestDecisionRowsPerBatch; TestRefuseLayout3: a layout-3 directory is
-# refused untouched), the decode-once
+# refused untouched), the layout-5 upgrade (TestUpgradeLayout4: directories
+# an earlier release wrote in layout 4, at 8 and 4 shards, read out what
+# that release read; TestUpgradeLayout4RefusesCollision: a duplicate key
+# across shards fails Open and rolls back; TestFreshDirectoryLayout5: a new
+# directory has no shard, epochs or table_shards entry), the decode-once
 # snapshot cache (TestSnapshotCacheDecodedOnce,
 # TestLatestSnapshotNeverGoesBack, TestSharedSnapshotSurvivesConcurrentRebuilds),
 # the build-once decoders (TestDecodeTupleCanonical: canonical tuples, one
@@ -228,7 +232,7 @@ storage-smoke:
 	$(GO) test -race -count=3 -run '^TestReplayTornHugeLengthAllocatesLittle$$' ./internal/wal
 	$(GO) test -race -count=3 -run '^TestDecodedRecordOwnsItsBytes$$' ./internal/reldb
 	$(GO) test -race -count=3 -run '^TestPutRecordNamesTableByID$$|^TestRefuseVersion1Dir$$' ./internal/reldb
-	$(GO) test -race -count=1 -run 'TestDurabilityAcrossReopen|TestCheckpointPreservesState|TestSharded|TestTornSnapshot|TestDifferentialMatrix|TestCompaction|TestLateDecision|TestSnapshotWith|TestTenantCrash|TestRedecidedSurvivesReopen|TestCompactionSplitsDecisionRow|TestDecisionRowsPerBatch|TestRefuseLayout3' ./internal/store/central
+	$(GO) test -race -count=1 -run 'TestDurabilityAcrossReopen|TestCheckpointPreservesState|TestCrashTornPublish|TestTornSnapshot|TestDifferentialMatrix|TestCompaction|TestLateDecision|TestSnapshotWith|TestTenantCrash|TestRedecidedSurvivesReopen|TestCompactionSplitsDecisionRow|TestDecisionRowsPerBatch|TestRefuseLayout3|TestUpgradeLayout4|TestFreshDirectoryLayout5' ./internal/store/central
 	$(GO) test -race -count=3 -run '^TestSnapshotCacheDecodedOnce$$|^TestLatestSnapshotNeverGoesBack$$|^TestSharedSnapshotSurvivesConcurrentRebuilds$$' ./internal/store/central
 	$(GO) test -race -count=3 -run '^TestDecodeTupleCanonical$$' ./internal/core
 	$(GO) test -race -count=3 -run '^TestDecodeSeedsEncodingCaches$$' ./internal/store

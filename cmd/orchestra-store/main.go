@@ -61,8 +61,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	log.Printf("orchestra-store: serving schema %q on %s (dir=%q, shards=%d, snapshot-every=%d, compact-keep=%d)",
-		*schemaName, addr, *dir, backend.TableShards(), *snapEvery, *compactKeep)
+	log.Printf("orchestra-store: serving schema %q on %s (dir=%q, snapshot-every=%d, compact-keep=%d)",
+		*schemaName, addr, *dir, *snapEvery, *compactKeep)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -234,14 +234,6 @@ func (f *Fleet) AddGroup(spec GroupSpec) (*Group, error) {
 	return g, nil
 }
 
-// Group returns a group's handle.
-func (f *Fleet) Group(id string) (*Group, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	g, ok := f.groups[id]
-	return g, ok
-}
-
 // Groups returns every group, sorted by ID.
 func (f *Fleet) Groups() []*Group {
 	f.mu.Lock()

@@ -19,8 +19,8 @@ func atomicMax(peak *atomic.Int64, v int64) {
 
 // StoreCounters aggregates concurrency counters for an update store: how
 // often the publish and reconcile paths contended on the store's internal
-// locks (the sharding signal — a hot counter means the shards are too
-// coarse) and how the batched decision-recording path is used (the
+// locks (the lock-granularity signal — a hot counter means the locks are
+// too coarse) and how the batched decision-recording path is used (the
 // round-trip signal — decisions per round trip is the batching win). All
 // methods are safe for concurrent use and nil-safe, so an uninstrumented
 // store can carry a nil *StoreCounters.
@@ -42,50 +42,29 @@ type StoreCounters struct {
 
 	trustRecompiles atomic.Int64
 
-	// shards carries per-epoch-shard publish counters; sized once by
-	// InitShards before the store goes concurrent, then only the atomics
-	// move.
-	shards []shardCounter
+	// publishInflight counts publish commits under way; publishOverlaps
+	// counts those that began while another was.
+	publishInflight atomic.Int64
+	publishOverlaps atomic.Int64
 }
 
-// shardCounter tracks one table shard: how many publish commits it served
-// and how many of them arrived while another publish was already committing
-// into the same shard (the serialization the sharding exists to avoid —
-// a hot contended counter means epochs are hashing onto too few shards).
-type shardCounter struct {
-	publishes atomic.Int64
-	contended atomic.Int64
-	inflight  atomic.Int64
-}
-
-// InitShards sizes the per-shard counters. Call once, before any
-// EnterShard/LeaveShard; nil-safe like every other method.
-func (c *StoreCounters) InitShards(n int) {
-	if c == nil || n <= 0 {
+// EnterPublishCommit records a publish commit beginning, counting it as an
+// overlap when another publish commit is already under way.
+func (c *StoreCounters) EnterPublishCommit() {
+	if c == nil {
 		return
 	}
-	c.shards = make([]shardCounter, n)
-}
-
-// EnterShard records a publish commit entering table shard k, counting it
-// as contended when another publish is already in flight on the same shard.
-func (c *StoreCounters) EnterShard(k int) {
-	if c == nil || k < 0 || k >= len(c.shards) {
-		return
-	}
-	sh := &c.shards[k]
-	sh.publishes.Add(1)
-	if sh.inflight.Add(1) > 1 {
-		sh.contended.Add(1)
+	if c.publishInflight.Add(1) > 1 {
+		c.publishOverlaps.Add(1)
 	}
 }
 
-// LeaveShard records the publish commit leaving shard k.
-func (c *StoreCounters) LeaveShard(k int) {
-	if c == nil || k < 0 || k >= len(c.shards) {
+// LeavePublishCommit records a publish commit ending.
+func (c *StoreCounters) LeavePublishCommit() {
+	if c == nil {
 		return
 	}
-	c.shards[k].inflight.Add(-1)
+	c.publishInflight.Add(-1)
 }
 
 // ObservePublish counts one Publish call.
@@ -185,8 +164,7 @@ type StoreSnapshot struct {
 
 	TrustRecompiles int64 // effective-trust recompilations across all registrations
 
-	ShardPublishes  []int64 // publish commits per table shard (nil when unsharded)
-	ShardContention []int64 // same-shard publish overlaps per table shard
+	PublishOverlaps int64 // publish commits that began while another was under way
 }
 
 // Snapshot returns a copy of the counters (each field read atomically).
@@ -195,7 +173,7 @@ func (c *StoreCounters) Snapshot() StoreSnapshot {
 	if c == nil {
 		return StoreSnapshot{}
 	}
-	snap := StoreSnapshot{
+	return StoreSnapshot{
 		Publishes:          c.publishes.Load(),
 		EpochContention:    c.epochContention.Load(),
 		PeerContention:     c.peerContention.Load(),
@@ -208,32 +186,20 @@ func (c *StoreCounters) Snapshot() StoreSnapshot {
 		CompactedEpochs:    c.compactedEpochs.Load(),
 		DedupHits:          c.dedupHits.Load(),
 		TrustRecompiles:    c.trustRecompiles.Load(),
+		PublishOverlaps:    c.publishOverlaps.Load(),
 	}
-	if len(c.shards) > 0 {
-		snap.ShardPublishes = make([]int64, len(c.shards))
-		snap.ShardContention = make([]int64, len(c.shards))
-		for i := range c.shards {
-			snap.ShardPublishes[i] = c.shards[i].publishes.Load()
-			snap.ShardContention[i] = c.shards[i].contended.Load()
-		}
-	}
-	return snap
 }
 
-// ShardContentionTotal sums same-shard publish overlaps across all shards.
-func (s StoreSnapshot) ShardContentionTotal() int64 {
-	var n int64
-	for _, v := range s.ShardContention {
-		n += v
-	}
-	return n
-}
+// ShardContentionTotal returns PublishOverlaps. It keeps the name it had
+// when publish commits were counted per table shard, for callers that
+// still read it under that name (bench/layers.go).
+func (s StoreSnapshot) ShardContentionTotal() int64 { return s.PublishOverlaps }
 
 // String renders the snapshot as a compact one-line summary.
 func (s StoreSnapshot) String() string {
 	return fmt.Sprintf(
-		"publishes=%d epochwait=%d peerwait=%d dtrips=%d dpeers=%d decisions=%d batchpeak=%d shardwait=%d",
+		"publishes=%d epochwait=%d peerwait=%d dtrips=%d dpeers=%d decisions=%d batchpeak=%d publishoverlap=%d",
 		s.Publishes, s.EpochContention, s.PeerContention,
 		s.DecisionRoundTrips, s.DecisionPeers, s.Decisions, s.BatchPeak,
-		s.ShardContentionTotal())
+		s.PublishOverlaps)
 }

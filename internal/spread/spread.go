@@ -1,5 +1,5 @@
 // Package spread provides Map, a hash map whose growth comes in small
-// steps.
+// steps, and Stagger, the split of hashes into parts that Map is built on.
 //
 // A Go map grows in steps: when its size crosses a fixed threshold it
 // allocates a table twice the size (or two tables, for a full one) at once.
@@ -7,19 +7,59 @@
 // and engines of a fleet's tenants, which all take the same rounds — cross
 // each threshold together, and a process holding thousands of them
 // allocates in bursts of tens of megabytes, a few rounds apart. Map spreads
-// its entries over 16 Go maps by a hash seeded per Map: its steps are a
-// sixteenth of the size and fall at sizes of its own, so the growth of many
-// maps adds up to a steady rate.
+// its entries over 16 Go maps by a hash seeded per Map, and the 16 take
+// unequal shares (Stagger): each crosses a threshold at a total size of its
+// own, so over every doubling of the total the 16 parts grow one at a
+// time, each about a sixteenth of the size, and the growth of many maps
+// adds up to a steady rate.
 package spread
 
 import (
 	"hash/maphash"
 	"iter"
 	"maps"
+	"math"
 )
 
 // partCount is the number of Go maps a Map spreads its entries over.
 const partCount = 16
+
+// staggerBits is how many of a hash's top bits pick its part.
+const staggerBits = 12
+
+// A Stagger splits 64-bit hashes into n parts whose shares rise
+// geometrically, by 2^(1/n) from one part to the next: the last part takes
+// twice the share of the first. A container that keeps each part in a map
+// of its own and fills it with evenly hashed keys sees part i cross a map
+// growth threshold T at a total size T / share(i), so the n parts cross
+// every threshold at n totals spread evenly over a doubling, where an even
+// split would cross it at one.
+type Stagger struct{ of [1 << staggerBits]uint8 }
+
+// NewStagger returns the Stagger of n parts; n is 1 to 256.
+func NewStagger(n int) *Stagger {
+	if n < 1 || n > 256 {
+		panic("spread: a Stagger has 1 to 256 parts")
+	}
+	// Parts 0..i take the first 2^((i+1)/n) - 1 of the hashes.
+	var s Stagger
+	from := 0
+	for i := range n {
+		to := int(math.Round((math.Pow(2, float64(i+1)/float64(n)) - 1) * (1 << staggerBits)))
+		for b := from; b < to; b++ {
+			s.of[b] = uint8(i)
+		}
+		from = to
+	}
+	return &s
+}
+
+// Part returns the part h falls in. It reads h's top bits, so h must be
+// mixed into them (maphash is; a multiplicative hash's top bits are).
+func (s *Stagger) Part(h uint64) int { return int(s.of[h>>(64-staggerBits)]) }
+
+// split divides a Map's hashes over its Go maps.
+var split = NewStagger(partCount)
 
 // Map is a hash map from K to V. The zero value is not usable; make one
 // with Make. Like a Go map, it is not safe for concurrent writes.
@@ -38,7 +78,7 @@ func (m *Map[K, V]) part(k K) *map[K]V {
 	} else {
 		h = maphash.Comparable(m.seed, k)
 	}
-	return &m.parts[h%partCount]
+	return &m.parts[split.Part(h)]
 }
 
 // Get returns the value stored under k.
@@ -49,7 +89,7 @@ func (m *Map[K, V]) Get(k K) (V, bool) {
 
 // GetBytes is m.Get(string(k)) without copying k.
 func GetBytes[V any](m *Map[string, V], k []byte) (V, bool) {
-	v, ok := m.parts[maphash.Bytes(m.seed, k)%partCount][string(k)]
+	v, ok := m.parts[split.Part(maphash.Bytes(m.seed, k))][string(k)]
 	return v, ok
 }
 

@@ -2,6 +2,7 @@ package spread
 
 import (
 	"maps"
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -107,6 +108,45 @@ func TestMapsGrowApart(t *testing.T) {
 		}
 	}
 	t.Fatalf("%d maps split %d keys identically: %v", n, keys, sizes[0])
+}
+
+// TestStaggerShares: part i of a Stagger takes 2^(i/n) (2^(1/n) - 1) of
+// the hashes, so the shares rise by 2^(1/n) from part to part and the last
+// is twice the first.
+func TestStaggerShares(t *testing.T) {
+	for _, n := range []int{1, 2, partCount, 32} {
+		s := NewStagger(n)
+		got := make([]int, n)
+		for b := range 1 << staggerBits {
+			got[s.Part(uint64(b)<<(64-staggerBits))]++
+		}
+		for i, c := range got {
+			want := math.Pow(2, float64(i)/float64(n)) * (math.Pow(2, 1/float64(n)) - 1) * (1 << staggerBits)
+			if math.Abs(float64(c)-want) > 1 {
+				t.Fatalf("n=%d: part %d takes %d of %d hashes, want %.1f", n, i, c, 1<<staggerBits, want)
+			}
+		}
+	}
+}
+
+// TestPartsCrossApart is what the stagger is for: a map's parts, filled
+// together, do not reach a size together. Each part's count after many
+// keys follows its share (within six standard deviations of the binomial
+// count; an even split misses the largest shares by more than that), so
+// part i reaches any size at a total of its own, and the totals of the 16
+// spread over a doubling.
+func TestPartsCrossApart(t *testing.T) {
+	const keys = 1 << 16
+	m := Make[int, struct{}]()
+	for k := range keys {
+		m.Set(k, struct{}{})
+	}
+	for i, p := range m.parts {
+		want := keys * math.Pow(2, float64(i)/partCount) * (math.Pow(2, 1.0/partCount) - 1)
+		if got := float64(len(p)); math.Abs(got-want) > 6*math.Sqrt(want) {
+			t.Fatalf("part %d holds %.0f of %d keys, want %.0f ± %.0f", i, got, keys, want, 6*math.Sqrt(want))
+		}
+	}
 }
 
 // TestLookupAllocations: reads, and writes to a present key, allocate

@@ -9,8 +9,8 @@
 //
 // # Concurrency
 //
-// The store is sharded so concurrent publishers and reconcilers do not
-// contend on a single lock (see docs/ARCHITECTURE.md and docs/STORAGE.md):
+// The store's locks are fine-grained so concurrent publishers and
+// reconcilers do not contend on a single lock (see docs/ARCHITECTURE.md and docs/STORAGE.md):
 //
 //   - Epoch allocation takes the only global write lock (epochMu) for a
 //     short, normally memory-only critical section: epoch numbers are
@@ -30,17 +30,17 @@
 //   - Per-peer state (trust, recno, decided sets) sits behind a per-peer
 //     mutex: one peer's reconciliation never blocks another's.
 //
-// # Epoch-sharded tables
+// # Tables
 //
-// The epochs/txns/decisions tables are split into n epoch-shards
-// (defaultTableShards for a new directory): epoch e lives entirely in the
-// shard-k tables (epochs_k, txns_k, decisions_k) with k = e mod n. A
-// publish commit touches only its epoch's shard, so concurrent publishes
-// to different epochs write-lock disjoint reldb tables and their WAL group
-// commits share flushes instead of serializing on one txns table. The
-// shard count is recorded in the meta table at creation and adopted on
-// reopen; directories written by the pre-shard layout (a plain "txns"
-// table) cannot be migrated and fail Open with a version error.
+// The publish log is two tables: txns holds one row per published batch,
+// keyed by the global order of its first transaction, and decisions one
+// row per commit and peer, keyed by (peer, first_dseq) (decisions.go). A
+// publish commits its txns row and its self-accept decisions row
+// together, so an epoch is durable exactly when its txns row is, and
+// recovery registers it as finished from that row; the epoch sequence's
+// high-water mark voids the rest. Open upgrades a directory of layout 4,
+// which split txns and decisions (and an epochs table) into epoch-shards,
+// in one commit (upgrade.go).
 //
 // # Snapshots and compaction
 //
@@ -70,14 +70,10 @@
 // copy phase. epochMu is taken after epoch/peer locks only for the brief
 // frontier advance, whose critical section takes no other store lock. The
 // reldb engine's per-table locks are always innermost; every multi-table
-// commit touches tables in the order epochs_k → txns_k → decisions_k →
-// peers → meta → snapshots → idempotency, shard indexes ascending within
-// each group (the lock-order rule documented in docs/STORAGE.md); the
-// idempotency table is always last, so dedup records can ride any keyed
-// operation's commit.
-// RecordDecisionsBatch locks its peers in sorted order and writes its
-// decisions_k shards in ascending k order; CompactBefore deletes across
-// whole shard groups ascending and stamps meta last.
+// commit touches tables in the order "epoch" sequence → txns → decisions →
+// peers → meta → snapshots → idempotency (the lock-order rule documented
+// in docs/STORAGE.md); the idempotency table is always last, so dedup
+// records can ride any keyed operation's commit.
 package central
 
 import (
@@ -89,6 +85,7 @@ import (
 	"orchestra/internal/core"
 	"orchestra/internal/metrics"
 	"orchestra/internal/reldb"
+	"orchestra/internal/spread"
 	"orchestra/internal/store"
 	"orchestra/internal/trust"
 )
@@ -98,9 +95,14 @@ import (
 // their orderings agree exactly.
 const OrderStride = 1 << 20
 
-// txnShardCount stripes the transaction index; a power of two so the hash
-// mix below distributes evenly.
+// txnShardCount stripes the transaction index.
 const txnShardCount = 32
+
+// stripes splits the index's hashes over its stripes in unequal shares.
+// Every group of a fleet publishes the same transaction IDs at the same
+// pace, so even stripes would cross each map growth threshold in every
+// store at once; staggered, they cross it one stripe at a time (spread).
+var stripes = spread.NewStagger(txnShardCount)
 
 // epochBlock is how many epoch numbers each durable sequence commit claims:
 // the allocator's commit is amortized across that many publishes. Epoch
@@ -109,20 +111,16 @@ const txnShardCount = 32
 // marks void (finished and empty).
 const epochBlock = 8
 
-// defaultTableShards is the number of epoch-shards a new directory's
-// epochs/txns/decisions tables are split into. The count is fixed when the
-// directory is created (it determines which table holds each epoch) and
-// recorded in the meta table; reopening adopts the recorded count.
-const defaultTableShards = 8
-
 // layoutVersion identifies the on-disk table layout; it is recorded in the
 // meta table when a directory is created. Version 2 was the epoch-sharded
 // layout; version 3 added the snapshots table and the compacted_before
-// meta key; version 4 keeps a peer's decisions as one decisions_k row per
-// commit and shard (decisions.go) instead of one row per decision. Earlier
-// layouts (including pre-shard directories with no meta table and a plain
-// "txns" table) cannot be migrated; layout 3 is refused with errLayout3.
-const layoutVersion = 4
+// meta key; version 4 kept a peer's decisions as one decisions_k row per
+// commit and shard (decisions.go) instead of one row per decision; version
+// 5 has one txns and one decisions table and no epochs table. Open
+// upgrades layout 4 (upgrade.go) and refuses layout 3 with errLayout3;
+// earlier layouts (including pre-shard directories with no meta table and
+// a plain "txns" table) cannot be migrated.
+const layoutVersion = 5
 
 // Option configures Open.
 type Option func(*config)
@@ -175,26 +173,20 @@ type Store struct {
 	ownsDB bool
 
 	// Namespaced fixed table and sequence names, precomputed at open.
-	metaTab  string
-	peersTab string
-	snapsTab string
-	idemTab  string
-	trustTab string
-	epochSeq string
-
-	// tableShards is the epoch-shard count; epoch e lives in the shard-k
-	// tables below with k = e mod tableShards. The per-shard table names
-	// are precomputed at open.
-	tableShards  int
-	epochsTab    []string
-	txnsTab      []string
-	decisionsTab []string
+	metaTab      string
+	txnsTab      string
+	decisionsTab string
+	peersTab     string
+	snapsTab     string
+	idemTab      string
+	trustTab     string
+	epochSeq     string
 
 	// epochMu guards the epoch registry (epochs, maxE) and the allocator
 	// block (blockNext, blockEnd). Exclusive only for the short allocation
 	// and frontier-advance critical sections; shared for lookups.
 	epochMu sync.RWMutex
-	epochs  map[core.Epoch]*epochMeta
+	epochs  spread.Map[core.Epoch, *epochMeta]
 	maxE    core.Epoch
 
 	// [blockNext, blockEnd] is the unissued remainder of the epochBlock
@@ -374,25 +366,27 @@ func openOn(db *reldb.DB, schema *core.Schema, ns string, ownsDB bool, cfg confi
 		return nil, fmt.Errorf("central: WithCompactKeep(%d) needs WithSnapshotEvery(n > 0): compaction only runs after an automatic snapshot", cfg.compactKeep)
 	}
 	s := &Store{
-		db:          db,
-		schema:      schema,
-		counters:    &metrics.StoreCounters{},
-		ns:          ns,
-		ownsDB:      ownsDB,
-		metaTab:     ns + "meta",
-		peersTab:    ns + "peers",
-		snapsTab:    ns + "snapshots",
-		idemTab:     ns + "idempotency",
-		trustTab:    ns + "trust",
-		epochSeq:    ns + "epoch",
-		epochs:      make(map[core.Epoch]*epochMeta),
-		peers:       make(map[core.PeerID]*peerMeta),
-		trustGraph:  trust.NewGraph(schema),
-		snapEvery:   cfg.snapEvery,
-		compactKeep: cfg.compactKeep,
-		idem:        make(map[store.IdempotencyKey]*idemEntry),
-		watchSignal: make(chan struct{}),
-		watchDone:   make(chan struct{}),
+		db:           db,
+		schema:       schema,
+		counters:     &metrics.StoreCounters{},
+		ns:           ns,
+		ownsDB:       ownsDB,
+		metaTab:      ns + "meta",
+		txnsTab:      ns + "txns",
+		decisionsTab: ns + "decisions",
+		peersTab:     ns + "peers",
+		snapsTab:     ns + "snapshots",
+		idemTab:      ns + "idempotency",
+		trustTab:     ns + "trust",
+		epochSeq:     ns + "epoch",
+		epochs:       spread.Make[core.Epoch, *epochMeta](),
+		peers:        make(map[core.PeerID]*peerMeta),
+		trustGraph:   trust.NewGraph(schema),
+		snapEvery:    cfg.snapEvery,
+		compactKeep:  cfg.compactKeep,
+		idem:         make(map[store.IdempotencyKey]*idemEntry),
+		watchSignal:  make(chan struct{}),
+		watchDone:    make(chan struct{}),
 	}
 	for i := range s.shards {
 		s.shards[i].m = make(map[core.TxnID]*entry)
@@ -439,19 +433,15 @@ func (s *Store) Close() error {
 }
 
 // Metrics exposes the store's concurrency counters: publish volume, lock
-// contention (including per-shard publish overlap), and decision-batch
-// shape.
+// contention (including publish-commit overlap), and decision-batch shape.
 func (s *Store) Metrics() *metrics.StoreCounters { return s.counters }
-
-// TableShards returns the epoch-shard count of the store's table layout
-// (fixed at directory creation).
-func (s *Store) TableShards() int { return s.tableShards }
 
 // DBMetrics exposes the backing storage engine's commit and contention
 // counters (group-commit flush economy, table-lock waits).
 func (s *Store) DBMetrics() *metrics.DBCounters { return s.db.Metrics() }
 
-// shard returns the index stripe owning id (FNV-1a over origin and seq).
+// shard returns the index stripe owning id (FNV-1a over origin and seq,
+// mixed into its top bits by a Fibonacci multiply).
 func (s *Store) shard(id core.TxnID) *txnShard {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(id.Origin); i++ {
@@ -460,7 +450,7 @@ func (s *Store) shard(id core.TxnID) *txnShard {
 	}
 	h ^= id.Seq
 	h *= 1099511628211
-	return &s.shards[h%txnShardCount]
+	return &s.shards[stripes.Part(h*0x9e3779b97f4a7c15)]
 }
 
 // lookup returns the indexed entry for id, or nil.
@@ -494,7 +484,7 @@ func (s *Store) peer(peer core.PeerID) (*peerMeta, error) {
 // epoch resolves a registered epoch.
 func (s *Store) epoch(e core.Epoch) *epochMeta {
 	s.epochMu.RLock()
-	em := s.epochs[e]
+	em, _ := s.epochs.Get(e)
 	s.epochMu.RUnlock()
 	return em
 }
@@ -514,23 +504,6 @@ func lockContended(mu *sync.Mutex, onWait func()) {
 	}
 	onWait()
 	mu.Lock()
-}
-
-// shardOf returns the epoch-shard index owning epoch e.
-func (s *Store) shardOf(e core.Epoch) int {
-	return int(uint64(e) % uint64(s.tableShards))
-}
-
-// decisionShard routes a decision row to the shard of the decided
-// transaction's epoch — the same shard its publish self-accepts used, so
-// every row about one transaction lives in one table. A decision for a
-// transaction this store never indexed (unreachable through the public
-// API, which only decides delivered candidates) falls back to shard 0.
-func (s *Store) decisionShard(id core.TxnID) int {
-	if en := s.lookup(id); en != nil {
-		return s.shardOf(en.epoch)
-	}
-	return 0
 }
 
 // Checkpoint snapshots the backing database and truncates its WAL.

@@ -37,50 +37,64 @@ func genBatches(b *testing.B, engines []*core.Engine, round int) [][]store.Publi
 }
 
 // BenchmarkConcurrentPublish measures publish throughput with P publishers
-// racing into one store. One op = P publishers each shipping one batch of
-// benchTxnsPerPublish transactions; the per-transaction cost is reported as
-// the custom ns/txn metric.
+// racing into one store, in memory and backed by a directory, where
+// concurrent publish commits can share WAL flushes. One op = P publishers
+// each shipping one batch of benchTxnsPerPublish transactions; the
+// per-transaction cost is reported as the custom ns/txn metric.
 func BenchmarkConcurrentPublish(b *testing.B) {
 	schema := core.MustSchema(core.NewRelation("F", 2, "organism", "protein", "function"))
-	ctx := context.Background()
-	for _, pubs := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("publishers=%d", pubs), func(b *testing.B) {
-			s := MustOpenMemory(schema)
-			defer s.Close()
-			engines := make([]*core.Engine, pubs)
-			for p := 0; p < pubs; p++ {
-				id := core.PeerID(fmt.Sprintf("pub%d", p))
-				engines[p] = core.NewEngine(id, schema, core.TrustAll(1))
-				if err := s.RegisterPeer(ctx, id, core.TrustAll(1)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				batches := genBatches(b, engines, i)
-				errs := make([]error, pubs)
-				b.StartTimer()
-				done := make(chan int, pubs)
-				for p := 0; p < pubs; p++ {
-					go func(p int) {
-						_, errs[p] = s.Publish(ctx, engines[p].Peer(), batches[p])
-						done <- p
-					}(p)
-				}
-				for p := 0; p < pubs; p++ {
-					<-done
-				}
-				b.StopTimer()
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pubs*benchTxnsPerPublish), "ns/txn")
-		})
+	for _, backing := range []string{"memory", "dir"} {
+		for _, pubs := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("store=%s/publishers=%d", backing, pubs), func(b *testing.B) {
+				benchConcurrentPublish(b, schema, backing == "dir", pubs)
+			})
+		}
 	}
+}
+
+func benchConcurrentPublish(b *testing.B, schema *core.Schema, durable bool, pubs int) {
+	ctx := context.Background()
+	dir := ""
+	if durable {
+		dir = b.TempDir()
+	}
+	s, err := Open(schema, dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	engines := make([]*core.Engine, pubs)
+	for p := 0; p < pubs; p++ {
+		id := core.PeerID(fmt.Sprintf("pub%d", p))
+		engines[p] = core.NewEngine(id, schema, core.TrustAll(1))
+		if err := s.RegisterPeer(ctx, id, core.TrustAll(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		batches := genBatches(b, engines, i)
+		errs := make([]error, pubs)
+		b.StartTimer()
+		done := make(chan int, pubs)
+		for p := 0; p < pubs; p++ {
+			go func(p int) {
+				_, errs[p] = s.Publish(ctx, engines[p].Peer(), batches[p])
+				done <- p
+			}(p)
+		}
+		for p := 0; p < pubs; p++ {
+			<-done
+		}
+		b.StopTimer()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pubs*benchTxnsPerPublish), "ns/txn")
 }

@@ -57,14 +57,13 @@ func tearLastWALRecord(t *testing.T, dir string) int {
 	return count - 1
 }
 
-// TestShardedCrashTornPublish kills a sharded store "mid-publish": several
-// publishes have committed into different epoch-shards' tables, and the
-// final publish's WAL record is torn — the state a crash leaves when some
-// shards' WAL groups reached the disk and the last one didn't. Recovery
-// must void the torn epoch everywhere (no txns, no epoch row, no
-// self-accept decisions in any shard), keep every completed publish, leave
-// the stable frontier past the void, and keep the log writable.
-func TestShardedCrashTornPublish(t *testing.T) {
+// TestCrashTornPublish kills a store "mid-publish": several publishes
+// have committed, and the final publish's WAL record is torn — the state a
+// crash leaves when the earlier WAL groups reached the disk and the last
+// one didn't. Recovery must void the torn epoch everywhere (no txns row,
+// no self-accept decisions), keep every completed publish, leave the
+// stable frontier past the void, and keep the log writable.
+func TestCrashTornPublish(t *testing.T) {
 	const (
 		publishes = 6
 		perBatch  = 2
@@ -113,9 +112,9 @@ func TestShardedCrashTornPublish(t *testing.T) {
 	}
 	tearLastWALRecord(t, dir)
 
-	// Recover. The torn publish (epoch 6, in its own shard) must have
-	// vanished atomically: a publish is one commit across its shard's
-	// epochs/txns/decisions tables, so recovery sees all of it or none.
+	// Recover. The torn publish (epoch 6) must have vanished atomically: a
+	// publish is one commit across the txns and decisions tables, so
+	// recovery sees all of it or none.
 	s2, err := Open(schema, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -124,42 +123,31 @@ func TestShardedCrashTornPublish(t *testing.T) {
 	if got, want := s2.TxnCount(), (publishes-1)*perBatch; got != want {
 		t.Fatalf("recovered %d txns, want %d", got, want)
 	}
-	// No shard's tables may retain any trace of the torn epoch.
+	// No table may retain any trace of the torn epoch.
 	tornEpoch := core.Epoch(publishes)
 	err = s2.db.View(func(tx *reldb.Tx) error {
-		for k := 0; k < s2.tableShards; k++ {
-			for _, tab := range []string{s2.epochsTab[k], s2.txnsTab[k]} {
-				col := 0
-				if tab == s2.txnsTab[k] {
-					col = 1
-				}
-				if err := tx.Scan(tab, func(r reldb.Row) bool {
-					if core.Epoch(r[col].I()) == tornEpoch {
-						t.Errorf("%s still holds a row for torn epoch %d", tab, tornEpoch)
-					}
-					return true
-				}); err != nil {
-					return err
-				}
+		if err := tx.Scan(s2.txnsTab, func(r reldb.Row) bool {
+			if core.Epoch(r[1].I()) == tornEpoch {
+				t.Errorf("%s still holds a row for torn epoch %d", s2.txnsTab, tornEpoch)
 			}
-			if err := tx.Scan(s2.decisionsTab[k], func(r reldb.Row) bool {
-				es, err := decodeDecisionRow(r[1].I(), r[2].S())
-				if err != nil {
-					t.Errorf("%s: %v", s2.decisionsTab[k], err)
-				}
-				for _, e := range es {
-					for _, id := range tornIDs {
-						if e.id == id {
-							t.Errorf("%s still holds a self-accept for torn txn %s", s2.decisionsTab[k], id)
-						}
-					}
-				}
-				return true
-			}); err != nil {
-				return err
-			}
+			return true
+		}); err != nil {
+			return err
 		}
-		return nil
+		return tx.Scan(s2.decisionsTab, func(r reldb.Row) bool {
+			es, err := decodeDecisionRow(r[1].I(), r[2].S())
+			if err != nil {
+				t.Errorf("%s: %v", s2.decisionsTab, err)
+			}
+			for _, e := range es {
+				for _, id := range tornIDs {
+					if e.id == id {
+						t.Errorf("%s still holds a self-accept for torn txn %s", s2.decisionsTab, id)
+					}
+				}
+			}
+			return true
+		})
 	})
 	if err != nil {
 		t.Fatal(err)

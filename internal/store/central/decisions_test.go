@@ -39,20 +39,15 @@ func FuzzDecodeDecisionRow(f *testing.F) {
 }
 
 // decisionRowCount maps each peer to its number of rows in s's
-// decisions_k tables.
+// decisions table.
 func decisionRowCount(t *testing.T, s *Store) map[core.PeerID]int {
 	t.Helper()
 	n := map[core.PeerID]int{}
 	err := s.db.View(func(tx *reldb.Tx) error {
-		for _, tab := range s.decisionsTab {
-			if err := tx.Scan(tab, func(r reldb.Row) bool {
-				n[core.PeerID(r[0].S())]++
-				return true
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
+		return tx.Scan(s.decisionsTab, func(r reldb.Row) bool {
+			n[core.PeerID(r[0].S())]++
+			return true
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,27 +61,22 @@ type peerDecision struct {
 	decisionEntry
 }
 
-// decisionRows decodes every entry of s's decisions_k tables, sorted by
-// peer and dseq.
+// decisionRows decodes every entry of s's decisions table, sorted by peer
+// and dseq.
 func decisionRows(t *testing.T, s *Store) []peerDecision {
 	t.Helper()
 	var out []peerDecision
 	err := s.db.View(func(tx *reldb.Tx) error {
-		for _, tab := range s.decisionsTab {
-			if err := tx.Scan(tab, func(r reldb.Row) bool {
-				es, err := decodeDecisionRow(r[1].I(), r[2].S())
-				if err != nil {
-					t.Errorf("%s: %v", tab, err)
-				}
-				for _, e := range es {
-					out = append(out, peerDecision{peer: core.PeerID(r[0].S()), decisionEntry: e})
-				}
-				return true
-			}); err != nil {
-				return err
+		return tx.Scan(s.decisionsTab, func(r reldb.Row) bool {
+			es, err := decodeDecisionRow(r[1].I(), r[2].S())
+			if err != nil {
+				t.Errorf("%s: %v", s.decisionsTab, err)
 			}
-		}
-		return nil
+			for _, e := range es {
+				out = append(out, peerDecision{peer: core.PeerID(r[0].S()), decisionEntry: e})
+			}
+			return true
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,11 +91,10 @@ func decisionRows(t *testing.T, s *Store) []peerDecision {
 }
 
 // TestDecisionRowsPerBatch pins the row shape: a publish of n transactions
-// writes one decision row, and a decision batch writes one row per shard
-// its transactions' epochs fall in — at most TableShards() per peer —
-// whatever the number of decisions, even when one peer's decisions come
-// in two batches with another peer's between them. The rows and the
-// decision cache agree on every dseq.
+// writes one decision row, and a decision batch writes one row per peer,
+// whatever the number of decisions and the epochs they fall in, even when
+// one peer's decisions come in two batches with another peer's between
+// them. The rows and the decision cache agree on every dseq.
 func TestDecisionRowsPerBatch(t *testing.T) {
 	ctx := context.Background()
 	s := MustOpenMemory(storetest.Schema(t))
@@ -116,7 +105,7 @@ func TestDecisionRowsPerBatch(t *testing.T) {
 		}
 	}
 	var ids []core.TxnID
-	for i := 0; i < 3*s.TableShards(); i++ {
+	for i := 0; i < 24; i++ {
 		before := decisionRowCount(t, s)["pa"]
 		ids = append(ids, pubBatch(t, s, "pa", uint64(10*i), 5)...)
 		if got := decisionRowCount(t, s)["pa"] - before; got != 1 {
@@ -141,8 +130,8 @@ func TestDecisionRowsPerBatch(t *testing.T) {
 	}
 	rows := decisionRowCount(t, s)
 	for _, p := range []core.PeerID{"pb", "pc"} {
-		if rows[p] > s.TableShards() {
-			t.Errorf("a batch of %d decisions wrote %d rows for %s, want at most %d", len(ids), rows[p], p, s.TableShards())
+		if rows[p] != 1 {
+			t.Errorf("a batch of %d decisions wrote %d rows for %s, want 1", len(ids), rows[p], p)
 		}
 	}
 	folded := map[core.PeerID]map[core.TxnID]core.RestoredDecision{}
@@ -176,10 +165,10 @@ func TestRedecidedSurvivesReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Epochs in every shard, so that each shard holds several rows per
-	// peer, which a scan visits in no particular order.
+	// Many publishes, so that each peer has several rows, which a scan
+	// visits in no particular order.
 	ids := pubBatch(t, s, "pa", 1, 3)
-	for i := 0; i < s.TableShards(); i++ {
+	for i := 0; i < 8; i++ {
 		ids = append(ids, pubBatch(t, s, "pa", uint64(10+i), 1)...)
 	}
 	rec, err := s.BeginReconciliation(ctx, "pb")
@@ -254,9 +243,9 @@ func TestCompactionSplitsDecisionRow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Epochs 1 and 1+TableShards() share a shard, so pb's decisions on them
-	// are entries of one row; the horizon below splits it.
-	n := s.TableShards() + 1
+	// pb's decisions on epochs 1 to n are entries of one row; the horizon
+	// below splits it.
+	const n = 9
 	var ids []core.TxnID
 	for i := 0; i < n; i++ {
 		ids = append(ids, pubBatch(t, s, "pa", uint64(i+1), 1)...)
@@ -280,10 +269,10 @@ func TestCompactionSplitsDecisionRow(t *testing.T) {
 		t.Fatalf("snapshot at epoch %d, want %d", snapE, n)
 	}
 	pbFirst, _ := s.peers["pb"].decided.Get(ids[0])
-	k, first := s.decisionShard(ids[0]), pbFirst.Seq
-	split := decisionRow(t, s, k, "pb", first)
-	if len(split) != 2 || split[0].id != ids[0] || split[1].id != ids[n-1] {
-		t.Fatalf("pb's row (%s, %d) holds %v, want %s and %s", s.decisionsTab[k], first, split, ids[0], ids[n-1])
+	first := pbFirst.Seq
+	split := decisionRow(t, s, "pb", first)
+	if len(split) != n || split[0].id != ids[0] || split[1].id != ids[n-1] {
+		t.Fatalf("pb's row (%s, %d) holds %v, want %s and %s first of %d", s.decisionsTab, first, split, ids[0], ids[n-1], n)
 	}
 
 	horizon := core.Epoch(n - 1)
@@ -305,7 +294,7 @@ func TestCompactionSplitsDecisionRow(t *testing.T) {
 	if got := decisionRows(t, s); !reflect.DeepEqual(got, want) {
 		t.Errorf("decision entries after compaction:\n got %v\nwant %v", got, want)
 	}
-	if got := decisionRow(t, s, k, "pb", first); len(got) != 1 || got[0] != split[1] {
+	if got := decisionRow(t, s, "pb", first); len(got) != 1 || got[0] != split[1] {
 		t.Errorf("split row holds %v after compaction, want only %v", got, split[1])
 	}
 	live := map[core.PeerID]map[core.TxnID]core.RestoredDecision{}
@@ -331,15 +320,14 @@ func TestCompactionSplitsDecisionRow(t *testing.T) {
 	}
 }
 
-// decisionRow decodes the entries of peer's row keyed by first in
-// decisions_k.
-func decisionRow(t *testing.T, s *Store, k int, peer core.PeerID, first int64) []decisionEntry {
+// decisionRow decodes the entries of peer's row keyed by first.
+func decisionRow(t *testing.T, s *Store, peer core.PeerID, first int64) []decisionEntry {
 	t.Helper()
 	var es []decisionEntry
 	err := s.db.View(func(tx *reldb.Tx) error {
-		r, ok, err := tx.Get(s.decisionsTab[k], reldb.Str(string(peer)), reldb.Int(first))
+		r, ok, err := tx.Get(s.decisionsTab, reldb.Str(string(peer)), reldb.Int(first))
 		if err != nil || !ok {
-			return fmt.Errorf("no row (%s, %d) in %s: %v", peer, first, s.decisionsTab[k], err)
+			return fmt.Errorf("no row (%s, %d) in %s: %v", peer, first, s.decisionsTab, err)
 		}
 		es, err = decodeDecisionRow(first, r[2].S())
 		return err
@@ -444,7 +432,7 @@ func TestOpenRefusesDecisionSeqPastCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := pubBatch(t, s, "pa", 1, 1)[0]
-	tab := s.decisionsTab[s.decisionShard(id)]
+	tab := s.decisionsTab
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"orchestra/internal/core"
-	"orchestra/internal/reldb"
 	"orchestra/internal/store"
 	"orchestra/internal/store/storetest"
 )
@@ -239,78 +238,5 @@ func TestDifferentialMatrix(t *testing.T) {
 				t.Errorf("transcript not reproduced by a second run:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 			}
 		})
-	}
-}
-
-// TestShardCountPinnedToDirectory: the shard count is part of the on-disk
-// layout — a directory whose meta table records a count other than
-// defaultTableShards (written by a build that still had the knob) is
-// reopened with the recorded count, never silently mis-scanned with the
-// default.
-func TestShardCountPinnedToDirectory(t *testing.T) {
-	schema := storetest.Schema(t)
-	dir := t.TempDir()
-	db, err := reldb.Open(reldb.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = db.Update(func(tx *reldb.Tx) error {
-		if err := tx.CreateTable(reldb.TableDef{
-			Name: "meta",
-			Cols: []reldb.ColDef{{Name: "key", Type: reldb.ColString}, {Name: "value", Type: reldb.ColInt}},
-			Key:  []int{0},
-		}); err != nil {
-			return err
-		}
-		if err := tx.Insert("meta", reldb.Row{reldb.Str("layout"), reldb.Int(layoutVersion)}); err != nil {
-			return err
-		}
-		return tx.Insert("meta", reldb.Row{reldb.Str("table_shards"), reldb.Int(4)})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := context.Background()
-	s, err := Open(schema, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.TableShards() != 4 {
-		t.Fatalf("TableShards() = %d, want the recorded 4", s.TableShards())
-	}
-	// The adopted layout is live, not just reported: publish across more
-	// epochs than shards, then reopen and find every transaction.
-	if err := s.RegisterPeer(ctx, "a", core.TrustAll(1)); err != nil {
-		t.Fatal(err)
-	}
-	eng := core.NewEngine("a", schema, core.TrustAll(1))
-	const epochs = 6
-	for i := 0; i < epochs; i++ {
-		x, _, err := eng.NewLocalTransaction(core.Insert("F", core.Strs("org", fmt.Sprintf("p-%d", i), "fn"), "a"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Publish(ctx, "a", []store.PublishedTxn{{Txn: x}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(schema, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.TableShards() != 4 {
-		t.Errorf("reopen adopted %d shards, want 4", s2.TableShards())
-	}
-	if got := s2.TxnCount(); got != epochs {
-		t.Errorf("reopen recovered %d txns, want %d", got, epochs)
 	}
 }

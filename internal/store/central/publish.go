@@ -99,10 +99,9 @@ func (s *Store) EffectiveTrust(_ context.Context, peer core.PeerID) (core.Trust,
 // allocEpoch is the publish path's single global critical section, and it
 // is normally memory-only: epoch numbers come from a pre-claimed block,
 // and the durable sequence commit runs once per epochBlock allocations.
-// The epoch becomes durable with its first publish commit (publishWrite
-// writes the epochs row in the same transaction as the batch); an epoch
-// that dies between allocation and its first commit leaves no durable
-// trace and is voided by recovery. Everything expensive — payload
+// The epoch becomes durable with its publish commit (publishWrite's txns
+// row); an epoch that dies between allocation and that commit leaves no
+// durable trace and is voided by recovery. Everything expensive — payload
 // encoding, cache warming, indexing — happens outside this lock, under
 // per-epoch and per-peer locks.
 func (s *Store) allocEpoch() (core.Epoch, error) {
@@ -125,7 +124,7 @@ func (s *Store) allocEpoch() (core.Epoch, error) {
 	}
 	epoch := s.blockNext
 	s.blockNext++
-	s.epochs[epoch] = &epochMeta{}
+	s.epochs.Set(epoch, &epochMeta{})
 	if epoch > s.maxE {
 		s.maxE = epoch
 	}
@@ -167,22 +166,13 @@ func (s *Store) publishWrite(peer core.PeerID, epoch core.Epoch, txns []store.Pu
 
 	lockContended(&pm.mu, s.counters.ObservePeerContention)
 	defer pm.mu.Unlock()
-	// One commit carries the whole publish: the epoch registration (first
-	// durable trace of the epoch — allocation itself is memory-only), the
-	// batch payload, and the publisher's self-accepts as one decision row,
-	// with the epoch already marked finished. Everything lands in the
-	// epoch's shard k, in the documented epochs_k → txns_k → decisions_k
-	// order — publishes to epochs in other shards touch disjoint tables and
-	// commit in parallel.
-	k := s.shardOf(epoch)
-	s.counters.EnterShard(k)
+	// One commit carries the whole publish: the batch payload, which is
+	// the epoch's first durable trace (allocation itself is memory-only)
+	// and marks it finished, and the publisher's self-accepts as one
+	// decision row, in the documented txns → decisions order.
+	s.counters.EnterPublishCommit()
 	err = s.db.Update(func(tx *reldb.Tx) error {
-		if err := tx.Upsert(s.epochsTab[k], reldb.Row{
-			reldb.Int(int64(epoch)), reldb.Str(string(peer)), reldb.Bool(true),
-		}); err != nil {
-			return err
-		}
-		if err := tx.Insert(s.txnsTab[k], reldb.Row{
+		if err := tx.Insert(s.txnsTab, reldb.Row{
 			reldb.Int(int64(txns[0].Txn.Order)),
 			reldb.Int(int64(epoch)),
 			reldb.Int(int64(len(txns))),
@@ -197,7 +187,7 @@ func (s *Store) publishWrite(peer core.PeerID, epoch core.Epoch, txns []store.Pu
 		for i := range txns {
 			dec = appendDecisionEntry(dec, txns[i].Txn.ID, core.DecisionAccept, min(int64(i), 1))
 		}
-		if err := tx.Insert(s.decisionsTab[k], reldb.Row{
+		if err := tx.Insert(s.decisionsTab, reldb.Row{
 			reldb.Str(string(peer)), reldb.Int(pm.nextSeq + 1), reldb.Bytes(dec),
 		}); err != nil {
 			return err
@@ -207,7 +197,7 @@ func (s *Store) publishWrite(peer core.PeerID, epoch core.Epoch, txns []store.Pu
 		}
 		return nil
 	})
-	s.counters.LeaveShard(k)
+	s.counters.LeavePublishCommit()
 	if err != nil {
 		return err
 	}
@@ -285,7 +275,7 @@ func (s *Store) advanceFrontier() {
 	old := core.Epoch(s.stableE.Load())
 	st := old
 	for {
-		em, ok := s.epochs[st+1]
+		em, ok := s.epochs.Get(st + 1)
 		if !ok || !em.finished.Load() {
 			break
 		}

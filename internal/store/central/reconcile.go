@@ -63,7 +63,7 @@ func (s *Store) beginReconciliation(peer core.PeerID, key store.IdempotencyKey) 
 	}
 	recno := pm.recno + 1
 	// Record the reconciliation point immediately and commit, as §5.2.1
-	// prescribes, so the epochs table is released for publishers. The dedup
+	// prescribes, so no publisher waits behind the reconciliation. The dedup
 	// record rides the same commit.
 	err = s.db.Update(func(tx *reldb.Tx) error {
 		if err := tx.Upsert(s.peersTab, reldb.Row{
@@ -299,8 +299,7 @@ func (s *Store) recordDecisionsBatch(batches []store.DecisionBatch, key store.Id
 	}
 	// Batches are visited by peer, a stable sort: one peer's batches keep
 	// their relative order, so its dseqs are the ones the cache update
-	// below assigns, and its decisions in each shard come out contiguous —
-	// one row.
+	// below assigns, and its decisions come out contiguous — one row.
 	order := make([]int, len(batches))
 	for i := range order {
 		order[i] = i
@@ -328,63 +327,31 @@ func (s *Store) recordDecisionsBatch(batches []store.DecisionBatch, key store.Id
 		total += len(b.Accepted) + len(b.Rejected)
 	}
 	if total > 0 {
-		// dseq continues each peer's sequence across the whole commit.
-		// Decisions go to the shard of the decided transaction's epoch, and
-		// each (shard, peer) pair becomes one row (decisions.go), written
-		// with the shard indexes ascending — the documented decisions_k
-		// lock order, so a wave's commit cannot deadlock against a
-		// concurrent publish or another wave.
-		//
-		// Each shard's rows come from one walk over the decisions in
-		// visiting order, which numbers every peer's decisions in turn;
-		// shard holds each decision's shard, looked up once.
-		shard := make([]int32, 0, total)
-		for _, i := range order {
-			for _, ids := range [2][]core.TxnID{batches[i].Accepted, batches[i].Rejected} {
-				for _, id := range ids {
-					shard = append(shard, int32(s.decisionShard(id)))
-				}
-			}
-		}
+		// dseq continues each peer's sequence across the whole commit, and
+		// each peer's decisions, its batches in visiting order, are one row
+		// (decisions.go) keyed by the first dseq they take.
 		decisions := [2]core.Decision{core.DecisionAccept, core.DecisionReject}
 		var buf []byte
 		err := s.db.Update(func(tx *reldb.Tx) error {
-			for k := range s.tableShards {
-				var peer core.PeerID // the row in buf is peer's, from dseq first
-				var first, prev, dseq int64
-				flush := func() error {
-					if len(buf) == 0 {
-						return nil
+			var first, prev, dseq int64
+			for p, i := range order {
+				b := batches[i]
+				if p == 0 || pms[order[p-1]] != pms[i] {
+					dseq = pms[i].nextSeq
+					first, prev = dseq+1, dseq+1
+				}
+				for d, ids := range [2][]core.TxnID{b.Accepted, b.Rejected} {
+					for _, id := range ids {
+						dseq++
+						buf = appendDecisionEntry(buf, id, decisions[d], dseq-prev)
+						prev = dseq
 					}
-					err := tx.Insert(s.decisionsTab[k], reldb.Row{reldb.Str(string(peer)), reldb.Int(first), reldb.Bytes(buf)})
+				}
+				if len(buf) > 0 && (p+1 == len(order) || pms[order[p+1]] != pms[i]) {
+					if err := tx.Insert(s.decisionsTab, reldb.Row{reldb.Str(string(b.Peer)), reldb.Int(first), reldb.Bytes(buf)}); err != nil {
+						return err
+					}
 					buf = buf[:0]
-					return err
-				}
-				v := 0
-				for p, i := range order {
-					b := batches[i]
-					if p == 0 || pms[order[p-1]] != pms[i] {
-						dseq = pms[i].nextSeq
-					}
-					for d, ids := range [2][]core.TxnID{b.Accepted, b.Rejected} {
-						for _, id := range ids {
-							dseq++
-							if int(shard[v]) == k {
-								if len(buf) == 0 || b.Peer != peer {
-									if err := flush(); err != nil {
-										return err
-									}
-									peer, first, prev = b.Peer, dseq, dseq
-								}
-								buf = appendDecisionEntry(buf, id, decisions[d], dseq-prev)
-								prev = dseq
-							}
-							v++
-						}
-					}
-				}
-				if err := flush(); err != nil {
-					return err
 				}
 			}
 			if key != "" {

@@ -11,66 +11,49 @@ import (
 	"orchestra/internal/trust"
 )
 
-// resolveLayout decides the shard count: a fresh directory uses
-// defaultTableShards; an existing sharded directory has its count recorded
-// in the meta table and Open adopts it, since the count determines which
-// table holds each epoch. Pre-shard directories fail with a version error —
-// same no-migration policy as the binary-codec break.
-func (s *Store) resolveLayout() error {
-	if _, ok := s.db.TableDef(s.ns + "txns"); ok {
-		return fmt.Errorf("central: store directory uses the pre-shard single-table layout; no migration path (layout version %d writes epoch-sharded tables)", layoutVersion)
+// resolveLayout reads the directory's table layout before the store
+// touches any table but meta, and writes nothing: a fresh directory gets
+// layoutVersion, layout 4 is upgraded by initTables (upgrade.go), and
+// layout 3, earlier layouts and pre-shard directories (a plain "txns"
+// table and no meta table) are refused — same no-migration policy as the
+// binary-codec break.
+func (s *Store) resolveLayout() (int64, error) {
+	if _, ok := s.db.TableDef(s.metaTab); !ok {
+		if _, ok := s.db.TableDef(s.txnsTab); ok {
+			return 0, fmt.Errorf("central: store directory uses the pre-shard single-table layout; no migration path (layout version %d)", layoutVersion)
+		}
+		return layoutVersion, nil
 	}
-	shards := defaultTableShards
-	if _, ok := s.db.TableDef(s.metaTab); ok {
-		var layout, stored int64
-		err := s.db.View(func(tx *reldb.Tx) error {
-			if r, ok, err := tx.Get(s.metaTab, reldb.Str("layout")); err != nil {
-				return err
-			} else if ok {
-				layout = r[1].I()
-			}
-			if r, ok, err := tx.Get(s.metaTab, reldb.Str("table_shards")); err != nil {
-				return err
-			} else if ok {
-				stored = r[1].I()
-			}
-			return nil
-		})
-		if err != nil {
-			return err
+	var layout int64
+	err := s.db.View(func(tx *reldb.Tx) error {
+		r, ok, err := tx.Get(s.metaTab, reldb.Str("layout"))
+		if ok {
+			layout = r[1].I()
 		}
-		if layout == 3 {
-			return errLayout3
-		}
-		if layout != layoutVersion {
-			return fmt.Errorf("central: store directory has layout version %d, this build reads %d; no migration path", layout, layoutVersion)
-		}
-		if stored < 1 {
-			return fmt.Errorf("central: store directory records invalid table shard count %d", stored)
-		}
-		shards = int(stored)
+		return err
+	})
+	switch {
+	case err != nil:
+		return 0, err
+	case layout == 3:
+		return 0, errLayout3
+	case layout != 4 && layout != layoutVersion:
+		return 0, fmt.Errorf("central: store directory has layout version %d, this build reads %d; no migration path", layout, layoutVersion)
 	}
-	s.tableShards = shards
-	s.epochsTab = make([]string, shards)
-	s.txnsTab = make([]string, shards)
-	s.decisionsTab = make([]string, shards)
-	for k := 0; k < shards; k++ {
-		s.epochsTab[k] = fmt.Sprintf("%sepochs_%02d", s.ns, k)
-		s.txnsTab[k] = fmt.Sprintf("%stxns_%02d", s.ns, k)
-		s.decisionsTab[k] = fmt.Sprintf("%sdecisions_%02d", s.ns, k)
-	}
-	s.counters.InitShards(shards)
-	return nil
+	return layout, nil
 }
 
 // errLayout3 refuses a directory of layout 3, which kept one decisions_k
-// row per decision where layout 4 keeps one per (peer, shard) batch.
+// row per decision where later layouts keep one per commit and peer.
 // resolveLayout returns it before the store reads any table but meta, and
 // writes nothing. No release upgrades such a directory.
 var errLayout3 = errors.New("central: store directory has table layout 3 (one decision row per decision), which this release no longer reads; commit 948bb9d is the last that reads it, and no release migrates it")
 
+// initTables creates what a directory lacks, and upgrades a layout-4
+// directory, in one commit.
 func (s *Store) initTables() error {
-	if err := s.resolveLayout(); err != nil {
+	layout, err := s.resolveLayout()
+	if err != nil {
 		return err
 	}
 	return s.db.Update(func(tx *reldb.Tx) error {
@@ -94,56 +77,32 @@ func (s *Store) initTables() error {
 			if err := tx.Insert(s.metaTab, reldb.Row{reldb.Str("layout"), reldb.Int(layoutVersion)}); err != nil {
 				return err
 			}
-			if err := tx.Insert(s.metaTab, reldb.Row{reldb.Str("table_shards"), reldb.Int(int64(s.tableShards))}); err != nil {
-				return err
-			}
-		}
-		// Tables are created in the documented lock order (epochs_k, then
-		// txns_k, then decisions_k, shard indexes ascending) — irrelevant at
-		// open, which is single-threaded, but it keeps every multi-table
-		// transaction in this package consistent with the contract.
-		for k := 0; k < s.tableShards; k++ {
-			if err := create(reldb.TableDef{
-				Name: s.epochsTab[k],
-				Cols: []reldb.ColDef{
-					{Name: "epoch", Type: reldb.ColInt},
-					{Name: "peer", Type: reldb.ColString},
-					{Name: "finished", Type: reldb.ColBool},
-				},
-				Key: []int{0},
-			}); err != nil {
-				return err
-			}
 		}
 		// One row per published batch, not per transaction: the payload is
 		// the whole []store.PublishedTxn in one binary-codec stream
 		// (store.AppendPublishedTxns).
-		for k := 0; k < s.tableShards; k++ {
-			if err := create(reldb.TableDef{
-				Name: s.txnsTab[k],
-				Cols: []reldb.ColDef{
-					{Name: "ord", Type: reldb.ColInt},
-					{Name: "epoch", Type: reldb.ColInt},
-					{Name: "count", Type: reldb.ColInt},
-					{Name: "payload", Type: reldb.ColBytes},
-				},
-				Key: []int{0},
-			}); err != nil {
-				return err
-			}
+		if err := create(reldb.TableDef{
+			Name: s.txnsTab,
+			Cols: []reldb.ColDef{
+				{Name: "ord", Type: reldb.ColInt},
+				{Name: "epoch", Type: reldb.ColInt},
+				{Name: "count", Type: reldb.ColInt},
+				{Name: "payload", Type: reldb.ColBytes},
+			},
+			Key: []int{0},
+		}); err != nil {
+			return err
 		}
-		for k := 0; k < s.tableShards; k++ {
-			if err := create(reldb.TableDef{
-				Name: s.decisionsTab[k],
-				Cols: []reldb.ColDef{
-					{Name: "peer", Type: reldb.ColString},
-					{Name: "first_dseq", Type: reldb.ColInt},
-					{Name: "payload", Type: reldb.ColBytes},
-				},
-				Key: []int{0, 1},
-			}); err != nil {
-				return err
-			}
+		if err := create(reldb.TableDef{
+			Name: s.decisionsTab,
+			Cols: []reldb.ColDef{
+				{Name: "peer", Type: reldb.ColString},
+				{Name: "first_dseq", Type: reldb.ColInt},
+				{Name: "payload", Type: reldb.ColBytes},
+			},
+			Key: []int{0, 1},
+		}); err != nil {
+			return err
 		}
 		if err := create(reldb.TableDef{
 			Name: s.peersTab,
@@ -195,14 +154,20 @@ func (s *Store) initTables() error {
 		// re-register. In-process predicate policies cannot be persisted;
 		// those peers must re-register after recovery (beginReconciliation
 		// refuses them with a clear error until they do).
-		return create(reldb.TableDef{
+		if err := create(reldb.TableDef{
 			Name: s.trustTab,
 			Cols: []reldb.ColDef{
 				{Name: "peer", Type: reldb.ColString},
 				{Name: "policy", Type: reldb.ColString},
 			},
 			Key: []int{0},
-		})
+		}); err != nil {
+			return err
+		}
+		if layout == 4 {
+			return s.upgradeLayout4(tx)
+		}
+		return nil
 	})
 }
 
@@ -210,71 +175,61 @@ func (s *Store) initTables() error {
 // Open is single-threaded, so no store locks are taken here.
 func (s *Store) loadCaches() error {
 	err := s.db.View(func(tx *reldb.Tx) error {
-		for k := 0; k < s.tableShards; k++ {
-			if err := tx.Scan(s.epochsTab[k], func(r reldb.Row) bool {
-				e := core.Epoch(r[0].I())
-				em := &epochMeta{}
-				em.finished.Store(r[2].B())
-				s.epochs[e] = em
-				if e > s.maxE {
-					s.maxE = e
-				}
-				return true
-			}); err != nil {
-				return err
+		// Every epoch with a txns row is finished: its publish committed
+		// the row and the publisher's self-accepts together.
+		var scanErr error
+		var recovered []*entry
+		if err := tx.Scan(s.txnsTab, func(r reldb.Row) bool {
+			batch, err := store.DecodePublishedTxns(r[3].Raw())
+			if err != nil {
+				scanErr = err
+				return false
 			}
+			e := core.Epoch(r[1].I())
+			if _, ok := s.epochs.Get(e); !ok {
+				em := &epochMeta{}
+				em.finished.Store(true)
+				s.epochs.Set(e, em)
+				s.maxE = max(s.maxE, e)
+			}
+			for _, pub := range batch {
+				// Decoding seeds the tuple encodings; warming adds the key
+				// projections before the recovered transactions are shared
+				// across reconciling peers.
+				pub.Txn.PrecomputeEncodings(s.schema)
+				recovered = append(recovered, &entry{pub: pub, epoch: e})
+			}
+			return true
+		}); err != nil {
+			return err
+		}
+		if scanErr != nil {
+			return scanErr
 		}
 		// The durable sequence is the allocator's block high-water mark.
 		// Epochs up to it that never reached a durable publish commit —
-		// the unissued block remainder, or allocations whose publishes
-		// died with the previous process — can never carry transactions
-		// now; register them as void (finished, empty) so the stable
-		// frontier passes over the gaps. Allocation resumes with a fresh
-		// block above the high-water mark.
+		// the unissued block remainder, allocations whose publishes died
+		// with the previous process, or epochs compacted away — can never
+		// carry transactions now; register them as void (finished, empty)
+		// so the stable frontier passes over the gaps. Allocation resumes
+		// with a fresh block above the high-water mark.
 		seqHW := core.Epoch(tx.CurrentSeq(s.epochSeq))
 		for e := core.Epoch(1); e <= seqHW; e++ {
-			if _, ok := s.epochs[e]; !ok {
+			if _, ok := s.epochs.Get(e); !ok {
 				em := &epochMeta{}
 				em.finished.Store(true)
-				s.epochs[e] = em
+				s.epochs.Set(e, em)
 			}
 		}
-		if seqHW > s.maxE {
-			s.maxE = seqHW
-		}
+		s.maxE = max(s.maxE, seqHW)
 		s.blockNext, s.blockEnd = seqHW+1, seqHW
-		var scanErr error
-		var recovered []*entry
-		for k := 0; k < s.tableShards; k++ {
-			if err := tx.Scan(s.txnsTab[k], func(r reldb.Row) bool {
-				batch, err := store.DecodePublishedTxns(r[3].Raw())
-				if err != nil {
-					scanErr = err
-					return false
-				}
-				for _, pub := range batch {
-					// Decoding seeds the tuple encodings; warming adds the
-					// key projections before the recovered transactions
-					// are shared across reconciling peers.
-					pub.Txn.PrecomputeEncodings(s.schema)
-					recovered = append(recovered, &entry{pub: pub, epoch: core.Epoch(r[1].I())})
-				}
-				return true
-			}); err != nil {
-				return err
-			}
-			if scanErr != nil {
-				return scanErr
-			}
-		}
 		sort.Slice(recovered, func(i, j int) bool {
 			return recovered[i].pub.Txn.Order < recovered[j].pub.Txn.Order
 		})
 		for _, en := range recovered {
 			s.index(en)
-			if em := s.epochs[en.epoch]; em != nil {
-				em.txns = append(em.txns, en.pub.Txn.ID)
-			}
+			em, _ := s.epochs.Get(en.epoch)
+			em.txns = append(em.txns, en.pub.Txn.ID)
 		}
 		if err := tx.Scan(s.peersTab, func(r reldb.Row) bool {
 			s.peers[core.PeerID(r[0].S())] = &peerMeta{
@@ -319,36 +274,34 @@ func (s *Store) loadCaches() error {
 		}
 		// An id decided more than once keeps its highest dseq, whatever
 		// order the rows scan in.
-		for k := 0; k < s.tableShards; k++ {
-			if err := tx.Scan(s.decisionsTab[k], func(r reldb.Row) bool {
-				pm := s.peers[core.PeerID(r[0].S())]
-				if pm == nil {
-					return true
-				}
-				es, err := decodeDecisionRow(r[1].I(), r[2].S())
-				if err != nil {
-					scanErr = fmt.Errorf("central: %s (%s, %d): %w", s.decisionsTab[k], r[0].S(), r[1].I(), err)
+		if err := tx.Scan(s.decisionsTab, func(r reldb.Row) bool {
+			pm := s.peers[core.PeerID(r[0].S())]
+			if pm == nil {
+				return true
+			}
+			es, err := decodeDecisionRow(r[1].I(), r[2].S())
+			if err != nil {
+				scanErr = fmt.Errorf("central: %s (%s, %d): %w", s.decisionsTab, r[0].S(), r[1].I(), err)
+				return false
+			}
+			for _, e := range es {
+				if e.dseq < 0 || e.dseq > core.MaxDecisionSeq {
+					scanErr = fmt.Errorf("central: %s (%s, %d): dseq %d out of range", s.decisionsTab, r[0].S(), r[1].I(), e.dseq)
 					return false
 				}
-				for _, e := range es {
-					if e.dseq < 0 || e.dseq > core.MaxDecisionSeq {
-						scanErr = fmt.Errorf("central: %s (%s, %d): dseq %d out of range", s.decisionsTab[k], r[0].S(), r[1].I(), e.dseq)
-						return false
-					}
-					if old, ok := pm.decided.Get(e.id); !ok || e.dseq > old.Seq {
-						pm.decided.Set(e.id, core.RestoredDecision{Decision: e.d, Seq: e.dseq})
-					}
-					if e.dseq > pm.nextSeq {
-						pm.nextSeq = e.dseq
-					}
+				if old, ok := pm.decided.Get(e.id); !ok || e.dseq > old.Seq {
+					pm.decided.Set(e.id, core.RestoredDecision{Decision: e.d, Seq: e.dseq})
 				}
-				return true
-			}); err != nil {
-				return err
+				if e.dseq > pm.nextSeq {
+					pm.nextSeq = e.dseq
+				}
 			}
-			if scanErr != nil {
-				return scanErr
-			}
+			return true
+		}); err != nil {
+			return err
+		}
+		if scanErr != nil {
+			return scanErr
 		}
 		if r, ok, err := tx.Get(s.metaTab, reldb.Str("compacted_before")); err != nil {
 			return err

@@ -412,16 +412,16 @@ func (s *Store) compactBeforeLocked(e core.Epoch, key store.IdempotencyKey) erro
 		}
 	}
 
-	// The epochs whose rows go away this pass, and every indexed
-	// transaction at or below the horizon: the epochs being dropped now
+	// The epochs this pass voids, and every indexed transaction at or
+	// below the horizon: the transactions of the epochs being dropped now
 	// plus former residue whose hold-outs have since settled (the retained
 	// snapshot's residue set no longer lists them — time to release their
 	// payloads too). The index still holds everything (purged below, after
-	// the commit), so decision rows can be routed to their epochs.
+	// the commit), so each decision entry can be matched to its epoch.
 	var dropEpochs []core.Epoch
 	s.epochMu.RLock()
 	for ep := compacted + 1; ep <= e; ep++ {
-		if _, ok := s.epochs[ep]; ok {
+		if _, ok := s.epochs.Get(ep); ok {
 			dropEpochs = append(dropEpochs, ep)
 		}
 	}
@@ -438,33 +438,20 @@ func (s *Store) compactBeforeLocked(e core.Epoch, key store.IdempotencyKey) erro
 	pruneIdem := s.prunableIdem(e)
 
 	// One atomic commit, tables touched in the documented lock order:
-	// epochs_k, txns_k, decisions_k (shard indexes ascending within each
-	// group), then meta, then idempotency.
+	// txns, decisions, then meta, then idempotency.
 	err := s.db.Update(func(tx *reldb.Tx) error {
-		for k := 0; k < s.tableShards; k++ {
-			for _, ep := range dropEpochs {
-				if s.shardOf(ep) != k {
-					continue
-				}
-				if _, err := tx.Delete(s.epochsTab[k], reldb.Int(int64(ep))); err != nil {
-					return err
-				}
+		var ords []int64
+		if err := tx.Scan(s.txnsTab, func(r reldb.Row) bool {
+			if core.Epoch(r[1].I()) <= e {
+				ords = append(ords, r[0].I())
 			}
+			return true
+		}); err != nil {
+			return err
 		}
-		for k := 0; k < s.tableShards; k++ {
-			var ords []int64
-			if err := tx.Scan(s.txnsTab[k], func(r reldb.Row) bool {
-				if core.Epoch(r[1].I()) <= e {
-					ords = append(ords, r[0].I())
-				}
-				return true
-			}); err != nil {
+		for _, ord := range ords {
+			if _, err := tx.Delete(s.txnsTab, reldb.Int(ord)); err != nil {
 				return err
-			}
-			for _, ord := range ords {
-				if _, err := tx.Delete(s.txnsTab[k], reldb.Int(ord)); err != nil {
-					return err
-				}
 			}
 		}
 		// A decision entry goes when its transaction's epoch is at or below
@@ -477,46 +464,44 @@ func (s *Store) compactBeforeLocked(e core.Epoch, key store.IdempotencyKey) erro
 			first   int64
 			payload []byte // nil: delete the row
 		}
-		for k := 0; k < s.tableShards; k++ {
-			var rewrites []decRewrite
-			var scanErr error
-			if err := tx.Scan(s.decisionsTab[k], func(r reldb.Row) bool {
-				peer, first := r[0].S(), r[1].I()
-				es, err := decodeDecisionRow(first, r[2].S())
-				if err != nil {
-					scanErr = fmt.Errorf("central: %s (%s, %d): %w", s.decisionsTab[k], peer, first, err)
-					return false
+		var rewrites []decRewrite
+		var scanErr error
+		if err := tx.Scan(s.decisionsTab, func(r reldb.Row) bool {
+			peer, first := r[0].S(), r[1].I()
+			es, err := decodeDecisionRow(first, r[2].S())
+			if err != nil {
+				scanErr = fmt.Errorf("central: %s (%s, %d): %w", s.decisionsTab, peer, first, err)
+				return false
+			}
+			keep := es[:0]
+			for _, d := range es {
+				if en := s.lookup(d.id); (en != nil && en.epoch > e) || d.dseq > hw[core.PeerID(peer)] {
+					keep = append(keep, d)
 				}
-				keep := es[:0]
-				for _, d := range es {
-					if en := s.lookup(d.id); (en != nil && en.epoch > e) || d.dseq > hw[core.PeerID(peer)] {
-						keep = append(keep, d)
-					}
-				}
-				switch {
-				case len(keep) == len(es):
-				case len(keep) == 0:
-					rewrites = append(rewrites, decRewrite{peer: peer, first: first})
-				default:
-					rewrites = append(rewrites, decRewrite{peer: peer, first: first, payload: appendDecisionRow(nil, first, keep)})
-				}
-				return true
-			}); err != nil {
+			}
+			switch {
+			case len(keep) == len(es):
+			case len(keep) == 0:
+				rewrites = append(rewrites, decRewrite{peer: peer, first: first})
+			default:
+				rewrites = append(rewrites, decRewrite{peer: peer, first: first, payload: appendDecisionRow(nil, first, keep)})
+			}
+			return true
+		}); err != nil {
+			return err
+		}
+		if scanErr != nil {
+			return scanErr
+		}
+		for _, rw := range rewrites {
+			var err error
+			if rw.payload == nil {
+				_, err = tx.Delete(s.decisionsTab, reldb.Str(rw.peer), reldb.Int(rw.first))
+			} else {
+				err = tx.Upsert(s.decisionsTab, reldb.Row{reldb.Str(rw.peer), reldb.Int(rw.first), reldb.Bytes(rw.payload)})
+			}
+			if err != nil {
 				return err
-			}
-			if scanErr != nil {
-				return scanErr
-			}
-			for _, rw := range rewrites {
-				var err error
-				if rw.payload == nil {
-					_, err = tx.Delete(s.decisionsTab[k], reldb.Str(rw.peer), reldb.Int(rw.first))
-				} else {
-					err = tx.Upsert(s.decisionsTab[k], reldb.Row{reldb.Str(rw.peer), reldb.Int(rw.first), reldb.Bytes(rw.payload)})
-				}
-				if err != nil {
-					return err
-				}
 			}
 		}
 		if err := tx.Upsert(s.metaTab, reldb.Row{reldb.Str("compacted_before"), reldb.Int(int64(e))}); err != nil {
@@ -547,7 +532,7 @@ func (s *Store) compactBeforeLocked(e core.Epoch, key store.IdempotencyKey) erro
 	for _, ep := range dropEpochs {
 		em := &epochMeta{}
 		em.finished.Store(true)
-		s.epochs[ep] = em
+		s.epochs.Set(ep, em)
 	}
 	s.epochMu.Unlock()
 	for id := range oldIDs {

@@ -50,7 +50,10 @@ type StreamOptions struct {
 	Metrics *metrics.Pipeline
 	// OnResult, when set, is invoked after every streaming step whose
 	// decisions are recorded — including empty ones, so a caller can track
-	// the peer's frontier. Called from the stream goroutine.
+	// the peer's frontier. Called from the stream goroutine, in step order,
+	// with the peer's lock released: it may call the peer's own methods
+	// (PendingCount, Owed, Edit, ...), and the next step waits for it to
+	// return.
 	OnResult func(StreamResult)
 }
 
@@ -182,8 +185,23 @@ func (p *Peer) streamStepRetry(ctx context.Context, opts *StreamOptions, arrived
 // with the batch still owed, and the retry's step pays it before it begins
 // the next window. A non-zero arrived time marks the step as event-driven and
 // feeds the stable-to-decision lag counter; publish-to-stable is observed
-// for every own publish the window covers.
+// for every own publish the window covers. The observer runs after p.mu is
+// released, so it may call back into p; the Result and Batch it gets are
+// the step's own, which no later step touches.
 func (p *Peer) streamStep(ctx context.Context, opts *StreamOptions, arrived time.Time) (core.Epoch, error) {
+	res, batch, to, err := p.stepAndSettle(ctx, opts, arrived)
+	if err != nil {
+		return 0, err
+	}
+	if opts.OnResult != nil {
+		opts.OnResult(StreamResult{Peer: p.ID(), To: to, Result: res, Batch: batch})
+	}
+	return to, nil
+}
+
+// stepAndSettle is the part of streamStep that holds p.mu: the step, its
+// settle, and the stream metrics.
+func (p *Peer) stepAndSettle(ctx context.Context, opts *StreamOptions, arrived time.Time) (*core.Result, DecisionBatch, core.Epoch, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	res, batch, to, err := p.stepLocked(ctx)
@@ -191,7 +209,7 @@ func (p *Peer) streamStep(ctx context.Context, opts *StreamOptions, arrived time
 		err = settleLocked(ctx, p)
 	}
 	if err != nil {
-		return 0, err
+		return nil, DecisionBatch{}, 0, err
 	}
 	kept := p.pubStamps[:0]
 	for _, st := range p.pubStamps {
@@ -210,10 +228,7 @@ func (p *Peer) streamStep(ctx context.Context, opts *StreamOptions, arrived time
 			opts.Metrics.ObserveStreamDecide(time.Since(arrived))
 		}
 	}
-	if opts.OnResult != nil {
-		opts.OnResult(StreamResult{Peer: p.ID(), To: to, Result: res, Batch: batch})
-	}
-	return to, nil
+	return res, batch, to, nil
 }
 
 // sleepCtx sleeps d or until ctx is done; it reports whether the full

@@ -57,7 +57,6 @@ type trustEdge struct {
 // of delegation edges. The textual forms are what stores persist and what
 // the trust graph resolves; the generator itself never evaluates anything.
 type TrustTopology struct {
-	kind  TopologyKind
 	peers []core.PeerID
 	prio  []int         // each peer's self-rule priority
 	edges [][]trustEdge // delegations, by delegator index
@@ -78,7 +77,6 @@ func NewTrustTopology(cfg TopologyConfig) (*TrustTopology, error) {
 	}
 	n := cfg.Peers
 	tt := &TrustTopology{
-		kind:  cfg.Kind,
 		peers: make([]core.PeerID, n),
 		prio:  make([]int, n),
 		edges: make([][]trustEdge, n),
@@ -130,9 +128,6 @@ func NewTrustTopology(cfg TopologyConfig) (*TrustTopology, error) {
 	}
 	return tt, nil
 }
-
-// Kind returns the topology's shape.
-func (t *TrustTopology) Kind() TopologyKind { return t.kind }
 
 // Len returns the number of peers.
 func (t *TrustTopology) Len() int { return len(t.peers) }

@@ -76,7 +76,9 @@ func WithStreamRetry(base, max time.Duration) SystemOption {
 
 // WithStreamObserver registers a callback RunStreaming invokes after every
 // streaming step whose decisions are recorded. It is called from the
-// per-peer stream goroutines — possibly concurrently for different peers.
+// per-peer stream goroutines — possibly concurrently for different peers,
+// in step order for one peer — with that peer's lock released, so it may
+// call back into the peer it reports on (PendingCount, Owed, Edit, ...).
 func WithStreamObserver(fn func(store.StreamResult)) SystemOption {
 	return func(c *systemConfig) { c.streamObs = fn }
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -402,5 +403,77 @@ func TestStreamingNeedsWatcher(t *testing.T) {
 	err = p.ReconcileStream(ctx, StreamOptions{})
 	if err == nil || store.IsTransient(err) || !strings.Contains(err.Error(), "cannot watch") {
 		t.Fatalf("ReconcileStream over a bare store.Store: %v, want a permanent cannot-watch error", err)
+	}
+}
+
+// TestStreamObserverCallsItsPeer: the stream observer runs with the
+// peer's lock released, so an observer that calls back into the peer it
+// reports on (PendingCount takes that lock) returns instead of
+// deadlocking the stream. What it is handed stays its own while the
+// application edits and publishes on the same peer: run under -race.
+func TestStreamObserverCallsItsPeer(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	schema := streamSchema()
+	cs := central.MustOpenMemory(schema)
+	defer cs.Close()
+	pa, err := store.NewPeer(ctx, "pa", schema, TrustAll(1), cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := store.NewPeer(ctx, "pb", schema, TrustAll(1), cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan int)
+	done := make(chan error, 1)
+	go func() {
+		done <- pa.ReconcileStream(ctx, StreamOptions{OnResult: func(r store.StreamResult) {
+			if !slices.Equal(r.Batch.Accepted, r.Result.Accepted) || !slices.Equal(r.Batch.Rejected, r.Result.Rejected) {
+				t.Errorf("step batch %v/%v, result %v/%v", r.Batch.Accepted, r.Batch.Rejected, r.Result.Accepted, r.Result.Rejected)
+			}
+			_ = pa.PendingCount()
+			select {
+			case accepted <- len(r.Batch.Accepted):
+			case <-ctx.Done():
+			}
+		}})
+	}()
+	edited := make(chan struct{})
+	go func() {
+		defer close(edited)
+		for i := range 10 {
+			if _, err := pa.Edit(Insert("F", Strs("org", fmt.Sprintf("a%d", i), "v"), "pa")); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := pa.Publish(ctx); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := range 10 {
+		if _, err := pb.Edit(Insert("F", Strs("org", fmt.Sprintf("b%d", i), "v"), "pb")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pb.Publish(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.After(10 * time.Second)
+	for got := 0; got < 10 || edited != nil; {
+		select {
+		case n := <-accepted:
+			got += n
+		case <-edited:
+			edited = nil
+		case <-deadline:
+			t.Fatalf("in 10 s the stream accepted %d of pb's 10 transactions and pa's edits finished: %v; an observer calling back into its peer blocks the stream", got, edited == nil)
+		}
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -51,8 +51,8 @@ func assertCompiledMatchesInterpreted(t *testing.T, tt *workload.TrustTopology, 
 		for _, origin := range orgIDs {
 			u := core.Insert("F", core.Strs("org", "prot", "fn"), origin)
 			if c, iv := eff.Priority(u), interp.Priority(u); c != iv {
-				t.Errorf("%s/%s: priority(origin=%s) compiled=%d interpreted=%d",
-					tt.Kind(), id, origin, c, iv)
+				t.Errorf("%s: priority(origin=%s) compiled=%d interpreted=%d",
+					id, origin, c, iv)
 			}
 		}
 	}
