@@ -252,8 +252,13 @@ storage-smoke:
 # FuzzDecodeSnapshotDB), central's decision rows (FuzzDecodeDecisionRow),
 # the namespace codec, the trust parser, and core's decided table
 # (FuzzDecidedTable, model-checked against plain maps). go's
-# -fuzz runs one target per invocation, so each gets its own line.
+# -fuzz runs one target per invocation, so each gets its own line. First,
+# by name, the byte-level pins of the wire: the begin reply's body
+# (TestReconciliationGolden), a begin over TCP sharing its transactions as
+# the in-process begin does (TestBeginSharesTransactionsOverTheWire) and
+# the rpc envelope (TestFrameGolden).
 fuzz-smoke:
+	$(GO) test -count=1 -run '^(TestReconciliationGolden|TestBeginSharesTransactionsOverTheWire|TestFrameGolden)$$' ./internal/store ./internal/store/remote ./internal/rpc
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTuple$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecidedTable$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePublishedTxns$$' -fuzztime 10s ./internal/store

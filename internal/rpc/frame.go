@@ -28,8 +28,10 @@ import (
 // Both ends of a connection must speak the same version: a server answers a
 // request of another version, or one it cannot parse, with an error frame
 // and hangs up, so the caller gets a permanent error rather than a torn
-// connection it would retry.
-const protocolVersion = 1
+// connection it would retry. The version covers the bodies as well as the
+// envelope: version 2 is the begin reply that writes each transaction once
+// and references it after (store.AppendReconciliation).
+const protocolVersion = 2
 
 const (
 	statusOK  = 0

@@ -416,9 +416,9 @@ func TestFrameGolden(t *testing.T) {
 	}
 	for _, c := range []struct{ name, got, want string }{
 		{"request", frame(appendRequestHead(nil, "p1", "store.begin", 1500), []byte("body")),
-			"16000000" + "01" + "027031" + "0b73746f72652e626567696e" + "dc0b" + "626f6479"},
-		{"ok response", frame(okHead, []byte("ok")), "04000000" + "0100" + "6f6b"},
-		{"error response", frame(errHead, []byte("boom")), "06000000" + "0101" + "626f6f6d"},
+			"16000000" + "02" + "027031" + "0b73746f72652e626567696e" + "dc0b" + "626f6479"},
+		{"ok response", frame(okHead, []byte("ok")), "04000000" + "0200" + "6f6b"},
+		{"error response", frame(errHead, []byte("boom")), "06000000" + "0201" + "626f6f6d"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s frame:\n got %s\nwant %s", c.name, c.got, c.want)
@@ -434,7 +434,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(appendRequestHead(nil, "", "", 0))
 	f.Add(append(append([]byte(nil), okHead...), "reply"...))
 	f.Add(append(append([]byte(nil), errHead...), "boom"...))
-	f.Add([]byte{2, 0})
+	f.Add([]byte{1, 0}) // version 1, which this build refuses
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if req, timeout, err := decodeRequest(data); err == nil {
 			if re := append(appendRequestHead(nil, req.From, req.Method, timeout), req.Body...); !bytes.Equal(re, data) {

@@ -50,13 +50,16 @@ func (s *Store) resolveLayout() (int64, error) {
 var errLayout3 = errors.New("central: store directory has table layout 3 (one decision row per decision), which this release no longer reads; commit 948bb9d is the last that reads it, and no release migrates it")
 
 // initTables creates what a directory lacks, and upgrades a layout-4
-// directory, in one commit.
+// directory, in one commit. An upgrade commit writes every row of the
+// shard tables again, so the directory would hold each row twice, in the
+// shard tables' history and in the commit's WAL record, until the next
+// checkpoint; initTables checkpoints once after it, leaving one copy.
 func (s *Store) initTables() error {
 	layout, err := s.resolveLayout()
 	if err != nil {
 		return err
 	}
-	return s.db.Update(func(tx *reldb.Tx) error {
+	err = s.db.Update(func(tx *reldb.Tx) error {
 		create := func(def reldb.TableDef) error {
 			if tx.HasTable(def.Name) {
 				return nil
@@ -169,6 +172,10 @@ func (s *Store) initTables() error {
 		}
 		return nil
 	})
+	if err != nil || layout != 4 {
+		return err
+	}
+	return s.db.Checkpoint()
 }
 
 // loadCaches rebuilds the in-memory indexes from the tables after recovery.

@@ -64,7 +64,9 @@ func TestFreshDirectoryLayout5(t *testing.T) {
 // in layout 4 (testdata, made by writeLayoutFixture; CHANGES.md gives the
 // commands), at 8 shards and at 4: the upgraded store reads out the
 // transcript e631cd3 read from the same directory, the directory is
-// layout 5, and a reopen reads the same again.
+// layout 5 and ends smaller than the fixture (the upgrade leaves one copy
+// of each row, not the shard tables' and the upgrade commit's), and a
+// reopen reads the same again.
 func TestUpgradeLayout4(t *testing.T) {
 	schema := storetest.Schema(t)
 	for _, shards := range []int{8, 4} {
@@ -79,6 +81,14 @@ func TestUpgradeLayout4(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertShardTables(t, dir, shards)
+			size := func() int {
+				n := 0
+				for _, b := range dirBytes(t, dir) {
+					n += len(b)
+				}
+				return n
+			}
+			fixtureSize := size()
 			for _, pass := range []string{"upgrade", "reopen"} {
 				s, err := Open(schema, dir)
 				if err != nil {
@@ -90,6 +100,9 @@ func TestUpgradeLayout4(t *testing.T) {
 				assertLayout5(t, s)
 				if err := s.Close(); err != nil {
 					t.Fatal(err)
+				}
+				if n := size(); pass == "upgrade" && n >= fixtureSize {
+					t.Errorf("upgrade left %d bytes in the directory, the fixture has %d", n, fixtureSize)
 				}
 			}
 		})

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"orchestra/internal/codec"
@@ -39,25 +40,44 @@ func AppendPublishedTxns(dst []byte, txns []PublishedTxn) []byte {
 
 // AppendReconciliation encodes a store's answer to BeginReconciliation:
 // recno, the epoch window, then each candidate as (Txn present, Txn,
-// priority, extension).
+// priority, extension). Every transaction slot, a candidate's Txn and each
+// extension entry, is a reference: a uvarint k that names the k-th
+// transaction the body has already introduced, or, when k is the count
+// introduced so far, introduces the next one inline (appendTxn). So a
+// transaction the window shares, a candidate's own Txn that ends its
+// extension or an antecedent several extensions need, is written once.
+// Sharing is pointer identity: two distinct transactions with equal
+// contents are written twice.
 func AppendReconciliation(dst []byte, rec *Reconciliation) []byte {
 	dst = binary.AppendVarint(dst, int64(rec.Recno))
 	dst = binary.AppendUvarint(dst, uint64(rec.FromEpoch))
 	dst = binary.AppendUvarint(dst, uint64(rec.ToEpoch))
 	dst = binary.AppendUvarint(dst, uint64(len(rec.Candidates)))
+	refs := make(map[*core.Transaction]uint64, len(rec.Candidates))
 	for _, c := range rec.Candidates {
 		if c.Txn == nil {
 			dst = append(dst, 0)
 		} else {
-			dst = appendTxn(append(dst, 1), c.Txn)
+			dst = appendTxnRef(append(dst, 1), refs, c.Txn)
 		}
 		dst = binary.AppendVarint(dst, int64(c.Priority))
 		dst = binary.AppendUvarint(dst, uint64(len(c.Ext)))
 		for _, x := range c.Ext {
-			dst = appendTxn(dst, x)
+			dst = appendTxnRef(dst, refs, x)
 		}
 	}
 	return dst
+}
+
+// appendTxnRef writes x's reference, and x itself the first time: refs
+// numbers the transactions the body has introduced.
+func appendTxnRef(dst []byte, refs map[*core.Transaction]uint64, x *core.Transaction) []byte {
+	if k, ok := refs[x]; ok {
+		return binary.AppendUvarint(dst, k)
+	}
+	k := uint64(len(refs))
+	refs[x] = k
+	return appendTxn(binary.AppendUvarint(dst, k), x)
 }
 
 // AppendDecisionBatches encodes the argument of RecordDecisionsBatch: each
@@ -182,6 +202,8 @@ func DecodePublishedTxns(payload []byte) ([]PublishedTxn, error) {
 }
 
 // DecodeReconciliation decodes a payload produced by AppendReconciliation.
+// A transaction the body introduces once and references again decodes to
+// one *core.Transaction, shared as the in-process begin shares it.
 func DecodeReconciliation(payload []byte) (*Reconciliation, error) {
 	r := codec.NewReader(payload)
 	rec := &Reconciliation{
@@ -191,16 +213,17 @@ func DecodeReconciliation(payload []byte) (*Reconciliation, error) {
 	}
 	if n := r.Count(); n > 0 {
 		rec.Candidates = make([]*core.Candidate, 0, n)
+		txns := make([]*core.Transaction, 0, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
 			c := &core.Candidate{}
 			if r.Flag() {
-				c.Txn = readTxn(&r)
+				c.Txn, txns = readTxnRef(&r, txns)
 			}
 			c.Priority = int(r.Varint())
 			if ne := r.Count(); ne > 0 {
-				c.Ext = make([]*core.Transaction, 0, ne)
+				c.Ext = make([]*core.Transaction, ne)
 				for j := 0; j < ne && r.Err() == nil; j++ {
-					c.Ext = append(c.Ext, readTxn(&r))
+					c.Ext[j], txns = readTxnRef(&r, txns)
 				}
 			}
 			rec.Candidates = append(rec.Candidates, c)
@@ -210,6 +233,24 @@ func DecodeReconciliation(payload []byte) (*Reconciliation, error) {
 		return nil, err
 	}
 	return rec, nil
+}
+
+var errTxnRef = errors.New("store: reconciliation references a transaction it has not introduced")
+
+// readTxnRef reads what appendTxnRef wrote: txns are the transactions
+// introduced so far, and it returns them with the one it read appended, if
+// the reference introduced one.
+func readTxnRef(r *codec.Reader, txns []*core.Transaction) (*core.Transaction, []*core.Transaction) {
+	switch k := r.Uvarint(); {
+	case k < uint64(len(txns)):
+		return txns[k], txns
+	case k == uint64(len(txns)):
+		x := readTxn(r)
+		return x, append(txns, x)
+	default:
+		r.Fail(errTxnRef)
+		return nil, txns
+	}
 }
 
 // DecodeDecisionBatches decodes a payload produced by AppendDecisionBatches.

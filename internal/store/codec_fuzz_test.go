@@ -105,16 +105,33 @@ func fuzzSeedReconciliation() *Reconciliation {
 	}}
 }
 
-// reconciliationUpdates lists rec's updates in encoding order.
+// reconciliationUpdates lists rec's updates in encoding order, each
+// distinct transaction's once: a transaction the body references again
+// decoded to the pointer it introduced.
 func reconciliationUpdates(rec *Reconciliation) []*core.Update {
+	return updatesOf(reconciliationTxns(rec)...)
+}
+
+// reconciliationTxns lists rec's distinct transactions in the order the
+// body introduces them.
+func reconciliationTxns(rec *Reconciliation) []*core.Transaction {
 	var txns []*core.Transaction
+	seen := make(map[*core.Transaction]bool)
+	add := func(x *core.Transaction) {
+		if !seen[x] {
+			seen[x] = true
+			txns = append(txns, x)
+		}
+	}
 	for _, c := range rec.Candidates {
 		if c.Txn != nil {
-			txns = append(txns, c.Txn)
+			add(c.Txn)
 		}
-		txns = append(txns, c.Ext...)
+		for _, x := range c.Ext {
+			add(x)
+		}
 	}
-	return updatesOf(txns...)
+	return txns
 }
 
 // FuzzDecodeReconciliation holds DecodeReconciliation to the contract of
@@ -124,6 +141,7 @@ func FuzzDecodeReconciliation(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendReconciliation(nil, &Reconciliation{}))
 	f.Add(AppendReconciliation(nil, fuzzSeedReconciliation()))
+	f.Add(AppendReconciliation(nil, sharedAntecedentReconciliation()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := DecodeReconciliation(data)
 		if err != nil {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/hex"
 	"testing"
 
@@ -127,5 +128,96 @@ func TestEmptyNewHasTwoEncodings(t *testing.T) {
 	padded := append([]byte{payloadVersion, 1, 0x82, 0x00}, data[3:]...)
 	if reencodes(padded, us, encode) {
 		t.Error("reencodes accepted a padded varint")
+	}
+}
+
+// sharedAntecedentReconciliation is a window whose two candidates need one
+// antecedent: each extension is the antecedent, then the candidate itself,
+// as central's walk builds it, over three distinct transactions.
+func sharedAntecedentReconciliation() *Reconciliation {
+	a := core.NewTransaction(core.TxnID{Origin: "pa", Seq: 1}, core.Insert("F", core.Strs("rat"), "pa"))
+	b := core.NewTransaction(core.TxnID{Origin: "pb", Seq: 1}, core.Delete("F", core.Strs("rat"), "pb"))
+	c := core.NewTransaction(core.TxnID{Origin: "pc", Seq: 2}, core.Modify("F", core.Strs("rat"), core.Strs("cow"), "pc"))
+	a.Epoch, a.Order = 1, 1<<20
+	b.Epoch, b.Order = 2, 2<<20
+	c.Epoch, c.Order = 2, 2<<20|1
+	return &Reconciliation{Recno: 1, FromEpoch: 1, ToEpoch: 2, Candidates: []*core.Candidate{
+		{Txn: b, Priority: 1, Ext: []*core.Transaction{a, b}},
+		{Txn: c, Priority: 3, Ext: []*core.Transaction{a, c}},
+	}}
+}
+
+// TestReconciliationGolden pins begin's reply body byte for byte. Each
+// transaction is written once, behind the reference that introduces it,
+// and referenced after by its index: in the first window the candidate's
+// Txn ends its own extension, in the second two extensions share an
+// antecedent. Decoding gives back one pointer per transaction, as the
+// in-process begin hands them out, and re-encodes to the same bytes; a
+// reference to a transaction not yet introduced is refused.
+func TestReconciliationGolden(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		rec  *Reconciliation
+		want string
+		// distinct is the number of transactions written inline, and so
+		// the number of pointers decoding gives back.
+		distinct int
+	}{
+		{"txn in its own ext", fuzzSeedReconciliation(),
+			"08020302" + // recno 4, window (2, 3], 2 candidates
+				"01" + "00" + "02706207038180c00102030146027062180103726174010570726f7431010a63656c6c2d6d65746162011401037261740105" +
+				"70726f74310106696d6d756e650201460270621101056d6f757365010570726f743201017800" + // Txn: introduces #0, pb:7
+				"04" + "02" + // priority 2, 2 in the extension
+				"01" + "02706101000001010146027061180103726174010570726f7431010a63656c6c2d6d6574616200" + // introduces #1, pa:1
+				"00" + // references #0
+				"00" + "01" + "00", // no Txn, priority -1, no extension
+			2},
+		{"shared antecedent", sharedAntecedentReconciliation(),
+			"02010202" + // recno 1, window (1, 2], 2 candidates
+				"01" + "00" + "0270620102808080010102014602706205010372617400" + // Txn: introduces #0, pb:1
+				"02" + "02" + // priority 1, 2 in the extension
+				"01" + "02706101018080400101014602706105010372617400" + // introduces #1, pa:1
+				"00" + // references #0
+				"01" + "02" + "0270630202818080010103014602706305010372617401050103636f77" + // Txn: introduces #2, pc:2
+				"06" + "02" + // priority 3, 2 in the extension
+				"01" + "02", // references #1, then #2
+			3},
+	} {
+		got := AppendReconciliation(nil, c.rec)
+		if h := hex.EncodeToString(got); h != c.want {
+			t.Errorf("%s moved:\n got %s\nwant %s", c.name, h, c.want)
+		}
+		rec, err := DecodeReconciliation(got)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n := len(reconciliationTxns(rec)); n != c.distinct {
+			t.Errorf("%s decoded to %d distinct transactions, want %d", c.name, n, c.distinct)
+		}
+		for i, cand := range rec.Candidates {
+			if cand.Txn != nil && cand.Txn != cand.Ext[len(cand.Ext)-1] {
+				t.Errorf("%s: candidate %d's Txn is not the pointer that ends its extension", c.name, i)
+			}
+		}
+		if again := AppendReconciliation(nil, rec); !bytes.Equal(again, got) {
+			t.Errorf("%s re-encodes to %x", c.name, again)
+		}
+	}
+	// A reference past the transactions introduced so far, and an inline
+	// transaction cut short, are refused.
+	good := AppendReconciliation(nil, sharedAntecedentReconciliation())
+	first := bytes.Clone(good)
+	first[5] = 1 // the first Txn slot names #1 where none is introduced
+	last := bytes.Clone(good)
+	last[len(last)-1] = 4 // the last slot names #4 where 3 are introduced
+	torn := good[:bytes.Index(good, []byte("pc"))+1]
+	for name, b := range map[string][]byte{
+		"reference past none":          first,
+		"reference past three":         last,
+		"truncated inline transaction": torn,
+	} {
+		if _, err := DecodeReconciliation(b); err == nil {
+			t.Errorf("%s: decoded %x", name, b)
+		}
 	}
 }

@@ -228,3 +228,75 @@ func TestServerRefusesMissingCapability(t *testing.T) {
 		}
 	}
 }
+
+// TestBeginSharesTransactionsOverTheWire: a begin reply decoded off the
+// wire shares its transactions as the in-process begin hands them out. pb
+// and pc each publish a transaction whose antecedent is pa's, so a peer
+// that has decided none of them gets three candidates, two of whose
+// extensions need pa's transaction. Over TCP, as in process, each
+// candidate's Txn is the pointer that ends its own extension, and pa's
+// transaction is one pointer in every extension and as a candidate.
+func TestBeginSharesTransactionsOverTheWire(t *testing.T) {
+	schema := storetest.Schema(t)
+	backend := central.MustOpenMemory(schema)
+	srv := NewServer(backend, schema)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		backend.Close()
+	})
+	ctx := context.Background()
+	cl := NewClient("x", addr)
+	for _, p := range []core.PeerID{"pa", "pb", "pc", "wire", "local"} {
+		if err := cl.RegisterPeer(ctx, p, policyAll(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	xa := core.NewTransaction(core.TxnID{Origin: "pa", Seq: 1},
+		core.Insert("F", core.Strs("rat", "p1", "f"), "pa"),
+		core.Insert("F", core.Strs("rat", "p2", "f"), "pa"))
+	xb := core.NewTransaction(core.TxnID{Origin: "pb", Seq: 1},
+		core.Modify("F", core.Strs("rat", "p1", "f"), core.Strs("rat", "p1", "g"), "pb"))
+	xc := core.NewTransaction(core.TxnID{Origin: "pc", Seq: 1},
+		core.Modify("F", core.Strs("rat", "p2", "f"), core.Strs("rat", "p2", "h"), "pc"))
+	for _, pub := range []store.PublishedTxn{{Txn: xa}, {Txn: xb, Antecedents: []core.TxnID{xa.ID}}, {Txn: xc, Antecedents: []core.TxnID{xa.ID}}} {
+		if _, err := cl.Publish(ctx, pub.Txn.ID.Origin, []store.PublishedTxn{pub}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := func(via string, rec *store.Reconciliation) {
+		t.Helper()
+		if len(rec.Candidates) != 3 {
+			t.Fatalf("%s: %d candidates, want 3", via, len(rec.Candidates))
+		}
+		var root *core.Transaction
+		for _, c := range rec.Candidates {
+			if c.Txn == nil || len(c.Ext) == 0 || c.Ext[len(c.Ext)-1] != c.Txn {
+				t.Errorf("%s: candidate %v's Txn is not the pointer that ends its extension", via, c.Txn)
+			}
+			if c.Txn != nil && c.Txn.ID == xa.ID {
+				root = c.Txn
+			}
+		}
+		if root == nil {
+			t.Fatalf("%s: %v is not a candidate", via, xa.ID)
+		}
+		for _, c := range rec.Candidates {
+			if c.Txn.ID != xa.ID && (len(c.Ext) != 2 || c.Ext[0] != root) {
+				t.Errorf("%s: %v's extension does not share %v's pointer", via, c.Txn.ID, xa.ID)
+			}
+		}
+	}
+	rec, err := NewClient("wire", addr).BeginReconciliation(ctx, "wire")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared("over TCP", rec)
+	if rec, err = backend.BeginReconciliation(ctx, "local"); err != nil {
+		t.Fatal(err)
+	}
+	shared("in process", rec)
+}

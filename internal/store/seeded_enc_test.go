@@ -58,14 +58,7 @@ func TestDecodeSeedsEncodingCaches(t *testing.T) {
 			if err != nil {
 				return nil, nil, err
 			}
-			var xs []*core.Transaction
-			for _, c := range rec.Candidates {
-				if c.Txn != nil {
-					xs = append(xs, c.Txn)
-				}
-				xs = append(xs, c.Ext...)
-			}
-			return rec, xs, nil
+			return rec, reconciliationTxns(rec), nil
 		}},
 	}
 	attrs := []core.AttrDef{{Name: "organism"}, {Name: "protein"}, {Name: "function"}}
