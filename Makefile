@@ -105,7 +105,10 @@ bench-smoke:
 # run scratch (TestRunScratch*: engines sharing it equal fresh ones, nothing
 # a run hands out aliases it, and it is zeroed after every run),
 # the scoped resolve re-run against the full one
-# (TestResolveScopedMatchesFullRerun), the engine invariants (TestInvariant*:
+# (TestResolveScopedMatchesFullRerun) and the exact settled rule it rests
+# on (TestSettledRuleIsExact: a tie nobody decided is settled, a component
+# with a decided member or a fresh member deferred by a line-1 check is
+# re-run), the engine invariants (TestInvariant*:
 # disjoint decision sets, idle fixpoints, instance consistency, every held
 # value's row naming an applied producer whose updates wrote it, and the
 # soft state a run keeps where it reproduces it equal to soft state built
@@ -121,14 +124,16 @@ bench-smoke:
 # (TestEngineSnapshotGolden: version 2) and the version-1 golden refused
 # with the commits that upgrade it (TestSnapshotRefusesV1), central's begin
 # window (TestBeginWindowBlock: its candidates in one block equal the old
-# per-candidate build, and an engine keeps nothing of the block), and the
+# per-candidate build, and an engine keeps nothing of the block) and its
+# epoch-by-epoch walk agreeing with the index walk (TestWindowMatchesIndexWalk:
+# every window, an open epoch, a reopen, above a compaction), and the
 # concurrent ReconcileAll against the sequential reference
 # (TestReconcileAllDifferential). make verify covers these too; running
 # them by name makes an engine regression unmissable in CI.
 core-smoke:
-	$(GO) test -race -count=3 -run '^TestUpdateExtensionMatchesGeneral$$|^TestUpdateExtensionsShareRunScratch$$|^TestReconcileSingleUpdateAllocations$$|^TestReconcileOwnDeltaAllocations$$|^TestReconcileSingleUpdateBytes$$|^TestResolveDrainAllocations$$|^TestConflictGroupsGolden$$|^TestRunScratch|^TestResolveScopedMatchesFullRerun$$|^TestInvariant|^TestInstanceVerbatimInsertCountsOnce$$|^TestVerbatimReinsertLiveMatchesRestore$$|^TestHeldInsertDeletedLiveMatchesRestore$$|^TestApplyFlattensOnTheRunsInstance$$|^TestAppliedRunsMatchRestore$$' ./internal/core
+	$(GO) test -race -count=3 -run '^TestUpdateExtensionMatchesGeneral$$|^TestUpdateExtensionsShareRunScratch$$|^TestReconcileSingleUpdateAllocations$$|^TestReconcileOwnDeltaAllocations$$|^TestReconcileSingleUpdateBytes$$|^TestResolveDrainAllocations$$|^TestConflictGroupsGolden$$|^TestRunScratch|^TestResolveScopedMatchesFullRerun$$|^TestSettledRuleIsExact$$|^TestInvariant|^TestInstanceVerbatimInsertCountsOnce$$|^TestVerbatimReinsertLiveMatchesRestore$$|^TestHeldInsertDeletedLiveMatchesRestore$$|^TestApplyFlattensOnTheRunsInstance$$|^TestAppliedRunsMatchRestore$$' ./internal/core
 	$(GO) test -race -count=3 -run '^TestEngineSnapshotGolden$$|^TestSnapshotRefusesV1$$' ./internal/store
-	$(GO) test -race -count=3 -run '^TestBeginWindowBlock$$' ./internal/store/central
+	$(GO) test -race -count=3 -run '^TestBeginWindowBlock$$|^TestWindowMatchesIndexWalk$$' ./internal/store/central
 	$(GO) test -race -count=3 -run '^TestReconcileAllDifferential$$' .
 
 # chaos-smoke runs both fault-injection convergence matrices — the 4-peer

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/maphash"
 	"maps"
 	"math/bits"
 	"slices"
@@ -17,9 +18,16 @@ import (
 // origin, pages of pageIDs consecutive seqs, each allocated when first
 // written and freed when emptied. A seq at or past denseBound goes to the
 // origin's overflow map instead, so memory is O(ids held + pages touched),
-// plus at most denseBound/pageIDs page slots per origin, whatever the
+// plus at most denseBound/pageIDs + 1 page slots per origin, whatever the
 // largest seq. Reads never write: Has, Get and the exports may run side by
 // side, but not beside a write.
+//
+// The peers of a fleet decide the same origins' ids in the same rounds. Had
+// every table's pages started at multiples of pageIDs, all of them would
+// allocate a page for an origin in the same round. So the faces seed their
+// table on its first write, and a seeded table shifts each origin row's
+// page boundaries by an offset drawn from its seed (originRow.off), as
+// spread.Map seeds its hash: each table allocates at seqs of its own.
 
 const (
 	pageShift  = 9
@@ -30,8 +38,10 @@ const (
 // originRow is one origin's ids.
 type originRow struct {
 	origin PeerID
-	// pages[i] holds seqs [i<<pageShift, (i+1)<<pageShift), nil while it
+	// off shifts the page boundaries: seq s sits at slot s+off, and
+	// pages[i] holds slots [i<<pageShift, (i+1)<<pageShift), nil while it
 	// holds none; held[i] counts the ids it holds.
+	off   uint64
 	pages [][]uint64
 	held  []uint16
 	// over holds the seqs at or past denseBound.
@@ -45,6 +55,17 @@ type idTable struct {
 	rows  []*originRow          // in the order origins were first written, for iteration
 	index map[PeerID]*originRow // the origin directory
 	n     int
+	// seed draws each new row's offset; the zero seed gives every row
+	// offset 0.
+	seed maphash.Seed
+}
+
+// seeded gives the table its seed if it has none yet, and returns it.
+func (t *idTable) seeded() *idTable {
+	if t.seed == (maphash.Seed{}) {
+		t.seed = maphash.MakeSeed()
+	}
+	return t
 }
 
 func pageWords(wide bool) int {
@@ -58,6 +79,9 @@ func (t *idTable) row(o PeerID) *originRow { return t.index[o] }
 
 func (t *idTable) addRow(o PeerID) *originRow {
 	r := &originRow{origin: o}
+	if t.seed != (maphash.Seed{}) {
+		r.off = maphash.String(t.seed, string(o)) & (pageIDs - 1)
+	}
 	t.rows = append(t.rows, r)
 	if t.index == nil {
 		t.index = make(map[PeerID]*originRow)
@@ -74,7 +98,8 @@ func (t *idTable) get(id TxnID, wide bool) uint64 {
 	if id.Seq >= denseBound {
 		return r.over[id.Seq]
 	}
-	pi, s := id.Seq>>pageShift, id.Seq&(pageIDs-1)
+	slot := id.Seq + r.off
+	pi, s := slot>>pageShift, slot&(pageIDs-1)
 	if pi >= uint64(len(r.pages)) || r.pages[pi] == nil {
 		return 0
 	}
@@ -105,7 +130,8 @@ func (t *idTable) set(id TxnID, v uint64, wide bool) uint64 {
 			r.over[id.Seq] = v
 		}
 	} else {
-		pi, s := id.Seq>>pageShift, id.Seq&(pageIDs-1)
+		slot := id.Seq + r.off
+		pi, s := slot>>pageShift, slot&(pageIDs-1)
 		if pi >= uint64(len(r.pages)) || r.pages[pi] == nil {
 			if v == 0 {
 				return 0
@@ -148,7 +174,7 @@ func (r *originRow) each(wide bool, fn func(TxnID, uint64)) {
 		if p == nil {
 			continue
 		}
-		base := uint64(pi) << pageShift
+		base := uint64(pi)<<pageShift - r.off // wraps for page 0; the sums below do not
 		if wide {
 			for s, v := range p {
 				if v != 0 {
@@ -190,10 +216,11 @@ func (t *idTable) sorted(wide bool) []TxnID {
 
 // clone returns a copy that shares nothing with t.
 func (t *idTable) clone() idTable {
-	c := idTable{rows: make([]*originRow, len(t.rows)), index: make(map[PeerID]*originRow, len(t.rows)), n: t.n}
+	c := idTable{rows: make([]*originRow, len(t.rows)), index: make(map[PeerID]*originRow, len(t.rows)), n: t.n, seed: t.seed}
 	for i, r := range t.rows {
 		cr := &originRow{
 			origin: r.origin,
+			off:    r.off,
 			pages:  make([][]uint64, len(r.pages)),
 			held:   slices.Clone(r.held),
 			over:   maps.Clone(r.over),
@@ -217,7 +244,7 @@ type DecidedSet struct{ t idTable }
 func (s *DecidedSet) Has(id TxnID) bool { return s.t.get(id, false) != 0 }
 
 // Add inserts an id.
-func (s *DecidedSet) Add(id TxnID) { s.t.set(id, 1, false) }
+func (s *DecidedSet) Add(id TxnID) { s.t.seeded().set(id, 1, false) }
 
 // Len returns the number of ids held.
 func (s *DecidedSet) Len() int { return s.t.n }
@@ -253,7 +280,9 @@ func (m *DecisionTable) Get(id TxnID) (RestoredDecision, bool) {
 }
 
 // Set records d for id, replacing any earlier decision.
-func (m *DecisionTable) Set(id TxnID, d RestoredDecision) { m.t.set(id, packDecision(d), true) }
+func (m *DecisionTable) Set(id TxnID, d RestoredDecision) {
+	m.t.seeded().set(id, packDecision(d), true)
+}
 
 // Delete forgets id.
 func (m *DecisionTable) Delete(id TxnID) { m.t.set(id, 0, true) }

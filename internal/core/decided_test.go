@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -54,6 +55,50 @@ func TestDecidedTableAllocatesWhatItTouches(t *testing.T) {
 		}
 		if pages, _ := pagesAndOverflow(&tab); pages != 0 || tab.n != 0 {
 			t.Errorf("wide=%v: emptying every page left %d pages and %d ids", wide, pages, tab.n)
+		}
+	}
+}
+
+// TestDecidedPagesStaggered: tables fed the same ids, as the peers of a
+// fleet are, allocate their pages at different seqs, so that many tables
+// do not all grow in the same round; and each still holds every id.
+func TestDecidedPagesStaggered(t *testing.T) {
+	const tables, ids = 8, 3 * pageIDs
+	for _, wide := range []bool{false, true} {
+		var firsts []uint64 // the seq at which each table took its second page
+		for range tables {
+			var set DecidedSet
+			var tab DecisionTable
+			tt := &set.t
+			if wide {
+				tt = &tab.t
+			}
+			var grew []uint64
+			for seq := uint64(0); seq < ids; seq++ {
+				id := TxnID{Origin: "o", Seq: seq}
+				before, _ := pagesAndOverflow(tt)
+				if wide {
+					tab.Set(id, RestoredDecision{Decision: DecisionAccept, Seq: int64(seq)})
+				} else {
+					set.Add(id)
+				}
+				if after, _ := pagesAndOverflow(tt); after > before {
+					grew = append(grew, seq)
+				}
+			}
+			for seq := uint64(0); seq < ids; seq++ {
+				if tt.get(TxnID{Origin: "o", Seq: seq}, wide) == 0 {
+					t.Fatalf("wide=%v: seq %d lost", wide, seq)
+				}
+			}
+			if len(grew) < 2 || grew[0] != 0 {
+				t.Fatalf("wide=%v: pages allocated at seqs %v", wide, grew)
+			}
+			firsts = append(firsts, grew[1])
+		}
+		slices.Sort(firsts)
+		if len(slices.Compact(firsts)) == 1 {
+			t.Errorf("wide=%v: %d tables fed the same ids all took their second page at seq %d", wide, tables, firsts[0])
 		}
 	}
 }

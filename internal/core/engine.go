@@ -175,7 +175,11 @@ type candidateState struct {
 	decision Decision
 	// carried is the deferred entry of a previously deferred candidate
 	// the run reconsiders (cand is its Candidate); nil for a fresh one.
-	carried  *deferredCand
+	carried *deferredCand
+	// shortcut reports that CheckState deferred a fresh candidate by its
+	// line-1 checks (a dirty key, a deferred dependency), which a carried
+	// candidate skips: the component must be evaluated again.
+	shortcut bool
 	deferred bool // left deferred by this run (set before UpdateSoftState)
 	// conflicts are the run's candidates whose extensions directly conflict
 	// with this one's (FindConflicts), in pair order.
@@ -208,7 +212,9 @@ type deferredCand struct {
 	groups []Conflict
 	// comp identifies its component at its last evaluation (candidates with
 	// different comp are not linked, see markComponents); settled reports
-	// that evaluating the component again would decide nothing.
+	// that evaluating the component again would reproduce its deferrals:
+	// the run decided no member and deferred no fresh one by CheckState's
+	// line-1 checks.
 	comp    uint64
 	settled bool
 }
@@ -332,6 +338,7 @@ func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCan
 		ext := e.filterApplied(st.cand.Ext, st.cand.Txn)
 		st.upEx.init(e.schema, e.inst, rs, st.cand.Txn.ID, ext, st.cand.Priority)
 		st.decision = e.checkState(&st.upEx, ownIdx, st.carried != nil)
+		st.shortcut = st.carried == nil && st.decision == DecisionDefer
 		res.Stats.ExtensionTxns += len(st.upEx.Source)
 		res.Stats.FlattenedOps += len(st.upEx.Operation)
 	}

@@ -14,9 +14,13 @@ import (
 //
 // The re-run reconsiders the deferred candidates a resolution can reach: the
 // component of the resolved group, and every component that is not settled
-// (see markComponents). The deferred candidates of the other components stay
-// deferred with their dirty keys and conflict groups in place, which is what
-// reconsidering them would arrive at.
+// (see markComponents): one whose last run decided a member or deferred a
+// fresh member by a dirty key or a deferred dependency, or every component
+// after the trust policy, the own delta or a restore changed. The deferred
+// candidates of the other components stay deferred with their dirty keys
+// and conflict groups in place, which is what reconsidering them would
+// arrive at. So the first resolution after a reconciliation whose
+// deferrals are plain ties re-runs only its own component.
 //
 // Resolve returns the result of the re-run; its Deferred lists the roots of
 // the reconsidered components that stay deferred, and DeferredIDs and

@@ -56,9 +56,11 @@ func reconcileSingleUpdate(tb testing.TB, s *Schema, cands []*Candidate) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// The first resolution after fresh candidates reconsiders every
-	// component (none is settled), so it lists all twelve left deferred.
-	if len(res.Accepted) != 1 || len(res.Rejected) != 2 || len(res.Deferred) != 12 || len(e.DeferredIDs()) != 12 {
+	// The other four groups are equal-priority ties in which the run
+	// decided nothing, so they are settled: the resolution re-runs only
+	// the resolved group's component and lists none of the twelve left
+	// deferred.
+	if len(res.Accepted) != 1 || len(res.Rejected) != 2 || len(res.Deferred) != 0 || len(e.DeferredIDs()) != 12 {
 		tb.Fatalf("resolve: %d accepted, %d rejected, %d deferred (%d in all)",
 			len(res.Accepted), len(res.Rejected), len(res.Deferred), len(e.DeferredIDs()))
 	}

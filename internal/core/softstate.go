@@ -348,13 +348,18 @@ func compareConflicts(a, b Conflict) int {
 // shared transaction shares its keys): nothing one component's candidates
 // read, write or decide is visible to another's, so evaluating a component
 // again can only come out differently if something outside every component
-// changed (Engine.unsettled) or the component itself did. It is settled —
-// evaluating it again would reproduce the same deferrals, dirty keys and
-// groups — only if the run had all its members as carried candidates and
-// decided none of them. Anything narrower is wrong: a fresh candidate
-// deferred on a dirty key alone is accepted by the next run once it is
-// carried, and a candidate whose neighbour was just accepted or rejected
-// was judged against that neighbour's old decision.
+// changed (Engine.unsettled) or the component itself did. A component is
+// unsettled when a re-run could decide it differently, which takes one of
+// two things:
+//   - the run decided a member (accepted, rejected, or applied inside
+//     another's extension), and its neighbours were judged against the
+//     member's old decision;
+//   - CheckState's line-1 checks deferred a fresh member (a dirty key, a
+//     deferred dependency), which it skips once carried.
+//
+// Otherwise re-running the component with every member carried reads the
+// same instance keys, decided sets and priorities, and so reproduces the
+// same deferrals, dirty keys and groups: it is settled.
 func (e *Engine) markComponents(rs *runScratch, order []*candidateState) {
 	rs.parent = resized(rs.parent, len(order))
 	parent := rs.parent
@@ -390,7 +395,7 @@ func (e *Engine) markComponents(rs *runScratch, order []*candidateState) {
 	rs.unsettled = resized(rs.unsettled, len(order))
 	unsettled := rs.unsettled
 	for i, st := range order {
-		if st.carried == nil || !st.deferred {
+		if st.shortcut || !st.deferred {
 			unsettled[find(int32(i))] = true
 		}
 	}

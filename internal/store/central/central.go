@@ -24,9 +24,11 @@
 //   - Each open epoch carries its own mutex; since an epoch is owned by
 //     exactly one publisher, payload encoding and cache warming — the
 //     expensive parts of publishing — run without excluding other peers.
-//   - The transaction index is striped across txnShardCount locks keyed by
-//     TxnID, so reconcilers chasing antecedents never serialize behind
-//     publishers indexing new transactions.
+//   - Each epoch lists its own entries, so a begin walks its window
+//     epoch by epoch without touching the index. The transaction index is
+//     striped across txnShardCount locks keyed by TxnID, so reconcilers
+//     chasing antecedents never serialize behind publishers indexing new
+//     transactions.
 //   - Per-peer state (trust, recno, decided sets) sits behind a per-peer
 //     mutex: one peer's reconciliation never blocks another's.
 //
@@ -79,6 +81,7 @@ package central
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -299,22 +302,26 @@ type epochMeta struct {
 	finished atomic.Bool
 	// mu guards txns and serializes writes into this epoch. An epoch is
 	// owned by one publisher, so this is the per-peer publish shard.
-	mu   sync.Mutex
-	txns []core.TxnID
+	mu sync.Mutex
+	// txns are the epoch's indexed entries in publish order, the same
+	// pointers the index stripes hold. A compacted epoch's meta is
+	// replaced by an empty one, so the list never names an entry the
+	// index has dropped.
+	txns []*entry
 }
 
-// txnIDs returns the epoch's transaction list. Once finished flips the
-// list is immutable and the atomic load orders this read after the final
-// append, so readers of finished epochs (every reconciliation window)
-// take no lock and make no copy.
-func (em *epochMeta) txnIDs() []core.TxnID {
+// entries returns the epoch's entries. Once finished flips the list is
+// immutable and the atomic load orders this read after the final append,
+// so readers of finished epochs (every reconciliation window) take no lock
+// and make no copy.
+func (em *epochMeta) entries() []*entry {
 	if em.finished.Load() {
 		return em.txns
 	}
 	em.mu.Lock()
-	ids := append([]core.TxnID(nil), em.txns...)
+	ens := slices.Clone(em.txns)
 	em.mu.Unlock()
-	return ids
+	return ens
 }
 
 type peerMeta struct {

@@ -202,10 +202,10 @@ func (s *Store) publishWrite(peer core.PeerID, epoch core.Epoch, txns []store.Pu
 		return err
 	}
 	for i := range txns {
-		pt := txns[i]
-		s.index(&entry{pub: pt, epoch: epoch})
-		em.txns = append(em.txns, pt.Txn.ID)
-		pm.recordDecisionLocked(pt.Txn.ID, core.DecisionAccept)
+		en := &entry{pub: txns[i], epoch: epoch}
+		s.index(en)
+		em.txns = append(em.txns, en)
+		pm.recordDecisionLocked(en.pub.Txn.ID, core.DecisionAccept)
 	}
 	em.finished.Store(true)
 	s.advanceFrontier()

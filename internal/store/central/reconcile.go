@@ -375,13 +375,13 @@ func (s *Store) recordDecisionsBatch(batches []store.DecisionBatch, key store.Id
 	return nil
 }
 
-// window is the one walk of the published log: the indexed transactions
-// of epochs (from, to] in epoch order, publish order within an epoch — the
-// global order. A begin walks its reconciliation window
-// (candidatesLocked); ReplayFrom walks to the highest allocated epoch,
-// behind the compaction guard. A finished epoch's transaction
-// list is immutable and read lock-free; an epoch still publishing is
-// copied under its lock.
+// window is the one walk of the published log: the entries of epochs
+// (from, to] in epoch order, publish order within an epoch — the global
+// order. It reads each epoch's own entry list and never the index stripes,
+// which serve the antecedent chase. A begin walks its reconciliation
+// window (candidatesLocked); ReplayFrom walks to the highest allocated
+// epoch, behind the compaction guard. A finished epoch's list is immutable
+// and read lock-free; an epoch still publishing is copied under its lock.
 func (s *Store) window(from, to core.Epoch) iter.Seq[*entry] {
 	return func(yield func(*entry) bool) {
 		for e := from + 1; e <= to; e++ {
@@ -389,8 +389,8 @@ func (s *Store) window(from, to core.Epoch) iter.Seq[*entry] {
 			if em == nil {
 				continue
 			}
-			for _, id := range em.txnIDs() {
-				if en := s.lookup(id); en != nil && !yield(en) {
+			for _, en := range em.entries() {
+				if !yield(en) {
 					return
 				}
 			}

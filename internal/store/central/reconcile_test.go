@@ -2,6 +2,8 @@ package central
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -249,4 +251,107 @@ func sameGroups(t *testing.T, what string, e, twin *core.Engine) {
 	if !slices.Equal(e.DeferredIDs(), twin.DeferredIDs()) {
 		t.Fatalf("%s: deferred %v, twin %v", what, e.DeferredIDs(), twin.DeferredIDs())
 	}
+}
+
+// TestWindowMatchesIndexWalk: the two walks of the published log agree.
+// window reads each epoch's own entry list, entriesIn the index stripes;
+// for every window (from, to] they must yield the same entries, the same
+// pointers, in the global order — with an epoch held open (window copies
+// its list under the epoch lock), after a reopen (the lists are rebuilt
+// from the txns table), and above the horizon after a snapshot and a
+// compaction. replayCandidatesLocked relies on it.
+func TestWindowMatchesIndexWalk(t *testing.T) {
+	schema := storetest.Schema(t)
+	dir := t.TempDir()
+	s, err := Open(schema, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+	ctx := context.Background()
+	peers := []core.PeerID{"pa", "pb", "pc"}
+	register := func() {
+		t.Helper()
+		for _, p := range peers {
+			if err := s.RegisterPeer(ctx, p, storetest.TrustAll(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	register()
+	rng := rand.New(rand.NewSource(1))
+	seq := map[core.PeerID]uint64{}
+	batch := func(peer core.PeerID) []store.PublishedTxn {
+		pts := make([]store.PublishedTxn, 1+rng.Intn(3))
+		for i := range pts {
+			id := core.TxnID{Origin: peer, Seq: seq[peer]}
+			seq[peer]++
+			pts[i].Txn = core.NewTransaction(id,
+				core.Insert("F", core.Strs(string(peer), fmt.Sprint("p", id.Seq), "fn"), peer))
+		}
+		return pts
+	}
+	publish := func(n int) {
+		t.Helper()
+		for range n {
+			p := peers[rng.Intn(len(peers))]
+			if _, err := s.Publish(ctx, p, batch(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(stage string, lo core.Epoch) {
+		t.Helper()
+		hi := s.maxEpoch()
+		walked := 0
+		for from := lo; from < hi; from++ {
+			for to := from + 1; to <= hi; to++ {
+				got := slices.Collect(s.window(from, to))
+				want := s.entriesIn(from, to)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: window (%d, %d] yields %d entries, the index %d", stage, from, to, len(got), len(want))
+				}
+				walked += len(got)
+			}
+		}
+		if walked == 0 {
+			t.Fatalf("%s: no window above epoch %d holds an entry", stage, lo)
+		}
+	}
+
+	publish(6)
+	open, err := s.allocEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish(6)
+	check("open epoch", 0)
+	if err := s.publishWrite("pb", open, batch("pb"), ""); err != nil {
+		t.Fatal(err)
+	}
+	check("closed epoch", 0)
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(schema, dir); err != nil {
+		t.Fatal(err)
+	}
+	register()
+	check("reopened", 0)
+
+	for _, p := range peers {
+		if _, err := s.BeginReconciliation(ctx, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, err := s.Snapshot(ctx)
+	if err != nil || h == 0 {
+		t.Fatalf("snapshot: %d, %v", h, err)
+	}
+	if err := s.CompactBefore(ctx, h); err != nil {
+		t.Fatal(err)
+	}
+	publish(8)
+	check("compacted", h)
 }

@@ -236,7 +236,7 @@ func (s *Store) loadCaches() error {
 		for _, en := range recovered {
 			s.index(en)
 			em, _ := s.epochs.Get(en.epoch)
-			em.txns = append(em.txns, en.pub.Txn.ID)
+			em.txns = append(em.txns, en)
 		}
 		if err := tx.Scan(s.peersTab, func(r reldb.Row) bool {
 			s.peers[core.PeerID(r[0].S())] = &peerMeta{
