@@ -122,7 +122,12 @@ bench-smoke:
 # TestApplyFlattensOnTheRunsInstance, TestAppliedRunsMatchRestore), the
 # bytes of exported engine snapshots through the store's codec
 # (TestEngineSnapshotGolden: version 2) and the version-1 golden refused
-# with the commits that upgrade it (TestSnapshotRefusesV1), central's begin
+# with the commits that upgrade it (TestSnapshotRefusesV1), a snapshot
+# listing an id as both applied and rejected refused
+# (TestSnapshotRefusesDoubleDecision), the decided table's pages — one per
+# 512-seq range touched, overflow past the dense bound
+# (TestDecidedTableAllocatesWhatItTouches), staggered across tables
+# (TestDecidedPagesStaggered) — for both its faces, central's begin
 # window (TestBeginWindowBlock: its candidates in one block equal the old
 # per-candidate build, and an engine keeps nothing of the block) and its
 # epoch-by-epoch walk agreeing with the index walk (TestWindowMatchesIndexWalk:
@@ -131,7 +136,7 @@ bench-smoke:
 # (TestReconcileAllDifferential). make verify covers these too; running
 # them by name makes an engine regression unmissable in CI.
 core-smoke:
-	$(GO) test -race -count=3 -run '^TestUpdateExtensionMatchesGeneral$$|^TestUpdateExtensionsShareRunScratch$$|^TestReconcileSingleUpdateAllocations$$|^TestReconcileOwnDeltaAllocations$$|^TestReconcileSingleUpdateBytes$$|^TestResolveDrainAllocations$$|^TestConflictGroupsGolden$$|^TestRunScratch|^TestResolveScopedMatchesFullRerun$$|^TestSettledRuleIsExact$$|^TestInvariant|^TestInstanceVerbatimInsertCountsOnce$$|^TestVerbatimReinsertLiveMatchesRestore$$|^TestHeldInsertDeletedLiveMatchesRestore$$|^TestApplyFlattensOnTheRunsInstance$$|^TestAppliedRunsMatchRestore$$' ./internal/core
+	$(GO) test -race -count=3 -run '^TestUpdateExtensionMatchesGeneral$$|^TestUpdateExtensionsShareRunScratch$$|^TestReconcileSingleUpdateAllocations$$|^TestReconcileOwnDeltaAllocations$$|^TestReconcileSingleUpdateBytes$$|^TestResolveDrainAllocations$$|^TestConflictGroupsGolden$$|^TestRunScratch|^TestResolveScopedMatchesFullRerun$$|^TestSettledRuleIsExact$$|^TestInvariant|^TestInstanceVerbatimInsertCountsOnce$$|^TestVerbatimReinsertLiveMatchesRestore$$|^TestHeldInsertDeletedLiveMatchesRestore$$|^TestApplyFlattensOnTheRunsInstance$$|^TestAppliedRunsMatchRestore$$|^TestSnapshotRefusesDoubleDecision$$|^TestDecidedTableAllocatesWhatItTouches$$|^TestDecidedPagesStaggered$$' ./internal/core
 	$(GO) test -race -count=3 -run '^TestEngineSnapshotGolden$$|^TestSnapshotRefusesV1$$' ./internal/store
 	$(GO) test -race -count=3 -run '^TestBeginWindowBlock$$|^TestWindowMatchesIndexWalk$$' ./internal/store/central
 	$(GO) test -race -count=3 -run '^TestReconcileAllDifferential$$' .
@@ -147,12 +152,18 @@ core-smoke:
 # fabric/retry unit layer under the race detector, with the rpc.Client
 # pool's cut-connection test (one client shared by a watch loop and store
 # calls is the production shape) and its cancellation test (a cancelled
-# call returns at once and drops its connection). make verify covers these
+# call returns at once and drops its connection), the fabric's in-flight
+# crash (TestInFlightReplyDiesWithCrash: a handler running when its node
+# crashes sends no reply, even if the node restarts first), and the remote
+# client's begin after such a lost reply (TestBeginAfterLostReplyReplaysItsWindow:
+# the next begin reuses the key, so the window is replayed, not skipped).
+# make verify covers these
 # too; this target runs them by name so a chaos regression is unmissable in
 # CI.
 chaos-smoke:
 	$(GO) test -race -count=1 -run '^TestChaosMatrix|^TestScaleMatrix|^TestOwedDecisions' .
-	$(GO) test -race -count=1 -run '^TestFault|^TestOneWayPartition|^TestCrashRestart|^TestLinkFaults|^TestRetry|^TestClientSharedAcrossGoroutinesSurvivesDrops$$|^TestTCPCallHonoursCancel$$|^TestTCPCancelSparesQueuedCaller$$' ./internal/simnet ./internal/rpc
+	$(GO) test -race -count=1 -run '^TestFault|^TestOneWayPartition|^TestCrashRestart|^TestLinkFaults|^TestRetry|^TestClientSharedAcrossGoroutinesSurvivesDrops$$|^TestTCPCallHonoursCancel$$|^TestTCPCancelSparesQueuedCaller$$|^TestInFlightReplyDiesWithCrash$$' ./internal/simnet ./internal/rpc
+	$(GO) test -race -count=1 -run '^TestBeginAfterLostReplyReplaysItsWindow$$' ./internal/store/remote
 
 # gateway-smoke runs the gateway contract suite under the race detector
 # (auth, per-group rate limits, backpressure shedding, idempotent retry

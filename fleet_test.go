@@ -79,6 +79,24 @@ func TestFleetBasic(t *testing.T) {
 	}
 }
 
+// TestFleetStoresSorted: Stores lists the stores still on the ring, by
+// name, whatever order they were added in.
+func TestFleetStoresSorted(t *testing.T) {
+	fleet := NewFleet()
+	defer fleet.Close()
+	for _, s := range []string{"s2", "s0", "s1"} {
+		if err := fleet.AddStore(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fleet.RemoveStore("s1"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fleet.Stores(), []string{"s0", "s2"}; !slices.Equal(got, want) {
+		t.Errorf("Stores() = %v, want %v", got, want)
+	}
+}
+
 // fleetFactory builds a two-store fleet holding one group with no declared
 // peers and hands every peer that group's routed store, the Backend a
 // group's peers talk through; the suites register their own peers on it.

@@ -1,26 +1,27 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"hash/maphash"
 	"maps"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // A decided table maps transaction ids to what a peer decided about them,
-// for the sets that grow over the peer's whole life: the engine's applied
-// and rejected sets (DecidedSet, a bit per id) and the store's per-peer
-// decision cache (DecisionTable, a word per id). A Seq is a dense
-// per-origin counter from 0, so what one origin contributes is almost a
-// prefix of seqs. The table is therefore an origin directory and, per
-// origin, pages of pageIDs consecutive seqs, each allocated when first
-// written and freed when emptied. A seq at or past denseBound goes to the
-// origin's overflow map instead, so memory is O(ids held + pages touched),
-// plus at most denseBound/pageIDs + 1 page slots per origin, whatever the
-// largest seq. Reads never write: Has, Get and the exports may run side by
-// side, but not beside a write.
+// for the state that grows over the peer's whole life. It has two faces,
+// which differ only in their slot width: the engine's decidedTable (two
+// bits per id: none, accept or reject) and the store's per-peer decision
+// cache (DecisionTable, a word per id). A Seq is a dense per-origin counter
+// from 0, so what one origin contributes is almost a prefix of seqs. The
+// table is therefore an origin directory and, per origin, pages of pageIDs
+// consecutive seqs, each allocated when first written and freed when
+// emptied. A seq at or past denseBound goes to the origin's overflow map
+// instead, so memory is O(ids held + pages touched), plus at most
+// denseBound/pageIDs + 1 page slots per origin, whatever the largest seq.
+// Reads never write: get, Get and the exports may run side by side, but
+// not beside a write.
 //
 // The peers of a fleet decide the same origins' ids in the same rounds. Had
 // every table's pages started at multiples of pageIDs, all of them would
@@ -33,6 +34,12 @@ const (
 	pageShift  = 9
 	pageIDs    = 1 << pageShift // seqs per page
 	denseBound = 1 << 20        // seqs at or past it go to the overflow map
+)
+
+// A slot is 1<<lw bits wide; each face passes its lw as a constant.
+const (
+	decidedLW  = 1 // the engine's decidedTable: 2-bit slots
+	decisionLW = 6 // DecisionTable: 64-bit slots
 )
 
 // originRow is one origin's ids.
@@ -49,8 +56,8 @@ type originRow struct {
 }
 
 // idTable is the storage of both faces. A slot holds a non-zero value or
-// nothing (0). A wide table spends a word per slot, a narrow one a bit: its
-// only value is 1. Every method takes the width from its face.
+// nothing (0). Every method takes the slot width from its face: slots of
+// 1<<lw bits, 64>>lw to a word.
 type idTable struct {
 	rows  []*originRow          // in the order origins were first written, for iteration
 	index map[PeerID]*originRow // the origin directory
@@ -68,14 +75,8 @@ func (t *idTable) seeded() *idTable {
 	return t
 }
 
-func pageWords(wide bool) int {
-	if wide {
-		return pageIDs
-	}
-	return pageIDs / 64
-}
-
-func (t *idTable) row(o PeerID) *originRow { return t.index[o] }
+// slotMask is the value mask of a slot of 1<<lw bits.
+func slotMask(lw uint) uint64 { return 1<<(1<<lw) - 1 }
 
 func (t *idTable) addRow(o PeerID) *originRow {
 	r := &originRow{origin: o}
@@ -90,8 +91,8 @@ func (t *idTable) addRow(o PeerID) *originRow {
 	return r
 }
 
-func (t *idTable) get(id TxnID, wide bool) uint64 {
-	r := t.row(id.Origin)
+func (t *idTable) get(id TxnID, lw uint) uint64 {
+	r := t.index[id.Origin]
 	if r == nil {
 		return 0
 	}
@@ -103,15 +104,12 @@ func (t *idTable) get(id TxnID, wide bool) uint64 {
 	if pi >= uint64(len(r.pages)) || r.pages[pi] == nil {
 		return 0
 	}
-	if wide {
-		return r.pages[pi][s]
-	}
-	return r.pages[pi][s>>6] >> (s & 63) & 1
+	return r.pages[pi][s>>(6-lw)] >> (s << lw & 63) & slotMask(lw)
 }
 
 // set stores v for id, 0 removing it, and returns the value it replaced.
-func (t *idTable) set(id TxnID, v uint64, wide bool) uint64 {
-	r := t.row(id.Origin)
+func (t *idTable) set(id TxnID, v uint64, lw uint) uint64 {
+	r := t.index[id.Origin]
 	if r == nil {
 		if v == 0 {
 			return 0
@@ -140,15 +138,12 @@ func (t *idTable) set(id TxnID, v uint64, wide bool) uint64 {
 				r.pages = append(r.pages, make([][]uint64, n-len(r.pages))...)
 				r.held = append(r.held, make([]uint16, n-len(r.held))...)
 			}
-			r.pages[pi] = make([]uint64, pageWords(wide))
+			r.pages[pi] = make([]uint64, pageIDs<<lw>>6)
 		}
 		p := r.pages[pi]
-		if wide {
-			old, p[s] = p[s], v
-		} else {
-			old = p[s>>6] >> (s & 63) & 1
-			p[s>>6] = p[s>>6]&^(1<<(s&63)) | v<<(s&63)
-		}
+		w, sh := s>>(6-lw), s<<lw&63
+		old = p[w] >> sh & slotMask(lw)
+		p[w] = p[w]&^(slotMask(lw)<<sh) | v<<sh
 		switch {
 		case old == 0 && v != 0:
 			r.held[pi]++
@@ -169,49 +164,21 @@ func (t *idTable) set(id TxnID, v uint64, wide bool) uint64 {
 
 // each calls fn for every id the row holds: the paged seqs ascending, then
 // the overflow in no order.
-func (r *originRow) each(wide bool, fn func(TxnID, uint64)) {
+func (r *originRow) each(lw uint, fn func(TxnID, uint64)) {
+	mask := slotMask(lw)
 	for pi, p := range r.pages {
-		if p == nil {
-			continue
-		}
 		base := uint64(pi)<<pageShift - r.off // wraps for page 0; the sums below do not
-		if wide {
-			for s, v := range p {
-				if v != 0 {
-					fn(TxnID{Origin: r.origin, Seq: base + uint64(s)}, v)
-				}
-			}
-			continue
-		}
 		for w, word := range p {
-			for ; word != 0; word &= word - 1 {
-				fn(TxnID{Origin: r.origin, Seq: base + uint64(w<<6+bits.TrailingZeros64(word))}, 1)
+			for word != 0 {
+				i := uint(bits.TrailingZeros64(word)) >> lw // the slot within the word
+				fn(TxnID{Origin: r.origin, Seq: base + uint64(w)<<(6-lw) + uint64(i)}, word>>(i<<lw)&mask)
+				word &^= mask << (i << lw)
 			}
 		}
 	}
 	for seq, v := range r.over {
 		fn(TxnID{Origin: r.origin, Seq: seq}, v)
 	}
-}
-
-func (t *idTable) each(wide bool, fn func(TxnID, uint64)) {
-	for _, r := range t.rows {
-		r.each(wide, fn)
-	}
-}
-
-// sorted returns the ids held in TxnID.Less order.
-func (t *idTable) sorted(wide bool) []TxnID {
-	rows := slices.Clone(t.rows)
-	sort.Slice(rows, func(i, j int) bool { return rows[i].origin < rows[j].origin })
-	out := make([]TxnID, 0, t.n)
-	for _, r := range rows {
-		r.each(wide, func(id TxnID, _ uint64) { out = append(out, id) })
-		// Every overflow seq is past every paged one.
-		over := out[len(out)-len(r.over):]
-		sort.Slice(over, func(i, j int) bool { return over[i].Seq < over[j].Seq })
-	}
-	return out
 }
 
 // clone returns a copy that shares nothing with t.
@@ -235,22 +202,50 @@ func (t *idTable) clone() idTable {
 	return c
 }
 
-// DecidedSet is a set of transaction ids held as a bit per id in a decided
-// table: the engine's applied and rejected sets. The zero value is an
-// empty set. A run's short-lived sets are sorted slices of ids.
-type DecidedSet struct{ t idTable }
+// decidedTable is the engine's decided table: the peer's Decision for
+// each id, DecisionNone for one it has not decided, in a 2-bit slot. A
+// decision is final: decide never changes one. The zero value is empty.
+// A run's short-lived sets are sorted slices of ids.
+type decidedTable struct{ t idTable }
 
-// Has reports membership.
-func (s *DecidedSet) Has(id TxnID) bool { return s.t.get(id, false) != 0 }
+// get returns the decision recorded for id.
+func (d *decidedTable) get(id TxnID) Decision { return Decision(d.t.get(id, decidedLW)) }
 
-// Add inserts an id.
-func (s *DecidedSet) Add(id TxnID) { s.t.seeded().set(id, 1, false) }
+// decide records dec, DecisionAccept or DecisionReject, for an undecided
+// id, and reports whether id's decision is now dec: false when it was
+// decided otherwise before.
+func (d *decidedTable) decide(id TxnID, dec Decision) bool {
+	if dec != DecisionAccept && dec != DecisionReject {
+		panic(fmt.Sprintf("core: %v is not a final decision", dec))
+	}
+	if old := d.get(id); old != DecisionNone {
+		return old == dec
+	}
+	d.t.seeded().set(id, uint64(dec), decidedLW)
+	return true
+}
 
-// Len returns the number of ids held.
-func (s *DecidedSet) Len() int { return s.t.n }
-
-// Sorted returns the members sorted by ID, for deterministic output.
-func (s *DecidedSet) Sorted() []TxnID { return s.t.sorted(false) }
+// sorted returns the accepted and the rejected ids, each in TxnID.Less
+// order.
+func (d *decidedTable) sorted() (accepted, rejected []TxnID) {
+	rows := slices.Clone(d.t.rows)
+	slices.SortFunc(rows, func(a, b *originRow) int { return cmp.Compare(a.origin, b.origin) })
+	for _, r := range rows {
+		na, nr := len(accepted), len(rejected)
+		r.each(decidedLW, func(id TxnID, v uint64) {
+			if Decision(v) == DecisionAccept {
+				accepted = append(accepted, id)
+			} else {
+				rejected = append(rejected, id)
+			}
+		})
+		if len(r.over) > 0 { // past every paged seq, in no order
+			slices.SortFunc(accepted[na:], compareTxnIDs)
+			slices.SortFunc(rejected[nr:], compareTxnIDs)
+		}
+	}
+	return accepted, rejected
+}
 
 // MaxDecisionSeq is the largest RestoredDecision.Seq a DecisionTable holds.
 const MaxDecisionSeq = 1<<61 - 1
@@ -275,24 +270,26 @@ func unpackDecision(v uint64) RestoredDecision {
 // Get returns the decision recorded for id and whether there is one; the
 // zero RestoredDecision when there is not.
 func (m *DecisionTable) Get(id TxnID) (RestoredDecision, bool) {
-	v := m.t.get(id, true)
+	v := m.t.get(id, decisionLW)
 	return unpackDecision(v), v != 0
 }
 
 // Set records d for id, replacing any earlier decision.
 func (m *DecisionTable) Set(id TxnID, d RestoredDecision) {
-	m.t.seeded().set(id, packDecision(d), true)
+	m.t.seeded().set(id, packDecision(d), decisionLW)
 }
 
 // Delete forgets id.
-func (m *DecisionTable) Delete(id TxnID) { m.t.set(id, 0, true) }
+func (m *DecisionTable) Delete(id TxnID) { m.t.set(id, 0, decisionLW) }
 
 // Len returns the number of ids held.
 func (m *DecisionTable) Len() int { return m.t.n }
 
 // Range calls fn for every id held, in no particular order.
 func (m *DecisionTable) Range(fn func(TxnID, RestoredDecision)) {
-	m.t.each(true, func(id TxnID, v uint64) { fn(id, unpackDecision(v)) })
+	for _, r := range m.t.rows {
+		r.each(decisionLW, func(id TxnID, v uint64) { fn(id, unpackDecision(v)) })
+	}
 }
 
 // Map returns the table's contents as a map the caller owns.

@@ -23,38 +23,43 @@ func pagesAndOverflow(t *idTable) (pages, over int) {
 	return pages, over
 }
 
+// faceLWs are the slot widths of the two faces, the engine's decidedTable
+// and DecisionTable.
+var faceLWs = []uint{decidedLW, decisionLW}
+
 func TestDecidedTableAllocatesWhatItTouches(t *testing.T) {
-	for _, wide := range []bool{false, true} {
+	for _, lw := range faceLWs {
 		var tab idTable
-		tab.set(TxnID{Origin: "o", Seq: 1 << 40}, 1, wide)
+		tab.set(TxnID{Origin: "o", Seq: 1 << 40}, 1, lw)
 		if pages, over := pagesAndOverflow(&tab); pages != 0 || over != 1 {
-			t.Errorf("wide=%v: one id at seq 1<<40 allocated %d pages and %d overflow entries, want 0 and 1", wide, pages, over)
+			t.Errorf("lw=%d: one id at seq 1<<40 allocated %d pages and %d overflow entries, want 0 and 1", lw, pages, over)
 		}
 		if len(tab.rows[0].pages) != 0 {
-			t.Errorf("wide=%v: seq 1<<40 grew the page directory to %d", wide, len(tab.rows[0].pages))
+			t.Errorf("lw=%d: seq 1<<40 grew the page directory to %d", lw, len(tab.rows[0].pages))
 		}
 
 		tab = idTable{}
 		n := 0
 		for seq := uint64(0); seq < denseBound; seq += pageIDs << 7 {
-			tab.set(TxnID{Origin: "o", Seq: seq}, 1, wide)
-			tab.set(TxnID{Origin: "o", Seq: seq + pageIDs - 1}, 1, wide)
+			tab.set(TxnID{Origin: "o", Seq: seq}, 1, lw)
+			tab.set(TxnID{Origin: "o", Seq: seq + pageIDs - 1}, 1, lw)
 			n++
 		}
 		if pages, over := pagesAndOverflow(&tab); pages != n || over != 0 {
-			t.Errorf("wide=%v: ids at %d page boundaries allocated %d pages and %d overflow entries", wide, n, pages, over)
+			t.Errorf("lw=%d: ids at %d page boundaries allocated %d pages and %d overflow entries", lw, n, pages, over)
 		}
+		want := pageIDs << lw / 64 // 1<<lw bits per id
 		for _, p := range tab.rows[0].pages {
-			if p != nil && len(p) != pageWords(wide) {
-				t.Fatalf("wide=%v: a page has %d words, want %d", wide, len(p), pageWords(wide))
+			if p != nil && len(p) != want {
+				t.Fatalf("lw=%d: a page has %d words, want %d", lw, len(p), want)
 			}
 		}
 		for seq := uint64(0); seq < denseBound; seq += pageIDs << 7 {
-			tab.set(TxnID{Origin: "o", Seq: seq}, 0, wide)
-			tab.set(TxnID{Origin: "o", Seq: seq + pageIDs - 1}, 0, wide)
+			tab.set(TxnID{Origin: "o", Seq: seq}, 0, lw)
+			tab.set(TxnID{Origin: "o", Seq: seq + pageIDs - 1}, 0, lw)
 		}
 		if pages, _ := pagesAndOverflow(&tab); pages != 0 || tab.n != 0 {
-			t.Errorf("wide=%v: emptying every page left %d pages and %d ids", wide, pages, tab.n)
+			t.Errorf("lw=%d: emptying every page left %d pages and %d ids", lw, pages, tab.n)
 		}
 	}
 }
@@ -64,41 +69,41 @@ func TestDecidedTableAllocatesWhatItTouches(t *testing.T) {
 // do not all grow in the same round; and each still holds every id.
 func TestDecidedPagesStaggered(t *testing.T) {
 	const tables, ids = 8, 3 * pageIDs
-	for _, wide := range []bool{false, true} {
+	for _, lw := range faceLWs {
 		var firsts []uint64 // the seq at which each table took its second page
 		for range tables {
-			var set DecidedSet
+			var dec decidedTable
 			var tab DecisionTable
-			tt := &set.t
-			if wide {
+			tt := &dec.t
+			if lw == decisionLW {
 				tt = &tab.t
 			}
 			var grew []uint64
 			for seq := uint64(0); seq < ids; seq++ {
 				id := TxnID{Origin: "o", Seq: seq}
 				before, _ := pagesAndOverflow(tt)
-				if wide {
+				if lw == decisionLW {
 					tab.Set(id, RestoredDecision{Decision: DecisionAccept, Seq: int64(seq)})
 				} else {
-					set.Add(id)
+					dec.decide(id, DecisionAccept)
 				}
 				if after, _ := pagesAndOverflow(tt); after > before {
 					grew = append(grew, seq)
 				}
 			}
 			for seq := uint64(0); seq < ids; seq++ {
-				if tt.get(TxnID{Origin: "o", Seq: seq}, wide) == 0 {
-					t.Fatalf("wide=%v: seq %d lost", wide, seq)
+				if tt.get(TxnID{Origin: "o", Seq: seq}, lw) == 0 {
+					t.Fatalf("lw=%d: seq %d lost", lw, seq)
 				}
 			}
 			if len(grew) < 2 || grew[0] != 0 {
-				t.Fatalf("wide=%v: pages allocated at seqs %v", wide, grew)
+				t.Fatalf("lw=%d: pages allocated at seqs %v", lw, grew)
 			}
 			firsts = append(firsts, grew[1])
 		}
 		slices.Sort(firsts)
 		if len(slices.Compact(firsts)) == 1 {
-			t.Errorf("wide=%v: %d tables fed the same ids all took their second page at seq %d", wide, tables, firsts[0])
+			t.Errorf("lw=%d: %d tables fed the same ids all took their second page at seq %d", lw, tables, firsts[0])
 		}
 	}
 }
@@ -140,10 +145,12 @@ var decidedSeqs = [16]uint64{
 // and eleven others.
 var decidedOrigins = []PeerID{"", "p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8", "p9", "p10"}
 
-// FuzzDecidedTable interprets its input as Add on a DecidedSet and
-// Set/Delete/Get on a DecisionTable, each against a plain-map model, and
-// compares table and model after every op (kind 1 is no op, so the corpus
-// keeps its meaning): the op's id, Len, Sorted and the Map export. Each op is a kind byte, an origin byte and a seq (one
+// FuzzDecidedTable interprets its input as decide (kind 0 accept, kind 1
+// reject) on the engine's decidedTable and Set/Delete/Get on a
+// DecisionTable, each against a plain-map model, and compares table and
+// model after every op: the op's id, the count held, and the sorted and
+// Map exports. A decide of an id decided otherwise must report false and
+// change nothing. Each op is a kind byte, an origin byte and a seq (one
 // byte: decidedSeqs below 16, the value itself below 128, else eight more
 // bytes); Set adds a decision byte and a dseq read the same way. At the
 // end, a Clone must not see later writes to the original.
@@ -153,9 +160,9 @@ func FuzzDecidedTable(f *testing.F) {
 }
 
 func checkDecidedOps(t *testing.T, in []byte) {
-	var set DecidedSet
+	var dec decidedTable
 	var tab DecisionTable
-	setModel := map[TxnID]bool{}
+	decModel := map[TxnID]Decision{}
 	tabModel := map[TxnID]RestoredDecision{}
 	next := func() (byte, bool) {
 		if len(in) == 0 {
@@ -193,9 +200,15 @@ func checkDecidedOps(t *testing.T, in []byte) {
 		}
 		id := TxnID{Origin: decidedOrigins[int(o)%len(decidedOrigins)], Seq: s}
 		switch kind % 5 {
-		case 0:
-			set.Add(id)
-			setModel[id] = true
+		case 0, 1:
+			d := DecisionAccept + Decision(kind%5)
+			old := decModel[id]
+			if got := dec.decide(id, d); got != (old == DecisionNone || old == d) {
+				t.Fatalf("decide(%v, %v) = %v with %v recorded", id, d, got, old)
+			}
+			if old == DecisionNone {
+				decModel[id] = d
+			}
 		case 2:
 			d, ok := next()
 			if !ok {
@@ -218,19 +231,24 @@ func checkDecidedOps(t *testing.T, in []byte) {
 				t.Fatalf("Get(%v) = %v, %v; model %v, %v", id, got, ok, want, wok)
 			}
 		}
-		if set.Has(id) != setModel[id] {
-			t.Fatalf("Has(%v) = %v; model %v", id, set.Has(id), setModel[id])
+		if got := dec.get(id); got != decModel[id] {
+			t.Fatalf("get(%v) = %v; model %v", id, got, decModel[id])
 		}
-		if set.Len() != len(setModel) {
-			t.Fatalf("set Len %d; model %d", set.Len(), len(setModel))
+		if dec.t.n != len(decModel) {
+			t.Fatalf("decided table holds %d; model %d", dec.t.n, len(decModel))
 		}
-		want := make([]TxnID, 0, len(setModel))
-		for id := range setModel {
-			want = append(want, id)
+		var wantAcc, wantRej []TxnID
+		for id, d := range decModel {
+			if d == DecisionAccept {
+				wantAcc = append(wantAcc, id)
+			} else {
+				wantRej = append(wantRej, id)
+			}
 		}
-		sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
-		if got := set.Sorted(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Sorted %v; model %v", got, want)
+		sort.Slice(wantAcc, func(i, j int) bool { return wantAcc[i].Less(wantAcc[j]) })
+		sort.Slice(wantRej, func(i, j int) bool { return wantRej[i].Less(wantRej[j]) })
+		if acc, rej := dec.sorted(); !reflect.DeepEqual(acc, wantAcc) || !reflect.DeepEqual(rej, wantRej) {
+			t.Fatalf("sorted %v, %v; model %v, %v", acc, rej, wantAcc, wantRej)
 		}
 		if tab.Len() != len(tabModel) {
 			t.Fatalf("table Len %d; model %d", tab.Len(), len(tabModel))

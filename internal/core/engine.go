@@ -9,9 +9,9 @@ import (
 )
 
 // Engine is the client-centric reconciliation engine for one participant.
-// It owns the participant's materialized instance, its applied/rejected
-// transaction sets (decided tables, a bit per transaction: decided.go), and
-// the reconstructable soft state (deferred transactions, dirty values,
+// It owns the participant's materialized instance, its decided table (each
+// transaction's accept or reject in two bits: decided.go), and the
+// reconstructable soft state (deferred transactions, dirty values,
 // conflict groups); a local transaction's antecedent set goes to its
 // publisher and is not kept. The update store feeds it
 // Candidates; the engine implements ReconcileUpdates of Figure 4 with the
@@ -28,10 +28,9 @@ type Engine struct {
 	trust  Trust
 	inst   *Instance
 
-	// Both only grow; a run records its rejections once its accepted
-	// chains are applied (see reconcile).
-	applied  DecidedSet
-	rejected DecidedSet
+	// decided only grows, and a decision in it is final; a run records
+	// its rejections once its accepted chains are applied (see reconcile).
+	decided decidedTable
 
 	// deferredCands carries deferred candidates across reconciliations so
 	// ReconcileUpdates can reconsider them without re-fetching, each with
@@ -121,10 +120,10 @@ func (e *Engine) RefreshTrust(t Trust) int {
 func (e *Engine) Recno() int { return e.recno }
 
 // Applied reports whether the peer has applied the transaction.
-func (e *Engine) Applied(id TxnID) bool { return e.applied.Has(id) }
+func (e *Engine) Applied(id TxnID) bool { return e.decided.get(id) == DecisionAccept }
 
 // Rejected reports whether the peer has rejected the transaction.
-func (e *Engine) Rejected(id TxnID) bool { return e.rejected.Has(id) }
+func (e *Engine) Rejected(id TxnID) bool { return e.decided.get(id) == DecisionReject }
 
 // DeferredIDs returns the currently deferred transactions, sorted.
 func (e *Engine) DeferredIDs() []TxnID {
@@ -159,7 +158,7 @@ func (e *Engine) NewLocalTransaction(updates ...Update) (*Transaction, []TxnID, 
 	}
 	e.noteProducers([]*Transaction{x})
 	e.nextSeq++
-	e.applied.Add(x.ID)
+	e.decided.decide(x.ID, DecisionAccept)
 	e.ownSince = append(e.ownSince, x)
 	e.unsettled = true
 	return x, antes, nil
@@ -237,7 +236,7 @@ func (e *Engine) dropDeferred(d *deferredCand) {
 // fresh holds the newly relevant fully-trusted transactions fetched from the
 // update store; previously deferred transactions are reconsidered
 // automatically. It returns the decisions made and updates the instance,
-// the applied/rejected sets, and the soft state.
+// the decided table, and the soft state.
 func (e *Engine) Reconcile(fresh []*Candidate) (*Result, error) {
 	return e.reconcile(fresh, nil)
 }
@@ -274,7 +273,7 @@ func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCan
 		if c.Priority <= 0 {
 			return // untrusted: never a root
 		}
-		if e.applied.Has(c.Txn.ID) || e.rejected.Has(c.Txn.ID) {
+		if e.decided.get(c.Txn.ID) != DecisionNone {
 			return // already decided
 		}
 		rs.states = append(rs.states, candidateState{cand: c, carried: carried})
@@ -331,7 +330,7 @@ func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCan
 	}
 
 	// Lines 5-8: flattened update extensions + CheckState. Each candidate is
-	// independent: it reads only the engine's decided sets, dirty keys and
+	// independent: it reads only the engine's decided table, dirty keys and
 	// instance, none of which this stage changes.
 	start := time.Now()
 	for _, st := range order {
@@ -371,8 +370,8 @@ func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCan
 	// flattened chain is instance-incompatible) may still ride along as the
 	// superseded prefix of an accepted chain — the §4.2 least-interaction
 	// example. Applying the chain rescinds such same-run rejections, so a
-	// rejection is recorded only if nothing applied the transaction and
-	// the final decision sets stay disjoint; rejections from earlier
+	// rejection is recorded only if nothing applied the transaction (the
+	// decided table keeps the accept); rejections from earlier
 	// reconciliations are final (CheckState already rejected any dependent
 	// root before it reached this loop).
 	start = time.Now()
@@ -399,7 +398,7 @@ func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCan
 		e.noteProducers(ext)
 		res.Stats.AppliedUpdates += len(flat)
 		for _, x := range ext {
-			e.applied.Add(x.ID)
+			e.decided.decide(x.ID, DecisionAccept)
 			accepted = append(accepted, x.ID)
 		}
 	}
@@ -409,8 +408,7 @@ func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCan
 	}
 	rejected := rs.rejected
 	for _, st := range order {
-		if id := st.cand.Txn.ID; st.decision == DecisionReject && !e.applied.Has(id) {
-			e.rejected.Add(id)
+		if id := st.cand.Txn.ID; st.decision == DecisionReject && e.decided.decide(id, DecisionReject) {
 			rejected = append(rejected, id)
 		}
 	}
@@ -427,8 +425,7 @@ func (e *Engine) run(rs *runScratch, fresh []*Candidate, carry func(*deferredCan
 	// "least interaction") is no longer deferred.
 	start = time.Now()
 	for _, st := range order {
-		id := st.cand.Txn.ID
-		st.deferred = st.decision == DecisionDefer && !e.applied.Has(id) && !e.rejected.Has(id)
+		st.deferred = st.decision == DecisionDefer && e.decided.get(st.cand.Txn.ID) == DecisionNone
 	}
 	e.updateSoftState(rs, order, carried, pairs)
 	if len(rs.deferred) > 0 {
@@ -455,7 +452,7 @@ func (e *Engine) filterApplied(ext []*Transaction, root *Transaction) []*Transac
 		if keep {
 			rootSeen = true
 		} else {
-			keep = !e.applied.Has(x.ID)
+			keep = e.decided.get(x.ID) != DecisionAccept
 		}
 		switch {
 		case keep && out != nil:
@@ -531,7 +528,7 @@ func (e *Engine) checkState(upEx *UpdateExtension, own *conflictIndex, carried b
 	// Line 3: an extension containing an already rejected transaction is
 	// rejected.
 	for _, id := range upEx.IDs {
-		if e.rejected.Has(id) {
+		if e.decided.get(id) == DecisionReject {
 			return DecisionReject
 		}
 	}

@@ -82,22 +82,16 @@ func checkProducers(t *testing.T, log *testLog, e *Engine, what string) {
 }
 
 // TestInvariantDecisionSetsDisjoint: applied, rejected, and deferred are
-// pairwise disjoint at every peer after arbitrary runs.
+// pairwise disjoint at every peer after arbitrary runs. The decided table
+// holds one decision per id, so applied and rejected are disjoint by type;
+// no deferred id may be decided.
 func TestInvariantDecisionSetsDisjoint(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		_, engines := randomCDSSRun(t, seed, 4, 5, 3)
 		for _, e := range engines {
 			for _, id := range e.DeferredIDs() {
-				if e.Applied(id) {
-					t.Fatalf("seed %d: %s both deferred and applied at %s", seed, id, e.Peer())
-				}
-				if e.Rejected(id) {
-					t.Fatalf("seed %d: %s both deferred and rejected at %s", seed, id, e.Peer())
-				}
-			}
-			for _, id := range e.applied.Sorted() {
-				if e.rejected.Has(id) {
-					t.Fatalf("seed %d: %s both applied and rejected at %s", seed, id, e.Peer())
+				if d := e.decided.get(id); d != DecisionNone {
+					t.Fatalf("seed %d: %s both deferred and decided (%v) at %s", seed, id, d, e.Peer())
 				}
 			}
 		}

@@ -54,13 +54,13 @@ func (e *Engine) Resolve(c Conflict, winner int) (*Result, error) {
 			if _, kept := slices.BinarySearchFunc(keep, id, compareTxnIDs); kept {
 				continue
 			}
-			e.rejected.Add(id)
+			e.decided.decide(id, DecisionReject)
 			e.dropDeferred(d)
 			losers = append(losers, id)
 		}
 	}
 	// Re-run reconciliation with no new candidates: the deferred candidates
-	// in reach are reconsidered against the updated rejected set; those
+	// in reach are reconsidered against the updated decided table; those
 	// whose conflicts are fully resolved are accepted or rejected, and their
 	// soft state (dirty values, remaining groups) is rebuilt. The
 	// explicitly rejected losers are part of the result so the update

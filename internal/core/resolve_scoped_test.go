@@ -30,10 +30,10 @@ func fullRerunResolve(e *Engine, c Conflict, winner int) (*Result, error) {
 			continue
 		}
 		for _, id := range opt.Txns {
-			if keep.Has(id) || e.rejected.Has(id) {
+			if keep.Has(id) || e.Rejected(id) {
 				continue
 			}
-			e.rejected.Add(id)
+			e.decided.decide(id, DecisionReject)
 			if d := e.deferredCands[id]; d != nil {
 				e.dropDeferred(d)
 			}
@@ -250,11 +250,13 @@ func (sr *scopedRun) compare(step string, resolved bool, s, o *Engine, resS, res
 	if resS.Stats.DirtyKeys != resO.Stats.DirtyKeys {
 		fail("Stats.DirtyKeys", resS.Stats.DirtyKeys, resO.Stats.DirtyKeys)
 	}
-	if !reflect.DeepEqual(s.applied.Sorted(), o.applied.Sorted()) {
-		fail("applied set", s.applied.Sorted(), o.applied.Sorted())
+	sAcc, sRej := s.decided.sorted()
+	oAcc, oRej := o.decided.sorted()
+	if !reflect.DeepEqual(sAcc, oAcc) {
+		fail("applied set", sAcc, oAcc)
 	}
-	if !reflect.DeepEqual(s.rejected.Sorted(), o.rejected.Sorted()) {
-		fail("rejected set", s.rejected.Sorted(), o.rejected.Sorted())
+	if !reflect.DeepEqual(sRej, oRej) {
+		fail("rejected set", sRej, oRej)
 	}
 	if !reflect.DeepEqual(s.DeferredIDs(), o.DeferredIDs()) {
 		fail("deferred set", s.DeferredIDs(), o.DeferredIDs())

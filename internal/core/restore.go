@@ -59,15 +59,15 @@ func (e *Engine) RestoreTail(log []LoggedTxn, decisions map[TxnID]RestoredDecisi
 				maxOwnSeq = id.Seq
 			}
 		}
-		if e.applied.Has(id) || e.rejected.Has(id) {
+		if e.decided.get(id) != DecisionNone {
 			continue // already folded in by the snapshot
 		}
 		switch decisions[id].Decision {
 		case DecisionAccept:
 			accepted = append(accepted, lt.Txn)
-			e.applied.Add(id)
+			e.decided.decide(id, DecisionAccept)
 		case DecisionReject:
-			e.rejected.Add(id)
+			e.decided.decide(id, DecisionReject)
 		}
 	}
 	// Acceptance order, breaking ties (within one reconciliation batch) by
@@ -91,7 +91,7 @@ func (e *Engine) RestoreTail(log []LoggedTxn, decisions map[TxnID]RestoredDecisi
 		e.inst.applyUnchecked(u)
 	}
 	e.noteProducers(accepted)
-	e.unsettled = true // the instance and the decided sets moved under any deferred candidate
+	e.unsettled = true // the instance and the decided table moved under any deferred candidate
 	if haveOwn && maxOwnSeq+1 > e.nextSeq {
 		e.nextSeq = maxOwnSeq + 1
 	}

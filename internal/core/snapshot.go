@@ -7,7 +7,7 @@ import (
 
 // EngineSnapshot is the serializable image of a participant's durable engine
 // state: the materialized instance with each held value's producer, the
-// applied/rejected decision sets, and the local transaction sequence. It
+// applied/rejected decisions, and the local transaction sequence. It
 // captures exactly the state Engine.RestoreTail reconstructs from the update
 // store's log — reconciliation soft state (deferred candidates, dirty
 // values, conflict groups) is deliberately absent, because the store never
@@ -42,12 +42,8 @@ type RowSnapshot struct {
 // EngineSnapshot. The engine is not modified; the exported tuples are shared
 // (tuples are immutable by convention).
 func (e *Engine) ExportSnapshot() *EngineSnapshot {
-	snap := &EngineSnapshot{
-		Peer:     e.peer,
-		NextSeq:  e.nextSeq,
-		Applied:  e.applied.Sorted(),
-		Rejected: e.rejected.Sorted(),
-	}
+	snap := &EngineSnapshot{Peer: e.peer, NextSeq: e.nextSeq}
+	snap.Applied, snap.Rejected = e.decided.sorted()
 	names := e.schema.Names()
 	sort.Strings(names)
 	for _, name := range names {
@@ -59,22 +55,25 @@ func (e *Engine) ExportSnapshot() *EngineSnapshot {
 }
 
 // NewEngineFromSnapshot builds an engine whose durable state is restored
-// from the snapshot: instance, provenance, applied/rejected sets and local
+// from the snapshot: instance, provenance, decisions and local
 // sequence come back exactly as exported. The caller supplies the trust
 // policy (policies are not part of the snapshot, mirroring RebuildPeer's
 // signature). Use Engine.RestoreTail afterwards to replay the update-store
 // log suffix the snapshot does not cover.
 //
-// A snapshot naming a relation the schema lacks, or whose relations or rows
-// are out of canonical order or repeated, is refused.
+// A snapshot naming a relation the schema lacks, whose relations or rows
+// are out of canonical order or repeated, or that lists an id as both
+// applied and rejected, is refused.
 func NewEngineFromSnapshot(schema *Schema, trust Trust, snap *EngineSnapshot) (*Engine, error) {
 	e := NewEngine(snap.Peer, schema, trust)
 	e.nextSeq = snap.NextSeq
 	for _, id := range snap.Applied {
-		e.applied.Add(id)
+		e.decided.decide(id, DecisionAccept)
 	}
 	for _, id := range snap.Rejected {
-		e.rejected.Add(id)
+		if !e.decided.decide(id, DecisionReject) {
+			return nil, fmt.Errorf("core: snapshot decides %s twice: applied and rejected", id)
+		}
 	}
 	for i, rs := range snap.Relations {
 		rel, ok := schema.Relation(rs.Name)

@@ -6,19 +6,20 @@ import (
 )
 
 // engineStateEqual compares the durable engine state the snapshot is meant
-// to carry: instance, decided sets, provenance, and the local sequence.
+// to carry: instance, decided table, provenance, and the local sequence.
 func engineStateEqual(t *testing.T, what string, a, b *Engine) {
 	t.Helper()
 	if !a.Instance().Equal(b.Instance()) {
 		t.Errorf("%s: instances differ", what)
 	}
-	if !reflect.DeepEqual(a.applied.Sorted(), b.applied.Sorted()) {
-		t.Errorf("%s: applied sets differ: %v vs %v", what, a.applied.Sorted(), b.applied.Sorted())
+	sa, sb := a.ExportSnapshot(), b.ExportSnapshot()
+	if !reflect.DeepEqual(sa.Applied, sb.Applied) {
+		t.Errorf("%s: applied sets differ: %v vs %v", what, sa.Applied, sb.Applied)
 	}
-	if !reflect.DeepEqual(a.rejected.Sorted(), b.rejected.Sorted()) {
-		t.Errorf("%s: rejected sets differ: %v vs %v", what, a.rejected.Sorted(), b.rejected.Sorted())
+	if !reflect.DeepEqual(sa.Rejected, sb.Rejected) {
+		t.Errorf("%s: rejected sets differ: %v vs %v", what, sa.Rejected, sb.Rejected)
 	}
-	if !reflect.DeepEqual(a.ExportSnapshot().Relations, b.ExportSnapshot().Relations) {
+	if !reflect.DeepEqual(sa.Relations, sb.Relations) {
 		t.Errorf("%s: rows or producers differ", what)
 	}
 	if a.nextSeq != b.nextSeq {
@@ -74,6 +75,30 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	bad.Relations = append(bad.Relations, RelationSnapshot{Name: "nope", Rows: []RowSnapshot{{Tuple: Strs("x")}}})
 	if _, err := NewEngineFromSnapshot(s, TrustAll(1), &bad); err == nil {
 		t.Error("snapshot with unknown relation accepted")
+	}
+}
+
+// TestSnapshotRefusesDoubleDecision: an id listed as both applied and
+// rejected names no state an engine can hold, so the snapshot is refused,
+// whichever list it comes first in; one listed in one list is restored.
+func TestSnapshotRefusesDoubleDecision(t *testing.T) {
+	s := proteinSchema(t)
+	x, y := xid("a", 0), xid("b", 3)
+	for _, snap := range []*EngineSnapshot{
+		{Peer: "q", Applied: []TxnID{x, y}, Rejected: []TxnID{y}},
+		{Peer: "q", Applied: []TxnID{x}, Rejected: []TxnID{x, y}},
+	} {
+		if _, err := NewEngineFromSnapshot(s, TrustAll(1), snap); err == nil {
+			t.Errorf("snapshot %v/%v accepted", snap.Applied, snap.Rejected)
+		}
+	}
+	e, err := NewEngineFromSnapshot(s, TrustAll(1), &EngineSnapshot{Peer: "q", Applied: []TxnID{x}, Rejected: []TxnID{y}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.Applied(x) || e.Rejected(x) || !e.Rejected(y) || e.Applied(y) {
+		t.Errorf("restored decisions: %s applied %v rejected %v, %s applied %v rejected %v",
+			x, e.Applied(x), e.Rejected(x), y, e.Applied(y), e.Rejected(y))
 	}
 }
 

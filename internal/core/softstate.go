@@ -358,7 +358,7 @@ func compareConflicts(a, b Conflict) int {
 //     deferred dependency), which it skips once carried.
 //
 // Otherwise re-running the component with every member carried reads the
-// same instance keys, decided sets and priorities, and so reproduces the
+// same instance keys, decided table and priorities, and so reproduces the
 // same deferrals, dirty keys and groups: it is settled.
 func (e *Engine) markComponents(rs *runScratch, order []*candidateState) {
 	rs.parent = resized(rs.parent, len(order))

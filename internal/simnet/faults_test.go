@@ -183,6 +183,49 @@ func TestCrashRestart(t *testing.T) {
 	}
 }
 
+// TestInFlightReplyDiesWithCrash: a handler entered before its node
+// crashes runs to its end, but its reply dies with the process: the call
+// fails with ErrUnreachable and counts as a crash drop, also when the node
+// has restarted before the handler returns. A call the crash does not
+// overlap still gets its reply.
+func TestInFlightReplyDiesWithCrash(t *testing.T) {
+	for _, restart := range []bool{false, true} {
+		net := NewVirtual(time.Microsecond)
+		entered, release, ran := make(chan struct{}), make(chan struct{}), make(chan struct{}, 1)
+		a := net.Node("a", nil)
+		net.Node("b", rpc.HandlerFunc(func(_ context.Context, req rpc.Request) ([]byte, error) {
+			entered <- struct{}{}
+			<-release
+			ran <- struct{}{}
+			return req.Body, nil
+		}))
+		errc := make(chan error, 1)
+		go func() {
+			_, err := a.Call(context.Background(), "b", "m", []byte("x"))
+			errc <- err
+		}()
+		<-entered
+		net.Crash("b")
+		if restart {
+			net.Restart("b")
+		}
+		close(release)
+		if err := <-errc; !errors.Is(err, ErrUnreachable) {
+			t.Errorf("restart=%v: call in flight across a crash returned %v, want ErrUnreachable", restart, err)
+		}
+		<-ran // the handler's side effects stand
+		if got := net.FaultStats().CrashDrops(); got != 1 {
+			t.Errorf("restart=%v: CrashDrops() = %d, want 1", restart, got)
+		}
+		if restart {
+			go func() { <-entered }()
+			if body, err := a.Call(context.Background(), "b", "m", []byte("y")); err != nil || string(body) != "y" {
+				t.Errorf("call after restart = %q, %v", body, err)
+			}
+		}
+	}
+}
+
 // TestLinkFaultsOverride: per-link faults override the fabric default and
 // stay confined to their directed link.
 func TestLinkFaultsOverride(t *testing.T) {

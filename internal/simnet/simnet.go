@@ -106,7 +106,8 @@ func (f *FaultStats) Duplicates() int64 { return f.duplicates.Load() }
 func (f *FaultStats) Jitter() time.Duration { return time.Duration(f.jitterNanos.Load()) }
 
 // CrashDrops returns the number of calls refused because an endpoint was
-// crashed.
+// crashed, and of replies dropped because the target crashed while the
+// handler ran.
 func (f *FaultStats) CrashDrops() int64 { return f.crashDrops.Load() }
 
 // PartitionDrops returns the number of calls refused by a (one- or two-way)
@@ -271,11 +272,17 @@ func (n *Network) HealOneWay(from, to string) {
 
 // Crash marks the node at addr as down: calls to or from it fail with
 // ErrUnreachable until Restart. Unlike Remove, the node stays registered,
-// modelling a process crash rather than a departure.
+// modelling a process crash rather than a departure. A crashed process
+// sends no reply: a call whose handler is running at the node when it
+// crashes fails too, once the handler returns, even if the node has
+// restarted by then.
 func (n *Network) Crash(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.crashed[addr] = true
+	if nd := n.nodes[addr]; nd != nil {
+		nd.crashes.Add(1)
+	}
 }
 
 // Restart brings a crashed node back.
@@ -285,27 +292,28 @@ func (n *Network) Restart(addr string) {
 	delete(n.crashed, addr)
 }
 
-// lookup returns the target node, honouring crashes and partitions.
-func (n *Network) lookup(from, to string) (*Node, error) {
+// lookup returns the target node and its crash generation, honouring
+// crashes and partitions.
+func (n *Network) lookup(from, to string) (*Node, uint64, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	if n.crashed[from] || n.crashed[to] {
 		n.fstats.crashDrops.Add(1)
-		return nil, fmt.Errorf("%w: %s -> %s (node crashed)", ErrUnreachable, from, to)
+		return nil, 0, fmt.Errorf("%w: %s -> %s (node crashed)", ErrUnreachable, from, to)
 	}
 	if n.partitioned[from] || n.partitioned[to] {
 		n.fstats.partitionDrops.Add(1)
-		return nil, fmt.Errorf("%w: %s -> %s (partitioned)", ErrUnreachable, from, to)
+		return nil, 0, fmt.Errorf("%w: %s -> %s (partitioned)", ErrUnreachable, from, to)
 	}
 	if n.oneway[linkKey{from, to}] {
 		n.fstats.partitionDrops.Add(1)
-		return nil, fmt.Errorf("%w: %s -> %s (one-way partition)", ErrUnreachable, from, to)
+		return nil, 0, fmt.Errorf("%w: %s -> %s (one-way partition)", ErrUnreachable, from, to)
 	}
 	node, ok := n.nodes[to]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnreachable, to)
+		return nil, 0, fmt.Errorf("%w: %s", ErrUnreachable, to)
 	}
-	return node, nil
+	return node, node.crashes.Load(), nil
 }
 
 // faultPlan is the complete set of fault decisions for one call, drawn up
@@ -388,6 +396,9 @@ type Node struct {
 	net     *Network
 	addr    string
 	handler atomic.Pointer[rpc.Handler]
+	// crashes counts the node's crashes (Network.Crash, under the
+	// network's lock), so a call can tell that its handler outlived one.
+	crashes atomic.Uint64
 }
 
 // Addr returns the node's address.
@@ -401,12 +412,14 @@ func (nd *Node) Handle(h rpc.Handler) { nd.handler.Store(&h) }
 // fault plan. A lost request returns ErrTimeout without running the
 // handler; a lost reply returns ErrTimeout after the handler ran (its side
 // effects stand); a duplicated call runs the handler twice and returns the
-// first response.
+// first response. A call whose target crashes while the handler runs (and
+// perhaps restarts) fails with ErrUnreachable: the reply died with the
+// process, and the handler's side effects stand.
 func (nd *Node) Call(ctx context.Context, to, method string, body []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	target, err := nd.net.lookup(nd.addr, to)
+	target, gen, err := nd.net.lookup(nd.addr, to)
 	if err != nil {
 		return nil, err
 	}
@@ -432,6 +445,10 @@ func (nd *Node) Call(ctx context.Context, to, method string, body []byte) ([]byt
 		// dedupe it, anything else sees a true duplicate.
 		nd.net.fstats.duplicates.Add(1)
 		_, _ = (*h).ServeRPC(ctx, req)
+	}
+	if target.crashes.Load() != gen {
+		nd.net.fstats.crashDrops.Add(1)
+		return nil, fmt.Errorf("%w: %s crashed during %s from %s", ErrUnreachable, to, method, nd.addr)
 	}
 	nd.net.charge(len(resp))
 	nd.net.jitter(p.replyDelay)

@@ -25,6 +25,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -340,6 +341,12 @@ type Client struct {
 	retrying  bool
 	keyPrefix string
 	keyCtr    atomic.Int64
+	// begins holds, per peer, the key of the last begin if it failed: it
+	// may have committed, moving the peer's frontier past its window, so
+	// the peer's next begin travels with the same key and the store
+	// replays that window instead of skipping it.
+	beginMu sync.Mutex
+	begins  map[core.PeerID]store.IdempotencyKey
 	// watchPoll bounds the server-side wait of each watch long-poll (see
 	// WithWatchPoll).
 	watchPoll time.Duration
@@ -398,7 +405,7 @@ func NewClient(from, addr string, opts ...ClientOption) *Client {
 // NewClientOn returns a client using an existing transport (e.g. a simnet
 // node in tests).
 func NewClientOn(caller rpc.Caller, addr string, opts ...ClientOption) *Client {
-	c := &Client{caller: caller, addr: addr, keyPrefix: randomKeyPrefix(), watchPoll: DefaultWatchPoll}
+	c := &Client{caller: caller, addr: addr, keyPrefix: randomKeyPrefix(), begins: make(map[core.PeerID]store.IdempotencyKey), watchPoll: DefaultWatchPoll}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -468,8 +475,29 @@ func (c *Client) Publish(ctx context.Context, peer core.PeerID, txns []store.Pub
 // store advances the peer's frontier past the window it hands out, so a
 // retried begin must replay the first delivery's window rather than be
 // given a new (empty) one.
+//
+// A begin's own retries can run out while the store is down, after the
+// first attempt committed (a crash takes the reply with it). The next
+// begin for the same peer therefore reuses the failed one's key: the store
+// replays the window if the begin committed and runs it afresh if not.
 func (c *Client) BeginReconciliation(ctx context.Context, peer core.PeerID) (*store.Reconciliation, error) {
-	rec, err := call[reconciliation](ctx, c, mBegin, &peerArgs{Peer: peer, Key: c.key(ctx, "begin")})
+	_, keyed := store.IdempotencyKeyFrom(ctx)
+	c.beginMu.Lock()
+	key, owed := c.begins[peer]
+	c.beginMu.Unlock()
+	if keyed || !owed {
+		key = c.key(ctx, "begin")
+	}
+	rec, err := call[reconciliation](ctx, c, mBegin, &peerArgs{Peer: peer, Key: key})
+	if c.retrying && !keyed {
+		c.beginMu.Lock()
+		if err == nil {
+			delete(c.begins, peer)
+		} else {
+			c.begins[peer] = key
+		}
+		c.beginMu.Unlock()
+	}
 	if err != nil {
 		return nil, err
 	}

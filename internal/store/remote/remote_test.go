@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"orchestra/internal/core"
+	"orchestra/internal/rpc"
+	"orchestra/internal/simnet"
 	"orchestra/internal/store"
 	"orchestra/internal/store/central"
 	"orchestra/internal/store/storetest"
@@ -99,6 +101,58 @@ func TestRemoteEndToEnd(t *testing.T) {
 	}
 	if rec, err := NewClient("x", addr).BeginReconciliation(ctx, "bob"); err != nil || rec.Recno != 2 {
 		t.Errorf("bob's next recno over the wire: %+v %v", rec, err)
+	}
+}
+
+// TestBeginAfterLostReplyReplaysItsWindow: a begin commits, moving the
+// peer's frontier, and the store crashes before it replies; the client's
+// retries run out while it is down. The peer's next begin must still get
+// that window, not the empty one after it: it carries the failed begin's
+// key, and the store replays the window.
+func TestBeginAfterLostReplyReplaysItsWindow(t *testing.T) {
+	schema := storetest.Schema(t)
+	ctx := context.Background()
+	backend := central.MustOpenMemory(schema)
+	defer backend.Close()
+	net := simnet.NewVirtual(time.Microsecond)
+	h := NewServer(backend, schema).Handler()
+	crashed := false
+	net.Node("store", rpc.HandlerFunc(func(ctx context.Context, req rpc.Request) ([]byte, error) {
+		resp, err := h.ServeRPC(ctx, req)
+		if req.Method == mBegin && !crashed {
+			crashed = true
+			net.Crash("store")
+		}
+		return resp, err
+	}))
+	c := NewClientOn(net.Node("bob", nil), "store", WithRetryPolicy(rpc.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond}))
+	if err := c.RegisterPeer(ctx, "bob", policyAll(t)); err != nil {
+		t.Fatal(err)
+	}
+	alice, err := store.NewPeer(ctx, "alice", schema, policyAll(t), backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.Edit(core.Insert("F", core.Strs("rat", "p1", "immune"), "alice")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.PublishAndReconcile(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := c.BeginReconciliation(ctx, "bob"); !store.IsTransient(err) {
+		t.Fatalf("begin across the crash: %v, want a transient error", err)
+	}
+	net.Restart("store")
+	rec, err := c.BeginReconciliation(ctx, "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Recno != 1 || len(rec.Candidates) != 1 {
+		t.Errorf("begin after the crash: recno %d, %d candidates; want the lost window, recno 1 with alice's transaction", rec.Recno, len(rec.Candidates))
+	}
+	if rec, err = c.BeginReconciliation(ctx, "bob"); err != nil || rec.Recno != 2 || len(rec.Candidates) != 0 {
+		t.Errorf("the begin after it: %+v, %v; want recno 2 and no candidates", rec, err)
 	}
 }
 
