@@ -156,7 +156,10 @@ core-smoke:
 # crash (TestInFlightReplyDiesWithCrash: a handler running when its node
 # crashes sends no reply, even if the node restarts first), and the remote
 # client's begin after such a lost reply (TestBeginAfterLostReplyReplaysItsWindow:
-# the next begin reuses the key, so the window is replayed, not skipped).
+# the next begin reuses the key, so the window is replayed, not skipped),
+# and a publish after one, over all six stores (the Republish cell of
+# storetest.RunConformance: a batch sent again is stored once, offered
+# once and replayed once).
 # make verify covers these
 # too; this target runs them by name so a chaos regression is unmissable in
 # CI.
@@ -164,6 +167,7 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run '^TestChaosMatrix|^TestScaleMatrix|^TestOwedDecisions' .
 	$(GO) test -race -count=1 -run '^TestFault|^TestOneWayPartition|^TestCrashRestart|^TestLinkFaults|^TestRetry|^TestClientSharedAcrossGoroutinesSurvivesDrops$$|^TestTCPCallHonoursCancel$$|^TestTCPCancelSparesQueuedCaller$$|^TestInFlightReplyDiesWithCrash$$' ./internal/simnet ./internal/rpc
 	$(GO) test -race -count=1 -run '^TestBeginAfterLostReplyReplaysItsWindow$$' ./internal/store/remote
+	$(GO) test -race -count=1 -run 'Conformance$$/^Republish$$' . ./internal/store/central ./internal/store/remote ./internal/gateway ./internal/exp/dhtstore
 
 # gateway-smoke runs the gateway contract suite under the race detector
 # (auth, per-group rate limits, backpressure shedding, idempotent retry
@@ -178,7 +182,10 @@ gateway-smoke:
 # detector (see docs/MULTIGROUP.md): the cross-tenant differential (every
 # fleet-hosted group bit-identical to a standalone run, across fleet sizes
 # and drive modes), the tenant-isolation suite with the torn multi-tenant
-# WAL crash cell, the placement/rebalance drain proofs, and the store
+# WAL crash cell, the shared database's counters seen from every tenant
+# (TestTenantMetricsCountOnce: a publish in either tenant is one commit in
+# the Node's Metrics and each tenant's DBMetrics), the placement/rebalance
+# drain proofs, and the store
 # contract's suites over a group's routed store (TestFleetConformance,
 # TestFleetWatchConformance: every forwarder runs). make verify
 # covers these too; running them by name makes a tenancy regression
@@ -223,12 +230,11 @@ trust-smoke:
 # rows (TestRedecidedSurvivesReopen: an id decided twice recovers to its
 # highest dseq; TestCompactionSplitsDecisionRow: a horizon that splits a
 # row keeps exactly the entries the per-decision rule keeps;
-# TestDecisionRowsPerBatch; TestRefuseLayout3: a layout-3 directory is
-# refused untouched), the layout-5 upgrade (TestUpgradeLayout4: directories
-# an earlier release wrote in layout 4, at 8 and 4 shards, read out what
-# that release read; TestUpgradeLayout4RefusesCollision: a duplicate key
-# across shards fails Open and rolls back; TestFreshDirectoryLayout5: a new
-# directory has no shard, epochs or table_shards entry), the decode-once
+# TestDecisionRowsPerBatch), the one layout read (TestRefuseLayout3: a
+# layout-3 and a layout-4 directory are each refused untouched, with an
+# error of their own naming the releases that read or upgrade them;
+# TestFreshDirectoryLayout5: a new directory has no shard, epochs or
+# table_shards entry), the decode-once
 # snapshot cache (TestSnapshotCacheDecodedOnce,
 # TestLatestSnapshotNeverGoesBack, TestSharedSnapshotSurvivesConcurrentRebuilds),
 # the build-once decoders (TestDecodeTupleCanonical: canonical tuples, one
@@ -248,7 +254,7 @@ storage-smoke:
 	$(GO) test -race -count=3 -run '^TestReplayTornHugeLengthAllocatesLittle$$' ./internal/wal
 	$(GO) test -race -count=3 -run '^TestDecodedRecordOwnsItsBytes$$' ./internal/reldb
 	$(GO) test -race -count=3 -run '^TestPutRecordNamesTableByID$$|^TestRefuseVersion1Dir$$' ./internal/reldb
-	$(GO) test -race -count=1 -run 'TestDurabilityAcrossReopen|TestCheckpointPreservesState|TestCrashTornPublish|TestTornSnapshot|TestDifferentialMatrix|TestCompaction|TestLateDecision|TestSnapshotWith|TestTenantCrash|TestRedecidedSurvivesReopen|TestCompactionSplitsDecisionRow|TestDecisionRowsPerBatch|TestRefuseLayout3|TestUpgradeLayout4|TestFreshDirectoryLayout5' ./internal/store/central
+	$(GO) test -race -count=1 -run 'TestDurabilityAcrossReopen|TestCheckpointPreservesState|TestCrashTornPublish|TestTornSnapshot|TestDifferentialMatrix|TestCompaction|TestLateDecision|TestSnapshotWith|TestTenantCrash|TestRedecidedSurvivesReopen|TestCompactionSplitsDecisionRow|TestDecisionRowsPerBatch|TestRefuseLayout3|TestFreshDirectoryLayout5' ./internal/store/central
 	$(GO) test -race -count=3 -run '^TestSnapshotCacheDecodedOnce$$|^TestLatestSnapshotNeverGoesBack$$|^TestSharedSnapshotSurvivesConcurrentRebuilds$$' ./internal/store/central
 	$(GO) test -race -count=3 -run '^TestDecodeTupleCanonical$$' ./internal/core
 	$(GO) test -race -count=3 -run '^TestDecodeSeedsEncodingCaches$$' ./internal/store

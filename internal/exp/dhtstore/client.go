@@ -60,13 +60,18 @@ func (cl *client) Publish(ctx context.Context, peer core.PeerID, txns []store.Pu
 		return 0, err
 	}
 	e := alloc.Epoch
-	ids := make([]core.TxnID, len(txns))
+	ids := make([]core.TxnID, 0, len(txns))
 	for i, pt := range txns {
 		pt.Txn.Epoch = e
 		pt.Txn.Order = uint64(e)*central.OrderStride + uint64(i)
-		ids[i] = pt.Txn.ID
-		if err := cl.call(ctx, txnKey(pt.Txn.ID), mTxnPut, &txnPutArgs{Pub: pt, Epoch: e}, nil); err != nil {
+		var put txnPutReply
+		if err := cl.call(ctx, txnKey(pt.Txn.ID), mTxnPut, &txnPutArgs{Pub: pt, Epoch: e}, &put); err != nil {
 			return 0, err
+		}
+		// A transaction its controller already held stays in its first
+		// epoch only.
+		if put.Stored {
+			ids = append(ids, pt.Txn.ID)
 		}
 	}
 	if err := cl.call(ctx, epochKey(e), mEpochSetTxns, &epochSetTxnsArgs{Epoch: e, Peer: peer, IDs: ids}, nil); err != nil {

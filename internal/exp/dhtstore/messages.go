@@ -129,6 +129,12 @@ type txnPutArgs struct {
 	Epoch core.Epoch
 }
 
+// txnPutReply says whether the controller stored the transaction: false
+// when it already held it, a batch sent again after a lost reply.
+type txnPutReply struct {
+	Stored bool
+}
+
 // txnGetArgs requests a transaction for reconciliation (Fig. 7): the reply
 // carries the transaction, the requester's priority for it, its antecedent
 // set, and the requester's prior decision, letting the client skip

@@ -197,7 +197,7 @@ func (ns *nodeState) txnPut(ctx context.Context, req rpc.Request) ([]byte, error
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	if _, dup := ns.txns[id]; dup {
-		return nil, fmt.Errorf("dhtstore: transaction %s already published", id)
+		return pastry.Encode(&txnPutReply{})
 	}
 	ns.txns[id] = &txnRec{
 		pub:   args.Pub,
@@ -206,7 +206,7 @@ func (ns *nodeState) txnPut(ctx context.Context, req rpc.Request) ([]byte, error
 			id.Origin: core.DecisionAccept,
 		},
 	}
-	return pastry.Encode(&struct{}{})
+	return pastry.Encode(&txnPutReply{Stored: true})
 }
 
 func (ns *nodeState) txnGet(ctx context.Context, req rpc.Request) ([]byte, error) {

@@ -110,15 +110,15 @@ func TestMapsGrowApart(t *testing.T) {
 	t.Fatalf("%d maps split %d keys identically: %v", n, keys, sizes[0])
 }
 
-// TestStaggerShares: part i of a Stagger takes 2^(i/n) (2^(1/n) - 1) of
+// TestStaggerShares: part i of a stagger takes 2^(i/n) (2^(1/n) - 1) of
 // the hashes, so the shares rise by 2^(1/n) from part to part and the last
 // is twice the first.
 func TestStaggerShares(t *testing.T) {
 	for _, n := range []int{1, 2, partCount, 32} {
-		s := NewStagger(n)
+		s := newStagger(n)
 		got := make([]int, n)
 		for b := range 1 << staggerBits {
-			got[s.Part(uint64(b)<<(64-staggerBits))]++
+			got[s.part(uint64(b)<<(64-staggerBits))]++
 		}
 		for i, c := range got {
 			want := math.Pow(2, float64(i)/float64(n)) * (math.Pow(2, 1/float64(n)) - 1) * (1 << staggerBits)

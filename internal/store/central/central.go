@@ -26,9 +26,9 @@
 //     expensive parts of publishing — run without excluding other peers.
 //   - Each epoch lists its own entries, so a begin walks its window
 //     epoch by epoch without touching the index. The transaction index is
-//     striped across txnShardCount locks keyed by TxnID, so reconcilers
-//     chasing antecedents never serialize behind publishers indexing new
-//     transactions.
+//     one map under one read-write lock: a publisher holds it exclusively
+//     only to add an entry, and reconcilers chasing antecedents take it
+//     shared.
 //   - Per-peer state (trust, recno, decided sets) sits behind a per-peer
 //     mutex: one peer's reconciliation never blocks another's.
 //
@@ -40,9 +40,7 @@
 // publish commits its txns row and its self-accept decisions row
 // together, so an epoch is durable exactly when its txns row is, and
 // recovery registers it as finished from that row; the epoch sequence's
-// high-water mark voids the rest. Open upgrades a directory of layout 4,
-// which split txns and decisions (and an epochs table) into epoch-shards,
-// in one commit (upgrade.go).
+// high-water mark voids the rest.
 //
 // # Snapshots and compaction
 //
@@ -98,15 +96,6 @@ import (
 // their orderings agree exactly.
 const OrderStride = 1 << 20
 
-// txnShardCount stripes the transaction index.
-const txnShardCount = 32
-
-// stripes splits the index's hashes over its stripes in unequal shares.
-// Every group of a fleet publishes the same transaction IDs at the same
-// pace, so even stripes would cross each map growth threshold in every
-// store at once; staggered, they cross it one stripe at a time (spread).
-var stripes = spread.NewStagger(txnShardCount)
-
 // epochBlock is how many epoch numbers each durable sequence commit claims:
 // the allocator's commit is amortized across that many publishes. Epoch
 // numbers are handed out densely regardless; after a crash the unissued
@@ -120,9 +109,10 @@ const epochBlock = 8
 // meta key; version 4 kept a peer's decisions as one decisions_k row per
 // commit and shard (decisions.go) instead of one row per decision; version
 // 5 has one txns and one decisions table and no epochs table. Open
-// upgrades layout 4 (upgrade.go) and refuses layout 3 with errLayout3;
-// earlier layouts (including pre-shard directories with no meta table and
-// a plain "txns" table) cannot be migrated.
+// refuses layout 4 with errLayout4, which names the releases that upgrade
+// it, and layout 3 with errLayout3; earlier layouts (including pre-shard
+// directories with no meta table and a plain "txns" table) cannot be
+// migrated.
 const layoutVersion = 5
 
 // Option configures Open.
@@ -202,8 +192,11 @@ type Store struct {
 	// under epochMu on every epoch finish, read lock-free.
 	stableE atomic.Int64
 
-	// shards stripe the TxnID → entry index.
-	shards [txnShardCount]txnShard
+	// txnsMu guards txns, the TxnID → entry index. Publishers hold it
+	// exclusively only to add an entry; begins walk each epoch's own
+	// entries instead, and the antecedent chase takes it shared.
+	txnsMu sync.RWMutex
+	txns   spread.Map[core.TxnID, *entry]
 
 	// peersMu guards the peer registry map only; per-peer state is behind
 	// each peerMeta's own mutex.
@@ -285,11 +278,6 @@ func (s *Store) exit() { s.life.RUnlock() }
 
 var _ store.Backend = (*Store)(nil)
 
-type txnShard struct {
-	mu sync.RWMutex
-	m  map[core.TxnID]*entry
-}
-
 type entry struct {
 	pub   store.PublishedTxn
 	epoch core.Epoch
@@ -304,7 +292,7 @@ type epochMeta struct {
 	// owned by one publisher, so this is the per-peer publish shard.
 	mu sync.Mutex
 	// txns are the epoch's indexed entries in publish order, the same
-	// pointers the index stripes hold. A compacted epoch's meta is
+	// pointers the index holds. A compacted epoch's meta is
 	// replaced by an empty one, so the list never names an entry the
 	// index has dropped.
 	txns []*entry
@@ -386,6 +374,7 @@ func openOn(db *reldb.DB, schema *core.Schema, ns string, ownsDB bool, cfg confi
 		idemTab:      ns + "idempotency",
 		trustTab:     ns + "trust",
 		epochSeq:     ns + "epoch",
+		txns:         spread.Make[core.TxnID, *entry](),
 		epochs:       spread.Make[core.Epoch, *epochMeta](),
 		peers:        make(map[core.PeerID]*peerMeta),
 		trustGraph:   trust.NewGraph(schema),
@@ -394,9 +383,6 @@ func openOn(db *reldb.DB, schema *core.Schema, ns string, ownsDB bool, cfg confi
 		idem:         make(map[store.IdempotencyKey]*idemEntry),
 		watchSignal:  make(chan struct{}),
 		watchDone:    make(chan struct{}),
-	}
-	for i := range s.shards {
-		s.shards[i].m = make(map[core.TxnID]*entry)
 	}
 	if err := s.initTables(); err != nil {
 		return nil, err
@@ -447,34 +433,19 @@ func (s *Store) Metrics() *metrics.StoreCounters { return s.counters }
 // counters (group-commit flush economy, table-lock waits).
 func (s *Store) DBMetrics() *metrics.DBCounters { return s.db.Metrics() }
 
-// shard returns the index stripe owning id (FNV-1a over origin and seq,
-// mixed into its top bits by a Fibonacci multiply).
-func (s *Store) shard(id core.TxnID) *txnShard {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(id.Origin); i++ {
-		h ^= uint64(id.Origin[i])
-		h *= 1099511628211
-	}
-	h ^= id.Seq
-	h *= 1099511628211
-	return &s.shards[stripes.Part(h*0x9e3779b97f4a7c15)]
-}
-
 // lookup returns the indexed entry for id, or nil.
 func (s *Store) lookup(id core.TxnID) *entry {
-	sh := s.shard(id)
-	sh.mu.RLock()
-	en := sh.m[id]
-	sh.mu.RUnlock()
+	s.txnsMu.RLock()
+	en, _ := s.txns.Get(id)
+	s.txnsMu.RUnlock()
 	return en
 }
 
-// index adds an entry to its stripe.
+// index adds an entry to the index.
 func (s *Store) index(en *entry) {
-	sh := s.shard(en.pub.Txn.ID)
-	sh.mu.Lock()
-	sh.m[en.pub.Txn.ID] = en
-	sh.mu.Unlock()
+	s.txnsMu.Lock()
+	s.txns.Set(en.pub.Txn.ID, en)
+	s.txnsMu.Unlock()
 }
 
 // peer resolves a registered peer.
@@ -525,12 +496,7 @@ func (s *Store) Checkpoint() error {
 // TxnCount returns the number of published transactions (for tests and the
 // bench harness).
 func (s *Store) TxnCount() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
+	s.txnsMu.RLock()
+	defer s.txnsMu.RUnlock()
+	return s.txns.Len()
 }

@@ -2,6 +2,8 @@ package central
 
 import (
 	"context"
+	"slices"
+	"sync"
 	"testing"
 
 	"orchestra/internal/core"
@@ -23,6 +25,49 @@ func TestConformance(t *testing.T) {
 
 func TestWatchConformance(t *testing.T) {
 	storetest.RunWatchConformance(t, factory)
+}
+
+// TestConcurrentRepublishStoresOnce: deliveries of one batch that race —
+// a retry sent while the first is still in flight — store it once, and
+// the epochs of the deliveries that stored nothing end void, so the stable
+// frontier reaches the last of them.
+func TestConcurrentRepublishStoresOnce(t *testing.T) {
+	ctx := context.Background()
+	s := MustOpenMemory(storetest.Schema(t))
+	defer s.Close()
+	if err := s.RegisterPeer(ctx, "pa", core.TrustAll(1)); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]store.PublishedTxn, 8)
+	for k := range batch {
+		id := core.TxnID{Origin: "pa", Seq: uint64(k + 1)}
+		batch[k] = store.PublishedTxn{Txn: core.NewTransaction(id, core.Insert("F", core.Strs("pa", id.String(), "fn"), "pa"))}
+	}
+	const deliveries = 4
+	var wg sync.WaitGroup
+	for range deliveries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Publish(ctx, "pa", slices.Clone(batch)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := s.TxnCount(); n != len(batch) {
+		t.Errorf("%d deliveries of a batch of %d indexed %d transactions", deliveries, len(batch), n)
+	}
+	log, decided, err := s.ReplayFrom(ctx, "pa", 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != len(batch) || len(decided) != len(batch) {
+		t.Errorf("replay: %d transactions and %d decisions, want %d of each", len(log), len(decided), len(batch))
+	}
+	if st, top := s.stableEpoch(), s.maxEpoch(); st != deliveries || top != deliveries {
+		t.Errorf("stable epoch %d, highest %d; want both %d", st, top, deliveries)
+	}
 }
 
 // TestMultiGroupConformance runs the tenancy suite over a Node hosting

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -357,64 +358,132 @@ func dirBytes(t *testing.T, dir string) map[string]string {
 }
 
 // TestRefuseLayout3: a directory of table layout 3, whose decisions_k
-// tables hold one row per decision, makes Open fail with errLayout3, which
-// names the last commit that reads it, and leaves every file in the
-// directory as it was.
+// tables hold one row per decision, and one of layout 4, whose decisions_k
+// tables hold one row per commit and peer, each make Open fail with an
+// error of their own, which names the commits that read or upgrade them,
+// and leave every file in the directory as it was.
 func TestRefuseLayout3(t *testing.T) {
-	dir := t.TempDir()
-	db, err := reldb.Open(reldb.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = db.Update(func(tx *reldb.Tx) error {
-		if err := tx.CreateTable(reldb.TableDef{
-			Name: "meta",
-			Cols: []reldb.ColDef{{Name: "key", Type: reldb.ColString}, {Name: "value", Type: reldb.ColInt}},
-			Key:  []int{0},
-		}); err != nil {
-			return err
-		}
-		if err := tx.Insert("meta", reldb.Row{reldb.Str("layout"), reldb.Int(3)}); err != nil {
-			return err
-		}
-		if err := tx.Insert("meta", reldb.Row{reldb.Str("table_shards"), reldb.Int(defaultTableShards)}); err != nil {
-			return err
-		}
-		if err := tx.CreateTable(reldb.TableDef{
+	col := func(name string, typ reldb.ColType) reldb.ColDef { return reldb.ColDef{Name: name, Type: typ} }
+	for _, c := range []struct {
+		layout  int64
+		want    error
+		commits []string
+		def     reldb.TableDef
+		row     reldb.Row
+	}{{
+		layout:  3,
+		want:    errLayout3,
+		commits: []string{"948bb9d"},
+		def: reldb.TableDef{
 			Name: "decisions_01",
-			Cols: []reldb.ColDef{
-				{Name: "peer", Type: reldb.ColString},
-				{Name: "origin", Type: reldb.ColString},
-				{Name: "seq", Type: reldb.ColInt},
-				{Name: "decision", Type: reldb.ColInt},
-				{Name: "dseq", Type: reldb.ColInt},
-			},
-			Key: []int{0, 1, 2},
-		}); err != nil {
-			return err
-		}
-		return tx.Insert("decisions_01", reldb.Row{
-			reldb.Str("pa"), reldb.Str("pa"), reldb.Int(1), reldb.Int(int64(core.DecisionAccept)), reldb.Int(1),
+			Cols: []reldb.ColDef{col("peer", reldb.ColString), col("origin", reldb.ColString), col("seq", reldb.ColInt), col("decision", reldb.ColInt), col("dseq", reldb.ColInt)},
+			Key:  []int{0, 1, 2},
+		},
+		row: reldb.Row{reldb.Str("pa"), reldb.Str("pa"), reldb.Int(1), reldb.Int(int64(core.DecisionAccept)), reldb.Int(1)},
+	}, {
+		layout:  4,
+		want:    errLayout4,
+		commits: []string{"523c33b", "f0332da"},
+		def: reldb.TableDef{
+			Name: "decisions_01",
+			Cols: []reldb.ColDef{col("peer", reldb.ColString), col("first_dseq", reldb.ColInt), col("payload", reldb.ColBytes)},
+			Key:  []int{0, 1},
+		},
+		row: reldb.Row{reldb.Str("pa"), reldb.Int(1), reldb.Bytes(appendDecisionRow(nil, 1, []decisionEntry{{id: core.TxnID{Origin: "pa", Seq: 1}, d: core.DecisionAccept, dseq: 1}}))},
+	}} {
+		t.Run(fmt.Sprintf("layout=%d", c.layout), func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := reldb.Open(reldb.Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = db.Update(func(tx *reldb.Tx) error {
+				if err := tx.CreateTable(reldb.TableDef{
+					Name: "meta",
+					Cols: []reldb.ColDef{col("key", reldb.ColString), col("value", reldb.ColInt)},
+					Key:  []int{0},
+				}); err != nil {
+					return err
+				}
+				if err := tx.Insert("meta", reldb.Row{reldb.Str("layout"), reldb.Int(c.layout)}); err != nil {
+					return err
+				}
+				if err := tx.Insert("meta", reldb.Row{reldb.Str("table_shards"), reldb.Int(8)}); err != nil {
+					return err
+				}
+				if err := tx.CreateTable(c.def); err != nil {
+					return err
+				}
+				return tx.Insert(c.def.Name, c.row)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := dirBytes(t, dir)
+			s, err := Open(storetest.Schema(t), dir)
+			if err == nil {
+				s.Close()
+				t.Fatalf("Open accepted a layout-%d directory", c.layout)
+			}
+			if !errors.Is(err, c.want) {
+				t.Errorf("Open = %v, want %v", err, c.want)
+			}
+			for _, commit := range c.commits {
+				if !strings.Contains(err.Error(), commit) {
+					t.Errorf("Open = %v, want an error naming commit %s", err, commit)
+				}
+			}
+			if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+				t.Errorf("a refused Open changed the directory:\n got %q\nwant %q", after, before)
+			}
 		})
+	}
+}
+
+// layout5Tables is every table a single-tenant layout-5 directory has.
+var layout5Tables = []string{"decisions", "idempotency", "meta", "peers", "snapshots", "trust", "txns"}
+
+// assertLayout5 checks that s's directory is layout 5: exactly the
+// layout-5 tables, no shard or epochs table, and a meta table that records
+// layout 5 and no table_shards.
+func assertLayout5(t *testing.T, s *Store) {
+	t.Helper()
+	names := s.db.TableNames()
+	slices.Sort(names)
+	if !reflect.DeepEqual(names, layout5Tables) {
+		t.Errorf("tables %v, want %v", names, layout5Tables)
+	}
+	err := s.db.View(func(tx *reldb.Tx) error {
+		r, ok, err := tx.Get(s.metaTab, reldb.Str("layout"))
+		if err != nil || !ok || r[1].I() != layoutVersion {
+			t.Errorf("meta layout = %v (present %v, err %v), want %d", r, ok, err, layoutVersion)
+		}
+		if _, ok, _ := tx.Get(s.metaTab, reldb.Str("table_shards")); ok {
+			t.Error("meta still records table_shards")
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Close(); err != nil {
+}
+
+// TestFreshDirectoryLayout5: a new directory, written to, has only the
+// layout-5 tables, and its meta records no shard count.
+func TestFreshDirectoryLayout5(t *testing.T) {
+	s, err := Open(storetest.Schema(t), t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	before := dirBytes(t, dir)
-	s, err := Open(storetest.Schema(t), dir)
-	if err == nil {
-		s.Close()
-		t.Fatal("Open accepted a layout-3 directory")
+	defer s.Close()
+	if err := s.RegisterPeer(context.Background(), "pa", core.TrustAll(1)); err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, errLayout3) || !strings.Contains(err.Error(), "948bb9d") {
-		t.Errorf("Open = %v, want errLayout3 naming commit 948bb9d", err)
-	}
-	if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
-		t.Errorf("a refused Open changed the directory:\n got %q\nwant %q", after, before)
-	}
+	pubBatch(t, s, "pa", 1, 3)
+	assertLayout5(t, s)
 }
 
 // TestOpenRefusesDecisionSeqPastCache: a decision row whose dseq the

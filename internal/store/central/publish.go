@@ -3,6 +3,7 @@ package central
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"orchestra/internal/core"
 	"orchestra/internal/reldb"
@@ -134,8 +135,9 @@ func (s *Store) allocEpoch() (core.Epoch, error) {
 // publishWrite writes a non-empty batch into the epoch the peer was just
 // allocated and finishes the epoch, in one database commit: the batch's
 // transactions get their global orders and are recorded as accepted by
-// the publisher. A non-empty key records the publish's dedup row in the
-// same commit.
+// the publisher. A transaction already published is skipped, and a batch
+// of nothing else leaves the epoch void. A non-empty key records the
+// publish's dedup row in the same commit.
 func (s *Store) publishWrite(peer core.PeerID, epoch core.Epoch, txns []store.PublishedTxn, key store.IdempotencyKey) error {
 	em := s.epoch(epoch)
 	pm, err := s.peer(peer)
@@ -145,10 +147,21 @@ func (s *Store) publishWrite(peer core.PeerID, epoch core.Epoch, txns []store.Pu
 
 	em.mu.Lock()
 	defer em.mu.Unlock()
-	// Assign orders and encode the batch before taking the peer lock or
-	// the database lock: encoding is the expensive part of publishing, and
-	// it runs under the per-epoch lock only, which nobody else contends
-	// for. The whole batch becomes one compact binary payload
+	lockContended(&pm.mu, s.counters.ObservePeerContention)
+	defer pm.mu.Unlock()
+	// A batch sent again after a lost reply names transactions the index
+	// already holds. The check and the indexing below both run under the
+	// publisher's lock, so two deliveries of one batch cannot both pass
+	// it; the skipped transactions keep the Epoch and Order they were
+	// published with.
+	if txns = s.unpublished(txns); len(txns) == 0 {
+		em.finished.Store(true)
+		s.advanceFrontier()
+		return nil
+	}
+	// Assign orders and encode the batch before taking the database lock:
+	// encoding is the expensive part of publishing, and it excludes no
+	// other peer. The whole batch becomes one compact binary payload
 	// (store.AppendPublishedTxns — reflection-free; gob's per-encoder type
 	// descriptors used to dominate the publish profile).
 	base := uint64(len(em.txns))
@@ -164,8 +177,6 @@ func (s *Store) publishWrite(peer core.PeerID, epoch core.Epoch, txns []store.Pu
 	}
 	payload := store.AppendPublishedTxns(nil, txns)
 
-	lockContended(&pm.mu, s.counters.ObservePeerContention)
-	defer pm.mu.Unlock()
 	// One commit carries the whole publish: the batch payload, which is
 	// the epoch's first durable trace (allocation itself is memory-only)
 	// and marks it finished, and the publisher's self-accepts as one
@@ -210,6 +221,26 @@ func (s *Store) publishWrite(peer core.PeerID, epoch core.Epoch, txns []store.Pu
 	em.finished.Store(true)
 	s.advanceFrontier()
 	return nil
+}
+
+// unpublished returns txns without the transactions the index holds: txns
+// itself when it holds none of them.
+func (s *Store) unpublished(txns []store.PublishedTxn) []store.PublishedTxn {
+	s.txnsMu.RLock()
+	defer s.txnsMu.RUnlock()
+	for i := range txns {
+		if _, dup := s.txns.Get(txns[i].Txn.ID); !dup {
+			continue
+		}
+		fresh := slices.Clone(txns[:i])
+		for _, pt := range txns[i+1:] {
+			if _, dup := s.txns.Get(pt.Txn.ID); !dup {
+				fresh = append(fresh, pt)
+			}
+		}
+		return fresh
+	}
+	return txns
 }
 
 // Publish implements store.Store: allocate an epoch, then write and finish

@@ -17,7 +17,7 @@ import (
 // BeginReconciliation implements store.Store. Only the reconciling peer's
 // own lock is held throughout, so any number of peers reconcile
 // concurrently; the epoch window is read under per-epoch locks and the
-// transaction index under its stripes. A context carrying an idempotency
+// transaction index under its read lock. A context carrying an idempotency
 // key makes the call safe to redeliver: a duplicate of a committed begin
 // returns the original recno and window (with its candidates recomputed)
 // instead of advancing the frontier again — without the key, a retried
@@ -377,8 +377,8 @@ func (s *Store) recordDecisionsBatch(batches []store.DecisionBatch, key store.Id
 
 // window is the one walk of the published log: the entries of epochs
 // (from, to] in epoch order, publish order within an epoch — the global
-// order. It reads each epoch's own entry list and never the index stripes,
-// which serve the antecedent chase. A begin walks its reconciliation
+// order. It reads each epoch's own entry list and never the index, which
+// serves the antecedent chase. A begin walks its reconciliation
 // window (candidatesLocked); ReplayFrom walks to the highest allocated
 // epoch, behind the compaction guard. A finished epoch's list is immutable
 // and read lock-free; an epoch still publishing is copied under its lock.

@@ -254,7 +254,7 @@ func sameGroups(t *testing.T, what string, e, twin *core.Engine) {
 }
 
 // TestWindowMatchesIndexWalk: the two walks of the published log agree.
-// window reads each epoch's own entry list, entriesIn the index stripes;
+// window reads each epoch's own entry list, entriesIn the index;
 // for every window (from, to] they must yield the same entries, the same
 // pointers, in the global order — with an epoch held open (window copies
 // its list under the epoch lock), after a reopen (the lists are rebuilt

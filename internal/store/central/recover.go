@@ -11,18 +11,17 @@ import (
 	"orchestra/internal/trust"
 )
 
-// resolveLayout reads the directory's table layout before the store
+// checkLayout reads the directory's table layout before the store
 // touches any table but meta, and writes nothing: a fresh directory gets
-// layoutVersion, layout 4 is upgraded by initTables (upgrade.go), and
-// layout 3, earlier layouts and pre-shard directories (a plain "txns"
-// table and no meta table) are refused — same no-migration policy as the
-// binary-codec break.
-func (s *Store) resolveLayout() (int64, error) {
+// layoutVersion, and layouts 4 and 3, earlier layouts and pre-shard
+// directories (a plain "txns" table and no meta table) are refused — one
+// reader per format, as for reldb's log and the snapshot codec.
+func (s *Store) checkLayout() error {
 	if _, ok := s.db.TableDef(s.metaTab); !ok {
 		if _, ok := s.db.TableDef(s.txnsTab); ok {
-			return 0, fmt.Errorf("central: store directory uses the pre-shard single-table layout; no migration path (layout version %d)", layoutVersion)
+			return fmt.Errorf("central: store directory uses the pre-shard single-table layout; no migration path (layout version %d)", layoutVersion)
 		}
-		return layoutVersion, nil
+		return nil
 	}
 	var layout int64
 	err := s.db.View(func(tx *reldb.Tx) error {
@@ -34,32 +33,33 @@ func (s *Store) resolveLayout() (int64, error) {
 	})
 	switch {
 	case err != nil:
-		return 0, err
+		return err
+	case layout == 4:
+		return errLayout4
 	case layout == 3:
-		return 0, errLayout3
-	case layout != 4 && layout != layoutVersion:
-		return 0, fmt.Errorf("central: store directory has layout version %d, this build reads %d; no migration path", layout, layoutVersion)
+		return errLayout3
+	case layout != layoutVersion:
+		return fmt.Errorf("central: store directory has layout version %d, this build reads %d; no migration path", layout, layoutVersion)
 	}
-	return layout, nil
+	return nil
 }
+
+// errLayout4 refuses a directory of layout 4, which split txns and
+// decisions, and an epochs table, into epoch-shards. The releases from
+// commit 523c33b through f0332da upgrade it to layout 5 on Open.
+var errLayout4 = errors.New("central: store directory has table layout 4 (epoch-sharded tables), which this release no longer reads; open it once with a release from commit 523c33b through f0332da, which upgrades it to layout 5")
 
 // errLayout3 refuses a directory of layout 3, which kept one decisions_k
 // row per decision where later layouts keep one per commit and peer.
-// resolveLayout returns it before the store reads any table but meta, and
-// writes nothing. No release upgrades such a directory.
+// No release upgrades such a directory.
 var errLayout3 = errors.New("central: store directory has table layout 3 (one decision row per decision), which this release no longer reads; commit 948bb9d is the last that reads it, and no release migrates it")
 
-// initTables creates what a directory lacks, and upgrades a layout-4
-// directory, in one commit. An upgrade commit writes every row of the
-// shard tables again, so the directory would hold each row twice, in the
-// shard tables' history and in the commit's WAL record, until the next
-// checkpoint; initTables checkpoints once after it, leaving one copy.
+// initTables creates what a directory lacks, in one commit.
 func (s *Store) initTables() error {
-	layout, err := s.resolveLayout()
-	if err != nil {
+	if err := s.checkLayout(); err != nil {
 		return err
 	}
-	err = s.db.Update(func(tx *reldb.Tx) error {
+	return s.db.Update(func(tx *reldb.Tx) error {
 		create := func(def reldb.TableDef) error {
 			if tx.HasTable(def.Name) {
 				return nil
@@ -167,15 +167,8 @@ func (s *Store) initTables() error {
 		}); err != nil {
 			return err
 		}
-		if layout == 4 {
-			return s.upgradeLayout4(tx)
-		}
 		return nil
 	})
-	if err != nil || layout != 4 {
-		return err
-	}
-	return s.db.Checkpoint()
 }
 
 // loadCaches rebuilds the in-memory indexes from the tables after recovery.

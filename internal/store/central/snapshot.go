@@ -90,16 +90,13 @@ func (s *Store) copyPeers() ([]peerCopy, core.Epoch) {
 // epochs' entries.
 func (s *Store) entriesIn(from, to core.Epoch) []*entry {
 	var out []*entry
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, en := range sh.m {
-			if en.epoch > from && en.epoch <= to {
-				out = append(out, en)
-			}
+	s.txnsMu.RLock()
+	for _, en := range s.txns.All() {
+		if en.epoch > from && en.epoch <= to {
+			out = append(out, en)
 		}
-		sh.mu.RUnlock()
 	}
+	s.txnsMu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].pub.Txn.Order < out[j].pub.Txn.Order })
 	return out
 }
@@ -535,15 +532,13 @@ func (s *Store) compactBeforeLocked(e core.Epoch, key store.IdempotencyKey) erro
 		s.epochs.Set(ep, em)
 	}
 	s.epochMu.Unlock()
+	s.txnsMu.Lock()
 	for id := range oldIDs {
-		if residue[id] {
-			continue
+		if !residue[id] {
+			s.txns.Delete(id)
 		}
-		sh := s.shard(id)
-		sh.mu.Lock()
-		delete(sh.m, id)
-		sh.mu.Unlock()
 	}
+	s.txnsMu.Unlock()
 	// Decision caches mirror the rows: entries folded into the snapshot
 	// (seq <= high-water) for transactions at or below the horizon go
 	// away, so a live compacted store and a reopened one serve identical

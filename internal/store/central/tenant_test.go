@@ -478,3 +478,52 @@ func TestClosedTenantRefusesEveryVerb(t *testing.T) {
 		t.Fatalf("the closed store counted %d txns, the directory holds %d", closedAt, n)
 	}
 }
+
+// TestTenantMetricsCountOnce: two tenants of one Node share one database
+// and so one set of database counters. Each tenant's DBMetrics is the
+// Node's Metrics, and a publish in either tenant is one commit in it,
+// riding one group flush, counted once; each tenant's store counters count
+// only its own publishes.
+func TestTenantMetricsCountOnce(t *testing.T) {
+	ctx := context.Background()
+	schema := storetest.Schema(t)
+	node, err := OpenNode(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	var tenants [2]*Store
+	for i, group := range []string{"ga", "gb"} {
+		if tenants[i], err = node.OpenGroup(group, schema); err != nil {
+			t.Fatal(err)
+		}
+		if tenants[i].DBMetrics() != node.Metrics() {
+			t.Fatalf("tenant %s's DBMetrics is not the Node's Metrics", group)
+		}
+		if err := tenants[i].RegisterPeer(ctx, "pa", core.TrustAll(1)); err != nil {
+			t.Fatal(err)
+		}
+		// The first publish also claims the tenant's epoch block, a
+		// commit of its own.
+		pubBatch(t, tenants[i], "pa", 1, 1)
+	}
+	before := node.Metrics().Snapshot()
+	for _, s := range tenants {
+		pubBatch(t, s, "pa", 10, 3)
+	}
+	got := node.Metrics().Snapshot()
+	if n := got.Commits - before.Commits; n != 2 {
+		t.Errorf("two publishes, one per tenant, made %d commits, want 2", n)
+	}
+	if n := got.GroupedCommits - before.GroupedCommits; n != 2 {
+		t.Errorf("two publishes, one per tenant, rode %d group flushes, want 2", n)
+	}
+	for i, s := range tenants {
+		if db := s.DBMetrics().Snapshot(); db != got {
+			t.Errorf("tenant %d's DBMetrics = %v, the Node's = %v", i, db, got)
+		}
+		if n := s.Metrics().Snapshot().Publishes; n != 2 {
+			t.Errorf("tenant %d counted %d publishes, want its own 2", i, n)
+		}
+	}
+}

@@ -76,7 +76,9 @@ type Store interface {
 	// Publish atomically publishes a batch of transactions from the peer,
 	// allocating a new epoch; the transactions are recorded as already
 	// accepted by their publisher. An empty batch returns the current
-	// epoch without allocating.
+	// epoch without allocating. A transaction whose id is already
+	// published is skipped, and the call succeeds: a peer whose publish
+	// committed but lost its reply sends the same batch again.
 	Publish(ctx context.Context, peer core.PeerID, txns []PublishedTxn) (core.Epoch, error)
 
 	// BeginReconciliation determines the peer's reconciliation epoch (the

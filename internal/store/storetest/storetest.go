@@ -135,6 +135,15 @@ func wantIDSet(t *testing.T, what string, got []core.TxnID, want ...core.TxnID) 
 	}
 }
 
+// candidateIDs lists a reconciliation's candidates by id.
+func candidateIDs(r *store.Reconciliation) []core.TxnID {
+	out := make([]core.TxnID, 0, len(r.Candidates))
+	for _, c := range r.Candidates {
+		out = append(out, c.Txn.ID)
+	}
+	return out
+}
+
 // backendFor returns the peer's store client as a store.Backend. Tier two
 // is not optional: a client that is only a store.Store fails the test.
 func backendFor(t *testing.T, clientFor func(core.PeerID) store.Store, peer core.PeerID) store.Backend {
@@ -154,6 +163,7 @@ func RunConformance(t *testing.T, factory Factory) {
 	t.Run("AntecedentChasing", func(t *testing.T) { testAntecedentChasing(t, factory) })
 	t.Run("UntrustedSkipped", func(t *testing.T) { testUntrustedSkipped(t, factory) })
 	t.Run("EmptyPublish", func(t *testing.T) { testEmptyPublish(t, factory) })
+	t.Run("Republish", func(t *testing.T) { testRepublish(t, factory) })
 	t.Run("RecnoAdvances", func(t *testing.T) { testRecnoAdvances(t, factory) })
 	t.Run("NoRedelivery", func(t *testing.T) { testNoRedelivery(t, factory) })
 	t.Run("PriorityConflict", func(t *testing.T) { testPriorityConflict(t, factory) })
@@ -224,15 +234,8 @@ func testIdempotentRetry(t *testing.T, factory Factory) {
 	if r1.Recno != r2.Recno || r1.FromEpoch != r2.FromEpoch || r1.ToEpoch != r2.ToEpoch {
 		t.Errorf("retried begin window differs: %+v vs %+v", r1, r2)
 	}
-	ids := func(r *store.Reconciliation) []core.TxnID {
-		out := make([]core.TxnID, 0, len(r.Candidates))
-		for _, c := range r.Candidates {
-			out = append(out, c.Txn.ID)
-		}
-		return out
-	}
-	wantIDSet(t, "keyed begin candidates", ids(r1), x.ID)
-	wantIDSet(t, "retried begin candidates", ids(r2), ids(r1)...)
+	wantIDSet(t, "keyed begin candidates", candidateIDs(r1), x.ID)
+	wantIDSet(t, "retried begin candidates", candidateIDs(r2), candidateIDs(r1)...)
 
 	// A retried decision batch records once; the decision sticks and the
 	// transaction is never redelivered.
@@ -249,7 +252,7 @@ func testIdempotentRetry(t *testing.T, factory Factory) {
 		t.Fatal(err)
 	}
 	if len(r3.Candidates) != 0 {
-		t.Errorf("decided txn redelivered: %+v", ids(r3))
+		t.Errorf("decided txn redelivered: %+v", candidateIDs(r3))
 	}
 	if r3.Recno != r1.Recno+1 {
 		t.Errorf("pb recno after the retries = %d, want %d", r3.Recno, r1.Recno+1)
@@ -689,6 +692,67 @@ func testEmptyPublish(t *testing.T, factory Factory) {
 	if len(res.Accepted)+len(res.Rejected)+len(res.Deferred) != 0 {
 		t.Errorf("empty reconcile: %+v", res)
 	}
+}
+
+// testRepublish: a batch published again — what a peer does when its
+// publish committed but the reply was lost — is stored once. Each publish
+// succeeds, one that repeats a transaction beside a new one stores only
+// the new one, another peer's begin offers each transaction once, and a
+// store that replays rebuilds the publisher from each transaction once.
+func testRepublish(t *testing.T, factory Factory) {
+	s := Schema(t)
+	clientFor, cleanup := factory(t, s)
+	defer cleanup()
+	ctx := context.Background()
+	st := clientFor("pa")
+	pa, err := store.NewPeer(ctx, "pa", s, TrustAll(1), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.NewPeer(ctx, "pb", s, TrustAll(1), clientFor("pb")); err != nil {
+		t.Fatal(err)
+	}
+	x1 := mustEdit(t, pa, core.Insert("F", core.Strs("rat", "p1", "v"), "pa"))
+	x2 := mustEdit(t, pa, core.Insert("F", core.Strs("rat", "p2", "v"), "pa"))
+	// The first delivery of pa's pending batch, whose reply pa never saw;
+	// pa.Publish sends the batch again.
+	if _, err := st.Publish(ctx, "pa", []store.PublishedTxn{{Txn: x1}, {Txn: x2}}); err != nil {
+		t.Fatalf("first publish: %v", err)
+	}
+	if _, err := pa.Publish(ctx); err != nil {
+		t.Fatalf("republish: %v", err)
+	}
+	x3 := mustEdit(t, pa, core.Insert("F", core.Strs("rat", "p3", "v"), "pa"))
+	if _, err := st.Publish(ctx, "pa", []store.PublishedTxn{{Txn: x2}, {Txn: x3}}); err != nil {
+		t.Fatalf("publish of a repeated and a new transaction: %v", err)
+	}
+	rec, err := clientFor("pb").BeginReconciliation(ctx, "pb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantIDSet(t, "pb's candidates", candidateIDs(rec), x1.ID, x2.ID, x3.ID)
+
+	sr, ok := st.(store.SnapshotReplayer)
+	if !ok {
+		return // a tier-one store need not replay
+	}
+	log, decided, err := sr.ReplayFrom(ctx, "pa", 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := make([]core.TxnID, len(log))
+	for i, pt := range log {
+		replayed[i] = pt.Txn.ID
+	}
+	wantIDSet(t, "pa's replayed log", replayed, x1.ID, x2.ID, x3.ID)
+	if len(decided) != 3 {
+		t.Errorf("pa's replayed decisions: %v, want its three self-accepts", decided)
+	}
+	ra, err := store.RebuildPeer(ctx, "pa", s, TrustAll(1), st)
+	if err != nil {
+		t.Fatalf("rebuild pa: %v", err)
+	}
+	wantTuples(t, ra.Instance(), "F", core.Strs("rat", "p1", "v"), core.Strs("rat", "p2", "v"), core.Strs("rat", "p3", "v"))
 }
 
 func testRecnoAdvances(t *testing.T, factory Factory) {
